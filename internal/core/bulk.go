@@ -111,12 +111,7 @@ func (t *Tree) bulkLoadLocked(recs []cube.Record) (needFlush bool, err error) {
 		}
 		n := t.newNode(true)
 		for _, idx := range order[lo:hi] {
-			r := recs[idx]
-			n.entries = append(n.entries, entry{
-				MDS: mds.FromLeaves(r.Coords),
-				Agg: cube.AggOfRecord(r.Measures),
-				Rec: r.Clone(),
-			})
+			n.entries = append(n.entries, t.ws.leaves.newEntry(recs[idx]))
 		}
 		m, err := t.bulkDescribe(n)
 		if err != nil {
@@ -166,21 +161,16 @@ func (t *Tree) bulkLoadLocked(recs []cube.Record) (needFlush bool, err error) {
 // exact cover lifted to coarse relevant levels, refined by the same rule
 // the dynamic split path uses.
 func (t *Tree) bulkDescribe(n *node) (mds.MDS, error) {
-	space := t.space()
-	cover, err := n.cover(space)
-	if err != nil {
-		return nil, err
-	}
 	// Lift to the coarsest describable form first (one value per
 	// dimension where possible keeps the description minimal), then apply
 	// the standard refinement bound downward.
-	levels := make([]int, len(space))
-	for d, h := range space {
-		levels[d] = h.TopLevel()
-	}
-	coarse, err := mds.AdaptToLevels(space, cover, levels)
+	ws := t.ws
+	coarse, err := mds.CoverInto(&ws.cover, t.space(), ws.top, ws.entryMDSs(n))
 	if err != nil {
 		return nil, err
 	}
-	return t.refineMDS(n, coarse)
+	if err := t.refineMDS(n, coarse); err != nil {
+		return nil, err
+	}
+	return packMDS(coarse), nil
 }

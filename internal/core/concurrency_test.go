@@ -11,7 +11,9 @@ import (
 
 // TestConcurrentQueriesDuringInserts exercises the paper's motivating
 // scenario: the warehouse stays continuously available for OLAP while
-// single-record updates stream in. Run with -race.
+// single-record updates stream in — inserts with their splits and deletes
+// with their cover repairs, all on the tree's one write scratch, which the
+// readers must never see. Run with -race.
 func TestConcurrentQueriesDuringInserts(t *testing.T) {
 	tree := newTestTree(t, smallConfig())
 	s := tree.Schema()
@@ -37,10 +39,16 @@ func TestConcurrentQueriesDuringInserts(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for _, r := range stream {
+		for i, r := range stream {
 			if err := tree.Insert(r); err != nil {
 				errs <- err
 				return
+			}
+			if i%5 == 4 {
+				if err := tree.Delete(stream[i-3]); err != nil {
+					errs <- err
+					return
+				}
 			}
 		}
 	}()
@@ -72,11 +80,16 @@ func TestConcurrentQueriesDuringInserts(t *testing.T) {
 	if err := tree.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if tree.Count() != int64(len(warm)+len(stream)) {
-		t.Fatalf("count = %d", tree.Count())
-	}
 	// Final ground truth.
-	all := append(append([]cube.Record(nil), warm...), stream...)
+	all := append([]cube.Record(nil), warm...)
+	for i, r := range stream {
+		if deleted := i%5 == 1 && i+3 < len(stream); !deleted {
+			all = append(all, r)
+		}
+	}
+	if tree.Count() != int64(len(all)) {
+		t.Fatalf("count = %d, want %d", tree.Count(), len(all))
+	}
 	for i := 0; i < 40; i++ {
 		q := queries[i]
 		want := bruteAgg(t, s, all, q, 0)

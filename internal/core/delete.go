@@ -33,8 +33,11 @@ func (t *Tree) Delete(rec cube.Record) error {
 // deleteLocked applies one delete under the tree write lock, appending the
 // logical record after the mutation when log is true (see insertLocked).
 func (t *Tree) deleteLocked(rec cube.Record, log bool) (uint64, error) {
-	recMDS := mds.FromLeaves(rec.Coords)
-	found, err := t.deleteFrom(t.root, rec, recMDS)
+	rc, err := t.recContext(rec)
+	if err != nil {
+		return 0, err
+	}
+	found, err := t.deleteFrom(t.root, rc)
 	if err != nil {
 		return 0, err
 	}
@@ -71,10 +74,11 @@ func (t *Tree) deleteLocked(rec cube.Record, log bool) (uint64, error) {
 	if len(root.entries) == 0 {
 		t.rootMDS = mds.Top(t.schema.Dims())
 	} else {
-		t.rootMDS, err = root.cover(t.space())
+		cover, err := mds.CoverInto(&t.ws.cover, t.space(), nil, t.ws.entryMDSs(root))
 		if err != nil {
 			return 0, err
 		}
+		storeMDS(t.rootMDS, cover)
 	}
 	if !log {
 		return 0, nil
@@ -83,19 +87,18 @@ func (t *Tree) deleteLocked(rec cube.Record, log bool) (uint64, error) {
 }
 
 // deleteFrom removes the record from the subtree at id. It probes every
-// entry whose MDS contains the record's MDS (entries may overlap, so
-// several probes can be necessary) and, once the record is found, repairs
-// the entry's MDS and aggregate from the child's exact state.
-func (t *Tree) deleteFrom(id nodeID, rec cube.Record, recMDS mds.MDS) (bool, error) {
+// entry whose MDS contains the record (entries may overlap, so several
+// probes can be necessary) and, once the record is found, repairs the
+// entry's MDS and aggregate from the child's exact state.
+func (t *Tree) deleteFrom(id nodeID, rc *recContext) (bool, error) {
 	n, err := t.getNode(id)
 	if err != nil {
 		return false, err
 	}
-	space := t.space()
 
 	if n.leaf {
 		for i := range n.entries {
-			if recordsEqual(n.entries[i].Rec, rec) {
+			if recordsEqual(n.entries[i].Rec, rc.rec) {
 				n.entries = append(n.entries[:i], n.entries[i+1:]...)
 				n.shrink(&t.cfg)
 				t.markDirty(n)
@@ -107,14 +110,10 @@ func (t *Tree) deleteFrom(id nodeID, rec cube.Record, recMDS mds.MDS) (bool, err
 
 	for i := range n.entries {
 		e := &n.entries[i]
-		contained, err := mds.Contains(space, e.MDS, recMDS)
-		if err != nil {
-			return false, err
-		}
-		if !contained {
+		if !rc.contains(e.MDS) {
 			continue
 		}
-		found, err := t.deleteFrom(e.Child, rec, recMDS)
+		found, err := t.deleteFrom(e.Child, rc)
 		if err != nil {
 			return false, err
 		}
@@ -134,14 +133,12 @@ func (t *Tree) deleteFrom(id nodeID, rec cube.Record, recMDS mds.MDS) (bool, err
 			// Repair the entry at its own relevant levels: the exact
 			// child cover lifted to the entry's levels is the minimal
 			// describing MDS there.
-			cover, err := child.cover(space)
+			ws := t.ws
+			cover, err := mds.CoverInto(&ws.cover, t.space(), ws.levelsOf(e.MDS), ws.entryMDSs(child))
 			if err != nil {
 				return false, err
 			}
-			e.MDS, err = mds.Adapt(space, cover, e.MDS)
-			if err != nil {
-				return false, err
-			}
+			storeMDS(e.MDS, cover)
 			e.Agg = child.aggregate(t.schema.Measures())
 		}
 		n.shrink(&t.cfg)

@@ -24,43 +24,6 @@ type insertResult struct {
 	newAgg  cube.AggVector
 }
 
-// recContext bundles the per-insert derived state: the record's MDS and
-// aggregate, plus its ancestor at every hierarchy level of every dimension
-// (anc[d][l]). The ancestors are the hot currency of the descent — the
-// choose-subtree cost function and the incremental MDS updates consult
-// them per entry — so they are walked exactly once per insert.
-type recContext struct {
-	rec    cube.Record
-	recMDS mds.MDS
-	agg    cube.AggVector
-	anc    [][]hierarchy.ID
-}
-
-func (t *Tree) newRecContext(rec cube.Record) (*recContext, error) {
-	space := t.space()
-	rc := &recContext{
-		rec:    rec,
-		recMDS: mds.FromLeaves(rec.Coords),
-		agg:    cube.AggOfRecord(rec.Measures),
-		anc:    make([][]hierarchy.ID, len(space)),
-	}
-	for d, h := range space {
-		levels := make([]hierarchy.ID, h.Depth())
-		cur := rec.Coords[d]
-		levels[0] = cur
-		for l := 1; l < h.Depth(); l++ {
-			p, err := h.Parent(cur)
-			if err != nil {
-				return nil, err
-			}
-			cur = p
-			levels[l] = cur
-		}
-		rc.anc[d] = levels
-	}
-	return rc, nil
-}
-
 // Insert adds one data record to the tree, maintaining all directory MDSs
 // and materialized aggregates on the insertion path (Fig. 4). The record's
 // coordinates must be leaf-level IDs registered in the schema's dimension
@@ -97,16 +60,15 @@ func (t *Tree) Insert(rec cube.Record) error {
 // its LSN returned for the caller to await; recovery replays with log
 // false, since the records it applies are already in the log.
 func (t *Tree) insertLocked(rec cube.Record, log bool) (uint64, error) {
-	rc, err := t.newRecContext(rec)
+	rc, err := t.recContext(rec)
 	if err != nil {
 		return 0, err
 	}
-	recMDS := rc.recMDS
 
 	// The root's relevant levels are always (ALL,…,ALL): it describes the
 	// whole cube, so its first split refines some dimension to the top
 	// named level (the paper's initial MDS, §3.2).
-	res, err := t.insertInto(t.root, mds.Top(t.schema.Dims()), rc)
+	res, err := t.insertInto(t.root, t.ws.topMDS, rc)
 	if err != nil {
 		return 0, err
 	}
@@ -121,12 +83,11 @@ func (t *Tree) insertLocked(rec cube.Record, log bool) (uint64, error) {
 		}
 		t.root = newRoot.id
 		t.height++
-		t.rootMDS, err = mds.Cover(t.space(), res.origMDS, res.newMDS)
+		if t.rootMDS, err = mds.Cover(t.space(), res.origMDS, res.newMDS); err != nil {
+			return 0, err
+		}
 	} else {
-		t.rootMDS, err = mds.Cover(t.space(), t.rootMDS, recMDS)
-	}
-	if err != nil {
-		return 0, err
+		rc.cover(t.rootMDS)
 	}
 	t.count++
 	t.metrics.inserts.Inc()
@@ -146,11 +107,7 @@ func (t *Tree) insertInto(id nodeID, nodeMDS mds.MDS, rc *recContext) (insertRes
 	t.markDirty(n)
 
 	if n.leaf {
-		n.entries = append(n.entries, entry{
-			MDS: rc.recMDS.Clone(),
-			Agg: rc.agg.Clone(),
-			Rec: rc.rec.Clone(),
-		})
+		n.entries = append(n.entries, t.ws.leaves.newEntry(rc.rec))
 		if !n.overflowing(&t.cfg) {
 			return insertResult{}, nil
 		}
@@ -164,7 +121,7 @@ func (t *Tree) insertInto(id nodeID, nodeMDS mds.MDS, rc *recContext) (insertRes
 		return insertResult{}, err
 	}
 	e := &n.entries[idx]
-	t.coverRecord(e, rc)
+	rc.cover(e.MDS)
 	e.Agg.Merge(rc.agg)
 
 	res, err := t.insertInto(e.Child, e.MDS, rc)
@@ -210,9 +167,11 @@ func (t *Tree) chooseSubtree(n *node, rc *recContext) (int, error) {
 	var bestSize int
 	for i := range n.entries {
 		e := &n.entries[i]
-		cost, err := t.enlargementCost(e.MDS, rc)
-		if err != nil {
-			return 0, err
+		// An entry whose cost passes the best one seen cannot win: the
+		// evaluation stops there, and its volume and size are never needed.
+		cost, within := t.enlargementCost(e.MDS, rc, bestCost, best >= 0)
+		if !within {
+			continue
 		}
 		vol := e.MDS.Volume()
 		size := e.MDS.Size()
@@ -232,86 +191,59 @@ func (t *Tree) chooseSubtree(n *node, rc *recContext) (int, error) {
 // addition outweighs any realistic number of finer ones.
 const levelWeight = 1 << 16
 
-// enlargementCost measures how badly a record MDS enlarges an entry MDS:
-// for every dimension, one unit of cost levelWeight^L for each hierarchy
-// level L (from the entry's relevant level up to the level below ALL) at
-// which the record's ancestor is not yet among the entry's values. A
-// record fully contained in the entry costs 0.
-func (t *Tree) enlargementCost(entryMDS mds.MDS, rc *recContext) (float64, error) {
-	space := t.space()
-	weight := float64(levelWeight)
-	if t.cfg.FlatChooseSubtree {
-		weight = 1 // ablation: hierarchy-blind enlargement
-	}
-	cost := 0.0
-	for d, h := range space {
-		ds := entryMDS[d]
+// enlargementCost measures how badly the record enlarges an entry MDS: for
+// every dimension, one unit of cost levelWeight^L for each hierarchy level
+// L (from the entry's relevant level up to the level below ALL) at which
+// the record's ancestor is not yet among the entry's values. A record fully
+// contained in the entry costs 0.
+//
+// With bounded set, the sum is abandoned as soon as it exceeds bound — every
+// term is positive, so the final cost could only be larger — and within is
+// false.
+func (t *Tree) enlargementCost(entryMDS mds.MDS, rc *recContext, bound float64, bounded bool) (cost float64, within bool) {
+	weights := &t.ws.weights
+	for d, h := range t.space() {
+		ds := &entryMDS[d]
 		if ds.Level == hierarchy.LevelALL {
 			continue // ALL covers everything at no new values
 		}
 		// Fast path: membership at the entry's own level is a binary
 		// search over the sorted value set, and covers the common case of
 		// a record routed into a subtree that already describes it.
-		if idMember(ds.IDs, rc.anc[d][ds.Level]) {
+		anc := rc.anc[d]
+		if idMember(ds.IDs, anc[ds.Level]) {
 			continue
 		}
-		cost += pow(weight, ds.Level)
+		cost += weights[ds.Level]
+		if bounded && cost > bound {
+			return cost, false
+		}
 		for level := ds.Level + 1; level <= h.TopLevel(); level++ {
-			anc := rc.anc[d][level]
-			covered := false
-			for _, v := range ds.IDs {
-				va, err := h.AncestorAt(v, level)
-				if err != nil {
-					return 0, err
-				}
-				if va == anc {
-					covered = true
-					break
-				}
-			}
-			if covered {
+			if liftedMember(h.AncestorTable(ds.Level, level), ds.IDs, anc[level]) {
 				break // monotone: covered here means covered above too
 			}
-			cost += pow(weight, level)
-		}
-	}
-	return cost, nil
-}
-
-// coverRecord folds the record into an entry's MDS in place: per
-// dimension, the record's ancestor at the entry's relevant level is
-// inserted into the sorted value set if missing. Equivalent to
-// mds.Cover(e.MDS, recMDS) — levels are preserved because Cover takes the
-// maximum member level — but without re-unioning the untouched values.
-func (t *Tree) coverRecord(e *entry, rc *recContext) {
-	for d := range e.MDS {
-		ds := &e.MDS[d]
-		if ds.Level == hierarchy.LevelALL {
-			continue
-		}
-		anc := rc.anc[d][ds.Level]
-		ids := ds.IDs
-		lo, hi := 0, len(ids)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if ids[mid] < anc {
-				lo = mid + 1
-			} else {
-				hi = mid
+			cost += weights[level]
+			if bounded && cost > bound {
+				return cost, false
 			}
 		}
-		if lo < len(ids) && ids[lo] == anc {
-			continue
-		}
-		ids = append(ids, 0)
-		copy(ids[lo+1:], ids[lo:])
-		ids[lo] = anc
-		ds.IDs = ids
 	}
+	return cost, true
 }
 
-// pow is a small positive-integer power for float64 (avoids importing
-// math for a hot-path helper).
+// liftedMember reports whether any of ids, lifted through the ancestor
+// table tab, equals anc.
+func liftedMember(tab, ids []hierarchy.ID, anc hierarchy.ID) bool {
+	for _, v := range ids {
+		if tab[v.Code()] == anc {
+			return true
+		}
+	}
+	return false
+}
+
+// pow is a small positive-integer power for float64; it fills the
+// choose-subtree weight table.
 func pow(base float64, exp int) float64 {
 	v := 1.0
 	for i := 0; i < exp; i++ {

@@ -435,6 +435,7 @@ func decodeMeta(meta []byte) (*Tree, error) {
 		versions:         make(map[uint64]*Version),
 		pins:             storage.NewPins(),
 	}
+	t.ws = newWriteScratch(schema, &t.cfg)
 	if _, ok := t.table[root]; !ok {
 		return nil, fmt.Errorf("%w: root node %d missing from table", ErrCorrupt, root)
 	}

@@ -52,15 +52,6 @@ func (n *node) overflowing(cfg *Config) bool {
 // isSuper reports whether the node is a supernode.
 func (n *node) isSuper() bool { return n.blocks > 1 }
 
-// cover computes the node's MDS from its entries.
-func (n *node) cover(space mds.Space) (mds.MDS, error) {
-	members := make([]mds.MDS, len(n.entries))
-	for i := range n.entries {
-		members[i] = n.entries[i].MDS
-	}
-	return mds.Cover(space, members...)
-}
-
 // aggregate computes the node's aggregate vector from its entries.
 func (n *node) aggregate(measures int) cube.AggVector {
 	v := cube.NewAggVector(measures)

@@ -1,0 +1,155 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"testing"
+
+	"github.com/dcindex/dctree/internal/cube"
+	"github.com/dcindex/dctree/internal/storage"
+	"github.com/dcindex/dctree/internal/tpcd"
+)
+
+// shapeDigest hashes everything the write path decides: the pre-order walk
+// of the tree (node kind, block count, every entry's MDS and aggregate, the
+// record of a data entry), the root MDS, the height and the split counters.
+// Two trees with equal digests answer every query identically and cost the
+// same to query.
+func shapeDigest(t *testing.T, tree *Tree) string {
+	t.Helper()
+	h := sha256.New()
+	var buf []byte
+	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
+	var walk func(id nodeID)
+	walk = func(id nodeID) {
+		n, err := tree.getNode(id)
+		if err != nil {
+			t.Fatalf("getNode(%d): %v", id, err)
+		}
+		buf = buf[:0]
+		if n.leaf {
+			buf = append(buf, 'L')
+		} else {
+			buf = append(buf, 'D')
+		}
+		u64(uint64(n.blocks))
+		u64(uint64(len(n.entries)))
+		for i := range n.entries {
+			e := &n.entries[i]
+			buf = e.MDS.AppendEncode(buf)
+			for _, a := range e.Agg {
+				u64(math.Float64bits(a.Sum))
+				u64(uint64(a.Count))
+				u64(math.Float64bits(a.Min))
+				u64(math.Float64bits(a.Max))
+			}
+			for _, c := range e.Rec.Coords {
+				u64(uint64(c))
+			}
+			for _, m := range e.Rec.Measures {
+				u64(math.Float64bits(m))
+			}
+		}
+		h.Write(buf)
+		if !n.leaf {
+			for i := range n.entries {
+				walk(n.entries[i].Child)
+			}
+		}
+	}
+	walk(tree.root)
+	buf = tree.rootMDS.AppendEncode(buf[:0])
+	u64(uint64(tree.height))
+	u64(uint64(tree.count))
+	m := &tree.metrics
+	for _, c := range []int64{
+		m.splitsHierarchy.Load(), m.splitsForced.Load(),
+		m.supernodeCreated.Load(), m.supernodeGrown.Load(), m.rootSplits.Load(),
+	} {
+		u64(uint64(c))
+	}
+	h.Write(buf)
+	return hex.EncodeToString(h.Sum(nil)[:12])
+}
+
+// TestGoldenTreeShape pins the tree the write path builds. The digests were
+// taken at the commit before the write-path MDS kernel (PR 12): the kernel
+// must reproduce every choose-subtree, split, refinement and delete-repair
+// decision of the allocating implementation bit for bit. A change that means
+// to build a different tree re-pins them and says so.
+func TestGoldenTreeShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads 4×22k records")
+	}
+	const load, expire, reload = 20000, 2000, 2000
+	cases := []struct {
+		name string
+		cfg  func(*Config)
+		want string
+	}{
+		{"default", func(*Config) {}, "b6d09291b7e223ccb1fed50a"},
+		// A strict overlap criterion rejects most candidate partitions, so
+		// the fallback partition is forced ...
+		{"forced-splits", func(c *Config) {
+			c.DisableSupernodes = true
+			c.MaxOverlapRatio = 0.002
+			c.MinFillRatio = 0.45
+		}, "a69961ef41ce61f668ceb0ac"},
+		// ... or the node grows into a supernode, up to a low cap.
+		{"small-dir-supernodes", func(c *Config) {
+			c.DirCapacity = 5
+			c.LeafCapacity = 12
+			c.MaxSupernodeBlocks = 3
+			c.MaxOverlapRatio = 0.002
+		}, "6739037bc1822b1981e773d0"},
+		// The two ablation switches the kernel has to honour.
+		{"flat-choose-no-refine", func(c *Config) {
+			c.FlatChooseSubtree = true
+			c.RefineBound = -1
+		}, "4c5043ed91f7c64ca3a86ae1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			gen, err := tpcd.New(7, tpcd.ScaleFor(load))
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs := gen.Records(load + reload)
+			cfg := DefaultConfig()
+			tc.cfg(&cfg)
+			tree, err := New(storage.NewMemStore(cfg.BlockSize), gen.Schema(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			insert := func(rs []cube.Record) {
+				for i := range rs {
+					if err := tree.Insert(rs[i]); err != nil {
+						t.Fatalf("Insert: %v", err)
+					}
+				}
+			}
+			insert(recs[:load])
+			// Expire records spread over the load order, then keep loading:
+			// the delete path's cover repair and the inserts into the
+			// repaired tree are part of the pinned shape.
+			for i := 0; i < expire; i++ {
+				if err := tree.Delete(recs[i*(load/expire)]); err != nil {
+					t.Fatalf("Delete %d: %v", i, err)
+				}
+			}
+			insert(recs[load:])
+			if err := tree.Validate(); err != nil {
+				t.Fatalf("invariants: %v", err)
+			}
+			got := shapeDigest(t, tree)
+			snap := tree.Metrics()
+			t.Logf("digest %s height %d splits hierarchy=%d forced=%d supernodes created=%d grown=%d",
+				got, tree.height, snap.SplitsHierarchy, snap.SplitsForced, snap.SupernodesCreated, snap.SupernodesGrown)
+			if got != tc.want {
+				t.Errorf("tree shape digest %s, pinned %s", got, tc.want)
+			}
+		})
+	}
+}

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/dcindex/dctree/internal/hierarchy"
 	"github.com/dcindex/dctree/internal/mds"
@@ -34,52 +34,57 @@ import (
 // If no dimension yields an acceptable split, the node becomes (or grows
 // as) a supernode; at the supernode cap, or with supernodes disabled, the
 // best partition seen so far is forced instead.
+//
+// Everything up to the chosen partition lives in the tree's write scratch
+// (splitScratch); buildSplit copies out what the tree keeps.
 func (t *Tree) splitNode(n *node, nodeMDS mds.MDS) (insertResult, error) {
 	total := len(n.entries)
 	minFill := int(t.cfg.MinFillRatio * float64(total))
 	if minFill < 1 {
 		minFill = 1
 	}
-
-	type candidate struct {
-		g1, g2  []int
-		adapted []mds.MDS
-		ratio   float64
-	}
-	var fallback *candidate // best-ratio partition seen, for forced splits
+	space := t.space()
+	ss := &t.ws.split
+	ss.reset()
 
 	for _, dim := range t.splitDimensionOrder(nodeMDS) {
 		// The split dimension's relevant level decreases as far as needed:
 		// on uniform data the coarse levels saturate (every subtree covers
 		// every region, every brand, ...) and separation only exists at
-		// finer levels, down to the leaf values in the worst case.
-		for _, targets := range t.adaptationTargetLadder(nodeMDS, dim) {
-			adapted := make([]mds.MDS, total)
-			for i := range n.entries {
-				a, err := t.describeEntryAt(&n.entries[i], n.leaf, targets)
-				if err != nil {
-					return insertResult{}, err
-				}
-				adapted[i] = a
+		// finer levels, down to the leaf values in the worst case. A split
+		// dimension already at the leaf level is separated there.
+		level := nodeMDS[dim].Level
+		if level == hierarchy.LevelALL {
+			level = space[dim].TopLevel() + 1
+		}
+		if level > 0 {
+			level--
+		}
+		for ; level >= 0; level-- {
+			adapted, err := t.adaptEntries(n, nodeMDS, dim, level)
+			if err != nil {
+				return insertResult{}, err
 			}
-			g1, g2, err := t.hierarchySplit(adapted, dim, minFill)
+			g1, g2, cov1, cov2, err := t.hierarchySplit(adapted, dim, minFill)
 			if err != nil {
 				return insertResult{}, err
 			}
 			if len(g1) == 0 || len(g2) == 0 {
 				continue
 			}
-			ratio, err := t.groupOverlapRatio(adapted, g1, g2)
+			ratio, err := groupOverlapRatio(space, cov1, cov2)
 			if err != nil {
 				return insertResult{}, err
 			}
 			balanced := len(g1) >= minFill && len(g2) >= minFill
 			if balanced && ratio <= t.cfg.MaxOverlapRatio {
 				t.metrics.splitsHierarchy.Inc()
-				return t.buildSplit(n, g1, g2, adapted)
+				return t.buildSplit(n, g1, g2, cov1, cov2)
 			}
-			if fallback == nil || ratio < fallback.ratio {
-				fallback = &candidate{g1: g1, g2: g2, adapted: adapted, ratio: ratio}
+			if !ss.fallback.ok || ratio < ss.fallback.ratio {
+				if err := ss.fallback.save(space, ratio, g1, g2, cov1, cov2); err != nil {
+					return insertResult{}, err
+				}
 			}
 		}
 	}
@@ -87,8 +92,9 @@ func (t *Tree) splitNode(n *node, nodeMDS mds.MDS) (insertResult, error) {
 	// No acceptable split in any dimension (Fig. 5: "Create supernode").
 	mayGrow := !t.cfg.DisableSupernodes &&
 		(t.cfg.MaxSupernodeBlocks == 0 || n.blocks < t.cfg.MaxSupernodeBlocks)
-	if mayGrow || fallback == nil {
-		// fallback == nil cannot happen with ≥ 2 entries, but guard by
+	fb := &ss.fallback
+	if mayGrow || !fb.ok {
+		// A missing fallback cannot happen with ≥ 2 entries, but guard by
 		// growing anyway.
 		if n.blocks == 1 {
 			t.metrics.supernodeCreated.Inc()
@@ -99,89 +105,184 @@ func (t *Tree) splitNode(n *node, nodeMDS mds.MDS) (insertResult, error) {
 		return insertResult{}, nil
 	}
 	t.metrics.splitsForced.Inc()
-	return t.buildSplit(n, fallback.g1, fallback.g2, fallback.adapted)
+	return t.buildSplit(n, fb.g[0], fb.g[1], fb.cov[0], fb.cov[1])
 }
 
-// adaptationTargets returns the per-dimension target levels for a split
-// along splitDim: the node's relevant levels everywhere, one level lower
-// in the split dimension — the "relevant level may be decreased by one"
-// of §3.2, which is what gives the hierarchy split values to separate
-// when the node holds a single value (or ALL) in the split dimension.
-func (t *Tree) adaptationTargets(nodeMDS mds.MDS, splitDim int) []int {
-	ladder := t.adaptationTargetLadder(nodeMDS, splitDim)
-	return ladder[0]
+// splitScratch is the workspace of one splitNode call. The entry
+// descriptions the hierarchy split compares are MDSs whose dimension sets
+// are carved from dimSlab and whose value sets are carved from one column
+// per dimension; the two group covers grow in a pair of CoverBufs each.
+// Nothing here survives the call: see writeScratch's ownership rule.
+type splitScratch struct {
+	// base[d] holds the entries' value sets in dimension d at the node's
+	// own relevant level — what every (split dimension, rung) other than
+	// d's own compares — and is built on first use; rung holds the split
+	// dimension's sets at the ladder rung being tried.
+	base     []column
+	haveBase []bool
+	rung     column
+
+	dimSlab []mds.DimSet
+	adapted []mds.MDS
+	order   []int
+
+	g         [2][]int
+	gain      [2][]int
+	remaining []int
+	bufs      [2][2]mds.CoverBuf
+
+	fallback splitFallback
 }
 
-// adaptationTargetLadder returns the sequence of target-level vectors for
-// a split along splitDim: the node's relevant levels everywhere, with the
-// split dimension lowered by one, two, ... down to the leaf level.
-func (t *Tree) adaptationTargetLadder(nodeMDS mds.MDS, splitDim int) [][]int {
-	space := t.space()
-	base := make([]int, len(nodeMDS))
-	for i := range nodeMDS {
-		base[i] = nodeMDS[i].Level
-	}
-	start := base[splitDim]
-	if start == hierarchy.LevelALL {
-		start = space[splitDim].TopLevel() + 1
-	}
-	var ladder [][]int
-	for level := start - 1; level >= 0; level-- {
-		targets := make([]int, len(base))
-		copy(targets, base)
-		targets[splitDim] = level
-		ladder = append(ladder, targets)
-	}
-	if len(ladder) == 0 {
-		// Split dimension already at the leaf level: separate there.
-		targets := make([]int, len(base))
-		copy(targets, base)
-		ladder = append(ladder, targets)
-	}
-	return ladder
+func (ss *splitScratch) init(dims int) {
+	ss.base = make([]column, dims)
+	ss.haveBase = make([]bool, dims)
+	ss.order = make([]int, dims)
 }
 
-// describeEntryAt returns the minimal describing MDS of an entry's content
-// at the target levels. When the entry's stored MDS is at or below the
-// targets it is simply lifted; when the entry is *coarser* than a target
-// in some dimension (its MDS says ALL or a single high-level value, but
-// the split needs one level finer), the description is derived from the
-// entry's subtree — Adapt can only generalize, so the finer values must
-// come from below. Records ground the recursion: a record is describable
-// at every level.
-func (t *Tree) describeEntryAt(e *entry, leaf bool, targets []int) (mds.MDS, error) {
-	space := t.space()
-	needDescent := false
-	if !leaf {
-		for i, target := range targets {
-			if levelAboveInt(e.MDS[i].Level, target) {
-				needDescent = true
-				break
-			}
+func (ss *splitScratch) reset() {
+	clear(ss.haveBase)
+	ss.fallback.ok = false
+}
+
+// column is the value sets of a node's entries in one dimension at one
+// level: entry i's set is ids[off[i]:off[i+1]].
+type column struct {
+	level int
+	ids   []hierarchy.ID
+	off   []int
+}
+
+func (c *column) set(i int) mds.DimSet {
+	return mds.DimSet{Level: c.level, IDs: c.ids[c.off[i]:c.off[i+1]:c.off[i+1]]}
+}
+
+// splitFallback keeps the best-ratio partition seen, for forced splits: a
+// copy of the groups and their covers, because the buffers they were built
+// in are reused by the next candidate.
+type splitFallback struct {
+	ok    bool
+	ratio float64
+	g     [2][]int
+	cov   [2]mds.MDS
+	bufs  [2]mds.CoverBuf
+}
+
+func (fb *splitFallback) save(space mds.Space, ratio float64, g1, g2 []int, cov1, cov2 mds.MDS) error {
+	fb.ok, fb.ratio = true, ratio
+	fb.g[0] = append(fb.g[0][:0], g1...)
+	fb.g[1] = append(fb.g[1][:0], g2...)
+	for side, cov := range [2]mds.MDS{cov1, cov2} {
+		// The cover of one member is a copy of it.
+		var err error
+		if fb.cov[side], err = mds.CoverInto(&fb.bufs[side], space, nil, []mds.MDS{cov}); err != nil {
+			return err
 		}
 	}
-	if !needDescent {
-		return mds.AdaptToLevels(space, e.MDS, targets)
+	return nil
+}
+
+// adaptEntries describes every entry of n at the node's relevant levels,
+// with the split dimension at the given rung level: the operands of the
+// hierarchy split. An entry's description in one dimension does not depend
+// on the levels asked of the others, so only the split dimension's column
+// is rebuilt from rung to rung. The result is valid until the next call.
+func (t *Tree) adaptEntries(n *node, nodeMDS mds.MDS, splitDim, level int) ([]mds.MDS, error) {
+	ss := &t.ws.split
+	for d := range nodeMDS {
+		if d == splitDim || ss.haveBase[d] {
+			continue
+		}
+		if err := t.fillColumn(&ss.base[d], n, d, nodeMDS[d].Level); err != nil {
+			return nil, err
+		}
+		ss.haveBase[d] = true
+	}
+	if err := t.fillColumn(&ss.rung, n, splitDim, level); err != nil {
+		return nil, err
+	}
+	dims := len(nodeMDS)
+	ss.dimSlab, ss.adapted = ss.dimSlab[:0], ss.adapted[:0]
+	for i := range n.entries {
+		for d := 0; d < dims; d++ {
+			col := &ss.base[d]
+			if d == splitDim {
+				col = &ss.rung
+			}
+			ss.dimSlab = append(ss.dimSlab, col.set(i))
+		}
+	}
+	for i := range n.entries {
+		ss.adapted = append(ss.adapted, ss.dimSlab[i*dims:(i+1)*dims:(i+1)*dims])
+	}
+	return ss.adapted, nil
+}
+
+// fillColumn describes every entry of n in one dimension at one level.
+func (t *Tree) fillColumn(c *column, n *node, dim, level int) error {
+	c.level, c.ids, c.off = level, c.ids[:0], c.off[:0]
+	for i := range n.entries {
+		start := len(c.ids)
+		c.off = append(c.off, start)
+		var err error
+		if c.ids, err = t.appendDescribed(c.ids, &n.entries[i], n.leaf, dim, level); err != nil {
+			return err
+		}
+		c.ids = mds.SortDedupFrom(c.ids, start)
+	}
+	c.off = append(c.off, len(c.ids))
+	return nil
+}
+
+// appendDescribed appends the values that describe an entry's content in
+// one dimension at the target level, unsorted and possibly repeated. When
+// the entry's stored MDS is at or below the target its values are simply
+// lifted; when the entry is *coarser* than the target (its MDS says ALL or
+// a single high-level value, but the split needs one level finer), the
+// description is derived from the entry's subtree — lifting can only
+// generalize, so the finer values must come from below. Records ground the
+// recursion: a record is describable at every level.
+func (t *Tree) appendDescribed(dst []hierarchy.ID, e *entry, leaf bool, dim, level int) ([]hierarchy.ID, error) {
+	if leaf || !levelAboveInt(e.MDS[dim].Level, level) {
+		return mds.AppendLifted(dst, t.space()[dim], e.MDS[dim], level), nil
 	}
 	child, err := t.getNode(e.Child)
 	if err != nil {
 		return nil, err
 	}
-	return t.describeNodeAt(child, targets)
+	return t.appendNodeDescribed(dst, child, dim, level)
 }
 
-// describeNodeAt computes the minimal describing MDS of a whole node's
-// content at the target levels.
-func (t *Tree) describeNodeAt(n *node, targets []int) (mds.MDS, error) {
-	members := make([]mds.MDS, len(n.entries))
+// describeCompactAt is the number of values a node may append to a
+// description before they are sorted and deduplicated in place, so that a
+// deep descent carries the distinct values of a subtree, not one per record.
+const describeCompactAt = 256
+
+// appendNodeDescribed is appendDescribed over a whole node's entries.
+func (t *Tree) appendNodeDescribed(dst []hierarchy.ID, n *node, dim, level int) ([]hierarchy.ID, error) {
+	start := len(dst)
 	for i := range n.entries {
-		m, err := t.describeEntryAt(&n.entries[i], n.leaf, targets)
-		if err != nil {
+		var err error
+		if dst, err = t.appendDescribed(dst, &n.entries[i], n.leaf, dim, level); err != nil {
 			return nil, err
 		}
-		members[i] = m
 	}
-	return mds.Cover(t.space(), members...)
+	if len(dst)-start > describeCompactAt {
+		dst = mds.SortDedupFrom(dst, start)
+	}
+	return dst, nil
+}
+
+// describeNode computes, in the scratch's description buffer, the minimal
+// describing value set of a whole node's content in one dimension at the
+// target level.
+func (t *Tree) describeNode(n *node, dim, level int) ([]hierarchy.ID, error) {
+	desc, err := t.appendNodeDescribed(t.ws.desc[:0], n, dim, level)
+	if err != nil {
+		return nil, err
+	}
+	t.ws.desc = mds.SortDedupFrom(desc, 0)
+	return t.ws.desc, nil
 }
 
 // levelAboveInt mirrors mds's level ordering with LevelALL on top.
@@ -201,31 +302,30 @@ func levelAboveInt(a, b int) bool {
 // splitDimensionOrder returns the dimensions ordered by decreasing
 // hierarchy level of the node MDS ("the algorithm always selects the
 // dimension with the highest hierarchy level of the elements of the MDS"),
-// ties broken by fewer values (more concentrated, hence more separable).
+// ties broken by fewer values (more concentrated, hence more separable),
+// then by dimension number. The result is valid until the next split.
 func (t *Tree) splitDimensionOrder(nodeMDS mds.MDS) []int {
-	dims := make([]int, len(nodeMDS))
+	// LevelALL is the largest level tag, so the tags order as the levels do.
+	before := func(a, b int) bool {
+		if nodeMDS[a].Level != nodeMDS[b].Level {
+			return nodeMDS[a].Level > nodeMDS[b].Level
+		}
+		return len(nodeMDS[a].IDs) < len(nodeMDS[b].IDs)
+	}
+	dims := t.ws.split.order
 	for i := range dims {
-		dims[i] = i
-	}
-	rank := func(d int) int {
-		if nodeMDS[d].Level == hierarchy.LevelALL {
-			return hierarchy.LevelALL
+		j := i
+		for ; j > 0 && before(i, dims[j-1]); j-- {
+			dims[j] = dims[j-1]
 		}
-		return nodeMDS[d].Level
+		dims[j] = i
 	}
-	sort.SliceStable(dims, func(a, b int) bool {
-		ra, rb := rank(dims[a]), rank(dims[b])
-		if ra != rb {
-			return ra > rb
-		}
-		return len(nodeMDS[dims[a]].IDs) < len(nodeMDS[dims[b]].IDs)
-	})
 	return dims
 }
 
 // hierarchySplit is the quadratic split of Fig. 6 over level-adapted MDSs,
 // splitting along one dimension. It returns the two groups as index lists
-// into adapted.
+// into adapted, and the groups' covers.
 //
 // Seeds: the pair whose covering MDS is largest (most dead space if kept
 // together). Then, repeatedly, the remaining MDS with the greatest
@@ -238,48 +338,91 @@ func (t *Tree) splitDimensionOrder(nodeMDS mds.MDS) []int {
 // fill, the remainder is assigned to the smaller group outright —
 // without this rule the greedy loop degenerates on large supernodes,
 // where the bigger group's cover swallows everything.
-func (t *Tree) hierarchySplit(adapted []mds.MDS, dim, minFill int) (g1, g2 []int, err error) {
+//
+// The members all carry the same levels, so every mds operation below
+// takes its aligned path; the group covers are maintained as the groups
+// grow and are what the caller's overlap test and buildSplit use.
+func (t *Tree) hierarchySplit(adapted []mds.MDS, dim, minFill int) (g1, g2 []int, cov1, cov2 mds.MDS, err error) {
 	space := t.space()
+	ss := &t.ws.split
 	k := len(adapted)
 	if k < 2 {
-		return nil, nil, nil
+		return nil, nil, nil, nil, nil
 	}
 
-	// Seed selection: pair with the largest covering MDS.
+	// Seed selection: pair with the largest covering MDS. The volume of
+	// the pair's cover is the product of its per-dimension union counts,
+	// which is Extension — the cover itself is never needed.
 	seedA, seedB := -1, -1
 	var worst float64 = -1
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
-			cover, err := mds.Cover(space, adapted[i], adapted[j])
+			v, err := mds.Extension(space, adapted[i], adapted[j])
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, nil, err
 			}
-			v := cover.Volume()
 			if v > worst {
 				worst, seedA, seedB = v, i, j
 			}
 		}
 	}
 
-	g1, g2 = []int{seedA}, []int{seedB}
-	cov1, cov2 := adapted[seedA], adapted[seedB]
+	g := [2][]int{append(ss.g[0][:0], seedA), append(ss.g[1][:0], seedB)}
+	cov := [2]mds.MDS{adapted[seedA], adapted[seedB]}
+	// A group's cover sits in one of its two buffers (the seeds' in the
+	// entry descriptions); absorbing members builds the grown cover in the
+	// other, and keeping it flips the two.
+	var cur [2]int
+	grow := func(side int, members []mds.MDS) (mds.MDS, error) {
+		return mds.CoverInto(&ss.bufs[side][1-cur[side]], space, nil, members)
+	}
 
-	remaining := make([]int, 0, k-2)
+	remaining := ss.remaining[:0]
 	for i := 0; i < k; i++ {
 		if i != seedA && i != seedB {
 			remaining = append(remaining, i)
+		}
+	}
+	// gain[side][i] is how many values cov[side] would gain in the split
+	// dimension by absorbing entry i; a side's row is recomputed only when
+	// its cover has grown.
+	gain := [2][]int{slices.Grow(ss.gain[0][:0], k)[:k], slices.Grow(ss.gain[1][:0], k)[:k]}
+	regain := func(side int) error {
+		for _, i := range remaining {
+			union, err := mds.ExtensionIn(space, cov[side], adapted[i], dim)
+			if err != nil {
+				return err
+			}
+			gain[side][i] = union - len(cov[side][dim].IDs)
+		}
+		return nil
+	}
+	for side := range gain {
+		if err = regain(side); err != nil {
+			return nil, nil, nil, nil, err
 		}
 	}
 
 	for len(remaining) > 0 {
 		// Guttman's termination rule: if a group needs every remaining
 		// entry just to reach the minimum fill, hand them all over.
-		if len(g1)+len(remaining) <= minFill {
-			g1 = append(g1, remaining...)
-			break
+		short := -1
+		switch {
+		case len(g[0])+len(remaining) <= minFill:
+			short = 0
+		case len(g[1])+len(remaining) <= minFill:
+			short = 1
 		}
-		if len(g2)+len(remaining) <= minFill {
-			g2 = append(g2, remaining...)
+		if short >= 0 {
+			members := append(t.ws.members[:0], cov[short])
+			for _, i := range remaining {
+				members = append(members, adapted[i])
+			}
+			t.ws.members = members
+			if cov[short], err = grow(short, members); err != nil {
+				return nil, nil, nil, nil, err
+			}
+			g[short] = append(g[short], remaining...)
 			break
 		}
 		// Pick the MDS with the greatest difference between the two groups'
@@ -287,15 +430,7 @@ func (t *Tree) hierarchySplit(adapted []mds.MDS, dim, minFill int) (g1, g2 []int
 		pick := -1
 		var pickDiff float64 = -1
 		for ri, i := range remaining {
-			e1, err := dimEnlargement(space, cov1, adapted[i], dim)
-			if err != nil {
-				return nil, nil, err
-			}
-			e2, err := dimEnlargement(space, cov2, adapted[i], dim)
-			if err != nil {
-				return nil, nil, err
-			}
-			diff := abs(float64(e1 - e2))
+			diff := abs(float64(gain[0][i] - gain[1][i]))
 			if diff > pickDiff {
 				pickDiff, pick = diff, ri
 			}
@@ -303,74 +438,52 @@ func (t *Tree) hierarchySplit(adapted []mds.MDS, dim, minFill int) (g1, g2 []int
 		i := remaining[pick]
 		remaining = append(remaining[:pick], remaining[pick+1:]...)
 
-		grown1, err := mds.Cover(space, cov1, adapted[i])
-		if err != nil {
-			return nil, nil, err
-		}
-		grown2, err := mds.Cover(space, cov2, adapted[i])
-		if err != nil {
-			return nil, nil, err
-		}
-		// Criterion 1: minimum resulting overlap between the groups.
-		ov1, err := mds.Overlap(space, grown1, cov2)
-		if err != nil {
-			return nil, nil, err
-		}
-		ov2, err := mds.Overlap(space, cov1, grown2)
-		if err != nil {
-			return nil, nil, err
-		}
-		into1 := false
-		switch {
-		case ov1 < ov2:
-			into1 = true
-		case ov1 > ov2:
-			into1 = false
-		default:
-			// Criterion 2: minimum sum of extensions (volume enlargement).
-			ext1 := grown1.Volume() - cov1.Volume()
-			ext2 := grown2.Volume() - cov2.Volume()
-			switch {
-			case ext1 < ext2:
-				into1 = true
-			case ext1 > ext2:
-				into1 = false
-			default:
-				// Criterion 3: minimum sum of volumes.
-				switch {
-				case grown1.Volume() < grown2.Volume():
-					into1 = true
-				case grown1.Volume() > grown2.Volume():
-					into1 = false
-				default:
-					// Final tie: keep the groups balanced.
-					into1 = len(g1) <= len(g2)
-				}
+		var grown [2]mds.MDS
+		for side := range grown {
+			if grown[side], err = grow(side, []mds.MDS{cov[side], adapted[i]}); err != nil {
+				return nil, nil, nil, nil, err
 			}
 		}
-		if into1 {
-			g1 = append(g1, i)
-			cov1 = grown1
-		} else {
-			g2 = append(g2, i)
-			cov2 = grown2
+		// Criterion 1: minimum resulting overlap between the groups.
+		ov1, err := mds.Overlap(space, grown[0], cov[1])
+		if err != nil {
+			return nil, nil, nil, nil, err
+		}
+		ov2, err := mds.Overlap(space, cov[0], grown[1])
+		if err != nil {
+			return nil, nil, nil, nil, err
+		}
+		into := 1
+		switch {
+		case ov1 < ov2:
+			into = 0
+		case ov1 > ov2:
+		default:
+			// Criterion 2: minimum sum of extensions (volume enlargement).
+			vol1, vol2 := grown[0].Volume(), grown[1].Volume()
+			ext1 := vol1 - cov[0].Volume()
+			ext2 := vol2 - cov[1].Volume()
+			switch {
+			case ext1 < ext2:
+				into = 0
+			case ext1 > ext2:
+			// Criterion 3: minimum sum of volumes.
+			case vol1 < vol2:
+				into = 0
+			case vol1 > vol2:
+			// Final tie: keep the groups balanced.
+			case len(g[0]) <= len(g[1]):
+				into = 0
+			}
+		}
+		g[into], cov[into] = append(g[into], i), grown[into]
+		cur[into] = 1 - cur[into]
+		if err = regain(into); err != nil {
+			return nil, nil, nil, nil, err
 		}
 	}
-	return g1, g2, nil
-}
-
-// dimEnlargement returns how many attribute values group cover g would gain
-// in the split dimension by absorbing m.
-func dimEnlargement(space mds.Space, g, m mds.MDS, dim int) (int, error) {
-	union, err := mds.ExtensionIn(space, g, m, dim)
-	if err != nil {
-		return 0, err
-	}
-	own, err := mds.ExtensionIn(space, g, g, dim)
-	if err != nil {
-		return 0, err
-	}
-	return union - own, nil
+	ss.g, ss.gain, ss.remaining = g, gain, remaining[:0]
+	return g[0], g[1], cov[0], cov[1], nil
 }
 
 func abs(x float64) float64 {
@@ -382,16 +495,7 @@ func abs(x float64) float64 {
 
 // groupOverlapRatio measures overlap(G1,G2)/extension(G1,G2) of the two
 // groups' covers — the "overlap is not too high" acceptance test.
-func (t *Tree) groupOverlapRatio(adapted []mds.MDS, g1, g2 []int) (float64, error) {
-	space := t.space()
-	cov1, err := coverOf(space, adapted, g1)
-	if err != nil {
-		return 0, err
-	}
-	cov2, err := coverOf(space, adapted, g2)
-	if err != nil {
-		return 0, err
-	}
+func groupOverlapRatio(space mds.Space, cov1, cov2 mds.MDS) (float64, error) {
 	ov, err := mds.Overlap(space, cov1, cov2)
 	if err != nil {
 		return 0, err
@@ -406,31 +510,14 @@ func (t *Tree) groupOverlapRatio(adapted []mds.MDS, g1, g2 []int) (float64, erro
 	return ov / ext, nil
 }
 
-func coverOf(space mds.Space, adapted []mds.MDS, group []int) (mds.MDS, error) {
-	members := make([]mds.MDS, len(group))
-	for i, g := range group {
-		members[i] = adapted[g]
-	}
-	return mds.Cover(space, members...)
-}
-
 // buildSplit materializes a chosen partition: the original node keeps
 // group 1, a fresh sibling receives group 2, and both groups' describing
 // MDSs — the covers of the *adapted* members, i.e. at the node's relevant
-// levels with the split dimension one level lower — are returned to the
-// parent together with the groups' aggregates.
-func (t *Tree) buildSplit(n *node, g1, g2 []int, adapted []mds.MDS) (insertResult, error) {
-	space := t.space()
+// levels with the split dimension one level lower, then refined — are
+// copied out of the scratch and returned to the parent together with the
+// groups' aggregates.
+func (t *Tree) buildSplit(n *node, g1, g2 []int, cov1, cov2 mds.MDS) (insertResult, error) {
 	measures := t.schema.Measures()
-
-	origMDS, err := coverOf(space, adapted, g1)
-	if err != nil {
-		return insertResult{}, err
-	}
-	newMDS, err := coverOf(space, adapted, g2)
-	if err != nil {
-		return insertResult{}, err
-	}
 
 	take := func(group []int) []entry {
 		out := make([]entry, len(group))
@@ -452,13 +539,16 @@ func (t *Tree) buildSplit(n *node, g1, g2 []int, adapted []mds.MDS) (insertResul
 	// Refine the relevant levels of the fresh nodes: a narrow subtree can
 	// usually be described at a much finer level without blowing up the
 	// MDS, and finer descriptions mean more pruning and more materialized
-	// hits on the query path.
-	if origMDS, err = t.refineMDS(n, origMDS); err != nil {
+	// hits on the query path. The first result is copied out before the
+	// second refinement reuses the scratch.
+	if err := t.refineMDS(n, cov1); err != nil {
 		return insertResult{}, err
 	}
-	if newMDS, err = t.refineMDS(sibling, newMDS); err != nil {
+	origMDS := packMDS(cov1)
+	if err := t.refineMDS(sibling, cov2); err != nil {
 		return insertResult{}, err
 	}
+	newMDS := packMDS(cov2)
 
 	return insertResult{
 		split:   true,
@@ -470,49 +560,45 @@ func (t *Tree) buildSplit(n *node, g1, g2 []int, adapted []mds.MDS) (insertResul
 	}, nil
 }
 
-// refineMDS lowers the relevant level of every dimension of a node's MDS
-// as long as the description at the finer level keeps at most
+// refineMDS lowers, in place, the relevant level of every dimension of a
+// node's MDS as long as the description at the finer level keeps at most
 // Config.RefineBound values in that dimension. Refinement preserves
 // coverage and minimality (the description is recomputed exactly from the
-// subtree at each step) and realizes the paper's observation that node
-// MDSs become more specific further down the tree.
-func (t *Tree) refineMDS(n *node, m mds.MDS) (mds.MDS, error) {
+// subtree at each step; the other dimensions' sets already are the node's
+// description at their levels and stay) and realizes the paper's
+// observation that node MDSs become more specific further down the tree.
+// Refined value sets live in the write scratch: the caller copies m out.
+func (t *Tree) refineMDS(n *node, m mds.MDS) error {
 	bound := t.cfg.RefineBound
 	if bound <= 0 {
-		return m, nil
+		return nil
 	}
 	space := t.space()
-	levels := make([]int, len(m))
-	for d := range m {
-		levels[d] = m[d].Level
-	}
+	refined := t.ws.refined
 	for changed := true; changed; {
 		changed = false
-		for d := range levels {
+		for d := range m {
 			var next int
 			switch {
-			case levels[d] == hierarchy.LevelALL:
+			case m[d].Level == hierarchy.LevelALL:
 				next = space[d].TopLevel()
-			case levels[d] > 0:
-				next = levels[d] - 1
+			case m[d].Level > 0:
+				next = m[d].Level - 1
 			default:
 				continue
 			}
-			cand := make([]int, len(levels))
-			copy(cand, levels)
-			cand[d] = next
-			desc, err := t.describeNodeAt(n, cand)
+			desc, err := t.describeNode(n, d, next)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if len(desc[d].IDs) <= bound {
-				m = desc
-				levels = cand
+			if len(desc) <= bound {
+				refined[d] = append(refined[d][:0], desc...)
+				m[d] = mds.DimSet{Level: next, IDs: refined[d]}
 				changed = true
 			}
 		}
 	}
-	return m, nil
+	return nil
 }
 
 // blocksForEntries returns the smallest block count whose capacity holds

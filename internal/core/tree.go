@@ -114,6 +114,10 @@ type Tree struct {
 	versionGen          uint64
 	versionGenPersisted uint64
 
+	// ws holds the write path's buffers (scratch.go); guarded by t.mu held
+	// exclusively, like everything a mutation touches.
+	ws *writeScratch
+
 	// qcPool recycles queryCtx mask arenas so steady-state queries build
 	// their membership masks without allocating.
 	qcPool sync.Pool
@@ -155,6 +159,7 @@ func New(store storage.Store, schema *cube.Schema, cfg Config) (*Tree, error) {
 		versions: make(map[uint64]*Version),
 		pins:     storage.NewPins(),
 	}
+	t.ws = newWriteScratch(schema, &t.cfg)
 	t.viewer, _ = store.(storage.ExtentViewer)
 	root := t.newNode(true)
 	t.root = root.id

@@ -102,6 +102,7 @@ func DecodeHierarchy(buf []byte) (*Hierarchy, int, error) {
 	if err := h.Validate(); err != nil {
 		return nil, 0, fmt.Errorf("hierarchy decode: %w", err)
 	}
+	h.rebuildAbove()
 	return h, off, nil
 }
 
@@ -109,19 +110,14 @@ func DecodeHierarchy(buf []byte) (*Hierarchy, int, error) {
 // top-down registration; decoding streams levels leaf-up, so a value's
 // parent ID is known before the parent value itself is materialized.
 func (h *Hierarchy) registerChildRaw(level int, parent ID, name string) (ID, error) {
-	key := scopedKey(parent, name)
+	key := scopedKey{parent, name}
 	if _, ok := h.intern[level][key]; ok {
 		return 0, fmt.Errorf("%w: duplicate %q at level %d", ErrInconsistent, name, level)
 	}
 	if len(h.byLevel[level]) > MaxCode {
 		return 0, fmt.Errorf("%w: level %d of %q", ErrFull, level, h.name)
 	}
-	id := MakeID(level, uint32(len(h.byLevel[level])))
-	h.intern[level][key] = id
-	h.byLevel[level] = append(h.byLevel[level], id)
-	h.parents[level] = append(h.parents[level], parent)
-	h.valueNames[level] = append(h.valueNames[level], name)
-	return id, nil
+	return h.add(level, key), nil
 }
 
 func readString(buf []byte) (string, int, error) {

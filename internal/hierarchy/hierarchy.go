@@ -3,7 +3,7 @@ package hierarchy
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Errors returned by Hierarchy operations.
@@ -38,7 +38,14 @@ type Hierarchy struct {
 	parents    [][]ID
 	valueNames [][]string
 	byLevel    [][]ID // per level, IDs in insertion (total) order
-	intern     []map[string]ID
+	intern     []map[scopedKey]ID
+
+	// above holds the composed father tables: above[from][k] maps the code
+	// of a level-from value to its ancestor at level from+2+k, so that
+	// lifting a value any number of levels is one indexed load (see
+	// AncestorTable). Every table is as long as parents[from]: registration
+	// appends to all of them, decoding rebuilds them.
+	above [][][]ID
 
 	// onRegister, when set, observes every NEW value registration (never
 	// lookups of existing values). The durable tree uses it to frame
@@ -76,10 +83,14 @@ func New(name string, levelNames ...string) (*Hierarchy, error) {
 		parents:    make([][]ID, len(levelNames)),
 		valueNames: make([][]string, len(levelNames)),
 		byLevel:    make([][]ID, len(levelNames)),
-		intern:     make([]map[string]ID, len(levelNames)),
+		intern:     make([]map[scopedKey]ID, len(levelNames)),
+		above:      make([][][]ID, len(levelNames)),
 	}
 	for i := range h.intern {
-		h.intern[i] = make(map[string]ID)
+		h.intern[i] = make(map[scopedKey]ID)
+		if skips := len(levelNames) - 2 - i; skips > 0 {
+			h.above[i] = make([][]ID, skips)
+		}
 	}
 	return h, nil
 }
@@ -145,7 +156,7 @@ func (h *Hierarchy) Register(pathTopDown ...string) (ID, error) {
 
 // registerChild interns one value at the given level under the given parent.
 func (h *Hierarchy) registerChild(level int, parent ID, name string) (ID, error) {
-	key := scopedKey(parent, name)
+	key := scopedKey{parent, name}
 	if id, ok := h.intern[level][key]; ok {
 		if h.parents[level][id.Code()] != parent {
 			return 0, fmt.Errorf("%w: %q at level %d", ErrInconsistent, name, level)
@@ -155,11 +166,8 @@ func (h *Hierarchy) registerChild(level int, parent ID, name string) (ID, error)
 	if len(h.byLevel[level]) > MaxCode {
 		return 0, fmt.Errorf("%w: level %d of %q", ErrFull, level, h.name)
 	}
-	id := MakeID(level, uint32(len(h.byLevel[level])))
-	h.intern[level][key] = id
-	h.byLevel[level] = append(h.byLevel[level], id)
-	h.parents[level] = append(h.parents[level], parent)
-	h.valueNames[level] = append(h.valueNames[level], name)
+	id := h.add(level, key)
+	h.extendAbove(level, parent)
 	if h.onRegister != nil {
 		h.onRegister(id, parent, name)
 	}
@@ -180,7 +188,7 @@ func (h *Hierarchy) RestoreValue(id, parent ID, name string) error {
 	if level >= len(h.levelNames) {
 		return fmt.Errorf("%w: %d in delta for %q", ErrBadLevel, level, h.name)
 	}
-	key := scopedKey(parent, name)
+	key := scopedKey{parent, name}
 	if have, ok := h.intern[level][key]; ok {
 		if have != id {
 			return fmt.Errorf("%w: delta %v for %q/%q, registered as %v",
@@ -200,17 +208,63 @@ func (h *Hierarchy) RestoreValue(id, parent ID, name string) error {
 		return fmt.Errorf("%w: delta %v parent %v not registered one level up",
 			ErrInconsistent, id, parent)
 	}
-	h.intern[level][key] = id
-	h.byLevel[level] = append(h.byLevel[level], id)
-	h.parents[level] = append(h.parents[level], parent)
-	h.valueNames[level] = append(h.valueNames[level], name)
+	h.add(level, key)
+	h.extendAbove(level, parent)
 	return nil
 }
 
 // scopedKey scopes a value name by its parent so that identical strings
 // under different parents (e.g. per-nation market segments) stay distinct.
-func scopedKey(parent ID, name string) string {
-	return fmt.Sprintf("%08x/%s", uint32(parent), name)
+type scopedKey struct {
+	parent ID
+	name   string
+}
+
+// add files a new value under the next free code of its level.
+func (h *Hierarchy) add(level int, key scopedKey) ID {
+	id := MakeID(level, uint32(len(h.byLevel[level])))
+	h.intern[level][key] = id
+	h.byLevel[level] = append(h.byLevel[level], id)
+	h.parents[level] = append(h.parents[level], key.parent)
+	h.valueNames[level] = append(h.valueNames[level], key.name)
+	return id
+}
+
+// extendAbove appends the newest level-level value, whose father is parent,
+// to the composed tables. parent's own rows are already complete: values
+// are registered top-down.
+func (h *Hierarchy) extendAbove(level int, parent ID) {
+	for k := range h.above[level] {
+		h.above[level][k] = append(h.above[level][k], h.AncestorTable(level+1, level+2+k)[parent.Code()])
+	}
+}
+
+// rebuildAbove recomputes every composed table from the father tables,
+// top level first so that each row composes from finished ones.
+func (h *Hierarchy) rebuildAbove() {
+	for level := len(h.above) - 1; level >= 0; level-- {
+		for k := range h.above[level] {
+			up := h.AncestorTable(level+1, level+2+k)
+			tab := make([]ID, len(h.parents[level]))
+			for c, p := range h.parents[level] {
+				tab[c] = up[p.Code()]
+			}
+			h.above[level][k] = tab
+		}
+	}
+}
+
+// AncestorTable returns the dense table that lifts level-from values to
+// level to (from < to ≤ TopLevel()): entry c is the ancestor at level to of
+// MakeID(from, c). It is AncestorAt without the checks and the walk — one
+// indexed load per value — for the insert and split paths, which lift whole
+// value sets whose IDs are known to be registered. The slice is owned by
+// the hierarchy and must not be modified; it panics on levels out of range.
+func (h *Hierarchy) AncestorTable(from, to int) []ID {
+	if to == from+1 {
+		return h.parents[from]
+	}
+	return h.above[from][to-from-2]
 }
 
 // parentOf returns the father of a registered ID via the dense tables.
@@ -240,7 +294,7 @@ func (h *Hierarchy) Lookup(pathTopDown ...string) (ID, error) {
 	parent := ALL
 	for i, component := range pathTopDown {
 		level := h.TopLevel() - i
-		id, ok := h.intern[level][scopedKey(parent, component)]
+		id, ok := h.intern[level][scopedKey{parent, component}]
 		if !ok {
 			return 0, fmt.Errorf("%w: %q at level %d of %q", ErrUnknownValue, component, level, h.name)
 		}
@@ -503,6 +557,4 @@ func (h *Hierarchy) Validate() error {
 // SortIDs sorts a slice of IDs in the canonical order used throughout the
 // index: by level tag, then by code — i.e. plain numeric order on the packed
 // representation.
-func SortIDs(ids []ID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
+func SortIDs(ids []ID) { slices.Sort(ids) }

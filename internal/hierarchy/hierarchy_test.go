@@ -398,6 +398,74 @@ func TestRandomizedPartialOrderLaws(t *testing.T) {
 	}
 }
 
+// checkAncestorTables compares every composed table row with the checked
+// walk of AncestorAt, the reference.
+func checkAncestorTables(t *testing.T, h *Hierarchy) {
+	t.Helper()
+	for from := 0; from < h.TopLevel(); from++ {
+		ids, _ := h.ValuesAt(from)
+		for to := from + 1; to <= h.TopLevel(); to++ {
+			tab := h.AncestorTable(from, to)
+			if len(tab) != len(ids) {
+				t.Fatalf("table %d→%d has %d rows, level has %d values", from, to, len(tab), len(ids))
+			}
+			for _, id := range ids {
+				want, err := h.AncestorAt(id, to)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := tab[id.Code()]; got != want {
+					t.Fatalf("AncestorTable(%d,%d)[%v] = %v, AncestorAt = %v", from, to, id, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestAncestorTableMatchesAncestorAt grows a random hierarchy three ways —
+// registration, binary decoding, replayed registration deltas — and checks
+// the composed ancestor tables against AncestorAt after each.
+func TestAncestorTableMatchesAncestorAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	h := mustCustomer(t)
+	type delta struct {
+		id, parent ID
+		name       string
+	}
+	var deltas []delta
+	h.SetRegisterHook(func(id, parent ID, name string) { deltas = append(deltas, delta{id, parent, name}) })
+	for i := 0; i < 3000; i++ {
+		_, err := h.Register(fmt.Sprintf("R%d", rng.Intn(5)), fmt.Sprintf("N%d", rng.Intn(9)),
+			fmt.Sprintf("S%d", rng.Intn(4)), fmt.Sprintf("C%d", rng.Intn(2000)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%500 == 0 {
+			checkAncestorTables(t, h)
+		}
+	}
+	checkAncestorTables(t, h)
+
+	decoded, _, err := DecodeHierarchy(h.AppendEncode(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAncestorTables(t, decoded)
+	// A decoded hierarchy keeps extending its tables.
+	if _, err := decoded.Register("R9", "N9", "S9", "C-new"); err != nil {
+		t.Fatal(err)
+	}
+	checkAncestorTables(t, decoded)
+
+	replayed := mustCustomer(t)
+	for _, d := range deltas {
+		if err := replayed.RestoreValue(d.id, d.parent, d.name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkAncestorTables(t, replayed)
+}
+
 func TestSortIDs(t *testing.T) {
 	ids := []ID{MakeID(2, 5), MakeID(0, 9), MakeID(2, 1), MakeID(1, 0), ALL}
 	SortIDs(ids)

@@ -303,38 +303,31 @@ func unionCount(a, b []hierarchy.ID) int {
 
 // unionSorted returns the sorted union of two sorted ID slices.
 func unionSorted(a, b []hierarchy.ID) []hierarchy.ID {
-	out := make([]hierarchy.ID, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	return unionInto(make([]hierarchy.ID, 0, len(a)+len(b)), a, b)
 }
 
 // Overlap is Definition 4's overlap(M,N) = Πᵢ |Mᵢ ∩ Nᵢ| after aligning both
 // operands. A zero result means the described subcubes are disjoint, which
 // is the pruning test of the range-query algorithm.
+//
+// Overlap and Extension align one dimension at a time and lift only the
+// lower operand of a dimension whose levels differ, so operands that
+// already share levels — every pair the hierarchy split compares — cost no
+// allocation.
 func Overlap(space Space, m, n MDS) (float64, error) {
-	am, an, err := Align(space, m, n)
-	if err != nil {
-		return 0, err
+	if len(m) != len(n) || len(m) != len(space) {
+		return 0, ErrDimMismatch
 	}
 	v := 1.0
-	for i := range am {
-		c := intersectCount(am[i].IDs, an[i].IDs)
+	for i := range space {
+		a, b := m[i], n[i]
+		if a.Level != b.Level {
+			var err error
+			if a, b, err = alignDim(space, m, n, i); err != nil {
+				return 0, err
+			}
+		}
+		c := intersectCount(a.IDs, b.IDs)
 		if c == 0 {
 			return 0, nil
 		}
@@ -346,13 +339,19 @@ func Overlap(space Space, m, n MDS) (float64, error) {
 // Extension is Definition 4's extension(M,N) = Πᵢ |Mᵢ ∪ Nᵢ| after aligning
 // both operands: the volume the union of the two MDSs would describe.
 func Extension(space Space, m, n MDS) (float64, error) {
-	am, an, err := Align(space, m, n)
-	if err != nil {
-		return 0, err
+	if len(m) != len(n) || len(m) != len(space) {
+		return 0, ErrDimMismatch
 	}
 	v := 1.0
-	for i := range am {
-		v *= float64(unionCount(am[i].IDs, an[i].IDs))
+	for i := range space {
+		a, b := m[i], n[i]
+		if a.Level != b.Level {
+			var err error
+			if a, b, err = alignDim(space, m, n, i); err != nil {
+				return 0, err
+			}
+		}
+		v *= float64(unionCount(a.IDs, b.IDs))
 	}
 	return v, nil
 }
