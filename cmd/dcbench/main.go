@@ -18,9 +18,11 @@
 //	                default 1,2,4,8) at the smallest size and print
 //	                per-worker-count throughput JSON; the cold variant
 //	                charges -cold-read-latency per node fault
-//	-wal            benchmark durable-insert throughput (WAL group commit
-//	                vs fsync per insert) and print JSON; tune with -wal-n,
-//	                -wal-workers, -wal-interval
+//	-wal            benchmark durable-insert throughput (one writer vs
+//	                -wal-workers concurrent writers sharing fsyncs) and
+//	                print JSON; tune with -wal-n, -wal-workers,
+//	                -wal-sync-delay; exits nonzero when concurrent
+//	                writers fail to batch
 //	-snapshot-scan  benchmark insert tail latency during long concurrent
 //	                scans (locked live scans vs MVCC snapshot scans) and
 //	                print JSON; tune with -snapshot-n
@@ -61,10 +63,9 @@ func main() {
 	workersSweep := flag.Bool("workers-sweep", false, "sweep parallel query worker counts at the smallest size and print per-worker-count throughput JSON")
 	sweepWorkers := flag.String("sweep-workers", "1,2,4,8", "comma-separated worker counts for -workers-sweep")
 	coldLatency := flag.Duration("cold-read-latency", 100*time.Microsecond, "per-node-fault read latency charged by the cold variant of -workers-sweep")
-	walBench := flag.Bool("wal", false, "benchmark durable-insert throughput: WAL group commit vs fsync per insert, JSON output")
+	walBench := flag.Bool("wal", false, "benchmark durable-insert throughput: one writer vs -wal-workers concurrent writers sharing fsyncs, JSON output")
 	walN := flag.Int("wal-n", 5000, "records inserted per variant of -wal")
 	walWorkers := flag.Int("wal-workers", 8, "concurrent inserters in the group-commit variants of -wal")
-	walInterval := flag.Duration("wal-interval", 2*time.Millisecond, "tuned commit interval for the tuned variants of -wal (the first group variant uses the default)")
 	walSyncDelay := flag.Duration("wal-sync-delay", 2*time.Millisecond, "modeled log-device latency for the -wal modeled-disk variants (added to every fsync)")
 	ckptBench := flag.Bool("checkpoint", false, "benchmark insert tail latency under periodic checkpoints: synchronous flush vs fuzzy checkpoint, JSON output")
 	ckptN := flag.Int("checkpoint-n", 20000, "records inserted per variant of -checkpoint")
@@ -105,7 +106,7 @@ func main() {
 	}
 
 	if *walBench {
-		res, err := bench.WALBench(opt, *walN, *walWorkers, *walInterval, *walSyncDelay, "")
+		res, err := bench.WALBench(opt, *walN, *walWorkers, *walSyncDelay, "")
 		if err != nil {
 			fatal(err)
 		}
@@ -113,6 +114,11 @@ func main() {
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(res); err != nil {
 			fatal(err)
+		}
+		// Concurrent writers that never share an fsync mean the commit path
+		// stopped batching — the regression CI runs this mode to catch.
+		if v := res.Variants[1]; v.Workers > 1 && v.MeanBatch <= 1 {
+			fatal(fmt.Errorf("%d concurrent writers did not batch: %.2f appends per fsync", v.Workers, v.MeanBatch))
 		}
 		return
 	}

@@ -5,7 +5,7 @@
 //
 //	go run ./cmd/docscheck
 //
-// Run from the repository root (CI runs it as the docs-check job). Three
+// Run from the repository root (CI runs it as the docs-check job). Four
 // checks:
 //
 //  1. Every `-flag` token in inline code or non-Go code fences of the
@@ -20,16 +20,36 @@
 //  3. Every ```go fence in any root-level markdown file must survive
 //     gofmt unchanged (leading 4-space indents are treated as tabs, the
 //     usual markdown rendering of Go indentation).
+//  4. Every knob those documents attribute to Config, WALOptions or
+//     FollowerOptions must be a field of that struct in the Go source —
+//     so deleting or renaming a knob without updating the runbooks breaks
+//     the build. Three forms are read as an attribution: a qualified
+//     `Config.Field` anywhere in code; the first cell of a row in a table
+//     whose header starts with "knob"; and, in a bullet list introduced by
+//     a paragraph that says "knob" and names the structs, every bare
+//     back-ticked CamelCase identifier (qualify anything that is not a
+//     field: `Tree.Flush`, `dctree.WithWAL`).
 package main
 
 import (
 	"fmt"
+	"go/ast"
 	"go/format"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 )
+
+// knobStructs are the option structs the documents describe, each with the
+// file (relative to the repository root) that declares it.
+var knobStructs = []struct{ name, file string }{
+	{"Config", "internal/core/config.go"},
+	{"WALOptions", "internal/storage/wal.go"},
+	{"FollowerOptions", "internal/repl/follower.go"},
+}
 
 // flagDocs are the documents whose flag references are validated.
 var flagDocs = []string{"README.md", "OPERATIONS.md", "REPLICATION.md", "DURABILITY.md"}
@@ -57,6 +77,14 @@ var (
 	// errRef matches an error identifier in documentation code, with or
 	// without a package qualifier (core.ErrFenced, ErrGap).
 	errRef = regexp.MustCompile(`\b(?:[a-z][a-z0-9]*\.)?(Err[A-Z][A-Za-z0-9]*)\b`)
+	// fieldRef matches a qualified knob: Config.Field, optionally one level
+	// deeper (Config.VersionRetention.KeepLast).
+	fieldRef = regexp.MustCompile(`\b(Config|WALOptions|FollowerOptions)\.([A-Z][A-Za-z0-9]*)(?:\.([A-Z][A-Za-z0-9]*))?`)
+	// bareIdent matches a code span that is one CamelCase identifier
+	// (at least one lowercase letter, so LSN and ALL are not knobs).
+	bareIdent = regexp.MustCompile(`^[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*$`)
+	// knobIntro matches the word that makes a paragraph a knob-list intro.
+	knobIntro = regexp.MustCompile(`(?i)\bknobs?\b`)
 )
 
 func main() {
@@ -68,9 +96,18 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	fields, err := structFields(".")
+	if err != nil {
+		fatal(err)
+	}
 	var problems []string
 	for _, doc := range flagDocs {
-		p, err := checkFlagRefs(doc, defined)
+		p, err := checkFieldRefs(doc, fields)
+		if err != nil {
+			fatal(err)
+		}
+		problems = append(problems, p...)
+		p, err = checkFlagRefs(doc, defined)
 		if err != nil {
 			fatal(err)
 		}
@@ -233,6 +270,156 @@ func checkFlagRefs(doc string, defined map[string]bool) ([]string, error) {
 						fmt.Sprintf("%s:%d: flag -%s is not defined by any command under cmd/", doc, i+1, name))
 				}
 			}
+		}
+	}
+	return problems, nil
+}
+
+// fieldSet holds, per struct type name, its field names mapped to the name
+// of the field's type (empty unless the type is a plain identifier) — enough
+// to follow Config.VersionRetention.KeepLast one level down.
+type fieldSet map[string]map[string]string
+
+// structFields parses the files of knobStructs under root and collects the
+// fields of every struct type they declare.
+func structFields(root string) (fieldSet, error) {
+	fields := make(fieldSet)
+	for _, ks := range knobStructs {
+		f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(root, ks.file), nil, 0)
+		if err != nil {
+			return nil, err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			set := make(map[string]string)
+			for _, fld := range st.Fields.List {
+				typ := ""
+				if id, ok := fld.Type.(*ast.Ident); ok {
+					typ = id.Name
+				}
+				for _, id := range fld.Names {
+					set[id.Name] = typ
+				}
+			}
+			fields[ts.Name.Name] = set
+			return true
+		})
+		if fields[ks.name] == nil {
+			return nil, fmt.Errorf("struct %s not found in %s — run from the repository root", ks.name, ks.file)
+		}
+	}
+	return fields, nil
+}
+
+// checkFieldRefs reports every knob doc attributes to one of knobStructs
+// that is not a field of it (check 4 of the package comment).
+func checkFieldRefs(doc string, fields fieldSet) ([]string, error) {
+	data, err := os.ReadFile(doc)
+	if err != nil {
+		return nil, err
+	}
+	var problems []string
+	// check reports name unless it is a field of one of structs.
+	check := func(line int, structs []string, name string) {
+		for _, s := range structs {
+			if _, ok := fields[s][name]; ok {
+				return
+			}
+		}
+		problems = append(problems, fmt.Sprintf("%s:%d: %s is not a field of %s",
+			doc, line, name, strings.Join(structs, " or ")))
+	}
+	var all []string // every knob struct: what an unqualified table cell may name
+	for _, ks := range knobStructs {
+		all = append(all, ks.name)
+	}
+	const (
+		tableNone  = iota // not in a table
+		tableKnob         // in a table whose header row starts with "knob"
+		tableOther        // in any other table
+	)
+	var (
+		inFence  bool
+		table    = tableNone
+		para     string   // the prose paragraph being read, or the last one read
+		paraOpen bool     // para is still being read
+		list     []string // structs the knob bullet list being read is about
+	)
+	for i, line := range strings.Split(string(data), "\n") {
+		trim := strings.TrimSpace(line)
+		if strings.HasPrefix(trim, "```") {
+			inFence = !inFence
+			continue
+		}
+		spans := []string{line} // code on this line: all of it in a fence
+		if !inFence {
+			spans = spans[:0]
+			for _, m := range inlineCode.FindAllStringSubmatch(line, -1) {
+				spans = append(spans, m[1])
+			}
+		}
+		// Form 1: qualified references.
+		for _, c := range spans {
+			for _, m := range fieldRef.FindAllStringSubmatch(c, -1) {
+				check(i+1, []string{m[1]}, m[2])
+				if typ := fields[m[1]][m[2]]; m[3] != "" && fields[typ] != nil {
+					check(i+1, []string{typ}, m[3])
+				}
+			}
+		}
+		if inFence {
+			continue
+		}
+		isRow := strings.HasPrefix(trim, "|")
+		if !isRow {
+			table = tableNone
+		}
+		switch {
+		case trim == "":
+			paraOpen = false
+		case isRow:
+			// Form 2: the first cell of a knob table's body rows.
+			list = nil
+			first := strings.TrimSpace(strings.SplitN(strings.TrimPrefix(trim, "|"), "|", 2)[0])
+			switch table {
+			case tableNone:
+				table = tableOther
+				if strings.EqualFold(first, "knob") {
+					table = tableKnob
+				}
+			case tableKnob:
+				if m := inlineCode.FindStringSubmatch(first); m != nil && bareIdent.MatchString(m[1]) {
+					check(i+1, all, m[1])
+				}
+			}
+		case strings.HasPrefix(trim, "* "), strings.HasPrefix(trim, "- "), list != nil && line != trim:
+			// Form 3: a bullet (or its continuation line) of a list whose
+			// intro paragraph says "knob" and names the structs.
+			if list == nil && knobIntro.MatchString(para) {
+				for _, s := range all {
+					if strings.Contains(para, "`"+s+"`") {
+						list = append(list, s)
+					}
+				}
+			}
+			for _, c := range spans {
+				if list != nil && bareIdent.MatchString(c) && !errRef.MatchString(c) {
+					check(i+1, list, c)
+				}
+			}
+		default: // prose
+			list = nil
+			if !paraOpen {
+				para, paraOpen = "", true
+			}
+			para += " " + line
 		}
 	}
 	return problems, nil

@@ -15,12 +15,12 @@ import (
 
 // WALVariant is one durable-insert configuration of the WAL benchmark.
 type WALVariant struct {
-	Mode string `json:"mode"` // "fsync_per_insert" or "group_commit"
-	// Workers is the number of concurrent inserters (1 for the naive
-	// mode: with an fsync inside every Insert there is nothing to
-	// overlap).
-	Workers          int     `json:"workers"`
-	CommitIntervalUS float64 `json:"commit_interval_us,omitempty"`
+	// Mode is "single_writer" (one client: every insert pays its own
+	// fsync), "group_commit" (Workers clients on the same commit path: a
+	// batch is whatever they append while the previous fsync is in flight)
+	// or "record_format".
+	Mode    string `json:"mode"`
+	Workers int    `json:"workers"`
 	// SyncDelayUS is the modeled log-device latency added to every fsync
 	// (0 = the raw filesystem), mirroring the workers sweep's cold
 	// variant: fast container filesystems commit in ~100 µs where the
@@ -50,13 +50,11 @@ type WALVariant struct {
 type WALBenchResult struct {
 	Records int `json:"records"`
 	// FsyncProbeUS is the measured cost of one fsync on the benchmark
-	// directory's filesystem — the floor the naive mode pays per insert.
+	// directory's filesystem — the floor a lone writer pays per insert.
 	FsyncProbeUS float64      `json:"fsync_probe_us"`
 	Variants     []WALVariant `json:"variants"`
-	// Speedups of group commit over fsync-per-insert, at equal modeled
-	// device latency: raw compares the best raw group-commit variant
-	// against the raw naive baseline; modeled-disk compares the two
-	// SyncDelay variants.
+	// Speedups of Workers concurrent writers over one, at equal modeled
+	// device latency — what sharing fsyncs buys on the one commit path.
 	SpeedupRaw         float64 `json:"speedup_raw"`
 	SpeedupModeledDisk float64 `json:"speedup_modeled_disk"`
 	// Bytes written to the log per acknowledged insert on the TPC-D-style
@@ -123,9 +121,9 @@ var walRegions = [5]string{"AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"}
 // the fact count — the data-warehouse pattern the paper targets), so the
 // v2 format amortizes each member's delta across many facts.
 func walFactPaths(i, n int) [][]string {
-	cust := i % maxInt(n/8, 1)
+	cust := i % max(n/8, 1)
 	nation := cust % 25
-	prt := (i * 7) % maxInt(n/16, 1)
+	prt := (i * 7) % max(n/16, 1)
 	brand := prt % 25
 	day := (i * 13) % 365
 	month := day / 31
@@ -134,13 +132,6 @@ func walFactPaths(i, n int) [][]string {
 		{fmt.Sprintf("MFGR#%d", brand%5), fmt.Sprintf("Brand#%02d", brand), fmt.Sprintf("Part#%08d", prt)},
 		{"1998", fmt.Sprintf("1998-%02d", month+1), fmt.Sprintf("1998-%02d-%02d", month+1, day%31+1)},
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // walFormatRun streams n facts into a fresh durable tree configured with
@@ -153,7 +144,6 @@ func walFormatRun(opt Options, n, format int, compress bool, dir string) (WALVar
 		return WALVariant{}, err
 	}
 	cfg := opt.DCConfig
-	cfg.CommitInterval = -1 // naive: every insert individually acknowledged
 	cfg.WALRecordFormat = format
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return WALVariant{}, err
@@ -206,12 +196,11 @@ func walFormatRun(opt Options, n, format int, compress bool, dir string) (WALVar
 	}, nil
 }
 
-// WALBench compares durable-insert throughput of the naive mode (an fsync
-// inside every Insert, CommitInterval < 0) against group commit, on the
-// raw filesystem and with a modeled disk-class commit latency
-// (syncDelay), all on a file-backed store and log in dir (a temp
-// directory when empty).
-func WALBench(opt Options, n, workers int, interval, syncDelay time.Duration, dir string) (*WALBenchResult, error) {
+// WALBench measures durable-insert throughput of one writer against
+// workers concurrent writers on the same self-clocking commit path, on the
+// raw filesystem and with a modeled disk-class commit latency (syncDelay),
+// all on a file-backed store and log in dir (a temp directory when empty).
+func WALBench(opt Options, n, workers int, syncDelay time.Duration, dir string) (*WALBenchResult, error) {
 	if dir == "" {
 		d, err := os.MkdirTemp("", "dcwalbench")
 		if err != nil {
@@ -222,25 +211,21 @@ func WALBench(opt Options, n, workers int, interval, syncDelay time.Duration, di
 	}
 	res := &WALBenchResult{Records: n, FsyncProbeUS: probeFsync(dir)}
 
-	// The modeled-disk naive run pays the full device latency per record;
-	// cap its record count so the benchmark finishes in seconds (the
-	// throughput measurement does not need equal counts across variants).
-	naiveModeledN := n / 5
-	if naiveModeledN < 200 {
-		naiveModeledN = 200
-	}
+	// The modeled-disk single writer pays the full device latency per
+	// record; cap its record count so the benchmark finishes in seconds
+	// (the throughput measurement does not need equal counts across
+	// variants).
+	singleModeledN := max(n/5, 200)
 	runs := []struct {
-		mode     string
-		workers  int
-		interval time.Duration
-		delay    time.Duration
-		n        int
+		mode    string
+		workers int
+		delay   time.Duration
+		n       int
 	}{
-		{"fsync_per_insert", 1, -1, 0, n},
-		{"group_commit", workers, core.DefaultConfig().CommitInterval, 0, n},
-		{"group_commit", workers, interval, 0, n},
-		{"fsync_per_insert", 1, -1, syncDelay, naiveModeledN},
-		{"group_commit", workers, interval, syncDelay, n},
+		{"single_writer", 1, 0, n},
+		{"group_commit", workers, 0, n},
+		{"single_writer", 1, syncDelay, singleModeledN},
+		{"group_commit", workers, syncDelay, n},
 	}
 	for i, r := range runs {
 		schema, recs, err := walBenchSchema(r.n)
@@ -248,7 +233,6 @@ func WALBench(opt Options, n, workers int, interval, syncDelay time.Duration, di
 			return nil, err
 		}
 		cfg := opt.DCConfig
-		cfg.CommitInterval = r.interval
 		sub := filepath.Join(dir, fmt.Sprintf("run%d", i))
 		if err := os.MkdirAll(sub, 0o755); err != nil {
 			return nil, err
@@ -316,21 +300,14 @@ func WALBench(opt Options, n, workers int, interval, syncDelay time.Duration, di
 			WALAppends:    stats.Appends,
 			WALFsyncs:     stats.Syncs,
 		}
-		if r.interval >= 0 {
-			v.CommitIntervalUS = float64(cfg.CommitInterval) / float64(time.Microsecond)
-		}
 		if stats.Syncs > 0 {
 			v.MeanBatch = float64(stats.Appends) / float64(stats.Syncs)
 		}
 		res.Variants = append(res.Variants, v)
 	}
 
-	for _, v := range res.Variants[1:3] {
-		if s := v.InsertsPerSec / res.Variants[0].InsertsPerSec; s > res.SpeedupRaw {
-			res.SpeedupRaw = s
-		}
-	}
-	res.SpeedupModeledDisk = res.Variants[4].InsertsPerSec / res.Variants[3].InsertsPerSec
+	res.SpeedupRaw = res.Variants[1].InsertsPerSec / res.Variants[0].InsertsPerSec
+	res.SpeedupModeledDisk = res.Variants[3].InsertsPerSec / res.Variants[2].InsertsPerSec
 
 	// Record-format comparison on the deep-hierarchy stream: v1 string
 	// paths, v2 interned IDs + dict deltas, and v2 with payload compression.

@@ -297,7 +297,6 @@ func TestFuzzyCheckpointConcurrentInserts(t *testing.T) {
 	storePath := filepath.Join(dir, "store.dc")
 	walPrefix := filepath.Join(dir, "idx")
 	cfg := smallConfig()
-	cfg.CommitInterval = time.Millisecond
 
 	st, err := storage.OpenPagedStore(storePath, cfg.BlockSize, 0)
 	if err != nil {
@@ -382,7 +381,6 @@ func TestAutoCheckpointer(t *testing.T) {
 	t.Run("interval", func(t *testing.T) {
 		dir := t.TempDir()
 		cfg := smallConfig()
-		cfg.CommitInterval = time.Millisecond
 		cfg.CheckpointInterval = 20 * time.Millisecond
 		st, err := storage.OpenPagedStore(filepath.Join(dir, "store.dc"), cfg.BlockSize, 0)
 		if err != nil {
@@ -405,7 +403,6 @@ func TestAutoCheckpointer(t *testing.T) {
 	t.Run("dirty-bytes", func(t *testing.T) {
 		dir := t.TempDir()
 		cfg := smallConfig()
-		cfg.CommitInterval = time.Millisecond
 		cfg.CheckpointDirtyBytes = 1 // any dirty node trips the threshold
 		st, err := storage.OpenPagedStore(filepath.Join(dir, "store.dc"), cfg.BlockSize, 0)
 		if err != nil {

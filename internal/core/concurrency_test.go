@@ -15,7 +15,19 @@ import (
 // with their cover repairs, all on the tree's one write scratch, which the
 // readers must never see. Run with -race.
 func TestConcurrentQueriesDuringInserts(t *testing.T) {
-	tree := newTestTree(t, smallConfig())
+	concurrentQueriesDuringInserts(t, newTestTree(t, smallConfig()))
+}
+
+// TestConcurrentQueriesDuringInsertsDurable runs the same stress on a
+// WAL-backed tree, where the writer additionally leads a commit per
+// mutation outside the tree lock while the readers hold it shared.
+func TestConcurrentQueriesDuringInsertsDurable(t *testing.T) {
+	tree, _, _, _ := newDurableOnDisk(t, smallConfig())
+	defer tree.Close()
+	concurrentQueriesDuringInserts(t, tree)
+}
+
+func concurrentQueriesDuringInserts(t *testing.T, tree *Tree) {
 	s := tree.Schema()
 	rng := rand.New(rand.NewSource(41))
 	warm := genRecords(t, s, rng, 300)

@@ -77,30 +77,6 @@ type Config struct {
 	// degenerates into unsplittable supernodes; see DESIGN.md §3.1.
 	FlatChooseSubtree bool
 
-	// CommitInterval is the group-commit window of a WAL-backed tree
-	// (NewDurable/OpenDurable): an acknowledged Insert/Delete waits at most
-	// this long for the committer to batch concurrent appends into one
-	// fsync. 0 selects the 2 ms default; a negative value disables group
-	// commit entirely and fsyncs after every append (the naive baseline —
-	// maximally eager, minimally fast). Ignored by trees without a WAL.
-	CommitInterval time.Duration
-
-	// CommitBytes closes a group-commit batch early once this many payload
-	// bytes are pending, bounding the data at risk inside one window under
-	// write bursts. 0 selects the 256 KiB default.
-	CommitBytes int
-
-	// CommitAutoTune lets the group committer adapt its window at runtime:
-	// the effective interval tracks an EWMA of observed fsync latency (the
-	// point where batching amortizes the sync without adding avoidable
-	// latency) while sustained single-record batches collapse the window
-	// toward zero, so sparse writers pay no idle wait. CommitInterval then
-	// serves as the starting value and bounds the adapted window at 8× its
-	// setting. Like NodeLayout this is a per-open runtime knob, not
-	// persisted in the metadata. Ignored in naive mode (negative
-	// CommitInterval) and by trees without a WAL.
-	CommitAutoTune bool
-
 	// CheckpointInterval, when positive, makes a WAL-backed tree checkpoint
 	// itself in the background at least this often: dirty nodes are written
 	// with the fuzzy protocol (writers stall only for the capture and
@@ -132,9 +108,9 @@ type Config struct {
 	// rewritten by later checkpoints.
 	NodeLayout int
 
-	// SyncReplication, when positive, makes the group committer withhold
-	// write acknowledgements until that many followers have confirmed the
-	// commit LSN (1 = semi-synchronous, n = quorum of n). Followers confirm
+	// SyncReplication, when positive, withholds write acknowledgements
+	// until that many followers have confirmed the commit LSN (1 =
+	// semi-synchronous, n = quorum of n). Followers confirm
 	// through Tree.ObserveFollowerAck, which the in-process replication
 	// source wires to the follower ack path. 0 (the default) acknowledges
 	// on local fsync alone — asynchronous replication. Like NodeLayout this
@@ -192,8 +168,6 @@ func DefaultConfig() Config {
 		RefineBound:        8,
 		Materialize:        true,
 		NodeLayout:         3,
-		CommitInterval:     2 * time.Millisecond,
-		CommitBytes:        256 << 10,
 
 		SyncReplicationTimeout: time.Second,
 	}
@@ -232,12 +206,6 @@ func (c *Config) Normalize() error {
 	if c.RefineBound == 0 {
 		c.RefineBound = d.RefineBound
 	}
-	if c.CommitInterval == 0 {
-		c.CommitInterval = d.CommitInterval
-	}
-	if c.CommitBytes == 0 {
-		c.CommitBytes = d.CommitBytes
-	}
 	if c.WALRecordFormat == 0 {
 		c.WALRecordFormat = walFormatIDs
 	}
@@ -262,8 +230,6 @@ func (c *Config) Normalize() error {
 		return fmt.Errorf("%w: negative supernode cap", ErrBadConfig)
 	case c.RefineBound < -1:
 		return fmt.Errorf("%w: refine bound below -1", ErrBadConfig)
-	case c.CommitBytes < 0:
-		return fmt.Errorf("%w: negative commit bytes", ErrBadConfig)
 	case c.CheckpointInterval < 0:
 		return fmt.Errorf("%w: negative checkpoint interval", ErrBadConfig)
 	case c.CheckpointDirtyBytes < 0:

@@ -224,11 +224,11 @@ func TestCrashAfterDeleteFlush(t *testing.T) {
 }
 
 // TestGroupCommitCrashStress drives the group-commit path from many
-// goroutines — with checkpoints racing the committer's fsync — then
+// goroutines — with checkpoints racing the commit leaders' fsyncs — then
 // snapshots the files mid-flight as a crash image and proves the
 // durability contract: every Insert acknowledged before the snapshot is
 // present in the recovered tree. Run under -race this also exercises the
-// Sync-vs-Truncate interaction between the committer and Flush.
+// Sync-vs-Truncate interaction between a commit leader and Flush.
 func TestGroupCommitCrashStress(t *testing.T) {
 	const (
 		workers   = 8
@@ -238,8 +238,6 @@ func TestGroupCommitCrashStress(t *testing.T) {
 	storePath := filepath.Join(dir, "store.dc")
 	walPrefix := filepath.Join(dir, "idx")
 	cfg := smallConfig()
-	cfg.CommitInterval = 500 * time.Microsecond
-	cfg.CommitBytes = 64 << 10
 
 	st, err := storage.OpenPagedStore(storePath, cfg.BlockSize, 0)
 	if err != nil {
@@ -289,7 +287,7 @@ func TestGroupCommitCrashStress(t *testing.T) {
 	}
 
 	// Checkpoints concurrent with appends and group commits: Flush
-	// truncates the log out from under the committer's in-flight fsync,
+	// truncates the log out from under a leader's in-flight fsync,
 	// which must be absorbed, not surface as a commit failure.
 	for i := 0; i < 5; i++ {
 		if err := tree.Flush(); err != nil {

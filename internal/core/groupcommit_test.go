@@ -1,0 +1,321 @@
+package core
+
+import (
+	"errors"
+	"math"
+	"math/rand"
+	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"github.com/dcindex/dctree/internal/cube"
+	"github.com/dcindex/dctree/internal/mds"
+	"github.com/dcindex/dctree/internal/storage"
+)
+
+// The self-clocking commit path has no timer to assert against, so these
+// tests assert counts: how many fsyncs, how many records per fsync, which
+// callers saw which error.
+
+// newGroupCommitTree builds a file-backed durable tree plus n records
+// interned BEFORE the tree exists, so no insert carries a dictionary delta
+// and every acknowledged insert is exactly one log record.
+func newGroupCommitTree(t *testing.T, wopts storage.WALOptions, n int) (tree *Tree, recs []cube.Record, storePath, walPrefix string) {
+	t.Helper()
+	dir := t.TempDir()
+	storePath, walPrefix = filepath.Join(dir, "store.dc"), filepath.Join(dir, "idx")
+	cfg := smallConfig()
+	st, err := storage.OpenPagedStore(storePath, cfg.BlockSize, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	schema := testSchema(t)
+	recs = genRecords(t, schema, rand.New(rand.NewSource(int64(n))), n)
+	tree, err = NewDurableOpts(st, schema, cfg, walPrefix, wopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree, recs, storePath, walPrefix
+}
+
+// TestGroupCommitSingleWriter: with one client nothing arrives while its
+// fsync is in flight, so every batch is one record and every acknowledged
+// write cost exactly one fsync — no window to wait out, none to fill.
+func TestGroupCommitSingleWriter(t *testing.T) {
+	tree, recs, _, _ := newGroupCommitTree(t, storage.WALOptions{}, 300)
+	defer tree.Close()
+	for _, r := range recs {
+		if err := tree.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, stats := tree.Metrics(), tree.WALStats()
+	if m.WALGroupCommitBatchMax != 1 || m.WALGroupCommitBatchMean != 1 {
+		t.Fatalf("batch max/mean = %d/%g, want 1/1", m.WALGroupCommitBatchMax, m.WALGroupCommitBatchMean)
+	}
+	if m.WALFsyncs != int64(len(recs)) {
+		t.Fatalf("commit fsyncs = %d for %d acknowledged writes", m.WALFsyncs, len(recs))
+	}
+	// The log's own count adds one fsync per rotation seal.
+	if want := int64(len(recs) + stats.Segments - 1); stats.Syncs != want {
+		t.Fatalf("log fsyncs = %d, want %d (%d writes, %d segments)", stats.Syncs, want, len(recs), stats.Segments)
+	}
+	if m.WALCommitWait.Count != int64(len(recs)) {
+		t.Fatalf("commit-wait histogram holds %d observations, want %d", m.WALCommitWait.Count, len(recs))
+	}
+	if m.ReplQuorumWait.Count != 0 {
+		t.Fatalf("quorum-wait histogram holds %d observations without SyncReplication", m.ReplQuorumWait.Count)
+	}
+	if m.WALCommitInterval != 0 {
+		t.Fatalf("WALCommitInterval = %v, want 0 (there is no window)", m.WALCommitInterval)
+	}
+	var prom strings.Builder
+	if err := m.WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if want := "dctree_wal_commit_wait_seconds_count 300\n"; !strings.Contains(prom.String(), want) {
+		t.Fatalf("Prometheus dump lacks %q", want)
+	}
+}
+
+// TestGroupCommitFanInBatches: 32 writers against a 2 ms modeled device
+// must share fsyncs — the batch is what the others appended while one
+// fsync was in flight — and a crash image taken once all are acknowledged
+// must recover every one of their records.
+func TestGroupCommitFanInBatches(t *testing.T) {
+	const writers, perWriter = 32, 12
+	wopts := storage.WALOptions{SyncDelay: 2 * time.Millisecond}
+	tree, recs, storePath, walPrefix := newGroupCommitTree(t, wopts, writers*perWriter)
+	defer tree.Close()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(part []cube.Record) {
+			defer wg.Done()
+			for _, r := range part {
+				if err := tree.Insert(r); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(recs[w*perWriter : (w+1)*perWriter])
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	m := tree.Metrics()
+	if m.WALGroupCommitBatchMean < 8 {
+		t.Fatalf("batch mean = %.1f (max %d, %d fsyncs for %d writes), want >= 8",
+			m.WALGroupCommitBatchMean, m.WALGroupCommitBatchMax, m.WALFsyncs, len(recs))
+	}
+
+	ctree := recoverImage(t, tree.cfg, storePath, walPrefix, filepath.Join(t.TempDir(), "img"))
+	if got := ctree.Metrics().RecoveryReplayedRecords; got != int64(len(recs)) {
+		t.Fatalf("replayed %d records, %d were acknowledged", got, len(recs))
+	}
+	verifyAgainstOracle(t, ctree, recs, 25, 32)
+}
+
+// TestGroupCommitSyncFailureIsSticky: a failed fsync must reach the leader
+// that issued it, every waiter parked behind it, and every later write as
+// the same error. The failure is injected by closing the log under the
+// tree while the first writer's (successful) fsync is still in flight.
+func TestGroupCommitSyncFailureIsSticky(t *testing.T) {
+	const late = 4
+	tree, recs, _, _ := newGroupCommitTree(t, storage.WALOptions{SyncDelay: 50 * time.Millisecond}, late+2)
+	defer tree.Close() // fails on the poisoned log; the store is closed by cleanup
+	ws := tree.wal
+
+	first := make(chan error, 1)
+	go func() { first <- tree.Insert(recs[0]) }()
+	waitFor(t, "the first writer to lead a sync", func() bool {
+		ws.mu.Lock()
+		defer ws.mu.Unlock()
+		return ws.syncing
+	})
+	errs := make(chan error, late)
+	for _, r := range recs[1 : 1+late] {
+		go func(r cube.Record) { errs <- tree.Insert(r) }(r)
+	}
+	waitFor(t, "the late writers to append", func() bool { return ws.w.LastLSN() == 1+late })
+	if err := ws.w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := <-first; err != nil {
+		t.Fatalf("first writer (its fsync preceded the failure): %v", err)
+	}
+	for i := 0; i < late; i++ {
+		if err := <-errs; !errors.Is(err, storage.ErrWALClosed) {
+			t.Fatalf("late writer %d: err = %v, want the injected sync failure", i, err)
+		}
+	}
+	if err := tree.Insert(recs[1+late]); !errors.Is(err, storage.ErrWALClosed) {
+		t.Fatalf("insert after the failure: err = %v, want the same sticky error", err)
+	}
+	if got := tree.Metrics().WALFsyncs; got != 1 {
+		t.Fatalf("commit fsyncs = %d, want 1 (only the first writer's succeeded)", got)
+	}
+}
+
+// TestGroupCommitShutdownRace: shutdown racing leaders and parked waiters
+// must leave every record that was appended durable in the files, return
+// every waiter (nil if covered, ErrClosed if it slipped in behind the final
+// sync), and leave no sync in flight. Driven at the walState level so the
+// race is on the commit path alone.
+func TestGroupCommitShutdownRace(t *testing.T) {
+	prefix := filepath.Join(t.TempDir(), "idx")
+	w, err := storage.OpenWAL(prefix, storage.WALOptions{SyncDelay: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := smallConfig()
+	ws := newWALState(w, &cfg, new(treeMetrics))
+
+	var (
+		wg       sync.WaitGroup
+		acked    atomic.Int64
+		appended atomic.Uint64 // highest LSN any writer appended
+	)
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				lsn, err := ws.append([]byte("shutdown-race-record"))
+				if err != nil {
+					if !errors.Is(err, storage.ErrWALClosed) {
+						t.Errorf("append: %v", err)
+					}
+					return
+				}
+				for cur := appended.Load(); lsn > cur && !appended.CompareAndSwap(cur, lsn); cur = appended.Load() {
+				}
+				if err := ws.waitDurable(lsn); err != nil {
+					if !errors.Is(err, ErrClosed) {
+						t.Errorf("waitDurable(%d): %v", lsn, err)
+					}
+					return
+				}
+				acked.Add(1)
+			}
+		}()
+	}
+	waitFor(t, "some acknowledged writes", func() bool { return acked.Load() >= 64 })
+	if err := ws.shutdown(); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	wg.Wait() // every waiter returned: nothing is parked on a closed log
+	ws.mu.Lock()
+	syncing := ws.syncing
+	ws.mu.Unlock()
+	if syncing {
+		t.Fatal("a sync is still marked in flight after shutdown")
+	}
+
+	reopened, err := storage.OpenWAL(prefix, storage.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if got, want := reopened.LastLSN(), appended.Load(); got != want {
+		t.Fatalf("reopened log ends at LSN %d, writers appended through %d", got, want)
+	}
+}
+
+// TestGroupCommitCheckpointCoverageFlushesLog: a record that a checkpoint
+// install acknowledges before any writer synced it must still reach the
+// log's durable frontier, or a follower of a quiet primary never sees it.
+func TestGroupCommitCheckpointCoverageFlushesLog(t *testing.T) {
+	w, err := storage.OpenWAL(filepath.Join(t.TempDir(), "idx"), storage.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	w.SetRetainLSN(0) // a follower still needs the log: truncation keeps it
+	cfg := smallConfig()
+	ws := newWALState(w, &cfg, new(treeMetrics))
+	lsn, err := ws.append([]byte("covered-by-checkpoint"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws.checkpointDone(lsn)
+	if err := ws.waitDurable(lsn); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.SyncedLSN(); got < lsn {
+		t.Fatalf("log durable through LSN %d, the checkpoint acknowledged %d", got, lsn)
+	}
+}
+
+// TestRecoveryOfParentWrittenImage pins byte compatibility across the
+// removal of the group-commit knobs: testdata/parent-pr12 is a crash image
+// (store + log tail) written by the build before it — its meta blob carries
+// non-zero values in the two retired slots — and must open, replay its
+// tail and keep accepting durable writes.
+func TestRecoveryOfParentWrittenImage(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"store.dc", "idx.00000002.wal"} {
+		copyFile(t, filepath.Join("testdata", "parent-pr12", name), filepath.Join(dir, name))
+	}
+	open := func() (*Tree, *storage.PagedStore) {
+		st, err := storage.OpenPagedStore(filepath.Join(dir, "store.dc"), smallConfig().BlockSize, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := OpenDurable(st, filepath.Join(dir, "idx"))
+		if err != nil {
+			st.Close()
+			t.Fatalf("OpenDurable: %v", err)
+		}
+		return tree, st
+	}
+	// The image: 120 inserts, a checkpoint, then 40 inserts and 5 deletes
+	// in the log tail.
+	tree, st := open()
+	if got := tree.Metrics().RecoveryReplayedRecords; got != 45 {
+		t.Fatalf("replayed %d records, want the 45 of the tail", got)
+	}
+	checkImage := func(tree *Tree, count int64, sum float64) {
+		t.Helper()
+		if err := tree.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		agg, err := tree.RangeAgg(mds.Top(tree.Schema().Dims()), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tree.Count() != count || int64(agg.Count) != count || math.Abs(agg.Sum-sum) > 1e-6 {
+			t.Fatalf("count %d (root %v), sum %.2f; want %d, %.2f", tree.Count(), agg.Count, agg.Sum, count, sum)
+		}
+	}
+	checkImage(tree, 155, 7846.27)
+	rec := genRecords(t, tree.Schema(), rand.New(rand.NewSource(8)), 1)[0]
+	rec.Measures[0] = 1000
+	if err := tree.Insert(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	tree, st = open()
+	defer st.Close()
+	defer tree.Close()
+	checkImage(tree, 156, 8846.27)
+}
+
+// waitFor polls cond until it holds, failing the test after ten seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}

@@ -18,9 +18,10 @@ import (
 // logical-node translation table.
 
 // Eight format versions are in play: v2 ("DCMETA02") extends v1 with the
-// group-commit knobs (after the config flags byte) and the WAL checkpoint
+// two group-commit knobs (after the config flags byte; since retired —
+// the slots are written as zeros and ignored) and the WAL checkpoint
 // LSN (after nextID); v3 ("DCMETA03") appends the checkpoint auto-trigger
-// knobs after CommitBytes; v4 ("DCMETA04") appends the WAL record format
+// knobs after those slots; v4 ("DCMETA04") appends the WAL record format
 // after CheckpointDirtyBytes; v5 ("DCMETA05") appends the MVCC version
 // stamps (version-number mint, latest version ID and its LSN) after the
 // checkpoint LSN; v6 ("DCMETA06") appends a node-layout tag to every
@@ -147,8 +148,11 @@ func (t *Tree) encodeMeta(snap metaSnapshot) ([]byte, error) {
 		flags |= 4
 	}
 	buf = append(buf, flags)
-	buf = binary.AppendVarint(buf, int64(t.cfg.CommitInterval))
-	buf = binary.AppendUvarint(buf, uint64(t.cfg.CommitBytes))
+	// Two retired slots (the group-commit window and byte cap of v2–v8
+	// writers): written as zeros and skipped on read, so the layout and
+	// every existing image stay as they are.
+	buf = binary.AppendVarint(buf, 0)
+	buf = binary.AppendUvarint(buf, 0)
 	buf = binary.AppendVarint(buf, int64(t.cfg.CheckpointInterval))
 	buf = binary.AppendUvarint(buf, uint64(t.cfg.CheckpointDirtyBytes))
 	buf = binary.AppendUvarint(buf, uint64(t.cfg.WALRecordFormat))
@@ -287,8 +291,8 @@ func decodeMeta(meta []byte) (*Tree, error) {
 	cfg.DisableSupernodes = flags&2 != 0
 	cfg.FlatChooseSubtree = flags&4 != 0
 	if ver >= 2 {
-		cfg.CommitInterval = time.Duration(r.varint())
-		cfg.CommitBytes = int(r.uvarint())
+		r.varint()  // retired: group-commit window
+		r.uvarint() // retired: group-commit byte cap
 	}
 	if ver >= 3 {
 		cfg.CheckpointInterval = time.Duration(r.varint())

@@ -57,10 +57,9 @@ type treeMetrics struct {
 	flatNodeReads   obs.Counter
 	decodeFallbacks obs.Counter
 
-	// Durable write path: WAL appends, fsyncs issued by the group
-	// committer (or inline in naive mode), commit batches with their
-	// record totals and high-water size, and records re-applied by
-	// OpenDurable recovery.
+	// Durable write path: WAL appends, fsyncs issued by commit leaders,
+	// commit batches with their record totals and high-water size, and
+	// records re-applied by OpenDurable recovery.
 	walAppends       obs.Counter
 	walFsyncs        obs.Counter
 	walBatches       obs.Counter
@@ -68,10 +67,11 @@ type treeMetrics struct {
 	walBatchMax      obs.Gauge
 	walDictDeltas    obs.Counter
 	recoveryReplayed obs.Counter
-	// Group-commit autotuning: the committer's current effective window in
-	// nanoseconds, and how many batches moved it.
-	walCommitIntervalNs obs.Gauge
-	walAutotuneAdjusts  obs.Counter
+	// Where an acknowledged write waited: in waitDurable until its record
+	// was locally durable, and — under SyncReplication only — from there
+	// until the follower quorum confirmed it.
+	walCommitWait  obs.Histogram
+	replQuorumWait obs.Histogram
 	// Replica apply mode: mutation records folded in by ApplyReplicated
 	// (dict deltas and version records are bookkeeping, like recovery).
 	replicaApplied obs.Counter
@@ -194,12 +194,15 @@ type Metrics struct {
 	WALRecycledSegments     int64
 	WALBytesPerRecord       float64
 	RecoveryReplayedRecords int64
-	// Group-commit autotuning (Config.CommitAutoTune): the committer's
-	// current effective batch window and the number of batches that moved
-	// it. Without autotuning the interval reports the configured value and
-	// the adjust counter stays zero.
-	WALCommitInterval  time.Duration
-	WALAutotuneAdjusts int64
+	// WALCommitWait is the time acknowledged writes spent waiting for local
+	// durability (leading or sharing an fsync); ReplQuorumWait is the
+	// additional wait for the follower quorum, observed only under
+	// Config.SyncReplication.
+	WALCommitWait  obs.HistogramSnapshot
+	ReplQuorumWait obs.HistogramSnapshot
+	// WALCommitInterval always reads 0: group commit has no window. Kept
+	// for the benchmark's reader until its next revision.
+	WALCommitInterval time.Duration
 
 	// Replica apply mode: mutation records applied from the primary's log
 	// (ReplicaApplied) and the applied LSN frontier. Zero on non-replicas.
@@ -315,8 +318,8 @@ func (t *Tree) Metrics() Metrics {
 		WALGroupCommitBatchMax:  m.walBatchMax.Load(),
 		WALDictDeltas:           m.walDictDeltas.Load(),
 		RecoveryReplayedRecords: m.recoveryReplayed.Load(),
-		WALCommitInterval:       time.Duration(m.walCommitIntervalNs.Load()),
-		WALAutotuneAdjusts:      m.walAutotuneAdjusts.Load(),
+		WALCommitWait:           m.walCommitWait.Snapshot(),
+		ReplQuorumWait:          m.replQuorumWait.Snapshot(),
 		ReplicaApplied:          m.replicaApplied.Load(),
 		ReplicaAppliedLSN:       t.AppliedLSN(),
 		FencingEpoch:            t.Epoch(),
@@ -437,7 +440,7 @@ func (m Metrics) Families() []obs.Family {
 		obs.CounterFamily("dctree_mmap_remap_total", "Memory-mapping rebuilds after backing-file growth.", m.MmapRemaps),
 		obs.CounterFamily("dctree_mmap_fallback_total", "Extent view requests answered by a plain file read.", m.MmapFallbacks),
 		obs.CounterFamily("dctree_wal_appends_total", "Logical records appended to the write-ahead log.", m.WALAppends),
-		obs.CounterFamily("dctree_wal_fsyncs_total", "WAL fsyncs issued (one per group-commit batch, or per append in naive mode).", m.WALFsyncs),
+		obs.CounterFamily("dctree_wal_fsyncs_total", "WAL fsyncs issued by commit leaders (one per group-commit batch).", m.WALFsyncs),
 		{
 			Name: "dctree_wal_group_commit_batch_size", Help: "Records per group-commit batch.", Type: obs.TypeGauge,
 			Samples: []obs.Sample{
@@ -449,8 +452,8 @@ func (m Metrics) Families() []obs.Family {
 		obs.CounterFamily("dctree_wal_recycled_segments_total", "WAL segment creations served from the recycle pool instead of a fresh create.", m.WALRecycledSegments),
 		obs.GaugeFamily("dctree_wal_bytes_per_record", "Frame bytes written to the WAL per logical record appended.", m.WALBytesPerRecord),
 		obs.CounterFamily("dctree_recovery_replayed_records_total", "WAL records re-applied by OpenDurable crash recovery.", m.RecoveryReplayedRecords),
-		obs.GaugeFamily("dctree_wal_commit_interval_seconds", "Effective group-commit batch window (adapted under CommitAutoTune).", m.WALCommitInterval.Seconds()),
-		obs.CounterFamily("dctree_wal_autotune_adjustments_total", "Group-commit batches that moved the autotuned window.", m.WALAutotuneAdjusts),
+		obs.HistogramFamily("dctree_wal_commit_wait_seconds", "Time an acknowledged write waited for local durability (leading or sharing an fsync).", m.WALCommitWait),
+		obs.HistogramFamily("dctree_repl_quorum_wait_seconds", "Additional time a synchronous write waited for the follower quorum after local durability.", m.ReplQuorumWait),
 		obs.CounterFamily("dctree_replica_applied_records_total", "Mutation records applied from the primary's log in replica mode.", m.ReplicaApplied),
 		obs.GaugeFamily("dctree_replica_applied_lsn", "Replica applied-LSN frontier (0 on non-replicas).", float64(m.ReplicaAppliedLSN)),
 		obs.GaugeFamily("dctree_fencing_epoch", "Replication fencing epoch (0 = pre-fencing, bumped by every promotion).", float64(m.FencingEpoch)),

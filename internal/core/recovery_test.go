@@ -19,15 +19,6 @@ import (
 // the surviving WAL prefix plus the last checkpoint carry — and every
 // ACKNOWLEDGED mutation is in that set.
 
-// durableConfig is smallConfig in naive commit mode: every append fsyncs
-// inline, so the serial tests get a deterministic "acked ⇒ on disk after
-// the call returned" baseline.
-func durableConfig() Config {
-	cfg := smallConfig()
-	cfg.CommitInterval = -1
-	return cfg
-}
-
 // copyFile snapshots one file as a crash image.
 func copyFile(t testing.TB, src, dst string) {
 	t.Helper()
@@ -153,7 +144,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	storePath := filepath.Join(dir, "store.dc")
 	walPrefix := filepath.Join(dir, "idx")
-	cfg := durableConfig()
+	cfg := smallConfig()
 
 	st, err := storage.OpenPagedStore(storePath, cfg.BlockSize, 0)
 	if err != nil {
@@ -217,7 +208,7 @@ func TestNewDurableRejectsExistingLog(t *testing.T) {
 	dir := t.TempDir()
 	storePath := filepath.Join(dir, "store.dc")
 	walPrefix := filepath.Join(dir, "idx")
-	cfg := durableConfig()
+	cfg := smallConfig()
 	st, err := storage.OpenPagedStore(storePath, cfg.BlockSize, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +240,7 @@ func TestNewDurableRejectsExistingLog(t *testing.T) {
 // every mutation acknowledged before the crash point must be in it.
 func TestRecoveryCrashMatrix(t *testing.T) {
 	const n = 90
-	cfg := durableConfig()
+	cfg := smallConfig()
 	for _, checkpoint := range []bool{false, true} {
 		for _, tearTail := range []bool{false, true} {
 			name := fmt.Sprintf("checkpoint=%v/torn=%v", checkpoint, tearTail)
@@ -328,8 +319,8 @@ func TestRecoveryCrashMatrix(t *testing.T) {
 					if got, want := ctree.Metrics().RecoveryReplayedRecords, int64(len(inserts)+len(deletes)); got != want {
 						t.Fatalf("crash at %d: replayed %d records, log holds %d", i, got, want)
 					}
-					// In naive commit mode each mutation is fsynced before
-					// it is acknowledged, and the copy happened between
+					// The one client's every mutation is fsynced before it
+					// is acknowledged, and the copy happened between
 					// operations — so the recovered state must equal the
 					// acked set exactly.
 					exp := make([]cube.Record, 0, len(acked))
@@ -352,7 +343,7 @@ func TestRecoveryCrashMatrix(t *testing.T) {
 // shadow paging (the flush) with checkpoint-LSN filtering (the log).
 func TestRecoveryCheckpointFaultSweep(t *testing.T) {
 	const n = 60
-	cfg := durableConfig()
+	cfg := smallConfig()
 	for _, mode := range []storage.FaultMode{storage.FailStop, storage.TornWrite} {
 		modeName := "failstop"
 		if mode == storage.TornWrite {

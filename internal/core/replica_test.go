@@ -23,7 +23,7 @@ func shipAll(t *testing.T, primary, replica *Tree) {
 
 func TestReplicaApplyMirrorsPrimary(t *testing.T) {
 	dir := t.TempDir()
-	cfg := durableConfig()
+	cfg := smallConfig()
 	schema := testSchema(t)
 	st := storage.NewMemStore(cfg.BlockSize)
 	primary, err := NewDurableOpts(st, schema, cfg, dir+"/idx", storage.WALOptions{SegmentBytes: 4096})
@@ -117,7 +117,7 @@ func TestReplicaApplyMirrorsPrimary(t *testing.T) {
 
 func TestReplicaCheckpointRestart(t *testing.T) {
 	dir := t.TempDir()
-	cfg := durableConfig()
+	cfg := smallConfig()
 	schema := testSchema(t)
 	primary, err := NewDurableOpts(storage.NewMemStore(cfg.BlockSize), schema, cfg,
 		dir+"/idx", storage.WALOptions{SegmentBytes: 4096})

@@ -334,7 +334,7 @@ func TestAsOfAfterCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	storePath := filepath.Join(dir, "store.dc")
 	walPrefix := filepath.Join(dir, "idx")
-	cfg := durableConfig()
+	cfg := smallConfig()
 
 	st, err := storage.OpenPagedStore(storePath, cfg.BlockSize, 0)
 	if err != nil {

@@ -29,7 +29,7 @@ func TestVersionSurvivesCheckpointCrash(t *testing.T) {
 	dir := t.TempDir()
 	storePath := filepath.Join(dir, "store.dc")
 	walPrefix := filepath.Join(dir, "idx")
-	cfg := durableConfig()
+	cfg := smallConfig()
 
 	st, err := storage.OpenPagedStore(storePath, cfg.BlockSize, 0)
 	if err != nil {
@@ -200,7 +200,7 @@ func TestVersionReleaseSurvivesCrash(t *testing.T) {
 	dir := t.TempDir()
 	storePath := filepath.Join(dir, "store.dc")
 	walPrefix := filepath.Join(dir, "idx")
-	cfg := durableConfig()
+	cfg := smallConfig()
 
 	st, err := storage.OpenPagedStore(storePath, cfg.BlockSize, 0)
 	if err != nil {
@@ -410,7 +410,7 @@ func TestVersionsRaceWithRelease(t *testing.T) {
 // replica re-capture path) must release the displaced version's pins, not
 // silently overwrite the registry entry and leak them forever.
 func TestSnapshotCollisionReleasesDisplaced(t *testing.T) {
-	cfg := durableConfig()
+	cfg := smallConfig()
 	schema := testSchema(t)
 	rstore := storage.NewMemStore(cfg.BlockSize)
 	replica, err := NewReplica(rstore, schema, cfg)
@@ -470,7 +470,7 @@ func TestSnapshotCollisionReleasesDisplaced(t *testing.T) {
 // record was appended first, leaving an orphan for recovery to trip over.
 func TestSnapshotOrphanRollback(t *testing.T) {
 	dir := t.TempDir()
-	cfg := durableConfig()
+	cfg := smallConfig()
 	schema := testSchema(t)
 	st := storage.NewMemStore(cfg.BlockSize)
 	tree, err := NewDurable(st, schema, cfg, filepath.Join(dir, "idx"))
@@ -540,7 +540,7 @@ func TestVersionCrashMatrix(t *testing.T) {
 			dir := t.TempDir()
 			storePath := filepath.Join(dir, "store.dc")
 			walPrefix := filepath.Join(dir, "idx")
-			cfg := durableConfig()
+			cfg := smallConfig()
 
 			st, err := storage.OpenPagedStore(storePath, cfg.BlockSize, 0)
 			if err != nil {
@@ -639,7 +639,7 @@ func TestVersionCrashMatrix(t *testing.T) {
 // the oracle frozen at the primary's capture instant.
 func TestPrimaryReplicaVersionParity(t *testing.T) {
 	dir := t.TempDir()
-	cfg := durableConfig()
+	cfg := smallConfig()
 	schema := testSchema(t)
 	st := storage.NewMemStore(cfg.BlockSize)
 	primary, err := NewDurableOpts(st, schema, cfg, dir+"/idx", storage.WALOptions{SegmentBytes: 4096})

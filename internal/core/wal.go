@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/dcindex/dctree/internal/cube"
@@ -24,7 +22,8 @@ import (
 // it. The record is appended under the tree write lock AFTER the in-memory
 // mutation succeeds, so the append order equals the mutation order and
 // only acknowledged-able mutations are logged; the caller then blocks
-// OUTSIDE the lock until the group committer's next fsync covers its LSN.
+// OUTSIDE the lock until an fsync — its own or a concurrent writer's —
+// covers its LSN.
 //
 // Checkpoints: Flush persists the full tree with shadow paging, stamps the
 // WAL's last LSN into the metadata blob as the checkpoint LSN, and then
@@ -100,30 +99,19 @@ var ErrWALRejected = errors.New("dctree: wal holds unreplayed records")
 // but rejects mutations until reopened.
 var ErrFenced = errors.New("dctree: replication epoch fenced (peer was promoted)")
 
-// walState runs group commit for one tree's WAL: appenders (holding the
-// tree write lock) register their appended LSN, a committer goroutine
-// batches all registrations inside a CommitInterval window (closed early
-// at CommitBytes pending payload) into one fsync, and acknowledgment
-// waiters block outside the tree lock until the durable frontier covers
-// their LSN. With a negative CommitInterval there is no committer: every
-// append fsyncs inline (the naive baseline dcbench -wal compares against).
+// walState runs group commit for one tree's WAL. The commit is
+// self-clocking: there is no committer goroutine and no timer. Appenders
+// (holding the tree write lock) frame their record into the log's buffer;
+// then, OUTSIDE the tree lock, each waits in waitDurable for the durable
+// frontier to cover its LSN. A waiter that finds no sync in flight becomes
+// the leader and fsyncs the log itself; waiters that arrive meanwhile park,
+// and when the leader returns the first one still uncovered leads the next
+// sync — which covers everything appended while the previous one ran. That
+// in-flight fsync is the whole batch window: a lone writer pays append plus
+// one fsync, N concurrent writers share fsyncs.
 type walState struct {
-	w        *storage.WAL
-	interval time.Duration
-	bytes    int64
-	m        *treeMetrics
-
-	// Group-commit autotuning (Config.CommitAutoTune): the committer adapts
-	// its effective window each batch instead of sleeping the fixed
-	// interval. effNs is the current window in nanoseconds (atomic: the
-	// committer stores, Metrics loads); fsyncEWMA and sparseRuns are
-	// committer-goroutine-only state — an exponentially weighted average of
-	// observed fsync latency, and how many consecutive batches held a single
-	// record (the signal that waiting buys no batching).
-	autotune   bool
-	effNs      atomic.Int64
-	fsyncEWMA  time.Duration
-	sparseRuns int
+	w *storage.WAL
+	m *treeMetrics
 
 	// Synchronous replication (Config.SyncReplication): when syncAcks > 0,
 	// waitDurable additionally blocks until replLSN — the syncAcks-th
@@ -132,20 +120,12 @@ type walState struct {
 	syncAcks    int
 	syncTimeout time.Duration
 
-	mu sync.Mutex
-	// Two condition variables on one mutex keep the wakeups targeted: an
-	// append signals only the committer; a finished batch broadcasts only
-	// to acknowledgment waiters. A single shared cond would wake every
-	// blocked appender on every append — a thundering herd that dominates
-	// the commit path's cost at high fan-in.
-	commitCond *sync.Cond // committer waits here for pending appends
-	ackCond    *sync.Cond // waitDurable blocks here for the frontier
+	mu         sync.Mutex
+	ackCond    *sync.Cond // waitDurable parks here for either frontier
 	durableLSN uint64     // highest LSN known durable (fsync or checkpoint)
-	pendingLSN uint64     // highest appended LSN
-	pendingB   int64      // payload bytes appended since the last batch closed
+	syncing    bool       // a leader's fsync is in flight
 	err        error      // sticky: a failed fsync poisons the write path
-	closing    bool
-	done       chan struct{}
+	closing    bool       // shutdown ran its final sync; nobody leads again
 	// Follower acknowledgment registry: the highest LSN each follower has
 	// confirmed durable on its side. The minimum is the log retention
 	// floor (a truncation past it would strand the slowest follower); the
@@ -158,102 +138,85 @@ type walState struct {
 func newWALState(w *storage.WAL, cfg *Config, m *treeMetrics) *walState {
 	ws := &walState{
 		w:           w,
-		interval:    cfg.CommitInterval,
-		bytes:       int64(cfg.CommitBytes),
 		m:           m,
 		syncAcks:    cfg.SyncReplication,
 		syncTimeout: cfg.SyncReplicationTimeout,
 		followers:   make(map[string]uint64),
-		done:        make(chan struct{}),
+		durableLSN:  w.SyncedLSN(),
 	}
-	ws.commitCond = sync.NewCond(&ws.mu)
 	ws.ackCond = sync.NewCond(&ws.mu)
-	ws.durableLSN = w.SyncedLSN()
-	ws.pendingLSN = w.LastLSN()
-	ws.autotune = cfg.CommitAutoTune && ws.interval > 0
-	if ws.interval > 0 {
-		ws.effNs.Store(int64(ws.interval))
-		m.walCommitIntervalNs.Set(int64(ws.interval))
-	}
-	if ws.interval >= 0 {
-		go ws.run()
-	} else {
-		close(ws.done)
-	}
 	return ws
 }
 
-// append writes one logical record and registers it for the next commit
-// batch. Called with the tree write lock held — it must not block on disk
-// in group-commit mode (the fsync happens on the committer goroutine).
+// append frames one logical record into the log's buffer. Called with the
+// tree write lock held — it never touches the disk; the caller makes the
+// record durable by passing the returned LSN to waitDurable after it has
+// dropped the lock.
 func (ws *walState) append(payload []byte) (uint64, error) {
 	ws.mu.Lock()
-	if err := ws.err; err != nil {
-		ws.mu.Unlock()
+	err := ws.err
+	ws.mu.Unlock()
+	if err != nil {
 		return 0, err
 	}
-	ws.mu.Unlock()
-
 	lsn, err := ws.w.Append(payload)
 	if err != nil {
 		return 0, err
 	}
 	ws.m.walAppends.Inc()
-
-	if ws.interval < 0 {
-		// Naive mode: one fsync per append, inline.
-		covered, err := ws.w.Sync()
-		if err != nil {
-			ws.poison(err)
-			return 0, err
-		}
-		ws.m.walFsyncs.Inc()
-		ws.m.walBatches.Inc()
-		ws.m.walBatchRecords.Inc()
-		// Every naive-mode batch is exactly one record; the max-batch gauge
-		// must say so rather than sit at its zero value precisely in the one
-		// mode where the batch size is known a priori.
-		if ws.m.walBatchMax.Load() < 1 {
-			ws.m.walBatchMax.Set(1)
-		}
-		ws.noteDurable(covered)
-		return lsn, nil
-	}
-
-	ws.mu.Lock()
-	if lsn > ws.pendingLSN {
-		ws.pendingLSN = lsn
-	}
-	ws.pendingB += int64(len(payload))
-	ws.commitCond.Signal() // wake the committer
-	ws.mu.Unlock()
 	return lsn, nil
 }
 
 // waitDurable blocks until lsn is durable (or the write path is
-// poisoned). Called WITHOUT the tree lock, so concurrent mutators keep
-// filling the current batch while earlier callers wait on it. Under
-// synchronous replication (syncAcks > 0) it then also waits for the
-// quorum frontier to cover lsn; if syncTimeout expires first the write is
-// acknowledged on local durability alone and the degradation is counted —
-// a dead follower slows the primary down to the timeout, never to a halt.
+// poisoned), leading a sync itself when none is in flight. Called WITHOUT
+// the tree lock, so concurrent mutators keep appending to the next batch
+// while this one is on its way to disk. Under synchronous replication
+// (syncAcks > 0) it then also waits for the quorum frontier to cover lsn;
+// if syncTimeout expires first the write is acknowledged on local
+// durability alone and the degradation is counted — a dead follower slows
+// the primary down to the timeout, never to a halt.
 func (ws *walState) waitDurable(lsn uint64) error {
 	if lsn == 0 {
 		return nil
 	}
+	start := time.Now()
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	for ws.durableLSN < lsn && ws.err == nil {
-		if ws.closing {
+		switch {
+		case ws.closing:
 			return ErrClosed
+		case ws.syncing:
+			ws.ackCond.Wait()
+		default:
+			ws.syncLocked()
 		}
-		ws.ackCond.Wait()
 	}
-	if ws.err != nil || ws.syncAcks <= 0 || ws.replLSN >= lsn {
+	if ws.err != nil {
 		return ws.err
 	}
-	// Quorum wait. sync.Cond has no timed wait, so a one-shot timer flips
-	// a per-waiter flag and broadcasts; the loop re-checks it on wakeup.
+	local := time.Now()
+	ws.m.walCommitWait.Observe(local.Sub(start))
+	if ws.syncAcks <= 0 {
+		return nil
+	}
+	if err := ws.waitQuorumLocked(lsn); err != nil {
+		return err
+	}
+	ws.m.replQuorumWait.Observe(time.Since(local))
+	return nil
+}
+
+// waitQuorumLocked is the second stage of a synchronous write: park until
+// the follower quorum's confirmed frontier covers lsn, the write path is
+// poisoned, the tree closes or syncTimeout expires. Caller holds ws.mu.
+func (ws *walState) waitQuorumLocked(lsn uint64) error {
+	if ws.replLSN >= lsn {
+		return nil
+	}
+	// sync.Cond has no timed wait, so a one-shot timer flips a per-waiter
+	// flag and broadcasts; the loop re-checks it on wakeup. The timer only
+	// bounds a dead follower — a healthy acknowledgment never waits for it.
 	timedOut := false
 	timer := time.AfterFunc(ws.syncTimeout, func() {
 		ws.mu.Lock()
@@ -277,6 +240,37 @@ func (ws *walState) waitDurable(lsn uint64) error {
 	return nil
 }
 
+// syncLocked leads one commit: fsync the log with ws.mu dropped, publish
+// the covered LSN (or poison the write path), wake every waiter. Whatever
+// was appended before the fsync started is the batch. Caller holds ws.mu
+// and has checked that no sync is in flight.
+func (ws *walState) syncLocked() {
+	ws.syncing = true
+	prev := ws.durableLSN
+	ws.mu.Unlock()
+	covered, err := ws.w.Sync()
+	ws.mu.Lock()
+	ws.syncing = false
+	if err != nil {
+		if ws.err == nil {
+			ws.err = err
+		}
+	} else {
+		ws.m.walFsyncs.Inc()
+		if batch := int64(covered) - int64(prev); batch > 0 {
+			ws.m.walBatches.Inc()
+			ws.m.walBatchRecords.Add(batch)
+			if batch > ws.m.walBatchMax.Load() {
+				ws.m.walBatchMax.Set(batch)
+			}
+		}
+		if covered > ws.durableLSN {
+			ws.durableLSN = covered
+		}
+	}
+	ws.ackCond.Broadcast()
+}
+
 // observeAck records one follower's confirmation that it has durably
 // applied the log through lsn, and returns the new retention floor (the
 // slowest follower's frontier) for the caller to push into the WAL. The
@@ -290,137 +284,35 @@ func (ws *walState) observeAck(follower string, lsn uint64) uint64 {
 	}
 	floor := ^uint64(0)
 	for _, l := range ws.followers {
-		if l < floor {
-			floor = l
-		}
+		floor = min(floor, l)
 	}
+	// The quorum frontier is the largest confirmed LSN that at least
+	// syncAcks followers have reached. It only ever rises, so candidates at
+	// or below the current frontier need no count; the registry holds a
+	// handful of followers, so counting in place beats sorting a copy on
+	// the blocking path of every synchronous write.
 	if ws.syncAcks > 0 && len(ws.followers) >= ws.syncAcks {
-		acked := make([]uint64, 0, len(ws.followers))
-		for _, l := range ws.followers {
-			acked = append(acked, l)
+		fr := ws.replLSN
+		for _, cand := range ws.followers {
+			if cand <= fr {
+				continue
+			}
+			reached := 0
+			for _, l := range ws.followers {
+				if l >= cand {
+					reached++
+				}
+			}
+			if reached >= ws.syncAcks {
+				fr = cand
+			}
 		}
-		sort.Slice(acked, func(i, j int) bool { return acked[i] > acked[j] })
-		if fr := acked[ws.syncAcks-1]; fr > ws.replLSN {
+		if fr > ws.replLSN {
 			ws.replLSN = fr
 			ws.ackCond.Broadcast()
 		}
 	}
 	return floor
-}
-
-// run is the group committer: wait for pending appends, let the batch
-// window fill, fsync once, publish the new durable frontier.
-func (ws *walState) run() {
-	defer close(ws.done)
-	for {
-		ws.mu.Lock()
-		for ws.pendingLSN <= ws.durableLSN && !ws.closing && ws.err == nil {
-			ws.commitCond.Wait()
-		}
-		if ws.err != nil || (ws.closing && ws.pendingLSN <= ws.durableLSN) {
-			ws.mu.Unlock()
-			return
-		}
-		fill := !ws.closing && ws.pendingB < ws.bytes
-		ws.mu.Unlock()
-
-		if iv := ws.window(); fill && iv > 0 {
-			time.Sleep(iv)
-		}
-
-		ws.mu.Lock()
-		prev := ws.durableLSN
-		ws.pendingB = 0
-		ws.mu.Unlock()
-
-		syncStart := time.Now()
-		covered, err := ws.w.Sync()
-		if err != nil {
-			ws.poison(err)
-			return
-		}
-		ws.m.walFsyncs.Inc()
-		batch := int64(covered) - int64(prev)
-		if batch > 0 {
-			ws.m.walBatches.Inc()
-			ws.m.walBatchRecords.Add(batch)
-			if batch > ws.m.walBatchMax.Load() {
-				ws.m.walBatchMax.Set(batch)
-			}
-		}
-		if ws.autotune {
-			ws.retune(time.Since(syncStart), batch)
-		}
-		ws.noteDurable(covered)
-	}
-}
-
-// window returns the batch window the committer sleeps: the configured
-// interval, or the adapted one under autotuning.
-func (ws *walState) window() time.Duration {
-	if ws.autotune {
-		return time.Duration(ws.effNs.Load())
-	}
-	return ws.interval
-}
-
-// retune adapts the group-commit window after one batch. Committer
-// goroutine only. Two forces act on the window:
-//
-//   - Sustained batching pulls it toward the fsync-latency EWMA: while one
-//     sync is in flight the next batch fills for free, so a window much
-//     longer than the sync adds latency without batching more, and a much
-//     shorter one issues syncs faster than the device completes them.
-//     The pull is gradual (a quarter of the gap per batch) so one outlier
-//     sync cannot yank the window.
-//   - Consecutive single-record batches mean arrivals are sparser than the
-//     window: waiting delayed the lone record and batched nothing, so the
-//     window halves toward zero and solo writers converge on sync-per-append
-//     latency. One sparse batch is ignored — bursty workloads routinely
-//     trail a burst with a straggler.
-//
-// The window is clamped to [0, 8×CommitInterval], so the configured value
-// keeps its meaning as the knob an operator reasons about.
-func (ws *walState) retune(fsync time.Duration, batch int64) {
-	if ws.fsyncEWMA == 0 {
-		ws.fsyncEWMA = fsync
-	} else {
-		ws.fsyncEWMA += (fsync - ws.fsyncEWMA) / 4
-	}
-	if batch <= 1 {
-		ws.sparseRuns++
-	} else {
-		ws.sparseRuns = 0
-	}
-	cur := time.Duration(ws.effNs.Load())
-	var next time.Duration
-	if ws.sparseRuns >= 2 {
-		next = cur / 2
-	} else {
-		next = cur + (ws.fsyncEWMA-cur)/4
-	}
-	if lim := 8 * ws.interval; next > lim {
-		next = lim
-	}
-	if next < 0 {
-		next = 0
-	}
-	if next != cur {
-		ws.effNs.Store(int64(next))
-		ws.m.walAutotuneAdjusts.Inc()
-	}
-	ws.m.walCommitIntervalNs.Set(int64(next))
-}
-
-// noteDurable advances the durable frontier and wakes acknowledgment
-// waiters.
-func (ws *walState) noteDurable(lsn uint64) {
-	ws.mu.Lock()
-	if lsn > ws.durableLSN {
-		ws.durableLSN = lsn
-	}
-	ws.ackCond.Broadcast()
-	ws.mu.Unlock()
 }
 
 // poison records a write-path failure; every waiter and later append sees
@@ -431,7 +323,6 @@ func (ws *walState) poison(err error) {
 	if ws.err == nil {
 		ws.err = err
 	}
-	ws.commitCond.Signal()
 	ws.ackCond.Broadcast()
 	ws.mu.Unlock()
 }
@@ -441,24 +332,39 @@ func (ws *walState) poison(err error) {
 // via the checkpoint, so waiters on those records unblock even though
 // their fsync never happened.
 func (ws *walState) checkpointDone(lsn uint64) {
+	// A writer whose record the checkpoint covered returns without leading
+	// a sync, so the log itself may still hold that record's frame in its
+	// buffer. Followers ship from the log's durable frontier: on a primary
+	// that then falls quiet nothing else would ever flush the frame, so
+	// the log catches up here. (Almost never taken: a writer normally
+	// syncs long before a checkpoint installs. An error resurfaces at the
+	// next writer's own sync.)
+	if ws.w.SyncedLSN() < lsn {
+		_, _ = ws.w.Sync()
+	}
 	ws.mu.Lock()
 	if lsn > ws.durableLSN {
 		ws.durableLSN = lsn
 	}
-	ws.pendingB = 0
 	ws.ackCond.Broadcast()
 	ws.mu.Unlock()
 }
 
-// shutdown stops the committer (flushing any pending batch) and closes
-// the log files.
+// shutdown makes every appended record durable — one final sync once any
+// in-flight leader has returned — and closes the log files. Waiters the
+// final sync covers return nil; a record that slips in behind it is
+// refused with ErrClosed (WAL.Close still flushes it).
 func (ws *walState) shutdown() error {
 	ws.mu.Lock()
+	for ws.syncing {
+		ws.ackCond.Wait()
+	}
+	if ws.err == nil && ws.w.LastLSN() > ws.durableLSN {
+		ws.syncLocked()
+	}
 	ws.closing = true
-	ws.commitCond.Signal()
 	ws.ackCond.Broadcast()
 	ws.mu.Unlock()
-	<-ws.done
 	return ws.w.Close()
 }
 
@@ -787,8 +693,9 @@ func (t *Tree) waitDurable(lsn uint64) error {
 }
 
 // NewDurable creates an empty WAL-backed DC-tree: the write-ahead log at
-// walPrefix protects every acknowledged mutation, and the group-commit
-// knobs come from cfg (CommitInterval/CommitBytes). The WAL must be empty;
+// walPrefix protects every acknowledged mutation (group commit needs no
+// configuration: the batch is whatever arrives during an fsync). The WAL
+// must be empty;
 // a log with records belongs to an existing tree and must go through
 // OpenDurable, or its recoverable mutations would be silently discarded.
 func NewDurable(store storage.Store, schema *cube.Schema, cfg Config, walPrefix string) (*Tree, error) {
@@ -944,9 +851,9 @@ func (t *Tree) recoverFrom(w *storage.WAL) error {
 }
 
 // Close stops the background checkpointer (if any), checkpoints the tree
-// (Flush) and shuts down the WAL committer and log files. The underlying
-// store remains open — its lifecycle belongs to the caller. Safe on trees
-// without a WAL, where it is equivalent to Flush.
+// (Flush), syncs whatever the log still buffers and closes its files. The
+// underlying store remains open — its lifecycle belongs to the caller.
+// Safe on trees without a WAL, where it is equivalent to Flush.
 func (t *Tree) Close() error {
 	if t.cp != nil {
 		t.cp.shutdown()
@@ -970,7 +877,7 @@ func (t *Tree) Close() error {
 // (internal/repl): segment enumeration with durable frontiers, range reads,
 // and the replication retention floor. Nil on trees without a WAL. Callers
 // must not append, sync, truncate or close the log — those belong to the
-// tree's committer and checkpoints.
+// tree's commit path and checkpoints.
 func (t *Tree) WAL() *storage.WAL {
 	if t.wal == nil {
 		return nil

@@ -56,7 +56,7 @@ func recoverImage(t *testing.T, cfg Config, storePath, walPrefix, dir string) *T
 // back from the logged deltas alone, and the ID-only mutation records must
 // resolve against them.
 func TestV2FormatCrashRecovery(t *testing.T) {
-	cfg := durableConfig()
+	cfg := smallConfig()
 	tree, _, storePath, walPrefix := newDurableOnDisk(t, cfg)
 	defer tree.Close()
 	if tree.cfg.WALRecordFormat != walFormatIDs {
@@ -86,7 +86,7 @@ func TestV2FormatCrashRecovery(t *testing.T) {
 // the next mutation). Recovery replays that delta against dictionaries that
 // already contain it — RestoreValue must treat the exact match as a no-op.
 func TestV2DictDeltaCheckpointOverlap(t *testing.T) {
-	cfg := durableConfig()
+	cfg := smallConfig()
 	tree, _, storePath, walPrefix := newDurableOnDisk(t, cfg)
 	defer tree.Close()
 	rng := rand.New(rand.NewSource(5))
@@ -126,7 +126,7 @@ func TestV2DictDeltaCheckpointOverlap(t *testing.T) {
 // string-path format (what the previous build produced) must still recover
 // to seqscan-oracle equality under the current build.
 func TestCrossVersionV1LogRecovery(t *testing.T) {
-	cfg := durableConfig()
+	cfg := smallConfig()
 	cfg.WALRecordFormat = walFormatPaths
 	tree, _, storePath, walPrefix := newDurableOnDisk(t, cfg)
 	defer tree.Close()
@@ -161,7 +161,7 @@ func TestCrossVersionV1LogRecovery(t *testing.T) {
 // TestMixedFormatLogRecovery: v1 and v2 records interleaved in one log (a
 // build upgrade mid-log) replay correctly — decode dispatches per record.
 func TestMixedFormatLogRecovery(t *testing.T) {
-	cfg := durableConfig()
+	cfg := smallConfig()
 	tree, _, storePath, walPrefix := newDurableOnDisk(t, cfg)
 	defer tree.Close()
 	rng := rand.New(rand.NewSource(44))
@@ -183,7 +183,11 @@ func TestMixedFormatLogRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tree.wal.append(payload); err != nil {
+	lsn, err := tree.wal.append(payload)
+	if err == nil {
+		err = tree.wal.waitDurable(lsn)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -191,31 +195,6 @@ func TestMixedFormatLogRecovery(t *testing.T) {
 	// image sees it: recovery must surface exactly recs + legacy.
 	ctree := recoverImage(t, cfg, storePath, walPrefix, filepath.Join(t.TempDir(), "img"))
 	verifyAgainstOracle(t, ctree, append(append([]cube.Record{}, recs...), legacy), 30, 45)
-}
-
-// TestNaiveModeBatchMaxMetric is the satellite #4 regression: naive commit
-// mode (CommitInterval < 0) fsyncs one record per batch, and the max-batch
-// gauge must report 1, not its zero value.
-func TestNaiveModeBatchMaxMetric(t *testing.T) {
-	cfg := durableConfig() // CommitInterval = -1
-	tree, _, _, _ := newDurableOnDisk(t, cfg)
-	defer tree.Close()
-	recs := genRecords(t, tree.Schema(), rand.New(rand.NewSource(9)), 5)
-	for _, r := range recs {
-		if err := tree.Insert(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m := tree.Metrics()
-	if m.WALGroupCommitBatchMax != 1 {
-		t.Fatalf("naive-mode WALGroupCommitBatchMax = %d, want 1", m.WALGroupCommitBatchMax)
-	}
-	if m.WALGroupCommitBatchMean != 1 {
-		t.Fatalf("naive-mode WALGroupCommitBatchMean = %g, want 1", m.WALGroupCommitBatchMean)
-	}
-	if m.WALFsyncs < int64(len(recs)) {
-		t.Fatalf("naive mode issued %d fsyncs for %d appends", m.WALFsyncs, m.WALAppends)
-	}
 }
 
 // TestMetaReaderStringNegativeLength is the satellite #1 regression: a

@@ -28,7 +28,7 @@ import (
 //     after its idempotence check, so even a hand-driven apply path
 //     cannot fold a deposed primary's writes into a replica.
 //   - A primary that receives a follower acknowledgment from a HIGHER
-//     epoch has been deposed itself: its group committer is poisoned with
+//     epoch has been deposed itself: its commit path is poisoned with
 //     ErrFenced exactly like an fsync failure
 //     (core.Tree.ObserveFollowerAck), so no further write is ever
 //     acknowledged from the old timeline.

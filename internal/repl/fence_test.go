@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -48,7 +49,6 @@ func TestFencingMatrixHTTP(t *testing.T) {
 func runFencingMatrix(t *testing.T, mkSource func(*core.Tree) Source) {
 	dirA, f1Dir, f2Dir := t.TempDir(), t.TempDir(), t.TempDir()
 	cfg := core.DefaultConfig()
-	cfg.CommitInterval = -1
 	schema := testSchema(t)
 	primA, err := core.NewDurableOpts(storage.NewMemStore(cfg.BlockSize), schema, cfg,
 		dirA+"/wal", storage.WALOptions{SegmentBytes: 8 << 10})
@@ -177,7 +177,6 @@ func runFencingMatrix(t *testing.T, mkSource func(*core.Tree) Source) {
 func TestPromoteWhileShipping(t *testing.T) {
 	primDir, folDir := t.TempDir(), t.TempDir()
 	cfg := core.DefaultConfig()
-	cfg.CommitInterval = 100 * time.Microsecond
 	schema := testSchema(t)
 	primary, err := core.NewDurableOpts(storage.NewMemStore(cfg.BlockSize), schema, cfg,
 		primDir+"/wal", storage.WALOptions{SegmentBytes: 16 << 10})
@@ -290,7 +289,6 @@ func (k *killableSource) Ack(info AckInfo) error {
 func TestQuorumSyncZeroAckedWriteLoss(t *testing.T) {
 	primDir, folDir := t.TempDir(), t.TempDir()
 	cfg := core.DefaultConfig()
-	cfg.CommitInterval = -1
 	cfg.SyncReplication = 1
 	cfg.SyncReplicationTimeout = 30 * time.Second
 	schema := testSchema(t)
@@ -377,7 +375,6 @@ func TestQuorumSyncZeroAckedWriteLoss(t *testing.T) {
 // the timeout, never to a halt.
 func TestSyncReplicationDegrade(t *testing.T) {
 	cfg := core.DefaultConfig()
-	cfg.CommitInterval = -1
 	cfg.SyncReplication = 1
 	cfg.SyncReplicationTimeout = 20 * time.Millisecond
 	schema := testSchema(t)
@@ -400,5 +397,103 @@ func TestSyncReplicationDegrade(t *testing.T) {
 	}
 	if d := tree.Metrics().ReplSyncDegraded; d < 3 {
 		t.Fatalf("degraded count = %d, want >= 3", d)
+	}
+}
+
+// TestSyncReplicationQuorumWaitObserved: every synchronous write records
+// its wait for the follower quorum — fifty inserts, none degraded, fifty
+// observations in the histogram and in its Prometheus family.
+func TestSyncReplicationQuorumWaitObserved(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.SyncReplication = 1
+	schema := testSchema(t)
+	primary, err := core.NewDurableOpts(storage.NewMemStore(cfg.BlockSize), schema, cfg,
+		t.TempDir()+"/wal", storage.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	primary.WAL().SetRetainLSN(0)
+	f, err := NewFollower(&WALSource{Tree: primary}, FollowerOptions{
+		Dir: t.TempDir(), ID: "quorum", Config: cfg, Poll: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	const n = 50
+	for i, r := range genRecords(t, schema, rand.New(rand.NewSource(23)), n) {
+		if err := primary.Insert(r); err != nil {
+			t.Fatalf("sync insert %d: %v", i, err)
+		}
+	}
+	m := primary.Metrics()
+	if m.ReplSyncDegraded != 0 {
+		t.Fatalf("%d of %d writes degraded", m.ReplSyncDegraded, n)
+	}
+	if m.ReplQuorumWait.Count != n {
+		t.Fatalf("quorum-wait histogram holds %d observations, want %d", m.ReplQuorumWait.Count, n)
+	}
+	var prom strings.Builder
+	if err := m.WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if want := "dctree_repl_quorum_wait_seconds_count 50\n"; !strings.Contains(prom.String(), want) {
+		t.Fatalf("Prometheus dump lacks %q", want)
+	}
+	if got := f.Metrics().MirroredLSN; got < primary.WAL().LastLSN() {
+		t.Fatalf("follower mirrored through LSN %d, primary acknowledged through %d", got, primary.WAL().LastLSN())
+	}
+}
+
+// ackRecorder notes the highest LSN a follower has acknowledged.
+type ackRecorder struct {
+	*WALSource
+	acked atomic.Uint64
+}
+
+func (a *ackRecorder) Ack(info AckInfo) error {
+	a.acked.Store(info.LSN)
+	return a.WALSource.Ack(info)
+}
+
+// TestFollowerAcknowledgesAtHeadOfNextPass drives passes by hand: the pass
+// that mirrors and fsyncs a record does not confirm it, the next pass
+// confirms it before it ships anything.
+func TestFollowerAcknowledgesAtHeadOfNextPass(t *testing.T) {
+	cfg := core.DefaultConfig()
+	schema := testSchema(t)
+	primary, err := core.NewDurableOpts(storage.NewMemStore(cfg.BlockSize), schema, cfg,
+		t.TempDir()+"/wal", storage.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	primary.WAL().SetRetainLSN(0)
+	src := &ackRecorder{WALSource: &WALSource{Tree: primary}}
+	f, err := NewFollower(src, FollowerOptions{Dir: t.TempDir(), ID: "head", Config: cfg, Poll: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	f.halt() // the passes below are the only ones
+
+	for _, r := range genRecords(t, schema, rand.New(rand.NewSource(29)), 3) {
+		if err := primary.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tip := primary.WAL().LastLSN()
+	f.pass()
+	if got := f.Metrics().MirroredLSN; got != tip {
+		t.Fatalf("first pass mirrored through LSN %d, want %d", got, tip)
+	}
+	if got := src.acked.Load(); got >= tip {
+		t.Fatalf("the shipping pass itself acknowledged LSN %d", got)
+	}
+	f.pass()
+	if got := src.acked.Load(); got != tip {
+		t.Fatalf("second pass acknowledged LSN %d, want %d", got, tip)
 	}
 }

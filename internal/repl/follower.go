@@ -54,6 +54,12 @@ type FollowerOptions struct {
 // DefaultPoll is the follower's tailing interval when none is configured.
 const DefaultPoll = 50 * time.Millisecond
 
+// ackHeartbeat is how often a follower repeats an unchanged acknowledgment
+// (same frontier, same epoch) — independent of Poll, so a fast poll does
+// not turn into an ack storm on the primary, while a restarted primary
+// still relearns its follower's frontier within a second.
+const ackHeartbeat = time.Second
+
 // DefaultChunkBytes bounds a single shipping read when none is configured.
 const DefaultChunkBytes = 256 << 10
 
@@ -74,6 +80,11 @@ type Follower struct {
 	downSince time.Time // zero while the source is healthy
 	lastCkpt  time.Time
 	closed    bool
+
+	// lastAck is the last acknowledgment the source accepted and lastAckAt
+	// when; touched only by the tailing loop.
+	lastAck   AckInfo
+	lastAckAt time.Time
 
 	metrics followerMetrics
 
@@ -231,7 +242,7 @@ func StorePath(dir string) string { return filepath.Join(dir, "replica.dc") }
 // MirrorPrefix returns the WAL mirror prefix inside a follower directory.
 func MirrorPrefix(dir string) string { return filepath.Join(dir, "wal") }
 
-// run is the tailing loop: ship, sync, acknowledge, checkpoint, repeat.
+// run is the tailing loop: acknowledge, ship, sync, checkpoint, repeat.
 func (f *Follower) run() {
 	defer close(f.done)
 	t := time.NewTicker(f.opts.Poll)
@@ -246,20 +257,24 @@ func (f *Follower) run() {
 	}
 }
 
-// pass performs one shipping pass plus the bookkeeping around it.
+// pass performs one shipping pass plus the bookkeeping around it. The
+// acknowledgment leads the pass: what one pass mirrored and fsynced is
+// confirmed at the head of the next, on the poll tick, as the HTTP
+// transport's acks already ride its next listing. A synchronous write is
+// thereby released on a tick boundary and costs two poll intervals whatever
+// the device does in between; acknowledging at the tail of the shipping
+// pass would save one interval and make every such write as long as a tick
+// wait plus two fsyncs of that minute's speed (EXPERIMENTS.md, "Group
+// commit under fan-in").
 func (f *Follower) pass() {
-	prog, err := f.sh.runOnce()
-	f.note(prog)
-	if err == nil && prog.bytes > 0 {
-		err = f.sh.m.sync()
-	}
+	err := f.acknowledge()
 	if err == nil {
-		// Acknowledge only the durable mirror frontier: the primary may
-		// then truncate those records, and this follower can still
-		// restart from its own mirror. The ack carries this follower's
-		// identity and epoch; ErrFenced back means the SOURCE is a deposed
-		// primary (this follower has durably seen a newer timeline).
-		err = f.src.Ack(AckInfo{Follower: f.opts.ID, Epoch: f.sh.epoch, LSN: f.sh.m.syncedLSN()})
+		var prog shipProgress
+		prog, err = f.sh.runOnce()
+		f.note(prog)
+		if err == nil && prog.bytes > 0 {
+			err = f.sh.m.sync()
+		}
 	}
 
 	healthy := err == nil && f.src.Healthy()
@@ -286,6 +301,25 @@ func (f *Follower) pass() {
 	if ckpt && tree != nil {
 		f.checkpoint(tree)
 	}
+}
+
+// acknowledge reports the durable mirror frontier to the source: the
+// primary may then truncate those records, and this follower can still
+// restart from its own mirror. The ack carries this follower's identity and
+// epoch; ErrFenced back means the SOURCE is a deposed primary (this follower
+// has durably seen a newer timeline). An unchanged ack is repeated only as a
+// heartbeat: it tells the primary nothing new, and the primary folds every
+// ack in under the lock its synchronous writers wait on.
+func (f *Follower) acknowledge() error {
+	ack := AckInfo{Follower: f.opts.ID, Epoch: f.sh.epoch, LSN: f.sh.m.syncedLSN()}
+	if ack == f.lastAck && time.Since(f.lastAckAt) < ackHeartbeat {
+		return nil
+	}
+	if err := f.src.Ack(ack); err != nil {
+		return err
+	}
+	f.lastAck, f.lastAckAt = ack, time.Now()
+	return nil
 }
 
 // note folds one pass's progress into the counters and lag gauges.

@@ -33,8 +33,6 @@ func TestFollowerEndToEndAndPromotion(t *testing.T) {
 	leasePath := filepath.Join(primDir, "primary.lease")
 
 	cfg := core.DefaultConfig()
-	cfg.CommitInterval = 100 * time.Microsecond
-	cfg.CommitAutoTune = true
 	cfg.CheckpointInterval = 50 * time.Millisecond
 	schema := testSchema(t)
 	primary, err := core.NewDurableOpts(storage.NewMemStore(cfg.BlockSize), schema, cfg,
@@ -137,6 +135,13 @@ func TestFollowerEndToEndAndPromotion(t *testing.T) {
 
 	// Quiesce: the follower catches up to the primary's last LSN.
 	tip := primary.WAL().LastLSN()
+	defer func() {
+		if t.Failed() {
+			m := f.Metrics()
+			t.Logf("tip %d, follower applied %d mirrored %d lag %d B, err %v, primary synced %d",
+				tip, m.AppliedLSN, m.MirroredLSN, m.LagBytes, f.Err(), primary.WAL().SyncedLSN())
+		}
+	}()
 	waitFor(t, 60*time.Second, "follower catch-up", func() bool {
 		if err := f.Err(); err != nil && (errors.Is(err, ErrGap) || errors.Is(err, ErrMirrorCorrupt)) {
 			t.Fatalf("follower: %v", err)
@@ -221,7 +226,6 @@ func TestFollowerRestartResume(t *testing.T) {
 	primDir, folDir := t.TempDir(), t.TempDir()
 	primPrefix := filepath.Join(primDir, "wal")
 	cfg := core.DefaultConfig()
-	cfg.CommitInterval = -1 // naive mode: every insert durable immediately
 	schema := testSchema(t)
 	primary, err := core.NewDurableOpts(storage.NewMemStore(cfg.BlockSize), schema, cfg,
 		primPrefix, storage.WALOptions{SegmentBytes: 8 << 10})

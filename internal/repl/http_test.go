@@ -20,7 +20,6 @@ import (
 func TestFollowerHTTPTransport(t *testing.T) {
 	primDir, folDir := t.TempDir(), t.TempDir()
 	cfg := core.DefaultConfig()
-	cfg.CommitInterval = -1
 	schema := testSchema(t)
 	primary, err := core.NewDurableOpts(storage.NewMemStore(cfg.BlockSize), schema, cfg,
 		filepath.Join(primDir, "wal"), storage.WALOptions{SegmentBytes: 8 << 10})

@@ -53,7 +53,7 @@ import (
 // buffered record is exactly as volatile as an unsynced page-cache write,
 // so the durability contract is unchanged — nothing is acknowledged until
 // Sync covers it — while the per-append cost drops to a memcpy, which is
-// what lets the group committer drain many appenders per disk flush.
+// what lets one commit leader drain many appenders per disk flush.
 type WAL struct {
 	mu       sync.Mutex
 	prefix   string
