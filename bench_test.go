@@ -10,6 +10,7 @@
 package dctree_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -189,7 +190,7 @@ func benchQueries(b *testing.B, sel float64, system string) {
 		q := qs[i%len(qs)]
 		switch system {
 		case "dc":
-			if _, err := fx.dc.RangeAgg(q.MDS, 0); err != nil {
+			if _, err := fx.dc.Execute(context.Background(), core.QueryRequest{Query: q.MDS}); err != nil {
 				b.Fatal(err)
 			}
 		case "xtree":
@@ -266,7 +267,7 @@ func benchRollup(b *testing.B, system string) {
 		q := queries[i%len(queries)]
 		switch system {
 		case "dc":
-			if _, err := fx.dc.RangeAgg(q.MDS, 0); err != nil {
+			if _, err := fx.dc.Execute(context.Background(), core.QueryRequest{Query: q.MDS}); err != nil {
 				b.Fatal(err)
 			}
 		case "xtree":
@@ -337,7 +338,7 @@ func BenchmarkAblationNoMaterialization(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dc.RangeAgg(queries[i%len(queries)].MDS, 0); err != nil {
+		if _, err := dc.Execute(context.Background(), core.QueryRequest{Query: queries[i%len(queries)].MDS}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -678,8 +678,7 @@ func runVerify(args []string) error {
 	if !rep.OK() {
 		return fmt.Errorf("%d of %d extents damaged", len(rep.Errors), rep.Extents)
 	}
-	fmt.Printf("%s: OK (%d extents scanned, %d checksummed, layout v2=%d v3=%d",
-		*indexPath, rep.Extents, rep.Checksummed, rep.LayoutV2, rep.LayoutV3)
+	fmt.Printf("%s: OK (%d extents scanned", *indexPath, rep.Extents)
 	if *useMmap {
 		fmt.Printf(", %d mapped", rep.Mapped)
 	}

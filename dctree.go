@@ -37,9 +37,7 @@
 //
 // Open is the single constructor: it creates a tree when WithSchema is
 // given and reopens a persisted one otherwise, on any Store (NewMemStore,
-// OpenFileStore), optionally WAL-backed with WithWAL. The former
-// constructor matrix (New, NewInMemory, NewDurable, NewDurableOpts,
-// OpenDurable, OpenDurableOpts) remains as thin deprecated wrappers.
+// OpenFileStore), optionally WAL-backed with WithWAL.
 //
 // # Durability
 //
@@ -157,7 +155,7 @@ type (
 	StoreStats = storage.Stats
 )
 
-// Aggregation operators for RangeQuery.
+// Aggregation operators, read off a result with Agg.Value.
 const (
 	Sum   = cube.Sum
 	Count = cube.Count
@@ -251,53 +249,6 @@ func Open(store Store, opts ...Option) (*Tree, error) {
 	}
 }
 
-// New creates an empty DC-tree on an explicit store.
-//
-// Deprecated: use Open(store, WithSchema(schema), WithConfig(cfg)).
-func New(store Store, schema *Schema, cfg Config) (*Tree, error) {
-	return Open(store, WithSchema(schema), WithConfig(cfg))
-}
-
-// NewInMemory creates an empty DC-tree on an in-memory store with the
-// default configuration — the setup of the paper's experiments.
-//
-// Deprecated: use Open(NewMemStore(DefaultConfig().BlockSize),
-// WithSchema(schema)).
-func NewInMemory(schema *Schema) (*Tree, error) {
-	return Open(storage.NewMemStore(DefaultConfig().BlockSize), WithSchema(schema))
-}
-
-// NewDurable creates an empty WAL-backed DC-tree.
-//
-// Deprecated: use Open(store, WithSchema(schema), WithConfig(cfg),
-// WithWAL(walPrefix, WALOptions{})).
-func NewDurable(store Store, schema *Schema, cfg Config, walPrefix string) (*Tree, error) {
-	return Open(store, WithSchema(schema), WithConfig(cfg), WithWAL(walPrefix, WALOptions{}))
-}
-
-// NewDurableOpts is NewDurable with explicit log-file options.
-//
-// Deprecated: use Open(store, WithSchema(schema), WithConfig(cfg),
-// WithWAL(walPrefix, wopts)).
-func NewDurableOpts(store Store, schema *Schema, cfg Config, walPrefix string, wopts WALOptions) (*Tree, error) {
-	return Open(store, WithSchema(schema), WithConfig(cfg), WithWAL(walPrefix, wopts))
-}
-
-// OpenDurable reopens a WAL-backed DC-tree, replaying any log records past
-// the last checkpoint — the crash-recovery path.
-//
-// Deprecated: use Open(store, WithWAL(walPrefix, WALOptions{})).
-func OpenDurable(store Store, walPrefix string) (*Tree, error) {
-	return Open(store, WithWAL(walPrefix, WALOptions{}))
-}
-
-// OpenDurableOpts is OpenDurable with explicit log-file options.
-//
-// Deprecated: use Open(store, WithWAL(walPrefix, wopts)).
-func OpenDurableOpts(store Store, walPrefix string, wopts WALOptions) (*Tree, error) {
-	return Open(store, WithWAL(walPrefix, wopts))
-}
-
 // WALStats is the write-ahead log's activity snapshot (Tree.WALStats).
 type WALStats = storage.WALStats
 
@@ -314,6 +265,11 @@ type WALOptions = storage.WALOptions
 // metadata and the freelist; reads fail closed with this error instead of
 // decoding damaged bytes.
 var ErrChecksum = storage.ErrChecksum
+
+// ErrUnsupportedFormat reports an index file, log or metadata blob written
+// in a retired on-disk format generation. It is intact but no longer read:
+// rebuild the index from its source data with a current build.
+var ErrUnsupportedFormat = storage.ErrUnsupportedFormat
 
 // ErrVersionReleased reports a query against a released Version handle.
 var ErrVersionReleased = core.ErrVersionReleased

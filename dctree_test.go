@@ -1,6 +1,7 @@
 package dctree_test
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -61,9 +62,16 @@ func loadSales(t testing.TB, schema *dctree.Schema, tree *dctree.Tree) []dctree.
 	return recs
 }
 
+// rangeQuery is the tests' shorthand for a single-measure Execute read
+// through one operator.
+func rangeQuery(tree *dctree.Tree, q dctree.MDS, op dctree.Op, measure int) (float64, error) {
+	res, err := tree.Execute(context.Background(), dctree.QueryRequest{Query: q, Measure: measure})
+	return res.Agg.Value(op), err
+}
+
 func TestPublicAPIEndToEnd(t *testing.T) {
 	schema := salesSchema(t)
-	tree, err := dctree.NewInMemory(schema)
+	tree, err := dctree.Open(dctree.NewMemStore(dctree.DefaultConfig().BlockSize), dctree.WithSchema(schema))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +82,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Whole cube.
-	total, err := tree.RangeQuery(dctree.QueryAll(schema), dctree.Sum, 0)
+	total, err := rangeQuery(tree, dctree.QueryAll(schema), dctree.Sum, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +95,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := tree.RangeQuery(q, dctree.Sum, 0)
+	got, err := rangeQuery(tree, q, dctree.Sum, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,19 +112,19 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := tree.RangeQuery(q2, dctree.Sum, 0); v != 700 {
+	if v, _ := rangeQuery(tree, q2, dctree.Sum, 0); v != 700 {
 		t.Fatalf("conjunction sum = %g", v)
 	}
-	if v, _ := tree.RangeQuery(q2, dctree.Count, 0); v != 3 {
+	if v, _ := rangeQuery(tree, q2, dctree.Count, 0); v != 3 {
 		t.Fatalf("conjunction count = %g", v)
 	}
-	if v, _ := tree.RangeQuery(q2, dctree.Max, 0); v != 400 {
+	if v, _ := rangeQuery(tree, q2, dctree.Max, 0); v != 400 {
 		t.Fatalf("conjunction max = %g", v)
 	}
-	if v, _ := tree.RangeQuery(q2, dctree.Min, 0); v != 100 {
+	if v, _ := rangeQuery(tree, q2, dctree.Min, 0); v != 100 {
 		t.Fatalf("conjunction min = %g", v)
 	}
-	if v, _ := tree.RangeQuery(q2, dctree.Avg, 0); math.Abs(v-700.0/3) > 1e-9 {
+	if v, _ := rangeQuery(tree, q2, dctree.Avg, 0); math.Abs(v-700.0/3) > 1e-9 {
 		t.Fatalf("conjunction avg = %g", v)
 	}
 
@@ -125,14 +133,14 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := tree.RangeQuery(q3, dctree.Sum, 0); v != 400 {
+	if v, _ := rangeQuery(tree, q3, dctree.Sum, 0); v != 400 {
 		t.Fatalf("C4 revenue = %g", v)
 	}
 }
 
 func TestQueryBuilderErrors(t *testing.T) {
 	schema := salesSchema(t)
-	tree, _ := dctree.NewInMemory(schema)
+	tree, _ := dctree.Open(dctree.NewMemStore(dctree.DefaultConfig().BlockSize), dctree.WithSchema(schema))
 	loadSales(t, schema, tree)
 
 	cases := map[string]*dctree.QueryBuilder{
@@ -159,8 +167,8 @@ func TestQueryBuilderErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := tree.RangeQuery(q, dctree.Sum, 0)
-	b, _ := tree.RangeQuery(q2, dctree.Sum, 0)
+	a, _ := rangeQuery(tree, q, dctree.Sum, 0)
+	b, _ := rangeQuery(tree, q2, dctree.Sum, 0)
 	if a != b || a != 300 {
 		t.Fatalf("WhereIDs disagrees: %g vs %g", a, b)
 	}
@@ -168,13 +176,13 @@ func TestQueryBuilderErrors(t *testing.T) {
 
 func TestPublicDeleteAndDynamism(t *testing.T) {
 	schema := salesSchema(t)
-	tree, _ := dctree.NewInMemory(schema)
+	tree, _ := dctree.Open(dctree.NewMemStore(dctree.DefaultConfig().BlockSize), dctree.WithSchema(schema))
 	recs := loadSales(t, schema, tree)
 
 	if err := tree.Delete(recs[0]); err != nil {
 		t.Fatal(err)
 	}
-	total, _ := tree.RangeQuery(dctree.QueryAll(schema), dctree.Sum, 0)
+	total, _ := rangeQuery(tree, dctree.QueryAll(schema), dctree.Sum, 0)
 	if total != 725 {
 		t.Fatalf("total after delete = %g", total)
 	}
@@ -191,7 +199,7 @@ func TestPublicDeleteAndDynamism(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, _ := dctree.NewQuery(schema).Where("Customer", "Nation", "NETHERLANDS").Build()
-	if v, _ := tree.RangeQuery(q, dctree.Sum, 0); v != 999 {
+	if v, _ := rangeQuery(tree, q, dctree.Sum, 0); v != 999 {
 		t.Fatalf("new nation revenue = %g", v)
 	}
 	if err := tree.Validate(); err != nil {
@@ -205,7 +213,7 @@ func TestMultiMeasureAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, _ := dctree.NewInMemory(schema)
+	tree, _ := dctree.Open(dctree.NewMemStore(dctree.DefaultConfig().BlockSize), dctree.WithSchema(schema))
 	data := []struct {
 		region, cust string
 		revenue      float64
@@ -228,10 +236,11 @@ func TestMultiMeasureAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aggs, st, err := tree.RangeAggAll(q)
+	res, err := tree.Execute(context.Background(), dctree.QueryRequest{Query: q, AllMeasures: true, CollectStats: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	aggs, st := res.AggVector, res.Stats
 	if len(aggs) != 2 {
 		t.Fatalf("aggs = %d measures", len(aggs))
 	}
@@ -245,8 +254,8 @@ func TestMultiMeasureAggregation(t *testing.T) {
 		t.Fatal("stats missing")
 	}
 	// Consistent with per-measure queries.
-	rev, _ := tree.RangeQuery(q, dctree.Sum, 0)
-	units, _ := tree.RangeQuery(q, dctree.Sum, 1)
+	rev, _ := rangeQuery(tree, q, dctree.Sum, 0)
+	units, _ := rangeQuery(tree, q, dctree.Sum, 1)
 	if rev != aggs[0].Sum || units != aggs[1].Sum {
 		t.Fatalf("per-measure disagreement: %g/%g vs %+v", rev, units, aggs)
 	}
@@ -254,7 +263,7 @@ func TestMultiMeasureAggregation(t *testing.T) {
 
 func TestPublicBulkLoad(t *testing.T) {
 	schema := salesSchema(t)
-	tree, err := dctree.NewInMemory(schema)
+	tree, err := dctree.Open(dctree.NewMemStore(dctree.DefaultConfig().BlockSize), dctree.WithSchema(schema))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +278,7 @@ func TestPublicBulkLoad(t *testing.T) {
 	if err := tree.BulkLoad(recs); err != nil {
 		t.Fatal(err)
 	}
-	total, err := tree.RangeQuery(dctree.QueryAll(schema), dctree.Sum, 0)
+	total, err := rangeQuery(tree, dctree.QueryAll(schema), dctree.Sum, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +298,7 @@ func TestPublicPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	schema := salesSchema(t)
-	tree, err := dctree.New(store, schema, cfg)
+	tree, err := dctree.Open(store, dctree.WithSchema(schema), dctree.WithConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +327,7 @@ func TestPublicPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := tree2.RangeQuery(q, dctree.Sum, 0); v != 350 {
+	if v, _ := rangeQuery(tree2, q, dctree.Sum, 0); v != 350 {
 		t.Fatalf("EUROPE after reopen = %g", v)
 	}
 }

@@ -1,6 +1,7 @@
 package dctree_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,7 +23,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tree, err := dctree.NewInMemory(schema)
+	tree, err := dctree.Open(dctree.NewMemStore(dctree.DefaultConfig().BlockSize), dctree.WithSchema(schema))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,11 +56,11 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sum, err := tree.RangeQuery(q, dctree.Sum, 0)
+	res, err := tree.Execute(context.Background(), dctree.QueryRequest{Query: q})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("EUROPE revenue: %.0f\n", sum)
+	fmt.Printf("EUROPE revenue: %.0f\n", res.Agg.Value(dctree.Sum))
 	// Output: EUROPE revenue: 1058
 }
 
@@ -69,7 +70,7 @@ func ExampleQueryBuilder() {
 	region, _ := dctree.NewHierarchy("Store", "Store", "Region")
 	timeDim, _ := dctree.NewHierarchy("Time", "Day", "Month")
 	schema, _ := dctree.NewSchema([]*dctree.Hierarchy{region, timeDim}, "Sales")
-	tree, _ := dctree.NewInMemory(schema)
+	tree, _ := dctree.Open(dctree.NewMemStore(dctree.DefaultConfig().BlockSize), dctree.WithSchema(schema))
 
 	for i, s := range []struct {
 		region, month string
@@ -91,9 +92,8 @@ func ExampleQueryBuilder() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	count, _ := tree.RangeQuery(q, dctree.Count, 0)
-	sum, _ := tree.RangeQuery(q, dctree.Sum, 0)
-	fmt.Printf("%d sales totalling %.0f\n", int(count), sum)
+	res, _ := tree.Execute(context.Background(), dctree.QueryRequest{Query: q})
+	fmt.Printf("%d sales totalling %.0f\n", res.Agg.Count, res.Agg.Sum)
 	// Output: 2 sales totalling 30
 }
 
@@ -102,13 +102,13 @@ func ExampleQueryBuilder() {
 func ExampleTree_Delete() {
 	d, _ := dctree.NewHierarchy("D", "Leaf", "Top")
 	schema, _ := dctree.NewSchema([]*dctree.Hierarchy{d}, "M")
-	tree, _ := dctree.NewInMemory(schema)
+	tree, _ := dctree.Open(dctree.NewMemStore(dctree.DefaultConfig().BlockSize), dctree.WithSchema(schema))
 	a, _ := schema.InternRecord([][]string{{"T", "x"}}, []float64{5})
 	b, _ := schema.InternRecord([][]string{{"T", "y"}}, []float64{7})
 	tree.Insert(a)
 	tree.Insert(b)
 	tree.Delete(a)
-	sum, _ := tree.RangeQuery(dctree.QueryAll(schema), dctree.Sum, 0)
-	fmt.Println(sum)
+	res, _ := tree.Execute(context.Background(), dctree.QueryRequest{Query: dctree.QueryAll(schema)})
+	fmt.Println(res.Agg.Sum)
 	// Output: 7
 }

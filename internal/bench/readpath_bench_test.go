@@ -119,7 +119,7 @@ func BenchmarkParallelScaling(b *testing.B) {
 						b.StartTimer()
 					}
 					q := qs[i%len(qs)]
-					if _, err := tree.RangeAggParallel(q.MDS, 0, workers); err != nil {
+					if _, err := tree.Execute(context.Background(), core.QueryRequest{Query: q.MDS, Parallel: workers}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -16,9 +16,8 @@ import (
 // WALVariant is one durable-insert configuration of the WAL benchmark.
 type WALVariant struct {
 	// Mode is "single_writer" (one client: every insert pays its own
-	// fsync), "group_commit" (Workers clients on the same commit path: a
-	// batch is whatever they append while the previous fsync is in flight)
-	// or "record_format".
+	// fsync) or "group_commit" (Workers clients on the same commit path: a
+	// batch is whatever they append while the previous fsync is in flight).
 	Mode    string `json:"mode"`
 	Workers int    `json:"workers"`
 	// SyncDelayUS is the modeled log-device latency added to every fsync
@@ -33,17 +32,6 @@ type WALVariant struct {
 	WALFsyncs     int64   `json:"wal_fsyncs"`
 	// MeanBatch is appends per fsync — the group-commit amortization.
 	MeanBatch float64 `json:"mean_batch"`
-	// Format is the WAL record format of the format-comparison variants
-	// (1 = full string paths, 2 = dictionary deltas + interned IDs).
-	Format   int  `json:"format,omitempty"`
-	Compress bool `json:"compress,omitempty"`
-	// WALBytesStored is frame bytes written to the log; BytesPerInsert is
-	// that divided by the acknowledged inserts — the footprint the format
-	// comparison is about. DictDeltas counts dictionary registrations the
-	// v2 variants logged as delta records (their bytes are included).
-	WALBytesStored int64   `json:"wal_bytes_stored,omitempty"`
-	BytesPerInsert float64 `json:"bytes_per_insert,omitempty"`
-	DictDeltas     int64   `json:"dict_deltas,omitempty"`
 }
 
 // WALBenchResult is the JSON shape dcbench -wal emits.
@@ -57,13 +45,6 @@ type WALBenchResult struct {
 	// device latency — what sharing fsyncs buys on the one commit path.
 	SpeedupRaw         float64 `json:"speedup_raw"`
 	SpeedupModeledDisk float64 `json:"speedup_modeled_disk"`
-	// Bytes written to the log per acknowledged insert on the TPC-D-style
-	// deep-hierarchy stream, by record format; the reduction is v1 over v2
-	// (uncompressed) — the win of logging interned IDs plus one-time
-	// dictionary deltas instead of re-spelling every hierarchy path.
-	BytesPerInsertV1  float64 `json:"bytes_per_insert_v1"`
-	BytesPerInsertV2  float64 `json:"bytes_per_insert_v2"`
-	WALBytesReduction float64 `json:"wal_bytes_reduction"`
 }
 
 // walBenchSchema builds a deliberately small cube (one two-level
@@ -91,109 +72,6 @@ func walBenchSchema(n int) (*cube.Schema, []cube.Record, error) {
 		}
 	}
 	return schema, recs, nil
-}
-
-// walFormatSchema builds the TPC-D-style deep cube for the record-format
-// comparison: three dimensions of three levels each, with realistically
-// long member names. The v1 format re-spells every level's name on every
-// record; the v2 format logs interned IDs plus a one-time dictionary delta
-// per new member.
-func walFormatSchema() (*cube.Schema, error) {
-	cust, err := hierarchy.New("Customer", "Customer", "Nation", "Region")
-	if err != nil {
-		return nil, err
-	}
-	part, err := hierarchy.New("Part", "Part", "Brand", "Manufacturer")
-	if err != nil {
-		return nil, err
-	}
-	tim, err := hierarchy.New("Time", "Day", "Month", "Year")
-	if err != nil {
-		return nil, err
-	}
-	return cube.NewSchema([]*hierarchy.Hierarchy{cust, part, tim}, "Revenue")
-}
-
-var walRegions = [5]string{"AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"}
-
-// walFactPaths returns the i-th fact of the format-comparison stream.
-// Dimension members are reused across facts (member cardinality well below
-// the fact count — the data-warehouse pattern the paper targets), so the
-// v2 format amortizes each member's delta across many facts.
-func walFactPaths(i, n int) [][]string {
-	cust := i % max(n/8, 1)
-	nation := cust % 25
-	prt := (i * 7) % max(n/16, 1)
-	brand := prt % 25
-	day := (i * 13) % 365
-	month := day / 31
-	return [][]string{
-		{walRegions[nation%5], fmt.Sprintf("NATION-%02d", nation), fmt.Sprintf("Customer#%09d", cust)},
-		{fmt.Sprintf("MFGR#%d", brand%5), fmt.Sprintf("Brand#%02d", brand), fmt.Sprintf("Part#%08d", prt)},
-		{"1998", fmt.Sprintf("1998-%02d", month+1), fmt.Sprintf("1998-%02d-%02d", month+1, day%31+1)},
-	}
-}
-
-// walFormatRun streams n facts into a fresh durable tree configured with
-// the given record format, interning each fact's paths just before its
-// insert (dimension discovery during load, as a warehouse ETL would), and
-// reports the log's byte footprint.
-func walFormatRun(opt Options, n, format int, compress bool, dir string) (WALVariant, error) {
-	schema, err := walFormatSchema()
-	if err != nil {
-		return WALVariant{}, err
-	}
-	cfg := opt.DCConfig
-	cfg.WALRecordFormat = format
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return WALVariant{}, err
-	}
-	st, err := storage.OpenPagedStore(filepath.Join(dir, "store.dc"), cfg.BlockSize, 0)
-	if err != nil {
-		return WALVariant{}, err
-	}
-	tree, err := core.NewDurableOpts(st, schema, cfg, filepath.Join(dir, "idx"),
-		storage.WALOptions{Compress: compress})
-	if err != nil {
-		st.Close()
-		return WALVariant{}, err
-	}
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		rec, err := schema.InternRecord(walFactPaths(i, n), []float64{float64(i)})
-		if err == nil {
-			err = tree.Insert(rec)
-		}
-		if err != nil {
-			tree.Close()
-			st.Close()
-			return WALVariant{}, err
-		}
-	}
-	elapsed := time.Since(start)
-	stats := tree.WALStats()
-	deltas := tree.Metrics().WALDictDeltas
-	if err := tree.Close(); err != nil {
-		st.Close()
-		return WALVariant{}, err
-	}
-	if err := st.Close(); err != nil {
-		return WALVariant{}, err
-	}
-	return WALVariant{
-		Mode:           "record_format",
-		Workers:        1,
-		Records:        n,
-		Seconds:        elapsed.Seconds(),
-		InsertsPerSec:  float64(n) / elapsed.Seconds(),
-		WALAppends:     stats.Appends,
-		WALFsyncs:      stats.Syncs,
-		Format:         format,
-		Compress:       compress,
-		WALBytesStored: stats.BytesStored,
-		BytesPerInsert: float64(stats.BytesStored) / float64(n),
-		DictDeltas:     deltas,
-	}, nil
 }
 
 // WALBench measures durable-insert throughput of one writer against
@@ -309,29 +187,6 @@ func WALBench(opt Options, n, workers int, syncDelay time.Duration, dir string) 
 	res.SpeedupRaw = res.Variants[1].InsertsPerSec / res.Variants[0].InsertsPerSec
 	res.SpeedupModeledDisk = res.Variants[3].InsertsPerSec / res.Variants[2].InsertsPerSec
 
-	// Record-format comparison on the deep-hierarchy stream: v1 string
-	// paths, v2 interned IDs + dict deltas, and v2 with payload compression.
-	formatRuns := []struct {
-		format   int
-		compress bool
-	}{{1, false}, {2, false}, {2, true}}
-	for i, fr := range formatRuns {
-		v, err := walFormatRun(opt, n, fr.format, fr.compress,
-			filepath.Join(dir, fmt.Sprintf("fmt%d", i)))
-		if err != nil {
-			return nil, err
-		}
-		res.Variants = append(res.Variants, v)
-		switch {
-		case fr.format == 1 && !fr.compress:
-			res.BytesPerInsertV1 = v.BytesPerInsert
-		case fr.format == 2 && !fr.compress:
-			res.BytesPerInsertV2 = v.BytesPerInsert
-		}
-	}
-	if res.BytesPerInsertV2 > 0 {
-		res.WALBytesReduction = res.BytesPerInsertV1 / res.BytesPerInsertV2
-	}
 	return res, nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestBulkLoadMatchesDynamic(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		q := randomQuery(rng, s, []float64{0.01, 0.05, 0.25}[i%3])
 		want := bruteAgg(t, s, recs, q, 0)
-		got, err := bulk.RangeAgg(q, 0)
+		got, err := rangeAgg(bulk, q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +68,7 @@ func TestBulkLoadMatchesDynamic(t *testing.T) {
 	all := append(append([]cube.Record(nil), recs[1:]...), extra...)
 	q := randomQuery(rng, s, 0.25)
 	want := bruteAgg(t, s, all, q, 0)
-	got, _ := bulk.RangeAgg(q, 0)
+	got, _ := rangeAgg(bulk, q, 0)
 	if !aggMatches(got, want) {
 		t.Fatalf("post-bulk updates: got %+v want %+v", got, want)
 	}
@@ -129,7 +130,7 @@ func TestBulkLoadPersistence(t *testing.T) {
 	if err := tree.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := tree.RangeAgg(mds.Top(3), 0)
+	want, _ := rangeAgg(tree, mds.Top(3), 0)
 
 	reopened, err := Open(store)
 	if err != nil {
@@ -138,7 +139,7 @@ func TestBulkLoadPersistence(t *testing.T) {
 	if err := reopened.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := reopened.RangeAgg(mds.Top(3), 0)
+	got, err := rangeAgg(reopened, mds.Top(3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,10 +165,11 @@ func TestBulkLoadClustering(t *testing.T) {
 	regions, _ := space[0].ValuesAt(2)
 	q := mds.Top(3)
 	q[0] = mds.DimSet{Level: 2, IDs: regions[:1]}
-	_, st, err := tree.RangeQueryStats(q, cube.Sum, 0)
+	res, err := tree.Execute(context.Background(), QueryRequest{Query: q, CollectStats: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := res.Stats
 	levels, _ := tree.LevelStats()
 	total := 0
 	for _, l := range levels {

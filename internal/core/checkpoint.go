@@ -43,7 +43,6 @@ type ckptNode struct {
 	id      nodeID
 	seq     uint64 // dirty sequence at capture; clear-if-unchanged at install
 	payload []byte
-	layout  uint8     // node encoding of payload (cfg.NodeLayout at capture)
 	need    int       // extent size in blocks
 	old     extentRef // extent superseded by this write
 	hasOld  bool
@@ -51,7 +50,7 @@ type ckptNode struct {
 }
 
 // ckptVersion is one live MVCC version captured for a checkpoint: the
-// manifest to persist in meta v8, and — for versions no earlier checkpoint
+// manifest to persist in the metadata, and — for versions no earlier checkpoint
 // persisted — the overlay payloads the background phase writes to fresh
 // extents (reusing ckptNode: id, payload, need, fresh; seq/old unused).
 type ckptVersion struct {
@@ -101,21 +100,12 @@ func (t *Tree) captureLocked() (*ckptCapture, error) {
 			t.nc.clearDirtyIf(e.id, e.seq)
 			continue
 		}
-		// Every rewrite re-encodes in the configured layout, so a v2 image
-		// upgrades to v3 extent by extent as its nodes go dirty.
-		var payload []byte
-		layout := layoutV2
-		if t.cfg.NodeLayout == 3 {
-			payload = n.appendEncodeFlat(nil, t.schema.Dims(), t.schema.Measures())
-			layout = layoutV3
-		} else {
-			payload = n.appendEncode(nil, t.schema.Dims(), t.schema.Measures())
-		}
+		payload := n.appendEncodeFlat(nil, t.schema.Dims(), t.schema.Measures())
 		need := storage.BlocksFor(t.cfg.BlockSize, len(payload))
 		if need < n.blocks {
 			need = n.blocks // supernodes occupy their full logical extent
 		}
-		cn := ckptNode{id: e.id, seq: e.seq, payload: payload, layout: layout, need: need}
+		cn := ckptNode{id: e.id, seq: e.seq, payload: payload, need: need}
 		if old, ok := t.table[e.id]; ok {
 			cn.old, cn.hasOld = old, true
 		}
@@ -137,7 +127,7 @@ func (t *Tree) captureLocked() (*ckptCapture, error) {
 }
 
 // captureVersionsLocked snapshots every live version for the checkpoint's
-// meta v8 manifests. Already-persisted versions only need their manifest
+// manifests. Already-persisted versions only need their manifest
 // re-encoded (table merged with the overlay extents an earlier checkpoint
 // wrote); unpersisted ones additionally hand their overlay payloads to the
 // background phase for extent writes. Caller holds t.mu, which also
@@ -177,7 +167,6 @@ func (t *Tree) captureVersionsLocked() []ckptVersion {
 				cv.pending = append(cv.pending, ckptNode{
 					id:      id,
 					payload: payload,
-					layout:  layoutV2, // overlays are captured with appendEncode
 					need:    storage.BlocksFor(t.cfg.BlockSize, len(payload)),
 				})
 			}
@@ -202,7 +191,7 @@ func (t *Tree) writeExtents(ctx context.Context, c *ckptCapture) error {
 		if err != nil {
 			return err
 		}
-		cn.fresh = extentRef{page: page, blocks: cn.need, layout: cn.layout}
+		cn.fresh = extentRef{page: page, blocks: cn.need}
 		if err := t.store.Write(page, cn.need, cn.payload); err != nil {
 			return err
 		}
@@ -219,7 +208,7 @@ func (t *Tree) writeExtents(ctx context.Context, c *ckptCapture) error {
 			if err != nil {
 				return err
 			}
-			cn.fresh = extentRef{page: page, blocks: cn.need, layout: cn.layout}
+			cn.fresh = extentRef{page: page, blocks: cn.need}
 			if err := t.store.Write(page, cn.need, cn.payload); err != nil {
 				return err
 			}
@@ -613,13 +602,7 @@ type VerifyError struct {
 // VerifyReport summarizes a physical scan of every extent the tree's
 // translation table references.
 type VerifyReport struct {
-	Extents     int // extents scanned
-	Checksummed int // extents carrying a CRC (v2 store format)
-	// Node layout population: extents holding the varint (v2) and flat
-	// (v3) node encodings, per the translation table. A mixed image is
-	// normal mid-upgrade — v2 extents go v3 as their nodes are rewritten.
-	LayoutV2 int
-	LayoutV3 int
+	Extents int // extents scanned
 	// Mapped counts extents whose checksum was verified through the
 	// memory-mapped view path (VerifyOpts.Mmap on a store that maps).
 	Mapped int
@@ -640,13 +623,13 @@ type VerifyOpts struct {
 // extentVerifier is implemented by stores that can check an extent's
 // checksum without decoding (and without polluting a buffer pool).
 type extentVerifier interface {
-	VerifyExtent(id storage.PageID) (blocks int, checksummed bool, err error)
+	VerifyExtent(id storage.PageID) (blocks int, err error)
 }
 
 // extentViewVerifier is implemented by stores that can force-verify an
 // extent through their memory mapping (bypassing the verified-bit cache).
 type extentViewVerifier interface {
-	VerifyExtentView(id storage.PageID) (blocks int, checksummed bool, mapped bool, err error)
+	VerifyExtentView(id storage.PageID) (blocks int, mapped bool, err error)
 }
 
 // VerifyExtents reads every extent referenced by the translation table and
@@ -678,28 +661,18 @@ func (t *Tree) VerifyExtentsOpts(opts VerifyOpts) VerifyReport {
 	for _, id := range ids {
 		ref := refs[id]
 		rep.Extents++
-		switch ref.layout {
-		case layoutV3:
-			rep.LayoutV3++
-		default:
-			rep.LayoutV2++
-		}
 		var err error
-		checksummed := false
 		switch {
 		case opts.Mmap && hasView:
 			var mapped bool
-			_, checksummed, mapped, err = vv.VerifyExtentView(ref.page)
+			_, mapped, err = vv.VerifyExtentView(ref.page)
 			if mapped {
 				rep.Mapped++
 			}
 		case hasVerify:
-			_, checksummed, err = ev.VerifyExtent(ref.page)
+			_, err = ev.VerifyExtent(ref.page)
 		default:
 			_, _, err = t.store.Read(ref.page)
-		}
-		if checksummed {
-			rep.Checksummed++
 		}
 		if err != nil {
 			rep.Errors = append(rep.Errors, VerifyError{

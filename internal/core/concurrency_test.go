@@ -70,7 +70,7 @@ func concurrentQueriesDuringInserts(t *testing.T, tree *Tree) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
 				q := queries[(i*7+w)%len(queries)]
-				agg, err := tree.RangeAgg(q, 0)
+				agg, err := rangeAgg(tree, q, 0)
 				if err != nil {
 					errs <- err
 					return
@@ -105,7 +105,7 @@ func concurrentQueriesDuringInserts(t *testing.T, tree *Tree) {
 	for i := 0; i < 40; i++ {
 		q := queries[i]
 		want := bruteAgg(t, s, all, q, 0)
-		got, err := tree.RangeAgg(q, 0)
+		got, err := rangeAgg(tree, q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,6 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"github.com/dcindex/dctree/internal/storage"
 )
 
 // Config carries the tuning knobs of a DC-tree. The zero value is not
@@ -90,32 +92,14 @@ type Config struct {
 	// under sustained writes. 0 (the default) disables the byte trigger.
 	CheckpointDirtyBytes int
 
-	// WALRecordFormat selects how mutation records are encoded into the
-	// WAL. Format 2 (the default) logs dictionary registrations as separate
-	// delta records so mutations carry compact interned IDs; format 1 is
-	// the legacy encoding that re-spells the full per-dimension string
-	// paths in every record. Recovery decodes both regardless of this
-	// setting, so the knob (and the build writing the log) can change
-	// between opens.
-	WALRecordFormat int
-
-	// NodeLayout selects how checkpoints encode node payloads. Layout 3
-	// (the default) is the fixed-stride flat encoding that memory-mapped
-	// reads walk in place without decoding; layout 2 is the legacy varint
-	// encoding. Reads decode both regardless of this setting, and the
-	// choice is deliberately not persisted in the meta page: an image
-	// written by an older build upgrades extent by extent as its nodes are
-	// rewritten by later checkpoints.
-	NodeLayout int
-
 	// SyncReplication, when positive, withholds write acknowledgements
 	// until that many followers have confirmed the commit LSN (1 =
 	// semi-synchronous, n = quorum of n). Followers confirm
 	// through Tree.ObserveFollowerAck, which the in-process replication
 	// source wires to the follower ack path. 0 (the default) acknowledges
-	// on local fsync alone — asynchronous replication. Like NodeLayout this
-	// is a per-open runtime knob, not persisted in the metadata; it is
-	// ignored by trees without a WAL.
+	// on local fsync alone — asynchronous replication. This is a per-open
+	// runtime knob, not persisted in the metadata; it is ignored by trees
+	// without a WAL.
 	SyncReplication int
 
 	// VersionRetention bounds how many MVCC versions the tree keeps live.
@@ -167,7 +151,6 @@ func DefaultConfig() Config {
 		MaxSupernodeBlocks: 64,
 		RefineBound:        8,
 		Materialize:        true,
-		NodeLayout:         3,
 
 		SyncReplicationTimeout: time.Second,
 	}
@@ -180,6 +163,9 @@ var (
 	ErrBadQuery   = errors.New("dctree: malformed query MDS")
 	ErrCorrupt    = errors.New("dctree: corrupt tree state")
 	ErrBadMeasure = errors.New("dctree: measure index out of range")
+	// ErrUnsupportedFormat reports an image or log of a retired on-disk
+	// format generation; nothing is decoded from it.
+	ErrUnsupportedFormat = storage.ErrUnsupportedFormat
 )
 
 // Normalize fills unset fields from DefaultConfig and validates ranges.
@@ -206,14 +192,8 @@ func (c *Config) Normalize() error {
 	if c.RefineBound == 0 {
 		c.RefineBound = d.RefineBound
 	}
-	if c.WALRecordFormat == 0 {
-		c.WALRecordFormat = walFormatIDs
-	}
 	if c.SyncReplicationTimeout == 0 {
 		c.SyncReplicationTimeout = d.SyncReplicationTimeout
-	}
-	if c.NodeLayout == 0 {
-		c.NodeLayout = int(layoutV3)
 	}
 	switch {
 	case c.BlockSize < 256:
@@ -234,10 +214,6 @@ func (c *Config) Normalize() error {
 		return fmt.Errorf("%w: negative checkpoint interval", ErrBadConfig)
 	case c.CheckpointDirtyBytes < 0:
 		return fmt.Errorf("%w: negative checkpoint dirty bytes", ErrBadConfig)
-	case c.WALRecordFormat != walFormatPaths && c.WALRecordFormat != walFormatIDs:
-		return fmt.Errorf("%w: wal record format %d (want 1 or 2)", ErrBadConfig, c.WALRecordFormat)
-	case c.NodeLayout != int(layoutV2) && c.NodeLayout != int(layoutV3):
-		return fmt.Errorf("%w: node layout %d (want 2 or 3)", ErrBadConfig, c.NodeLayout)
 	case c.SyncReplication < 0:
 		return fmt.Errorf("%w: negative sync replication ack count", ErrBadConfig)
 	case c.VersionRetention.KeepLast < 0:

@@ -117,7 +117,7 @@ func TestCrashDuringFlushPreservesLastCheckpoint(t *testing.T) {
 		if err := tree.Flush(); err != nil {
 			t.Fatalf("checkpoint flush: %v", err)
 		}
-		checkpointSum, err := tree.RangeAgg(tree.RootMDS(), 0)
+		checkpointSum, err := rangeAgg(tree, tree.RootMDS(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestCrashDuringFlushPreservesLastCheckpoint(t *testing.T) {
 			if flushSucceeded {
 				t.Fatalf("budget %d: flush reported success but only the checkpoint survived", budget)
 			}
-			got, err := reopened.RangeAgg(reopened.RootMDS(), 0)
+			got, err := rangeAgg(reopened, reopened.RootMDS(), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +217,7 @@ func TestCrashAfterDeleteFlush(t *testing.T) {
 	for _, r := range recs {
 		total.Add(r.Measures[0])
 	}
-	got, _ := reopened.RangeAgg(reopened.RootMDS(), 0)
+	got, _ := rangeAgg(reopened, reopened.RootMDS(), 0)
 	if got.Count != total.Count {
 		t.Fatalf("agg count %d want %d", got.Count, total.Count)
 	}
@@ -373,7 +373,7 @@ func TestGroupCommitCrashStress(t *testing.T) {
 	}
 
 	// The root aggregate must account for every recovered record.
-	all, err := ctree.RangeAgg(mds.Top(schema.Dims()), 0)
+	all, err := rangeAgg(ctree, mds.Top(schema.Dims()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

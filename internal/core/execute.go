@@ -57,12 +57,12 @@ type QueryResult struct {
 // on any realistic tree, rare enough to stay invisible in profiles.
 const ctxCheckInterval = 64
 
-// Execute is the single choke point every range-query entrypoint funnels
-// through: it validates the request, runs the serial or parallel descent,
-// and records the query's latency and work counters exactly once in the
-// tree's metrics — regardless of which public convenience method
-// (RangeQuery, RangeQueryStats, RangeAgg, RangeAggAll, RangeAggParallel)
-// was called.
+// Execute answers a general range query (Fig. 7): req.Query selects, per
+// dimension, a set of attribute values at one hierarchy level, and the
+// chosen measure (or every measure) is aggregated over the data records in
+// the selected subcube. It validates the request, runs the serial or
+// parallel descent, and records the query's latency and work counters
+// exactly once in the tree's metrics.
 //
 // ctx cancellation and deadlines are honored during the descent: the loop
 // polls the context every ctxCheckInterval node visits (and every parallel

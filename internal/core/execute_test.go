@@ -30,10 +30,11 @@ func buildExecuteTree(t *testing.T, n int) (*Tree, []cube.Record, *rand.Rand) {
 	return tree, recs, rng
 }
 
-// TestExecuteWrapperEquivalence checks that every legacy query entrypoint
-// returns exactly what a direct Execute call returns — they are thin
-// wrappers over the same choke point.
-func TestExecuteWrapperEquivalence(t *testing.T) {
+// TestExecuteFormsAgree checks that the request forms answer alike: the
+// single-measure descent matches a brute-force scan, the all-measures
+// descent carries the same aggregate and work counters, and the parallel
+// descent reaches the same answer with the same pruning decisions.
+func TestExecuteFormsAgree(t *testing.T) {
 	tree, recs, rng := buildExecuteTree(t, 1500)
 	ctx := context.Background()
 
@@ -52,51 +53,21 @@ func TestExecuteWrapperEquivalence(t *testing.T) {
 			t.Fatalf("query %d: Elapsed not set", i)
 		}
 
-		// RangeAgg.
-		agg, err := tree.RangeAgg(q, 0)
+		// AllMeasures: measure 0 of the vector must equal the scalar path.
+		all, err := tree.Execute(ctx, QueryRequest{Query: q, AllMeasures: true, CollectStats: true})
 		if err != nil {
-			t.Fatalf("RangeAgg: %v", err)
+			t.Fatalf("Execute all measures: %v", err)
 		}
-		if agg != res.Agg {
-			t.Fatalf("query %d: RangeAgg %+v != Execute %+v", i, agg, res.Agg)
+		if len(all.AggVector) != tree.Schema().Measures() || all.AggVector[0] != res.Agg {
+			t.Fatalf("query %d: all-measures %+v != Execute agg %+v", i, all.AggVector, res.Agg)
 		}
-
-		// RangeQuery, per operator.
-		for _, op := range []cube.Op{cube.Sum, cube.Count, cube.Avg, cube.Min, cube.Max} {
-			v, err := tree.RangeQuery(q, op, 0)
-			if err != nil {
-				t.Fatalf("RangeQuery: %v", err)
-			}
-			if v != res.Agg.Value(op) {
-				t.Fatalf("query %d op %v: RangeQuery %g != Execute %g", i, op, v, res.Agg.Value(op))
-			}
-		}
-
-		// RangeQueryStats: same value and identical work counters.
-		v, st, err := tree.RangeQueryStats(q, cube.Sum, 0)
-		if err != nil {
-			t.Fatalf("RangeQueryStats: %v", err)
-		}
-		if v != res.Agg.Value(cube.Sum) || st != res.Stats {
-			t.Fatalf("query %d: RangeQueryStats (%g, %+v) != Execute (%g, %+v)",
-				i, v, st, res.Agg.Value(cube.Sum), res.Stats)
-		}
-
-		// RangeAggAll: measure 0 of the vector must equal the scalar path.
-		vec, allSt, err := tree.RangeAggAll(q)
-		if err != nil {
-			t.Fatalf("RangeAggAll: %v", err)
-		}
-		if len(vec) != tree.Schema().Measures() || vec[0] != res.Agg {
-			t.Fatalf("query %d: RangeAggAll %+v != Execute agg %+v", i, vec, res.Agg)
-		}
-		if allSt != res.Stats {
-			t.Fatalf("query %d: RangeAggAll stats %+v != serial stats %+v", i, allSt, res.Stats)
+		if all.Stats != res.Stats {
+			t.Fatalf("query %d: all-measures stats %+v != serial stats %+v", i, all.Stats, res.Stats)
 		}
 
 		// Parallel: same answer, and the merged worker stats must equal the
 		// serial stats exactly (same pruning decisions, different order).
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{1, 3, 4} {
 			pres, err := tree.Execute(ctx, QueryRequest{Query: q, Measure: 0, Parallel: workers, CollectStats: true})
 			if err != nil {
 				t.Fatalf("Execute parallel=%d: %v", workers, err)
@@ -107,13 +78,6 @@ func TestExecuteWrapperEquivalence(t *testing.T) {
 			if pres.Stats != res.Stats {
 				t.Fatalf("query %d parallel=%d: stats %+v != serial %+v", i, workers, pres.Stats, res.Stats)
 			}
-		}
-		pagg, err := tree.RangeAggParallel(q, 0, 3)
-		if err != nil {
-			t.Fatalf("RangeAggParallel: %v", err)
-		}
-		if !aggMatches(pagg, want) {
-			t.Fatalf("query %d: RangeAggParallel %+v != brute %+v", i, pagg, want)
 		}
 	}
 }
@@ -192,7 +156,7 @@ func TestExecuteCancellation(t *testing.T) {
 	}
 
 	// Wrappers still work unchanged on a live context afterwards.
-	if _, err := tree.RangeAgg(randomQuery(rng, tree.Schema(), 0.2), 0); err != nil {
+	if _, err := rangeAgg(tree, randomQuery(rng, tree.Schema(), 0.2), 0); err != nil {
 		t.Fatalf("RangeAgg after cancellations: %v", err)
 	}
 }
@@ -253,7 +217,7 @@ func TestMetricsWorkload(t *testing.T) {
 
 	const nq = 25
 	for i := 0; i < nq; i++ {
-		if _, err := tree.RangeAgg(randomQuery(rng, tree.Schema(), 0.2), 0); err != nil {
+		if _, err := rangeAgg(tree, randomQuery(rng, tree.Schema(), 0.2), 0); err != nil {
 			t.Fatalf("RangeAgg: %v", err)
 		}
 	}
@@ -353,7 +317,7 @@ func TestMetricsPagedStoreHitRatio(t *testing.T) {
 	}
 	tree.EvictCache()
 	for i := 0; i < 10; i++ {
-		if _, err := tree.RangeAgg(randomQuery(rng, schema, 0.3), 0); err != nil {
+		if _, err := rangeAgg(tree, randomQuery(rng, schema, 0.3), 0); err != nil {
 			t.Fatalf("RangeAgg: %v", err)
 		}
 		tree.EvictCache()
@@ -380,11 +344,11 @@ func TestSlowQueryHook(t *testing.T) {
 	tree.SetSlowQueryHook(0, func(ev SlowQueryEvent) { events = append(events, ev) })
 
 	q := randomQuery(rng, tree.Schema(), 0.3)
-	v, st, err := tree.RangeQueryStats(q, cube.Sum, 0)
+	res, err := tree.Execute(context.Background(), QueryRequest{Query: q, CollectStats: true})
 	if err != nil {
-		t.Fatalf("RangeQueryStats: %v", err)
+		t.Fatalf("Execute: %v", err)
 	}
-	_ = v
+	st := res.Stats
 	if len(events) != 1 {
 		t.Fatalf("hook fired %d times, want 1", len(events))
 	}
@@ -402,11 +366,11 @@ func TestSlowQueryHook(t *testing.T) {
 	// A threshold far above any test query never fires but the counter path
 	// stays consistent; a negative threshold removes the hook entirely.
 	tree.SetSlowQueryHook(time.Hour, func(ev SlowQueryEvent) { events = append(events, ev) })
-	if _, err := tree.RangeAgg(q, 0); err != nil {
+	if _, err := rangeAgg(tree, q, 0); err != nil {
 		t.Fatalf("RangeAgg: %v", err)
 	}
 	tree.SetSlowQueryHook(-1, nil)
-	if _, err := tree.RangeAgg(q, 0); err != nil {
+	if _, err := rangeAgg(tree, q, 0); err != nil {
 		t.Fatalf("RangeAgg: %v", err)
 	}
 	if len(events) != 1 {
@@ -431,11 +395,11 @@ func TestExecuteConcurrentWithMetrics(t *testing.T) {
 				var err error
 				switch g % 4 {
 				case 0:
-					_, err = tree.RangeAgg(q, 0)
+					_, err = rangeAgg(tree, q, 0)
 				case 1:
 					_, err = tree.Execute(context.Background(), QueryRequest{Query: q, Parallel: 2})
 				case 2:
-					_, _, err = tree.RangeAggAll(q)
+					_, err = tree.Execute(context.Background(), QueryRequest{Query: q, AllMeasures: true})
 				default:
 					_ = tree.Metrics()
 				}

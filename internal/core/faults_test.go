@@ -109,12 +109,12 @@ func TestQuerySurfacesReadErrors(t *testing.T) {
 	tree.EvictCache()
 	fs.failReads = true
 	q := tree.RootMDS()
-	if _, err := tree.RangeAgg(q, 0); !errors.Is(err, errInjected) {
+	if _, err := rangeAgg(tree, q, 0); !errors.Is(err, errInjected) {
 		t.Fatalf("cold query with failing reads = %v", err)
 	}
 	// Clearing the fault restores service.
 	fs.failReads = false
-	if _, err := tree.RangeAgg(q, 0); err != nil {
+	if _, err := rangeAgg(tree, q, 0); err != nil {
 		t.Fatalf("query after fault cleared: %v", err)
 	}
 	if err := tree.Validate(); err != nil {
@@ -198,7 +198,7 @@ func TestOpenSurfacesCorruptNodes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := reopened.RangeAgg(reopened.RootMDS(), 0); err == nil {
+	if _, err := rangeAgg(reopened, reopened.RootMDS(), 0); err == nil {
 		t.Fatal("query over garbage nodes succeeded")
 	}
 }

@@ -10,11 +10,8 @@ import (
 	"github.com/dcindex/dctree/internal/mds"
 )
 
-// Checkpoint node layout v3: a fixed-stride, offset-indexed flat encoding
-// designed to be QUERIED in place, without decoding. The v2 encoding
-// (node.go) is a varint stream — compact, but every access walks the whole
-// payload and materializes entries, MDSs and aggregate vectors on the heap.
-// v3 trades a few percent of size for direct addressing, so a mapped
+// Node encoding (one extent per node): a fixed-stride, offset-indexed flat
+// layout designed to be QUERIED in place, without decoding, so a mapped
 // extent serves MDS pruning, aggregate merges and record tests straight
 // from the page cache:
 //
@@ -36,16 +33,10 @@ import (
 //	               concatenated; entry i's blob is [off[i], off[i+1])
 //
 // Every per-entry access is index arithmetic: agg i,j at a fixed stride,
-// child i one u64 load, MDS i one offset-table pair. The layout version
-// travels per extent in the translation table (meta v6), so v2 and v3
-// extents coexist in one image and v2 upgrades to v3 on rewrite.
+// child i one u64 load, MDS i one offset-table pair.
 
 const (
-	// layoutV2 is the varint node encoding (node.go); layoutV3 the flat
-	// encoding above. The zero value of an extentRef's layout field means
-	// "unspecified" and is treated as v2 — the decode path reads anything.
-	layoutV2 uint8 = 2
-	layoutV3 uint8 = 3
+	nodeFlagLeaf = 1
 
 	flatMagic      = 0xD3
 	flatHeaderSize = 20
@@ -66,7 +57,7 @@ func flatLayoutSizes(leaf bool, count, dims, measures int) (aggBase, fixBase, md
 	return aggBase, fixBase, mdsBase, fixedPer
 }
 
-// appendEncodeFlat serializes the node in layout v3. The fixed-size prefix
+// appendEncodeFlat serializes the node. The fixed-size prefix
 // (header, offset table, agg and fixed areas) is reserved up front and
 // filled by indexed writes; the MDS blobs are appended behind it, each one
 // recording its start in the offset table as it goes — no second sizing
@@ -119,8 +110,8 @@ func (n *node) appendEncodeFlat(buf []byte, dims, measures int) []byte {
 	return buf
 }
 
-// flatNode is a read-only view of a layout-v3 payload — typically a mapped
-// extent, sometimes a pooled read buffer. It owns nothing: every accessor
+// flatNode is a read-only view of an encoded node payload — typically a
+// mapped extent, sometimes a pooled read buffer. It owns nothing: every accessor
 // is pointer math over b, and b must stay valid for the flatNode's
 // lifetime (the descent bounds it by the tree read lock or a version pin).
 // The zero value is invalid; makeFlatNode validates the structural
@@ -139,13 +130,13 @@ type flatNode struct {
 	fixedPer int
 }
 
-// makeFlatNode validates a v3 payload's frame — header, section bases,
+// makeFlatNode validates a payload's frame — header, section bases,
 // offset-table monotonicity, and (for directories) non-nil children — in
 // O(count), without touching the MDS blobs. MDS malformations surface
 // later, at pruning time, as ErrCorrupt from the view iterator.
 func makeFlatNode(id nodeID, b []byte, dims, measures int) (flatNode, error) {
-	if len(b) < flatHeaderSize || b[0] != flatMagic {
-		return flatNode{}, fmt.Errorf("%w: node %d: not a flat (v3) payload", ErrCorrupt, id)
+	if len(b) < flatHeaderSize || b[0] != flatMagic || b[1]&^nodeFlagLeaf != 0 || b[2] != 0 || b[3] != 0 {
+		return flatNode{}, fmt.Errorf("%w: node %d: not a flat node payload", ErrCorrupt, id)
 	}
 	f := flatNode{
 		id:       id,
@@ -174,7 +165,7 @@ func makeFlatNode(id nodeID, b []byte, dims, measures int) (flatNode, error) {
 	prev := uint32(0)
 	for i := 0; i <= f.count; i++ {
 		off := binary.LittleEndian.Uint32(b[flatHeaderSize+4*i:])
-		if off < prev || int(off) > len(b)-mdsBase {
+		if off < prev || int(off) > len(b)-mdsBase || (i == 0 && off != 0) {
 			return flatNode{}, fmt.Errorf("%w: node %d: flat offset table entry %d", ErrCorrupt, id, i)
 		}
 		prev = off
@@ -250,11 +241,17 @@ func (f *flatNode) record(i int) cube.Record {
 	return r
 }
 
-// decodeFlatNode materializes a layout-v3 payload as a heap node — the
-// write path and the no-zero-copy fallback still need mutable *nodes. It
-// shares the arena discipline of decodeNode: one allocation per node for
-// entries, aggs, coords, measures and MDS storage each, instead of one per
-// entry.
+// decodeFlatNode materializes a payload as a heap node — the write path
+// and the no-zero-copy fallback need mutable *nodes.
+//
+// Per-entry state is carved out of node-scoped arenas — one backing array
+// each for aggregate vectors, record coordinates, record measures, and the
+// MDS dimension sets and ID values — so a node of k entries decodes with
+// O(1) slice allocations instead of O(k). Every carve is a capacity-capped
+// subslice: when an arena grows and reallocates, earlier entries keep
+// aliasing the old backing array, which stays correct because decoded
+// values are only ever mutated in place within an entry's own disjoint
+// region, never appended through.
 func decodeFlatNode(id nodeID, buf []byte, dims, measures int) (*node, error) {
 	f, err := makeFlatNode(id, buf, dims, measures)
 	if err != nil {

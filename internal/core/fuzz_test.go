@@ -20,23 +20,19 @@ func fuzzNegativeLength() []byte {
 func FuzzDecodeWALRecord(f *testing.F) {
 	seedTree := newTestTree(f, smallConfig())
 	recs := genRecords(f, seedTree.Schema(), rand.New(rand.NewSource(1)), 3)
-	for _, op := range []byte{walOpInsert, walOpDelete} {
-		payload, err := seedTree.encodeWALRecordV1(op, recs[0])
-		if err != nil {
-			f.Fatal(err)
-		}
+	for _, payload := range retiredWALRecords() {
 		f.Add(payload)
 	}
-	f.Add(encodeWALRecordV2(walOpInsert, recs[1]))
-	f.Add(encodeWALRecordV2(walOpDelete, recs[2]))
+	f.Add(encodeWALRecord(walOpInsert, recs[1]))
+	f.Add(encodeWALRecord(walOpDelete, recs[2]))
 	f.Add(encodeDictDelta([]dictDelta{{dim: 0, id: recs[0].Coords[0], name: "x"}}))
 	f.Add([]byte{})
 	f.Add([]byte{walOpDictDelta})
-	f.Add(append([]byte{walOpInsertV2}, fuzzNegativeLength()...))
+	f.Add(append([]byte{walOpInsert}, fuzzNegativeLength()...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Fresh dictionaries per iteration: v1 decode re-interns paths and
-		// dict deltas register values, so state must not leak across inputs.
+		// Fresh dictionaries per iteration: dict deltas register values, so
+		// state must not leak across inputs.
 		schema := testSchema(t)
 		if len(data) > 0 && data[0] == walOpDictDelta {
 			_ = applyDictDelta(schema, data)
@@ -57,27 +53,15 @@ func FuzzDecodeWALRecord(f *testing.F) {
 }
 
 func FuzzDecodeMeta(f *testing.F) {
-	tree := newTestTree(f, smallConfig())
-	recs := genRecords(f, tree.Schema(), rand.New(rand.NewSource(2)), 20)
-	for _, r := range recs {
-		if err := tree.Insert(r); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := tree.Flush(); err != nil {
-		f.Fatal(err)
-	}
-	tree.mu.Lock()
-	blob, err := tree.encodeMeta(tree.metaSnapshotLocked())
-	tree.mu.Unlock()
-	if err != nil {
-		f.Fatal(err)
-	}
+	blob := flushedMetaBlob(f)
 	f.Add(blob)
 	f.Add(blob[:len(blob)/2])
 	f.Add([]byte(metaMagic))
 	f.Add(append([]byte(metaMagic), fuzzNegativeLength()...))
 	f.Add([]byte{})
+	for _, retired := range retiredMetaBlobs(f) {
+		f.Add(retired)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := decodeMeta(data)

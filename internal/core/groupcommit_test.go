@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -253,20 +255,27 @@ func TestGroupCommitCheckpointCoverageFlushesLog(t *testing.T) {
 	}
 }
 
-// TestRecoveryOfParentWrittenImage pins byte compatibility across the
-// removal of the group-commit knobs: testdata/parent-pr12 is a crash image
-// (store + log tail) written by the build before it — its meta blob carries
-// non-zero values in the two retired slots — and must open, replay its
-// tail and keep accepting durable writes.
+// TestRecoveryOfParentWrittenImage is the golden file of the one surviving
+// format generation: testdata/parent-pr12 is a crash image (store + log
+// tail) written by an earlier build — DCSTORE2 extents, a DCMETA08 blob
+// that carries non-zero values in the two retired group-commit slots, a
+// DCWAL002 segment of op-3/4/5 records — and must open unmodified, replay
+// its tail and keep accepting durable writes.
 func TestRecoveryOfParentWrittenImage(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{"store.dc", "idx.00000002.wal"} {
+	for name, magic := range map[string]string{"store.dc": "DCSTORE2", "idx.00000002.wal": "DCWAL002"} {
 		copyFile(t, filepath.Join("testdata", "parent-pr12", name), filepath.Join(dir, name))
+		if data, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.HasPrefix(data, []byte(magic)) {
+			t.Fatalf("fixture %s does not start with %s (err %v)", name, magic, err)
+		}
 	}
 	open := func() (*Tree, *storage.PagedStore) {
 		st, err := storage.OpenPagedStore(filepath.Join(dir, "store.dc"), smallConfig().BlockSize, 0)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if meta, err := st.GetMeta(); err != nil || !bytes.HasPrefix(meta, []byte("DCMETA08")) {
+			t.Fatalf("metadata blob does not start with DCMETA08 (err %v)", err)
 		}
 		tree, err := OpenDurable(st, filepath.Join(dir, "idx"))
 		if err != nil {
@@ -286,7 +295,7 @@ func TestRecoveryOfParentWrittenImage(t *testing.T) {
 		if err := tree.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		agg, err := tree.RangeAgg(mds.Top(tree.Schema().Dims()), 0)
+		agg, err := rangeAgg(tree, mds.Top(tree.Schema().Dims()), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

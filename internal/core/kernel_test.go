@@ -417,7 +417,7 @@ func scratchAliasingWorkload(t *testing.T, cfg Config, customers int) {
 	}
 	for i := 0; i < 50; i++ {
 		q := randomQuery(rng, tree.Schema(), 0.3)
-		got, err := tree.RangeAgg(q, 0)
+		got, err := rangeAgg(tree, q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,46 +17,23 @@ import (
 // (the index is meaningless without them), the root pointer, and the
 // logical-node translation table.
 
-// Eight format versions are in play: v2 ("DCMETA02") extends v1 with the
-// two group-commit knobs (after the config flags byte; since retired —
-// the slots are written as zeros and ignored) and the WAL checkpoint
-// LSN (after nextID); v3 ("DCMETA03") appends the checkpoint auto-trigger
-// knobs after those slots; v4 ("DCMETA04") appends the WAL record format
-// after CheckpointDirtyBytes; v5 ("DCMETA05") appends the MVCC version
-// stamps (version-number mint, latest version ID and its LSN) after the
-// checkpoint LSN; v6 ("DCMETA06") appends a node-layout tag to every
-// translation-table entry, so reads know which extents hold the flat v3
-// encoding; v7 ("DCMETA07") appends the replication fencing epoch after
-// the version stamps, so a promoted follower's authority survives
-// restarts even if its WAL is later truncated away; v8 ("DCMETA08")
-// appends the version-retention knobs after the WAL record format and,
-// after the translation table, one manifest per live MVCC version
-// (identity, shape, and a table whose overlay entries point at extents
-// the checkpoint wrote) plus the pin ledger's parked-free list — so
-// versions survive checkpoints and restarts, rehydrated before the log
-// tail replays. Writing always produces v8; reading accepts all eight,
-// with newer fields defaulting to zero on older blobs (a zero record
-// format normalizes to the current default; zero version stamps mean no
-// snapshot was ever taken; a zero layout tag means the legacy varint
-// encoding; a zero epoch means the tree predates fencing and accepts any
-// source; a pre-v8 blob simply has no durable versions).
+// One layout is written and read, under the magic "DCMETA08". It still
+// carries three words whose knobs are gone — two group-commit slots
+// (written as zeros, skipped on read) and the WAL record format (always 2)
+// — and a node-layout word per translation-table entry (always 3):
+// dropping them would change bytes every existing image holds.
 const (
-	metaMagic   = "DCMETA08"
-	metaMagicV7 = "DCMETA07"
-	metaMagicV6 = "DCMETA06"
-	metaMagicV5 = "DCMETA05"
-	metaMagicV4 = "DCMETA04"
-	metaMagicV3 = "DCMETA03"
-	metaMagicV2 = "DCMETA02"
-	metaMagicV1 = "DCMETA01"
+	metaMagic        = "DCMETA08"
+	metaRecordFormat = 2 // WAL mutation records carry interned IDs (ops 4, 5)
+	metaFlatLayout   = 3 // every extent holds the flat node encoding
 )
 
-// versionManifest is the durable image of one live MVCC version (meta v8):
+// versionManifest is the durable image of one live MVCC version:
 // everything rehydration needs to rebuild the Version handle without the
 // WAL — identity and snapshot point, capture time, tree shape at capture,
 // and a translation table in which nodes that were dirty at capture point
-// at the overlay extents the checkpoint wrote (layout v2) instead of the
-// live table's extents.
+// at the overlay extents the checkpoint wrote instead of the live table's
+// extents.
 type versionManifest struct {
 	id      uint64
 	lsn     uint64
@@ -148,14 +125,12 @@ func (t *Tree) encodeMeta(snap metaSnapshot) ([]byte, error) {
 		flags |= 4
 	}
 	buf = append(buf, flags)
-	// Two retired slots (the group-commit window and byte cap of v2–v8
-	// writers): written as zeros and skipped on read, so the layout and
-	// every existing image stay as they are.
+	// The two retired group-commit slots.
 	buf = binary.AppendVarint(buf, 0)
 	buf = binary.AppendUvarint(buf, 0)
 	buf = binary.AppendVarint(buf, int64(t.cfg.CheckpointInterval))
 	buf = binary.AppendUvarint(buf, uint64(t.cfg.CheckpointDirtyBytes))
-	buf = binary.AppendUvarint(buf, uint64(t.cfg.WALRecordFormat))
+	buf = binary.AppendUvarint(buf, metaRecordFormat)
 	buf = binary.AppendVarint(buf, int64(t.cfg.VersionRetention.KeepLast))
 	buf = binary.AppendVarint(buf, int64(t.cfg.VersionRetention.MaxAge))
 
@@ -190,16 +165,9 @@ func (t *Tree) encodeMeta(snap metaSnapshot) ([]byte, error) {
 		buf = append(buf, name...)
 	}
 
-	// Translation table (v6: each entry carries its node-layout tag).
-	buf = binary.AppendUvarint(buf, uint64(len(snap.table)))
-	for id, ref := range snap.table {
-		buf = binary.AppendUvarint(buf, uint64(id))
-		buf = binary.AppendUvarint(buf, uint64(ref.page))
-		buf = binary.AppendUvarint(buf, uint64(ref.blocks))
-		buf = binary.AppendUvarint(buf, uint64(ref.layout))
-	}
+	buf = appendExtentTable(buf, snap.table)
 
-	// Durable MVCC versions (v8): one manifest per live version, then the
+	// Durable MVCC versions: one manifest per live version, then the
 	// pin ledger's parked frees. Rehydration pins every manifest-table
 	// extent first and re-parks the frees behind those pins second, so the
 	// reopened ledger matches the one this blob was written under.
@@ -213,13 +181,7 @@ func (t *Tree) encodeMeta(snap metaSnapshot) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, uint64(m.height))
 		buf = binary.AppendVarint(buf, m.count)
 		buf = m.rootMDS.AppendEncode(buf)
-		buf = binary.AppendUvarint(buf, uint64(len(m.table)))
-		for id, ref := range m.table {
-			buf = binary.AppendUvarint(buf, uint64(id))
-			buf = binary.AppendUvarint(buf, uint64(ref.page))
-			buf = binary.AppendUvarint(buf, uint64(ref.blocks))
-			buf = binary.AppendUvarint(buf, uint64(ref.layout))
-		}
+		buf = appendExtentTable(buf, m.table)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(snap.deferred)))
 	for _, e := range snap.deferred {
@@ -227,6 +189,19 @@ func (t *Tree) encodeMeta(snap metaSnapshot) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, uint64(e.Blocks))
 	}
 	return buf, nil
+}
+
+// appendExtentTable serializes one node→extent table (the translation
+// table or a version manifest's); decodeExtentTable is its inverse.
+func appendExtentTable(buf []byte, table map[nodeID]extentRef) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(table)))
+	for id, ref := range table {
+		buf = binary.AppendUvarint(buf, uint64(id))
+		buf = binary.AppendUvarint(buf, uint64(ref.page))
+		buf = binary.AppendUvarint(buf, uint64(ref.blocks))
+		buf = binary.AppendUvarint(buf, metaFlatLayout)
+	}
+	return buf
 }
 
 // Open reopens a DC-tree persisted by Flush on the given store.
@@ -250,29 +225,16 @@ func Open(store storage.Store) (*Tree, error) {
 
 // decodeMeta parses a metadata blob into a store-less Tree. Split out of
 // Open so corrupt-input tests and the fuzz target can exercise the decoder
-// directly: arbitrary bytes must yield ErrCorrupt, never a panic.
+// directly: arbitrary bytes must yield ErrCorrupt — or, for a blob of a
+// retired generation, ErrUnsupportedFormat — never a panic.
 func decodeMeta(meta []byte) (*Tree, error) {
 	if len(meta) < len(metaMagic) {
 		return nil, fmt.Errorf("%w: bad metadata magic", ErrCorrupt)
 	}
-	var ver int
-	switch string(meta[:len(metaMagic)]) {
-	case metaMagic:
-		ver = 8
-	case metaMagicV7:
-		ver = 7
-	case metaMagicV6:
-		ver = 6
-	case metaMagicV5:
-		ver = 5
-	case metaMagicV4:
-		ver = 4
-	case metaMagicV3:
-		ver = 3
-	case metaMagicV2:
-		ver = 2
-	case metaMagicV1:
-		ver = 1
+	switch magic := string(meta[:len(metaMagic)]); {
+	case magic == metaMagic:
+	case magic >= "DCMETA01" && magic <= "DCMETA07":
+		return nil, fmt.Errorf("%w: metadata magic %s", ErrUnsupportedFormat, magic)
 	default:
 		return nil, fmt.Errorf("%w: bad metadata magic", ErrCorrupt)
 	}
@@ -290,40 +252,29 @@ func decodeMeta(meta []byte) (*Tree, error) {
 	cfg.Materialize = flags&1 != 0
 	cfg.DisableSupernodes = flags&2 != 0
 	cfg.FlatChooseSubtree = flags&4 != 0
-	if ver >= 2 {
-		r.varint()  // retired: group-commit window
-		r.uvarint() // retired: group-commit byte cap
+	r.varint()  // retired: group-commit window
+	r.uvarint() // retired: group-commit byte cap
+	cfg.CheckpointInterval = time.Duration(r.varint())
+	cfg.CheckpointDirtyBytes = int(r.uvarint())
+	switch format := r.uvarint(); {
+	case r.err != nil:
+	case format == 1:
+		return nil, fmt.Errorf("%w: wal record format 1 (string paths)", ErrUnsupportedFormat)
+	case format != metaRecordFormat:
+		return nil, fmt.Errorf("%w: wal record format %d", ErrCorrupt, format)
 	}
-	if ver >= 3 {
-		cfg.CheckpointInterval = time.Duration(r.varint())
-		cfg.CheckpointDirtyBytes = int(r.uvarint())
-	}
-	if ver >= 4 {
-		cfg.WALRecordFormat = int(r.uvarint())
-	}
-	if ver >= 8 {
-		cfg.VersionRetention.KeepLast = int(r.varint())
-		cfg.VersionRetention.MaxAge = time.Duration(r.varint())
-	}
+	cfg.VersionRetention.KeepLast = int(r.varint())
+	cfg.VersionRetention.MaxAge = time.Duration(r.varint())
 
 	root := nodeID(r.uvarint())
 	height := int(r.uvarint())
 	count := r.varint()
 	nextID := nodeID(r.uvarint())
-	var checkpointLSN uint64
-	if ver >= 2 {
-		checkpointLSN = r.uvarint()
-	}
-	var versionSeq, latestVersionID, latestVersionLSN uint64
-	if ver >= 5 {
-		versionSeq = r.uvarint()
-		latestVersionID = r.uvarint()
-		latestVersionLSN = r.uvarint()
-	}
-	var epoch uint64
-	if ver >= 7 {
-		epoch = r.uvarint()
-	}
+	checkpointLSN := r.uvarint()
+	versionSeq := r.uvarint()
+	latestVersionID := r.uvarint()
+	latestVersionLSN := r.uvarint()
+	epoch := r.uvarint()
 	if r.err != nil {
 		return nil, fmt.Errorf("%w: metadata header: %v", ErrCorrupt, r.err)
 	}
@@ -359,60 +310,57 @@ func decodeMeta(meta []byte) (*Tree, error) {
 		return nil, err
 	}
 
-	table, err := decodeExtentTable(&r, ver)
+	table, err := decodeExtentTable(&r)
 	if err != nil {
 		return nil, fmt.Errorf("translation %w", err)
 	}
 
-	// Durable MVCC version manifests and the parked-free list (v8).
-	var manifests []versionManifest
+	// Durable MVCC version manifests and the parked-free list.
+	nVersions := r.uvarint()
+	// A manifest takes at least a handful of bytes; a count beyond the
+	// remaining input is corrupt, checked before it sizes anything.
+	if r.err == nil && nVersions > uint64(len(r.buf)-r.off) {
+		return nil, fmt.Errorf("%w: version manifest count %d", ErrCorrupt, nVersions)
+	}
+	manifests := make([]versionManifest, 0, int(nVersions))
+	for i := uint64(0); i < nVersions; i++ {
+		var m versionManifest
+		m.id = r.uvarint()
+		m.lsn = r.uvarint()
+		m.created = r.varint()
+		m.root = nodeID(r.uvarint())
+		m.height = int(r.uvarint())
+		m.count = r.varint()
+		if r.err != nil {
+			return nil, fmt.Errorf("%w: version manifest %d: %v", ErrCorrupt, i, r.err)
+		}
+		if m.id == 0 {
+			return nil, fmt.Errorf("%w: version manifest %d has id 0", ErrCorrupt, i)
+		}
+		vm, n, err := mds.Decode(r.buf[r.off:])
+		if err != nil {
+			return nil, fmt.Errorf("%w: version %d root mds: %v", ErrCorrupt, m.id, err)
+		}
+		m.rootMDS = vm
+		r.off += n
+		m.table, err = decodeExtentTable(&r)
+		if err != nil {
+			return nil, fmt.Errorf("version %d %w", m.id, err)
+		}
+		if _, ok := m.table[m.root]; !ok {
+			return nil, fmt.Errorf("%w: version %d root node %d missing from manifest", ErrCorrupt, m.id, m.root)
+		}
+		manifests = append(manifests, m)
+	}
+	nDeferred := r.uvarint()
+	if r.err == nil && nDeferred > uint64(len(r.buf)-r.off) {
+		return nil, fmt.Errorf("%w: deferred free count %d", ErrCorrupt, nDeferred)
+	}
 	var deferred []storage.Extent
-	if ver >= 8 {
-		nVersions := r.uvarint()
-		// A manifest takes at least a handful of bytes; a count beyond the
-		// remaining input is corrupt, checked before it sizes anything.
-		if r.err == nil && nVersions > uint64(len(r.buf)-r.off) {
-			return nil, fmt.Errorf("%w: version manifest count %d", ErrCorrupt, nVersions)
-		}
-		manifests = make([]versionManifest, 0, int(nVersions))
-		for i := uint64(0); i < nVersions; i++ {
-			var m versionManifest
-			m.id = r.uvarint()
-			m.lsn = r.uvarint()
-			m.created = r.varint()
-			m.root = nodeID(r.uvarint())
-			m.height = int(r.uvarint())
-			m.count = r.varint()
-			if r.err != nil {
-				return nil, fmt.Errorf("%w: version manifest %d: %v", ErrCorrupt, i, r.err)
-			}
-			if m.id == 0 {
-				return nil, fmt.Errorf("%w: version manifest %d has id 0", ErrCorrupt, i)
-			}
-			vm, n, err := mds.Decode(r.buf[r.off:])
-			if err != nil {
-				return nil, fmt.Errorf("%w: version %d root mds: %v", ErrCorrupt, m.id, err)
-			}
-			m.rootMDS = vm
-			r.off += n
-			m.table, err = decodeExtentTable(&r, ver)
-			if err != nil {
-				return nil, fmt.Errorf("version %d %w", m.id, err)
-			}
-			if _, ok := m.table[m.root]; !ok {
-				return nil, fmt.Errorf("%w: version %d root node %d missing from manifest", ErrCorrupt, m.id, m.root)
-			}
-			manifests = append(manifests, m)
-		}
-		nDeferred := r.uvarint()
-		if r.err == nil && nDeferred > uint64(len(r.buf)-r.off) {
-			return nil, fmt.Errorf("%w: deferred free count %d", ErrCorrupt, nDeferred)
-		}
-		for i := uint64(0); i < nDeferred; i++ {
-			page := storage.PageID(r.uvarint())
-			blocks := int(r.uvarint())
-			deferred = append(deferred, storage.Extent{Page: page, Blocks: blocks})
-		}
+	for i := uint64(0); i < nDeferred; i++ {
+		page := storage.PageID(r.uvarint())
+		blocks := int(r.uvarint())
+		deferred = append(deferred, storage.Extent{Page: page, Blocks: blocks})
 	}
 	if r.err != nil {
 		return nil, fmt.Errorf("%w: metadata body: %v", ErrCorrupt, r.err)
@@ -449,11 +397,11 @@ func decodeMeta(meta []byte) (*Tree, error) {
 
 // decodeExtentTable parses one node→extent table (the main translation
 // table or a version manifest's). The entry count is validated against the
-// remaining input before it sizes the map, and unknown layout tags fail
-// closed — serving an extent through the wrong decoder would misread data
-// silently. A zero layout (pre-v6 blob rewritten by a v6 build) means the
-// legacy varint encoding.
-func decodeExtentTable(r *metaReader, ver int) (map[nodeID]extentRef, error) {
+// remaining input before it sizes the map, and a node-layout word other
+// than the flat encoding's fails closed — serving an extent through the
+// wrong decoder would misread data silently. 2 and 0 named the retired
+// varint encoding.
+func decodeExtentTable(r *metaReader) (map[nodeID]extentRef, error) {
 	tableLen64 := r.uvarint()
 	if r.err == nil && tableLen64 > uint64(len(r.buf)-r.off) {
 		return nil, fmt.Errorf("%w: table length %d", ErrCorrupt, tableLen64)
@@ -464,15 +412,14 @@ func decodeExtentTable(r *metaReader, ver int) (map[nodeID]extentRef, error) {
 		id := nodeID(r.uvarint())
 		page := storage.PageID(r.uvarint())
 		blocks := int(r.uvarint())
-		var layout uint8
-		if ver >= 6 {
-			l := r.uvarint()
-			if r.err == nil && l != 0 && l != uint64(layoutV2) && l != uint64(layoutV3) {
-				return nil, fmt.Errorf("%w: node %d layout %d", ErrCorrupt, id, l)
-			}
-			layout = uint8(l)
+		switch layout := r.uvarint(); {
+		case r.err != nil || layout == metaFlatLayout:
+		case layout == 2 || layout == 0:
+			return nil, fmt.Errorf("%w: node %d layout %d (varint encoding)", ErrUnsupportedFormat, id, layout)
+		default:
+			return nil, fmt.Errorf("%w: node %d layout %d", ErrCorrupt, id, layout)
 		}
-		table[id] = extentRef{page: page, blocks: blocks, layout: layout}
+		table[id] = extentRef{page: page, blocks: blocks}
 	}
 	if r.err != nil {
 		return nil, fmt.Errorf("%w: table body: %v", ErrCorrupt, r.err)
@@ -481,7 +428,7 @@ func decodeExtentTable(r *metaReader, ver int) (map[nodeID]extentRef, error) {
 }
 
 // rehydrateVersions rebuilds the live Version handles from the metadata's
-// manifests (v8) and restores the pin ledger: every manifest-table extent
+// manifests and restores the pin ledger: every manifest-table extent
 // is pinned FIRST, then the persisted parked frees re-park behind those
 // pins (Pin refuses a page whose free is already deferred, so the order
 // matters). A parked free whose extent no pinned table references any

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -151,7 +152,7 @@ func TestEvictCachePreservesDirtyNodes(t *testing.T) {
 	// Nothing has been flushed: every node is dirty, so eviction must be a
 	// no-op and the full count must survive.
 	tree.EvictCache()
-	all, err := tree.RangeAgg(tree.RootMDS(), 0)
+	all, err := rangeAgg(tree, tree.RootMDS(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestEvictCachePreservesDirtyNodes(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 150; i++ {
 				q := queries[(i*3+w)%len(queries)]
-				if _, err := tree.RangeAgg(q, 0); err != nil {
+				if _, err := rangeAgg(tree, q, 0); err != nil {
 					errs <- err
 					return
 				}
@@ -215,7 +216,7 @@ func TestEvictCachePreservesDirtyNodes(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		q := queries[i]
 		want := bruteAgg(t, s, total, q, 0)
-		got, err := tree.RangeAgg(q, 0)
+		got, err := rangeAgg(tree, q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,9 +295,9 @@ func TestConcurrentCacheStress(t *testing.T) {
 				q := queries[(i*5+w)%len(queries)]
 				var err error
 				if w%2 == 0 {
-					_, err = tree.RangeAgg(q, 0)
+					_, err = rangeAgg(tree, q, 0)
 				} else {
-					_, err = tree.RangeAggParallel(q, 0, 4)
+					_, err = tree.Execute(context.Background(), QueryRequest{Query: q, Parallel: 4})
 				}
 				if err != nil {
 					errs <- err
@@ -345,7 +346,7 @@ func TestQueryCtxPoolReuse(t *testing.T) {
 	}
 	for round := 0; round < 10; round++ {
 		for i, q := range shapes {
-			got, err := tree.RangeAgg(q, 0)
+			got, err := rangeAgg(tree, q, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -380,7 +381,7 @@ func TestParallelStealMetrics(t *testing.T) {
 	qrng := rand.New(rand.NewSource(63))
 	for i := 0; i < 16; i++ {
 		q := randomQuery(qrng, s, 0.3)
-		if _, err := tree.RangeAggParallel(q, 0, 4); err != nil {
+		if _, err := tree.Execute(context.Background(), QueryRequest{Query: q, Parallel: 4}); err != nil {
 			t.Fatal(err)
 		}
 	}

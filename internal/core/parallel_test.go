@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -17,15 +18,16 @@ func TestParallelQueryMatchesSequential(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		q := randomQuery(rng, s, []float64{0.01, 0.05, 0.25, 0.6}[i%4])
-		want, err := tree.RangeAgg(q, 0)
+		want, err := rangeAgg(tree, q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{0, 1, 2, 8} {
-			got, err := tree.RangeAggParallel(q, 0, workers)
+		for _, workers := range []int{1, 2, 8} {
+			res, err := tree.Execute(context.Background(), QueryRequest{Query: q, Parallel: workers})
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
+			got := res.Agg
 			if got.Count != want.Count || !floatClose(got.Sum, want.Sum) ||
 				(want.Count > 0 && (got.Min != want.Min || got.Max != want.Max)) {
 				t.Fatalf("workers=%d query %d: parallel %+v != sequential %+v", workers, i, got, want)
@@ -33,7 +35,7 @@ func TestParallelQueryMatchesSequential(t *testing.T) {
 		}
 	}
 	// Validation errors surface.
-	if _, err := tree.RangeAggParallel(tree.RootMDS(), 9, 2); err == nil {
+	if _, err := tree.Execute(context.Background(), QueryRequest{Query: tree.RootMDS(), Measure: 9, Parallel: 2}); err == nil {
 		t.Fatal("bad measure accepted")
 	}
 }
@@ -41,23 +43,23 @@ func TestParallelQueryMatchesSequential(t *testing.T) {
 func TestParallelQueryEmptyAndTinyTrees(t *testing.T) {
 	tree := newTestTree(t, smallConfig())
 	s := tree.Schema()
-	got, err := tree.RangeAggParallel(tree.RootMDS(), 0, 4)
+	res, err := tree.Execute(context.Background(), QueryRequest{Query: tree.RootMDS(), Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.IsEmpty() {
-		t.Fatalf("empty tree agg = %+v", got)
+	if !res.Agg.IsEmpty() {
+		t.Fatalf("empty tree agg = %+v", res.Agg)
 	}
 	rng := rand.New(rand.NewSource(213))
 	recs := genRecords(t, s, rng, 5) // root is still a leaf
 	for _, r := range recs {
 		tree.Insert(r)
 	}
-	got, err = tree.RangeAggParallel(tree.RootMDS(), 0, 4)
+	res, err = tree.Execute(context.Background(), QueryRequest{Query: tree.RootMDS(), Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Count != 5 {
-		t.Fatalf("leaf-root parallel count = %d", got.Count)
+	if res.Agg.Count != 5 {
+		t.Fatalf("leaf-root parallel count = %d", res.Agg.Count)
 	}
 }

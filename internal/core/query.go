@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"runtime"
 
 	"github.com/dcindex/dctree/internal/cube"
-	"github.com/dcindex/dctree/internal/mds"
 )
 
 // QueryStats describes the work one range query performed.
@@ -40,9 +38,9 @@ func (s *QueryStats) add(o QueryStats) {
 // The descent code is identical either way — only the resolver differs.
 //
 // getView is the read-only resolution: cached nodes come back as heap
-// nodes, clean layout-v3 extents as zero-copy flatNode views. getNode
-// always materializes a heap node (the write path and the scan/export
-// helpers that need one).
+// nodes, clean extents as zero-copy flatNode views. getNode always
+// materializes a heap node (the write path and the scan/export helpers
+// that need one).
 type nodeSource interface {
 	getNode(id nodeID) (*node, error)
 	getView(id nodeID) (nodeView, error)
@@ -81,72 +79,6 @@ func (d *descent) visit() error {
 		}
 	}
 	return nil
-}
-
-// RangeQuery answers a general range query (Fig. 7): q selects, per
-// dimension, a set of attribute values at one hierarchy level (use
-// mds.AllDim() for unconstrained dimensions); op aggregates the chosen
-// measure over every data record in the selected subcube.
-//
-// Deprecated: use Execute with QueryRequest{Query: q, Measure: measure}
-// and read res.Agg.Value(op) — it adds context cancellation and the other
-// request options. Behavior is identical to Execute with a background
-// context; this wrapper remains for compatibility.
-func (t *Tree) RangeQuery(q mds.MDS, op cube.Op, measure int) (float64, error) {
-	res, err := t.Execute(context.Background(), QueryRequest{Query: q, Measure: measure})
-	if err != nil {
-		return 0, err
-	}
-	return res.Agg.Value(op), nil
-}
-
-// RangeAgg returns the full aggregate (sum, count, min, max) of a measure
-// over the query range, from which every supported operator can be read.
-//
-// Deprecated: use Execute with QueryRequest{Query: q, Measure: measure}
-// and read res.Agg.
-func (t *Tree) RangeAgg(q mds.MDS, measure int) (cube.Agg, error) {
-	res, err := t.Execute(context.Background(), QueryRequest{Query: q, Measure: measure})
-	return res.Agg, err
-}
-
-// RangeQueryStats is RangeQuery plus work counters.
-//
-// Deprecated: use Execute with QueryRequest{Query: q, Measure: measure,
-// CollectStats: true} and read res.Agg.Value(op) and res.Stats.
-func (t *Tree) RangeQueryStats(q mds.MDS, op cube.Op, measure int) (float64, QueryStats, error) {
-	res, err := t.Execute(context.Background(),
-		QueryRequest{Query: q, Measure: measure, CollectStats: true})
-	if err != nil {
-		return 0, res.Stats, err
-	}
-	return res.Agg.Value(op), res.Stats, nil
-}
-
-// RangeAggAll aggregates every measure of the schema over the query range
-// in a single descent — the natural form for reports that show several
-// measures side by side.
-//
-// Deprecated: use Execute with QueryRequest{Query: q, AllMeasures: true,
-// CollectStats: true} and read res.AggVector and res.Stats.
-func (t *Tree) RangeAggAll(q mds.MDS) (cube.AggVector, QueryStats, error) {
-	res, err := t.Execute(context.Background(),
-		QueryRequest{Query: q, AllMeasures: true, CollectStats: true})
-	return res.AggVector, res.Stats, err
-}
-
-// RangeAggParallel answers the same query as RangeAgg using a worker pool;
-// workers ≤ 0 selects GOMAXPROCS.
-//
-// Deprecated: use Execute with QueryRequest{Query: q, Measure: measure,
-// Parallel: workers} and read res.Agg.
-func (t *Tree) RangeAggParallel(q mds.MDS, measure int, workers int) (cube.Agg, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	res, err := t.Execute(context.Background(),
-		QueryRequest{Query: q, Measure: measure, Parallel: workers})
-	return res.Agg, err
 }
 
 // queryNodeAll is queryNode generalized to every measure of the schema.

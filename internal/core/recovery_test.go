@@ -126,7 +126,7 @@ func verifyAgainstOracle(t testing.TB, tree *Tree, recs []cube.Record, queries i
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < queries; i++ {
 		q := randomQuery(rng, tree.Schema(), 0.3)
-		got, err := tree.RangeAgg(q, 0)
+		got, err := rangeAgg(tree, q, 0)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}

@@ -33,9 +33,9 @@ var ErrReplica = errors.New("dctree: tree is a read-only replica")
 // NewReplica creates an empty apply-only tree for the given schema — the
 // starting point for bootstrapping a follower from the primary's log
 // replayed from LSN 1. The schema normally comes from DecodeSchema over
-// the primary's EncodeSchema blob; with WAL record format 2 the shipped
-// dictionary deltas re-register values idempotently, so a schema that
-// already carries registrations is safe. The initial state is checkpointed
+// the primary's EncodeSchema blob; the shipped dictionary deltas
+// re-register values idempotently, so a schema that already carries
+// registrations is safe. The initial state is checkpointed
 // immediately so the store reopens even if the process dies before the
 // first applied batch.
 func NewReplica(store storage.Store, schema *cube.Schema, cfg Config) (*Tree, error) {
@@ -177,9 +177,9 @@ const schemaBlobMagic = "DCSCHM01"
 // EncodeSchema serializes the tree's cube schema — every dimension with
 // its full dictionary, plus the measure names — as a self-contained blob
 // for bootstrapping replicas. Taken under the tree lock so concurrent
-// registrations cannot tear the dictionaries; with record format 2 a
-// superset of the dictionaries at any log position is safe, because
-// shipped dict deltas re-register idempotently.
+// registrations cannot tear the dictionaries; a superset of the
+// dictionaries at any log position is safe, because shipped dict deltas
+// re-register idempotently.
 func (t *Tree) EncodeSchema() ([]byte, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

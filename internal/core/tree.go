@@ -18,13 +18,10 @@ type nodeID uint64
 
 const nilNode nodeID = 0
 
-// extentRef locates a node's current extent. layout records the node
-// encoding the extent holds (layoutV2/layoutV3, flatnode.go); zero means
-// unspecified and is served by the decode path, which reads v2.
+// extentRef locates a node's current extent.
 type extentRef struct {
 	page   storage.PageID
 	blocks int
-	layout uint8
 }
 
 // Tree is a DC-tree over a data cube. It is safe for concurrent use:
@@ -64,7 +61,7 @@ type Tree struct {
 	appliedLSN uint64
 
 	// epoch is the replication fencing epoch (guarded by t.mu, persisted
-	// in meta v7 and stamped into WAL segment headers). Every promotion
+	// in the metadata and stamped into WAL segment headers). Every promotion
 	// bumps it; ApplyReplicated rejects records from lower epochs with
 	// ErrFenced, so a deposed primary that keeps writing can never corrupt
 	// a follower that has acknowledged the new timeline. Zero on trees
@@ -76,7 +73,7 @@ type Tree struct {
 	// the hierarchy hooks (which fire inside Schema.InternRecord, outside
 	// t.mu) and drained into a walOpDictDelta record immediately before the
 	// next mutation record, so replayed mutations always find their IDs
-	// already registered. Only populated when WALRecordFormat is 2.
+	// already registered. Only populated on WAL-backed trees.
 	dictMu      sync.Mutex
 	dictPending []dictDelta
 
@@ -94,8 +91,8 @@ type Tree struct {
 
 	// MVCC snapshots. versionSeq mints monotonic version numbers and
 	// latestVersionID/latestVersionLSN stamp the most recent snapshot; all
-	// three are guarded by t.mu and persisted in meta v5 so numbers never
-	// repeat across restarts. versions holds the live handles (guarded by
+	// three are guarded by t.mu and persisted in the metadata so numbers
+	// never repeat across restarts. versions holds the live handles (guarded by
 	// vmu — never acquired while holding t.mu is fine, but the reverse
 	// order is forbidden). pins is the extent refcount ledger shared with
 	// checkpoint installs: a live version's extents are parked, not freed.
@@ -109,7 +106,7 @@ type Tree struct {
 	// versionGenPersisted records the generation the last durable metadata
 	// swap captured; both guarded by t.mu. A checkpoint may be skipped as a
 	// no-op only when they are equal — otherwise the meta blob's version
-	// manifests (v8) would go stale and a released version could resurrect
+	// manifests would go stale and a released version could resurrect
 	// (or an unreleased one vanish) on reopen.
 	versionGen          uint64
 	versionGenPersisted uint64
@@ -123,8 +120,8 @@ type Tree struct {
 	qcPool sync.Pool
 
 	// viewer is the store's zero-copy view interface, when it has one
-	// (PagedStore mmap views, MemStore in-memory extents). Clean layout-v3
-	// nodes are then queried in place as flatNodes instead of being decoded
+	// (PagedStore mmap views, MemStore in-memory extents). Clean nodes are
+	// then queried in place as flatNodes instead of being decoded
 	// onto the heap. noZeroCopy turns the flat path off at runtime
 	// (SetZeroCopyReads) — benchmarks compare the two paths on one tree.
 	viewer     storage.ExtentViewer
@@ -222,8 +219,7 @@ func (t *Tree) getNode(id nodeID) (*node, error) {
 	return n, err
 }
 
-// loadNode reads and decodes a node's extent from the store, dispatching
-// on the extent's recorded layout.
+// loadNode reads and decodes a node's extent from the store.
 func (t *Tree) loadNode(id nodeID) (*node, error) {
 	ref, ok := t.table[id]
 	if !ok {
@@ -233,15 +229,12 @@ func (t *Tree) loadNode(id nodeID) (*node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dctree: reading node %d: %w", id, err)
 	}
-	if ref.layout == layoutV3 {
-		return decodeFlatNode(id, payload, t.schema.Dims(), t.schema.Measures())
-	}
-	return decodeNode(id, payload, t.schema.Dims(), t.schema.Measures())
+	return decodeFlatNode(id, payload, t.schema.Dims(), t.schema.Measures())
 }
 
 // getView resolves a node for a read-only descent. Cached (hot or dirty)
-// nodes come back as heap nodes; a clean layout-v3 node whose store can
-// serve zero-copy views comes back as a flatNode over the extent bytes —
+// nodes come back as heap nodes; a clean node whose store can serve
+// zero-copy views comes back as a flatNode over the extent bytes —
 // no decode, no cache insertion (per-visit view construction is index
 // math, and keeping flat reads out of the cache leaves its capacity to the
 // write path). Everything else falls back to the decode path. Caller holds
@@ -253,7 +246,7 @@ func (t *Tree) getView(id nodeID) (nodeView, error) {
 		return nodeView{n: n}, nil
 	}
 	if t.viewer != nil && !t.noZeroCopy.Load() {
-		if ref, ok := t.table[id]; ok && ref.layout == layoutV3 {
+		if ref, ok := t.table[id]; ok {
 			if payload, _, err := t.viewer.ViewExtent(ref.page); err == nil {
 				f, ferr := makeFlatNode(id, payload, t.schema.Dims(), t.schema.Measures())
 				if ferr != nil {
@@ -275,8 +268,8 @@ func (t *Tree) getView(id nodeID) (nodeView, error) {
 
 // SetZeroCopyReads toggles the flat-node read path at runtime (default
 // on). Off, every descent decodes nodes onto the heap through the node
-// cache — the pre-v3 behavior; dcbench -mmap uses the toggle to compare
-// the two paths over the same image.
+// cache; dcbench -mmap uses the toggle to compare the two paths over the
+// same image.
 func (t *Tree) SetZeroCopyReads(enabled bool) { t.noZeroCopy.Store(!enabled) }
 
 // markDirty flags a node for the next Flush.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -110,6 +111,13 @@ func bruteAgg(t testing.TB, s *cube.Schema, recs []cube.Record, q mds.MDS, measu
 	return agg
 }
 
+// rangeAgg is the tests' shorthand for a single-measure Execute on the live
+// tree with a background context.
+func rangeAgg(tree *Tree, q mds.MDS, measure int) (cube.Agg, error) {
+	res, err := tree.Execute(context.Background(), QueryRequest{Query: q, Measure: measure})
+	return res.Agg, err
+}
+
 func aggMatches(got, want cube.Agg) bool {
 	if got.Count != want.Count {
 		return false
@@ -126,7 +134,7 @@ func TestEmptyTree(t *testing.T) {
 		t.Fatalf("empty tree count=%d height=%d", tree.Count(), tree.Height())
 	}
 	q := mds.Top(tree.Schema().Dims())
-	agg, err := tree.RangeAgg(q, 0)
+	agg, err := rangeAgg(tree, q, 0)
 	if err != nil {
 		t.Fatalf("RangeAgg: %v", err)
 	}
@@ -179,7 +187,7 @@ func TestInsertAndExactQueries(t *testing.T) {
 	for _, r := range recs {
 		want.Add(r.Measures[0])
 	}
-	got, err := tree.RangeAgg(mds.Top(3), 0)
+	got, err := rangeAgg(tree, mds.Top(3), 0)
 	if err != nil {
 		t.Fatalf("RangeAgg: %v", err)
 	}
@@ -192,7 +200,7 @@ func TestInsertAndExactQueries(t *testing.T) {
 		sel := []float64{0.01, 0.05, 0.25, 0.6}[i%4]
 		q := randomQuery(rng, s, sel)
 		want := bruteAgg(t, s, recs, q, 0)
-		got, err := tree.RangeAgg(q, 0)
+		got, err := rangeAgg(tree, q, 0)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -200,10 +208,7 @@ func TestInsertAndExactQueries(t *testing.T) {
 			t.Fatalf("query %d mismatch:\n q=%v\n got %+v\nwant %+v", i, q, got, want)
 		}
 		for _, op := range []cube.Op{cube.Sum, cube.Count, cube.Avg, cube.Min, cube.Max} {
-			v, err := tree.RangeQuery(q, op, 0)
-			if err != nil {
-				t.Fatalf("RangeQuery: %v", err)
-			}
+			v := got.Value(op)
 			w := want.Value(op)
 			if math.IsNaN(w) {
 				if !math.IsNaN(v) {
@@ -228,10 +233,11 @@ func TestMaterializedHits(t *testing.T) {
 	}
 	// A whole-cube query must answer from the root's materialized entries
 	// without visiting every node.
-	_, st, err := tree.RangeQueryStats(mds.Top(3), cube.Sum, 0)
+	res, err := tree.Execute(context.Background(), QueryRequest{Query: mds.Top(3), CollectStats: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := res.Stats
 	if st.MaterializedHits == 0 {
 		t.Fatalf("whole-cube query had no materialized hits: %+v", st)
 	}
@@ -249,26 +255,26 @@ func TestMaterializedHits(t *testing.T) {
 		totalNodes += l.Nodes
 	}
 	q := randomQuery(rng, s, 0.5)
-	_, st, err = tree.RangeQueryStats(q, cube.Sum, 0)
+	res, err = tree.Execute(context.Background(), QueryRequest{Query: q, CollectStats: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.NodesVisited >= totalNodes {
+	if res.Stats.NodesVisited >= totalNodes {
 		t.Fatalf("broad query visited all %d nodes", totalNodes)
 	}
 }
 
 func TestQueryValidation(t *testing.T) {
 	tree := newTestTree(t, smallConfig())
-	if _, err := tree.RangeQuery(mds.Top(2), cube.Sum, 0); err == nil {
+	if _, err := rangeAgg(tree, mds.Top(2), 0); err == nil {
 		t.Fatal("wrong-arity query accepted")
 	}
-	if _, err := tree.RangeQuery(mds.Top(3), cube.Sum, 5); err == nil {
+	if _, err := rangeAgg(tree, mds.Top(3), 5); err == nil {
 		t.Fatal("bad measure accepted")
 	}
 	bad := mds.Top(3)
 	bad[0] = mds.DimSet{Level: 0, IDs: nil}
-	if _, err := tree.RangeQuery(bad, cube.Sum, 0); err == nil {
+	if _, err := rangeAgg(tree, bad, 0); err == nil {
 		t.Fatal("empty dim set accepted")
 	}
 }
@@ -314,7 +320,7 @@ func TestSupernodesAppear(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		q := randomQuery(rng, s, 0.3)
 		want := bruteAgg(t, s, recs, q, 0)
-		got, err := tree.RangeAgg(q, 0)
+		got, err := rangeAgg(tree, q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,7 +368,7 @@ func TestDelete(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		q := randomQuery(rng, s, 0.25)
 		want := bruteAgg(t, s, live, q, 0)
-		got, err := tree.RangeAgg(q, 0)
+		got, err := rangeAgg(tree, q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,7 +400,7 @@ func TestDelete(t *testing.T) {
 	if err := tree.Validate(); err != nil {
 		t.Fatalf("Validate drained: %v", err)
 	}
-	agg, _ := tree.RangeAgg(mds.Top(3), 0)
+	agg, _ := rangeAgg(tree, mds.Top(3), 0)
 	if !agg.IsEmpty() {
 		t.Fatalf("drained agg = %+v", agg)
 	}
@@ -432,7 +438,7 @@ func TestInsertDeleteInterleaved(t *testing.T) {
 			}
 			q := randomQuery(rng, s, 0.3)
 			want := bruteAgg(t, s, live, q, 0)
-			got, err := tree.RangeAgg(q, 0)
+			got, err := rangeAgg(tree, q, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -501,12 +507,12 @@ func TestAblationsAgreeWithDefault(t *testing.T) {
 
 	for i := 0; i < 100; i++ {
 		q := randomQuery(rng, s, 0.2)
-		want, err := base.RangeAgg(q, 0)
+		want, err := rangeAgg(base, q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, tree := range map[string]*Tree{"noMaterialize": noMat, "noSupernodes": noSuper} {
-			got, err := tree.RangeAgg(q, 0)
+			got, err := rangeAgg(tree, q, 0)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -516,9 +522,9 @@ func TestAblationsAgreeWithDefault(t *testing.T) {
 		}
 	}
 	// The no-materialization tree must never report materialized hits.
-	_, st, _ := noMat.RangeQueryStats(mds.Top(3), cube.Sum, 0)
-	if st.MaterializedHits != 0 {
-		t.Fatalf("materialization disabled but hits = %d", st.MaterializedHits)
+	res, _ := noMat.Execute(context.Background(), QueryRequest{Query: mds.Top(3), CollectStats: true})
+	if res.Stats.MaterializedHits != 0 {
+		t.Fatalf("materialization disabled but hits = %d", res.Stats.MaterializedHits)
 	}
 }
 
@@ -592,7 +598,7 @@ func TestPersistenceRoundtrip(t *testing.T) {
 			wants := make([]cube.Agg, len(queries))
 			for i := range queries {
 				queries[i] = randomQuery(rng, s, 0.2)
-				w, err := tree.RangeAgg(queries[i], 0)
+				w, err := rangeAgg(tree, queries[i], 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -613,7 +619,7 @@ func TestPersistenceRoundtrip(t *testing.T) {
 			for i, q := range queries {
 				// Queries must be answerable against the reopened tree's
 				// own (decoded) dictionaries: re-resolve by value names.
-				got, err := tree2.RangeAgg(q, 0)
+				got, err := rangeAgg(tree2, q, 0)
 				if err != nil {
 					t.Fatalf("query %d: %v", i, err)
 				}
@@ -667,7 +673,7 @@ func TestEvictCacheAndRefault(t *testing.T) {
 	for _, r := range recs {
 		tree.Insert(r)
 	}
-	want, _ := tree.RangeAgg(mds.Top(3), 0)
+	want, _ := rangeAgg(tree, mds.Top(3), 0)
 
 	if err := tree.Flush(); err != nil {
 		t.Fatal(err)
@@ -677,7 +683,7 @@ func TestEvictCacheAndRefault(t *testing.T) {
 		t.Fatalf("cache not empty after flush+evict: %d", tree.CachedNodes())
 	}
 	store.ResetStats()
-	got, err := tree.RangeAgg(mds.Top(3), 0)
+	got, err := rangeAgg(tree, mds.Top(3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -781,7 +787,7 @@ func BenchmarkRangeQuery(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tree.RangeAgg(queries[i%len(queries)], 0); err != nil {
+		if _, err := rangeAgg(tree, queries[i%len(queries)], 0); err != nil {
 			b.Fatal(err)
 		}
 	}

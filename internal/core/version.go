@@ -238,9 +238,7 @@ func (v *Version) getNode(id nodeID) (*node, error) {
 
 func (v *Version) loadNode(id nodeID) (*node, error) {
 	if payload, ok := v.overlay[id]; ok {
-		// Overlays are always encoded in v2 (snapshotLocked captures dirty
-		// nodes with appendEncode).
-		return decodeNode(id, payload, v.t.schema.Dims(), v.t.schema.Measures())
+		return decodeFlatNode(id, payload, v.t.schema.Dims(), v.t.schema.Measures())
 	}
 	ref, ok := v.table[id]
 	if !ok {
@@ -250,16 +248,13 @@ func (v *Version) loadNode(id nodeID) (*node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dctree: reading node %d of version %d: %w", id, v.id, err)
 	}
-	if ref.layout == layoutV3 {
-		return decodeFlatNode(id, payload, v.t.schema.Dims(), v.t.schema.Measures())
-	}
-	return decodeNode(id, payload, v.t.schema.Dims(), v.t.schema.Measures())
+	return decodeFlatNode(id, payload, v.t.schema.Dims(), v.t.schema.Measures())
 }
 
 // getView resolves a node for a read-only as-of descent: nodes already
-// decoded into the version's private cache (and overlay nodes, which have
-// no extent) come back as heap nodes; clean layout-v3 extents are served
-// as zero-copy flatNode views. The view's lifetime is bounded by the
+// decoded into the version's private cache (and in-memory overlay nodes)
+// come back as heap nodes; extents — a rehydrated version's persisted
+// overlay extents included — are served as zero-copy flatNode views. The view's lifetime is bounded by the
 // query's reference on the version — the pinned extent cannot be freed and
 // rewritten while the version holds its pin, even across checkpoint
 // installs. Version implements nodeSource.
@@ -270,7 +265,7 @@ func (v *Version) getView(id nodeID) (nodeView, error) {
 	}
 	if v.t.viewer != nil && !v.t.noZeroCopy.Load() {
 		if _, inOverlay := v.overlay[id]; !inOverlay {
-			if ref, ok := v.table[id]; ok && ref.layout == layoutV3 {
+			if ref, ok := v.table[id]; ok {
 				if payload, _, err := v.t.viewer.ViewExtent(ref.page); err == nil {
 					f, ferr := makeFlatNode(id, payload, v.t.schema.Dims(), v.t.schema.Measures())
 					if ferr != nil {
@@ -376,7 +371,7 @@ func (t *Tree) snapshotLocked(versionID, lsn uint64) (*Version, error) {
 			}
 			continue // leftover flag with no state behind it
 		}
-		v.overlay[e.id] = n.appendEncode(nil, t.schema.Dims(), t.schema.Measures())
+		v.overlay[e.id] = n.appendEncodeFlat(nil, t.schema.Dims(), t.schema.Measures())
 	}
 
 	// The capture succeeded; only now does the version record enter the

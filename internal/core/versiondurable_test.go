@@ -433,11 +433,11 @@ func TestSnapshotCollisionReleasesDisplaced(t *testing.T) {
 	}
 	var stream []frame
 	for _, r := range recs[:20] {
-		stream = append(stream, frame{next(), encodeWALRecordV2(walOpInsert, r)})
+		stream = append(stream, frame{next(), encodeWALRecord(walOpInsert, r)})
 	}
 	stream = append(stream, frame{next(), encodeVersionRecord(7)})
 	for _, r := range recs[20:] {
-		stream = append(stream, frame{next(), encodeWALRecordV2(walOpInsert, r)})
+		stream = append(stream, frame{next(), encodeWALRecord(walOpInsert, r)})
 	}
 	stream = append(stream, frame{next(), encodeVersionRecord(7)}) // collision
 

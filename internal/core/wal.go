@@ -32,47 +32,30 @@ import (
 // swap and the truncation is safe: the leftover records replay as no-ops
 // filtered by LSN, not as double-applied mutations.
 //
-// Record formats. Dictionary registrations are only durable at checkpoint
-// time, so a replayed record may mention values the reopened dictionaries
-// have never seen. The two formats resolve that differently:
-//
-//   - v1 (WALRecordFormat 1, legacy): every mutation record re-spells the
-//     per-dimension top-down *string* paths; re-interning through
-//     Schema.InternRecord re-registers them exactly as the original insert
-//     did. Robust, but deep hierarchies pay the full path bytes on every
-//     append.
-//   - v2 (WALRecordFormat 2, default): new-value registrations are logged
-//     as separate walOpDictDelta records — framed ahead of the mutation
-//     record that first needs them, inside the same tree-lock critical
-//     section, so the delta's LSN is always lower and a torn tail can
-//     never keep a mutation without its delta. Mutation records then carry
-//     only the interned leaf IDs. Recovery replays deltas into the
-//     reopened dictionaries (idempotently: a fuzzy checkpoint may already
-//     carry a registration whose delta is past the checkpoint LSN) before
-//     re-validating mutations.
-//
-// Decoding dispatches on the op byte, so logs freely mix formats and a
-// tree can reopen logs written by either setting (cross-version recovery).
+// Records and dictionaries. Dictionary registrations are only durable at
+// checkpoint time, so a replayed record may mention values the reopened
+// dictionaries have never seen. New-value registrations are therefore
+// logged as separate walOpDictDelta records — framed ahead of the mutation
+// record that first needs them, inside the same tree-lock critical section,
+// so the delta's LSN is always lower and a torn tail can never keep a
+// mutation without its delta. Mutation records then carry only the interned
+// leaf IDs. Recovery replays deltas into the reopened dictionaries
+// (idempotently: a fuzzy checkpoint may already carry a registration whose
+// delta is past the checkpoint LSN) before re-validating mutations.
 
-// walOp discriminates logical WAL records.
+// walOp discriminates logical WAL records. Ops 1 and 2 were the retired
+// mutation records that re-spelled string paths; a log holding one is
+// refused with ErrUnsupportedFormat.
 const (
-	walOpInsert    byte = 1 // v1 insert: string paths
-	walOpDelete    byte = 2 // v1 delete: string paths
 	walOpDictDelta byte = 3 // dictionary registration delta batch
-	walOpInsertV2  byte = 4 // v2 insert: interned leaf IDs
-	walOpDeleteV2  byte = 5 // v2 delete: interned leaf IDs
+	walOpInsert    byte = 4 // insert: interned leaf IDs
+	walOpDelete    byte = 5 // delete: interned leaf IDs
 	walOpVersion   byte = 6 // MVCC snapshot marker: version ID at this LSN
 	// walOpVersionRelease marks a version's release at this LSN. Recovery
 	// and replicas release the named version if it is live; without the
 	// record, a version released after the last checkpoint would rehydrate
-	// from the checkpoint's manifest (meta v8) and resurrect on reopen.
+	// from the checkpoint's manifest and resurrect on reopen.
 	walOpVersionRelease byte = 7
-)
-
-// Config.WALRecordFormat values.
-const (
-	walFormatPaths = 1 // legacy full string paths
-	walFormatIDs   = 2 // dictionary deltas + interned IDs
 )
 
 // dictDelta is one observed dictionary registration awaiting its WAL
@@ -371,63 +354,11 @@ func (ws *walState) shutdown() error {
 // ErrClosed is returned by operations on a closed tree.
 var ErrClosed = errors.New("dctree: tree is closed")
 
-// encodeWALRecord serializes one logical mutation in the tree's configured
-// record format.
-func (t *Tree) encodeWALRecord(op byte, rec cube.Record) ([]byte, error) {
-	if t.cfg.WALRecordFormat == walFormatIDs {
-		return encodeWALRecordV2(op, rec), nil
-	}
-	return t.encodeWALRecordV1(op, rec)
-}
-
-// encodeWALRecordV1 serializes one logical mutation in the legacy format:
-// op byte, measures, then per dimension the top-down path of value names
-// (length-prefixed each, so names may contain any byte).
-func (t *Tree) encodeWALRecordV1(op byte, rec cube.Record) ([]byte, error) {
-	buf := []byte{op}
-	buf = binary.AppendUvarint(buf, uint64(len(rec.Measures)))
-	for _, m := range rec.Measures {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m))
-	}
-	space := t.space()
-	buf = binary.AppendUvarint(buf, uint64(len(space)))
-	for d, h := range space {
-		depth := h.Depth()
-		names := make([]string, depth)
-		cur := rec.Coords[d]
-		for l := 0; l < depth; l++ {
-			name, err := h.ValueName(cur)
-			if err != nil {
-				return nil, err
-			}
-			names[l] = name
-			if l+1 < depth {
-				cur, err = h.Parent(cur)
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-		buf = binary.AppendUvarint(buf, uint64(depth))
-		for l := depth - 1; l >= 0; l-- { // top-down
-			buf = binary.AppendUvarint(buf, uint64(len(names[l])))
-			buf = append(buf, names[l]...)
-		}
-	}
-	return buf, nil
-}
-
-// encodeWALRecordV2 serializes one logical mutation in the compact format:
-// op byte, measures, then one interned leaf ID per dimension. The IDs are
-// meaningful because every registration they depend on is either in the
-// last checkpoint's dictionaries or in a walOpDictDelta record with a
-// lower LSN.
-func encodeWALRecordV2(op byte, rec cube.Record) []byte {
-	if op == walOpInsert {
-		op = walOpInsertV2
-	} else {
-		op = walOpDeleteV2
-	}
+// encodeWALRecord serializes one logical mutation: op byte, measures, then
+// one interned leaf ID per dimension. The IDs are meaningful because every
+// registration they depend on is either in the last checkpoint's
+// dictionaries or in a walOpDictDelta record with a lower LSN.
+func encodeWALRecord(op byte, rec cube.Record) []byte {
 	buf := make([]byte, 0, 4+9*len(rec.Measures)+5*len(rec.Coords))
 	buf = append(buf, op)
 	buf = binary.AppendUvarint(buf, uint64(len(rec.Measures)))
@@ -495,30 +426,19 @@ func applyDictDelta(schema *cube.Schema, payload []byte) error {
 	return nil
 }
 
-// decodeWALRecord parses a logical mutation record of either format,
-// returning the canonical v1 op. v1 records re-intern through the schema
-// (re-registering any dictionary values the checkpoint predates); v2
-// records resolve their IDs against dictionaries that the checkpoint plus
-// the preceding dict deltas have already rebuilt.
+// decodeWALRecord parses a logical mutation record, returning its op
+// (walOpInsert or walOpDelete). The IDs resolve against dictionaries that
+// the checkpoint plus the preceding dict deltas have already rebuilt.
 func decodeWALRecord(schema *cube.Schema, payload []byte) (byte, cube.Record, error) {
-	if len(payload) < 1 {
-		return 0, cube.Record{}, fmt.Errorf("%w: empty wal record", ErrCorrupt)
-	}
-	switch payload[0] {
-	case walOpInsert, walOpDelete:
-		return decodeWALRecordV1(schema, payload)
-	case walOpInsertV2, walOpDeleteV2:
-		return decodeWALRecordV2(schema, payload)
-	default:
-		return 0, cube.Record{}, fmt.Errorf("%w: wal record op %d", ErrCorrupt, payload[0])
-	}
-}
-
-func decodeWALRecordV2(schema *cube.Schema, payload []byte) (byte, cube.Record, error) {
 	r := metaReader{buf: payload}
-	op := walOpInsert
-	if r.byte() == walOpDeleteV2 {
-		op = walOpDelete
+	op := r.byte()
+	switch {
+	case r.err != nil:
+		return 0, cube.Record{}, fmt.Errorf("%w: empty wal record", ErrCorrupt)
+	case op == 1 || op == 2:
+		return 0, cube.Record{}, fmt.Errorf("%w: wal record op %d (string-path mutation record)", ErrUnsupportedFormat, op)
+	case op != walOpInsert && op != walOpDelete:
+		return 0, cube.Record{}, fmt.Errorf("%w: wal record op %d", ErrCorrupt, op)
 	}
 	nm := int(r.uvarint())
 	if r.err != nil || nm != schema.Measures() {
@@ -549,43 +469,6 @@ func decodeWALRecordV2(schema *cube.Schema, payload []byte) (byte, cube.Record, 
 	// means the log lost a delta — corruption, not a recoverable state.
 	if err := schema.ValidateRecord(rec); err != nil {
 		return 0, cube.Record{}, fmt.Errorf("%w: wal record ids: %v", ErrCorrupt, err)
-	}
-	return op, rec, nil
-}
-
-func decodeWALRecordV1(schema *cube.Schema, payload []byte) (byte, cube.Record, error) {
-	r := metaReader{buf: payload}
-	op := r.byte()
-	nm := int(r.uvarint())
-	if r.err != nil || nm != schema.Measures() {
-		return 0, cube.Record{}, fmt.Errorf("%w: wal record measures", ErrCorrupt)
-	}
-	measures := make([]float64, nm)
-	for j := range measures {
-		measures[j] = r.float64()
-	}
-	nd := int(r.uvarint())
-	if r.err != nil || nd != schema.Dims() {
-		return 0, cube.Record{}, fmt.Errorf("%w: wal record dims", ErrCorrupt)
-	}
-	paths := make([][]string, nd)
-	for d := range paths {
-		depth := int(r.uvarint())
-		if r.err != nil || depth < 1 || depth > 64 {
-			return 0, cube.Record{}, fmt.Errorf("%w: wal record dim %d depth", ErrCorrupt, d)
-		}
-		path := make([]string, depth)
-		for l := range path {
-			path[l] = r.string()
-		}
-		paths[d] = path
-	}
-	if r.err != nil {
-		return 0, cube.Record{}, fmt.Errorf("%w: wal record: %v", ErrCorrupt, r.err)
-	}
-	rec, err := schema.InternRecord(paths, measures)
-	if err != nil {
-		return 0, cube.Record{}, fmt.Errorf("%w: wal record intern: %v", ErrCorrupt, err)
 	}
 	return op, rec, nil
 }
@@ -631,15 +514,11 @@ func decodeVersionReleaseRecord(payload []byte) (uint64, error) {
 }
 
 // installDictHooks arms the per-dimension registration hooks that feed
-// dictionary deltas into dictPending. Called once a durable tree's record
-// format is known to be v2 — AFTER the initial checkpoint (NewDurable) or
-// recovery (OpenDurable), whose own registrations need no deltas: the
-// former persists the dictionaries in meta, the latter's source records
-// stay in the log until a checkpoint supersedes them.
+// dictionary deltas into dictPending. Called AFTER the initial checkpoint
+// (NewDurable) or recovery (OpenDurable), whose own registrations need no
+// deltas: the former persists the dictionaries in meta, the latter's source
+// records stay in the log until a checkpoint supersedes them.
 func (t *Tree) installDictHooks() {
-	if t.cfg.WALRecordFormat != walFormatIDs {
-		return
-	}
 	for d := 0; d < t.schema.Dims(); d++ {
 		h, err := t.schema.Dim(d)
 		if err != nil {
@@ -654,9 +533,9 @@ func (t *Tree) installDictHooks() {
 	}
 }
 
-// logMutation appends the logical record for an applied mutation — preceded,
-// in v2 format, by a dict delta record for any registrations observed since
-// the last mutation. Called under the tree write lock, after the in-memory
+// logMutation appends the logical record for an applied mutation — preceded
+// by a dict delta record for any registrations observed since the last
+// mutation. Called under the tree write lock, after the in-memory
 // mutation succeeded, so the delta's LSN is strictly below the mutation's
 // and no later mutation can slip between them. Returns the LSN to wait on
 // (0 when the tree has no WAL).
@@ -664,23 +543,17 @@ func (t *Tree) logMutation(op byte, rec cube.Record) (uint64, error) {
 	if t.wal == nil {
 		return 0, nil
 	}
-	if t.cfg.WALRecordFormat == walFormatIDs {
-		t.dictMu.Lock()
-		deltas := t.dictPending
-		t.dictPending = nil
-		t.dictMu.Unlock()
-		if len(deltas) > 0 {
-			if _, err := t.wal.append(encodeDictDelta(deltas)); err != nil {
-				return 0, err
-			}
-			t.metrics.walDictDeltas.Add(int64(len(deltas)))
+	t.dictMu.Lock()
+	deltas := t.dictPending
+	t.dictPending = nil
+	t.dictMu.Unlock()
+	if len(deltas) > 0 {
+		if _, err := t.wal.append(encodeDictDelta(deltas)); err != nil {
+			return 0, err
 		}
+		t.metrics.walDictDeltas.Add(int64(len(deltas)))
 	}
-	payload, err := t.encodeWALRecord(op, rec)
-	if err != nil {
-		return 0, err
-	}
-	return t.wal.append(payload)
+	return t.wal.append(encodeWALRecord(op, rec))
 }
 
 // waitDurable blocks until the given LSN is durable. No-op for trees
@@ -807,7 +680,7 @@ func (t *Tree) recoverFrom(w *storage.WAL) error {
 			// (checkpoint plus the replayed prefix), so re-capturing here
 			// reconstructs the version with its original contents. Versions
 			// whose record the checkpoint superseded were rehydrated from the
-			// checkpoint's manifests (meta v8) before replay started — the
+			// checkpoint's manifests before replay started — the
 			// LSN filter above keeps the two sources disjoint.
 			id, err := decodeVersionRecord(payload)
 			if err != nil {
@@ -860,7 +733,7 @@ func (t *Tree) Close() error {
 		t.cp = nil
 	}
 	// Live versions are NOT released here: the final checkpoint persists
-	// their overlays and manifests (meta v8), so they survive the restart
+	// their overlays and manifests, so they survive the restart
 	// and rehydrate on the next open. Release or prune explicitly to let
 	// their extents go.
 	err := t.Flush()

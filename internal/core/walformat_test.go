@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -12,9 +15,9 @@ import (
 	"github.com/dcindex/dctree/internal/storage"
 )
 
-// Tests for WAL record format v2 (dictionary deltas + interned IDs), the
-// cross-version decode path, and the satellite bug regressions in the same
-// layer.
+// Tests for the WAL record format (dictionary deltas + interned IDs), the
+// rejection of every retired format generation, and the decoder hardening
+// regressions in the same layer.
 
 // newDurableOnDisk creates a WAL-backed tree on real files and returns it
 // with its paths (so tests can snapshot crash images).
@@ -51,17 +54,14 @@ func recoverImage(t *testing.T, cfg Config, storePath, walPrefix, dir string) *T
 	return ctree
 }
 
-// TestV2FormatCrashRecovery: the default (v2) format survives a crash with
-// NO checkpoint after the inserts — every dictionary registration must come
+// TestV2FormatCrashRecovery: the log survives a crash with NO checkpoint
+// after the inserts — every dictionary registration must come
 // back from the logged deltas alone, and the ID-only mutation records must
 // resolve against them.
 func TestV2FormatCrashRecovery(t *testing.T) {
 	cfg := smallConfig()
 	tree, _, storePath, walPrefix := newDurableOnDisk(t, cfg)
 	defer tree.Close()
-	if tree.cfg.WALRecordFormat != walFormatIDs {
-		t.Fatalf("default WALRecordFormat = %d, want %d", tree.cfg.WALRecordFormat, walFormatIDs)
-	}
 	rng := rand.New(rand.NewSource(21))
 	recs := genRecords(t, tree.Schema(), rng, 120)
 	for _, r := range recs {
@@ -122,79 +122,185 @@ func TestV2DictDeltaCheckpointOverlap(t *testing.T) {
 	verifyAgainstOracle(t, ctree, append(append([]cube.Record{}, recs...), late), 30, 6)
 }
 
-// TestCrossVersionV1LogRecovery: a log written entirely in the legacy
-// string-path format (what the previous build produced) must still recover
-// to seqscan-oracle equality under the current build.
-func TestCrossVersionV1LogRecovery(t *testing.T) {
-	cfg := smallConfig()
-	cfg.WALRecordFormat = walFormatPaths
-	tree, _, storePath, walPrefix := newDurableOnDisk(t, cfg)
-	defer tree.Close()
-	rng := rand.New(rand.NewSource(33))
-	recs := genRecords(t, tree.Schema(), rng, 100)
-	for _, r := range recs {
+// flushedMetaBlob returns the metadata blob of a 30-record tree with no
+// live version. The tree is flushed first so the translation table is
+// populated (extents are assigned lazily) — decodeMeta rejects a root
+// without an extent.
+func flushedMetaBlob(t testing.TB) []byte {
+	t.Helper()
+	tree := newTestTree(t, smallConfig())
+	for _, r := range genRecords(t, tree.Schema(), rand.New(rand.NewSource(3)), 30) {
 		if err := tree.Insert(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	live := recs
-	for i := 0; i < 10; i++ {
-		if err := tree.Delete(live[0]); err != nil {
-			t.Fatal(err)
-		}
-		live = live[1:]
+	if err := tree.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	if n := tree.Metrics().WALDictDeltas; n != 0 {
-		t.Fatalf("v1 format logged %d dict deltas, want 0", n)
+	tree.mu.Lock()
+	blob, err := tree.encodeMeta(tree.metaSnapshotLocked())
+	tree.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	ctree := recoverImage(t, cfg, storePath, walPrefix, filepath.Join(t.TempDir(), "img"))
-	if got := ctree.Config().WALRecordFormat; got != walFormatPaths {
-		t.Fatalf("recovered tree format = %d, want persisted %d", got, walFormatPaths)
-	}
-	if n := ctree.Metrics().RecoveryReplayedRecords; n != int64(len(recs)+10) {
-		t.Fatalf("replayed %d records, want %d", n, len(recs)+10)
-	}
-	verifyAgainstOracle(t, ctree, live, 30, 34)
+	return blob
 }
 
-// TestMixedFormatLogRecovery: v1 and v2 records interleaved in one log (a
-// build upgrade mid-log) replay correctly — decode dispatches per record.
-func TestMixedFormatLogRecovery(t *testing.T) {
-	cfg := smallConfig()
-	tree, _, storePath, walPrefix := newDurableOnDisk(t, cfg)
-	defer tree.Close()
-	rng := rand.New(rand.NewSource(44))
-	recs := genRecords(t, tree.Schema(), rng, 60) // v2 records
-	for _, r := range recs {
-		if err := tree.Insert(r); err != nil {
-			t.Fatal(err)
+// retiredMetaBlobs derives, from a valid metadata blob, one blob per
+// retired generation the decoder must refuse: the seven old magics, a
+// record-format slot of 1, and a table entry whose node-layout word is 2.
+func retiredMetaBlobs(t testing.TB) map[string][]byte {
+	t.Helper()
+	blob := flushedMetaBlob(t)
+	patched := func(off int, b byte) []byte {
+		c := append([]byte(nil), blob...)
+		c[off] = b
+		return c
+	}
+	out := make(map[string][]byte)
+	for v := byte('1'); v <= '7'; v++ {
+		out["meta magic DCMETA0"+string(v)] = patched(len(metaMagic)-1, v)
+	}
+	// The record-format slot follows the config words: walk them.
+	r := metaReader{buf: blob, off: len(metaMagic)}
+	r.uvarint()
+	r.uvarint()
+	r.uvarint()
+	r.float64()
+	r.float64()
+	r.uvarint()
+	r.varint()
+	r.byte()
+	r.varint()
+	r.uvarint()
+	r.varint()
+	r.uvarint()
+	if r.err != nil || blob[r.off] != metaRecordFormat {
+		t.Fatalf("record-format slot not found at %d (err %v)", r.off, r.err)
+	}
+	out["meta record-format slot 1"] = patched(r.off, 1)
+	// With no versions and no parked frees the blob ends "…layout 0 0": the
+	// last table entry's layout word is the third byte from the end.
+	if blob[len(blob)-3] != metaFlatLayout {
+		t.Fatalf("layout word not found at the blob tail: % x", blob[len(blob)-4:])
+	}
+	out["meta layout word 2"] = patched(len(blob)-3, 2)
+	return out
+}
+
+// retiredWALRecords returns a string-path mutation record (ops 1 and 2) as
+// the retired encoder framed it: op, measures, then per dimension the
+// top-down value names.
+func retiredWALRecords() map[string][]byte {
+	body := binary.AppendUvarint(nil, 1)
+	body = binary.LittleEndian.AppendUint64(body, math.Float64bits(7))
+	body = binary.AppendUvarint(body, 3)
+	for _, path := range [][]string{{"R", "N", "C"}, {"B", "P"}, {"Y", "M"}} {
+		body = binary.AppendUvarint(body, uint64(len(path)))
+		for _, name := range path {
+			body = binary.AppendUvarint(body, uint64(len(name)))
+			body = append(body, name...)
 		}
 	}
-	// Splice a legacy-format record into the same log, the way a not-yet-
-	// upgraded writer would have: full string paths, no delta dependency.
-	legacy, err := tree.Schema().InternRecord([][]string{
-		{"R-v1", "N-v1", "C-v1"}, {"B-v1", "P-v1"}, {"Y-v1", "M-v1"},
-	}, []float64{7})
-	if err != nil {
-		t.Fatal(err)
+	return map[string][]byte{
+		"wal op 1": append([]byte{1}, body...),
+		"wal op 2": append([]byte{2}, body...),
 	}
-	payload, err := tree.encodeWALRecordV1(walOpInsert, legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lsn, err := tree.wal.append(payload)
-	if err == nil {
-		err = tree.wal.waitDurable(lsn)
-	}
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestUnsupportedFormats: every retired generation the engine recognises —
+// metadata magics DCMETA01–07, record-format slot 1, node-layout word 2,
+// WAL segment header DCWAL001, WAL mutation ops 1 and 2 — is refused with
+// ErrUnsupportedFormat at every entry point that could meet it: no panic,
+// no partially opened tree, and no file discarded. (DCSTORE1 is the storage
+// layer's case, beside its checksum tests.)
+func TestUnsupportedFormats(t *testing.T) {
+	cfg := smallConfig()
+	for name, blob := range retiredMetaBlobs(t) {
+		if _, err := decodeMeta(blob); !errors.Is(err, ErrUnsupportedFormat) {
+			t.Errorf("%s: decodeMeta: %v, want ErrUnsupportedFormat", name, err)
+		}
+		st := storage.NewMemStore(cfg.BlockSize)
+		if err := st.SetMeta(blob); err != nil {
+			t.Fatal(err)
+		}
+		if tree, err := Open(st); !errors.Is(err, ErrUnsupportedFormat) || tree != nil {
+			t.Errorf("%s: Open: tree %v, err %v, want nil and ErrUnsupportedFormat", name, tree != nil, err)
+		}
+		if tree, err := OpenReplica(st); !errors.Is(err, ErrUnsupportedFormat) || tree != nil {
+			t.Errorf("%s: OpenReplica: tree %v, err %v, want nil and ErrUnsupportedFormat", name, tree != nil, err)
+		}
 	}
 
-	// The live tree never applied the spliced record, so only the crash
-	// image sees it: recovery must surface exactly recs + legacy.
-	ctree := recoverImage(t, cfg, storePath, walPrefix, filepath.Join(t.TempDir(), "img"))
-	verifyAgainstOracle(t, ctree, append(append([]cube.Record{}, recs...), legacy), 30, 45)
+	for name, payload := range retiredWALRecords() {
+		if _, _, err := decodeWALRecord(testSchema(t), payload); !errors.Is(err, ErrUnsupportedFormat) {
+			t.Errorf("%s: decodeWALRecord: %v, want ErrUnsupportedFormat", name, err)
+		}
+		// Replication: a replica refuses the record and stays where it was.
+		replica, err := NewReplica(storage.NewMemStore(cfg.BlockSize), testSchema(t), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := replica.ApplyReplicated(0, 1, payload); !errors.Is(err, ErrUnsupportedFormat) {
+			t.Errorf("%s: ApplyReplicated: %v, want ErrUnsupportedFormat", name, err)
+		}
+		if replica.AppliedLSN() != 0 || replica.Count() != 0 {
+			t.Errorf("%s: refused record moved the replica (applied %d, count %d)", name, replica.AppliedLSN(), replica.Count())
+		}
+		// Recovery: the record sits in the log tail of a crash image.
+		tree, _, storePath, walPrefix := newDurableOnDisk(t, cfg)
+		lsn, err := tree.wal.append(payload)
+		if err == nil {
+			err = tree.wal.waitDurable(lsn)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireRecoveryRefused(t, name, cfg, storePath, walPrefix, nil)
+		tree.Close()
+	}
+
+	// A log whose (final, record-free) segment carries the epoch-less header:
+	// recovery must refuse it, not mistake it for a torn creation and drop it.
+	tree, _, storePath, walPrefix := newDurableOnDisk(t, cfg)
+	defer tree.Close()
+	requireRecoveryRefused(t, "wal header DCWAL001", cfg, storePath, walPrefix, func(imgPrefix string) {
+		segs, err := storage.ListSegments(imgPrefix)
+		if err != nil || len(segs) != 1 {
+			t.Fatalf("ListSegments: %v, %d segments", err, len(segs))
+		}
+		f, err := os.OpenFile(segs[0].Path, os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteAt([]byte("DCWAL001"), 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// requireRecoveryRefused copies the crash image of a durable tree, lets
+// damage rewrite the copy's log, and asserts that recovery of the copy is
+// refused with ErrUnsupportedFormat and leaves every log file in place.
+func requireRecoveryRefused(t *testing.T, name string, cfg Config, storePath, walPrefix string, damage func(imgPrefix string)) {
+	t.Helper()
+	imgStore, imgPrefix := copyCrashImage(t, storePath, walPrefix, filepath.Join(t.TempDir(), "img"))
+	if damage != nil {
+		damage(imgPrefix)
+	}
+	before, _ := filepath.Glob(imgPrefix + ".*.wal")
+	cst, err := storage.OpenPagedStore(imgStore, cfg.BlockSize, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cst.Close()
+	if ctree, err := OpenDurable(cst, imgPrefix); !errors.Is(err, ErrUnsupportedFormat) || ctree != nil {
+		t.Errorf("%s: OpenDurable: tree %v, err %v, want nil and ErrUnsupportedFormat", name, ctree != nil, err)
+	}
+	if after, _ := filepath.Glob(imgPrefix + ".*.wal"); len(after) != len(before) {
+		t.Errorf("%s: refused recovery changed the log files: %v -> %v", name, before, after)
+	}
 }
 
 // TestMetaReaderStringNegativeLength is the satellite #1 regression: a
@@ -214,25 +320,7 @@ func TestMetaReaderStringNegativeLength(t *testing.T) {
 // a hostile table length must fail closed with ErrCorrupt — never panic,
 // never over-allocate.
 func TestDecodeMetaCorruptInputs(t *testing.T) {
-	cfg := smallConfig()
-	tree := newTestTree(t, cfg)
-	recs := genRecords(t, tree.Schema(), rand.New(rand.NewSource(3)), 30)
-	for _, r := range recs {
-		if err := tree.Insert(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Flush so the translation table is populated (extents are assigned
-	// lazily) — decodeMeta rejects a root without an extent.
-	if err := tree.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	tree.mu.Lock()
-	blob, err := tree.encodeMeta(tree.metaSnapshotLocked())
-	tree.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := flushedMetaBlob(t)
 	if _, err := decodeMeta(blob); err != nil {
 		t.Fatalf("valid blob rejected: %v", err)
 	}

@@ -35,7 +35,7 @@ func newPagedTree(t *testing.T, cfg Config, n int) (*Tree, *storage.PagedStore, 
 	return tree, st, recs, rng
 }
 
-// TestZeroCopyQueryEquivalence: on a flushed layout-v3 image, every query —
+// TestZeroCopyQueryEquivalence: on a flushed image, every query —
 // serial, all-measures, and parallel — returns identical answers with the
 // flat view path on and off, and the flat path actually serves reads.
 func TestZeroCopyQueryEquivalence(t *testing.T) {
@@ -117,118 +117,34 @@ func TestZeroCopyScanEquivalence(t *testing.T) {
 	}
 }
 
-// TestLayoutV2Upgrade: an image written with the legacy varint layout
-// opens and answers queries (via the decode path), and its extents upgrade
-// to the flat layout as checkpoints rewrite them.
-func TestLayoutV2Upgrade(t *testing.T) {
-	cfg := smallConfig()
-	cfg.NodeLayout = 2
-	path := filepath.Join(t.TempDir(), "index.dc")
-	st, err := storage.OpenPagedStore(path, cfg.BlockSize, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := testSchema(t)
-	tree, err := New(st, s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(43))
-	recs := genRecords(t, s, rng, 400)
-	for _, r := range recs {
-		if err := tree.Insert(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q := randomQuery(rng, s, 0.4)
-	want, err := tree.RangeAgg(q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if rep := tree.VerifyExtents(); rep.LayoutV3 != 0 || rep.LayoutV2 != rep.Extents {
-		t.Fatalf("v2 image layout census: %+v", rep)
-	}
-	if err := tree.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen with the default config: reads must keep working through the
-	// decode path, with zero flat reads.
-	st2, err := storage.OpenPagedStore(path, cfg.BlockSize, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	tree2, err := Open(st2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tree2.Close()
-	got, err := tree2.RangeAgg(q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !aggMatches(got, want) {
-		t.Fatalf("reopened v2 image: %+v, want %+v", got, want)
-	}
-	if m := tree2.Metrics(); m.FlatNodeReads != 0 {
-		t.Fatalf("flat reads served from a v2 image: %+v", m)
-	}
-
-	// Delete+reinsert every record dirties each leaf's root path, so the
-	// next checkpoint rewrites (and thereby upgrades) those extents.
-	for _, r := range recs {
-		if err := tree2.Delete(r); err != nil {
-			t.Fatal(err)
-		}
-		if err := tree2.Insert(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tree2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rep := tree2.VerifyExtentsOpts(VerifyOpts{Mmap: true})
-	if !rep.OK() {
-		t.Fatalf("verify after upgrade: %+v", rep.Errors)
-	}
-	if rep.LayoutV3 == 0 {
-		t.Fatalf("no extents upgraded to the flat layout: %+v", rep)
-	}
-	tree2.EvictCache()
-	got, err = tree2.RangeAgg(q, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !aggMatches(got, want) {
-		t.Fatalf("after upgrade: %+v, want %+v", got, want)
-	}
-	if m := tree2.Metrics(); m.FlatNodeReads == 0 {
-		t.Fatalf("upgraded image served no flat reads: %+v", m)
-	}
-}
-
 // TestSnapshotFlatViewsSurviveChurn: as-of queries over flat views run
 // lock-free while writers grow and checkpoint the tree — remaps happen
 // mid-descent and checkpoint installs land while extents are mapped and
 // pinned. Run with -race this doubles as the memory-safety stress.
+//
+// The snapshot is taken with dirty nodes, so it carries an overlay the
+// checkpoints persist; after a reopen the rehydrated version must answer
+// the same and read every node — the persisted overlay extents included —
+// as a flat view, never through the decode path.
 func TestSnapshotFlatViewsSurviveChurn(t *testing.T) {
 	cfg := smallConfig()
-	tree, _, _, rng := newPagedTree(t, cfg, 600)
+	tree, st, _, rng := newPagedTree(t, cfg, 600)
 	if err := tree.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	s := tree.Schema()
+	for _, r := range genRecords(t, s, rng, 40) {
+		if err := tree.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	snap, err := tree.Snapshot()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if info := tree.Versions(); len(info) != 1 || info[0].Overlay == 0 {
+		t.Fatalf("snapshot captured no overlay: %+v", info)
 	}
 	wantCount := snap.Count()
 	q := randomQuery(rng, s, 0.5)
@@ -291,10 +207,42 @@ func TestSnapshotFlatViewsSurviveChurn(t *testing.T) {
 	if werr != nil {
 		t.Fatalf("writer: %v", werr)
 	}
-	if err := snap.Release(); err != nil {
+	if err := tree.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tree.Validate(); err != nil {
+
+	// Close checkpoints the version's manifest; the reopened handle has no
+	// in-memory overlay, only extents.
+	if err := tree.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	rsnap, ok := reopened.VersionByID(snap.ID())
+	if !ok {
+		t.Fatalf("version %d not rehydrated", snap.ID())
+	}
+	before := reopened.Metrics()
+	got, err := reopened.Execute(context.Background(), QueryRequest{Query: q, AsOf: rsnap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Agg != want.Agg {
+		t.Fatalf("rehydrated as-of answer %+v, want %+v", got.Agg, want.Agg)
+	}
+	var n int64
+	if err := rsnap.Scan(func(cube.Record) bool { n++; return true }); err != nil || n != wantCount {
+		t.Fatalf("rehydrated as-of scan: %d records, err %v, want %d", n, err, wantCount)
+	}
+	after := reopened.Metrics()
+	if after.FlatNodeReads == before.FlatNodeReads || after.DecodeFallbacks != before.DecodeFallbacks {
+		t.Fatalf("rehydrated version read %d flat nodes and fell back to decode %d times, want > 0 and 0",
+			after.FlatNodeReads-before.FlatNodeReads, after.DecodeFallbacks-before.DecodeFallbacks)
+	}
+	if err := rsnap.Release(); err != nil {
 		t.Fatal(err)
 	}
 }

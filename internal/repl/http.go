@@ -53,15 +53,12 @@ func (s *Server) Handler() http.Handler {
 }
 
 // segmentJSON is one listing entry on the wire (Path stays server-side).
-// Epoch and HeaderSize are absent (zero) when the server predates
-// fencing; the client then assumes a v1 header and epoch 0.
 type segmentJSON struct {
-	Index      uint64 `json:"index"`
-	FirstLSN   uint64 `json:"firstLSN"`
-	Size       int64  `json:"size"`
-	Sealed     bool   `json:"sealed"`
-	Epoch      uint64 `json:"epoch,omitempty"`
-	HeaderSize int64  `json:"headerSize,omitempty"`
+	Index    uint64 `json:"index"`
+	FirstLSN uint64 `json:"firstLSN"`
+	Size     int64  `json:"size"`
+	Sealed   bool   `json:"sealed"`
+	Epoch    uint64 `json:"epoch,omitempty"`
 }
 
 // listingJSON is the /segments response body.
@@ -101,7 +98,7 @@ func (s *Server) handleSegments(w http.ResponseWriter, r *http.Request) {
 	for _, seg := range segs {
 		out.Segments = append(out.Segments, segmentJSON{
 			Index: seg.Index, FirstLSN: seg.FirstLSN, Size: seg.Size, Sealed: seg.Sealed,
-			Epoch: seg.Epoch, HeaderSize: seg.HeaderSize,
+			Epoch: seg.Epoch,
 		})
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -239,13 +236,9 @@ func (s *HTTPSource) Segments() ([]storage.WALSegmentInfo, error) {
 	s.tip.Store(out.Tip)
 	segs := make([]storage.WALSegmentInfo, 0, len(out.Segments))
 	for _, e := range out.Segments {
-		hs := e.HeaderSize
-		if hs == 0 {
-			hs = storage.SegmentHeaderSize // pre-fencing server: v1 headers
-		}
 		segs = append(segs, storage.WALSegmentInfo{
 			Index: e.Index, FirstLSN: e.FirstLSN, Size: e.Size, Sealed: e.Sealed,
-			Epoch: e.Epoch, HeaderSize: hs,
+			Epoch: e.Epoch,
 		})
 	}
 	return segs, nil

@@ -37,7 +37,6 @@ type mirrorSeg struct {
 	firstLSN uint64
 	size     int64 // bytes on disk including the segment header
 	epoch    uint64
-	hdrSize  int64 // header length (v1: 24 bytes, v2: 32)
 }
 
 // openMirror scans prefix for mirrored segments, validates the mirror
@@ -54,17 +53,17 @@ func openMirror(prefix string) (*mirror, error) {
 		if err != nil {
 			return nil, err
 		}
-		if int64(len(data)) < s.HeaderSize {
+		if len(data) < storage.SegmentHeaderSize {
 			return nil, fmt.Errorf("%w: %s shorter than its header", ErrMirrorCorrupt, s.Path)
 		}
-		body := data[s.HeaderSize:]
+		body := data[storage.SegmentHeaderSize:]
 		frames, validLen := storage.ValidFramePrefix(body)
 		last := i == len(segs)-1
 		if int64(len(body)) > validLen {
 			if !last {
 				return nil, fmt.Errorf("%w: sealed segment %s has a torn tail", ErrMirrorCorrupt, s.Path)
 			}
-			if err := os.Truncate(s.Path, s.HeaderSize+validLen); err != nil {
+			if err := os.Truncate(s.Path, storage.SegmentHeaderSize+validLen); err != nil {
 				return nil, err
 			}
 		}
@@ -75,8 +74,8 @@ func openMirror(prefix string) (*mirror, error) {
 		}
 		m.next += uint64(frames)
 		m.segs = append(m.segs, mirrorSeg{
-			index: s.Index, firstLSN: s.FirstLSN, size: s.HeaderSize + validLen,
-			epoch: s.Epoch, hdrSize: s.HeaderSize,
+			index: s.Index, firstLSN: s.FirstLSN, size: storage.SegmentHeaderSize + validLen,
+			epoch: s.Epoch,
 		})
 	}
 	if n := len(m.segs); n > 0 {
@@ -125,7 +124,7 @@ func (m *mirror) sizeOf(index uint64) (int64, bool) {
 
 // beginSegment seals the current segment (fsync + close) and starts a new
 // mirrored segment file with the given identity, reproducing the source's
-// exact header bytes (format version, fencing epoch) so the mirror stays
+// exact header bytes (fencing epoch included) so the mirror stays
 // byte-identical to the source log. On a non-empty mirror the new
 // segment's firstLSN must continue the sequence exactly.
 func (m *mirror) beginSegment(hdr storage.SegmentHeader) error {
@@ -163,7 +162,7 @@ func (m *mirror) beginSegment(hdr storage.SegmentHeader) error {
 	m.dirty = true
 	m.segs = append(m.segs, mirrorSeg{
 		index: hdr.Index, firstLSN: hdr.FirstLSN, size: int64(len(raw)),
-		epoch: hdr.Epoch, hdrSize: int64(len(raw)),
+		epoch: hdr.Epoch,
 	})
 	return nil
 }
@@ -236,11 +235,11 @@ func (m *mirror) replay(fn func(epoch, lsn uint64, payload []byte) error) error 
 		if int64(len(data)) < s.size {
 			return fmt.Errorf("%w: segment %d shrank", ErrMirrorCorrupt, s.index)
 		}
-		payloads, validLen, err := storage.DecodeFrames(data[s.hdrSize:s.size])
+		payloads, validLen, err := storage.DecodeFrames(data[storage.SegmentHeaderSize:s.size])
 		if err != nil {
 			return err
 		}
-		if validLen != s.size-s.hdrSize {
+		if validLen != s.size-storage.SegmentHeaderSize {
 			return fmt.Errorf("%w: segment %d invalid frames", ErrMirrorCorrupt, s.index)
 		}
 		if i == 0 {

@@ -130,7 +130,7 @@ func (sh *shipper) runOnce() (shipProgress, error) {
 				return prog, err
 			}
 			prog.segments++
-			mirrored = seg.HeaderSize
+			mirrored = storage.SegmentHeaderSize
 		}
 		if seg.Epoch > sh.epoch {
 			sh.epoch = seg.Epoch // the new timeline is now in the mirror
@@ -161,7 +161,7 @@ func (sh *shipper) runOnce() (shipProgress, error) {
 				prog.lagBytes += d
 			}
 		} else {
-			prog.lagBytes += seg.Size - seg.HeaderSize
+			prog.lagBytes += seg.Size - storage.SegmentHeaderSize
 		}
 	}
 	return prog, nil

@@ -25,7 +25,7 @@ type Source interface {
 	Segments() ([]storage.WALSegmentInfo, error)
 	// ReadAt reads up to max raw bytes of seg starting at byte offset off
 	// (offsets include the segment header; off is always at least
-	// seg.HeaderSize). Short reads near the frontier are normal.
+	// storage.SegmentHeaderSize). Short reads near the frontier are normal.
 	ReadAt(seg storage.WALSegmentInfo, off int64, max int) ([]byte, error)
 	// Schema returns the primary's schema blob (core.EncodeSchema) for
 	// bootstrapping a brand-new replica.

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,7 +11,7 @@ import (
 	"testing"
 )
 
-// buildChecksummedStore creates a closed v2 store file holding one known
+// buildChecksummedStore creates a closed store file holding one known
 // data extent and a metadata blob, and returns the path plus the extent's
 // id and payload.
 func buildChecksummedStore(t *testing.T) (path string, id PageID, payload []byte) {
@@ -52,8 +53,8 @@ func headerPointers(t *testing.T, path string) (metaID, freeID PageID) {
 		PageID(binary.LittleEndian.Uint64(raw[32:]))
 }
 
-// flipByte flips one byte of the file at off.
-func flipByte(t *testing.T, path string, off int64) {
+// flipBits flips the mask bits of the file's byte at off.
+func flipBits(t *testing.T, path string, off int64, mask byte) {
 	t.Helper()
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
@@ -64,7 +65,7 @@ func flipByte(t *testing.T, path string, off int64) {
 	if _, err := f.ReadAt(b[:], off); err != nil {
 		t.Fatal(err)
 	}
-	b[0] ^= 0xFF
+	b[0] ^= mask
 	if _, err := f.WriteAt(b[:], off); err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +85,8 @@ func TestPagedStoreChecksumRoundtrip(t *testing.T) {
 	if string(got) != string(payload) {
 		t.Fatal("payload mismatch after reopen")
 	}
-	if _, checksummed, err := s.VerifyExtent(id); err != nil || !checksummed {
-		t.Fatalf("VerifyExtent = checksummed %v, %v", checksummed, err)
+	if _, err := s.VerifyExtent(id); err != nil {
+		t.Fatalf("VerifyExtent = %v", err)
 	}
 	meta, err := s.GetMeta()
 	if err != nil || string(meta) != "meta-blob-0123456789" {
@@ -93,10 +94,12 @@ func TestPagedStoreChecksumRoundtrip(t *testing.T) {
 	}
 }
 
-// TestPagedStoreCorruptionMatrix flips a single byte in each distinct
-// region of a closed store file — data extent payload, its stored CRC, the
-// metadata extent, the freelist extent, and the header — and asserts the
-// store fails closed with ErrChecksum instead of decoding garbage.
+// TestPagedStoreCorruptionMatrix flips bits in each distinct region of a
+// closed store file — data extent payload, its stored CRC, each word of its
+// header, the metadata extent, the freelist extent, and the file header —
+// and asserts the store fails closed (ErrChecksum, or ErrCorrupt for a
+// header that does not check out) instead of decoding garbage, on the file
+// read path and on the mapped view path alike.
 func TestPagedStoreCorruptionMatrix(t *testing.T) {
 	const blockSize = 256
 	pristine, id, _ := buildChecksummedStore(t)
@@ -115,46 +118,78 @@ func TestPagedStoreCorruptionMatrix(t *testing.T) {
 		}
 	}
 
+	// dataExtent opens the damaged file and must be refused the data extent
+	// with want by every way of reading it.
+	dataExtent := func(want error) func(t *testing.T, path string) {
+		return func(t *testing.T, path string) {
+			s, err := OpenPagedStore(path, blockSize, 0)
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			defer s.Close()
+			if data, _, err := s.Read(id); !errors.Is(err, want) || data != nil {
+				t.Fatalf("Read = %d bytes, %v, want none and %v", len(data), err, want)
+			}
+			if _, err := s.VerifyExtent(id); !errors.Is(err, want) {
+				t.Fatalf("VerifyExtent = %v, want %v", err, want)
+			}
+			if data, _, err := s.ViewExtent(id); !errors.Is(err, want) || data != nil {
+				t.Fatalf("ViewExtent = %d bytes, %v, want none and %v", len(data), err, want)
+			}
+			if _, _, err := s.VerifyExtentView(id); !errors.Is(err, want) {
+				t.Fatalf("VerifyExtentView = %v, want %v", err, want)
+			}
+		}
+	}
 	cases := []struct {
 		name string
-		off  int64 // byte to flip
-		// check opens the damaged file and must observe ErrChecksum.
+		off  int64 // byte to damage
+		mask byte  // bits of it to flip
+		// check opens the damaged file and must observe the failure.
 		check func(t *testing.T, path string)
 	}{
 		{
-			name: "data-extent-payload",
-			off:  int64(id)*blockSize + ExtentHeaderSize + 17,
-			check: func(t *testing.T, path string) {
-				s, err := OpenPagedStore(path, blockSize, 0)
-				if err != nil {
-					t.Fatalf("open: %v", err)
-				}
-				defer s.Close()
-				if _, _, err := s.Read(id); !errors.Is(err, ErrChecksum) {
-					t.Fatalf("Read = %v, want ErrChecksum", err)
-				}
-				if _, _, err := s.VerifyExtent(id); !errors.Is(err, ErrChecksum) {
-					t.Fatalf("VerifyExtent = %v, want ErrChecksum", err)
-				}
-			},
+			name:  "data-extent-payload",
+			off:   int64(id)*blockSize + ExtentHeaderSize + 17,
+			mask:  0xFF,
+			check: dataExtent(ErrChecksum),
 		},
 		{
-			name: "data-extent-stored-crc",
-			off:  int64(id)*blockSize + extentChecksumAt,
-			check: func(t *testing.T, path string) {
-				s, err := OpenPagedStore(path, blockSize, 0)
-				if err != nil {
-					t.Fatalf("open: %v", err)
-				}
-				defer s.Close()
-				if _, _, err := s.Read(id); !errors.Is(err, ErrChecksum) {
-					t.Fatalf("Read = %v, want ErrChecksum", err)
-				}
-			},
+			name:  "data-extent-stored-crc",
+			off:   int64(id)*blockSize + extentChecksumAt,
+			mask:  0xFF,
+			check: dataExtent(ErrChecksum),
+		},
+		{
+			// One bit: the checksum flag of the block-count word. The payload
+			// must not be served unverified from behind a shorter header.
+			name:  "data-extent-header-flag-bit",
+			off:   int64(id)*blockSize + 3,
+			mask:  0x80,
+			check: dataExtent(ErrCorrupt),
+		},
+		{
+			name:  "data-extent-header-block-count", // 1 block -> 0
+			off:   int64(id) * blockSize,
+			mask:  0x01,
+			check: dataExtent(ErrCorrupt),
+		},
+		{
+			name:  "data-extent-header-length-short", // 200 bytes -> 55
+			off:   int64(id)*blockSize + 4,
+			mask:  0xFF,
+			check: dataExtent(ErrChecksum),
+		},
+		{
+			name:  "data-extent-header-length-long", // 200 bytes -> 456 > capacity
+			off:   int64(id)*blockSize + 5,
+			mask:  0x01,
+			check: dataExtent(ErrCorrupt),
 		},
 		{
 			name: "meta-extent-payload",
 			off:  int64(metaID)*blockSize + ExtentHeaderSize + 3,
+			mask: 0xFF,
 			check: func(t *testing.T, path string) {
 				s, err := OpenPagedStore(path, blockSize, 0)
 				if err != nil {
@@ -169,6 +204,7 @@ func TestPagedStoreCorruptionMatrix(t *testing.T) {
 		{
 			name: "freelist-extent-payload",
 			off:  int64(freeID)*blockSize + ExtentHeaderSize,
+			mask: 0xFF,
 			check: func(t *testing.T, path string) {
 				if _, err := OpenPagedStore(path, blockSize, 0); !errors.Is(err, ErrChecksum) {
 					t.Fatalf("open = %v, want ErrChecksum", err)
@@ -178,6 +214,7 @@ func TestPagedStoreCorruptionMatrix(t *testing.T) {
 		{
 			name: "store-header",
 			off:  13, // inside the next-page field
+			mask: 0xFF,
 			check: func(t *testing.T, path string) {
 				if _, err := OpenPagedStore(path, blockSize, 0); !errors.Is(err, ErrChecksum) {
 					t.Fatalf("open = %v, want ErrChecksum", err)
@@ -189,77 +226,81 @@ func TestPagedStoreCorruptionMatrix(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "damaged.dc")
 			copyTo(path)
-			flipByte(t, path, tc.off)
+			flipBits(t, path, tc.off, tc.mask)
 			tc.check(t, path)
 		})
 	}
 }
 
-// TestPagedStoreV1Compat hand-builds a pre-checksum (v1) store image and
-// verifies it still opens and reads, that VerifyExtent reports its extents
-// as unchecksummed, and that rewriting upgrades the image to v2 in place.
-func TestPagedStoreV1Compat(t *testing.T) {
+// TestUnsupportedFormats: the two retired storage formats — a pre-checksum
+// store file (magic DCSTORE1) and an epoch-less WAL segment (magic
+// DCWAL001) — are refused with ErrUnsupportedFormat by every way in, and
+// the refused file is left exactly as it was.
+func TestUnsupportedFormats(t *testing.T) {
 	const blockSize = 256
-	path := filepath.Join(t.TempDir(), "legacy.dc")
+	dir := t.TempDir()
 
-	// v1 layout: 44-byte header (no CRC), extents with 8-byte headers
-	// (block count without the checksum flag, payload length).
-	payload := []byte("legacy v1 extent payload")
-	file := make([]byte, 2*blockSize)
-	copy(file, pagedMagicV1)
-	binary.LittleEndian.PutUint32(file[8:], blockSize)
-	binary.LittleEndian.PutUint64(file[12:], 2) // next page after the one extent
-	// metaID/metaBlk and freeID/freeBlk stay zero: no metadata, no freelist.
-	binary.LittleEndian.PutUint32(file[blockSize:], 1) // blocks, flag clear
-	binary.LittleEndian.PutUint32(file[blockSize+4:], uint32(len(payload)))
-	copy(file[blockSize+extentHeaderV1:], payload)
-	if err := os.WriteFile(path, file, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// A DCSTORE1 image: 44-byte header without CRC, one extent with an
+	// 8-byte header (block count without the checksum flag, payload length).
+	payload := []byte("extent payload of a pre-checksum image")
+	image := make([]byte, 2*blockSize)
+	copy(image, "DCSTORE1")
+	binary.LittleEndian.PutUint32(image[8:], blockSize)
+	binary.LittleEndian.PutUint64(image[12:], 2) // next page after the one extent
+	binary.LittleEndian.PutUint32(image[blockSize:], 1)
+	binary.LittleEndian.PutUint32(image[blockSize+4:], uint32(len(payload)))
+	copy(image[blockSize+8:], payload)
 
-	s, err := OpenPagedStore(path, blockSize, 0)
-	if err != nil {
-		t.Fatalf("open v1 image: %v", err)
-	}
-	got, blocks, err := s.Read(1)
-	if err != nil || blocks != 1 || string(got) != string(payload) {
-		t.Fatalf("Read v1 extent = %q (%d blocks), %v", got, blocks, err)
-	}
-	if _, checksummed, err := s.VerifyExtent(1); err != nil || checksummed {
-		t.Fatalf("VerifyExtent v1 = checksummed %v, %v", checksummed, err)
-	}
+	// A DCWAL001 segment: 24-byte header (magic, index, first LSN), one frame.
+	frame := make([]byte, walFrameOverhead, walFrameOverhead+4)
+	binary.LittleEndian.PutUint32(frame, 4)
+	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE([]byte("rec1")))
+	segment := make([]byte, 24)
+	copy(segment, "DCWAL001")
+	binary.LittleEndian.PutUint64(segment[8:], 1)
+	binary.LittleEndian.PutUint64(segment[16:], 1)
+	segment = append(segment, append(frame, "rec1"...)...)
+	prefix := filepath.Join(dir, "idx")
 
-	// Rewrite the extent and sync: both it and the header upgrade to v2.
-	fresh := []byte("rewritten under v2 rules")
-	if err := s.Write(1, 1, fresh); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		path string
+		raw  []byte
+		open func() error
+	}{
+		{"store magic DCSTORE1", filepath.Join(dir, "legacy.dc"), image, func() error {
+			_, err := OpenPagedStore(filepath.Join(dir, "legacy.dc"), blockSize, 0)
+			return err
+		}},
+		{"store magic DCSTORE1, header only", filepath.Join(dir, "empty.dc"), image[:44], func() error {
+			_, err := OpenPagedStore(filepath.Join(dir, "empty.dc"), blockSize, 0)
+			return err
+		}},
+		{"wal header DCWAL001: OpenWAL", walSegmentPath(prefix, 1), segment, func() error {
+			_, err := OpenWAL(prefix, WALOptions{})
+			return err
+		}},
+		{"wal header DCWAL001: ListSegments", walSegmentPath(prefix, 1), segment, func() error {
+			_, err := ListSegments(prefix)
+			return err
+		}},
+		{"wal header DCWAL001, no records: OpenWAL", walSegmentPath(prefix, 1), segment[:24], func() error {
+			_, err := OpenWAL(prefix, WALOptions{})
+			return err
+		}},
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(raw[:8]) != pagedMagic {
-		t.Fatalf("header magic after upgrade = %q", raw[:8])
-	}
-	want := binary.LittleEndian.Uint32(raw[headerSize:])
-	if gotCRC := crc32.Checksum(raw[:headerSize], castagnoli); gotCRC != want {
-		t.Fatalf("upgraded header crc 0x%08x, stored 0x%08x", gotCRC, want)
-	}
-
-	s, err = OpenPagedStore(path, blockSize, 0)
-	if err != nil {
-		t.Fatalf("reopen upgraded image: %v", err)
-	}
-	defer s.Close()
-	if _, checksummed, err := s.VerifyExtent(1); err != nil || !checksummed {
-		t.Fatalf("VerifyExtent after upgrade = checksummed %v, %v", checksummed, err)
-	}
-	got, _, err = s.Read(1)
-	if err != nil || string(got) != string(fresh) {
-		t.Fatalf("Read after upgrade = %q, %v", got, err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := os.WriteFile(tc.path, tc.raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.open(); !errors.Is(err, ErrUnsupportedFormat) {
+				t.Fatalf("open = %v, want ErrUnsupportedFormat", err)
+			}
+			if after, err := os.ReadFile(tc.path); err != nil || !bytes.Equal(after, tc.raw) {
+				t.Fatalf("refused file was modified or removed (err %v)", err)
+			}
+		})
 	}
 }
 

@@ -100,7 +100,7 @@ func TestViewExtentChecksumFailClosed(t *testing.T) {
 	if _, _, err := s.ViewExtent(id); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("ViewExtent on corrupt extent: err = %v, want ErrChecksum", err)
 	}
-	if _, _, _, err := s.VerifyExtentView(id); !errors.Is(err, ErrChecksum) {
+	if _, _, err := s.VerifyExtentView(id); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("VerifyExtentView on corrupt extent: err = %v, want ErrChecksum", err)
 	}
 	// Other extents still verify.

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -165,26 +164,21 @@ func (m *mmapRegion) view(id PageID) (data []byte, blocks int, err error, ok boo
 			return nil, 0, nil, false
 		}
 		b := m.cur
-		if int64(len(b)) < off+extentHeaderV1 {
+		if int64(len(b)) < off+ExtentHeaderSize {
 			m.mu.RUnlock()
-			if attempt > 0 || !m.remap(off+extentHeaderV1) {
+			if attempt > 0 || !m.remap(off+ExtentHeaderSize) {
 				return nil, 0, nil, false
 			}
 			continue
 		}
-		word := binary.LittleEndian.Uint32(b[off:])
-		length := int64(binary.LittleEndian.Uint32(b[off+4:]))
-		checksummed := word&extentFlagCRC != 0
-		blocks = int(word &^ uint32(extentFlagCRC))
-		payloadOff, capacity := int64(extentHeaderV1), int64(m.blockSize*blocks-extentHeaderV1)
-		if checksummed {
-			payloadOff, capacity = int64(ExtentHeaderSize), int64(ExtentCapacity(m.blockSize, blocks))
-		}
-		if blocks < 1 || length > capacity {
+		var length int
+		var want uint32
+		blocks, length, want, err = parseExtentHeader(b[off:], id, m.blockSize)
+		if err != nil {
 			m.mu.RUnlock()
-			return nil, 0, fmt.Errorf("%w: extent %d header blocks=%d len=%d", ErrCorrupt, id, blocks, length), true
+			return nil, 0, err, true
 		}
-		end := off + payloadOff + length
+		end := off + ExtentHeaderSize + int64(length)
 		if int64(len(b)) < end {
 			m.mu.RUnlock()
 			if attempt > 0 || !m.remap(end) {
@@ -192,18 +186,12 @@ func (m *mmapRegion) view(id PageID) (data []byte, blocks int, err error, ok boo
 			}
 			continue
 		}
-		var want uint32
-		verified := !checksummed
-		if checksummed {
-			want = binary.LittleEndian.Uint32(b[off+extentChecksumAt:])
-			if w := int(id / 64); w < len(m.verified) && m.verified[w]&(1<<(id%64)) != 0 {
-				verified = true
-			}
-		}
+		w := int(id / 64)
+		verified := w < len(m.verified) && m.verified[w]&(1<<(id%64)) != 0
 		gen := m.gen
 		m.mu.RUnlock()
 
-		data = b[off+payloadOff : end : end]
+		data = b[off+ExtentHeaderSize : end : end]
 		if !verified {
 			if got := crc32.Checksum(data, castagnoli); got != want {
 				return nil, 0, fmt.Errorf("%w: extent %d crc 0x%08x, want 0x%08x", ErrChecksum, id, got, want), true
@@ -212,7 +200,6 @@ func (m *mmapRegion) view(id PageID) (data []byte, blocks int, err error, ok boo
 			// Only cache the verdict if no write invalidated anything since
 			// the CRC ran; a concurrent rewrite must not be masked.
 			if m.gen == gen {
-				w := int(id / 64)
 				if w >= len(m.verified) {
 					grown := make([]uint64, w+1)
 					copy(grown, m.verified)
@@ -258,7 +245,7 @@ func (s *PagedStore) ViewExtent(id PageID) ([]byte, int, error) {
 		return data, blocks, err
 	}
 	s.mm.stats.fallbacks.Add(1)
-	data, blocks, _, err := s.readExtentFile(id)
+	data, blocks, err := s.readExtent(id)
 	if err == nil {
 		s.stats.reads.Add(1)
 		s.stats.misses.Add(1)
@@ -280,9 +267,9 @@ func (s *PagedStore) SetMmapViews(on bool) { s.mm.setEnabled(on) }
 // unlike ViewExtent it never consults the verified bitmap, so it checks the
 // bytes as they are mapped right now (dctool verify -mmap). Falls back to
 // the plain file read when the mapping cannot serve the extent.
-func (s *PagedStore) VerifyExtentView(id PageID) (blocks int, checksummed bool, mapped bool, err error) {
+func (s *PagedStore) VerifyExtentView(id PageID) (blocks int, mapped bool, err error) {
 	if id == NilPage {
-		return 0, false, false, fmt.Errorf("%w: nil page", ErrNotFound)
+		return 0, false, fmt.Errorf("%w: nil page", ErrNotFound)
 	}
 	s.mm.mu.RLock()
 	enabled := s.mm.enabled
@@ -290,13 +277,12 @@ func (s *PagedStore) VerifyExtentView(id PageID) (blocks int, checksummed bool, 
 	if enabled {
 		// Invalidate clears the verified bit, forcing view() to re-CRC.
 		s.mm.invalidate(id)
-		if data, blocks, err, ok := s.mm.view(id); ok {
-			_ = data
-			return blocks, true, true, err
+		if _, blocks, err, ok := s.mm.view(id); ok {
+			return blocks, true, err
 		}
 	}
-	_, blocks, checksummed, err = s.readExtentFile(id)
-	return blocks, checksummed, false, err
+	_, blocks, err = s.readExtent(id)
+	return blocks, false, err
 }
 
 // ViewExtent implements ExtentViewer for MemStore: the extent's backing

@@ -11,7 +11,7 @@ import (
 
 // PagedStore is a file-backed Store with a write-through LRU buffer pool.
 //
-// File layout (format v2, magic "DCSTORE2"):
+// File layout (magic "DCSTORE2"):
 //
 //	block 0:            header (magic, block size, next page, meta/freelist
 //	                    extent pointers, CRC32C of the preceding fields)
@@ -22,11 +22,9 @@ import (
 //
 // Every extent payload — node encodings, the metadata blob, the freelist —
 // is covered by a CRC32C (Castagnoli) verified on every file read; a
-// mismatch surfaces as ErrChecksum instead of a garbage decode. v1 images
-// (magic "DCSTORE1", 8-byte unchecksummed extent headers) still open:
-// extents without the checksum flag skip verification, and every write —
-// including the header rewrite on the next Sync — produces v2, so an old
-// image upgrades incrementally in place.
+// mismatch surfaces as ErrChecksum instead of a garbage decode. The
+// pre-checksum format (magic "DCSTORE1") is refused with
+// ErrUnsupportedFormat.
 //
 // The freelist and the user metadata blob are themselves stored as extents
 // and re-written on Sync/Close. Reads served from the buffer pool count as
@@ -64,18 +62,16 @@ type extentSpan struct {
 
 const (
 	pagedMagic      = "DCSTORE2"
-	pagedMagicV1    = "DCSTORE1"
-	headerSize      = 8 + 4 + 8 + 8 + 4 + 8 + 4
-	headerSizeV2    = headerSize + 4 // + CRC32C of the preceding fields
+	headerFields    = 8 + 4 + 8 + 8 + 4 + 8 + 4
+	headerSize      = headerFields + 4 // + CRC32C of the preceding fields
 	minPagedBlock   = 64
 	defaultPoolSize = 4 << 20
 
-	// extentFlagCRC marks a v2 extent header: the high bit of the block
-	// count word says "a CRC32C of the payload follows at offset 8". v1
-	// extents never set it (block counts are far below 2^31).
+	// extentFlagCRC is the high bit of an extent header's block-count word:
+	// "a CRC32C of the payload follows at offset 8". Every extent sets it
+	// (block counts are far below 2^31), so a clear flag is damage.
 	extentFlagCRC    = 1 << 31
-	extentHeaderV1   = 8 // v1 extents: block count, payload length only
-	extentChecksumAt = 8 // v2 extents: CRC32C offset within the header
+	extentChecksumAt = 8 // CRC32C offset within the extent header
 )
 
 // castagnoli is the CRC32C polynomial table used for all page checksums
@@ -128,11 +124,9 @@ func OpenPagedStore(path string, blockSize int, poolBytes int) (*PagedStore, err
 	return s, nil
 }
 
-// writeHeader always writes the v2 header: the fields followed by their
-// CRC32C. Reopening a v1 image therefore upgrades its header on the first
-// Sync.
+// writeHeader writes the file header: the fields followed by their CRC32C.
 func (s *PagedStore) writeHeader() error {
-	buf := make([]byte, headerSizeV2)
+	buf := make([]byte, headerSize)
 	copy(buf, pagedMagic)
 	binary.LittleEndian.PutUint32(buf[8:], uint32(s.blockSize))
 	binary.LittleEndian.PutUint64(buf[12:], uint64(s.next))
@@ -140,7 +134,7 @@ func (s *PagedStore) writeHeader() error {
 	binary.LittleEndian.PutUint32(buf[28:], uint32(s.metaBlk))
 	binary.LittleEndian.PutUint64(buf[32:], uint64(s.freeID))
 	binary.LittleEndian.PutUint32(buf[40:], uint32(s.freeBlk))
-	binary.LittleEndian.PutUint32(buf[headerSize:], crc32.Checksum(buf[:headerSize], castagnoli))
+	binary.LittleEndian.PutUint32(buf[headerFields:], crc32.Checksum(buf[:headerFields], castagnoli))
 	if _, err := s.f.WriteAt(buf, 0); err != nil {
 		return err
 	}
@@ -149,25 +143,19 @@ func (s *PagedStore) writeHeader() error {
 }
 
 func (s *PagedStore) readHeader() error {
-	buf := make([]byte, headerSizeV2)
-	if _, err := io.ReadFull(io.NewSectionReader(s.f, 0, int64(headerSize)), buf[:headerSize]); err != nil {
+	buf := make([]byte, headerSize)
+	n, err := io.ReadFull(io.NewSectionReader(s.f, 0, headerSize), buf)
+	switch {
+	case n >= 8 && string(buf[:8]) == "DCSTORE1":
+		return fmt.Errorf("%w: store file magic DCSTORE1 (pre-checksum image)", ErrUnsupportedFormat)
+	case err != nil:
 		return fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
-	}
-	switch string(buf[:8]) {
-	case pagedMagic:
-		if _, err := io.ReadFull(io.NewSectionReader(s.f, int64(headerSize), 4), buf[headerSize:]); err != nil {
-			return fmt.Errorf("%w: short header checksum: %v", ErrCorrupt, err)
-		}
-		want := binary.LittleEndian.Uint32(buf[headerSize:])
-		if got := crc32.Checksum(buf[:headerSize], castagnoli); got != want {
-			return fmt.Errorf("%w: store header crc 0x%08x, want 0x%08x", ErrChecksum, got, want)
-		}
-	case pagedMagicV1:
-		// Pre-checksum image: accept as-is and rewrite the header in v2
-		// form on the next durable sync.
-		s.dirtyHdr = true
-	default:
+	case string(buf[:8]) != pagedMagic:
 		return fmt.Errorf("%w: bad magic", ErrCorrupt)
+	}
+	want := binary.LittleEndian.Uint32(buf[headerFields:])
+	if got := crc32.Checksum(buf[:headerFields], castagnoli); got != want {
+		return fmt.Errorf("%w: store header crc 0x%08x, want 0x%08x", ErrChecksum, got, want)
 	}
 	bs := int(binary.LittleEndian.Uint32(buf[8:]))
 	if bs != s.blockSize {
@@ -228,9 +216,8 @@ func (s *PagedStore) Write(id PageID, blocks int, data []byte) error {
 	return s.writeExtent(id, blocks, data)
 }
 
-// writeExtent writes a v2 extent: the block-count word carries the
-// checksum flag, and the payload's CRC32C sits between the length and the
-// payload. Rewriting an extent of a v1 image upgrades it in place.
+// writeExtent writes an extent: the block-count word carries the checksum
+// flag, and the payload's CRC32C sits between the length and the payload.
 func (s *PagedStore) writeExtent(id PageID, blocks int, data []byte) error {
 	buf := make([]byte, ExtentHeaderSize+len(data))
 	binary.LittleEndian.PutUint32(buf[0:], uint32(blocks)|extentFlagCRC)
@@ -282,68 +269,58 @@ func (s *PagedStore) Read(id PageID) ([]byte, int, error) {
 	return data, blocks, nil
 }
 
-// readExtent faults an extent from the file. A v2 extent (checksum flag
-// set) has its payload verified against the stored CRC32C and fails with
-// ErrChecksum on mismatch; a v1 extent (flag clear, 8-byte header) is
-// served unverified for read compatibility with pre-checksum images.
-func (s *PagedStore) readExtent(id PageID) ([]byte, int, error) {
-	data, blocks, _, err := s.readExtentFile(id)
-	return data, blocks, err
+// parseExtentHeader decodes an extent's 12-byte header — block count with
+// the checksum flag in the high bit, payload length, CRC32C of the payload
+// — for both read paths (file and mapping). A clear checksum flag, a zero
+// block count or a length beyond the extent's capacity is ErrCorrupt: the
+// payload is never located from a header that does not check out.
+func parseExtentHeader(hdr []byte, id PageID, blockSize int) (blocks, length int, crc uint32, err error) {
+	word := binary.LittleEndian.Uint32(hdr[0:])
+	blocks = int(word &^ uint32(extentFlagCRC))
+	length64 := int64(binary.LittleEndian.Uint32(hdr[4:]))
+	if word&extentFlagCRC == 0 || blocks < 1 || length64 > int64(blockSize)*int64(blocks)-ExtentHeaderSize {
+		return 0, 0, 0, fmt.Errorf("%w: extent %d header word=0x%08x len=%d", ErrCorrupt, id, word, length64)
+	}
+	return blocks, int(length64), binary.LittleEndian.Uint32(hdr[extentChecksumAt:]), nil
 }
 
-func (s *PagedStore) readExtentFile(id PageID) ([]byte, int, bool, error) {
+// readExtent faults an extent from the file and verifies its payload
+// against the stored CRC32C, failing with ErrChecksum on mismatch.
+func (s *PagedStore) readExtent(id PageID) ([]byte, int, error) {
 	off := int64(id) * int64(s.blockSize)
-	hdr := make([]byte, extentHeaderV1)
+	hdr := make([]byte, ExtentHeaderSize)
 	if _, err := s.f.ReadAt(hdr, off); err != nil {
-		return nil, 0, false, fmt.Errorf("%w: extent %d: %v", ErrNotFound, id, err)
+		return nil, 0, fmt.Errorf("%w: extent %d: %v", ErrNotFound, id, err)
 	}
-	word := binary.LittleEndian.Uint32(hdr[0:])
-	length := int(binary.LittleEndian.Uint32(hdr[4:]))
-	checksummed := word&extentFlagCRC != 0
-	blocks := int(word &^ uint32(extentFlagCRC))
-	payloadOff, capacity := int64(extentHeaderV1), s.blockSize*blocks-extentHeaderV1
-	if checksummed {
-		payloadOff, capacity = int64(ExtentHeaderSize), ExtentCapacity(s.blockSize, blocks)
-	}
-	if blocks < 1 || length > capacity {
-		return nil, 0, false, fmt.Errorf("%w: extent %d header blocks=%d len=%d", ErrCorrupt, id, blocks, length)
-	}
-	var want uint32
-	if checksummed {
-		var sum [4]byte
-		if _, err := s.f.ReadAt(sum[:], off+extentChecksumAt); err != nil {
-			return nil, 0, false, fmt.Errorf("%w: extent %d checksum: %v", ErrCorrupt, id, err)
-		}
-		want = binary.LittleEndian.Uint32(sum[:])
+	blocks, length, want, err := parseExtentHeader(hdr, id, s.blockSize)
+	if err != nil {
+		return nil, 0, err
 	}
 	data := make([]byte, length)
-	if _, err := s.f.ReadAt(data, off+payloadOff); err != nil {
-		return nil, 0, false, fmt.Errorf("%w: extent %d body: %v", ErrCorrupt, id, err)
+	if _, err := s.f.ReadAt(data, off+ExtentHeaderSize); err != nil {
+		return nil, 0, fmt.Errorf("%w: extent %d body: %v", ErrCorrupt, id, err)
 	}
-	if checksummed {
-		if got := crc32.Checksum(data, castagnoli); got != want {
-			return nil, 0, false, fmt.Errorf("%w: extent %d crc 0x%08x, want 0x%08x", ErrChecksum, id, got, want)
-		}
+	if got := crc32.Checksum(data, castagnoli); got != want {
+		return nil, 0, fmt.Errorf("%w: extent %d crc 0x%08x, want 0x%08x", ErrChecksum, id, got, want)
 	}
-	return data, blocks, checksummed, nil
+	return data, blocks, nil
 }
 
 // VerifyExtent reads an extent directly from the backing file — bypassing
 // the buffer pool, so it checks what is actually on disk — and verifies its
-// checksum. It reports the extent's size in blocks and whether it carried a
-// checksum (false only for extents of a pre-checksum v1 image).
-func (s *PagedStore) VerifyExtent(id PageID) (blocks int, checksummed bool, err error) {
+// checksum. It reports the extent's size in blocks.
+func (s *PagedStore) VerifyExtent(id PageID) (blocks int, err error) {
 	if id == NilPage {
-		return 0, false, fmt.Errorf("%w: nil page", ErrNotFound)
+		return 0, fmt.Errorf("%w: nil page", ErrNotFound)
 	}
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
 	if closed {
-		return 0, false, ErrClosed
+		return 0, ErrClosed
 	}
-	_, blocks, checksummed, err = s.readExtentFile(id)
-	return blocks, checksummed, err
+	_, blocks, err = s.readExtent(id)
+	return blocks, err
 }
 
 // Free implements Store.

@@ -40,6 +40,11 @@ var (
 	// contents: a torn write, bit rot, or outside modification. The store
 	// fails closed — no payload is returned — rather than decode garbage.
 	ErrChecksum = errors.New("storage: checksum mismatch")
+	// ErrUnsupportedFormat marks a file, log or metadata blob written in a
+	// recognised but retired on-disk format generation (DCSTORE1, DCWAL001,
+	// DCMETA01–07, path-spelling WAL records, varint node extents). Nothing
+	// is decoded from it; the data was intact, it is just not read any more.
+	ErrUnsupportedFormat = errors.New("storage: unsupported (retired) on-disk format")
 )
 
 // Stats counts logical I/O operations. Reads and Writes count extents
@@ -150,9 +155,7 @@ type Store interface {
 // ExtentHeaderSize is the per-extent bookkeeping overhead (block count,
 // payload length, and CRC32C of the payload) that PagedStore writes at the
 // front of each extent. All stores reserve it so capacity math is identical
-// across backends. Pre-checksum (v1) images used 8-byte headers; they stay
-// readable, and their extra 4 bytes of capacity is only a read-side
-// allowance.
+// across backends.
 const ExtentHeaderSize = 12
 
 // ExtentCapacity returns the payload capacity of an extent of n blocks.

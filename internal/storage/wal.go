@@ -25,10 +25,8 @@ import (
 //	<prefix>.<index>.wal
 //
 // where <index> is a monotonically increasing 8-digit decimal. Each segment
-// starts with a fixed header — 32 bytes in the current v2 format (magic,
-// segment index, LSN of its first record, fencing epoch); 24 bytes in the
-// epoch-less v1 format, which remains readable — followed by framed
-// records:
+// starts with a fixed 32-byte header (magic "DCWAL002", segment index, LSN
+// of its first record, fencing epoch) followed by framed records:
 //
 //	uint32  payload length
 //	uint32  CRC32 (IEEE) of the payload
@@ -114,12 +112,9 @@ type walSegment struct {
 	// segment of — tracked per segment precisely so a rotation racing a
 	// Sync cannot misattribute one segment's frontier to another.
 	synced int64
-	// epoch and hdrSize mirror the segment's on-disk header: the fencing
-	// epoch it was created under and the header length (v1 segments carry
-	// no epoch and a 24-byte header; both are preserved verbatim so mixed
-	// logs stay byte-stable across reopen).
-	epoch   uint64
-	hdrSize int64
+	// epoch mirrors the segment's on-disk header: the fencing epoch it was
+	// created under.
+	epoch uint64
 }
 
 // WALOptions tunes a write-ahead log.
@@ -174,18 +169,15 @@ var (
 var errWALNoHeader = fmt.Errorf("%w: no valid segment header", ErrWALCorrupt)
 
 const (
-	walMagic           = "DCWAL001"
-	walMagicV2         = "DCWAL002"
-	walSegHeaderSize   = 8 + 8 + 8     // v1: magic, segment index, first LSN
-	walSegHeaderV2Size = 8 + 8 + 8 + 8 // v2: v1 fields + fencing epoch
-	walFrameOverhead   = 8             // uint32 length + uint32 crc
-	walMaxRecord       = 64 << 20
-	walDefaultSeg      = 4 << 20
-	walDefaultPool     = 4
+	walMagic         = "DCWAL002"
+	walSegHeaderSize = 8 + 8 + 8 + 8 // magic, segment index, first LSN, fencing epoch
+	walFrameOverhead = 8             // uint32 length + uint32 crc
+	walMaxRecord     = 64 << 20
+	walDefaultSeg    = 4 << 20
+	walDefaultPool   = 4
 	// walFrameCompressed flags a frame whose payload is walCompress output
 	// in the top bit of the frame's length word (lengths are ≤ 64 MiB, so
-	// the bit is otherwise always clear — including in every v1 log, which
-	// therefore stays readable unchanged).
+	// the bit is otherwise always clear).
 	walFrameCompressed = uint32(1) << 31
 )
 
@@ -210,7 +202,7 @@ func OpenWAL(prefix string, opts WALOptions) (*WAL, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = walDefaultSeg
 	}
-	if opts.SegmentBytes < walSegHeaderV2Size+walFrameOverhead {
+	if opts.SegmentBytes < walSegHeaderSize+walFrameOverhead {
 		return nil, fmt.Errorf("%w: segment size %d too small", ErrBadExtent, opts.SegmentBytes)
 	}
 	w := &WAL{prefix: prefix, opts: opts, nextLSN: 1, poolCap: opts.RecyclePool, retainLSN: ^uint64(0)}
@@ -269,8 +261,7 @@ func OpenWAL(prefix string, opts WALOptions) (*WAL, error) {
 		}
 		w.nextLSN += uint64(info.records)
 		w.records += info.records
-		seg := walSegment{index: info.index, path: segs[i].path, firstLSN: info.firstLSN,
-			epoch: info.epoch, hdrSize: info.hdrSize}
+		seg := walSegment{index: info.index, path: segs[i].path, firstLSN: info.firstLSN, epoch: info.epoch}
 		if last {
 			f, err := os.OpenFile(segs[i].path, os.O_RDWR, 0o644)
 			if err != nil {
@@ -400,29 +391,28 @@ func (w *WAL) retireLocked(path string) error {
 type segmentInfo struct {
 	index     uint64
 	firstLSN  uint64
-	epoch     uint64 // fencing epoch (0 for v1 headers)
-	hdrSize   int64  // on-disk header length (v1 or v2)
+	epoch     uint64 // fencing epoch
 	records   int64
 	validSize int64 // offset just past the last valid frame
 	fileSize  int64
 }
 
-// parseSegHeader dispatches on the header magic and fills the header
-// fields of info. v1 (24-byte, epoch-less) and v2 (32-byte, carrying the
-// fencing epoch) headers are both accepted; a v1 segment reads as epoch 0.
-func parseSegHeader(data []byte, info *segmentInfo) bool {
+// parseSegHeader fills the header fields of info from the first bytes of a
+// segment file. Anything but a whole current header is errWALNoHeader,
+// except the retired epoch-less format, which is named for what it is: a
+// "DCWAL001" log must fail closed, never be mistaken for a torn creation
+// and discarded.
+func parseSegHeader(data []byte, info *segmentInfo) error {
 	switch {
-	case len(data) >= walSegHeaderSize && string(data[:8]) == walMagic:
-		info.hdrSize = walSegHeaderSize
-	case len(data) >= walSegHeaderV2Size && string(data[:8]) == walMagicV2:
-		info.hdrSize = walSegHeaderV2Size
-		info.epoch = binary.LittleEndian.Uint64(data[24:])
-	default:
-		return false
+	case len(data) >= 8 && string(data[:8]) == "DCWAL001":
+		return fmt.Errorf("%w: wal segment magic DCWAL001 (pre-fencing log)", ErrUnsupportedFormat)
+	case len(data) < walSegHeaderSize || string(data[:8]) != walMagic:
+		return errWALNoHeader
 	}
 	info.index = binary.LittleEndian.Uint64(data[8:])
 	info.firstLSN = binary.LittleEndian.Uint64(data[16:])
-	return true
+	info.epoch = binary.LittleEndian.Uint64(data[24:])
+	return nil
 }
 
 // scanSegment validates a segment's header and frames. When tolerateTail
@@ -434,10 +424,10 @@ func scanSegment(path string, tolerateTail bool) (segmentInfo, error) {
 		return segmentInfo{}, err
 	}
 	info := segmentInfo{fileSize: int64(len(data))}
-	if !parseSegHeader(data, &info) {
-		return segmentInfo{}, fmt.Errorf("%w: segment %s header", errWALNoHeader, path)
+	if err := parseSegHeader(data, &info); err != nil {
+		return segmentInfo{}, fmt.Errorf("segment %s: %w", path, err)
 	}
-	off := info.hdrSize
+	off := int64(walSegHeaderSize)
 	for {
 		n, ok := frameAt(data, off)
 		if !ok {
@@ -516,22 +506,16 @@ func (w *WAL) createSegment(index, firstLSN uint64) error {
 	syncDir(filepath.Dir(path))
 	w.f = f
 	w.active = walSegment{index: index, path: path, firstLSN: firstLSN,
-		epoch: w.epoch, hdrSize: walSegHeaderV2Size, synced: walSegHeaderV2Size}
-	w.size = walSegHeaderV2Size
-	w.flushed = walSegHeaderV2Size
+		epoch: w.epoch, synced: walSegHeaderSize}
+	w.size = walSegHeaderSize
+	w.flushed = walSegHeaderSize
 	w.buf = w.buf[:0]
 	return nil
 }
 
-// writeSegHeader writes and leaves durable-pending a segment header (always
-// the current v2 format — v1 headers are only ever read, never written).
+// writeSegHeader writes and leaves durable-pending a segment header.
 func writeSegHeader(f *os.File, index, firstLSN, epoch uint64) error {
-	hdr := make([]byte, walSegHeaderV2Size)
-	copy(hdr, walMagicV2)
-	binary.LittleEndian.PutUint64(hdr[8:], index)
-	binary.LittleEndian.PutUint64(hdr[16:], firstLSN)
-	binary.LittleEndian.PutUint64(hdr[24:], epoch)
-	_, err := f.WriteAt(hdr, 0)
+	_, err := f.WriteAt(EncodeSegmentHeader(SegmentHeader{Index: index, FirstLSN: firstLSN, Epoch: epoch}), 0)
 	return err
 }
 
@@ -551,7 +535,7 @@ func (w *WAL) reuseRecycledLocked(index, firstLSN uint64, path string) *os.File 
 			continue // pool entry vanished or unreadable; try the next
 		}
 		if err := writeSegHeader(f, index, firstLSN, w.epoch); err == nil {
-			if err = f.Truncate(walSegHeaderV2Size); err == nil {
+			if err = f.Truncate(walSegHeaderSize); err == nil {
 				if err = f.Sync(); err == nil {
 					if err = os.Rename(rp, path); err == nil {
 						w.recycled.Add(1)
@@ -744,11 +728,11 @@ func (w *WAL) Replay(fn func(lsn uint64, payload []byte) error) error {
 			data = data[:activeSize]
 		}
 		var hdr segmentInfo
-		if !parseSegHeader(data, &hdr) {
-			return fmt.Errorf("%w: segment %s header", ErrWALCorrupt, seg.path)
+		if err := parseSegHeader(data, &hdr); err != nil {
+			return fmt.Errorf("segment %s: %w", seg.path, err)
 		}
 		lsn := hdr.firstLSN
-		off := hdr.hdrSize
+		off := int64(walSegHeaderSize)
 		for {
 			n, ok := frameAt(data, off)
 			if !ok {
@@ -941,7 +925,7 @@ func (w *WAL) SyncedLSN() uint64 {
 
 // Epoch returns the log's current fencing epoch: the epoch stamped into
 // segments created from now on, recovered on open as the maximum across the
-// surviving segment headers (0 for a log of pure v1 segments).
+// surviving segment headers.
 func (w *WAL) Epoch() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -960,18 +944,12 @@ func (w *WAL) SetEpoch(epoch uint64) {
 		return
 	}
 	w.epoch = epoch
-	if w.records == 0 && len(w.sealed) == 0 && len(w.buf) == 0 && w.flushed == w.active.hdrSize {
+	if w.records == 0 && len(w.sealed) == 0 && len(w.buf) == 0 && w.flushed == walSegHeaderSize {
 		if err := writeSegHeader(w.f, w.active.index, w.active.firstLSN, epoch); err == nil {
 			// Best-effort durability: the epoch also lives in the tree meta,
 			// which is what a crash before this fsync falls back to.
 			_ = w.f.Sync()
 			w.active.epoch = epoch
-			if w.active.hdrSize != walSegHeaderV2Size {
-				w.active.hdrSize = walSegHeaderV2Size
-				w.active.synced = walSegHeaderV2Size
-				w.size = walSegHeaderV2Size
-				w.flushed = walSegHeaderV2Size
-			}
 		}
 	}
 }

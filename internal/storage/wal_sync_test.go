@@ -153,14 +153,14 @@ func TestWALSyncAfterRotationAdvancesNewSegment(t *testing.T) {
 	}
 	// The fresh segment has synced nothing beyond its header yet; the old
 	// frontier must not leak in (the pre-fix code kept one global offset).
-	if newSynced != walSegHeaderV2Size {
+	if newSynced != walSegHeaderSize {
 		t.Fatalf("new segment frontier = %d, want header size %d (old was %d)",
-			newSynced, walSegHeaderV2Size, oldSynced)
+			newSynced, walSegHeaderSize, oldSynced)
 	}
 	if _, err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if _, after := w.ActiveSegment(); after <= walSegHeaderV2Size {
+	if _, after := w.ActiveSegment(); after <= walSegHeaderSize {
 		t.Fatalf("frontier did not advance after Sync: %d", after)
 	}
 }

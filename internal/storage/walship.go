@@ -37,14 +37,10 @@ type WALSegmentInfo struct {
 	Path string
 	// FirstLSN is the LSN of the segment's first record.
 	FirstLSN uint64
-	// Epoch is the fencing epoch the segment was created under (0 for
-	// epoch-less v1 segments). A follower rejects segments that would
-	// extend its mirror with frames from an epoch below its own.
+	// Epoch is the fencing epoch the segment was created under. A follower
+	// rejects segments that would extend its mirror with frames from an
+	// epoch below its own.
 	Epoch uint64
-	// HeaderSize is the length of the segment's on-disk header (24 for v1,
-	// 32 for v2) — the offset of its first frame, which mirrors must
-	// preserve to stay byte-identical.
-	HeaderSize int64
 	// Size is the number of readable bytes, including the header.
 	// For a live WAL (WAL.Segments) this is the durable frontier — sealed
 	// segments are durable in full, the active one up to its last fsync.
@@ -65,25 +61,20 @@ func (s WALSegmentInfo) LastLSN(nextFirstLSN uint64) uint64 { return nextFirstLS
 // from a fresh Segments listing when they see it.
 var ErrSegmentGone = errors.New("storage: wal segment gone or recycled")
 
-// SegmentHeader is the parsed fixed header of a WAL segment file — v1
-// (24 bytes, epoch-less) or v2 (32 bytes, carrying the fencing epoch).
+// SegmentHeader is the parsed fixed header of a WAL segment file
+// (SegmentHeaderSize bytes on disk; the first frame follows it).
 type SegmentHeader struct {
 	Index    uint64
 	FirstLSN uint64
-	// Epoch is the fencing epoch stamped into a v2 header; 0 for v1.
+	// Epoch is the fencing epoch the segment was created under.
 	Epoch uint64
-	// HeaderSize is the on-disk header length (SegmentHeaderSize for v1,
-	// SegmentHeaderV2Size for v2), which is also the offset of the
-	// segment's first frame.
-	HeaderSize int64
 }
 
 // HeaderFor returns the parsed-header view of a listed segment — the
 // `want` a reader passes to ReadSegmentRange so the double-check pins the
-// exact segment identity (index, firstLSN, epoch, header format) it read
-// from the listing.
+// exact segment identity (index, firstLSN, epoch) it read from the listing.
 func (s WALSegmentInfo) HeaderFor() SegmentHeader {
-	return SegmentHeader{Index: s.Index, FirstLSN: s.FirstLSN, Epoch: s.Epoch, HeaderSize: s.HeaderSize}
+	return SegmentHeader{Index: s.Index, FirstLSN: s.FirstLSN, Epoch: s.Epoch}
 }
 
 // Segments enumerates the log's current segments with their durable byte
@@ -99,13 +90,12 @@ func (w *WAL) Segments() []WALSegmentInfo {
 	for _, s := range w.sealed {
 		segs = append(segs, WALSegmentInfo{
 			Index: s.index, Path: s.path, FirstLSN: s.firstLSN,
-			Epoch: s.epoch, HeaderSize: s.hdrSize, Size: s.synced, Sealed: true,
+			Epoch: s.epoch, Size: s.synced, Sealed: true,
 		})
 	}
 	segs = append(segs, WALSegmentInfo{
 		Index: w.active.index, Path: w.active.path, FirstLSN: w.active.firstLSN,
-		Epoch: w.active.epoch, HeaderSize: w.active.hdrSize,
-		Size: w.active.synced, Sealed: false,
+		Epoch: w.active.epoch, Size: w.active.synced, Sealed: false,
 	})
 	return segs
 }
@@ -157,7 +147,7 @@ func ListSegments(prefix string) ([]WALSegmentInfo, error) {
 		}
 		segs = append(segs, WALSegmentInfo{
 			Index: hdr.Index, Path: f.path, FirstLSN: hdr.FirstLSN,
-			Epoch: hdr.Epoch, HeaderSize: hdr.HeaderSize, Size: size,
+			Epoch: hdr.Epoch, Size: size,
 		})
 	}
 	for i := range segs {
@@ -168,7 +158,7 @@ func ListSegments(prefix string) ([]WALSegmentInfo, error) {
 
 // readHeaderAndSize reads and validates a segment file's header and
 // returns it with the current file size. A missing file or invalid header
-// is ErrSegmentGone.
+// is ErrSegmentGone; a retired-format header is ErrUnsupportedFormat.
 func readHeaderAndSize(path string) (SegmentHeader, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -189,25 +179,23 @@ func readHeaderAndSize(path string) (SegmentHeader, int64, error) {
 	return hdr, st.Size(), nil
 }
 
-// readHeader reads and validates the fixed segment header (either format)
-// from an open file. An absent or foreign header is ErrSegmentGone (the
-// file is being created or was recycled), not corruption.
+// readHeader reads and validates the fixed segment header from an open
+// file. An absent or foreign header is ErrSegmentGone (the file is being
+// created or was recycled), not corruption.
 func readHeader(f *os.File) (SegmentHeader, error) {
-	var buf [walSegHeaderV2Size]byte
+	var buf [walSegHeaderSize]byte
 	n, err := f.ReadAt(buf[:], 0)
 	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		return SegmentHeader{}, err
 	}
 	var info segmentInfo
-	if !parseSegHeader(buf[:n], &info) {
+	if err := parseSegHeader(buf[:n], &info); err != nil {
+		if errors.Is(err, ErrUnsupportedFormat) {
+			return SegmentHeader{}, err
+		}
 		return SegmentHeader{}, ErrSegmentGone
 	}
-	return SegmentHeader{
-		Index:      info.index,
-		FirstLSN:   info.firstLSN,
-		Epoch:      info.epoch,
-		HeaderSize: info.hdrSize,
-	}, nil
+	return SegmentHeader{Index: info.index, FirstLSN: info.firstLSN, Epoch: info.epoch}, nil
 }
 
 // ReadSegmentHeader reads and validates the header of one segment file.
@@ -260,35 +248,22 @@ func ReadSegmentRange(path string, want SegmentHeader, off int64, max int) ([]by
 	return buf[:n], nil
 }
 
-// EncodeSegmentHeader renders a segment header in the format hdr.HeaderSize
-// selects (v2 when unset) — the bytes a follower writes at the start of a
-// mirrored segment file so its mirror stays byte-identical to the source
-// and reopens as a valid WAL.
+// EncodeSegmentHeader renders a segment header: the bytes the log writes
+// at the start of every segment, and a follower at the start of a mirrored
+// one so its mirror stays byte-identical to the source and reopens as a
+// valid WAL.
 func EncodeSegmentHeader(hdr SegmentHeader) []byte {
-	if hdr.HeaderSize == walSegHeaderSize {
-		buf := make([]byte, walSegHeaderSize)
-		copy(buf, walMagic)
-		binary.LittleEndian.PutUint64(buf[8:], hdr.Index)
-		binary.LittleEndian.PutUint64(buf[16:], hdr.FirstLSN)
-		return buf
-	}
-	buf := make([]byte, walSegHeaderV2Size)
-	copy(buf, walMagicV2)
+	buf := make([]byte, walSegHeaderSize)
+	copy(buf, walMagic)
 	binary.LittleEndian.PutUint64(buf[8:], hdr.Index)
 	binary.LittleEndian.PutUint64(buf[16:], hdr.FirstLSN)
 	binary.LittleEndian.PutUint64(buf[24:], hdr.Epoch)
 	return buf
 }
 
-// SegmentHeaderSize is the length of the v1 segment file header — the
-// minimum any segment carries. Readers must use a segment's own
-// WALSegmentInfo.HeaderSize for frame offsets; this constant survives as
-// the lower bound (and the header length of pre-epoch logs).
+// SegmentHeaderSize is the length of the segment file header, which is
+// also the offset of a segment's first frame.
 const SegmentHeaderSize = walSegHeaderSize
-
-// SegmentHeaderV2Size is the length of the v2 (epoch-carrying) segment
-// file header, the format every newly created segment uses.
-const SegmentHeaderV2Size = walSegHeaderV2Size
 
 // SegmentPath returns the file path of the segment with the given index
 // under a WAL prefix — the naming a mirrored log must reproduce for

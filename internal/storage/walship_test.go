@@ -22,16 +22,13 @@ func TestWALSegmentsFrontier(t *testing.T) {
 	}
 	// Unsynced appends must be invisible to shippers: the frontier stays
 	// at the header until a Sync covers the record.
-	if segs[0].Size != segs[0].HeaderSize {
-		t.Fatalf("unsynced frontier = %d, want %d", segs[0].Size, segs[0].HeaderSize)
-	}
-	if segs[0].HeaderSize != SegmentHeaderV2Size {
-		t.Fatalf("fresh segment header size = %d, want v2 %d", segs[0].HeaderSize, SegmentHeaderV2Size)
+	if segs[0].Size != SegmentHeaderSize {
+		t.Fatalf("unsynced frontier = %d, want %d", segs[0].Size, SegmentHeaderSize)
 	}
 	if _, err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if segs = w.Segments(); segs[0].Size <= segs[0].HeaderSize {
+	if segs = w.Segments(); segs[0].Size <= SegmentHeaderSize {
 		t.Fatalf("synced frontier = %d", segs[0].Size)
 	}
 
@@ -149,12 +146,12 @@ func TestReadSegmentRangeHeaderGuard(t *testing.T) {
 	seg := w.Segments()[0]
 	want := seg.HeaderFor()
 
-	data, err := ReadSegmentRange(seg.Path, want, seg.HeaderSize, int(seg.Size))
+	data, err := ReadSegmentRange(seg.Path, want, SegmentHeaderSize, int(seg.Size))
 	if err != nil {
 		t.Fatalf("ReadSegmentRange: %v", err)
 	}
 	frames, valid := ValidFramePrefix(data)
-	if frames != 5 || valid != seg.Size-seg.HeaderSize {
+	if frames != 5 || valid != seg.Size-SegmentHeaderSize {
 		t.Fatalf("frames=%d valid=%d size=%d", frames, valid, seg.Size)
 	}
 	payloads, _, err := DecodeFrames(data)
@@ -164,10 +161,10 @@ func TestReadSegmentRangeHeaderGuard(t *testing.T) {
 
 	// A header that no longer matches — the recycle-rewrite signature —
 	// must fail the read instead of returning frames.
-	if _, err := ReadSegmentRange(seg.Path, SegmentHeader{Index: seg.Index + 7, FirstLSN: 1, HeaderSize: want.HeaderSize}, seg.HeaderSize, 64); !errors.Is(err, ErrSegmentGone) {
+	if _, err := ReadSegmentRange(seg.Path, SegmentHeader{Index: seg.Index + 7, FirstLSN: 1}, SegmentHeaderSize, 64); !errors.Is(err, ErrSegmentGone) {
 		t.Fatalf("mismatched header: err = %v, want ErrSegmentGone", err)
 	}
-	if _, err := ReadSegmentRange(seg.Path+".nope", want, seg.HeaderSize, 64); !errors.Is(err, ErrSegmentGone) {
+	if _, err := ReadSegmentRange(seg.Path+".nope", want, SegmentHeaderSize, 64); !errors.Is(err, ErrSegmentGone) {
 		t.Fatalf("missing file: err = %v, want ErrSegmentGone", err)
 	}
 }
@@ -189,7 +186,7 @@ func TestDecodeFramesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := raw[seg.HeaderSize:]
+	data := raw[SegmentHeaderSize:]
 
 	// Chop mid-frame: the valid prefix shrinks by exactly one frame and
 	// the torn bytes stay pending, never decoded.

@@ -1,6 +1,7 @@
 package tpcd
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -222,7 +223,8 @@ func TestThreeSystemsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotDC, err := dc.RangeAgg(q.MDS, 0)
+		resDC, err := dc.Execute(context.Background(), core.QueryRequest{Query: q.MDS})
+		gotDC := resDC.Agg
 		if err != nil {
 			t.Fatal(err)
 		}
