@@ -67,23 +67,6 @@ func benchQueries(tb testing.TB, gen *tpcd.Gen, selectivity float64, n int) []tp
 	return qs
 }
 
-// BenchmarkQueryMasks measures query-context construction plus descent for a
-// mid-selectivity range query; allocs/op is dominated by the per-query
-// membership masks, so it tracks the mask arena's effectiveness.
-func BenchmarkQueryMasks(b *testing.B) {
-	tree, gen := buildReadPathTree(b, storage.NewMemStore(core.DefaultConfig().BlockSize))
-	qs := benchQueries(b, gen, 0.05, 64)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		req := core.QueryRequest{Query: qs[i%len(qs)].MDS}
-		if _, err := tree.Execute(ctx, req); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkParallelScaling measures one range query fanned over a worker
 // pool, sweeping the worker count.
 //

@@ -111,7 +111,7 @@ func (t *Tree) bulkLoadLocked(recs []cube.Record) (needFlush bool, err error) {
 		}
 		n := t.newNode(true)
 		for _, idx := range order[lo:hi] {
-			n.entries = append(n.entries, t.ws.leaves.newEntry(recs[idx]))
+			n.appendRecord(recs[idx])
 		}
 		m, err := t.bulkDescribe(n)
 		if err != nil {

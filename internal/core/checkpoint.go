@@ -100,7 +100,7 @@ func (t *Tree) captureLocked() (*ckptCapture, error) {
 			t.nc.clearDirtyIf(e.id, e.seq)
 			continue
 		}
-		payload := n.appendEncodeFlat(nil, t.schema.Dims(), t.schema.Measures())
+		payload := t.encodeNode(n)
 		need := storage.BlocksFor(t.cfg.BlockSize, len(payload))
 		if need < n.blocks {
 			need = n.blocks // supernodes occupy their full logical extent

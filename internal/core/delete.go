@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/mds"
 )
@@ -71,7 +73,7 @@ func (t *Tree) deleteLocked(rec cube.Record, log bool) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if len(root.entries) == 0 {
+	if root.count() == 0 {
 		t.rootMDS = mds.Top(t.schema.Dims())
 	} else {
 		cover, err := mds.CoverInto(&t.ws.cover, t.space(), nil, t.ws.entryMDSs(root))
@@ -97,9 +99,9 @@ func (t *Tree) deleteFrom(id nodeID, rc *recContext) (bool, error) {
 	}
 
 	if n.leaf {
-		for i := range n.entries {
-			if recordsEqual(n.entries[i].Rec, rc.rec) {
-				n.entries = append(n.entries[:i], n.entries[i+1:]...)
+		for i := 0; i < n.count(); i++ {
+			if slices.Equal(n.row(i), rc.rec.Coords) && slices.Equal(n.rowMeasures(i), rc.rec.Measures) {
+				n.removeRecord(i)
 				n.shrink(&t.cfg)
 				t.markDirty(n)
 				return true, nil
@@ -124,7 +126,7 @@ func (t *Tree) deleteFrom(id nodeID, rc *recContext) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		if len(child.entries) == 0 {
+		if child.count() == 0 {
 			if err := t.dropNode(child.id); err != nil {
 				return false, err
 			}
@@ -150,26 +152,8 @@ func (t *Tree) deleteFrom(id nodeID, rc *recContext) (bool, error) {
 
 // shrink lets a supernode give blocks back once its occupancy allows.
 func (n *node) shrink(cfg *Config) {
-	want := blocksForEntries(len(n.entries), n.leaf, cfg)
+	want := blocksForEntries(n.count(), n.leaf, cfg)
 	if want < n.blocks {
 		n.blocks = want
 	}
-}
-
-// recordsEqual compares coordinates and measure values exactly.
-func recordsEqual(a, b cube.Record) bool {
-	if len(a.Coords) != len(b.Coords) || len(a.Measures) != len(b.Measures) {
-		return false
-	}
-	for i := range a.Coords {
-		if a.Coords[i] != b.Coords[i] {
-			return false
-		}
-	}
-	for j := range a.Measures {
-		if a.Measures[j] != b.Measures[j] {
-			return false
-		}
-	}
-	return true
 }

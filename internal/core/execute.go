@@ -162,19 +162,18 @@ func (t *Tree) execute(ctx context.Context, req QueryRequest) (QueryResult, erro
 		return t.executeParallel(ctx, qc, req, src, root)
 	}
 
-	d := &descent{src: src, qc: qc, ctx: ctx, check: ctxCheckInterval}
+	// The sink of a single-measure query is a one-element window that stays
+	// on the stack; only the all-measures vector is handed to the caller.
+	var one [1]cube.Agg
+	out := cube.AggVector(one[:])
 	if req.AllMeasures {
-		vec := cube.NewAggVector(t.schema.Measures())
-		err = t.queryNodeAll(root, d, vec)
-		if err == nil {
-			res.AggVector = vec
-		}
-	} else {
-		err = t.queryNode(root, d, req.Measure, &res.Agg)
-		if err != nil {
-			res.Agg = cube.Agg{}
-		}
+		res.AggVector = cube.NewAggVector(t.schema.Measures())
+		out = res.AggVector
 	}
-	res.Stats = d.st
-	return res, err
+	d := t.newDescent(ctx, src, qc, req)
+	if err := d.visitNode(root, out); err != nil {
+		return QueryResult{Stats: d.st}, err
+	}
+	res.Agg, res.Stats = one[0], d.st
+	return res, nil
 }

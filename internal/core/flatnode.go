@@ -57,17 +57,26 @@ func flatLayoutSizes(leaf bool, count, dims, measures int) (aggBase, fixBase, md
 	return aggBase, fixBase, mdsBase, fixedPer
 }
 
+// leafMDSSize is the size of a data entry's MDS blob: the dimension count,
+// then per dimension a level byte, the value count 1 and the value.
+func leafMDSSize(dims int) int { return 1 + 6*dims }
+
 // appendEncodeFlat serializes the node. The fixed-size prefix
 // (header, offset table, agg and fixed areas) is reserved up front and
 // filled by indexed writes; the MDS blobs are appended behind it, each one
 // recording its start in the offset table as it goes — no second sizing
-// pass over the MDS encodings.
+// pass over the MDS encodings. A data node's aggregates and singleton MDSs
+// are written straight from its rows.
 func (n *node) appendEncodeFlat(buf []byte, dims, measures int) []byte {
-	count := len(n.entries)
+	count := n.count()
 	aggBase, fixBase, mdsBase, fixedPer := flatLayoutSizes(n.leaf, count, dims, measures)
+	size := mdsBase
+	if n.leaf {
+		size += count * leafMDSSize(dims) // known up front: written by index too
+	}
 	start := len(buf)
-	buf = append(buf, make([]byte, mdsBase)...)
-	hdr := buf[start : start+mdsBase]
+	buf = append(buf, make([]byte, size)...)
+	hdr := buf[start : start+size]
 	hdr[0] = flatMagic
 	if n.leaf {
 		hdr[1] |= nodeFlagLeaf
@@ -75,47 +84,58 @@ func (n *node) appendEncodeFlat(buf []byte, dims, measures int) []byte {
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(n.blocks))
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(count))
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(mdsBase))
-	for i := range n.entries {
-		e := &n.entries[i]
-		a := aggBase + flatAggStride*measures*i
-		for j := range e.Agg {
-			binary.LittleEndian.PutUint64(hdr[a:], math.Float64bits(e.Agg[j].Sum))
-			binary.LittleEndian.PutUint64(hdr[a+8:], uint64(e.Agg[j].Count))
-			binary.LittleEndian.PutUint64(hdr[a+16:], math.Float64bits(e.Agg[j].Min))
-			binary.LittleEndian.PutUint64(hdr[a+24:], math.Float64bits(e.Agg[j].Max))
-			a += flatAggStride
-		}
-		f := fixBase + fixedPer*i
-		if n.leaf {
-			for _, c := range e.Rec.Coords {
+	putAgg := func(a int, g cube.Agg) {
+		binary.LittleEndian.PutUint64(hdr[a:], math.Float64bits(g.Sum))
+		binary.LittleEndian.PutUint64(hdr[a+8:], uint64(g.Count))
+		binary.LittleEndian.PutUint64(hdr[a+16:], math.Float64bits(g.Min))
+		binary.LittleEndian.PutUint64(hdr[a+24:], math.Float64bits(g.Max))
+	}
+	if n.leaf {
+		for i := 0; i < count; i++ {
+			a, f, m := aggBase+flatAggStride*measures*i, fixBase+fixedPer*i, mdsBase+leafMDSSize(dims)*i
+			binary.LittleEndian.PutUint32(hdr[flatHeaderSize+4*i:], uint32(m-mdsBase))
+			hdr[m] = uint8(dims)
+			m++
+			for _, c := range n.row(i) {
 				binary.LittleEndian.PutUint32(hdr[f:], uint32(c))
 				f += 4
+				hdr[m], hdr[m+1] = uint8(c.Level()), 1
+				binary.LittleEndian.PutUint32(hdr[m+2:], uint32(c))
+				m += 6
 			}
-			for _, m := range e.Rec.Measures {
-				binary.LittleEndian.PutUint64(hdr[f:], math.Float64bits(m))
+			for j, x := range n.rowMeasures(i) {
+				putAgg(a+flatAggStride*j, cube.AggOf(x))
+				binary.LittleEndian.PutUint64(hdr[f:], math.Float64bits(x))
 				f += 8
 			}
-		} else {
-			binary.LittleEndian.PutUint64(hdr[f:], uint64(e.Child))
 		}
-	}
-	// MDS area + offset table. Appends may reallocate buf, so the table is
-	// written through buf (re-indexed each round), never through hdr.
-	for i := range n.entries {
-		binary.LittleEndian.PutUint32(buf[start+flatHeaderSize+4*i:], uint32(len(buf)-start-mdsBase))
-		buf = n.entries[i].MDS.AppendEncode(buf)
+	} else {
+		for i := range n.entries {
+			e := &n.entries[i]
+			for j := range e.Agg {
+				putAgg(aggBase+flatAggStride*(measures*i+j), e.Agg[j])
+			}
+			binary.LittleEndian.PutUint64(hdr[fixBase+fixedPer*i:], uint64(e.Child))
+		}
+		// MDS area + offset table. Appends may reallocate buf, so the table
+		// is written through buf (re-indexed each round), never through hdr.
+		for i := range n.entries {
+			binary.LittleEndian.PutUint32(buf[start+flatHeaderSize+4*i:], uint32(len(buf)-start-mdsBase))
+			buf = n.entries[i].MDS.AppendEncode(buf)
+		}
 	}
 	binary.LittleEndian.PutUint32(buf[start+flatHeaderSize+4*count:], uint32(len(buf)-start-mdsBase))
 	binary.LittleEndian.PutUint32(buf[start+16:], uint32(len(buf)-start))
 	return buf
 }
 
-// flatNode is a read-only view of an encoded node payload — typically a
-// mapped extent, sometimes a pooled read buffer. It owns nothing: every accessor
-// is pointer math over b, and b must stay valid for the flatNode's
-// lifetime (the descent bounds it by the tree read lock or a version pin).
-// The zero value is invalid; makeFlatNode validates the structural
-// invariants once so the accessors can skip per-call checks.
+// flatNode is a read-only view of an encoded node payload — a mapped
+// extent, a pooled read buffer, a version's overlay payload or a heap
+// directory's read image. It owns nothing: every accessor is pointer math
+// over b, and b must stay valid for the flatNode's lifetime (the descent
+// bounds it by the tree read lock or a version pin). The zero value is
+// invalid; makeFlatNode validates the frame once so the fixed-stride
+// accessors can skip per-call checks.
 type flatNode struct {
 	id       nodeID
 	b        []byte
@@ -130,14 +150,36 @@ type flatNode struct {
 	fixedPer int
 }
 
-// makeFlatNode validates a payload's frame — header, section bases,
-// offset-table monotonicity, and (for directories) non-nil children — in
-// O(count), without touching the MDS blobs. MDS malformations surface
-// later, at pruning time, as ErrCorrupt from the view iterator.
+// makeFlatNode validates a payload's frame — header and section bases — in
+// constant time: after it, every aggregate, child and record access is in
+// bounds. The offset table and the MDS blobs behind it are checked where
+// the descent first uses them (entryMDS, the view iterator, the nil-child
+// test), so a data node, whose records are tested in the fixed area, and a
+// clean extent visited again and again pay for no table scan; checkTable is
+// the eager O(count) form the decoder runs.
 func makeFlatNode(id nodeID, b []byte, dims, measures int) (flatNode, error) {
 	if len(b) < flatHeaderSize || b[0] != flatMagic || b[1]&^nodeFlagLeaf != 0 || b[2] != 0 || b[3] != 0 {
 		return flatNode{}, fmt.Errorf("%w: node %d: not a flat node payload", ErrCorrupt, id)
 	}
+	f := trustedFlatNode(id, b, dims, measures)
+	total := int(binary.LittleEndian.Uint32(b[16:]))
+	if f.blocks < 1 || f.count < 0 || total != len(b) {
+		return flatNode{}, fmt.Errorf("%w: node %d: flat header blocks=%d count=%d total=%d/%d",
+			ErrCorrupt, id, f.blocks, f.count, total, len(b))
+	}
+	// The bases are recomputed from the shape: a payload whose stored
+	// mdsBase disagrees was encoded for a different schema (or corrupted)
+	// and every fixed-offset access would read the wrong section.
+	if mdsBase := int(binary.LittleEndian.Uint32(b[12:])); mdsBase != f.mdsBase || mdsBase > len(b) {
+		return flatNode{}, fmt.Errorf("%w: node %d: flat mds base %d, want %d (len %d)",
+			ErrCorrupt, id, mdsBase, f.mdsBase, len(b))
+	}
+	return f, nil
+}
+
+// trustedFlatNode frames a payload without checking it: one the engine has
+// just encoded itself (a read image), or one makeFlatNode is about to check.
+func trustedFlatNode(id nodeID, b []byte, dims, measures int) flatNode {
 	f := flatNode{
 		id:       id,
 		b:        b,
@@ -147,49 +189,44 @@ func makeFlatNode(id nodeID, b []byte, dims, measures int) (flatNode, error) {
 		dims:     dims,
 		measures: measures,
 	}
-	total := int(binary.LittleEndian.Uint32(b[16:]))
-	mdsBase := int(binary.LittleEndian.Uint32(b[12:]))
-	if f.blocks < 1 || f.count < 0 || total != len(b) {
-		return flatNode{}, fmt.Errorf("%w: node %d: flat header blocks=%d count=%d total=%d/%d",
-			ErrCorrupt, id, f.blocks, f.count, total, len(b))
-	}
-	// Recompute the bases from the shape: a payload whose stored mdsBase
-	// disagrees was encoded for a different schema (or corrupted) and every
-	// fixed-offset access would read the wrong section.
-	aggBase, fixBase, wantBase, fixedPer := flatLayoutSizes(f.leaf, f.count, dims, measures)
-	if mdsBase != wantBase || mdsBase > len(b) {
-		return flatNode{}, fmt.Errorf("%w: node %d: flat mds base %d, want %d (len %d)",
-			ErrCorrupt, id, mdsBase, wantBase, len(b))
-	}
-	f.aggBase, f.fixBase, f.mdsBase, f.fixedPer = aggBase, fixBase, mdsBase, fixedPer
+	f.aggBase, f.fixBase, f.mdsBase, f.fixedPer = flatLayoutSizes(f.leaf, f.count, dims, measures)
+	return f
+}
+
+// checkTable validates what makeFlatNode leaves to first use: the offset
+// table (first offset zero, monotone, ending at the payload's end) and, for
+// directories, non-nil children.
+func (f *flatNode) checkTable() error {
 	prev := uint32(0)
 	for i := 0; i <= f.count; i++ {
-		off := binary.LittleEndian.Uint32(b[flatHeaderSize+4*i:])
-		if off < prev || int(off) > len(b)-mdsBase || (i == 0 && off != 0) {
-			return flatNode{}, fmt.Errorf("%w: node %d: flat offset table entry %d", ErrCorrupt, id, i)
+		off := binary.LittleEndian.Uint32(f.b[flatHeaderSize+4*i:])
+		if off < prev || int(off) > len(f.b)-f.mdsBase || (i == 0 && off != 0) {
+			return fmt.Errorf("%w: node %d: flat offset table entry %d", ErrCorrupt, f.id, i)
 		}
 		prev = off
 	}
-	if int(prev) != len(b)-mdsBase {
-		return flatNode{}, fmt.Errorf("%w: node %d: flat mds area length", ErrCorrupt, id)
+	if int(prev) != len(f.b)-f.mdsBase {
+		return fmt.Errorf("%w: node %d: flat mds area length", ErrCorrupt, f.id)
 	}
 	if !f.leaf {
 		for i := 0; i < f.count; i++ {
 			if f.child(i) == nilNode {
-				return flatNode{}, fmt.Errorf("%w: node %d entry %d: nil child", ErrCorrupt, id, i)
+				return fmt.Errorf("%w: node %d entry %d: nil child", ErrCorrupt, f.id, i)
 			}
 		}
 	}
-	return f, nil
+	return nil
 }
 
-// valid reports whether the view is populated (nodeView dispatch).
-func (f *flatNode) valid() bool { return f.b != nil }
-
-// entryMDS returns entry i's MDS wire encoding, in place.
+// entryMDS returns entry i's MDS wire encoding, in place; nil when the
+// offset table does not bound it inside the payload (which the view
+// iterator then reports as malformed).
 func (f *flatNode) entryMDS(i int) []byte {
 	o := int(binary.LittleEndian.Uint32(f.b[flatHeaderSize+4*i:]))
 	e := int(binary.LittleEndian.Uint32(f.b[flatHeaderSize+4*i+4:]))
+	if o > e || e > len(f.b)-f.mdsBase {
+		return nil
+	}
 	return f.b[f.mdsBase+o : f.mdsBase+e]
 }
 
@@ -201,13 +238,6 @@ func (f *flatNode) agg(i, j int) cube.Agg {
 		Count: int64(binary.LittleEndian.Uint64(f.b[a+8:])),
 		Min:   math.Float64frombits(binary.LittleEndian.Uint64(f.b[a+16:])),
 		Max:   math.Float64frombits(binary.LittleEndian.Uint64(f.b[a+24:])),
-	}
-}
-
-// mergeAggInto folds entry i's full aggregate vector into vec.
-func (f *flatNode) mergeAggInto(i int, vec cube.AggVector) {
-	for j := 0; j < f.measures; j++ {
-		vec[j].Merge(f.agg(i, j))
 	}
 }
 
@@ -244,29 +274,45 @@ func (f *flatNode) record(i int) cube.Record {
 // decodeFlatNode materializes a payload as a heap node — the write path
 // and the no-zero-copy fallback need mutable *nodes.
 //
-// Per-entry state is carved out of node-scoped arenas — one backing array
-// each for aggregate vectors, record coordinates, record measures, and the
-// MDS dimension sets and ID values — so a node of k entries decodes with
-// O(1) slice allocations instead of O(k). Every carve is a capacity-capped
-// subslice: when an arena grows and reallocates, earlier entries keep
-// aliasing the old backing array, which stays correct because decoded
-// values are only ever mutated in place within an entry's own disjoint
-// region, never appended through.
+// A data node decodes into its two row arrays; what the encoding repeats
+// per record (the singleton MDS, the one-record aggregates) is checked
+// against the row, since the heap form does not keep it. A directory's
+// per-entry state is carved out of node-scoped arenas — one backing array
+// each for aggregate vectors and the MDS dimension sets and ID values — so
+// a node of k entries decodes with O(1) slice allocations instead of O(k).
+// Every carve is a capacity-capped subslice: when an arena grows and
+// reallocates, earlier entries keep aliasing the old backing array, which
+// stays correct because decoded values are only ever mutated in place
+// within an entry's own disjoint region, never appended through.
 func decodeFlatNode(id nodeID, buf []byte, dims, measures int) (*node, error) {
 	f, err := makeFlatNode(id, buf, dims, measures)
+	if err == nil {
+		err = f.checkTable()
+	}
 	if err != nil {
 		return nil, err
 	}
-	n := &node{id: id, leaf: f.leaf, blocks: f.blocks, entries: make([]entry, f.count)}
+	n := &node{id: id, leaf: f.leaf, blocks: f.blocks, dims: dims, nm: measures}
+	if f.leaf {
+		n.coords = make([]hierarchy.ID, 0, f.count*dims)
+		n.measures = make([]float64, 0, f.count*measures)
+		for i := 0; i < f.count; i++ {
+			for d := 0; d < dims; d++ {
+				n.coords = append(n.coords, f.coord(i, d))
+			}
+			for j := 0; j < measures; j++ {
+				n.measures = append(n.measures, f.measure(i, j))
+			}
+			if !f.describesRow(i) {
+				return nil, fmt.Errorf("%w: node %d entry %d does not describe its record", ErrCorrupt, id, i)
+			}
+		}
+		return n, nil
+	}
+	n.entries = make([]entry, f.count)
 	aggArena := make(cube.AggVector, f.count*measures)
 	var dimArena []mds.DimSet
 	var idArena []hierarchy.ID
-	var coordArena []hierarchy.ID
-	var measureArena []float64
-	if f.leaf {
-		coordArena = make([]hierarchy.ID, 0, f.count*dims)
-		measureArena = make([]float64, 0, f.count*measures)
-	}
 	for i := range n.entries {
 		e := &n.entries[i]
 		m, k, err := mds.AppendDecode(f.entryMDS(i), &dimArena, &idArena)
@@ -278,20 +324,33 @@ func decodeFlatNode(id nodeID, buf []byte, dims, measures int) (*node, error) {
 		for j := 0; j < measures; j++ {
 			e.Agg[j] = f.agg(i, j)
 		}
-		if f.leaf {
-			cs := len(coordArena)
-			for d := 0; d < dims; d++ {
-				coordArena = append(coordArena, f.coord(i, d))
-			}
-			e.Rec.Coords = coordArena[cs:len(coordArena):len(coordArena)]
-			ms := len(measureArena)
-			for j := 0; j < measures; j++ {
-				measureArena = append(measureArena, f.measure(i, j))
-			}
-			e.Rec.Measures = measureArena[ms:len(measureArena):len(measureArena)]
-		} else {
-			e.Child = f.child(i)
-		}
+		e.Child = f.child(i)
 	}
 	return n, nil
+}
+
+// describesRow reports whether data entry i's MDS blob and aggregates are
+// the ones its record implies: one singleton set per dimension holding the
+// coordinate, and per measure the aggregate of that one value.
+func (f *flatNode) describesRow(i int) bool {
+	it, err := mds.NewViewIter(f.entryMDS(i))
+	if err != nil || it.Dims() != f.dims {
+		return false
+	}
+	for d := 0; d < f.dims; d++ {
+		dv, ok := it.Next()
+		if c := f.coord(i, d); !ok || dv.Level != c.Level() || dv.Len() != 1 || dv.ID(0) != c {
+			return false
+		}
+	}
+	if it.Rem() != 0 {
+		return false
+	}
+	for j := 0; j < f.measures; j++ {
+		x, g := math.Float64bits(f.measure(i, j)), f.agg(i, j)
+		if g.Count != 1 || math.Float64bits(g.Sum) != x || math.Float64bits(g.Min) != x || math.Float64bits(g.Max) != x {
+			return false
+		}
+	}
+	return true
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/mds"
 )
 
@@ -31,15 +33,32 @@ func collectNodes(t testing.TB, tree *Tree) []*node {
 	return nodes
 }
 
+// entriesOf lists a node's entries the way the encoding carries them: a
+// directory's own, and for a data node one per record with the singleton
+// MDS and the one-record aggregates synthesized from the row.
+func entriesOf(n *node) []entry {
+	if !n.leaf {
+		return n.entries
+	}
+	out := make([]entry, n.count())
+	for i := range out {
+		out[i] = entry{MDS: mds.FromLeaves(n.row(i)), Agg: cube.AggOfRecord(n.rowMeasures(i))}
+	}
+	return out
+}
+
 // requireNodesEqual compares a decoded node against the original field by
 // field.
 func requireNodesEqual(t *testing.T, got, want *node) {
 	t.Helper()
 	if got.id != want.id || got.leaf != want.leaf || got.blocks != want.blocks ||
-		len(got.entries) != len(want.entries) {
+		got.count() != want.count() || got.dims != want.dims || got.nm != want.nm {
 		t.Fatalf("node %d: shape (leaf=%v blocks=%d entries=%d) != (leaf=%v blocks=%d entries=%d)",
-			want.id, got.leaf, got.blocks, len(got.entries),
-			want.leaf, want.blocks, len(want.entries))
+			want.id, got.leaf, got.blocks, got.count(),
+			want.leaf, want.blocks, want.count())
+	}
+	if !slices.Equal(got.coords, want.coords) || !slices.Equal(got.measures, want.measures) {
+		t.Fatalf("node %d: rows differ", want.id)
 	}
 	for i := range want.entries {
 		ge, we := &got.entries[i], &want.entries[i]
@@ -54,22 +73,7 @@ func requireNodesEqual(t *testing.T, got, want *node) {
 				t.Fatalf("node %d entry %d measure %d: agg %+v != %+v", want.id, i, j, ge.Agg[j], we.Agg[j])
 			}
 		}
-		if want.leaf {
-			if len(ge.Rec.Coords) != len(we.Rec.Coords) {
-				t.Fatalf("node %d entry %d: coord count", want.id, i)
-			}
-			for d := range we.Rec.Coords {
-				if ge.Rec.Coords[d] != we.Rec.Coords[d] {
-					t.Fatalf("node %d entry %d dim %d: coord %v != %v",
-						want.id, i, d, ge.Rec.Coords[d], we.Rec.Coords[d])
-				}
-			}
-			for j := range we.Rec.Measures {
-				if ge.Rec.Measures[j] != we.Rec.Measures[j] {
-					t.Fatalf("node %d entry %d: measure %d differs", want.id, i, j)
-				}
-			}
-		} else if ge.Child != we.Child {
+		if ge.Child != we.Child {
 			t.Fatalf("node %d entry %d: child %d != %d", want.id, i, ge.Child, we.Child)
 		}
 	}
@@ -91,7 +95,7 @@ func grownNodes(t testing.TB) (nodes []*node, dims, measures int) {
 		}
 	}
 	nodes = collectNodes(t, tree)
-	super := &node{id: 999999, blocks: 4}
+	super := &node{id: 999999, blocks: 4, dims: s.Dims(), nm: s.Measures()}
 	for _, n := range nodes {
 		if !n.leaf {
 			super.entries = append(super.entries, n.entries...)
@@ -113,12 +117,14 @@ func TestFlatNodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("makeFlatNode(%d): %v", n.id, err)
 		}
-		if f.leaf != n.leaf || f.count != len(n.entries) || f.blocks != n.blocks {
+		if err := f.checkTable(); err != nil {
+			t.Fatalf("checkTable(%d): %v", n.id, err)
+		}
+		if f.leaf != n.leaf || f.count != n.count() || f.blocks != n.blocks {
 			t.Fatalf("node %d: flat shape (leaf=%v count=%d blocks=%d)", n.id, f.leaf, f.count, f.blocks)
 		}
 		// Spot-check the in-place accessors against the heap entries.
-		for i := range n.entries {
-			e := &n.entries[i]
+		for i, e := range entriesOf(n) {
 			wantMDS := e.MDS.AppendEncode(nil)
 			if !bytes.Equal(f.entryMDS(i), wantMDS) {
 				t.Fatalf("node %d entry %d: flat MDS bytes differ", n.id, i)
@@ -130,12 +136,12 @@ func TestFlatNodeRoundTrip(t *testing.T) {
 			}
 			if n.leaf {
 				for d := 0; d < dims; d++ {
-					if f.coord(i, d) != e.Rec.Coords[d] {
+					if f.coord(i, d) != n.row(i)[d] {
 						t.Fatalf("node %d entry %d: coord(%d) differs", n.id, i, d)
 					}
 				}
 				for j := 0; j < measures; j++ {
-					if f.measure(i, j) != e.Rec.Measures[j] {
+					if f.measure(i, j) != n.rowMeasures(i)[j] {
 						t.Fatalf("node %d entry %d: measure(%d) differs", n.id, i, j)
 					}
 				}
@@ -160,8 +166,8 @@ func TestFlatNodeEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(n.entries) != 0 {
-		t.Fatalf("fresh root has %d entries", len(n.entries))
+	if n.count() != 0 {
+		t.Fatalf("fresh root has %d entries", n.count())
 	}
 	buf := n.appendEncodeFlat(nil, s.Dims(), s.Measures())
 	dec, err := decodeFlatNode(n.id, buf, s.Dims(), s.Measures())
@@ -171,8 +177,11 @@ func TestFlatNodeEmpty(t *testing.T) {
 	requireNodesEqual(t, dec, n)
 }
 
-// TestFlatNodeCorruptFailClosed: damaged flat encodings are rejected by
-// makeFlatNode, never served or panicked on.
+// TestFlatNodeCorruptFailClosed: damaged flat encodings are never decoded,
+// served or panicked on. A damaged frame is rejected by makeFlatNode; a
+// damaged offset table passes the constant-time frame check, is rejected by
+// checkTable (and so by the decoder), and on the read path surfaces as
+// ErrCorrupt from the entry it garbles.
 func TestFlatNodeCorruptFailClosed(t *testing.T) {
 	tree := newTestTree(t, smallConfig())
 	s := tree.Schema()
@@ -192,13 +201,31 @@ func TestFlatNodeCorruptFailClosed(t *testing.T) {
 		t.Fatalf("pristine encoding rejected: %v", err)
 	}
 
+	qc, err := tree.newQueryCtx(mds.Top(dims))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree.putQueryCtx(qc)
 	mutate := func(name string, f func(b []byte) []byte) {
 		b := f(append([]byte(nil), good...))
-		if _, err := makeFlatNode(n.id, b, dims, measures); err == nil {
-			t.Errorf("%s: corrupt encoding accepted", name)
+		if _, err := decodeFlatNode(n.id, b, dims, measures); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: corrupt encoding decoded: %v", name, err)
 		}
-		if _, err := decodeFlatNode(n.id, b, dims, measures); err == nil {
-			t.Errorf("%s: corrupt encoding decoded", name)
+		view, err := makeFlatNode(n.id, b, dims, measures)
+		if err != nil {
+			return
+		}
+		if view.checkTable() == nil {
+			t.Errorf("%s: corrupt encoding passes the frame and the table check", name)
+		}
+		sawCorrupt := false
+		for i := 0; i < view.count; i++ {
+			if _, _, err := qc.matchEntryFlat(&view, i); errors.Is(err, ErrCorrupt) {
+				sawCorrupt = true
+			}
+		}
+		if !sawCorrupt {
+			t.Errorf("%s: the descent matched every entry of a corrupt encoding", name)
 		}
 	}
 	mutate("bad magic", func(b []byte) []byte { b[0] ^= 0xFF; return b })
@@ -223,8 +250,9 @@ func TestFlatNodeCorruptFailClosed(t *testing.T) {
 // FuzzDecodeFlatNode drives the one node decoder with arbitrary payloads.
 // makeFlatNode (the frame check every zero-copy view passes) and
 // decodeFlatNode agree on the frame: what the first rejects the second
-// rejects, and the second rejects further only for a malformed MDS blob,
-// which a view surfaces at pruning time. An accepted view can be walked end
+// rejects, and the second rejects further only for a malformed offset table
+// or MDS blob, which a view surfaces at pruning time, or for a data entry
+// that does not describe its record. An accepted view can be walked end
 // to end — every MDS, aggregate, child and record — without a panic, and an
 // accepted payload is canonical up to varint width: it re-encodes to
 // itself, or to a shorter payload that re-encodes to itself.
@@ -261,8 +289,8 @@ func FuzzDecodeFlatNode(f *testing.F) {
 			}
 			if view.leaf {
 				view.record(i)
-			} else if view.child(i) == nilNode {
-				t.Fatalf("accepted directory view has a nil child at %d", i)
+			} else {
+				view.child(i)
 			}
 		}
 		if decErr != nil {
@@ -303,12 +331,12 @@ func TestFlatNodeMDSView(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range n.entries {
+		for i, e := range entriesOf(n) {
 			it, err := mds.NewViewIter(f.entryMDS(i))
 			if err != nil {
 				t.Fatalf("node %d entry %d: %v", n.id, i, err)
 			}
-			want := n.entries[i].MDS
+			want := e.MDS
 			if it.Dims() != len(want) {
 				t.Fatalf("node %d entry %d: view dims %d != %d", n.id, i, it.Dims(), len(want))
 			}
@@ -317,8 +345,15 @@ func TestFlatNodeMDSView(t *testing.T) {
 				if !ok {
 					t.Fatalf("node %d entry %d: view ended at dim %d", n.id, i, d)
 				}
-				if !(mds.MDS{dv.DimSet()}).Equal(mds.MDS{want[d]}) {
-					t.Fatalf("node %d entry %d dim %d: view %v != %v", n.id, i, d, dv.DimSet(), want[d])
+				got := mds.AllDim()
+				if !dv.IsALL() {
+					got = mds.DimSet{Level: dv.Level}
+					for j := 0; j < dv.Len(); j++ {
+						got.IDs = append(got.IDs, dv.ID(j))
+					}
+				}
+				if !(mds.MDS{got}).Equal(mds.MDS{want[d]}) {
+					t.Fatalf("node %d entry %d dim %d: view %v != %v", n.id, i, d, got, want[d])
 				}
 			}
 		}

@@ -107,7 +107,7 @@ func (t *Tree) insertInto(id nodeID, nodeMDS mds.MDS, rc *recContext) (insertRes
 	t.markDirty(n)
 
 	if n.leaf {
-		n.entries = append(n.entries, t.ws.leaves.newEntry(rc.rec))
+		n.appendRecord(rc.rec)
 		if !n.overflowing(&t.cfg) {
 			return insertResult{}, nil
 		}

@@ -101,9 +101,9 @@ func refDescribeEntryAt(t *testing.T, tree *Tree, e *entry, leaf bool, targets [
 
 func refDescribeNodeAt(t *testing.T, tree *Tree, n *node, targets []int) mds.MDS {
 	t.Helper()
-	members := make([]mds.MDS, len(n.entries))
-	for i := range n.entries {
-		members[i] = refDescribeEntryAt(t, tree, &n.entries[i], n.leaf, targets)
+	members := make([]mds.MDS, n.count())
+	for i, e := range entriesOf(n) {
+		members[i] = refDescribeEntryAt(t, tree, &e, n.leaf, targets)
 	}
 	m, err := mds.Cover(tree.space(), members...)
 	if err != nil {
@@ -208,8 +208,8 @@ func TestRecContextMatchesMDS(t *testing.T) {
 		}
 		recMDS := mds.FromLeaves(rec.Coords)
 		for _, n := range nodes {
-			for i := range n.entries {
-				m := n.entries[i].MDS
+			for _, e := range entriesOf(n) {
+				m := e.MDS
 				want, err := mds.Contains(space, m, recMDS)
 				if err != nil {
 					t.Fatal(err)
@@ -258,9 +258,8 @@ func TestDescribeMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range n.entries {
-			e := &n.entries[i]
-			if want := refDescribeEntryAt(t, tree, e, n.leaf, targets); !adapted[i].Equal(want) {
+		for i, e := range entriesOf(n) {
+			if want := refDescribeEntryAt(t, tree, &e, n.leaf, targets); !adapted[i].Equal(want) {
 				t.Fatalf("node %d entry %d at %v: adapted %v, reference %v", n.id, i, targets, adapted[i], want)
 			}
 			if !n.leaf && levelAboveInt(e.MDS[dim].Level, targets[dim]) {
@@ -327,7 +326,7 @@ func TestSplitAllocationsIndependentOfEntryCount(t *testing.T) {
 			n := tree.newNode(true)
 			n.blocks = blocks
 			for _, r := range recs[len(nodes)*entries:][:entries] {
-				n.entries = append(n.entries, tree.ws.leaves.newEntry(r))
+				n.appendRecord(r)
 			}
 			nodes = append(nodes, n)
 		}
@@ -350,7 +349,7 @@ func TestSplitAllocationsIndependentOfEntryCount(t *testing.T) {
 // TestScratchResultsAreCopiedOut runs a small tree through inserts and
 // deletes and checks every entry of the tree after every operation: an MDS
 // or record left aliasing the write scratch (a split result handed to the
-// parent, a repaired cover, a slab-carved data entry) would be overwritten
+// parent, a repaired cover, a synthesized singleton set) would be overwritten
 // by a later operation and stop describing its subtree.
 func TestScratchResultsAreCopiedOut(t *testing.T) {
 	supernodes := smallConfig()

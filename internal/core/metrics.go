@@ -52,10 +52,12 @@ type treeMetrics struct {
 	stealStolen       obs.Counter
 
 	// Zero-copy read path: descents answered from a flat node view over
-	// mapped bytes, and reads that fell back to the heap decode path
-	// (layout-v2 extent, mmap unavailable, or zero-copy disabled).
+	// mapped bytes, reads that fell back to the heap decode path (mmap
+	// unavailable, or zero-copy disabled), and read images built for heap
+	// directories (one per directory per spell between mutations).
 	flatNodeReads   obs.Counter
 	decodeFallbacks obs.Counter
+	readImageBuilds obs.Counter
 
 	// Durable write path: WAL appends, fsyncs issued by commit leaders,
 	// commit batches with their record totals and high-water size, and
@@ -167,14 +169,19 @@ type Metrics struct {
 	ParallelTasksStolen  int64
 
 	// Zero-copy read path. FlatNodeReads counts node resolutions served as
-	// in-place flat views over memory-mapped extents; DecodeFallbacks counts
-	// uncached resolutions that materialized a heap node instead (layout-v2
-	// extent, mapping unavailable, or zero-copy disabled). MmapViews,
+	// in-place flat views over extent bytes or a version's overlay payloads;
+	// DecodeFallbacks counts uncached resolutions that materialized a heap
+	// node instead (mapping unavailable, or zero-copy disabled). MmapViews,
 	// MmapRemaps and MmapFallbacks are the store-side accounting: extent
 	// views served from the mapping, mapping rebuilds after file growth, and
 	// view requests answered by a plain file read.
 	FlatNodeReads   int64
 	DecodeFallbacks int64
+	// ReadImageBuilds counts read images built for heap directory nodes: a
+	// directory is encoded once by the first query that meets it after a
+	// mutation (or after it was decoded) and matched in that form until the
+	// write path dirties it again.
+	ReadImageBuilds int64
 	MmapViews       int64
 	MmapRemaps      int64
 	MmapFallbacks   int64
@@ -312,6 +319,7 @@ func (t *Tree) Metrics() Metrics {
 
 		FlatNodeReads:   m.flatNodeReads.Load(),
 		DecodeFallbacks: m.decodeFallbacks.Load(),
+		ReadImageBuilds: m.readImageBuilds.Load(),
 
 		WALAppends:              m.walAppends.Load(),
 		WALFsyncs:               m.walFsyncs.Load(),
@@ -436,6 +444,7 @@ func (m Metrics) Families() []obs.Family {
 		obs.CounterFamily("dctree_parallel_tasks_stolen_total", "Subtree tasks executed by a worker other than the one that pushed them.", m.ParallelTasksStolen),
 		obs.CounterFamily("dctree_flat_node_reads_total", "Node resolutions served as zero-copy flat views over mapped extents.", m.FlatNodeReads),
 		obs.CounterFamily("dctree_decode_fallback_total", "Uncached node resolutions that materialized a heap node instead of a flat view.", m.DecodeFallbacks),
+		obs.CounterFamily("dctree_read_image_builds_total", "Read images (flat encodings) built for heap directory nodes.", m.ReadImageBuilds),
 		obs.CounterFamily("dctree_mmap_views_total", "Extent views served from the store's memory mapping.", m.MmapViews),
 		obs.CounterFamily("dctree_mmap_remap_total", "Memory-mapping rebuilds after backing-file growth.", m.MmapRemaps),
 		obs.CounterFamily("dctree_mmap_fallback_total", "Extent view requests answered by a plain file read.", m.MmapFallbacks),

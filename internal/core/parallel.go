@@ -141,13 +141,13 @@ func (t *Tree) executeParallel(ctx context.Context, qc *queryCtx, req QueryReque
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			d := &descent{src: src, qc: qc, ctx: ctx, check: ctxCheckInterval}
-			var local cube.Agg
-			var localVec cube.AggVector
+			local := cube.NewAggVector(1)
 			if req.AllMeasures {
-				localVec = cube.NewAggVector(measures)
+				local = cube.NewAggVector(measures)
 			}
-			err := t.stealWorker(w, q, d, req, &local, localVec)
+			d := t.newDescent(ctx, src, qc, req)
+			d.q, d.w = q, w
+			err := d.stealWorker(local)
 			if err != nil {
 				q.abort()
 			}
@@ -157,9 +157,9 @@ func (t *Tree) executeParallel(ctx context.Context, qc *queryCtx, req QueryReque
 			}
 			st.add(d.st)
 			if req.AllMeasures {
-				vec.Merge(localVec)
+				vec.Merge(local)
 			} else {
-				res.Agg.Merge(local)
+				res.Agg.Merge(local[0])
 			}
 			mu.Unlock()
 		}(w)
@@ -177,126 +177,27 @@ func (t *Tree) executeParallel(ctx context.Context, qc *queryCtx, req QueryReque
 	return res, nil
 }
 
-// stealWorker pops subtree tasks until the descent completes or aborts.
-func (t *Tree) stealWorker(w int, q *stealQueue, d *descent, req QueryRequest, agg *cube.Agg, vec cube.AggVector) error {
-	var stack []nodeID
+// stealWorker pops subtree tasks until the descent completes or aborts. Each
+// task is drained depth-first over the worker's own stack (whose backing
+// array is reused across tasks): visitNode answers or prunes what can be
+// decided per entry and offers partially-overlapping children to the shared
+// queue while it is hungry.
+func (d *descent) stealWorker(out cube.AggVector) error {
 	for {
-		id, ok := q.pop(w)
+		id, ok := d.q.pop(d.w)
 		if !ok {
 			return nil
 		}
-		err := t.stealDescend(id, w, q, d, req, agg, vec, &stack)
-		q.done()
+		d.stack = append(d.stack[:0], id)
+		var err error
+		for len(d.stack) > 0 && err == nil {
+			id := d.stack[len(d.stack)-1]
+			d.stack = d.stack[:len(d.stack)-1]
+			err = d.visitNode(id, out)
+		}
+		d.q.done()
 		if err != nil {
 			return err
 		}
 	}
-}
-
-// stealDescend drains one subtree with an explicit stack, answering or
-// pruning what can be decided per entry and offering partially-overlapping
-// children to the shared queue while it is hungry. The stack's backing
-// array is reused across tasks.
-func (t *Tree) stealDescend(root nodeID, w int, q *stealQueue, d *descent, req QueryRequest, agg *cube.Agg, vec cube.AggVector, stack *[]nodeID) error {
-	s := (*stack)[:0]
-	defer func() { *stack = s }()
-	s = append(s, root)
-	for len(s) > 0 {
-		id := s[len(s)-1]
-		s = s[:len(s)-1]
-		nv, err := d.src.getView(id)
-		if err != nil {
-			return err
-		}
-		if err := d.visit(); err != nil {
-			return err
-		}
-		if nv.n == nil {
-			f := &nv.f
-			if f.leaf {
-				for i := 0; i < f.count; i++ {
-					d.st.EntriesScanned++
-					if d.qc.recordInRangeFlat(f, i) {
-						if req.AllMeasures {
-							for j := 0; j < f.measures; j++ {
-								vec[j].Add(f.measure(i, j))
-							}
-						} else {
-							agg.Add(f.measure(i, req.Measure))
-						}
-						d.st.RecordsMatched++
-					}
-				}
-				continue
-			}
-			for i := 0; i < f.count; i++ {
-				d.st.EntriesScanned++
-				overlaps, contained, err := d.qc.matchEntryFlat(t, f, i)
-				if err != nil {
-					return err
-				}
-				if !overlaps {
-					d.st.EntriesPruned++
-					continue
-				}
-				if t.cfg.Materialize && contained {
-					if req.AllMeasures {
-						f.mergeAggInto(i, vec)
-					} else {
-						agg.Merge(f.agg(i, req.Measure))
-					}
-					d.st.MaterializedHits++
-					continue
-				}
-				child := f.child(i)
-				if q.trySpawn(child, w) {
-					continue
-				}
-				s = append(s, child)
-			}
-			continue
-		}
-		n := nv.n
-		if n.leaf {
-			for i := range n.entries {
-				e := &n.entries[i]
-				d.st.EntriesScanned++
-				if d.qc.recordInRange(e.Rec.Coords) {
-					if req.AllMeasures {
-						vec.AddRecord(e.Rec.Measures)
-					} else {
-						agg.Add(e.Rec.Measures[req.Measure])
-					}
-					d.st.RecordsMatched++
-				}
-			}
-			continue
-		}
-		for i := range n.entries {
-			e := &n.entries[i]
-			d.st.EntriesScanned++
-			overlaps, contained, err := d.qc.matchEntry(t, e.MDS)
-			if err != nil {
-				return err
-			}
-			if !overlaps {
-				d.st.EntriesPruned++
-				continue
-			}
-			if t.cfg.Materialize && contained {
-				if req.AllMeasures {
-					vec.Merge(e.Agg)
-				} else {
-					agg.Merge(e.Agg[req.Measure])
-				}
-				d.st.MaterializedHits++
-				continue
-			}
-			if q.trySpawn(e.Child, w) {
-				continue
-			}
-			s = append(s, e.Child)
-		}
-	}
-	return nil
 }

@@ -36,18 +36,15 @@ func (s *QueryStats) add(o QueryStats) {
 // against its table and shared cache (under the tree read lock); a Version
 // resolves against its captured overlay and pinned extents (no tree lock).
 // The descent code is identical either way — only the resolver differs.
-//
-// getView is the read-only resolution: cached nodes come back as heap
-// nodes, clean extents as zero-copy flatNode views. getNode always
-// materializes a heap node (the write path and the scan/export helpers
-// that need one).
 type nodeSource interface {
-	getNode(id nodeID) (*node, error)
 	getView(id nodeID) (nodeView, error)
 }
 
-// nodeView is what a read-only descent walks: exactly one of a heap node
-// (n != nil) or a flat in-place view (f.valid()).
+// nodeView is what a read-only descent walks. A directory is always a
+// flatNode — a mapped extent, an overlay payload, or a heap node's read
+// image — so one matcher serves them all; a data node is either a flatNode
+// (rows at a fixed stride in the payload) or the heap node n with its
+// packed rows.
 type nodeView struct {
 	n *node
 	f flatNode
@@ -55,15 +52,40 @@ type nodeView struct {
 
 // descent carries the per-goroutine state of one range-query walk: the
 // node resolver (live tree or pinned version), the shared read-only query
-// context, the cancellation context with its poll countdown, and the work
+// context, the cancellation context with its poll countdown and the work
 // counters. Parallel queries give every worker its own descent over the
 // same queryCtx.
 type descent struct {
-	src   nodeSource
-	qc    *queryCtx
-	ctx   context.Context
-	check int // node visits until the next ctx poll
-	st    QueryStats
+	src         nodeSource
+	qc          *queryCtx
+	ctx         context.Context
+	check       int // node visits until the next ctx poll
+	materialize bool
+	st          QueryStats
+
+	// first is the measure the aggregate sink's first element accumulates:
+	// a walk aggregates into out[j] the measure first+j, so a single-measure
+	// query is a one-element window of the vector. (The sink is a parameter
+	// of the walk, not a field: the resolver and the context are reached
+	// through interfaces, and a field beside them would be moved to the
+	// heap with them.)
+	first int
+
+	// A parallel worker (q != nil) does not recurse into a partially
+	// overlapping child: it offers the child to the shared queue and keeps
+	// it on its own stack when the queue is not hungry.
+	q     *stealQueue
+	w     int
+	stack []nodeID
+}
+
+// newDescent prepares a walk of src for req.
+func (t *Tree) newDescent(ctx context.Context, src nodeSource, qc *queryCtx, req QueryRequest) descent {
+	d := descent{src: src, qc: qc, ctx: ctx, check: ctxCheckInterval, materialize: t.cfg.Materialize}
+	if !req.AllMeasures {
+		d.first = req.Measure
+	}
+	return d
 }
 
 // visit accounts one node and polls the context every ctxCheckInterval
@@ -81,8 +103,14 @@ func (d *descent) visit() error {
 	return nil
 }
 
-// queryNodeAll is queryNode generalized to every measure of the schema.
-func (t *Tree) queryNodeAll(id nodeID, d *descent, result cube.AggVector) error {
+// visitNode is the range query of Fig. 7 on one node. A data node's records
+// are tested by scanRows. For every directory entry the query and the entry
+// MDS are compared level by level through the query masks: entries without
+// overlap are pruned, entries fully contained in the range contribute their
+// materialized aggregate, and partially overlapping entries are descended
+// into — by recursion on a serial walk, through the worker's stack and the
+// shared queue on a parallel one. Aggregates are folded into out.
+func (d *descent) visitNode(id nodeID, out cube.AggVector) error {
 	nv, err := d.src.getView(id)
 	if err != nil {
 		return err
@@ -90,58 +118,16 @@ func (t *Tree) queryNodeAll(id nodeID, d *descent, result cube.AggVector) error 
 	if err := d.visit(); err != nil {
 		return err
 	}
-	if nv.n == nil {
-		f := &nv.f
-		if f.leaf {
-			for i := 0; i < f.count; i++ {
-				d.st.EntriesScanned++
-				if d.qc.recordInRangeFlat(f, i) {
-					for j := 0; j < f.measures; j++ {
-						result[j].Add(f.measure(i, j))
-					}
-					d.st.RecordsMatched++
-				}
-			}
-			return nil
-		}
-		for i := 0; i < f.count; i++ {
-			d.st.EntriesScanned++
-			overlaps, contained, err := d.qc.matchEntryFlat(t, f, i)
-			if err != nil {
-				return err
-			}
-			if !overlaps {
-				d.st.EntriesPruned++
-				continue
-			}
-			if t.cfg.Materialize && contained {
-				f.mergeAggInto(i, result)
-				d.st.MaterializedHits++
-				continue
-			}
-			if err := t.queryNodeAll(f.child(i), d, result); err != nil {
-				return err
-			}
-		}
+	f := &nv.f
+	if nv.n != nil || f.leaf {
+		rows, matched := d.qc.scanRows(&nv, d.first, out)
+		d.st.EntriesScanned += rows
+		d.st.RecordsMatched += matched
 		return nil
 	}
-
-	n := nv.n
-	if n.leaf {
-		for i := range n.entries {
-			e := &n.entries[i]
-			d.st.EntriesScanned++
-			if d.qc.recordInRange(e.Rec.Coords) {
-				result.AddRecord(e.Rec.Measures)
-				d.st.RecordsMatched++
-			}
-		}
-		return nil
-	}
-	for i := range n.entries {
-		e := &n.entries[i]
+	for i := 0; i < f.count; i++ {
 		d.st.EntriesScanned++
-		overlaps, contained, err := d.qc.matchEntry(t, e.MDS)
+		overlaps, contained, err := d.qc.matchEntryFlat(f, i)
 		if err != nil {
 			return err
 		}
@@ -149,96 +135,21 @@ func (t *Tree) queryNodeAll(id nodeID, d *descent, result cube.AggVector) error 
 			d.st.EntriesPruned++
 			continue
 		}
-		if t.cfg.Materialize && contained {
-			result.Merge(e.Agg)
+		if contained && d.materialize {
+			for j := range out {
+				out[j].Merge(f.agg(i, d.first+j))
+			}
 			d.st.MaterializedHits++
 			continue
 		}
-		if err := t.queryNodeAll(e.Child, d, result); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// queryNode is the recursive range-query of Fig. 7. For every entry the
-// query MDS and the entry MDS are made level-comparable (Overlap and
-// Contains adapt internally); entries without overlap are pruned, entries
-// fully contained in the range contribute their materialized aggregate,
-// and partially overlapping directory entries are descended into.
-func (t *Tree) queryNode(id nodeID, d *descent, measure int, result *cube.Agg) error {
-	nv, err := d.src.getView(id)
-	if err != nil {
-		return err
-	}
-	if err := d.visit(); err != nil {
-		return err
-	}
-	if nv.n == nil {
-		f := &nv.f
-		if f.leaf {
-			for i := 0; i < f.count; i++ {
-				d.st.EntriesScanned++
-				if d.qc.recordInRangeFlat(f, i) {
-					result.Add(f.measure(i, measure))
-					d.st.RecordsMatched++
-				}
-			}
-			return nil
-		}
-		for i := 0; i < f.count; i++ {
-			d.st.EntriesScanned++
-			overlaps, contained, err := d.qc.matchEntryFlat(t, f, i)
-			if err != nil {
+		child := f.child(i)
+		switch {
+		case d.q == nil:
+			if err := d.visitNode(child, out); err != nil {
 				return err
 			}
-			if !overlaps {
-				d.st.EntriesPruned++
-				continue
-			}
-			if t.cfg.Materialize && contained {
-				result.Merge(f.agg(i, measure))
-				d.st.MaterializedHits++
-				continue
-			}
-			if err := t.queryNode(f.child(i), d, measure, result); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	n := nv.n
-	if n.leaf {
-		for i := range n.entries {
-			e := &n.entries[i]
-			d.st.EntriesScanned++
-			if d.qc.recordInRange(e.Rec.Coords) {
-				result.Add(e.Rec.Measures[measure])
-				d.st.RecordsMatched++
-			}
-		}
-		return nil
-	}
-
-	for i := range n.entries {
-		e := &n.entries[i]
-		d.st.EntriesScanned++
-		overlaps, contained, err := d.qc.matchEntry(t, e.MDS)
-		if err != nil {
-			return err
-		}
-		if !overlaps {
-			d.st.EntriesPruned++
-			continue
-		}
-		if t.cfg.Materialize && contained {
-			result.Merge(e.Agg[measure])
-			d.st.MaterializedHits++
-			continue
-		}
-		if err := t.queryNode(e.Child, d, measure, result); err != nil {
-			return err
+		case !d.q.trySpawn(child, d.w):
+			d.stack = append(d.stack, child)
 		}
 	}
 	return nil
@@ -258,38 +169,26 @@ func (t *Tree) scanNode(src nodeSource, id nodeID, fn func(cube.Record) bool) (b
 	if err != nil {
 		return false, err
 	}
-	if nv.n == nil {
-		f := &nv.f
-		if f.leaf {
-			for i := 0; i < f.count; i++ {
-				if !fn(f.record(i)) {
-					return false, nil
-				}
+	f := &nv.f
+	switch {
+	case nv.n != nil:
+		for i := 0; i < nv.n.count(); i++ {
+			if !fn(cube.Record{Coords: nv.n.row(i), Measures: nv.n.rowMeasures(i)}.Clone()) {
+				return false, nil
 			}
-			return true, nil
 		}
+	case f.leaf:
+		for i := 0; i < f.count; i++ {
+			if !fn(f.record(i)) {
+				return false, nil
+			}
+		}
+	default:
 		for i := 0; i < f.count; i++ {
 			cont, err := t.scanNode(src, f.child(i), fn)
 			if err != nil || !cont {
 				return cont, err
 			}
-		}
-		return true, nil
-	}
-
-	n := nv.n
-	if n.leaf {
-		for i := range n.entries {
-			if !fn(n.entries[i].Rec.Clone()) {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-	for i := range n.entries {
-		cont, err := t.scanNode(src, n.entries[i].Child, fn)
-		if err != nil || !cont {
-			return cont, err
 		}
 	}
 	return true, nil

@@ -1,19 +1,26 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"github.com/dcindex/dctree/internal/bitmap"
+	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/hierarchy"
 	"github.com/dcindex/dctree/internal/mds"
 )
 
 // queryCtx precomputes, per constrained dimension, a membership mask for
-// every hierarchy level at or below the query's level: masks[d][L] reports
-// whether the value MakeID(L, c) lies under some query value. Masks are
-// built once per query by propagating the query's value set down the dense
-// father tables; afterwards every membership test on the descent — per
-// directory-entry value and per data record — is a single word load.
+// EVERY hierarchy level: masks[d][L] reports whether the value MakeID(L, c)
+// is comparable with some query value — lies under one at or below the
+// query's level, has one beneath it above that level. Masks are built once
+// per query: downwards by propagating the query's value set through the
+// dense father tables, upwards by lifting the query's own values through
+// the composed ancestor tables (O(|q[d]|) per level, never a pass over a
+// whole level). Afterwards every membership test on the descent — per
+// directory-entry value at whatever level the entry is described, and per
+// data record — is a single word load.
 //
 // The masks are word-packed bitmap.Dense bitsets (8× denser than the []bool
 // they replace) carved out of two arenas owned by the queryCtx, and whole
@@ -24,13 +31,22 @@ import (
 type queryCtx struct {
 	q mds.MDS
 	// masks[d] is nil for unconstrained (ALL) dimensions; otherwise
-	// masks[d][L] is non-nil for 0 ≤ L ≤ q[d].Level.
+	// masks[d][L] is the mask of level L, 0 ≤ L ≤ the dimension's top level.
 	masks [][]bitmap.Dense
+	// rows lists the constrained dimensions with their level-0 masks: all a
+	// record test needs, hoisted out of the per-node and per-record loops.
+	rows []rowMask
 	// slab is the word arena backing every mask; lvlSlab the arena backing
 	// the per-dimension level slices. Both grow to the largest query seen
 	// and are reused verbatim afterwards.
 	slab    []uint64
 	lvlSlab []bitmap.Dense
+}
+
+// rowMask is the record test of one constrained dimension.
+type rowMask struct {
+	dim  int
+	mask bitmap.Dense
 }
 
 func (t *Tree) newQueryCtx(q mds.MDS) (*queryCtx, error) {
@@ -43,6 +59,7 @@ func (t *Tree) newQueryCtx(q mds.MDS) (*queryCtx, error) {
 		t.metrics.maskPoolHits.Inc()
 	}
 	qc.q = q
+	qc.rows = qc.rows[:0]
 	if cap(qc.masks) < len(q) {
 		qc.masks = make([][]bitmap.Dense, len(q))
 	} else {
@@ -53,13 +70,12 @@ func (t *Tree) newQueryCtx(q mds.MDS) (*queryCtx, error) {
 	// extra pass costs nothing next to allocating per-level masks would.
 	totalWords, totalLevels := 0, 0
 	for d, h := range space {
-		lq := q[d].Level
-		if lq == hierarchy.LevelALL {
+		if q[d].Level == hierarchy.LevelALL {
 			qc.masks[d] = nil
 			continue
 		}
-		totalLevels += lq + 1
-		for l := 0; l <= lq; l++ {
+		totalLevels += h.Depth()
+		for l := 0; l < h.Depth(); l++ {
 			count, err := h.CountAt(l)
 			if err != nil {
 				t.putQueryCtx(qc)
@@ -80,17 +96,17 @@ func (t *Tree) newQueryCtx(q mds.MDS) (*queryCtx, error) {
 		qc.lvlSlab = qc.lvlSlab[:totalLevels]
 	}
 
-	// Second pass: carve the masks and propagate the query's value set
-	// down the father tables.
+	// Second pass: carve the masks, set the query's own level, propagate it
+	// down the father tables and lift it up the ancestor tables.
 	wOff, lOff := 0, 0
 	for d, h := range space {
 		lq := q[d].Level
 		if lq == hierarchy.LevelALL {
 			continue
 		}
-		levels := qc.lvlSlab[lOff : lOff+lq+1 : lOff+lq+1]
-		lOff += lq + 1
-		for l := 0; l <= lq; l++ {
+		levels := qc.lvlSlab[lOff : lOff+h.Depth() : lOff+h.Depth()]
+		lOff += h.Depth()
+		for l := range levels {
 			count, err := h.CountAt(l)
 			if err != nil {
 				t.putQueryCtx(qc)
@@ -100,9 +116,8 @@ func (t *Tree) newQueryCtx(q mds.MDS) (*queryCtx, error) {
 			levels[l] = bitmap.Dense(qc.slab[wOff : wOff+w : wOff+w])
 			wOff += w
 		}
-		top := levels[lq]
 		for _, id := range q[d].IDs {
-			top.Set(id.Code())
+			levels[lq].Set(id.Code())
 		}
 		for l := lq - 1; l >= 0; l-- {
 			parents, err := h.ParentTable(l)
@@ -117,7 +132,14 @@ func (t *Tree) newQueryCtx(q mds.MDS) (*queryCtx, error) {
 				}
 			}
 		}
+		for l := lq + 1; l < len(levels); l++ {
+			tab, m := h.AncestorTable(lq, l), levels[l]
+			for _, id := range q[d].IDs {
+				m.Set(tab[id.Code()].Code())
+			}
+		}
 		qc.masks[d] = levels
+		qc.rows = append(qc.rows, rowMask{dim: d, mask: levels[0]})
 	}
 	return qc, nil
 }
@@ -129,129 +151,87 @@ func (t *Tree) putQueryCtx(qc *queryCtx) {
 	t.qcPool.Put(qc)
 }
 
-// recordInRange reports whether a data record lies inside the query range:
-// one mask word load per constrained dimension.
-func (ctx *queryCtx) recordInRange(coords []hierarchy.ID) bool {
-	for d, levels := range ctx.masks {
-		if levels == nil {
-			continue
+// scanRows is the leaf kernel: it tests every record of a data node against
+// the query — one mask word load per constrained dimension — and folds the
+// measures first..first+len(out)-1 of the matching ones into out. The rows
+// are read where they lie, a heap node's in its packed arrays, a flat
+// node's at a fixed stride in the payload. It returns the number of records
+// tested and matched.
+//
+// Records may carry values registered after the masks were built (inserts
+// between the mask build and an as-of descent); Dense.Get treats codes
+// beyond the mask as outside the range, consistent with the query's
+// snapshot.
+func (qc *queryCtx) scanRows(nv *nodeView, first int, out cube.AggVector) (rows, matched int) {
+	tests := qc.rows
+	if n := nv.n; n != nil {
+		coords, dims, vals, nm := n.coords, n.dims, n.measures, n.nm
+		rows = len(coords) / dims
+	heapRows:
+		for i := 0; i < rows; i++ {
+			row := coords[i*dims : (i+1)*dims]
+			for _, t := range tests {
+				if !t.mask.Get(row[t.dim].Code()) {
+					continue heapRows
+				}
+			}
+			matched++
+			for j := range out {
+				out[j].Add(vals[i*nm+first+j])
+			}
 		}
-		// Records may carry values registered after the query context was
-		// built (concurrent inserts between queries); Dense.Get treats
-		// codes beyond the mask as outside the range, consistent with the
-		// query's snapshot.
-		if !levels[0].Get(coords[d].Code()) {
-			return false
+		return rows, matched
+	}
+	b, stride, measures := nv.f.b[nv.f.fixBase:], nv.f.fixedPer, 4*nv.f.dims+8*first
+	rows = nv.f.count
+flatRows:
+	for i := 0; i < rows; i++ {
+		row := b[i*stride : (i+1)*stride]
+		for _, t := range tests {
+			if !t.mask.Get(binary.LittleEndian.Uint32(row[4*t.dim:]) & hierarchy.MaxCode) {
+				continue flatRows
+			}
+		}
+		matched++
+		for j := range out {
+			out[j].Add(math.Float64frombits(binary.LittleEndian.Uint64(row[measures+8*j:])))
 		}
 	}
-	return true
+	return rows, matched
 }
 
-// recordInRangeFlat is recordInRange over a flat node's data entry i: the
-// coordinates are read straight from the mapped bytes, one mask word load
-// per constrained dimension, no record materialization.
-func (ctx *queryCtx) recordInRangeFlat(f *flatNode, i int) bool {
-	for d, levels := range ctx.masks {
-		if levels == nil {
-			continue
-		}
-		if !levels[0].Get(f.coord(i, d).Code()) {
-			return false
-		}
-	}
-	return true
-}
-
-// matchEntryFlat is matchEntry over a flat node's entry i: the entry's MDS
-// is walked in its wire encoding via a view iterator, testing each ID
-// against the query masks in place. Only the rare coarser-than-query
-// dimension materializes a DimSet for the slow upward path. A malformed
-// encoding surfaces as ErrCorrupt — the descent plumbs entry-match errors
-// already.
-func (ctx *queryCtx) matchEntryFlat(t *Tree, f *flatNode, i int) (overlaps, contained bool, err error) {
+// matchEntryFlat classifies directory entry i of a flat node against the
+// query: whether the entry overlaps the range at all, and whether the range
+// fully contains it. The entry's MDS is walked in its wire encoding via a
+// view iterator, testing each value against the mask of the level the entry
+// is described at — the same probe whether the entry is finer than, level
+// with or coarser than the query; a coarser entry (or ALL) can overlap but
+// never be contained. A malformed encoding surfaces as ErrCorrupt.
+func (qc *queryCtx) matchEntryFlat(f *flatNode, i int) (overlaps, contained bool, err error) {
 	it, err := mds.NewViewIter(f.entryMDS(i))
-	if err != nil || it.Dims() != len(ctx.q) {
+	if err != nil || it.Dims() != len(qc.masks) {
 		return false, false, fmt.Errorf("%w: node %d entry %d mds", ErrCorrupt, f.id, i)
 	}
-	space := t.space()
 	contained = true
-	for d := range ctx.q {
+	for d, levels := range qc.masks {
 		dv, ok := it.Next()
 		if !ok {
 			return false, false, fmt.Errorf("%w: node %d entry %d mds dim %d", ErrCorrupt, f.id, i, d)
 		}
-		levels := ctx.masks[d]
 		if levels == nil {
 			continue // unconstrained dimension; still consumed above
 		}
-		qd := ctx.q[d]
-		if dv.IsALL() || levelAboveInt(dv.Level, qd.Level) {
-			ov, _, err := dimMatch(space[d], qd, dv.DimSet())
-			if err != nil {
-				return false, false, err
-			}
-			if !ov {
-				return false, false, nil
-			}
+		if dv.IsALL() {
 			contained = false
 			continue
 		}
-		// dv.Level ≤ qd.Level here, so the mask exists: single word per value.
+		if dv.Level >= len(levels) {
+			return false, false, fmt.Errorf("%w: node %d entry %d mds dim %d level %d", ErrCorrupt, f.id, i, d, dv.Level)
+		}
 		mask := levels[dv.Level]
-		dimOverlap := false
-		dimContained := true
+		dimOverlap, dimContained := false, dv.Level <= qc.q[d].Level
 		for j, n := 0, dv.Len(); j < n; j++ {
 			if mask.Get(dv.ID(j).Code()) {
-				dimOverlap = true
-			} else {
-				dimContained = false
-			}
-			if dimOverlap && !dimContained {
-				break
-			}
-		}
-		if !dimOverlap {
-			return false, false, nil
-		}
-		if !dimContained {
-			contained = false
-		}
-	}
-	return true, contained, nil
-}
-
-// matchEntry classifies an entry MDS against the query: whether the entry
-// overlaps the range at all, and whether the range fully contains it.
-func (ctx *queryCtx) matchEntry(t *Tree, m mds.MDS) (overlaps, contained bool, err error) {
-	space := t.space()
-	contained = true
-	for d := range ctx.q {
-		levels := ctx.masks[d]
-		if levels == nil {
-			continue // unconstrained dimension
-		}
-		e := m[d]
-		qd := ctx.q[d]
-		if e.Level == hierarchy.LevelALL || levelAboveInt(e.Level, qd.Level) {
-			// The entry is coarser than the query: never contained;
-			// overlap needs the slow upward path (rare — only while a
-			// subtree has not yet refined this dimension).
-			ov, _, err := dimMatch(space[d], qd, e)
-			if err != nil {
-				return false, false, err
-			}
-			if !ov {
-				return false, false, nil
-			}
-			contained = false
-			continue
-		}
-		// Entry at or below the query level: single mask word per value.
-		mask := levels[e.Level]
-		dimOverlap := false
-		dimContained := true
-		for _, v := range e.IDs {
-			if mask.Get(v.Code()) {
 				dimOverlap = true
 			} else {
 				dimContained = false

@@ -1,0 +1,172 @@
+package core
+
+import (
+	"testing"
+
+	"github.com/dcindex/dctree/internal/cube"
+	"github.com/dcindex/dctree/internal/mds"
+	"github.com/dcindex/dctree/internal/storage"
+	"github.com/dcindex/dctree/internal/tpcd"
+)
+
+// readBenchRecords is the size of the read-kernel benchmarks' tree: the
+// benchmark's paper-mem workload at -scale 0.125.
+const readBenchRecords = 15000
+
+// readBenchTree inserts a fixed-seed TPC-D data set one record at a time
+// (so every node is a heap node) and draws the query classes over it.
+func readBenchTree(tb testing.TB) (*Tree, map[string][]mds.MDS) {
+	tb.Helper()
+	gen, err := tpcd.New(1, tpcd.ScaleFor(readBenchRecords))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	tree, err := New(storage.NewMemStore(cfg.BlockSize), gen.Schema(), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, r := range gen.Records(readBenchRecords) {
+		if err := tree.Insert(r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return tree, drawQueryClasses(tb, gen, 77, 32)
+}
+
+// queryClassNames are the benchmark's four query classes and "region", a
+// one-dimension roll-up: the class that takes materialized hits on small
+// trees.
+var queryClassNames = []string{"sel01", "sel05", "sel25", "rollup", "region"}
+
+// drawQueryClasses draws n queries of every class, class by class, from one
+// generator stream.
+func drawQueryClasses(tb testing.TB, gen *tpcd.Gen, seed int64, n int) map[string][]mds.MDS {
+	tb.Helper()
+	qg := gen.Queries(seed)
+	draw := map[string]func() (tpcd.Query, error){
+		"sel01":  func() (tpcd.Query, error) { return qg.Query(0.01) },
+		"sel05":  func() (tpcd.Query, error) { return qg.Query(0.05) },
+		"sel25":  func() (tpcd.Query, error) { return qg.Query(0.25) },
+		"rollup": func() (tpcd.Query, error) { return qg.Rollup(2) },
+		"region": func() (tpcd.Query, error) { return qg.Rollup(1) },
+	}
+	classes := map[string][]mds.MDS{}
+	for _, name := range queryClassNames {
+		for i := 0; i < n; i++ {
+			q, err := draw[name]()
+			if err != nil {
+				tb.Fatal(err)
+			}
+			classes[name] = append(classes[name], q.MDS)
+		}
+	}
+	return classes
+}
+
+// readBenchMasks builds the query contexts of one class ahead of the timer
+// (they are not returned to the pool, so each keeps its own arenas).
+func readBenchMasks(tb testing.TB, tree *Tree, queries []mds.MDS) []*queryCtx {
+	tb.Helper()
+	qcs := make([]*queryCtx, len(queries))
+	for i, q := range queries {
+		var err error
+		if qcs[i], err = tree.newQueryCtx(q); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return qcs
+}
+
+// readBenchViews lists the tree's data nodes and directory read images.
+func readBenchViews(tb testing.TB, tree *Tree) (leaves []*node, dirs []flatNode) {
+	tb.Helper()
+	for _, n := range collectNodes(tb, tree) {
+		if n.leaf {
+			leaves = append(leaves, n)
+		} else {
+			dirs = append(dirs, *tree.readImage(n))
+		}
+	}
+	return leaves, dirs
+}
+
+// BenchmarkLeafScan measures the leaf kernel alone: every data node of the
+// tree scanned under a 25 %-selectivity query's masks, over both row
+// carriers. One iteration is one pass over all records; ns/record is the
+// figure to compare with a sequential scan's per-record cost.
+func BenchmarkLeafScan(b *testing.B) {
+	tree, classes := readBenchTree(b)
+	leaves, _ := readBenchViews(b, tree)
+	dims, measures := tree.schema.Dims(), tree.schema.Measures()
+	heap, flat := make([]nodeView, len(leaves)), make([]nodeView, len(leaves))
+	for i, n := range leaves {
+		heap[i] = nodeView{n: n}
+		flat[i] = nodeView{f: trustedFlatNode(n.id, n.appendEncodeFlat(nil, dims, measures), dims, measures)}
+	}
+	for _, carrier := range []struct {
+		name  string
+		views []nodeView
+	}{{"heap", heap}, {"flat", flat}} {
+		b.Run(carrier.name, func(b *testing.B) {
+			qcs := readBenchMasks(b, tree, classes["sel25"])
+			out := cube.NewAggVector(1)
+			records := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				qc := qcs[i%len(qcs)]
+				for v := range carrier.views {
+					rows, _ := qc.scanRows(&carrier.views[v], 0, out)
+					records += rows
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
+		})
+	}
+}
+
+// BenchmarkDirMatch measures the directory matcher alone: every entry of
+// every directory read image classified against a query of each class.
+func BenchmarkDirMatch(b *testing.B) {
+	tree, classes := readBenchTree(b)
+	_, dirs := readBenchViews(b, tree)
+	for _, class := range []string{"sel01", "sel25", "rollup"} {
+		b.Run(class, func(b *testing.B) {
+			qcs := readBenchMasks(b, tree, classes[class])
+			entries := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				qc := qcs[i%len(qcs)]
+				for d := range dirs {
+					for e := 0; e < dirs[d].count; e++ {
+						if _, _, err := qc.matchEntryFlat(&dirs[d], e); err != nil {
+							b.Fatal(err)
+						}
+					}
+					entries += dirs[d].count
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(entries), "ns/entry")
+		})
+	}
+}
+
+// BenchmarkQueryMasks measures the all-level mask build alone: the pooled
+// arenas cleared and carved, the query's level set, every level below it
+// filled through the father tables and every level above it through the
+// ancestor tables.
+func BenchmarkQueryMasks(b *testing.B) {
+	tree, classes := readBenchTree(b)
+	for _, class := range []string{"sel05", "rollup"} {
+		b.Run(class, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				qc, err := tree.newQueryCtx(classes[class][i%32])
+				if err != nil {
+					b.Fatal(err)
+				}
+				tree.putQueryCtx(qc)
+			}
+		})
+	}
+}

@@ -1,0 +1,277 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+
+	"github.com/dcindex/dctree/internal/cube"
+	"github.com/dcindex/dctree/internal/mds"
+)
+
+// directoryCount walks the tree and counts its directory nodes.
+func directoryCount(t testing.TB, tree *Tree) int64 {
+	t.Helper()
+	dirs := int64(0)
+	for _, n := range collectNodes(t, tree) {
+		if !n.leaf {
+			dirs++
+		}
+	}
+	return dirs
+}
+
+// TestReadImageBuildsCounter pins what dctree_read_image_builds_total
+// counts: one build per directory the queries meet, none while the tree is
+// only read, and after a mutation one per directory on the dirtied path.
+func TestReadImageBuildsCounter(t *testing.T) {
+	tree, recs, rng := buildExecuteTree(t, 1200)
+	dirs := directoryCount(t, tree)
+	whole := mds.Top(tree.Schema().Dims())
+	unmaterialized := func() {
+		t.Helper()
+		// A whole-cube query is answered at the root; a constrained one
+		// descends. Together they meet every directory only if nothing is
+		// answered early, so visit by Scan as well.
+		if _, err := rangeAgg(tree, whole, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.Scan(func(cube.Record) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if got := tree.Metrics().ReadImageBuilds; got != 0 {
+		t.Fatalf("ReadImageBuilds = %d before any read", got)
+	}
+	unmaterialized()
+	if got := tree.Metrics().ReadImageBuilds; got != dirs {
+		t.Fatalf("ReadImageBuilds = %d after a full walk, want one per directory (%d)", got, dirs)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := rangeAgg(tree, randomQuery(rng, tree.Schema(), 0.2), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unmaterialized()
+	if got := tree.Metrics().ReadImageBuilds; got != dirs {
+		t.Fatalf("ReadImageBuilds = %d after read-only work, want still %d", got, dirs)
+	}
+
+	// One delete dirties one root-to-leaf path: at most height-1 directories
+	// lose their image, the root among them.
+	if err := tree.Delete(recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	unmaterialized()
+	rebuilt := tree.Metrics().ReadImageBuilds - dirs
+	if rebuilt < 1 || rebuilt > int64(tree.Height()-1) {
+		t.Fatalf("%d images rebuilt after one delete, want 1..%d", rebuilt, tree.Height()-1)
+	}
+
+	var buf bytes.Buffer
+	if err := tree.Metrics().WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "dctree_read_image_builds_total ") {
+		t.Error("WriteProm output missing dctree_read_image_builds_total")
+	}
+}
+
+// TestReadersRaceToBuildImages is the -race test of the read image: while
+// one writer keeps dirtying paths (dropping their images), readers race one
+// another to rebuild and publish the same directories' images, and as-of
+// readers walk a version captured mid-stream — whose overlay payloads may
+// be the very images the live readers share. Every as-of answer must equal
+// the frozen oracle; the live tree must validate and answer exactly at the
+// end.
+func TestReadersRaceToBuildImages(t *testing.T) {
+	tree := newTestTree(t, smallConfig())
+	s := tree.Schema()
+	rng := rand.New(rand.NewSource(61))
+	warm := genRecords(t, s, rng, 400)
+	stream := genRecords(t, s, rng, 500)
+	queries := make([]mds.MDS, 64)
+	for i := range queries {
+		queries[i] = randomQuery(rng, s, 0.3)
+	}
+	for _, r := range warm {
+		if err := tree.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v, err := tree.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Release()
+
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		for i, r := range stream {
+			if err := tree.Insert(r); err != nil {
+				t.Errorf("insert %d: %v", i, err)
+				return
+			}
+			if i%4 == 3 {
+				if err := tree.Delete(stream[i-2]); err != nil {
+					t.Errorf("delete %d: %v", i, err)
+					return
+				}
+			}
+		}
+	}()
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < 150; i++ {
+				q := queries[(i+w)%len(queries)] // neighbours ask for the same images
+				req := QueryRequest{Query: q, Parallel: (i % 2) * 2}
+				if w == 3 {
+					req.AsOf = v
+				}
+				res, err := tree.Execute(context.Background(), req)
+				if err != nil {
+					t.Errorf("reader %d query %d: %v", w, i, err)
+					return
+				}
+				if w == 3 {
+					if want := bruteAgg(t, s, warm, q, 0); !aggMatches(res.Agg, want) {
+						t.Errorf("as-of query %d: got %+v, oracle %+v", i, res.Agg, want)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	if err := tree.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	live := append([]cube.Record(nil), warm...)
+	for i, r := range stream {
+		if deleted := i%4 == 1 && i+2 < len(stream); !deleted {
+			live = append(live, r)
+		}
+	}
+	for i, q := range queries {
+		got, err := rangeAgg(tree, q, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := bruteAgg(t, s, live, q, 0); !aggMatches(got, want) {
+			t.Fatalf("query %d after the race: got %+v, oracle %+v", i, got, want)
+		}
+	}
+	if tree.Metrics().ReadImageBuilds == 0 {
+		t.Fatal("no read image was built")
+	}
+}
+
+// encodingDigest hashes, in pre-order, the payload each node of the tree is
+// encoded to, as handed out by payload.
+func encodingDigest(t *testing.T, tree *Tree, payload func(n *node) []byte) string {
+	t.Helper()
+	h := sha256.New()
+	for _, n := range collectNodes(t, tree) {
+		h.Write(payload(n))
+	}
+	return hex.EncodeToString(h.Sum(nil)[:12])
+}
+
+// TestGoldenNodeEncoding pins the bytes nodes are encoded to. The digests
+// were taken at the commit before data nodes became struct-of-arrays: data
+// nodes that split, shrank by Delete and refilled must encode — live, into a
+// version overlay, through a checkpoint and after recovery — to exactly the
+// bytes the one-entry-per-record form produced.
+func TestGoldenNodeEncoding(t *testing.T) {
+	const want, wantTail = "ef17b79038dce5038bf30e7b", "fae859b5ca875301f11fe000"
+	cfg := smallConfig()
+	tree, _, storePath, walPrefix := newDurableOnDisk(t, cfg)
+	defer tree.Close()
+	s := tree.Schema()
+	rng := rand.New(rand.NewSource(67))
+	recs := genRecords(t, s, rng, 800)
+	for _, r := range recs[:600] {
+		if err := tree.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 150; i++ {
+		if err := tree.Delete(recs[i*4]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range recs[600:700] {
+		if err := tree.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dims, measures := s.Dims(), s.Measures()
+	check := func(what, want string, tree *Tree, payload func(n *node) []byte) {
+		t.Helper()
+		if got := encodingDigest(t, tree, payload); got != want {
+			t.Errorf("%s: encoding digest %s, pinned %s", what, got, want)
+		}
+	}
+	encoded := func(n *node) []byte { return n.appendEncodeFlat(nil, dims, measures) }
+	fromStore := func(tree *Tree) func(n *node) []byte {
+		return func(n *node) []byte {
+			b, _, err := tree.store.Read(tree.table[n.id].page)
+			if err != nil {
+				t.Fatalf("read node %d: %v", n.id, err)
+			}
+			return b
+		}
+	}
+	check("live nodes", want, tree, encoded)
+
+	v, err := tree.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("version overlay", want, tree, func(n *node) []byte { return v.overlay[n.id] })
+	if err := v.Release(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := tree.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("checkpointed extents", want, tree, fromStore(tree))
+	re := recoverImage(t, cfg, storePath, walPrefix, t.TempDir())
+	check("recovered extents", want, re, fromStore(re))
+	check("recovered nodes, re-encoded", want, re, encoded)
+
+	// A log tail behind the checkpoint: recovery replays the same inserts,
+	// splits and deletes into decoded nodes.
+	for i, r := range recs[700:] {
+		if err := tree.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+		if i%5 == 4 {
+			if err := tree.Delete(recs[600+i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check("live nodes after the tail", wantTail, tree, encoded)
+	re = recoverImage(t, cfg, storePath, walPrefix, t.TempDir())
+	check("nodes recovered through the log tail", wantTail, re, encoded)
+}

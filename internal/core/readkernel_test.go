@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/hierarchy"
 	"github.com/dcindex/dctree/internal/mds"
 	"github.com/dcindex/dctree/internal/storage"
@@ -49,10 +51,24 @@ func randomSpaceMDS(rng *rand.Rand, space mds.Space, leaves [][]hierarchy.ID) md
 	return m
 }
 
-// TestMatchEntryAgainstMDSAlgebra pins the allocation-free fast paths
-// (matchEntry, queryCtx) to the reference mds.Overlap/mds.Contains on
-// thousands of random (query, entry) pairs.
-func TestMatchEntryAgainstMDSAlgebra(t *testing.T) {
+// flatDirOf encodes entry MDSs as one directory node and frames it the way
+// a read image is framed.
+func flatDirOf(tree *Tree, ms ...mds.MDS) flatNode {
+	dims, measures := tree.schema.Dims(), tree.schema.Measures()
+	dir := &node{blocks: 1}
+	for i, m := range ms {
+		dir.entries = append(dir.entries, entry{MDS: m, Agg: cube.NewAggVector(measures), Child: nodeID(i + 1)})
+	}
+	return trustedFlatNode(1, dir.appendEncodeFlat(nil, dims, measures), dims, measures)
+}
+
+// TestMatchKernelAgainstMDSAlgebra pins the one directory matcher — the
+// all-level query masks probed over an entry's wire encoding — to the
+// reference mds.Overlap/mds.Contains on thousands of random (query, entry)
+// pairs: unconstrained dimensions, entries finer than, level with and
+// coarser than the query, and entry values registered only after the masks
+// were built, which lie outside the query's snapshot.
+func TestMatchKernelAgainstMDSAlgebra(t *testing.T) {
 	tree := newTestTree(t, smallConfig())
 	s := tree.Schema()
 	space := s.Space()
@@ -65,10 +81,24 @@ func TestMatchEntryAgainstMDSAlgebra(t *testing.T) {
 		}
 	}
 
+	var finer, level, coarser, entryALL, queryALL, late int
 	for i := 0; i < 3000; i++ {
 		q := randomSpaceMDS(rng, space, leaves)
 		m := randomSpaceMDS(rng, space, leaves)
-
+		for d := range q {
+			switch {
+			case q[d].Level == hierarchy.LevelALL:
+				queryALL++
+			case m[d].Level == hierarchy.LevelALL:
+				entryALL++
+			case m[d].Level < q[d].Level:
+				finer++
+			case m[d].Level == q[d].Level:
+				level++
+			default:
+				coarser++
+			}
+		}
 		ov, err := mds.Overlap(space, q, m)
 		if err != nil {
 			t.Fatal(err)
@@ -77,38 +107,66 @@ func TestMatchEntryAgainstMDSAlgebra(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		qc, err := tree.newQueryCtx(q)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-		gotOv, gotCont, err := tree.matchEntry(q, m)
+		// Every fourth pair, the entry also holds a value of every level
+		// that no mask has a bit for. Such a value cannot make the entry
+		// overlap, and an entry holding one in a constrained dimension is
+		// not contained.
+		if i%4 == 3 {
+			fresh, err := s.InternRecord([][]string{
+				{fmt.Sprintf("lateR%d", i), "N", "C"}, {fmt.Sprintf("lateB%d", i), "P"}, {fmt.Sprintf("lateY%d", i), "M"},
+			}, []float64{1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m = m.Clone()
+			for d, h := range space {
+				if m[d].Level == hierarchy.LevelALL {
+					continue
+				}
+				anc, err := h.AncestorAt(fresh.Coords[d], m[d].Level)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m[d].IDs = append(m[d].IDs, anc) // the newest code sorts last
+				if q[d].Level != hierarchy.LevelALL {
+					cont = false
+				}
+				late++
+			}
+		}
+
+		f := flatDirOf(tree, m)
+		gotOv, gotCont, err := qc.matchEntryFlat(&f, 0)
+		tree.putQueryCtx(qc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if gotOv != (ov > 0) {
-			t.Fatalf("case %d: matchEntry overlap=%v, algebra=%g\nq=%v\nm=%v", i, gotOv, ov, q, m)
+			t.Fatalf("case %d: kernel overlap=%v, algebra=%g\nq=%v\nm=%v", i, gotOv, ov, q, m)
 		}
 		// Containment is only reported for overlapping entries (the query
 		// path never asks otherwise).
 		if gotOv && gotCont != cont {
-			t.Fatalf("case %d: matchEntry contained=%v, algebra=%v\nq=%v\nm=%v", i, gotCont, cont, q, m)
+			t.Fatalf("case %d: kernel contained=%v, algebra=%v\nq=%v\nm=%v", i, gotCont, cont, q, m)
 		}
-
-		ctx, err := tree.newQueryCtx(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mOv, mCont, err := ctx.matchEntry(tree, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mOv != gotOv || (mOv && mCont != gotCont) {
-			t.Fatalf("case %d: mask path (%v,%v) != slow path (%v,%v)\nq=%v\nm=%v",
-				i, mOv, mCont, gotOv, gotCont, q, m)
+	}
+	for name, n := range map[string]int{"finer": finer, "level": level, "coarser": coarser,
+		"entry ALL": entryALL, "query ALL": queryALL, "late codes": late} {
+		if n == 0 {
+			t.Errorf("no (query, entry) dimension pair of kind %q was drawn", name)
 		}
 	}
 }
 
-// TestQueryCtxRecordInRange pins the mask-based record test to
-// MDS.ContainsLeaves.
-func TestQueryCtxRecordInRange(t *testing.T) {
+// TestScanRowsAgainstContainsLeaves pins the leaf kernel, on both row
+// carriers, to MDS.ContainsLeaves — including rows whose values were
+// registered after the masks were built.
+func TestScanRowsAgainstContainsLeaves(t *testing.T) {
 	tree := newTestTree(t, smallConfig())
 	s := tree.Schema()
 	space := s.Space()
@@ -122,19 +180,48 @@ func TestQueryCtxRecordInRange(t *testing.T) {
 	}
 	for i := 0; i < 300; i++ {
 		q := randomSpaceMDS(rng, space, leaves)
-		ctx, err := tree.newQueryCtx(q)
+		qc, err := tree.newQueryCtx(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range recs[:50] {
-			want, err := q.ContainsLeaves(space, r.Coords)
+		known := make([]int, len(space)) // leaf codes the masks were sized for
+		for d, h := range space {
+			known[d], _ = h.CountAt(0)
+		}
+		rows := append([]cube.Record(nil), recs[:50]...)
+		if i%3 == 0 {
+			rows = append(rows, genRecordsInto(t, s, rng, 5)...) // may mint new codes
+		}
+		leaf := &node{leaf: true, blocks: 1, dims: s.Dims(), nm: s.Measures()}
+		var want cube.Agg
+		wantMatched := 0
+		for _, r := range rows {
+			leaf.appendRecord(r)
+			in, err := q.ContainsLeaves(space, r.Coords)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := ctx.recordInRange(r.Coords); got != want {
-				t.Fatalf("case %d: recordInRange=%v, ContainsLeaves=%v\nq=%v rec=%v", i, got, want, q, r.Coords)
+			// A value minted after the mask build is outside the snapshot.
+			for d, c := range r.Coords {
+				if qc.masks[d] != nil && int(c.Code()) >= known[d] {
+					in = false
+				}
+			}
+			if in {
+				want.Add(r.Measures[0])
+				wantMatched++
 			}
 		}
+		flat := trustedFlatNode(1, leaf.appendEncodeFlat(nil, s.Dims(), s.Measures()), s.Dims(), s.Measures())
+		for name, nv := range map[string]nodeView{"heap": {n: leaf}, "flat": {f: flat}} {
+			out := cube.NewAggVector(1)
+			scanned, matched := qc.scanRows(&nv, 0, out)
+			if scanned != len(rows) || matched != wantMatched || out[0] != want {
+				t.Fatalf("case %d (%s rows): scanned %d matched %d agg %+v, want %d %d %+v\nq=%v",
+					i, name, scanned, matched, out[0], len(rows), wantMatched, want, q)
+			}
+		}
+		tree.putQueryCtx(qc)
 	}
 }
 
@@ -243,5 +330,44 @@ func TestAdaptToLevels(t *testing.T) {
 	}
 	if _, err := mds.AdaptToLevels(space, m, []int{1}); err == nil {
 		t.Fatal("dimension mismatch accepted")
+	}
+}
+
+// TestQueryAllocations holds the read path to zero allocations per query in
+// every query class, on a warm heap tree (packed rows, read images) and on
+// the same tree checkpointed and evicted (zero-copy views of its extents).
+func TestQueryAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds the mask arenas under the race detector")
+	}
+	tree, classes := readBenchTree(t)
+	ctx := context.Background()
+	run := func(form string) {
+		for class, queries := range classes {
+			for _, q := range queries { // warm up: read images, mask arenas
+				if _, err := tree.Execute(ctx, QueryRequest{Query: q}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			next := 0
+			allocs := testing.AllocsPerRun(len(queries)-1, func() {
+				if _, err := tree.Execute(ctx, QueryRequest{Query: queries[next]}); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			})
+			if allocs != 0 {
+				t.Errorf("%s, %s: %.0f allocations per query, want 0", form, class, allocs)
+			}
+		}
+	}
+	run("heap nodes")
+	if err := tree.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tree.EvictCache()
+	run("flat views")
+	if m := tree.Metrics(); m.FlatNodeReads == 0 {
+		t.Fatal("the evicted tree served no flat views")
 	}
 }

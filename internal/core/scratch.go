@@ -7,11 +7,11 @@ import (
 )
 
 // writeScratch is the tree's one set of write-path buffers: the record
-// context of the mutation in flight, the choose-subtree weight table, the
-// slab new data entries are carved from and the workspace of the split,
-// refinement and cover-repair arithmetic. Every mutation (Insert, Delete,
-// BulkLoad, WAL replay, replicated apply) holds t.mu exclusively, so one
-// scratch per tree is never shared; readers never touch it.
+// context of the mutation in flight, the choose-subtree weight table and
+// the workspace of the split, refinement and cover-repair arithmetic. Every
+// mutation (Insert, Delete, BulkLoad, WAL replay, replicated apply) holds
+// t.mu exclusively, so one scratch per tree is never shared; readers never
+// touch it.
 //
 // Ownership rule: an MDS that lives in the scratch is valid only until the
 // next kernel call that uses the same buffer. Whatever the tree keeps — an
@@ -24,11 +24,11 @@ type writeScratch struct {
 	// level L: levelWeight^L, or 1 under Config.FlatChooseSubtree.
 	weights [hierarchy.MaxLevel + 1]float64
 
-	leaves  leafSlab
 	topMDS  mds.MDS        // (ALL,…,ALL): the root's relevant levels, read-only
 	levels  []int          // per-dimension level vector (cover floors, refinement)
 	top     []int          // every dimension's top named level (bulk load floor)
 	members []mds.MDS      // member list of a k-way cover
+	rowDims []mds.DimSet   // the singleton sets of a data node's records
 	cover   mds.CoverBuf   // node covers: delete repair, root refresh, bulk load
 	desc    []hierarchy.ID // one node description in one dimension
 	refined [][]hierarchy.ID
@@ -140,49 +140,6 @@ func (rc *recContext) cover(m mds.MDS) {
 	}
 }
 
-// leafSlabEntries is how many data entries one slab refill holds.
-const leafSlabEntries = 32
-
-// leafSlab hands out the storage of new data entries from arrays refilled
-// leafSlabEntries entries at a time, so that an insert allocates per slab,
-// not per record. The four arrays are consumed in step. Carves are
-// capacity-capped like decodeNode's arenas: entries never grow into their
-// neighbours, and a slab is collected once all its entries are gone.
-type leafSlab struct {
-	dims     []mds.DimSet
-	coords   []hierarchy.ID
-	aggs     cube.AggVector
-	measures []float64
-}
-
-// newEntry builds the data entry of rec: a copy of the record, its
-// aggregate, and its MDS — one singleton set per dimension, each aliasing
-// the entry's own coordinate (a data entry's MDS and record are immutable).
-func (s *leafSlab) newEntry(rec cube.Record) entry {
-	nd, nm := len(rec.Coords), len(rec.Measures)
-	if len(s.dims) < nd {
-		s.dims = make([]mds.DimSet, leafSlabEntries*nd)
-		s.coords = make([]hierarchy.ID, leafSlabEntries*nd)
-		s.aggs = make(cube.AggVector, leafSlabEntries*nm)
-		s.measures = make([]float64, leafSlabEntries*nm)
-	}
-	e := entry{
-		MDS: s.dims[:nd:nd],
-		Agg: s.aggs[:nm:nm],
-		Rec: cube.Record{Coords: s.coords[:nd:nd], Measures: s.measures[:nm:nm]},
-	}
-	s.dims, s.coords, s.aggs, s.measures = s.dims[nd:], s.coords[nd:], s.aggs[nm:], s.measures[nm:]
-	copy(e.Rec.Coords, rec.Coords)
-	copy(e.Rec.Measures, rec.Measures)
-	for d, id := range e.Rec.Coords {
-		e.MDS[d] = mds.DimSet{Level: id.Level(), IDs: e.Rec.Coords[d : d+1 : d+1]}
-	}
-	for j, x := range e.Rec.Measures {
-		e.Agg[j] = cube.AggOf(x)
-	}
-	return e
-}
-
 // packMDS copies an MDS out of the scratch into two allocations (the
 // dimension sets and one array for all values). The value sets are
 // capacity-capped, so a later in-place insertion reallocates that set alone.
@@ -207,8 +164,20 @@ func storeMDS(dst, src mds.MDS) {
 }
 
 // entryMDSs lists the MDSs of n's entries in the scratch's member buffer.
+// A data node stores none: its records' singleton MDSs are synthesized over
+// the node's own coordinates.
 func (ws *writeScratch) entryMDSs(n *node) []mds.MDS {
 	ws.members = ws.members[:0]
+	if n.leaf {
+		ws.rowDims = ws.rowDims[:0]
+		for k, id := range n.coords {
+			ws.rowDims = append(ws.rowDims, mds.DimSet{Level: id.Level(), IDs: n.coords[k : k+1 : k+1]})
+		}
+		for i, d := 0, n.dims; i < n.count(); i++ {
+			ws.members = append(ws.members, ws.rowDims[i*d:(i+1)*d:(i+1)*d])
+		}
+		return ws.members
+	}
 	for i := range n.entries {
 		ws.members = append(ws.members, n.entries[i].MDS)
 	}

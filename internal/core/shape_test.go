@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -35,9 +36,8 @@ func shapeDigest(t *testing.T, tree *Tree) string {
 			buf = append(buf, 'D')
 		}
 		u64(uint64(n.blocks))
-		u64(uint64(len(n.entries)))
-		for i := range n.entries {
-			e := &n.entries[i]
+		u64(uint64(n.count()))
+		for i, e := range entriesOf(n) {
 			buf = e.MDS.AppendEncode(buf)
 			for _, a := range e.Agg {
 				u64(math.Float64bits(a.Sum))
@@ -45,11 +45,13 @@ func shapeDigest(t *testing.T, tree *Tree) string {
 				u64(math.Float64bits(a.Min))
 				u64(math.Float64bits(a.Max))
 			}
-			for _, c := range e.Rec.Coords {
-				u64(uint64(c))
-			}
-			for _, m := range e.Rec.Measures {
-				u64(math.Float64bits(m))
+			if n.leaf {
+				for _, c := range n.row(i) {
+					u64(uint64(c))
+				}
+				for _, m := range n.rowMeasures(i) {
+					u64(math.Float64bits(m))
+				}
 			}
 		}
 		h.Write(buf)
@@ -151,5 +153,77 @@ func TestGoldenTreeShape(t *testing.T) {
 				t.Errorf("tree shape digest %s, pinned %s", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestGoldenQueryStats pins the work the read path does for a fixed tree and
+// a fixed query set, beside the shape that determines it: nodes visited,
+// entries scanned and pruned, materialized hits and records matched, summed
+// per query class. The numbers were taken at the commit before the read-path
+// kernel (PR 15); the kernel changes how an entry is tested, never which
+// entries are. Every way of walking the tree does the same work: serial and
+// parallel over heap nodes, as of a version (overlay payloads), and over
+// zero-copy views of checkpointed extents.
+func TestGoldenQueryStats(t *testing.T) {
+	const load = 6000
+	want := map[string]QueryStats{
+		"sel01":  {NodesVisited: 157, EntriesScanned: 3778, EntriesPruned: 911},
+		"sel05":  {NodesVisited: 453, EntriesScanned: 13142, EntriesPruned: 1085, RecordsMatched: 2},
+		"sel25":  {NodesVisited: 1741, EntriesScanned: 53817, EntriesPruned: 425, RecordsMatched: 204},
+		"rollup": {NodesVisited: 716, EntriesScanned: 21099, EntriesPruned: 1131, RecordsMatched: 1432},
+		"region": {NodesVisited: 1353, EntriesScanned: 41117, EntriesPruned: 903, MaterializedHits: 23, RecordsMatched: 9632},
+	}
+	gen, err := tpcd.New(7, tpcd.ScaleFor(load))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	tree, err := New(storage.NewMemStore(cfg.BlockSize), gen.Schema(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range gen.Records(load) {
+		if err := tree.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queries := drawQueryClasses(t, gen, 11, 12)
+	check := func(form string, req QueryRequest) {
+		t.Helper()
+		for _, class := range queryClassNames {
+			var got QueryStats
+			for _, q := range queries[class] {
+				req.Query, req.CollectStats = q, true
+				res, err := tree.Execute(context.Background(), req)
+				if err != nil {
+					t.Fatalf("%s %s: %v", form, class, err)
+				}
+				got.add(res.Stats)
+			}
+			if got != want[class] {
+				t.Errorf("%s %s: stats %+v, pinned %+v", form, class, got, want[class])
+			}
+		}
+	}
+	check("serial", QueryRequest{})
+	check("parallel", QueryRequest{Parallel: 3})
+	v, err := tree.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("as-of", QueryRequest{AsOf: v})
+	check("as-of parallel", QueryRequest{AsOf: v, Parallel: 3})
+	if err := v.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tree.EvictCache()
+	before := tree.Metrics()
+	check("flat views", QueryRequest{})
+	if after := tree.Metrics(); after.FlatNodeReads == before.FlatNodeReads || after.DecodeFallbacks != before.DecodeFallbacks {
+		t.Errorf("flat-view pass: %d flat reads, %d decode fallbacks",
+			after.FlatNodeReads-before.FlatNodeReads, after.DecodeFallbacks-before.DecodeFallbacks)
 	}
 }

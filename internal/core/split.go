@@ -38,7 +38,7 @@ import (
 // Everything up to the chosen partition lives in the tree's write scratch
 // (splitScratch); buildSplit copies out what the tree keeps.
 func (t *Tree) splitNode(n *node, nodeMDS mds.MDS) (insertResult, error) {
-	total := len(n.entries)
+	total := n.count()
 	minFill := int(t.cfg.MinFillRatio * float64(total))
 	if minFill < 1 {
 		minFill = 1
@@ -203,7 +203,8 @@ func (t *Tree) adaptEntries(n *node, nodeMDS mds.MDS, splitDim, level int) ([]md
 	}
 	dims := len(nodeMDS)
 	ss.dimSlab, ss.adapted = ss.dimSlab[:0], ss.adapted[:0]
-	for i := range n.entries {
+	count := n.count()
+	for i := 0; i < count; i++ {
 		for d := 0; d < dims; d++ {
 			col := &ss.base[d]
 			if d == splitDim {
@@ -212,7 +213,7 @@ func (t *Tree) adaptEntries(n *node, nodeMDS mds.MDS, splitDim, level int) ([]md
 			ss.dimSlab = append(ss.dimSlab, col.set(i))
 		}
 	}
-	for i := range n.entries {
+	for i := 0; i < count; i++ {
 		ss.adapted = append(ss.adapted, ss.dimSlab[i*dims:(i+1)*dims:(i+1)*dims])
 	}
 	return ss.adapted, nil
@@ -221,11 +222,11 @@ func (t *Tree) adaptEntries(n *node, nodeMDS mds.MDS, splitDim, level int) ([]md
 // fillColumn describes every entry of n in one dimension at one level.
 func (t *Tree) fillColumn(c *column, n *node, dim, level int) error {
 	c.level, c.ids, c.off = level, c.ids[:0], c.off[:0]
-	for i := range n.entries {
+	for i, count := 0, n.count(); i < count; i++ {
 		start := len(c.ids)
 		c.off = append(c.off, start)
 		var err error
-		if c.ids, err = t.appendDescribed(c.ids, &n.entries[i], n.leaf, dim, level); err != nil {
+		if c.ids, err = t.appendDescribed(c.ids, n, i, dim, level); err != nil {
 			return err
 		}
 		c.ids = mds.SortDedupFrom(c.ids, start)
@@ -234,16 +235,22 @@ func (t *Tree) fillColumn(c *column, n *node, dim, level int) error {
 	return nil
 }
 
-// appendDescribed appends the values that describe an entry's content in
-// one dimension at the target level, unsorted and possibly repeated. When
-// the entry's stored MDS is at or below the target its values are simply
-// lifted; when the entry is *coarser* than the target (its MDS says ALL or
-// a single high-level value, but the split needs one level finer), the
-// description is derived from the entry's subtree — lifting can only
-// generalize, so the finer values must come from below. Records ground the
-// recursion: a record is describable at every level.
-func (t *Tree) appendDescribed(dst []hierarchy.ID, e *entry, leaf bool, dim, level int) ([]hierarchy.ID, error) {
-	if leaf || !levelAboveInt(e.MDS[dim].Level, level) {
+// appendDescribed appends the values that describe the content of n's
+// entry i in one dimension at the target level, unsorted and possibly
+// repeated. When the entry's stored MDS is at or below the target its
+// values are simply lifted; when the entry is *coarser* than the target
+// (its MDS says ALL or a single high-level value, but the split needs one
+// level finer), the description is derived from the entry's subtree —
+// lifting can only generalize, so the finer values must come from below.
+// Records ground the recursion: a record's coordinate is its singleton set,
+// describable at every level.
+func (t *Tree) appendDescribed(dst []hierarchy.ID, n *node, i, dim, level int) ([]hierarchy.ID, error) {
+	if n.leaf {
+		c := n.row(i)[dim : dim+1]
+		return mds.AppendLifted(dst, t.space()[dim], mds.DimSet{Level: c[0].Level(), IDs: c}, level), nil
+	}
+	e := &n.entries[i]
+	if !levelAboveInt(e.MDS[dim].Level, level) {
 		return mds.AppendLifted(dst, t.space()[dim], e.MDS[dim], level), nil
 	}
 	child, err := t.getNode(e.Child)
@@ -261,9 +268,9 @@ const describeCompactAt = 256
 // appendNodeDescribed is appendDescribed over a whole node's entries.
 func (t *Tree) appendNodeDescribed(dst []hierarchy.ID, n *node, dim, level int) ([]hierarchy.ID, error) {
 	start := len(dst)
-	for i := range n.entries {
+	for i, count := 0, n.count(); i < count; i++ {
 		var err error
-		if dst, err = t.appendDescribed(dst, &n.entries[i], n.leaf, dim, level); err != nil {
+		if dst, err = t.appendDescribed(dst, n, i, dim, level); err != nil {
 			return nil, err
 		}
 	}
@@ -519,20 +526,12 @@ func groupOverlapRatio(space mds.Space, cov1, cov2 mds.MDS) (float64, error) {
 func (t *Tree) buildSplit(n *node, g1, g2 []int, cov1, cov2 mds.MDS) (insertResult, error) {
 	measures := t.schema.Measures()
 
-	take := func(group []int) []entry {
-		out := make([]entry, len(group))
-		for i, g := range group {
-			out[i] = n.entries[g]
-		}
-		return out
-	}
-	e1, e2 := take(g1), take(g2)
-
 	sibling := t.newNode(n.leaf)
-	n.entries = e1
-	sibling.entries = e2
-	n.blocks = blocksForEntries(len(e1), n.leaf, &t.cfg)
-	sibling.blocks = blocksForEntries(len(e2), n.leaf, &t.cfg)
+	e1, c1, m1 := n.pick(g1)
+	sibling.entries, sibling.coords, sibling.measures = n.pick(g2)
+	n.entries, n.coords, n.measures = e1, c1, m1
+	n.blocks = blocksForEntries(len(g1), n.leaf, &t.cfg)
+	sibling.blocks = blocksForEntries(len(g2), n.leaf, &t.cfg)
 	t.markDirty(n)
 	t.markDirty(sibling)
 

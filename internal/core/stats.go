@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/mds"
 )
 
@@ -38,7 +39,7 @@ func (t *Tree) LevelStats() ([]LevelStat, error) {
 		s := &stats[level]
 		s.Level = level
 		s.Nodes++
-		s.Entries += len(n.entries)
+		s.Entries += n.count()
 		s.AvgBlocks += float64(n.blocks)
 		if n.isSuper() {
 			s.Supernodes++
@@ -98,11 +99,11 @@ func (t *Tree) Validate() error {
 		if n.blocks < 1 {
 			return nil, fmt.Errorf("%w: node %d has %d blocks", ErrCorrupt, id, n.blocks)
 		}
-		if len(n.entries) > n.capacity(&t.cfg) {
+		if n.overflowing(&t.cfg) {
 			return nil, fmt.Errorf("%w: node %d overflows: %d entries, capacity %d",
-				ErrCorrupt, id, len(n.entries), n.capacity(&t.cfg))
+				ErrCorrupt, id, n.count(), n.capacity(&t.cfg))
 		}
-		if len(n.entries) == 0 && id != t.root {
+		if n.count() == 0 && id != t.root {
 			return nil, fmt.Errorf("%w: non-root node %d is empty", ErrCorrupt, id)
 		}
 		if n.leaf != (level == t.height-1) {
@@ -110,6 +111,22 @@ func (t *Tree) Validate() error {
 				ErrCorrupt, id, n.leaf, level, t.height)
 		}
 		var members []mds.MDS
+		if n.leaf {
+			if n.dims != len(space) || n.nm != measures || len(n.coords) != n.count()*n.dims || len(n.measures) != n.count()*n.nm {
+				return nil, fmt.Errorf("%w: node %d holds %d coordinates and %d measures in rows of %d and %d",
+					ErrCorrupt, id, len(n.coords), len(n.measures), n.dims, n.nm)
+			}
+			// A record's MDS and aggregates are functions of its row (they
+			// exist only in the encoding), so the row is all there is to check.
+			for i := 0; i < n.count(); i++ {
+				records++
+				rec := cube.Record{Coords: n.row(i), Measures: n.rowMeasures(i)}
+				if err := t.schema.ValidateRecord(rec); err != nil {
+					return nil, fmt.Errorf("node %d entry %d: %w", id, i, err)
+				}
+				members = append(members, mds.FromLeaves(rec.Coords))
+			}
+		}
 		for i := range n.entries {
 			e := &n.entries[i]
 			if err := e.MDS.Validate(space); err != nil {
@@ -117,24 +134,6 @@ func (t *Tree) Validate() error {
 			}
 			if len(e.Agg) != measures {
 				return nil, fmt.Errorf("%w: node %d entry %d has %d aggs", ErrCorrupt, id, i, len(e.Agg))
-			}
-			if n.leaf {
-				records++
-				if err := t.schema.ValidateRecord(e.Rec); err != nil {
-					return nil, fmt.Errorf("node %d entry %d: %w", id, i, err)
-				}
-				want := mds.FromLeaves(e.Rec.Coords)
-				if !e.MDS.Equal(want) {
-					return nil, fmt.Errorf("%w: node %d entry %d MDS %v does not describe record %v",
-						ErrCorrupt, id, i, e.MDS, want)
-				}
-				for j := range e.Agg {
-					if e.Agg[j].Count != 1 || e.Agg[j].Sum != e.Rec.Measures[j] {
-						return nil, fmt.Errorf("%w: node %d entry %d agg mismatch", ErrCorrupt, id, i)
-					}
-				}
-				members = append(members, want)
-				continue
 			}
 			child, err := t.getNode(e.Child)
 			if err != nil {

@@ -198,7 +198,7 @@ func (t *Tree) space() mds.Space { return t.schema.Space() }
 func (t *Tree) newNode(leaf bool) *node {
 	id := t.nextID
 	t.nextID++
-	n := &node{id: id, leaf: leaf, blocks: 1}
+	n := &node{id: id, leaf: leaf, blocks: 1, dims: t.schema.Dims(), nm: t.schema.Measures()}
 	t.nc.putNew(n)
 	return n
 }
@@ -232,38 +232,81 @@ func (t *Tree) loadNode(id nodeID) (*node, error) {
 	return decodeFlatNode(id, payload, t.schema.Dims(), t.schema.Measures())
 }
 
-// getView resolves a node for a read-only descent. Cached (hot or dirty)
-// nodes come back as heap nodes; a clean node whose store can serve
-// zero-copy views comes back as a flatNode over the extent bytes —
-// no decode, no cache insertion (per-visit view construction is index
-// math, and keeping flat reads out of the cache leaves its capacity to the
-// write path). Everything else falls back to the decode path. Caller holds
+// getView resolves a node for a read-only descent. A cached (hot or dirty)
+// data node comes back as the heap node, whose packed rows the descent
+// scans; a cached directory as its read image; a clean node whose store can
+// serve zero-copy views as a flatNode over the extent bytes — no decode, no
+// cache insertion (view construction is a constant-time frame check, and
+// keeping flat reads out of the cache leaves its capacity to the write
+// path). Everything else falls back to the decode path. Caller holds
 // t.mu.RLock for the whole descent, which keeps the viewed extent from
 // being freed and rewritten mid-walk.
 func (t *Tree) getView(id nodeID) (nodeView, error) {
 	if n := t.nc.get(id); n != nil {
 		t.metrics.cacheHits.Inc()
-		return nodeView{n: n}, nil
+		return t.heapView(n), nil
 	}
-	if t.viewer != nil && !t.noZeroCopy.Load() {
-		if ref, ok := t.table[id]; ok {
-			if payload, _, err := t.viewer.ViewExtent(ref.page); err == nil {
-				f, ferr := makeFlatNode(id, payload, t.schema.Dims(), t.schema.Measures())
-				if ferr != nil {
-					// A structurally bad frame from a checksum-clean extent:
-					// re-reading would yield the same bytes, so fail closed.
-					return nodeView{}, ferr
-				}
-				t.metrics.flatNodeReads.Inc()
-				return nodeView{f: f}, nil
-			}
-			// View not servable (or an integrity error the checked file
-			// read will reproduce and report): take the decode path.
-		}
+	if nv, ok, err := t.extentView(id, t.table); ok || err != nil {
+		return nv, err
 	}
 	t.metrics.decodeFallbacks.Inc()
 	n, err := t.getNode(id)
-	return nodeView{n: n}, err
+	if err != nil {
+		return nodeView{}, err
+	}
+	return t.heapView(n), nil
+}
+
+// extentView frames the extent table maps id to as a zero-copy flat view.
+// ok is false when the view is not servable — no viewer, zero-copy off, no
+// extent, or an integrity error the checked file read of the decode path
+// will reproduce and report.
+func (t *Tree) extentView(id nodeID, table map[nodeID]extentRef) (nv nodeView, ok bool, err error) {
+	if t.viewer == nil || t.noZeroCopy.Load() {
+		return nodeView{}, false, nil
+	}
+	ref, ok := table[id]
+	if !ok {
+		return nodeView{}, false, nil
+	}
+	payload, _, err := t.viewer.ViewExtent(ref.page)
+	if err != nil {
+		return nodeView{}, false, nil
+	}
+	f, err := makeFlatNode(id, payload, t.schema.Dims(), t.schema.Measures())
+	if err != nil {
+		// A structurally bad frame from a checksum-clean extent: re-reading
+		// would yield the same bytes, so fail closed.
+		return nodeView{}, false, err
+	}
+	t.metrics.flatNodeReads.Inc()
+	return nodeView{f: f}, true, nil
+}
+
+// heapView is the read-only view of a heap node: a data node itself, a
+// directory through its read image.
+func (t *Tree) heapView(n *node) nodeView {
+	if n.leaf {
+		return nodeView{n: n}
+	}
+	return nodeView{f: *t.readImage(n)}
+}
+
+// readImage returns a directory node's read image — its flat encoding
+// behind an already-trusted flatNode — building and publishing it if the
+// node has none. Readers share t.mu.RLock (or a version whose nodes never
+// change), so racing builders encode the same state and whichever image is
+// stored last serves; the write path drops the image in markDirty, under
+// t.mu held exclusively.
+func (t *Tree) readImage(n *node) *flatNode {
+	if img := n.img.Load(); img != nil {
+		return img
+	}
+	dims, measures := t.schema.Dims(), t.schema.Measures()
+	img := trustedFlatNode(n.id, n.appendEncodeFlat(nil, dims, measures), dims, measures)
+	t.metrics.readImageBuilds.Inc()
+	n.img.Store(&img)
+	return &img
 }
 
 // SetZeroCopyReads toggles the flat-node read path at runtime (default
@@ -272,8 +315,21 @@ func (t *Tree) getView(id nodeID) (nodeView, error) {
 // same image.
 func (t *Tree) SetZeroCopyReads(enabled bool) { t.noZeroCopy.Store(!enabled) }
 
-// markDirty flags a node for the next Flush.
+// encodeNode returns the node's flat encoding for a checkpoint or a version
+// overlay. A directory's read image IS that encoding, so a still-valid one
+// is shared (payloads are never written to) and a fresh one stays behind
+// for the readers. Caller holds t.mu.
+func (t *Tree) encodeNode(n *node) []byte {
+	if n.leaf {
+		return n.appendEncodeFlat(nil, t.schema.Dims(), t.schema.Measures())
+	}
+	return t.readImage(n).b
+}
+
+// markDirty flags a node for the next Flush and drops its read image: every
+// mutation of a node marks it within the same hold of t.mu.
 func (t *Tree) markDirty(n *node) {
+	n.img.Store(nil)
 	t.nc.markDirty(n.id)
 }
 

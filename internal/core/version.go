@@ -218,11 +218,9 @@ func (t *Tree) releaseVersionReplayLocked(id uint64) {
 	t.finishReleaseLocked(v)
 }
 
-// getNode resolves a node as of the version: overlay payloads win over the
-// pinned extents (the overlay holds the strictly newer in-memory state of
-// nodes that were dirty at capture). Decoded nodes are cached in the
-// version's private cache with the same singleflight discipline as the live
-// read path. Version implements nodeSource.
+// getNode decodes a node of the version from its pinned extent into the
+// version's private cache, with the same singleflight discipline as the
+// live read path: the fallback of getView when the store serves no views.
 func (v *Version) getNode(id nodeID) (*node, error) {
 	if n := v.nc.get(id); n != nil {
 		v.t.metrics.cacheHits.Inc()
@@ -237,9 +235,6 @@ func (v *Version) getNode(id nodeID) (*node, error) {
 }
 
 func (v *Version) loadNode(id nodeID) (*node, error) {
-	if payload, ok := v.overlay[id]; ok {
-		return decodeFlatNode(id, payload, v.t.schema.Dims(), v.t.schema.Measures())
-	}
 	ref, ok := v.table[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: node %d has no extent in version %d", ErrCorrupt, id, v.id)
@@ -251,35 +246,34 @@ func (v *Version) loadNode(id nodeID) (*node, error) {
 	return decodeFlatNode(id, payload, v.t.schema.Dims(), v.t.schema.Measures())
 }
 
-// getView resolves a node for a read-only as-of descent: nodes already
-// decoded into the version's private cache (and in-memory overlay nodes)
-// come back as heap nodes; extents — a rehydrated version's persisted
-// overlay extents included — are served as zero-copy flatNode views. The view's lifetime is bounded by the
-// query's reference on the version — the pinned extent cannot be freed and
+// getView resolves a node for a read-only as-of descent. Overlay payloads
+// win over the pinned extents (the overlay holds the strictly newer
+// in-memory state of nodes that were dirty at capture) and are walked where
+// they lie: they are flat encodings the engine produced itself. Extents — a
+// rehydrated version's persisted overlay extents included — are served as
+// zero-copy flatNode views, or decoded into the version's private cache
+// when the store serves none. A view's lifetime is bounded by the query's
+// reference on the version — the pinned extent cannot be freed and
 // rewritten while the version holds its pin, even across checkpoint
 // installs. Version implements nodeSource.
 func (v *Version) getView(id nodeID) (nodeView, error) {
+	if payload, ok := v.overlay[id]; ok {
+		v.t.metrics.flatNodeReads.Inc()
+		return nodeView{f: trustedFlatNode(id, payload, v.t.schema.Dims(), v.t.schema.Measures())}, nil
+	}
 	if n := v.nc.get(id); n != nil {
 		v.t.metrics.cacheHits.Inc()
-		return nodeView{n: n}, nil
+		return v.t.heapView(n), nil
 	}
-	if v.t.viewer != nil && !v.t.noZeroCopy.Load() {
-		if _, inOverlay := v.overlay[id]; !inOverlay {
-			if ref, ok := v.table[id]; ok {
-				if payload, _, err := v.t.viewer.ViewExtent(ref.page); err == nil {
-					f, ferr := makeFlatNode(id, payload, v.t.schema.Dims(), v.t.schema.Measures())
-					if ferr != nil {
-						return nodeView{}, ferr
-					}
-					v.t.metrics.flatNodeReads.Inc()
-					return nodeView{f: f}, nil
-				}
-			}
-		}
+	if nv, ok, err := v.t.extentView(id, v.table); ok || err != nil {
+		return nv, err
 	}
 	v.t.metrics.decodeFallbacks.Inc()
 	n, err := v.getNode(id)
-	return nodeView{n: n}, err
+	if err != nil {
+		return nodeView{}, err
+	}
+	return v.t.heapView(n), nil
 }
 
 // Scan streams every data record of the version to fn in unspecified
@@ -371,7 +365,7 @@ func (t *Tree) snapshotLocked(versionID, lsn uint64) (*Version, error) {
 			}
 			continue // leftover flag with no state behind it
 		}
-		v.overlay[e.id] = n.appendEncodeFlat(nil, t.schema.Dims(), t.schema.Measures())
+		v.overlay[e.id] = t.encodeNode(n)
 	}
 
 	// The capture succeeded; only now does the version record enter the

@@ -9,12 +9,11 @@ import (
 
 // Zero-copy access to encoded MDSs.
 //
-// The flat node layout (core layout v3) keeps every entry's MDS in its wire
+// The flat node layout of internal/core keeps every entry's MDS in its wire
 // encoding and prunes directly over the bytes. ViewIter walks one encoded
 // MDS without materializing DimSets or copying ID slices: the descent reads
 // each dimension's level tag and tests its IDs against the query masks in
-// place. DimSet materialization stays available (DimView.DimSet) for the
-// rare slow path that needs Align/Overlap over real value sets.
+// place, at whatever level the entry is described.
 //
 // AppendDecode is the arena-backed sibling of Decode: it parses into
 // caller-owned DimSet and ID slices so a node decoder can amortize one
@@ -32,26 +31,13 @@ type DimView struct {
 // IsALL reports whether the dimension is unconstrained.
 func (v DimView) IsALL() bool { return v.Level == hierarchy.LevelALL }
 
-// Len returns the number of IDs (0 for the ALL entry, whose single implicit
-// ALL value is reconstructed by DimSet).
+// Len returns the number of IDs (0 for the ALL entry, whose single ALL
+// value is implicit).
 func (v DimView) Len() int { return len(v.ids) / 4 }
 
 // ID returns the i-th ID without bounds checking beyond the slice's own.
 func (v DimView) ID(i int) hierarchy.ID {
 	return hierarchy.ID(binary.LittleEndian.Uint32(v.ids[4*i:]))
-}
-
-// DimSet materializes the view as a DimSet (allocating), for code paths
-// that need real value-set operations.
-func (v DimView) DimSet() DimSet {
-	if v.IsALL() {
-		return AllDim()
-	}
-	ids := make([]hierarchy.ID, v.Len())
-	for i := range ids {
-		ids[i] = v.ID(i)
-	}
-	return DimSet{Level: v.Level, IDs: ids}
 }
 
 // ViewIter is a sequential cursor over the dimension sets of one encoded
