@@ -26,9 +26,6 @@
 //	-snapshot-scan  benchmark insert tail latency during long concurrent
 //	                scans (locked live scans vs MVCC snapshot scans) and
 //	                print JSON; tune with -snapshot-n
-//	-mmap           benchmark the cold read path (heap decode vs zero-copy
-//	                flat views over the memory-mapped store file) and
-//	                print JSON; tune with -mmap-n, -mmap-queries
 //	-replica        benchmark log-shipping replication (primary overhead,
 //	                follower lag, drain, promotion) and print JSON; tune
 //	                with -replica-n, -replica-workers; add -sync for a
@@ -67,14 +64,8 @@ func main() {
 	walN := flag.Int("wal-n", 5000, "records inserted per variant of -wal")
 	walWorkers := flag.Int("wal-workers", 8, "concurrent inserters in the group-commit variants of -wal")
 	walSyncDelay := flag.Duration("wal-sync-delay", 2*time.Millisecond, "modeled log-device latency for the -wal modeled-disk variants (added to every fsync)")
-	ckptBench := flag.Bool("checkpoint", false, "benchmark insert tail latency under periodic checkpoints: synchronous flush vs fuzzy checkpoint, JSON output")
-	ckptN := flag.Int("checkpoint-n", 20000, "records inserted per variant of -checkpoint")
-	ckptEvery := flag.Duration("checkpoint-every", 25*time.Millisecond, "checkpoint cadence for -checkpoint")
 	snapScan := flag.Bool("snapshot-scan", false, "benchmark insert tail latency during long concurrent scans: locked live scans vs MVCC snapshot scans, JSON output")
 	snapN := flag.Int("snapshot-n", 40000, "records inserted per variant of -snapshot-scan (half pre-loaded before the clock starts)")
-	mmapBench := flag.Bool("mmap", false, "benchmark the cold read path: heap decode vs zero-copy flat views over the memory-mapped store file, JSON output")
-	mmapN := flag.Int("mmap-n", 30000, "records indexed by -mmap")
-	mmapQueries := flag.Int("mmap-queries", 200, "cold queries per variant of -mmap")
 	replBench := flag.Bool("replica", false, "benchmark log-shipping replication: primary overhead, follower lag, drain and promotion, JSON output")
 	replN := flag.Int("replica-n", 20000, "records inserted per run of -replica")
 	replWorkers := flag.Int("replica-workers", 4, "concurrent inserters on the primary for -replica")
@@ -119,32 +110,6 @@ func main() {
 		// stopped batching — the regression CI runs this mode to catch.
 		if v := res.Variants[1]; v.Workers > 1 && v.MeanBatch <= 1 {
 			fatal(fmt.Errorf("%d concurrent writers did not batch: %.2f appends per fsync", v.Workers, v.MeanBatch))
-		}
-		return
-	}
-
-	if *ckptBench {
-		res, err := bench.CheckpointBench(opt, *ckptN, *ckptEvery, "")
-		if err != nil {
-			fatal(err)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *mmapBench {
-		res, err := bench.MmapBench(opt, *mmapN, *mmapQueries)
-		if err != nil {
-			fatal(err)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fatal(err)
 		}
 		return
 	}

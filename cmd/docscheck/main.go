@@ -44,9 +44,12 @@ import (
 )
 
 // knobStructs are the option structs the documents describe, each with the
-// file (relative to the repository root) that declares it.
+// file (relative to the repository root) that declares it. A
+// package-qualified name is a struct another one embeds: the documents do
+// not name it, its fields are checked as the promoted fields they are.
 var knobStructs = []struct{ name, file string }{
 	{"Config", "internal/core/config.go"},
+	{"index.Config", "internal/index/config.go"},
 	{"WALOptions", "internal/storage/wal.go"},
 	{"FollowerOptions", "internal/repl/follower.go"},
 }
@@ -281,14 +284,19 @@ func checkFlagRefs(doc string, defined map[string]bool) ([]string, error) {
 type fieldSet map[string]map[string]string
 
 // structFields parses the files of knobStructs under root and collects the
-// fields of every struct type they declare.
+// fields of every struct type they declare, the types of a file listed
+// under a qualified name keyed with that qualifier. A struct that embeds
+// another collected struct gets its fields too (one level, not shadowing
+// its own).
 func structFields(root string) (fieldSet, error) {
 	fields := make(fieldSet)
+	embeds := make(map[string][]string) // struct → the struct types it embeds
 	for _, ks := range knobStructs {
 		f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(root, ks.file), nil, 0)
 		if err != nil {
 			return nil, err
 		}
+		pkg := ks.name[:strings.LastIndexByte(ks.name, '.')+1] // "index." or ""
 		ast.Inspect(f, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
 			if !ok {
@@ -298,21 +306,38 @@ func structFields(root string) (fieldSet, error) {
 			if !ok {
 				return true
 			}
-			set := make(map[string]string)
+			name, set := pkg+ts.Name.Name, make(map[string]string)
 			for _, fld := range st.Fields.List {
 				typ := ""
-				if id, ok := fld.Type.(*ast.Ident); ok {
-					typ = id.Name
+				switch t := fld.Type.(type) {
+				case *ast.Ident:
+					typ = t.Name
+				case *ast.SelectorExpr:
+					if x, ok := t.X.(*ast.Ident); ok && len(fld.Names) == 0 {
+						typ = x.Name + "." + t.Sel.Name
+					}
+				}
+				if len(fld.Names) == 0 && typ != "" {
+					embeds[name] = append(embeds[name], typ)
 				}
 				for _, id := range fld.Names {
 					set[id.Name] = typ
 				}
 			}
-			fields[ts.Name.Name] = set
+			fields[name] = set
 			return true
 		})
 		if fields[ks.name] == nil {
 			return nil, fmt.Errorf("struct %s not found in %s — run from the repository root", ks.name, ks.file)
+		}
+	}
+	for name, embedded := range embeds {
+		for _, e := range embedded {
+			for fld, typ := range fields[e] {
+				if _, own := fields[name][fld]; !own {
+					fields[name][fld] = typ
+				}
+			}
 		}
 	}
 	return fields, nil
@@ -338,7 +363,9 @@ func checkFieldRefs(doc string, fields fieldSet) ([]string, error) {
 	}
 	var all []string // every knob struct: what an unqualified table cell may name
 	for _, ks := range knobStructs {
-		all = append(all, ks.name)
+		if !strings.Contains(ks.name, ".") {
+			all = append(all, ks.name)
+		}
 	}
 	const (
 		tableNone  = iota // not in a table

@@ -26,6 +26,7 @@ func TestFieldRefsFixture(t *testing.T) {
 		"testdata/knobs.md:13: CommitIntervalMin is not a field of Config or WALOptions",
 		"testdata/knobs.md:13: CommitIntervalMax is not a field of Config or WALOptions",
 		"testdata/knobs.md:21: PollJitter is not a field of Config or WALOptions or FollowerOptions",
+		"testdata/knobs.md:30: DirCapacityMax is not a field of Config",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("problems:\n%q\nwant:\n%q", got, want)

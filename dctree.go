@@ -68,9 +68,11 @@
 // is specified in REPLICATION.md and the runbooks in OPERATIONS.md.
 //
 // The subpackages under internal implement the machinery: concept
-// hierarchies and dictionaries, MDS algebra, the tree itself, the paged
-// storage substrate, and the X-tree / sequential-scan baselines used by
-// the paper's experiments.
+// hierarchies and dictionaries, MDS algebra, the paper's index
+// (internal/index), the engine that hosts it — lock, node cache, log,
+// checkpoints, versions (internal/core) — the paged storage substrate,
+// and the X-tree / sequential-scan baselines used by the paper's
+// experiments.
 package dctree
 
 import (

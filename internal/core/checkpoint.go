@@ -100,10 +100,10 @@ func (t *Tree) captureLocked() (*ckptCapture, error) {
 			t.nc.clearDirtyIf(e.id, e.seq)
 			continue
 		}
-		payload := t.encodeNode(n)
+		payload := t.ix.Encode(n)
 		need := storage.BlocksFor(t.cfg.BlockSize, len(payload))
-		if need < n.blocks {
-			need = n.blocks // supernodes occupy their full logical extent
+		if need < n.Blocks() {
+			need = n.Blocks() // supernodes occupy their full logical extent
 		}
 		cn := ckptNode{id: e.id, seq: e.seq, payload: payload, need: need}
 		if old, ok := t.table[e.id]; ok {
@@ -429,33 +429,9 @@ func (t *Tree) rollbackLocked(c *ckptCapture) {
 // critical sections, not while the dirty extents are written. Concurrent
 // checkpoints serialize. The context cancels only the background write
 // phase (the checkpoint rolls back); a started install always completes.
+// The writer-stall counter accumulates only the time writers were actually
+// excluded: the two short critical sections.
 func (t *Tree) Checkpoint(ctx context.Context) error {
-	return t.checkpoint(ctx, false)
-}
-
-// Flush writes all dirty nodes and the tree metadata to the store and
-// syncs it, using the fuzzy checkpoint protocol. After a successful Flush
-// the tree can be reopened with Open. On a WAL-backed tree, Flush is a
-// CHECKPOINT: the durable metadata records the log frontier it supersedes
-// and superseded log segments are dropped. It is not the durability
-// boundary — acknowledged mutations are already safe in the log before
-// Flush runs.
-func (t *Tree) Flush() error {
-	return t.checkpoint(context.Background(), false)
-}
-
-// FlushSync is the pre-fuzzy baseline: capture, write and install all run
-// under one continuous hold of the tree write lock, stalling every writer
-// for the full duration. It persists the identical state and exists so the
-// checkpoint benchmark can measure what the fuzzy protocol buys.
-func (t *Tree) FlushSync() error {
-	return t.checkpoint(context.Background(), true)
-}
-
-// checkpoint runs one checkpoint, fuzzy or synchronous. The writer-stall
-// counter accumulates only the time writers were actually excluded, which
-// for the fuzzy path is the two short critical sections.
-func (t *Tree) checkpoint(ctx context.Context, sync bool) error {
 	t.ckptMu.Lock()
 	defer t.ckptMu.Unlock()
 	// Retention runs at the start of every checkpoint (after serializing on
@@ -465,44 +441,23 @@ func (t *Tree) checkpoint(ctx context.Context, sync bool) error {
 	t.PruneVersions()
 	start := time.Now()
 
-	var (
-		c     *ckptCapture
-		err   error
-		stall time.Duration
-	)
-	if sync {
+	t.mu.Lock()
+	capStart := time.Now()
+	c, err := t.captureLocked()
+	stall := time.Since(capStart)
+	t.mu.Unlock()
+	if err == nil && !c.skip {
+		err = t.writeExtents(ctx, c)
 		t.mu.Lock()
-		c, err = t.captureLocked()
-		if err == nil && !c.skip {
-			if err = t.writeExtents(ctx, c); err == nil {
-				err = t.installLocked(c)
-			}
-			if err != nil {
-				t.rollbackLocked(c)
-			}
+		insStart := time.Now()
+		if err == nil {
+			err = t.installLocked(c)
 		}
-		stall = time.Since(start)
-		t.mu.Unlock()
-	} else {
-		t.mu.Lock()
-		capStart := time.Now()
-		c, err = t.captureLocked()
-		stall = time.Since(capStart)
-		t.mu.Unlock()
-		if err == nil && !c.skip {
-			werr := t.writeExtents(ctx, c)
-			t.mu.Lock()
-			insStart := time.Now()
-			if werr == nil {
-				werr = t.installLocked(c)
-			}
-			if werr != nil {
-				t.rollbackLocked(c)
-			}
-			stall += time.Since(insStart)
-			t.mu.Unlock()
-			err = werr
+		if err != nil {
+			t.rollbackLocked(c)
 		}
+		stall += time.Since(insStart)
+		t.mu.Unlock()
 	}
 
 	t.metrics.checkpointStallNs.Add(int64(stall))
@@ -522,6 +477,17 @@ func (t *Tree) checkpoint(ctx context.Context, sync bool) error {
 	t.metrics.checkpointBytes.Add(bytes)
 	t.metrics.checkpointLatency.Observe(time.Since(start))
 	return nil
+}
+
+// Flush writes all dirty nodes and the tree metadata to the store and
+// syncs it, using the fuzzy checkpoint protocol. After a successful Flush
+// the tree can be reopened with Open. On a WAL-backed tree, Flush is a
+// CHECKPOINT: the durable metadata records the log frontier it supersedes
+// and superseded log segments are dropped. It is not the durability
+// boundary — acknowledged mutations are already safe in the log before
+// Flush runs.
+func (t *Tree) Flush() error {
+	return t.Checkpoint(context.Background())
 }
 
 // checkpointer is the background auto-trigger: a WAL-backed tree with

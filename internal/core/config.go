@@ -1,83 +1,39 @@
-// Package core implements the DC-tree of Ester, Kohlhammer and Kriegel
-// (ICDE 2000): a fully dynamic, X-tree-like index structure for data cubes
-// that uses minimum describing sequences (MDSs) over concept hierarchies
-// instead of minimum bounding rectangles, and materializes the aggregated
-// measure values of every subtree in its directory entries.
+// Package core is the engine that hosts the DC-tree of internal/index and
+// makes it a database: Tree owns the lock that serializes the index's
+// callers, the block store and the node→extent table, the sharded node
+// cache that is the index's node store, the write-ahead log with its
+// self-clocking group commit, fuzzy checkpoints with shadow paging, MVCC
+// versions, the apply side of log-shipping replication, the metadata blob
+// and the metrics.
 //
-// The tree supports single-record insertion and deletion with all derived
-// information (directory MDSs and materialized aggregates) maintained
-// incrementally, and answers general range queries — a contiguous
-// hierarchy-level range per dimension, aggregated with SUM, COUNT, AVG,
-// MIN or MAX — using the materialized aggregates to stop descending as
-// soon as a directory entry is fully contained in the query range.
+// The paper's algorithms — insert with choose-subtree, hierarchy split,
+// range query over materialized aggregates — are not here. Every public
+// operation is the same few steps around one call into the index: take the
+// lock, call t.ix, append the logical record, release the lock, wait for
+// the record to be durable.
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
+	"github.com/dcindex/dctree/internal/index"
 	"github.com/dcindex/dctree/internal/storage"
 )
 
-// Config carries the tuning knobs of a DC-tree. The zero value is not
-// usable; DefaultConfig returns the values used throughout the paper
-// reproduction, and Normalize fills unset fields.
+// Config carries the tuning knobs of a DC-tree: the index's, and beside
+// them the engine's. The zero value is not usable; DefaultConfig returns
+// the values used throughout the paper reproduction, and Normalize fills
+// unset fields.
 type Config struct {
 	// BlockSize is the size of one storage block in bytes. Nodes occupy
 	// one block; supernodes occupy consecutive multiples of it.
 	BlockSize int
 
-	// DirCapacity is the maximum number of entries of a one-block
-	// directory node; a supernode of b blocks holds b×DirCapacity.
-	DirCapacity int
-
-	// LeafCapacity is the maximum number of data records of a one-block
-	// data node.
-	LeafCapacity int
-
-	// MinFillRatio is the balance criterion of the split algorithm: a
-	// split is acceptable only if each group receives at least this
-	// fraction of the entries (§4.2 "nodes are balanced").
-	MinFillRatio float64
-
-	// MaxOverlapRatio is the overlap criterion of the split algorithm: a
-	// split is acceptable only if overlap(G1,G2)/extension(G1,G2) does not
-	// exceed this fraction (§4.2 "overlap is not too high"). The default
-	// matches the X-tree's published 20 % threshold.
-	MaxOverlapRatio float64
-
-	// MaxSupernodeBlocks caps supernode growth as a safety valve; at the
-	// cap the node accepts an unbalanced topological fallback split
-	// instead of growing further. 0 means unlimited.
-	MaxSupernodeBlocks int
-
-	// RefineBound controls how eagerly a freshly split node's MDS lowers
-	// its relevant levels: after a split, every dimension descends to the
-	// finest hierarchy level at which the node's value set still has at
-	// most RefineBound values. Lower levels make directory MDSs more
-	// precise — more query pruning and more materialized-aggregate hits —
-	// at the cost of larger MDSs. 0 selects the default; -1 disables
-	// refinement (the relevant level then only decreases via the split
-	// dimension itself).
-	RefineBound int
-
-	// Materialize controls whether directory entries store the aggregates
-	// of their subtrees. Disabling it (ablation) forces every range query
-	// to descend to the data nodes, like the X-tree baseline.
-	Materialize bool
-
-	// DisableSupernodes forces the split algorithm to fall back to an
-	// unbalanced best-effort split instead of creating supernodes
-	// (ablation of the X-tree inheritance).
-	DisableSupernodes bool
-
-	// FlatChooseSubtree makes the insert path weigh every new attribute
-	// value equally instead of geometrically favoring coarse levels
-	// (ablation). With it, records scatter across the coarse partition —
-	// one new region costs the same as one new customer — and the tree
-	// degenerates into unsplittable supernodes; see DESIGN.md §3.1.
-	FlatChooseSubtree bool
+	// Config holds the knobs of the paper's algorithms (DirCapacity …
+	// FlatChooseSubtree); they are the index's, defined once there and
+	// promoted here.
+	index.Config
 
 	// CheckpointInterval, when positive, makes a WAL-backed tree checkpoint
 	// itself in the background at least this often: dirty nodes are written
@@ -143,26 +99,19 @@ func (r VersionRetention) active() bool { return r.KeepLast > 0 || r.MaxAge > 0 
 // DefaultConfig returns the configuration used by the paper reproduction.
 func DefaultConfig() Config {
 	return Config{
-		BlockSize:          4096,
-		DirCapacity:        24,
-		LeafCapacity:       48,
-		MinFillRatio:       0.35,
-		MaxOverlapRatio:    0.20,
-		MaxSupernodeBlocks: 64,
-		RefineBound:        8,
-		Materialize:        true,
-
+		BlockSize:              4096,
+		Config:                 index.DefaultConfig(),
 		SyncReplicationTimeout: time.Second,
 	}
 }
 
-// Errors returned by DC-tree operations.
+// Errors returned by DC-tree operations; the first five are the index's.
 var (
-	ErrBadConfig  = errors.New("dctree: invalid configuration")
-	ErrNotFound   = errors.New("dctree: record not found")
-	ErrBadQuery   = errors.New("dctree: malformed query MDS")
-	ErrCorrupt    = errors.New("dctree: corrupt tree state")
-	ErrBadMeasure = errors.New("dctree: measure index out of range")
+	ErrBadConfig  = index.ErrBadConfig
+	ErrNotFound   = index.ErrNotFound
+	ErrBadQuery   = index.ErrBadQuery
+	ErrCorrupt    = index.ErrCorrupt
+	ErrBadMeasure = index.ErrBadMeasure
 	// ErrUnsupportedFormat reports an image or log of a retired on-disk
 	// format generation; nothing is decoded from it.
 	ErrUnsupportedFormat = storage.ErrUnsupportedFormat
@@ -174,42 +123,16 @@ func (c *Config) Normalize() error {
 	if c.BlockSize == 0 {
 		c.BlockSize = d.BlockSize
 	}
-	if c.DirCapacity == 0 {
-		c.DirCapacity = d.DirCapacity
+	if c.BlockSize < 256 {
+		return fmt.Errorf("%w: block size %d < 256", ErrBadConfig, c.BlockSize)
 	}
-	if c.LeafCapacity == 0 {
-		c.LeafCapacity = d.LeafCapacity
-	}
-	if c.MinFillRatio == 0 {
-		c.MinFillRatio = d.MinFillRatio
-	}
-	if c.MaxOverlapRatio == 0 {
-		c.MaxOverlapRatio = d.MaxOverlapRatio
-	}
-	if c.MaxSupernodeBlocks == 0 {
-		c.MaxSupernodeBlocks = d.MaxSupernodeBlocks
-	}
-	if c.RefineBound == 0 {
-		c.RefineBound = d.RefineBound
+	if err := c.Config.Normalize(); err != nil {
+		return err
 	}
 	if c.SyncReplicationTimeout == 0 {
 		c.SyncReplicationTimeout = d.SyncReplicationTimeout
 	}
 	switch {
-	case c.BlockSize < 256:
-		return fmt.Errorf("%w: block size %d < 256", ErrBadConfig, c.BlockSize)
-	case c.DirCapacity < 4:
-		return fmt.Errorf("%w: directory capacity %d < 4", ErrBadConfig, c.DirCapacity)
-	case c.LeafCapacity < 4:
-		return fmt.Errorf("%w: leaf capacity %d < 4", ErrBadConfig, c.LeafCapacity)
-	case c.MinFillRatio < 0 || c.MinFillRatio > 0.5:
-		return fmt.Errorf("%w: min fill ratio %g outside [0,0.5]", ErrBadConfig, c.MinFillRatio)
-	case c.MaxOverlapRatio < 0 || c.MaxOverlapRatio > 1:
-		return fmt.Errorf("%w: max overlap ratio %g outside [0,1]", ErrBadConfig, c.MaxOverlapRatio)
-	case c.MaxSupernodeBlocks < 0:
-		return fmt.Errorf("%w: negative supernode cap", ErrBadConfig)
-	case c.RefineBound < -1:
-		return fmt.Errorf("%w: refine bound below -1", ErrBadConfig)
 	case c.CheckpointInterval < 0:
 		return fmt.Errorf("%w: negative checkpoint interval", ErrBadConfig)
 	case c.CheckpointDirtyBytes < 0:

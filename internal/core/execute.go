@@ -3,11 +3,18 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"github.com/dcindex/dctree/internal/cube"
+	"github.com/dcindex/dctree/internal/index"
 	"github.com/dcindex/dctree/internal/mds"
+)
+
+// QueryStats describes the work one range query performed; LevelStat
+// aggregates node statistics for one level of the tree.
+type (
+	QueryStats = index.QueryStats
+	LevelStat  = index.LevelStat
 )
 
 // QueryRequest describes one range query for Execute. The zero value of
@@ -52,30 +59,25 @@ type QueryResult struct {
 	Elapsed time.Duration
 }
 
-// ctxCheckInterval is how many node visits pass between context polls on
-// the descent: frequent enough that cancellation lands within microseconds
-// on any realistic tree, rare enough to stay invisible in profiles.
-const ctxCheckInterval = 64
-
 // Execute answers a general range query (Fig. 7): req.Query selects, per
 // dimension, a set of attribute values at one hierarchy level, and the
 // chosen measure (or every measure) is aggregated over the data records in
-// the selected subcube. It validates the request, runs the serial or
-// parallel descent, and records the query's latency and work counters
-// exactly once in the tree's metrics.
+// the selected subcube. The index validates the request and runs the
+// serial or parallel descent; Execute picks what it walks — the live tree
+// under the read lock, or a pinned version — and records the query's
+// latency and work counters exactly once in the tree's metrics.
 //
-// ctx cancellation and deadlines are honored during the descent: the loop
-// polls the context every ctxCheckInterval node visits (and every parallel
-// worker polls its own slice of the tree), returning ctx.Err() promptly
-// for long scans over large trees. A nil ctx is treated as
+// ctx cancellation and deadlines are honored during the descent, which
+// polls the context every few dozen node visits and returns ctx.Err()
+// promptly for long scans over large trees. A nil ctx is treated as
 // context.Background().
 func (t *Tree) Execute(ctx context.Context, req QueryRequest) (QueryResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	start := time.Now()
-	res, err := t.execute(ctx, req)
-	res.Elapsed = time.Since(start)
+	r, err := t.execute(ctx, req)
+	res := QueryResult{Agg: r.Agg, AggVector: r.AggVector, Stats: r.Stats, Elapsed: time.Since(start)}
 
 	m := &t.metrics
 	m.queries.Inc()
@@ -110,70 +112,44 @@ func (t *Tree) Execute(ctx context.Context, req QueryRequest) (QueryResult, erro
 	return res, err
 }
 
-// execute validates and runs the query; Execute wraps it with the
-// once-per-query accounting.
-func (t *Tree) execute(ctx context.Context, req QueryRequest) (QueryResult, error) {
-	var res QueryResult
-	if !req.AllMeasures && (req.Measure < 0 || req.Measure >= t.schema.Measures()) {
-		return res, fmt.Errorf("%w: %d", ErrBadMeasure, req.Measure)
-	}
-	if err := req.Query.Validate(t.space()); err != nil {
-		return res, fmt.Errorf("%w: %v", ErrBadQuery, err)
+// execute runs the query over the live tree or the pinned version; Execute
+// wraps it with the once-per-query accounting.
+func (t *Tree) execute(ctx context.Context, req QueryRequest) (index.Result, error) {
+	q := index.Query{MDS: req.Query, Measure: req.Measure, AllMeasures: req.AllMeasures, Parallel: req.Parallel}
+	if err := t.ix.CheckQuery(q); err != nil {
+		return index.Result{}, err
 	}
 	// An already-canceled context never starts the descent; afterwards the
-	// descent polls every ctxCheckInterval node visits.
+	// descent polls it as it goes.
 	if err := ctx.Err(); err != nil {
-		return res, err
+		return index.Result{}, err
 	}
 
-	// Pick the node resolver and root. Live queries hold the tree read lock
-	// for the descent; as-of queries pin their version (so Release cannot
-	// drop the extents mid-walk) and run entirely without the tree lock —
-	// the version's table and overlay are immutable, the query masks only
-	// read the grow-only hierarchies, and the version's node cache is
-	// internally synchronized.
-	var src nodeSource
-	var root nodeID
+	// Live queries hold the tree read lock for the descent; as-of queries
+	// pin their version (so Release cannot drop the extents mid-walk) and
+	// run entirely without the tree lock — the version's table and overlay
+	// are immutable, the query masks only read the grow-only hierarchies,
+	// and the version's node cache is internally synchronized.
 	if v := req.AsOf; v != nil {
 		if v.t != t {
-			return res, ErrVersionForeign
+			return index.Result{}, ErrVersionForeign
 		}
 		if err := v.acquire(); err != nil {
-			return res, err
+			return index.Result{}, err
 		}
 		defer v.unref()
 		t.metrics.asOfQueries.Inc()
-		src, root = v, v.root
-	} else {
-		t.mu.RLock()
-		defer t.mu.RUnlock()
-		src, root = t, t.root
+		return t.ix.Execute(ctx, v.nodes(), v.root, q)
 	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.ix.Execute(ctx, t.nodes(), t.ix.Root(), q)
+}
 
-	qc, err := t.newQueryCtx(req.Query)
-	if err != nil {
-		return res, err
-	}
-	// The context and its mask arenas go back to the pool once the descent
-	// is done; executeParallel joins every worker before returning, so no
-	// goroutine holds qc past this function.
-	defer t.putQueryCtx(qc)
-	if req.Parallel > 0 {
-		return t.executeParallel(ctx, qc, req, src, root)
-	}
-
-	// The sink of a single-measure query is a one-element window that stays
-	// on the stack; only the all-measures vector is handed to the caller.
-	var one [1]cube.Agg
-	out := cube.AggVector(one[:])
-	if req.AllMeasures {
-		res.AggVector = cube.NewAggVector(t.schema.Measures())
-		out = res.AggVector
-	}
-	d := t.newDescent(ctx, src, qc, req)
-	if err := d.visitNode(root, out); err != nil {
-		return QueryResult{Stats: d.st}, err
-	}
-	res.Agg, res.Stats = one[0], d.st
-	return res, nil
+// Scan streams every data record to fn in unspecified order; fn returning
+// false stops the scan. Used by tools, tests, and the export path.
+func (t *Tree) Scan(fn func(cube.Record) bool) error {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.ix.Scan(t.nodes(), t.ix.Root(), fn)
 }

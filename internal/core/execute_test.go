@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/dcindex/dctree/internal/cube"
+	"github.com/dcindex/dctree/internal/index"
 	"github.com/dcindex/dctree/internal/mds"
 	"github.com/dcindex/dctree/internal/storage"
 )
@@ -129,7 +130,7 @@ func TestExecuteCancellation(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("parallel=%d: got %v, want context.Canceled", workers, err)
 		}
-		// The poll runs every ctxCheckInterval visits, so an aborted full
+		// The poll runs every index.CtxCheckInterval visits, so an aborted full
 		// scan must have stopped well short of the whole tree.
 		full, ferr := tree.Execute(context.Background(), QueryRequest{Query: q, CollectStats: true})
 		if ferr != nil {
@@ -194,19 +195,19 @@ func TestExecuteCancellationMidDescent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("full scan: %v", err)
 	}
-	if full.Stats.NodesVisited <= 2*ctxCheckInterval {
+	if full.Stats.NodesVisited <= 2*index.CtxCheckInterval {
 		t.Fatalf("tree too small to exercise the poll: %d nodes", full.Stats.NodesVisited)
 	}
 
 	// Fuse 1: the upfront check passes, the first in-descent poll (at node
-	// visit ctxCheckInterval) cancels.
+	// visit index.CtxCheckInterval) cancels.
 	ctx := &countdownCtx{Context: context.Background(), fuse: 1}
 	res, err := tree.Execute(ctx, QueryRequest{Query: q, CollectStats: true})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
-	if res.Stats.NodesVisited != ctxCheckInterval {
-		t.Fatalf("canceled at %d node visits, want exactly %d", res.Stats.NodesVisited, ctxCheckInterval)
+	if res.Stats.NodesVisited != index.CtxCheckInterval {
+		t.Fatalf("canceled at %d node visits, want exactly %d", res.Stats.NodesVisited, index.CtxCheckInterval)
 	}
 }
 

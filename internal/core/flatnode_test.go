@@ -2,156 +2,158 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"github.com/dcindex/dctree/internal/cube"
+	"github.com/dcindex/dctree/internal/index"
 	"github.com/dcindex/dctree/internal/mds"
 )
 
+// The node codec lives in internal/index; these tests hold it to its
+// contract from the side that stores and maps its payloads, through the
+// names the engine itself uses (Index.Encode, index.MakeFlatNode,
+// index.DecodeNode) and the read-only accessors of Node and FlatNode.
+
 // collectNodes walks the whole tree and returns every node, root first.
-func collectNodes(t testing.TB, tree *Tree) []*node {
+func collectNodes(t testing.TB, tree *Tree) []*index.Node {
 	t.Helper()
-	var nodes []*node
+	var nodes []*index.Node
 	var walk func(id nodeID)
 	walk = func(id nodeID) {
-		n, err := tree.getNode(id)
+		n, err := tree.nodes().Get(id)
 		if err != nil {
-			t.Fatalf("getNode(%d): %v", id, err)
+			t.Fatalf("Get(%d): %v", id, err)
 		}
 		nodes = append(nodes, n)
-		if n.leaf {
-			return
-		}
-		for i := range n.entries {
-			walk(n.entries[i].Child)
+		for _, e := range n.Entries() {
+			walk(e.Child)
 		}
 	}
-	walk(tree.root)
+	walk(tree.ix.Root())
 	return nodes
 }
 
 // entriesOf lists a node's entries the way the encoding carries them: a
 // directory's own, and for a data node one per record with the singleton
 // MDS and the one-record aggregates synthesized from the row.
-func entriesOf(n *node) []entry {
-	if !n.leaf {
-		return n.entries
+func entriesOf(n *index.Node) []index.Entry {
+	if !n.Leaf() {
+		return n.Entries()
 	}
-	out := make([]entry, n.count())
+	out := make([]index.Entry, n.Count())
 	for i := range out {
-		out[i] = entry{MDS: mds.FromLeaves(n.row(i)), Agg: cube.AggOfRecord(n.rowMeasures(i))}
+		out[i] = index.Entry{MDS: mds.FromLeaves(n.Row(i)), Agg: cube.AggOfRecord(n.RowMeasures(i))}
 	}
 	return out
 }
 
 // requireNodesEqual compares a decoded node against the original field by
 // field.
-func requireNodesEqual(t *testing.T, got, want *node) {
+func requireNodesEqual(t *testing.T, got, want *index.Node) {
 	t.Helper()
-	if got.id != want.id || got.leaf != want.leaf || got.blocks != want.blocks ||
-		got.count() != want.count() || got.dims != want.dims || got.nm != want.nm {
+	if got.ID() != want.ID() || got.Leaf() != want.Leaf() || got.Blocks() != want.Blocks() || got.Count() != want.Count() {
 		t.Fatalf("node %d: shape (leaf=%v blocks=%d entries=%d) != (leaf=%v blocks=%d entries=%d)",
-			want.id, got.leaf, got.blocks, got.count(),
-			want.leaf, want.blocks, want.count())
+			want.ID(), got.Leaf(), got.Blocks(), got.Count(),
+			want.Leaf(), want.Blocks(), want.Count())
 	}
-	if !slices.Equal(got.coords, want.coords) || !slices.Equal(got.measures, want.measures) {
-		t.Fatalf("node %d: rows differ", want.id)
+	if got.Leaf() {
+		for i := 0; i < want.Count(); i++ {
+			if !slices.Equal(got.Row(i), want.Row(i)) || !slices.Equal(got.RowMeasures(i), want.RowMeasures(i)) {
+				t.Fatalf("node %d: row %d differs", want.ID(), i)
+			}
+		}
 	}
-	for i := range want.entries {
-		ge, we := &got.entries[i], &want.entries[i]
+	for i, we := range want.Entries() {
+		ge := got.Entries()[i]
 		if !ge.MDS.Equal(we.MDS) {
-			t.Fatalf("node %d entry %d: MDS %v != %v", want.id, i, ge.MDS, we.MDS)
+			t.Fatalf("node %d entry %d: MDS %v != %v", want.ID(), i, ge.MDS, we.MDS)
 		}
 		if len(ge.Agg) != len(we.Agg) {
-			t.Fatalf("node %d entry %d: agg len %d != %d", want.id, i, len(ge.Agg), len(we.Agg))
+			t.Fatalf("node %d entry %d: agg len %d != %d", want.ID(), i, len(ge.Agg), len(we.Agg))
 		}
 		for j := range we.Agg {
 			if ge.Agg[j] != we.Agg[j] {
-				t.Fatalf("node %d entry %d measure %d: agg %+v != %+v", want.id, i, j, ge.Agg[j], we.Agg[j])
+				t.Fatalf("node %d entry %d measure %d: agg %+v != %+v", want.ID(), i, j, ge.Agg[j], we.Agg[j])
 			}
 		}
 		if ge.Child != we.Child {
-			t.Fatalf("node %d entry %d: child %d != %d", want.id, i, ge.Child, we.Child)
+			t.Fatalf("node %d entry %d: child %d != %d", want.ID(), i, ge.Child, we.Child)
 		}
 	}
 }
 
-// grownNodes returns every node of a 900-record tree, root first, plus a
-// synthetic supernode at the end: splits don't reliably produce supernodes
-// under this workload, so one is built as a multi-block directory node
-// holding every directory entry of the tree. The codec only depends on the
-// node's own fields.
-func grownNodes(t testing.TB) (nodes []*node, dims, measures int) {
+// grownNodes returns a 900-record tree and every node of it, root first.
+// The last records repeat one point: records no split can separate grow
+// supernodes, so the codec's multi-block case is among the nodes.
+func grownNodes(t testing.TB) (tree *Tree, nodes []*index.Node) {
 	t.Helper()
-	tree := newTestTree(t, smallConfig())
-	s := tree.Schema()
-	rng := rand.New(rand.NewSource(7))
-	for _, r := range genRecords(t, s, rng, 900) {
+	tree = newTestTree(t, smallConfig())
+	recs := genRecords(t, tree.Schema(), rand.New(rand.NewSource(7)), 900)
+	for i, r := range recs {
+		if i >= 800 {
+			r = recs[800]
+		}
 		if err := tree.Insert(r); err != nil {
 			t.Fatal(err)
 		}
 	}
 	nodes = collectNodes(t, tree)
-	super := &node{id: 999999, blocks: 4, dims: s.Dims(), nm: s.Measures()}
-	for _, n := range nodes {
-		if !n.leaf {
-			super.entries = append(super.entries, n.entries...)
-		}
+	if !slices.ContainsFunc(nodes, func(n *index.Node) bool { return n.Blocks() > 1 }) {
+		t.Fatal("no supernode grew: the codec's multi-block case is not covered")
 	}
-	if len(super.entries) < smallConfig().DirCapacity*2 {
-		t.Fatalf("synthetic supernode too small: %d entries", len(super.entries))
-	}
-	return append(nodes, super), s.Dims(), s.Measures()
+	return tree, nodes
 }
 
 // TestFlatNodeRoundTrip: every node of a grown tree survives flat encode →
 // flat view accessors → full heap decode unchanged, including supernodes.
 func TestFlatNodeRoundTrip(t *testing.T) {
-	nodes, dims, measures := grownNodes(t)
+	tree, nodes := grownNodes(t)
+	dims, measures := tree.schema.Dims(), tree.schema.Measures()
 	for _, n := range nodes {
-		buf := n.appendEncodeFlat(nil, dims, measures)
-		f, err := makeFlatNode(n.id, buf, dims, measures)
+		buf := tree.ix.Encode(n)
+		f, err := index.MakeFlatNode(n.ID(), buf, dims, measures)
 		if err != nil {
-			t.Fatalf("makeFlatNode(%d): %v", n.id, err)
+			t.Fatalf("MakeFlatNode(%d): %v", n.ID(), err)
 		}
-		if err := f.checkTable(); err != nil {
-			t.Fatalf("checkTable(%d): %v", n.id, err)
+		if err := f.CheckTable(); err != nil {
+			t.Fatalf("CheckTable(%d): %v", n.ID(), err)
 		}
-		if f.leaf != n.leaf || f.count != n.count() || f.blocks != n.blocks {
-			t.Fatalf("node %d: flat shape (leaf=%v count=%d blocks=%d)", n.id, f.leaf, f.count, f.blocks)
+		if f.Leaf() != n.Leaf() || f.Count() != n.Count() || f.Blocks() != n.Blocks() {
+			t.Fatalf("node %d: flat shape (leaf=%v count=%d blocks=%d)", n.ID(), f.Leaf(), f.Count(), f.Blocks())
 		}
 		// Spot-check the in-place accessors against the heap entries.
 		for i, e := range entriesOf(n) {
 			wantMDS := e.MDS.AppendEncode(nil)
-			if !bytes.Equal(f.entryMDS(i), wantMDS) {
-				t.Fatalf("node %d entry %d: flat MDS bytes differ", n.id, i)
+			if !bytes.Equal(f.EntryMDS(i), wantMDS) {
+				t.Fatalf("node %d entry %d: flat MDS bytes differ", n.ID(), i)
 			}
 			for j := 0; j < measures; j++ {
-				if f.agg(i, j) != e.Agg[j] {
-					t.Fatalf("node %d entry %d: agg(%d) = %+v, want %+v", n.id, i, j, f.agg(i, j), e.Agg[j])
+				if f.Agg(i, j) != e.Agg[j] {
+					t.Fatalf("node %d entry %d: agg(%d) = %+v, want %+v", n.ID(), i, j, f.Agg(i, j), e.Agg[j])
 				}
 			}
-			if n.leaf {
+			if n.Leaf() {
 				for d := 0; d < dims; d++ {
-					if f.coord(i, d) != n.row(i)[d] {
-						t.Fatalf("node %d entry %d: coord(%d) differs", n.id, i, d)
+					if f.Coord(i, d) != n.Row(i)[d] {
+						t.Fatalf("node %d entry %d: coord(%d) differs", n.ID(), i, d)
 					}
 				}
 				for j := 0; j < measures; j++ {
-					if f.measure(i, j) != n.rowMeasures(i)[j] {
-						t.Fatalf("node %d entry %d: measure(%d) differs", n.id, i, j)
+					if f.Measure(i, j) != n.RowMeasures(i)[j] {
+						t.Fatalf("node %d entry %d: measure(%d) differs", n.ID(), i, j)
 					}
 				}
-			} else if f.child(i) != e.Child {
-				t.Fatalf("node %d entry %d: child differs", n.id, i)
+			} else if f.Child(i) != e.Child {
+				t.Fatalf("node %d entry %d: child differs", n.ID(), i)
 			}
 		}
-		dec, err := decodeFlatNode(n.id, buf, dims, measures)
+		dec, err := index.DecodeNode(n.ID(), buf, dims, measures)
 		if err != nil {
-			t.Fatalf("decodeFlatNode(%d): %v", n.id, err)
+			t.Fatalf("DecodeNode(%d): %v", n.ID(), err)
 		}
 		requireNodesEqual(t, dec, n)
 	}
@@ -162,26 +164,31 @@ func TestFlatNodeRoundTrip(t *testing.T) {
 func TestFlatNodeEmpty(t *testing.T) {
 	tree := newTestTree(t, smallConfig())
 	s := tree.Schema()
-	n, err := tree.getNode(tree.root)
+	n, err := tree.nodes().Get(tree.ix.Root())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.count() != 0 {
-		t.Fatalf("fresh root has %d entries", n.count())
+	if n.Count() != 0 {
+		t.Fatalf("fresh root has %d entries", n.Count())
 	}
-	buf := n.appendEncodeFlat(nil, s.Dims(), s.Measures())
-	dec, err := decodeFlatNode(n.id, buf, s.Dims(), s.Measures())
+	dec, err := index.DecodeNode(n.ID(), tree.ix.Encode(n), s.Dims(), s.Measures())
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireNodesEqual(t, dec, n)
 }
 
+// oneView serves a single flat node, whatever ID is asked for: the Source
+// of a descent that must meet exactly this payload.
+type oneView struct{ f index.FlatNode }
+
+func (s oneView) View(nodeID) (index.NodeView, error) { return s.f.View(), nil }
+
 // TestFlatNodeCorruptFailClosed: damaged flat encodings are never decoded,
-// served or panicked on. A damaged frame is rejected by makeFlatNode; a
+// served or panicked on. A damaged frame is rejected by MakeFlatNode; a
 // damaged offset table passes the constant-time frame check, is rejected by
-// checkTable (and so by the decoder), and on the read path surfaces as
-// ErrCorrupt from the entry it garbles.
+// CheckTable (and so by the decoder), and on the read path surfaces as
+// ErrCorrupt from the descent that meets the entry it garbles.
 func TestFlatNodeCorruptFailClosed(t *testing.T) {
 	tree := newTestTree(t, smallConfig())
 	s := tree.Schema()
@@ -192,42 +199,36 @@ func TestFlatNodeCorruptFailClosed(t *testing.T) {
 		}
 	}
 	dims, measures := s.Dims(), s.Measures()
-	n, err := tree.getNode(tree.root)
+	n, err := tree.nodes().Get(tree.ix.Root())
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := n.appendEncodeFlat(nil, dims, measures)
-	if _, err := makeFlatNode(n.id, good, dims, measures); err != nil {
+	good := tree.ix.Encode(n)
+	if _, err := index.MakeFlatNode(n.ID(), good, dims, measures); err != nil {
 		t.Fatalf("pristine encoding rejected: %v", err)
 	}
 
-	qc, err := tree.newQueryCtx(mds.Top(dims))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tree.putQueryCtx(qc)
+	// The whole-cube query matches every entry it can parse without
+	// descending, so the walk meets the damaged root and nothing else.
+	whole := index.Query{MDS: mds.Top(dims)}
 	mutate := func(name string, f func(b []byte) []byte) {
 		b := f(append([]byte(nil), good...))
-		if _, err := decodeFlatNode(n.id, b, dims, measures); !errors.Is(err, ErrCorrupt) {
+		if _, err := index.DecodeNode(n.ID(), b, dims, measures); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: corrupt encoding decoded: %v", name, err)
 		}
-		view, err := makeFlatNode(n.id, b, dims, measures)
+		view, err := index.MakeFlatNode(n.ID(), b, dims, measures)
 		if err != nil {
 			return
 		}
-		if view.checkTable() == nil {
+		if view.CheckTable() == nil {
 			t.Errorf("%s: corrupt encoding passes the frame and the table check", name)
 		}
-		sawCorrupt := false
-		for i := 0; i < view.count; i++ {
-			if _, _, err := qc.matchEntryFlat(&view, i); errors.Is(err, ErrCorrupt) {
-				sawCorrupt = true
-			}
-		}
-		if !sawCorrupt {
-			t.Errorf("%s: the descent matched every entry of a corrupt encoding", name)
+		if _, err := tree.ix.Execute(context.Background(), oneView{view}, n.ID(), whole); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: the descent matched every entry of a corrupt encoding: %v", name, err)
 		}
 	}
+	// The offset table starts behind the 20-byte header.
+	const offsetTable = 20
 	mutate("bad magic", func(b []byte) []byte { b[0] ^= 0xFF; return b })
 	mutate("truncated", func(b []byte) []byte { return b[:len(b)/2] })
 	mutate("hostile count", func(b []byte) []byte {
@@ -238,18 +239,18 @@ func TestFlatNodeCorruptFailClosed(t *testing.T) {
 	mutate("non-monotone offsets", func(b []byte) []byte {
 		// First offset-table slot (entry 0's MDS offset) bumped past the
 		// second: the monotonicity check must catch it.
-		b[flatHeaderSize] = 0xEE
+		b[offsetTable] = 0xEE
 		return b
 	})
 	mutate("empty", func(b []byte) []byte { return nil })
 	mutate("reserved byte set", func(b []byte) []byte { b[2] = 1; return b })
 	mutate("unknown flag", func(b []byte) []byte { b[1] |= 0x80; return b })
-	mutate("gap before first MDS", func(b []byte) []byte { b[flatHeaderSize] = 1; return b })
+	mutate("gap before first MDS", func(b []byte) []byte { b[offsetTable] = 1; return b })
 }
 
 // FuzzDecodeFlatNode drives the one node decoder with arbitrary payloads.
-// makeFlatNode (the frame check every zero-copy view passes) and
-// decodeFlatNode agree on the frame: what the first rejects the second
+// MakeFlatNode (the frame check every zero-copy view passes) and
+// DecodeNode agree on the frame: what the first rejects the second
 // rejects, and the second rejects further only for a malformed offset table
 // or MDS blob, which a view surfaces at pruning time, or for a data entry
 // that does not describe its record. An accepted view can be walked end
@@ -257,57 +258,60 @@ func TestFlatNodeCorruptFailClosed(t *testing.T) {
 // accepted payload is canonical up to varint width: it re-encodes to
 // itself, or to a shorter payload that re-encodes to itself.
 func FuzzDecodeFlatNode(f *testing.F) {
-	nodes, dims, measures := grownNodes(f)
-	var leaf, dir *node
-	for _, n := range nodes[:len(nodes)-1] {
-		if n.leaf && leaf == nil {
+	tree, nodes := grownNodes(f)
+	dims, measures := tree.schema.Dims(), tree.schema.Measures()
+	var leaf, dir, super *index.Node
+	for _, n := range nodes {
+		switch {
+		case n.Blocks() > 1:
+			super = n
+		case n.Leaf() && leaf == nil:
 			leaf = n
-		}
-		if !n.leaf && dir == nil {
+		case !n.Leaf() && dir == nil:
 			dir = n
 		}
 	}
-	for _, n := range []*node{leaf, dir, nodes[len(nodes)-1]} {
-		f.Add(n.appendEncodeFlat(nil, dims, measures))
+	for _, n := range []*index.Node{leaf, dir, super} {
+		f.Add(tree.ix.Encode(n))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		view, viewErr := makeFlatNode(1, data, dims, measures)
-		n, decErr := decodeFlatNode(1, data, dims, measures)
+		view, viewErr := index.MakeFlatNode(1, data, dims, measures)
+		n, decErr := index.DecodeNode(1, data, dims, measures)
 		if viewErr != nil {
 			if decErr == nil {
-				t.Fatalf("decodeFlatNode accepted what makeFlatNode rejected: %v", viewErr)
+				t.Fatalf("DecodeNode accepted what MakeFlatNode rejected: %v", viewErr)
 			}
 			return
 		}
-		for i := 0; i < view.count; i++ {
-			if it, err := mds.NewViewIter(view.entryMDS(i)); err == nil {
+		for i := 0; i < view.Count(); i++ {
+			if it, err := mds.NewViewIter(view.EntryMDS(i)); err == nil {
 				for ok := true; ok; _, ok = it.Next() {
 				}
 			}
 			for j := 0; j < measures; j++ {
-				view.agg(i, j)
+				view.Agg(i, j)
 			}
-			if view.leaf {
-				view.record(i)
+			if view.Leaf() {
+				view.Record(i)
 			} else {
-				view.child(i)
+				view.Child(i)
 			}
 		}
 		if decErr != nil {
 			if !errors.Is(decErr, ErrCorrupt) {
-				t.Fatalf("decodeFlatNode error is not ErrCorrupt: %v", decErr)
+				t.Fatalf("DecodeNode error is not ErrCorrupt: %v", decErr)
 			}
 			return
 		}
-		re := n.appendEncodeFlat(nil, dims, measures)
+		re := tree.ix.Encode(n)
 		if len(re) > len(data) || (len(re) == len(data) && !bytes.Equal(re, data)) {
 			t.Fatalf("accepted payload (%d bytes) re-encodes differently (%d bytes)", len(data), len(re))
 		}
-		n2, err := decodeFlatNode(1, re, dims, measures)
+		n2, err := index.DecodeNode(1, re, dims, measures)
 		if err != nil {
 			t.Fatalf("re-encoded payload rejected: %v", err)
 		}
-		if !bytes.Equal(n2.appendEncodeFlat(nil, dims, measures), re) {
+		if !bytes.Equal(tree.ix.Encode(n2), re) {
 			t.Fatal("re-encoding is not a fixed point")
 		}
 	})
@@ -326,24 +330,23 @@ func TestFlatNodeMDSView(t *testing.T) {
 	}
 	dims, measures := s.Dims(), s.Measures()
 	for _, n := range collectNodes(t, tree) {
-		buf := n.appendEncodeFlat(nil, dims, measures)
-		f, err := makeFlatNode(n.id, buf, dims, measures)
+		f, err := index.MakeFlatNode(n.ID(), tree.ix.Encode(n), dims, measures)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, e := range entriesOf(n) {
-			it, err := mds.NewViewIter(f.entryMDS(i))
+			it, err := mds.NewViewIter(f.EntryMDS(i))
 			if err != nil {
-				t.Fatalf("node %d entry %d: %v", n.id, i, err)
+				t.Fatalf("node %d entry %d: %v", n.ID(), i, err)
 			}
 			want := e.MDS
 			if it.Dims() != len(want) {
-				t.Fatalf("node %d entry %d: view dims %d != %d", n.id, i, it.Dims(), len(want))
+				t.Fatalf("node %d entry %d: view dims %d != %d", n.ID(), i, it.Dims(), len(want))
 			}
 			for d := range want {
 				dv, ok := it.Next()
 				if !ok {
-					t.Fatalf("node %d entry %d: view ended at dim %d", n.id, i, d)
+					t.Fatalf("node %d entry %d: view ended at dim %d", n.ID(), i, d)
 				}
 				got := mds.AllDim()
 				if !dv.IsALL() {
@@ -353,7 +356,7 @@ func TestFlatNodeMDSView(t *testing.T) {
 					}
 				}
 				if !(mds.MDS{got}).Equal(mds.MDS{want[d]}) {
-					t.Fatalf("node %d entry %d dim %d: view %v != %v", n.id, i, d, got, want[d])
+					t.Fatalf("node %d entry %d dim %d: view %v != %v", n.ID(), i, d, got, want[d])
 				}
 			}
 		}

@@ -72,7 +72,7 @@ func FuzzDecodeMeta(f *testing.F) {
 		if tr.schema == nil || tr.schema.Dims() < 1 || tr.schema.Measures() < 1 {
 			t.Fatal("decoded tree has no schema")
 		}
-		if _, ok := tr.table[tr.root]; !ok {
+		if _, ok := tr.table[tr.ix.Root()]; !ok {
 			t.Fatal("decoded tree root has no extent")
 		}
 	})

@@ -230,6 +230,104 @@ func TestGroupCommitShutdownRace(t *testing.T) {
 	}
 }
 
+// TestCloseRacesInserters is the Tree-level form of the shutdown race: eight
+// inserters race Close, and every insert that returned nil — before, during
+// or just ahead of the close — must be in the tree recovery rebuilds, while
+// one that returned ErrClosed must have changed nothing. Run with -race:
+// Close and the write path share t.wal and the closed latch.
+func TestCloseRacesInserters(t *testing.T) {
+	tree, recs, storePath, walPrefix := newGroupCommitTree(t, storage.WALOptions{SyncDelay: 200 * time.Microsecond}, 4000)
+	const writers = 8
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		acked []cube.Record
+		count atomic.Int64
+	)
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(mine []cube.Record) {
+			defer wg.Done()
+			for _, r := range mine {
+				if err := tree.Insert(r); err != nil {
+					if !errors.Is(err, ErrClosed) {
+						t.Errorf("Insert: %v", err)
+					}
+					return
+				}
+				mu.Lock()
+				acked = append(acked, r)
+				mu.Unlock()
+				count.Add(1)
+			}
+		}(recs[g*len(recs)/writers : (g+1)*len(recs)/writers])
+	}
+	waitFor(t, "some acknowledged inserts", func() bool { return count.Load() >= 200 })
+	if err := tree.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	wg.Wait()
+	if got := tree.Count(); got != int64(len(acked)) {
+		t.Fatalf("closed tree holds %d records, %d inserts were acknowledged", got, len(acked))
+	}
+	if len(acked) == len(recs) {
+		t.Fatal("every insert finished before Close: nothing raced")
+	}
+	re := recoverImage(t, tree.cfg, storePath, walPrefix, filepath.Join(t.TempDir(), "img"))
+	if got := re.Count(); got != int64(len(acked)) {
+		t.Fatalf("recovered tree holds %d records, %d inserts were acknowledged", got, len(acked))
+	}
+	verifyAgainstOracle(t, re, acked, 40, 5)
+}
+
+// TestMutationAfterCloseIsRefused: a closed tree changes neither in memory
+// nor on disk. At the parent commit the insert below returned nil, Count
+// read 11 and the reopened tree 10 — an acknowledged write lost.
+func TestMutationAfterCloseIsRefused(t *testing.T) {
+	tree, recs, storePath, walPrefix := newGroupCommitTree(t, storage.WALOptions{}, 12)
+	for _, r := range recs[:10] {
+		if err := tree.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tree.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := tree.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	_, snapErr := tree.Snapshot()
+	for what, err := range map[string]error{
+		"Insert":   tree.Insert(recs[10]),
+		"Delete":   tree.Delete(recs[0]),
+		"BulkLoad": tree.BulkLoad(recs[10:]),
+		"Snapshot": snapErr,
+	} {
+		if !errors.Is(err, ErrClosed) {
+			t.Errorf("%s after Close: err = %v, want ErrClosed", what, err)
+		}
+	}
+	if got := tree.Count(); got != 10 {
+		t.Fatalf("closed tree holds %d records, want 10", got)
+	}
+	verifyAgainstOracle(t, tree, recs[:10], 10, 6) // queries keep working
+	re := recoverImage(t, tree.cfg, storePath, walPrefix, filepath.Join(t.TempDir(), "img"))
+	if got := re.Count(); got != 10 {
+		t.Fatalf("reopened tree holds %d records, want 10", got)
+	}
+
+	replica, err := NewReplica(storage.NewMemStore(tree.cfg.BlockSize), testSchema(t), tree.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := replica.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := replica.ApplyReplicated(1, 1, encodeWALRecord(walOpInsert, recs[0])); !errors.Is(err, ErrClosed) {
+		t.Errorf("ApplyReplicated after Close: err = %v, want ErrClosed", err)
+	}
+}
+
 // TestGroupCommitCheckpointCoverageFlushesLog: a record that a checkpoint
 // install acknowledges before any writer synced it must still reach the
 // log's durable frontier, or a follower of a quiet primary never sees it.

@@ -8,6 +8,7 @@ import (
 
 	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/hierarchy"
+	"github.com/dcindex/dctree/internal/index"
 	"github.com/dcindex/dctree/internal/mds"
 	"github.com/dcindex/dctree/internal/storage"
 )
@@ -86,10 +87,10 @@ func (t *Tree) metaSnapshotLocked() metaSnapshot {
 		table[id] = ref
 	}
 	return metaSnapshot{
-		root:             t.root,
-		rootMDS:          t.rootMDS.Clone(),
-		height:           t.height,
-		count:            t.count,
+		root:             t.ix.Root(),
+		rootMDS:          t.ix.RootMDS().Clone(),
+		height:           t.ix.Height(),
+		count:            t.ix.Count(),
 		nextID:           t.nextID,
 		checkpointLSN:    t.checkpointLSN,
 		versionSeq:       t.versionSeq,
@@ -372,10 +373,6 @@ func decodeMeta(meta []byte) (*Tree, error) {
 	t := &Tree{
 		schema:           schema,
 		cfg:              cfg,
-		root:             root,
-		rootMDS:          rootMDS,
-		height:           height,
-		count:            count,
 		nextID:           nextID,
 		checkpointLSN:    checkpointLSN,
 		versionSeq:       versionSeq,
@@ -387,7 +384,7 @@ func decodeMeta(meta []byte) (*Tree, error) {
 		versions:         make(map[uint64]*Version),
 		pins:             storage.NewPins(),
 	}
-	t.ws = newWriteScratch(schema, &t.cfg)
+	t.ix = index.Restore(schema, cfg.Config, t.nodes(), root, rootMDS, height, count)
 	if _, ok := t.table[root]; !ok {
 		return nil, fmt.Errorf("%w: root node %d missing from table", ErrCorrupt, root)
 	}

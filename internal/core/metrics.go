@@ -29,35 +29,23 @@ type treeMetrics struct {
 	queryLatency obs.Histogram
 	slowQueries  obs.Counter
 
-	splitsHierarchy  obs.Counter
-	splitsForced     obs.Counter
-	supernodeCreated obs.Counter
-	supernodeGrown   obs.Counter
-	rootSplits       obs.Counter
-
 	qNodesVisited     obs.Counter
 	qEntriesScanned   obs.Counter
 	qEntriesPruned    obs.Counter
 	qMaterializedHits obs.Counter
 	qRecordsMatched   obs.Counter
 
-	// Read-path concurrency instrumentation: sharded node cache, pooled
-	// query-mask arenas, and the work-stealing parallel descent.
+	// The sharded node cache. (Split, supernode, mask-pool, work-stealing
+	// and read-image counters are the index's own: index.Counters.)
 	cacheHits         obs.Counter
 	cacheMisses       obs.Counter
 	cacheFaultsShared obs.Counter
-	maskPoolHits      obs.Counter
-	maskPoolMisses    obs.Counter
-	stealSpawned      obs.Counter
-	stealStolen       obs.Counter
 
 	// Zero-copy read path: descents answered from a flat node view over
-	// mapped bytes, reads that fell back to the heap decode path (mmap
-	// unavailable, or zero-copy disabled), and read images built for heap
-	// directories (one per directory per spell between mutations).
+	// mapped bytes, and reads that fell back to the heap decode path (the
+	// store serves no views).
 	flatNodeReads   obs.Counter
 	decodeFallbacks obs.Counter
-	readImageBuilds obs.Counter
 
 	// Durable write path: WAL appends, fsyncs issued by commit leaders,
 	// commit batches with their record totals and high-water size, and
@@ -171,7 +159,7 @@ type Metrics struct {
 	// Zero-copy read path. FlatNodeReads counts node resolutions served as
 	// in-place flat views over extent bytes or a version's overlay payloads;
 	// DecodeFallbacks counts uncached resolutions that materialized a heap
-	// node instead (mapping unavailable, or zero-copy disabled). MmapViews,
+	// node instead (the store serves no views). MmapViews,
 	// MmapRemaps and MmapFallbacks are the store-side accounting: extent
 	// views served from the mapping, mapping rebuilds after file growth, and
 	// view requests answered by a plain file read.
@@ -224,10 +212,9 @@ type Metrics struct {
 	ReplSyncDegraded int64
 
 	// Fuzzy checkpoints. CheckpointWriterStallSeconds is the cumulative
-	// time writers were excluded by checkpoint critical sections — for the
-	// fuzzy protocol the capture and install phases only, for FlushSync the
-	// whole checkpoint; the gap between it and the latency histogram's sum
-	// is exactly what backgrounding the extent writes buys.
+	// time writers were excluded by checkpoint critical sections — the
+	// capture and install phases only; the gap between it and the latency
+	// histogram's sum is exactly what backgrounding the extent writes buys.
 	Checkpoints                  int64
 	CheckpointFailures           int64
 	CheckpointPagesWritten       int64
@@ -284,7 +271,7 @@ type Metrics struct {
 
 // Metrics returns a snapshot of the tree's operational metrics.
 func (t *Tree) Metrics() Metrics {
-	m := &t.metrics
+	m, ic := &t.metrics, t.ix.Counters()
 	s := Metrics{
 		Inserts:      m.inserts.Load(),
 		Deletes:      m.deletes.Load(),
@@ -295,11 +282,11 @@ func (t *Tree) Metrics() Metrics {
 		QueryCancels: m.queryCancels.Load(),
 		SlowQueries:  m.slowQueries.Load(),
 
-		SplitsHierarchy:   m.splitsHierarchy.Load(),
-		SplitsForced:      m.splitsForced.Load(),
-		SupernodesCreated: m.supernodeCreated.Load(),
-		SupernodesGrown:   m.supernodeGrown.Load(),
-		RootSplits:        m.rootSplits.Load(),
+		SplitsHierarchy:   ic.SplitsHierarchy,
+		SplitsForced:      ic.SplitsForced,
+		SupernodesCreated: ic.SupernodesCreated,
+		SupernodesGrown:   ic.SupernodesGrown,
+		RootSplits:        ic.RootSplits,
 
 		QueryNodesVisited:     m.qNodesVisited.Load(),
 		QueryEntriesScanned:   m.qEntriesScanned.Load(),
@@ -311,15 +298,15 @@ func (t *Tree) Metrics() Metrics {
 		CacheMisses:       m.cacheMisses.Load(),
 		CacheFaultsShared: m.cacheFaultsShared.Load(),
 
-		MaskPoolHits:   m.maskPoolHits.Load(),
-		MaskPoolMisses: m.maskPoolMisses.Load(),
+		MaskPoolHits:   ic.MaskPoolHits,
+		MaskPoolMisses: ic.MaskPoolMisses,
 
-		ParallelTasksSpawned: m.stealSpawned.Load(),
-		ParallelTasksStolen:  m.stealStolen.Load(),
+		ParallelTasksSpawned: ic.StealSpawned,
+		ParallelTasksStolen:  ic.StealStolen,
 
 		FlatNodeReads:   m.flatNodeReads.Load(),
 		DecodeFallbacks: m.decodeFallbacks.Load(),
-		ReadImageBuilds: m.readImageBuilds.Load(),
+		ReadImageBuilds: ic.ReadImageBuilds,
 
 		WALAppends:              m.walAppends.Load(),
 		WALFsyncs:               m.walFsyncs.Load(),

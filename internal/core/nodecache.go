@@ -3,6 +3,8 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+
+	"github.com/dcindex/dctree/internal/index"
 )
 
 // The node cache is sharded so that concurrent query workers resolving
@@ -30,7 +32,7 @@ const (
 // keeps its (newer) flag and is re-captured by the next checkpoint.
 type cacheShard struct {
 	mu       sync.RWMutex
-	nodes    map[nodeID]*node
+	nodes    map[nodeID]*index.Node
 	dirty    map[nodeID]uint64
 	inflight map[nodeID]*nodeFault
 }
@@ -39,7 +41,7 @@ type cacheShard struct {
 // is closed.
 type nodeFault struct {
 	done chan struct{}
-	n    *node
+	n    *index.Node
 	err  error
 }
 
@@ -56,7 +58,7 @@ type nodeCache struct {
 func newNodeCache() *nodeCache {
 	c := &nodeCache{}
 	for i := range c.shards {
-		c.shards[i].nodes = make(map[nodeID]*node)
+		c.shards[i].nodes = make(map[nodeID]*index.Node)
 		c.shards[i].dirty = make(map[nodeID]uint64)
 	}
 	return c
@@ -68,7 +70,7 @@ func (c *nodeCache) shard(id nodeID) *cacheShard {
 }
 
 // get returns the cached node or nil, taking only the shard read lock.
-func (c *nodeCache) get(id nodeID) *node {
+func (c *nodeCache) get(id nodeID) *index.Node {
 	sh := c.shard(id)
 	sh.mu.RLock()
 	n := sh.nodes[id]
@@ -77,15 +79,15 @@ func (c *nodeCache) get(id nodeID) *node {
 }
 
 // putNew inserts a freshly allocated node and marks it dirty.
-func (c *nodeCache) putNew(n *node) {
-	seq := c.dirtySeq.Add(1)
-	sh := c.shard(n.id)
+func (c *nodeCache) putNew(n *index.Node) {
+	id, seq := n.ID(), c.dirtySeq.Add(1)
+	sh := c.shard(id)
 	sh.mu.Lock()
-	sh.nodes[n.id] = n
-	if _, ok := sh.dirty[n.id]; !ok {
+	sh.nodes[id] = n
+	if _, ok := sh.dirty[id]; !ok {
 		c.dirtyCount.Add(1)
 	}
-	sh.dirty[n.id] = seq
+	sh.dirty[id] = seq
 	sh.mu.Unlock()
 }
 
@@ -211,7 +213,7 @@ func (c *nodeCache) len() int {
 // same node blocks on the leader's done channel and shares the result.
 // load runs without any shard lock held. shared reports whether this call
 // piggybacked on another goroutine's load.
-func (c *nodeCache) fault(id nodeID, load func() (*node, error)) (n *node, shared bool, err error) {
+func (c *nodeCache) fault(id nodeID, load func() (*index.Node, error)) (n *index.Node, shared bool, err error) {
 	sh := c.shard(id)
 	sh.mu.Lock()
 	if n := sh.nodes[id]; n != nil {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/dcindex/dctree/internal/cube"
+	"github.com/dcindex/dctree/internal/index"
 	"github.com/dcindex/dctree/internal/mds"
 	"github.com/dcindex/dctree/internal/storage"
 )
@@ -45,7 +46,7 @@ func TestNodeCacheShardOps(t *testing.T) {
 				id := nodeID(rng.Intn(ids) + 1)
 				switch i % 6 {
 				case 0:
-					c.putNew(&node{id: id, leaf: true, blocks: 1})
+					c.putNew(index.NewNode(id, true, 3, 1))
 				case 1:
 					c.get(id)
 				case 2:
@@ -55,8 +56,8 @@ func TestNodeCacheShardOps(t *testing.T) {
 				case 4:
 					c.clearDirty(c.dirtyIDs())
 				case 5:
-					if _, _, err := c.fault(id, func() (*node, error) {
-						return &node{id: id, leaf: true, blocks: 1}, nil
+					if _, _, err := c.fault(id, func() (*index.Node, error) {
+						return index.NewNode(id, true, 3, 1), nil
 					}); err != nil {
 						t.Error(err)
 					}
@@ -80,7 +81,7 @@ func TestNodeCacheShardOps(t *testing.T) {
 	}
 }
 
-// TestSingleflightFaultStorm asserts that a storm of concurrent getNode
+// TestSingleflightFaultStorm asserts that a storm of concurrent Get
 // calls for the same cold node performs exactly one store read (and one
 // decode): every other caller piggybacks on the leader's in-flight fault.
 func TestSingleflightFaultStorm(t *testing.T) {
@@ -115,7 +116,7 @@ func TestSingleflightFaultStorm(t *testing.T) {
 			<-start
 			tree.mu.RLock()
 			defer tree.mu.RUnlock()
-			if _, err := tree.getNode(tree.root); err != nil {
+			if _, err := tree.nodes().Get(tree.ix.Root()); err != nil {
 				errs <- err
 			}
 		}()

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/dcindex/dctree/internal/cube"
+	"github.com/dcindex/dctree/internal/index"
 	"github.com/dcindex/dctree/internal/mds"
 )
 
@@ -19,7 +20,7 @@ func directoryCount(t testing.TB, tree *Tree) int64 {
 	t.Helper()
 	dirs := int64(0)
 	for _, n := range collectNodes(t, tree) {
-		if !n.leaf {
+		if !n.Leaf() {
 			dirs++
 		}
 	}
@@ -186,7 +187,7 @@ func TestReadersRaceToBuildImages(t *testing.T) {
 
 // encodingDigest hashes, in pre-order, the payload each node of the tree is
 // encoded to, as handed out by payload.
-func encodingDigest(t *testing.T, tree *Tree, payload func(n *node) []byte) string {
+func encodingDigest(t *testing.T, tree *Tree, payload func(n *index.Node) []byte) string {
 	t.Helper()
 	h := sha256.New()
 	for _, n := range collectNodes(t, tree) {
@@ -223,30 +224,29 @@ func TestGoldenNodeEncoding(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dims, measures := s.Dims(), s.Measures()
-	check := func(what, want string, tree *Tree, payload func(n *node) []byte) {
+	check := func(what, want string, tree *Tree, payload func(n *index.Node) []byte) {
 		t.Helper()
 		if got := encodingDigest(t, tree, payload); got != want {
 			t.Errorf("%s: encoding digest %s, pinned %s", what, got, want)
 		}
 	}
-	encoded := func(n *node) []byte { return n.appendEncodeFlat(nil, dims, measures) }
-	fromStore := func(tree *Tree) func(n *node) []byte {
-		return func(n *node) []byte {
-			b, _, err := tree.store.Read(tree.table[n.id].page)
+	encoded := func(tree *Tree) func(n *index.Node) []byte { return tree.ix.Encode }
+	fromStore := func(tree *Tree) func(n *index.Node) []byte {
+		return func(n *index.Node) []byte {
+			b, _, err := tree.store.Read(tree.table[n.ID()].page)
 			if err != nil {
-				t.Fatalf("read node %d: %v", n.id, err)
+				t.Fatalf("read node %d: %v", n.ID(), err)
 			}
 			return b
 		}
 	}
-	check("live nodes", want, tree, encoded)
+	check("live nodes", want, tree, encoded(tree))
 
 	v, err := tree.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("version overlay", want, tree, func(n *node) []byte { return v.overlay[n.id] })
+	check("version overlay", want, tree, func(n *index.Node) []byte { return v.overlay[n.ID()] })
 	if err := v.Release(); err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestGoldenNodeEncoding(t *testing.T) {
 	check("checkpointed extents", want, tree, fromStore(tree))
 	re := recoverImage(t, cfg, storePath, walPrefix, t.TempDir())
 	check("recovered extents", want, re, fromStore(re))
-	check("recovered nodes, re-encoded", want, re, encoded)
+	check("recovered nodes, re-encoded", want, re, encoded(re))
 
 	// A log tail behind the checkpoint: recovery replays the same inserts,
 	// splits and deletes into decoded nodes.
@@ -271,7 +271,7 @@ func TestGoldenNodeEncoding(t *testing.T) {
 			}
 		}
 	}
-	check("live nodes after the tail", wantTail, tree, encoded)
+	check("live nodes after the tail", wantTail, tree, encoded(tree))
 	re = recoverImage(t, cfg, storePath, walPrefix, t.TempDir())
-	check("nodes recovered through the log tail", wantTail, re, encoded)
+	check("nodes recovered through the log tail", wantTail, re, encoded(re))
 }

@@ -6,224 +6,11 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/hierarchy"
 	"github.com/dcindex/dctree/internal/mds"
 	"github.com/dcindex/dctree/internal/storage"
+	"github.com/dcindex/dctree/internal/tpcd"
 )
-
-// randomSpaceMDS builds a random valid MDS over the test schema's space
-// from registered leaves.
-func randomSpaceMDS(rng *rand.Rand, space mds.Space, leaves [][]hierarchy.ID) mds.MDS {
-	m := make(mds.MDS, len(space))
-	for d, h := range space {
-		if rng.Intn(7) == 0 {
-			m[d] = mds.AllDim()
-			continue
-		}
-		level := rng.Intn(h.Depth())
-		// Collect the distinct ancestors available at this level first: a
-		// blind rejection loop can demand more values than exist.
-		distinct := map[hierarchy.ID]struct{}{}
-		for _, leaf := range leaves[d] {
-			anc, err := h.AncestorAt(leaf, level)
-			if err != nil {
-				panic(err)
-			}
-			distinct[anc] = struct{}{}
-		}
-		pool := make([]hierarchy.ID, 0, len(distinct))
-		for id := range distinct {
-			pool = append(pool, id)
-		}
-		k := 1 + rng.Intn(5)
-		if k > len(pool) {
-			k = len(pool)
-		}
-		perm := rng.Perm(len(pool))[:k]
-		ids := make([]hierarchy.ID, 0, k)
-		for _, p := range perm {
-			ids = append(ids, pool[p])
-		}
-		hierarchy.SortIDs(ids)
-		m[d] = mds.DimSet{Level: level, IDs: ids}
-	}
-	return m
-}
-
-// flatDirOf encodes entry MDSs as one directory node and frames it the way
-// a read image is framed.
-func flatDirOf(tree *Tree, ms ...mds.MDS) flatNode {
-	dims, measures := tree.schema.Dims(), tree.schema.Measures()
-	dir := &node{blocks: 1}
-	for i, m := range ms {
-		dir.entries = append(dir.entries, entry{MDS: m, Agg: cube.NewAggVector(measures), Child: nodeID(i + 1)})
-	}
-	return trustedFlatNode(1, dir.appendEncodeFlat(nil, dims, measures), dims, measures)
-}
-
-// TestMatchKernelAgainstMDSAlgebra pins the one directory matcher — the
-// all-level query masks probed over an entry's wire encoding — to the
-// reference mds.Overlap/mds.Contains on thousands of random (query, entry)
-// pairs: unconstrained dimensions, entries finer than, level with and
-// coarser than the query, and entry values registered only after the masks
-// were built, which lie outside the query's snapshot.
-func TestMatchKernelAgainstMDSAlgebra(t *testing.T) {
-	tree := newTestTree(t, smallConfig())
-	s := tree.Schema()
-	space := s.Space()
-	rng := rand.New(rand.NewSource(51))
-
-	leaves := make([][]hierarchy.ID, len(space))
-	for _, r := range genRecords(t, s, rng, 300) {
-		for d, c := range r.Coords {
-			leaves[d] = append(leaves[d], c)
-		}
-	}
-
-	var finer, level, coarser, entryALL, queryALL, late int
-	for i := 0; i < 3000; i++ {
-		q := randomSpaceMDS(rng, space, leaves)
-		m := randomSpaceMDS(rng, space, leaves)
-		for d := range q {
-			switch {
-			case q[d].Level == hierarchy.LevelALL:
-				queryALL++
-			case m[d].Level == hierarchy.LevelALL:
-				entryALL++
-			case m[d].Level < q[d].Level:
-				finer++
-			case m[d].Level == q[d].Level:
-				level++
-			default:
-				coarser++
-			}
-		}
-		ov, err := mds.Overlap(space, q, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cont, err := mds.Contains(space, q, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qc, err := tree.newQueryCtx(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		// Every fourth pair, the entry also holds a value of every level
-		// that no mask has a bit for. Such a value cannot make the entry
-		// overlap, and an entry holding one in a constrained dimension is
-		// not contained.
-		if i%4 == 3 {
-			fresh, err := s.InternRecord([][]string{
-				{fmt.Sprintf("lateR%d", i), "N", "C"}, {fmt.Sprintf("lateB%d", i), "P"}, {fmt.Sprintf("lateY%d", i), "M"},
-			}, []float64{1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			m = m.Clone()
-			for d, h := range space {
-				if m[d].Level == hierarchy.LevelALL {
-					continue
-				}
-				anc, err := h.AncestorAt(fresh.Coords[d], m[d].Level)
-				if err != nil {
-					t.Fatal(err)
-				}
-				m[d].IDs = append(m[d].IDs, anc) // the newest code sorts last
-				if q[d].Level != hierarchy.LevelALL {
-					cont = false
-				}
-				late++
-			}
-		}
-
-		f := flatDirOf(tree, m)
-		gotOv, gotCont, err := qc.matchEntryFlat(&f, 0)
-		tree.putQueryCtx(qc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotOv != (ov > 0) {
-			t.Fatalf("case %d: kernel overlap=%v, algebra=%g\nq=%v\nm=%v", i, gotOv, ov, q, m)
-		}
-		// Containment is only reported for overlapping entries (the query
-		// path never asks otherwise).
-		if gotOv && gotCont != cont {
-			t.Fatalf("case %d: kernel contained=%v, algebra=%v\nq=%v\nm=%v", i, gotCont, cont, q, m)
-		}
-	}
-	for name, n := range map[string]int{"finer": finer, "level": level, "coarser": coarser,
-		"entry ALL": entryALL, "query ALL": queryALL, "late codes": late} {
-		if n == 0 {
-			t.Errorf("no (query, entry) dimension pair of kind %q was drawn", name)
-		}
-	}
-}
-
-// TestScanRowsAgainstContainsLeaves pins the leaf kernel, on both row
-// carriers, to MDS.ContainsLeaves — including rows whose values were
-// registered after the masks were built.
-func TestScanRowsAgainstContainsLeaves(t *testing.T) {
-	tree := newTestTree(t, smallConfig())
-	s := tree.Schema()
-	space := s.Space()
-	rng := rand.New(rand.NewSource(53))
-	recs := genRecords(t, s, rng, 400)
-	leaves := make([][]hierarchy.ID, len(space))
-	for _, r := range recs {
-		for d, c := range r.Coords {
-			leaves[d] = append(leaves[d], c)
-		}
-	}
-	for i := 0; i < 300; i++ {
-		q := randomSpaceMDS(rng, space, leaves)
-		qc, err := tree.newQueryCtx(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		known := make([]int, len(space)) // leaf codes the masks were sized for
-		for d, h := range space {
-			known[d], _ = h.CountAt(0)
-		}
-		rows := append([]cube.Record(nil), recs[:50]...)
-		if i%3 == 0 {
-			rows = append(rows, genRecordsInto(t, s, rng, 5)...) // may mint new codes
-		}
-		leaf := &node{leaf: true, blocks: 1, dims: s.Dims(), nm: s.Measures()}
-		var want cube.Agg
-		wantMatched := 0
-		for _, r := range rows {
-			leaf.appendRecord(r)
-			in, err := q.ContainsLeaves(space, r.Coords)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// A value minted after the mask build is outside the snapshot.
-			for d, c := range r.Coords {
-				if qc.masks[d] != nil && int(c.Code()) >= known[d] {
-					in = false
-				}
-			}
-			if in {
-				want.Add(r.Measures[0])
-				wantMatched++
-			}
-		}
-		flat := trustedFlatNode(1, leaf.appendEncodeFlat(nil, s.Dims(), s.Measures()), s.Dims(), s.Measures())
-		for name, nv := range map[string]nodeView{"heap": {n: leaf}, "flat": {f: flat}} {
-			out := cube.NewAggVector(1)
-			scanned, matched := qc.scanRows(&nv, 0, out)
-			if scanned != len(rows) || matched != wantMatched || out[0] != want {
-				t.Fatalf("case %d (%s rows): scanned %d matched %d agg %+v, want %d %d %+v\nq=%v",
-					i, name, scanned, matched, out[0], len(rows), wantMatched, want, q)
-			}
-		}
-		tree.putQueryCtx(qc)
-	}
-}
 
 // TestRefineMDSKeepsExactness checks that post-split refinement yields
 // descriptions that are exactly the subtree's record cover lifted to the
@@ -251,20 +38,20 @@ func TestRefineMDSKeepsExactness(t *testing.T) {
 	if err := tree.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	root, err := tree.getNode(tree.root)
+	root, err := tree.nodes().Get(tree.ix.Root())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if root.leaf {
+	if root.Leaf() {
 		t.Fatal("tree did not split")
 	}
 	// With ≤3 customers, ≤2 parts and ≤4 months, every dimension is
 	// describable at leaf level within bound 4: entries must be refined
 	// all the way down.
-	for i := range root.entries {
-		for d, ds := range root.entries[i].MDS {
+	for i, e := range root.Entries() {
+		for d, ds := range e.MDS {
 			if ds.Level != 0 {
-				t.Fatalf("entry %d dim %d still at level %d: %v", i, d, ds.Level, root.entries[i].MDS)
+				t.Fatalf("entry %d dim %d still at level %d: %v", i, d, ds.Level, e.MDS)
 			}
 		}
 	}
@@ -289,16 +76,16 @@ func TestRefineMDSKeepsExactness(t *testing.T) {
 	if err := tree2.Validate(); err != nil {
 		t.Fatalf("Validate (no refinement): %v", err)
 	}
-	root2, _ := tree2.getNode(tree2.root)
+	root2, _ := tree2.nodes().Get(tree2.ix.Root())
 	coarse := false
-	for i := range root2.entries {
-		for _, ds := range root2.entries[i].MDS {
+	for _, e := range root2.Entries() {
+		for _, ds := range e.MDS {
 			if ds.Level != 0 {
 				coarse = true
 			}
 		}
 	}
-	if root2.leaf {
+	if root2.Leaf() {
 		t.Fatal("tree2 did not split")
 	}
 	if !coarse {
@@ -340,7 +127,24 @@ func TestQueryAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds the mask arenas under the race detector")
 	}
-	tree, classes := readBenchTree(t)
+	// The benchmark's paper-mem workload at -scale 0.125, inserted one
+	// record at a time so every node is a heap node.
+	const records = 15000
+	gen, err := tpcd.New(1, tpcd.ScaleFor(records))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	tree, err := New(storage.NewMemStore(cfg.BlockSize), gen.Schema(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range gen.Records(records) {
+		if err := tree.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	classes := drawQueryClasses(t, gen, 77, 32)
 	ctx := context.Background()
 	run := func(form string) {
 		for class, queries := range classes {

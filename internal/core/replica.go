@@ -77,10 +77,10 @@ func (t *Tree) AppliedLSN() uint64 {
 }
 
 // ApplyReplicated applies one shipped WAL record at the given LSN to a
-// replica tree, dispatching exactly as crash recovery does: dictionary
-// deltas rebuild registrations, version records re-capture the primary's
-// MVCC snapshots (serving AsOf on the follower), and mutations re-apply
-// through the normal insert/delete path. Records at or below the applied
+// replica tree through applyRecordLocked, the dispatch crash recovery uses:
+// dictionary deltas rebuild registrations, version records re-capture the
+// primary's MVCC snapshots (serving AsOf on the follower), and mutations
+// re-apply through the index. Records at or below the applied
 // frontier (or the checkpoint LSN after a restart) are skipped, so
 // re-shipping an overlapping range is idempotent. The tree write lock is
 // held per record, keeping the replica continuously queryable between
@@ -101,6 +101,9 @@ func (t *Tree) ApplyReplicated(epoch, lsn uint64, payload []byte) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.closed {
+		return ErrClosed
+	}
 	if lsn <= t.appliedLSN || lsn <= t.checkpointLSN {
 		return nil // already applied, or inside the restored checkpoint
 	}
@@ -110,60 +113,15 @@ func (t *Tree) ApplyReplicated(epoch, lsn uint64, payload []byte) error {
 	if epoch > t.epoch {
 		t.epoch = epoch
 	}
-	if len(payload) > 0 && payload[0] == walOpDictDelta {
-		if err := applyDictDelta(t.schema, payload); err != nil {
-			return fmt.Errorf("dctree: applying dict delta lsn %d: %w", lsn, err)
-		}
-		t.markApplied(lsn)
-		return nil
-	}
-	if len(payload) > 0 && payload[0] == walOpVersion {
-		id, err := decodeVersionRecord(payload)
-		if err != nil {
-			return fmt.Errorf("dctree: applying version record lsn %d: %w", lsn, err)
-		}
-		if _, err := t.snapshotLocked(id, lsn); err != nil {
-			return fmt.Errorf("dctree: reconstructing version %d lsn %d: %w", id, lsn, err)
-		}
-		t.metrics.snapshotsRecovered.Inc()
-		t.markApplied(lsn)
-		return nil
-	}
-	if len(payload) > 0 && payload[0] == walOpVersionRelease {
-		id, err := decodeVersionReleaseRecord(payload)
-		if err != nil {
-			return fmt.Errorf("dctree: applying version release lsn %d: %w", lsn, err)
-		}
-		// Tolerates versions that are not live on the follower (e.g. a
-		// mirror shipped from past the version's own record).
-		t.releaseVersionReplayLocked(id)
-		t.markApplied(lsn)
-		return nil
-	}
-	op, rec, err := decodeWALRecord(t.schema, payload)
+	mutation, err := t.applyRecordLocked(lsn, payload)
 	if err != nil {
 		return err
 	}
-	switch op {
-	case walOpInsert:
-		if _, err := t.insertLocked(rec, false); err != nil {
-			return fmt.Errorf("dctree: applying insert lsn %d: %w", lsn, err)
-		}
-	case walOpDelete:
-		if _, err := t.deleteLocked(rec, false); err != nil && !errors.Is(err, ErrNotFound) {
-			return fmt.Errorf("dctree: applying delete lsn %d: %w", lsn, err)
-		}
+	if mutation {
+		t.metrics.replicaApplied.Inc()
 	}
-	t.metrics.replicaApplied.Inc()
-	t.markApplied(lsn)
+	t.appliedLSN = lsn
 	return nil
-}
-
-// markApplied advances the applied frontier. Caller holds t.mu.
-func (t *Tree) markApplied(lsn uint64) {
-	if lsn > t.appliedLSN {
-		t.appliedLSN = lsn
-	}
 }
 
 // Schema blob: the bootstrap payload a primary hands a brand-new follower

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/dcindex/dctree/internal/cube"
+	"github.com/dcindex/dctree/internal/mds"
 	"github.com/dcindex/dctree/internal/storage"
 	"github.com/dcindex/dctree/internal/tpcd"
 )
@@ -23,20 +24,15 @@ func shapeDigest(t *testing.T, tree *Tree) string {
 	h := sha256.New()
 	var buf []byte
 	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
-	var walk func(id nodeID)
-	walk = func(id nodeID) {
-		n, err := tree.getNode(id)
-		if err != nil {
-			t.Fatalf("getNode(%d): %v", id, err)
-		}
+	for _, n := range collectNodes(t, tree) {
 		buf = buf[:0]
-		if n.leaf {
+		if n.Leaf() {
 			buf = append(buf, 'L')
 		} else {
 			buf = append(buf, 'D')
 		}
-		u64(uint64(n.blocks))
-		u64(uint64(n.count()))
+		u64(uint64(n.Blocks()))
+		u64(uint64(n.Count()))
 		for i, e := range entriesOf(n) {
 			buf = e.MDS.AppendEncode(buf)
 			for _, a := range e.Agg {
@@ -45,31 +41,22 @@ func shapeDigest(t *testing.T, tree *Tree) string {
 				u64(math.Float64bits(a.Min))
 				u64(math.Float64bits(a.Max))
 			}
-			if n.leaf {
-				for _, c := range n.row(i) {
+			if n.Leaf() {
+				for _, c := range n.Row(i) {
 					u64(uint64(c))
 				}
-				for _, m := range n.rowMeasures(i) {
+				for _, m := range n.RowMeasures(i) {
 					u64(math.Float64bits(m))
 				}
 			}
 		}
 		h.Write(buf)
-		if !n.leaf {
-			for i := range n.entries {
-				walk(n.entries[i].Child)
-			}
-		}
 	}
-	walk(tree.root)
-	buf = tree.rootMDS.AppendEncode(buf[:0])
-	u64(uint64(tree.height))
-	u64(uint64(tree.count))
-	m := &tree.metrics
-	for _, c := range []int64{
-		m.splitsHierarchy.Load(), m.splitsForced.Load(),
-		m.supernodeCreated.Load(), m.supernodeGrown.Load(), m.rootSplits.Load(),
-	} {
+	buf = tree.RootMDS().AppendEncode(buf[:0])
+	u64(uint64(tree.Height()))
+	u64(uint64(tree.Count()))
+	m := tree.Metrics()
+	for _, c := range []int64{m.SplitsHierarchy, m.SplitsForced, m.SupernodesCreated, m.SupernodesGrown, m.RootSplits} {
 		u64(uint64(c))
 	}
 	h.Write(buf)
@@ -148,7 +135,7 @@ func TestGoldenTreeShape(t *testing.T) {
 			got := shapeDigest(t, tree)
 			snap := tree.Metrics()
 			t.Logf("digest %s height %d splits hierarchy=%d forced=%d supernodes created=%d grown=%d",
-				got, tree.height, snap.SplitsHierarchy, snap.SplitsForced, snap.SupernodesCreated, snap.SupernodesGrown)
+				got, tree.Height(), snap.SplitsHierarchy, snap.SplitsForced, snap.SupernodesCreated, snap.SupernodesGrown)
 			if got != tc.want {
 				t.Errorf("tree shape digest %s, pinned %s", got, tc.want)
 			}
@@ -198,7 +185,11 @@ func TestGoldenQueryStats(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s: %v", form, class, err)
 				}
-				got.add(res.Stats)
+				got.NodesVisited += res.Stats.NodesVisited
+				got.EntriesScanned += res.Stats.EntriesScanned
+				got.EntriesPruned += res.Stats.EntriesPruned
+				got.MaterializedHits += res.Stats.MaterializedHits
+				got.RecordsMatched += res.Stats.RecordsMatched
 			}
 			if got != want[class] {
 				t.Errorf("%s %s: stats %+v, pinned %+v", form, class, got, want[class])
@@ -226,4 +217,34 @@ func TestGoldenQueryStats(t *testing.T) {
 		t.Errorf("flat-view pass: %d flat reads, %d decode fallbacks",
 			after.FlatNodeReads-before.FlatNodeReads, after.DecodeFallbacks-before.DecodeFallbacks)
 	}
+}
+
+// queryClassNames are the benchmark's four query classes and "region", a
+// one-dimension roll-up: the class that takes materialized hits on small
+// trees.
+var queryClassNames = []string{"sel01", "sel05", "sel25", "rollup", "region"}
+
+// drawQueryClasses draws n queries of every class, class by class, from one
+// generator stream.
+func drawQueryClasses(tb testing.TB, gen *tpcd.Gen, seed int64, n int) map[string][]mds.MDS {
+	tb.Helper()
+	qg := gen.Queries(seed)
+	draw := map[string]func() (tpcd.Query, error){
+		"sel01":  func() (tpcd.Query, error) { return qg.Query(0.01) },
+		"sel05":  func() (tpcd.Query, error) { return qg.Query(0.05) },
+		"sel25":  func() (tpcd.Query, error) { return qg.Query(0.25) },
+		"rollup": func() (tpcd.Query, error) { return qg.Rollup(2) },
+		"region": func() (tpcd.Query, error) { return qg.Rollup(1) },
+	}
+	classes := map[string][]mds.MDS{}
+	for _, name := range queryClassNames {
+		for i := 0; i < n; i++ {
+			q, err := draw[name]()
+			if err != nil {
+				tb.Fatal(err)
+			}
+			classes[name] = append(classes[name], q.MDS)
+		}
+	}
+	return classes
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"github.com/dcindex/dctree/internal/cube"
+	"github.com/dcindex/dctree/internal/index"
 	"github.com/dcindex/dctree/internal/mds"
 	"github.com/dcindex/dctree/internal/storage"
 )
@@ -14,9 +15,7 @@ import (
 // translated to storage extents through a table, so a node whose encoding
 // outgrows (or shrinks below) its extent can be relocated without touching
 // the pointers in its parent.
-type nodeID uint64
-
-const nilNode nodeID = 0
+type nodeID = index.NodeID
 
 // extentRef locates a node's current extent.
 type extentRef struct {
@@ -34,10 +33,15 @@ type Tree struct {
 	cfg    Config
 	store  storage.Store
 
-	root    nodeID
-	rootMDS mds.MDS // cover of the root's entries; Top for an empty tree
-	height  int     // 1 = the root is a data node
-	count   int64   // live data records
+	// ix is the paper's index: root, shape and the three algorithms. Its
+	// mutations run under t.mu held exclusively, its queries under t.mu held
+	// shared or over a pinned Version; its nodes live in this tree's cache
+	// and extents (treeNodes).
+	ix *index.Index
+
+	// closed latches Close (guarded by t.mu): mutations are refused with
+	// ErrClosed from then on, queries keep answering from memory.
+	closed bool
 
 	nextID nodeID
 	table  map[nodeID]extentRef
@@ -46,7 +50,8 @@ type Tree struct {
 	pendingFree []extentRef
 
 	// wal, when non-nil (NewDurable/OpenDurable), makes every acknowledged
-	// Insert/Delete durable via write-ahead logging with group commit.
+	// Insert/Delete durable via write-ahead logging with group commit. It is
+	// set before the tree is shared and never changes afterwards.
 	// checkpointLSN is the WAL frontier the last durable checkpoint
 	// superseded: recovery replays only records strictly beyond it.
 	wal           *walState
@@ -77,11 +82,12 @@ type Tree struct {
 	dictMu      sync.Mutex
 	dictPending []dictDelta
 
-	// ckptMu serializes checkpoints (Checkpoint/Flush/FlushSync) end to
-	// end. Lock order: ckptMu strictly before t.mu — a checkpoint acquires
-	// t.mu twice (capture, install) and nothing that holds t.mu may start a
+	// ckptMu serializes checkpoints (Checkpoint/Flush) end to end. Lock
+	// order: ckptMu strictly before t.mu — a checkpoint acquires t.mu twice
+	// (capture, install) and nothing that holds t.mu may start a
 	// checkpoint. cp is the optional auto-trigger goroutine
-	// (CheckpointInterval/CheckpointDirtyBytes).
+	// (CheckpointInterval/CheckpointDirtyBytes), started before the tree is
+	// shared and stopped once, by Close.
 	ckptMu sync.Mutex
 	cp     *checkpointer
 
@@ -111,21 +117,11 @@ type Tree struct {
 	versionGen          uint64
 	versionGenPersisted uint64
 
-	// ws holds the write path's buffers (scratch.go); guarded by t.mu held
-	// exclusively, like everything a mutation touches.
-	ws *writeScratch
-
-	// qcPool recycles queryCtx mask arenas so steady-state queries build
-	// their membership masks without allocating.
-	qcPool sync.Pool
-
 	// viewer is the store's zero-copy view interface, when it has one
 	// (PagedStore mmap views, MemStore in-memory extents). Clean nodes are
-	// then queried in place as flatNodes instead of being decoded
-	// onto the heap. noZeroCopy turns the flat path off at runtime
-	// (SetZeroCopyReads) — benchmarks compare the two paths on one tree.
-	viewer     storage.ExtentViewer
-	noZeroCopy atomic.Bool
+	// then queried in place as flat nodes instead of being decoded onto the
+	// heap; a store without it gets the decode path.
+	viewer storage.ExtentViewer
 
 	// metrics is the always-on observability instrumentation (atomic-only
 	// on hot paths); slowHook optionally records queries over a latency
@@ -148,18 +144,14 @@ func New(store storage.Store, schema *cube.Schema, cfg Config) (*Tree, error) {
 		schema:   schema,
 		cfg:      cfg,
 		store:    store,
-		rootMDS:  mds.Top(schema.Dims()),
-		height:   1,
 		nextID:   1,
 		table:    make(map[nodeID]extentRef),
 		nc:       newNodeCache(),
 		versions: make(map[uint64]*Version),
 		pins:     storage.NewPins(),
 	}
-	t.ws = newWriteScratch(schema, &t.cfg)
 	t.viewer, _ = store.(storage.ExtentViewer)
-	root := t.newNode(true)
-	t.root = root.id
+	t.ix = index.New(schema, cfg.Config, t.nodes())
 	return t, nil
 }
 
@@ -173,178 +165,152 @@ func (t *Tree) Config() Config { return t.cfg }
 func (t *Tree) Count() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.count
+	return t.ix.Count()
 }
 
 // Height returns the number of node levels (1 = the root is a data node).
 func (t *Tree) Height() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.height
+	return t.ix.Height()
 }
 
 // RootMDS returns a copy of the MDS describing the whole indexed cube.
 func (t *Tree) RootMDS() mds.MDS {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.rootMDS.Clone()
+	return t.ix.RootMDS().Clone()
 }
 
-// space is shorthand for the schema's dimension hierarchies.
-func (t *Tree) space() mds.Space { return t.schema.Space() }
+// LevelStats walks the tree and reports per-level node statistics.
+func (t *Tree) LevelStats() ([]LevelStat, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.ix.LevelStats()
+}
 
-// newNode allocates a fresh, cached, dirty node. Storage extents are
-// assigned lazily at Flush time.
-func (t *Tree) newNode(leaf bool) *node {
-	id := t.nextID
-	t.nextID++
-	n := &node{id: id, leaf: leaf, blocks: 1, dims: t.schema.Dims(), nm: t.schema.Measures()}
-	t.nc.putNew(n)
+// Validate deep-checks every structural invariant of the tree
+// (index.Index.Validate): the oracle behind the randomized workload tests.
+func (t *Tree) Validate() error {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.ix.Validate()
+}
+
+// treeNodes is the Tree as the index meets it: the write-side node store
+// (index.Store) over the node cache, the extent table and the block store,
+// and the read-side resolver of the live tree (index.Source). A defined
+// type, not a wrapper value — the methods would otherwise be part of
+// Tree's public surface.
+type treeNodes Tree
+
+func (t *Tree) nodes() *treeNodes { return (*treeNodes)(t) }
+
+// New allocates a fresh, cached, dirty node. Storage extents are assigned
+// lazily at Flush time.
+func (s *treeNodes) New(leaf bool) *index.Node {
+	n := index.NewNode(s.nextID, leaf, s.schema.Dims(), s.schema.Measures())
+	s.nextID++
+	s.nc.putNew(n)
 	return n
 }
 
-// getNode returns a node, faulting it from the store if necessary. Hits
-// take only a shard read lock; concurrent misses on the same node decode
-// its extent once (singleflight) and share the result.
-func (t *Tree) getNode(id nodeID) (*node, error) {
-	if n := t.nc.get(id); n != nil {
-		t.metrics.cacheHits.Inc()
+// Get returns a node, faulting it from the store if necessary. Hits take
+// only a shard read lock; concurrent misses on the same node decode its
+// extent once (singleflight) and share the result.
+func (s *treeNodes) Get(id nodeID) (*index.Node, error) {
+	if n := s.nc.get(id); n != nil {
+		s.metrics.cacheHits.Inc()
 		return n, nil
 	}
-	t.metrics.cacheMisses.Inc()
-	n, shared, err := t.nc.fault(id, func() (*node, error) { return t.loadNode(id) })
+	s.metrics.cacheMisses.Inc()
+	n, shared, err := s.nc.fault(id, func() (*index.Node, error) { return s.load(id) })
 	if shared {
-		t.metrics.cacheFaultsShared.Inc()
+		s.metrics.cacheFaultsShared.Inc()
 	}
 	return n, err
 }
 
-// loadNode reads and decodes a node's extent from the store.
-func (t *Tree) loadNode(id nodeID) (*node, error) {
-	ref, ok := t.table[id]
+// load reads and decodes a node's extent from the store.
+func (s *treeNodes) load(id nodeID) (*index.Node, error) {
+	ref, ok := s.table[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: node %d has no extent", ErrCorrupt, id)
 	}
-	payload, _, err := t.store.Read(ref.page)
+	payload, _, err := s.store.Read(ref.page)
 	if err != nil {
 		return nil, fmt.Errorf("dctree: reading node %d: %w", id, err)
 	}
-	return decodeFlatNode(id, payload, t.schema.Dims(), t.schema.Measures())
+	return index.DecodeNode(id, payload, s.schema.Dims(), s.schema.Measures())
 }
 
-// getView resolves a node for a read-only descent. A cached (hot or dirty)
+// MarkDirty flags a node for the next checkpoint.
+func (s *treeNodes) MarkDirty(id nodeID) { s.nc.markDirty(id) }
+
+// Drop removes a node from the cache and schedules its extent (if any) for
+// release. The release happens after the next durable metadata swap:
+// freeing immediately would let a reused extent corrupt the tree the
+// persisted metadata still references if the process dies before the next
+// Flush.
+func (s *treeNodes) Drop(id nodeID) error {
+	s.nc.drop(id)
+	if ref, ok := s.table[id]; ok {
+		delete(s.table, id)
+		s.pendingFree = append(s.pendingFree, ref)
+	}
+	return nil
+}
+
+// View resolves a node for a read-only descent. A cached (hot or dirty)
 // data node comes back as the heap node, whose packed rows the descent
 // scans; a cached directory as its read image; a clean node whose store can
-// serve zero-copy views as a flatNode over the extent bytes — no decode, no
+// serve zero-copy views as a flat node over the extent bytes — no decode, no
 // cache insertion (view construction is a constant-time frame check, and
 // keeping flat reads out of the cache leaves its capacity to the write
 // path). Everything else falls back to the decode path. Caller holds
 // t.mu.RLock for the whole descent, which keeps the viewed extent from
 // being freed and rewritten mid-walk.
-func (t *Tree) getView(id nodeID) (nodeView, error) {
+func (s *treeNodes) View(id nodeID) (index.NodeView, error) {
+	t := (*Tree)(s)
 	if n := t.nc.get(id); n != nil {
 		t.metrics.cacheHits.Inc()
-		return t.heapView(n), nil
+		return t.ix.HeapView(n), nil
 	}
 	if nv, ok, err := t.extentView(id, t.table); ok || err != nil {
 		return nv, err
 	}
 	t.metrics.decodeFallbacks.Inc()
-	n, err := t.getNode(id)
+	n, err := s.Get(id)
 	if err != nil {
-		return nodeView{}, err
+		return index.NodeView{}, err
 	}
-	return t.heapView(n), nil
+	return t.ix.HeapView(n), nil
 }
 
-// extentView frames the extent table maps id to as a zero-copy flat view.
-// ok is false when the view is not servable — no viewer, zero-copy off, no
-// extent, or an integrity error the checked file read of the decode path
-// will reproduce and report.
-func (t *Tree) extentView(id nodeID, table map[nodeID]extentRef) (nv nodeView, ok bool, err error) {
-	if t.viewer == nil || t.noZeroCopy.Load() {
-		return nodeView{}, false, nil
+// extentView frames the extent the table maps id to as a zero-copy flat
+// view. ok is false when the view is not servable — no viewer, no extent,
+// or an integrity error the checked file read of the decode path will
+// reproduce and report.
+func (t *Tree) extentView(id nodeID, table map[nodeID]extentRef) (nv index.NodeView, ok bool, err error) {
+	if t.viewer == nil {
+		return index.NodeView{}, false, nil
 	}
 	ref, ok := table[id]
 	if !ok {
-		return nodeView{}, false, nil
+		return index.NodeView{}, false, nil
 	}
 	payload, _, err := t.viewer.ViewExtent(ref.page)
 	if err != nil {
-		return nodeView{}, false, nil
+		return index.NodeView{}, false, nil
 	}
-	f, err := makeFlatNode(id, payload, t.schema.Dims(), t.schema.Measures())
+	f, err := index.MakeFlatNode(id, payload, t.schema.Dims(), t.schema.Measures())
 	if err != nil {
 		// A structurally bad frame from a checksum-clean extent: re-reading
 		// would yield the same bytes, so fail closed.
-		return nodeView{}, false, err
+		return index.NodeView{}, false, err
 	}
 	t.metrics.flatNodeReads.Inc()
-	return nodeView{f: f}, true, nil
-}
-
-// heapView is the read-only view of a heap node: a data node itself, a
-// directory through its read image.
-func (t *Tree) heapView(n *node) nodeView {
-	if n.leaf {
-		return nodeView{n: n}
-	}
-	return nodeView{f: *t.readImage(n)}
-}
-
-// readImage returns a directory node's read image — its flat encoding
-// behind an already-trusted flatNode — building and publishing it if the
-// node has none. Readers share t.mu.RLock (or a version whose nodes never
-// change), so racing builders encode the same state and whichever image is
-// stored last serves; the write path drops the image in markDirty, under
-// t.mu held exclusively.
-func (t *Tree) readImage(n *node) *flatNode {
-	if img := n.img.Load(); img != nil {
-		return img
-	}
-	dims, measures := t.schema.Dims(), t.schema.Measures()
-	img := trustedFlatNode(n.id, n.appendEncodeFlat(nil, dims, measures), dims, measures)
-	t.metrics.readImageBuilds.Inc()
-	n.img.Store(&img)
-	return &img
-}
-
-// SetZeroCopyReads toggles the flat-node read path at runtime (default
-// on). Off, every descent decodes nodes onto the heap through the node
-// cache; dcbench -mmap uses the toggle to compare the two paths over the
-// same image.
-func (t *Tree) SetZeroCopyReads(enabled bool) { t.noZeroCopy.Store(!enabled) }
-
-// encodeNode returns the node's flat encoding for a checkpoint or a version
-// overlay. A directory's read image IS that encoding, so a still-valid one
-// is shared (payloads are never written to) and a fresh one stays behind
-// for the readers. Caller holds t.mu.
-func (t *Tree) encodeNode(n *node) []byte {
-	if n.leaf {
-		return n.appendEncodeFlat(nil, t.schema.Dims(), t.schema.Measures())
-	}
-	return t.readImage(n).b
-}
-
-// markDirty flags a node for the next Flush and drops its read image: every
-// mutation of a node marks it within the same hold of t.mu.
-func (t *Tree) markDirty(n *node) {
-	n.img.Store(nil)
-	t.nc.markDirty(n.id)
-}
-
-// dropNode removes a node from the cache and schedules its extent (if
-// any) for release. The release happens after the next durable metadata
-// swap: freeing immediately would let a reused extent corrupt the tree
-// the persisted metadata still references if the process dies before the
-// next Flush.
-func (t *Tree) dropNode(id nodeID) error {
-	t.nc.drop(id)
-	if ref, ok := t.table[id]; ok {
-		delete(t.table, id)
-		t.pendingFree = append(t.pendingFree, ref)
-	}
-	return nil
+	return f.View(), true, nil
 }
 
 // EvictCache drops all clean nodes from the in-memory cache; subsequent

@@ -10,6 +10,7 @@ import (
 
 	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/hierarchy"
+	"github.com/dcindex/dctree/internal/index"
 	"github.com/dcindex/dctree/internal/mds"
 	"github.com/dcindex/dctree/internal/storage"
 )
@@ -116,6 +117,16 @@ func bruteAgg(t testing.TB, s *cube.Schema, recs []cube.Record, q mds.MDS, measu
 func rangeAgg(tree *Tree, q mds.MDS, measure int) (cube.Agg, error) {
 	res, err := tree.Execute(context.Background(), QueryRequest{Query: q, Measure: measure})
 	return res.Agg, err
+}
+
+// floatClose compares sums up to float rounding.
+func floatClose(a, b float64) bool {
+	if a == b {
+		return true
+	}
+	diff := math.Abs(a - b)
+	scale := math.Max(math.Abs(a), math.Abs(b))
+	return diff <= 1e-6*scale+1e-9
 }
 
 func aggMatches(got, want cube.Agg) bool {
@@ -532,11 +543,11 @@ func TestConfigValidation(t *testing.T) {
 	s := testSchema(t)
 	bad := []Config{
 		{BlockSize: 64},
-		{DirCapacity: 2},
-		{LeafCapacity: 1},
-		{MinFillRatio: 0.9},
-		{MaxOverlapRatio: 2},
-		{MaxSupernodeBlocks: -1},
+		{Config: index.Config{DirCapacity: 2}},
+		{Config: index.Config{LeafCapacity: 1}},
+		{Config: index.Config{MinFillRatio: 0.9}},
+		{Config: index.Config{MaxOverlapRatio: 2}},
+		{Config: index.Config{MaxSupernodeBlocks: -1}},
 	}
 	for i, cfg := range bad {
 		if _, err := New(storage.NewMemStore(4096), s, cfg); err == nil {
@@ -732,22 +743,6 @@ func TestLevelStatsShape(t *testing.T) {
 	leaf := levels[len(levels)-1]
 	if int64(leaf.Entries) != tree.Count() {
 		t.Fatalf("leaf entries %d != count %d", leaf.Entries, tree.Count())
-	}
-}
-
-func TestSplitDimensionOrder(t *testing.T) {
-	tree := newTestTree(t, smallConfig())
-	m := mds.MDS{
-		{Level: 1, IDs: []hierarchy.ID{hierarchy.MakeID(1, 0)}},
-		mds.AllDim(),
-		{Level: 0, IDs: []hierarchy.ID{hierarchy.MakeID(0, 0)}},
-	}
-	order := tree.splitDimensionOrder(m)
-	if order[0] != 1 {
-		t.Fatalf("ALL dimension must be tried first, got %v", order)
-	}
-	if order[1] != 0 || order[2] != 2 {
-		t.Fatalf("expected level order [1 0 2], got %v", order)
 	}
 }
 

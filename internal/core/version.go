@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/dcindex/dctree/internal/cube"
+	"github.com/dcindex/dctree/internal/index"
 	"github.com/dcindex/dctree/internal/mds"
 	"github.com/dcindex/dctree/internal/storage"
 )
@@ -220,21 +221,21 @@ func (t *Tree) releaseVersionReplayLocked(id uint64) {
 
 // getNode decodes a node of the version from its pinned extent into the
 // version's private cache, with the same singleflight discipline as the
-// live read path: the fallback of getView when the store serves no views.
-func (v *Version) getNode(id nodeID) (*node, error) {
+// live read path: the fallback of View when the store serves no views.
+func (v *Version) getNode(id nodeID) (*index.Node, error) {
 	if n := v.nc.get(id); n != nil {
 		v.t.metrics.cacheHits.Inc()
 		return n, nil
 	}
 	v.t.metrics.cacheMisses.Inc()
-	n, shared, err := v.nc.fault(id, func() (*node, error) { return v.loadNode(id) })
+	n, shared, err := v.nc.fault(id, func() (*index.Node, error) { return v.loadNode(id) })
 	if shared {
 		v.t.metrics.cacheFaultsShared.Inc()
 	}
 	return n, err
 }
 
-func (v *Version) loadNode(id nodeID) (*node, error) {
+func (v *Version) loadNode(id nodeID) (*index.Node, error) {
 	ref, ok := v.table[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: node %d has no extent in version %d", ErrCorrupt, id, v.id)
@@ -243,27 +244,35 @@ func (v *Version) loadNode(id nodeID) (*node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dctree: reading node %d of version %d: %w", id, v.id, err)
 	}
-	return decodeFlatNode(id, payload, v.t.schema.Dims(), v.t.schema.Measures())
+	return index.DecodeNode(id, payload, v.t.schema.Dims(), v.t.schema.Measures())
 }
 
-// getView resolves a node for a read-only as-of descent. Overlay payloads
+// versionNodes is the Version as the index's descent meets it
+// (index.Source); like treeNodes, a defined type keeps View off the public
+// handle.
+type versionNodes Version
+
+func (v *Version) nodes() *versionNodes { return (*versionNodes)(v) }
+
+// View resolves a node for a read-only as-of descent. Overlay payloads
 // win over the pinned extents (the overlay holds the strictly newer
 // in-memory state of nodes that were dirty at capture) and are walked where
-// they lie: they are flat encodings the engine produced itself. Extents — a
+// they lie: they are flat encodings the index produced itself. Extents — a
 // rehydrated version's persisted overlay extents included — are served as
-// zero-copy flatNode views, or decoded into the version's private cache
+// zero-copy flat views, or decoded into the version's private cache
 // when the store serves none. A view's lifetime is bounded by the query's
 // reference on the version — the pinned extent cannot be freed and
 // rewritten while the version holds its pin, even across checkpoint
-// installs. Version implements nodeSource.
-func (v *Version) getView(id nodeID) (nodeView, error) {
+// installs.
+func (s *versionNodes) View(id nodeID) (index.NodeView, error) {
+	v := (*Version)(s)
 	if payload, ok := v.overlay[id]; ok {
 		v.t.metrics.flatNodeReads.Inc()
-		return nodeView{f: trustedFlatNode(id, payload, v.t.schema.Dims(), v.t.schema.Measures())}, nil
+		return index.TrustedFlatNode(id, payload, v.t.schema.Dims(), v.t.schema.Measures()).View(), nil
 	}
 	if n := v.nc.get(id); n != nil {
 		v.t.metrics.cacheHits.Inc()
-		return v.t.heapView(n), nil
+		return v.t.ix.HeapView(n), nil
 	}
 	if nv, ok, err := v.t.extentView(id, v.table); ok || err != nil {
 		return nv, err
@@ -271,9 +280,9 @@ func (v *Version) getView(id nodeID) (nodeView, error) {
 	v.t.metrics.decodeFallbacks.Inc()
 	n, err := v.getNode(id)
 	if err != nil {
-		return nodeView{}, err
+		return index.NodeView{}, err
 	}
-	return v.t.heapView(n), nil
+	return v.t.ix.HeapView(n), nil
 }
 
 // Scan streams every data record of the version to fn in unspecified
@@ -284,8 +293,7 @@ func (v *Version) Scan(fn func(cube.Record) bool) error {
 		return err
 	}
 	defer v.unref()
-	_, err := v.t.scanNode(v, v.root, fn)
-	return err
+	return v.t.ix.Scan(v.nodes(), v.root, fn)
 }
 
 // EvictCache drops the version's decoded-node cache; subsequent as-of
@@ -310,7 +318,11 @@ func (t *Tree) Snapshot() (*Version, error) {
 		return nil, ErrReplica
 	}
 	t.mu.Lock()
-	v, err := t.snapshotLocked(0, 0)
+	var v *Version
+	err := ErrClosed
+	if !t.closed {
+		v, err = t.snapshotLocked(0, 0)
+	}
 	t.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -344,10 +356,10 @@ func (t *Tree) snapshotLocked(versionID, lsn uint64) (*Version, error) {
 		id:      versionID,
 		lsn:     lsn,
 		created: time.Now(),
-		root:    t.root,
-		rootMDS: t.rootMDS.Clone(),
-		height:  t.height,
-		count:   t.count,
+		root:    t.ix.Root(),
+		rootMDS: t.ix.RootMDS().Clone(),
+		height:  t.ix.Height(),
+		count:   t.ix.Count(),
 		table:   make(map[nodeID]extentRef, len(t.table)),
 		overlay: make(map[nodeID][]byte),
 		nc:      newNodeCache(),
@@ -365,7 +377,7 @@ func (t *Tree) snapshotLocked(versionID, lsn uint64) (*Version, error) {
 			}
 			continue // leftover flag with no state behind it
 		}
-		v.overlay[e.id] = t.encodeNode(n)
+		v.overlay[e.id] = t.ix.Encode(n)
 	}
 
 	// The capture succeeded; only now does the version record enter the

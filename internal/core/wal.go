@@ -659,78 +659,101 @@ func OpenDurableOpts(store storage.Store, walPrefix string, wopts storage.WALOpt
 	return t, nil
 }
 
-// recoverFrom replays the WAL tail past the tree's checkpoint LSN:
-// dictionary deltas rebuild the registrations first (their LSNs precede
-// every mutation that needs them), then mutations re-apply through the
-// normal insert/delete path. recoveryReplayed counts mutations only —
-// deltas are bookkeeping, not replayed updates.
+// recoverFrom replays the WAL tail past the tree's checkpoint LSN through
+// applyRecordLocked (nothing else can reach the tree yet, so no lock is
+// taken). recoveryReplayed counts mutations only — deltas and version
+// records are bookkeeping, not replayed updates.
 func (t *Tree) recoverFrom(w *storage.WAL) error {
 	return w.Replay(func(lsn uint64, payload []byte) error {
 		if lsn <= t.checkpointLSN {
 			return nil // superseded by the checkpoint
 		}
-		if len(payload) > 0 && payload[0] == walOpDictDelta {
-			if err := applyDictDelta(t.schema, payload); err != nil {
-				return fmt.Errorf("dctree: replaying dict delta lsn %d: %w", lsn, err)
-			}
-			return nil
+		mutation, err := t.applyRecordLocked(lsn, payload)
+		if mutation {
+			t.metrics.recoveryReplayed.Inc()
 		}
-		if len(payload) > 0 && payload[0] == walOpVersion {
-			// The tree right now is exactly the state at this record's LSN
-			// (checkpoint plus the replayed prefix), so re-capturing here
-			// reconstructs the version with its original contents. Versions
-			// whose record the checkpoint superseded were rehydrated from the
-			// checkpoint's manifests before replay started — the
-			// LSN filter above keeps the two sources disjoint.
-			id, err := decodeVersionRecord(payload)
-			if err != nil {
-				return fmt.Errorf("dctree: replaying version record lsn %d: %w", lsn, err)
-			}
-			if _, err := t.snapshotLocked(id, lsn); err != nil {
-				return fmt.Errorf("dctree: reconstructing version %d lsn %d: %w", id, lsn, err)
-			}
-			t.metrics.snapshotsRecovered.Inc()
-			return nil
-		}
-		if len(payload) > 0 && payload[0] == walOpVersionRelease {
-			// A release past the checkpoint: the version may have been
-			// rehydrated from the checkpoint's manifest or re-captured from
-			// an earlier record in this replay — either way it must not
-			// survive the restart its owner released it before.
-			id, err := decodeVersionReleaseRecord(payload)
-			if err != nil {
-				return fmt.Errorf("dctree: replaying version release lsn %d: %w", lsn, err)
-			}
-			t.releaseVersionReplayLocked(id)
-			return nil
-		}
-		op, rec, err := decodeWALRecord(t.schema, payload)
-		if err != nil {
-			return err
-		}
-		switch op {
-		case walOpInsert:
-			if _, err := t.insertLocked(rec, false); err != nil {
-				return fmt.Errorf("dctree: replaying insert lsn %d: %w", lsn, err)
-			}
-		case walOpDelete:
-			if _, err := t.deleteLocked(rec, false); err != nil && !errors.Is(err, ErrNotFound) {
-				return fmt.Errorf("dctree: replaying delete lsn %d: %w", lsn, err)
-			}
-		}
-		t.metrics.recoveryReplayed.Inc()
-		return nil
+		return err
 	})
 }
 
-// Close stops the background checkpointer (if any), checkpoints the tree
-// (Flush), syncs whatever the log still buffers and closes its files. The
-// underlying store remains open — its lifecycle belongs to the caller.
-// Safe on trees without a WAL, where it is equivalent to Flush.
+// applyRecordLocked folds one log record into the tree: the one dispatch
+// crash recovery and replicated apply share. Dictionary deltas rebuild the
+// registrations first (their LSNs precede every mutation that needs them),
+// version records re-capture and release MVCC snapshots, and mutations
+// re-apply through the index exactly as the process that logged them
+// applied them — the log is not appended to. mutation reports whether the
+// record was an applied insert or delete. Caller holds t.mu.
+func (t *Tree) applyRecordLocked(lsn uint64, payload []byte) (mutation bool, err error) {
+	var op byte
+	if len(payload) > 0 {
+		op = payload[0]
+	}
+	switch op {
+	case walOpDictDelta:
+		if err := applyDictDelta(t.schema, payload); err != nil {
+			return false, fmt.Errorf("dctree: applying dict delta lsn %d: %w", lsn, err)
+		}
+		return false, nil
+	case walOpVersion:
+		// The tree right now is exactly the state at this record's LSN (the
+		// checkpoint plus the applied prefix), so re-capturing here
+		// reconstructs the version with its original contents. Versions
+		// whose record the checkpoint superseded were rehydrated from the
+		// checkpoint's manifests — the callers' LSN filters keep the two
+		// sources disjoint.
+		id, err := decodeVersionRecord(payload)
+		if err != nil {
+			return false, fmt.Errorf("dctree: applying version record lsn %d: %w", lsn, err)
+		}
+		if _, err := t.snapshotLocked(id, lsn); err != nil {
+			return false, fmt.Errorf("dctree: reconstructing version %d lsn %d: %w", id, lsn, err)
+		}
+		t.metrics.snapshotsRecovered.Inc()
+		return false, nil
+	case walOpVersionRelease:
+		// The version may have been rehydrated from the checkpoint's
+		// manifest, re-captured from an earlier record, or never seen here
+		// (a mirror shipped from past its record) — either way it must not
+		// outlive the release its owner logged.
+		id, err := decodeVersionReleaseRecord(payload)
+		if err != nil {
+			return false, fmt.Errorf("dctree: applying version release lsn %d: %w", lsn, err)
+		}
+		t.releaseVersionReplayLocked(id)
+		return false, nil
+	}
+	op, rec, err := decodeWALRecord(t.schema, payload)
+	if err != nil {
+		return false, err
+	}
+	err = t.applyMutationLocked(op, rec)
+	switch {
+	case err == nil:
+	case op == walOpInsert:
+		return false, fmt.Errorf("dctree: applying insert lsn %d: %w", lsn, err)
+	case !errors.Is(err, ErrNotFound):
+		return false, fmt.Errorf("dctree: applying delete lsn %d: %w", lsn, err)
+	}
+	return true, nil
+}
+
+// Close refuses further mutations, stops the background checkpointer (if
+// any), checkpoints the tree (Flush), syncs whatever the log still buffers
+// and closes its files. Every mutation that returned nil before or while
+// Close ran is durable; one that arrives afterwards gets ErrClosed and
+// changes nothing. Queries keep answering from memory, a second Close is a
+// no-op. The underlying store remains open — its lifecycle belongs to the
+// caller. Safe on trees without a WAL, where it is equivalent to Flush.
 func (t *Tree) Close() error {
+	t.mu.Lock()
+	already := t.closed
+	t.closed = true
+	t.mu.Unlock()
+	if already {
+		return nil
+	}
 	if t.cp != nil {
 		t.cp.shutdown()
-		t.cp = nil
 	}
 	// Live versions are NOT released here: the final checkpoint persists
 	// their overlays and manifests, so they survive the restart
@@ -741,7 +764,6 @@ func (t *Tree) Close() error {
 		if werr := t.wal.shutdown(); err == nil {
 			err = werr
 		}
-		t.wal = nil
 	}
 	return err
 }

@@ -35,14 +35,32 @@ func newPagedTree(t *testing.T, cfg Config, n int) (*Tree, *storage.PagedStore, 
 	return tree, st, recs, rng
 }
 
-// TestZeroCopyQueryEquivalence: on a flushed image, every query —
-// serial, all-measures, and parallel — returns identical answers with the
-// flat view path on and off, and the flat path actually serves reads.
-func TestZeroCopyQueryEquivalence(t *testing.T) {
-	tree, _, _, rng := newPagedTree(t, smallConfig(), 800)
+// noViews is a store that serves no zero-copy views: embedding the
+// interface hides the concrete store's ViewExtent, so a tree opened on it
+// reads every node through the decode path.
+type noViews struct{ storage.Store }
+
+// openDecodeTwin flushes tree and opens its image a second time without
+// views: the decode-path reference the flat-view answers are held to.
+func openDecodeTwin(t *testing.T, tree *Tree, st storage.Store) *Tree {
+	t.Helper()
 	if err := tree.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	twin, err := Open(noViews{st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return twin
+}
+
+// TestZeroCopyQueryEquivalence: on a flushed image, every query —
+// serial, all-measures, and parallel — returns identical answers over flat
+// views and through the decode path, and the flat path actually serves
+// reads.
+func TestZeroCopyQueryEquivalence(t *testing.T) {
+	tree, st, _, rng := newPagedTree(t, smallConfig(), 800)
+	decode := openDecodeTwin(t, tree, st)
 	s := tree.Schema()
 	for i := 0; i < 40; i++ {
 		q := randomQuery(rng, s, 0.3)
@@ -52,13 +70,11 @@ func TestZeroCopyQueryEquivalence(t *testing.T) {
 			{Query: q, Parallel: 4},
 		}
 		for _, req := range reqs {
-			tree.SetZeroCopyReads(false)
-			tree.EvictCache()
-			want, err := tree.Execute(context.Background(), req)
+			decode.EvictCache()
+			want, err := decode.Execute(context.Background(), req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tree.SetZeroCopyReads(true)
 			tree.EvictCache()
 			got, err := tree.Execute(context.Background(), req)
 			if err != nil {
@@ -78,22 +94,23 @@ func TestZeroCopyQueryEquivalence(t *testing.T) {
 		}
 	}
 	m := tree.Metrics()
-	if m.FlatNodeReads == 0 {
-		t.Fatalf("flat path never served a read: %+v", m)
+	if m.FlatNodeReads == 0 || m.DecodeFallbacks != 0 {
+		t.Fatalf("flat path: %d flat reads, %d decode fallbacks", m.FlatNodeReads, m.DecodeFallbacks)
 	}
 	if m.MmapViews == 0 {
 		t.Fatalf("no mapped views served: %+v", m)
+	}
+	if dm := decode.Metrics(); dm.FlatNodeReads != 0 || dm.DecodeFallbacks == 0 {
+		t.Fatalf("decode path: %d flat reads, %d decode fallbacks", dm.FlatNodeReads, dm.DecodeFallbacks)
 	}
 }
 
 // TestZeroCopyScanEquivalence: Scan delivers the same record multiset over
 // flat views as over decoded nodes.
 func TestZeroCopyScanEquivalence(t *testing.T) {
-	tree, _, recs, _ := newPagedTree(t, smallConfig(), 500)
-	if err := tree.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	count := func() (n int, sum float64) {
+	tree, st, recs, _ := newPagedTree(t, smallConfig(), 500)
+	decode := openDecodeTwin(t, tree, st)
+	count := func(tree *Tree) (n int, sum float64) {
 		tree.EvictCache()
 		err := tree.Scan(func(r cube.Record) bool {
 			n++
@@ -105,10 +122,8 @@ func TestZeroCopyScanEquivalence(t *testing.T) {
 		}
 		return n, sum
 	}
-	tree.SetZeroCopyReads(false)
-	wantN, wantSum := count()
-	tree.SetZeroCopyReads(true)
-	gotN, gotSum := count()
+	wantN, wantSum := count(decode)
+	gotN, gotSum := count(tree)
 	if gotN != wantN || gotSum != wantSum {
 		t.Fatalf("flat scan (%d, %g) != decode scan (%d, %g)", gotN, gotSum, wantN, wantSum)
 	}

@@ -1,4 +1,4 @@
-package core
+package index
 
 import (
 	"fmt"
@@ -20,39 +20,19 @@ import (
 // while it runs. It exists here to quantify that trade-off (see the
 // BulkVsDynamic benchmark); the paper's contribution is that the DC-tree
 // makes the trade-off unnecessary.
-func (t *Tree) BulkLoad(recs []cube.Record) error {
-	if t.replica {
-		return ErrReplica
-	}
-	t.mu.Lock()
-	needFlush, err := t.bulkLoadLocked(recs)
-	t.mu.Unlock()
-	if err != nil || !needFlush {
-		return err
-	}
-	// A WAL-backed tree checkpoints immediately: bulk loading bypasses the
-	// log, so until the flush lands nothing of the load would survive a
-	// crash — and the log must not claim otherwise. The flush runs after
-	// the lock is released: checkpoints take the checkpoint mutex before
-	// the tree lock, never the other way around.
-	return t.Flush()
-}
-
-// bulkLoadLocked builds the packed tree in memory; the caller flushes
-// afterwards when the tree is WAL-backed. Caller holds t.mu.
-func (t *Tree) bulkLoadLocked(recs []cube.Record) (needFlush bool, err error) {
-	if t.count > 0 {
-		return false, fmt.Errorf("%w: BulkLoad requires an empty tree", ErrBadConfig)
+func (ix *Index) BulkLoad(recs []cube.Record) error {
+	if ix.count > 0 {
+		return fmt.Errorf("%w: BulkLoad requires an empty tree", ErrBadConfig)
 	}
 	if len(recs) == 0 {
-		return false, nil
+		return nil
 	}
 	for i := range recs {
-		if err := t.schema.ValidateRecord(recs[i]); err != nil {
-			return false, fmt.Errorf("record %d: %w", i, err)
+		if err := ix.schema.ValidateRecord(recs[i]); err != nil {
+			return fmt.Errorf("record %d: %w", i, err)
 		}
 	}
-	space := t.space()
+	space := ix.space()
 
 	// Hierarchical sort: compare the records' concept paths level by
 	// level, cycling through the dimensions at each depth, so that records
@@ -75,7 +55,7 @@ func (t *Tree) bulkLoadLocked(recs []cube.Record) (needFlush bool, err error) {
 				}
 				anc, err := h.AncestorAt(r.Coords[d], level)
 				if err != nil {
-					return false, err
+					return err
 				}
 				key = append(key, anc.Code())
 			}
@@ -98,78 +78,78 @@ func (t *Tree) bulkLoadLocked(recs []cube.Record) (needFlush bool, err error) {
 
 	// Pack sorted records into full data nodes.
 	type built struct {
-		id  nodeID
+		id  NodeID
 		mds mds.MDS
 		agg cube.AggVector
 	}
-	measures := t.schema.Measures()
+	measures := ix.schema.Measures()
 	var level []built
-	for lo := 0; lo < len(recs); lo += t.cfg.LeafCapacity {
-		hi := lo + t.cfg.LeafCapacity
+	for lo := 0; lo < len(recs); lo += ix.cfg.LeafCapacity {
+		hi := lo + ix.cfg.LeafCapacity
 		if hi > len(recs) {
 			hi = len(recs)
 		}
-		n := t.newNode(true)
+		n := ix.store.New(true)
 		for _, idx := range order[lo:hi] {
 			n.appendRecord(recs[idx])
 		}
-		m, err := t.bulkDescribe(n)
+		m, err := ix.bulkDescribe(n)
 		if err != nil {
-			return false, err
+			return err
 		}
 		level = append(level, built{id: n.id, mds: m, agg: n.aggregate(measures)})
 	}
-	t.height = 1
+	ix.height = 1
 
 	// Build the directory bottom-up, packing full directory nodes.
 	for len(level) > 1 {
 		var next []built
-		for lo := 0; lo < len(level); lo += t.cfg.DirCapacity {
-			hi := lo + t.cfg.DirCapacity
+		for lo := 0; lo < len(level); lo += ix.cfg.DirCapacity {
+			hi := lo + ix.cfg.DirCapacity
 			if hi > len(level) {
 				hi = len(level)
 			}
-			n := t.newNode(false)
+			n := ix.store.New(false)
 			for _, b := range level[lo:hi] {
-				n.entries = append(n.entries, entry{MDS: b.mds, Agg: b.agg, Child: b.id})
+				n.entries = append(n.entries, Entry{MDS: b.mds, Agg: b.agg, Child: b.id})
 			}
-			m, err := t.bulkDescribe(n)
+			m, err := ix.bulkDescribe(n)
 			if err != nil {
-				return false, err
+				return err
 			}
 			next = append(next, built{id: n.id, mds: m, agg: n.aggregate(measures)})
 		}
 		level = next
-		t.height++
+		ix.height++
 	}
 
-	root, err := t.getNode(level[0].id)
+	root, err := ix.store.Get(level[0].id)
 	if err != nil {
-		return false, err
+		return err
 	}
 	// Drop the old empty root and install the packed one.
-	if err := t.dropNode(t.root); err != nil {
-		return false, err
+	if err := ix.store.Drop(ix.root); err != nil {
+		return err
 	}
-	t.root = root.id
-	t.rootMDS = level[0].mds
-	t.count = int64(len(recs))
-	return t.wal != nil, nil
+	ix.root = root.id
+	ix.rootMDS = level[0].mds
+	ix.count = int64(len(recs))
+	return nil
 }
 
 // bulkDescribe computes a node's describing MDS for bulk loading: the
 // exact cover lifted to coarse relevant levels, refined by the same rule
 // the dynamic split path uses.
-func (t *Tree) bulkDescribe(n *node) (mds.MDS, error) {
+func (ix *Index) bulkDescribe(n *Node) (mds.MDS, error) {
 	// Lift to the coarsest describable form first (one value per
 	// dimension where possible keeps the description minimal), then apply
 	// the standard refinement bound downward.
-	ws := t.ws
-	coarse, err := mds.CoverInto(&ws.cover, t.space(), ws.top, ws.entryMDSs(n))
+	ws := ix.ws
+	coarse, err := mds.CoverInto(&ws.cover, ix.space(), ws.top, ws.entryMDSs(n))
 	if err != nil {
 		return nil, err
 	}
-	if err := t.refineMDS(n, coarse); err != nil {
+	if err := ix.refineMDS(n, coarse); err != nil {
 		return nil, err
 	}
 	return packMDS(coarse), nil

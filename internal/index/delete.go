@@ -1,4 +1,4 @@
-package core
+package index
 
 import (
 	"slices"
@@ -16,94 +16,71 @@ import (
 // are recomputed exactly (MIN/MAX cannot be maintained incrementally under
 // removal), empty nodes are unlinked, oversized supernodes shrink back,
 // and a root with a single directory entry is collapsed.
-func (t *Tree) Delete(rec cube.Record) error {
-	if t.replica {
-		return ErrReplica
-	}
-	if err := t.schema.ValidateRecord(rec); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	lsn, err := t.deleteLocked(rec, true)
-	t.mu.Unlock()
+func (ix *Index) Delete(rec cube.Record) error {
+	rc, err := ix.recContext(rec)
 	if err != nil {
 		return err
 	}
-	return t.waitDurable(lsn)
-}
-
-// deleteLocked applies one delete under the tree write lock, appending the
-// logical record after the mutation when log is true (see insertLocked).
-func (t *Tree) deleteLocked(rec cube.Record, log bool) (uint64, error) {
-	rc, err := t.recContext(rec)
+	found, err := ix.deleteFrom(ix.root, rc)
 	if err != nil {
-		return 0, err
-	}
-	found, err := t.deleteFrom(t.root, rc)
-	if err != nil {
-		return 0, err
+		return err
 	}
 	if !found {
-		t.metrics.deleteMisses.Inc()
-		return 0, ErrNotFound
+		return ErrNotFound
 	}
-	t.count--
-	t.metrics.deletes.Inc()
+	ix.count--
 
 	// Collapse trivial roots: a directory root with one entry hands the
 	// root role to its only child.
 	for {
-		root, err := t.getNode(t.root)
+		root, err := ix.store.Get(ix.root)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if root.leaf || len(root.entries) != 1 {
 			break
 		}
 		child := root.entries[0].Child
-		if err := t.dropNode(root.id); err != nil {
-			return 0, err
+		if err := ix.store.Drop(root.id); err != nil {
+			return err
 		}
-		t.root = child
-		t.height--
+		ix.root = child
+		ix.height--
 	}
 
 	// Refresh the root MDS exactly.
-	root, err := t.getNode(t.root)
+	root, err := ix.store.Get(ix.root)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	if root.count() == 0 {
-		t.rootMDS = mds.Top(t.schema.Dims())
+	if root.Count() == 0 {
+		ix.rootMDS = mds.Top(ix.schema.Dims())
 	} else {
-		cover, err := mds.CoverInto(&t.ws.cover, t.space(), nil, t.ws.entryMDSs(root))
+		cover, err := mds.CoverInto(&ix.ws.cover, ix.space(), nil, ix.ws.entryMDSs(root))
 		if err != nil {
-			return 0, err
+			return err
 		}
-		storeMDS(t.rootMDS, cover)
+		storeMDS(ix.rootMDS, cover)
 	}
-	if !log {
-		return 0, nil
-	}
-	return t.logMutation(walOpDelete, rec)
+	return nil
 }
 
 // deleteFrom removes the record from the subtree at id. It probes every
 // entry whose MDS contains the record (entries may overlap, so several
 // probes can be necessary) and, once the record is found, repairs the
 // entry's MDS and aggregate from the child's exact state.
-func (t *Tree) deleteFrom(id nodeID, rc *recContext) (bool, error) {
-	n, err := t.getNode(id)
+func (ix *Index) deleteFrom(id NodeID, rc *recContext) (bool, error) {
+	n, err := ix.store.Get(id)
 	if err != nil {
 		return false, err
 	}
 
 	if n.leaf {
-		for i := 0; i < n.count(); i++ {
-			if slices.Equal(n.row(i), rc.rec.Coords) && slices.Equal(n.rowMeasures(i), rc.rec.Measures) {
+		for i := 0; i < n.Count(); i++ {
+			if slices.Equal(n.Row(i), rc.rec.Coords) && slices.Equal(n.RowMeasures(i), rc.rec.Measures) {
 				n.removeRecord(i)
-				n.shrink(&t.cfg)
-				t.markDirty(n)
+				n.shrink(&ix.cfg)
+				ix.markDirty(n)
 				return true, nil
 			}
 		}
@@ -115,19 +92,19 @@ func (t *Tree) deleteFrom(id nodeID, rc *recContext) (bool, error) {
 		if !rc.contains(e.MDS) {
 			continue
 		}
-		found, err := t.deleteFrom(e.Child, rc)
+		found, err := ix.deleteFrom(e.Child, rc)
 		if err != nil {
 			return false, err
 		}
 		if !found {
 			continue
 		}
-		child, err := t.getNode(e.Child)
+		child, err := ix.store.Get(e.Child)
 		if err != nil {
 			return false, err
 		}
-		if child.count() == 0 {
-			if err := t.dropNode(child.id); err != nil {
+		if child.Count() == 0 {
+			if err := ix.store.Drop(child.id); err != nil {
 				return false, err
 			}
 			n.entries = append(n.entries[:i], n.entries[i+1:]...)
@@ -135,24 +112,24 @@ func (t *Tree) deleteFrom(id nodeID, rc *recContext) (bool, error) {
 			// Repair the entry at its own relevant levels: the exact
 			// child cover lifted to the entry's levels is the minimal
 			// describing MDS there.
-			ws := t.ws
-			cover, err := mds.CoverInto(&ws.cover, t.space(), ws.levelsOf(e.MDS), ws.entryMDSs(child))
+			ws := ix.ws
+			cover, err := mds.CoverInto(&ws.cover, ix.space(), ws.levelsOf(e.MDS), ws.entryMDSs(child))
 			if err != nil {
 				return false, err
 			}
 			storeMDS(e.MDS, cover)
-			e.Agg = child.aggregate(t.schema.Measures())
+			e.Agg = child.aggregate(ix.schema.Measures())
 		}
-		n.shrink(&t.cfg)
-		t.markDirty(n)
+		n.shrink(&ix.cfg)
+		ix.markDirty(n)
 		return true, nil
 	}
 	return false, nil
 }
 
 // shrink lets a supernode give blocks back once its occupancy allows.
-func (n *node) shrink(cfg *Config) {
-	want := blocksForEntries(n.count(), n.leaf, cfg)
+func (n *Node) shrink(cfg *Config) {
+	want := blocksForEntries(n.Count(), n.leaf, cfg)
 	if want < n.blocks {
 		n.blocks = want
 	}

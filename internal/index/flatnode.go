@@ -1,4 +1,4 @@
-package core
+package index
 
 import (
 	"encoding/binary"
@@ -67,8 +67,8 @@ func leafMDSSize(dims int) int { return 1 + 6*dims }
 // recording its start in the offset table as it goes — no second sizing
 // pass over the MDS encodings. A data node's aggregates and singleton MDSs
 // are written straight from its rows.
-func (n *node) appendEncodeFlat(buf []byte, dims, measures int) []byte {
-	count := n.count()
+func (n *Node) appendEncodeFlat(buf []byte, dims, measures int) []byte {
+	count := n.Count()
 	aggBase, fixBase, mdsBase, fixedPer := flatLayoutSizes(n.leaf, count, dims, measures)
 	size := mdsBase
 	if n.leaf {
@@ -96,14 +96,14 @@ func (n *node) appendEncodeFlat(buf []byte, dims, measures int) []byte {
 			binary.LittleEndian.PutUint32(hdr[flatHeaderSize+4*i:], uint32(m-mdsBase))
 			hdr[m] = uint8(dims)
 			m++
-			for _, c := range n.row(i) {
+			for _, c := range n.Row(i) {
 				binary.LittleEndian.PutUint32(hdr[f:], uint32(c))
 				f += 4
 				hdr[m], hdr[m+1] = uint8(c.Level()), 1
 				binary.LittleEndian.PutUint32(hdr[m+2:], uint32(c))
 				m += 6
 			}
-			for j, x := range n.rowMeasures(i) {
+			for j, x := range n.RowMeasures(i) {
 				putAgg(a+flatAggStride*j, cube.AggOf(x))
 				binary.LittleEndian.PutUint64(hdr[f:], math.Float64bits(x))
 				f += 8
@@ -129,15 +129,15 @@ func (n *node) appendEncodeFlat(buf []byte, dims, measures int) []byte {
 	return buf
 }
 
-// flatNode is a read-only view of an encoded node payload — a mapped
+// FlatNode is a read-only view of an encoded node payload — a mapped
 // extent, a pooled read buffer, a version's overlay payload or a heap
 // directory's read image. It owns nothing: every accessor is pointer math
-// over b, and b must stay valid for the flatNode's lifetime (the descent
-// bounds it by the tree read lock or a version pin). The zero value is
-// invalid; makeFlatNode validates the frame once so the fixed-stride
+// over b, and b must stay valid for the FlatNode's lifetime (the descent
+// bounds it by the host's hold or a version pin). The zero value is
+// invalid; MakeFlatNode validates the frame once so the fixed-stride
 // accessors can skip per-call checks.
-type flatNode struct {
-	id       nodeID
+type FlatNode struct {
+	id       NodeID
 	b        []byte
 	leaf     bool
 	blocks   int
@@ -150,37 +150,38 @@ type flatNode struct {
 	fixedPer int
 }
 
-// makeFlatNode validates a payload's frame — header and section bases — in
+// MakeFlatNode validates a payload's frame — header and section bases — in
 // constant time: after it, every aggregate, child and record access is in
 // bounds. The offset table and the MDS blobs behind it are checked where
-// the descent first uses them (entryMDS, the view iterator, the nil-child
+// the descent first uses them (EntryMDS, the view iterator, the nil-child
 // test), so a data node, whose records are tested in the fixed area, and a
-// clean extent visited again and again pay for no table scan; checkTable is
+// clean extent visited again and again pay for no table scan; CheckTable is
 // the eager O(count) form the decoder runs.
-func makeFlatNode(id nodeID, b []byte, dims, measures int) (flatNode, error) {
+func MakeFlatNode(id NodeID, b []byte, dims, measures int) (FlatNode, error) {
 	if len(b) < flatHeaderSize || b[0] != flatMagic || b[1]&^nodeFlagLeaf != 0 || b[2] != 0 || b[3] != 0 {
-		return flatNode{}, fmt.Errorf("%w: node %d: not a flat node payload", ErrCorrupt, id)
+		return FlatNode{}, fmt.Errorf("%w: node %d: not a flat node payload", ErrCorrupt, id)
 	}
-	f := trustedFlatNode(id, b, dims, measures)
+	f := TrustedFlatNode(id, b, dims, measures)
 	total := int(binary.LittleEndian.Uint32(b[16:]))
 	if f.blocks < 1 || f.count < 0 || total != len(b) {
-		return flatNode{}, fmt.Errorf("%w: node %d: flat header blocks=%d count=%d total=%d/%d",
+		return FlatNode{}, fmt.Errorf("%w: node %d: flat header blocks=%d count=%d total=%d/%d",
 			ErrCorrupt, id, f.blocks, f.count, total, len(b))
 	}
 	// The bases are recomputed from the shape: a payload whose stored
 	// mdsBase disagrees was encoded for a different schema (or corrupted)
 	// and every fixed-offset access would read the wrong section.
 	if mdsBase := int(binary.LittleEndian.Uint32(b[12:])); mdsBase != f.mdsBase || mdsBase > len(b) {
-		return flatNode{}, fmt.Errorf("%w: node %d: flat mds base %d, want %d (len %d)",
+		return FlatNode{}, fmt.Errorf("%w: node %d: flat mds base %d, want %d (len %d)",
 			ErrCorrupt, id, mdsBase, f.mdsBase, len(b))
 	}
 	return f, nil
 }
 
-// trustedFlatNode frames a payload without checking it: one the engine has
-// just encoded itself (a read image), or one makeFlatNode is about to check.
-func trustedFlatNode(id nodeID, b []byte, dims, measures int) flatNode {
-	f := flatNode{
+// TrustedFlatNode frames a payload without checking it: one Encode produced
+// in this process (a read image, a version's overlay), or one MakeFlatNode
+// is about to check.
+func TrustedFlatNode(id NodeID, b []byte, dims, measures int) FlatNode {
+	f := FlatNode{
 		id:       id,
 		b:        b,
 		leaf:     b[1]&nodeFlagLeaf != 0,
@@ -193,10 +194,19 @@ func trustedFlatNode(id nodeID, b []byte, dims, measures int) flatNode {
 	return f
 }
 
-// checkTable validates what makeFlatNode leaves to first use: the offset
+// View wraps the flat node for a Source to hand to the descent.
+func (f FlatNode) View() NodeView { return NodeView{f: f} }
+
+// Leaf reports whether the payload is a data node's, Count its number of
+// entries and Blocks its logical size in blocks.
+func (f *FlatNode) Leaf() bool  { return f.leaf }
+func (f *FlatNode) Count() int  { return f.count }
+func (f *FlatNode) Blocks() int { return f.blocks }
+
+// CheckTable validates what MakeFlatNode leaves to first use: the offset
 // table (first offset zero, monotone, ending at the payload's end) and, for
 // directories, non-nil children.
-func (f *flatNode) checkTable() error {
+func (f *FlatNode) CheckTable() error {
 	prev := uint32(0)
 	for i := 0; i <= f.count; i++ {
 		off := binary.LittleEndian.Uint32(f.b[flatHeaderSize+4*i:])
@@ -210,7 +220,7 @@ func (f *flatNode) checkTable() error {
 	}
 	if !f.leaf {
 		for i := 0; i < f.count; i++ {
-			if f.child(i) == nilNode {
+			if f.Child(i) == NilNode {
 				return fmt.Errorf("%w: node %d entry %d: nil child", ErrCorrupt, f.id, i)
 			}
 		}
@@ -218,10 +228,10 @@ func (f *flatNode) checkTable() error {
 	return nil
 }
 
-// entryMDS returns entry i's MDS wire encoding, in place; nil when the
+// EntryMDS returns entry i's MDS wire encoding, in place; nil when the
 // offset table does not bound it inside the payload (which the view
 // iterator then reports as malformed).
-func (f *flatNode) entryMDS(i int) []byte {
+func (f *FlatNode) EntryMDS(i int) []byte {
 	o := int(binary.LittleEndian.Uint32(f.b[flatHeaderSize+4*i:]))
 	e := int(binary.LittleEndian.Uint32(f.b[flatHeaderSize+4*i+4:]))
 	if o > e || e > len(f.b)-f.mdsBase {
@@ -230,8 +240,8 @@ func (f *flatNode) entryMDS(i int) []byte {
 	return f.b[f.mdsBase+o : f.mdsBase+e]
 }
 
-// agg returns entry i's aggregate of measure j.
-func (f *flatNode) agg(i, j int) cube.Agg {
+// Agg returns entry i's aggregate of measure j.
+func (f *FlatNode) Agg(i, j int) cube.Agg {
 	a := f.aggBase + flatAggStride*(f.measures*i+j)
 	return cube.Agg{
 		Sum:   math.Float64frombits(binary.LittleEndian.Uint64(f.b[a:])),
@@ -241,38 +251,38 @@ func (f *flatNode) agg(i, j int) cube.Agg {
 	}
 }
 
-// child returns directory entry i's child node id.
-func (f *flatNode) child(i int) nodeID {
-	return nodeID(binary.LittleEndian.Uint64(f.b[f.fixBase+f.fixedPer*i:]))
+// Child returns directory entry i's child node id.
+func (f *FlatNode) Child(i int) NodeID {
+	return NodeID(binary.LittleEndian.Uint64(f.b[f.fixBase+f.fixedPer*i:]))
 }
 
-// coord returns data entry i's coordinate in dimension d.
-func (f *flatNode) coord(i, d int) hierarchy.ID {
+// Coord returns data entry i's coordinate in dimension d.
+func (f *FlatNode) Coord(i, d int) hierarchy.ID {
 	return hierarchy.ID(binary.LittleEndian.Uint32(f.b[f.fixBase+f.fixedPer*i+4*d:]))
 }
 
-// measure returns data entry i's measure j.
-func (f *flatNode) measure(i, j int) float64 {
+// Measure returns data entry i's measure j.
+func (f *FlatNode) Measure(i, j int) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(f.b[f.fixBase+f.fixedPer*i+4*f.dims+8*j:]))
 }
 
-// record materializes data entry i as an owned Record (scan path).
-func (f *flatNode) record(i int) cube.Record {
+// Record materializes data entry i as an owned Record (scan path).
+func (f *FlatNode) Record(i int) cube.Record {
 	r := cube.Record{
 		Coords:   make([]hierarchy.ID, f.dims),
 		Measures: make([]float64, f.measures),
 	}
 	for d := range r.Coords {
-		r.Coords[d] = f.coord(i, d)
+		r.Coords[d] = f.Coord(i, d)
 	}
 	for j := range r.Measures {
-		r.Measures[j] = f.measure(i, j)
+		r.Measures[j] = f.Measure(i, j)
 	}
 	return r
 }
 
-// decodeFlatNode materializes a payload as a heap node — the write path
-// and the no-zero-copy fallback need mutable *nodes.
+// DecodeNode materializes a payload as a heap node — the write path, and a
+// host whose store serves no views, need mutable *Nodes.
 //
 // A data node decodes into its two row arrays; what the encoding repeats
 // per record (the singleton MDS, the one-record aggregates) is checked
@@ -284,24 +294,24 @@ func (f *flatNode) record(i int) cube.Record {
 // reallocates, earlier entries keep aliasing the old backing array, which
 // stays correct because decoded values are only ever mutated in place
 // within an entry's own disjoint region, never appended through.
-func decodeFlatNode(id nodeID, buf []byte, dims, measures int) (*node, error) {
-	f, err := makeFlatNode(id, buf, dims, measures)
+func DecodeNode(id NodeID, buf []byte, dims, measures int) (*Node, error) {
+	f, err := MakeFlatNode(id, buf, dims, measures)
 	if err == nil {
-		err = f.checkTable()
+		err = f.CheckTable()
 	}
 	if err != nil {
 		return nil, err
 	}
-	n := &node{id: id, leaf: f.leaf, blocks: f.blocks, dims: dims, nm: measures}
+	n := &Node{id: id, leaf: f.leaf, blocks: f.blocks, dims: dims, nm: measures}
 	if f.leaf {
 		n.coords = make([]hierarchy.ID, 0, f.count*dims)
 		n.measures = make([]float64, 0, f.count*measures)
 		for i := 0; i < f.count; i++ {
 			for d := 0; d < dims; d++ {
-				n.coords = append(n.coords, f.coord(i, d))
+				n.coords = append(n.coords, f.Coord(i, d))
 			}
 			for j := 0; j < measures; j++ {
-				n.measures = append(n.measures, f.measure(i, j))
+				n.measures = append(n.measures, f.Measure(i, j))
 			}
 			if !f.describesRow(i) {
 				return nil, fmt.Errorf("%w: node %d entry %d does not describe its record", ErrCorrupt, id, i)
@@ -309,22 +319,22 @@ func decodeFlatNode(id nodeID, buf []byte, dims, measures int) (*node, error) {
 		}
 		return n, nil
 	}
-	n.entries = make([]entry, f.count)
+	n.entries = make([]Entry, f.count)
 	aggArena := make(cube.AggVector, f.count*measures)
 	var dimArena []mds.DimSet
 	var idArena []hierarchy.ID
 	for i := range n.entries {
 		e := &n.entries[i]
-		m, k, err := mds.AppendDecode(f.entryMDS(i), &dimArena, &idArena)
-		if err != nil || k != len(f.entryMDS(i)) {
+		m, k, err := mds.AppendDecode(f.EntryMDS(i), &dimArena, &idArena)
+		if err != nil || k != len(f.EntryMDS(i)) {
 			return nil, fmt.Errorf("%w: node %d entry %d mds: %v", ErrCorrupt, id, i, err)
 		}
 		e.MDS = m
 		e.Agg = aggArena[i*measures : (i+1)*measures : (i+1)*measures]
 		for j := 0; j < measures; j++ {
-			e.Agg[j] = f.agg(i, j)
+			e.Agg[j] = f.Agg(i, j)
 		}
-		e.Child = f.child(i)
+		e.Child = f.Child(i)
 	}
 	return n, nil
 }
@@ -332,14 +342,14 @@ func decodeFlatNode(id nodeID, buf []byte, dims, measures int) (*node, error) {
 // describesRow reports whether data entry i's MDS blob and aggregates are
 // the ones its record implies: one singleton set per dimension holding the
 // coordinate, and per measure the aggregate of that one value.
-func (f *flatNode) describesRow(i int) bool {
-	it, err := mds.NewViewIter(f.entryMDS(i))
+func (f *FlatNode) describesRow(i int) bool {
+	it, err := mds.NewViewIter(f.EntryMDS(i))
 	if err != nil || it.Dims() != f.dims {
 		return false
 	}
 	for d := 0; d < f.dims; d++ {
 		dv, ok := it.Next()
-		if c := f.coord(i, d); !ok || dv.Level != c.Level() || dv.Len() != 1 || dv.ID(0) != c {
+		if c := f.Coord(i, d); !ok || dv.Level != c.Level() || dv.Len() != 1 || dv.ID(0) != c {
 			return false
 		}
 	}
@@ -347,7 +357,7 @@ func (f *flatNode) describesRow(i int) bool {
 		return false
 	}
 	for j := 0; j < f.measures; j++ {
-		x, g := math.Float64bits(f.measure(i, j)), f.agg(i, j)
+		x, g := math.Float64bits(f.Measure(i, j)), f.Agg(i, j)
 		if g.Count != 1 || math.Float64bits(g.Sum) != x || math.Float64bits(g.Min) != x || math.Float64bits(g.Max) != x {
 			return false
 		}

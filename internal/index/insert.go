@@ -1,8 +1,7 @@
-package core
+package index
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/hierarchy"
@@ -17,7 +16,7 @@ import (
 // splitting can lower the relevant level of a dimension, §3.2).
 type insertResult struct {
 	split   bool
-	newID   nodeID
+	newID   NodeID
 	origMDS mds.MDS
 	newMDS  mds.MDS
 	origAgg cube.AggVector
@@ -27,96 +26,62 @@ type insertResult struct {
 // Insert adds one data record to the tree, maintaining all directory MDSs
 // and materialized aggregates on the insertion path (Fig. 4). The record's
 // coordinates must be leaf-level IDs registered in the schema's dimension
-// hierarchies (use cube.Schema.InternRecord to produce them).
-//
-// On a WAL-backed tree (NewDurable/OpenDurable), a nil return means the
-// record is durable: its logical log record was fsynced (group commit) or
-// superseded by a checkpoint. The durability wait happens outside the
-// tree lock, so concurrent inserts batch into shared fsyncs.
-func (t *Tree) Insert(rec cube.Record) error {
-	if t.replica {
-		return ErrReplica
-	}
-	if err := t.schema.ValidateRecord(rec); err != nil {
-		return err
-	}
-	start := time.Now()
-	t.mu.Lock()
-	lsn, err := t.insertLocked(rec, true)
-	t.mu.Unlock()
+// hierarchies (use cube.Schema.InternRecord to produce them); the host
+// validates records that arrive from outside (cube.Schema.ValidateRecord).
+func (ix *Index) Insert(rec cube.Record) error {
+	rc, err := ix.recContext(rec)
 	if err != nil {
 		return err
-	}
-	if err := t.waitDurable(lsn); err != nil {
-		return err
-	}
-	t.metrics.insertLatency.Observe(time.Since(start))
-	return nil
-}
-
-// insertLocked applies one insert under the tree write lock. When log is
-// true and the tree has a WAL, the logical record is appended AFTER the
-// mutation succeeds (same lock, so log order equals mutation order) and
-// its LSN returned for the caller to await; recovery replays with log
-// false, since the records it applies are already in the log.
-func (t *Tree) insertLocked(rec cube.Record, log bool) (uint64, error) {
-	rc, err := t.recContext(rec)
-	if err != nil {
-		return 0, err
 	}
 
 	// The root's relevant levels are always (ALL,…,ALL): it describes the
 	// whole cube, so its first split refines some dimension to the top
 	// named level (the paper's initial MDS, §3.2).
-	res, err := t.insertInto(t.root, t.ws.topMDS, rc)
+	res, err := ix.insertInto(ix.root, ix.ws.topMDS, rc)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if res.split {
 		// The root was split: grow the tree by one level (the only way a
 		// DC-tree gains height).
-		t.metrics.rootSplits.Inc()
-		newRoot := t.newNode(false)
-		newRoot.entries = []entry{
-			{MDS: res.origMDS, Agg: res.origAgg, Child: t.root},
+		ix.c.rootSplits.Inc()
+		newRoot := ix.store.New(false)
+		newRoot.entries = []Entry{
+			{MDS: res.origMDS, Agg: res.origAgg, Child: ix.root},
 			{MDS: res.newMDS, Agg: res.newAgg, Child: res.newID},
 		}
-		t.root = newRoot.id
-		t.height++
-		if t.rootMDS, err = mds.Cover(t.space(), res.origMDS, res.newMDS); err != nil {
-			return 0, err
+		ix.root = newRoot.id
+		ix.height++
+		if ix.rootMDS, err = mds.Cover(ix.space(), res.origMDS, res.newMDS); err != nil {
+			return err
 		}
 	} else {
-		rc.cover(t.rootMDS)
+		rc.cover(ix.rootMDS)
 	}
-	t.count++
-	t.metrics.inserts.Inc()
-	if !log {
-		return 0, nil
-	}
-	return t.logMutation(walOpInsert, rec)
+	ix.count++
+	return nil
 }
 
 // insertInto inserts the record into the subtree rooted at id, whose
 // describing MDS is nodeMDS (the parent entry's MDS, or Top for the root).
-func (t *Tree) insertInto(id nodeID, nodeMDS mds.MDS, rc *recContext) (insertResult, error) {
-	n, err := t.getNode(id)
+func (ix *Index) insertInto(id NodeID, nodeMDS mds.MDS, rc *recContext) (insertResult, error) {
+	n, err := ix.store.Get(id)
 	if err != nil {
 		return insertResult{}, err
 	}
-	t.markDirty(n)
+	ix.markDirty(n)
 
 	if n.leaf {
 		n.appendRecord(rc.rec)
-		if !n.overflowing(&t.cfg) {
+		if !n.overflowing(&ix.cfg) {
 			return insertResult{}, nil
 		}
-		return t.splitNode(n, nodeMDS)
+		return ix.splitNode(n, nodeMDS)
 	}
 
 	// Directory node (Fig. 4): update the chosen entry's measure value and
 	// MDS, then descend.
-	idx, err := t.chooseSubtree(n, rc)
+	idx, err := ix.chooseSubtree(n, rc)
 	if err != nil {
 		return insertResult{}, err
 	}
@@ -124,7 +89,7 @@ func (t *Tree) insertInto(id nodeID, nodeMDS mds.MDS, rc *recContext) (insertRes
 	rc.cover(e.MDS)
 	e.Agg.Merge(rc.agg)
 
-	res, err := t.insertInto(e.Child, e.MDS, rc)
+	res, err := ix.insertInto(e.Child, e.MDS, rc)
 	if err != nil {
 		return insertResult{}, err
 	}
@@ -139,11 +104,11 @@ func (t *Tree) insertInto(id nodeID, nodeMDS mds.MDS, rc *recContext) (insertRes
 	e = &n.entries[idx]
 	e.MDS = res.origMDS
 	e.Agg = res.origAgg
-	n.entries = append(n.entries, entry{MDS: res.newMDS, Agg: res.newAgg, Child: res.newID})
-	if !n.overflowing(&t.cfg) {
+	n.entries = append(n.entries, Entry{MDS: res.newMDS, Agg: res.newAgg, Child: res.newID})
+	if !n.overflowing(&ix.cfg) {
 		return insertResult{}, nil
 	}
-	return t.splitNode(n, nodeMDS)
+	return ix.splitNode(n, nodeMDS)
 }
 
 // chooseSubtree selects the directory entry to follow for a record
@@ -158,7 +123,7 @@ func (t *Tree) insertInto(id nodeID, nodeMDS mds.MDS, rc *recContext) (insertRes
 // comparison is effectively lexicographic coarse-level-first. Cost 0 means
 // the entry already contains the record; among equal costs the smaller
 // volume, then the smaller MDS size win (most specific subtree).
-func (t *Tree) chooseSubtree(n *node, rc *recContext) (int, error) {
+func (ix *Index) chooseSubtree(n *Node, rc *recContext) (int, error) {
 	if len(n.entries) == 0 {
 		return 0, fmt.Errorf("%w: empty directory node %d", ErrCorrupt, n.id)
 	}
@@ -169,7 +134,7 @@ func (t *Tree) chooseSubtree(n *node, rc *recContext) (int, error) {
 		e := &n.entries[i]
 		// An entry whose cost passes the best one seen cannot win: the
 		// evaluation stops there, and its volume and size are never needed.
-		cost, within := t.enlargementCost(e.MDS, rc, bestCost, best >= 0)
+		cost, within := ix.enlargementCost(e.MDS, rc, bestCost, best >= 0)
 		if !within {
 			continue
 		}
@@ -200,9 +165,9 @@ const levelWeight = 1 << 16
 // With bounded set, the sum is abandoned as soon as it exceeds bound — every
 // term is positive, so the final cost could only be larger — and within is
 // false.
-func (t *Tree) enlargementCost(entryMDS mds.MDS, rc *recContext, bound float64, bounded bool) (cost float64, within bool) {
-	weights := &t.ws.weights
-	for d, h := range t.space() {
+func (ix *Index) enlargementCost(entryMDS mds.MDS, rc *recContext, bound float64, bounded bool) (cost float64, within bool) {
+	weights := &ix.ws.weights
+	for d, h := range ix.space() {
 		ds := &entryMDS[d]
 		if ds.Level == hierarchy.LevelALL {
 			continue // ALL covers everything at no new values

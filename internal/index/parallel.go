@@ -1,4 +1,4 @@
-package core
+package index
 
 import (
 	"context"
@@ -16,7 +16,7 @@ import (
 // pinning the whole pool behind one straggler, and every other worker keeps
 // locality by staying on its own stack while the queue is primed.
 //
-// Queries only read the tree (inserts are excluded by the tree lock for the
+// Queries only read the tree (the host excludes mutations for the
 // duration), so no task ever touches shared mutable state: workers hold a
 // private aggregate and descent, merged once at the end.
 
@@ -24,7 +24,7 @@ import (
 // worker index that pushed it (-1 for the root seed), which lets the queue
 // count cross-worker steals.
 type stealTask struct {
-	id     nodeID
+	id     NodeID
 	origin int
 }
 
@@ -42,7 +42,7 @@ type stealQueue struct {
 	stolen  int64 // tasks popped by a worker other than their pusher
 }
 
-func newStealQueue(workers int, seed nodeID) *stealQueue {
+func newStealQueue(workers int, seed NodeID) *stealQueue {
 	q := &stealQueue{
 		workers: workers,
 		pending: 1,
@@ -53,12 +53,12 @@ func newStealQueue(workers int, seed nodeID) *stealQueue {
 }
 
 // pop blocks until a task is available, the descent completes, or an abort.
-func (q *stealQueue) pop(w int) (nodeID, bool) {
+func (q *stealQueue) pop(w int) (NodeID, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
 		if q.aborted || q.pending == 0 {
-			return nilNode, false
+			return NilNode, false
 		}
 		if n := len(q.tasks); n > 0 {
 			tk := q.tasks[n-1]
@@ -77,7 +77,7 @@ func (q *stealQueue) pop(w int) (nodeID, bool) {
 // trySpawn offers a subtree to the queue. It accepts only while the queue
 // is hungry; otherwise the caller keeps the subtree on its local stack and
 // avoids the shared-queue round trip.
-func (q *stealQueue) trySpawn(id nodeID, w int) bool {
+func (q *stealQueue) trySpawn(id NodeID, w int) bool {
 	q.mu.Lock()
 	if q.aborted || (q.waiting == 0 && len(q.tasks) >= q.workers) {
 		q.mu.Unlock()
@@ -119,12 +119,11 @@ func (q *stealQueue) abort() {
 // work counters (every overlapping node is visited once; only the traversal
 // order differs).
 //
-// Called from Execute with req.Parallel ≥ 1 — under the tree read lock for
-// live queries, lock-free over a pinned version for as-of queries; src and
-// root name the resolver and seed either way.
-func (t *Tree) executeParallel(ctx context.Context, qc *queryCtx, req QueryRequest, src nodeSource, root nodeID) (QueryResult, error) {
-	var res QueryResult
-	measures := t.schema.Measures()
+// Called from Execute with q.Parallel ≥ 1; src and root name the resolver
+// and seed, as for the serial walk.
+func (ix *Index) executeParallel(ctx context.Context, qc *queryCtx, req Query, src Source, root NodeID) (Result, error) {
+	var res Result
+	measures := ix.schema.Measures()
 	var vec cube.AggVector
 	if req.AllMeasures {
 		vec = cube.NewAggVector(measures)
@@ -145,7 +144,7 @@ func (t *Tree) executeParallel(ctx context.Context, qc *queryCtx, req QueryReque
 			if req.AllMeasures {
 				local = cube.NewAggVector(measures)
 			}
-			d := t.newDescent(ctx, src, qc, req)
+			d := ix.newDescent(ctx, src, qc, req)
 			d.q, d.w = q, w
 			err := d.stealWorker(local)
 			if err != nil {
@@ -165,11 +164,11 @@ func (t *Tree) executeParallel(ctx context.Context, qc *queryCtx, req QueryReque
 		}(w)
 	}
 	wg.Wait()
-	t.metrics.stealSpawned.Add(q.spawned)
-	t.metrics.stealStolen.Add(q.stolen)
+	ix.c.stealSpawned.Add(q.spawned)
+	ix.c.stealStolen.Add(q.stolen)
 	res.Stats = st
 	if workErr != nil {
-		return QueryResult{Stats: st}, workErr
+		return Result{Stats: st}, workErr
 	}
 	if req.AllMeasures {
 		res.AggVector = vec

@@ -1,4 +1,4 @@
-package core
+package index
 
 import (
 	"context"
@@ -32,22 +32,14 @@ func (s *QueryStats) add(o QueryStats) {
 	s.RecordsMatched += o.RecordsMatched
 }
 
-// nodeSource resolves node IDs for one query walk. The live tree resolves
-// against its table and shared cache (under the tree read lock); a Version
-// resolves against its captured overlay and pinned extents (no tree lock).
-// The descent code is identical either way — only the resolver differs.
-type nodeSource interface {
-	getView(id nodeID) (nodeView, error)
-}
-
-// nodeView is what a read-only descent walks. A directory is always a
-// flatNode — a mapped extent, an overlay payload, or a heap node's read
-// image — so one matcher serves them all; a data node is either a flatNode
+// NodeView is what a read-only descent walks. A directory is always a
+// FlatNode — a mapped extent, an overlay payload, or a heap node's read
+// image — so one matcher serves them all; a data node is either a FlatNode
 // (rows at a fixed stride in the payload) or the heap node n with its
 // packed rows.
-type nodeView struct {
-	n *node
-	f flatNode
+type NodeView struct {
+	n *Node
+	f FlatNode
 }
 
 // descent carries the per-goroutine state of one range-query walk: the
@@ -56,7 +48,7 @@ type nodeView struct {
 // counters. Parallel queries give every worker its own descent over the
 // same queryCtx.
 type descent struct {
-	src         nodeSource
+	src         Source
 	qc          *queryCtx
 	ctx         context.Context
 	check       int // node visits until the next ctx poll
@@ -76,26 +68,26 @@ type descent struct {
 	// it on its own stack when the queue is not hungry.
 	q     *stealQueue
 	w     int
-	stack []nodeID
+	stack []NodeID
 }
 
-// newDescent prepares a walk of src for req.
-func (t *Tree) newDescent(ctx context.Context, src nodeSource, qc *queryCtx, req QueryRequest) descent {
-	d := descent{src: src, qc: qc, ctx: ctx, check: ctxCheckInterval, materialize: t.cfg.Materialize}
-	if !req.AllMeasures {
-		d.first = req.Measure
+// newDescent prepares a walk of src for q.
+func (ix *Index) newDescent(ctx context.Context, src Source, qc *queryCtx, q Query) descent {
+	d := descent{src: src, qc: qc, ctx: ctx, check: CtxCheckInterval, materialize: ix.cfg.Materialize}
+	if !q.AllMeasures {
+		d.first = q.Measure
 	}
 	return d
 }
 
-// visit accounts one node and polls the context every ctxCheckInterval
+// visit accounts one node and polls the context every CtxCheckInterval
 // visits, so even a full scan of a large tree notices cancellation within
 // a bounded amount of work.
 func (d *descent) visit() error {
 	d.st.NodesVisited++
 	d.check--
 	if d.check <= 0 {
-		d.check = ctxCheckInterval
+		d.check = CtxCheckInterval
 		if err := d.ctx.Err(); err != nil {
 			return err
 		}
@@ -110,8 +102,8 @@ func (d *descent) visit() error {
 // materialized aggregate, and partially overlapping entries are descended
 // into — by recursion on a serial walk, through the worker's stack and the
 // shared queue on a parallel one. Aggregates are folded into out.
-func (d *descent) visitNode(id nodeID, out cube.AggVector) error {
-	nv, err := d.src.getView(id)
+func (d *descent) visitNode(id NodeID, out cube.AggVector) error {
+	nv, err := d.src.View(id)
 	if err != nil {
 		return err
 	}
@@ -137,12 +129,12 @@ func (d *descent) visitNode(id nodeID, out cube.AggVector) error {
 		}
 		if contained && d.materialize {
 			for j := range out {
-				out[j].Merge(f.agg(i, d.first+j))
+				out[j].Merge(f.Agg(i, d.first+j))
 			}
 			d.st.MaterializedHits++
 			continue
 		}
-		child := f.child(i)
+		child := f.Child(i)
 		switch {
 		case d.q == nil:
 			if err := d.visitNode(child, out); err != nil {
@@ -155,37 +147,36 @@ func (d *descent) visitNode(id nodeID, out cube.AggVector) error {
 	return nil
 }
 
-// Scan streams every data record to fn in unspecified order; fn returning
-// false stops the scan. Used by tools, tests, and the export path.
-func (t *Tree) Scan(fn func(cube.Record) bool) error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	_, err := t.scanNode(t, t.root, fn)
+// Scan streams every data record below root to fn in unspecified order,
+// resolving nodes through src; fn returning false stops the scan. Used by
+// tools, tests, and the export path.
+func (ix *Index) Scan(src Source, root NodeID, fn func(cube.Record) bool) error {
+	_, err := scanNode(src, root, fn)
 	return err
 }
 
-func (t *Tree) scanNode(src nodeSource, id nodeID, fn func(cube.Record) bool) (bool, error) {
-	nv, err := src.getView(id)
+func scanNode(src Source, id NodeID, fn func(cube.Record) bool) (bool, error) {
+	nv, err := src.View(id)
 	if err != nil {
 		return false, err
 	}
 	f := &nv.f
 	switch {
 	case nv.n != nil:
-		for i := 0; i < nv.n.count(); i++ {
-			if !fn(cube.Record{Coords: nv.n.row(i), Measures: nv.n.rowMeasures(i)}.Clone()) {
+		for i := 0; i < nv.n.Count(); i++ {
+			if !fn(cube.Record{Coords: nv.n.Row(i), Measures: nv.n.RowMeasures(i)}.Clone()) {
 				return false, nil
 			}
 		}
 	case f.leaf:
 		for i := 0; i < f.count; i++ {
-			if !fn(f.record(i)) {
+			if !fn(f.Record(i)) {
 				return false, nil
 			}
 		}
 	default:
 		for i := 0; i < f.count; i++ {
-			cont, err := t.scanNode(src, f.child(i), fn)
+			cont, err := scanNode(src, f.Child(i), fn)
 			if err != nil || !cont {
 				return cont, err
 			}

@@ -1,4 +1,4 @@
-package core
+package index
 
 import (
 	"encoding/binary"
@@ -24,7 +24,7 @@ import (
 //
 // The masks are word-packed bitmap.Dense bitsets (8× denser than the []bool
 // they replace) carved out of two arenas owned by the queryCtx, and whole
-// queryCtx values are recycled through the tree's qcPool: a steady-state
+// queryCtx values are recycled through the index's qcPool: a steady-state
 // query builds its masks without allocating. Execute releases the context
 // back to the pool after the descent — no goroutine may retain it past the
 // query (parallel workers are joined before release).
@@ -49,14 +49,14 @@ type rowMask struct {
 	mask bitmap.Dense
 }
 
-func (t *Tree) newQueryCtx(q mds.MDS) (*queryCtx, error) {
-	space := t.space()
-	qc, _ := t.qcPool.Get().(*queryCtx)
+func (ix *Index) newQueryCtx(q mds.MDS) (*queryCtx, error) {
+	space := ix.space()
+	qc, _ := ix.qcPool.Get().(*queryCtx)
 	if qc == nil {
 		qc = &queryCtx{}
-		t.metrics.maskPoolMisses.Inc()
+		ix.c.maskPoolMisses.Inc()
 	} else {
-		t.metrics.maskPoolHits.Inc()
+		ix.c.maskPoolHits.Inc()
 	}
 	qc.q = q
 	qc.rows = qc.rows[:0]
@@ -78,7 +78,7 @@ func (t *Tree) newQueryCtx(q mds.MDS) (*queryCtx, error) {
 		for l := 0; l < h.Depth(); l++ {
 			count, err := h.CountAt(l)
 			if err != nil {
-				t.putQueryCtx(qc)
+				ix.putQueryCtx(qc)
 				return nil, err
 			}
 			totalWords += bitmap.DenseWords(count)
@@ -109,7 +109,7 @@ func (t *Tree) newQueryCtx(q mds.MDS) (*queryCtx, error) {
 		for l := range levels {
 			count, err := h.CountAt(l)
 			if err != nil {
-				t.putQueryCtx(qc)
+				ix.putQueryCtx(qc)
 				return nil, err
 			}
 			w := bitmap.DenseWords(count)
@@ -122,7 +122,7 @@ func (t *Tree) newQueryCtx(q mds.MDS) (*queryCtx, error) {
 		for l := lq - 1; l >= 0; l-- {
 			parents, err := h.ParentTable(l)
 			if err != nil {
-				t.putQueryCtx(qc)
+				ix.putQueryCtx(qc)
 				return nil, err
 			}
 			m, up := levels[l], levels[l+1]
@@ -146,9 +146,9 @@ func (t *Tree) newQueryCtx(q mds.MDS) (*queryCtx, error) {
 
 // putQueryCtx returns a query context's arenas to the pool. The caller must
 // guarantee no descent still references it.
-func (t *Tree) putQueryCtx(qc *queryCtx) {
+func (ix *Index) putQueryCtx(qc *queryCtx) {
 	qc.q = nil // do not retain the caller's query MDS
-	t.qcPool.Put(qc)
+	ix.qcPool.Put(qc)
 }
 
 // scanRows is the leaf kernel: it tests every record of a data node against
@@ -162,7 +162,7 @@ func (t *Tree) putQueryCtx(qc *queryCtx) {
 // between the mask build and an as-of descent); Dense.Get treats codes
 // beyond the mask as outside the range, consistent with the query's
 // snapshot.
-func (qc *queryCtx) scanRows(nv *nodeView, first int, out cube.AggVector) (rows, matched int) {
+func (qc *queryCtx) scanRows(nv *NodeView, first int, out cube.AggVector) (rows, matched int) {
 	tests := qc.rows
 	if n := nv.n; n != nil {
 		coords, dims, vals, nm := n.coords, n.dims, n.measures, n.nm
@@ -170,8 +170,8 @@ func (qc *queryCtx) scanRows(nv *nodeView, first int, out cube.AggVector) (rows,
 	heapRows:
 		for i := 0; i < rows; i++ {
 			row := coords[i*dims : (i+1)*dims]
-			for _, t := range tests {
-				if !t.mask.Get(row[t.dim].Code()) {
+			for _, rt := range tests {
+				if !rt.mask.Get(row[rt.dim].Code()) {
 					continue heapRows
 				}
 			}
@@ -187,8 +187,8 @@ func (qc *queryCtx) scanRows(nv *nodeView, first int, out cube.AggVector) (rows,
 flatRows:
 	for i := 0; i < rows; i++ {
 		row := b[i*stride : (i+1)*stride]
-		for _, t := range tests {
-			if !t.mask.Get(binary.LittleEndian.Uint32(row[4*t.dim:]) & hierarchy.MaxCode) {
+		for _, rt := range tests {
+			if !rt.mask.Get(binary.LittleEndian.Uint32(row[4*rt.dim:]) & hierarchy.MaxCode) {
 				continue flatRows
 			}
 		}
@@ -207,8 +207,8 @@ flatRows:
 // is described at — the same probe whether the entry is finer than, level
 // with or coarser than the query; a coarser entry (or ALL) can overlap but
 // never be contained. A malformed encoding surfaces as ErrCorrupt.
-func (qc *queryCtx) matchEntryFlat(f *flatNode, i int) (overlaps, contained bool, err error) {
-	it, err := mds.NewViewIter(f.entryMDS(i))
+func (qc *queryCtx) matchEntryFlat(f *FlatNode, i int) (overlaps, contained bool, err error) {
+	it, err := mds.NewViewIter(f.EntryMDS(i))
 	if err != nil || it.Dims() != len(qc.masks) {
 		return false, false, fmt.Errorf("%w: node %d entry %d mds", ErrCorrupt, f.id, i)
 	}

@@ -1,11 +1,10 @@
-package core
+package index
 
 import (
 	"testing"
 
 	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/mds"
-	"github.com/dcindex/dctree/internal/storage"
 	"github.com/dcindex/dctree/internal/tpcd"
 )
 
@@ -15,17 +14,13 @@ const readBenchRecords = 15000
 
 // readBenchTree inserts a fixed-seed TPC-D data set one record at a time
 // (so every node is a heap node) and draws the query classes over it.
-func readBenchTree(tb testing.TB) (*Tree, map[string][]mds.MDS) {
+func readBenchTree(tb testing.TB) (*Index, map[string][]mds.MDS) {
 	tb.Helper()
 	gen, err := tpcd.New(1, tpcd.ScaleFor(readBenchRecords))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	tree, err := New(storage.NewMemStore(cfg.BlockSize), gen.Schema(), cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	tree, _ := newBareIndex(tb, gen.Schema(), DefaultConfig())
 	for _, r := range gen.Records(readBenchRecords) {
 		if err := tree.Insert(r); err != nil {
 			tb.Fatal(err)
@@ -66,7 +61,7 @@ func drawQueryClasses(tb testing.TB, gen *tpcd.Gen, seed int64, n int) map[strin
 
 // readBenchMasks builds the query contexts of one class ahead of the timer
 // (they are not returned to the pool, so each keeps its own arenas).
-func readBenchMasks(tb testing.TB, tree *Tree, queries []mds.MDS) []*queryCtx {
+func readBenchMasks(tb testing.TB, tree *Index, queries []mds.MDS) []*queryCtx {
 	tb.Helper()
 	qcs := make([]*queryCtx, len(queries))
 	for i, q := range queries {
@@ -79,13 +74,13 @@ func readBenchMasks(tb testing.TB, tree *Tree, queries []mds.MDS) []*queryCtx {
 }
 
 // readBenchViews lists the tree's data nodes and directory read images.
-func readBenchViews(tb testing.TB, tree *Tree) (leaves []*node, dirs []flatNode) {
+func readBenchViews(tb testing.TB, tree *Index) (leaves []*Node, dirs []FlatNode) {
 	tb.Helper()
 	for _, n := range collectNodes(tb, tree) {
 		if n.leaf {
 			leaves = append(leaves, n)
 		} else {
-			dirs = append(dirs, *tree.readImage(n))
+			dirs = append(dirs, *tree.image(n))
 		}
 	}
 	return leaves, dirs
@@ -99,14 +94,14 @@ func BenchmarkLeafScan(b *testing.B) {
 	tree, classes := readBenchTree(b)
 	leaves, _ := readBenchViews(b, tree)
 	dims, measures := tree.schema.Dims(), tree.schema.Measures()
-	heap, flat := make([]nodeView, len(leaves)), make([]nodeView, len(leaves))
+	heap, flat := make([]NodeView, len(leaves)), make([]NodeView, len(leaves))
 	for i, n := range leaves {
-		heap[i] = nodeView{n: n}
-		flat[i] = nodeView{f: trustedFlatNode(n.id, n.appendEncodeFlat(nil, dims, measures), dims, measures)}
+		heap[i] = NodeView{n: n}
+		flat[i] = NodeView{f: TrustedFlatNode(n.id, n.appendEncodeFlat(nil, dims, measures), dims, measures)}
 	}
 	for _, carrier := range []struct {
 		name  string
-		views []nodeView
+		views []NodeView
 	}{{"heap", heap}, {"flat", flat}} {
 		b.Run(carrier.name, func(b *testing.B) {
 			qcs := readBenchMasks(b, tree, classes["sel25"])

@@ -1,4 +1,4 @@
-package core
+package index
 
 import (
 	"github.com/dcindex/dctree/internal/cube"
@@ -9,9 +9,8 @@ import (
 // writeScratch is the tree's one set of write-path buffers: the record
 // context of the mutation in flight, the choose-subtree weight table and
 // the workspace of the split, refinement and cover-repair arithmetic. Every
-// mutation (Insert, Delete, BulkLoad, WAL replay, replicated apply) holds
-// t.mu exclusively, so one scratch per tree is never shared; readers never
-// touch it.
+// mutation (Insert, Delete, BulkLoad) runs under the host's exclusive hold,
+// so one scratch per tree is never shared; readers never touch it.
 //
 // Ownership rule: an MDS that lives in the scratch is valid only until the
 // next kernel call that uses the same buffer. Whatever the tree keeps — an
@@ -73,13 +72,13 @@ type recContext struct {
 }
 
 // recContext loads the write scratch's record context for rec.
-func (t *Tree) recContext(rec cube.Record) (*recContext, error) {
-	rc := &t.ws.rc
+func (ix *Index) recContext(rec cube.Record) (*recContext, error) {
+	rc := &ix.ws.rc
 	rc.rec = rec
 	for j, x := range rec.Measures {
 		rc.agg[j] = cube.AggOf(x)
 	}
-	for d, h := range t.space() {
+	for d, h := range ix.space() {
 		levels := rc.anc[d]
 		cur := rec.Coords[d]
 		levels[0] = cur
@@ -166,14 +165,14 @@ func storeMDS(dst, src mds.MDS) {
 // entryMDSs lists the MDSs of n's entries in the scratch's member buffer.
 // A data node stores none: its records' singleton MDSs are synthesized over
 // the node's own coordinates.
-func (ws *writeScratch) entryMDSs(n *node) []mds.MDS {
+func (ws *writeScratch) entryMDSs(n *Node) []mds.MDS {
 	ws.members = ws.members[:0]
 	if n.leaf {
 		ws.rowDims = ws.rowDims[:0]
 		for k, id := range n.coords {
 			ws.rowDims = append(ws.rowDims, mds.DimSet{Level: id.Level(), IDs: n.coords[k : k+1 : k+1]})
 		}
-		for i, d := 0, n.dims; i < n.count(); i++ {
+		for i, d := 0, n.dims; i < n.Count(); i++ {
 			ws.members = append(ws.members, ws.rowDims[i*d:(i+1)*d:(i+1)*d])
 		}
 		return ws.members

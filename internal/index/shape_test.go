@@ -1,0 +1,195 @@
+package index
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"testing"
+
+	"github.com/dcindex/dctree/internal/cube"
+	"github.com/dcindex/dctree/internal/tpcd"
+)
+
+// The golden tests below run the bare index — nodes in a map, no store, no
+// lock, no log in the process — through the streams and query classes of
+// internal/core's TestGoldenTreeShape and TestGoldenQueryStats and assert
+// the SAME pinned values the engine-hosted tests assert: what the paper's
+// algorithms decide does not depend on who hosts them.
+
+// shapeDigest hashes everything the write path decides: the pre-order walk
+// of the tree (node kind, block count, every entry's MDS and aggregate, the
+// record of a data entry), the root MDS, the height and the split counters.
+// Two trees with equal digests answer every query identically and cost the
+// same to query.
+func shapeDigest(t *testing.T, ix *Index) string {
+	t.Helper()
+	h := sha256.New()
+	var buf []byte
+	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
+	for _, n := range collectNodes(t, ix) {
+		buf = buf[:0]
+		if n.leaf {
+			buf = append(buf, 'L')
+		} else {
+			buf = append(buf, 'D')
+		}
+		u64(uint64(n.blocks))
+		u64(uint64(n.Count()))
+		for i, e := range entriesOf(n) {
+			buf = e.MDS.AppendEncode(buf)
+			for _, a := range e.Agg {
+				u64(math.Float64bits(a.Sum))
+				u64(uint64(a.Count))
+				u64(math.Float64bits(a.Min))
+				u64(math.Float64bits(a.Max))
+			}
+			if n.leaf {
+				for _, c := range n.Row(i) {
+					u64(uint64(c))
+				}
+				for _, m := range n.RowMeasures(i) {
+					u64(math.Float64bits(m))
+				}
+			}
+		}
+		h.Write(buf)
+	}
+	buf = ix.rootMDS.AppendEncode(buf[:0])
+	u64(uint64(ix.height))
+	u64(uint64(ix.count))
+	c := ix.Counters()
+	for _, v := range []int64{c.SplitsHierarchy, c.SplitsForced, c.SupernodesCreated, c.SupernodesGrown, c.RootSplits} {
+		u64(uint64(v))
+	}
+	h.Write(buf)
+	return hex.EncodeToString(h.Sum(nil)[:12])
+}
+
+// TestGoldenTreeShape pins the tree the write path builds, with the digests
+// internal/core pins for the same four streams.
+func TestGoldenTreeShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads 4×22k records")
+	}
+	const load, expire, reload = 20000, 2000, 2000
+	cases := []struct {
+		name string
+		cfg  func(*Config)
+		want string
+	}{
+		{"default", func(*Config) {}, "b6d09291b7e223ccb1fed50a"},
+		{"forced-splits", func(c *Config) {
+			c.DisableSupernodes = true
+			c.MaxOverlapRatio = 0.002
+			c.MinFillRatio = 0.45
+		}, "a69961ef41ce61f668ceb0ac"},
+		{"small-dir-supernodes", func(c *Config) {
+			c.DirCapacity = 5
+			c.LeafCapacity = 12
+			c.MaxSupernodeBlocks = 3
+			c.MaxOverlapRatio = 0.002
+		}, "6739037bc1822b1981e773d0"},
+		{"flat-choose-no-refine", func(c *Config) {
+			c.FlatChooseSubtree = true
+			c.RefineBound = -1
+		}, "4c5043ed91f7c64ca3a86ae1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			gen, err := tpcd.New(7, tpcd.ScaleFor(load))
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs := gen.Records(load + reload)
+			cfg := DefaultConfig()
+			tc.cfg(&cfg)
+			ix, _ := newBareIndex(t, gen.Schema(), cfg)
+			insert := func(rs []cube.Record) {
+				for i := range rs {
+					if err := ix.Insert(rs[i]); err != nil {
+						t.Fatalf("Insert: %v", err)
+					}
+				}
+			}
+			insert(recs[:load])
+			for i := 0; i < expire; i++ {
+				if err := ix.Delete(recs[i*(load/expire)]); err != nil {
+					t.Fatalf("Delete %d: %v", i, err)
+				}
+			}
+			insert(recs[load:])
+			if err := ix.Validate(); err != nil {
+				t.Fatalf("invariants: %v", err)
+			}
+			if got := shapeDigest(t, ix); got != tc.want {
+				t.Errorf("tree shape digest %s, pinned %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// flatNodes serves every node of a bare index the way a store with
+// zero-copy views would: as its flat encoding behind the checked frame.
+type flatNodes struct{ *memNodes }
+
+func (s flatNodes) View(id NodeID) (NodeView, error) {
+	n, err := s.Get(id)
+	if err != nil {
+		return NodeView{}, err
+	}
+	f, err := MakeFlatNode(id, s.ix.Encode(n), s.dims, s.nm)
+	return f.View(), err
+}
+
+// TestGoldenQueryStats pins the work the read path does for a fixed tree and
+// a fixed query set, with the numbers internal/core pins: serial and
+// parallel over heap nodes, and over the nodes' flat encodings.
+func TestGoldenQueryStats(t *testing.T) {
+	const load = 6000
+	want := map[string]QueryStats{
+		"sel01":  {NodesVisited: 157, EntriesScanned: 3778, EntriesPruned: 911},
+		"sel05":  {NodesVisited: 453, EntriesScanned: 13142, EntriesPruned: 1085, RecordsMatched: 2},
+		"sel25":  {NodesVisited: 1741, EntriesScanned: 53817, EntriesPruned: 425, RecordsMatched: 204},
+		"rollup": {NodesVisited: 716, EntriesScanned: 21099, EntriesPruned: 1131, RecordsMatched: 1432},
+		"region": {NodesVisited: 1353, EntriesScanned: 41117, EntriesPruned: 903, MaterializedHits: 23, RecordsMatched: 9632},
+	}
+	gen, err := tpcd.New(7, tpcd.ScaleFor(load))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, nodes := newBareIndex(t, gen.Schema(), DefaultConfig())
+	for _, r := range gen.Records(load) {
+		if err := ix.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queries := drawQueryClasses(t, gen, 11, 12)
+	answers := map[string][]cube.Agg{} // of the first form; every other form must agree
+	check := func(form string, src Source, parallel int) {
+		t.Helper()
+		for _, class := range queryClassNames {
+			var got QueryStats
+			for i, q := range queries[class] {
+				res, err := ix.Execute(context.Background(), src, ix.root, Query{MDS: q, Parallel: parallel})
+				if err != nil {
+					t.Fatalf("%s %s: %v", form, class, err)
+				}
+				got.add(res.Stats)
+				if len(answers[class]) == i {
+					answers[class] = append(answers[class], res.Agg)
+				} else if a := answers[class][i]; res.Agg.Count != a.Count || res.Agg.Min != a.Min || res.Agg.Max != a.Max || !floatClose(res.Agg.Sum, a.Sum) {
+					t.Fatalf("%s %s query %d: %+v, serial walk %+v", form, class, i, res.Agg, a)
+				}
+			}
+			if got != want[class] {
+				t.Errorf("%s %s: stats %+v, pinned %+v", form, class, got, want[class])
+			}
+		}
+	}
+	check("serial", nodes, 0)
+	check("parallel", nodes, 3)
+	check("flat views", flatNodes{nodes}, 0)
+	check("flat views parallel", flatNodes{nodes}, 3)
+}

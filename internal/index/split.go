@@ -1,4 +1,4 @@
-package core
+package index
 
 import (
 	"slices"
@@ -37,17 +37,17 @@ import (
 //
 // Everything up to the chosen partition lives in the tree's write scratch
 // (splitScratch); buildSplit copies out what the tree keeps.
-func (t *Tree) splitNode(n *node, nodeMDS mds.MDS) (insertResult, error) {
-	total := n.count()
-	minFill := int(t.cfg.MinFillRatio * float64(total))
+func (ix *Index) splitNode(n *Node, nodeMDS mds.MDS) (insertResult, error) {
+	total := n.Count()
+	minFill := int(ix.cfg.MinFillRatio * float64(total))
 	if minFill < 1 {
 		minFill = 1
 	}
-	space := t.space()
-	ss := &t.ws.split
+	space := ix.space()
+	ss := &ix.ws.split
 	ss.reset()
 
-	for _, dim := range t.splitDimensionOrder(nodeMDS) {
+	for _, dim := range ix.splitDimensionOrder(nodeMDS) {
 		// The split dimension's relevant level decreases as far as needed:
 		// on uniform data the coarse levels saturate (every subtree covers
 		// every region, every brand, ...) and separation only exists at
@@ -61,11 +61,11 @@ func (t *Tree) splitNode(n *node, nodeMDS mds.MDS) (insertResult, error) {
 			level--
 		}
 		for ; level >= 0; level-- {
-			adapted, err := t.adaptEntries(n, nodeMDS, dim, level)
+			adapted, err := ix.adaptEntries(n, nodeMDS, dim, level)
 			if err != nil {
 				return insertResult{}, err
 			}
-			g1, g2, cov1, cov2, err := t.hierarchySplit(adapted, dim, minFill)
+			g1, g2, cov1, cov2, err := ix.hierarchySplit(adapted, dim, minFill)
 			if err != nil {
 				return insertResult{}, err
 			}
@@ -77,9 +77,9 @@ func (t *Tree) splitNode(n *node, nodeMDS mds.MDS) (insertResult, error) {
 				return insertResult{}, err
 			}
 			balanced := len(g1) >= minFill && len(g2) >= minFill
-			if balanced && ratio <= t.cfg.MaxOverlapRatio {
-				t.metrics.splitsHierarchy.Inc()
-				return t.buildSplit(n, g1, g2, cov1, cov2)
+			if balanced && ratio <= ix.cfg.MaxOverlapRatio {
+				ix.c.splitsHierarchy.Inc()
+				return ix.buildSplit(n, g1, g2, cov1, cov2)
 			}
 			if !ss.fallback.ok || ratio < ss.fallback.ratio {
 				if err := ss.fallback.save(space, ratio, g1, g2, cov1, cov2); err != nil {
@@ -90,22 +90,22 @@ func (t *Tree) splitNode(n *node, nodeMDS mds.MDS) (insertResult, error) {
 	}
 
 	// No acceptable split in any dimension (Fig. 5: "Create supernode").
-	mayGrow := !t.cfg.DisableSupernodes &&
-		(t.cfg.MaxSupernodeBlocks == 0 || n.blocks < t.cfg.MaxSupernodeBlocks)
+	mayGrow := !ix.cfg.DisableSupernodes &&
+		(ix.cfg.MaxSupernodeBlocks == 0 || n.blocks < ix.cfg.MaxSupernodeBlocks)
 	fb := &ss.fallback
 	if mayGrow || !fb.ok {
 		// A missing fallback cannot happen with ≥ 2 entries, but guard by
 		// growing anyway.
 		if n.blocks == 1 {
-			t.metrics.supernodeCreated.Inc()
+			ix.c.supernodeCreated.Inc()
 		} else {
-			t.metrics.supernodeGrown.Inc()
+			ix.c.supernodeGrown.Inc()
 		}
 		n.blocks++
 		return insertResult{}, nil
 	}
-	t.metrics.splitsForced.Inc()
-	return t.buildSplit(n, fb.g[0], fb.g[1], fb.cov[0], fb.cov[1])
+	ix.c.splitsForced.Inc()
+	return ix.buildSplit(n, fb.g[0], fb.g[1], fb.cov[0], fb.cov[1])
 }
 
 // splitScratch is the workspace of one splitNode call. The entry
@@ -187,23 +187,23 @@ func (fb *splitFallback) save(space mds.Space, ratio float64, g1, g2 []int, cov1
 // hierarchy split. An entry's description in one dimension does not depend
 // on the levels asked of the others, so only the split dimension's column
 // is rebuilt from rung to rung. The result is valid until the next call.
-func (t *Tree) adaptEntries(n *node, nodeMDS mds.MDS, splitDim, level int) ([]mds.MDS, error) {
-	ss := &t.ws.split
+func (ix *Index) adaptEntries(n *Node, nodeMDS mds.MDS, splitDim, level int) ([]mds.MDS, error) {
+	ss := &ix.ws.split
 	for d := range nodeMDS {
 		if d == splitDim || ss.haveBase[d] {
 			continue
 		}
-		if err := t.fillColumn(&ss.base[d], n, d, nodeMDS[d].Level); err != nil {
+		if err := ix.fillColumn(&ss.base[d], n, d, nodeMDS[d].Level); err != nil {
 			return nil, err
 		}
 		ss.haveBase[d] = true
 	}
-	if err := t.fillColumn(&ss.rung, n, splitDim, level); err != nil {
+	if err := ix.fillColumn(&ss.rung, n, splitDim, level); err != nil {
 		return nil, err
 	}
 	dims := len(nodeMDS)
 	ss.dimSlab, ss.adapted = ss.dimSlab[:0], ss.adapted[:0]
-	count := n.count()
+	count := n.Count()
 	for i := 0; i < count; i++ {
 		for d := 0; d < dims; d++ {
 			col := &ss.base[d]
@@ -220,13 +220,13 @@ func (t *Tree) adaptEntries(n *node, nodeMDS mds.MDS, splitDim, level int) ([]md
 }
 
 // fillColumn describes every entry of n in one dimension at one level.
-func (t *Tree) fillColumn(c *column, n *node, dim, level int) error {
+func (ix *Index) fillColumn(c *column, n *Node, dim, level int) error {
 	c.level, c.ids, c.off = level, c.ids[:0], c.off[:0]
-	for i, count := 0, n.count(); i < count; i++ {
+	for i, count := 0, n.Count(); i < count; i++ {
 		start := len(c.ids)
 		c.off = append(c.off, start)
 		var err error
-		if c.ids, err = t.appendDescribed(c.ids, n, i, dim, level); err != nil {
+		if c.ids, err = ix.appendDescribed(c.ids, n, i, dim, level); err != nil {
 			return err
 		}
 		c.ids = mds.SortDedupFrom(c.ids, start)
@@ -244,20 +244,20 @@ func (t *Tree) fillColumn(c *column, n *node, dim, level int) error {
 // lifting can only generalize, so the finer values must come from below.
 // Records ground the recursion: a record's coordinate is its singleton set,
 // describable at every level.
-func (t *Tree) appendDescribed(dst []hierarchy.ID, n *node, i, dim, level int) ([]hierarchy.ID, error) {
+func (ix *Index) appendDescribed(dst []hierarchy.ID, n *Node, i, dim, level int) ([]hierarchy.ID, error) {
 	if n.leaf {
-		c := n.row(i)[dim : dim+1]
-		return mds.AppendLifted(dst, t.space()[dim], mds.DimSet{Level: c[0].Level(), IDs: c}, level), nil
+		c := n.Row(i)[dim : dim+1]
+		return mds.AppendLifted(dst, ix.space()[dim], mds.DimSet{Level: c[0].Level(), IDs: c}, level), nil
 	}
 	e := &n.entries[i]
 	if !levelAboveInt(e.MDS[dim].Level, level) {
-		return mds.AppendLifted(dst, t.space()[dim], e.MDS[dim], level), nil
+		return mds.AppendLifted(dst, ix.space()[dim], e.MDS[dim], level), nil
 	}
-	child, err := t.getNode(e.Child)
+	child, err := ix.store.Get(e.Child)
 	if err != nil {
 		return nil, err
 	}
-	return t.appendNodeDescribed(dst, child, dim, level)
+	return ix.appendNodeDescribed(dst, child, dim, level)
 }
 
 // describeCompactAt is the number of values a node may append to a
@@ -266,11 +266,11 @@ func (t *Tree) appendDescribed(dst []hierarchy.ID, n *node, i, dim, level int) (
 const describeCompactAt = 256
 
 // appendNodeDescribed is appendDescribed over a whole node's entries.
-func (t *Tree) appendNodeDescribed(dst []hierarchy.ID, n *node, dim, level int) ([]hierarchy.ID, error) {
+func (ix *Index) appendNodeDescribed(dst []hierarchy.ID, n *Node, dim, level int) ([]hierarchy.ID, error) {
 	start := len(dst)
-	for i, count := 0, n.count(); i < count; i++ {
+	for i, count := 0, n.Count(); i < count; i++ {
 		var err error
-		if dst, err = t.appendDescribed(dst, n, i, dim, level); err != nil {
+		if dst, err = ix.appendDescribed(dst, n, i, dim, level); err != nil {
 			return nil, err
 		}
 	}
@@ -283,13 +283,13 @@ func (t *Tree) appendNodeDescribed(dst []hierarchy.ID, n *node, dim, level int) 
 // describeNode computes, in the scratch's description buffer, the minimal
 // describing value set of a whole node's content in one dimension at the
 // target level.
-func (t *Tree) describeNode(n *node, dim, level int) ([]hierarchy.ID, error) {
-	desc, err := t.appendNodeDescribed(t.ws.desc[:0], n, dim, level)
+func (ix *Index) describeNode(n *Node, dim, level int) ([]hierarchy.ID, error) {
+	desc, err := ix.appendNodeDescribed(ix.ws.desc[:0], n, dim, level)
 	if err != nil {
 		return nil, err
 	}
-	t.ws.desc = mds.SortDedupFrom(desc, 0)
-	return t.ws.desc, nil
+	ix.ws.desc = mds.SortDedupFrom(desc, 0)
+	return ix.ws.desc, nil
 }
 
 // levelAboveInt mirrors mds's level ordering with LevelALL on top.
@@ -311,7 +311,7 @@ func levelAboveInt(a, b int) bool {
 // dimension with the highest hierarchy level of the elements of the MDS"),
 // ties broken by fewer values (more concentrated, hence more separable),
 // then by dimension number. The result is valid until the next split.
-func (t *Tree) splitDimensionOrder(nodeMDS mds.MDS) []int {
+func (ix *Index) splitDimensionOrder(nodeMDS mds.MDS) []int {
 	// LevelALL is the largest level tag, so the tags order as the levels do.
 	before := func(a, b int) bool {
 		if nodeMDS[a].Level != nodeMDS[b].Level {
@@ -319,7 +319,7 @@ func (t *Tree) splitDimensionOrder(nodeMDS mds.MDS) []int {
 		}
 		return len(nodeMDS[a].IDs) < len(nodeMDS[b].IDs)
 	}
-	dims := t.ws.split.order
+	dims := ix.ws.split.order
 	for i := range dims {
 		j := i
 		for ; j > 0 && before(i, dims[j-1]); j-- {
@@ -349,9 +349,9 @@ func (t *Tree) splitDimensionOrder(nodeMDS mds.MDS) []int {
 // The members all carry the same levels, so every mds operation below
 // takes its aligned path; the group covers are maintained as the groups
 // grow and are what the caller's overlap test and buildSplit use.
-func (t *Tree) hierarchySplit(adapted []mds.MDS, dim, minFill int) (g1, g2 []int, cov1, cov2 mds.MDS, err error) {
-	space := t.space()
-	ss := &t.ws.split
+func (ix *Index) hierarchySplit(adapted []mds.MDS, dim, minFill int) (g1, g2 []int, cov1, cov2 mds.MDS, err error) {
+	space := ix.space()
+	ss := &ix.ws.split
 	k := len(adapted)
 	if k < 2 {
 		return nil, nil, nil, nil, nil
@@ -421,11 +421,11 @@ func (t *Tree) hierarchySplit(adapted []mds.MDS, dim, minFill int) (g1, g2 []int
 			short = 1
 		}
 		if short >= 0 {
-			members := append(t.ws.members[:0], cov[short])
+			members := append(ix.ws.members[:0], cov[short])
 			for _, i := range remaining {
 				members = append(members, adapted[i])
 			}
-			t.ws.members = members
+			ix.ws.members = members
 			if cov[short], err = grow(short, members); err != nil {
 				return nil, nil, nil, nil, err
 			}
@@ -523,28 +523,28 @@ func groupOverlapRatio(space mds.Space, cov1, cov2 mds.MDS) (float64, error) {
 // levels with the split dimension one level lower, then refined — are
 // copied out of the scratch and returned to the parent together with the
 // groups' aggregates.
-func (t *Tree) buildSplit(n *node, g1, g2 []int, cov1, cov2 mds.MDS) (insertResult, error) {
-	measures := t.schema.Measures()
+func (ix *Index) buildSplit(n *Node, g1, g2 []int, cov1, cov2 mds.MDS) (insertResult, error) {
+	measures := ix.schema.Measures()
 
-	sibling := t.newNode(n.leaf)
+	sibling := ix.store.New(n.leaf)
 	e1, c1, m1 := n.pick(g1)
 	sibling.entries, sibling.coords, sibling.measures = n.pick(g2)
 	n.entries, n.coords, n.measures = e1, c1, m1
-	n.blocks = blocksForEntries(len(g1), n.leaf, &t.cfg)
-	sibling.blocks = blocksForEntries(len(g2), n.leaf, &t.cfg)
-	t.markDirty(n)
-	t.markDirty(sibling)
+	n.blocks = blocksForEntries(len(g1), n.leaf, &ix.cfg)
+	sibling.blocks = blocksForEntries(len(g2), n.leaf, &ix.cfg)
+	ix.markDirty(n)
+	ix.markDirty(sibling)
 
 	// Refine the relevant levels of the fresh nodes: a narrow subtree can
 	// usually be described at a much finer level without blowing up the
 	// MDS, and finer descriptions mean more pruning and more materialized
 	// hits on the query path. The first result is copied out before the
 	// second refinement reuses the scratch.
-	if err := t.refineMDS(n, cov1); err != nil {
+	if err := ix.refineMDS(n, cov1); err != nil {
 		return insertResult{}, err
 	}
 	origMDS := packMDS(cov1)
-	if err := t.refineMDS(sibling, cov2); err != nil {
+	if err := ix.refineMDS(sibling, cov2); err != nil {
 		return insertResult{}, err
 	}
 	newMDS := packMDS(cov2)
@@ -567,13 +567,13 @@ func (t *Tree) buildSplit(n *node, g1, g2 []int, cov1, cov2 mds.MDS) (insertResu
 // description at their levels and stay) and realizes the paper's
 // observation that node MDSs become more specific further down the tree.
 // Refined value sets live in the write scratch: the caller copies m out.
-func (t *Tree) refineMDS(n *node, m mds.MDS) error {
-	bound := t.cfg.RefineBound
+func (ix *Index) refineMDS(n *Node, m mds.MDS) error {
+	bound := ix.cfg.RefineBound
 	if bound <= 0 {
 		return nil
 	}
-	space := t.space()
-	refined := t.ws.refined
+	space := ix.space()
+	refined := ix.ws.refined
 	for changed := true; changed; {
 		changed = false
 		for d := range m {
@@ -586,7 +586,7 @@ func (t *Tree) refineMDS(n *node, m mds.MDS) error {
 			default:
 				continue
 			}
-			desc, err := t.describeNode(n, d, next)
+			desc, err := ix.describeNode(n, d, next)
 			if err != nil {
 				return err
 			}

@@ -1,4 +1,4 @@
-package core
+package index
 
 import (
 	"fmt"
@@ -22,24 +22,21 @@ type LevelStat struct {
 }
 
 // LevelStats walks the tree and reports per-level node statistics.
-func (t *Tree) LevelStats() ([]LevelStat, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-
-	stats := make([]LevelStat, t.height)
-	var walk func(id nodeID, level int) error
-	walk = func(id nodeID, level int) error {
-		n, err := t.getNode(id)
+func (ix *Index) LevelStats() ([]LevelStat, error) {
+	stats := make([]LevelStat, ix.height)
+	var walk func(id NodeID, level int) error
+	walk = func(id NodeID, level int) error {
+		n, err := ix.store.Get(id)
 		if err != nil {
 			return err
 		}
 		if level >= len(stats) {
-			return fmt.Errorf("%w: node %d at level %d exceeds height %d", ErrCorrupt, id, level, t.height)
+			return fmt.Errorf("%w: node %d at level %d exceeds height %d", ErrCorrupt, id, level, ix.height)
 		}
 		s := &stats[level]
 		s.Level = level
 		s.Nodes++
-		s.Entries += n.count()
+		s.Entries += n.Count()
 		s.AvgBlocks += float64(n.blocks)
 		if n.isSuper() {
 			s.Supernodes++
@@ -54,7 +51,7 @@ func (t *Tree) LevelStats() ([]LevelStat, error) {
 		}
 		return nil
 	}
-	if err := walk(t.root, 0); err != nil {
+	if err := walk(ix.root, 0); err != nil {
 		return nil, err
 	}
 	for i := range stats {
@@ -79,49 +76,47 @@ func (t *Tree) LevelStats() ([]LevelStat, error) {
 //   - the record count and the root MDS match reality.
 //
 // Validate is the oracle behind the randomized workload tests.
-func (t *Tree) Validate() error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	space := t.space()
-	measures := t.schema.Measures()
+func (ix *Index) Validate() error {
+	space := ix.space()
+	measures := ix.schema.Measures()
 
 	var records int64
 	// walk returns the subtree's record-level cover (the exact MDS of its
 	// data records, Definition 3), against which every entry's stored MDS
 	// is checked: lifted to the entry's own relevant levels, the record
 	// cover must reproduce the entry MDS exactly — coverage + minimality.
-	var walk func(id nodeID, level int) (mds.MDS, error)
-	walk = func(id nodeID, level int) (mds.MDS, error) {
-		n, err := t.getNode(id)
+	var walk func(id NodeID, level int) (mds.MDS, error)
+	walk = func(id NodeID, level int) (mds.MDS, error) {
+		n, err := ix.store.Get(id)
 		if err != nil {
 			return nil, err
 		}
 		if n.blocks < 1 {
 			return nil, fmt.Errorf("%w: node %d has %d blocks", ErrCorrupt, id, n.blocks)
 		}
-		if n.overflowing(&t.cfg) {
+		if n.overflowing(&ix.cfg) {
 			return nil, fmt.Errorf("%w: node %d overflows: %d entries, capacity %d",
-				ErrCorrupt, id, n.count(), n.capacity(&t.cfg))
+				ErrCorrupt, id, n.Count(), n.capacity(&ix.cfg))
 		}
-		if n.count() == 0 && id != t.root {
+		if n.Count() == 0 && id != ix.root {
 			return nil, fmt.Errorf("%w: non-root node %d is empty", ErrCorrupt, id)
 		}
-		if n.leaf != (level == t.height-1) {
+		if n.leaf != (level == ix.height-1) {
 			return nil, fmt.Errorf("%w: node %d leaf=%v at level %d of height %d",
-				ErrCorrupt, id, n.leaf, level, t.height)
+				ErrCorrupt, id, n.leaf, level, ix.height)
 		}
 		var members []mds.MDS
 		if n.leaf {
-			if n.dims != len(space) || n.nm != measures || len(n.coords) != n.count()*n.dims || len(n.measures) != n.count()*n.nm {
+			if n.dims != len(space) || n.nm != measures || len(n.coords) != n.Count()*n.dims || len(n.measures) != n.Count()*n.nm {
 				return nil, fmt.Errorf("%w: node %d holds %d coordinates and %d measures in rows of %d and %d",
 					ErrCorrupt, id, len(n.coords), len(n.measures), n.dims, n.nm)
 			}
 			// A record's MDS and aggregates are functions of its row (they
 			// exist only in the encoding), so the row is all there is to check.
-			for i := 0; i < n.count(); i++ {
+			for i := 0; i < n.Count(); i++ {
 				records++
-				rec := cube.Record{Coords: n.row(i), Measures: n.rowMeasures(i)}
-				if err := t.schema.ValidateRecord(rec); err != nil {
+				rec := cube.Record{Coords: n.Row(i), Measures: n.RowMeasures(i)}
+				if err := ix.schema.ValidateRecord(rec); err != nil {
 					return nil, fmt.Errorf("node %d entry %d: %w", id, i, err)
 				}
 				members = append(members, mds.FromLeaves(rec.Coords))
@@ -135,7 +130,7 @@ func (t *Tree) Validate() error {
 			if len(e.Agg) != measures {
 				return nil, fmt.Errorf("%w: node %d entry %d has %d aggs", ErrCorrupt, id, i, len(e.Agg))
 			}
-			child, err := t.getNode(e.Child)
+			child, err := ix.store.Get(e.Child)
 			if err != nil {
 				return nil, err
 			}
@@ -174,23 +169,23 @@ func (t *Tree) Validate() error {
 		}
 		return mds.Cover(space, members...)
 	}
-	recCover, err := walk(t.root, 0)
+	recCover, err := walk(ix.root, 0)
 	if err != nil {
 		return err
 	}
-	if records != t.count {
-		return fmt.Errorf("%w: tree claims %d records, found %d", ErrCorrupt, t.count, records)
+	if records != ix.count {
+		return fmt.Errorf("%w: tree claims %d records, found %d", ErrCorrupt, ix.count, records)
 	}
 
 	if records > 0 {
 		// The incrementally maintained root MDS may be coarser than the
 		// exact record cover, but it must contain it.
-		ok, err := mds.Contains(space, t.rootMDS, recCover)
+		ok, err := mds.Contains(space, ix.rootMDS, recCover)
 		if err != nil {
 			return err
 		}
 		if !ok {
-			return fmt.Errorf("%w: root MDS %v does not cover records %v", ErrCorrupt, t.rootMDS, recCover)
+			return fmt.Errorf("%w: root MDS %v does not cover records %v", ErrCorrupt, ix.rootMDS, recCover)
 		}
 	}
 	return nil

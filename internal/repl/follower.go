@@ -14,7 +14,7 @@ import (
 )
 
 // FollowerOptions configures a Follower. The zero value is usable with a
-// Dir: defaults fill in poll cadence, chunk size and tree configuration.
+// Dir: defaults fill in poll cadence and tree configuration.
 type FollowerOptions struct {
 	// Dir is the follower's home directory: the replica store
 	// (replica.dc), the WAL mirror (wal.*.wal) and the replica's
@@ -32,9 +32,6 @@ type FollowerOptions struct {
 	Config core.Config
 	// Poll is the tailing interval. Zero selects DefaultPoll.
 	Poll time.Duration
-	// ChunkBytes bounds a single segment range read. Zero selects
-	// DefaultChunkBytes.
-	ChunkBytes int
 	// CheckpointEvery is the replica checkpoint cadence. Checkpoints bound
 	// restart replay and let the mirror prune shipped segments; zero
 	// checkpoints only at Promote and Close.
@@ -60,8 +57,8 @@ const DefaultPoll = 50 * time.Millisecond
 // still relearns its follower's frontier within a second.
 const ackHeartbeat = time.Second
 
-// DefaultChunkBytes bounds a single shipping read when none is configured.
-const DefaultChunkBytes = 256 << 10
+// chunkBytes bounds a single shipping read.
+const chunkBytes = 256 << 10
 
 // Follower tails a Source into a local replica: mirrored WAL segments
 // plus an apply-only tree that serves read-only queries. Create with
@@ -157,9 +154,6 @@ func NewFollower(src Source, opts FollowerOptions) (*Follower, error) {
 	if opts.Poll <= 0 {
 		opts.Poll = DefaultPoll
 	}
-	if opts.ChunkBytes <= 0 {
-		opts.ChunkBytes = DefaultChunkBytes
-	}
 	if opts.ID == "" {
 		opts.ID = opts.Dir
 	}
@@ -221,7 +215,7 @@ func NewFollower(src Source, opts FollowerOptions) (*Follower, error) {
 	f.sh = &shipper{
 		src:   src,
 		m:     m,
-		chunk: opts.ChunkBytes,
+		chunk: chunkBytes,
 		floor: tree.AppliedLSN() + 1,
 		// Epoch seed: the mirror's newest segment, or — when checkpoints
 		// pruned the mirror past a promotion point — the replica's

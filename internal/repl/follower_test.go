@@ -316,7 +316,7 @@ func TestShipperGapDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.close()
-	sh := &shipper{src: &DirSource{Prefix: prefix}, m: m, chunk: DefaultChunkBytes, floor: 1}
+	sh := &shipper{src: &DirSource{Prefix: prefix}, m: m, chunk: chunkBytes, floor: 1}
 	if _, err := sh.runOnce(); !errors.Is(err, ErrGap) {
 		t.Fatalf("runOnce err = %v, want ErrGap", err)
 	}
