@@ -4,6 +4,7 @@
 // Subcommands:
 //
 //	dctool build -schema schema.json -csv data.csv -index out.dc
+//	dctool build -tpcd 50000 [-seed 1] -index tpcd.dc
 //	dctool query -index out.dc -where 'Customer.Region=EUROPE|ASIA' \
 //	             -where 'Time.Year=1996' -op SUM -measure ExtendedPrice
 //	dctool stats -index out.dc
@@ -11,7 +12,7 @@
 //	dctool verify -index out.dc
 //	dctool recover -index out.dc -wal out
 //	dctool versions -index out.dc -wal out [-prune id|all]
-//	dctool replica -dir standby/ -from primary/out [-auto-promote]
+//	dctool replica -dir standby/ -from primary/out [-lease primary/out.lease -auto-promote]
 //	dctool promote -dir standby/
 //	dctool ship -wal primary/out -addr :7421
 //
@@ -21,7 +22,9 @@
 // mirror of the log and a continuously applied read-only index. `promote`
 // turns a replica directory into a read-write index after the primary is
 // gone; `replica -auto-promote` does the same automatically once the
-// source has been unreachable for -promote-after. `ship` is the serving
+// source has been unreachable for -promote-after (on the filesystem
+// transport that needs -lease, a file the primary's supervisor touches:
+// without one there is no failure detector). `ship` is the serving
 // sidecar for the HTTP transport. See REPLICATION.md for the protocol and
 // OPERATIONS.md for runbooks.
 //
@@ -54,6 +57,12 @@
 //
 // The CSV must carry one column per dimension level named "Dim.Level"
 // plus one column per measure; rows become data records.
+//
+// `build -tpcd N` skips both files and indexes N records of the paper's
+// TPC-D-like evaluation cube (Customer, Supplier, Part, Time; measure
+// ExtendedPrice), deterministic for a given -seed, with dimension tables
+// scaled to N the way TPC-D's scale factor does. `export` writes any index
+// back out as CSV.
 package main
 
 import (
@@ -68,6 +77,7 @@ import (
 	"strings"
 
 	dctree "github.com/dcindex/dctree"
+	"github.com/dcindex/dctree/internal/tpcd"
 )
 
 func main() {
@@ -149,16 +159,44 @@ func runBuild(args []string) error {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	schemaPath := fs.String("schema", "", "schema JSON file")
 	csvPath := fs.String("csv", "", "input CSV file")
+	tpcdN := fs.Int("tpcd", 0, "instead of -schema/-csv, generate this many records of the paper's TPC-D-like cube")
+	seed := fs.Int64("seed", 1, "generator seed for -tpcd")
 	indexPath := fs.String("index", "index.dc", "output index file")
 	fs.Parse(args)
-	if *schemaPath == "" || *csvPath == "" {
-		return fmt.Errorf("-schema and -csv are required")
+
+	// load inserts the input into the tree and returns the record count.
+	var schema *dctree.Schema
+	var load func(tree *dctree.Tree) (int, error)
+	switch {
+	case *tpcdN != 0 && (*schemaPath != "" || *csvPath != ""):
+		return fmt.Errorf("-tpcd generates its own schema and data; it excludes -schema and -csv")
+	case *tpcdN < 0:
+		return fmt.Errorf("-tpcd must be positive")
+	case *tpcdN > 0:
+		gen, err := tpcd.New(*seed, tpcd.ScaleFor(*tpcdN))
+		if err != nil {
+			return err
+		}
+		schema = gen.Schema()
+		load = func(tree *dctree.Tree) (int, error) {
+			for i := 0; i < *tpcdN; i++ {
+				if err := tree.Insert(gen.Record()); err != nil {
+					return i, fmt.Errorf("record %d: %w", i+1, err)
+				}
+			}
+			return *tpcdN, nil
+		}
+	case *schemaPath == "" || *csvPath == "":
+		return fmt.Errorf("-schema and -csv (or -tpcd) are required")
+	default:
+		var spec *schemaSpec
+		var err error
+		if schema, spec, err = loadSchema(*schemaPath); err != nil {
+			return err
+		}
+		load = func(tree *dctree.Tree) (int, error) { return loadCSV(tree, schema, spec, *csvPath) }
 	}
 
-	schema, spec, err := loadSchema(*schemaPath)
-	if err != nil {
-		return err
-	}
 	cfg := dctree.DefaultConfig()
 	store, err := dctree.OpenFileStore(*indexPath, cfg.BlockSize, 0)
 	if err != nil {
@@ -169,16 +207,29 @@ func runBuild(args []string) error {
 	if err != nil {
 		return err
 	}
-
-	f, err := os.Open(*csvPath)
+	n, err := load(tree)
 	if err != nil {
 		return err
+	}
+	if err := tree.Flush(); err != nil {
+		return err
+	}
+	fmt.Printf("indexed %d records into %s (height %d)\n", n, *indexPath, tree.Height())
+	return nil
+}
+
+// loadCSV inserts every row of the CSV at path into the tree and returns
+// the row count.
+func loadCSV(tree *dctree.Tree, schema *dctree.Schema, spec *schemaSpec, path string) (int, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
 	}
 	defer f.Close()
 	r := csv.NewReader(f)
 	header, err := r.Read()
 	if err != nil {
-		return fmt.Errorf("reading CSV header: %w", err)
+		return 0, fmt.Errorf("reading CSV header: %w", err)
 	}
 	col := make(map[string]int, len(header))
 	for i, h := range header {
@@ -195,7 +246,7 @@ func runBuild(args []string) error {
 			name := d.Name + "." + d.Levels[i]
 			idx, ok := col[name]
 			if !ok {
-				return fmt.Errorf("CSV missing column %q", name)
+				return 0, fmt.Errorf("CSV missing column %q", name)
 			}
 			dc.topDown = append(dc.topDown, idx)
 		}
@@ -205,7 +256,7 @@ func runBuild(args []string) error {
 	for _, m := range spec.Measures {
 		idx, ok := col[m]
 		if !ok {
-			return fmt.Errorf("CSV missing measure column %q", m)
+			return 0, fmt.Errorf("CSV missing measure column %q", m)
 		}
 		measureCols = append(measureCols, idx)
 	}
@@ -217,7 +268,7 @@ func runBuild(args []string) error {
 			break
 		}
 		if err != nil {
-			return fmt.Errorf("row %d: %w", n+2, err)
+			return n, fmt.Errorf("row %d: %w", n+2, err)
 		}
 		paths := make([][]string, len(dims))
 		for d, dc := range dims {
@@ -231,24 +282,20 @@ func runBuild(args []string) error {
 		for j, c := range measureCols {
 			v, err := strconv.ParseFloat(strings.TrimSpace(row[c]), 64)
 			if err != nil {
-				return fmt.Errorf("row %d: measure %q: %w", n+2, row[c], err)
+				return n, fmt.Errorf("row %d: measure %q: %w", n+2, row[c], err)
 			}
 			measures[j] = v
 		}
 		rec, err := schema.InternRecord(paths, measures)
 		if err != nil {
-			return fmt.Errorf("row %d: %w", n+2, err)
+			return n, fmt.Errorf("row %d: %w", n+2, err)
 		}
 		if err := tree.Insert(rec); err != nil {
-			return fmt.Errorf("row %d: %w", n+2, err)
+			return n, fmt.Errorf("row %d: %w", n+2, err)
 		}
 		n++
 	}
-	if err := tree.Flush(); err != nil {
-		return err
-	}
-	fmt.Printf("indexed %d records into %s (height %d)\n", n, *indexPath, tree.Height())
-	return nil
+	return n, nil
 }
 
 // parseWhere parses 'Dim.Level=V1|V2|V3'.

@@ -6,8 +6,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	dctree "github.com/dcindex/dctree"
+	"github.com/dcindex/dctree/internal/repl"
 )
 
 func TestParseWhere(t *testing.T) {
@@ -177,6 +179,25 @@ func TestVerifyCommand(t *testing.T) {
 	}
 }
 
+// captureStdout runs a command helper and returns what it printed.
+func captureStdout(t *testing.T, run func() error) string {
+	t.Helper()
+	old := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = w
+	runErr := run()
+	w.Close()
+	os.Stdout = old
+	out, _ := io.ReadAll(r)
+	if runErr != nil {
+		t.Fatalf("run: %v", runErr)
+	}
+	return string(out)
+}
+
 // TestMetricsFlag drives query -metrics and stats -metrics and checks the
 // Prometheus text dump reaches stdout.
 func TestMetricsFlag(t *testing.T) {
@@ -196,25 +217,7 @@ func TestMetricsFlag(t *testing.T) {
 		t.Fatalf("build: %v", err)
 	}
 
-	capture := func(run func() error) string {
-		t.Helper()
-		old := os.Stdout
-		r, w, err := os.Pipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		os.Stdout = w
-		runErr := run()
-		w.Close()
-		os.Stdout = old
-		out, _ := io.ReadAll(r)
-		if runErr != nil {
-			t.Fatalf("run: %v", runErr)
-		}
-		return string(out)
-	}
-
-	out := capture(func() error {
+	out := captureStdout(t, func() error {
 		return runQuery([]string{"-index", indexPath, "-where", "Customer.Region=EUROPE", "-metrics"})
 	})
 	for _, want := range []string{
@@ -230,7 +233,7 @@ func TestMetricsFlag(t *testing.T) {
 		}
 	}
 
-	out = capture(func() error {
+	out = captureStdout(t, func() error {
 		return runStats([]string{"-index", indexPath, "-metrics"})
 	})
 	for _, want := range []string{"records: 2", "dctree_records 2", "dctree_height 1"} {
@@ -263,5 +266,121 @@ func TestBuildRejectsBadCSV(t *testing.T) {
 	}
 	if err := runBuild([]string{"-csv", "x.csv"}); err == nil {
 		t.Error("missing -schema accepted")
+	}
+}
+
+// TestBuildTPCD: `build -tpcd N` indexes the generator's records directly,
+// and the result is the index the CSV path builds from the same records —
+// same count, same answers, both clean under fsck and verify.
+func TestBuildTPCD(t *testing.T) {
+	dir := t.TempDir()
+	direct := filepath.Join(dir, "direct.dc")
+	if err := runBuild([]string{"-tpcd", "1500", "-seed", "7", "-index", direct}); err != nil {
+		t.Fatalf("build -tpcd: %v", err)
+	}
+
+	// The two-step pipeline over the same records: CSV out, CSV in.
+	schemaPath := filepath.Join(dir, "schema.json")
+	csvPath := filepath.Join(dir, "data.csv")
+	viaCSV := filepath.Join(dir, "csv.dc")
+	os.WriteFile(schemaPath, []byte(`{
+	  "dimensions": [
+	    {"name": "Customer", "levels": ["Customer", "MktSegment", "Nation", "Region"]},
+	    {"name": "Supplier", "levels": ["Supplier", "Nation", "Region"]},
+	    {"name": "Part", "levels": ["Part", "Type", "Brand"]},
+	    {"name": "Time", "levels": ["Day", "Month", "Year"]}
+	  ],
+	  "measures": ["ExtendedPrice"]
+	}`), 0o644)
+	if err := runExport([]string{"-index", direct, "-out", csvPath}); err != nil {
+		t.Fatalf("export: %v", err)
+	}
+	if err := runBuild([]string{"-schema", schemaPath, "-csv", csvPath, "-index", viaCSV}); err != nil {
+		t.Fatalf("build from exported CSV: %v", err)
+	}
+
+	answer := func(index, op string) string {
+		out := captureStdout(t, func() error {
+			return runQuery([]string{"-index", index, "-op", op,
+				"-where", "Customer.Region=AFRICA|ASIA", "-where", "Time.Year=1996"})
+		})
+		return strings.SplitN(out, "\n", 2)[0]
+	}
+	for _, index := range []string{direct, viaCSV} {
+		tree, store, err := openTree(index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tree.Count() != 1500 {
+			t.Fatalf("%s: %d records, want 1500", index, tree.Count())
+		}
+		store.Close()
+		if err := runFsck([]string{"-index", index}); err != nil {
+			t.Fatalf("fsck %s: %v", index, err)
+		}
+		if err := runVerify([]string{"-index", index}); err != nil {
+			t.Fatalf("verify %s: %v", index, err)
+		}
+	}
+	// COUNT and MAX do not depend on the order records were folded in.
+	for _, op := range []string{"COUNT", "MAX"} {
+		a, b := answer(direct, op), answer(viaCSV, op)
+		if a != b || strings.HasSuffix(a, "= 0") {
+			t.Fatalf("%s: direct %q, via CSV %q", op, a, b)
+		}
+	}
+
+	for _, args := range [][]string{
+		{"-tpcd", "10", "-csv", csvPath, "-index", filepath.Join(dir, "x.dc")},
+		{"-tpcd", "10", "-schema", schemaPath, "-index", filepath.Join(dir, "x.dc")},
+		{"-tpcd", "-5", "-index", filepath.Join(dir, "x.dc")},
+	} {
+		if err := runBuild(args); err == nil {
+			t.Errorf("build %v accepted", args)
+		}
+	}
+}
+
+// TestReplicaAutoPromoteNeedsLease: on the filesystem transport the lease
+// file is the only failure detector, and nothing refreshes a lease the
+// operator did not set up. Inventing <from>.lease made the source read as
+// down from the first pass, so -auto-promote promoted the standby beside a
+// live primary; it is now a usage error, raised before a follower exists.
+func TestReplicaAutoPromoteNeedsLease(t *testing.T) {
+	dir := t.TempDir()
+	replicaDir := filepath.Join(dir, "standby")
+	err := runReplica([]string{"-dir", replicaDir, "-from", filepath.Join(dir, "primary"), "-auto-promote"})
+	if err == nil || !strings.Contains(err.Error(), "-lease") {
+		t.Fatalf("runReplica = %v, want the -lease usage error", err)
+	}
+	if _, statErr := os.Stat(replicaDir); !os.IsNotExist(statErr) {
+		t.Fatalf("replica directory was created (%v): a follower started before the flag check", statErr)
+	}
+}
+
+// TestNoLeaseMeansHealthy: without -lease, `replica` and `ship` run with no
+// failure detector — the source reports healthy although no lease file
+// exists anywhere — and a configured lease is honored as given.
+func TestNoLeaseMeansHealthy(t *testing.T) {
+	prefix := filepath.Join(t.TempDir(), "primary")
+	src, ok := replicaSource(prefix, "", repl.DefaultLeaseTTL).(*repl.DirSource)
+	if !ok {
+		t.Fatalf("a path prefix did not select the filesystem transport")
+	}
+	if src.Lease != "" || !src.Healthy() {
+		t.Fatalf("no -lease: lease %q, healthy %v; want none and healthy", src.Lease, src.Healthy())
+	}
+	if ship := dirSource(prefix, "", repl.DefaultLeaseTTL); !ship.Healthy() {
+		t.Fatal("ship without -lease reports unhealthy")
+	}
+	lease := prefix + ".lease"
+	if dirSource(prefix, lease, time.Minute).Healthy() {
+		t.Fatal("a configured lease that does not exist reports healthy")
+	}
+	if err := os.WriteFile(lease, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if !dirSource(prefix, lease, time.Minute).Healthy() {
+		t.Fatal("a fresh lease reports unhealthy")
 	}
 }

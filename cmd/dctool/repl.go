@@ -28,9 +28,17 @@ func replicaSource(from, lease string, leaseTTL time.Duration) repl.Source {
 	if strings.HasPrefix(from, "http://") || strings.HasPrefix(from, "https://") {
 		return &repl.HTTPSource{Base: from}
 	}
+	return dirSource(from, lease, leaseTTL)
+}
+
+// dirSource is the filesystem transport over a WAL path prefix. An empty
+// lease means no failure detector: the source always reports healthy. No
+// lease path is invented, because nothing refreshes a file the operator
+// did not set up, and a lease nobody refreshes reads as a dead primary.
+func dirSource(prefix, lease string, leaseTTL time.Duration) *repl.DirSource {
 	return &repl.DirSource{
-		Prefix:     from,
-		SchemaPath: repl.DefaultSchemaPath(from),
+		Prefix:     prefix,
+		SchemaPath: repl.DefaultSchemaPath(prefix),
 		Lease:      lease,
 		LeaseTTL:   leaseTTL,
 	}
@@ -46,7 +54,7 @@ func runReplica(args []string) error {
 	fs := flag.NewFlagSet("replica", flag.ExitOnError)
 	dir := fs.String("dir", "", "replica directory (store, mirrored log and checkpoints live here)")
 	from := fs.String("from", "", "source: primary WAL path prefix, or http(s):// base URL of `dctool ship`")
-	lease := fs.String("lease", "", "primary liveness lease file (filesystem transport; defaults to <from>.lease)")
+	lease := fs.String("lease", "", "primary liveness lease file, refreshed by the primary's supervisor (filesystem transport; empty = no failure detector)")
 	leaseTTL := fs.Duration("lease-ttl", repl.DefaultLeaseTTL, "lease staleness threshold")
 	poll := fs.Duration("poll", repl.DefaultPoll, "source poll interval")
 	ckptEvery := fs.Duration("checkpoint-every", 5*time.Second, "replica checkpoint cadence (bounds restart replay)")
@@ -57,12 +65,13 @@ func runReplica(args []string) error {
 	if *dir == "" || *from == "" {
 		return fmt.Errorf("-dir and -from are required")
 	}
-	leasePath := *lease
-	if leasePath == "" && !strings.HasPrefix(*from, "http") {
-		leasePath = *from + ".lease"
+	src := replicaSource(*from, *lease, *leaseTTL)
+	if d, ok := src.(*repl.DirSource); ok && *autoPromote && d.Lease == "" {
+		return fmt.Errorf("-auto-promote on the filesystem transport needs -lease: " +
+			"without a lease file the replica cannot tell a dead primary from a live one")
 	}
 
-	f, err := repl.NewFollower(replicaSource(*from, leasePath, *leaseTTL), repl.FollowerOptions{
+	f, err := repl.NewFollower(src, repl.FollowerOptions{
 		Dir:             *dir,
 		Config:          core.DefaultConfig(),
 		Poll:            *poll,
@@ -149,22 +158,13 @@ func runShip(args []string) error {
 	fs := flag.NewFlagSet("ship", flag.ExitOnError)
 	walPrefix := fs.String("wal", "", "primary WAL path prefix to serve")
 	addr := fs.String("addr", ":7421", "listen address")
-	lease := fs.String("lease", "", "primary liveness lease file surfaced via /repl/v1/health (defaults to <wal>.lease)")
+	lease := fs.String("lease", "", "primary liveness lease file surfaced via /repl/v1/health (empty = always healthy: reaching this server is the signal)")
 	leaseTTL := fs.Duration("lease-ttl", repl.DefaultLeaseTTL, "lease staleness threshold")
 	fs.Parse(args)
 	if *walPrefix == "" {
 		return fmt.Errorf("-wal is required")
 	}
-	leasePath := *lease
-	if leasePath == "" {
-		leasePath = *walPrefix + ".lease"
-	}
-	src := &repl.DirSource{
-		Prefix:     *walPrefix,
-		SchemaPath: repl.DefaultSchemaPath(*walPrefix),
-		Lease:      leasePath,
-		LeaseTTL:   *leaseTTL,
-	}
+	src := dirSource(*walPrefix, *lease, *leaseTTL)
 	fmt.Printf("shipping %s.*.wal on %s\n", *walPrefix, *addr)
 	return http.ListenAndServe(*addr, repl.NewServer(src).Handler())
 }

@@ -217,10 +217,10 @@ func WithConfig(cfg Config) Option {
 // written ahead to the log at prefix (segment files <prefix>.<n>.wal) and
 // group-committed before the call returns. Creating (WithSchema) requires
 // an empty log; reopening replays the log tail past the last checkpoint —
-// the crash-recovery path. Pass the same write-side WALOptions (Compress,
-// RecyclePool) the tree was created with to keep them in effect; reading
-// a log never depends on them. Close the tree with Tree.Close to
-// checkpoint and release the log.
+// the crash-recovery path. The log records none of the WALOptions, so a
+// reopen passes again whatever it wants in effect; reading a log never
+// depends on them. Close the tree with Tree.Close to checkpoint and
+// release the log.
 func WithWAL(prefix string, wopts WALOptions) Option {
 	return func(o *openOptions) { o.walPrefix = prefix; o.wopts = wopts; o.walSet = true }
 }
@@ -255,11 +255,12 @@ func Open(store Store, opts ...Option) (*Tree, error) {
 type WALStats = storage.WALStats
 
 // WALOptions tunes the write-ahead log's segment files: SegmentBytes
-// (rotation size), Compress (store frames compressed when that shrinks
-// them), RecyclePool (retired segments kept for reuse; 0 = default of 4,
-// negative disables), RetainSegments (extra sealed segments kept below
-// the retention floor for log-shipping followers — see REPLICATION.md),
-// and SyncDelay (modeled device latency, used by the benchmarks).
+// (rotation size), RetainSegments (extra sealed segments kept below the
+// retention floor for log-shipping followers — see REPLICATION.md), and
+// SyncDelay (modeled device latency, used by the benchmarks). A segment
+// is created, appended to and deleted, and every frame is stored raw; a
+// log holding frames an older build compressed is refused with
+// ErrUnsupportedFormat and left untouched.
 type WALOptions = storage.WALOptions
 
 // ErrChecksum reports a stored page whose checksum no longer matches its

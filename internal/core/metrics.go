@@ -181,12 +181,10 @@ type Metrics struct {
 	WALGroupCommitBatchMean float64
 	WALGroupCommitBatchMax  int64
 	// WALDictDeltas counts dictionary registrations logged as delta
-	// entries (record format 2); WALRecycledSegments counts segment
-	// creations served from the recycle pool; WALBytesPerRecord is frame
-	// bytes written per logical record appended — the compactness signal
-	// dcbench -wal compares across record formats.
+	// entries (record format 2); WALBytesPerRecord is frame bytes written
+	// per logical record appended — the compactness signal dcbench -wal
+	// compares across record formats.
 	WALDictDeltas           int64
-	WALRecycledSegments     int64
 	WALBytesPerRecord       float64
 	RecoveryReplayedRecords int64
 	// WALCommitWait is the time acknowledged writes spent waiting for local
@@ -379,9 +377,7 @@ func (t *Tree) Metrics() Metrics {
 		s.WALGroupCommitBatchMean = float64(m.walBatchRecords.Load()) / float64(batches)
 	}
 	if t.wal != nil {
-		ws := t.wal.w.Stats()
-		s.WALRecycledSegments = ws.Recycled
-		if ws.Appends > 0 {
+		if ws := t.wal.w.Stats(); ws.Appends > 0 {
 			s.WALBytesPerRecord = float64(ws.BytesStored) / float64(ws.Appends)
 		}
 	}
@@ -445,7 +441,6 @@ func (m Metrics) Families() []obs.Family {
 			},
 		},
 		obs.CounterFamily("dctree_wal_dict_deltas_total", "Dictionary registrations logged as WAL delta entries (record format 2).", m.WALDictDeltas),
-		obs.CounterFamily("dctree_wal_recycled_segments_total", "WAL segment creations served from the recycle pool instead of a fresh create.", m.WALRecycledSegments),
 		obs.GaugeFamily("dctree_wal_bytes_per_record", "Frame bytes written to the WAL per logical record appended.", m.WALBytesPerRecord),
 		obs.CounterFamily("dctree_recovery_replayed_records_total", "WAL records re-applied by OpenDurable crash recovery.", m.RecoveryReplayedRecords),
 		obs.HistogramFamily("dctree_wal_commit_wait_seconds", "Time an acknowledged write waited for local durability (leading or sharing an fsync).", m.WALCommitWait),

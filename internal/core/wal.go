@@ -624,10 +624,9 @@ func OpenDurable(store storage.Store, walPrefix string) (*Tree, error) {
 	return OpenDurableOpts(store, walPrefix, storage.WALOptions{})
 }
 
-// OpenDurableOpts is OpenDurable with explicit WAL options. Reopening is
-// where the write-side knobs (compression, recycle pool) must be
-// re-passed to stay in effect — the log file itself records per frame
-// whether it is compressed, so reading never depends on them.
+// OpenDurableOpts is OpenDurable with explicit WAL options. None of them
+// is recorded in the log, so a reopen passes again whatever it wants to
+// stay in effect (segment size, retention cushion).
 func OpenDurableOpts(store storage.Store, walPrefix string, wopts storage.WALOptions) (*Tree, error) {
 	t, err := Open(store)
 	if err != nil {

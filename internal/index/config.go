@@ -27,7 +27,9 @@ type Config struct {
 
 	// MaxSupernodeBlocks caps supernode growth as a safety valve; at the
 	// cap the node accepts an unbalanced topological fallback split
-	// instead of growing further. 0 means unlimited.
+	// instead of growing further. 0 means unlimited. Kept as a field, not
+	// a constant, because the meta blob persists it: a tree reopens under
+	// the cap it was built with.
 	MaxSupernodeBlocks int
 
 	// RefineBound controls how eagerly a freshly split node's MDS lowers
@@ -43,6 +45,11 @@ type Config struct {
 	// Materialize controls whether directory entries store the aggregates
 	// of their subtrees. Disabling it (ablation) forces every range query
 	// to descend to the data nodes, like the X-tree baseline.
+	//
+	// This and the two switches below exist for one table, not for
+	// production: their caller is the ablation report (`dcbench -exp
+	// ablation`, bench.Ablation) and TestAblationsAgreeWithDefault holds
+	// every variant to the default's answers. The meta blob persists them.
 	Materialize bool
 
 	// DisableSupernodes forces the split algorithm to fall back to an

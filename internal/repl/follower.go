@@ -124,7 +124,7 @@ type Metrics struct {
 	// RecordsApplied counts records replayed into the replica tree.
 	RecordsApplied int64
 	// Resyncs counts listing refreshes forced by segments vanishing
-	// mid-read (primary truncation or recycling).
+	// mid-read (truncated away on the primary).
 	Resyncs int64
 	// Checkpoints counts replica checkpoints taken by the follower loop.
 	Checkpoints int64

@@ -1,9 +1,12 @@
 package repl
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -322,30 +325,89 @@ func TestShipperGapDetected(t *testing.T) {
 	}
 }
 
-// TestLease pins the heartbeat semantics: fresh while beating, stale
-// after ttl without beats, and gone (immediately takeover-able) after a
-// clean Stop.
+// TestCompressedFrameRefused: a whole frame in the retired compressed
+// format (bit 31 of the length word, valid CRC) stops the shipper and
+// openMirror with ErrUnsupportedFormat. Neither may treat it as a torn
+// tail: the shipper would wait forever for "the rest", and openMirror
+// would cut a valid frame off the mirror.
+func TestCompressedFrameRefused(t *testing.T) {
+	dir := t.TempDir()
+	prefix := filepath.Join(dir, "wal")
+	w, err := storage.OpenWAL(prefix, storage.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := w.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stored := []byte("stored bytes of a compressed record")
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(stored))|1<<31)
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(stored))
+	frame = append(frame, stored...)
+	segPath := storage.SegmentPath(prefix, 1)
+	image, err := os.ReadFile(segPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image = append(image, frame...)
+	if err := os.WriteFile(segPath, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// Shipping from that log stops at the frame.
+	m, err := openMirror(filepath.Join(dir, "mirror"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.close()
+	sh := &shipper{src: &DirSource{Prefix: prefix}, m: m, chunk: chunkBytes}
+	if _, err := sh.runOnce(); !errors.Is(err, storage.ErrUnsupportedFormat) {
+		t.Fatalf("runOnce err = %v, want ErrUnsupportedFormat", err)
+	}
+
+	// A mirror that holds the frame (copied by an older build) is refused
+	// on open, byte-identical afterwards.
+	if _, err := openMirror(prefix); !errors.Is(err, storage.ErrUnsupportedFormat) {
+		t.Fatalf("openMirror err = %v, want ErrUnsupportedFormat", err)
+	}
+	if after, _ := os.ReadFile(segPath); !bytes.Equal(after, image) {
+		t.Fatalf("openMirror changed the segment: %d bytes -> %d", len(image), len(after))
+	}
+}
+
+// TestLease pins the follower-side liveness check over the mtime contract:
+// a missing lease is dead, a refreshed one is alive, one not refreshed
+// within the ttl is dead, and removing it (clean shutdown) is dead at once.
 func TestLease(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "primary.lease")
 	if LeaseFresh(path, time.Minute) {
 		t.Fatal("fresh before the lease exists")
 	}
-	l, err := StartLease(path, 10*time.Millisecond)
-	if err != nil {
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if !LeaseFresh(path, time.Minute) {
-		t.Fatal("not fresh while beating")
+		t.Fatal("not fresh right after a refresh")
 	}
 	waitFor(t, 5*time.Second, "staleness under a tiny ttl", func() bool {
 		return !LeaseFresh(path, time.Nanosecond)
 	})
-	l.Stop()
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("lease file survives Stop: %v", err)
+	now := time.Now()
+	if err := os.Chtimes(path, now, now); err != nil {
+		t.Fatal(err)
+	}
+	if !LeaseFresh(path, time.Minute) {
+		t.Fatal("not fresh after touching the file again")
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
 	}
 	if LeaseFresh(path, time.Minute) {
-		t.Fatal("fresh after Stop removed the lease")
+		t.Fatal("fresh after the lease was removed")
 	}
-	l.Stop() // idempotent
 }

@@ -26,7 +26,7 @@ import (
 //	GET /repl/v1/segments?ack=LSN&epoch=E&follower=ID -> {"tip":…,"segments":[…]}
 //	    (409 Conflict when the ack's epoch fences the primary)
 //	GET /repl/v1/segment?index=I&first=L&off=O&max=M -> raw bytes
-//	    (410 Gone when the segment vanished or was recycled)
+//	    (410 Gone when the segment was truncated away)
 //	GET /repl/v1/schema            -> core.EncodeSchema blob
 //	GET /repl/v1/health            -> 200 while the source is healthy
 //
@@ -131,7 +131,7 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if seg.FirstLSN != first {
-			break // same index, different identity: recycled past the client
+			break // same index, different identity: not the log the client follows
 		}
 		data, err := s.src.ReadAt(seg, off, max)
 		if errors.Is(err, storage.ErrSegmentGone) {

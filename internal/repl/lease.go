@@ -1,127 +1,25 @@
 package repl
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Lease is the primary's liveness beacon for filesystem-transport
-// followers: a file whose modification time the primary refreshes on a
-// fixed heartbeat. A follower considers the primary dead when the file
-// goes stale past its TTL or disappears — Stop removes it, so a clean
-// primary shutdown releases waiting followers immediately.
+// The lease is the primary's liveness beacon for filesystem-transport
+// followers. Its contract is the file system's, not a Go API: the lease is
+// any file whose modification time the primary's supervisor refreshes on a
+// timer shorter than the followers' TTL (`touch <prefix>.lease` every
+// second against DefaultLeaseTTL), and removes to signal a clean shutdown.
+// A follower considers the primary dead when the file goes stale past the
+// TTL or is missing — so a lease path that nothing refreshes reads as a
+// dead primary from the first check, which is why no transport invents one
+// (DirSource.Lease empty = no failure detector).
 //
 // The lease is advisory, not a lock: it cannot fence a primary that is
-// alive but wedged. Fencing epochs (see ErrFenced) are what actually
-// kill a deposed primary's timeline; the lease only decides when a
-// follower's promotion timer arms.
-type Lease struct {
-	path  string
-	token string
-	stop  chan struct{}
-	done  chan struct{}
-	once  sync.Once
-}
-
-// leaseSeq disambiguates leases created by the same process in the same
-// nanosecond (tests do this routinely).
-var leaseSeq atomic.Uint64
-
-// StartLease writes the lease file and begins refreshing it every
-// interval until Stop. The interval should be a small fraction of the
-// followers' TTL (StartLease(path, ttl/3) against LeaseFresh(path, ttl)
-// is the conventional pairing).
-//
-// The file's content is a token unique to this Lease; Stop removes the
-// file only while it still holds that token, so a stale holder shutting
-// down late cannot delete a successor's live lease out from under it.
-func StartLease(path string, interval time.Duration) (*Lease, error) {
-	if interval <= 0 {
-		return nil, fmt.Errorf("repl: lease interval must be positive")
-	}
-	l := &Lease{
-		path: path,
-		token: fmt.Sprintf("%d-%d-%d\n",
-			os.Getpid(), time.Now().UnixNano(), leaseSeq.Add(1)),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	if err := l.create(); err != nil {
-		return nil, err
-	}
-	go func() {
-		defer close(l.done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-l.stop:
-				return
-			case <-t.C:
-				// A failed heartbeat (disk full, directory removed) is
-				// indistinguishable from death to followers, which is the
-				// correct failure direction; nothing to do but retry.
-				_ = l.beat()
-			}
-		}
-	}()
-	return l, nil
-}
-
-// create writes the lease file atomically (temp + rename), so followers
-// never observe a partially written token.
-func (l *Lease) create() error {
-	tmp, err := os.CreateTemp(filepath.Dir(l.path), ".lease-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.WriteString(l.token); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), l.path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
-}
-
-// beat refreshes the lease file's modification time in place. Bumping
-// the timestamp with Chtimes instead of rewriting the content keeps the
-// heartbeat from racing readers with a momentarily empty file; the file
-// is recreated (atomically) only when someone removed it.
-func (l *Lease) beat() error {
-	now := time.Now()
-	err := os.Chtimes(l.path, now, now)
-	if os.IsNotExist(err) {
-		return l.create()
-	}
-	return err
-}
-
-// Stop halts the heartbeat and removes the lease file, signalling an
-// intentional shutdown to followers. The removal is conditional: if the
-// file no longer holds this Lease's token — a newer primary re-leased
-// the same path — it is left alone. Safe to call more than once.
-func (l *Lease) Stop() {
-	l.once.Do(func() {
-		close(l.stop)
-		<-l.done
-		if cur, err := os.ReadFile(l.path); err != nil || string(cur) != l.token {
-			return
-		}
-		_ = os.Remove(l.path)
-	})
-}
+// alive but wedged. Fencing epochs (see ErrFenced) are what actually kill
+// a deposed primary's timeline; the lease only decides when a follower's
+// promotion timer arms.
 
 // LeaseFresh reports whether the lease file at path exists and was
 // refreshed within ttl — the follower-side liveness check.

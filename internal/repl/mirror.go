@@ -57,7 +57,10 @@ func openMirror(prefix string) (*mirror, error) {
 			return nil, fmt.Errorf("%w: %s shorter than its header", ErrMirrorCorrupt, s.Path)
 		}
 		body := data[storage.SegmentHeaderSize:]
-		frames, validLen := storage.ValidFramePrefix(body)
+		frames, validLen, err := storage.ValidFramePrefix(body)
+		if err != nil {
+			return nil, fmt.Errorf("mirror segment %s: %w", s.Path, err)
+		}
 		last := i == len(segs)-1
 		if int64(len(body)) > validLen {
 			if !last {

@@ -32,9 +32,9 @@
 // followers have confirmed the LSN — quorum acknowledgment on the
 // in-process and HTTP transports (DirSource carries no ack channel).
 //
-// The protocol invariants (frontier rules, the recycling hazard and its
-// header double-check defense, gap detection, the promotion state machine
-// with its epoch bump, and the failure matrix) are documented in
+// The protocol invariants (frontier rules, vanished segments and the
+// header identity check, gap detection, the promotion state machine with
+// its epoch bump, and the failure matrix) are documented in
 // REPLICATION.md at the repository root.
 package repl
 

@@ -12,8 +12,8 @@ import (
 // hand each record to the apply callback with its LSN. One shipper pass
 // (runOnce) makes progress up to the source's current frontier; the
 // follower drives passes on its poll interval, and the stress tests drive
-// them in a tight loop against a log being rotated, recycled and
-// truncated underneath.
+// them in a tight loop against a log being rotated and truncated
+// underneath.
 type shipper struct {
 	src   Source
 	m     *mirror
@@ -45,10 +45,9 @@ type shipProgress struct {
 }
 
 // runOnce ships everything the source currently exposes. A segment
-// vanishing mid-read (truncation or recycling on the primary) ends the
-// pass early and counts a resync — the next pass starts from a fresh
-// listing. ErrGap is permanent: the source no longer holds the records
-// the mirror needs next.
+// vanishing mid-read (truncation on the primary) ends the pass early and
+// counts a resync — the next pass starts from a fresh listing. ErrGap is
+// permanent: the source no longer holds the records the mirror needs next.
 func (sh *shipper) runOnce() (shipProgress, error) {
 	var prog shipProgress
 	segs, err := sh.src.Segments()
@@ -138,7 +137,7 @@ func (sh *shipper) runOnce() (shipProgress, error) {
 		off, err := sh.shipSegment(seg, mirrored, &prog)
 		if err != nil {
 			if errors.Is(err, storage.ErrSegmentGone) {
-				// Truncated or recycled under us; refresh next pass.
+				// Truncated away under us; refresh next pass.
 				prog.resyncs++
 				return prog, nil
 			}

@@ -17,9 +17,9 @@ import (
 // follower may safely ship (see storage.WALSegmentInfo.Size for the two
 // frontier flavors). ReadAt must never return bytes of a different segment
 // than the one described by seg — implementations back this with the
-// storage-layer header double-check and report a vanished or recycled
-// segment as storage.ErrSegmentGone, which the follower treats as "refresh
-// the listing and resume", not an error.
+// storage-layer header double-check and report a segment that was
+// truncated away as storage.ErrSegmentGone, which the follower treats as
+// "refresh the listing and resume", not an error.
 type Source interface {
 	// Segments lists the currently shippable segments in index order.
 	Segments() ([]storage.WALSegmentInfo, error)
@@ -82,7 +82,7 @@ func (s *WALSource) Segments() ([]storage.WALSegmentInfo, error) {
 	return w.Segments(), nil
 }
 
-// ReadAt reads segment bytes with the recycling-safe header double-check.
+// ReadAt reads segment bytes under the header identity check.
 func (s *WALSource) ReadAt(seg storage.WALSegmentInfo, off int64, max int) ([]byte, error) {
 	return storage.ReadSegmentRange(seg.Path, seg.HeaderFor(), off, max)
 }
@@ -117,9 +117,9 @@ func (s *WALSource) TipLSN() uint64 {
 // crash recovery would reconstruct from those files.
 //
 // Failure detection is optional: with Lease set, Healthy reports whether
-// the lease file is fresh (see StartLease); a primary that stops
-// heartbeating — or removes its lease on clean shutdown — lets the
-// follower's promotion timer run.
+// the lease file is fresh (see lease.go for the mtime contract); a primary
+// whose supervisor stops refreshing it — or removes it on clean shutdown —
+// lets the follower's promotion timer run.
 type DirSource struct {
 	// Prefix is the primary's WAL path prefix, as passed to OpenDurable.
 	Prefix string
@@ -164,7 +164,7 @@ func (s *DirSource) Segments() ([]storage.WALSegmentInfo, error) {
 	return storage.ListSegments(s.Prefix)
 }
 
-// ReadAt reads segment bytes with the recycling-safe header double-check.
+// ReadAt reads segment bytes under the header identity check.
 func (s *DirSource) ReadAt(seg storage.WALSegmentInfo, off int64, max int) ([]byte, error) {
 	return storage.ReadSegmentRange(seg.Path, seg.HeaderFor(), off, max)
 }

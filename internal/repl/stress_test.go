@@ -18,9 +18,9 @@ func stressPayload(i uint64) []byte {
 }
 
 // TestShipTailStress tails a live WAL through the directory transport
-// while the writer rotates, recycles and truncates it as fast as it can —
-// under -race in CI. The follower must never observe a torn frame, a
-// recycled segment's stale frames, or a gap: the shipped stream has to be
+// while the writer rotates and truncates it as fast as it can — under
+// -race in CI. The follower must never observe a torn frame, another
+// segment's frames, or a gap: the shipped stream has to be
 // exactly records 1..N, each byte-identical to what was appended, with
 // truncation never outrunning the acknowledged mirror frontier.
 func TestShipTailStress(t *testing.T) {
@@ -30,7 +30,6 @@ func TestShipTailStress(t *testing.T) {
 
 	w, err := storage.OpenWAL(prefix, storage.WALOptions{
 		SegmentBytes: 2 << 10, // tiny segments: constant rotation
-		RecyclePool:  3,       // retired segments come back rewritten
 	})
 	if err != nil {
 		t.Fatal(err)

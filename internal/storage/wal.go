@@ -32,6 +32,11 @@ import (
 //	uint32  CRC32 (IEEE) of the payload
 //	bytes   payload
 //
+// A segment file has one lifecycle: it is created under its numeric name,
+// appended to, sealed by rotation and removed by truncation. It is never
+// renamed and never rewritten, and indices are never reused, so a path
+// names the same segment for as long as the file exists.
+//
 // Records carry log sequence numbers (LSNs), assigned 1,2,3,… and monotone
 // across segment rotation AND across Truncate, so a checkpoint can durably
 // record "everything ≤ L is superseded" and recovery can skip exactly those
@@ -53,23 +58,21 @@ import (
 // Sync covers it — while the per-append cost drops to a memcpy, which is
 // what lets one commit leader drain many appenders per disk flush.
 type WAL struct {
-	mu       sync.Mutex
-	prefix   string
-	opts     WALOptions
-	f        *os.File // active segment
-	active   walSegment
-	size     int64  // logical bytes in the active segment (flushed + buffered)
-	flushed  int64  // bytes actually written to the active file
-	buf      []byte // frames appended but not yet written to the file
-	nextLSN  uint64
-	records  int64 // records currently stored across all segments
-	sealed   []walSegment
-	closed   bool
-	appends  atomic.Int64
-	syncs    atomic.Int64
-	appended atomic.Int64 // logical payload bytes appended
-	stored   atomic.Int64 // frame bytes written (overhead + stored payload)
-	recycled atomic.Int64 // segments reused from the recycle pool
+	mu      sync.Mutex
+	prefix  string
+	opts    WALOptions
+	f       *os.File // active segment
+	active  walSegment
+	size    int64  // logical bytes in the active segment (flushed + buffered)
+	flushed int64  // bytes actually written to the active file
+	buf     []byte // frames appended but not yet written to the file
+	nextLSN uint64
+	records int64 // records currently stored across all segments
+	sealed  []walSegment
+	closed  bool
+	appends atomic.Int64
+	syncs   atomic.Int64
+	stored  atomic.Int64 // frame bytes appended (overhead + payload)
 	// syncedLSN tracks the LSN half of the durable frontier (updated by
 	// Sync and by rotation, whose fsync seals a whole segment); the byte
 	// half lives per segment in walSegment.synced — Sync snapshots the
@@ -90,13 +93,6 @@ type WAL struct {
 	// headers, so a promotion's bump survives any crash once the first
 	// post-bump segment header is durable.
 	epoch uint64
-
-	// recycle is the pool of retired segment files awaiting reuse
-	// (non-numeric names, invisible to findSegments); recycleSeq names them
-	// uniquely across the log's lifetime.
-	recycle    []string
-	recycleSeq uint64
-	poolCap    int
 }
 
 // walSegment identifies one segment file.
@@ -127,16 +123,6 @@ type WALOptions struct {
 	// disk-bound regime (commit latencies in the milliseconds) that fast
 	// container filesystems hide. 0 in production.
 	SyncDelay time.Duration
-	// Compress LZ-compresses record payloads on append (per frame, flagged
-	// in the frame's length word; frames that do not shrink stay raw).
-	// Replay is format-agnostic, so logs mix compressed and raw frames
-	// freely and the knob can change between opens.
-	Compress bool
-	// RecyclePool caps how many truncated/rotated-out segment files are
-	// kept (renamed, not removed) for reuse by the next segment creation,
-	// avoiding the create/remove metadata churn of every checkpoint.
-	// 0 selects the default of 4; negative disables recycling.
-	RecyclePool int
 	// RetainSegments keeps at least this many of the newest sealed
 	// segments through TruncateBefore even when a checkpoint supersedes
 	// them — a static retention cushion for log-shipping followers that
@@ -147,13 +133,15 @@ type WALOptions struct {
 
 // WALStats is a snapshot of the log's activity counters.
 type WALStats struct {
-	Appends       int64 // records appended
-	Syncs         int64 // fsync calls issued
-	BytesAppended int64 // logical payload bytes appended (pre-compression)
-	BytesStored   int64 // frame bytes written: overhead + (compressed) payload
-	Records       int64 // records currently stored (since last truncate)
-	Segments      int   // segment files currently on disk (excluding the pool)
-	Recycled      int64 // segment creations served from the recycle pool
+	Appends     int64 // records appended
+	Syncs       int64 // fsync calls issued
+	BytesStored int64 // frame bytes appended: overhead + payload
+	Records     int64 // records currently stored (since last truncate)
+	Segments    int   // segment files currently on disk
+	// Recycled is always 0: the recycle pool it counted is retired. The
+	// field stays only because benchmark/workloads.go reads it; it goes with
+	// the next [benchmark] PR (ROADMAP item 2(g)).
+	Recycled int64
 }
 
 // Errors returned by the WAL.
@@ -174,10 +162,10 @@ const (
 	walFrameOverhead = 8             // uint32 length + uint32 crc
 	walMaxRecord     = 64 << 20
 	walDefaultSeg    = 4 << 20
-	walDefaultPool   = 4
-	// walFrameCompressed flags a frame whose payload is walCompress output
-	// in the top bit of the frame's length word (lengths are ≤ 64 MiB, so
-	// the bit is otherwise always clear).
+	// walFrameCompressed is the top bit of a frame's length word, which an
+	// older build set on frames whose payload it had compressed (lengths are
+	// ≤ 64 MiB, so this build never sets it). Such a frame is refused with
+	// ErrUnsupportedFormat by every frame reader — see frameAt.
 	walFrameCompressed = uint32(1) << 31
 )
 
@@ -186,18 +174,13 @@ func walSegmentPath(prefix string, index uint64) string {
 	return fmt.Sprintf("%s.%08d.wal", prefix, index)
 }
 
-// walRecyclePath names recycle-pool files. The middle token is not a
-// decimal segment index, so findSegments (and therefore open, replay and
-// crash images) never mistake a pooled file for part of the log.
-func walRecyclePath(prefix string, seq uint64) string {
-	return fmt.Sprintf("%s.recycle%06d.wal", prefix, seq)
-}
-
 // OpenWAL opens (or creates) the write-ahead log with the given file
 // prefix. Existing segments are scanned front to back: every frame is
 // CRC-checked, LSN continuity across segments is verified, and a torn tail
 // in the final segment is truncated away, so the reopened log is exactly
-// the valid prefix of what was appended before the crash.
+// the valid prefix of what was appended before the crash. A frame in the
+// retired compressed format fails the open with ErrUnsupportedFormat and
+// leaves every file as it was.
 func OpenWAL(prefix string, opts WALOptions) (*WAL, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = walDefaultSeg
@@ -205,15 +188,8 @@ func OpenWAL(prefix string, opts WALOptions) (*WAL, error) {
 	if opts.SegmentBytes < walSegHeaderSize+walFrameOverhead {
 		return nil, fmt.Errorf("%w: segment size %d too small", ErrBadExtent, opts.SegmentBytes)
 	}
-	w := &WAL{prefix: prefix, opts: opts, nextLSN: 1, poolCap: opts.RecyclePool, retainLSN: ^uint64(0)}
-	if w.poolCap == 0 {
-		w.poolCap = walDefaultPool
-	} else if w.poolCap < 0 {
-		w.poolCap = 0
-	}
-	if err := w.adoptRecyclePool(); err != nil {
-		return nil, err
-	}
+	w := &WAL{prefix: prefix, opts: opts, nextLSN: 1, retainLSN: ^uint64(0)}
+	removeLeftoverPool(prefix)
 
 	segs, err := findSegments(prefix)
 	if err != nil {
@@ -325,62 +301,20 @@ func findSegments(prefix string) ([]walSegFile, error) {
 	return cands, nil
 }
 
-// adoptRecyclePool rediscovers recycle-pool files left by a previous
-// process (including one that crashed between reusing a pooled file and
-// renaming it into the log — the half-rewritten file simply stays pooled).
-// Files beyond the pool cap are removed.
-func (w *WAL) adoptRecyclePool() error {
-	matches, err := filepath.Glob(w.prefix + ".recycle*.wal")
-	if err != nil {
-		return err
-	}
-	type pooled struct {
-		seq  uint64
-		path string
-	}
-	var found []pooled
+// removeLeftoverPool best-effort removes the <prefix>.recycle*.wal files
+// an older build kept retired segments in for reuse. They hold no log
+// records (findSegments never listed them), so nothing is lost with them.
+func removeLeftoverPool(prefix string) {
+	matches, _ := filepath.Glob(prefix + ".recycle*.wal")
 	for _, m := range matches {
-		base := strings.TrimSuffix(strings.TrimPrefix(m, w.prefix+".recycle"), ".wal")
-		seq, err := strconv.ParseUint(base, 10, 64)
-		if err != nil {
-			continue // unrelated file
-		}
-		found = append(found, pooled{seq: seq, path: m})
-		if seq >= w.recycleSeq {
-			w.recycleSeq = seq + 1
-		}
+		os.Remove(m)
 	}
-	sort.Slice(found, func(i, j int) bool { return found[i].seq < found[j].seq })
-	for i, p := range found {
-		if i < w.poolCap {
-			w.recycle = append(w.recycle, p.path)
-			continue
-		}
-		if err := os.Remove(p.path); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-	}
-	return nil
 }
 
-// retireLocked disposes of a superseded segment file: renamed into the
-// recycle pool when there is room, removed otherwise. A missing file
-// counts as success, so a truncation retried after a partial failure is
-// idempotent. Caller holds w.mu.
-func (w *WAL) retireLocked(path string) error {
-	if len(w.recycle) < w.poolCap {
-		rp := walRecyclePath(w.prefix, w.recycleSeq)
-		switch err := os.Rename(path, rp); {
-		case err == nil:
-			w.recycleSeq++
-			w.recycle = append(w.recycle, rp)
-			return nil
-		case os.IsNotExist(err):
-			return nil
-		}
-		// Rename refused (e.g. cross-device prefix tricks): fall through to
-		// plain removal rather than failing the truncation.
-	}
+// removeSegment deletes a superseded segment file. A missing file counts
+// as success, so a truncation retried after a partial failure is
+// idempotent.
+func removeSegment(path string) error {
 	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 		return err
 	}
@@ -417,7 +351,8 @@ func parseSegHeader(data []byte, info *segmentInfo) error {
 
 // scanSegment validates a segment's header and frames. When tolerateTail
 // is true an invalid frame ends the scan cleanly (torn tail of the final
-// segment); otherwise it is corruption.
+// segment); otherwise it is corruption. A retired-format frame is
+// ErrUnsupportedFormat either way.
 func scanSegment(path string, tolerateTail bool) (segmentInfo, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -429,8 +364,11 @@ func scanSegment(path string, tolerateTail bool) (segmentInfo, error) {
 	}
 	off := int64(walSegHeaderSize)
 	for {
-		n, ok := frameAt(data, off)
-		if !ok {
+		n, err := frameAt(data, off)
+		if err != nil {
+			return segmentInfo{}, fmt.Errorf("segment %s: %w", path, err)
+		}
+		if n == 0 {
 			if off < int64(len(data)) && !tolerateTail {
 				return segmentInfo{}, fmt.Errorf("%w: segment %s bad frame at %d", ErrWALCorrupt, path, off)
 			}
@@ -443,65 +381,58 @@ func scanSegment(path string, tolerateTail bool) (segmentInfo, error) {
 	return info, nil
 }
 
-// frameAt validates the frame starting at off and returns its total size.
-// The CRC covers the stored bytes, so validation needs no decompression.
-func frameAt(data []byte, off int64) (int64, bool) {
+// frameAt validates the frame starting at off and returns its total size,
+// or 0 when no whole CRC-valid frame starts there (end of data, a torn
+// write or damage — the caller knows which positions tolerate that).
+//
+// A length word with walFrameCompressed set is checked with the bit masked
+// off: if the CRC then verifies, the frame is a whole one written by an
+// older build with compression on, and the error is ErrUnsupportedFormat.
+// Without this arm such a frame would read as "longer than walMaxRecord",
+// i.e. as a torn tail, and OpenWAL would truncate a valid log.
+func frameAt(data []byte, off int64) (int64, error) {
 	if int64(len(data))-off < walFrameOverhead {
-		return 0, false
+		return 0, nil
 	}
 	word := binary.LittleEndian.Uint32(data[off:])
 	length := int64(word &^ walFrameCompressed)
 	if length == 0 || length > walMaxRecord {
-		return 0, false
+		return 0, nil
 	}
 	if int64(len(data))-off < walFrameOverhead+length {
-		return 0, false
+		return 0, nil
 	}
 	sum := binary.LittleEndian.Uint32(data[off+4:])
 	payload := data[off+walFrameOverhead : off+walFrameOverhead+length]
 	if crc32.ChecksumIEEE(payload) != sum {
-		return 0, false
+		return 0, nil
 	}
-	return walFrameOverhead + length, true
+	if word&walFrameCompressed != 0 {
+		return 0, fmt.Errorf("%w: compressed wal frame at %d", ErrUnsupportedFormat, off)
+	}
+	return walFrameOverhead + length, nil
 }
 
-// framePayload extracts (decompressing if flagged) the logical payload of
-// a frame frameAt already validated. A CRC-valid frame that fails to
-// decompress cannot be a torn write — the CRC covers every stored byte —
-// so it is reported as corruption.
-func framePayload(data []byte, off, frameSize int64) ([]byte, error) {
-	word := binary.LittleEndian.Uint32(data[off:])
-	stored := data[off+walFrameOverhead : off+frameSize]
-	if word&walFrameCompressed == 0 {
-		return stored, nil
-	}
-	return walDecompress(stored)
-}
-
-// createSegment installs a fresh active segment (called with the caller
-// holding w.mu or during construction): a file from the recycle pool when
-// one is available, a newly created one otherwise.
+// createSegment installs a fresh active segment — the one way a segment
+// file comes to exist (called with the caller holding w.mu or during
+// construction).
 func (w *WAL) createSegment(index, firstLSN uint64) error {
 	path := walSegmentPath(w.prefix, index)
-	f := w.reuseRecycledLocked(index, firstLSN, path)
-	if f == nil {
-		var err error
-		f, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-		if err != nil {
-			return err
-		}
-		if err := writeSegHeader(f, index, firstLSN, w.epoch); err != nil {
-			f.Close()
-			return err
-		}
-		// The header (and the file's existence) must survive a crash before
-		// the first Sync, or recovery would see a headerless tail segment.
-		// This fsync is also what makes an epoch bump durable: BumpEpoch
-		// returns only after the first new-epoch segment header is on disk.
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if err := writeSegHeader(f, index, firstLSN, w.epoch); err != nil {
+		f.Close()
+		return err
+	}
+	// The header (and the file's existence) must survive a crash before
+	// the first Sync, or recovery would see a headerless tail segment.
+	// This fsync is also what makes an epoch bump durable: BumpEpoch
+	// returns only after the first new-epoch segment header is on disk.
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
 	}
 	syncDir(filepath.Dir(path))
 	w.f = f
@@ -517,37 +448,6 @@ func (w *WAL) createSegment(index, firstLSN uint64) error {
 func writeSegHeader(f *os.File, index, firstLSN, epoch uint64) error {
 	_, err := f.WriteAt(EncodeSegmentHeader(SegmentHeader{Index: index, FirstLSN: firstLSN, Epoch: epoch}), 0)
 	return err
-}
-
-// reuseRecycledLocked pops a pooled segment file and rewrites it into the
-// segment at (index, firstLSN): new header, stale frames cut off, both
-// fsynced BEFORE the rename claims the numeric name — so a crash at any
-// point either leaves the file in the pool (ignored by open) or installs a
-// fully valid empty segment. Returns nil (falling back to a fresh create)
-// on any error; the pool is an optimization, never a correctness
-// dependency. Caller holds w.mu.
-func (w *WAL) reuseRecycledLocked(index, firstLSN uint64, path string) *os.File {
-	for len(w.recycle) > 0 {
-		rp := w.recycle[len(w.recycle)-1]
-		w.recycle = w.recycle[:len(w.recycle)-1]
-		f, err := os.OpenFile(rp, os.O_RDWR, 0o644)
-		if err != nil {
-			continue // pool entry vanished or unreadable; try the next
-		}
-		if err := writeSegHeader(f, index, firstLSN, w.epoch); err == nil {
-			if err = f.Truncate(walSegHeaderSize); err == nil {
-				if err = f.Sync(); err == nil {
-					if err = os.Rename(rp, path); err == nil {
-						w.recycled.Add(1)
-						return f
-					}
-				}
-			}
-		}
-		f.Close()
-		os.Remove(rp) // best effort: a half-rewritten pool file is useless
-	}
-	return nil
 }
 
 // syncDir best-effort fsyncs a directory so file creation/removal is
@@ -577,25 +477,16 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	stored := payload
-	lengthWord := uint32(len(payload))
-	if w.opts.Compress {
-		if c := walCompress(payload); c != nil {
-			stored = c
-			lengthWord = uint32(len(c)) | walFrameCompressed
-		}
-	}
 	var hdr [walFrameOverhead]byte
-	binary.LittleEndian.PutUint32(hdr[:], lengthWord)
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(stored))
-	w.buf = append(append(w.buf, hdr[:]...), stored...)
-	w.size += walFrameOverhead + int64(len(stored))
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
+	w.buf = append(append(w.buf, hdr[:]...), payload...)
+	w.size += walFrameOverhead + int64(len(payload))
 	lsn := w.nextLSN
 	w.nextLSN++
 	w.records++
 	w.appends.Add(1)
-	w.appended.Add(int64(len(payload)))
-	w.stored.Add(walFrameOverhead + int64(len(stored)))
+	w.stored.Add(walFrameOverhead + int64(len(payload)))
 	return lsn, nil
 }
 
@@ -734,18 +625,17 @@ func (w *WAL) Replay(fn func(lsn uint64, payload []byte) error) error {
 		lsn := hdr.firstLSN
 		off := int64(walSegHeaderSize)
 		for {
-			n, ok := frameAt(data, off)
-			if !ok {
+			n, err := frameAt(data, off)
+			if err != nil {
+				return fmt.Errorf("segment %s: %w", seg.path, err)
+			}
+			if n == 0 {
 				if off < int64(len(data)) && i < len(segs)-1 {
 					return fmt.Errorf("%w: segment %s bad frame at %d", ErrWALCorrupt, seg.path, off)
 				}
 				break
 			}
-			payload, err := framePayload(data, off, n)
-			if err != nil {
-				return fmt.Errorf("%w: segment %s frame at %d: %v", ErrWALCorrupt, seg.path, off, err)
-			}
-			if err := fn(lsn, payload); err != nil {
+			if err := fn(lsn, data[off+walFrameOverhead:off+n]); err != nil {
 				return err
 			}
 			lsn++
@@ -831,11 +721,11 @@ func (w *WAL) TruncateBefore(lsn uint64) error {
 			seg.f.Close()
 			w.sealed[i].f = nil // never double-close on retry
 		}
-		// retireLocked treats an already-missing file as success, so a
+		// removeSegment treats an already-missing file as success, so a
 		// retry after a partial failure re-walks the same prefix without
 		// double-counting; the record count only moves with a successful
-		// retirement, keeping it consistent with the files on disk.
-		if err := w.retireLocked(seg.path); err != nil {
+		// removal, keeping it consistent with the files on disk.
+		if err := removeSegment(seg.path); err != nil {
 			// Keep the not-yet-retired suffix (including this segment)
 			// tracked so a retry or Close still sees it.
 			w.sealed = append([]walSegment(nil), w.sealed[i:]...)
@@ -874,13 +764,13 @@ func (w *WAL) truncateAllLocked() error {
 		if seg.f != nil {
 			seg.f.Close()
 		}
-		if err := w.retireLocked(seg.path); err != nil && firstErr == nil {
+		if err := removeSegment(seg.path); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	// The new segment has already replaced the old ones in w's accounting;
-	// sync the directory once regardless of individual retirement failures
-	// so every completed rename/removal is durable.
+	// sync the directory once regardless of individual removal failures so
+	// every completed removal is durable.
 	syncDir(filepath.Dir(w.active.path))
 	return firstErr
 }
@@ -997,12 +887,10 @@ func (w *WAL) Stats() WALStats {
 	records := w.records
 	w.mu.Unlock()
 	return WALStats{
-		Appends:       w.appends.Load(),
-		Syncs:         w.syncs.Load(),
-		BytesAppended: w.appended.Load(),
-		BytesStored:   w.stored.Load(),
-		Records:       records,
-		Segments:      segments,
-		Recycled:      w.recycled.Load(),
+		Appends:     w.appends.Load(),
+		Syncs:       w.syncs.Load(),
+		BytesStored: w.stored.Load(),
+		Records:     records,
+		Segments:    segments,
 	}
 }

@@ -190,8 +190,7 @@ func TestWALTruncatePreservesLSNs(t *testing.T) {
 		t.Fatalf("append after truncate: lsn %d, %v", lsn, err)
 	}
 
-	// Exactly one live segment remains; retired files may sit in the
-	// recycle pool (named outside the numeric segment scheme).
+	// Exactly one segment file remains.
 	segs, err := findSegments(prefix)
 	if err != nil || len(segs) != 1 {
 		t.Fatalf("segments after truncate: %v (%v)", segs, err)

@@ -13,20 +13,19 @@ import (
 // full, the active segment up to its durable frontier — and replays the
 // records into its own replica of the store. This file holds the pieces of
 // that protocol that belong to the storage layer: safe enumeration of the
-// segment set, reading segment bytes without racing rotation and
-// recycling, and the retention floor that keeps segments on disk until
+// segment set, reading segment bytes while the writer rotates and
+// truncates, and the retention floor that keeps segments on disk until
 // followers have shipped them.
 //
-// The one hazard specific to reading another process's live log is segment
-// recycling: a sealed segment that a checkpoint retires is renamed into
-// the recycle pool and may be REWRITTEN in place (new header, truncated,
-// re-appended) before being renamed back into the log under a new index. A
-// reader holding the file open across that rewrite could observe
-// CRC-valid frames that belong to a different segment. The defense is the
-// header double-check: every read validates the fixed header against the
-// expected (index, firstLSN, epoch) BOTH before and after reading the byte
-// range, and reuse rewrites the header first — so any read that overlapped
-// a rewrite fails with ErrSegmentGone instead of returning stale frames.
+// The log's own writer never changes a byte it has written: a segment file
+// only grows and is then removed, and its index is never used again. So the
+// one thing a reader of another process's live log must expect is a segment
+// that is no longer there (ErrSegmentGone). Every read still validates the
+// fixed header against the expected (index, firstLSN, epoch) before and
+// after reading the byte range — a cheap identity check that turns a file
+// cut short or replaced by something outside the log (an operator's copy,
+// a restore under the same name) into ErrSegmentGone instead of frames
+// attributed to the wrong segment.
 
 // WALSegmentInfo describes one segment of a write-ahead log as visible to
 // a log-shipping reader.
@@ -56,10 +55,10 @@ type WALSegmentInfo struct {
 func (s WALSegmentInfo) LastLSN(nextFirstLSN uint64) uint64 { return nextFirstLSN - 1 }
 
 // ErrSegmentGone reports a segment file that no longer holds the expected
-// segment: it was truncated away, or recycled into a new segment, between
-// the reader learning about it and reading it. Followers resynchronize
-// from a fresh Segments listing when they see it.
-var ErrSegmentGone = errors.New("storage: wal segment gone or recycled")
+// segment: it was truncated away between the reader learning about it and
+// reading it. Followers resynchronize from a fresh Segments listing when
+// they see it.
+var ErrSegmentGone = errors.New("storage: wal segment gone")
 
 // SegmentHeader is the parsed fixed header of a WAL segment file
 // (SegmentHeaderSize bytes on disk; the first frame follows it).
@@ -141,8 +140,9 @@ func ListSegments(prefix string) ([]WALSegmentInfo, error) {
 			return nil, err
 		}
 		if hdr.Index != f.index {
-			// Mid-recycle rewrite caught between rename steps; not part of
-			// the log right now.
+			// A file whose header names another segment is not part of
+			// this log (indices are never reused, so the writer cannot
+			// have produced it).
 			continue
 		}
 		segs = append(segs, WALSegmentInfo{
@@ -181,7 +181,7 @@ func readHeaderAndSize(path string) (SegmentHeader, int64, error) {
 
 // readHeader reads and validates the fixed segment header from an open
 // file. An absent or foreign header is ErrSegmentGone (the file is being
-// created or was recycled), not corruption.
+// created, or is not this log's), not corruption.
 func readHeader(f *os.File) (SegmentHeader, error) {
 	var buf [walSegHeaderSize]byte
 	n, err := f.ReadAt(buf[:], 0)
@@ -206,12 +206,13 @@ func ReadSegmentHeader(path string) (SegmentHeader, error) {
 
 // ReadSegmentRange reads up to max raw bytes of the segment at path
 // starting at byte offset off, on behalf of a log-shipping reader. The
-// header is validated against want both BEFORE and AFTER the range read:
-// segment reuse rewrites the header first, so a read that overlapped a
-// recycle rewrite — the only way the file's bytes can change other than
-// growing — fails with ErrSegmentGone rather than returning frames of a
-// different segment. A short (or empty) result near the end of the file is
-// normal for the active segment and not an error.
+// header is validated against want both before and after the range read.
+// The log's writer only appends to a segment and removes it, so this is
+// not a guard against the writer; it is the identity check that makes a
+// file truncated or replaced from outside fail with ErrSegmentGone rather
+// than return frames of a different segment. A short (or empty) result
+// near the end of the file is normal for the active segment and not an
+// error.
 func ReadSegmentRange(path string, want SegmentHeader, off int64, max int) ([]byte, error) {
 	if off < walSegHeaderSize || max <= 0 {
 		return nil, fmt.Errorf("storage: bad segment range off=%d max=%d", off, max)
@@ -271,37 +272,34 @@ const SegmentHeaderSize = walSegHeaderSize
 func SegmentPath(prefix string, index uint64) string { return walSegmentPath(prefix, index) }
 
 // DecodeFrames parses the leading whole, CRC-valid frames of data (raw
-// segment bytes with no header) and returns their logical payloads
-// (decompressed when the frame is compressed) along with the byte length
-// of the valid prefix. Bytes past validLen are an incomplete or torn
-// frame: a follower keeps them pending until the rest arrives. A CRC-valid
-// frame that fails to decompress is corruption, reported as ErrWALCorrupt.
+// segment bytes with no header) and returns their payloads (slices of
+// data) along with the byte length of the valid prefix. Bytes past validLen
+// are an incomplete or torn frame: a follower keeps them pending until the
+// rest arrives. A whole frame in the retired compressed format is
+// ErrUnsupportedFormat.
 func DecodeFrames(data []byte) (payloads [][]byte, validLen int64, err error) {
 	var off int64
 	for {
-		n, ok := frameAt(data, off)
-		if !ok {
-			return payloads, off, nil
+		n, err := frameAt(data, off)
+		if n == 0 {
+			return payloads, off, err
 		}
-		p, err := framePayload(data, off, n)
-		if err != nil {
-			return payloads, off, fmt.Errorf("%w: frame at %d: %v", ErrWALCorrupt, off, err)
-		}
-		payloads = append(payloads, p)
+		payloads = append(payloads, data[off+walFrameOverhead:off+n])
 		off += n
 	}
 }
 
-// ValidFramePrefix returns the byte length and frame count of the leading
+// ValidFramePrefix returns the frame count and byte length of the leading
 // whole, CRC-valid frames of data (raw segment bytes with no header),
 // without materializing payloads — the validation a follower runs before
-// appending shipped bytes to its mirror.
-func ValidFramePrefix(data []byte) (frames int, validLen int64) {
+// trusting mirrored bytes. A whole frame in the retired compressed format
+// is ErrUnsupportedFormat, never a torn tail to cut off.
+func ValidFramePrefix(data []byte) (frames int, validLen int64, err error) {
 	var off int64
 	for {
-		n, ok := frameAt(data, off)
-		if !ok {
-			return frames, off
+		n, err := frameAt(data, off)
+		if n == 0 {
+			return frames, off, err
 		}
 		frames++
 		off += n

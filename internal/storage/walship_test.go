@@ -150,8 +150,8 @@ func TestReadSegmentRangeHeaderGuard(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadSegmentRange: %v", err)
 	}
-	frames, valid := ValidFramePrefix(data)
-	if frames != 5 || valid != seg.Size-SegmentHeaderSize {
+	frames, valid, err := ValidFramePrefix(data)
+	if err != nil || frames != 5 || valid != seg.Size-SegmentHeaderSize {
 		t.Fatalf("frames=%d valid=%d size=%d", frames, valid, seg.Size)
 	}
 	payloads, _, err := DecodeFrames(data)
@@ -159,8 +159,9 @@ func TestReadSegmentRangeHeaderGuard(t *testing.T) {
 		t.Fatalf("DecodeFrames = %d payloads, %v", len(payloads), err)
 	}
 
-	// A header that no longer matches — the recycle-rewrite signature —
-	// must fail the read instead of returning frames.
+	// A header that no longer matches — the file was replaced by something
+	// that is not this segment — must fail the read instead of returning
+	// frames.
 	if _, err := ReadSegmentRange(seg.Path, SegmentHeader{Index: seg.Index + 7, FirstLSN: 1}, SegmentHeaderSize, 64); !errors.Is(err, ErrSegmentGone) {
 		t.Fatalf("mismatched header: err = %v, want ErrSegmentGone", err)
 	}
