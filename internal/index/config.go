@@ -27,9 +27,9 @@ type Config struct {
 
 	// MaxSupernodeBlocks caps supernode growth as a safety valve; at the
 	// cap the node accepts an unbalanced topological fallback split
-	// instead of growing further. 0 means unlimited. Kept as a field, not
-	// a constant, because the meta blob persists it: a tree reopens under
-	// the cap it was built with.
+	// instead of growing further. 0 selects the default (64): there is no
+	// uncapped setting. Kept as a field, not a constant, because the meta
+	// blob persists it: a tree reopens under the cap it was built with.
 	MaxSupernodeBlocks int
 
 	// RefineBound controls how eagerly a freshly split node's MDS lowers

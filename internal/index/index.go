@@ -129,7 +129,7 @@ type Counters struct {
 }
 
 // New creates an empty index whose nodes live in store: the root is a data
-// node minted by store.New.
+// node minted by store.New. cfg must be normalized.
 func New(schema *cube.Schema, cfg Config, store Store) *Index {
 	ix := Restore(schema, cfg, store, NilNode, mds.Top(schema.Dims()), 1, 0)
 	ix.root = store.New(true).id

@@ -61,14 +61,10 @@ func (ix *Index) splitNode(n *Node, nodeMDS mds.MDS) (insertResult, error) {
 			level--
 		}
 		for ; level >= 0; level-- {
-			adapted, err := ix.adaptEntries(n, nodeMDS, dim, level)
-			if err != nil {
+			if err := ix.adaptEntries(n, nodeMDS, dim, level); err != nil {
 				return insertResult{}, err
 			}
-			g1, g2, cov1, cov2, err := ix.hierarchySplit(adapted, dim, minFill)
-			if err != nil {
-				return insertResult{}, err
-			}
+			g1, g2, cov1, cov2 := ss.hierarchySplit(dim, minFill)
 			if len(g1) == 0 || len(g2) == 0 {
 				continue
 			}
@@ -90,8 +86,7 @@ func (ix *Index) splitNode(n *Node, nodeMDS mds.MDS) (insertResult, error) {
 	}
 
 	// No acceptable split in any dimension (Fig. 5: "Create supernode").
-	mayGrow := !ix.cfg.DisableSupernodes &&
-		(ix.cfg.MaxSupernodeBlocks == 0 || n.blocks < ix.cfg.MaxSupernodeBlocks)
+	mayGrow := !ix.cfg.DisableSupernodes && n.blocks < ix.cfg.MaxSupernodeBlocks
 	fb := &ss.fallback
 	if mayGrow || !fb.ok {
 		// A missing fallback cannot happen with ≥ 2 entries, but guard by
@@ -108,28 +103,30 @@ func (ix *Index) splitNode(n *Node, nodeMDS mds.MDS) (insertResult, error) {
 	return ix.buildSplit(n, fb.g[0], fb.g[1], fb.cov[0], fb.cov[1])
 }
 
-// splitScratch is the workspace of one splitNode call. The entry
-// descriptions the hierarchy split compares are MDSs whose dimension sets
-// are carved from dimSlab and whose value sets are carved from one column
-// per dimension; the two group covers grow in a pair of CoverBufs each.
+// splitScratch is the workspace of one splitNode call. The entries'
+// descriptions the hierarchy split compares are one column of value sets per
+// dimension, all of a column at one level, so its operands are aligned by
+// construction; the two groups' covers grow in storage the scratch owns.
 // Nothing here survives the call: see writeScratch's ownership rule.
 type splitScratch struct {
 	// base[d] holds the entries' value sets in dimension d at the node's
 	// own relevant level — what every (split dimension, rung) other than
 	// d's own compares — and is built on first use; rung holds the split
-	// dimension's sets at the ladder rung being tried.
+	// dimension's sets at the ladder rung being tried. cols lists the
+	// candidate's operands: base, with rung in the split dimension.
 	base     []column
 	haveBase []bool
 	rung     column
-
-	dimSlab []mds.DimSet
-	adapted []mds.MDS
-	order   []int
+	cols     []*column
+	order    []int
 
 	g         [2][]int
 	gain      [2][]int
 	remaining []int
-	bufs      [2][2]mds.CoverBuf
+	cov       [2]groupCover
+	inter     []int          // |cov[0] ∩ cov[1]| per dimension
+	counts    [2][]sideCount // what the picked entry would add to either cover
+	added     []hierarchy.ID // the values one cover just gained in one dimension
 
 	fallback splitFallback
 }
@@ -137,7 +134,13 @@ type splitScratch struct {
 func (ss *splitScratch) init(dims int) {
 	ss.base = make([]column, dims)
 	ss.haveBase = make([]bool, dims)
+	ss.cols = make([]*column, dims)
 	ss.order = make([]int, dims)
+	ss.inter = make([]int, dims)
+	for side := range ss.cov {
+		ss.cov[side].ids = make([][]hierarchy.ID, dims)
+		ss.counts[side] = make([]sideCount, dims)
+	}
 }
 
 func (ss *splitScratch) reset() {
@@ -151,11 +154,90 @@ type column struct {
 	level int
 	ids   []hierarchy.ID
 	off   []int
+
+	// Filled by close, for the seed search: single when every set is one
+	// value (a data node's always are), same when every entry carries the
+	// same set, and bound, the largest union two sets of the column can have
+	// — the common size under same, else the two largest sizes added or the
+	// number of distinct values, whichever is less.
+	//
+	// No set of a column is empty: an entry describes a non-empty node
+	// (Validate; delete unlinks a node it empties), so k values in k sets
+	// are k singletons, and the split reads ids[i] for set(i) under single.
+	single, same bool
+	bound        int
 }
 
-func (c *column) set(i int) mds.DimSet {
-	return mds.DimSet{Level: c.level, IDs: c.ids[c.off[i]:c.off[i+1]:c.off[i+1]]}
+func (c *column) count() int { return len(c.off) - 1 }
+
+func (c *column) set(i int) []hierarchy.ID { return c.ids[c.off[i]:c.off[i+1]] }
+
+// close ends the column after its last set and takes its statistics. The
+// distinct values are counted in scratch, which is returned, grown if need be.
+func (c *column) close(scratch []hierarchy.ID) []hierarchy.ID {
+	c.off = append(c.off, len(c.ids))
+	k := c.count()
+	c.single, c.same = len(c.ids) == k, true
+	largest, second := 0, 0
+	for i := 0; i < k; i++ {
+		s := c.set(i)
+		switch {
+		case len(s) > largest:
+			largest, second = len(s), largest
+		case len(s) > second:
+			second = len(s)
+		}
+		c.same = c.same && slices.Equal(s, c.set(0))
+	}
+	c.bound = largest + second
+	if c.same {
+		c.bound = largest
+	}
+	if c.same || c.single {
+		return scratch // the seed search compares such sets without a union
+	}
+	scratch = mds.SortDedupFrom(append(scratch[:0], c.ids...), 0)
+	c.bound = min(c.bound, len(scratch))
+	return scratch
 }
+
+// groupCover is the cover of one group of the hierarchy split: per
+// dimension a sorted value set that absorbs the group's members in place.
+// The sets are carved from one slab kept from split to split, each with
+// room for every value of its column, so none ever moves. view hands the
+// cover out as an MDS.
+type groupCover struct {
+	ids  [][]hierarchy.ID
+	slab []hierarchy.ID
+	dims []mds.DimSet
+}
+
+// seed makes the cover a copy of entry i's description.
+func (gc *groupCover) seed(cols []*column, i int) {
+	room := 0
+	for _, c := range cols {
+		room += len(c.ids)
+	}
+	gc.slab = slices.Grow(gc.slab[:0], room)
+	at := 0
+	for d, c := range cols {
+		gc.ids[d] = append(gc.slab[at:at:at+len(c.ids)], c.set(i)...)
+		at += len(c.ids)
+	}
+}
+
+func (gc *groupCover) view(cols []*column) mds.MDS {
+	gc.dims = gc.dims[:0]
+	for d, c := range cols {
+		gc.dims = append(gc.dims, mds.DimSet{Level: c.level, IDs: gc.ids[d]})
+	}
+	return gc.dims
+}
+
+// sideCount is what one group's cover would gain in one dimension by
+// absorbing the picked entry: fresh values, and how many of those the other
+// group's cover holds already — the growth of the groups' intersection.
+type sideCount struct{ fresh, shared int }
 
 // splitFallback keeps the best-ratio partition seen, for forced splits: a
 // copy of the groups and their covers, because the buffers they were built
@@ -183,40 +265,25 @@ func (fb *splitFallback) save(space mds.Space, ratio float64, g1, g2 []int, cov1
 }
 
 // adaptEntries describes every entry of n at the node's relevant levels,
-// with the split dimension at the given rung level: the operands of the
-// hierarchy split. An entry's description in one dimension does not depend
-// on the levels asked of the others, so only the split dimension's column
-// is rebuilt from rung to rung. The result is valid until the next call.
-func (ix *Index) adaptEntries(n *Node, nodeMDS mds.MDS, splitDim, level int) ([]mds.MDS, error) {
+// with the split dimension at the given rung level, into the scratch's
+// columns: the operands of the hierarchy split. An entry's description in
+// one dimension does not depend on the levels asked of the others, so only
+// the split dimension's column is rebuilt from rung to rung. The columns
+// are valid until the next call.
+func (ix *Index) adaptEntries(n *Node, nodeMDS mds.MDS, splitDim, level int) error {
 	ss := &ix.ws.split
 	for d := range nodeMDS {
+		ss.cols[d] = &ss.base[d]
 		if d == splitDim || ss.haveBase[d] {
 			continue
 		}
 		if err := ix.fillColumn(&ss.base[d], n, d, nodeMDS[d].Level); err != nil {
-			return nil, err
+			return err
 		}
 		ss.haveBase[d] = true
 	}
-	if err := ix.fillColumn(&ss.rung, n, splitDim, level); err != nil {
-		return nil, err
-	}
-	dims := len(nodeMDS)
-	ss.dimSlab, ss.adapted = ss.dimSlab[:0], ss.adapted[:0]
-	count := n.Count()
-	for i := 0; i < count; i++ {
-		for d := 0; d < dims; d++ {
-			col := &ss.base[d]
-			if d == splitDim {
-				col = &ss.rung
-			}
-			ss.dimSlab = append(ss.dimSlab, col.set(i))
-		}
-	}
-	for i := 0; i < count; i++ {
-		ss.adapted = append(ss.adapted, ss.dimSlab[i*dims:(i+1)*dims:(i+1)*dims])
-	}
-	return ss.adapted, nil
+	ss.cols[splitDim] = &ss.rung
+	return ix.fillColumn(&ss.rung, n, splitDim, level)
 }
 
 // fillColumn describes every entry of n in one dimension at one level.
@@ -231,7 +298,10 @@ func (ix *Index) fillColumn(c *column, n *Node, dim, level int) error {
 		}
 		c.ids = mds.SortDedupFrom(c.ids, start)
 	}
-	c.off = append(c.off, len(c.ids))
+	// The first group's slab is idle until the seeds are chosen, and will
+	// be asked for this room and more then.
+	slab := &ix.ws.split.cov[0].slab
+	*slab = c.close(*slab)
 	return nil
 }
 
@@ -330,58 +400,49 @@ func (ix *Index) splitDimensionOrder(nodeMDS mds.MDS) []int {
 	return dims
 }
 
-// hierarchySplit is the quadratic split of Fig. 6 over level-adapted MDSs,
-// splitting along one dimension. It returns the two groups as index lists
-// into adapted, and the groups' covers.
+// hierarchySplit is the quadratic split of Fig. 6 over the scratch's
+// columns, splitting along one dimension. It returns the two groups as
+// lists of entry numbers, and the groups' covers.
 //
 // Seeds: the pair whose covering MDS is largest (most dead space if kept
-// together). Then, repeatedly, the remaining MDS with the greatest
+// together). Then, repeatedly, the remaining entry with the greatest
 // difference between its enlargements of the two groups in the split
 // dimension is assigned to the group with the minimum resulting overlap,
 // ties broken by minimum sum of extensions (volume enlargement), then by
 // minimum sum of volumes, then by fewer entries. Per Guttman's original
 // quadratic split (which Fig. 6 is based on), once one group grows so
-// large that the other needs every remaining MDS to reach the minimum
+// large that the other needs every remaining entry to reach the minimum
 // fill, the remainder is assigned to the smaller group outright —
 // without this rule the greedy loop degenerates on large supernodes,
 // where the bigger group's cover swallows everything.
 //
-// The members all carry the same levels, so every mds operation below
-// takes its aligned path; the group covers are maintained as the groups
-// grow and are what the caller's overlap test and buildSplit use.
-func (ix *Index) hierarchySplit(adapted []mds.MDS, dim, minFill int) (g1, g2 []int, cov1, cov2 mds.MDS, err error) {
-	space := ix.space()
-	ss := &ix.ws.split
-	k := len(adapted)
+// Fig. 6 consumes every set operation as a count, so the loop keeps counts
+// and builds one set only, the cover of the group that wins an entry. With
+// inter = |cov₀ ∩ cov₁| per dimension, and for the picked set S and either
+// group g: fresh = |S \ cov_g| and shared = |(S \ cov_g) ∩ cov_other|, the
+// overlap of cov_g ∪ S with the other cover is Π(inter + shared), its
+// volume Π(|cov_g| + fresh), and another entry's gain shrinks by the number
+// of its values among the ones the cover just took in. The products are
+// multiplied in dimension order as mds.Overlap, Extension and Volume
+// multiply theirs, so they are the same floats and break every tie alike.
+func (ss *splitScratch) hierarchySplit(dim, minFill int) (g1, g2 []int, cov1, cov2 mds.MDS) {
+	cols := ss.cols
+	split := cols[dim]
+	k := split.count()
 	if k < 2 {
-		return nil, nil, nil, nil, nil
+		return nil, nil, nil, nil
 	}
-
-	// Seed selection: pair with the largest covering MDS. The volume of
-	// the pair's cover is the product of its per-dimension union counts,
-	// which is Extension — the cover itself is never needed.
-	seedA, seedB := -1, -1
-	var worst float64 = -1
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			v, err := mds.Extension(space, adapted[i], adapted[j])
-			if err != nil {
-				return nil, nil, nil, nil, err
-			}
-			if v > worst {
-				worst, seedA, seedB = v, i, j
-			}
-		}
-	}
+	seedA, seedB, _ := ss.seedPair(k)
 
 	g := [2][]int{append(ss.g[0][:0], seedA), append(ss.g[1][:0], seedB)}
-	cov := [2]mds.MDS{adapted[seedA], adapted[seedB]}
-	// A group's cover sits in one of its two buffers (the seeds' in the
-	// entry descriptions); absorbing members builds the grown cover in the
-	// other, and keeping it flips the two.
-	var cur [2]int
-	grow := func(side int, members []mds.MDS) (mds.MDS, error) {
-		return mds.CoverInto(&ss.bufs[side][1-cur[side]], space, nil, members)
+	cov, inter, counts := &ss.cov, ss.inter, &ss.counts
+	cov[0].seed(cols, seedA)
+	cov[1].seed(cols, seedB)
+	for d, c := range cols {
+		inter[d] = mds.IntersectCount(c.set(seedA), c.set(seedB))
+		// A dimension in which every entry carries the same set adds
+		// nothing to either cover, ever.
+		counts[0][d], counts[1][d] = sideCount{}, sideCount{}
 	}
 
 	remaining := ss.remaining[:0]
@@ -391,23 +452,12 @@ func (ix *Index) hierarchySplit(adapted []mds.MDS, dim, minFill int) (g1, g2 []i
 		}
 	}
 	// gain[side][i] is how many values cov[side] would gain in the split
-	// dimension by absorbing entry i; a side's row is recomputed only when
-	// its cover has grown.
+	// dimension by absorbing entry i.
 	gain := [2][]int{slices.Grow(ss.gain[0][:0], k)[:k], slices.Grow(ss.gain[1][:0], k)[:k]}
-	regain := func(side int) error {
-		for _, i := range remaining {
-			union, err := mds.ExtensionIn(space, cov[side], adapted[i], dim)
-			if err != nil {
-				return err
-			}
-			gain[side][i] = union - len(cov[side][dim].IDs)
-		}
-		return nil
-	}
-	for side := range gain {
-		if err = regain(side); err != nil {
-			return nil, nil, nil, nil, err
-		}
+	for _, i := range remaining {
+		s := split.set(i)
+		gain[0][i] = len(s) - mds.IntersectCount(s, cov[0].ids[dim])
+		gain[1][i] = len(s) - mds.IntersectCount(s, cov[1].ids[dim])
 	}
 
 	for len(remaining) > 0 {
@@ -421,23 +471,28 @@ func (ix *Index) hierarchySplit(adapted []mds.MDS, dim, minFill int) (g1, g2 []i
 			short = 1
 		}
 		if short >= 0 {
-			members := append(ix.ws.members[:0], cov[short])
-			for _, i := range remaining {
-				members = append(members, adapted[i])
-			}
-			ix.ws.members = members
-			if cov[short], err = grow(short, members); err != nil {
-				return nil, nil, nil, nil, err
+			for d, c := range cols {
+				if c.same {
+					continue
+				}
+				ids := cov[short].ids[d]
+				for _, i := range remaining {
+					ss.added = mds.AppendMissing(ss.added[:0], c.set(i), ids)
+					ids = mds.MergeDisjoint(ids, ss.added)
+				}
+				cov[short].ids[d] = ids
 			}
 			g[short] = append(g[short], remaining...)
 			break
 		}
-		// Pick the MDS with the greatest difference between the two groups'
-		// enlargements in the split dimension.
-		pick := -1
-		var pickDiff float64 = -1
+		// Pick the entry with the greatest difference between the two
+		// groups' enlargements in the split dimension.
+		pick, pickDiff := -1, -1
 		for ri, i := range remaining {
-			diff := abs(float64(gain[0][i] - gain[1][i]))
+			diff := gain[0][i] - gain[1][i]
+			if diff < 0 {
+				diff = -diff
+			}
 			if diff > pickDiff {
 				pickDiff, pick = diff, ri
 			}
@@ -445,20 +500,19 @@ func (ix *Index) hierarchySplit(adapted []mds.MDS, dim, minFill int) (g1, g2 []i
 		i := remaining[pick]
 		remaining = append(remaining[:pick], remaining[pick+1:]...)
 
-		var grown [2]mds.MDS
-		for side := range grown {
-			if grown[side], err = grow(side, []mds.MDS{cov[side], adapted[i]}); err != nil {
-				return nil, nil, nil, nil, err
+		for d, c := range cols {
+			if c.same {
+				continue
 			}
+			only0, only1, neither := mds.MemberCounts(c.set(i), cov[0].ids[d], cov[1].ids[d])
+			counts[0][d] = sideCount{fresh: only1 + neither, shared: only1}
+			counts[1][d] = sideCount{fresh: only0 + neither, shared: only0}
 		}
 		// Criterion 1: minimum resulting overlap between the groups.
-		ov1, err := mds.Overlap(space, grown[0], cov[1])
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		ov2, err := mds.Overlap(space, cov[0], grown[1])
-		if err != nil {
-			return nil, nil, nil, nil, err
+		ov1, ov2 := 1.0, 1.0
+		for d := range cols {
+			ov1 *= float64(inter[d] + counts[0][d].shared)
+			ov2 *= float64(inter[d] + counts[1][d].shared)
 		}
 		into := 1
 		switch {
@@ -467,37 +521,119 @@ func (ix *Index) hierarchySplit(adapted []mds.MDS, dim, minFill int) (g1, g2 []i
 		case ov1 > ov2:
 		default:
 			// Criterion 2: minimum sum of extensions (volume enlargement).
-			vol1, vol2 := grown[0].Volume(), grown[1].Volume()
-			ext1 := vol1 - cov[0].Volume()
-			ext2 := vol2 - cov[1].Volume()
+			var vol, old [2]float64
+			for side := range vol {
+				vol[side], old[side] = 1, 1
+				for d := range cols {
+					size := len(cov[side].ids[d])
+					vol[side] *= float64(size + counts[side][d].fresh)
+					old[side] *= float64(size)
+				}
+			}
+			ext1, ext2 := vol[0]-old[0], vol[1]-old[1]
 			switch {
 			case ext1 < ext2:
 				into = 0
 			case ext1 > ext2:
 			// Criterion 3: minimum sum of volumes.
-			case vol1 < vol2:
+			case vol[0] < vol[1]:
 				into = 0
-			case vol1 > vol2:
+			case vol[0] > vol[1]:
 			// Final tie: keep the groups balanced.
 			case len(g[0]) <= len(g[1]):
 				into = 0
 			}
 		}
-		g[into], cov[into] = append(g[into], i), grown[into]
-		cur[into] = 1 - cur[into]
-		if err = regain(into); err != nil {
-			return nil, nil, nil, nil, err
+
+		g[into] = append(g[into], i)
+		for d, c := range cols {
+			cnt := counts[into][d]
+			if cnt.fresh == 0 {
+				continue
+			}
+			add := c.set(i)
+			if cnt.fresh < len(add) {
+				ss.added = mds.AppendMissing(ss.added[:0], add, cov[into].ids[d])
+				add = ss.added
+			}
+			cov[into].ids[d] = mds.MergeDisjoint(cov[into].ids[d], add)
+			inter[d] += cnt.shared
+			if d != dim {
+				continue
+			}
+			// The cover grew in the split dimension: what it took in, no
+			// other entry can bring again.
+			if split.single {
+				for _, r := range remaining {
+					if split.ids[r] == add[0] {
+						gain[into][r]--
+					}
+				}
+				continue
+			}
+			for _, r := range remaining {
+				gain[into][r] -= mds.IntersectCount(split.set(r), add)
+			}
 		}
 	}
 	ss.g, ss.gain, ss.remaining = g, gain, remaining[:0]
-	return g[0], g[1], cov[0], cov[1], nil
+	return g[0], g[1], cov[0].view(cols), cov[1].view(cols)
 }
 
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
+// seedPair returns the first pair of entries, in (i<j) order, whose
+// extension — the volume of the pair's cover, the product of its
+// per-dimension union counts — is strictly the largest. The scan is
+// all-pairs only in the worst case: no extension exceeds the product of
+// the columns' bounds, so a pair that reaches it ends the search (every
+// later pair is at most equal, and only a greater one would replace it),
+// and a pair whose own bound Π min(boundᵢ, |aᵢ|+|bᵢ|) does not exceed the
+// best so far is passed over without a union. Rounding is monotone, so a
+// product of bounds taken in the same order is a bound of the product.
+// evaluated is the number of pairs whose extension was computed.
+func (ss *splitScratch) seedPair(k int) (seedA, seedB, evaluated int) {
+	cols := ss.cols
+	// Without a multi-valued column every pair's bound is the limit itself.
+	limit, multi := 1.0, false
+	for _, c := range cols {
+		limit *= float64(c.bound)
+		multi = multi || !(c.same || c.single)
 	}
-	return x
+	seedA, seedB = -1, -1
+	var worst float64 = -1
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			if multi {
+				most := 1.0
+				for _, c := range cols {
+					most *= float64(min(c.bound, c.off[i+1]-c.off[i]+c.off[j+1]-c.off[j]))
+				}
+				if most <= worst {
+					continue
+				}
+			}
+			evaluated++
+			v := 1.0
+			for _, c := range cols {
+				switch {
+				case c.same:
+					v *= float64(c.bound)
+				case c.single:
+					if c.ids[i] != c.ids[j] {
+						v *= 2
+					}
+				default:
+					v *= float64(mds.UnionCount(c.set(i), c.set(j)))
+				}
+			}
+			if v > worst {
+				worst, seedA, seedB = v, i, j
+				if v >= limit {
+					return seedA, seedB, evaluated
+				}
+			}
+		}
+	}
+	return seedA, seedB, evaluated
 }
 
 // groupOverlapRatio measures overlap(G1,G2)/extension(G1,G2) of the two

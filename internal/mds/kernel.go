@@ -8,7 +8,8 @@ import (
 )
 
 // The write-path kernel: the set arithmetic of Cover computed into storage
-// the caller owns, lifting through the hierarchy's dense ancestor tables.
+// the caller owns, lifting through the hierarchy's dense ancestor tables, and
+// the counts of Overlap, Extension and Volume taken without building a set.
 // Cover, Adapt and liftDim stay the allocating, checked reference these are
 // tested against; the kernel is for callers (the DC-tree's insert, split and
 // delete paths) whose operands are known to be valid MDSs of the space.
@@ -60,6 +61,104 @@ func unionInto(dst, a, b []hierarchy.ID) []hierarchy.ID {
 	}
 	dst = append(dst, a[i:]...)
 	return append(dst, b[j:]...)
+}
+
+// The count kernels: what the hierarchy split asks of two value sets is only
+// ever how many values a union, an intersection or a difference holds, so
+// these walk sorted duplicate-free ID slices of one level and build nothing.
+
+// IntersectCount returns |a ∩ b|.
+func IntersectCount(a, b []hierarchy.ID) int {
+	i, j, n := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
+}
+
+// UnionCount returns |a ∪ b|.
+func UnionCount(a, b []hierarchy.ID) int {
+	return len(a) + len(b) - IntersectCount(a, b)
+}
+
+// MemberCounts sorts the values of s by which of a and b hold them and
+// returns how many are in a alone, in b alone and in neither. With a and b
+// the covers of the split's two groups and s the entry being assigned, the
+// cover a would gain |s \ a| = onlyB + neither values, onlyB of which b
+// already has — and the same for b with onlyA.
+func MemberCounts(s, a, b []hierarchy.ID) (onlyA, onlyB, neither int) {
+	if len(s) == 1 {
+		// A record's coordinate: two searches beat walking both covers.
+		switch inA, inB := memberSorted(a, s[0]), memberSorted(b, s[0]); {
+		case inA && !inB:
+			return 1, 0, 0
+		case inB && !inA:
+			return 0, 1, 0
+		case !inA:
+			return 0, 0, 1
+		}
+		return 0, 0, 0
+	}
+	i, j := 0, 0
+	for _, x := range s {
+		for i < len(a) && a[i] < x {
+			i++
+		}
+		for j < len(b) && b[j] < x {
+			j++
+		}
+		inA, inB := i < len(a) && a[i] == x, j < len(b) && b[j] == x
+		switch {
+		case inA && !inB:
+			onlyA++
+		case inB && !inA:
+			onlyB++
+		case !inA:
+			neither++
+		}
+	}
+	return onlyA, onlyB, neither
+}
+
+// AppendMissing appends s \ ids to dst, in order.
+func AppendMissing(dst, s, ids []hierarchy.ID) []hierarchy.ID {
+	j := 0
+	for _, x := range s {
+		for j < len(ids) && ids[j] < x {
+			j++
+		}
+		if j == len(ids) || ids[j] != x {
+			dst = append(dst, x)
+		}
+	}
+	return dst
+}
+
+// MergeDisjoint inserts the sorted values of add, none of which ids holds,
+// into the sorted set ids in place (growing it as append does) and returns
+// it: merged from the back, so no value moves twice.
+func MergeDisjoint(ids, add []hierarchy.ID) []hierarchy.ID {
+	i, j := len(ids)-1, len(add)-1
+	ids = append(ids, add...)
+	for k := len(ids) - 1; j >= 0; k-- {
+		if i >= 0 && ids[i] > add[j] {
+			ids[k] = ids[i]
+			i--
+		} else {
+			ids[k] = add[j]
+			j--
+		}
+	}
+	return ids
 }
 
 // CoverBuf is caller-owned storage for CoverInto. The zero value is ready

@@ -2,6 +2,7 @@ package mds
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/dcindex/dctree/internal/hierarchy"
@@ -21,7 +22,7 @@ func refOverlap(t *testing.T, space Space, m, n MDS) float64 {
 	}
 	v := 1.0
 	for i := range am {
-		c := intersectCount(am[i].IDs, an[i].IDs)
+		c := IntersectCount(am[i].IDs, an[i].IDs)
 		if c == 0 {
 			return 0
 		}
@@ -38,7 +39,7 @@ func refExtension(t *testing.T, space Space, m, n MDS) float64 {
 	}
 	v := 1.0
 	for i := range am {
-		v *= float64(unionCount(am[i].IDs, an[i].IDs))
+		v *= float64(UnionCount(am[i].IDs, an[i].IDs))
 	}
 	return v
 }
@@ -159,6 +160,97 @@ func TestCoverIntoMatchesCover(t *testing.T) {
 	}
 	if _, err := CoverInto(&buf, space, nil, []MDS{Top(len(space) + 1)}); err == nil {
 		t.Error("member of the wrong arity must fail")
+	}
+}
+
+// randomIDSet draws a sorted duplicate-free set of one level out of a small
+// universe, so that empty, equal, nested and disjoint operands all come up.
+func randomIDSet(rng *rand.Rand, universe int) []hierarchy.ID {
+	var s []hierarchy.ID
+	keep := rng.Intn(4) // 0: empty
+	for v := 0; v < universe; v++ {
+		if rng.Intn(4) < keep {
+			s = append(s, hierarchy.MakeID(1, uint32(v)))
+		}
+	}
+	return s
+}
+
+// TestCountKernelsMatchSetReferences holds the split's count kernels to the
+// sets they count: unionSorted builds the union, a map answers membership.
+func TestCountKernelsMatchSetReferences(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var shapes struct{ empty, equal, nested, disjoint int }
+	for i := 0; i < 5000; i++ {
+		universe := 1 + rng.Intn(40)
+		s, a, b := randomIDSet(rng, universe), randomIDSet(rng, universe), randomIDSet(rng, universe)
+		switch i % 5 {
+		case 1:
+			b = a
+		case 2:
+			b = a[:rng.Intn(len(a)+1)]
+		case 3:
+			s = s[:min(len(s), 1)] // a record's coordinate
+		}
+		union := unionSorted(a, b)
+		inA, inB := map[hierarchy.ID]bool{}, map[hierarchy.ID]bool{}
+		for _, x := range a {
+			inA[x] = true
+		}
+		both := 0
+		for _, x := range b {
+			inB[x] = true
+			if inA[x] {
+				both++
+			}
+		}
+		switch {
+		case len(a) == 0 || len(b) == 0:
+			shapes.empty++
+		case len(union) == len(a) && len(a) == len(b):
+			shapes.equal++
+		case len(union) == len(a) || len(union) == len(b):
+			shapes.nested++
+		case both == 0:
+			shapes.disjoint++
+		}
+
+		if got := UnionCount(a, b); got != len(union) {
+			t.Fatalf("UnionCount(%v, %v) = %d, want %d", a, b, got, len(union))
+		}
+		if got := IntersectCount(a, b); got != both {
+			t.Fatalf("IntersectCount(%v, %v) = %d, want %d", a, b, got, both)
+		}
+
+		var onlyA, onlyB, neither int
+		var missing []hierarchy.ID
+		for _, x := range s {
+			switch {
+			case inA[x] && !inB[x]:
+				onlyA++
+			case inB[x] && !inA[x]:
+				onlyB++
+			case !inA[x]:
+				neither++
+			}
+			if !inA[x] {
+				missing = append(missing, x)
+			}
+		}
+		if gotA, gotB, gotNeither := MemberCounts(s, a, b); gotA != onlyA || gotB != onlyB || gotNeither != neither {
+			t.Fatalf("MemberCounts(%v, %v, %v) = %d, %d, %d, want %d, %d, %d", s, a, b, gotA, gotB, gotNeither, onlyA, onlyB, neither)
+		}
+		prefix := []hierarchy.ID{hierarchy.ALL}
+		if got := AppendMissing(prefix, s, a); !slices.Equal(got[1:], missing) || got[0] != hierarchy.ALL {
+			t.Fatalf("AppendMissing(%v, %v) = %v, want %v", s, a, got[1:], missing)
+		}
+		// Merging what is missing into a copy of a is the union of a and s.
+		if got := MergeDisjoint(slices.Clone(a), missing); !slices.Equal(got, unionSorted(a, s)) {
+			t.Fatalf("MergeDisjoint(%v, %v) = %v, want %v", a, missing, got, unionSorted(a, s))
+		}
+	}
+	if shapes.empty == 0 || shapes.equal == 0 || shapes.nested == 0 || shapes.disjoint == 0 {
+		t.Fatalf("operand shapes not all drawn: %+v", shapes)
 	}
 }
 

@@ -18,7 +18,7 @@ package mds
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/dcindex/dctree/internal/hierarchy"
@@ -265,42 +265,6 @@ func Align(space Space, m, n MDS) (MDS, MDS, error) {
 	return am, an, nil
 }
 
-// intersectCount returns |a ∩ b| for sorted ID slices.
-func intersectCount(a, b []hierarchy.ID) int {
-	i, j, n := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
-}
-
-// unionCount returns |a ∪ b| for sorted ID slices.
-func unionCount(a, b []hierarchy.ID) int {
-	i, j, n := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			i++
-			j++
-		}
-		n++
-	}
-	return n + (len(a) - i) + (len(b) - j)
-}
-
 // unionSorted returns the sorted union of two sorted ID slices.
 func unionSorted(a, b []hierarchy.ID) []hierarchy.ID {
 	return unionInto(make([]hierarchy.ID, 0, len(a)+len(b)), a, b)
@@ -327,7 +291,7 @@ func Overlap(space Space, m, n MDS) (float64, error) {
 				return 0, err
 			}
 		}
-		c := intersectCount(a.IDs, b.IDs)
+		c := IntersectCount(a.IDs, b.IDs)
 		if c == 0 {
 			return 0, nil
 		}
@@ -351,7 +315,7 @@ func Extension(space Space, m, n MDS) (float64, error) {
 				return 0, err
 			}
 		}
-		v *= float64(unionCount(a.IDs, b.IDs))
+		v *= float64(UnionCount(a.IDs, b.IDs))
 	}
 	return v, nil
 }
@@ -421,8 +385,8 @@ func (m MDS) ContainsLeaves(space Space, leaves []hierarchy.ID) (bool, error) {
 }
 
 func memberSorted(ids []hierarchy.ID, id hierarchy.ID) bool {
-	k := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	return k < len(ids) && ids[k] == id
+	_, found := slices.BinarySearch(ids, id)
+	return found
 }
 
 // Cover computes the minimum describing sequence of a set of MDSs: per
@@ -500,7 +464,7 @@ func OverlapIn(space Space, m, n MDS, dim int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return intersectCount(a.IDs, b.IDs), nil
+	return IntersectCount(a.IDs, b.IDs), nil
 }
 
 // ExtensionIn returns |Mᵢ ∪ Nᵢ| in one dimension after aligning that
@@ -510,7 +474,7 @@ func ExtensionIn(space Space, m, n MDS, dim int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return unionCount(a.IDs, b.IDs), nil
+	return UnionCount(a.IDs, b.IDs), nil
 }
 
 func alignDim(space Space, m, n MDS, dim int) (DimSet, DimSet, error) {

@@ -17,7 +17,7 @@ func (t *Tree) splitNode(n *xnode) *xnode {
 		return t.materializeSplit(n, g1, g2, dim)
 	}
 	// 3. Supernode.
-	if t.cfg.MaxSupernodeBlocks == 0 || n.blocks < t.cfg.MaxSupernodeBlocks {
+	if n.blocks < t.cfg.MaxSupernodeBlocks {
 		n.blocks++
 		return nil
 	}
