@@ -705,7 +705,8 @@ func runFsck(args []string) error {
 
 // runVerify is the physical-integrity check: opening the store already
 // verifies the header, freelist and metadata checksums; the extent scan
-// then covers every page the translation table references.
+// then covers every page the translation table references or a live
+// version pins.
 func runVerify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
 	indexPath := fs.String("index", "index.dc", "index file")
@@ -719,13 +720,17 @@ func runVerify(args []string) error {
 	defer store.Close()
 	rep := tree.VerifyExtentsOpts(dctree.VerifyOpts{Mmap: *useMmap})
 	for _, e := range rep.Errors {
-		fmt.Fprintf(os.Stderr, "node %d: extent %d (%d blocks): %v\n",
-			e.NodeID, e.Page, e.Blocks, e.Err)
+		owner := "live tree"
+		if e.Version != 0 {
+			owner = fmt.Sprintf("version %d", e.Version)
+		}
+		fmt.Fprintf(os.Stderr, "%s, node %d: extent %d (%d blocks): %v\n",
+			owner, e.NodeID, e.Page, e.Blocks, e.Err)
 	}
 	if !rep.OK() {
 		return fmt.Errorf("%d of %d extents damaged", len(rep.Errors), rep.Extents)
 	}
-	fmt.Printf("%s: OK (%d extents scanned", *indexPath, rep.Extents)
+	fmt.Printf("%s: OK (%d extents, %d blocks scanned", *indexPath, rep.Extents, rep.Blocks)
 	if *useMmap {
 		fmt.Printf(", %d mapped", rep.Mapped)
 	}

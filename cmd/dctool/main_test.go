@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -382,5 +385,74 @@ func TestNoLeaseMeansHealthy(t *testing.T) {
 	}
 	if !dirSource(prefix, lease, time.Minute).Healthy() {
 		t.Fatal("a fresh lease reports unhealthy")
+	}
+}
+
+// TestRetiredIndexRefused: an index of a retired format generation is
+// refused by every subcommand that opens one, with the unsupported-format
+// error, and the refusal leaves the file byte for byte what it was — and
+// creates no log beside it. The index is one this build wrote, its metadata
+// blob re-labelled DCMETA08; testdata/parent-pr12 in internal/core is a
+// whole image an earlier build wrote, at a block size the tool does not
+// open (the store header refuses it first), and must stay untouched too.
+func TestRetiredIndexRefused(t *testing.T) {
+	dir := t.TempDir()
+	index, wal := filepath.Join(dir, "idx.dc"), filepath.Join(dir, "log")
+	if err := runBuild([]string{"-tpcd", "300", "-index", index}); err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	store, err := dctree.OpenFileStore(index, dctree.DefaultConfig().BlockSize, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := store.GetMeta()
+	if err != nil || !bytes.HasPrefix(meta, []byte("DCMETA09")) {
+		t.Fatalf("metadata does not start with DCMETA09 (err %v)", err)
+	}
+	meta[7] = '8'
+	if err := store.SetMeta(meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fixture := filepath.Join(dir, "parent-pr12.dc")
+	data, err := os.ReadFile(filepath.Join("..", "..", "internal", "core", "testdata", "parent-pr12", "store.dc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.WriteFile(fixture, data, 0o644)
+
+	sum := func(path string) [sha256.Size]byte {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sha256.Sum256(data)
+	}
+	before, beforeFixture := sum(index), sum(fixture)
+	for name, run := range map[string]func(index string) error{
+		"stats":  func(index string) error { return runStats([]string{"-index", index}) },
+		"query":  func(index string) error { return runQuery([]string{"-index", index}) },
+		"verify": func(index string) error { return runVerify([]string{"-index", index}) },
+		"fsck":   func(index string) error { return runFsck([]string{"-index", index}) },
+		"export": func(index string) error {
+			return runExport([]string{"-index", index, "-out", filepath.Join(dir, "out.csv")})
+		},
+		"versions": func(index string) error { return runVersions([]string{"-index", index}) },
+		"recover":  func(index string) error { return runRecover([]string{"-index", index, "-wal", wal}) },
+	} {
+		if err := run(index); !errors.Is(err, dctree.ErrUnsupportedFormat) {
+			t.Errorf("%s: %v, want ErrUnsupportedFormat", name, err)
+		}
+		if err := run(fixture); err == nil {
+			t.Errorf("%s opened the parent-pr12 image", name)
+		}
+		if sum(index) != before || sum(fixture) != beforeFixture {
+			t.Fatalf("%s: the refusal rewrote the file it refused", name)
+		}
+	}
+	if logs, _ := filepath.Glob(wal + "*"); len(logs) != 0 {
+		t.Errorf("the refused recovery created %v", logs)
 	}
 }

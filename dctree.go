@@ -111,7 +111,8 @@ type (
 	// LevelStat aggregates node statistics for one tree level.
 	LevelStat = core.LevelStat
 	// VerifyReport summarizes Tree.VerifyExtents — a physical scan of
-	// every extent the tree references, checking stored checksums.
+	// every extent the tree or a live version references, checking stored
+	// checksums.
 	VerifyReport = core.VerifyReport
 	// VerifyError is one damaged extent in a VerifyReport.
 	VerifyError = core.VerifyError

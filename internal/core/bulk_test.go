@@ -8,6 +8,7 @@ import (
 	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/mds"
 	"github.com/dcindex/dctree/internal/storage"
+	"github.com/dcindex/dctree/internal/tpcd"
 )
 
 func TestBulkLoadMatchesDynamic(t *testing.T) {
@@ -195,5 +196,42 @@ func BenchmarkBulkLoad(b *testing.B) {
 		if err := tree.BulkLoad(recs); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestFullLeafFitsOneBlock: one node, one block (§4.2). A full data node at
+// the default configuration on the TPC-D cube encodes to 20 + 48·24 = 1,172
+// bytes, so the extent a flush gives it is as long as the node says it is
+// — the block count LevelStats reports is the one the store holds.
+func TestFullLeafFitsOneBlock(t *testing.T) {
+	cfg := DefaultConfig()
+	gen, err := tpcd.New(1, tpcd.ScaleFor(25*cfg.LeafCapacity))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := New(storage.NewMemStore(cfg.BlockSize), gen.Schema(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.BulkLoad(gen.Records(25 * cfg.LeafCapacity)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	full := 0
+	for _, n := range collectNodes(t, tree) {
+		if !n.Leaf() {
+			continue
+		}
+		if n.Count() == cfg.LeafCapacity {
+			full++
+		}
+		if ref := tree.table[n.ID()]; ref.blocks != n.Blocks() {
+			t.Errorf("data node %d (%d records): a %d-block extent for a %d-block node", n.ID(), n.Count(), ref.blocks, n.Blocks())
+		}
+	}
+	if full < 20 {
+		t.Fatalf("%d full data nodes, want at least 20", full)
 	}
 }

@@ -133,16 +133,7 @@ func (t *Tree) captureLocked() (*ckptCapture, error) {
 // background phase for extent writes. Caller holds t.mu, which also
 // guards v.ovExtents and the persisted latch.
 func (t *Tree) captureVersionsLocked() []ckptVersion {
-	t.vmu.Lock()
-	live := make([]*Version, 0, len(t.versions))
-	for _, v := range t.versions {
-		if !v.released.Load() {
-			live = append(live, v)
-		}
-	}
-	t.vmu.Unlock()
-	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
-
+	live := t.liveVersionsLocked()
 	out := make([]ckptVersion, 0, len(live))
 	for _, v := range live {
 		cv := ckptVersion{v: v, m: versionManifest{
@@ -176,6 +167,21 @@ func (t *Tree) captureVersionsLocked() []ckptVersion {
 		out = append(out, cv)
 	}
 	return out
+}
+
+// liveVersionsLocked lists the unreleased versions, oldest number first.
+// Caller holds t.mu.
+func (t *Tree) liveVersionsLocked() []*Version {
+	t.vmu.Lock()
+	live := make([]*Version, 0, len(t.versions))
+	for _, v := range t.versions {
+		if !v.released.Load() {
+			live = append(live, v)
+		}
+	}
+	t.vmu.Unlock()
+	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
+	return live
 }
 
 // writeExtents is the background phase: write every captured payload to a
@@ -559,20 +565,25 @@ func (cp *checkpointer) shutdown() {
 
 // VerifyError is one damaged extent found by VerifyExtents.
 type VerifyError struct {
-	NodeID uint64
-	Page   storage.PageID
-	Blocks int
-	Err    error
+	// Version is the oldest live version whose table references the
+	// extent, 0 when the live tree's does.
+	Version uint64
+	NodeID  uint64
+	Page    storage.PageID
+	Blocks  int
+	Err     error
 }
 
-// VerifyReport summarizes a physical scan of every extent the tree's
-// translation table references.
+// VerifyReport summarizes a physical scan of every extent the tree still
+// reads from: those the translation table references and those a live
+// version pins.
 type VerifyReport struct {
 	Extents int // extents scanned
+	Blocks  int // their length in blocks
 	// Mapped counts extents whose checksum was verified through the
 	// memory-mapped view path (VerifyOpts.Mmap on a store that maps).
 	Mapped int
-	Errors []VerifyError // damaged extents, in node-ID order
+	Errors []VerifyError // damaged extents, in version and node-ID order
 }
 
 // OK reports whether the scan found no damage.
@@ -598,52 +609,60 @@ type extentViewVerifier interface {
 	VerifyExtentView(id storage.PageID) (blocks int, mapped bool, err error)
 }
 
-// VerifyExtents reads every extent referenced by the translation table and
-// verifies its checksum (on stores that carry them; otherwise the read
-// itself is the check). Damage is collected, not returned early, so one
-// scan reports every bad extent.
+// VerifyExtents reads every extent referenced by the translation table or
+// by a live version's table (the extents the live table has moved off, and
+// the version's persisted overlay) and verifies its checksum (on stores
+// that carry them; otherwise the read itself is the check). Damage is
+// collected, not returned early, so one scan reports every bad extent.
 func (t *Tree) VerifyExtents() VerifyReport {
 	return t.VerifyExtentsOpts(VerifyOpts{})
 }
 
 // VerifyExtentsOpts is VerifyExtents with options (dctool verify -mmap).
 func (t *Tree) VerifyExtentsOpts(opts VerifyOpts) VerifyReport {
+	// The scan list: the live table in node-ID order, then every live
+	// version's tables, oldest first; an extent several tables share is
+	// scanned once, under the first.
+	var scan []VerifyError
+	seen := make(map[storage.PageID]bool)
+	add := func(version uint64, table map[nodeID]extentRef) {
+		first := len(scan)
+		for id, ref := range table {
+			if !seen[ref.page] {
+				seen[ref.page] = true
+				scan = append(scan, VerifyError{Version: version, NodeID: uint64(id), Page: ref.page, Blocks: ref.blocks})
+			}
+		}
+		sort.Slice(scan[first:], func(i, j int) bool { return scan[first+i].NodeID < scan[first+j].NodeID })
+	}
 	t.mu.RLock()
-	refs := make(map[nodeID]extentRef, len(t.table))
-	for id, ref := range t.table {
-		refs[id] = ref
+	add(0, t.table)
+	for _, v := range t.liveVersionsLocked() {
+		add(v.id, v.table)
+		add(v.id, v.ovExtents)
 	}
 	t.mu.RUnlock()
-
-	ids := make([]nodeID, 0, len(refs))
-	for id := range refs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
 	var rep VerifyReport
 	ev, hasVerify := t.store.(extentVerifier)
 	vv, hasView := t.store.(extentViewVerifier)
-	for _, id := range ids {
-		ref := refs[id]
+	for _, e := range scan {
 		rep.Extents++
-		var err error
+		rep.Blocks += e.Blocks
 		switch {
 		case opts.Mmap && hasView:
 			var mapped bool
-			_, mapped, err = vv.VerifyExtentView(ref.page)
+			_, mapped, e.Err = vv.VerifyExtentView(e.Page)
 			if mapped {
 				rep.Mapped++
 			}
 		case hasVerify:
-			_, err = ev.VerifyExtent(ref.page)
+			_, e.Err = ev.VerifyExtent(e.Page)
 		default:
-			_, _, err = t.store.Read(ref.page)
+			_, _, e.Err = t.store.Read(e.Page)
 		}
-		if err != nil {
-			rep.Errors = append(rep.Errors, VerifyError{
-				NodeID: uint64(id), Page: ref.page, Blocks: ref.blocks, Err: err,
-			})
+		if e.Err != nil {
+			rep.Errors = append(rep.Errors, e)
 		}
 	}
 	return rep

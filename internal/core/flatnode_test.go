@@ -2,8 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -37,7 +35,7 @@ func collectNodes(t testing.TB, tree *Tree) []*index.Node {
 	return nodes
 }
 
-// entriesOf lists a node's entries the way the encoding carries them: a
+// entriesOf lists a node's entries the way the write path sees them: a
 // directory's own, and for a data node one per record with the singleton
 // MDS and the one-record aggregates synthesized from the row.
 func entriesOf(n *index.Node) []index.Entry {
@@ -109,7 +107,9 @@ func grownNodes(t testing.TB) (tree *Tree, nodes []*index.Node) {
 }
 
 // TestFlatNodeRoundTrip: every node of a grown tree survives flat encode →
-// flat view accessors → full heap decode unchanged, including supernodes.
+// flat view accessors → full heap decode unchanged, including supernodes. A
+// directory's view serves its entries' MDSs, aggregates and children; a data
+// node's serves its rows.
 func TestFlatNodeRoundTrip(t *testing.T) {
 	tree, nodes := grownNodes(t)
 	dims, measures := tree.schema.Dims(), tree.schema.Measures()
@@ -125,8 +125,20 @@ func TestFlatNodeRoundTrip(t *testing.T) {
 		if f.Leaf() != n.Leaf() || f.Count() != n.Count() || f.Blocks() != n.Blocks() {
 			t.Fatalf("node %d: flat shape (leaf=%v count=%d blocks=%d)", n.ID(), f.Leaf(), f.Count(), f.Blocks())
 		}
-		// Spot-check the in-place accessors against the heap entries.
-		for i, e := range entriesOf(n) {
+		// Spot-check the in-place accessors against the heap form.
+		for i := 0; n.Leaf() && i < n.Count(); i++ {
+			for d := 0; d < dims; d++ {
+				if f.Coord(i, d) != n.Row(i)[d] {
+					t.Fatalf("node %d record %d: coord(%d) differs", n.ID(), i, d)
+				}
+			}
+			for j := 0; j < measures; j++ {
+				if f.Measure(i, j) != n.RowMeasures(i)[j] {
+					t.Fatalf("node %d record %d: measure(%d) differs", n.ID(), i, j)
+				}
+			}
+		}
+		for i, e := range n.Entries() {
 			wantMDS := e.MDS.AppendEncode(nil)
 			if !bytes.Equal(f.EntryMDS(i), wantMDS) {
 				t.Fatalf("node %d entry %d: flat MDS bytes differ", n.ID(), i)
@@ -136,18 +148,7 @@ func TestFlatNodeRoundTrip(t *testing.T) {
 					t.Fatalf("node %d entry %d: agg(%d) = %+v, want %+v", n.ID(), i, j, f.Agg(i, j), e.Agg[j])
 				}
 			}
-			if n.Leaf() {
-				for d := 0; d < dims; d++ {
-					if f.Coord(i, d) != n.Row(i)[d] {
-						t.Fatalf("node %d entry %d: coord(%d) differs", n.ID(), i, d)
-					}
-				}
-				for j := 0; j < measures; j++ {
-					if f.Measure(i, j) != n.RowMeasures(i)[j] {
-						t.Fatalf("node %d entry %d: measure(%d) differs", n.ID(), i, j)
-					}
-				}
-			} else if f.Child(i) != e.Child {
+			if f.Child(i) != e.Child {
 				t.Fatalf("node %d entry %d: child differs", n.ID(), i)
 			}
 		}
@@ -178,147 +179,9 @@ func TestFlatNodeEmpty(t *testing.T) {
 	requireNodesEqual(t, dec, n)
 }
 
-// oneView serves a single flat node, whatever ID is asked for: the Source
-// of a descent that must meet exactly this payload.
-type oneView struct{ f index.FlatNode }
-
-func (s oneView) View(nodeID) (index.NodeView, error) { return s.f.View(), nil }
-
-// TestFlatNodeCorruptFailClosed: damaged flat encodings are never decoded,
-// served or panicked on. A damaged frame is rejected by MakeFlatNode; a
-// damaged offset table passes the constant-time frame check, is rejected by
-// CheckTable (and so by the decoder), and on the read path surfaces as
-// ErrCorrupt from the descent that meets the entry it garbles.
-func TestFlatNodeCorruptFailClosed(t *testing.T) {
-	tree := newTestTree(t, smallConfig())
-	s := tree.Schema()
-	rng := rand.New(rand.NewSource(17))
-	for _, r := range genRecords(t, s, rng, 60) {
-		if err := tree.Insert(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	dims, measures := s.Dims(), s.Measures()
-	n, err := tree.nodes().Get(tree.ix.Root())
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := tree.ix.Encode(n)
-	if _, err := index.MakeFlatNode(n.ID(), good, dims, measures); err != nil {
-		t.Fatalf("pristine encoding rejected: %v", err)
-	}
-
-	// The whole-cube query matches every entry it can parse without
-	// descending, so the walk meets the damaged root and nothing else.
-	whole := index.Query{MDS: mds.Top(dims)}
-	mutate := func(name string, f func(b []byte) []byte) {
-		b := f(append([]byte(nil), good...))
-		if _, err := index.DecodeNode(n.ID(), b, dims, measures); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: corrupt encoding decoded: %v", name, err)
-		}
-		view, err := index.MakeFlatNode(n.ID(), b, dims, measures)
-		if err != nil {
-			return
-		}
-		if view.CheckTable() == nil {
-			t.Errorf("%s: corrupt encoding passes the frame and the table check", name)
-		}
-		if _, err := tree.ix.Execute(context.Background(), oneView{view}, n.ID(), whole); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: the descent matched every entry of a corrupt encoding: %v", name, err)
-		}
-	}
-	// The offset table starts behind the 20-byte header.
-	const offsetTable = 20
-	mutate("bad magic", func(b []byte) []byte { b[0] ^= 0xFF; return b })
-	mutate("truncated", func(b []byte) []byte { return b[:len(b)/2] })
-	mutate("hostile count", func(b []byte) []byte {
-		b[8], b[9], b[10], b[11] = 0xFF, 0xFF, 0xFF, 0x7F
-		return b
-	})
-	mutate("total length mismatch", func(b []byte) []byte { return append(b, 0) })
-	mutate("non-monotone offsets", func(b []byte) []byte {
-		// First offset-table slot (entry 0's MDS offset) bumped past the
-		// second: the monotonicity check must catch it.
-		b[offsetTable] = 0xEE
-		return b
-	})
-	mutate("empty", func(b []byte) []byte { return nil })
-	mutate("reserved byte set", func(b []byte) []byte { b[2] = 1; return b })
-	mutate("unknown flag", func(b []byte) []byte { b[1] |= 0x80; return b })
-	mutate("gap before first MDS", func(b []byte) []byte { b[offsetTable] = 1; return b })
-}
-
-// FuzzDecodeFlatNode drives the one node decoder with arbitrary payloads.
-// MakeFlatNode (the frame check every zero-copy view passes) and
-// DecodeNode agree on the frame: what the first rejects the second
-// rejects, and the second rejects further only for a malformed offset table
-// or MDS blob, which a view surfaces at pruning time, or for a data entry
-// that does not describe its record. An accepted view can be walked end
-// to end — every MDS, aggregate, child and record — without a panic, and an
-// accepted payload is canonical up to varint width: it re-encodes to
-// itself, or to a shorter payload that re-encodes to itself.
-func FuzzDecodeFlatNode(f *testing.F) {
-	tree, nodes := grownNodes(f)
-	dims, measures := tree.schema.Dims(), tree.schema.Measures()
-	var leaf, dir, super *index.Node
-	for _, n := range nodes {
-		switch {
-		case n.Blocks() > 1:
-			super = n
-		case n.Leaf() && leaf == nil:
-			leaf = n
-		case !n.Leaf() && dir == nil:
-			dir = n
-		}
-	}
-	for _, n := range []*index.Node{leaf, dir, super} {
-		f.Add(tree.ix.Encode(n))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		view, viewErr := index.MakeFlatNode(1, data, dims, measures)
-		n, decErr := index.DecodeNode(1, data, dims, measures)
-		if viewErr != nil {
-			if decErr == nil {
-				t.Fatalf("DecodeNode accepted what MakeFlatNode rejected: %v", viewErr)
-			}
-			return
-		}
-		for i := 0; i < view.Count(); i++ {
-			if it, err := mds.NewViewIter(view.EntryMDS(i)); err == nil {
-				for ok := true; ok; _, ok = it.Next() {
-				}
-			}
-			for j := 0; j < measures; j++ {
-				view.Agg(i, j)
-			}
-			if view.Leaf() {
-				view.Record(i)
-			} else {
-				view.Child(i)
-			}
-		}
-		if decErr != nil {
-			if !errors.Is(decErr, ErrCorrupt) {
-				t.Fatalf("DecodeNode error is not ErrCorrupt: %v", decErr)
-			}
-			return
-		}
-		re := tree.ix.Encode(n)
-		if len(re) > len(data) || (len(re) == len(data) && !bytes.Equal(re, data)) {
-			t.Fatalf("accepted payload (%d bytes) re-encodes differently (%d bytes)", len(data), len(re))
-		}
-		n2, err := index.DecodeNode(1, re, dims, measures)
-		if err != nil {
-			t.Fatalf("re-encoded payload rejected: %v", err)
-		}
-		if !bytes.Equal(tree.ix.Encode(n2), re) {
-			t.Fatal("re-encoding is not a fixed point")
-		}
-	})
-}
-
-// TestFlatNodeMDSView: the flat entry MDS bytes decode through the view
-// iterator to the same DimViews the full decoder produces.
+// TestFlatNodeMDSView: a directory's flat entry MDS bytes decode through
+// the view iterator to the same DimViews the full decoder produces; a data
+// node's view holds no MDS, only the records a scan returns.
 func TestFlatNodeMDSView(t *testing.T) {
 	tree := newTestTree(t, smallConfig())
 	s := tree.Schema()
@@ -334,7 +197,12 @@ func TestFlatNodeMDSView(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, e := range entriesOf(n) {
+		for i := 0; n.Leaf() && i < n.Count(); i++ {
+			if r := f.Record(i); !slices.Equal(r.Coords, n.Row(i)) || !slices.Equal(r.Measures, n.RowMeasures(i)) {
+				t.Fatalf("node %d record %d: view record %v", n.ID(), i, r)
+			}
+		}
+		for i, e := range n.Entries() {
 			it, err := mds.NewViewIter(f.EntryMDS(i))
 			if err != nil {
 				t.Fatalf("node %d entry %d: %v", n.ID(), i, err)

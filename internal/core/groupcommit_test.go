@@ -354,15 +354,18 @@ func TestGroupCommitCheckpointCoverageFlushesLog(t *testing.T) {
 }
 
 // TestRecoveryOfParentWrittenImage is the golden file of the one surviving
-// format generation: testdata/parent-pr12 is a crash image (store + log
-// tail) written by an earlier build — DCSTORE2 extents, a DCMETA08 blob
-// that carries non-zero values in the two retired group-commit slots, a
-// DCWAL002 segment of op-3/4/5 records — and must open unmodified, replay
-// its tail and keep accepting durable writes.
+// format generation: testdata/format-09 is a crash image (store + log
+// tail) written by the build that introduced the generation — DCSTORE2
+// extents, a DCMETA09 blob, data nodes that are their rows, a DCWAL002
+// segment of op-3/4/5 records — and must open unmodified, replay its tail
+// and keep accepting durable writes.
+//
+// To regenerate after a format bump: newDurableOnDisk(smallConfig()), recs :=
+// genRecords(seed 7, 160); insert recs[:120], Flush, insert recs[120:], delete
+// recs[:5]; copyCrashImage into testdata/format-NN without closing the tree.
 func TestRecoveryOfParentWrittenImage(t *testing.T) {
-	dir := t.TempDir()
+	dir := copyTestImage(t, "format-09")
 	for name, magic := range map[string]string{"store.dc": "DCSTORE2", "idx.00000002.wal": "DCWAL002"} {
-		copyFile(t, filepath.Join("testdata", "parent-pr12", name), filepath.Join(dir, name))
 		if data, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.HasPrefix(data, []byte(magic)) {
 			t.Fatalf("fixture %s does not start with %s (err %v)", name, magic, err)
 		}
@@ -372,8 +375,8 @@ func TestRecoveryOfParentWrittenImage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if meta, err := st.GetMeta(); err != nil || !bytes.HasPrefix(meta, []byte("DCMETA08")) {
-			t.Fatalf("metadata blob does not start with DCMETA08 (err %v)", err)
+		if meta, err := st.GetMeta(); err != nil || !bytes.HasPrefix(meta, []byte(metaMagic)) {
+			t.Fatalf("metadata blob does not start with %s (err %v)", metaMagic, err)
 		}
 		tree, err := OpenDurable(st, filepath.Join(dir, "idx"))
 		if err != nil {

@@ -18,16 +18,11 @@ import (
 // (the index is meaningless without them), the root pointer, and the
 // logical-node translation table.
 
-// One layout is written and read, under the magic "DCMETA08". It still
-// carries three words whose knobs are gone — two group-commit slots
-// (written as zeros, skipped on read) and the WAL record format (always 2)
-// — and a node-layout word per translation-table entry (always 3):
-// dropping them would change bytes every existing image holds.
-const (
-	metaMagic        = "DCMETA08"
-	metaRecordFormat = 2 // WAL mutation records carry interned IDs (ops 4, 5)
-	metaFlatLayout   = 3 // every extent holds the flat node encoding
-)
+// One layout is written and read, under the magic "DCMETA09"; every word
+// of it is a field decodeMeta keeps. A blob of an earlier generation
+// ("DCMETA01"–"08": other node encodings, other words) is refused by its
+// magic, undecoded.
+const metaMagic = "DCMETA09"
 
 // versionManifest is the durable image of one live MVCC version:
 // everything rehydration needs to rebuild the Version handle without the
@@ -126,12 +121,8 @@ func (t *Tree) encodeMeta(snap metaSnapshot) ([]byte, error) {
 		flags |= 4
 	}
 	buf = append(buf, flags)
-	// The two retired group-commit slots.
-	buf = binary.AppendVarint(buf, 0)
-	buf = binary.AppendUvarint(buf, 0)
 	buf = binary.AppendVarint(buf, int64(t.cfg.CheckpointInterval))
 	buf = binary.AppendUvarint(buf, uint64(t.cfg.CheckpointDirtyBytes))
-	buf = binary.AppendUvarint(buf, metaRecordFormat)
 	buf = binary.AppendVarint(buf, int64(t.cfg.VersionRetention.KeepLast))
 	buf = binary.AppendVarint(buf, int64(t.cfg.VersionRetention.MaxAge))
 
@@ -200,7 +191,6 @@ func appendExtentTable(buf []byte, table map[nodeID]extentRef) []byte {
 		buf = binary.AppendUvarint(buf, uint64(id))
 		buf = binary.AppendUvarint(buf, uint64(ref.page))
 		buf = binary.AppendUvarint(buf, uint64(ref.blocks))
-		buf = binary.AppendUvarint(buf, metaFlatLayout)
 	}
 	return buf
 }
@@ -234,7 +224,7 @@ func decodeMeta(meta []byte) (*Tree, error) {
 	}
 	switch magic := string(meta[:len(metaMagic)]); {
 	case magic == metaMagic:
-	case magic >= "DCMETA01" && magic <= "DCMETA07":
+	case magic >= "DCMETA01" && magic < metaMagic:
 		return nil, fmt.Errorf("%w: metadata magic %s", ErrUnsupportedFormat, magic)
 	default:
 		return nil, fmt.Errorf("%w: bad metadata magic", ErrCorrupt)
@@ -253,17 +243,8 @@ func decodeMeta(meta []byte) (*Tree, error) {
 	cfg.Materialize = flags&1 != 0
 	cfg.DisableSupernodes = flags&2 != 0
 	cfg.FlatChooseSubtree = flags&4 != 0
-	r.varint()  // retired: group-commit window
-	r.uvarint() // retired: group-commit byte cap
 	cfg.CheckpointInterval = time.Duration(r.varint())
 	cfg.CheckpointDirtyBytes = int(r.uvarint())
-	switch format := r.uvarint(); {
-	case r.err != nil:
-	case format == 1:
-		return nil, fmt.Errorf("%w: wal record format 1 (string paths)", ErrUnsupportedFormat)
-	case format != metaRecordFormat:
-		return nil, fmt.Errorf("%w: wal record format %d", ErrCorrupt, format)
-	}
 	cfg.VersionRetention.KeepLast = int(r.varint())
 	cfg.VersionRetention.MaxAge = time.Duration(r.varint())
 
@@ -394,10 +375,7 @@ func decodeMeta(meta []byte) (*Tree, error) {
 
 // decodeExtentTable parses one node→extent table (the main translation
 // table or a version manifest's). The entry count is validated against the
-// remaining input before it sizes the map, and a node-layout word other
-// than the flat encoding's fails closed — serving an extent through the
-// wrong decoder would misread data silently. 2 and 0 named the retired
-// varint encoding.
+// remaining input before it sizes the map.
 func decodeExtentTable(r *metaReader) (map[nodeID]extentRef, error) {
 	tableLen64 := r.uvarint()
 	if r.err == nil && tableLen64 > uint64(len(r.buf)-r.off) {
@@ -409,13 +387,6 @@ func decodeExtentTable(r *metaReader) (map[nodeID]extentRef, error) {
 		id := nodeID(r.uvarint())
 		page := storage.PageID(r.uvarint())
 		blocks := int(r.uvarint())
-		switch layout := r.uvarint(); {
-		case r.err != nil || layout == metaFlatLayout:
-		case layout == 2 || layout == 0:
-			return nil, fmt.Errorf("%w: node %d layout %d (varint encoding)", ErrUnsupportedFormat, id, layout)
-		default:
-			return nil, fmt.Errorf("%w: node %d layout %d", ErrCorrupt, id, layout)
-		}
 		table[id] = extentRef{page: page, blocks: blocks}
 	}
 	if r.err != nil {

@@ -31,6 +31,17 @@ func copyFile(t testing.TB, src, dst string) {
 	}
 }
 
+// copyTestImage copies the committed crash image testdata/<name> (store.dc
+// and the one log segment idx.00000002.wal) into a fresh directory.
+func copyTestImage(t testing.TB, name string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for _, file := range []string{"store.dc", "idx.00000002.wal"} {
+		copyFile(t, filepath.Join("testdata", name, file), filepath.Join(dir, file))
+	}
+	return dir
+}
+
 // copyCrashImage snapshots the store file and every WAL segment into dir.
 func copyCrashImage(t testing.TB, storePath, walPrefix, dir string) (string, string) {
 	t.Helper()

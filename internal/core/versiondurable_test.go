@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -713,5 +714,101 @@ func TestPrimaryReplicaVersionParity(t *testing.T) {
 				t.Fatalf("replica version %d diverges at record %d", id, i)
 			}
 		}
+	}
+}
+
+// TestVerifyCoversVersionPinnedExtents: the physical scan covers what the
+// tree still reads from, not just what the live table references. An extent
+// only a live version pins — the live table moved off it — is scanned, and
+// its damage reported under the version's number, on both read paths.
+func TestVerifyCoversVersionPinnedExtents(t *testing.T) {
+	cfg := smallConfig()
+	path := filepath.Join(t.TempDir(), "store.dc")
+	st, err := storage.OpenPagedStore(path, cfg.BlockSize, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := New(st, testSchema(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := genRecords(t, tree.Schema(), rand.New(rand.NewSource(83)), 400)
+	load := func(recs []cube.Record) {
+		for _, r := range recs {
+			if err := tree.Insert(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tree.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	load(recs[:200])
+	v, err := tree.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	load(recs[200:])
+	// The version's own extents: pages its table holds and the live one
+	// does not.
+	live := make(map[storage.PageID]bool, len(tree.table))
+	for _, ref := range tree.table {
+		live[ref.page] = true
+	}
+	var own []storage.PageID
+	for _, ref := range v.table {
+		if !live[ref.page] {
+			own = append(own, ref.page)
+		}
+	}
+	if len(own) == 0 {
+		t.Fatal("the second load moved the live table off none of the version's extents")
+	}
+	want := tree.VerifyExtents()
+	if !want.OK() || want.Extents != len(tree.table)+len(own) || want.Blocks < want.Extents {
+		t.Fatalf("before the damage: %+v; live table %d extents, version-only %d", want, len(tree.table), len(own))
+	}
+	st.Close()
+
+	// Flip one payload byte of one of them.
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := int64(own[0])*int64(cfg.BlockSize) + storage.ExtentHeaderSize
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], at); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x40
+	if _, err := f.WriteAt(b[:], at); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	st, err = storage.OpenPagedStore(path, cfg.BlockSize, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	tree, err = Open(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rv, ok := tree.VersionByID(v.ID())
+	if !ok {
+		t.Fatalf("version %d not rehydrated", v.ID())
+	}
+	for _, opts := range []VerifyOpts{{}, {Mmap: true}} {
+		rep := tree.VerifyExtentsOpts(opts)
+		if rep.Extents != want.Extents || rep.Blocks != want.Blocks {
+			t.Errorf("%+v: scanned %d extents, %d blocks; want %d, %d", opts, rep.Extents, rep.Blocks, want.Extents, want.Blocks)
+		}
+		if len(rep.Errors) != 1 || rep.Errors[0].Version != v.ID() || rep.Errors[0].Page != own[0] || !errors.Is(rep.Errors[0].Err, storage.ErrChecksum) {
+			t.Errorf("%+v: errors %+v, want the checksum mismatch of extent %d under version %d", opts, rep.Errors, own[0], v.ID())
+		}
+	}
+	if err := rv.Scan(func(cube.Record) bool { return true }); !errors.Is(err, storage.ErrChecksum) {
+		t.Errorf("scan of the damaged version: %v, want ErrChecksum", err)
 	}
 }

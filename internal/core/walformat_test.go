@@ -146,45 +146,29 @@ func flushedMetaBlob(t testing.TB) []byte {
 	return blob
 }
 
-// retiredMetaBlobs derives, from a valid metadata blob, one blob per
-// retired generation the decoder must refuse: the seven old magics, a
-// record-format slot of 1, and a table entry whose node-layout word is 2.
+// retiredMetaBlobs returns one blob per retired generation the decoder
+// must refuse by its magic alone: a valid blob re-labelled with each of the
+// eight old magics, and the blob an earlier build really wrote — the
+// DCMETA08 metadata of the testdata/parent-pr12 crash image.
 func retiredMetaBlobs(t testing.TB) map[string][]byte {
 	t.Helper()
 	blob := flushedMetaBlob(t)
-	patched := func(off int, b byte) []byte {
-		c := append([]byte(nil), blob...)
-		c[off] = b
-		return c
-	}
 	out := make(map[string][]byte)
-	for v := byte('1'); v <= '7'; v++ {
-		out["meta magic DCMETA0"+string(v)] = patched(len(metaMagic)-1, v)
+	for v := byte('1'); v < metaMagic[len(metaMagic)-1]; v++ {
+		c := append([]byte(nil), blob...)
+		c[len(metaMagic)-1] = v
+		out["meta magic DCMETA0"+string(v)] = c
 	}
-	// The record-format slot follows the config words: walk them.
-	r := metaReader{buf: blob, off: len(metaMagic)}
-	r.uvarint()
-	r.uvarint()
-	r.uvarint()
-	r.float64()
-	r.float64()
-	r.uvarint()
-	r.varint()
-	r.byte()
-	r.varint()
-	r.uvarint()
-	r.varint()
-	r.uvarint()
-	if r.err != nil || blob[r.off] != metaRecordFormat {
-		t.Fatalf("record-format slot not found at %d (err %v)", r.off, r.err)
+	st, err := storage.OpenPagedStore(filepath.Join(copyTestImage(t, "parent-pr12"), "store.dc"), smallConfig().BlockSize, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	out["meta record-format slot 1"] = patched(r.off, 1)
-	// With no versions and no parked frees the blob ends "…layout 0 0": the
-	// last table entry's layout word is the third byte from the end.
-	if blob[len(blob)-3] != metaFlatLayout {
-		t.Fatalf("layout word not found at the blob tail: % x", blob[len(blob)-4:])
+	defer st.Close()
+	written, err := st.GetMeta()
+	if err != nil || !bytes.HasPrefix(written, []byte("DCMETA08")) {
+		t.Fatalf("fixture metadata does not start with DCMETA08 (err %v)", err)
 	}
-	out["meta layout word 2"] = patched(len(blob)-3, 2)
+	out["the parent-pr12 image's blob"] = written
 	return out
 }
 
@@ -209,11 +193,11 @@ func retiredWALRecords() map[string][]byte {
 }
 
 // TestUnsupportedFormats: every retired generation the engine recognises —
-// metadata magics DCMETA01–07, record-format slot 1, node-layout word 2,
-// WAL segment header DCWAL001, WAL mutation ops 1 and 2 — is refused with
-// ErrUnsupportedFormat at every entry point that could meet it: no panic,
-// no partially opened tree, and no file discarded. (DCSTORE1 is the storage
-// layer's case, beside its checksum tests.)
+// metadata magics DCMETA01–08, WAL segment header DCWAL001, WAL mutation
+// ops 1 and 2 — is refused with ErrUnsupportedFormat at every entry point
+// that could meet it: no panic, no partially opened tree, and no file
+// discarded. (DCSTORE1 is the storage layer's case, beside its checksum
+// tests; TestRetiredImageRefused holds a whole DCMETA08 image on disk.)
 func TestUnsupportedFormats(t *testing.T) {
 	cfg := smallConfig()
 	for name, blob := range retiredMetaBlobs(t) {

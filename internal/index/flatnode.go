@@ -10,10 +10,10 @@ import (
 	"github.com/dcindex/dctree/internal/mds"
 )
 
-// Node encoding (one extent per node): a fixed-stride, offset-indexed flat
-// layout designed to be QUERIED in place, without decoding, so a mapped
-// extent serves MDS pruning, aggregate merges and record tests straight
-// from the page cache:
+// Node encoding (one extent per node): a fixed-stride flat layout designed
+// to be QUERIED in place, without decoding, so a mapped extent serves MDS
+// pruning, aggregate merges and record tests straight from the page cache.
+// Both kinds of node open with the same header:
 //
 //	header (20 bytes):
 //	  [0]      magic 0xD3
@@ -23,17 +23,25 @@ import (
 //	  [8:12]   u32 entry count
 //	  [12:16]  u32 mdsBase — start of the MDS blob area
 //	  [16:20]  u32 total payload length
+//
+// A data node is its rows and nothing else (mdsBase = total length):
+//
+//	rows:          count × (dims × u32 coord + measures × f64)
+//
+// A directory carries, per entry, what the paper stores in a directory
+// entry (§3.2) — the MDS, the materialized aggregates, the child:
+//
 //	offset table:  (count+1) × u32, MDS blob offsets relative to mdsBase;
 //	               off[0] = 0, monotone, off[count] = total − mdsBase
 //	agg area:      count × measures × 32 bytes
 //	               (f64 sum, i64 count, f64 min, f64 max — all LE)
-//	fixed area:    leaf:      count × (dims × u32 coord + measures × f64)
-//	               directory: count × u64 child node id
+//	child area:    count × u64 child node id
 //	MDS area:      the entries' MDS wire encodings (mds codec),
 //	               concatenated; entry i's blob is [off[i], off[i+1])
 //
-// Every per-entry access is index arithmetic: agg i,j at a fixed stride,
-// child i one u64 load, MDS i one offset-table pair.
+// Every per-entry access is index arithmetic: row i at a fixed stride,
+// agg i,j at a fixed stride, child i one u64 load, MDS i one offset-table
+// pair.
 
 const (
 	nodeFlagLeaf = 1
@@ -45,66 +53,42 @@ const (
 
 // flatLayoutSizes returns the section bases of a flat node with the given
 // shape: offset-table end (= agg area start), fixed area start, MDS area
-// start, and the per-entry fixed stride.
+// start, and the per-entry fixed stride. A data node has only the fixed
+// area: its rows start behind the header and end the payload.
 func flatLayoutSizes(leaf bool, count, dims, measures int) (aggBase, fixBase, mdsBase, fixedPer int) {
-	aggBase = flatHeaderSize + 4*(count+1)
-	fixBase = aggBase + flatAggStride*measures*count
-	fixedPer = 8
 	if leaf {
 		fixedPer = 4*dims + 8*measures
+		return flatHeaderSize, flatHeaderSize, flatHeaderSize + fixedPer*count, fixedPer
 	}
-	mdsBase = fixBase + fixedPer*count
-	return aggBase, fixBase, mdsBase, fixedPer
+	aggBase = flatHeaderSize + 4*(count+1)
+	fixBase = aggBase + flatAggStride*measures*count
+	return aggBase, fixBase, fixBase + 8*count, 8
 }
 
-// leafMDSSize is the size of a data entry's MDS blob: the dimension count,
-// then per dimension a level byte, the value count 1 and the value.
-func leafMDSSize(dims int) int { return 1 + 6*dims }
-
-// appendEncodeFlat serializes the node. The fixed-size prefix
-// (header, offset table, agg and fixed areas) is reserved up front and
-// filled by indexed writes; the MDS blobs are appended behind it, each one
-// recording its start in the offset table as it goes — no second sizing
-// pass over the MDS encodings. A data node's aggregates and singleton MDSs
-// are written straight from its rows.
+// appendEncodeFlat serializes the node. The fixed-size prefix (header and,
+// for a directory, offset table, agg and child areas) is reserved up front
+// and filled by indexed writes; a directory's MDS blobs are appended behind
+// it, each one recording its start in the offset table as it goes — no
+// second sizing pass over the MDS encodings.
 func (n *Node) appendEncodeFlat(buf []byte, dims, measures int) []byte {
 	count := n.Count()
 	aggBase, fixBase, mdsBase, fixedPer := flatLayoutSizes(n.leaf, count, dims, measures)
-	size := mdsBase
-	if n.leaf {
-		size += count * leafMDSSize(dims) // known up front: written by index too
-	}
 	start := len(buf)
-	buf = append(buf, make([]byte, size)...)
-	hdr := buf[start : start+size]
+	buf = append(buf, make([]byte, mdsBase)...)
+	hdr := buf[start : start+mdsBase]
 	hdr[0] = flatMagic
-	if n.leaf {
-		hdr[1] |= nodeFlagLeaf
-	}
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(n.blocks))
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(count))
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(mdsBase))
-	putAgg := func(a int, g cube.Agg) {
-		binary.LittleEndian.PutUint64(hdr[a:], math.Float64bits(g.Sum))
-		binary.LittleEndian.PutUint64(hdr[a+8:], uint64(g.Count))
-		binary.LittleEndian.PutUint64(hdr[a+16:], math.Float64bits(g.Min))
-		binary.LittleEndian.PutUint64(hdr[a+24:], math.Float64bits(g.Max))
-	}
 	if n.leaf {
+		hdr[1] |= nodeFlagLeaf
+		f := fixBase
 		for i := 0; i < count; i++ {
-			a, f, m := aggBase+flatAggStride*measures*i, fixBase+fixedPer*i, mdsBase+leafMDSSize(dims)*i
-			binary.LittleEndian.PutUint32(hdr[flatHeaderSize+4*i:], uint32(m-mdsBase))
-			hdr[m] = uint8(dims)
-			m++
 			for _, c := range n.Row(i) {
 				binary.LittleEndian.PutUint32(hdr[f:], uint32(c))
 				f += 4
-				hdr[m], hdr[m+1] = uint8(c.Level()), 1
-				binary.LittleEndian.PutUint32(hdr[m+2:], uint32(c))
-				m += 6
 			}
-			for j, x := range n.RowMeasures(i) {
-				putAgg(a+flatAggStride*j, cube.AggOf(x))
+			for _, x := range n.RowMeasures(i) {
 				binary.LittleEndian.PutUint64(hdr[f:], math.Float64bits(x))
 				f += 8
 			}
@@ -112,8 +96,12 @@ func (n *Node) appendEncodeFlat(buf []byte, dims, measures int) []byte {
 	} else {
 		for i := range n.entries {
 			e := &n.entries[i]
-			for j := range e.Agg {
-				putAgg(aggBase+flatAggStride*(measures*i+j), e.Agg[j])
+			for j, g := range e.Agg {
+				a := aggBase + flatAggStride*(measures*i+j)
+				binary.LittleEndian.PutUint64(hdr[a:], math.Float64bits(g.Sum))
+				binary.LittleEndian.PutUint64(hdr[a+8:], uint64(g.Count))
+				binary.LittleEndian.PutUint64(hdr[a+16:], math.Float64bits(g.Min))
+				binary.LittleEndian.PutUint64(hdr[a+24:], math.Float64bits(g.Max))
 			}
 			binary.LittleEndian.PutUint64(hdr[fixBase+fixedPer*i:], uint64(e.Child))
 		}
@@ -123,8 +111,8 @@ func (n *Node) appendEncodeFlat(buf []byte, dims, measures int) []byte {
 			binary.LittleEndian.PutUint32(buf[start+flatHeaderSize+4*i:], uint32(len(buf)-start-mdsBase))
 			buf = n.entries[i].MDS.AppendEncode(buf)
 		}
+		binary.LittleEndian.PutUint32(buf[start+flatHeaderSize+4*count:], uint32(len(buf)-start-mdsBase))
 	}
-	binary.LittleEndian.PutUint32(buf[start+flatHeaderSize+4*count:], uint32(len(buf)-start-mdsBase))
 	binary.LittleEndian.PutUint32(buf[start+16:], uint32(len(buf)-start))
 	return buf
 }
@@ -152,11 +140,11 @@ type FlatNode struct {
 
 // MakeFlatNode validates a payload's frame — header and section bases — in
 // constant time: after it, every aggregate, child and record access is in
-// bounds. The offset table and the MDS blobs behind it are checked where
+// bounds, and a data node, which is its rows, is checked in full. A
+// directory's offset table and the MDS blobs behind it are checked where
 // the descent first uses them (EntryMDS, the view iterator, the nil-child
-// test), so a data node, whose records are tested in the fixed area, and a
-// clean extent visited again and again pay for no table scan; CheckTable is
-// the eager O(count) form the decoder runs.
+// test), so a clean extent visited again and again pays for no table scan;
+// CheckTable is the eager O(count) form the decoder runs.
 func MakeFlatNode(id NodeID, b []byte, dims, measures int) (FlatNode, error) {
 	if len(b) < flatHeaderSize || b[0] != flatMagic || b[1]&^nodeFlagLeaf != 0 || b[2] != 0 || b[3] != 0 {
 		return FlatNode{}, fmt.Errorf("%w: node %d: not a flat node payload", ErrCorrupt, id)
@@ -169,8 +157,9 @@ func MakeFlatNode(id NodeID, b []byte, dims, measures int) (FlatNode, error) {
 	}
 	// The bases are recomputed from the shape: a payload whose stored
 	// mdsBase disagrees was encoded for a different schema (or corrupted)
-	// and every fixed-offset access would read the wrong section.
-	if mdsBase := int(binary.LittleEndian.Uint32(b[12:])); mdsBase != f.mdsBase || mdsBase > len(b) {
+	// and every fixed-offset access would read the wrong section. A data
+	// node's rows end its payload.
+	if mdsBase := int(binary.LittleEndian.Uint32(b[12:])); mdsBase != f.mdsBase || mdsBase > len(b) || (f.leaf && mdsBase != len(b)) {
 		return FlatNode{}, fmt.Errorf("%w: node %d: flat mds base %d, want %d (len %d)",
 			ErrCorrupt, id, mdsBase, f.mdsBase, len(b))
 	}
@@ -203,10 +192,13 @@ func (f *FlatNode) Leaf() bool  { return f.leaf }
 func (f *FlatNode) Count() int  { return f.count }
 func (f *FlatNode) Blocks() int { return f.blocks }
 
-// CheckTable validates what MakeFlatNode leaves to first use: the offset
-// table (first offset zero, monotone, ending at the payload's end) and, for
-// directories, non-nil children.
+// CheckTable validates what MakeFlatNode leaves to first use in a
+// directory: the offset table (first offset zero, monotone, ending at the
+// payload's end) and non-nil children. A data node has neither.
 func (f *FlatNode) CheckTable() error {
+	if f.leaf {
+		return nil
+	}
 	prev := uint32(0)
 	for i := 0; i <= f.count; i++ {
 		off := binary.LittleEndian.Uint32(f.b[flatHeaderSize+4*i:])
@@ -218,19 +210,17 @@ func (f *FlatNode) CheckTable() error {
 	if int(prev) != len(f.b)-f.mdsBase {
 		return fmt.Errorf("%w: node %d: flat mds area length", ErrCorrupt, f.id)
 	}
-	if !f.leaf {
-		for i := 0; i < f.count; i++ {
-			if f.Child(i) == NilNode {
-				return fmt.Errorf("%w: node %d entry %d: nil child", ErrCorrupt, f.id, i)
-			}
+	for i := 0; i < f.count; i++ {
+		if f.Child(i) == NilNode {
+			return fmt.Errorf("%w: node %d entry %d: nil child", ErrCorrupt, f.id, i)
 		}
 	}
 	return nil
 }
 
-// EntryMDS returns entry i's MDS wire encoding, in place; nil when the
-// offset table does not bound it inside the payload (which the view
-// iterator then reports as malformed).
+// EntryMDS returns directory entry i's MDS wire encoding, in place; nil
+// when the offset table does not bound it inside the payload (which the
+// view iterator then reports as malformed).
 func (f *FlatNode) EntryMDS(i int) []byte {
 	o := int(binary.LittleEndian.Uint32(f.b[flatHeaderSize+4*i:]))
 	e := int(binary.LittleEndian.Uint32(f.b[flatHeaderSize+4*i+4:]))
@@ -240,7 +230,7 @@ func (f *FlatNode) EntryMDS(i int) []byte {
 	return f.b[f.mdsBase+o : f.mdsBase+e]
 }
 
-// Agg returns entry i's aggregate of measure j.
+// Agg returns directory entry i's aggregate of measure j.
 func (f *FlatNode) Agg(i, j int) cube.Agg {
 	a := f.aggBase + flatAggStride*(f.measures*i+j)
 	return cube.Agg{
@@ -256,17 +246,17 @@ func (f *FlatNode) Child(i int) NodeID {
 	return NodeID(binary.LittleEndian.Uint64(f.b[f.fixBase+f.fixedPer*i:]))
 }
 
-// Coord returns data entry i's coordinate in dimension d.
+// Coord returns record i's coordinate in dimension d.
 func (f *FlatNode) Coord(i, d int) hierarchy.ID {
 	return hierarchy.ID(binary.LittleEndian.Uint32(f.b[f.fixBase+f.fixedPer*i+4*d:]))
 }
 
-// Measure returns data entry i's measure j.
+// Measure returns record i's measure j.
 func (f *FlatNode) Measure(i, j int) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(f.b[f.fixBase+f.fixedPer*i+4*f.dims+8*j:]))
 }
 
-// Record materializes data entry i as an owned Record (scan path).
+// Record materializes record i as an owned Record (scan path).
 func (f *FlatNode) Record(i int) cube.Record {
 	r := cube.Record{
 		Coords:   make([]hierarchy.ID, f.dims),
@@ -284,9 +274,8 @@ func (f *FlatNode) Record(i int) cube.Record {
 // DecodeNode materializes a payload as a heap node — the write path, and a
 // host whose store serves no views, need mutable *Nodes.
 //
-// A data node decodes into its two row arrays; what the encoding repeats
-// per record (the singleton MDS, the one-record aggregates) is checked
-// against the row, since the heap form does not keep it. A directory's
+// A data node decodes into its two row arrays; its coordinates must be
+// leaf-level values, which the row tests assume. A directory's
 // per-entry state is carved out of node-scoped arenas — one backing array
 // each for aggregate vectors and the MDS dimension sets and ID values — so
 // a node of k entries decodes with O(1) slice allocations instead of O(k).
@@ -308,13 +297,14 @@ func DecodeNode(id NodeID, buf []byte, dims, measures int) (*Node, error) {
 		n.measures = make([]float64, 0, f.count*measures)
 		for i := 0; i < f.count; i++ {
 			for d := 0; d < dims; d++ {
-				n.coords = append(n.coords, f.Coord(i, d))
+				c := f.Coord(i, d)
+				if c.Level() != 0 {
+					return nil, fmt.Errorf("%w: node %d record %d: coordinate %v is not a leaf value", ErrCorrupt, id, i, c)
+				}
+				n.coords = append(n.coords, c)
 			}
 			for j := 0; j < measures; j++ {
 				n.measures = append(n.measures, f.Measure(i, j))
-			}
-			if !f.describesRow(i) {
-				return nil, fmt.Errorf("%w: node %d entry %d does not describe its record", ErrCorrupt, id, i)
 			}
 		}
 		return n, nil
@@ -337,30 +327,4 @@ func DecodeNode(id NodeID, buf []byte, dims, measures int) (*Node, error) {
 		e.Child = f.Child(i)
 	}
 	return n, nil
-}
-
-// describesRow reports whether data entry i's MDS blob and aggregates are
-// the ones its record implies: one singleton set per dimension holding the
-// coordinate, and per measure the aggregate of that one value.
-func (f *FlatNode) describesRow(i int) bool {
-	it, err := mds.NewViewIter(f.EntryMDS(i))
-	if err != nil || it.Dims() != f.dims {
-		return false
-	}
-	for d := 0; d < f.dims; d++ {
-		dv, ok := it.Next()
-		if c := f.Coord(i, d); !ok || dv.Level != c.Level() || dv.Len() != 1 || dv.ID(0) != c {
-			return false
-		}
-	}
-	if it.Rem() != 0 {
-		return false
-	}
-	for j := 0; j < f.measures; j++ {
-		x, g := math.Float64bits(f.Measure(i, j)), f.Agg(i, j)
-		if g.Count != 1 || math.Float64bits(g.Sum) != x || math.Float64bits(g.Min) != x || math.Float64bits(g.Max) != x {
-			return false
-		}
-	}
-	return true
 }

@@ -30,9 +30,10 @@ type Entry struct {
 // the same code over contiguous bytes.
 //
 // A data node is struct-of-arrays: record i's coordinates are
-// coords[i*dims:(i+1)*dims], its measures measures[i*nm:(i+1)*nm]. The
-// singleton MDS and the one-record aggregates the encoding carries for a
-// data entry are functions of the row and are synthesized where needed.
+// coords[i*dims:(i+1)*dims], its measures measures[i*nm:(i+1)*nm] — the
+// same rows its encoding holds. A record's singleton MDS and one-record
+// aggregates are functions of the row, kept in neither form and
+// synthesized where the write path needs them.
 type Node struct {
 	id     NodeID
 	leaf   bool

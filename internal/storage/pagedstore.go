@@ -49,7 +49,7 @@ type PagedStore struct {
 	pendingFree []extentSpan
 	stats       statsCounters
 	closed      bool
-	dirtyHdr    bool
+	dirtyHdr    bool       // an extent was allocated or freed since the header on disk was written
 	mm          mmapRegion // zero-copy extent views (mmapstore.go)
 }
 
@@ -187,6 +187,7 @@ func (s *PagedStore) allocLocked(blocks int) (PageID, error) {
 		return NilPage, ErrBadExtent
 	}
 	s.stats.allocs.Add(1)
+	s.dirtyHdr = true
 	if ids := s.free[blocks]; len(ids) > 0 {
 		id := ids[len(ids)-1]
 		s.free[blocks] = ids[:len(ids)-1]
@@ -194,7 +195,6 @@ func (s *PagedStore) allocLocked(blocks int) (PageID, error) {
 	}
 	id := s.next
 	s.next += PageID(blocks)
-	s.dirtyHdr = true
 	return id, nil
 }
 
@@ -343,6 +343,7 @@ func (s *PagedStore) freeLocked(id PageID, blocks int) error {
 		}
 	}
 	s.free[blocks] = append(s.free[blocks], id)
+	s.dirtyHdr = true
 	s.pool.drop(id)
 	s.stats.frees.Add(1)
 	return nil
@@ -370,7 +371,6 @@ func (s *PagedStore) SetMeta(data []byte) error {
 		s.pendingFree = append(s.pendingFree, extentSpan{id: s.metaID, blocks: s.metaBlk})
 	}
 	s.metaID, s.metaBlk = id, blocks
-	s.dirtyHdr = true
 	return nil
 }
 
@@ -405,6 +405,12 @@ func (s *PagedStore) Sync() error {
 func (s *PagedStore) syncLocked() error {
 	if s.closed {
 		return ErrClosed
+	}
+	// Nothing allocated, freed or re-pointed since the header on disk was
+	// written: there is no freelist or header to write, and a file that was
+	// only opened, read and closed stays byte for byte what it was.
+	if !s.dirtyHdr {
+		return s.f.Sync()
 	}
 	if err := s.storeFreelist(); err != nil {
 		return err
@@ -479,7 +485,6 @@ func (s *PagedStore) storeFreelist() error {
 		return err
 	}
 	s.freeID, s.freeBlk = id, blocks
-	s.dirtyHdr = true
 	if old.id != NilPage {
 		s.pendingFree = append(s.pendingFree, old)
 	}

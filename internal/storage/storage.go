@@ -42,7 +42,7 @@ var (
 	ErrChecksum = errors.New("storage: checksum mismatch")
 	// ErrUnsupportedFormat marks a file, log or metadata blob written in a
 	// recognised but retired on-disk format generation (DCSTORE1, DCWAL001,
-	// DCMETA01–07, path-spelling WAL records, varint node extents). Nothing
+	// DCMETA01–08, path-spelling WAL records, compressed WAL frames). Nothing
 	// is decoded from it; the data was intact, it is just not read any more.
 	ErrUnsupportedFormat = errors.New("storage: unsupported (retired) on-disk format")
 )
