@@ -199,13 +199,14 @@ func BenchmarkBulkLoad(b *testing.B) {
 	}
 }
 
-// TestFullLeafFitsOneBlock: one node, one block (§4.2). A full data node at
-// the default configuration on the TPC-D cube encodes to 20 + 48·24 = 1,172
-// bytes, so the extent a flush gives it is as long as the node says it is
-// — the block count LevelStats reports is the one the store holds.
+// TestFullLeafFitsOneBlock: one node, one block (§4.2). At the default
+// configuration a data node holds as many TPC-D rows as one block's extent
+// fits — 169, encoded in 20 + 169·24 = 4,076 of the 4,084 payload bytes —
+// so the extent a flush gives a full one is as long as the node says it is:
+// the block count LevelStats reports is the one the store holds.
 func TestFullLeafFitsOneBlock(t *testing.T) {
 	cfg := DefaultConfig()
-	gen, err := tpcd.New(1, tpcd.ScaleFor(25*cfg.LeafCapacity))
+	gen, err := tpcd.New(1, tpcd.ScaleFor(25*169))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,11 @@ func TestFullLeafFitsOneBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tree.BulkLoad(gen.Records(25 * cfg.LeafCapacity)); err != nil {
+	rows := tree.Config().LeafCapacity
+	if rows != 169 {
+		t.Fatalf("default data-node capacity %d rows, want the block-filled 169", rows)
+	}
+	if err := tree.BulkLoad(gen.Records(25 * rows)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tree.Flush(); err != nil {
@@ -224,7 +229,7 @@ func TestFullLeafFitsOneBlock(t *testing.T) {
 		if !n.Leaf() {
 			continue
 		}
-		if n.Count() == cfg.LeafCapacity {
+		if n.Count() == rows {
 			full++
 		}
 		if ref := tree.table[n.ID()]; ref.blocks != n.Blocks() {

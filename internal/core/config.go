@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/index"
 	"github.com/dcindex/dctree/internal/storage"
 )
@@ -27,7 +28,12 @@ import (
 // unset fields.
 type Config struct {
 	// BlockSize is the size of one storage block in bytes. Nodes occupy
-	// one block; supernodes occupy consecutive multiples of it.
+	// one block; supernodes occupy consecutive multiples of it. It also
+	// sizes the data node: New resolves a zero LeafCapacity (the default)
+	// to the rows one block's extent holds for the schema
+	// (index.LeafCapacityFor) — 169 TPC-D rows at the default 4 KiB — and
+	// the meta blob persists the resolved count, so a tree reopens with the
+	// capacity it was built with.
 	BlockSize int
 
 	// Config holds the knobs of the paper's algorithms (DirCapacity …
@@ -147,4 +153,13 @@ func (c *Config) Normalize() error {
 		return fmt.Errorf("%w: negative sync replication timeout", ErrBadConfig)
 	}
 	return nil
+}
+
+// resolveLeafCapacity turns the default LeafCapacity, 0, into the
+// block-filled data node of the schema: Normalize cannot, it knows no
+// schema.
+func (c *Config) resolveLeafCapacity(schema *cube.Schema) {
+	if c.LeafCapacity == 0 {
+		c.LeafCapacity = index.LeafCapacityFor(storage.ExtentCapacity(c.BlockSize, 1), schema.Dims(), schema.Measures())
+	}
 }

@@ -391,6 +391,11 @@ func TestRecoveryOfParentWrittenImage(t *testing.T) {
 	if got := tree.Metrics().RecoveryReplayedRecords; got != 45 {
 		t.Fatalf("replayed %d records, want the 45 of the tail", got)
 	}
+	// The image keeps the data-node capacity it was written with, not the
+	// block-filled count a new tree of its block size would resolve.
+	if got, want := tree.Config().LeafCapacity, smallConfig().LeafCapacity; got != want {
+		t.Fatalf("fixture reopened at %d rows a data node, written at %d", got, want)
+	}
 	checkImage := func(tree *Tree, count int64, sum float64) {
 		t.Helper()
 		if err := tree.Validate(); err != nil {

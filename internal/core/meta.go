@@ -351,6 +351,8 @@ func decodeMeta(meta []byte) (*Tree, error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
+	// New persists the count it resolved; only a damaged blob says 0.
+	cfg.resolveLeafCapacity(schema)
 	t := &Tree{
 		schema:           schema,
 		cfg:              cfg,

@@ -63,14 +63,18 @@ func shapeDigest(t *testing.T, tree *Tree) string {
 	return hex.EncodeToString(h.Sum(nil)[:12])
 }
 
-// TestGoldenTreeShape pins the tree the write path builds. The digests were
-// taken at the commit before the write-path MDS kernel (PR 12): the kernel
-// must reproduce every choose-subtree, split, refinement and delete-repair
-// decision of the allocating implementation bit for bit. A change that means
-// to build a different tree re-pins them and says so.
+// TestGoldenTreeShape pins the tree the write path builds. The digests of
+// the first four streams were taken at the commit before the write-path MDS
+// kernel (PR 12): the kernel — and since PR 25 the incremental delete
+// repair — must reproduce every choose-subtree, split, refinement and
+// delete-repair decision of the allocating implementation bit for bit. They
+// name the data-node capacity they were pinned at, 48 rows (the default
+// until it became the block-filled count); the last stream pins the default
+// itself. A change that means to build a different tree re-pins them and
+// says so.
 func TestGoldenTreeShape(t *testing.T) {
 	if testing.Short() {
-		t.Skip("loads 4×22k records")
+		t.Skip("loads 5×22k records")
 	}
 	const load, expire, reload = 20000, 2000, 2000
 	cases := []struct {
@@ -78,10 +82,11 @@ func TestGoldenTreeShape(t *testing.T) {
 		cfg  func(*Config)
 		want string
 	}{
-		{"default", func(*Config) {}, "b6d09291b7e223ccb1fed50a"},
+		{"default", func(c *Config) { c.LeafCapacity = 48 }, "b6d09291b7e223ccb1fed50a"},
 		// A strict overlap criterion rejects most candidate partitions, so
 		// the fallback partition is forced ...
 		{"forced-splits", func(c *Config) {
+			c.LeafCapacity = 48
 			c.DisableSupernodes = true
 			c.MaxOverlapRatio = 0.002
 			c.MinFillRatio = 0.45
@@ -95,9 +100,12 @@ func TestGoldenTreeShape(t *testing.T) {
 		}, "6739037bc1822b1981e773d0"},
 		// The two ablation switches the kernel has to honour.
 		{"flat-choose-no-refine", func(c *Config) {
+			c.LeafCapacity = 48
 			c.FlatChooseSubtree = true
 			c.RefineBound = -1
 		}, "4c5043ed91f7c64ca3a86ae1"},
+		// The default: a data node fills its block (169 TPC-D rows).
+		{"block-filled", func(*Config) {}, "c11ebccbaf190b332d9aaab4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -146,76 +154,95 @@ func TestGoldenTreeShape(t *testing.T) {
 // TestGoldenQueryStats pins the work the read path does for a fixed tree and
 // a fixed query set, beside the shape that determines it: nodes visited,
 // entries scanned and pruned, materialized hits and records matched, summed
-// per query class. The numbers were taken at the commit before the read-path
-// kernel (PR 15); the kernel changes how an entry is tested, never which
-// entries are. Every way of walking the tree does the same work: serial and
-// parallel over heap nodes, as of a version (overlay payloads), and over
-// zero-copy views of checkpointed extents.
+// per query class. The 48-row tree's numbers were taken at the commit before
+// the read-path kernel (PR 15); the kernel changes how an entry is tested,
+// never which entries are. The block-filled default's tree is another shape
+// with other numbers and the same answers. Every way of walking the tree
+// does the same work: serial and parallel over heap nodes, as of a version
+// (overlay payloads), and over zero-copy views of checkpointed extents.
 func TestGoldenQueryStats(t *testing.T) {
 	const load = 6000
-	want := map[string]QueryStats{
-		"sel01":  {NodesVisited: 157, EntriesScanned: 3778, EntriesPruned: 911},
-		"sel05":  {NodesVisited: 453, EntriesScanned: 13142, EntriesPruned: 1085, RecordsMatched: 2},
-		"sel25":  {NodesVisited: 1741, EntriesScanned: 53817, EntriesPruned: 425, RecordsMatched: 204},
-		"rollup": {NodesVisited: 716, EntriesScanned: 21099, EntriesPruned: 1131, RecordsMatched: 1432},
-		"region": {NodesVisited: 1353, EntriesScanned: 41117, EntriesPruned: 903, MaterializedHits: 23, RecordsMatched: 9632},
-	}
 	gen, err := tpcd.New(7, tpcd.ScaleFor(load))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	tree, err := New(storage.NewMemStore(cfg.BlockSize), gen.Schema(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range gen.Records(load) {
-		if err := tree.Insert(r); err != nil {
-			t.Fatal(err)
-		}
-	}
+	recs := gen.Records(load)
 	queries := drawQueryClasses(t, gen, 11, 12)
-	check := func(form string, req QueryRequest) {
-		t.Helper()
-		for _, class := range queryClassNames {
-			var got QueryStats
-			for _, q := range queries[class] {
-				req.Query, req.CollectStats = q, true
-				res, err := tree.Execute(context.Background(), req)
-				if err != nil {
-					t.Fatalf("%s %s: %v", form, class, err)
+	for _, tc := range []struct {
+		name         string
+		leafCapacity int
+		want         map[string]QueryStats
+	}{
+		{"leaf-48", 48, map[string]QueryStats{
+			"sel01":  {NodesVisited: 157, EntriesScanned: 3778, EntriesPruned: 911},
+			"sel05":  {NodesVisited: 453, EntriesScanned: 13142, EntriesPruned: 1085, RecordsMatched: 2},
+			"sel25":  {NodesVisited: 1741, EntriesScanned: 53817, EntriesPruned: 425, RecordsMatched: 204},
+			"rollup": {NodesVisited: 716, EntriesScanned: 21099, EntriesPruned: 1131, RecordsMatched: 1432},
+			"region": {NodesVisited: 1353, EntriesScanned: 41117, EntriesPruned: 903, MaterializedHits: 23, RecordsMatched: 9632},
+		}},
+		{"block-filled", 0, map[string]QueryStats{
+			"sel01":  {NodesVisited: 81, EntriesScanned: 6801, EntriesPruned: 269},
+			"sel05":  {NodesVisited: 219, EntriesScanned: 22506, EntriesPruned: 221, RecordsMatched: 2},
+			"sel25":  {NodesVisited: 504, EntriesScanned: 54730, EntriesPruned: 94, RecordsMatched: 204},
+			"rollup": {NodesVisited: 324, EntriesScanned: 34445, EntriesPruned: 215, RecordsMatched: 1432},
+			"region": {NodesVisited: 434, EntriesScanned: 47244, EntriesPruned: 135, MaterializedHits: 9, RecordsMatched: 6109},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.LeafCapacity = tc.leafCapacity
+			tree, err := New(storage.NewMemStore(cfg.BlockSize), gen.Schema(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range recs {
+				if err := tree.Insert(r); err != nil {
+					t.Fatal(err)
 				}
-				got.NodesVisited += res.Stats.NodesVisited
-				got.EntriesScanned += res.Stats.EntriesScanned
-				got.EntriesPruned += res.Stats.EntriesPruned
-				got.MaterializedHits += res.Stats.MaterializedHits
-				got.RecordsMatched += res.Stats.RecordsMatched
 			}
-			if got != want[class] {
-				t.Errorf("%s %s: stats %+v, pinned %+v", form, class, got, want[class])
+			check := func(form string, req QueryRequest) {
+				t.Helper()
+				for _, class := range queryClassNames {
+					var got QueryStats
+					for _, q := range queries[class] {
+						req.Query, req.CollectStats = q, true
+						res, err := tree.Execute(context.Background(), req)
+						if err != nil {
+							t.Fatalf("%s %s: %v", form, class, err)
+						}
+						got.NodesVisited += res.Stats.NodesVisited
+						got.EntriesScanned += res.Stats.EntriesScanned
+						got.EntriesPruned += res.Stats.EntriesPruned
+						got.MaterializedHits += res.Stats.MaterializedHits
+						got.RecordsMatched += res.Stats.RecordsMatched
+					}
+					if got != tc.want[class] {
+						t.Errorf("%s %s: stats %+v, pinned %+v", form, class, got, tc.want[class])
+					}
+				}
 			}
-		}
-	}
-	check("serial", QueryRequest{})
-	check("parallel", QueryRequest{Parallel: 3})
-	v, err := tree.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("as-of", QueryRequest{AsOf: v})
-	check("as-of parallel", QueryRequest{AsOf: v, Parallel: 3})
-	if err := v.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	tree.EvictCache()
-	before := tree.Metrics()
-	check("flat views", QueryRequest{})
-	if after := tree.Metrics(); after.FlatNodeReads == before.FlatNodeReads || after.DecodeFallbacks != before.DecodeFallbacks {
-		t.Errorf("flat-view pass: %d flat reads, %d decode fallbacks",
-			after.FlatNodeReads-before.FlatNodeReads, after.DecodeFallbacks-before.DecodeFallbacks)
+			check("serial", QueryRequest{})
+			check("parallel", QueryRequest{Parallel: 3})
+			v, err := tree.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("as-of", QueryRequest{AsOf: v})
+			check("as-of parallel", QueryRequest{AsOf: v, Parallel: 3})
+			if err := v.Release(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tree.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			tree.EvictCache()
+			before := tree.Metrics()
+			check("flat views", QueryRequest{})
+			if after := tree.Metrics(); after.FlatNodeReads == before.FlatNodeReads || after.DecodeFallbacks != before.DecodeFallbacks {
+				t.Errorf("flat-view pass: %d flat reads, %d decode fallbacks",
+					after.FlatNodeReads-before.FlatNodeReads, after.DecodeFallbacks-before.DecodeFallbacks)
+			}
+		})
 	}
 }
 

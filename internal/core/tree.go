@@ -136,6 +136,7 @@ func New(store storage.Store, schema *cube.Schema, cfg Config) (*Tree, error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
+	cfg.resolveLeafCapacity(schema)
 	if cfg.BlockSize != store.BlockSize() {
 		return nil, fmt.Errorf("%w: config block size %d != store block size %d",
 			ErrBadConfig, cfg.BlockSize, store.BlockSize())

@@ -562,6 +562,45 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestLeafCapacityPersists: New resolves the default data-node capacity to
+// the rows one block holds (20 B each on the test cube: 4,064 / 20 = 203 at
+// 4 KiB), the meta blob keeps the count, and an image reopens with the
+// count it was written with — one written at the previous default, 48,
+// keeps its 48.
+func TestLeafCapacityPersists(t *testing.T) {
+	for _, tc := range []struct{ set, want int }{{0, 203}, {48, 48}} {
+		cfg := DefaultConfig()
+		cfg.LeafCapacity = tc.set
+		store := storage.NewMemStore(cfg.BlockSize)
+		s := testSchema(t)
+		tree, err := New(store, s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tree.Config().LeafCapacity; got != tc.want {
+			t.Fatalf("LeafCapacity %d resolved to %d, want %d", tc.set, got, tc.want)
+		}
+		for _, r := range genRecords(t, s, rand.New(rand.NewSource(18)), 2000) {
+			if err := tree.Insert(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tree.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := Open(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reopened.Config().LeafCapacity; got != tc.want {
+			t.Fatalf("image written at %d rows reopened at %d", tc.want, got)
+		}
+		if err := reopened.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestPersistenceRoundtrip(t *testing.T) {
 	for _, backend := range []string{"mem", "paged"} {
 		t.Run(backend, func(t *testing.T) {

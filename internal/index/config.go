@@ -11,7 +11,11 @@ type Config struct {
 	DirCapacity int
 
 	// LeafCapacity is the maximum number of data records of a one-block
-	// data node.
+	// data node. 0, the default, is the block-filled data node: a node is
+	// one block, as the X-tree's are (§4.2), so its capacity is as many
+	// rows as one block's payload holds. Only the host knows its block,
+	// so the host resolves 0 with LeafCapacityFor before New — 169 rows of
+	// the TPC-D cube at 4 KiB — and Normalize leaves it alone.
 	LeafCapacity int
 
 	// MinFillRatio is the balance criterion of the split algorithm: a
@@ -65,11 +69,11 @@ type Config struct {
 	FlatChooseSubtree bool
 }
 
-// DefaultConfig returns the configuration used by the paper reproduction.
+// DefaultConfig returns the configuration used by the paper reproduction;
+// its LeafCapacity is left for the host to resolve.
 func DefaultConfig() Config {
 	return Config{
 		DirCapacity:        24,
-		LeafCapacity:       48,
 		MinFillRatio:       0.35,
 		MaxOverlapRatio:    0.20,
 		MaxSupernodeBlocks: 64,
@@ -78,14 +82,12 @@ func DefaultConfig() Config {
 	}
 }
 
-// Normalize fills unset fields from DefaultConfig and validates ranges.
+// Normalize fills unset fields from DefaultConfig and validates ranges. A
+// zero LeafCapacity stays zero: New and Restore need it resolved.
 func (c *Config) Normalize() error {
 	d := DefaultConfig()
 	if c.DirCapacity == 0 {
 		c.DirCapacity = d.DirCapacity
-	}
-	if c.LeafCapacity == 0 {
-		c.LeafCapacity = d.LeafCapacity
 	}
 	if c.MinFillRatio == 0 {
 		c.MinFillRatio = d.MinFillRatio
@@ -102,7 +104,7 @@ func (c *Config) Normalize() error {
 	switch {
 	case c.DirCapacity < 4:
 		return fmt.Errorf("%w: directory capacity %d < 4", ErrBadConfig, c.DirCapacity)
-	case c.LeafCapacity < 4:
+	case c.LeafCapacity < 4 && c.LeafCapacity != 0:
 		return fmt.Errorf("%w: leaf capacity %d < 4", ErrBadConfig, c.LeafCapacity)
 	case c.MinFillRatio < 0 || c.MinFillRatio > 0.5:
 		return fmt.Errorf("%w: min fill ratio %g outside [0,0.5]", ErrBadConfig, c.MinFillRatio)

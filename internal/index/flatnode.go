@@ -65,6 +65,17 @@ func flatLayoutSizes(leaf bool, count, dims, measures int) (aggBase, fixBase, md
 	return aggBase, fixBase, fixBase + 8*count, 8
 }
 
+// LeafCapacityFor returns how many rows of a schema with dims coordinates
+// and measures values a data node's encoding fits in payload bytes: the rows
+// behind the header, at least 4 (Config's minimum). With payload the extent
+// capacity of one block it is the block-filled data node, the default
+// Config.LeafCapacity a host resolves — 169 rows of the TPC-D cube (4 u32 +
+// 1 f64) in a 4 KiB block.
+func LeafCapacityFor(payload, dims, measures int) int {
+	_, _, _, row := flatLayoutSizes(true, 0, dims, measures)
+	return max((payload-flatHeaderSize)/row, 4)
+}
+
 // appendEncodeFlat serializes the node. The fixed-size prefix (header and,
 // for a directory, offset table, agg and child areas) is reserved up front
 // and filled by indexed writes; a directory's MDS blobs are appended behind

@@ -106,6 +106,7 @@ type counters struct {
 	stealSpawned     obs.Counter
 	stealStolen      obs.Counter
 	readImageBuilds  obs.Counter
+	repairFallbacks  obs.Counter
 }
 
 // Counters is a point-in-time copy of the index's counters.
@@ -126,6 +127,9 @@ type Counters struct {
 	StealStolen  int64
 	// Read images built for heap directories.
 	ReadImageBuilds int64
+	// Delete repairs of an entry or the root MDS that moved a level and so
+	// rebuilt the cover (mds.CoverInto) instead of dropping one value.
+	DeleteRepairFallbacks int64
 }
 
 // New creates an empty index whose nodes live in store: the root is a data
@@ -162,16 +166,17 @@ func (ix *Index) Count() int64 { return ix.count }
 func (ix *Index) Counters() Counters {
 	c := &ix.c
 	return Counters{
-		SplitsHierarchy:   c.splitsHierarchy.Load(),
-		SplitsForced:      c.splitsForced.Load(),
-		SupernodesCreated: c.supernodeCreated.Load(),
-		SupernodesGrown:   c.supernodeGrown.Load(),
-		RootSplits:        c.rootSplits.Load(),
-		MaskPoolHits:      c.maskPoolHits.Load(),
-		MaskPoolMisses:    c.maskPoolMisses.Load(),
-		StealSpawned:      c.stealSpawned.Load(),
-		StealStolen:       c.stealStolen.Load(),
-		ReadImageBuilds:   c.readImageBuilds.Load(),
+		SplitsHierarchy:       c.splitsHierarchy.Load(),
+		SplitsForced:          c.splitsForced.Load(),
+		SupernodesCreated:     c.supernodeCreated.Load(),
+		SupernodesGrown:       c.supernodeGrown.Load(),
+		RootSplits:            c.rootSplits.Load(),
+		MaskPoolHits:          c.maskPoolHits.Load(),
+		MaskPoolMisses:        c.maskPoolMisses.Load(),
+		StealSpawned:          c.stealSpawned.Load(),
+		StealStolen:           c.stealStolen.Load(),
+		ReadImageBuilds:       c.readImageBuilds.Load(),
+		DeleteRepairFallbacks: c.repairFallbacks.Load(),
 	}
 }
 

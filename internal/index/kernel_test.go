@@ -286,13 +286,12 @@ func TestDescribeMatchesReference(t *testing.T) {
 // of four blocks: the split allocates what the tree keeps (two entry arrays,
 // a node, two MDSs, two aggregates), never per entry or per compared pair.
 func TestSplitAllocationsIndependentOfEntryCount(t *testing.T) {
-	cfg := DefaultConfig()
-	tree := newTestIndex(t, cfg)
+	tree := newTestIndex(t, DefaultConfig())
+	const runs, maxBlocks = 5, 4
 	rng := rand.New(rand.NewSource(56))
-	recs := genRecords(t, tree.schema, rng, 4000)
+	recs := genRecords(t, tree.schema, rng, (runs+1)*(maxBlocks*tree.cfg.LeafCapacity+1))
 	measure := func(blocks int) float64 {
-		const runs = 5
-		entries := blocks*cfg.LeafCapacity + 1
+		entries := blocks*tree.cfg.LeafCapacity + 1
 		nodes := make([]*Node, 0, runs+1)
 		for len(nodes) < cap(nodes) {
 			n := tree.store.New(true)
@@ -313,7 +312,7 @@ func TestSplitAllocationsIndependentOfEntryCount(t *testing.T) {
 	}
 	// Before the kernel a 49-entry split allocated some 15,000 times. The
 	// node map grows now and then, hence a ceiling and not equality.
-	if small, large := measure(1), measure(4); small > 16 || large > 16 {
+	if small, large := measure(1), measure(maxBlocks); small > 16 || large > 16 {
 		t.Fatalf("split allocates %.0f times for one block, %.0f for four; ceiling 16 for both", small, large)
 	}
 }
@@ -595,7 +594,7 @@ func splitTestSpace(dims int) mds.Space {
 
 func TestHierarchySplitMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
-	maxK := 4*DefaultConfig().LeafCapacity + 1
+	maxK := 4*48 + 1 // a four-block data node of 48 rows
 	var tally splitTally
 	for round := 0; round < 1500; round++ {
 		dims := 2 + rng.Intn(4)
@@ -666,7 +665,7 @@ func TestHierarchySplitProductsPast2to53(t *testing.T) {
 // separated in any dimension, so it grows block by block — and at the cap it
 // takes the forced split instead of a 65th block.
 func TestZeroSupernodeCapSelectsDefault(t *testing.T) {
-	cfg := Config{MaxSupernodeBlocks: 0}
+	cfg := Config{MaxSupernodeBlocks: 0, LeafCapacity: 48}
 	if err := cfg.Normalize(); err != nil {
 		t.Fatal(err)
 	}

@@ -24,11 +24,11 @@ type writeScratch struct {
 	weights [hierarchy.MaxLevel + 1]float64
 
 	topMDS  mds.MDS        // (ALL,…,ALL): the root's relevant levels, read-only
-	levels  []int          // per-dimension level vector (cover floors, refinement)
+	levels  []int          // per-dimension level vector (cover floors, member levels)
 	top     []int          // every dimension's top named level (bulk load floor)
 	members []mds.MDS      // member list of a k-way cover
 	rowDims []mds.DimSet   // the singleton sets of a data node's records
-	cover   mds.CoverBuf   // node covers: delete repair, root refresh, bulk load
+	cover   mds.CoverBuf   // node covers: delete-repair fallback, bulk load
 	desc    []hierarchy.ID // one node description in one dimension
 	refined [][]hierarchy.ID
 	split   splitScratch
@@ -181,6 +181,19 @@ func (ws *writeScratch) entryMDSs(n *Node) []mds.MDS {
 		ws.members = append(ws.members, n.entries[i].MDS)
 	}
 	return ws.members
+}
+
+// memberLevels loads into the scratch's level vector, per dimension, the
+// coarsest level among n's members — 0 for a data node's rows — which is the
+// level their cover takes at no floor (LevelALL is the largest level tag).
+func (ws *writeScratch) memberLevels(n *Node) []int {
+	clear(ws.levels)
+	for i := range n.entries {
+		for d, ds := range n.entries[i].MDS {
+			ws.levels[d] = max(ws.levels[d], ds.Level)
+		}
+	}
+	return ws.levels
 }
 
 // levelsOf loads m's relevant levels into the scratch's level vector.

@@ -68,10 +68,13 @@ func shapeDigest(t *testing.T, ix *Index) string {
 }
 
 // TestGoldenTreeShape pins the tree the write path builds, with the digests
-// internal/core pins for the same four streams.
+// internal/core pins for the same five streams. The first four name the
+// data-node capacity they were pinned at (48 rows, the default before it
+// became the block-filled count), so their digests are the ones PR 12 took;
+// the last pins the default itself.
 func TestGoldenTreeShape(t *testing.T) {
 	if testing.Short() {
-		t.Skip("loads 4×22k records")
+		t.Skip("loads 5×22k records")
 	}
 	const load, expire, reload = 20000, 2000, 2000
 	cases := []struct {
@@ -79,8 +82,9 @@ func TestGoldenTreeShape(t *testing.T) {
 		cfg  func(*Config)
 		want string
 	}{
-		{"default", func(*Config) {}, "b6d09291b7e223ccb1fed50a"},
+		{"default", func(c *Config) { c.LeafCapacity = 48 }, "b6d09291b7e223ccb1fed50a"},
 		{"forced-splits", func(c *Config) {
+			c.LeafCapacity = 48
 			c.DisableSupernodes = true
 			c.MaxOverlapRatio = 0.002
 			c.MinFillRatio = 0.45
@@ -92,9 +96,11 @@ func TestGoldenTreeShape(t *testing.T) {
 			c.MaxOverlapRatio = 0.002
 		}, "6739037bc1822b1981e773d0"},
 		{"flat-choose-no-refine", func(c *Config) {
+			c.LeafCapacity = 48
 			c.FlatChooseSubtree = true
 			c.RefineBound = -1
 		}, "4c5043ed91f7c64ca3a86ae1"},
+		{"block-filled", func(*Config) {}, "c11ebccbaf190b332d9aaab4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -145,51 +151,72 @@ func (s flatNodes) View(id NodeID) (NodeView, error) {
 
 // TestGoldenQueryStats pins the work the read path does for a fixed tree and
 // a fixed query set, with the numbers internal/core pins: serial and
-// parallel over heap nodes, and over the nodes' flat encodings.
+// parallel over heap nodes, and over the nodes' flat encodings. The
+// 48-row tree's numbers are PR 15's; the block-filled default's answers
+// must be the 48-row tree's, query by query.
 func TestGoldenQueryStats(t *testing.T) {
 	const load = 6000
-	want := map[string]QueryStats{
-		"sel01":  {NodesVisited: 157, EntriesScanned: 3778, EntriesPruned: 911},
-		"sel05":  {NodesVisited: 453, EntriesScanned: 13142, EntriesPruned: 1085, RecordsMatched: 2},
-		"sel25":  {NodesVisited: 1741, EntriesScanned: 53817, EntriesPruned: 425, RecordsMatched: 204},
-		"rollup": {NodesVisited: 716, EntriesScanned: 21099, EntriesPruned: 1131, RecordsMatched: 1432},
-		"region": {NodesVisited: 1353, EntriesScanned: 41117, EntriesPruned: 903, MaterializedHits: 23, RecordsMatched: 9632},
-	}
 	gen, err := tpcd.New(7, tpcd.ScaleFor(load))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, nodes := newBareIndex(t, gen.Schema(), DefaultConfig())
-	for _, r := range gen.Records(load) {
-		if err := ix.Insert(r); err != nil {
-			t.Fatal(err)
-		}
-	}
+	recs := gen.Records(load)
 	queries := drawQueryClasses(t, gen, 11, 12)
-	answers := map[string][]cube.Agg{} // of the first form; every other form must agree
-	check := func(form string, src Source, parallel int) {
-		t.Helper()
-		for _, class := range queryClassNames {
-			var got QueryStats
-			for i, q := range queries[class] {
-				res, err := ix.Execute(context.Background(), src, ix.root, Query{MDS: q, Parallel: parallel})
-				if err != nil {
-					t.Fatalf("%s %s: %v", form, class, err)
-				}
-				got.add(res.Stats)
-				if len(answers[class]) == i {
-					answers[class] = append(answers[class], res.Agg)
-				} else if a := answers[class][i]; res.Agg.Count != a.Count || res.Agg.Min != a.Min || res.Agg.Max != a.Max || !floatClose(res.Agg.Sum, a.Sum) {
-					t.Fatalf("%s %s query %d: %+v, serial walk %+v", form, class, i, res.Agg, a)
+	answers := map[string][]cube.Agg{} // of the first walk; every other must agree
+	for _, tc := range []struct {
+		name         string
+		leafCapacity int
+		want         map[string]QueryStats
+	}{
+		{"leaf-48", 48, map[string]QueryStats{
+			"sel01":  {NodesVisited: 157, EntriesScanned: 3778, EntriesPruned: 911},
+			"sel05":  {NodesVisited: 453, EntriesScanned: 13142, EntriesPruned: 1085, RecordsMatched: 2},
+			"sel25":  {NodesVisited: 1741, EntriesScanned: 53817, EntriesPruned: 425, RecordsMatched: 204},
+			"rollup": {NodesVisited: 716, EntriesScanned: 21099, EntriesPruned: 1131, RecordsMatched: 1432},
+			"region": {NodesVisited: 1353, EntriesScanned: 41117, EntriesPruned: 903, MaterializedHits: 23, RecordsMatched: 9632},
+		}},
+		{"block-filled", 0, map[string]QueryStats{
+			"sel01":  {NodesVisited: 81, EntriesScanned: 6801, EntriesPruned: 269},
+			"sel05":  {NodesVisited: 219, EntriesScanned: 22506, EntriesPruned: 221, RecordsMatched: 2},
+			"sel25":  {NodesVisited: 504, EntriesScanned: 54730, EntriesPruned: 94, RecordsMatched: 204},
+			"rollup": {NodesVisited: 324, EntriesScanned: 34445, EntriesPruned: 215, RecordsMatched: 1432},
+			"region": {NodesVisited: 434, EntriesScanned: 47244, EntriesPruned: 135, MaterializedHits: 9, RecordsMatched: 6109},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.LeafCapacity = tc.leafCapacity
+			ix, nodes := newBareIndex(t, gen.Schema(), cfg)
+			for _, r := range recs {
+				if err := ix.Insert(r); err != nil {
+					t.Fatal(err)
 				}
 			}
-			if got != want[class] {
-				t.Errorf("%s %s: stats %+v, pinned %+v", form, class, got, want[class])
+			check := func(form string, src Source, parallel int) {
+				t.Helper()
+				for _, class := range queryClassNames {
+					var got QueryStats
+					for i, q := range queries[class] {
+						res, err := ix.Execute(context.Background(), src, ix.root, Query{MDS: q, Parallel: parallel})
+						if err != nil {
+							t.Fatalf("%s %s: %v", form, class, err)
+						}
+						got.add(res.Stats)
+						if len(answers[class]) == i {
+							answers[class] = append(answers[class], res.Agg)
+						} else if a := answers[class][i]; res.Agg.Count != a.Count || res.Agg.Min != a.Min || res.Agg.Max != a.Max || !floatClose(res.Agg.Sum, a.Sum) {
+							t.Fatalf("%s %s query %d: %+v, first walk %+v", form, class, i, res.Agg, a)
+						}
+					}
+					if got != tc.want[class] {
+						t.Errorf("%s %s: stats %+v, pinned %+v", form, class, got, tc.want[class])
+					}
+				}
 			}
-		}
+			check("serial", nodes, 0)
+			check("parallel", nodes, 3)
+			check("flat views", flatNodes{nodes}, 0)
+			check("flat views parallel", flatNodes{nodes}, 3)
+		})
 	}
-	check("serial", nodes, 0)
-	check("parallel", nodes, 3)
-	check("flat views", flatNodes{nodes}, 0)
-	check("flat views parallel", flatNodes{nodes}, 3)
 }
