@@ -429,10 +429,10 @@ func runStats(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("level  nodes  supernodes  avg_entries  avg_blocks")
+	fmt.Println("level  nodes  supernodes  avg_entries  avg_blocks  encoded_bytes  max_encoded_bytes")
 	for _, l := range levels {
-		fmt.Printf("%5d  %5d  %10d  %11.1f  %10.2f\n",
-			l.Level, l.Nodes, l.Supernodes, l.AvgEntries, l.AvgBlocks)
+		fmt.Printf("%5d  %5d  %10d  %11.1f  %10.2f  %13d  %17d\n",
+			l.Level, l.Nodes, l.Supernodes, l.AvgEntries, l.AvgBlocks, l.EncodedBytes, l.MaxEncodedBytes)
 	}
 	if *metrics {
 		fmt.Println()

@@ -98,11 +98,12 @@ func DecodeHierarchy(buf []byte) (*Hierarchy, int, error) {
 			}
 		}
 	}
-	// Validate the parent links now that all levels are present.
+	// Validate the parent links now that all levels are present; only then
+	// may a parent code index (and size) the derived tables.
 	if err := h.Validate(); err != nil {
 		return nil, 0, fmt.Errorf("hierarchy decode: %w", err)
 	}
-	h.rebuildAbove()
+	h.rebuild()
 	return h, off, nil
 }
 

@@ -47,6 +47,15 @@ type Hierarchy struct {
 	// appends to all of them, decoding rebuilds them.
 	above [][][]ID
 
+	// head and next are the father relation read downward, as append-only
+	// child lists: head[level][c] is the code of the newest child (at
+	// level-1) of MakeID(level, c), next[level][c] the code of the next
+	// older child of MakeID(level, c)'s father; NoChild ends a list. Leaves
+	// have no head row and top-level values no next row (their father is
+	// ALL, whose children are the whole top level). Registration prepends in
+	// O(1), decoding rebuilds them (see ChildLinks).
+	head, next [][]uint32
+
 	// onRegister, when set, observes every NEW value registration (never
 	// lookups of existing values). The durable tree uses it to frame
 	// dictionary deltas into the WAL so records can carry interned IDs
@@ -85,6 +94,8 @@ func New(name string, levelNames ...string) (*Hierarchy, error) {
 		byLevel:    make([][]ID, len(levelNames)),
 		intern:     make([]map[scopedKey]ID, len(levelNames)),
 		above:      make([][][]ID, len(levelNames)),
+		head:       make([][]uint32, len(levelNames)),
+		next:       make([][]uint32, len(levelNames)),
 	}
 	for i := range h.intern {
 		h.intern[i] = make(map[scopedKey]ID)
@@ -167,7 +178,7 @@ func (h *Hierarchy) registerChild(level int, parent ID, name string) (ID, error)
 		return 0, fmt.Errorf("%w: level %d of %q", ErrFull, level, h.name)
 	}
 	id := h.add(level, key)
-	h.extendAbove(level, parent)
+	h.extend(level, parent)
 	if h.onRegister != nil {
 		h.onRegister(id, parent, name)
 	}
@@ -209,7 +220,7 @@ func (h *Hierarchy) RestoreValue(id, parent ID, name string) error {
 			ErrInconsistent, id, parent)
 	}
 	h.add(level, key)
-	h.extendAbove(level, parent)
+	h.extend(level, parent)
 	return nil
 }
 
@@ -230,18 +241,28 @@ func (h *Hierarchy) add(level int, key scopedKey) ID {
 	return id
 }
 
-// extendAbove appends the newest level-level value, whose father is parent,
-// to the composed tables. parent's own rows are already complete: values
-// are registered top-down.
-func (h *Hierarchy) extendAbove(level int, parent ID) {
+// extend files the newest level-level value, whose father is parent, in the
+// composed tables and the child lists. parent's own rows are already
+// complete: values are registered top-down.
+func (h *Hierarchy) extend(level int, parent ID) {
 	for k := range h.above[level] {
 		h.above[level][k] = append(h.above[level][k], h.AncestorTable(level+1, level+2+k)[parent.Code()])
 	}
+	if level > 0 {
+		h.head[level] = append(h.head[level], NoChild)
+	}
+	if level < h.TopLevel() {
+		code, heads := uint32(len(h.next[level])), h.head[level+1]
+		h.next[level] = append(h.next[level], heads[parent.Code()])
+		heads[parent.Code()] = code
+	}
 }
 
-// rebuildAbove recomputes every composed table from the father tables,
-// top level first so that each row composes from finished ones.
-func (h *Hierarchy) rebuildAbove() {
+// rebuild recomputes every composed table and child list from the father
+// tables, which the caller has validated. Tables are composed top level
+// first so that each row composes from finished ones; children are linked
+// in code order, so the lists come out as registration leaves them.
+func (h *Hierarchy) rebuild() {
 	for level := len(h.above) - 1; level >= 0; level-- {
 		for k := range h.above[level] {
 			up := h.AncestorTable(level+1, level+2+k)
@@ -252,6 +273,34 @@ func (h *Hierarchy) rebuildAbove() {
 			h.above[level][k] = tab
 		}
 	}
+	for level := 1; level <= h.TopLevel(); level++ {
+		heads := make([]uint32, len(h.parents[level]))
+		for c := range heads {
+			heads[c] = NoChild
+		}
+		next := make([]uint32, len(h.parents[level-1]))
+		for c, p := range h.parents[level-1] {
+			next[c] = heads[p.Code()]
+			heads[p.Code()] = uint32(c)
+		}
+		h.head[level], h.next[level-1] = heads, next
+	}
+}
+
+// NoChild ends a child list (see ChildLinks).
+const NoChild = ^uint32(0)
+
+// ChildLinks returns the child lists of a level (1 ≤ level ≤ TopLevel()):
+// the children of MakeID(level, p) are the level-1 codes
+//
+//	for c := head[p]; c != NoChild; c = next[c]
+//
+// newest first. A walk down a hierarchy through them costs what it reaches,
+// never a pass over a level — the downward counterpart of AncestorTable,
+// for query-time mask builds. Both slices are owned by the hierarchy and
+// must not be modified; it panics on a level out of range.
+func (h *Hierarchy) ChildLinks(level int) (head, next []uint32) {
+	return h.head[level], h.next[level-1]
 }
 
 // AncestorTable returns the dense table that lifts level-from values to
@@ -435,33 +484,29 @@ func joinSlash(parts []string) string {
 
 // Children returns the direct specializations of id at the level below it,
 // in insertion order. For ALL it returns the values of the top named level.
-// This is O(values at child level); it exists for tooling and tests, not for
-// the insert/query hot paths, which only walk upward.
+// It walks id's child list, so it costs what it returns.
 func (h *Hierarchy) Children(id ID) ([]ID, error) {
-	var childLevel int
 	switch {
 	case id.IsALL():
-		childLevel = h.TopLevel()
+		return slices.Clone(h.byLevel[h.TopLevel()]), nil
 	case id.Level() == 0:
 		return nil, nil
-	default:
-		if !h.registered(id) {
-			return nil, fmt.Errorf("%w: %v", ErrUnknownID, id)
-		}
-		childLevel = id.Level() - 1
+	case !h.registered(id):
+		return nil, fmt.Errorf("%w: %v", ErrUnknownID, id)
 	}
+	level := id.Level()
+	head, next := h.ChildLinks(level)
 	var out []ID
-	for _, c := range h.byLevel[childLevel] {
-		if h.parents[childLevel][c.Code()] == id {
-			out = append(out, c)
-		}
+	for c := head[id.Code()]; c != NoChild; c = next[c] {
+		out = append(out, MakeID(level-1, c))
 	}
+	slices.Reverse(out) // the lists run newest first
 	return out, nil
 }
 
 // LeafCountUnder returns the number of registered leaves below id (or the
 // total number of leaves for ALL). Used by workload generators to reason
-// about selectivity.
+// about selectivity. It walks the child lists of id's subtree.
 func (h *Hierarchy) LeafCountUnder(id ID) (int, error) {
 	if id.IsALL() {
 		return len(h.byLevel[0]), nil
@@ -469,23 +514,25 @@ func (h *Hierarchy) LeafCountUnder(id ID) (int, error) {
 	if !h.registered(id) {
 		return 0, fmt.Errorf("%w: %v", ErrUnknownID, id)
 	}
-	if id.Level() == 0 {
-		return 1, nil
+	return h.leavesUnder(id.Level(), id.Code()), nil
+}
+
+func (h *Hierarchy) leavesUnder(level int, code uint32) int {
+	if level == 0 {
+		return 1
 	}
+	head, next := h.ChildLinks(level)
 	n := 0
-	for _, leaf := range h.byLevel[0] {
-		if h.Under(leaf, id) {
-			n++
-		}
+	for c := head[code]; c != NoChild; c = next[c] {
+		n += h.leavesUnder(level-1, c)
 	}
-	return n, nil
+	return n
 }
 
 // ParentTable returns the dense father table of a level: entry c is the
 // parent ID of MakeID(level, c). The returned slice is owned by the
-// hierarchy and must not be modified; it exists for query-time mask
-// propagation, which needs raw indexed access to stay off the allocation
-// and function-call paths.
+// hierarchy and must not be modified. It is AncestorTable(level, level+1)
+// with the level checked, and for the top level the table of ALLs.
 func (h *Hierarchy) ParentTable(level int) ([]ID, error) {
 	if level < 0 || level >= len(h.levelNames) {
 		return nil, fmt.Errorf("%w: %d", ErrBadLevel, level)

@@ -400,7 +400,7 @@ func TestRandomizedPartialOrderLaws(t *testing.T) {
 
 // checkAncestorTables compares every composed table row with the checked
 // walk of AncestorAt, the reference.
-func checkAncestorTables(t *testing.T, h *Hierarchy) {
+func checkAncestorTables(t testing.TB, h *Hierarchy) {
 	t.Helper()
 	for from := 0; from < h.TopLevel(); from++ {
 		ids, _ := h.ValuesAt(from)
@@ -422,10 +422,54 @@ func checkAncestorTables(t *testing.T, h *Hierarchy) {
 	}
 }
 
+// checkChildLinks walks every value's child list and compares it with the
+// father table, the reference: each child listed once, under its father,
+// newest first, and every value of a level below the top listed somewhere.
+func checkChildLinks(t testing.TB, h *Hierarchy) {
+	t.Helper()
+	for level := 1; level <= h.TopLevel(); level++ {
+		parents, _ := h.ParentTable(level - 1)
+		head, next := h.ChildLinks(level)
+		count, _ := h.CountAt(level)
+		if len(head) != count || len(next) != len(parents) {
+			t.Fatalf("level %d: %d heads for %d values, %d links for %d children",
+				level, len(head), count, len(next), len(parents))
+		}
+		listed := 0
+		for p := range head {
+			prev := NoChild
+			for c := head[p]; c != NoChild; c = next[c] {
+				if int(c) >= len(parents) || parents[c] != MakeID(level, uint32(p)) {
+					t.Fatalf("level %d value %d lists child %d, whose father is not it", level, p, c)
+				}
+				if prev != NoChild && c >= prev {
+					t.Fatalf("level %d value %d lists child %d after %d: not newest first", level, p, c, prev)
+				}
+				prev = c
+				listed++
+			}
+		}
+		if listed != len(parents) {
+			t.Fatalf("level %d lists %d children, level %d has %d values", level, listed, level-1, len(parents))
+		}
+	}
+}
+
 // TestAncestorTableMatchesAncestorAt grows a random hierarchy three ways —
 // registration, binary decoding, replayed registration deltas — and checks
 // the composed ancestor tables against AncestorAt after each.
 func TestAncestorTableMatchesAncestorAt(t *testing.T) {
+	growThreeWays(t, checkAncestorTables)
+}
+
+// TestChildLinksMatchFatherTable checks the child lists the same three ways.
+func TestChildLinksMatchFatherTable(t *testing.T) {
+	growThreeWays(t, checkChildLinks)
+}
+
+// growThreeWays grows a random hierarchy by registration, binary decoding
+// and replayed registration deltas, and checks each with check.
+func growThreeWays(t *testing.T, check func(testing.TB, *Hierarchy)) {
 	rng := rand.New(rand.NewSource(12))
 	h := mustCustomer(t)
 	type delta struct {
@@ -441,21 +485,21 @@ func TestAncestorTableMatchesAncestorAt(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%500 == 0 {
-			checkAncestorTables(t, h)
+			check(t, h)
 		}
 	}
-	checkAncestorTables(t, h)
+	check(t, h)
 
 	decoded, _, err := DecodeHierarchy(h.AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAncestorTables(t, decoded)
+	check(t, decoded)
 	// A decoded hierarchy keeps extending its tables.
 	if _, err := decoded.Register("R9", "N9", "S9", "C-new"); err != nil {
 		t.Fatal(err)
 	}
-	checkAncestorTables(t, decoded)
+	check(t, decoded)
 
 	replayed := mustCustomer(t)
 	for _, d := range deltas {
@@ -463,7 +507,7 @@ func TestAncestorTableMatchesAncestorAt(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	checkAncestorTables(t, replayed)
+	check(t, replayed)
 }
 
 func TestSortIDs(t *testing.T) {

@@ -76,6 +76,16 @@ func LeafCapacityFor(payload, dims, measures int) int {
 	return max((payload-flatHeaderSize)/row, 4)
 }
 
+// encodedSize returns the length of the node's flat encoding without
+// building it.
+func (n *Node) encodedSize(dims, measures int) int {
+	_, _, size, _ := flatLayoutSizes(n.leaf, n.Count(), dims, measures)
+	for i := range n.entries {
+		size += n.entries[i].MDS.EncodedSize()
+	}
+	return size
+}
+
 // appendEncodeFlat serializes the node. The fixed-size prefix (header and,
 // for a directory, offset table, agg and child areas) is reserved up front
 // and filled by indexed writes; a directory's MDS blobs are appended behind

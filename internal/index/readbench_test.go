@@ -86,8 +86,12 @@ func readBenchViews(tb testing.TB, tree *Index) (leaves []*Node, dirs []FlatNode
 	return leaves, dirs
 }
 
+// benchClasses are the benchmark workload's four query classes, the ones
+// the kernel benchmarks report.
+var benchClasses = []string{"sel01", "sel05", "sel25", "rollup"}
+
 // BenchmarkLeafScan measures the leaf kernel alone: every data node of the
-// tree scanned under a 25 %-selectivity query's masks, over both row
+// tree scanned under a query's masks, per query class, over both row
 // carriers. One iteration is one pass over all records; ns/record is the
 // figure to compare with a sequential scan's per-record cost.
 func BenchmarkLeafScan(b *testing.B) {
@@ -99,24 +103,26 @@ func BenchmarkLeafScan(b *testing.B) {
 		heap[i] = NodeView{n: n}
 		flat[i] = NodeView{f: TrustedFlatNode(n.id, n.appendEncodeFlat(nil, dims, measures), dims, measures)}
 	}
-	for _, carrier := range []struct {
-		name  string
-		views []NodeView
-	}{{"heap", heap}, {"flat", flat}} {
-		b.Run(carrier.name, func(b *testing.B) {
-			qcs := readBenchMasks(b, tree, classes["sel25"])
-			out := cube.NewAggVector(1)
-			records := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				qc := qcs[i%len(qcs)]
-				for v := range carrier.views {
-					rows, _ := qc.scanRows(&carrier.views[v], 0, out)
-					records += rows
+	for _, class := range benchClasses {
+		for _, carrier := range []struct {
+			name  string
+			views []NodeView
+		}{{"heap", heap}, {"flat", flat}} {
+			b.Run(class+"/"+carrier.name, func(b *testing.B) {
+				qcs := readBenchMasks(b, tree, classes[class])
+				out := cube.NewAggVector(1)
+				records := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					qc := qcs[i%len(qcs)]
+					for v := range carrier.views {
+						rows, _ := qc.scanRows(&carrier.views[v], 0, out)
+						records += rows
+					}
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
+			})
+		}
 	}
 }
 
@@ -146,13 +152,13 @@ func BenchmarkDirMatch(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryMasks measures the all-level mask build alone: the pooled
-// arenas cleared and carved, the query's level set, every level below it
-// filled through the father tables and every level above it through the
-// ancestor tables.
+// BenchmarkQueryMasks measures the all-level mask build alone, per query
+// class: the pooled arenas cleared and carved, the query's level set, every
+// level below it filled by the walk down the child lists and every level
+// above it through the ancestor tables.
 func BenchmarkQueryMasks(b *testing.B) {
 	tree, classes := readBenchTree(b)
-	for _, class := range []string{"sel05", "rollup"} {
+	for _, class := range benchClasses {
 		b.Run(class, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

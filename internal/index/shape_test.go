@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/dcindex/dctree/internal/cube"
@@ -218,5 +220,98 @@ func TestGoldenQueryStats(t *testing.T) {
 			check("flat views", flatNodes{nodes}, 0)
 			check("flat views parallel", flatNodes{nodes}, 3)
 		})
+	}
+}
+
+// TestGoldenShapeGap pins the shape-gap ruler at 15k records — the
+// benchmark's paper-mem workload at -scale 0.125 — on the bare index with
+// the default configuration: per query class, the nodes the tree built by
+// Insert visits ÷ those a BulkLoad of the same records visits, and per
+// level of both trees the bytes of the nodes' flat encodings, which
+// LevelStats reports beside the blocks the nodes hold.
+func TestGoldenShapeGap(t *testing.T) {
+	const n = 15000
+	gen, err := tpcd.New(1, tpcd.ScaleFor(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := gen.Records(n)
+	queries := drawQueryClasses(t, gen, 77, 100)
+	dynamic, dynamicNodes := newBareIndex(t, gen.Schema(), DefaultConfig())
+	for _, r := range recs {
+		if err := dynamic.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	packed, packedNodes := newBareIndex(t, gen.Schema(), DefaultConfig())
+	if err := packed.BulkLoad(recs); err != nil {
+		t.Fatal(err)
+	}
+
+	visits := func(ix *Index, src Source, class string) int {
+		var st QueryStats
+		for _, q := range queries[class] {
+			res, err := ix.Execute(context.Background(), src, ix.root, Query{MDS: q})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.add(res.Stats)
+		}
+		return st.NodesVisited
+	}
+	for class, want := range map[string]struct {
+		dynamic, packed int
+		gap             string
+	}{
+		"sel01":  {1745, 859, "2.03"},
+		"sel05":  {4505, 1802, "2.50"},
+		"sel25":  {9831, 4782, "2.06"},
+		"rollup": {5280, 2598, "2.03"},
+		"region": {9070, 4623, "1.96"},
+	} {
+		d, p := visits(dynamic, dynamicNodes, class), visits(packed, packedNodes, class)
+		if gap := fmt.Sprintf("%.2f", float64(d)/float64(p)); d != want.dynamic || p != want.packed || gap != want.gap {
+			t.Errorf("%s: %d ÷ %d nodes visited = %s, pinned %d ÷ %d = %s", class, d, p, gap, want.dynamic, want.packed, want.gap)
+		}
+	}
+
+	for name, tc := range map[string]struct {
+		ix   *Index
+		want []LevelStat
+	}{
+		"dynamic": {dynamic, []LevelStat{
+			{Level: 0, Nodes: 1, Entries: 9, AvgEntries: 9, AvgBlocks: 1, EncodedBytes: 4301, MaxEncodedBytes: 4301},
+			{Level: 1, Nodes: 9, Entries: 135, AvgEntries: 15, AvgBlocks: 1, EncodedBytes: 77375, MaxEncodedBytes: 13742},
+			{Level: 2, Nodes: 135, Entries: 15000, AvgEntries: 15000.0 / 135, AvgBlocks: 1, EncodedBytes: 362700, MaxEncodedBytes: 4076},
+		}},
+		"packed": {packed, []LevelStat{
+			{Level: 0, Nodes: 1, Entries: 4, AvgEntries: 4, AvgBlocks: 1, EncodedBytes: 860, MaxEncodedBytes: 860},
+			{Level: 1, Nodes: 4, Entries: 89, AvgEntries: 22.25, AvgBlocks: 1, EncodedBytes: 13437, MaxEncodedBytes: 3644},
+			{Level: 2, Nodes: 89, Entries: 15000, AvgEntries: 15000.0 / 89, AvgBlocks: 1, EncodedBytes: 361780, MaxEncodedBytes: 4076},
+		}},
+	} {
+		levels, err := tc.ix.LevelStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The byte counts are the encodings' lengths, node by node.
+		total, largest := 0, 0
+		for _, l := range levels {
+			total += l.EncodedBytes
+			largest = max(largest, l.MaxEncodedBytes)
+		}
+		wantTotal, wantLargest := 0, 0
+		for _, node := range collectNodes(t, tc.ix) {
+			size := len(tc.ix.Encode(node))
+			wantTotal += size
+			wantLargest = max(wantLargest, size)
+		}
+		if total != wantTotal || largest != wantLargest {
+			t.Errorf("%s: levels report %d encoded bytes, largest %d; the encodings are %d, largest %d",
+				name, total, largest, wantTotal, wantLargest)
+		}
+		if !slices.Equal(levels, tc.want) {
+			t.Errorf("%s: level stats %+v, pinned %+v", name, levels, tc.want)
+		}
 	}
 }

@@ -19,12 +19,18 @@ type LevelStat struct {
 	Entries    int
 	AvgEntries float64
 	AvgBlocks  float64
+	// EncodedBytes sums, and MaxEncodedBytes is the largest of, the nodes'
+	// flat encodings: the bytes the level's nodes need, beside the blocks
+	// AvgBlocks says they hold.
+	EncodedBytes    int
+	MaxEncodedBytes int
 }
 
 // LevelStats walks the tree and reports per-level node statistics.
 func (ix *Index) LevelStats() ([]LevelStat, error) {
 	stats := make([]LevelStat, ix.height)
 	var walk func(id NodeID, level int) error
+	dims, measures := ix.schema.Dims(), ix.schema.Measures()
 	walk = func(id NodeID, level int) error {
 		n, err := ix.store.Get(id)
 		if err != nil {
@@ -38,6 +44,9 @@ func (ix *Index) LevelStats() ([]LevelStat, error) {
 		s.Nodes++
 		s.Entries += n.Count()
 		s.AvgBlocks += float64(n.blocks)
+		size := n.encodedSize(dims, measures)
+		s.EncodedBytes += size
+		s.MaxEncodedBytes = max(s.MaxEncodedBytes, size)
 		if n.isSuper() {
 			s.Supernodes++
 		}
