@@ -239,7 +239,7 @@ func TestMetricsFlag(t *testing.T) {
 	out = captureStdout(t, func() error {
 		return runStats([]string{"-index", indexPath, "-metrics"})
 	})
-	for _, want := range []string{"records: 2", "dctree_records 2", "dctree_height 1"} {
+	for _, want := range []string{"records: 2", "max_encoded_bytes  avg_entry_values", "dctree_records 2", "dctree_height 1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stats -metrics output missing %q in:\n%s", want, out)
 		}

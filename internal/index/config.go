@@ -41,9 +41,13 @@ type Config struct {
 	// finest hierarchy level at which the node's value set still has at
 	// most RefineBound values. Lower levels make directory MDSs more
 	// precise — more query pruning and more materialized-aggregate hits —
-	// at the cost of larger MDSs. 0 selects the default; -1 disables
-	// refinement (the relevant level then only decreases via the split
-	// dimension itself).
+	// at the cost of larger MDSs. It also bounds what an entry may grow
+	// to: a dimension that a split's cover or an insert leaves with more
+	// than 2 × RefineBound values is lifted one level until it fits (ALL
+	// past the top named level); the factor 2 keeps refinement and lifting
+	// from undoing each other. 0 selects the default; -1 disables both
+	// (the relevant level then only decreases via the split dimension
+	// itself, and entries grow without bound).
 	RefineBound int
 
 	// Materialize controls whether directory entries store the aggregates

@@ -87,6 +87,7 @@ func (ix *Index) insertInto(id NodeID, nodeMDS mds.MDS, rc *recContext) (insertR
 	}
 	e := &n.entries[idx]
 	rc.cover(e.MDS)
+	ix.boundMDS(e.MDS)
 	e.Agg.Merge(rc.agg)
 
 	res, err := ix.insertInto(e.Child, e.MDS, rc)

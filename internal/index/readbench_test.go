@@ -128,10 +128,19 @@ func BenchmarkLeafScan(b *testing.B) {
 
 // BenchmarkDirMatch measures the directory matcher alone: every entry of
 // every directory read image classified against a query of each class.
+// values/entry, the mean MDS size of the entries tested, is reported beside
+// ns/entry because an entry's cost follows its size.
 func BenchmarkDirMatch(b *testing.B) {
 	tree, classes := readBenchTree(b)
 	_, dirs := readBenchViews(b, tree)
-	for _, class := range []string{"sel01", "sel25", "rollup"} {
+	values, total := 0, 0
+	for _, n := range collectNodes(b, tree) {
+		for i := range n.entries {
+			values += n.entries[i].MDS.Size()
+		}
+		total += len(n.entries)
+	}
+	for _, class := range benchClasses {
 		b.Run(class, func(b *testing.B) {
 			qcs := readBenchMasks(b, tree, classes[class])
 			entries := 0
@@ -148,6 +157,7 @@ func BenchmarkDirMatch(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(entries), "ns/entry")
+			b.ReportMetric(float64(values)/float64(total), "values/entry")
 		})
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/dcindex/dctree/internal/cube"
+	"github.com/dcindex/dctree/internal/mds"
 	"github.com/dcindex/dctree/internal/tpcd"
 )
 
@@ -72,8 +73,10 @@ func shapeDigest(t *testing.T, ix *Index) string {
 // TestGoldenTreeShape pins the tree the write path builds, with the digests
 // internal/core pins for the same five streams. The first four name the
 // data-node capacity they were pinned at (48 rows, the default before it
-// became the block-filled count), so their digests are the ones PR 12 took;
-// the last pins the default itself.
+// became the block-filled count); the last pins the default itself. The four
+// streams that refine were re-pinned once, with internal/core's, when inserts
+// and splits began to bound directory entries (boundMDS); the one that does
+// not (RefineBound -1) kept the digest it was first pinned with.
 func TestGoldenTreeShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads 5×22k records")
@@ -84,25 +87,25 @@ func TestGoldenTreeShape(t *testing.T) {
 		cfg  func(*Config)
 		want string
 	}{
-		{"default", func(c *Config) { c.LeafCapacity = 48 }, "b6d09291b7e223ccb1fed50a"},
+		{"default", func(c *Config) { c.LeafCapacity = 48 }, "dbd5a39a29aa38e6a52c0ad7"},
 		{"forced-splits", func(c *Config) {
 			c.LeafCapacity = 48
 			c.DisableSupernodes = true
 			c.MaxOverlapRatio = 0.002
 			c.MinFillRatio = 0.45
-		}, "a69961ef41ce61f668ceb0ac"},
+		}, "07fcacb8ebacc17216b227d8"},
 		{"small-dir-supernodes", func(c *Config) {
 			c.DirCapacity = 5
 			c.LeafCapacity = 12
 			c.MaxSupernodeBlocks = 3
 			c.MaxOverlapRatio = 0.002
-		}, "6739037bc1822b1981e773d0"},
+		}, "b223d6cc9a6c8a3008a6b536"},
 		{"flat-choose-no-refine", func(c *Config) {
 			c.LeafCapacity = 48
 			c.FlatChooseSubtree = true
 			c.RefineBound = -1
 		}, "4c5043ed91f7c64ca3a86ae1"},
-		{"block-filled", func(*Config) {}, "c11ebccbaf190b332d9aaab4"},
+		{"block-filled", func(*Config) {}, "501991a2af5b666e22f83c03"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -154,8 +157,10 @@ func (s flatNodes) View(id NodeID) (NodeView, error) {
 // TestGoldenQueryStats pins the work the read path does for a fixed tree and
 // a fixed query set, with the numbers internal/core pins: serial and
 // parallel over heap nodes, and over the nodes' flat encodings. The
-// 48-row tree's numbers are PR 15's; the block-filled default's answers
-// must be the 48-row tree's, query by query.
+// block-filled default's answers must be the 48-row tree's, query by query.
+// Both trees' numbers were re-pinned once, with internal/core's, when
+// inserts and splits began to bound directory entries (boundMDS); the
+// answers did not move.
 func TestGoldenQueryStats(t *testing.T) {
 	const load = 6000
 	gen, err := tpcd.New(7, tpcd.ScaleFor(load))
@@ -171,18 +176,18 @@ func TestGoldenQueryStats(t *testing.T) {
 		want         map[string]QueryStats
 	}{
 		{"leaf-48", 48, map[string]QueryStats{
-			"sel01":  {NodesVisited: 157, EntriesScanned: 3778, EntriesPruned: 911},
-			"sel05":  {NodesVisited: 453, EntriesScanned: 13142, EntriesPruned: 1085, RecordsMatched: 2},
-			"sel25":  {NodesVisited: 1741, EntriesScanned: 53817, EntriesPruned: 425, RecordsMatched: 204},
-			"rollup": {NodesVisited: 716, EntriesScanned: 21099, EntriesPruned: 1131, RecordsMatched: 1432},
-			"region": {NodesVisited: 1353, EntriesScanned: 41117, EntriesPruned: 903, MaterializedHits: 23, RecordsMatched: 9632},
+			"sel01":  {NodesVisited: 303, EntriesScanned: 7610, EntriesPruned: 1040},
+			"sel05":  {NodesVisited: 638, EntriesScanned: 17564, EntriesPruned: 1062, RecordsMatched: 2},
+			"sel25":  {NodesVisited: 1730, EntriesScanned: 50051, EntriesPruned: 588, RecordsMatched: 204},
+			"rollup": {NodesVisited: 1079, EntriesScanned: 31212, EntriesPruned: 934, RecordsMatched: 1432},
+			"region": {NodesVisited: 1672, EntriesScanned: 48333, EntriesPruned: 759, MaterializedHits: 17, RecordsMatched: 9916},
 		}},
 		{"block-filled", 0, map[string]QueryStats{
-			"sel01":  {NodesVisited: 81, EntriesScanned: 6801, EntriesPruned: 269},
-			"sel05":  {NodesVisited: 219, EntriesScanned: 22506, EntriesPruned: 221, RecordsMatched: 2},
-			"sel25":  {NodesVisited: 504, EntriesScanned: 54730, EntriesPruned: 94, RecordsMatched: 204},
-			"rollup": {NodesVisited: 324, EntriesScanned: 34445, EntriesPruned: 215, RecordsMatched: 1432},
-			"region": {NodesVisited: 434, EntriesScanned: 47244, EntriesPruned: 135, MaterializedHits: 9, RecordsMatched: 6109},
+			"sel01":  {NodesVisited: 84, EntriesScanned: 6932, EntriesPruned: 282},
+			"sel05":  {NodesVisited: 181, EntriesScanned: 17985, EntriesPruned: 247, RecordsMatched: 2},
+			"sel25":  {NodesVisited: 460, EntriesScanned: 50088, EntriesPruned: 144, RecordsMatched: 204},
+			"rollup": {NodesVisited: 334, EntriesScanned: 35940, EntriesPruned: 210, RecordsMatched: 1432},
+			"region": {NodesVisited: 423, EntriesScanned: 46015, EntriesPruned: 152, MaterializedHits: 11, RecordsMatched: 7008},
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -223,34 +228,43 @@ func TestGoldenQueryStats(t *testing.T) {
 	}
 }
 
-// TestGoldenShapeGap pins the shape-gap ruler at 15k records — the
-// benchmark's paper-mem workload at -scale 0.125 — on the bare index with
-// the default configuration: per query class, the nodes the tree built by
-// Insert visits ÷ those a BulkLoad of the same records visits, and per
-// level of both trees the bytes of the nodes' flat encodings, which
-// LevelStats reports beside the blocks the nodes hold.
-func TestGoldenShapeGap(t *testing.T) {
-	const n = 15000
+// shapeGap is the shape-gap ruler's setup: n TPC-D records built once by
+// Insert (dynamic) and once by BulkLoad (packed) on the bare index with the
+// default configuration, and 100 queries per class.
+type shapeGap struct {
+	dynamic, packed           *Index
+	dynamicNodes, packedNodes *memNodes
+	queries                   map[string][]mds.MDS
+}
+
+func newShapeGap(t *testing.T, n int) *shapeGap {
+	t.Helper()
 	gen, err := tpcd.New(1, tpcd.ScaleFor(n))
 	if err != nil {
 		t.Fatal(err)
 	}
 	recs := gen.Records(n)
-	queries := drawQueryClasses(t, gen, 77, 100)
-	dynamic, dynamicNodes := newBareIndex(t, gen.Schema(), DefaultConfig())
+	g := &shapeGap{queries: drawQueryClasses(t, gen, 77, 100)}
+	g.dynamic, g.dynamicNodes = newBareIndex(t, gen.Schema(), DefaultConfig())
 	for _, r := range recs {
-		if err := dynamic.Insert(r); err != nil {
+		if err := g.dynamic.Insert(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	packed, packedNodes := newBareIndex(t, gen.Schema(), DefaultConfig())
-	if err := packed.BulkLoad(recs); err != nil {
+	g.packed, g.packedNodes = newBareIndex(t, gen.Schema(), DefaultConfig())
+	if err := g.packed.BulkLoad(recs); err != nil {
 		t.Fatal(err)
 	}
+	return g
+}
 
+// check holds the nodes each class's queries visit on both trees, and their
+// ratio, to the pinned values.
+func (g *shapeGap) check(t *testing.T, pinned map[string]gapVisits) {
+	t.Helper()
 	visits := func(ix *Index, src Source, class string) int {
 		var st QueryStats
-		for _, q := range queries[class] {
+		for _, q := range g.queries[class] {
 			res, err := ix.Execute(context.Background(), src, ix.root, Query{MDS: q})
 			if err != nil {
 				t.Fatal(err)
@@ -259,34 +273,70 @@ func TestGoldenShapeGap(t *testing.T) {
 		}
 		return st.NodesVisited
 	}
-	for class, want := range map[string]struct {
-		dynamic, packed int
-		gap             string
-	}{
-		"sel01":  {1745, 859, "2.03"},
-		"sel05":  {4505, 1802, "2.50"},
-		"sel25":  {9831, 4782, "2.06"},
-		"rollup": {5280, 2598, "2.03"},
-		"region": {9070, 4623, "1.96"},
-	} {
-		d, p := visits(dynamic, dynamicNodes, class), visits(packed, packedNodes, class)
+	for class, want := range pinned {
+		d, p := visits(g.dynamic, g.dynamicNodes, class), visits(g.packed, g.packedNodes, class)
 		if gap := fmt.Sprintf("%.2f", float64(d)/float64(p)); d != want.dynamic || p != want.packed || gap != want.gap {
 			t.Errorf("%s: %d ÷ %d nodes visited = %s, pinned %d ÷ %d = %s", class, d, p, gap, want.dynamic, want.packed, want.gap)
 		}
+	}
+}
+
+type gapVisits struct {
+	dynamic, packed int
+	gap             string
+}
+
+// largestDirectory is the length of the tree's largest directory encoding.
+func largestDirectory(t *testing.T, ix *Index) int {
+	t.Helper()
+	largest := 0
+	for _, n := range collectNodes(t, ix) {
+		if !n.leaf {
+			largest = max(largest, len(ix.Encode(n)))
+		}
+	}
+	return largest
+}
+
+// TestGoldenShapeGap pins the shape-gap ruler at 15k records — the
+// benchmark's paper-mem workload at -scale 0.125 — on the bare index with
+// the default configuration: per query class, the nodes the tree built by
+// Insert visits ÷ those a BulkLoad of the same records visits, and per
+// level of both trees the bytes of the nodes' flat encodings, which
+// LevelStats reports beside the blocks the nodes hold, and the values per
+// directory entry.
+//
+// The dynamic tree's numbers were re-pinned once, when inserts and splits
+// began to bound directory entries (boundMDS): gaps 2.03 / 2.50 / 2.06 /
+// 2.03 / 1.96 → 1.65 / 1.90 / 1.53 / 1.83 / 1.79, its level-1 directories
+// 77,375 → 19,024 bytes, the largest 13,742 → 4,052. Every dynamic
+// directory now fits one block, so the blocks LevelStats reports are the
+// blocks the encodings need. The packed tree's values did not move.
+func TestGoldenShapeGap(t *testing.T) {
+	g := newShapeGap(t, 15000)
+	g.check(t, map[string]gapVisits{
+		"sel01":  {1420, 859, "1.65"},
+		"sel05":  {3427, 1802, "1.90"},
+		"sel25":  {7317, 4782, "1.53"},
+		"rollup": {4743, 2598, "1.83"},
+		"region": {8256, 4623, "1.79"},
+	})
+	if largest := largestDirectory(t, g.dynamic); largest > testBlockPayload {
+		t.Errorf("the dynamic tree's largest directory encodes to %d bytes, past a block's %d", largest, testBlockPayload)
 	}
 
 	for name, tc := range map[string]struct {
 		ix   *Index
 		want []LevelStat
 	}{
-		"dynamic": {dynamic, []LevelStat{
-			{Level: 0, Nodes: 1, Entries: 9, AvgEntries: 9, AvgBlocks: 1, EncodedBytes: 4301, MaxEncodedBytes: 4301},
-			{Level: 1, Nodes: 9, Entries: 135, AvgEntries: 15, AvgBlocks: 1, EncodedBytes: 77375, MaxEncodedBytes: 13742},
-			{Level: 2, Nodes: 135, Entries: 15000, AvgEntries: 15000.0 / 135, AvgBlocks: 1, EncodedBytes: 362700, MaxEncodedBytes: 4076},
+		"dynamic": {g.dynamic, []LevelStat{
+			{Level: 0, Nodes: 1, Entries: 8, AvgEntries: 8, AvgBlocks: 1, EncodedBytes: 1164, MaxEncodedBytes: 1164, AvgEntryValues: 183.0 / 8},
+			{Level: 1, Nodes: 8, Entries: 128, AvgEntries: 16, AvgBlocks: 1, EncodedBytes: 19024, MaxEncodedBytes: 4052, AvgEntryValues: 3045.0 / 128},
+			{Level: 2, Nodes: 128, Entries: 15000, AvgEntries: 15000.0 / 128, AvgBlocks: 1, EncodedBytes: 362560, MaxEncodedBytes: 4076},
 		}},
-		"packed": {packed, []LevelStat{
-			{Level: 0, Nodes: 1, Entries: 4, AvgEntries: 4, AvgBlocks: 1, EncodedBytes: 860, MaxEncodedBytes: 860},
-			{Level: 1, Nodes: 4, Entries: 89, AvgEntries: 22.25, AvgBlocks: 1, EncodedBytes: 13437, MaxEncodedBytes: 3644},
+		"packed": {g.packed, []LevelStat{
+			{Level: 0, Nodes: 1, Entries: 4, AvgEntries: 4, AvgBlocks: 1, EncodedBytes: 860, MaxEncodedBytes: 860, AvgEntryValues: 39},
+			{Level: 1, Nodes: 4, Entries: 89, AvgEntries: 22.25, AvgBlocks: 1, EncodedBytes: 13437, MaxEncodedBytes: 3644, AvgEntryValues: 2156.0 / 89},
 			{Level: 2, Nodes: 89, Entries: 15000, AvgEntries: 15000.0 / 89, AvgBlocks: 1, EncodedBytes: 361780, MaxEncodedBytes: 4076},
 		}},
 	} {
@@ -313,5 +363,26 @@ func TestGoldenShapeGap(t *testing.T) {
 		if !slices.Equal(levels, tc.want) {
 			t.Errorf("%s: level stats %+v, pinned %+v", name, levels, tc.want)
 		}
+	}
+}
+
+// TestGoldenShapeGap100k pins the same ruler at 100k records. Before
+// entries were bounded the gap at 5 % was 3.9 and the dynamic tree's largest
+// directory encoded to 289,510 bytes, 71 blocks; now it is 5,672, still past
+// one block's payload.
+func TestGoldenShapeGap100k(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds two trees of 100k records")
+	}
+	g := newShapeGap(t, 100000)
+	g.check(t, map[string]gapVisits{
+		"sel01":  {4315, 2308, "1.87"},
+		"sel05":  {15479, 9238, "1.68"},
+		"sel25":  {44038, 26574, "1.66"},
+		"rollup": {18301, 8806, "2.08"},
+		"region": {41988, 21358, "1.97"},
+	})
+	if got, want := largestDirectory(t, g.dynamic), 5672; got != want {
+		t.Errorf("the dynamic tree's largest directory encodes to %d bytes, pinned %d", got, want)
 	}
 }

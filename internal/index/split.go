@@ -679,10 +679,12 @@ func (ix *Index) buildSplit(n *Node, g1, g2 []int, cov1, cov2 mds.MDS) (insertRe
 	if err := ix.refineMDS(n, cov1); err != nil {
 		return insertResult{}, err
 	}
+	ix.boundMDS(cov1)
 	origMDS := packMDS(cov1)
 	if err := ix.refineMDS(sibling, cov2); err != nil {
 		return insertResult{}, err
 	}
+	ix.boundMDS(cov2)
 	newMDS := packMDS(cov2)
 
 	return insertResult{
@@ -734,6 +736,31 @@ func (ix *Index) refineMDS(n *Node, m mds.MDS) error {
 		}
 	}
 	return nil
+}
+
+// boundMDS is the inverse of refineMDS: in place, every dimension of m that
+// holds more than 2 × Config.RefineBound values at its level is lifted one
+// level, and again until it fits; past the top named level it is ALL. An
+// entry is refined to at most RefineBound values and lifted only past twice
+// that, so the two never undo each other. Lifting the exact cover at one
+// level gives the exact cover one level up, so coverage and minimality hold.
+// A lifted set is never longer than its source, so it is written over it.
+func (ix *Index) boundMDS(m mds.MDS) {
+	bound := 2 * ix.cfg.RefineBound
+	if bound <= 0 {
+		return
+	}
+	for d, h := range ix.space() {
+		ds := &m[d]
+		for ds.Level != hierarchy.LevelALL && len(ds.IDs) > bound {
+			if ds.Level == h.TopLevel() {
+				ds.Level, ds.IDs = hierarchy.LevelALL, append(ds.IDs[:0], hierarchy.ALL)
+				break
+			}
+			lifted := mds.AppendLifted(ds.IDs[:0], h, *ds, ds.Level+1)
+			ds.Level, ds.IDs = ds.Level+1, mds.SortDedupFrom(lifted, 0)
+		}
+	}
 }
 
 // blocksForEntries returns the smallest block count whose capacity holds

@@ -24,6 +24,10 @@ type LevelStat struct {
 	// AvgBlocks says they hold.
 	EncodedBytes    int
 	MaxEncodedBytes int
+	// AvgEntryValues is the mean number of MDS values per directory entry
+	// (Definition 4's size, summed over the dimensions): what a query tests
+	// and an insert searches per entry. 0 on the data level.
+	AvgEntryValues float64
 }
 
 // LevelStats walks the tree and reports per-level node statistics.
@@ -54,6 +58,7 @@ func (ix *Index) LevelStats() ([]LevelStat, error) {
 			return nil
 		}
 		for i := range n.entries {
+			s.AvgEntryValues += float64(n.entries[i].MDS.Size())
 			if err := walk(n.entries[i].Child, level+1); err != nil {
 				return err
 			}
@@ -67,6 +72,9 @@ func (ix *Index) LevelStats() ([]LevelStat, error) {
 		if stats[i].Nodes > 0 {
 			stats[i].AvgEntries = float64(stats[i].Entries) / float64(stats[i].Nodes)
 			stats[i].AvgBlocks /= float64(stats[i].Nodes)
+		}
+		if stats[i].Entries > 0 {
+			stats[i].AvgEntryValues /= float64(stats[i].Entries)
 		}
 	}
 	return stats, nil
