@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,22 +10,6 @@ import (
 	"github.com/dcindex/dctree/internal/storage"
 	"github.com/dcindex/dctree/internal/tpcd"
 )
-
-// delayStore injects a fixed latency into every extent read, modeling the
-// paper's disk-resident setting (a node fault costs a block read) on top of
-// the in-memory store. Latency is switchable at runtime so tree construction
-// stays fast.
-type delayStore struct {
-	storage.Store
-	delay atomic.Int64 // nanoseconds added per Read
-}
-
-func (s *delayStore) Read(id storage.PageID) ([]byte, int, error) {
-	if d := s.delay.Load(); d > 0 {
-		time.Sleep(time.Duration(d))
-	}
-	return s.Store.Read(id)
-}
 
 // readPathTreeSize is the data-set size the read-path benchmarks index.
 const readPathTreeSize = 30000
@@ -76,7 +59,7 @@ func benchQueries(tb testing.TB, gen *tpcd.Gen, selectivity float64, n int) []tp
 // fault a fixed latency — the paper's disk-bound cost model — so worker
 // counts scale by overlapping faults even on one core.
 func BenchmarkParallelScaling(b *testing.B) {
-	ds := &delayStore{Store: storage.NewMemStore(core.DefaultConfig().BlockSize)}
+	ds := &latencyStore{Store: storage.NewMemStore(core.DefaultConfig().BlockSize)}
 	tree, gen := buildReadPathTree(b, ds)
 	if err := tree.Flush(); err != nil {
 		b.Fatal(err)

@@ -13,8 +13,10 @@ import (
 
 // latencyStore charges every extent read a fixed latency, modeling the
 // paper's disk-resident setting (a node fault costs one block read) on top
-// of the in-memory store. The latency is switchable at runtime so tree
-// construction stays fast.
+// of the in-memory store. Embedding the interface hides the store's
+// zero-copy views, so every non-resident node a query visits is one charged
+// Read. The latency is switchable at runtime so tree construction stays
+// fast. The workers sweep and BenchmarkParallelScaling share it.
 type latencyStore struct {
 	storage.Store
 	delay atomic.Int64 // nanoseconds added per Read

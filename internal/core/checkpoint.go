@@ -111,8 +111,8 @@ func (t *Tree) captureLocked() (*ckptCapture, error) {
 		}
 		c.nodes = append(c.nodes, cn)
 	}
-	// Deterministic write order (the dirty snapshot walks hash-ordered
-	// shards) keeps crash images reproducible under a given fault budget.
+	// Deterministic write order (the dirty snapshot walks a map) keeps
+	// crash images reproducible under a given fault budget.
 	sort.Slice(c.nodes, func(i, j int) bool { return c.nodes[i].id < c.nodes[j].id })
 
 	c.freeNow = t.pendingFree

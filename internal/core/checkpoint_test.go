@@ -163,7 +163,9 @@ func TestCheckpointPhantomDirtyNotInTable(t *testing.T) {
 	if err := tree.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	tree.mu.Lock()
 	tree.nc.markDirty(nodeID(1 << 40)) // never allocated
+	tree.mu.Unlock()
 	if err := tree.Flush(); err != nil {
 		t.Fatalf("flush with phantom flag: %v", err)
 	}
@@ -190,19 +192,19 @@ func TestCheckpointPhantomDirtyInTable(t *testing.T) {
 	}
 	tree.EvictCache() // everything clean → cache empties, table stays
 
-	tree.mu.RLock()
+	tree.mu.Lock()
 	var victim nodeID
 	for id := range tree.table {
 		victim = id
 		break
 	}
 	resident := tree.nc.get(victim) != nil
-	tree.mu.RUnlock()
+	tree.nc.markDirty(victim)
+	tree.mu.Unlock()
 	if resident {
 		t.Fatal("victim still resident after evict; test premise broken")
 	}
 
-	tree.nc.markDirty(victim)
 	if err := tree.Flush(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("flush with dirty evicted node = %v, want ErrCorrupt", err)
 	}

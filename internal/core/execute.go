@@ -129,7 +129,7 @@ func (t *Tree) execute(ctx context.Context, req QueryRequest) (index.Result, err
 	// pin their version (so Release cannot drop the extents mid-walk) and
 	// run entirely without the tree lock — the version's table and overlay
 	// are immutable, the query masks only read the grow-only hierarchies,
-	// and the version's node cache is internally synchronized.
+	// and a version caches no nodes.
 	if v := req.AsOf; v != nil {
 		if v.t != t {
 			return index.Result{}, ErrVersionForeign

@@ -420,7 +420,6 @@ func (t *Tree) rehydrateVersions(manifests []versionManifest, deferred []storage
 			count:   m.count,
 			table:   m.table,
 			overlay: make(map[nodeID][]byte),
-			nc:      newNodeCache(),
 		}
 		v.refs.Store(1)
 		// The manifest table already merges the overlay extents, so the

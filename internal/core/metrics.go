@@ -35,15 +35,14 @@ type treeMetrics struct {
 	qMaterializedHits obs.Counter
 	qRecordsMatched   obs.Counter
 
-	// The sharded node cache. (Split, supernode, mask-pool, work-stealing
-	// and read-image counters are the index's own: index.Counters.)
-	cacheHits         obs.Counter
-	cacheMisses       obs.Counter
-	cacheFaultsShared obs.Counter
+	// The node cache. (Split, supernode, mask-pool, work-stealing and
+	// read-image counters are the index's own: index.Counters.)
+	cacheHits   obs.Counter
+	cacheMisses obs.Counter
 
-	// Zero-copy read path: descents answered from a flat node view over
-	// mapped bytes, and reads that fell back to the heap decode path (the
-	// store serves no views).
+	// Extent reads: resolutions framed over a zero-copy view or an overlay
+	// payload, and those framed over a checked store read (the store serves
+	// no views).
 	flatNodeReads   obs.Counter
 	decodeFallbacks obs.Counter
 
@@ -135,14 +134,13 @@ type Metrics struct {
 	QueryMaterializedHits int64
 	QueryRecordsMatched   int64
 
-	// Sharded node cache: hits resolved under a shard read lock, misses
-	// faulted from the store, and misses that piggybacked on another
-	// goroutine's in-flight decode (singleflight). CacheHitRatio is
-	// CacheHits / (CacheHits + CacheMisses); 0 before any access.
-	CacheHits         int64
-	CacheMisses       int64
-	CacheFaultsShared int64
-	CacheHitRatio     float64
+	// Node cache: resolutions served by a resident node, and misses the
+	// write path (or LevelStats, Validate) decoded into the cache.
+	// CacheHitRatio is CacheHits / (CacheHits + CacheMisses); 0 before any
+	// access.
+	CacheHits     int64
+	CacheMisses   int64
+	CacheHitRatio float64
 
 	// Query-mask arena pool: queries whose queryCtx was recycled from the
 	// pool vs. freshly allocated. MaskPoolHitRatio is hits per query.
@@ -158,8 +156,8 @@ type Metrics struct {
 
 	// Zero-copy read path. FlatNodeReads counts node resolutions served as
 	// in-place flat views over extent bytes or a version's overlay payloads;
-	// DecodeFallbacks counts uncached resolutions that materialized a heap
-	// node instead (the store serves no views). MmapViews,
+	// DecodeFallbacks counts resolutions served by a checked store read
+	// because the store serves no views. MmapViews,
 	// MmapRemaps and MmapFallbacks are the store-side accounting: extent
 	// views served from the mapping, mapping rebuilds after file growth, and
 	// view requests answered by a plain file read.
@@ -292,9 +290,8 @@ func (t *Tree) Metrics() Metrics {
 		QueryMaterializedHits: m.qMaterializedHits.Load(),
 		QueryRecordsMatched:   m.qRecordsMatched.Load(),
 
-		CacheHits:         m.cacheHits.Load(),
-		CacheMisses:       m.cacheMisses.Load(),
-		CacheFaultsShared: m.cacheFaultsShared.Load(),
+		CacheHits:   m.cacheHits.Load(),
+		CacheMisses: m.cacheMisses.Load(),
 
 		MaskPoolHits:   ic.MaskPoolHits,
 		MaskPoolMisses: ic.MaskPoolMisses,
@@ -416,17 +413,16 @@ func (m Metrics) Families() []obs.Family {
 		obs.CounterFamily("dctree_query_entries_pruned_total", "Directory entries pruned without overlap.", m.QueryEntriesPruned),
 		obs.CounterFamily("dctree_query_materialized_hits_total", "Directory entries answered from materialized aggregates.", m.QueryMaterializedHits),
 		obs.CounterFamily("dctree_query_records_matched_total", "Data records individually matched by range queries.", m.QueryRecordsMatched),
-		obs.CounterFamily("dctree_node_cache_hits_total", "Node reads served by the sharded in-memory cache.", m.CacheHits),
-		obs.CounterFamily("dctree_node_cache_misses_total", "Node reads faulted from the store.", m.CacheMisses),
-		obs.CounterFamily("dctree_node_cache_shared_faults_total", "Cache misses that piggybacked on another goroutine's in-flight decode.", m.CacheFaultsShared),
-		obs.GaugeFamily("dctree_node_cache_hit_ratio", "Sharded node cache hits per access.", m.CacheHitRatio),
+		obs.CounterFamily("dctree_node_cache_hits_total", "Node reads served by a node resident in the in-memory cache.", m.CacheHits),
+		obs.CounterFamily("dctree_node_cache_misses_total", "Node reads the write path decoded from the store into the cache.", m.CacheMisses),
+		obs.GaugeFamily("dctree_node_cache_hit_ratio", "Node cache hits per access.", m.CacheHitRatio),
 		obs.CounterFamily("dctree_mask_pool_hits_total", "Queries whose membership-mask arena was recycled from the pool.", m.MaskPoolHits),
 		obs.CounterFamily("dctree_mask_pool_misses_total", "Queries that allocated a fresh membership-mask arena.", m.MaskPoolMisses),
 		obs.GaugeFamily("dctree_mask_pool_hit_ratio", "Mask-arena pool hits per query.", m.MaskPoolHitRatio),
 		obs.CounterFamily("dctree_parallel_tasks_spawned_total", "Subtree tasks pushed onto the shared work-stealing queue.", m.ParallelTasksSpawned),
 		obs.CounterFamily("dctree_parallel_tasks_stolen_total", "Subtree tasks executed by a worker other than the one that pushed them.", m.ParallelTasksStolen),
 		obs.CounterFamily("dctree_flat_node_reads_total", "Node resolutions served as zero-copy flat views over mapped extents.", m.FlatNodeReads),
-		obs.CounterFamily("dctree_decode_fallback_total", "Uncached node resolutions that materialized a heap node instead of a flat view.", m.DecodeFallbacks),
+		obs.CounterFamily("dctree_decode_fallback_total", "Node resolutions served by a checked store read because the store serves no views.", m.DecodeFallbacks),
 		obs.CounterFamily("dctree_read_image_builds_total", "Read images (flat encodings) built for heap directory nodes.", m.ReadImageBuilds),
 		obs.CounterFamily("dctree_mmap_views_total", "Extent views served from the store's memory mapping.", m.MmapViews),
 		obs.CounterFamily("dctree_mmap_remap_total", "Memory-mapping rebuilds after backing-file growth.", m.MmapRemaps),

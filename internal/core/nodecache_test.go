@@ -4,134 +4,105 @@ import (
 	"context"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/dcindex/dctree/internal/cube"
-	"github.com/dcindex/dctree/internal/index"
 	"github.com/dcindex/dctree/internal/mds"
 	"github.com/dcindex/dctree/internal/storage"
 )
 
-// slowReadStore delays every extent read, widening the fault window so
-// singleflight races become deterministic.
-type slowReadStore struct {
-	storage.Store
-	delay time.Duration
-	reads atomic.Int64
-}
-
-func (s *slowReadStore) Read(id storage.PageID) ([]byte, int, error) {
-	s.reads.Add(1)
-	if s.delay > 0 {
-		time.Sleep(s.delay)
-	}
-	return s.Store.Read(id)
-}
-
-// TestNodeCacheShardOps unit-stresses the sharded cache itself: concurrent
-// putNew/get/markDirty/drop/dirtyIDs/evictClean/len/fault over overlapping
-// IDs. Run with -race; the assertions are secondary to the race detector.
-func TestNodeCacheShardOps(t *testing.T) {
-	c := newNodeCache()
-	const ids = 256
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < 2000; i++ {
-				id := nodeID(rng.Intn(ids) + 1)
-				switch i % 6 {
-				case 0:
-					c.putNew(index.NewNode(id, true, 3, 1))
-				case 1:
-					c.get(id)
-				case 2:
-					c.markDirty(id)
-				case 3:
-					c.drop(id)
-				case 4:
-					c.clearDirty(c.dirtyIDs())
-				case 5:
-					if _, _, err := c.fault(id, func() (*index.Node, error) {
-						return index.NewNode(id, true, 3, 1), nil
-					}); err != nil {
-						t.Error(err)
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	c.evictClean()
-	if n := c.len(); n < 0 || n > ids {
-		t.Fatalf("len = %d", n)
-	}
-	// Every remaining resident node must be dirty.
-	for i := range c.shards {
-		sh := &c.shards[i]
-		for id := range sh.nodes {
-			if _, dirty := sh.dirty[id]; !dirty {
-				t.Fatalf("clean node %d survived evictClean", id)
-			}
-		}
-	}
-}
-
-// TestSingleflightFaultStorm asserts that a storm of concurrent Get
-// calls for the same cold node performs exactly one store read (and one
-// decode): every other caller piggybacks on the leader's in-flight fault.
-func TestSingleflightFaultStorm(t *testing.T) {
+// TestReadersNeverFillCache pins the read side's invariant: a query
+// resolves a resident node from the cache and frames every other node where
+// it lies, so no reader ever decodes a node or writes the cache. On a twin
+// whose store serves no views, after EvictCache, concurrent serial,
+// parallel and as-of queries and both scans leave the cache empty, a serial
+// query reads exactly the nodes it visits, and every answer equals the
+// sequential-scan oracle. Run with -race.
+func TestReadersNeverFillCache(t *testing.T) {
 	cfg := smallConfig()
-	ss := &slowReadStore{Store: storage.NewMemStore(cfg.BlockSize), delay: 50 * time.Millisecond}
+	st := storage.NewMemStore(cfg.BlockSize)
 	s := testSchema(t)
-	tree, err := New(ss, s, cfg)
+	tree, err := New(st, s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(7))
-	for _, r := range genRecords(t, s, rng, 200) {
+	rng := rand.New(rand.NewSource(71))
+	recs := genRecords(t, s, rng, 600)
+	for _, r := range recs {
 		if err := tree.Insert(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := tree.Flush(); err != nil {
+	twin := openDecodeTwin(t, tree, st)
+	snap, err := twin.Snapshot()
+	if err != nil {
 		t.Fatal(err)
 	}
-	tree.EvictCache()
+	defer snap.Release()
+	twin.EvictCache()
 
-	before := ss.reads.Load()
-	sharedBefore := tree.Metrics().CacheFaultsShared
-	const storm = 16
+	queries := make([]mds.MDS, 24)
+	wants := make([]cube.Agg, len(queries))
+	for i := range queries {
+		queries[i] = randomQuery(rng, s, 0.3)
+		wants[i] = bruteAgg(t, s, recs, queries[i], 0)
+	}
+
+	// A serial query reads each node it visits once, from the store.
+	for i, q := range queries[:8] {
+		before := twin.Store().Stats().Reads
+		res, err := twin.Execute(context.Background(), QueryRequest{Query: q, CollectStats: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reads := twin.Store().Stats().Reads - before; reads != int64(res.Stats.NodesVisited) {
+			t.Fatalf("query %d: %d store reads for %d nodes visited", i, reads, res.Stats.NodesVisited)
+		}
+	}
+
 	var wg sync.WaitGroup
-	start := make(chan struct{})
-	errs := make(chan error, storm)
-	for g := 0; g < storm; g++ {
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i, q := range queries {
+				req := QueryRequest{Query: q}
+				switch w {
+				case 1:
+					req.Parallel = 4
+				case 2:
+					req.AsOf, req.Parallel = snap, i%2*4
+				}
+				res, err := twin.Execute(context.Background(), req)
+				if err != nil || !aggMatches(res.Agg, wants[i]) {
+					t.Errorf("query %d (parallel %d, as-of %v): %+v, %v; want %+v",
+						i, req.Parallel, req.AsOf != nil, res.Agg, err, wants[i])
+					return
+				}
+				if n := twin.CachedNodes(); n != 0 {
+					t.Errorf("%d nodes cached by readers", n)
+					return
+				}
+			}
+		}(w)
+	}
+	for _, scan := range []func(func(cube.Record) bool) error{twin.Scan, snap.Scan} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			<-start
-			tree.mu.RLock()
-			defer tree.mu.RUnlock()
-			if _, err := tree.nodes().Get(tree.ix.Root()); err != nil {
-				errs <- err
+			n := 0
+			if err := scan(func(cube.Record) bool { n++; return true }); err != nil || n != len(recs) {
+				t.Errorf("scan saw %d records (%v), want %d", n, err, len(recs))
 			}
 		}()
 	}
-	close(start)
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+	if n := twin.CachedNodes(); n != 0 {
+		t.Fatalf("%d nodes cached after the readers ran, want 0", n)
 	}
-	if got := ss.reads.Load() - before; got != 1 {
-		t.Fatalf("fault storm performed %d store reads, want 1", got)
-	}
-	if shared := tree.Metrics().CacheFaultsShared - sharedBefore; shared != storm-1 {
-		t.Fatalf("shared faults = %d, want %d", shared, storm-1)
+	if m := twin.Metrics(); m.DecodeFallbacks == 0 || m.FlatNodeReads != 0 {
+		t.Fatalf("twin: %d checked reads, %d flat views; want > 0 and 0", m.DecodeFallbacks, m.FlatNodeReads)
 	}
 }
 
@@ -227,9 +198,11 @@ func TestEvictCachePreservesDirtyNodes(t *testing.T) {
 	}
 }
 
-// TestConcurrentCacheStress drives getNode/markDirty/dropNode/Flush through
-// the public API under -race: queries fault nodes while inserts split and
-// drop them and a background goroutine flushes and evicts.
+// TestConcurrentCacheStress drives Get/MarkDirty/Drop/Flush through the
+// public API under -race: queries resolve nodes while inserts split and
+// drop them, a background goroutine flushes and evicts, and another walks
+// the tree through LevelStats and Validate, which fault nodes into the
+// cache under the exclusive hold.
 func TestConcurrentCacheStress(t *testing.T) {
 	tree := newTestTree(t, smallConfig())
 	s := tree.Schema()
@@ -283,9 +256,28 @@ func TestConcurrentCacheStress(t *testing.T) {
 			tree.CachedNodes()
 		}
 	}()
+	wg.Add(1)
+	go func() { // walker: the two whole-tree readers of index.Store
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			if _, err := tree.LevelStats(); err != nil {
+				errs <- err
+				return
+			}
+			if err := tree.Validate(); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func(w int) { // readers: serial and parallel descents fault nodes
+		go func(w int) { // readers: serial and parallel descents
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				select {

@@ -91,8 +91,7 @@ type Tree struct {
 	ckptMu sync.Mutex
 	cp     *checkpointer
 
-	// nc is the sharded node cache: hits on the concurrent read path take
-	// one shard RLock, misses decode once per node via singleflight.
+	// nc holds the resident nodes (guarded by t.mu; only writers fill it).
 	nc *nodeCache
 
 	// MVCC snapshots. versionSeq mints monotonic version numbers and
@@ -118,9 +117,9 @@ type Tree struct {
 	versionGenPersisted uint64
 
 	// viewer is the store's zero-copy view interface, when it has one
-	// (PagedStore mmap views, MemStore in-memory extents). Clean nodes are
-	// then queried in place as flat nodes instead of being decoded onto the
-	// heap; a store without it gets the decode path.
+	// (PagedStore mmap views, MemStore in-memory extents). Non-resident nodes
+	// are then queried in place over the extent bytes; a store without it
+	// has them framed over a checked read.
 	viewer storage.ExtentViewer
 
 	// metrics is the always-on observability instrumentation (atomic-only
@@ -183,18 +182,21 @@ func (t *Tree) RootMDS() mds.MDS {
 	return t.ix.RootMDS().Clone()
 }
 
-// LevelStats walks the tree and reports per-level node statistics.
+// LevelStats walks the tree and reports per-level node statistics. It
+// resolves nodes through index.Store, which faults them into the cache, so
+// it takes the tree lock exclusively.
 func (t *Tree) LevelStats() ([]LevelStat, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.ix.LevelStats()
 }
 
 // Validate deep-checks every structural invariant of the tree
 // (index.Index.Validate): the oracle behind the randomized workload tests.
+// Like LevelStats it holds the tree lock exclusively.
 func (t *Tree) Validate() error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.ix.Validate()
 }
 
@@ -216,24 +218,14 @@ func (s *treeNodes) New(leaf bool) *index.Node {
 	return n
 }
 
-// Get returns a node, faulting it from the store if necessary. Hits take
-// only a shard read lock; concurrent misses on the same node decode its
-// extent once (singleflight) and share the result.
+// Get returns a node's heap form, decoding it from its extent into the
+// cache on a miss. Caller holds t.mu exclusively.
 func (s *treeNodes) Get(id nodeID) (*index.Node, error) {
 	if n := s.nc.get(id); n != nil {
 		s.metrics.cacheHits.Inc()
 		return n, nil
 	}
 	s.metrics.cacheMisses.Inc()
-	n, shared, err := s.nc.fault(id, func() (*index.Node, error) { return s.load(id) })
-	if shared {
-		s.metrics.cacheFaultsShared.Inc()
-	}
-	return n, err
-}
-
-// load reads and decodes a node's extent from the store.
-func (s *treeNodes) load(id nodeID) (*index.Node, error) {
 	ref, ok := s.table[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: node %d has no extent", ErrCorrupt, id)
@@ -242,7 +234,12 @@ func (s *treeNodes) load(id nodeID) (*index.Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dctree: reading node %d: %w", id, err)
 	}
-	return index.DecodeNode(id, payload, s.schema.Dims(), s.schema.Measures())
+	n, err := index.DecodeNode(id, payload, s.schema.Dims(), s.schema.Measures())
+	if err != nil {
+		return nil, err
+	}
+	s.nc.put(n)
+	return n, nil
 }
 
 // MarkDirty flags a node for the next checkpoint.
@@ -262,60 +259,58 @@ func (s *treeNodes) Drop(id nodeID) error {
 	return nil
 }
 
-// View resolves a node for a read-only descent. A cached (hot or dirty)
-// data node comes back as the heap node, whose packed rows the descent
-// scans; a cached directory as its read image; a clean node whose store can
-// serve zero-copy views as a flat node over the extent bytes — no decode, no
-// cache insertion (view construction is a constant-time frame check, and
-// keeping flat reads out of the cache leaves its capacity to the write
-// path). Everything else falls back to the decode path. Caller holds
-// t.mu.RLock for the whole descent, which keeps the viewed extent from
-// being freed and rewritten mid-walk.
+// View resolves a node for a read-only descent, and never writes the cache
+// or decodes. A resident (hot or dirty) data node comes back as the heap
+// node, whose packed rows the descent scans; a resident directory as its
+// read image; any other node as its extent framed where it lies
+// (extentView). Caller holds t.mu.RLock for the whole descent, which keeps
+// the framed extent from being freed and rewritten mid-walk.
 func (s *treeNodes) View(id nodeID) (index.NodeView, error) {
 	t := (*Tree)(s)
 	if n := t.nc.get(id); n != nil {
 		t.metrics.cacheHits.Inc()
 		return t.ix.HeapView(n), nil
 	}
-	if nv, ok, err := t.extentView(id, t.table); ok || err != nil {
-		return nv, err
+	return t.extentView(id, t.table)
+}
+
+// extentView frames the extent table maps id to as a flat node: the
+// store's zero-copy view when it serves them, otherwise the bytes of a
+// checked read with the directory's offset table checked eagerly, as the
+// decoder would. Live and as-of reads share it; the caller's hold or pin
+// keeps the extent live for the walk.
+func (t *Tree) extentView(id nodeID, table map[nodeID]extentRef) (index.NodeView, error) {
+	ref, ok := table[id]
+	if !ok {
+		return index.NodeView{}, fmt.Errorf("%w: node %d has no extent", ErrCorrupt, id)
 	}
-	t.metrics.decodeFallbacks.Inc()
-	n, err := s.Get(id)
+	var payload []byte
+	var err error
+	if t.viewer != nil {
+		payload, _, err = t.viewer.ViewExtent(ref.page)
+	} else {
+		payload, _, err = t.store.Read(ref.page)
+	}
+	if err != nil {
+		return index.NodeView{}, fmt.Errorf("dctree: reading node %d: %w", id, err)
+	}
+	f, err := index.MakeFlatNode(id, payload, t.schema.Dims(), t.schema.Measures())
+	if err == nil && t.viewer == nil {
+		err = f.CheckTable()
+	}
 	if err != nil {
 		return index.NodeView{}, err
 	}
-	return t.ix.HeapView(n), nil
-}
-
-// extentView frames the extent the table maps id to as a zero-copy flat
-// view. ok is false when the view is not servable — no viewer, no extent,
-// or an integrity error the checked file read of the decode path will
-// reproduce and report.
-func (t *Tree) extentView(id nodeID, table map[nodeID]extentRef) (nv index.NodeView, ok bool, err error) {
-	if t.viewer == nil {
-		return index.NodeView{}, false, nil
+	if t.viewer != nil {
+		t.metrics.flatNodeReads.Inc()
+	} else {
+		t.metrics.decodeFallbacks.Inc()
 	}
-	ref, ok := table[id]
-	if !ok {
-		return index.NodeView{}, false, nil
-	}
-	payload, _, err := t.viewer.ViewExtent(ref.page)
-	if err != nil {
-		return index.NodeView{}, false, nil
-	}
-	f, err := index.MakeFlatNode(id, payload, t.schema.Dims(), t.schema.Measures())
-	if err != nil {
-		// A structurally bad frame from a checksum-clean extent: re-reading
-		// would yield the same bytes, so fail closed.
-		return index.NodeView{}, false, err
-	}
-	t.metrics.flatNodeReads.Inc()
-	return f.View(), true, nil
+	return f.View(), nil
 }
 
 // EvictCache drops all clean nodes from the in-memory cache; subsequent
-// accesses fault them back from the store. Dirty nodes are kept: their
+// reads frame them from the store. Dirty nodes are kept: their
 // in-memory state has not been persisted yet, so evicting them would lose
 // every mutation since the last Flush. Used by tests and by benchmarks that
 // measure cold-cache I/O.
@@ -327,6 +322,8 @@ func (t *Tree) EvictCache() {
 
 // CachedNodes reports how many nodes are resident in the cache.
 func (t *Tree) CachedNodes() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	return t.nc.len()
 }
 

@@ -24,9 +24,9 @@ import (
 // park their frees instead of returning the extents to the allocator.
 //
 // From then on the version is self-contained: an as-of query resolves every
-// node through the overlay first and the pinned extents second, decoding
-// into the version's own node cache — it never touches the live table, the
-// live node cache, or the tree lock. Long OLAP scans pinned to a version
+// node through the overlay first and the pinned extents second, each framed
+// where it lies — it never touches the live table, the node cache, or the
+// tree lock, and caches nothing of its own. Long OLAP scans pinned to a version
 // therefore run concurrently with inserts, deletes and checkpoints, which
 // is the paper's motivating warehouse scenario taken one step further.
 //
@@ -93,11 +93,6 @@ type Version struct {
 
 	// pinCount mirrors len(pinned)+len(ovPinned) for lock-free reporting.
 	pinCount atomic.Int64
-
-	// nc caches nodes decoded from the overlay or the pinned extents. It is
-	// private to the version: the tree's own cache holds live nodes that
-	// writers mutate in place under the tree lock.
-	nc *nodeCache
 
 	// refs counts the handle itself plus every in-flight query; the drop to
 	// zero unpins the extents. released latches the one Release call.
@@ -219,34 +214,6 @@ func (t *Tree) releaseVersionReplayLocked(id uint64) {
 	t.finishReleaseLocked(v)
 }
 
-// getNode decodes a node of the version from its pinned extent into the
-// version's private cache, with the same singleflight discipline as the
-// live read path: the fallback of View when the store serves no views.
-func (v *Version) getNode(id nodeID) (*index.Node, error) {
-	if n := v.nc.get(id); n != nil {
-		v.t.metrics.cacheHits.Inc()
-		return n, nil
-	}
-	v.t.metrics.cacheMisses.Inc()
-	n, shared, err := v.nc.fault(id, func() (*index.Node, error) { return v.loadNode(id) })
-	if shared {
-		v.t.metrics.cacheFaultsShared.Inc()
-	}
-	return n, err
-}
-
-func (v *Version) loadNode(id nodeID) (*index.Node, error) {
-	ref, ok := v.table[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: node %d has no extent in version %d", ErrCorrupt, id, v.id)
-	}
-	payload, _, err := v.t.store.Read(ref.page)
-	if err != nil {
-		return nil, fmt.Errorf("dctree: reading node %d of version %d: %w", id, v.id, err)
-	}
-	return index.DecodeNode(id, payload, v.t.schema.Dims(), v.t.schema.Measures())
-}
-
 // versionNodes is the Version as the index's descent meets it
 // (index.Source); like treeNodes, a defined type keeps View off the public
 // handle.
@@ -258,31 +225,18 @@ func (v *Version) nodes() *versionNodes { return (*versionNodes)(v) }
 // win over the pinned extents (the overlay holds the strictly newer
 // in-memory state of nodes that were dirty at capture) and are walked where
 // they lie: they are flat encodings the index produced itself. Extents — a
-// rehydrated version's persisted overlay extents included — are served as
-// zero-copy flat views, or decoded into the version's private cache
-// when the store serves none. A view's lifetime is bounded by the query's
-// reference on the version — the pinned extent cannot be freed and
-// rewritten while the version holds its pin, even across checkpoint
-// installs.
+// rehydrated version's persisted overlay extents included — are framed by
+// the live tree's extentView, over the version's table. A view's lifetime
+// is bounded by the query's reference on the version — the pinned extent
+// cannot be freed and rewritten while the version holds its pin, even
+// across checkpoint installs.
 func (s *versionNodes) View(id nodeID) (index.NodeView, error) {
 	v := (*Version)(s)
 	if payload, ok := v.overlay[id]; ok {
 		v.t.metrics.flatNodeReads.Inc()
 		return index.TrustedFlatNode(id, payload, v.t.schema.Dims(), v.t.schema.Measures()).View(), nil
 	}
-	if n := v.nc.get(id); n != nil {
-		v.t.metrics.cacheHits.Inc()
-		return v.t.ix.HeapView(n), nil
-	}
-	if nv, ok, err := v.t.extentView(id, v.table); ok || err != nil {
-		return nv, err
-	}
-	v.t.metrics.decodeFallbacks.Inc()
-	n, err := v.getNode(id)
-	if err != nil {
-		return index.NodeView{}, err
-	}
-	return v.t.ix.HeapView(n), nil
+	return v.t.extentView(id, v.table)
 }
 
 // Scan streams every data record of the version to fn in unspecified
@@ -294,13 +248,6 @@ func (v *Version) Scan(fn func(cube.Record) bool) error {
 	}
 	defer v.unref()
 	return v.t.ix.Scan(v.nodes(), v.root, fn)
-}
-
-// EvictCache drops the version's decoded-node cache; subsequent as-of
-// queries fault nodes back from the overlay and the pinned extents. For
-// long-lived versions on memory-constrained serving paths.
-func (v *Version) EvictCache() {
-	v.nc.evictClean()
 }
 
 // Snapshot captures a new version of the tree under one short hold of the
@@ -362,7 +309,6 @@ func (t *Tree) snapshotLocked(versionID, lsn uint64) (*Version, error) {
 		count:   t.ix.Count(),
 		table:   make(map[nodeID]extentRef, len(t.table)),
 		overlay: make(map[nodeID][]byte),
-		nc:      newNodeCache(),
 	}
 	v.refs.Store(1)
 

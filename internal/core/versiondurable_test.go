@@ -113,7 +113,6 @@ func TestVersionSurvivesCheckpointCrash(t *testing.T) {
 		t.Fatal("rehydrated version not marked persisted")
 	}
 	// The rehydrated version answers entirely from its manifest extents.
-	rv.EvictCache()
 	verifyVersion(t, recovered, rv, oracle, 25, 72)
 
 	// Releasing the rehydrated version drains its pins; the next checkpoint
@@ -491,15 +490,15 @@ func TestSnapshotOrphanRollback(t *testing.T) {
 
 	// Fabricate the corrupt state: a node that is in the table and flagged
 	// dirty but not resident (the invariant Snapshot must fail loudly on).
+	tree.EvictCache()
 	tree.mu.Lock()
 	var victim nodeID
 	for id := range tree.table {
 		victim = id
 		break
 	}
-	tree.mu.Unlock()
-	tree.EvictCache()
 	tree.nc.markDirty(victim)
+	tree.mu.Unlock()
 
 	lsnBefore := tree.wal.w.LastLSN()
 	latestBefore, _ := tree.LatestVersion()
@@ -518,7 +517,9 @@ func TestSnapshotOrphanRollback(t *testing.T) {
 
 	// Clear the fabricated flag; the tree is fully usable and the mint was
 	// not burned.
-	tree.nc.clearDirty([]nodeID{victim})
+	tree.mu.Lock()
+	tree.nc.clearDirtyIf(victim, tree.nc.dirty[victim])
+	tree.mu.Unlock()
 	v, err := tree.Snapshot()
 	if err != nil {
 		t.Fatalf("Snapshot after repair: %v", err)

@@ -37,11 +37,11 @@ func newPagedTree(t *testing.T, cfg Config, n int) (*Tree, *storage.PagedStore, 
 
 // noViews is a store that serves no zero-copy views: embedding the
 // interface hides the concrete store's ViewExtent, so a tree opened on it
-// reads every node through the decode path.
+// frames every non-resident node over a checked store read.
 type noViews struct{ storage.Store }
 
 // openDecodeTwin flushes tree and opens its image a second time without
-// views: the decode-path reference the flat-view answers are held to.
+// views: the checked-read reference the flat-view answers are held to.
 func openDecodeTwin(t *testing.T, tree *Tree, st storage.Store) *Tree {
 	t.Helper()
 	if err := tree.Flush(); err != nil {
@@ -197,7 +197,6 @@ func TestSnapshotFlatViewsSurviveChurn(t *testing.T) {
 	}()
 
 	for i := 0; i < 60; i++ {
-		snap.EvictCache()
 		got, err := tree.Execute(context.Background(), QueryRequest{Query: q, AsOf: snap})
 		if err != nil {
 			t.Errorf("as-of query %d: %v", i, err)

@@ -14,7 +14,8 @@
 // serializes its callers, and meets it through two interfaces:
 //
 //   - Store, the write side: Get, New, MarkDirty and Drop of heap nodes.
-//     Mutations, LevelStats and Validate resolve nodes through it.
+//     Mutations, LevelStats and Validate resolve nodes through it, all
+//     under the host's exclusive hold.
 //   - Source, the read side: View of a node for one read-only descent — a
 //     heap node (HeapView) or an encoded payload framed where it lies
 //     (MakeFlatNode, TrustedFlatNode).
@@ -41,8 +42,8 @@ type NodeID uint64
 const NilNode NodeID = 0
 
 // Store is the host's node store as the write path sees it. All four
-// methods are called with the host's exclusive hold, except Get, which
-// LevelStats and Validate also call under a shared one.
+// methods are called with the host's exclusive hold — by mutations, and by
+// LevelStats and Validate (Get) — so a Store needs no lock of its own.
 type Store interface {
 	// Get returns the heap form of a node, faulting it in if necessary.
 	Get(id NodeID) (*Node, error)
