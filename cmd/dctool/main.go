@@ -198,7 +198,7 @@ func runBuild(args []string) error {
 	}
 
 	cfg := dctree.DefaultConfig()
-	store, err := dctree.OpenFileStore(*indexPath, cfg.BlockSize, 0)
+	store, err := dctree.OpenFileStore(*indexPath, cfg.BlockSize)
 	if err != nil {
 		return err
 	}
@@ -324,7 +324,7 @@ func (m *multiFlag) Set(s string) error { *m = append(*m, s); return nil }
 
 func openTree(indexPath string) (*dctree.Tree, dctree.Store, error) {
 	cfg := dctree.DefaultConfig()
-	store, err := dctree.OpenFileStore(indexPath, cfg.BlockSize, 0)
+	store, err := dctree.OpenFileStore(indexPath, cfg.BlockSize)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -556,7 +556,7 @@ func runRecover(args []string) error {
 	}
 
 	cfg := dctree.DefaultConfig()
-	store, err := dctree.OpenFileStore(*indexPath, cfg.BlockSize, 0)
+	store, err := dctree.OpenFileStore(*indexPath, cfg.BlockSize)
 	if err != nil {
 		return err
 	}
@@ -598,7 +598,7 @@ func runVersions(args []string) error {
 	var tree *dctree.Tree
 	if *walPrefix != "" {
 		cfg := dctree.DefaultConfig()
-		store, err := dctree.OpenFileStore(*indexPath, cfg.BlockSize, 0)
+		store, err := dctree.OpenFileStore(*indexPath, cfg.BlockSize)
 		if err != nil {
 			return err
 		}

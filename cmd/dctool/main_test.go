@@ -229,7 +229,7 @@ func TestMetricsFlag(t *testing.T) {
 		"dctree_queries_total 1",
 		`dctree_splits_total{kind="hierarchy"}`,
 		"dctree_query_duration_seconds_count 1",
-		"dctree_store_pool_hit_ratio ",
+		"dctree_store_reads_total ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("query -metrics output missing %q in:\n%s", want, out)
@@ -401,7 +401,7 @@ func TestRetiredIndexRefused(t *testing.T) {
 	if err := runBuild([]string{"-tpcd", "300", "-index", index}); err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	store, err := dctree.OpenFileStore(index, dctree.DefaultConfig().BlockSize, 0)
+	store, err := dctree.OpenFileStore(index, dctree.DefaultConfig().BlockSize)
 	if err != nil {
 		t.Fatal(err)
 	}

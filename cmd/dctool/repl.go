@@ -136,7 +136,7 @@ func runPromote(args []string) error {
 		return fmt.Errorf("-dir is required")
 	}
 	cfg := core.DefaultConfig()
-	tree, store, err := repl.PromoteDir(*dir, cfg.BlockSize, storage.WALOptions{}, 0)
+	tree, store, err := repl.PromoteDir(*dir, cfg.BlockSize, storage.WALOptions{})
 	if err != nil {
 		return err
 	}

@@ -1,11 +1,12 @@
 // Command docscheck keeps the prose honest: it fails when the
 // documentation references a command-line flag no command defines, an
-// error variable no package declares, or when a Go code fence in the
-// markdown is not gofmt-formatted.
+// error variable no package declares, a knob no option struct has, a
+// metric family no code exports, or when a Go code fence in the markdown
+// is not gofmt-formatted.
 //
 //	go run ./cmd/docscheck
 //
-// Run from the repository root (CI runs it as the docs-check job). Four
+// Run from the repository root (CI runs it as the docs-check job). Five
 // checks:
 //
 //  1. Every `-flag` token in inline code or non-Go code fences of the
@@ -29,6 +30,12 @@
 //     a paragraph that says "knob" and names the structs, every bare
 //     back-ticked CamelCase identifier (qualify anything that is not a
 //     field: `Tree.Flush`, `dctree.WithWAL`).
+//  5. Every dctree_… metric name in those documents or DESIGN.md must be a
+//     family some non-test Go file declares (a histogram's _bucket, _sum
+//     and _count series count as their family) — so a deleted family
+//     cannot linger in a runbook. A name ending in "_", such as the
+//     namespace dctree_repl_ or a pattern dctree_repl_*, must be the prefix
+//     of at least one family.
 package main
 
 import (
@@ -56,6 +63,9 @@ var knobStructs = []struct{ name, file string }{
 
 // flagDocs are the documents whose flag references are validated.
 var flagDocs = []string{"README.md", "OPERATIONS.md", "REPLICATION.md", "DURABILITY.md"}
+
+// familyDocs are the documents whose metric-family references are validated.
+var familyDocs = []string{"README.md", "OPERATIONS.md", "REPLICATION.md", "DURABILITY.md", "DESIGN.md"}
 
 // allowedTools are non-repo flags the docs may legitimately mention
 // (go test / go build flags in testing instructions).
@@ -88,6 +98,11 @@ var (
 	bareIdent = regexp.MustCompile(`^[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*$`)
 	// knobIntro matches the word that makes a paragraph a knob-list intro.
 	knobIntro = regexp.MustCompile(`(?i)\bknobs?\b`)
+	// familyDef matches a metric family name as a Go string literal.
+	familyDef = regexp.MustCompile(`"(dctree_[a-z0-9_]+)"`)
+	// familyRef matches a metric name in documentation text, with the
+	// trailing * of a pattern.
+	familyRef = regexp.MustCompile(`\bdctree_[a-z0-9_]*\*?`)
 )
 
 func main() {
@@ -96,6 +111,10 @@ func main() {
 		fatal(err)
 	}
 	errs, err := declaredErrors(".")
+	if err != nil {
+		fatal(err)
+	}
+	families, err := declaredFamilies(".")
 	if err != nil {
 		fatal(err)
 	}
@@ -116,6 +135,13 @@ func main() {
 		}
 		problems = append(problems, p...)
 		p, err = checkErrRefs(doc, errs)
+		if err != nil {
+			fatal(err)
+		}
+		problems = append(problems, p...)
+	}
+	for _, doc := range familyDocs {
+		p, err := checkFamilyRefs(doc, families)
 		if err != nil {
 			fatal(err)
 		}
@@ -175,33 +201,93 @@ func definedFlags(cmdDir string) (map[string]bool, error) {
 // sentinels is not a case we want, but over-collection only costs the
 // check a little sharpness, never a false failure).
 func declaredErrors(root string) (map[string]bool, error) {
-	declared := make(map[string]bool)
+	return scanGo(root, true, errDef, "error declarations")
+}
+
+// declaredFamilies collects every dctree_ metric family name a non-test Go
+// file under root spells as a string literal.
+func declaredFamilies(root string) (map[string]bool, error) {
+	return scanGo(root, false, familyDef, "metric families")
+}
+
+// scanGo collects the first submatch of re over the Go files under root,
+// skipping hidden and testdata directories, and _test.go files unless
+// tests is set. Finding nothing is an error: the caller is not at the
+// repository root.
+func scanGo(root string, tests bool, re *regexp.Regexp, what string) (map[string]bool, error) {
+	found := make(map[string]bool)
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if name := d.Name(); name != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") {
+		if !strings.HasSuffix(path, ".go") || !tests && strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		src, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		for _, m := range errDef.FindAllStringSubmatch(string(src), -1) {
-			declared[m[1]] = true
+		for _, m := range re.FindAllStringSubmatch(string(src), -1) {
+			found[m[1]] = true
 		}
 		return nil
 	})
-	if len(declared) == 0 && err == nil {
-		err = fmt.Errorf("no error declarations found under %s — run from the repository root", root)
+	if len(found) == 0 && err == nil {
+		err = fmt.Errorf("no %s found under %s — run from the repository root", what, root)
 	}
-	return declared, err
+	return found, err
+}
+
+// checkFamilyRefs reports every dctree_ metric name in doc that no declared
+// family accounts for (check 5 of the package comment).
+func checkFamilyRefs(doc string, families map[string]bool) ([]string, error) {
+	data, err := os.ReadFile(doc)
+	if err != nil {
+		return nil, err
+	}
+	var problems []string
+	for i, line := range strings.Split(string(data), "\n") {
+		for _, ref := range familyRef.FindAllString(line, -1) {
+			name := strings.TrimSuffix(ref, "*")
+			if strings.HasSuffix(name, "_") {
+				if !hasPrefixed(families, name) {
+					problems = append(problems, fmt.Sprintf("%s:%d: no metric family starts with %s", doc, i+1, name))
+				}
+				continue
+			}
+			if !families[name] && !families[histogramFamily(name)] {
+				problems = append(problems, fmt.Sprintf("%s:%d: metric family %s is not declared by any non-test Go file", doc, i+1, name))
+			}
+		}
+	}
+	return problems, nil
+}
+
+// histogramFamily strips a histogram series suffix (_bucket, _sum, _count)
+// from a metric name.
+func histogramFamily(name string) string {
+	for _, series := range []string{"_bucket", "_sum", "_count"} {
+		if base, ok := strings.CutSuffix(name, series); ok {
+			return base
+		}
+	}
+	return name
+}
+
+// hasPrefixed reports whether some family name starts with prefix.
+func hasPrefixed(families map[string]bool, prefix string) bool {
+	for f := range families {
+		if strings.HasPrefix(f, prefix) {
+			return true
+		}
+	}
+	return false
 }
 
 // checkErrRefs scans doc's inline code spans and code fences for ErrXxx

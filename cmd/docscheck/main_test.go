@@ -32,3 +32,26 @@ func TestFieldRefsFixture(t *testing.T) {
 		t.Fatalf("problems:\n%q\nwant:\n%q", got, want)
 	}
 }
+
+// TestFamilyRefsFixture runs the metric-family check over a fixture that
+// names families deleted with the store buffer pool, next to every form
+// that must pass: plain and labelled families, histogram series and
+// prefixes. The families come from the repository's real Go source.
+func TestFamilyRefsFixture(t *testing.T) {
+	families, err := declaredFamilies("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := checkFamilyRefs("testdata/families.md", families)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"testdata/families.md:10: metric family dctree_store_pool_hit_ratio is not declared by any non-test Go file",
+		"testdata/families.md:11: metric family dctree_store_pool_hits_total is not declared by any non-test Go file",
+		"testdata/families.md:11: no metric family starts with dctree_nosuch_",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("problems:\n%q\nwant:\n%q", got, want)
+	}
+}

@@ -56,8 +56,9 @@
 // (or QueryBuilder.AsOf) run entirely without the tree lock and keep
 // answering from the captured state while inserts, deletes and
 // checkpoints proceed underneath. Release versions when done — they pin
-// storage extents. On WAL-backed trees versions survive crashes until a
-// checkpoint supersedes their log record. See DESIGN.md.
+// storage extents. On WAL-backed trees versions survive checkpoints,
+// crashes and restarts until Release or Config.VersionRetention ends them.
+// See DESIGN.md and DURABILITY.md.
 //
 // # Replication
 //
@@ -286,10 +287,11 @@ var ErrVersionForeign = core.ErrVersionForeign
 // NewMemStore creates an in-memory block store with full I/O accounting.
 func NewMemStore(blockSize int) Store { return storage.NewMemStore(blockSize) }
 
-// OpenFileStore opens (or creates) a file-backed block store with an LRU
-// buffer pool of poolBytes (≤ 0 selects a 4 MiB default).
-func OpenFileStore(path string, blockSize, poolBytes int) (Store, error) {
-	return storage.OpenPagedStore(path, blockSize, poolBytes)
+// OpenFileStore opens (or creates) a file-backed block store. Queries read
+// its extents zero-copy from a mapping of the file, so the OS page cache
+// is its cache.
+func OpenFileStore(path string, blockSize int) (Store, error) {
+	return storage.OpenPagedStore(path, blockSize, 0)
 }
 
 // AllDim is the unconstrained query entry for one dimension ("every

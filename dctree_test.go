@@ -293,7 +293,7 @@ func TestPublicBulkLoad(t *testing.T) {
 func TestPublicPersistence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sales.dctree")
 	cfg := dctree.DefaultConfig()
-	store, err := dctree.OpenFileStore(path, cfg.BlockSize, 0)
+	store, err := dctree.OpenFileStore(path, cfg.BlockSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestPublicPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store2, err := dctree.OpenFileStore(path, cfg.BlockSize, 0)
+	store2, err := dctree.OpenFileStore(path, cfg.BlockSize)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,7 +172,7 @@ func ExampleWithWAL() {
 	cfg := dctree.DefaultConfig()
 
 	schema := salesCube()
-	store, err := dctree.OpenFileStore(indexPath, cfg.BlockSize, 0)
+	store, err := dctree.OpenFileStore(indexPath, cfg.BlockSize)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func ExampleWithWAL() {
 		log.Fatal(err)
 	}
 
-	store, err = dctree.OpenFileStore(indexPath, cfg.BlockSize, 0)
+	store, err = dctree.OpenFileStore(indexPath, cfg.BlockSize)
 	if err != nil {
 		log.Fatal(err)
 	}

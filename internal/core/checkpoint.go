@@ -597,12 +597,6 @@ type VerifyOpts struct {
 	Mmap bool
 }
 
-// extentVerifier is implemented by stores that can check an extent's
-// checksum without decoding (and without polluting a buffer pool).
-type extentVerifier interface {
-	VerifyExtent(id storage.PageID) (blocks int, err error)
-}
-
 // extentViewVerifier is implemented by stores that can force-verify an
 // extent through their memory mapping (bypassing the verified-bit cache).
 type extentViewVerifier interface {
@@ -611,8 +605,8 @@ type extentViewVerifier interface {
 
 // VerifyExtents reads every extent referenced by the translation table or
 // by a live version's table (the extents the live table has moved off, and
-// the version's persisted overlay) and verifies its checksum (on stores
-// that carry them; otherwise the read itself is the check). Damage is
+// the version's persisted overlay). The read is the check: a PagedStore
+// Read verifies the payload on disk against its checksum. Damage is
 // collected, not returned early, so one scan reports every bad extent.
 func (t *Tree) VerifyExtents() VerifyReport {
 	return t.VerifyExtentsOpts(VerifyOpts{})
@@ -644,21 +638,17 @@ func (t *Tree) VerifyExtentsOpts(opts VerifyOpts) VerifyReport {
 	t.mu.RUnlock()
 
 	var rep VerifyReport
-	ev, hasVerify := t.store.(extentVerifier)
 	vv, hasView := t.store.(extentViewVerifier)
 	for _, e := range scan {
 		rep.Extents++
 		rep.Blocks += e.Blocks
-		switch {
-		case opts.Mmap && hasView:
+		if opts.Mmap && hasView {
 			var mapped bool
 			_, mapped, e.Err = vv.VerifyExtentView(e.Page)
 			if mapped {
 				rep.Mapped++
 			}
-		case hasVerify:
-			_, e.Err = ev.VerifyExtent(e.Page)
-		default:
+		} else {
 			_, _, e.Err = t.store.Read(e.Page)
 		}
 		if e.Err != nil {

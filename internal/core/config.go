@@ -1,7 +1,8 @@
 // Package core is the engine that hosts the DC-tree of internal/index and
 // makes it a database: Tree owns the lock that serializes the index's
-// callers, the block store and the node→extent table, the sharded node
-// cache that is the index's node store, the write-ahead log with its
+// callers, the block store and the node→extent table, the node cache
+// (resident and dirty maps written only under that lock) that is the
+// index's node store, the write-ahead log with its
 // self-clocking group commit, fuzzy checkpoints with shadow paging, MVCC
 // versions, the apply side of log-shipping replication, the metadata blob
 // and the metrics.

@@ -284,7 +284,7 @@ func TestMetricsWorkload(t *testing.T) {
 		"dctree_materialized_hit_ratio ",
 		"dctree_query_duration_seconds_bucket{le=",
 		"dctree_query_duration_seconds_count 25",
-		"dctree_store_pool_hit_ratio ",
+		"dctree_store_reads_total ",
 		"# TYPE dctree_query_duration_seconds histogram",
 	} {
 		if !strings.Contains(out, want) {
@@ -293,11 +293,13 @@ func TestMetricsWorkload(t *testing.T) {
 	}
 }
 
-// TestMetricsPagedStoreHitRatio checks the buffer-pool hit ratio surfaces
-// through Tree.Metrics when the tree sits on a PagedStore.
+// TestMetricsPagedStoreHitRatio checks the store's read ledger surfaces
+// through Tree.Metrics when the tree sits on a PagedStore: every read is a
+// Hit (a mapped view) or a Miss (a read of the file), Reads == Hits +
+// Misses, and the views the tree counts are the store's Hits.
 func TestMetricsPagedStoreHitRatio(t *testing.T) {
 	cfg := smallConfig()
-	store, err := storage.OpenPagedStore(filepath.Join(t.TempDir(), "m.dc"), cfg.BlockSize, 1<<20)
+	store, err := storage.OpenPagedStore(filepath.Join(t.TempDir(), "m.dc"), cfg.BlockSize, 0)
 	if err != nil {
 		t.Fatalf("OpenPagedStore: %v", err)
 	}
@@ -317,7 +319,11 @@ func TestMetricsPagedStoreHitRatio(t *testing.T) {
 		t.Fatalf("Flush: %v", err)
 	}
 	tree.EvictCache()
+	// Half the queries read through the mapping, half through file reads.
 	for i := 0; i < 10; i++ {
+		if i == 5 {
+			store.SetMmapViews(false)
+		}
 		if _, err := rangeAgg(tree, randomQuery(rng, schema, 0.3), 0); err != nil {
 			t.Fatalf("RangeAgg: %v", err)
 		}
@@ -325,14 +331,13 @@ func TestMetricsPagedStoreHitRatio(t *testing.T) {
 	}
 	m := tree.Metrics()
 	if m.Store.Reads == 0 || m.Store.Hits+m.Store.Misses != m.Store.Reads {
-		t.Fatalf("store probes inconsistent: %+v", m.Store)
+		t.Fatalf("store read ledger inconsistent: %+v", m.Store)
 	}
-	if m.StoreHitRatio <= 0 || m.StoreHitRatio > 1 {
-		t.Fatalf("StoreHitRatio = %g, want (0, 1]", m.StoreHitRatio)
+	if m.Store.Hits != m.MmapViews {
+		t.Fatalf("store Hits = %d, mapped views = %d", m.Store.Hits, m.MmapViews)
 	}
-	want := float64(m.Store.Hits) / float64(m.Store.Hits+m.Store.Misses)
-	if m.StoreHitRatio != want {
-		t.Fatalf("StoreHitRatio = %g, want %g", m.StoreHitRatio, want)
+	if m.MmapFallbacks == 0 || m.Store.Misses < m.MmapFallbacks {
+		t.Fatalf("store Misses = %d, view fallbacks = %d: want every fallback a file read", m.Store.Misses, m.MmapFallbacks)
 	}
 }
 

@@ -258,11 +258,8 @@ type Metrics struct {
 	Height      int
 	CachedNodes int
 
-	// Store is the underlying store's logical I/O accounting;
-	// StoreHitRatio is Hits / (Hits + Misses) of the buffer pool (1 for
-	// MemStore, which always hits; 0 before any read).
-	Store         storage.Stats
-	StoreHitRatio float64
+	// Store is the underlying store's logical I/O accounting.
+	Store storage.Stats
 }
 
 // Metrics returns a snapshot of the tree's operational metrics.
@@ -360,9 +357,6 @@ func (t *Tree) Metrics() Metrics {
 	if s.QueryEntriesScanned > 0 {
 		s.MaterializedHitRatio = float64(s.QueryMaterializedHits) / float64(s.QueryEntriesScanned)
 		s.PrunedEntryRatio = float64(s.QueryEntriesPruned) / float64(s.QueryEntriesScanned)
-	}
-	if probes := s.Store.Hits + s.Store.Misses; probes > 0 {
-		s.StoreHitRatio = float64(s.Store.Hits) / float64(probes)
 	}
 	if probes := s.CacheHits + s.CacheMisses; probes > 0 {
 		s.CacheHitRatio = float64(s.CacheHits) / float64(probes)
@@ -480,11 +474,8 @@ func (m Metrics) Families() []obs.Family {
 		obs.CounterFamily("dctree_store_writes_total", "Logical extent writes at the store interface.", m.Store.Writes),
 		obs.CounterFamily("dctree_store_allocs_total", "Extent allocations.", m.Store.Allocs),
 		obs.CounterFamily("dctree_store_frees_total", "Extent frees.", m.Store.Frees),
-		obs.CounterFamily("dctree_store_pool_hits_total", "Reads served by the buffer pool.", m.Store.Hits),
-		obs.CounterFamily("dctree_store_pool_misses_total", "Reads faulted from the backing file.", m.Store.Misses),
 		obs.CounterFamily("dctree_store_bytes_read_total", "Payload bytes read.", m.Store.BytesRead),
 		obs.CounterFamily("dctree_store_bytes_written_total", "Payload bytes written.", m.Store.BytesWritten),
-		obs.GaugeFamily("dctree_store_pool_hit_ratio", "Buffer-pool hits per read probe.", m.StoreHitRatio),
 	}
 }
 

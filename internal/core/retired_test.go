@@ -49,7 +49,7 @@ func TestRetiredImageRefused(t *testing.T) {
 		})},
 		{"repl.PromoteDir", filepath.Base(repl.StorePath("")), filepath.Base(repl.MirrorPrefix("")) + ".00000002.wal",
 			func(dir string) (*core.Tree, error) {
-				tree, st, err := repl.PromoteDir(dir, blockSize, storage.WALOptions{}, 0)
+				tree, st, err := repl.PromoteDir(dir, blockSize, storage.WALOptions{})
 				if st != nil {
 					st.Close()
 				}

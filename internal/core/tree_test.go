@@ -613,14 +613,14 @@ func TestPersistenceRoundtrip(t *testing.T) {
 				reopen = func() storage.Store { return ms }
 			} else {
 				path := filepath.Join(t.TempDir(), "tree.dc")
-				ps, err := storage.OpenPagedStore(path, cfg.BlockSize, 1<<20)
+				ps, err := storage.OpenPagedStore(path, cfg.BlockSize, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
 				store = ps
 				reopen = func() storage.Store {
 					ps.Close()
-					ps2, err := storage.OpenPagedStore(path, cfg.BlockSize, 1<<20)
+					ps2, err := storage.OpenPagedStore(path, cfg.BlockSize, 0)
 					if err != nil {
 						t.Fatal(err)
 					}

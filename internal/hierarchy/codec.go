@@ -28,11 +28,11 @@ func (h *Hierarchy) AppendEncode(buf []byte) []byte {
 		buf = appendString(buf, ln)
 	}
 	for level := 0; level < len(h.levelNames); level++ {
-		ids := h.byLevel[level]
-		buf = binary.AppendUvarint(buf, uint64(len(ids)))
-		for _, id := range ids {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(h.parents[level][id.Code()]))
-			buf = appendString(buf, h.valueNames[level][id.Code()])
+		parents := h.parents[level]
+		buf = binary.AppendUvarint(buf, uint64(len(parents)))
+		for c, p := range parents {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(p))
+			buf = appendString(buf, h.valueNames[level][c])
 		}
 	}
 	return buf
@@ -89,12 +89,8 @@ func DecodeHierarchy(buf []byte) (*Hierarchy, int, error) {
 			// Parents live one level up and must already be decoded
 			// (levels stream leaf-up, but parents reference upward) —
 			// so defer wiring: register with raw parent and fix below.
-			id, err := h.registerChildRaw(level, parent, vname)
-			if err != nil {
+			if err := h.registerChildRaw(level, parent, vname); err != nil {
 				return nil, 0, err
-			}
-			if id.Code() != uint32(i) {
-				return nil, 0, fmt.Errorf("hierarchy decode: non-dense code at level %d", level)
 			}
 		}
 	}
@@ -110,15 +106,16 @@ func DecodeHierarchy(buf []byte) (*Hierarchy, int, error) {
 // registerChildRaw is registerChild without the parent-existence implied by
 // top-down registration; decoding streams levels leaf-up, so a value's
 // parent ID is known before the parent value itself is materialized.
-func (h *Hierarchy) registerChildRaw(level int, parent ID, name string) (ID, error) {
+func (h *Hierarchy) registerChildRaw(level int, parent ID, name string) error {
 	key := scopedKey{parent, name}
 	if _, ok := h.intern[level][key]; ok {
-		return 0, fmt.Errorf("%w: duplicate %q at level %d", ErrInconsistent, name, level)
+		return fmt.Errorf("%w: duplicate %q at level %d", ErrInconsistent, name, level)
 	}
-	if len(h.byLevel[level]) > MaxCode {
-		return 0, fmt.Errorf("%w: level %d of %q", ErrFull, level, h.name)
+	if len(h.parents[level]) > MaxCode {
+		return fmt.Errorf("%w: level %d of %q", ErrFull, level, h.name)
 	}
-	return h.add(level, key), nil
+	h.add(level, key)
+	return nil
 }
 
 func readString(buf []byte) (string, int, error) {

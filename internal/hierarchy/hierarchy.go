@@ -34,10 +34,10 @@ type Hierarchy struct {
 	// parents and valueNames are dense per-level tables indexed by ID
 	// code: the father dictionary and the value strings. Dense slices keep
 	// AncestorAt — the single hottest operation of the index — free of
-	// map lookups.
+	// map lookups. Codes are handed out in registration order, so the IDs
+	// of a level are MakeID(level, c) for c < len(parents[level]).
 	parents    [][]ID
 	valueNames [][]string
-	byLevel    [][]ID // per level, IDs in insertion (total) order
 	intern     []map[scopedKey]ID
 
 	// above holds the composed father tables: above[from][k] maps the code
@@ -91,7 +91,6 @@ func New(name string, levelNames ...string) (*Hierarchy, error) {
 		levelNames: append([]string(nil), levelNames...),
 		parents:    make([][]ID, len(levelNames)),
 		valueNames: make([][]string, len(levelNames)),
-		byLevel:    make([][]ID, len(levelNames)),
 		intern:     make([]map[scopedKey]ID, len(levelNames)),
 		above:      make([][][]ID, len(levelNames)),
 		head:       make([][]uint32, len(levelNames)),
@@ -174,7 +173,7 @@ func (h *Hierarchy) registerChild(level int, parent ID, name string) (ID, error)
 		}
 		return id, nil
 	}
-	if len(h.byLevel[level]) > MaxCode {
+	if len(h.parents[level]) > MaxCode {
 		return 0, fmt.Errorf("%w: level %d of %q", ErrFull, level, h.name)
 	}
 	id := h.add(level, key)
@@ -207,9 +206,9 @@ func (h *Hierarchy) RestoreValue(id, parent ID, name string) error {
 		}
 		return nil // checkpoint already carried this registration
 	}
-	if uint32(len(h.byLevel[level])) != id.Code() {
+	if uint32(len(h.parents[level])) != id.Code() {
 		return fmt.Errorf("%w: delta %v for %q would leave a code hole (next code %d)",
-			ErrInconsistent, id, h.name, len(h.byLevel[level]))
+			ErrInconsistent, id, h.name, len(h.parents[level]))
 	}
 	if level == h.TopLevel() {
 		if !parent.IsALL() {
@@ -233,9 +232,8 @@ type scopedKey struct {
 
 // add files a new value under the next free code of its level.
 func (h *Hierarchy) add(level int, key scopedKey) ID {
-	id := MakeID(level, uint32(len(h.byLevel[level])))
+	id := MakeID(level, uint32(len(h.parents[level])))
 	h.intern[level][key] = id
-	h.byLevel[level] = append(h.byLevel[level], id)
 	h.parents[level] = append(h.parents[level], key.parent)
 	h.valueNames[level] = append(h.valueNames[level], key.name)
 	return id
@@ -405,8 +403,8 @@ func (h *Hierarchy) Under(a, b ID) bool {
 	return err == nil && anc == b
 }
 
-// ValuesAt returns the IDs registered at a level, in insertion order.
-// The returned slice is owned by the hierarchy; callers must not mutate it.
+// ValuesAt returns the IDs registered at a level, in insertion order, as a
+// fresh slice the caller owns.
 func (h *Hierarchy) ValuesAt(level int) ([]ID, error) {
 	if level == LevelALL {
 		return []ID{ALL}, nil
@@ -414,7 +412,16 @@ func (h *Hierarchy) ValuesAt(level int) ([]ID, error) {
 	if level < 0 || level >= len(h.levelNames) {
 		return nil, fmt.Errorf("%w: %d", ErrBadLevel, level)
 	}
-	return h.byLevel[level], nil
+	return h.idsAt(level), nil
+}
+
+// idsAt returns the IDs registered at a named level, in code order.
+func (h *Hierarchy) idsAt(level int) []ID {
+	ids := make([]ID, len(h.parents[level]))
+	for c := range ids {
+		ids[c] = MakeID(level, uint32(c))
+	}
+	return ids
 }
 
 // CountAt returns the number of values registered at a level.
@@ -425,7 +432,7 @@ func (h *Hierarchy) CountAt(level int) (int, error) {
 	if level < 0 || level >= len(h.levelNames) {
 		return 0, fmt.Errorf("%w: %d", ErrBadLevel, level)
 	}
-	return len(h.byLevel[level]), nil
+	return len(h.parents[level]), nil
 }
 
 // ValueName returns the original string of an interned value.
@@ -488,7 +495,7 @@ func joinSlash(parts []string) string {
 func (h *Hierarchy) Children(id ID) ([]ID, error) {
 	switch {
 	case id.IsALL():
-		return slices.Clone(h.byLevel[h.TopLevel()]), nil
+		return h.idsAt(h.TopLevel()), nil
 	case id.Level() == 0:
 		return nil, nil
 	case !h.registered(id):
@@ -509,7 +516,7 @@ func (h *Hierarchy) Children(id ID) ([]ID, error) {
 // about selectivity. It walks the child lists of id's subtree.
 func (h *Hierarchy) LeafCountUnder(id ID) (int, error) {
 	if id.IsALL() {
-		return len(h.byLevel[0]), nil
+		return len(h.parents[0]), nil
 	}
 	if !h.registered(id) {
 		return 0, fmt.Errorf("%w: %v", ErrUnknownID, id)
@@ -549,9 +556,9 @@ func (h *Hierarchy) FindByName(level int, name string) ([]ID, error) {
 		return nil, fmt.Errorf("%w: %d", ErrBadLevel, level)
 	}
 	var out []ID
-	for _, id := range h.byLevel[level] {
-		if h.valueNames[level][id.Code()] == name {
-			out = append(out, id)
+	for c, v := range h.valueNames[level] {
+		if v == name {
+			out = append(out, MakeID(level, uint32(c)))
 		}
 	}
 	return out, nil
@@ -567,34 +574,23 @@ func (h *Hierarchy) LevelIndex(levelName string) (int, error) {
 	return 0, fmt.Errorf("%w: hierarchy %q has no level %q", ErrBadLevel, h.name, levelName)
 }
 
-// Validate checks internal consistency: every non-top value has a parent one
-// level up, codes are dense per level, and names are interned. It is used by
-// tests and by dctool's fsck mode.
+// Validate checks that every top-level value's parent is ALL and every
+// other value's parent is registered one level up. (Codes are dense and
+// every value has a name by construction.) It is used by DecodeHierarchy,
+// tests and dctool's fsck mode.
 func (h *Hierarchy) Validate() error {
-	for level, ids := range h.byLevel {
-		for i, id := range ids {
-			if id.Level() != level {
-				return fmt.Errorf("hierarchy %q: id %v filed at level %d", h.name, id, level)
-			}
-			if id.Code() != uint32(i) {
-				return fmt.Errorf("hierarchy %q: id %v has non-dense code at index %d", h.name, id, i)
-			}
-			p, ok := h.parentOf(id)
-			if !ok {
-				return fmt.Errorf("hierarchy %q: id %v has no parent", h.name, id)
-			}
-			wantLevel := level + 1
-			if level == h.TopLevel() {
+	for level, parents := range h.parents {
+		for c, p := range parents {
+			id := MakeID(level, uint32(c))
+			switch {
+			case level == h.TopLevel():
 				if !p.IsALL() {
 					return fmt.Errorf("hierarchy %q: top value %v parent %v is not ALL", h.name, id, p)
 				}
-			} else if p.Level() != wantLevel {
+			case p.Level() != level+1:
 				return fmt.Errorf("hierarchy %q: id %v parent %v not one level up", h.name, id, p)
-			} else if int(p.Code()) >= len(h.byLevel[wantLevel]) {
+			case int(p.Code()) >= len(h.parents[level+1]):
 				return fmt.Errorf("hierarchy %q: id %v parent %v not registered", h.name, id, p)
-			}
-			if _, err := h.ValueName(id); err != nil {
-				return fmt.Errorf("hierarchy %q: id %v has no name", h.name, id)
 			}
 		}
 	}

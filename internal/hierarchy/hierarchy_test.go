@@ -345,7 +345,7 @@ func TestValidate(t *testing.T) {
 		t.Errorf("Validate: %v", err)
 	}
 	// Corrupt the parent map and check Validate notices.
-	leaf := h.byLevel[0][0]
+	leaf := MakeID(0, 0)
 	h.parents[0][leaf.Code()] = MakeID(3, 0) // skips a level
 	if err := h.Validate(); err == nil {
 		t.Error("Validate should detect a parent that skips a level")

@@ -355,7 +355,7 @@ func TestQuorumSyncZeroAckedWriteLoss(t *testing.T) {
 
 	// Epochs persist: reopening the follower directory as a primary bumps
 	// again on top of the persisted epoch and recovers every record.
-	again, store, err := PromoteDir(folDir, cfg.BlockSize, storage.WALOptions{}, 0)
+	again, store, err := PromoteDir(folDir, cfg.BlockSize, storage.WALOptions{})
 	if err != nil {
 		t.Fatalf("PromoteDir: %v", err)
 	}

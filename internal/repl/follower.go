@@ -44,7 +44,8 @@ type FollowerOptions struct {
 	// WAL configures the mirror when it is reopened as the promoted
 	// tree's write-ahead log.
 	WAL storage.WALOptions
-	// PoolBytes bounds the replica store's buffer pool (≤ 0 default).
+	// PoolBytes is ignored: it sized a store buffer pool that no longer
+	// exists, and stays only for existing callers.
 	PoolBytes int
 }
 
@@ -167,7 +168,7 @@ func NewFollower(src Source, opts FollowerOptions) (*Follower, error) {
 	_, statErr := os.Stat(storePath)
 	fresh := os.IsNotExist(statErr)
 
-	store, err := storage.OpenPagedStore(storePath, opts.Config.BlockSize, opts.PoolBytes)
+	store, err := storage.OpenPagedStore(storePath, opts.Config.BlockSize, 0)
 	if err != nil {
 		return nil, err
 	}

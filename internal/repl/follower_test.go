@@ -211,7 +211,7 @@ func TestFollowerEndToEndAndPromotion(t *testing.T) {
 
 	// Post-promotion writes are durable: a fresh open of the follower
 	// directory recovers them.
-	again, store, err := PromoteDir(folDir, cfg.BlockSize, storage.WALOptions{}, 0)
+	again, store, err := PromoteDir(folDir, cfg.BlockSize, storage.WALOptions{})
 	if err != nil {
 		t.Fatalf("PromoteDir: %v", err)
 	}

@@ -17,8 +17,8 @@ import (
 // fencing epoch, so the old primary's timeline is dead the moment this
 // returns; the caller owns both tree and store and must Close them (tree
 // first).
-func PromoteDir(dir string, blockSize int, wopts storage.WALOptions, poolBytes int) (*core.Tree, *storage.PagedStore, error) {
-	store, err := storage.OpenPagedStore(StorePath(dir), blockSize, poolBytes)
+func PromoteDir(dir string, blockSize int, wopts storage.WALOptions) (*core.Tree, *storage.PagedStore, error) {
+	store, err := storage.OpenPagedStore(StorePath(dir), blockSize, 0)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -85,9 +85,6 @@ func TestPagedStoreChecksumRoundtrip(t *testing.T) {
 	if string(got) != string(payload) {
 		t.Fatal("payload mismatch after reopen")
 	}
-	if _, err := s.VerifyExtent(id); err != nil {
-		t.Fatalf("VerifyExtent = %v", err)
-	}
 	meta, err := s.GetMeta()
 	if err != nil || string(meta) != "meta-blob-0123456789" {
 		t.Fatalf("GetMeta = %q, %v", meta, err)
@@ -129,9 +126,6 @@ func TestPagedStoreCorruptionMatrix(t *testing.T) {
 			defer s.Close()
 			if data, _, err := s.Read(id); !errors.Is(err, want) || data != nil {
 				t.Fatalf("Read = %d bytes, %v, want none and %v", len(data), err, want)
-			}
-			if _, err := s.VerifyExtent(id); !errors.Is(err, want) {
-				t.Fatalf("VerifyExtent = %v, want %v", err, want)
 			}
 			if data, _, err := s.ViewExtent(id); !errors.Is(err, want) || data != nil {
 				t.Fatalf("ViewExtent = %d bytes, %v, want none and %v", len(data), err, want)

@@ -45,7 +45,7 @@ func mmapTestStorePath(t *testing.T) (*PagedStore, string, []PageID, [][]byte) {
 }
 
 // TestViewExtentMatchesRead: the mapped view of every extent is
-// byte-identical to the buffered Read, and repeated views hit the verified
+// byte-identical to the file Read, and repeated views hit the verified
 // bitmap (the view counter advances, the fallback counter does not).
 func TestViewExtentMatchesRead(t *testing.T) {
 	s, ids, payloads := mmapTestStore(t)

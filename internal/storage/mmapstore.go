@@ -15,7 +15,7 @@ import (
 // to freshly allocated extents), which makes them safe to serve directly
 // out of a read-only, shared mapping of the store file: the OS page cache
 // becomes the node cache and a cold node access costs a few bounds checks
-// instead of a buffer-pool copy.
+// instead of a copy out of the file.
 //
 // The region manager below maps the file once and grows the mapping lazily:
 // a view request beyond the mapped length (the file grew since the last
@@ -227,15 +227,11 @@ func (s *PagedStore) ViewExtent(id PageID) ([]byte, int, error) {
 	if id == NilPage {
 		return nil, 0, fmt.Errorf("%w: nil page", ErrNotFound)
 	}
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		return nil, 0, ErrClosed
+	if err := s.checkOpen(); err != nil {
+		return nil, 0, err
 	}
 	if data, blocks, err, ok := s.mm.view(id); ok {
-		// A mapped view is a logical read served without a backing-file
-		// fault — account it as a buffer-pool hit so the store's read
+		// A mapped view is a read served from memory: a Hit, so the read
 		// ledger (Reads == Hits + Misses) covers the zero-copy path too.
 		if err == nil {
 			s.stats.reads.Add(1)
@@ -245,13 +241,7 @@ func (s *PagedStore) ViewExtent(id PageID) ([]byte, int, error) {
 		return data, blocks, err
 	}
 	s.mm.stats.fallbacks.Add(1)
-	data, blocks, err := s.readExtent(id)
-	if err == nil {
-		s.stats.reads.Add(1)
-		s.stats.misses.Add(1)
-		s.stats.bytesRead.Add(int64(len(data)))
-	}
-	return data, blocks, err
+	return s.Read(id)
 }
 
 // ViewStats implements ExtentViewer.
@@ -270,6 +260,9 @@ func (s *PagedStore) SetMmapViews(on bool) { s.mm.setEnabled(on) }
 func (s *PagedStore) VerifyExtentView(id PageID) (blocks int, mapped bool, err error) {
 	if id == NilPage {
 		return 0, false, fmt.Errorf("%w: nil page", ErrNotFound)
+	}
+	if err := s.checkOpen(); err != nil {
+		return 0, false, err
 	}
 	s.mm.mu.RLock()
 	enabled := s.mm.enabled

@@ -9,7 +9,9 @@ import (
 	"sync"
 )
 
-// PagedStore is a file-backed Store with a write-through LRU buffer pool.
+// PagedStore is a file-backed Store. It keeps no buffer pool of its own:
+// ViewExtent serves extents zero-copy out of a mapping of the file, so the
+// OS page cache is the cache, and Read is one checked file read.
 //
 // File layout (magic "DCSTORE2"):
 //
@@ -27,14 +29,12 @@ import (
 // ErrUnsupportedFormat.
 //
 // The freelist and the user metadata blob are themselves stored as extents
-// and re-written on Sync/Close. Reads served from the buffer pool count as
-// Hits; reads that fault from the file count as Misses.
+// and re-written on Sync/Close. Views served from the mapping count as
+// Hits; reads from the file count as Misses.
 //
-// PagedStore is safe for concurrent use. Reads in particular may run
-// concurrently with each other (the DC-tree serves queries under a shared
-// read lock, so several goroutines can fault nodes at once): the pool is
-// consulted and refilled under the store mutex, but the file fault itself
-// runs unlocked on os.File.ReadAt, which is safe for concurrent callers.
+// PagedStore is safe for concurrent use. Reads and views hold the store
+// mutex only for the closed check: the file read runs unlocked on
+// os.File.ReadAt, which is safe for concurrent callers.
 type PagedStore struct {
 	mu          sync.Mutex // guards everything below except stats and f
 	f           *os.File
@@ -45,7 +45,6 @@ type PagedStore struct {
 	metaBlk     int
 	freeID      PageID
 	freeBlk     int
-	pool        *lruPool
 	pendingFree []extentSpan
 	stats       statsCounters
 	closed      bool
@@ -61,11 +60,10 @@ type extentSpan struct {
 }
 
 const (
-	pagedMagic      = "DCSTORE2"
-	headerFields    = 8 + 4 + 8 + 8 + 4 + 8 + 4
-	headerSize      = headerFields + 4 // + CRC32C of the preceding fields
-	minPagedBlock   = 64
-	defaultPoolSize = 4 << 20
+	pagedMagic    = "DCSTORE2"
+	headerFields  = 8 + 4 + 8 + 8 + 4 + 8 + 4
+	headerSize    = headerFields + 4 // + CRC32C of the preceding fields
+	minPagedBlock = 64
 
 	// extentFlagCRC is the high bit of an extent header's block-count word:
 	// "a CRC32C of the payload follows at offset 8". Every extent sets it
@@ -81,13 +79,11 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // OpenPagedStore opens (or creates) a file-backed store. blockSize is only
 // used at creation time; reopening validates it against the file header.
-// poolBytes bounds the buffer pool (≤ 0 selects a 4 MiB default).
-func OpenPagedStore(path string, blockSize int, poolBytes int) (*PagedStore, error) {
+// The third parameter is ignored: it sized a buffer pool the store no
+// longer has, and stays only for existing callers.
+func OpenPagedStore(path string, blockSize int, _ int) (*PagedStore, error) {
 	if blockSize < minPagedBlock {
 		return nil, fmt.Errorf("%w: block size %d below minimum %d", ErrBadExtent, blockSize, minPagedBlock)
-	}
-	if poolBytes <= 0 {
-		poolBytes = defaultPoolSize
 	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -98,7 +94,6 @@ func OpenPagedStore(path string, blockSize int, poolBytes int) (*PagedStore, err
 		blockSize: blockSize,
 		next:      1,
 		free:      make(map[int][]PageID),
-		pool:      newLRUPool(poolBytes),
 	}
 	s.mm.init(f, blockSize)
 	st, err := f.Stat()
@@ -230,42 +225,37 @@ func (s *PagedStore) writeExtent(id PageID, blocks int, data []byte) error {
 	// The mapping shares pages with the file, so the new bytes are already
 	// visible there; only the cached CRC verdict for this page is stale.
 	s.mm.invalidate(id)
-	s.pool.put(id, blocks, data)
 	return nil
 }
 
-// Read implements Store. Concurrent Reads are safe and overlap on the file
-// fault: only the pool lookup and refill hold the store mutex.
+// checkOpen returns ErrClosed once the store is closed.
+func (s *PagedStore) checkOpen() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
+	return nil
+}
+
+// Read implements Store with one checked read of the file: what it returns
+// is what is on disk, and damage there is ErrChecksum or ErrCorrupt.
+// Concurrent Reads overlap; none holds the store mutex past the closed
+// check.
 func (s *PagedStore) Read(id PageID) ([]byte, int, error) {
 	if id == NilPage {
 		return nil, 0, fmt.Errorf("%w: nil page", ErrNotFound)
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, 0, ErrClosed
+	if err := s.checkOpen(); err != nil {
+		return nil, 0, err
 	}
-	s.stats.reads.Add(1)
-	if data, blocks, ok := s.pool.get(id); ok {
-		s.mu.Unlock()
-		s.stats.hits.Add(1)
-		s.stats.bytesRead.Add(int64(len(data)))
-		return data, blocks, nil
-	}
-	s.mu.Unlock()
-
-	s.stats.misses.Add(1)
 	data, blocks, err := s.readExtent(id)
 	if err != nil {
 		return nil, 0, err
 	}
+	s.stats.reads.Add(1)
+	s.stats.misses.Add(1)
 	s.stats.bytesRead.Add(int64(len(data)))
-
-	s.mu.Lock()
-	if !s.closed {
-		s.pool.put(id, blocks, data)
-	}
-	s.mu.Unlock()
 	return data, blocks, nil
 }
 
@@ -306,23 +296,6 @@ func (s *PagedStore) readExtent(id PageID) ([]byte, int, error) {
 	return data, blocks, nil
 }
 
-// VerifyExtent reads an extent directly from the backing file — bypassing
-// the buffer pool, so it checks what is actually on disk — and verifies its
-// checksum. It reports the extent's size in blocks.
-func (s *PagedStore) VerifyExtent(id PageID) (blocks int, err error) {
-	if id == NilPage {
-		return 0, fmt.Errorf("%w: nil page", ErrNotFound)
-	}
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		return 0, ErrClosed
-	}
-	_, blocks, err = s.readExtent(id)
-	return blocks, err
-}
-
 // Free implements Store.
 func (s *PagedStore) Free(id PageID, blocks int) error {
 	s.mu.Lock()
@@ -344,7 +317,6 @@ func (s *PagedStore) freeLocked(id PageID, blocks int) error {
 	}
 	s.free[blocks] = append(s.free[blocks], id)
 	s.dirtyHdr = true
-	s.pool.drop(id)
 	s.stats.frees.Add(1)
 	return nil
 }

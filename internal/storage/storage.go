@@ -10,9 +10,10 @@
 //
 // Two implementations are provided: MemStore (in-memory, used by the
 // performance experiments, which measure CPU time like the paper) and
-// PagedStore (file-backed with a write-through LRU buffer pool, used for
-// persistence). Both serve raw bytes; node encoding lives with the index
-// structures.
+// PagedStore (file-backed, used for persistence; its zero-copy views out
+// of a mapping of the file make the OS page cache the node cache, and a
+// Read is a checked read of the file). Both serve raw bytes; node encoding
+// lives with the index structures.
 package storage
 
 import (
@@ -48,8 +49,9 @@ var (
 )
 
 // Stats counts logical I/O operations. Reads and Writes count extents
-// touched at the store interface; for PagedStore, Misses counts extents
-// actually fetched from the file and Hits those served by the buffer pool.
+// touched at the store interface. Every read is a Hit or a Miss: Hits are
+// served from memory (a MemStore extent or a mapped view), Misses are
+// read from the file.
 type Stats struct {
 	Reads        int64
 	Writes       int64

@@ -2,10 +2,12 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -26,7 +28,7 @@ func openTrunc(path string, size int64) (*os.File, error) {
 // conformance testing.
 func stores(t *testing.T) map[string]Store {
 	t.Helper()
-	paged, err := OpenPagedStore(filepath.Join(t.TempDir(), "store.dc"), 256, 1<<16)
+	paged, err := OpenPagedStore(filepath.Join(t.TempDir(), "store.dc"), 256, 0)
 	if err != nil {
 		t.Fatalf("OpenPagedStore: %v", err)
 	}
@@ -151,13 +153,96 @@ func TestStoreConformance(t *testing.T) {
 			if err := s.Close(); err != nil {
 				t.Fatalf("Close: %v", err)
 			}
-			if _, _, err := s.Read(id); err != ErrClosed {
-				t.Fatalf("Read after close = %v", err)
+			// A closed store rejects every operation with ErrClosed.
+			afterClose := map[string]func() error{
+				"Alloc":   func() error { _, err := s.Alloc(1); return err },
+				"Write":   func() error { return s.Write(id, 1, payload) },
+				"Read":    func() error { _, _, err := s.Read(id); return err },
+				"Free":    func() error { return s.Free(id, 1) },
+				"SetMeta": func() error { return s.SetMeta(meta) },
+				"GetMeta": func() error { _, err := s.GetMeta(); return err },
+				"Sync":    s.Sync,
+				"ViewExtent": func() error {
+					_, _, err := s.(ExtentViewer).ViewExtent(id)
+					return err
+				},
+				"Close": s.Close,
 			}
-			if err := s.Close(); err != ErrClosed {
-				t.Fatalf("double close = %v", err)
+			if ps, ok := s.(*PagedStore); ok {
+				afterClose["VerifyExtentView"] = func() error { _, _, err := ps.VerifyExtentView(id); return err }
+			}
+			for op, call := range afterClose {
+				if err := call(); !errors.Is(err, ErrClosed) {
+					t.Errorf("%s after Close = %v, want ErrClosed", op, err)
+				}
 			}
 		})
+	}
+}
+
+// TestPagedStoreReadChecksDisk: Read returns what is on disk. A payload
+// byte flipped in the file after the extent was written is ErrChecksum,
+// not the bytes the store wrote.
+func TestPagedStoreReadChecksDisk(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.dc")
+	s, err := OpenPagedStore(path, 256, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	id, err := s.Alloc(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Write(id, 1, bytes.Repeat([]byte("dc"), 50)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Read(id); err != nil {
+		t.Fatalf("Read before damage = %v", err)
+	}
+	flipBits(t, path, int64(id)*256+ExtentHeaderSize+9, 0xFF)
+	if data, _, err := s.Read(id); !errors.Is(err, ErrChecksum) || data != nil {
+		t.Fatalf("Read after damage = %d bytes, %v, want none and ErrChecksum", len(data), err)
+	}
+}
+
+// TestPagedStoreConcurrentReads: Reads and views run concurrently with each
+// other and with a writer allocating, writing and syncing other extents,
+// and every read returns the extent's payload.
+func TestPagedStoreConcurrentReads(t *testing.T) {
+	s, ids, payloads := mmapTestStore(t)
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				k := (g + i) % len(ids)
+				read := s.Read
+				if g%2 == 1 {
+					read = s.ViewExtent
+				}
+				if got, _, err := read(ids[k]); err != nil || !bytes.Equal(got, payloads[k]) {
+					t.Errorf("reader %d: extent %d: %v", g, ids[k], err)
+					return
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < 50; i++ {
+		id, err := s.Alloc(1 + i%3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Write(id, 1+i%3, []byte("writer")); err != nil {
+			t.Fatal(err)
+		}
+		if i%10 == 9 {
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 
@@ -188,7 +273,7 @@ func TestBlocksForAndCapacity(t *testing.T) {
 
 func TestPagedStorePersistence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "persist.dc")
-	s, err := OpenPagedStore(path, 128, 1<<16)
+	s, err := OpenPagedStore(path, 128, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +313,7 @@ func TestPagedStorePersistence(t *testing.T) {
 	}
 
 	// Reopen and verify every live extent plus meta.
-	s2, err := OpenPagedStore(path, 128, 1<<16)
+	s2, err := OpenPagedStore(path, 128, 0)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -281,83 +366,6 @@ func TestPagedStoreCorruptHeader(t *testing.T) {
 	}
 }
 
-func TestPagedStoreBufferPool(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pool.dc")
-	// Tiny pool: 2 extents of ~120 bytes fit, third evicts.
-	s, err := OpenPagedStore(path, 128, 240)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	var ids []PageID
-	payload := make([]byte, 100)
-	for i := 0; i < 3; i++ {
-		id, _ := s.Alloc(1)
-		payload[0] = byte(i)
-		if err := s.Write(id, 1, payload); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	s.ResetStats()
-	// ids[0] was evicted by writes of ids[1], ids[2]: reading it misses.
-	if _, _, err := s.Read(ids[0]); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.Misses != 1 || st.Hits != 0 {
-		t.Fatalf("expected cold miss, stats = %+v", st)
-	}
-	// Re-reading hits.
-	s.Read(ids[0])
-	st = s.Stats()
-	if st.Hits != 1 {
-		t.Fatalf("expected warm hit, stats = %+v", st)
-	}
-	// A payload larger than the pool is served but not cached.
-	big, _ := s.Alloc(4)
-	bigData := make([]byte, 300)
-	if err := s.Write(big, 4, bigData); err != nil {
-		t.Fatal(err)
-	}
-	s.ResetStats()
-	s.Read(big)
-	s.Read(big)
-	st = s.Stats()
-	if st.Misses != 2 {
-		t.Fatalf("oversized payload should never cache, stats = %+v", st)
-	}
-}
-
-func TestLRUPoolEviction(t *testing.T) {
-	p := newLRUPool(10)
-	p.put(1, 1, []byte("aaaa"))
-	p.put(2, 1, []byte("bbbb"))
-	if p.len() != 2 || p.used != 8 {
-		t.Fatalf("len=%d used=%d", p.len(), p.used)
-	}
-	// Touch 1 so 2 becomes LRU, then insert 3 to evict 2.
-	p.get(1)
-	p.put(3, 1, []byte("cccc"))
-	if _, _, ok := p.get(2); ok {
-		t.Fatal("2 should have been evicted")
-	}
-	if _, _, ok := p.get(1); !ok {
-		t.Fatal("1 should have survived")
-	}
-	// Refresh with different size adjusts used bytes.
-	p.put(1, 1, []byte("aa"))
-	data, _, ok := p.get(1)
-	if !ok || string(data) != "aa" {
-		t.Fatalf("refresh: %q %v", data, ok)
-	}
-	p.drop(1)
-	if _, _, ok := p.get(1); ok {
-		t.Fatal("dropped entry still cached")
-	}
-	p.drop(999) // no-op
-}
-
 func TestMemStoreExtentCount(t *testing.T) {
 	s := NewMemStore(256)
 	a, _ := s.Alloc(1)
@@ -397,7 +405,7 @@ func BenchmarkMemStoreReadWrite(b *testing.B) {
 
 func BenchmarkPagedStoreWarmRead(b *testing.B) {
 	path := filepath.Join(b.TempDir(), fmt.Sprintf("bench%d.dc", b.N))
-	s, err := OpenPagedStore(path, 4096, 1<<20)
+	s, err := OpenPagedStore(path, 4096, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -48,21 +48,21 @@ func (q *QueryGen) Query(selectivity float64) (Query, error) {
 	rangeMDS := make(mds.MDS, len(space))
 	for d, h := range space {
 		level := q.rng.Intn(h.Depth())
-		vals, err := h.ValuesAt(level)
+		n, err := h.CountAt(level)
 		if err != nil {
 			return Query{}, err
 		}
-		k := int(selectivity * float64(len(vals)))
+		k := int(selectivity * float64(n))
 		if k < 1 {
 			k = 1
 		}
-		if k > len(vals) {
-			k = len(vals)
+		if k > n {
+			k = n
 		}
-		perm := q.rng.Perm(len(vals))[:k]
+		perm := q.rng.Perm(n)[:k]
 		ids := make([]hierarchy.ID, k)
 		for i, p := range perm {
-			ids[i] = vals[p]
+			ids[i] = hierarchy.MakeID(level, uint32(p)) // codes are dense per level
 		}
 		hierarchy.SortIDs(ids)
 		rangeMDS[d] = mds.DimSet{Level: level, IDs: ids}
@@ -96,18 +96,18 @@ func (q *QueryGen) Rollup(dims int) (Query, error) {
 		if level < 0 {
 			level = 0
 		}
-		vals, err := h.ValuesAt(level)
+		n, err := h.CountAt(level)
 		if err != nil {
 			return Query{}, err
 		}
 		k := 1 + q.rng.Intn(2)
-		if k > len(vals) {
-			k = len(vals)
+		if k > n {
+			k = n
 		}
-		idx := q.rng.Perm(len(vals))[:k]
+		idx := q.rng.Perm(n)[:k]
 		ids := make([]hierarchy.ID, k)
 		for i, p := range idx {
-			ids[i] = vals[p]
+			ids[i] = hierarchy.MakeID(level, uint32(p))
 		}
 		hierarchy.SortIDs(ids)
 		rangeMDS[d] = mds.DimSet{Level: level, IDs: ids}
