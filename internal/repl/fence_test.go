@@ -447,21 +447,77 @@ func TestSyncReplicationQuorumWaitObserved(t *testing.T) {
 	}
 }
 
-// ackRecorder notes the highest LSN a follower has acknowledged.
+// TestSyncWriteNeedsNoTick: a follower on the in-process transport ships
+// when the primary's log becomes durable and confirms once its mirror is
+// fsynced, so synchronous writes complete with the poll tick an hour away —
+// none degrades, each records one quorum wait, and the promoted follower
+// holds exactly the primary's records.
+func TestSyncWriteNeedsNoTick(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.SyncReplication = 1
+	cfg.SyncReplicationTimeout = 2 * time.Second
+	schema := testSchema(t)
+	primary, err := core.NewDurableOpts(storage.NewMemStore(cfg.BlockSize), schema, cfg,
+		t.TempDir()+"/wal", storage.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	primary.WAL().SetRetainLSN(0)
+	f, err := NewFollower(&WALSource{Tree: primary}, FollowerOptions{
+		Dir: t.TempDir(), ID: "woken", Config: cfg, Poll: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	const n = 20
+	start := time.Now()
+	for i, r := range genRecords(t, schema, rand.New(rand.NewSource(31)), n) {
+		if err := primary.Insert(r); err != nil {
+			t.Fatalf("sync insert %d: %v", i, err)
+		}
+	}
+	if elapsed := time.Since(start); elapsed >= cfg.SyncReplicationTimeout {
+		t.Fatalf("%d synchronous writes took %v; the follower waited for its tick", n, elapsed)
+	}
+	m := primary.Metrics()
+	if m.ReplSyncDegraded != 0 {
+		t.Fatalf("%d of %d writes degraded", m.ReplSyncDegraded, n)
+	}
+	if m.ReplQuorumWait.Count != n {
+		t.Fatalf("quorum-wait histogram holds %d observations, want %d", m.ReplQuorumWait.Count, n)
+	}
+	if got, want := f.Metrics().MirroredLSN, primary.WAL().LastLSN(); got < want {
+		t.Fatalf("follower mirrored through LSN %d, primary acknowledged through %d", got, want)
+	}
+	rw, err := f.Promote()
+	if err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	defer rw.Close()
+	assertTreesEqual(t, primary, rw)
+}
+
+// ackRecorder notes the highest LSN a follower has acknowledged and how
+// many acknowledgments it was sent.
 type ackRecorder struct {
 	*WALSource
 	acked atomic.Uint64
+	calls atomic.Int64
 }
 
 func (a *ackRecorder) Ack(info AckInfo) error {
 	a.acked.Store(info.LSN)
+	a.calls.Add(1)
 	return a.WALSource.Ack(info)
 }
 
-// TestFollowerAcknowledgesAtHeadOfNextPass drives passes by hand: the pass
-// that mirrors and fsyncs a record does not confirm it, the next pass
-// confirms it before it ships anything.
-func TestFollowerAcknowledgesAtHeadOfNextPass(t *testing.T) {
+// TestFollowerAcknowledgesAtEndOfPass drives passes by hand: the pass that
+// mirrors and fsyncs a record confirms it, and a pass with nothing new
+// sends no acknowledgment until the heartbeat is due.
+func TestFollowerAcknowledgesAtEndOfPass(t *testing.T) {
 	cfg := core.DefaultConfig()
 	schema := testSchema(t)
 	primary, err := core.NewDurableOpts(storage.NewMemStore(cfg.BlockSize), schema, cfg,
@@ -472,7 +528,7 @@ func TestFollowerAcknowledgesAtHeadOfNextPass(t *testing.T) {
 	defer primary.Close()
 	primary.WAL().SetRetainLSN(0)
 	src := &ackRecorder{WALSource: &WALSource{Tree: primary}}
-	f, err := NewFollower(src, FollowerOptions{Dir: t.TempDir(), ID: "head", Config: cfg, Poll: time.Hour})
+	f, err := NewFollower(src, FollowerOptions{Dir: t.TempDir(), ID: "tail", Config: cfg, Poll: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,15 +541,27 @@ func TestFollowerAcknowledgesAtHeadOfNextPass(t *testing.T) {
 		}
 	}
 	tip := primary.WAL().LastLSN()
+	calls := src.calls.Load()
 	f.pass()
 	if got := f.Metrics().MirroredLSN; got != tip {
 		t.Fatalf("first pass mirrored through LSN %d, want %d", got, tip)
 	}
-	if got := src.acked.Load(); got >= tip {
-		t.Fatalf("the shipping pass itself acknowledged LSN %d", got)
+	if got := src.acked.Load(); got != tip {
+		t.Fatalf("the shipping pass acknowledged LSN %d, want %d", got, tip)
+	}
+	if got := src.calls.Load() - calls; got != 1 {
+		t.Fatalf("the shipping pass sent %d acknowledgments, want 1", got)
 	}
 	f.pass()
+	if got := src.calls.Load() - calls; got != 1 {
+		t.Fatalf("a pass with nothing new sent an acknowledgment (%d in all) before the heartbeat", got)
+	}
+	f.lastAckAt = time.Now().Add(-ackHeartbeat)
+	f.pass()
+	if got := src.calls.Load() - calls; got != 2 {
+		t.Fatalf("the heartbeat pass brought the acknowledgments to %d, want 2", got)
+	}
 	if got := src.acked.Load(); got != tip {
-		t.Fatalf("second pass acknowledged LSN %d, want %d", got, tip)
+		t.Fatalf("the heartbeat acknowledged LSN %d, want %d", got, tip)
 	}
 }

@@ -30,7 +30,9 @@ type FollowerOptions struct {
 	// primary's; zero fields take core defaults. Ignored when Dir already
 	// holds a replica store.
 	Config core.Config
-	// Poll is the tailing interval. Zero selects DefaultPoll.
+	// Poll is the tailing interval. A Notifier source also wakes the
+	// follower whenever its log advances, so there Poll only paces retries
+	// and the acknowledgment heartbeat. Zero selects DefaultPoll.
 	Poll time.Duration
 	// CheckpointEvery is the replica checkpoint cadence. Checkpoints bound
 	// restart replay and let the mirror prune shipped segments; zero
@@ -237,39 +239,46 @@ func StorePath(dir string) string { return filepath.Join(dir, "replica.dc") }
 // MirrorPrefix returns the WAL mirror prefix inside a follower directory.
 func MirrorPrefix(dir string) string { return filepath.Join(dir, "wal") }
 
-// run is the tailing loop: acknowledge, ship, sync, checkpoint, repeat.
+// run is the tailing loop: ship, sync, acknowledge, checkpoint, repeat. A
+// pass starts on the Poll tick or, when the source is a Notifier, as soon
+// as the source's log advances. The channel is taken before the pass reads
+// the listing, so an advance that lands during the pass still wakes the
+// next one.
 func (f *Follower) run() {
 	defer close(f.done)
 	t := time.NewTicker(f.opts.Poll)
 	defer t.Stop()
+	n, _ := f.src.(Notifier)
 	for {
+		var changed <-chan struct{}
+		if n != nil {
+			changed = n.SegmentsChanged()
+		}
 		f.pass()
 		select {
 		case <-f.stop:
 			return
 		case <-t.C:
+		case <-changed:
 		}
 	}
 }
 
-// pass performs one shipping pass plus the bookkeeping around it. The
-// acknowledgment leads the pass: what one pass mirrored and fsynced is
-// confirmed at the head of the next, on the poll tick, as the HTTP
-// transport's acks already ride its next listing. A synchronous write is
-// thereby released on a tick boundary and costs two poll intervals whatever
-// the device does in between; acknowledging at the tail of the shipping
-// pass would save one interval and make every such write as long as a tick
-// wait plus two fsyncs of that minute's speed (EXPERIMENTS.md, "Group
-// commit under fan-in").
+// pass performs one shipping pass plus the bookkeeping around it: ship,
+// fsync the mirror, then acknowledge what is now durable in it (M3). A
+// synchronous write on a Notifier source therefore costs the primary's
+// fsync plus the mirror's; on other transports it waits for the poll tick
+// that ships it, and over HTTP the ack rides the listing after that. The
+// acknowledgment is sent even when shipping failed: an ack from a newer
+// epoch is how a deposed primary learns it is fenced.
 func (f *Follower) pass() {
-	err := f.acknowledge()
-	if err == nil {
-		var prog shipProgress
-		prog, err = f.sh.runOnce()
-		f.note(prog)
-		if err == nil && prog.bytes > 0 {
-			err = f.sh.m.sync()
-		}
+	prog, err := f.sh.runOnce()
+	f.note(prog)
+	if err == nil && prog.bytes > 0 {
+		err = f.sh.m.sync()
+	}
+	if aerr := f.acknowledge(); err == nil {
+		err = aerr
 	}
 
 	healthy := err == nil && f.src.Healthy()

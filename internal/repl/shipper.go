@@ -11,9 +11,9 @@ import (
 // segment listing, copy newly visible whole frames into the mirror, and
 // hand each record to the apply callback with its LSN. One shipper pass
 // (runOnce) makes progress up to the source's current frontier; the
-// follower drives passes on its poll interval, and the stress tests drive
-// them in a tight loop against a log being rotated and truncated
-// underneath.
+// follower drives passes on its poll interval and on the source's
+// notifications, and the stress tests drive them in a tight loop against a
+// log being rotated and truncated underneath.
 type shipper struct {
 	src   Source
 	m     *mirror

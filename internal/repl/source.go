@@ -63,10 +63,22 @@ type Tipper interface {
 	TipLSN() uint64
 }
 
+// Notifier is an optional Source extension for transports that can say
+// when Segments has something new. The follower then ships the moment the
+// primary's log advances instead of on its next poll tick; Poll stays the
+// cadence of transports without it, and of the heartbeat.
+type Notifier interface {
+	// SegmentsChanged returns a channel closed by the next advance of what
+	// Segments reports (see storage.WAL.SegmentsChanged). A nil channel
+	// means never.
+	SegmentsChanged() <-chan struct{}
+}
+
 // WALSource ships from a live WAL in the same process as the primary tree.
-// It reports exact durable frontiers (only fsynced bytes are listed), and
-// acknowledgements advance the log's retention floor so checkpoints can
-// truncate shipped segments.
+// It reports exact durable frontiers (only fsynced bytes are listed), wakes
+// its follower as they advance (Notifier), and lets acknowledgements
+// advance the log's retention floor so checkpoints can truncate shipped
+// segments.
 type WALSource struct {
 	// Tree is the primary. It must have a WAL (opened with NewDurable or
 	// OpenDurable).
@@ -99,6 +111,15 @@ func (s *WALSource) Healthy() bool { return true }
 // primary's write path with ErrFenced (it has been deposed).
 func (s *WALSource) Ack(info AckInfo) error {
 	return s.Tree.ObserveFollowerAck(info.Follower, info.Epoch, info.LSN)
+}
+
+// SegmentsChanged returns the live log's frontier channel (nil, which never
+// fires, for a tree without a WAL).
+func (s *WALSource) SegmentsChanged() <-chan struct{} {
+	if w := s.Tree.WAL(); w != nil {
+		return w.SegmentsChanged()
+	}
+	return nil
 }
 
 // TipLSN reports the primary's last assigned LSN.

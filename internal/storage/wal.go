@@ -93,6 +93,10 @@ type WAL struct {
 	// headers, so a promotion's bump survives any crash once the first
 	// post-bump segment header is durable.
 	epoch uint64
+
+	// changed is the channel SegmentsChanged handed out: closed and cleared
+	// by the next advance it describes, nil while nobody asked.
+	changed chan struct{}
 }
 
 // walSegment identifies one segment file.
@@ -441,7 +445,33 @@ func (w *WAL) createSegment(index, firstLSN uint64) error {
 	w.size = walSegHeaderSize
 	w.flushed = walSegHeaderSize
 	w.buf = w.buf[:0]
+	w.signalLocked()
 	return nil
+}
+
+// SegmentsChanged returns a channel that is closed the next time Segments
+// would offer a follower something new: a Sync raises the durable
+// frontier, a rotation (BumpEpoch included) seals a segment and creates
+// one, or a full truncation resets the log. Retiring sealed segments
+// (TruncateBefore short of the whole log) offers nothing and leaves it
+// open. A log-shipping follower takes the channel before it reads the
+// listing, so no advance between the two is lost, and then waits on it
+// instead of polling. Each close hands later callers a fresh channel.
+func (w *WAL) SegmentsChanged() <-chan struct{} {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.changed == nil {
+		w.changed = make(chan struct{})
+	}
+	return w.changed
+}
+
+// signalLocked wakes every SegmentsChanged waiter. Caller holds w.mu.
+func (w *WAL) signalLocked() {
+	if w.changed != nil {
+		close(w.changed)
+		w.changed = nil
+	}
 }
 
 // writeSegHeader writes and leaves durable-pending a segment header.
@@ -579,9 +609,11 @@ func (w *WAL) Sync() (uint64, error) {
 	w.mu.Lock()
 	if target > w.syncedLSN {
 		w.syncedLSN = target
+		w.signalLocked()
 	}
 	if idx == w.active.index && size > w.active.synced {
 		w.active.synced = size
+		w.signalLocked()
 	}
 	w.mu.Unlock()
 	return target, nil

@@ -164,3 +164,126 @@ func TestWALSyncAfterRotationAdvancesNewSegment(t *testing.T) {
 		t.Fatalf("frontier did not advance after Sync: %d", after)
 	}
 }
+
+// TestWALSegmentsChanged pins the frontier channel a log-shipping follower
+// waits on: it closes when Segments would offer something new — a Sync that
+// raises the frontier, a rotation (BumpEpoch included), a full Truncate —
+// and stays open across appends, a Sync with nothing new, and the
+// retirement of sealed segments. Then many goroutines take the channel
+// beside a syncing appender, and none of them misses the last advance.
+func TestWALSegmentsChanged(t *testing.T) {
+	closed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	w := openTestWAL(t, filepath.Join(t.TempDir(), "idx"), WALOptions{SegmentBytes: 128})
+	defer w.Close()
+	mustAppend := func() {
+		t.Helper()
+		if _, err := w.Append([]byte("frontier-record")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustSync := func() {
+		t.Helper()
+		if _, err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ch := w.SegmentsChanged()
+	mustAppend()
+	if closed(ch) {
+		t.Fatal("an Append closed the channel")
+	}
+	mustSync()
+	if !closed(ch) {
+		t.Fatal("a Sync that raised the frontier left the channel open")
+	}
+
+	ch = w.SegmentsChanged()
+	if closed(ch) {
+		t.Fatal("the channel after a close is already closed")
+	}
+	mustSync()
+	if closed(ch) {
+		t.Fatal("a Sync with nothing new closed the channel")
+	}
+	for w.size < w.opts.SegmentBytes {
+		mustAppend()
+	}
+	if closed(ch) {
+		t.Fatal("appends short of a rotation closed the channel")
+	}
+	mustAppend() // rotates
+	if !closed(ch) {
+		t.Fatal("a rotation left the channel open")
+	}
+
+	mustSync()
+	ch = w.SegmentsChanged()
+	if _, err := w.BumpEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	if !closed(ch) {
+		t.Fatal("BumpEpoch left the channel open")
+	}
+
+	ch = w.SegmentsChanged()
+	mustSync() // BumpEpoch's rotation already made everything durable
+	if closed(ch) {
+		t.Fatal("a Sync after BumpEpoch with nothing new closed the channel")
+	}
+	segs := w.Segments()
+	if len(segs) != 3 {
+		t.Fatalf("%d segments, want 3 (two sealed, one active)", len(segs))
+	}
+	if err := w.TruncateBefore(segs[1].FirstLSN - 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(w.Segments()); got != 2 {
+		t.Fatalf("%d segments after retiring the first, want 2", got)
+	}
+	if closed(ch) {
+		t.Fatal("retiring a sealed segment closed the channel")
+	}
+	if err := w.Truncate(); err != nil {
+		t.Fatal(err)
+	}
+	if !closed(ch) {
+		t.Fatal("a full Truncate left the channel open")
+	}
+
+	// Waiters take the channel, then read the frontier, then wait: an
+	// advance between the two must still wake them.
+	const total = 300
+	target := w.LastLSN() + total
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				ch := w.SegmentsChanged()
+				if w.SyncedLSN() >= target {
+					return
+				}
+				select {
+				case <-ch:
+				case <-time.After(10 * time.Second):
+					t.Errorf("waiter missed an advance: frontier %d, target %d", w.SyncedLSN(), target)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < total; i++ {
+		mustAppend()
+		mustSync()
+	}
+	wg.Wait()
+}
