@@ -773,7 +773,7 @@ func TestLevelStatsShape(t *testing.T) {
 		if l.Nodes == 0 {
 			t.Fatalf("level %d empty", i)
 		}
-		if l.AvgEntries <= 0 || l.AvgBlocks < 1 {
+		if l.AvgEntries <= 0 || l.AvgBlocks < 1 || l.Fill <= 0 || l.Fill > 1 {
 			t.Fatalf("level %d stats: %+v", i, l)
 		}
 		total += l.Nodes
@@ -782,6 +782,11 @@ func TestLevelStatsShape(t *testing.T) {
 	leaf := levels[len(levels)-1]
 	if int64(leaf.Entries) != tree.Count() {
 		t.Fatalf("leaf entries %d != count %d", leaf.Entries, tree.Count())
+	}
+	// Fill is the entries over the blocks' capacity.
+	blocks := leaf.AvgBlocks * float64(leaf.Nodes)
+	if want := float64(leaf.Entries) / (blocks * float64(smallConfig().LeafCapacity)); math.Abs(leaf.Fill-want) > 1e-9 {
+		t.Fatalf("leaf fill %v, want %d entries in %.0f blocks of %d = %v", leaf.Fill, leaf.Entries, blocks, smallConfig().LeafCapacity, want)
 	}
 }
 

@@ -232,11 +232,25 @@ func TestRecContextMatchesMDS(t *testing.T) {
 	}
 }
 
+// TestDescribeMatchesReference holds the split's descriptions — the columns
+// of adaptEntries and describeNode's — to the reference, on a tree of small
+// nodes and on one of the default, block-filled data nodes.
 func TestDescribeMatchesReference(t *testing.T) {
-	tree, _ := kernelTestTree(t, smallConfig(), 53)
+	for name, cfg := range map[string]Config{"small": smallConfig(), "block-filled": DefaultConfig()} {
+		t.Run(name, func(t *testing.T) {
+			tree, _ := kernelTestTree(t, cfg, 53)
+			if tree.Height() < 2 {
+				t.Fatalf("height %d: the test tree has no directory", tree.Height())
+			}
+			checkDescriptions(t, tree, rand.New(rand.NewSource(54)))
+		})
+	}
+}
+
+func checkDescriptions(t *testing.T, tree *Index, rng *rand.Rand) {
+	t.Helper()
 	space := tree.space()
 	nodes, nodeMDSs := allNodes(t, tree)
-	rng := rand.New(rand.NewSource(54))
 	descents := 0
 	for ni, n := range nodes {
 		// The split's view: the node's relevant levels, one dimension lowered.
@@ -418,6 +432,11 @@ func refHierarchySplit(space mds.Space, adapted []mds.MDS, dim, minFill int, tal
 				pickDiff, pick = diff, ri
 			}
 		}
+		if pickDiff > 0 {
+			tally.picked[0]++
+		} else {
+			tally.picked[1]++
+		}
 		i := remaining[pick]
 		remaining = append(remaining[:pick], remaining[pick+1:]...)
 
@@ -486,10 +505,14 @@ func abs(x float64) float64 {
 }
 
 // splitTally counts the picks settled by each of Fig. 6's four criteria
-// (overlap, extension, volume, balance) and Guttman's hand-overs per group.
+// (overlap, extension, volume, balance), Guttman's hand-overs per group, and
+// how each entry was picked: by its gain difference (of single values, one
+// that lies in exactly one cover), or as the first remaining entry when no
+// entry has one.
 type splitTally struct {
 	criterion  [4]int
 	handedOver [2]int
+	picked     [2]int
 }
 
 // columnMDSs lists the operands of the hierarchy split as MDSs: entry i's
@@ -516,9 +539,14 @@ const (
 
 // randomColumn draws k value sets of one shape over a universe of the given
 // size; small universes make equal sets, contained sets and ties common.
-func randomColumn(rng *rand.Rand, k, shape, universe int) *column {
+// Under single every set is one value, as in a data node: colMulti draws
+// from as many codes as there are entries, colSparse from codes 997 apart.
+func randomColumn(rng *rand.Rand, k, shape, universe int, single bool) *column {
 	c := &column{level: rng.Intn(3)}
 	draw := func() []hierarchy.ID {
+		if single {
+			return []hierarchy.ID{hierarchy.MakeID(c.level, uint32(rng.Intn(universe)))}
+		}
 		var s []hierarchy.ID
 		for v := 0; v < universe; v++ {
 			if rng.Intn(3) == 0 {
@@ -533,12 +561,16 @@ func randomColumn(rng *rand.Rand, k, shape, universe int) *column {
 	common := draw()
 	for i := 0; i < k; i++ {
 		c.off = append(c.off, len(c.ids))
-		switch shape {
-		case colSingle:
+		switch {
+		case shape == colSingle:
 			c.ids = append(c.ids, hierarchy.MakeID(c.level, uint32(rng.Intn(universe))))
-		case colMulti:
+		case shape == colMulti && single:
+			c.ids = append(c.ids, hierarchy.MakeID(c.level, uint32(rng.Intn(k))))
+		case shape == colMulti:
 			c.ids = append(c.ids, draw()...)
-		case colSparse:
+		case shape == colSparse && single:
+			c.ids = append(c.ids, hierarchy.MakeID(c.level, uint32(997*rng.Intn(2*universe))))
+		case shape == colSparse:
 			// Sets that share next to nothing: the two largest sizes bound a
 			// union below the column's distinct values.
 			for v := 0; v < universe; v++ {
@@ -546,9 +578,9 @@ func randomColumn(rng *rand.Rand, k, shape, universe int) *column {
 					c.ids = append(c.ids, hierarchy.MakeID(c.level, uint32(1000*v+rng.Intn(1000))))
 				}
 			}
-		case colSame:
+		case shape == colSame:
 			c.ids = append(c.ids, common...)
-		case colALL:
+		case shape == colALL:
 			c.level = hierarchy.LevelALL
 			c.ids = append(c.ids, hierarchy.ALL)
 		}
@@ -561,24 +593,29 @@ func randomColumn(rng *rand.Rand, k, shape, universe int) *column {
 // dimension and demands the same groups, in order, under the same covers.
 func checkSplitAgainstReference(t *testing.T, space mds.Space, cols []*column, minFill int, tally *splitTally) {
 	t.Helper()
+	for dim := range cols {
+		checkSplitAlong(t, space, cols, dim, minFill, tally)
+	}
+}
+
+func checkSplitAlong(t *testing.T, space mds.Space, cols []*column, dim, minFill int, tally *splitTally) {
+	t.Helper()
 	var ss splitScratch
 	ss.init(len(cols))
 	copy(ss.cols, cols)
 	adapted := columnMDSs(cols)
-	for dim := range cols {
-		want1, want2, wantCov1, wantCov2, err := refHierarchySplit(space, adapted, dim, minFill, tally)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g1, g2, cov1, cov2 := ss.hierarchySplit(dim, minFill)
-		if !slices.Equal(g1, want1) || !slices.Equal(g2, want2) {
-			t.Fatalf("k=%d dim %d minFill %d: groups %v | %v, reference %v | %v\noperands %v",
-				len(adapted), dim, minFill, g1, g2, want1, want2, adapted)
-		}
-		if !cov1.Equal(wantCov1) || !cov2.Equal(wantCov2) {
-			t.Fatalf("k=%d dim %d minFill %d: covers %v | %v, reference %v | %v\noperands %v",
-				len(adapted), dim, minFill, cov1, cov2, wantCov1, wantCov2, adapted)
-		}
+	want1, want2, wantCov1, wantCov2, err := refHierarchySplit(space, adapted, dim, minFill, tally)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g1, g2, cov1, cov2 := ss.hierarchySplit(dim, minFill)
+	if !slices.Equal(g1, want1) || !slices.Equal(g2, want2) {
+		t.Fatalf("k=%d dim %d minFill %d: groups %v | %v, reference %v | %v\noperands %v",
+			len(adapted), dim, minFill, g1, g2, want1, want2, adapted)
+	}
+	if !cov1.Equal(wantCov1) || !cov2.Equal(wantCov2) {
+		t.Fatalf("k=%d dim %d minFill %d: covers %v | %v, reference %v | %v\noperands %v",
+			len(adapted), dim, minFill, cov1, cov2, wantCov1, wantCov2, adapted)
 	}
 }
 
@@ -592,26 +629,31 @@ func splitTestSpace(dims int) mds.Space {
 	return space
 }
 
+// TestHierarchySplitMatchesReference holds the split to its reference on
+// random columns: in a third of the rounds every set is one value, as in a
+// data node, which the split assigns on ranks, up to a four-block data node
+// of the default 169 TPC-D rows; in the others some sets hold several
+// values, which it assigns on value sets, up to 4*48+1 entries — past any
+// directory below a supernode of eight blocks.
 func TestHierarchySplitMatchesReference(t *testing.T) {
+	const maxRanksK, maxSetsK = 4*169 + 1, 4*48 + 1
 	rng := rand.New(rand.NewSource(57))
-	maxK := 4*48 + 1 // a four-block data node of 48 rows
-	var tally splitTally
+	var ranks, sets splitTally
 	for round := 0; round < 1500; round++ {
 		dims := 2 + rng.Intn(4)
-		k := 2 + rng.Intn(24)
-		if round%10 == 0 {
-			k = 2 + rng.Intn(maxK-1)
-		}
 		leafShaped := round%3 == 0
+		k := 2 + rng.Intn(24)
+		switch {
+		case round%15 == 0:
+			k = 2 + rng.Intn(maxRanksK-1)
+		case round%10 == 1:
+			k = 2 + rng.Intn(maxSetsK-1)
+		}
 		cols := make([]*column, dims)
 		for d := range cols {
-			shape := rng.Intn(colShapes)
-			if leafShaped && (shape == colMulti || shape == colSparse) {
-				shape = colSingle
-			}
-			cols[d] = randomColumn(rng, k, shape, 1+rng.Intn(12))
+			cols[d] = randomColumn(rng, k, rng.Intn(colShapes), 1+rng.Intn(12), leafShaped)
 		}
-		if round%4 == 1 {
+		if round%4 == 1 || round%15 == 0 && round%2 == 0 {
 			// Duplicated entries: every criterion ties, balance decides.
 			for _, c := range cols {
 				ids, off := c.ids, c.off[:k]
@@ -624,18 +666,101 @@ func TestHierarchySplitMatchesReference(t *testing.T) {
 				c.close(nil)
 			}
 		}
+		tally := &sets
+		if leafShaped {
+			tally = &ranks
+			for d, c := range cols {
+				if !c.single {
+					t.Fatalf("round %d: column %d of a leaf-shaped round holds a set of several values", round, d)
+				}
+			}
+		}
 		// From "never short" to "short at once", on whichever side stays small.
 		minFill := 1 + rng.Intn(k/2+1)
-		checkSplitAgainstReference(t, splitTestSpace(dims), cols, minFill, &tally)
+		checkSplitAgainstReference(t, splitTestSpace(dims), cols, minFill, tally)
 	}
-	for criterion, picks := range tally.criterion {
-		if picks == 0 {
-			t.Errorf("no pick was settled by criterion %d: the ties are not covered", criterion+1)
+	for name, tally := range map[string]splitTally{"ranks": ranks, "sets": sets} {
+		for criterion, picks := range tally.criterion {
+			if picks == 0 {
+				t.Errorf("%s: no pick was settled by criterion %d: the ties are not covered", name, criterion+1)
+			}
+		}
+		if tally.handedOver[0] == 0 || tally.handedOver[1] == 0 {
+			t.Errorf("%s: Guttman's hand-over filled the groups %v times: both sides must occur", name, tally.handedOver)
 		}
 	}
-	if tally.handedOver[0] == 0 || tally.handedOver[1] == 0 {
-		t.Errorf("Guttman's hand-over filled the groups %v times: both sides must occur", tally.handedOver)
+	if ranks.picked[0] == 0 || ranks.picked[1] == 0 {
+		t.Errorf("ranks: picked %d entries in exactly one cover and %d first remaining: both must occur", ranks.picked[0], ranks.picked[1])
 	}
+}
+
+// FuzzHierarchySplit holds the split to its reference on columns read from
+// the fuzzer's bytes: the dimensions (1–5), the split dimension, the entries
+// (2–677), the minimum fill, one shape byte per dimension, then each
+// dimension's sets entry by entry. A shape's bit 0 makes the column multi-valued, a set being one
+// byte's bits over eight codes, else a set is one code byte; bit 1 spreads
+// the codes 997 apart; bits 2–3 are the level, 3 meaning ALL. Bytes past
+// the end read as zero.
+func FuzzHierarchySplit(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 1, 0, 30, 9, 0, 1, 5, 5, 7, 7, 5, 5, 7, 7, 5, 5})
+	rng := rand.New(rand.NewSource(60))
+	for _, n := range []int{64, 700} {
+		seed := make([]byte, n)
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		dims := 1 + next()%5
+		dim := next() % dims
+		k := 2 + (next()<<8|next())%676
+		minFill := 1 + next()%(k/2+1)
+		shapes := make([]int, dims)
+		for d := range shapes {
+			shapes[d] = next()
+		}
+		cols := make([]*column, dims)
+		for d, shape := range shapes {
+			c := &column{level: shape >> 2 & 3}
+			code := func(v int) uint32 {
+				if shape&2 != 0 {
+					v *= 997
+				}
+				return uint32(v)
+			}
+			for i := 0; i < k; i++ {
+				c.off = append(c.off, len(c.ids))
+				switch {
+				case c.level == 3:
+					c.ids = append(c.ids, hierarchy.ALL)
+				case shape&1 != 0:
+					set := next() | 1<<(i%8) // never empty
+					for v := 0; v < 8; v++ {
+						if set>>v&1 != 0 {
+							c.ids = append(c.ids, hierarchy.MakeID(c.level, code(v)))
+						}
+					}
+				default:
+					c.ids = append(c.ids, hierarchy.MakeID(c.level, code(next())))
+				}
+			}
+			if c.level == 3 {
+				c.level = hierarchy.LevelALL
+			}
+			c.close(nil)
+			cols[d] = c
+		}
+		var tally splitTally
+		checkSplitAlong(t, splitTestSpace(dims), cols, dim, minFill, &tally)
+	})
 }
 
 // TestHierarchySplitProductsPast2to53 splits entries whose volumes and
@@ -650,7 +775,7 @@ func TestHierarchySplitProductsPast2to53(t *testing.T) {
 	for round := 0; round < 6; round++ {
 		cols := make([]*column, dims)
 		for d := range cols {
-			cols[d] = randomColumn(rng, k, colMulti, 5000+rng.Intn(1000))
+			cols[d] = randomColumn(rng, k, colMulti, 5000+rng.Intn(1000), false)
 		}
 		adapted := columnMDSs(cols)
 		if ext, err := mds.Extension(space, adapted[0], adapted[1]); err != nil || ext <= 1<<53 {

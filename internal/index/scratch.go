@@ -29,6 +29,7 @@ type writeScratch struct {
 	members []mds.MDS      // member list of a k-way cover
 	rowDims []mds.DimSet   // the singleton sets of a data node's records
 	cover   mds.CoverBuf   // node covers: delete-repair fallback, bulk load
+	codes   codeSet        // a subtree's description being marked
 	desc    []hierarchy.ID // one node description in one dimension
 	refined [][]hierarchy.ID
 	split   splitScratch
@@ -38,6 +39,7 @@ func newWriteScratch(schema *cube.Schema, cfg *Config) *writeScratch {
 	space := schema.Space()
 	ws := &writeScratch{
 		topMDS:  mds.Top(len(space)),
+		codes:   newCodeSet(),
 		levels:  make([]int, len(space)),
 		top:     make([]int, len(space)),
 		refined: make([][]hierarchy.ID, len(space)),

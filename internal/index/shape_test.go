@@ -303,8 +303,9 @@ func largestDirectory(t *testing.T, ix *Index) int {
 // the default configuration: per query class, the nodes the tree built by
 // Insert visits ÷ those a BulkLoad of the same records visits, and per
 // level of both trees the bytes of the nodes' flat encodings, which
-// LevelStats reports beside the blocks the nodes hold, and the values per
-// directory entry.
+// LevelStats reports beside the blocks the nodes hold, the values per
+// directory entry, and the fill: entries ÷ the level's capacity, ~0.69 on
+// the dynamic data level against ~1.00 packed.
 //
 // The dynamic tree's numbers were re-pinned once, when inserts and splits
 // began to bound directory entries (boundMDS): gaps 2.03 / 2.50 / 2.06 /
@@ -330,14 +331,14 @@ func TestGoldenShapeGap(t *testing.T) {
 		want []LevelStat
 	}{
 		"dynamic": {g.dynamic, []LevelStat{
-			{Level: 0, Nodes: 1, Entries: 8, AvgEntries: 8, AvgBlocks: 1, EncodedBytes: 1164, MaxEncodedBytes: 1164, AvgEntryValues: 183.0 / 8},
-			{Level: 1, Nodes: 8, Entries: 128, AvgEntries: 16, AvgBlocks: 1, EncodedBytes: 19024, MaxEncodedBytes: 4052, AvgEntryValues: 3045.0 / 128},
-			{Level: 2, Nodes: 128, Entries: 15000, AvgEntries: 15000.0 / 128, AvgBlocks: 1, EncodedBytes: 362560, MaxEncodedBytes: 4076},
+			{Level: 0, Nodes: 1, Entries: 8, AvgEntries: 8, AvgBlocks: 1, EncodedBytes: 1164, MaxEncodedBytes: 1164, AvgEntryValues: 183.0 / 8, Fill: 8.0 / 24},
+			{Level: 1, Nodes: 8, Entries: 128, AvgEntries: 16, AvgBlocks: 1, EncodedBytes: 19024, MaxEncodedBytes: 4052, AvgEntryValues: 3045.0 / 128, Fill: 128.0 / (8 * 24)},
+			{Level: 2, Nodes: 128, Entries: 15000, AvgEntries: 15000.0 / 128, AvgBlocks: 1, EncodedBytes: 362560, MaxEncodedBytes: 4076, Fill: 15000.0 / (128 * 169)},
 		}},
 		"packed": {g.packed, []LevelStat{
-			{Level: 0, Nodes: 1, Entries: 4, AvgEntries: 4, AvgBlocks: 1, EncodedBytes: 860, MaxEncodedBytes: 860, AvgEntryValues: 39},
-			{Level: 1, Nodes: 4, Entries: 89, AvgEntries: 22.25, AvgBlocks: 1, EncodedBytes: 13437, MaxEncodedBytes: 3644, AvgEntryValues: 2156.0 / 89},
-			{Level: 2, Nodes: 89, Entries: 15000, AvgEntries: 15000.0 / 89, AvgBlocks: 1, EncodedBytes: 361780, MaxEncodedBytes: 4076},
+			{Level: 0, Nodes: 1, Entries: 4, AvgEntries: 4, AvgBlocks: 1, EncodedBytes: 860, MaxEncodedBytes: 860, AvgEntryValues: 39, Fill: 4.0 / 24},
+			{Level: 1, Nodes: 4, Entries: 89, AvgEntries: 22.25, AvgBlocks: 1, EncodedBytes: 13437, MaxEncodedBytes: 3644, AvgEntryValues: 2156.0 / 89, Fill: 89.0 / (4 * 24)},
+			{Level: 2, Nodes: 89, Entries: 15000, AvgEntries: 15000.0 / 89, AvgBlocks: 1, EncodedBytes: 361780, MaxEncodedBytes: 4076, Fill: 15000.0 / (89 * 169)},
 		}},
 	} {
 		levels, err := tc.ix.LevelStats()
@@ -366,10 +367,10 @@ func TestGoldenShapeGap(t *testing.T) {
 	}
 }
 
-// TestGoldenShapeGap100k pins the same ruler at 100k records. Before
-// entries were bounded the gap at 5 % was 3.9 and the dynamic tree's largest
-// directory encoded to 289,510 bytes, 71 blocks; now it is 5,672, still past
-// one block's payload.
+// TestGoldenShapeGap100k pins the same ruler at 100k records, and both
+// trees' fill per level. Before entries were bounded the gap at 5 % was 3.9
+// and the dynamic tree's largest directory encoded to 289,510 bytes, 71
+// blocks; now it is 5,672, still past one block's payload.
 func TestGoldenShapeGap100k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds two trees of 100k records")
@@ -384,5 +385,25 @@ func TestGoldenShapeGap100k(t *testing.T) {
 	})
 	if got, want := largestDirectory(t, g.dynamic), 5672; got != want {
 		t.Errorf("the dynamic tree's largest directory encodes to %d bytes, pinned %d", got, want)
+	}
+	for name, tc := range map[string]struct {
+		ix   *Index
+		fill []float64
+	}{
+		// One of the dynamic level 2's 60 directories is a supernode of 2 blocks.
+		"dynamic": {g.dynamic, []float64{4.0 / 24, 60.0 / (4 * 24), 905.0 / (61 * 24), 100000.0 / (905 * 169)}},
+		"packed":  {g.packed, []float64{2.0 / 24, 25.0 / (2 * 24), 592.0 / (25 * 24), 100000.0 / (592 * 169)}},
+	} {
+		levels, err := tc.ix.LevelStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fill []float64
+		for _, l := range levels {
+			fill = append(fill, l.Fill)
+		}
+		if !slices.Equal(fill, tc.fill) {
+			t.Errorf("%s: fill per level %v, pinned %v", name, fill, tc.fill)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math/bits"
 	"slices"
 
 	"github.com/dcindex/dctree/internal/hierarchy"
@@ -120,13 +121,23 @@ type splitScratch struct {
 	cols     []*column
 	order    []int
 
-	g         [2][]int
+	g      [2][]int
+	cov    [2]groupCover
+	size   [2][]int       // |cov[side]| per dimension
+	inter  []int          // |cov[0] ∩ cov[1]| per dimension
+	counts [2][]sideCount // what the picked entry would add to either cover
+
+	// The assignment on value sets (assignSets).
 	gain      [2][]int
 	remaining []int
-	cov       [2]groupCover
-	inter     []int          // |cov[0] ∩ cov[1]| per dimension
-	counts    [2][]sideCount // what the picked entry would add to either cover
 	added     []hierarchy.ID // the values one cover just gained in one dimension
+
+	// The assignment on ranks (assignRanks).
+	in   [2][]codeSet // cov[side] per dimension as a bitmap of codes
+	head []int32      // per split-dimension code: 1 + an entry of it, 0 if none
+	next []int32      // per entry: 1 + another entry of its value, 0 if none
+	done []bool       // per entry: assigned to a group
+	cand entryHeap    // entries whose value may lie in exactly one cover
 
 	fallback splitFallback
 }
@@ -137,9 +148,15 @@ func (ss *splitScratch) init(dims int) {
 	ss.cols = make([]*column, dims)
 	ss.order = make([]int, dims)
 	ss.inter = make([]int, dims)
+	ss.head = make([]int32, codeBlock)
 	for side := range ss.cov {
 		ss.cov[side].ids = make([][]hierarchy.ID, dims)
+		ss.size[side] = make([]int, dims)
 		ss.counts[side] = make([]sideCount, dims)
+		ss.in[side] = make([]codeSet, dims)
+		for d := range ss.in[side] {
+			ss.in[side][d] = newCodeSet()
+		}
 	}
 }
 
@@ -202,10 +219,10 @@ func (c *column) close(scratch []hierarchy.ID) []hierarchy.ID {
 }
 
 // groupCover is the cover of one group of the hierarchy split: per
-// dimension a sorted value set that absorbs the group's members in place.
-// The sets are carved from one slab kept from split to split, each with
-// room for every value of its column, so none ever moves. view hands the
-// cover out as an MDS.
+// dimension a sorted value set that absorbs the group's members in place,
+// or, on ranks, is read back from the group's bitmaps. The sets are carved
+// from one slab kept from split to split, each with room for every value of
+// its column, so none ever moves. view hands the cover out as an MDS.
 type groupCover struct {
 	ids  [][]hierarchy.ID
 	slab []hierarchy.ID
@@ -238,6 +255,107 @@ func (gc *groupCover) view(cols []*column) mds.MDS {
 // absorbing the picked entry: fresh values, and how many of those the other
 // group's cover holds already — the growth of the groups' intersection.
 type sideCount struct{ fresh, shared int }
+
+// codeSet is a set of one level's values as a bitmap of their codes. A
+// level's codes are dense (hierarchy.MakeID) and its IDs sort by code, so a
+// code is its value's rank: marking costs one load and store, membership one
+// load, and the set reads back sorted and duplicate-free without a sort.
+// Marks lie in words[lo:hi]; every other word is zero, and reading the set
+// back zeroes those too.
+type codeSet struct {
+	words  []uint64
+	lo, hi int
+}
+
+func newCodeSet() codeSet { return codeSet{words: make([]uint64, codeBlock/64)} }
+
+func (s *codeSet) add(id hierarchy.ID) {
+	w := int(id.Code() / 64)
+	if w >= len(s.words) {
+		s.words = extendByCode(s.words, w+1, codeBlock/64)
+	}
+	if s.hi == 0 || w < s.lo {
+		s.lo = w
+	}
+	s.hi = max(s.hi, w+1)
+	s.words[w] |= 1 << (id.Code() % 64)
+}
+
+func (s *codeSet) has(id hierarchy.ID) bool {
+	w := int(id.Code() / 64)
+	return w < len(s.words) && s.words[w]&(1<<(id.Code()%64)) != 0
+}
+
+// appendTo appends the set's values, IDs of the given level, to dst in code
+// order and empties the set.
+func (s *codeSet) appendTo(dst []hierarchy.ID, level int) []hierarchy.ID {
+	base := hierarchy.MakeID(level, 0)
+	for w := s.lo; w < s.hi; w++ {
+		for x := s.words[w]; x != 0; x &= x - 1 {
+			dst = append(dst, base|hierarchy.ID(w*64+bits.TrailingZeros64(x)))
+		}
+	}
+	s.clear()
+	return dst
+}
+
+func (s *codeSet) clear() {
+	clear(s.words[s.lo:s.hi])
+	s.lo, s.hi = 0, 0
+}
+
+// codeBlock is the number of codes a scratch table indexed by code is sized
+// for when the tree opens, so that inserts rarely grow one: every level of
+// TPC-D at 15k records fits.
+const codeBlock = 4096
+
+// extendByCode returns s lengthened with zeros to at least n elements,
+// doubling and never below least, so that a scratch table indexed by code
+// follows a growing hierarchy level in few allocations.
+func extendByCode[T any](s []T, n, least int) []T {
+	grown := make([]T, max(n, 2*len(s), least))
+	copy(grown, s)
+	return grown
+}
+
+// entryHeap is a min-heap of entry numbers.
+type entryHeap []int32
+
+func (h *entryHeap) push(i int32) {
+	s := append(*h, i)
+	for j := len(s) - 1; j > 0; {
+		p := (j - 1) / 2
+		if s[p] <= s[j] {
+			break
+		}
+		s[p], s[j] = s[j], s[p]
+		j = p
+	}
+	*h = s
+}
+
+// pop removes the least entry number.
+func (h *entryHeap) pop() {
+	s := *h
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	for j := 0; ; {
+		m := j
+		if l := 2*j + 1; l < len(s) && s[l] < s[m] {
+			m = l
+		}
+		if r := 2*j + 2; r < len(s) && s[r] < s[m] {
+			m = r
+		}
+		if m == j {
+			break
+		}
+		s[j], s[m] = s[m], s[j]
+		j = m
+	}
+	*h = s
+}
 
 // splitFallback keeps the best-ratio partition seen, for forced splits: a
 // copy of the groups and their covers, because the buffers they were built
@@ -286,17 +404,38 @@ func (ix *Index) adaptEntries(n *Node, nodeMDS mds.MDS, splitDim, level int) err
 	return ix.fillColumn(&ss.rung, n, splitDim, level)
 }
 
-// fillColumn describes every entry of n in one dimension at one level.
+// fillColumn describes every entry of n in one dimension at one level: a
+// record by its coordinate lifted, a directory entry by its value set lifted
+// — or, when the entry is *coarser* than the level (its MDS says ALL or a
+// single high-level value, but the split needs one level finer), by its
+// subtree's description (markNode): lifting can only generalize, so the
+// finer values must come from below.
 func (ix *Index) fillColumn(c *column, n *Node, dim, level int) error {
 	c.level, c.ids, c.off = level, c.ids[:0], c.off[:0]
-	for i, count := 0, n.Count(); i < count; i++ {
+	h := ix.space()[dim]
+	if n.leaf {
+		up := liftTo(h, 0, level)
+		for k := dim; k < len(n.coords); k += n.dims {
+			c.off = append(c.off, len(c.ids))
+			c.ids = append(c.ids, up.of(n.coords[k]))
+		}
+	}
+	for i := range n.entries {
 		start := len(c.ids)
 		c.off = append(c.off, start)
-		var err error
-		if c.ids, err = ix.appendDescribed(c.ids, n, i, dim, level); err != nil {
+		e := &n.entries[i]
+		if !levelAboveInt(e.MDS[dim].Level, level) {
+			c.ids = mds.SortDedupFrom(mds.AppendLifted(c.ids, h, e.MDS[dim], level), start)
+			continue
+		}
+		child, err := ix.store.Get(e.Child)
+		if err != nil {
 			return err
 		}
-		c.ids = mds.SortDedupFrom(c.ids, start)
+		if err := ix.markNode(&ix.ws.codes, child, dim, level); err != nil {
+			return err
+		}
+		c.ids = ix.ws.codes.appendTo(c.ids, level)
 	}
 	// The first group's slab is idle until the seeds are chosen, and will
 	// be asked for this room and more then.
@@ -305,61 +444,77 @@ func (ix *Index) fillColumn(c *column, n *Node, dim, level int) error {
 	return nil
 }
 
-// appendDescribed appends the values that describe the content of n's
-// entry i in one dimension at the target level, unsorted and possibly
-// repeated. When the entry's stored MDS is at or below the target its
-// values are simply lifted; when the entry is *coarser* than the target
-// (its MDS says ALL or a single high-level value, but the split needs one
-// level finer), the description is derived from the entry's subtree —
-// lifting can only generalize, so the finer values must come from below.
-// Records ground the recursion: a record's coordinate is its singleton set,
-// describable at every level.
-func (ix *Index) appendDescribed(dst []hierarchy.ID, n *Node, i, dim, level int) ([]hierarchy.ID, error) {
+// markNode marks in s the values that describe the content of n in one
+// dimension at the target level: its records' coordinates and its entries'
+// value sets lifted, and the subtree of an entry coarser than the level.
+// Records ground the recursion: a record's coordinate is describable at
+// every level. On an error s is left empty.
+func (ix *Index) markNode(s *codeSet, n *Node, dim, level int) error {
+	h := ix.space()[dim]
 	if n.leaf {
-		c := n.Row(i)[dim : dim+1]
-		return mds.AppendLifted(dst, ix.space()[dim], mds.DimSet{Level: c[0].Level(), IDs: c}, level), nil
+		up := liftTo(h, 0, level)
+		for k := dim; k < len(n.coords); k += n.dims {
+			s.add(up.of(n.coords[k]))
+		}
+		return nil
 	}
-	e := &n.entries[i]
-	if !levelAboveInt(e.MDS[dim].Level, level) {
-		return mds.AppendLifted(dst, ix.space()[dim], e.MDS[dim], level), nil
-	}
-	child, err := ix.store.Get(e.Child)
-	if err != nil {
-		return nil, err
-	}
-	return ix.appendNodeDescribed(dst, child, dim, level)
-}
-
-// describeCompactAt is the number of values a node may append to a
-// description before they are sorted and deduplicated in place, so that a
-// deep descent carries the distinct values of a subtree, not one per record.
-const describeCompactAt = 256
-
-// appendNodeDescribed is appendDescribed over a whole node's entries.
-func (ix *Index) appendNodeDescribed(dst []hierarchy.ID, n *Node, dim, level int) ([]hierarchy.ID, error) {
-	start := len(dst)
-	for i, count := 0, n.Count(); i < count; i++ {
-		var err error
-		if dst, err = ix.appendDescribed(dst, n, i, dim, level); err != nil {
-			return nil, err
+	for i := range n.entries {
+		e := &n.entries[i]
+		if ds := e.MDS[dim]; !levelAboveInt(ds.Level, level) {
+			up := liftTo(h, ds.Level, level)
+			for _, id := range ds.IDs {
+				s.add(up.of(id))
+			}
+			continue
+		}
+		child, err := ix.store.Get(e.Child)
+		if err != nil {
+			s.clear()
+			return err
+		}
+		if err := ix.markNode(s, child, dim, level); err != nil {
+			return err
 		}
 	}
-	if len(dst)-start > describeCompactAt {
-		dst = mds.SortDedupFrom(dst, start)
-	}
-	return dst, nil
+	return nil
 }
 
 // describeNode computes, in the scratch's description buffer, the minimal
 // describing value set of a whole node's content in one dimension at the
 // target level.
 func (ix *Index) describeNode(n *Node, dim, level int) ([]hierarchy.ID, error) {
-	desc, err := ix.appendNodeDescribed(ix.ws.desc[:0], n, dim, level)
-	if err != nil {
+	if err := ix.markNode(&ix.ws.codes, n, dim, level); err != nil {
 		return nil, err
 	}
-	ix.ws.desc = mds.SortDedupFrom(desc, 0)
+	ix.ws.desc = ix.ws.codes.appendTo(ix.ws.desc[:0], level)
 	return ix.ws.desc, nil
+}
+
+// lift maps the values of one level to their ancestors at a level at or
+// above it: one table load each, or the value itself, or ALL.
+type lift struct {
+	tab []hierarchy.ID
+	all bool
+}
+
+func liftTo(h *hierarchy.Hierarchy, from, to int) lift {
+	switch to {
+	case from:
+		return lift{}
+	case hierarchy.LevelALL:
+		return lift{all: true}
+	}
+	return lift{tab: h.AncestorTable(from, to)}
+}
+
+func (l lift) of(id hierarchy.ID) hierarchy.ID {
+	switch {
+	case l.tab != nil:
+		return l.tab[id.Code()]
+	case l.all:
+		return hierarchy.ALL
+	}
+	return id
 }
 
 // levelAboveInt mirrors mds's level ordering with LevelALL on top.
@@ -416,38 +571,116 @@ func (ix *Index) splitDimensionOrder(nodeMDS mds.MDS) []int {
 // without this rule the greedy loop degenerates on large supernodes,
 // where the bigger group's cover swallows everything.
 //
-// Fig. 6 consumes every set operation as a count, so the loop keeps counts
-// and builds one set only, the cover of the group that wins an entry. With
-// inter = |cov₀ ∩ cov₁| per dimension, and for the picked set S and either
-// group g: fresh = |S \ cov_g| and shared = |(S \ cov_g) ∩ cov_other|, the
-// overlap of cov_g ∪ S with the other cover is Π(inter + shared), its
-// volume Π(|cov_g| + fresh), and another entry's gain shrinks by the number
-// of its values among the ones the cover just took in. The products are
-// multiplied in dimension order as mds.Overlap, Extension and Volume
-// multiply theirs, so they are the same floats and break every tie alike.
+// Fig. 6 consumes every set operation as a count, so the loop keeps counts.
+// With inter = |cov₀ ∩ cov₁| per dimension, and for the picked set S and
+// either group g: fresh = |S \ cov_g| and shared = |(S \ cov_g) ∩
+// cov_other|, the overlap of cov_g ∪ S with the other cover is
+// Π(inter + shared), its volume Π(|cov_g| + fresh) (chooseGroup). The
+// products are multiplied in dimension order as mds.Overlap, Extension and
+// Volume multiply theirs, so they are the same floats and break every tie
+// alike. A data node's entries are assigned on ranks (assignRanks), a
+// directory's on value sets (assignSets) unless its sets too are single
+// values.
 func (ss *splitScratch) hierarchySplit(dim, minFill int) (g1, g2 []int, cov1, cov2 mds.MDS) {
 	cols := ss.cols
-	split := cols[dim]
-	k := split.count()
+	k := cols[dim].count()
 	if k < 2 {
 		return nil, nil, nil, nil
 	}
 	seedA, seedB, _ := ss.seedPair(k)
 
 	g := [2][]int{append(ss.g[0][:0], seedA), append(ss.g[1][:0], seedB)}
-	cov, inter, counts := &ss.cov, ss.inter, &ss.counts
-	cov[0].seed(cols, seedA)
-	cov[1].seed(cols, seedB)
+	ss.cov[0].seed(cols, seedA)
+	ss.cov[1].seed(cols, seedB)
+	single := true
 	for d, c := range cols {
-		inter[d] = mds.IntersectCount(c.set(seedA), c.set(seedB))
+		ss.inter[d] = mds.IntersectCount(c.set(seedA), c.set(seedB))
+		ss.size[0][d], ss.size[1][d] = len(c.set(seedA)), len(c.set(seedB))
 		// A dimension in which every entry carries the same set adds
 		// nothing to either cover, ever.
-		counts[0][d], counts[1][d] = sideCount{}, sideCount{}
+		ss.counts[0][d], ss.counts[1][d] = sideCount{}, sideCount{}
+		single = single && c.single
 	}
+	if single {
+		g = ss.assignRanks(g, dim, minFill)
+	} else {
+		g = ss.assignSets(g, dim, minFill)
+	}
+	ss.g = g
+	return g[0], g[1], ss.cov[0].view(cols), ss.cov[1].view(cols)
+}
 
+// shortGroup is Guttman's termination rule: the group that needs every one
+// of the left entries just to reach the minimum fill, or -1.
+func shortGroup(g [2][]int, left, minFill int) int {
+	switch {
+	case len(g[0])+left <= minFill:
+		return 0
+	case len(g[1])+left <= minFill:
+		return 1
+	}
+	return -1
+}
+
+// chooseGroup is the group the picked entry joins, given in ss.counts what
+// it would add to either cover: the minimum resulting overlap, then the
+// minimum extension, then the minimum volume, then the smaller group. The
+// chosen group's sizes and the groups' intersection grow by its counts.
+func (ss *splitScratch) chooseGroup(g [2][]int) int {
+	inter, counts, size := ss.inter, &ss.counts, &ss.size
+	// Criterion 1: minimum resulting overlap between the groups.
+	ov1, ov2 := 1.0, 1.0
+	for d := range inter {
+		ov1 *= float64(inter[d] + counts[0][d].shared)
+		ov2 *= float64(inter[d] + counts[1][d].shared)
+	}
+	into := 1
+	switch {
+	case ov1 < ov2:
+		into = 0
+	case ov1 > ov2:
+	default:
+		// Criterion 2: minimum sum of extensions (volume enlargement).
+		var vol, old [2]float64
+		for side := range vol {
+			vol[side], old[side] = 1, 1
+			for d := range inter {
+				vol[side] *= float64(size[side][d] + counts[side][d].fresh)
+				old[side] *= float64(size[side][d])
+			}
+		}
+		ext1, ext2 := vol[0]-old[0], vol[1]-old[1]
+		switch {
+		case ext1 < ext2:
+			into = 0
+		case ext1 > ext2:
+		// Criterion 3: minimum sum of volumes.
+		case vol[0] < vol[1]:
+			into = 0
+		case vol[0] > vol[1]:
+		// Final tie: keep the groups balanced.
+		case len(g[0]) <= len(g[1]):
+			into = 0
+		}
+	}
+	for d := range inter {
+		size[into][d] += counts[into][d].fresh
+		inter[d] += counts[into][d].shared
+	}
+	return into
+}
+
+// assignSets is the assignment over value sets, for columns of which some
+// set holds several values. Only the cover of the group that wins an entry
+// is built, in place; another entry's gain shrinks by the number of its
+// values among the ones the cover just took in.
+func (ss *splitScratch) assignSets(g [2][]int, dim, minFill int) [2][]int {
+	cols, cov, counts := ss.cols, &ss.cov, &ss.counts
+	split := cols[dim]
+	k := split.count()
 	remaining := ss.remaining[:0]
 	for i := 0; i < k; i++ {
-		if i != seedA && i != seedB {
+		if i != g[0][0] && i != g[1][0] {
 			remaining = append(remaining, i)
 		}
 	}
@@ -461,16 +694,7 @@ func (ss *splitScratch) hierarchySplit(dim, minFill int) (g1, g2 []int, cov1, co
 	}
 
 	for len(remaining) > 0 {
-		// Guttman's termination rule: if a group needs every remaining
-		// entry just to reach the minimum fill, hand them all over.
-		short := -1
-		switch {
-		case len(g[0])+len(remaining) <= minFill:
-			short = 0
-		case len(g[1])+len(remaining) <= minFill:
-			short = 1
-		}
-		if short >= 0 {
+		if short := shortGroup(g, len(remaining), minFill); short >= 0 {
 			for d, c := range cols {
 				if c.same {
 					continue
@@ -508,43 +732,7 @@ func (ss *splitScratch) hierarchySplit(dim, minFill int) (g1, g2 []int, cov1, co
 			counts[0][d] = sideCount{fresh: only1 + neither, shared: only1}
 			counts[1][d] = sideCount{fresh: only0 + neither, shared: only0}
 		}
-		// Criterion 1: minimum resulting overlap between the groups.
-		ov1, ov2 := 1.0, 1.0
-		for d := range cols {
-			ov1 *= float64(inter[d] + counts[0][d].shared)
-			ov2 *= float64(inter[d] + counts[1][d].shared)
-		}
-		into := 1
-		switch {
-		case ov1 < ov2:
-			into = 0
-		case ov1 > ov2:
-		default:
-			// Criterion 2: minimum sum of extensions (volume enlargement).
-			var vol, old [2]float64
-			for side := range vol {
-				vol[side], old[side] = 1, 1
-				for d := range cols {
-					size := len(cov[side].ids[d])
-					vol[side] *= float64(size + counts[side][d].fresh)
-					old[side] *= float64(size)
-				}
-			}
-			ext1, ext2 := vol[0]-old[0], vol[1]-old[1]
-			switch {
-			case ext1 < ext2:
-				into = 0
-			case ext1 > ext2:
-			// Criterion 3: minimum sum of volumes.
-			case vol[0] < vol[1]:
-				into = 0
-			case vol[0] > vol[1]:
-			// Final tie: keep the groups balanced.
-			case len(g[0]) <= len(g[1]):
-				into = 0
-			}
-		}
-
+		into := ss.chooseGroup(g)
 		g[into] = append(g[into], i)
 		for d, c := range cols {
 			cnt := counts[into][d]
@@ -557,27 +745,130 @@ func (ss *splitScratch) hierarchySplit(dim, minFill int) (g1, g2 []int, cov1, co
 				add = ss.added
 			}
 			cov[into].ids[d] = mds.MergeDisjoint(cov[into].ids[d], add)
-			inter[d] += cnt.shared
 			if d != dim {
 				continue
 			}
 			// The cover grew in the split dimension: what it took in, no
 			// other entry can bring again.
-			if split.single {
-				for _, r := range remaining {
-					if split.ids[r] == add[0] {
-						gain[into][r]--
-					}
-				}
-				continue
-			}
 			for _, r := range remaining {
 				gain[into][r] -= mds.IntersectCount(split.set(r), add)
 			}
 		}
 	}
-	ss.g, ss.gain, ss.remaining = g, gain, remaining[:0]
-	return g[0], g[1], cov[0].view(cols), cov[1].view(cols)
+	ss.gain, ss.remaining = gain, remaining[:0]
+	return g
+}
+
+// assignRanks is the assignment when every set of every column is one
+// value, as a data node's always are. A value's code is its rank (codeSet),
+// so each group's cover is a bitmap of codes per dimension beside its size:
+// the counts of the picked entry are two loads per dimension, and the sorted
+// covers are read back once, at the end.
+//
+// An entry's gain for a group is then 1 when the group's cover lacks its
+// split-dimension value, so Fig. 6's pick — the first remaining entry with
+// the greatest |gain₀ − gain₁| — is the first remaining entry whose value
+// lies in exactly one cover, else the first remaining entry. The candidates
+// wait in a min-heap of entry numbers: an entry enters when its value
+// enters its first cover, and is dropped when it surfaces once the value is
+// in both.
+func (ss *splitScratch) assignRanks(g [2][]int, dim, minFill int) [2][]int {
+	cols, in, counts := ss.cols, &ss.in, &ss.counts
+	split := cols[dim]
+	k := split.count()
+	ss.done = append(ss.done[:0], make([]bool, k)...)
+	ss.next = slices.Grow(ss.next[:0], k)[:k]
+	ss.cand = slices.Grow(ss.cand[:0], k)
+	// Chain each split-dimension value's entries, for take to feed.
+	for i := 0; i < k; i++ {
+		c := int(split.ids[i].Code())
+		if c >= len(ss.head) {
+			ss.head = extendByCode(ss.head, c+1, codeBlock)
+		}
+		ss.next[i], ss.head[c] = ss.head[c], int32(i+1)
+	}
+	for side := range g {
+		ss.done[g[side][0]] = true
+		ss.take(side, g[side][0], dim)
+	}
+
+	first := 0 // no entry before it remains
+	for left := k - 2; left > 0; left-- {
+		if short := shortGroup(g, left, minFill); short >= 0 {
+			for i := first; i < k; i++ {
+				if !ss.done[i] {
+					g[short] = append(g[short], i)
+					ss.take(short, i, dim)
+				}
+			}
+			break
+		}
+		i := -1
+		for len(ss.cand) > 0 && i < 0 {
+			j := int(ss.cand[0])
+			ss.cand.pop()
+			if v := split.ids[j]; !ss.done[j] && !(in[0][dim].has(v) && in[1][dim].has(v)) {
+				i = j
+			}
+		}
+		if i < 0 {
+			for ss.done[first] {
+				first++
+			}
+			i = first
+		}
+		ss.done[i] = true
+
+		for d, c := range cols {
+			if c.same {
+				continue
+			}
+			in0, in1 := in[0][d].has(c.ids[i]), in[1][d].has(c.ids[i])
+			counts[0][d] = sideCount{fresh: one(!in0), shared: one(!in0 && in1)}
+			counts[1][d] = sideCount{fresh: one(!in1), shared: one(!in1 && in0)}
+		}
+		into := ss.chooseGroup(g)
+		g[into] = append(g[into], i)
+		ss.take(into, i, dim)
+	}
+
+	for d, c := range cols {
+		if c.same {
+			continue // both covers are the seeds' sets, every entry's
+		}
+		for side := range in {
+			ss.cov[side].ids[d] = in[side][d].appendTo(ss.cov[side].ids[d][:0], c.level)
+		}
+	}
+	for _, v := range split.ids {
+		ss.head[v.Code()] = 0
+	}
+	return g
+}
+
+// take adds entry i's values to group side's cover. A split-dimension value
+// that enters its first cover makes its entries candidates.
+func (ss *splitScratch) take(side, i, dim int) {
+	for d, c := range ss.cols {
+		v := c.ids[i]
+		if c.same || ss.in[side][d].has(v) {
+			continue
+		}
+		ss.in[side][d].add(v)
+		if d != dim || ss.in[1-side][d].has(v) {
+			continue
+		}
+		for j := ss.head[v.Code()]; j != 0; j = ss.next[j-1] {
+			ss.cand.push(j - 1)
+		}
+	}
+}
+
+func one(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // seedPair returns the first pair of entries, in (i<j) order, whose

@@ -28,11 +28,16 @@ type LevelStat struct {
 	// (Definition 4's size, summed over the dimensions): what a query tests
 	// and an insert searches per entry. 0 on the data level.
 	AvgEntryValues float64
+	// Fill is the level's entries ÷ the sum of its nodes' capacities, a
+	// node's being its blocks × the per-block capacity of its kind
+	// (LeafCapacity or DirCapacity): how full the level keeps its blocks.
+	Fill float64
 }
 
 // LevelStats walks the tree and reports per-level node statistics.
 func (ix *Index) LevelStats() ([]LevelStat, error) {
 	stats := make([]LevelStat, ix.height)
+	capacity := make([]int, ix.height)
 	var walk func(id NodeID, level int) error
 	dims, measures := ix.schema.Dims(), ix.schema.Measures()
 	walk = func(id NodeID, level int) error {
@@ -48,6 +53,7 @@ func (ix *Index) LevelStats() ([]LevelStat, error) {
 		s.Nodes++
 		s.Entries += n.Count()
 		s.AvgBlocks += float64(n.blocks)
+		capacity[level] += n.capacity(&ix.cfg)
 		size := n.encodedSize(dims, measures)
 		s.EncodedBytes += size
 		s.MaxEncodedBytes = max(s.MaxEncodedBytes, size)
@@ -72,6 +78,7 @@ func (ix *Index) LevelStats() ([]LevelStat, error) {
 		if stats[i].Nodes > 0 {
 			stats[i].AvgEntries = float64(stats[i].Entries) / float64(stats[i].Nodes)
 			stats[i].AvgBlocks /= float64(stats[i].Nodes)
+			stats[i].Fill = float64(stats[i].Entries) / float64(capacity[i])
 		}
 		if stats[i].Entries > 0 {
 			stats[i].AvgEntryValues /= float64(stats[i].Entries)
