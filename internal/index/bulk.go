@@ -1,8 +1,9 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/mds"
@@ -37,16 +38,16 @@ func (ix *Index) BulkLoad(recs []cube.Record) error {
 	// Hierarchical sort: compare the records' concept paths level by
 	// level, cycling through the dimensions at each depth, so that records
 	// sharing coarse ancestors in any dimension end up adjacent — the
-	// clustering the dynamic insert develops incrementally.
-	keys := make([][]uint32, len(recs))
-	maxDepth := 0
+	// clustering the dynamic insert develops incrementally. Every key has
+	// one code per level of every dimension, so the keys share one arena
+	// and record i's is keys[i*width:][:width].
+	maxDepth, width := 0, 0
 	for _, h := range space {
-		if h.Depth() > maxDepth {
-			maxDepth = h.Depth()
-		}
+		maxDepth = max(maxDepth, h.Depth())
+		width += h.Depth()
 	}
-	for i, r := range recs {
-		key := make([]uint32, 0, maxDepth*len(space))
+	keys := make([]uint32, 0, len(recs)*width)
+	for _, r := range recs {
 		for depth := 0; depth < maxDepth; depth++ {
 			for d, h := range space {
 				level := h.TopLevel() - depth
@@ -57,23 +58,20 @@ func (ix *Index) BulkLoad(recs []cube.Record) error {
 				if err != nil {
 					return err
 				}
-				key = append(key, anc.Code())
+				keys = append(keys, anc.Code())
 			}
 		}
-		keys[i] = key
 	}
 	order := make([]int, len(recs))
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ka, kb := keys[order[a]], keys[order[b]]
-		for i := range ka {
-			if ka[i] != kb[i] {
-				return ka[i] < kb[i]
-			}
+	// Equal keys keep input order, as a stable sort would.
+	slices.SortFunc(order, func(a, b int) int {
+		if c := slices.Compare(keys[a*width:][:width], keys[b*width:][:width]); c != 0 {
+			return c
 		}
-		return false
+		return cmp.Compare(a, b)
 	})
 
 	// Pack sorted records into full data nodes.

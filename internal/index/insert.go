@@ -80,13 +80,16 @@ func (ix *Index) insertInto(id NodeID, nodeMDS mds.MDS, rc *recContext) (insertR
 	}
 
 	// Directory node (Fig. 4): update the chosen entry's measure value and
-	// MDS, then descend.
-	idx, err := ix.chooseSubtree(n, rc)
+	// MDS, then descend. A containing entry's cover is itself, but it is
+	// still bounded: a bulk-loaded entry may hold more values than the bound.
+	idx, contained, err := ix.chooseSubtree(n, rc)
 	if err != nil {
 		return insertResult{}, err
 	}
 	e := &n.entries[idx]
-	rc.cover(e.MDS)
+	if !contained {
+		rc.cover(e.MDS)
+	}
 	ix.boundMDS(e.MDS)
 	e.Agg.Merge(rc.agg)
 
@@ -124,13 +127,34 @@ func (ix *Index) insertInto(id NodeID, nodeMDS mds.MDS, rc *recContext) (insertR
 // comparison is effectively lexicographic coarse-level-first. Cost 0 means
 // the entry already contains the record; among equal costs the smaller
 // volume, then the smaller MDS size win (most specific subtree).
-func (ix *Index) chooseSubtree(n *Node, rc *recContext) (int, error) {
+//
+// Nearly every call has an entry of cost 0, so containment is asked first:
+// one membership test per dimension at the entry's own level, the first
+// miss ending the entry. Every weight is positive, so cost 0 is exactly
+// containment, and the costs are summed only when no entry contains the
+// record. contained reports which of the two decided.
+func (ix *Index) chooseSubtree(n *Node, rc *recContext) (best int, contained bool, err error) {
 	if len(n.entries) == 0 {
-		return 0, fmt.Errorf("%w: empty directory node %d", ErrCorrupt, n.id)
+		return 0, false, fmt.Errorf("%w: empty directory node %d", ErrCorrupt, n.id)
 	}
-	best := -1
-	var bestCost, bestVol float64
+	best = -1
+	var bestVol float64
 	var bestSize int
+	for i := range n.entries {
+		m := n.entries[i].MDS
+		if !rc.contains(m) {
+			continue
+		}
+		vol, size := m.Volume(), m.Size()
+		if best == -1 || vol < bestVol || (vol == bestVol && size < bestSize) {
+			best, bestVol, bestSize = i, vol, size
+		}
+	}
+	if best >= 0 {
+		return best, true, nil
+	}
+
+	var bestCost float64
 	for i := range n.entries {
 		e := &n.entries[i]
 		// An entry whose cost passes the best one seen cannot win: the
@@ -149,7 +173,7 @@ func (ix *Index) chooseSubtree(n *Node, rc *recContext) (int, error) {
 			best, bestCost, bestVol, bestSize = i, cost, vol, size
 		}
 	}
-	return best, nil
+	return best, false, nil
 }
 
 // levelWeight is the per-hierarchy-level base of the enlargement cost:
@@ -173,9 +197,8 @@ func (ix *Index) enlargementCost(entryMDS mds.MDS, rc *recContext, bound float64
 		if ds.Level == hierarchy.LevelALL {
 			continue // ALL covers everything at no new values
 		}
-		// Fast path: membership at the entry's own level is a binary
-		// search over the sorted value set, and covers the common case of
-		// a record routed into a subtree that already describes it.
+		// Membership at the entry's own level: the dimension costs
+		// nothing, and no coarser level needs a look.
 		anc := rc.anc[d]
 		if idMember(ds.IDs, anc[ds.Level]) {
 			continue
@@ -218,8 +241,25 @@ func pow(base float64, exp int) float64 {
 	return v
 }
 
-// idMember reports membership in a sorted ID slice via binary search.
+// scanMax is the longest set idMember scans instead of searching: 2 × the
+// default RefineBound, the most values boundMDS leaves in an inserted
+// entry's dimension. Longer sets are the root MDS, bulk-loaded entries and
+// trees without the bound (RefineBound -1).
+const scanMax = 16
+
+// idMember reports membership in a sorted ID slice. A short set is scanned
+// whole, counting the values below id without a branch on the data —
+// cheaper than a binary search's mispredicted halvings; the count is id's
+// position if it is there.
 func idMember(ids []hierarchy.ID, id hierarchy.ID) bool {
+	if len(ids) <= scanMax {
+		below := 0
+		for _, v := range ids {
+			// IDs are 32 bits: the 64-bit difference wraps exactly when v < id.
+			below += int((uint64(v) - uint64(id)) >> 63)
+		}
+		return below < len(ids) && ids[below] == id
+	}
 	lo, hi := 0, len(ids)
 	for lo < hi {
 		mid := (lo + hi) / 2

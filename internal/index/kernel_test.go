@@ -9,6 +9,7 @@ import (
 	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/hierarchy"
 	"github.com/dcindex/dctree/internal/mds"
+	"github.com/dcindex/dctree/internal/tpcd"
 )
 
 // The write-path kernel (scratch.go, insert.go, split.go, delete.go) is held
@@ -157,14 +158,33 @@ func kernelTestTree(t *testing.T, cfg Config, seed int64) (*Index, []cube.Record
 	return tree, recs
 }
 
+// TestChooseSubtreeMatchesReference holds chooseSubtree to the full
+// evaluation of every entry, and its containment flag to a reference cost
+// of 0. Without the entry bound (RefineBound -1) entries hold sets longer
+// than idMember scans, so its binary search is reached too.
 func TestChooseSubtreeMatchesReference(t *testing.T) {
 	flat := smallConfig()
 	flat.FlatChooseSubtree = true
-	for name, cfg := range map[string]Config{"weighted": smallConfig(), "flat": flat} {
+	unbounded := smallConfig()
+	unbounded.RefineBound = -1
+	for name, cfg := range map[string]Config{"weighted": smallConfig(), "flat": flat, "unbounded": unbounded} {
 		t.Run(name, func(t *testing.T) {
 			tree, recs := kernelTestTree(t, cfg, 51)
 			nodes, _ := allNodes(t, tree)
-			checked := 0
+			long := 0
+			for _, n := range nodes {
+				for i := range n.entries {
+					for _, ds := range n.entries[i].MDS {
+						if len(ds.IDs) > scanMax {
+							long++
+						}
+					}
+				}
+			}
+			if cfg.RefineBound < 0 && long == 0 {
+				t.Fatalf("no entry holds more than %d values in a dimension: the binary search is not reached", scanMax)
+			}
+			checked, contained := 0, 0
 			// Records both in the tree and new to it.
 			for _, rec := range recs[1000:] {
 				rc, err := tree.recContext(rec)
@@ -175,12 +195,19 @@ func TestChooseSubtreeMatchesReference(t *testing.T) {
 					if n.leaf {
 						continue
 					}
-					got, err := tree.chooseSubtree(n, rc)
+					got, gotContained, err := tree.chooseSubtree(n, rc)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if want := refChooseSubtree(t, tree, n, rec); got != want {
+					want := refChooseSubtree(t, tree, n, rec)
+					if got != want {
 						t.Fatalf("node %d record %v: chooseSubtree = %d, reference = %d", n.id, rec.Coords, got, want)
+					}
+					if wantContained := refEnlargementCost(t, tree, n.entries[want].MDS, rec) == 0; gotContained != wantContained {
+						t.Fatalf("node %d record %v: contained = %v, reference cost 0 = %v", n.id, rec.Coords, gotContained, wantContained)
+					}
+					if gotContained {
+						contained++
 					}
 					for i := range n.entries {
 						m := n.entries[i].MDS
@@ -194,7 +221,103 @@ func TestChooseSubtreeMatchesReference(t *testing.T) {
 			if checked < 1000 {
 				t.Fatalf("only %d choices compared", checked)
 			}
+			if contained == 0 || contained == checked {
+				t.Fatalf("%d of %d choices found a containing entry: both arms must occur", contained, checked)
+			}
 		})
+	}
+}
+
+// TestIDMemberMatchesBinarySearch holds idMember to slices.BinarySearch on
+// random sorted sets on either side of the scan's longest set, for values
+// in the set, between its values and past either end.
+func TestIDMemberMatchesBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	for n := 0; n <= 40; n++ {
+		for round := 0; round < 50; round++ {
+			ids := make([]hierarchy.ID, 0, n)
+			code := uint32(rng.Intn(3))
+			for len(ids) < n {
+				ids = append(ids, hierarchy.MakeID(1, code))
+				code += 1 + uint32(rng.Intn(3))
+			}
+			for probe := uint32(0); probe <= code+1; probe++ {
+				id := hierarchy.MakeID(1, probe)
+				if _, want := slices.BinarySearch(ids, id); idMember(ids, id) != want {
+					t.Fatalf("idMember(%v, %v) = %v, binary search %v", ids, id, !want, want)
+				}
+			}
+		}
+	}
+}
+
+// TestContainingInsertStillBounds inserts, into a packed tree, records that
+// the root routes into a containing entry holding more than 2 × RefineBound
+// values in some dimension — bulk-loaded entries are refined, never bounded.
+// The containing path skips the record's cover, which would change nothing,
+// but not the bound: each such entry is lifted by the insert that enters it.
+// Every eighth record is deleted first, so that the inserts split nothing
+// (a split would rebuild the entry, bounded, whatever the descent did).
+func TestContainingInsertStillBounds(t *testing.T) {
+	const n = 6250
+	gen, err := tpcd.New(1, tpcd.ScaleFor(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := gen.Records(n)
+	ix, _ := newBareIndex(t, gen.Schema(), DefaultConfig())
+	if err := ix.BulkLoad(all); err != nil {
+		t.Fatal(err)
+	}
+	var recs []cube.Record
+	for i := 0; i < n; i += 8 {
+		if err := ix.Delete(all[i]); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, all[i])
+	}
+	root, err := ix.store.Get(ix.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := 2 * ix.cfg.RefineBound
+	overBound := func(m mds.MDS) bool {
+		for _, ds := range m {
+			if ds.Level != hierarchy.LevelALL && len(ds.IDs) > bound {
+				return true
+			}
+		}
+		return false
+	}
+	lifted := 0
+	for _, rec := range recs {
+		rc, err := ix.recContext(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, contained, err := ix.chooseSubtree(root, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !contained || !overBound(root.entries[idx].MDS) {
+			continue
+		}
+		if err := ix.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+		if c := ix.Counters(); c.SplitsHierarchy+c.SplitsForced+c.SupernodesCreated+c.SupernodesGrown > 0 {
+			t.Fatalf("the insert split or grew a node (%+v): the entry was rebuilt, not lifted", c)
+		}
+		if m := root.entries[idx].MDS; overBound(m) {
+			t.Fatalf("root entry %d contained the record and still holds more than %d values: %v", idx, bound, m)
+		}
+		lifted++
+	}
+	if lifted == 0 {
+		t.Fatal("no record was routed into a containing entry past the bound")
+	}
+	if err := ix.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,9 +1,11 @@
 package index
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/dcindex/dctree/internal/cube"
+	"github.com/dcindex/dctree/internal/hierarchy"
 	"github.com/dcindex/dctree/internal/mds"
 	"github.com/dcindex/dctree/internal/tpcd"
 )
@@ -101,6 +103,81 @@ func BenchmarkSplit(b *testing.B) {
 			b.StopTimer()
 			_, _, pairs := tree.ws.split.seedPair(n.Count())
 			b.ReportMetric(float64(pairs), "pairs/split")
+		})
+	}
+}
+
+// chooseBenchRecords is the size of BenchmarkChooseSubtree's dynamic tree,
+// and the number of fresh records it routes: paper-mem's at -scale 0.125.
+const chooseBenchRecords = 15000
+
+// BenchmarkChooseSubtree times chooseSubtree on the root (8 entries) and on
+// a level-1 node (16 entries) of a TPC-D tree grown record by record, over
+// the contexts of as many fresh records: each record meets the root, and
+// the root's child its choice there routes it to, as in a descent. Nothing
+// is inserted, so every iteration sees the same tree. Beside ns/op and
+// allocs/op (0) it reports the share of choices a containing entry decided.
+func BenchmarkChooseSubtree(b *testing.B) {
+	gen, err := tpcd.New(1, tpcd.ScaleFor(chooseBenchRecords))
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree, _ := newBareIndex(b, gen.Schema(), DefaultConfig())
+	for _, r := range gen.Records(chooseBenchRecords) {
+		if err := tree.Insert(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if tree.Height() < 3 {
+		b.Fatalf("height %d: the root's children are data nodes", tree.Height())
+	}
+	root, err := tree.store.Get(tree.root)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fresh := gen.Records(chooseBenchRecords)
+	ctxs := make([]recContext, len(fresh))
+	roots, level1 := make([]*Node, len(fresh)), make([]*Node, len(fresh))
+	for i, r := range fresh {
+		rc, err := tree.recContext(r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// The write scratch holds one context: keep a copy per record.
+		anc := make([][]hierarchy.ID, len(rc.anc))
+		for d := range anc {
+			anc[d] = slices.Clone(rc.anc[d])
+		}
+		ctxs[i] = recContext{rec: r, anc: anc}
+		idx, _, err := tree.chooseSubtree(root, rc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		roots[i] = root
+		if level1[i], err = tree.store.Get(root.entries[idx].Child); err != nil {
+			b.Fatal(err)
+		}
+	}
+
+	for _, bc := range []struct {
+		name  string
+		nodes []*Node
+	}{{"root", roots}, {"level1", level1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			contained := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % len(ctxs)
+				_, c, err := tree.chooseSubtree(bc.nodes[k], &ctxs[k])
+				if err != nil {
+					b.Fatal(err)
+				}
+				if c {
+					contained++
+				}
+			}
+			b.ReportMetric(float64(contained)/float64(b.N), "contained/op")
 		})
 	}
 }
