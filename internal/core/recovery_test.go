@@ -301,16 +301,25 @@ func TestRecoveryCrashMatrix(t *testing.T) {
 					imgStore, imgPrefix := copyCrashImage(t, storePath, walPrefix, crashDir)
 					if tearTail {
 						// A torn in-flight append at the moment of death,
-						// on the active (last) segment.
+						// on the active (last) segment: written where its
+						// frame would start, over the zeros ahead.
 						segs, err := filepath.Glob(imgPrefix + ".*.wal")
 						if err != nil || len(segs) == 0 {
 							t.Fatalf("crash image has no wal segments: %v", err)
 						}
-						f, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0)
+						data, err := os.ReadFile(segs[len(segs)-1])
 						if err != nil {
 							t.Fatal(err)
 						}
-						f.Write([]byte{0x21, 0x00, 0x00, 0x00, 0xba, 0xad, 0xf0})
+						_, end, err := storage.ValidFramePrefix(data[storage.SegmentHeaderSize:])
+						if err != nil {
+							t.Fatal(err)
+						}
+						f, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY, 0)
+						if err != nil {
+							t.Fatal(err)
+						}
+						f.WriteAt([]byte{0x21, 0x00, 0x00, 0x00, 0xba, 0xad, 0xf0}, storage.SegmentHeaderSize+end)
 						f.Close()
 					}
 

@@ -16,8 +16,12 @@ import (
 // recovery replays a primary's log.
 //
 // Invariants:
-//   - every segment but the last consists solely of whole valid frames;
-//   - the last segment likewise (torn source bytes are never written);
+//   - every segment but the last consists solely of whole valid frames:
+//     it is trimmed to its last frame before the next one begins;
+//   - the last segment is whole valid frames (torn source bytes are never
+//     written), then up to storage.ZeroBlock bytes of zeros, written ahead
+//     the way the source log writes them so the mirror's fsync before an
+//     acknowledgment flushes data only; close trims them;
 //   - FirstLSN of each segment equals the LSN after the previous
 //     segment's final record (continuity), so frame ordinals determine
 //     every record's LSN without any per-frame LSN field.
@@ -25,6 +29,7 @@ type mirror struct {
 	prefix string
 	segs   []mirrorSeg
 	f      *os.File // open handle on the final (writable) segment, nil when empty
+	alloc  int64    // the final segment file's size: its frames, then zeros
 	next   uint64   // LSN the next appended frame will carry; 0 when empty
 	dirty  bool     // appended bytes not yet fsynced
 	// synced is the highest LSN known durable in the mirror (fsynced);
@@ -41,7 +46,8 @@ type mirrorSeg struct {
 
 // openMirror scans prefix for mirrored segments, validates the mirror
 // invariants, truncates a torn tail on the final segment (a follower crash
-// mid-append), and returns the mirror positioned to append.
+// mid-append) and a zero tail on any segment (a crash before a trim was
+// durable), and returns the mirror positioned to append.
 func openMirror(prefix string) (*mirror, error) {
 	m := &mirror{prefix: prefix}
 	segs, err := storage.ListSegments(prefix)
@@ -63,7 +69,7 @@ func openMirror(prefix string) (*mirror, error) {
 		}
 		last := i == len(segs)-1
 		if int64(len(body)) > validLen {
-			if !last {
+			if !last && !storage.ZeroPadding(body[validLen:], true) {
 				return nil, fmt.Errorf("%w: sealed segment %s has a torn tail", ErrMirrorCorrupt, s.Path)
 			}
 			if err := os.Truncate(s.Path, storage.SegmentHeaderSize+validLen); err != nil {
@@ -82,11 +88,12 @@ func openMirror(prefix string) (*mirror, error) {
 		})
 	}
 	if n := len(m.segs); n > 0 {
-		f, err := os.OpenFile(storage.SegmentPath(prefix, m.segs[n-1].index), os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := os.OpenFile(storage.SegmentPath(prefix, m.segs[n-1].index), os.O_WRONLY, 0o644)
 		if err != nil {
 			return nil, err
 		}
 		m.f = f
+		m.alloc = m.segs[n-1].size
 	}
 	if m.next > 0 {
 		m.synced.Store(m.next - 1)
@@ -125,7 +132,7 @@ func (m *mirror) sizeOf(index uint64) (int64, bool) {
 	return 0, false
 }
 
-// beginSegment seals the current segment (fsync + close) and starts a new
+// beginSegment seals the current segment (trim + fsync + close) and starts a new
 // mirrored segment file with the given identity, reproducing the source's
 // exact header bytes (fencing epoch included) so the mirror stays
 // byte-identical to the source log. On a non-empty mirror the new
@@ -138,7 +145,7 @@ func (m *mirror) beginSegment(hdr storage.SegmentHeader) error {
 		if hdr.Index <= m.last().index {
 			return fmt.Errorf("%w: segment index %d not above %d", ErrMirrorCorrupt, hdr.Index, m.last().index)
 		}
-		if err := m.sync(); err != nil {
+		if err := m.seal(); err != nil {
 			return err
 		}
 		if err := m.f.Close(); err != nil {
@@ -162,6 +169,7 @@ func (m *mirror) beginSegment(hdr storage.SegmentHeader) error {
 		return err
 	}
 	m.f = f
+	m.alloc = int64(len(raw))
 	m.dirty = true
 	m.segs = append(m.segs, mirrorSeg{
 		index: hdr.Index, firstLSN: hdr.FirstLSN, size: int64(len(raw)),
@@ -170,19 +178,36 @@ func (m *mirror) beginSegment(hdr storage.SegmentHeader) error {
 	return nil
 }
 
-// append writes a run of whole valid frames to the current segment and
-// advances the LSN cursor by their count.
+// append writes a run of whole valid frames to the current segment, over
+// the zeros written ahead of them, and advances the LSN cursor by their
+// count.
 func (m *mirror) append(frames []byte, count int) error {
 	if m.f == nil {
 		return fmt.Errorf("%w: append with no open segment", ErrMirrorCorrupt)
 	}
-	if _, err := m.f.Write(frames); err != nil {
+	last := &m.segs[len(m.segs)-1]
+	alloc, err := storage.WriteFrames(m.f, frames, last.size, m.alloc)
+	m.alloc = alloc
+	if err != nil {
 		return err
 	}
-	m.segs[len(m.segs)-1].size += int64(len(frames))
+	last.size += int64(len(frames))
 	m.next += uint64(count)
 	m.dirty = true
 	return nil
+}
+
+// seal trims the current segment to its last frame and fsyncs it: the
+// segment the mirror stops writing holds only frames.
+func (m *mirror) seal() error {
+	if size := m.last().size; m.alloc > size {
+		if err := m.f.Truncate(size); err != nil {
+			return err
+		}
+		m.alloc = size
+		m.dirty = true
+	}
+	return m.sync()
 }
 
 // sync fsyncs the current segment if it has unsynced appends and advances
@@ -258,13 +283,14 @@ func (m *mirror) replay(fn func(epoch, lsn uint64, payload []byte) error) error 
 	return nil
 }
 
-// close fsyncs and releases the writable segment handle. The mirror files
-// stay on disk — promotion reopens them as the new primary's WAL.
+// close trims and fsyncs the writable segment and releases its handle. The
+// mirror files stay on disk — promotion reopens them as the new primary's
+// WAL.
 func (m *mirror) close() error {
 	if m.f == nil {
 		return nil
 	}
-	err := m.sync()
+	err := m.seal()
 	if cerr := m.f.Close(); err == nil {
 		err = cerr
 	}

@@ -116,7 +116,8 @@ func (sh *shipper) runOnce() (shipProgress, error) {
 		}
 	}
 
-	for _, seg := range segs[start:] {
+	for i := start; i < len(segs); i++ {
+		seg := &segs[i]
 		mirrored, have := sh.m.sizeOf(seg.Index)
 		// Fencing: new frames from an epoch below the follower's are the
 		// old timeline still being written by a deposed primary. Already
@@ -134,7 +135,7 @@ func (sh *shipper) runOnce() (shipProgress, error) {
 		if seg.Epoch > sh.epoch {
 			sh.epoch = seg.Epoch // the new timeline is now in the mirror
 		}
-		off, err := sh.shipSegment(seg, mirrored, &prog)
+		off, padded, err := sh.shipSegment(*seg, mirrored, &prog)
 		if err != nil {
 			if errors.Is(err, storage.ErrSegmentGone) {
 				// Truncated away under us; refresh next pass.
@@ -142,6 +143,11 @@ func (sh *shipper) runOnce() (shipProgress, error) {
 				return prog, nil
 			}
 			return prog, err
+		}
+		if padded {
+			// The listed size counted the zeros written ahead of the
+			// frames; the segment's frames end here, and so does its lag.
+			seg.Size = off
 		}
 		if seg.Sealed && off < seg.Size {
 			// A sealed segment's frontier is all whole frames; stopping
@@ -168,8 +174,9 @@ func (sh *shipper) runOnce() (shipProgress, error) {
 
 // shipSegment copies seg's bytes from offset off up to its listed
 // frontier, appending whole frames to the mirror and applying each record.
-// Returns the offset reached.
-func (sh *shipper) shipSegment(seg storage.WALSegmentInfo, off int64, prog *shipProgress) (int64, error) {
+// Returns the offset reached, and whether the frames end there in the zeros
+// the log writes ahead of them (a directory listing's size counts those).
+func (sh *shipper) shipSegment(seg storage.WALSegmentInfo, off int64, prog *shipProgress) (int64, bool, error) {
 	max := sh.chunk
 	for off < seg.Size {
 		if rem := seg.Size - off; int64(max) > rem {
@@ -177,11 +184,32 @@ func (sh *shipper) shipSegment(seg storage.WALSegmentInfo, off int64, prog *ship
 		}
 		data, err := sh.src.ReadAt(seg, off, max)
 		if err != nil {
-			return off, err
+			return off, false, err
 		}
 		payloads, validLen, err := storage.DecodeFrames(data)
 		if err != nil {
-			return off, err
+			return off, false, err
+		}
+		if validLen > 0 {
+			lsn := sh.m.nextLSN()
+			if err := sh.m.append(data[:validLen], len(payloads)); err != nil {
+				return off, false, err
+			}
+			if sh.apply != nil {
+				for _, p := range payloads {
+					if err := sh.apply(seg.Epoch, lsn, p); err != nil {
+						return off, false, err
+					}
+					lsn++
+				}
+			}
+			prog.frames += len(payloads)
+			prog.bytes += validLen
+		}
+		atEnd := len(data) < max || off+int64(len(data)) == seg.Size
+		off += validLen
+		if storage.ZeroPadding(data[validLen:], atEnd) {
+			return off, true, nil
 		}
 		if validLen == 0 {
 			if len(data) == max && int64(max) < seg.Size-off {
@@ -190,27 +218,12 @@ func (sh *shipper) shipSegment(seg storage.WALSegmentInfo, off int64, prog *ship
 				max *= 2
 				continue
 			}
-			return off, nil // incomplete frame at the frontier
+			return off, false, nil // incomplete frame at the frontier
 		}
-		lsn := sh.m.nextLSN()
-		if err := sh.m.append(data[:validLen], len(payloads)); err != nil {
-			return off, err
-		}
-		if sh.apply != nil {
-			for _, p := range payloads {
-				if err := sh.apply(seg.Epoch, lsn, p); err != nil {
-					return off, err
-				}
-				lsn++
-			}
-		}
-		prog.frames += len(payloads)
-		prog.bytes += validLen
-		off += validLen
 		max = sh.chunk
 		// A chunk that ended inside a frame is re-read whole next
 		// iteration from the new frame-aligned offset; an empty follow-up
 		// read ends the loop via the validLen == 0 branch.
 	}
-	return off, nil
+	return off, false, nil
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 )
 
 // PagedStore is a file-backed Store. It keeps no buffer pool of its own:
@@ -32,11 +33,11 @@ import (
 // and re-written on Sync/Close. Views served from the mapping count as
 // Hits; reads from the file count as Misses.
 //
-// PagedStore is safe for concurrent use. Reads and views hold the store
-// mutex only for the closed check: the file read runs unlocked on
-// os.File.ReadAt, which is safe for concurrent callers.
+// PagedStore is safe for concurrent use. Reads and views never take the
+// store mutex: the closed check is an atomic flag, and the file read runs
+// on os.File.ReadAt, which is safe for concurrent callers.
 type PagedStore struct {
-	mu          sync.Mutex // guards everything below except stats and f
+	mu          sync.Mutex // guards everything below except stats, closed and f
 	f           *os.File
 	blockSize   int
 	next        PageID
@@ -47,9 +48,9 @@ type PagedStore struct {
 	freeBlk     int
 	pendingFree []extentSpan
 	stats       statsCounters
-	closed      bool
-	dirtyHdr    bool       // an extent was allocated or freed since the header on disk was written
-	mm          mmapRegion // zero-copy extent views (mmapstore.go)
+	closed      atomic.Bool // set by Close under mu; read without it by checkOpen
+	dirtyHdr    bool        // an extent was allocated or freed since the header on disk was written
+	mm          mmapRegion  // zero-copy extent views (mmapstore.go)
 }
 
 // extentSpan identifies an extent scheduled for release after the next
@@ -175,7 +176,7 @@ func (s *PagedStore) Alloc(blocks int) (PageID, error) {
 }
 
 func (s *PagedStore) allocLocked(blocks int) (PageID, error) {
-	if s.closed {
+	if s.closed.Load() {
 		return NilPage, ErrClosed
 	}
 	if blocks < 1 {
@@ -197,7 +198,7 @@ func (s *PagedStore) allocLocked(blocks int) (PageID, error) {
 func (s *PagedStore) Write(id PageID, blocks int, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return ErrClosed
 	}
 	if id == NilPage || blocks < 1 {
@@ -228,11 +229,10 @@ func (s *PagedStore) writeExtent(id PageID, blocks int, data []byte) error {
 	return nil
 }
 
-// checkOpen returns ErrClosed once the store is closed.
+// checkOpen returns ErrClosed once the store is closed. It takes no lock:
+// the read path's only use of the store mutex was this flag.
 func (s *PagedStore) checkOpen() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return ErrClosed
 	}
 	return nil
@@ -304,7 +304,7 @@ func (s *PagedStore) Free(id PageID, blocks int) error {
 }
 
 func (s *PagedStore) freeLocked(id PageID, blocks int) error {
-	if s.closed {
+	if s.closed.Load() {
 		return ErrClosed
 	}
 	if id == NilPage || blocks < 1 {
@@ -328,7 +328,7 @@ func (s *PagedStore) freeLocked(id PageID, blocks int) error {
 func (s *PagedStore) SetMeta(data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return ErrClosed
 	}
 	blocks := BlocksFor(s.blockSize, len(data))
@@ -350,7 +350,7 @@ func (s *PagedStore) SetMeta(data []byte) error {
 func (s *PagedStore) GetMeta() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return nil, ErrClosed
 	}
 	if s.metaID == NilPage {
@@ -375,7 +375,7 @@ func (s *PagedStore) Sync() error {
 }
 
 func (s *PagedStore) syncLocked() error {
-	if s.closed {
+	if s.closed.Load() {
 		return ErrClosed
 	}
 	// Nothing allocated, freed or re-pointed since the header on disk was
@@ -406,16 +406,16 @@ func (s *PagedStore) syncLocked() error {
 func (s *PagedStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed.Load() {
 		return ErrClosed
 	}
 	if err := s.syncLocked(); err != nil {
 		s.mm.close()
 		s.f.Close()
-		s.closed = true
+		s.closed.Store(true)
 		return err
 	}
-	s.closed = true
+	s.closed.Store(true)
 	s.mm.close()
 	return s.f.Close()
 }

@@ -33,19 +33,25 @@ import (
 //	bytes   payload
 //
 // A segment file has one lifecycle: it is created under its numeric name,
-// appended to, sealed by rotation and removed by truncation. It is never
-// renamed and never rewritten, and indices are never reused, so a path
-// names the same segment for as long as the file exists.
+// appended to, sealed by rotation and removed by truncation. Appends grow the
+// file ZeroBlock bytes at a time: zeros are written ahead of the frames and
+// overwritten once by them, so a commit's fsync lands on bytes the file
+// already holds. A segment is cut back to its last frame before it stops
+// being the active one (rotation, full truncation, Close). It is never
+// renamed and never rewritten below its frames, and indices are never
+// reused, so a path names the same segment for as long as the file exists.
 //
 // Records carry log sequence numbers (LSNs), assigned 1,2,3,… and monotone
 // across segment rotation AND across Truncate, so a checkpoint can durably
 // record "everything ≤ L is superseded" and recovery can skip exactly those
 // records even if the truncation itself was lost to a crash.
 //
-// Crash behavior: a torn append leaves an invalid frame at the tail of the
-// last segment; OpenWAL truncates the file back to the last valid frame, so
-// the log always reopens to a clean prefix of the append order. An invalid
-// frame in any non-final position is corruption and fails Replay.
+// Crash behavior: a torn append leaves an invalid frame, or zeros, at the
+// tail of the last segment; OpenWAL truncates the file back to the last
+// valid frame, so the log always reopens to a clean prefix of the append
+// order. A non-final segment may end in zeros only (a crash before its cut
+// was durable), which OpenWAL cuts the same way; any other invalid frame in
+// a non-final position is corruption.
 //
 // Concurrency: Append serializes on an internal mutex; Sync snapshots the
 // active file and runs the fsync outside the mutex, so appenders are never
@@ -64,7 +70,8 @@ type WAL struct {
 	f       *os.File // active segment
 	active  walSegment
 	size    int64  // logical bytes in the active segment (flushed + buffered)
-	flushed int64  // bytes actually written to the active file
+	flushed int64  // frame bytes actually written to the active file
+	alloc   int64  // the active file's size: its frames, then zeros written ahead
 	buf     []byte // frames appended but not yet written to the file
 	nextLSN uint64
 	records int64 // records currently stored across all segments
@@ -144,7 +151,7 @@ type WALStats struct {
 	Segments    int   // segment files currently on disk
 	// Recycled is always 0: the recycle pool it counted is retired. The
 	// field stays only because benchmark/workloads.go reads it; it goes with
-	// the next [benchmark] PR (ROADMAP item 2(g)).
+	// the next [benchmark] PR (ROADMAP item 2(f)).
 	Recycled int64
 }
 
@@ -173,6 +180,37 @@ const (
 	walFrameCompressed = uint32(1) << 31
 )
 
+// ZeroBlock is the unit a log file grows by. A write whose frames run past
+// the zeros already in the file writes zeros after them up to the next
+// multiple of ZeroBlock; later frames overwrite those zeros in place. So only
+// the first fsync after each extension journals the file's new size and
+// block allocation, and the others flush data alone. The block stays small:
+// the zeros of an active segment count as disk bytes until it is sealed.
+const ZeroBlock = 4 << 10
+
+var zeroBlock [ZeroBlock]byte
+
+// WriteFrames writes frames at offset off of a log file whose size is alloc,
+// every byte of it from off on being zero. When the frames run past alloc,
+// zeros follow them up to the next ZeroBlock boundary. It returns the file's
+// new size. The log and a follower's mirror of it both write this way.
+func WriteFrames(f *os.File, frames []byte, off, alloc int64) (int64, error) {
+	if _, err := f.WriteAt(frames, off); err != nil {
+		return alloc, err
+	}
+	end := off + int64(len(frames))
+	if end <= alloc {
+		return alloc, nil
+	}
+	pad := -end & (ZeroBlock - 1)
+	if pad > 0 {
+		if _, err := f.WriteAt(zeroBlock[:pad], end); err != nil {
+			return end, err
+		}
+	}
+	return end + pad, nil
+}
+
 // walSegmentPath names segment files: <prefix>.<index 8-digit>.wal.
 func walSegmentPath(prefix string, index uint64) string {
 	return fmt.Sprintf("%s.%08d.wal", prefix, index)
@@ -181,10 +219,10 @@ func walSegmentPath(prefix string, index uint64) string {
 // OpenWAL opens (or creates) the write-ahead log with the given file
 // prefix. Existing segments are scanned front to back: every frame is
 // CRC-checked, LSN continuity across segments is verified, and a torn tail
-// in the final segment is truncated away, so the reopened log is exactly
-// the valid prefix of what was appended before the crash. A frame in the
-// retired compressed format fails the open with ErrUnsupportedFormat and
-// leaves every file as it was.
+// in the final segment — or a zero tail in any segment — is truncated away,
+// so the reopened log is exactly the valid prefix of what was appended
+// before the crash. A frame in the retired compressed format fails the open
+// with ErrUnsupportedFormat and leaves every file as it was.
 func OpenWAL(prefix string, opts WALOptions) (*WAL, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = walDefaultSeg
@@ -206,10 +244,10 @@ func OpenWAL(prefix string, opts WALOptions) (*WAL, error) {
 		return w, nil
 	}
 
-	// Scan every segment in order. All but the last must be fully valid;
-	// the last may have a torn tail, which is truncated, or — after a crash
+	// Scan every segment in order. All but the last must be valid frames,
+	// then at most zeros; the last may have a torn tail, or — after a crash
 	// during segment creation — no valid header at all, in which case it
-	// holds no records and is replaced.
+	// holds no records and is replaced. Tails are truncated.
 	for i := range segs {
 		last := i == len(segs)-1
 		info, err := scanSegment(segs[i].path, last)
@@ -241,31 +279,26 @@ func OpenWAL(prefix string, opts WALOptions) (*WAL, error) {
 		}
 		w.nextLSN += uint64(info.records)
 		w.records += info.records
-		seg := walSegment{index: info.index, path: segs[i].path, firstLSN: info.firstLSN, epoch: info.epoch}
+		if info.validSize < info.fileSize {
+			// Cut back to the last valid frame and make the truncation
+			// durable before accepting new appends.
+			if err := cutSegment(segs[i].path, info.validSize); err != nil {
+				return nil, err
+			}
+		}
+		seg := walSegment{index: info.index, path: segs[i].path, firstLSN: info.firstLSN,
+			epoch: info.epoch, synced: info.validSize}
 		if last {
 			f, err := os.OpenFile(segs[i].path, os.O_RDWR, 0o644)
 			if err != nil {
 				return nil, err
 			}
-			if info.validSize < info.fileSize {
-				// Torn tail: cut back to the last valid frame and make the
-				// truncation durable before accepting new appends.
-				if err := f.Truncate(info.validSize); err != nil {
-					f.Close()
-					return nil, err
-				}
-				if err := f.Sync(); err != nil {
-					f.Close()
-					return nil, err
-				}
-			}
 			w.f = f
-			seg.synced = info.validSize
 			w.active = seg
 			w.size = info.validSize
 			w.flushed = info.validSize
+			w.alloc = info.validSize
 		} else {
-			seg.synced = info.fileSize
 			w.sealed = append(w.sealed, seg)
 		}
 	}
@@ -325,6 +358,23 @@ func removeSegment(path string) error {
 	return nil
 }
 
+// cutSegment durably truncates a segment file to size: the end of its last
+// valid frame.
+func cutSegment(path string, size int64) error {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return err
+	}
+	err = f.Truncate(size)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // segmentInfo is the result of validating one segment file.
 type segmentInfo struct {
 	index     uint64
@@ -355,7 +405,8 @@ func parseSegHeader(data []byte, info *segmentInfo) error {
 
 // scanSegment validates a segment's header and frames. When tolerateTail
 // is true an invalid frame ends the scan cleanly (torn tail of the final
-// segment); otherwise it is corruption. A retired-format frame is
+// segment); otherwise only zeros may follow the last valid frame, and
+// anything else is corruption. A retired-format frame is
 // ErrUnsupportedFormat either way.
 func scanSegment(path string, tolerateTail bool) (segmentInfo, error) {
 	data, err := os.ReadFile(path)
@@ -373,7 +424,7 @@ func scanSegment(path string, tolerateTail bool) (segmentInfo, error) {
 			return segmentInfo{}, fmt.Errorf("segment %s: %w", path, err)
 		}
 		if n == 0 {
-			if off < int64(len(data)) && !tolerateTail {
+			if off < int64(len(data)) && !tolerateTail && !ZeroPadding(data[off:], true) {
 				return segmentInfo{}, fmt.Errorf("%w: segment %s bad frame at %d", ErrWALCorrupt, path, off)
 			}
 			break
@@ -444,6 +495,7 @@ func (w *WAL) createSegment(index, firstLSN uint64) error {
 		epoch: w.epoch, synced: walSegHeaderSize}
 	w.size = walSegHeaderSize
 	w.flushed = walSegHeaderSize
+	w.alloc = walSegHeaderSize
 	w.buf = w.buf[:0]
 	w.signalLocked()
 	return nil
@@ -521,12 +573,15 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 }
 
 // flushLocked writes the buffered frames to the active file in one
-// syscall. Caller holds w.mu.
+// syscall, plus one writing the next zeros ahead when the frames run past
+// those already in the file. Caller holds w.mu.
 func (w *WAL) flushLocked() error {
 	if len(w.buf) == 0 {
 		return nil
 	}
-	if _, err := w.f.WriteAt(w.buf, w.flushed); err != nil {
+	alloc, err := WriteFrames(w.f, w.buf, w.flushed, w.alloc)
+	w.alloc = alloc
+	if err != nil {
 		return err
 	}
 	w.flushed += int64(len(w.buf))
@@ -534,10 +589,27 @@ func (w *WAL) flushLocked() error {
 	return nil
 }
 
-// rotateLocked seals the active segment (fsyncing it, so everything in a
-// sealed segment is durable) and opens the next one.
+// trimLocked cuts the active file back to its last written frame, dropping
+// the zeros written ahead: a segment that stops being the active one holds
+// only frames. Caller holds w.mu.
+func (w *WAL) trimLocked() error {
+	if w.alloc <= w.flushed {
+		return nil
+	}
+	if err := w.f.Truncate(w.flushed); err != nil {
+		return err
+	}
+	w.alloc = w.flushed
+	return nil
+}
+
+// rotateLocked seals the active segment (trimmed and fsynced, so a sealed
+// segment is its frames, all durable) and opens the next one.
 func (w *WAL) rotateLocked() error {
 	if err := w.flushLocked(); err != nil {
+		return err
+	}
+	if err := w.trimLocked(); err != nil {
 		return err
 	}
 	if err := w.f.Sync(); err != nil {
@@ -781,7 +853,12 @@ func (w *WAL) TruncateBefore(lsn uint64) error {
 
 // truncateAllLocked is the full truncation: a fresh segment carrying the
 // next LSN is created and synced FIRST, then every old segment is removed.
+// The old active segment is trimmed first; if a crash keeps it and loses the
+// trim, OpenWAL cuts the zeros it is left ending in.
 func (w *WAL) truncateAllLocked() error {
+	if err := w.trimLocked(); err != nil {
+		return err
+	}
 	old := append(append([]walSegment(nil), w.sealed...), walSegment{
 		index: w.active.index, path: w.active.path, f: w.f,
 	})
@@ -807,7 +884,8 @@ func (w *WAL) truncateAllLocked() error {
 	return firstErr
 }
 
-// Close syncs and closes the log files.
+// Close syncs and closes the log files, the active segment trimmed to its
+// last frame.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -816,6 +894,9 @@ func (w *WAL) Close() error {
 	}
 	w.closed = true
 	err := w.flushLocked()
+	if terr := w.trimLocked(); err == nil {
+		err = terr
+	}
 	if serr := w.f.Sync(); err == nil {
 		err = serr
 	}

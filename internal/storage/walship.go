@@ -17,10 +17,12 @@ import (
 // truncates, and the retention floor that keeps segments on disk until
 // followers have shipped them.
 //
-// The log's own writer never changes a byte it has written: a segment file
-// only grows and is then removed, and its index is never used again. So the
-// one thing a reader of another process's live log must expect is a segment
-// that is no longer there (ErrSegmentGone). Every read still validates the
+// The log's own writer never changes a frame it has written: a segment file
+// grows by zeros that frames then overwrite once, loses the zeros past its
+// last frame when it is sealed, and is then removed, and its index is never
+// used again. So a reader of another process's live log must expect zeros
+// after the active segment's frames (ZeroPadding) and a segment that is no
+// longer there (ErrSegmentGone). Every read still validates the
 // fixed header against the expected (index, firstLSN, epoch) before and
 // after reading the byte range — a cheap identity check that turns a file
 // cut short or replaced by something outside the log (an operator's copy,
@@ -43,8 +45,9 @@ type WALSegmentInfo struct {
 	// Size is the number of readable bytes, including the header.
 	// For a live WAL (WAL.Segments) this is the durable frontier — sealed
 	// segments are durable in full, the active one up to its last fsync.
-	// For a directory scan (ListSegments) it is the file size, which may
-	// end in a torn frame that readers must tolerate on the final segment.
+	// For a directory scan (ListSegments) it is the file size, which on the
+	// final segment may end in a torn frame or in up to ZeroBlock bytes of
+	// zeros, both of which readers must tolerate.
 	Size int64
 	// Sealed reports whether the segment will never be appended to again.
 	Sealed bool
@@ -122,7 +125,9 @@ func (w *WAL) RetainLSN() uint64 {
 // order by scanning the directory — the cross-process view a follower has
 // of a primary's log when no shipping server mediates. Sizes are file
 // sizes: the final (active) segment may end in bytes not yet durable on
-// the primary, or in a torn frame; followers validate frames as they ship.
+// the primary, in a torn frame, or in the zeros written ahead of its frames;
+// followers validate frames as they ship. Sealed segments end at their last
+// frame.
 // Segment files that vanish between listing and header read (a concurrent
 // truncation) are skipped.
 func ListSegments(prefix string) ([]WALSegmentInfo, error) {
@@ -207,7 +212,7 @@ func ReadSegmentHeader(path string) (SegmentHeader, error) {
 // ReadSegmentRange reads up to max raw bytes of the segment at path
 // starting at byte offset off, on behalf of a log-shipping reader. The
 // header is validated against want both before and after the range read.
-// The log's writer only appends to a segment and removes it, so this is
+// The log's writer never changes a segment's header or frames, so this is
 // not a guard against the writer; it is the identity check that makes a
 // file truncated or replaced from outside fail with ErrSegmentGone rather
 // than return frames of a different segment. A short (or empty) result
@@ -274,9 +279,9 @@ func SegmentPath(prefix string, index uint64) string { return walSegmentPath(pre
 // DecodeFrames parses the leading whole, CRC-valid frames of data (raw
 // segment bytes with no header) and returns their payloads (slices of
 // data) along with the byte length of the valid prefix. Bytes past validLen
-// are an incomplete or torn frame: a follower keeps them pending until the
-// rest arrives. A whole frame in the retired compressed format is
-// ErrUnsupportedFormat.
+// are the log's zero padding (ZeroPadding) or an incomplete or torn frame,
+// which a follower keeps pending until the rest arrives. A whole frame in
+// the retired compressed format is ErrUnsupportedFormat.
 func DecodeFrames(data []byte) (payloads [][]byte, validLen int64, err error) {
 	var off int64
 	for {
@@ -287,6 +292,23 @@ func DecodeFrames(data []byte) (payloads [][]byte, validLen int64, err error) {
 		payloads = append(payloads, data[off+walFrameOverhead:off+n])
 		off += n
 	}
+}
+
+// ZeroPadding reports whether rest — the bytes a reader holds after a
+// segment's last whole frame — is the zeros the log writes ahead of its
+// frames, so the segment's frames end where rest starts. It must be all
+// zeros and either hold a whole length word (no frame's is zero) or, when
+// atEnd, run to the end of the segment file. An empty rest is not padding.
+func ZeroPadding(rest []byte, atEnd bool) bool {
+	if len(rest) == 0 || (!atEnd && len(rest) < 4) {
+		return false
+	}
+	for _, b := range rest {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // ValidFramePrefix returns the frame count and byte length of the leading

@@ -187,15 +187,27 @@ func TestDecodeFramesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := raw[SegmentHeaderSize:]
+	// The file runs on past the frontier in the zeros written ahead of the
+	// frames; they decode to nothing.
+	if int64(len(raw)) <= seg.Size || !ZeroPadding(raw[seg.Size:], true) {
+		t.Fatalf("file %d bytes, frontier %d: want zeros past the frames", len(raw), seg.Size)
+	}
+	payloads, valid, err := DecodeFrames(raw[SegmentHeaderSize:])
+	if err != nil || len(payloads) != 3 || valid != seg.Size-SegmentHeaderSize {
+		t.Fatalf("padded decode: %d payloads, valid %d, %v", len(payloads), valid, err)
+	}
+	data := raw[SegmentHeaderSize:seg.Size]
 
 	// Chop mid-frame: the valid prefix shrinks by exactly one frame and
-	// the torn bytes stay pending, never decoded.
-	payloads, valid, err := DecodeFrames(data[:len(data)-3])
-	if err != nil || len(payloads) != 2 {
-		t.Fatalf("torn decode: %d payloads, %v", len(payloads), err)
-	}
-	if valid >= int64(len(data)) {
-		t.Fatalf("valid=%d beyond torn prefix", valid)
+	// the torn bytes stay pending, never decoded — with or without the
+	// zeros after them.
+	for _, torn := range [][]byte{data[:len(data)-3], append(data[:len(data)-3:len(data)-3], make([]byte, 64)...)} {
+		payloads, valid, err := DecodeFrames(torn)
+		if err != nil || len(payloads) != 2 {
+			t.Fatalf("torn decode: %d payloads, %v", len(payloads), err)
+		}
+		if valid >= int64(len(data)) {
+			t.Fatalf("valid=%d beyond torn prefix", valid)
+		}
 	}
 }
