@@ -2,11 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/dcindex/dctree/internal/hierarchy"
+	"github.com/dcindex/dctree/internal/index"
 	"github.com/dcindex/dctree/internal/mds"
 	"github.com/dcindex/dctree/internal/storage"
 	"github.com/dcindex/dctree/internal/tpcd"
@@ -121,8 +125,10 @@ func TestAdaptToLevels(t *testing.T) {
 }
 
 // TestQueryAllocations holds the read path to zero allocations per query in
-// every query class, on a warm heap tree (packed rows, read images) and on
-// the same tree checkpointed and evicted (zero-copy views of its extents).
+// every query class: on a warm heap tree (packed rows, read images), on the
+// same tree checkpointed and evicted (zero-copy views of its extents), on a
+// version of it (overlay frames and pinned extents), and on the tree
+// bulk-loaded into a PagedStore and reopened (every node a mapped view).
 func TestQueryAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds the mask arenas under the race detector")
@@ -146,16 +152,16 @@ func TestQueryAllocations(t *testing.T) {
 	}
 	classes := drawQueryClasses(t, gen, 77, 32)
 	ctx := context.Background()
-	run := func(form string) {
+	run := func(form string, tree *Tree, asOf *Version) {
 		for class, queries := range classes {
 			for _, q := range queries { // warm up: read images, mask arenas
-				if _, err := tree.Execute(ctx, QueryRequest{Query: q}); err != nil {
+				if _, err := tree.Execute(ctx, QueryRequest{Query: q, AsOf: asOf}); err != nil {
 					t.Fatal(err)
 				}
 			}
 			next := 0
 			allocs := testing.AllocsPerRun(len(queries)-1, func() {
-				if _, err := tree.Execute(ctx, QueryRequest{Query: queries[next]}); err != nil {
+				if _, err := tree.Execute(ctx, QueryRequest{Query: queries[next], AsOf: asOf}); err != nil {
 					t.Fatal(err)
 				}
 				next++
@@ -165,13 +171,132 @@ func TestQueryAllocations(t *testing.T) {
 			}
 		}
 	}
-	run("heap nodes")
+	run("heap nodes", tree, nil)
 	if err := tree.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	tree.EvictCache()
-	run("flat views")
+	run("flat views", tree, nil)
 	if m := tree.Metrics(); m.FlatNodeReads == 0 {
 		t.Fatal("the evicted tree served no flat views")
+	}
+
+	// Inserts after the checkpoint dirty the paths they take: the version
+	// holds those nodes as overlay payloads, every other node as its
+	// pinned extent.
+	for _, r := range gen.Records(200) {
+		if err := tree.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v, err := tree.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Release()
+	run("version", tree, v)
+
+	cold, ps := reopenedPagedTree(t, gen, records)
+	run("mapped views", cold, nil)
+	if vs := ps.ViewStats(); vs.Views == 0 || vs.Fallbacks != 0 || cold.CachedNodes() != 0 {
+		t.Fatalf("the reopened tree: view stats %+v, %d cached nodes, want mapped views only", vs, cold.CachedNodes())
+	}
+}
+
+// reopenedPagedTree bulk-loads records TPC-D records of gen's cube into a
+// PagedStore, flushes and closes it, and reopens the file: the tree's cache
+// is empty, so every node it reads is its extent viewed out of the mapping.
+func reopenedPagedTree(tb testing.TB, gen *tpcd.Gen, records int) (*Tree, *storage.PagedStore) {
+	tb.Helper()
+	cfg := DefaultConfig()
+	path := filepath.Join(tb.TempDir(), "cold.dc")
+	ps, err := storage.OpenPagedStore(path, cfg.BlockSize, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tree, err := New(ps, gen.Schema(), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := tree.BulkLoad(gen.Records(records)); err != nil {
+		tb.Fatal(err)
+	}
+	if err := errors.Join(tree.Flush(), tree.Close(), ps.Close()); err != nil {
+		tb.Fatal(err)
+	}
+	if ps, err = storage.OpenPagedStore(path, cfg.BlockSize, 0); err != nil {
+		tb.Fatal(err)
+	}
+	if tree, err = Open(ps); err != nil {
+		ps.Close()
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() {
+		tree.Close()
+		ps.Close()
+	})
+	return tree, ps
+}
+
+// coldRecords is the tree the cold-read workload of the benchmark reads at
+// -scale 0.125: 37,500 TPC-D records, bulk-loaded.
+const coldRecords = 37500
+
+// BenchmarkMappedVisit is the cost of resolving one node of a cold tree:
+// one treeNodes.View per op, over every node of the coldRecords tree
+// reopened on a PagedStore, into one frame. Each extent is viewed once
+// before the timer starts, so its CRC is behind it and the timed views are
+// the steady state of a mapped visit.
+func BenchmarkMappedVisit(b *testing.B) {
+	gen, err := tpcd.New(1, tpcd.ScaleFor(coldRecords))
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree, _ := reopenedPagedTree(b, gen, coldRecords)
+	tree.mu.RLock()
+	defer tree.mu.RUnlock()
+	ids := make([]nodeID, 0, len(tree.table))
+	for id := range tree.table {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	src := tree.nodes()
+	var nv index.NodeView
+	for _, id := range ids {
+		if err := src.View(id, &nv); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := src.View(ids[i%len(ids)], &nv); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkColdQuery is the query mix on the tree of BenchmarkMappedVisit:
+// ns per query and node visits per query, per query class.
+func BenchmarkColdQuery(b *testing.B) {
+	gen, err := tpcd.New(1, tpcd.ScaleFor(coldRecords))
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree, _ := reopenedPagedTree(b, gen, coldRecords)
+	classes := drawQueryClasses(b, gen, 77, 64)
+	ctx := context.Background()
+	for _, class := range queryClassNames {
+		queries := classes[class]
+		b.Run(class, func(b *testing.B) {
+			visits := 0
+			for i := 0; i < b.N; i++ {
+				res, err := tree.Execute(ctx, QueryRequest{Query: queries[i%len(queries)], CollectStats: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				visits += res.Stats.NodesVisited
+			}
+			b.ReportMetric(float64(visits)/float64(b.N), "visits/op")
+		})
 	}
 }

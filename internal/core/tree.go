@@ -259,30 +259,31 @@ func (s *treeNodes) Drop(id nodeID) error {
 	return nil
 }
 
-// View resolves a node for a read-only descent, and never writes the cache
-// or decodes. A resident (hot or dirty) data node comes back as the heap
-// node, whose packed rows the descent scans; a resident directory as its
-// read image; any other node as its extent framed where it lies
-// (extentView). Caller holds t.mu.RLock for the whole descent, which keeps
-// the framed extent from being freed and rewritten mid-walk.
-func (s *treeNodes) View(id nodeID) (index.NodeView, error) {
+// View fills the descent's frame nv with a node, and never writes the cache
+// or decodes. A resident (hot or dirty) data node is the heap node, whose
+// packed rows the descent scans; a resident directory its read image; any
+// other node its extent framed where it lies (extentView). Caller holds
+// t.mu.RLock for the whole descent, which keeps the framed extent from
+// being freed and rewritten mid-walk.
+func (s *treeNodes) View(id nodeID, nv *index.NodeView) error {
 	t := (*Tree)(s)
 	if n := t.nc.get(id); n != nil {
 		t.metrics.cacheHits.Inc()
-		return t.ix.HeapView(n), nil
+		t.ix.HeapView(n, nv)
+		return nil
 	}
-	return t.extentView(id, t.table)
+	return t.extentView(id, t.table, nv)
 }
 
-// extentView frames the extent table maps id to as a flat node: the
-// store's zero-copy view when it serves them, otherwise the bytes of a
-// checked read with the directory's offset table checked eagerly, as the
-// decoder would. Live and as-of reads share it; the caller's hold or pin
-// keeps the extent live for the walk.
-func (t *Tree) extentView(id nodeID, table map[nodeID]extentRef) (index.NodeView, error) {
+// extentView frames the extent table maps id to in nv: the store's
+// zero-copy view when it serves them, otherwise the bytes of a checked read
+// with the directory's offset table checked eagerly, as the decoder would.
+// Live and as-of reads share it; the caller's hold or pin keeps the extent
+// live for the walk.
+func (t *Tree) extentView(id nodeID, table map[nodeID]extentRef, nv *index.NodeView) error {
 	ref, ok := table[id]
 	if !ok {
-		return index.NodeView{}, fmt.Errorf("%w: node %d has no extent", ErrCorrupt, id)
+		return fmt.Errorf("%w: node %d has no extent", ErrCorrupt, id)
 	}
 	var payload []byte
 	var err error
@@ -292,21 +293,21 @@ func (t *Tree) extentView(id nodeID, table map[nodeID]extentRef) (index.NodeView
 		payload, _, err = t.store.Read(ref.page)
 	}
 	if err != nil {
-		return index.NodeView{}, fmt.Errorf("dctree: reading node %d: %w", id, err)
+		return fmt.Errorf("dctree: reading node %d: %w", id, err)
 	}
-	f, err := index.MakeFlatNode(id, payload, t.schema.Dims(), t.schema.Measures())
+	err = nv.Frame(id, payload, t.schema.Dims(), t.schema.Measures())
 	if err == nil && t.viewer == nil {
-		err = f.CheckTable()
+		err = nv.CheckTable()
 	}
 	if err != nil {
-		return index.NodeView{}, err
+		return err
 	}
 	if t.viewer != nil {
 		t.metrics.flatNodeReads.Inc()
 	} else {
 		t.metrics.decodeFallbacks.Inc()
 	}
-	return f.View(), nil
+	return nil
 }
 
 // EvictCache drops all clean nodes from the in-memory cache; subsequent

@@ -221,22 +221,23 @@ type versionNodes Version
 
 func (v *Version) nodes() *versionNodes { return (*versionNodes)(v) }
 
-// View resolves a node for a read-only as-of descent. Overlay payloads
-// win over the pinned extents (the overlay holds the strictly newer
-// in-memory state of nodes that were dirty at capture) and are walked where
-// they lie: they are flat encodings the index produced itself. Extents — a
-// rehydrated version's persisted overlay extents included — are framed by
-// the live tree's extentView, over the version's table. A view's lifetime
-// is bounded by the query's reference on the version — the pinned extent
-// cannot be freed and rewritten while the version holds its pin, even
-// across checkpoint installs.
-func (s *versionNodes) View(id nodeID) (index.NodeView, error) {
+// View fills the descent's frame nv for a read-only as-of descent. Overlay
+// payloads win over the pinned extents (the overlay holds the strictly newer
+// in-memory state of nodes that were dirty at capture) and are framed where
+// they lie, unchecked: they are flat encodings the index produced itself.
+// Extents — a rehydrated version's persisted overlay extents included — are
+// framed by the live tree's extentView, over the version's table. A view's
+// lifetime is bounded by the query's reference on the version — the pinned
+// extent cannot be freed and rewritten while the version holds its pin,
+// even across checkpoint installs.
+func (s *versionNodes) View(id nodeID, nv *index.NodeView) error {
 	v := (*Version)(s)
 	if payload, ok := v.overlay[id]; ok {
 		v.t.metrics.flatNodeReads.Inc()
-		return index.TrustedFlatNode(id, payload, v.t.schema.Dims(), v.t.schema.Measures()).View(), nil
+		nv.FrameTrusted(id, payload, v.t.schema.Dims(), v.t.schema.Measures())
+		return nil
 	}
-	return v.t.extentView(id, v.table)
+	return v.t.extentView(id, v.table, nv)
 }
 
 // Scan streams every data record of the version to fn in unspecified

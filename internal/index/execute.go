@@ -88,7 +88,10 @@ func (ix *Index) Execute(ctx context.Context, src Source, root NodeID, q Query) 
 		out = res.AggVector
 	}
 	d := ix.newDescent(ctx, src, qc, q)
-	if err := d.visitNode(root, out); err != nil {
+	d.frames = qc.frames
+	err = d.visitNode(root, out)
+	qc.frames = d.frames
+	if err != nil {
 		return Result{Stats: d.st}, err
 	}
 	res.Agg, res.Stats = one[0], d.st

@@ -165,15 +165,24 @@ type FlatNode struct {
 // directory's offset table and the MDS blobs behind it are checked where
 // the descent first uses them (EntryMDS, the view iterator, the nil-child
 // test), so a clean extent visited again and again pays for no table scan;
-// CheckTable is the eager O(count) form the decoder runs.
+// CheckTable is the eager O(count) form the decoder runs. NodeView.Frame is
+// the same check, framing the payload in the descent's own frame.
 func MakeFlatNode(id NodeID, b []byte, dims, measures int) (FlatNode, error) {
+	var f FlatNode
+	err := f.frame(id, b, dims, measures)
+	return f, err
+}
+
+// frame is MakeFlatNode in place: f frames b if the check passes, and is
+// left unusable if it does not.
+func (f *FlatNode) frame(id NodeID, b []byte, dims, measures int) error {
 	if len(b) < flatHeaderSize || b[0] != flatMagic || b[1]&^nodeFlagLeaf != 0 || b[2] != 0 || b[3] != 0 {
-		return FlatNode{}, fmt.Errorf("%w: node %d: not a flat node payload", ErrCorrupt, id)
+		return fmt.Errorf("%w: node %d: not a flat node payload", ErrCorrupt, id)
 	}
-	f := TrustedFlatNode(id, b, dims, measures)
+	f.trust(id, b, dims, measures)
 	total := int(binary.LittleEndian.Uint32(b[16:]))
 	if f.blocks < 1 || f.count < 0 || total != len(b) {
-		return FlatNode{}, fmt.Errorf("%w: node %d: flat header blocks=%d count=%d total=%d/%d",
+		return fmt.Errorf("%w: node %d: flat header blocks=%d count=%d total=%d/%d",
 			ErrCorrupt, id, f.blocks, f.count, total, len(b))
 	}
 	// The bases are recomputed from the shape: a payload whose stored
@@ -181,31 +190,23 @@ func MakeFlatNode(id NodeID, b []byte, dims, measures int) (FlatNode, error) {
 	// and every fixed-offset access would read the wrong section. A data
 	// node's rows end its payload.
 	if mdsBase := int(binary.LittleEndian.Uint32(b[12:])); mdsBase != f.mdsBase || mdsBase > len(b) || (f.leaf && mdsBase != len(b)) {
-		return FlatNode{}, fmt.Errorf("%w: node %d: flat mds base %d, want %d (len %d)",
+		return fmt.Errorf("%w: node %d: flat mds base %d, want %d (len %d)",
 			ErrCorrupt, id, mdsBase, f.mdsBase, len(b))
 	}
-	return f, nil
+	return nil
 }
 
-// TrustedFlatNode frames a payload without checking it: one Encode produced
-// in this process (a read image, a version's overlay), or one MakeFlatNode
-// is about to check.
-func TrustedFlatNode(id NodeID, b []byte, dims, measures int) FlatNode {
-	f := FlatNode{
-		id:       id,
-		b:        b,
-		leaf:     b[1]&nodeFlagLeaf != 0,
-		blocks:   int(binary.LittleEndian.Uint32(b[4:])),
-		count:    int(binary.LittleEndian.Uint32(b[8:])),
-		dims:     dims,
-		measures: measures,
-	}
+// trust frames a payload without checking it: one Encode produced in this
+// process (a read image, a version's overlay), or one frame is about to
+// check.
+func (f *FlatNode) trust(id NodeID, b []byte, dims, measures int) {
+	f.id, f.b = id, b
+	f.leaf = b[1]&nodeFlagLeaf != 0
+	f.blocks = int(binary.LittleEndian.Uint32(b[4:]))
+	f.count = int(binary.LittleEndian.Uint32(b[8:]))
+	f.dims, f.measures = dims, measures
 	f.aggBase, f.fixBase, f.mdsBase, f.fixedPer = flatLayoutSizes(f.leaf, f.count, dims, measures)
-	return f
 }
-
-// View wraps the flat node for a Source to hand to the descent.
-func (f FlatNode) View() NodeView { return NodeView{f: f} }
 
 // Leaf reports whether the payload is a data node's, Count its number of
 // entries and Blocks its logical size in blocks.

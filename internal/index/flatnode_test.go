@@ -94,7 +94,10 @@ func TestDataNodePayloadIsRows(t *testing.T) {
 // of a descent that must meet exactly this payload.
 type oneView struct{ f FlatNode }
 
-func (s oneView) View(NodeID) (NodeView, error) { return s.f.View(), nil }
+func (s oneView) View(_ NodeID, nv *NodeView) error {
+	*nv = NodeView{f: s.f}
+	return nil
+}
 
 // TestFlatNodeCorruptFailClosed: damaged flat encodings are never decoded,
 // served or panicked on. A damaged frame is rejected by MakeFlatNode — for
@@ -256,7 +259,7 @@ func FuzzDecodeFlatNode(f *testing.F) {
 		}
 		if view.CheckTable() == nil {
 			if view.Leaf() {
-				nv := view.View()
+				nv := NodeView{f: view}
 				qc.scanRows(&nv, 0, cube.NewAggVector(measures))
 			} else {
 				for i := 0; i < view.Count(); i++ {

@@ -42,12 +42,20 @@ func (s *memNodes) Drop(id NodeID) error {
 	return nil
 }
 
-func (s *memNodes) View(id NodeID) (NodeView, error) {
+func (s *memNodes) View(id NodeID, nv *NodeView) error {
 	n, err := s.Get(id)
 	if err != nil {
-		return NodeView{}, err
+		return err
 	}
-	return s.ix.HeapView(n), nil
+	s.ix.HeapView(n, nv)
+	return nil
+}
+
+// flatOf frames n's flat encoding as node id, unchecked.
+func flatOf(id NodeID, n *Node, dims, measures int) FlatNode {
+	var f FlatNode
+	f.trust(id, n.appendEncodeFlat(nil, dims, measures), dims, measures)
+	return f
 }
 
 // testBlockPayload is what core.New sizes the default data node by: the

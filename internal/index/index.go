@@ -16,9 +16,9 @@
 //   - Store, the write side: Get, New, MarkDirty and Drop of heap nodes.
 //     Mutations, LevelStats and Validate resolve nodes through it, all
 //     under the host's exclusive hold.
-//   - Source, the read side: View of a node for one read-only descent — a
-//     heap node (HeapView) or an encoded payload framed where it lies
-//     (MakeFlatNode, TrustedFlatNode).
+//   - Source, the read side: View of a node for one read-only descent,
+//     filled into a frame the descent owns — a heap node (HeapView) or an
+//     encoded payload framed where it lies (NodeView.Frame, FrameTrusted).
 //
 // Mutations must be exclusive; queries may run concurrently with one
 // another over any Source whose views stay valid for the walk.
@@ -58,7 +58,9 @@ type Store interface {
 // Source resolves node IDs for one read-only walk: the live tree, or a
 // frozen version of it.
 type Source interface {
-	View(id NodeID) (NodeView, error)
+	// View fills nv, a frame the walk owns, with the view of node id:
+	// HeapView, NodeView.Frame or NodeView.FrameTrusted.
+	View(id NodeID, nv *NodeView) error
 }
 
 // Errors returned by index operations.

@@ -147,13 +147,14 @@ func (n *Node) aggregate(measures int) cube.AggVector {
 	return v
 }
 
-// HeapView is the read-only view of a heap node: a data node itself, a
-// directory through its read image.
-func (ix *Index) HeapView(n *Node) NodeView {
+// HeapView fills nv with the read-only view of a heap node: a data node
+// itself, a directory through its read image.
+func (ix *Index) HeapView(n *Node, nv *NodeView) {
 	if n.leaf {
-		return NodeView{n: n}
+		nv.n = n
+		return
 	}
-	return NodeView{f: *ix.image(n)}
+	nv.n, nv.f = nil, *ix.image(n)
 }
 
 // image returns a directory node's read image — its flat encoding behind an
@@ -167,10 +168,11 @@ func (ix *Index) image(n *Node) *FlatNode {
 		return img
 	}
 	dims, measures := ix.schema.Dims(), ix.schema.Measures()
-	img := TrustedFlatNode(n.id, n.appendEncodeFlat(nil, dims, measures), dims, measures)
+	img := new(FlatNode)
+	img.trust(n.id, n.appendEncodeFlat(nil, dims, measures), dims, measures)
 	ix.c.readImageBuilds.Inc()
-	n.img.Store(&img)
-	return &img
+	n.img.Store(img)
+	return img
 }
 
 // Encode returns the node's flat encoding, for the host to persist or to

@@ -37,9 +37,36 @@ func (s *QueryStats) add(o QueryStats) {
 // image — so one matcher serves them all; a data node is either a FlatNode
 // (rows at a fixed stride in the payload) or the heap node n with its
 // packed rows.
+//
+// The descent owns its views: one frame per depth of a serial walk, one per
+// parallel worker, which a Source fills in place (Source.View), so a visit
+// copies no view through its returns.
 type NodeView struct {
 	n *Node
 	f FlatNode
+}
+
+// Frame fills nv with payload b framed where it lies, after MakeFlatNode's
+// constant-time check.
+func (nv *NodeView) Frame(id NodeID, b []byte, dims, measures int) error {
+	nv.n = nil
+	return nv.f.frame(id, b, dims, measures)
+}
+
+// FrameTrusted fills nv with payload b framed where it lies, unchecked: a
+// flat encoding this process produced (Index.Encode).
+func (nv *NodeView) FrameTrusted(id NodeID, b []byte, dims, measures int) {
+	nv.n = nil
+	nv.f.trust(id, b, dims, measures)
+}
+
+// CheckTable runs FlatNode.CheckTable on a framed node: the eager check, for
+// a payload framed over a checked read, which no later visit shares.
+func (nv *NodeView) CheckTable() error {
+	if nv.n != nil {
+		return nil
+	}
+	return nv.f.CheckTable()
 }
 
 // descent carries the per-goroutine state of one range-query walk: the
@@ -69,6 +96,13 @@ type descent struct {
 	q     *stealQueue
 	w     int
 	stack []NodeID
+
+	// frames holds the view of the node visited at each depth of the walk,
+	// filled in place by the Source; depth is the current one. A serial
+	// walk borrows the pooled queryCtx's frames, a parallel worker, which
+	// never recurses, grows its own to one.
+	frames []NodeView
+	depth  int
 }
 
 // newDescent prepares a walk of src for q.
@@ -103,8 +137,11 @@ func (d *descent) visit() error {
 // into — by recursion on a serial walk, through the worker's stack and the
 // shared queue on a parallel one. Aggregates are folded into out.
 func (d *descent) visitNode(id NodeID, out cube.AggVector) error {
-	nv, err := d.src.View(id)
-	if err != nil {
+	if d.depth == len(d.frames) {
+		d.frames = append(d.frames, NodeView{})
+	}
+	nv := &d.frames[d.depth]
+	if err := d.src.View(id, nv); err != nil {
 		return err
 	}
 	if err := d.visit(); err != nil {
@@ -112,7 +149,7 @@ func (d *descent) visitNode(id NodeID, out cube.AggVector) error {
 	}
 	f := &nv.f
 	if nv.n != nil || f.leaf {
-		rows, matched := d.qc.scanRows(&nv, d.first, out)
+		rows, matched := d.qc.scanRows(nv, d.first, out)
 		d.st.EntriesScanned += rows
 		d.st.RecordsMatched += matched
 		return nil
@@ -137,7 +174,10 @@ func (d *descent) visitNode(id NodeID, out cube.AggVector) error {
 		child := f.Child(i)
 		switch {
 		case d.q == nil:
-			if err := d.visitNode(child, out); err != nil {
+			d.depth++
+			err := d.visitNode(child, out)
+			d.depth--
+			if err != nil {
 				return err
 			}
 		case !d.q.trySpawn(child, d.w):
@@ -151,32 +191,44 @@ func (d *descent) visitNode(id NodeID, out cube.AggVector) error {
 // resolving nodes through src; fn returning false stops the scan. Used by
 // tools, tests, and the export path.
 func (ix *Index) Scan(src Source, root NodeID, fn func(cube.Record) bool) error {
-	_, err := scanNode(src, root, fn)
+	sc := scan{src: src, fn: fn}
+	_, err := sc.node(root, 0)
 	return err
 }
 
-func scanNode(src Source, id NodeID, fn func(cube.Record) bool) (bool, error) {
-	nv, err := src.View(id)
-	if err != nil {
+// scan is one Scan call: the resolver, the sink, and the view frame of each
+// depth, grown once per call.
+type scan struct {
+	src    Source
+	fn     func(cube.Record) bool
+	frames []NodeView
+}
+
+func (sc *scan) node(id NodeID, depth int) (bool, error) {
+	if depth == len(sc.frames) {
+		sc.frames = append(sc.frames, NodeView{})
+	}
+	nv := &sc.frames[depth]
+	if err := sc.src.View(id, nv); err != nil {
 		return false, err
 	}
 	f := &nv.f
 	switch {
 	case nv.n != nil:
 		for i := 0; i < nv.n.Count(); i++ {
-			if !fn(cube.Record{Coords: nv.n.Row(i), Measures: nv.n.RowMeasures(i)}.Clone()) {
+			if !sc.fn(cube.Record{Coords: nv.n.Row(i), Measures: nv.n.RowMeasures(i)}.Clone()) {
 				return false, nil
 			}
 		}
 	case f.leaf:
 		for i := 0; i < f.count; i++ {
-			if !fn(f.Record(i)) {
+			if !sc.fn(f.Record(i)) {
 				return false, nil
 			}
 		}
 	default:
 		for i := 0; i < f.count; i++ {
-			cont, err := scanNode(src, f.Child(i), fn)
+			cont, err := sc.node(f.Child(i), depth+1)
 			if err != nil || !cont {
 				return cont, err
 			}

@@ -46,6 +46,8 @@ type queryCtx struct {
 	slab    []uint64
 	lvlSlab []bitmap.Dense
 	work    [2][]uint32
+	// frames are the serial descent's view frames, one per depth.
+	frames []NodeView
 }
 
 // rowMask is the record test of one constrained dimension: members of its
@@ -180,6 +182,9 @@ func (qc *queryCtx) fillDown(h *hierarchy.Hierarchy, levels []bitmap.Dense, lq i
 // guarantee no descent still references it.
 func (ix *Index) putQueryCtx(qc *queryCtx) {
 	qc.q = nil // do not retain the caller's query MDS
+	// Nor the last walk's heap nodes and payloads: a frame may frame a
+	// mapping its store unmaps at close.
+	clear(qc.frames)
 	ix.qcPool.Put(qc)
 }
 

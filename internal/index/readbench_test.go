@@ -101,7 +101,7 @@ func BenchmarkLeafScan(b *testing.B) {
 	heap, flat := make([]NodeView, len(leaves)), make([]NodeView, len(leaves))
 	for i, n := range leaves {
 		heap[i] = NodeView{n: n}
-		flat[i] = NodeView{f: TrustedFlatNode(n.id, n.appendEncodeFlat(nil, dims, measures), dims, measures)}
+		flat[i] = NodeView{f: flatOf(n.id, n, dims, measures)}
 	}
 	for _, class := range benchClasses {
 		for _, carrier := range []struct {

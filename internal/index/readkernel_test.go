@@ -62,7 +62,7 @@ func flatDirOf(tree *Index, ms ...mds.MDS) FlatNode {
 	for i, m := range ms {
 		dir.entries = append(dir.entries, Entry{MDS: m, Agg: cube.NewAggVector(measures), Child: NodeID(i + 1)})
 	}
-	return TrustedFlatNode(1, dir.appendEncodeFlat(nil, dims, measures), dims, measures)
+	return flatOf(1, dir, dims, measures)
 }
 
 // TestMatchKernelAgainstMDSAlgebra pins the one directory matcher — the
@@ -215,7 +215,7 @@ func TestScanRowsAgainstContainsLeaves(t *testing.T) {
 				wantMatched++
 			}
 		}
-		flat := TrustedFlatNode(1, leaf.appendEncodeFlat(nil, s.Dims(), s.Measures()), s.Dims(), s.Measures())
+		flat := flatOf(1, leaf, s.Dims(), s.Measures())
 		for name, nv := range map[string]NodeView{"heap": {n: leaf}, "flat": {f: flat}} {
 			out := cube.NewAggVector(1)
 			scanned, matched := qc.scanRows(&nv, 0, out)
@@ -321,7 +321,7 @@ func TestScanRowsMatchesReference(t *testing.T) {
 				}
 				leaf.appendRecord(rec)
 			}
-			flat := TrustedFlatNode(1, leaf.appendEncodeFlat(nil, dims, nm), dims, nm)
+			flat := flatOf(1, leaf, dims, nm)
 			for carrier, nv := range map[string]NodeView{"heap": {n: leaf}, "flat": {f: flat}} {
 				for first, width := range []int{1, 1, 1, nm} {
 					if width == nm {

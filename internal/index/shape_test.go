@@ -145,13 +145,12 @@ func TestGoldenTreeShape(t *testing.T) {
 // zero-copy views would: as its flat encoding behind the checked frame.
 type flatNodes struct{ *memNodes }
 
-func (s flatNodes) View(id NodeID) (NodeView, error) {
+func (s flatNodes) View(id NodeID, nv *NodeView) error {
 	n, err := s.Get(id)
 	if err != nil {
-		return NodeView{}, err
+		return err
 	}
-	f, err := MakeFlatNode(id, s.ix.Encode(n), s.dims, s.nm)
-	return f.View(), err
+	return nv.Frame(id, s.ix.Encode(n), s.dims, s.nm)
 }
 
 // TestGoldenQueryStats pins the work the read path does for a fixed tree and

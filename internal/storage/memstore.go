@@ -147,10 +147,10 @@ func (s *MemStore) GetMeta() ([]byte, error) {
 }
 
 // Stats implements Store.
-func (s *MemStore) Stats() Stats { return s.stats.snapshot() }
+func (s *MemStore) Stats() Stats { return s.stats.snapshot(s.viewStats.views.Load()) }
 
 // ResetStats implements Store.
-func (s *MemStore) ResetStats() { s.stats.reset() }
+func (s *MemStore) ResetStats() { s.stats.reset(s.viewStats.views.Load()) }
 
 // Sync implements Store (no-op).
 func (s *MemStore) Sync() error {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -228,5 +230,202 @@ func TestMemStoreViewExtent(t *testing.T) {
 	}
 	if vs := s.ViewStats(); vs.Views != 1 {
 		t.Fatalf("view stats = %+v", vs)
+	}
+}
+
+// TestReadLedger: a store counts every read it serves once. Reads == Hits +
+// Misses; a PagedStore's Hits are its mapped views, its Misses the file
+// reads (Read and the view fallback); BytesRead is the bytes served; and a
+// forced verify, which serves nothing, moves none of them.
+func TestReadLedger(t *testing.T) {
+	type ledgerStore interface {
+		Store
+		ExtentViewer
+	}
+	ledger := func(t *testing.T, s ledgerStore, reads int64, served int64, step string) {
+		t.Helper()
+		st, vs := s.Stats(), s.ViewStats()
+		if st.Reads != st.Hits+st.Misses || st.BytesRead != served {
+			t.Fatalf("%s: stats %+v, want Reads == Hits + Misses and %d bytes read", step, st, served)
+		}
+		if st.Hits != vs.Views+reads {
+			t.Fatalf("%s: %d hits, %d views and %d in-memory reads", step, st.Hits, vs.Views, reads)
+		}
+	}
+	serve := func(t *testing.T, read func(PageID) ([]byte, int, error), ids []PageID, served *int64) {
+		t.Helper()
+		for _, id := range ids {
+			b, _, err := read(id)
+			if err != nil {
+				t.Fatalf("extent %d: %v", id, err)
+			}
+			*served += int64(len(b))
+		}
+	}
+
+	t.Run("PagedStore", func(t *testing.T) {
+		s, ids, _ := mmapTestStore(t)
+		s.ResetStats()
+		var served int64
+		// The first round verifies each extent under the lock, the second
+		// serves it from the published mapping.
+		serve(t, s.ViewExtent, ids, &served)
+		serve(t, s.ViewExtent, ids, &served)
+		ledger(t, s, 0, served, "mapped")
+		if vs := s.ViewStats(); mmapSupported && (vs.Views != int64(2*len(ids)) || vs.Fallbacks != 0) {
+			t.Fatalf("mapped: view stats %+v, want %d views", vs, 2*len(ids))
+		}
+		// Disabled, even a verified extent is a checked file read.
+		s.SetMmapViews(false)
+		serve(t, s.ViewExtent, ids, &served)
+		s.SetMmapViews(true)
+		ledger(t, s, 0, served, "fallback")
+		if vs := s.ViewStats(); vs.Fallbacks != int64(len(ids)) {
+			t.Fatalf("fallback: view stats %+v, want %d fallbacks", vs, len(ids))
+		}
+		serve(t, s.Read, ids, &served)
+		ledger(t, s, 0, served, "Read")
+		if st, vs := s.Stats(), s.ViewStats(); st.Misses != vs.Fallbacks+int64(len(ids)) {
+			t.Fatalf("Read: %d misses, %d fallbacks and %d reads", st.Misses, vs.Fallbacks, len(ids))
+		}
+
+		st, vs := s.Stats(), s.ViewStats()
+		for _, id := range ids {
+			if _, _, err := s.VerifyExtentView(id); err != nil {
+				t.Fatalf("VerifyExtentView(%d): %v", id, err)
+			}
+		}
+		if s.Stats() != st || s.ViewStats() != vs {
+			t.Fatalf("VerifyExtentView moved the ledger: %+v %+v, was %+v %+v", s.Stats(), s.ViewStats(), st, vs)
+		}
+		s.ResetStats()
+		if st := s.Stats(); st != (Stats{}) {
+			t.Fatalf("after ResetStats: %+v", st)
+		}
+		served = 0
+		serve(t, s.ViewExtent, ids, &served)
+		if st := s.Stats(); mmapSupported && (st.Reads != int64(len(ids)) || st.Hits != st.Reads || st.BytesRead != served) {
+			t.Fatalf("views after ResetStats: %+v", st)
+		}
+		// Close withdraws the lock-free path before it unmaps.
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if s.mm.pub.Load() != nil {
+			t.Fatal("a closed store still publishes its mapping")
+		}
+	})
+
+	t.Run("MemStore", func(t *testing.T) {
+		s := NewMemStore(256)
+		defer s.Close()
+		var ids []PageID
+		for i := 0; i < 5; i++ {
+			id, err := s.Alloc(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Write(id, 1, bytes.Repeat([]byte{byte(i)}, 10+i)); err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		var served int64
+		serve(t, s.ViewExtent, ids, &served)
+		ledger(t, s, 0, served, "views")
+		serve(t, s.Read, ids, &served)
+		ledger(t, s, int64(len(ids)), served, "Read")
+		s.ResetStats()
+		if st := s.Stats(); st != (Stats{}) {
+			t.Fatalf("after ResetStats: %+v", st)
+		}
+	})
+}
+
+// TestMappedViewsUnderChurn: views of verified extents, most of them served
+// without a lock, stay exact while one writer forces remaps (allocating and
+// viewing extents past the mapping), rewrites a disjoint set of extents
+// (invalidating their verified bits) and toggles the mapped path. A byte
+// flipped on disk in a rewritten extent is then caught by its next view.
+func TestMappedViewsUnderChurn(t *testing.T) {
+	s, path, ids, payloads := mmapTestStorePath(t)
+	for _, id := range ids { // verify once: the readers' views are lock-free
+		if _, _, err := s.ViewExtent(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	churn := make([]PageID, 4)
+	for i := range churn {
+		id, err := s.Alloc(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Write(id, 1, []byte("initial")); err != nil {
+			t.Fatal(err)
+		}
+		churn[i] = id
+	}
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; !stop.Load(); i++ {
+				k := i % len(ids)
+				got, _, err := s.ViewExtent(ids[k])
+				if err != nil || !bytes.Equal(got, payloads[k]) {
+					t.Errorf("reader %d: extent %d: %d bytes, %v", g, ids[k], len(got), err)
+					return
+				}
+			}
+		}(g)
+	}
+
+	view := func(id PageID, want []byte) {
+		t.Helper()
+		if got, _, err := s.ViewExtent(id); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("writer: extent %d: view %q, %v, want %q", id, got, err, want)
+		}
+	}
+	for round := 0; round < 40; round++ {
+		grown := bytes.Repeat([]byte{byte(round)}, 200)
+		id, err := s.Alloc(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Write(id, 4, grown); err != nil {
+			t.Fatal(err)
+		}
+		view(id, grown)
+		k := round % len(churn)
+		p := []byte(fmt.Sprintf("rewrite %d of extent %d", round, churn[k]))
+		if err := s.Write(churn[k], 1, p); err != nil {
+			t.Fatal(err)
+		}
+		view(churn[k], p)
+		if round%8 == 3 {
+			s.SetMmapViews(false)
+		}
+		if round%8 == 5 {
+			s.SetMmapViews(true)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if vs := s.ViewStats(); mmapSupported && vs.Remaps == 0 {
+		t.Fatalf("view stats %+v: the writer forced no remap", vs)
+	}
+
+	// A rewrite clears the extent's verified bit; damage that lands before
+	// its next view is caught by that view's CRC.
+	p := []byte("rewritten, then damaged on disk")
+	if err := s.Write(churn[0], 1, p); err != nil {
+		t.Fatal(err)
+	}
+	flipBits(t, path, int64(churn[0])*256+ExtentHeaderSize+3, 0x10)
+	if _, _, err := s.ViewExtent(churn[0]); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("view of a damaged rewritten extent: %v, want ErrChecksum", err)
 	}
 }

@@ -31,6 +31,20 @@ import (
 // mapped payload and records the page in a verified bitmap; later views are
 // pure pointer math. A rewrite of the page (extent reuse after a free)
 // invalidates its bit.
+//
+// Those later views take no lock. The region publishes its current mapping
+// and verified bitmap as one pointer (mmapState), and a view whose page bit
+// is set and whose extent header parses inside the published mapping is
+// served from it directly; everything else — the first view and its CRC, a
+// remap, the fallback, corruption — takes the locked path. Every change to
+// the pair happens under the region lock and republishes it: invalidate
+// clears its bit in the published bitmap, a growing bitmap is copied and
+// republished, and disabling or closing the region withdraws the pointer
+// before anything is unmapped. A view racing Close is invalid, as any view
+// outlasting its store is: the store must outlive every reader of it.
+//
+// Each view is counted once, in ViewStats.Views; Stats derives the view's
+// Read and Hit from that counter rather than adding them per view.
 
 // ViewStats counts zero-copy view traffic on a store.
 type ViewStats struct {
@@ -73,10 +87,21 @@ type mmapRegion struct {
 	blockSize int
 	enabled   bool // off: unsupported platform, SetMmapViews(false), or map failure
 	cur       []byte
-	retired   [][]byte // superseded mappings, kept until close for outstanding views
-	verified  []uint64 // bitmap of pages whose payload CRC was already checked
-	gen       uint64   // bumped by invalidate; suppresses stale verified-bit writes
-	stats     viewStatsCounters
+	retired   [][]byte        // superseded mappings, kept until close for outstanding views
+	verified  []atomic.Uint64 // bitmap of pages whose payload CRC was already checked; written under mu
+	gen       uint64          // bumped by invalidate; suppresses stale verified-bit writes
+	// pub is what the lock-free path reads: the current mapping and
+	// verified bitmap while the region is enabled, nil otherwise. Every
+	// change to cur, verified's backing array or enabled republishes it
+	// under mu.
+	pub   atomic.Pointer[mmapState]
+	stats viewStatsCounters
+}
+
+// mmapState is one published {mapping, verified bitmap} pair.
+type mmapState struct {
+	b        []byte
+	verified []atomic.Uint64
 }
 
 func (m *mmapRegion) init(f *os.File, blockSize int) {
@@ -85,31 +110,46 @@ func (m *mmapRegion) init(f *os.File, blockSize int) {
 	m.enabled = mmapSupported
 }
 
+// publishLocked republishes the region's state for the lock-free path.
+// Caller holds m.mu exclusively.
+func (m *mmapRegion) publishLocked() {
+	if !m.enabled || m.cur == nil {
+		m.pub.Store(nil)
+		return
+	}
+	m.pub.Store(&mmapState{b: m.cur, verified: m.verified})
+}
+
 // setEnabled toggles the mapped path (tests and operational fallback). The
 // plain-read path serves every view while disabled.
 func (m *mmapRegion) setEnabled(on bool) {
 	m.mu.Lock()
 	m.enabled = on && mmapSupported
+	m.publishLocked()
 	m.mu.Unlock()
 }
 
 // invalidate drops the page's verified bit: its extent was rewritten, so
-// the cached CRC verdict no longer describes the bytes in the mapping.
+// the cached CRC verdict no longer describes the bytes in the mapping. The
+// bit is cleared in the published bitmap itself, so a lock-free view that
+// starts after invalidate returns takes the locked path and re-verifies.
 func (m *mmapRegion) invalidate(id PageID) {
 	m.mu.Lock()
 	m.gen++
 	if w := int(id / 64); w < len(m.verified) {
-		m.verified[w] &^= 1 << (id % 64)
+		m.verified[w].Store(m.verified[w].Load() &^ (1 << (id % 64)))
 	}
 	m.mu.Unlock()
 }
 
 // close unmaps everything; outstanding views become invalid, which is fine
-// because the store they came from is closed too.
+// because the store they came from is closed too. The lock-free path is
+// withdrawn before anything is unmapped.
 func (m *mmapRegion) close() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.enabled = false
+	m.publishLocked()
 	if m.cur != nil {
 		_ = munmapFile(m.cur)
 		m.cur = nil
@@ -141,6 +181,7 @@ func (m *mmapRegion) remap(need int64) bool {
 		// Map failures (address space, platform quirks) latch the region
 		// off; the plain-read path serves everything from here on.
 		m.enabled = false
+		m.publishLocked()
 		return false
 	}
 	if m.cur != nil {
@@ -148,50 +189,76 @@ func (m *mmapRegion) remap(need int64) bool {
 		m.stats.remaps.Add(1)
 	}
 	m.cur = nb
+	m.publishLocked()
 	return true
 }
 
-// view serves one extent from the mapping. ok=false means "not servable
+// locate finds extent id's payload in mapping b. need > 0 is the mapped
+// length the extent needs when b ends before it; err is a header that does
+// not check out.
+func (m *mmapRegion) locate(b []byte, id PageID) (data []byte, blocks int, crc uint32, need int64, err error) {
+	off := int64(id) * int64(m.blockSize)
+	if int64(len(b)) < off+ExtentHeaderSize {
+		return nil, 0, 0, off + ExtentHeaderSize, nil
+	}
+	blocks, length, crc, err := parseExtentHeader(b[off:], id, m.blockSize)
+	if err != nil {
+		return nil, 0, 0, 0, err
+	}
+	end := off + ExtentHeaderSize + int64(length)
+	if int64(len(b)) < end {
+		return nil, 0, 0, end, nil
+	}
+	return b[off+ExtentHeaderSize : end : end], blocks, crc, 0, nil
+}
+
+// verifiedView is the lock-free path: the extent's payload out of the
+// published mapping when its CRC was already verified and it lies inside
+// the mapping. ok=false sends the caller to view, which handles everything
+// else — first view, remap, fallback and corruption.
+func (m *mmapRegion) verifiedView(id PageID) (data []byte, blocks int, ok bool) {
+	st := m.pub.Load()
+	if st == nil {
+		return nil, 0, false
+	}
+	if w := id / 64; w >= PageID(len(st.verified)) || st.verified[w].Load()&(1<<(id%64)) == 0 {
+		return nil, 0, false
+	}
+	data, blocks, _, need, err := m.locate(st.b, id)
+	return data, blocks, need == 0 && err == nil
+}
+
+// view serves one extent from the mapping under the region lock, checking
+// its CRC unless its verified bit is set. ok=false means "not servable
 // here, use the plain-read fallback"; ok=true with err!=nil is a hard
 // integrity failure (corrupt header or checksum mismatch) that a file read
 // would reproduce, so it is returned instead of retried.
 func (m *mmapRegion) view(id PageID) (data []byte, blocks int, err error, ok bool) {
-	off := int64(id) * int64(m.blockSize)
 	for attempt := 0; ; attempt++ {
 		m.mu.RLock()
 		if !m.enabled {
 			m.mu.RUnlock()
 			return nil, 0, nil, false
 		}
-		b := m.cur
-		if int64(len(b)) < off+ExtentHeaderSize {
-			m.mu.RUnlock()
-			if attempt > 0 || !m.remap(off+ExtentHeaderSize) {
-				return nil, 0, nil, false
-			}
-			continue
-		}
-		var length int
 		var want uint32
-		blocks, length, want, err = parseExtentHeader(b[off:], id, m.blockSize)
+		var need int64
+		data, blocks, want, need, err = m.locate(m.cur, id)
 		if err != nil {
 			m.mu.RUnlock()
 			return nil, 0, err, true
 		}
-		end := off + ExtentHeaderSize + int64(length)
-		if int64(len(b)) < end {
+		if need > 0 {
 			m.mu.RUnlock()
-			if attempt > 0 || !m.remap(end) {
+			if attempt > 0 || !m.remap(need) {
 				return nil, 0, nil, false
 			}
 			continue
 		}
 		w := int(id / 64)
-		verified := w < len(m.verified) && m.verified[w]&(1<<(id%64)) != 0
+		verified := w < len(m.verified) && m.verified[w].Load()&(1<<(id%64)) != 0
 		gen := m.gen
 		m.mu.RUnlock()
 
-		data = b[off+ExtentHeaderSize : end : end]
 		if !verified {
 			if got := crc32.Checksum(data, castagnoli); got != want {
 				return nil, 0, fmt.Errorf("%w: extent %d crc 0x%08x, want 0x%08x", ErrChecksum, id, got, want), true
@@ -201,28 +268,39 @@ func (m *mmapRegion) view(id PageID) (data []byte, blocks int, err error, ok boo
 			// the CRC ran; a concurrent rewrite must not be masked.
 			if m.gen == gen {
 				if w >= len(m.verified) {
-					grown := make([]uint64, w+1)
-					copy(grown, m.verified)
+					// A lock-free view that loaded the old array may still
+					// see a bit a later invalidate clears only here; it is
+					// viewing an extent being rewritten, which the caller's
+					// hold or pin rules out.
+					grown := make([]atomic.Uint64, max(w+1, 2*len(m.verified)))
+					for i := range m.verified {
+						grown[i].Store(m.verified[i].Load())
+					}
 					m.verified = grown
+					m.publishLocked()
 				}
-				m.verified[w] |= 1 << (id % 64)
+				m.verified[w].Store(m.verified[w].Load() | 1<<(id%64))
 			}
 			m.mu.Unlock()
 		}
-		m.stats.views.Add(1)
 		return data, blocks, nil, true
 	}
 }
 
 // ViewExtent implements ExtentViewer: a zero-copy, CRC-verified-once view
-// of an extent's payload out of the file mapping. When the mapping cannot
-// serve the extent (unsupported platform, disabled, map failure, or the
-// extent lies beyond a file the mapping cannot grow over) it falls back to
-// a plain checked read — same bytes, same verification, one copy.
+// of an extent's payload out of the file mapping. An extent already
+// verified is served without a lock (verifiedView); the first view of an
+// extent, a view past the mapped length and every failure take the locked
+// path. When the mapping cannot serve the extent (unsupported platform,
+// disabled, map failure, or the extent lies beyond a file the mapping
+// cannot grow over) it falls back to a plain checked read — same bytes,
+// same verification, one copy.
 //
 // The returned slice must be treated as read-only and must not outlive the
 // caller's guarantee that the extent stays live (tree read lock or extent
-// pin): a freed and reallocated extent is rewritten in place.
+// pin): a freed and reallocated extent is rewritten in place. The store
+// must outlive the call: a view racing Close may read a mapping Close
+// unmaps.
 func (s *PagedStore) ViewExtent(id PageID) ([]byte, int, error) {
 	if id == NilPage {
 		return nil, 0, fmt.Errorf("%w: nil page", ErrNotFound)
@@ -230,18 +308,23 @@ func (s *PagedStore) ViewExtent(id PageID) ([]byte, int, error) {
 	if err := s.checkOpen(); err != nil {
 		return nil, 0, err
 	}
-	if data, blocks, err, ok := s.mm.view(id); ok {
-		// A mapped view is a read served from memory: a Hit, so the read
-		// ledger (Reads == Hits + Misses) covers the zero-copy path too.
-		if err == nil {
-			s.stats.reads.Add(1)
-			s.stats.hits.Add(1)
-			s.stats.bytesRead.Add(int64(len(data)))
+	data, blocks, ok := s.mm.verifiedView(id)
+	if !ok {
+		var err error
+		if data, blocks, err, ok = s.mm.view(id); !ok {
+			s.mm.stats.fallbacks.Add(1)
+			return s.Read(id)
 		}
-		return data, blocks, err
+		if err != nil {
+			return nil, 0, err
+		}
 	}
-	s.mm.stats.fallbacks.Add(1)
-	return s.Read(id)
+	// A mapped view is a read served from memory: Stats derives its Read
+	// and its Hit from the view counter, so the ledger (Reads == Hits +
+	// Misses) covers the zero-copy path at one counter per view.
+	s.mm.stats.views.Add(1)
+	s.stats.bytesRead.Add(int64(len(data)))
+	return data, blocks, nil
 }
 
 // ViewStats implements ExtentViewer.
@@ -256,7 +339,8 @@ func (s *PagedStore) SetMmapViews(on bool) { s.mm.setEnabled(on) }
 // VerifyExtentView force-verifies one extent through the mapped view path:
 // unlike ViewExtent it never consults the verified bitmap, so it checks the
 // bytes as they are mapped right now (dctool verify -mmap). Falls back to
-// the plain file read when the mapping cannot serve the extent.
+// the plain file read when the mapping cannot serve the extent. It serves
+// no payload, so it moves neither ViewStats nor Stats.
 func (s *PagedStore) VerifyExtentView(id PageID) (blocks int, mapped bool, err error) {
 	if id == NilPage {
 		return 0, false, fmt.Errorf("%w: nil page", ErrNotFound)
@@ -292,9 +376,7 @@ func (s *MemStore) ViewExtent(id PageID) ([]byte, int, error) {
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %d", ErrNotFound, id)
 	}
-	s.viewStats.views.Add(1)
-	s.stats.reads.Add(1)
-	s.stats.hits.Add(1)
+	s.viewStats.views.Add(1) // one Read and one Hit (statsCounters)
 	s.stats.bytesRead.Add(int64(len(e.data)))
 	return e.data, e.blocks, nil
 }

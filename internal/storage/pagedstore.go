@@ -361,10 +361,10 @@ func (s *PagedStore) GetMeta() ([]byte, error) {
 }
 
 // Stats implements Store.
-func (s *PagedStore) Stats() Stats { return s.stats.snapshot() }
+func (s *PagedStore) Stats() Stats { return s.stats.snapshot(s.mm.stats.views.Load()) }
 
 // ResetStats implements Store.
-func (s *PagedStore) ResetStats() { s.stats.reset() }
+func (s *PagedStore) ResetStats() { s.stats.reset(s.mm.stats.views.Load()) }
 
 // Sync implements Store: persists the freelist and header, fsyncs, and
 // only then releases extents whose replacement the header now references.

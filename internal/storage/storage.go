@@ -81,28 +81,36 @@ func (s Stats) Sub(t Stats) Stats {
 // concurrent readers (the DC-tree runs queries under a shared read lock,
 // so several goroutines may fault nodes at once) and metrics snapshots
 // never race with each other or with updates.
+//
+// A view (ExtentViewer) is a Read and a Hit, but neither is counted per
+// view: the store's view counter is the one count, and snapshot derives
+// both from it, less viewBase, the view count at the last reset.
 type statsCounters struct {
 	reads, writes, allocs, frees atomic.Int64
 	hits, misses                 atomic.Int64
 	bytesRead, bytesWritten      atomic.Int64
+	viewBase                     atomic.Int64
 }
 
-// snapshot materializes the counters as a Stats value.
-func (c *statsCounters) snapshot() Stats {
+// snapshot materializes the counters as a Stats value; views is the
+// store's view counter.
+func (c *statsCounters) snapshot(views int64) Stats {
+	viewed := views - c.viewBase.Load()
 	return Stats{
-		Reads:        c.reads.Load(),
+		Reads:        c.reads.Load() + viewed,
 		Writes:       c.writes.Load(),
 		Allocs:       c.allocs.Load(),
 		Frees:        c.frees.Load(),
-		Hits:         c.hits.Load(),
+		Hits:         c.hits.Load() + viewed,
 		Misses:       c.misses.Load(),
 		BytesRead:    c.bytesRead.Load(),
 		BytesWritten: c.bytesWritten.Load(),
 	}
 }
 
-// reset zeroes every counter.
-func (c *statsCounters) reset() {
+// reset zeroes every counter; views is the store's view counter.
+func (c *statsCounters) reset(views int64) {
+	c.viewBase.Store(views)
 	c.reads.Store(0)
 	c.writes.Store(0)
 	c.allocs.Store(0)
