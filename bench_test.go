@@ -1,12 +1,13 @@
-// Benchmarks regenerating every figure of the DC-tree paper's evaluation
-// (§5) as testing.B benchmarks. Each figure also has a table-producing
-// driver in internal/bench, runnable via cmd/dcbench; the benchmarks here
-// measure the same quantities in benchstat-friendly form.
+// Benchmarks regenerating the figures of the DC-tree paper's evaluation
+// (§5) as testing.B benchmarks: insertion (Fig. 11), range queries against
+// the X-tree and the sequential scan (Fig. 12), node sizes (Fig. 13) and
+// the roll-up workload, in benchstat-friendly form.
 //
-//	go test -bench=. -benchmem .
+//	go test -run '^$' -bench=. -benchmem .
 //
-// Fixture sizes are laptop-friendly; the paper's 100k–300k sweep runs via
-// `go run ./cmd/dcbench -n 100000,200000,300000`.
+// Fixture sizes are laptop-friendly. Visit, block and fill counts are
+// pinned as goldens in internal/index; the end-to-end numbers come from
+// the benchmark module under benchmark/.
 package dctree_test
 
 import (
@@ -14,7 +15,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/dcindex/dctree/internal/bitmap"
 	"github.com/dcindex/dctree/internal/core"
 	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/seqscan"
@@ -274,36 +274,6 @@ func benchRollup(b *testing.B, system string) {
 			if _, _, err := fx.xt.RangeQuery(q.Rect, q.Filter); err != nil {
 				b.Fatal(err)
 			}
-		}
-	}
-}
-
-// BenchmarkBitmapBaseline measures the §2 bitmap join index on the
-// standard 5% workload for comparison with BenchmarkFig12b*.
-func BenchmarkBitmapBaseline(b *testing.B) {
-	gen, err := tpcd.New(4, tpcd.DefaultScale())
-	if err != nil {
-		b.Fatal(err)
-	}
-	ix := bitmap.NewIndex(gen.Schema())
-	for _, r := range gen.Records(benchRecords) {
-		if err := ix.Append(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-	qg := gen.Queries(77)
-	queries := make([]tpcd.Query, 64)
-	for i := range queries {
-		queries[i], err = qg.Query(0.05)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ix.RangeAgg(queries[i%len(queries)].MDS, 0); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

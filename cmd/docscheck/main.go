@@ -6,7 +6,7 @@
 //
 //	go run ./cmd/docscheck
 //
-// Run from the repository root (CI runs it as the docs-check job). Five
+// Run from the repository root (CI runs it as the docs-check job). Six
 // checks:
 //
 //  1. Every `-flag` token in inline code or non-Go code fences of the
@@ -45,6 +45,7 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -103,6 +104,11 @@ var (
 	// familyRef matches a metric name in documentation text, with the
 	// trailing * of a pattern.
 	familyRef = regexp.MustCompile(`\bdctree_[a-z0-9_]*\*?`)
+	// pathRef matches a repository path in documentation text.
+	pathRef = regexp.MustCompile(`\b(?:cmd|internal|benchmark)/[A-Za-z0-9_.*/-]*[A-Za-z0-9_*]`)
+	// programRef matches the program a code span or fence line runs: its
+	// first word, when it is spelled like this repository's commands.
+	programRef = regexp.MustCompile(`^\s*(?:\$\s+)?(dc[a-z]+)(?:\s|$)`)
 )
 
 func main() {
@@ -140,8 +146,17 @@ func main() {
 		}
 		problems = append(problems, p...)
 	}
+	programs, err := commands("cmd", "go.mod")
+	if err != nil {
+		fatal(err)
+	}
 	for _, doc := range familyDocs {
 		p, err := checkFamilyRefs(doc, families)
+		if err != nil {
+			fatal(err)
+		}
+		problems = append(problems, p...)
+		p, err = checkRepoRefs(doc, ".", programs)
 		if err != nil {
 			fatal(err)
 		}
@@ -290,6 +305,57 @@ func hasPrefixed(families map[string]bool, prefix string) bool {
 	return false
 }
 
+// commands returns the names of the commands under cmdDir, plus the last
+// element of the module path in modFile: the root package's name, which
+// the documents spell like a program but which is not one.
+func commands(cmdDir, modFile string) (map[string]bool, error) {
+	entries, err := os.ReadDir(cmdDir)
+	if err != nil {
+		return nil, err
+	}
+	names := make(map[string]bool)
+	for _, e := range entries {
+		if e.IsDir() {
+			names[e.Name()] = true
+		}
+	}
+	mod, err := os.ReadFile(modFile)
+	if err != nil {
+		return nil, err
+	}
+	m := regexp.MustCompile(`(?m)^module\s+(\S+)`).FindSubmatch(mod)
+	if m == nil {
+		return nil, fmt.Errorf("%s has no module line", modFile)
+	}
+	names[path.Base(string(m[1]))] = true
+	return names, nil
+}
+
+// checkRepoRefs reports every repository path doc names that does not
+// exist under root, and every program its code runs that is not one of
+// programs (check 6 of the package comment).
+func checkRepoRefs(doc, root string, programs map[string]bool) ([]string, error) {
+	data, err := os.ReadFile(doc)
+	if err != nil {
+		return nil, err
+	}
+	var problems []string
+	code := nonGoCode(data)
+	for i, line := range strings.Split(string(data), "\n") {
+		for _, ref := range pathRef.FindAllString(line, -1) {
+			if m, _ := filepath.Glob(filepath.Join(root, ref)); len(m) == 0 {
+				problems = append(problems, fmt.Sprintf("%s:%d: path %s does not exist", doc, i+1, ref))
+			}
+		}
+		for _, c := range code[i] {
+			if m := programRef.FindStringSubmatch(c); m != nil && !programs[m[1]] {
+				problems = append(problems, fmt.Sprintf("%s:%d: program %s is not a command under cmd/", doc, i+1, m[1]))
+			}
+		}
+	}
+	return problems, nil
+}
+
 // checkErrRefs scans doc's inline code spans and code fences for ErrXxx
 // identifiers and reports any the Go source does not declare.
 func checkErrRefs(doc string, declared map[string]bool) ([]string, error) {
@@ -324,16 +390,14 @@ func checkErrRefs(doc string, declared map[string]bool) ([]string, error) {
 	return problems, nil
 }
 
-// checkFlagRefs scans doc's inline code spans and non-Go code fences for
-// flag tokens and reports any that no command defines.
-func checkFlagRefs(doc string, defined map[string]bool) ([]string, error) {
-	data, err := os.ReadFile(doc)
-	if err != nil {
-		return nil, err
-	}
-	var problems []string
+// nonGoCode returns, per line of data, the code on it outside Go fences:
+// the whole line inside any other fence, the inline code spans outside
+// fences, nothing on a fence's own marker line.
+func nonGoCode(data []byte) [][]string {
+	lines := strings.Split(string(data), "\n")
+	code := make([][]string, len(lines))
 	inFence, goFence := false, false
-	for i, line := range strings.Split(string(data), "\n") {
+	for i, line := range lines {
 		if strings.HasPrefix(strings.TrimSpace(line), "```") {
 			if !inFence {
 				lang := strings.TrimPrefix(strings.TrimSpace(line), "```")
@@ -342,15 +406,27 @@ func checkFlagRefs(doc string, defined map[string]bool) ([]string, error) {
 			inFence = !inFence
 			continue
 		}
-		var code []string
 		switch {
 		case inFence && !goFence:
-			code = append(code, line)
+			code[i] = []string{line}
 		case !inFence:
 			for _, m := range inlineCode.FindAllStringSubmatch(line, -1) {
-				code = append(code, m[1])
+				code[i] = append(code[i], m[1])
 			}
 		}
+	}
+	return code
+}
+
+// checkFlagRefs scans doc's inline code spans and non-Go code fences for
+// flag tokens and reports any that no command defines.
+func checkFlagRefs(doc string, defined map[string]bool) ([]string, error) {
+	data, err := os.ReadFile(doc)
+	if err != nil {
+		return nil, err
+	}
+	var problems []string
+	for i, code := range nonGoCode(data) {
 		for _, c := range code {
 			for _, m := range flagRef.FindAllStringSubmatch(c, -1) {
 				name := m[1]

@@ -55,3 +55,27 @@ func TestFamilyRefsFixture(t *testing.T) {
 		t.Fatalf("problems:\n%q\nwant:\n%q", got, want)
 	}
 }
+
+// TestRepoRefsFixture runs the path and program check over a fixture that
+// names the retired experiment command, its package and an older retired
+// generator, next to every form that must pass. The commands and paths are
+// the repository's own.
+func TestRepoRefsFixture(t *testing.T) {
+	programs, err := commands("..", "../../go.mod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := checkRepoRefs("testdata/repo.md", "../..", programs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"testdata/repo.md:7: program dcbench is not a command under cmd/",
+		"testdata/repo.md:8: path cmd/dcbench does not exist",
+		"testdata/repo.md:8: path internal/views does not exist",
+		"testdata/repo.md:11: program dcgen is not a command under cmd/",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("problems:\n%q\nwant:\n%q", got, want)
+	}
+}

@@ -1,7 +1,11 @@
+// Package bitmap holds Dense, the word-packed membership set the read path
+// builds its per-query masks from.
 package bitmap
 
+import "math/bits"
+
 // Dense is an uncompressed, word-packed bitset over a small code domain
-// (hierarchy-level value codes, not fact rows — for row sets use Bitset).
+// (hierarchy-level value codes, not fact rows).
 // It is a plain word slice so callers can carve many bitsets out of one
 // shared arena: a Dense of n bits occupies DenseWords(n) words, 8× denser
 // than a []bool, and a membership test is one shift-and-mask on a word —
@@ -40,7 +44,7 @@ func (d Dense) Clear() {
 func (d Dense) Count() int {
 	n := 0
 	for _, w := range d {
-		n += popcount(w)
+		n += bits.OnesCount64(w)
 	}
 	return n
 }

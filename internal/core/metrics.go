@@ -180,8 +180,8 @@ type Metrics struct {
 	WALGroupCommitBatchMax  int64
 	// WALDictDeltas counts dictionary registrations logged as delta
 	// entries (record format 2); WALBytesPerRecord is frame bytes written
-	// per logical record appended — the compactness signal dcbench -wal
-	// compares across record formats.
+	// per logical record appended — the log's compactness signal
+	// (storage.wal_bytes_per_record in the benchmark).
 	WALDictDeltas           int64
 	WALBytesPerRecord       float64
 	RecoveryReplayedRecords int64

@@ -54,10 +54,11 @@ type Config struct {
 	// of their subtrees. Disabling it (ablation) forces every range query
 	// to descend to the data nodes, like the X-tree baseline.
 	//
-	// This and the two switches below exist for one table, not for
-	// production: their caller is the ablation report (`dcbench -exp
-	// ablation`, bench.Ablation) and TestAblationsAgreeWithDefault holds
-	// every variant to the default's answers. The meta blob persists them.
+	// This and the two switches below exist for ablations, not for
+	// production: BenchmarkAblationNoMaterialization and the shape
+	// goldens' ablation trees set them, and TestAblationsAgreeWithDefault
+	// holds every variant to the default's answers. The meta blob persists
+	// them.
 	Materialize bool
 
 	// DisableSupernodes forces the split algorithm to fall back to an
