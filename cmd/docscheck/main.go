@@ -1,12 +1,13 @@
 // Command docscheck keeps the prose honest: it fails when the
 // documentation references a command-line flag no command defines, an
 // error variable no package declares, a knob no option struct has, a
-// metric family no code exports, or when a Go code fence in the markdown
-// is not gofmt-formatted.
+// metric family no code exports, a path or program the repository does not
+// have, or a ROADMAP item that is not open, or when a Go code fence in the
+// markdown is not gofmt-formatted.
 //
 //	go run ./cmd/docscheck
 //
-// Run from the repository root (CI runs it as the docs-check job). Six
+// Run from the repository root (CI runs it as the docs-check job). Seven
 // checks:
 //
 //  1. Every `-flag` token in inline code or non-Go code fences of the
@@ -36,9 +37,17 @@
 //     cannot linger in a runbook. A name ending in "_", such as the
 //     namespace dctree_repl_ or a pattern dctree_repl_*, must be the prefix
 //     of at least one family.
+//  6. Every repository path (cmd/…, internal/…, benchmark/…) those five
+//     documents name must exist, and every program a code span or non-Go
+//     fence runs, when it is spelled like one of ours (dc…), must be a
+//     command under cmd/ — so a retired command or package cannot linger.
+//  7. Every "ROADMAP item N" those five documents cite, the words possibly
+//     split across lines, must name an open item of ROADMAP.md (a line
+//     starting "- **N.") — so a citation cannot outlive its item.
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/format"
@@ -109,6 +118,10 @@ var (
 	// programRef matches the program a code span or fence line runs: its
 	// first word, when it is spelled like this repository's commands.
 	programRef = regexp.MustCompile(`^\s*(?:\$\s+)?(dc[a-z]+)(?:\s|$)`)
+	// roadmapRef matches a citation of a ROADMAP item, across a line break.
+	roadmapRef = regexp.MustCompile(`\bROADMAP\s+item\s+(\d+)`)
+	// roadmapItem matches the head of an open item in ROADMAP.md.
+	roadmapItem = regexp.MustCompile(`(?m)^- \*\*(\d+)\.`)
 )
 
 func main() {
@@ -150,6 +163,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	items, err := openItems("ROADMAP.md")
+	if err != nil {
+		fatal(err)
+	}
 	for _, doc := range familyDocs {
 		p, err := checkFamilyRefs(doc, families)
 		if err != nil {
@@ -157,6 +174,11 @@ func main() {
 		}
 		problems = append(problems, p...)
 		p, err = checkRepoRefs(doc, ".", programs)
+		if err != nil {
+			fatal(err)
+		}
+		problems = append(problems, p...)
+		p, err = checkRoadmapRefs(doc, items)
 		if err != nil {
 			fatal(err)
 		}
@@ -351,6 +373,39 @@ func checkRepoRefs(doc, root string, programs map[string]bool) ([]string, error)
 			if m := programRef.FindStringSubmatch(c); m != nil && !programs[m[1]] {
 				problems = append(problems, fmt.Sprintf("%s:%d: program %s is not a command under cmd/", doc, i+1, m[1]))
 			}
+		}
+	}
+	return problems, nil
+}
+
+// openItems returns the numbers of the open items in roadmap.
+func openItems(roadmap string) (map[string]bool, error) {
+	data, err := os.ReadFile(roadmap)
+	if err != nil {
+		return nil, err
+	}
+	items := make(map[string]bool)
+	for _, m := range roadmapItem.FindAllSubmatch(data, -1) {
+		items[string(m[1])] = true
+	}
+	if len(items) == 0 {
+		return nil, fmt.Errorf("no open items found in %s — run from the repository root", roadmap)
+	}
+	return items, nil
+}
+
+// checkRoadmapRefs reports every ROADMAP item doc cites that is not one of
+// items (check 7 of the package comment).
+func checkRoadmapRefs(doc string, items map[string]bool) ([]string, error) {
+	data, err := os.ReadFile(doc)
+	if err != nil {
+		return nil, err
+	}
+	var problems []string
+	for _, m := range roadmapRef.FindAllSubmatchIndex(data, -1) {
+		if n := string(data[m[2]:m[3]]); !items[n] {
+			line := 1 + bytes.Count(data[:m[0]], []byte("\n"))
+			problems = append(problems, fmt.Sprintf("%s:%d: ROADMAP item %s is not an open item", doc, line, n))
 		}
 	}
 	return problems, nil

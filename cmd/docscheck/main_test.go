@@ -79,3 +79,28 @@ func TestRepoRefsFixture(t *testing.T) {
 		t.Fatalf("problems:\n%q\nwant:\n%q", got, want)
 	}
 }
+
+// TestRoadmapRefsFixture runs the citation check over a fixture that cites
+// a folded item and one that never existed — DESIGN.md and REPLICATION.md
+// once did both — next to open items cited on one line and across two. The
+// open items come from a fixture roadmap.
+func TestRoadmapRefsFixture(t *testing.T) {
+	items, err := openItems("testdata/roadmap.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]bool{"15": true, "8": true}; !reflect.DeepEqual(items, want) {
+		t.Fatalf("open items %v, want %v", items, want)
+	}
+	got, err := checkRoadmapRefs("testdata/cites.md", items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"testdata/cites.md:7: ROADMAP item 6 is not an open item",
+		"testdata/cites.md:8: ROADMAP item 3 is not an open item",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("problems:\n%q\nwant:\n%q", got, want)
+	}
+}

@@ -248,9 +248,8 @@ func ExampleTree_Snapshot() {
 }
 
 // ExampleTree_BulkLoad loads an initial batch offline, then reads every
-// measure of a cell in one descent (AllMeasures) and fans a large scan out
-// over workers (Parallel) — same answer as the serial descent. The tree
-// stays dynamic afterwards.
+// measure of a cell in one descent (AllMeasures) and the total of the whole
+// cube. The tree stays dynamic afterwards.
 func ExampleTree_BulkLoad() {
 	channel, _ := dctree.NewHierarchy("Channel", "Store", "Channel")
 	timeDim, _ := dctree.NewHierarchy("Time", "Week", "Month")
@@ -291,17 +290,15 @@ func ExampleTree_BulkLoad() {
 	fmt.Printf("Web/May: %d orders, revenue %.0f, units %.0f\n",
 		cell.AggVector[0].Count, cell.AggVector[0].Sum, cell.AggVector[1].Sum)
 
-	all := dctree.QueryAll(schema)
-	serial, _ := tree.Execute(context.Background(), dctree.QueryRequest{Query: all})
-	parallel, _ := tree.Execute(context.Background(), dctree.QueryRequest{Query: all, Parallel: 4})
-	fmt.Printf("all orders: %.0f serial, %.0f on 4 workers\n", serial.Agg.Sum, parallel.Agg.Sum)
+	total, _ := tree.Execute(context.Background(), dctree.QueryRequest{Query: dctree.QueryAll(schema)})
+	fmt.Printf("all orders: %.0f\n", total.Agg.Sum)
 
 	tree.Insert(orders[0])
 	tree.Delete(orders[0])
 	fmt.Printf("after a late order and its cancellation: %d\n", tree.Count())
 	// Output:
 	// Web/May: 333 orders, revenue 4327, units 666
-	// all orders: 25995 serial, 25995 on 4 workers
+	// all orders: 25995
 	// after a late order and its cancellation: 2000
 }
 

@@ -18,8 +18,8 @@ type (
 )
 
 // QueryRequest describes one range query for Execute. The zero value of
-// the optional fields selects the simplest form: first measure, serial
-// descent, no stats in the result.
+// the optional fields selects the simplest form: first measure, no stats
+// in the result.
 type QueryRequest struct {
 	// Query is the range, one DimSet per dimension of the schema (use
 	// mds.AllDim() for unconstrained dimensions).
@@ -30,9 +30,6 @@ type QueryRequest struct {
 	// AllMeasures aggregates every measure of the schema in one descent;
 	// the result is returned in QueryResult.AggVector.
 	AllMeasures bool
-	// Parallel ≥ 1 fans the descent out over that many worker goroutines;
-	// ≤ 0 runs the classic serial descent.
-	Parallel int
 	// CollectStats returns the work counters in QueryResult.Stats. The
 	// counters are always maintained internally (they feed Tree.Metrics);
 	// the flag only controls whether the caller gets a copy.
@@ -63,7 +60,7 @@ type QueryResult struct {
 // dimension, a set of attribute values at one hierarchy level, and the
 // chosen measure (or every measure) is aggregated over the data records in
 // the selected subcube. The index validates the request and runs the
-// serial or parallel descent; Execute picks what it walks — the live tree
+// descent; Execute picks what it walks — the live tree
 // under the read lock, or a pinned version — and records the query's
 // latency and work counters exactly once in the tree's metrics.
 //
@@ -115,7 +112,7 @@ func (t *Tree) Execute(ctx context.Context, req QueryRequest) (QueryResult, erro
 // execute runs the query over the live tree or the pinned version; Execute
 // wraps it with the once-per-query accounting.
 func (t *Tree) execute(ctx context.Context, req QueryRequest) (index.Result, error) {
-	q := index.Query{MDS: req.Query, Measure: req.Measure, AllMeasures: req.AllMeasures, Parallel: req.Parallel}
+	q := index.Query{MDS: req.Query, Measure: req.Measure, AllMeasures: req.AllMeasures}
 	if err := t.ix.CheckQuery(q); err != nil {
 		return index.Result{}, err
 	}

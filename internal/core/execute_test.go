@@ -32,9 +32,8 @@ func buildExecuteTree(t *testing.T, n int) (*Tree, []cube.Record, *rand.Rand) {
 }
 
 // TestExecuteFormsAgree checks that the request forms answer alike: the
-// single-measure descent matches a brute-force scan, the all-measures
-// descent carries the same aggregate and work counters, and the parallel
-// descent reaches the same answer with the same pruning decisions.
+// single-measure descent matches a brute-force scan, and the all-measures
+// descent carries the same aggregate and work counters.
 func TestExecuteFormsAgree(t *testing.T) {
 	tree, recs, rng := buildExecuteTree(t, 1500)
 	ctx := context.Background()
@@ -64,21 +63,6 @@ func TestExecuteFormsAgree(t *testing.T) {
 		}
 		if all.Stats != res.Stats {
 			t.Fatalf("query %d: all-measures stats %+v != serial stats %+v", i, all.Stats, res.Stats)
-		}
-
-		// Parallel: same answer, and the merged worker stats must equal the
-		// serial stats exactly (same pruning decisions, different order).
-		for _, workers := range []int{1, 3, 4} {
-			pres, err := tree.Execute(ctx, QueryRequest{Query: q, Measure: 0, Parallel: workers, CollectStats: true})
-			if err != nil {
-				t.Fatalf("Execute parallel=%d: %v", workers, err)
-			}
-			if !aggMatches(pres.Agg, want) {
-				t.Fatalf("query %d parallel=%d: agg %+v != brute %+v", i, workers, pres.Agg, want)
-			}
-			if pres.Stats != res.Stats {
-				t.Fatalf("query %d parallel=%d: stats %+v != serial %+v", i, workers, pres.Stats, res.Stats)
-			}
 		}
 	}
 }
@@ -115,8 +99,8 @@ func TestExecuteValidation(t *testing.T) {
 }
 
 // TestExecuteCancellation: a canceled context aborts the descent with
-// context.Canceled, on both the serial and the parallel path, and the
-// abort is counted as a cancellation, not an error.
+// context.Canceled, and the abort is counted as a cancellation, not an
+// error.
 func TestExecuteCancellation(t *testing.T) {
 	tree, _, rng := buildExecuteTree(t, 2000)
 	q := mds.Top(tree.Schema().Dims()) // full scan: maximum work
@@ -125,25 +109,22 @@ func TestExecuteCancellation(t *testing.T) {
 	cancel()
 
 	before := tree.Metrics()
-	for _, workers := range []int{0, 4} {
-		res, err := tree.Execute(ctx, QueryRequest{Query: q, Parallel: workers, CollectStats: true})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("parallel=%d: got %v, want context.Canceled", workers, err)
-		}
-		// The poll runs every index.CtxCheckInterval visits, so an aborted full
-		// scan must have stopped well short of the whole tree.
-		full, ferr := tree.Execute(context.Background(), QueryRequest{Query: q, CollectStats: true})
-		if ferr != nil {
-			t.Fatalf("full scan: %v", ferr)
-		}
-		if res.Stats.NodesVisited >= full.Stats.NodesVisited {
-			t.Fatalf("parallel=%d: canceled scan visited %d of %d nodes",
-				workers, res.Stats.NodesVisited, full.Stats.NodesVisited)
-		}
+	res, err := tree.Execute(ctx, QueryRequest{Query: q, CollectStats: true})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	// The poll runs every index.CtxCheckInterval visits, so an aborted full
+	// scan must have stopped well short of the whole tree.
+	full, ferr := tree.Execute(context.Background(), QueryRequest{Query: q, CollectStats: true})
+	if ferr != nil {
+		t.Fatalf("full scan: %v", ferr)
+	}
+	if res.Stats.NodesVisited >= full.Stats.NodesVisited {
+		t.Fatalf("canceled scan visited %d of %d nodes", res.Stats.NodesVisited, full.Stats.NodesVisited)
 	}
 	m := tree.Metrics()
-	if got := m.QueryCancels - before.QueryCancels; got != 2 {
-		t.Fatalf("QueryCancels delta = %d, want 2", got)
+	if got := m.QueryCancels - before.QueryCancels; got != 1 {
+		t.Fatalf("QueryCancels delta = %d, want 1", got)
 	}
 	if m.QueryErrors != before.QueryErrors {
 		t.Fatalf("cancellation counted as error: %d -> %d", before.QueryErrors, m.QueryErrors)
@@ -388,8 +369,8 @@ func TestSlowQueryHook(t *testing.T) {
 }
 
 // TestExecuteConcurrentWithMetrics hammers Execute from several goroutines
-// (serial and parallel descents, plus Metrics snapshots) to give the race
-// detector surface over the whole observability path.
+// (single-measure and all-measures descents, plus Metrics snapshots) to give
+// the race detector surface over the whole observability path.
 func TestExecuteConcurrentWithMetrics(t *testing.T) {
 	tree, _, _ := buildExecuteTree(t, 800)
 	done := make(chan error, 8)
@@ -403,7 +384,7 @@ func TestExecuteConcurrentWithMetrics(t *testing.T) {
 				case 0:
 					_, err = rangeAgg(tree, q, 0)
 				case 1:
-					_, err = tree.Execute(context.Background(), QueryRequest{Query: q, Parallel: 2})
+					_, err = tree.Execute(context.Background(), QueryRequest{Query: q, CollectStats: true})
 				case 2:
 					_, err = tree.Execute(context.Background(), QueryRequest{Query: q, AllMeasures: true})
 				default:

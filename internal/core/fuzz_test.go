@@ -55,6 +55,7 @@ func FuzzDecodeWALRecord(f *testing.F) {
 func FuzzDecodeMeta(f *testing.F) {
 	blob := flushedMetaBlob(f)
 	f.Add(blob)
+	f.Add(retiredSupernodeBitBlob(f, blob, blob[metaFlagsOffset(f, blob)]))
 	f.Add(blob[:len(blob)/2])
 	f.Add([]byte(metaMagic))
 	f.Add(append([]byte(metaMagic), fuzzNegativeLength()...))

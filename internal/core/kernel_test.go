@@ -50,7 +50,7 @@ func TestScratchResultsAreCopiedOut(t *testing.T) {
 	supernodes := smallConfig()
 	supernodes.LeafCapacity, supernodes.DirCapacity = 4, 4
 	forced := supernodes
-	forced.DisableSupernodes = true
+	forced.MaxSupernodeBlocks = 1
 	t.Run("supernodes", func(t *testing.T) { scratchAliasingWorkload(t, supernodes, 300) })
 	// Records that repeat a few dozen coordinates cannot be separated: the
 	// saved fallback partition is forced.
@@ -102,7 +102,7 @@ func scratchAliasingWorkload(t *testing.T, cfg Config, customers int) {
 			}
 		}
 	}
-	if cfg.DisableSupernodes && tree.Metrics().SplitsForced == 0 {
+	if cfg.MaxSupernodeBlocks == 1 && tree.Metrics().SplitsForced == 0 {
 		t.Fatal("no split was forced: the fallback partition was never used")
 	}
 	var all []cube.Record

@@ -114,9 +114,6 @@ func (t *Tree) encodeMeta(snap metaSnapshot) ([]byte, error) {
 	if t.cfg.Materialize {
 		flags |= 1
 	}
-	if t.cfg.DisableSupernodes {
-		flags |= 2
-	}
 	if t.cfg.FlatChooseSubtree {
 		flags |= 4
 	}
@@ -241,7 +238,11 @@ func decodeMeta(meta []byte) (*Tree, error) {
 	cfg.RefineBound = int(r.varint())
 	flags := r.byte()
 	cfg.Materialize = flags&1 != 0
-	cfg.DisableSupernodes = flags&2 != 0
+	// Bit 2, no longer written, was the switch that disabled supernodes:
+	// the cap of one.
+	if flags&2 != 0 {
+		cfg.MaxSupernodeBlocks = 1
+	}
 	cfg.FlatChooseSubtree = flags&4 != 0
 	cfg.CheckpointInterval = time.Duration(r.varint())
 	cfg.CheckpointDirtyBytes = int(r.uvarint())

@@ -15,8 +15,8 @@ import (
 //
 // Query-side counters are recorded exactly once per query at the Execute
 // choke point, never inside the descent, so they stay consistent across
-// the serial, parallel, and all-measures paths and across every public
-// convenience wrapper.
+// the single- and all-measures paths and across every public convenience
+// wrapper.
 type treeMetrics struct {
 	inserts       obs.Counter
 	insertLatency obs.Histogram
@@ -35,8 +35,8 @@ type treeMetrics struct {
 	qMaterializedHits obs.Counter
 	qRecordsMatched   obs.Counter
 
-	// The node cache. (Split, supernode, mask-pool, work-stealing and
-	// read-image counters are the index's own: index.Counters.)
+	// The node cache. (Split, supernode, mask-pool and read-image
+	// counters are the index's own: index.Counters.)
 	cacheHits   obs.Counter
 	cacheMisses obs.Counter
 
@@ -147,12 +147,6 @@ type Metrics struct {
 	MaskPoolHits     int64
 	MaskPoolMisses   int64
 	MaskPoolHitRatio float64
-
-	// Work-stealing parallel descent: subtree tasks pushed back onto the
-	// shared queue (beyond the root seed) and tasks taken by a worker other
-	// than the one that pushed them.
-	ParallelTasksSpawned int64
-	ParallelTasksStolen  int64
 
 	// Zero-copy read path. FlatNodeReads counts node resolutions served as
 	// in-place flat views over extent bytes or a version's overlay payloads;
@@ -293,9 +287,6 @@ func (t *Tree) Metrics() Metrics {
 		MaskPoolHits:   ic.MaskPoolHits,
 		MaskPoolMisses: ic.MaskPoolMisses,
 
-		ParallelTasksSpawned: ic.StealSpawned,
-		ParallelTasksStolen:  ic.StealStolen,
-
 		FlatNodeReads:   m.flatNodeReads.Load(),
 		DecodeFallbacks: m.decodeFallbacks.Load(),
 		ReadImageBuilds: ic.ReadImageBuilds,
@@ -413,8 +404,6 @@ func (m Metrics) Families() []obs.Family {
 		obs.CounterFamily("dctree_mask_pool_hits_total", "Queries whose membership-mask arena was recycled from the pool.", m.MaskPoolHits),
 		obs.CounterFamily("dctree_mask_pool_misses_total", "Queries that allocated a fresh membership-mask arena.", m.MaskPoolMisses),
 		obs.GaugeFamily("dctree_mask_pool_hit_ratio", "Mask-arena pool hits per query.", m.MaskPoolHitRatio),
-		obs.CounterFamily("dctree_parallel_tasks_spawned_total", "Subtree tasks pushed onto the shared work-stealing queue.", m.ParallelTasksSpawned),
-		obs.CounterFamily("dctree_parallel_tasks_stolen_total", "Subtree tasks executed by a worker other than the one that pushed them.", m.ParallelTasksStolen),
 		obs.CounterFamily("dctree_flat_node_reads_total", "Node resolutions served as zero-copy flat views over mapped extents.", m.FlatNodeReads),
 		obs.CounterFamily("dctree_decode_fallback_total", "Node resolutions served by a checked store read because the store serves no views.", m.DecodeFallbacks),
 		obs.CounterFamily("dctree_read_image_builds_total", "Read images (flat encodings) built for heap directory nodes.", m.ReadImageBuilds),

@@ -15,9 +15,9 @@ import (
 // TestReadersNeverFillCache pins the read side's invariant: a query
 // resolves a resident node from the cache and frames every other node where
 // it lies, so no reader ever decodes a node or writes the cache. On a twin
-// whose store serves no views, after EvictCache, concurrent serial,
-// parallel and as-of queries and both scans leave the cache empty, a serial
-// query reads exactly the nodes it visits, and every answer equals the
+// whose store serves no views, after EvictCache, concurrent live and as-of
+// queries and both scans leave the cache empty, a query reads exactly the
+// nodes it visits, and every answer equals the
 // sequential-scan oracle. Run with -race.
 func TestReadersNeverFillCache(t *testing.T) {
 	cfg := smallConfig()
@@ -49,7 +49,7 @@ func TestReadersNeverFillCache(t *testing.T) {
 		wants[i] = bruteAgg(t, s, recs, queries[i], 0)
 	}
 
-	// A serial query reads each node it visits once, from the store.
+	// A query reads each node it visits once, from the store.
 	for i, q := range queries[:8] {
 		before := twin.Store().Stats().Reads
 		res, err := twin.Execute(context.Background(), QueryRequest{Query: q, CollectStats: true})
@@ -68,16 +68,13 @@ func TestReadersNeverFillCache(t *testing.T) {
 			defer wg.Done()
 			for i, q := range queries {
 				req := QueryRequest{Query: q}
-				switch w {
-				case 1:
-					req.Parallel = 4
-				case 2:
-					req.AsOf, req.Parallel = snap, i%2*4
+				if w == 1 || w == 2 && i%2 == 1 {
+					req.AsOf = snap
 				}
 				res, err := twin.Execute(context.Background(), req)
 				if err != nil || !aggMatches(res.Agg, wants[i]) {
-					t.Errorf("query %d (parallel %d, as-of %v): %+v, %v; want %+v",
-						i, req.Parallel, req.AsOf != nil, res.Agg, err, wants[i])
+					t.Errorf("query %d (as-of %v): %+v, %v; want %+v",
+						i, req.AsOf != nil, res.Agg, err, wants[i])
 					return
 				}
 				if n := twin.CachedNodes(); n != 0 {
@@ -277,7 +274,7 @@ func TestConcurrentCacheStress(t *testing.T) {
 	}()
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func(w int) { // readers: serial and parallel descents
+		go func(w int) { // readers: single- and all-measures descents
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				select {
@@ -290,7 +287,7 @@ func TestConcurrentCacheStress(t *testing.T) {
 				if w%2 == 0 {
 					_, err = rangeAgg(tree, q, 0)
 				} else {
-					_, err = tree.Execute(context.Background(), QueryRequest{Query: q, Parallel: 4})
+					_, err = tree.Execute(context.Background(), QueryRequest{Query: q, AllMeasures: true})
 				}
 				if err != nil {
 					errs <- err
@@ -354,32 +351,5 @@ func TestQueryCtxPoolReuse(t *testing.T) {
 	}
 	if m.MaskPoolHitRatio <= 0.5 {
 		t.Fatalf("mask pool hit ratio = %g, want > 0.5", m.MaskPoolHitRatio)
-	}
-}
-
-// TestParallelStealMetrics asserts the work-stealing descent reports queue
-// activity on a tree deep enough to fan out.
-func TestParallelStealMetrics(t *testing.T) {
-	tree := newTestTree(t, smallConfig())
-	s := tree.Schema()
-	rng := rand.New(rand.NewSource(61))
-	for _, r := range genRecords(t, s, rng, 2000) {
-		if err := tree.Insert(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Fully-contained queries are answered by materialized aggregates at the
-	// root without descending; partially-overlapping ranges force workers
-	// down the tree and onto the shared queue.
-	qrng := rand.New(rand.NewSource(63))
-	for i := 0; i < 16; i++ {
-		q := randomQuery(qrng, s, 0.3)
-		if _, err := tree.Execute(context.Background(), QueryRequest{Query: q, Parallel: 4}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m := tree.Metrics()
-	if m.ParallelTasksSpawned == 0 {
-		t.Fatalf("no tasks spawned onto the steal queue: %+v", m)
 	}
 }

@@ -138,7 +138,7 @@ func TestReadersRaceToBuildImages(t *testing.T) {
 			<-start
 			for i := 0; i < 150; i++ {
 				q := queries[(i+w)%len(queries)] // neighbours ask for the same images
-				req := QueryRequest{Query: q, Parallel: (i % 2) * 2}
+				req := QueryRequest{Query: q}
 				if w == 3 {
 					req.AsOf = v
 				}

@@ -95,7 +95,7 @@ func TestGoldenTreeShape(t *testing.T) {
 		// the fallback partition is forced ...
 		{"forced-splits", func(c *Config) {
 			c.LeafCapacity = 48
-			c.DisableSupernodes = true
+			c.MaxSupernodeBlocks = 1
 			c.MaxOverlapRatio = 0.002
 			c.MinFillRatio = 0.45
 		}, "07fcacb8ebacc17216b227d8"},
@@ -166,8 +166,8 @@ func TestGoldenTreeShape(t *testing.T) {
 // the read-path kernel (PR 15); the kernel changes how an entry is tested,
 // never which entries are. The block-filled default's tree is another shape
 // with other numbers and the same answers. Every way of walking the tree
-// does the same work: serial and parallel over heap nodes, as of a version
-// (overlay payloads), and over zero-copy views of checkpointed extents.
+// does the same work: over heap nodes, as of a version (overlay payloads),
+// and over zero-copy views of checkpointed extents.
 //
 // Both trees' numbers were re-pinned once, when inserts and splits began to
 // bound directory entries (index.boundMDS). Coarser entries prune less on
@@ -237,13 +237,11 @@ func TestGoldenQueryStats(t *testing.T) {
 				}
 			}
 			check("serial", QueryRequest{})
-			check("parallel", QueryRequest{Parallel: 3})
 			v, err := tree.Snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
 			check("as-of", QueryRequest{AsOf: v})
-			check("as-of parallel", QueryRequest{AsOf: v, Parallel: 3})
 			if err := v.Release(); err != nil {
 				t.Fatal(err)
 			}

@@ -158,6 +158,19 @@ func TestEmptyTree(t *testing.T) {
 	if !tree.RootMDS().Equal(mds.Top(3)) {
 		t.Fatalf("root MDS of empty tree = %v", tree.RootMDS())
 	}
+
+	// A few records leave the root a data node, which the query scans.
+	for _, r := range genRecords(t, tree.Schema(), rand.New(rand.NewSource(213)), 5) {
+		if err := tree.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tree.Height() != 1 {
+		t.Fatalf("5 records: height %d, want a data-node root", tree.Height())
+	}
+	if agg, err = rangeAgg(tree, q, 0); err != nil || agg.Count != 5 {
+		t.Fatalf("leaf-root query: %+v, %v; want count 5", agg, err)
+	}
 }
 
 func TestInsertRejectsBadRecords(t *testing.T) {
@@ -514,7 +527,7 @@ func TestAblationsAgreeWithDefault(t *testing.T) {
 	}
 	base := build(func(*Config) {})
 	noMat := build(func(c *Config) { c.Materialize = false })
-	noSuper := build(func(c *Config) { c.DisableSupernodes = true })
+	noSuper := build(func(c *Config) { c.MaxSupernodeBlocks = 1 })
 
 	for i := 0; i < 100; i++ {
 		q := randomQuery(rng, s, 0.2)

@@ -81,12 +81,7 @@ func verifyVersion(t testing.TB, tree *Tree, v *Version, oracle []cube.Record, q
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < queries; i++ {
 		q := randomQuery(rng, tree.Schema(), 0.3)
-		parallel := 0
-		if i%3 == 2 {
-			parallel = 4 // exercise the lock-free parallel descent too
-		}
-		res, err := tree.Execute(context.Background(),
-			QueryRequest{Query: q, AsOf: v, Parallel: parallel})
+		res, err := tree.Execute(context.Background(), QueryRequest{Query: q, AsOf: v})
 		if err != nil {
 			t.Fatalf("as-of query %d: %v", i, err)
 		}
@@ -399,7 +394,7 @@ func TestAsOfAfterCrashRecovery(t *testing.T) {
 // TestSnapshotChurnStress is the -race acceptance test: snapshots taken
 // while inserts, deletes and checkpoints churn underneath must stay
 // byte-equal to a seqscan oracle frozen at their capture instant, with
-// as-of queries (serial and parallel) running lock-free throughout. All
+// as-of queries running lock-free throughout. All
 // records are interned up front: the hierarchy dictionaries are not
 // internally synchronized, and lock-free snapshot reads may not race with
 // registrations.
@@ -510,12 +505,7 @@ func TestSnapshotChurnStress(t *testing.T) {
 			qrng := rand.New(rand.NewSource(int64(100 + s)))
 			for i := 0; i < queriesPerVer; i++ {
 				q := randomQuery(qrng, tree.Schema(), 0.3)
-				parallel := 0
-				if i%2 == 1 {
-					parallel = 3
-				}
-				res, err := tree.Execute(context.Background(),
-					QueryRequest{Query: q, AsOf: v, Parallel: parallel})
+				res, err := tree.Execute(context.Background(), QueryRequest{Query: q, AsOf: v})
 				if err != nil {
 					t.Errorf("snapshot %d query %d: %v", s, i, err)
 					return

@@ -172,6 +172,67 @@ func retiredMetaBlobs(t testing.TB) map[string][]byte {
 	return out
 }
 
+// metaFlagsOffset returns the offset of the config flags byte in a blob:
+// past the magic, three uvarints, two floats, the supernode cap and the
+// refine bound.
+func metaFlagsOffset(t testing.TB, blob []byte) int {
+	t.Helper()
+	r := metaReader{buf: blob, off: len(metaMagic)}
+	r.uvarint()
+	r.uvarint()
+	r.uvarint()
+	r.float64()
+	r.float64()
+	r.uvarint()
+	r.varint()
+	if r.err != nil || r.off >= len(blob) {
+		t.Fatalf("no flags byte in the blob (%v)", r.err)
+	}
+	return r.off
+}
+
+// retiredSupernodeBitBlob returns blob's flags byte set to flags plus bit
+// 2, the bit the retired switch that disabled supernodes wrote.
+func retiredSupernodeBitBlob(t testing.TB, blob []byte, flags byte) []byte {
+	t.Helper()
+	c := append([]byte(nil), blob...)
+	c[metaFlagsOffset(t, c)] = flags | 2
+	return c
+}
+
+// TestMetaRetiredSupernodeBit: a blob with flags bit 2 set reopens with the
+// supernode cap of one and its other flags as written, and encodes back
+// without the bit.
+func TestMetaRetiredSupernodeBit(t *testing.T) {
+	blob := flushedMetaBlob(t)
+	if blob[metaFlagsOffset(t, blob)]&2 != 0 {
+		t.Fatal("encodeMeta wrote flags bit 2")
+	}
+	for _, flags := range []byte{0, 1, 4, 5} {
+		tr, err := decodeMeta(retiredSupernodeBitBlob(t, blob, flags))
+		if err != nil {
+			t.Fatalf("flags %#x: %v", flags|2, err)
+		}
+		if tr.cfg.MaxSupernodeBlocks != 1 || tr.cfg.Materialize != (flags&1 != 0) || tr.cfg.FlatChooseSubtree != (flags&4 != 0) {
+			t.Fatalf("flags %#x: cap %d, Materialize %v, FlatChooseSubtree %v",
+				flags|2, tr.cfg.MaxSupernodeBlocks, tr.cfg.Materialize, tr.cfg.FlatChooseSubtree)
+		}
+		again, err := tr.encodeMeta(tr.metaSnapshotLocked())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := again[metaFlagsOffset(t, again)]; got != flags {
+			t.Fatalf("flags %#x re-encoded as %#x, want %#x", flags|2, got, flags)
+		}
+		if tr, err = decodeMeta(again); err != nil {
+			t.Fatalf("flags %#x re-encoded: %v", flags|2, err)
+		}
+		if tr.cfg.MaxSupernodeBlocks != 1 {
+			t.Fatalf("flags %#x re-encoded: cap %d, want 1", flags|2, tr.cfg.MaxSupernodeBlocks)
+		}
+	}
+}
+
 // retiredWALRecords returns a string-path mutation record (ops 1 and 2) as
 // the retired encoder framed it: op, measures, then per dimension the
 // top-down value names.

@@ -54,10 +54,9 @@ func openDecodeTwin(t *testing.T, tree *Tree, st storage.Store) *Tree {
 	return twin
 }
 
-// TestZeroCopyQueryEquivalence: on a flushed image, every query —
-// serial, all-measures, and parallel — returns identical answers over flat
-// views and through the decode path, and the flat path actually serves
-// reads.
+// TestZeroCopyQueryEquivalence: on a flushed image, every query — single-
+// and all-measures — returns identical answers over flat views and through
+// the decode path, and the flat path actually serves reads.
 func TestZeroCopyQueryEquivalence(t *testing.T) {
 	tree, st, _, rng := newPagedTree(t, smallConfig(), 800)
 	decode := openDecodeTwin(t, tree, st)
@@ -67,7 +66,6 @@ func TestZeroCopyQueryEquivalence(t *testing.T) {
 		reqs := []QueryRequest{
 			{Query: q},
 			{Query: q, AllMeasures: true},
-			{Query: q, Parallel: 4},
 		}
 		for _, req := range reqs {
 			decode.EvictCache()

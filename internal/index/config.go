@@ -32,8 +32,10 @@ type Config struct {
 	// MaxSupernodeBlocks caps supernode growth as a safety valve; at the
 	// cap the node accepts an unbalanced topological fallback split
 	// instead of growing further. 0 selects the default (64): there is no
-	// uncapped setting. Kept as a field, not a constant, because the meta
-	// blob persists it: a tree reopens under the cap it was built with.
+	// uncapped setting. 1: no supernodes; every failed split is forced (the
+	// ablation of the X-tree inheritance). Kept as a field, not a constant,
+	// because the meta blob persists it: a tree reopens under the cap it
+	// was built with.
 	MaxSupernodeBlocks int
 
 	// RefineBound controls how eagerly a freshly split node's MDS lowers
@@ -54,17 +56,12 @@ type Config struct {
 	// of their subtrees. Disabling it (ablation) forces every range query
 	// to descend to the data nodes, like the X-tree baseline.
 	//
-	// This and the two switches below exist for ablations, not for
+	// This and FlatChooseSubtree below exist for ablations, not for
 	// production: BenchmarkAblationNoMaterialization and the shape
 	// goldens' ablation trees set them, and TestAblationsAgreeWithDefault
 	// holds every variant to the default's answers. The meta blob persists
 	// them.
 	Materialize bool
-
-	// DisableSupernodes forces the split algorithm to fall back to an
-	// unbalanced best-effort split instead of creating supernodes
-	// (ablation of the X-tree inheritance).
-	DisableSupernodes bool
 
 	// FlatChooseSubtree makes the insert path weigh every new attribute
 	// value equally instead of geometrically favoring coarse levels

@@ -9,7 +9,7 @@ import (
 )
 
 // Query describes one range query. The zero value of the optional fields
-// selects the simplest form: first measure, serial descent.
+// selects the simplest form: the first measure.
 type Query struct {
 	// MDS is the range, one DimSet per dimension of the schema (use
 	// mds.AllDim() for unconstrained dimensions).
@@ -20,9 +20,6 @@ type Query struct {
 	// AllMeasures aggregates every measure of the schema in one descent;
 	// the result is returned in Result.AggVector.
 	AllMeasures bool
-	// Parallel ≥ 1 fans the descent out over that many worker goroutines;
-	// ≤ 0 runs the classic serial descent.
-	Parallel int
 }
 
 // Result is the outcome of Execute.
@@ -61,10 +58,9 @@ func (ix *Index) CheckQuery(q Query) error {
 // resolves every node through src — the live tree under the host's shared
 // hold, or a frozen version of it.
 //
-// ctx cancellation and deadlines are honored during the descent: the loop
-// polls the context every CtxCheckInterval node visits (and every parallel
-// worker polls its own slice of the tree), returning ctx.Err() promptly
-// for long scans over large trees.
+// ctx cancellation and deadlines are honored during the descent: the walk
+// polls the context every CtxCheckInterval node visits, returning
+// ctx.Err() promptly for long scans over large trees.
 func (ix *Index) Execute(ctx context.Context, src Source, root NodeID, q Query) (Result, error) {
 	var res Result
 	qc, err := ix.newQueryCtx(q.MDS)
@@ -72,23 +68,21 @@ func (ix *Index) Execute(ctx context.Context, src Source, root NodeID, q Query) 
 		return res, err
 	}
 	// The context and its mask arenas go back to the pool once the descent
-	// is done; executeParallel joins every worker before returning, so no
-	// goroutine holds qc past this function.
+	// is done.
 	defer ix.putQueryCtx(qc)
-	if q.Parallel > 0 {
-		return ix.executeParallel(ctx, qc, q, src, root)
-	}
 
 	// The sink of a single-measure query is a one-element window that stays
 	// on the stack; only the all-measures vector is handed to the caller.
 	var one [1]cube.Agg
 	out := cube.AggVector(one[:])
+	d := descent{src: src, qc: qc, ctx: ctx, check: CtxCheckInterval,
+		materialize: ix.cfg.Materialize, frames: qc.frames}
 	if q.AllMeasures {
 		res.AggVector = cube.NewAggVector(ix.schema.Measures())
 		out = res.AggVector
+	} else {
+		d.first = q.Measure
 	}
-	d := ix.newDescent(ctx, src, qc, q)
-	d.frames = qc.frames
 	err = d.visitNode(root, out)
 	qc.frames = d.frames
 	if err != nil {

@@ -8,7 +8,7 @@
 // choose-subtree (Fig. 4, insert.go), the hierarchy split (Figs. 5–6,
 // split.go), deletion with exact repair of the derived information
 // (delete.go), bulk building (bulk.go) and the range query over
-// materialized aggregates (Fig. 7, query.go, querymask.go, parallel.go),
+// materialized aggregates (Fig. 7, query.go, querymask.go),
 // on nodes whose one encoding (flatnode.go) is queried in place. It knows
 // no store, no log and no lock. Whoever hosts an Index keeps its nodes and
 // serializes its callers, and meets it through two interfaces:
@@ -106,8 +106,6 @@ type counters struct {
 	rootSplits       obs.Counter
 	maskPoolHits     obs.Counter
 	maskPoolMisses   obs.Counter
-	stealSpawned     obs.Counter
-	stealStolen      obs.Counter
 	readImageBuilds  obs.Counter
 	repairFallbacks  obs.Counter
 }
@@ -124,10 +122,6 @@ type Counters struct {
 	// Queries whose mask arenas were recycled from the pool vs. allocated.
 	MaskPoolHits   int64
 	MaskPoolMisses int64
-	// Parallel descent: subtree tasks pushed onto the shared queue, and
-	// those taken by a worker other than the one that pushed them.
-	StealSpawned int64
-	StealStolen  int64
 	// Read images built for heap directories.
 	ReadImageBuilds int64
 	// Delete repairs of an entry or the root MDS that moved a level and so
@@ -176,8 +170,6 @@ func (ix *Index) Counters() Counters {
 		RootSplits:            c.rootSplits.Load(),
 		MaskPoolHits:          c.maskPoolHits.Load(),
 		MaskPoolMisses:        c.maskPoolMisses.Load(),
-		StealSpawned:          c.stealSpawned.Load(),
-		StealStolen:           c.stealStolen.Load(),
 		ReadImageBuilds:       c.readImageBuilds.Load(),
 		DeleteRepairFallbacks: c.repairFallbacks.Load(),
 	}

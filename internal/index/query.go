@@ -23,24 +23,15 @@ type QueryStats struct {
 	RecordsMatched int
 }
 
-// add accumulates another query's (or worker's) counters.
-func (s *QueryStats) add(o QueryStats) {
-	s.NodesVisited += o.NodesVisited
-	s.EntriesScanned += o.EntriesScanned
-	s.EntriesPruned += o.EntriesPruned
-	s.MaterializedHits += o.MaterializedHits
-	s.RecordsMatched += o.RecordsMatched
-}
-
 // NodeView is what a read-only descent walks. A directory is always a
 // FlatNode — a mapped extent, an overlay payload, or a heap node's read
 // image — so one matcher serves them all; a data node is either a FlatNode
 // (rows at a fixed stride in the payload) or the heap node n with its
 // packed rows.
 //
-// The descent owns its views: one frame per depth of a serial walk, one per
-// parallel worker, which a Source fills in place (Source.View), so a visit
-// copies no view through its returns.
+// The descent owns its views: one frame per depth of the walk, which a
+// Source fills in place (Source.View), so a visit copies no view through
+// its returns.
 type NodeView struct {
 	n *Node
 	f FlatNode
@@ -69,11 +60,9 @@ func (nv *NodeView) CheckTable() error {
 	return nv.f.CheckTable()
 }
 
-// descent carries the per-goroutine state of one range-query walk: the
-// node resolver (live tree or pinned version), the shared read-only query
-// context, the cancellation context with its poll countdown and the work
-// counters. Parallel queries give every worker its own descent over the
-// same queryCtx.
+// descent carries the state of one range-query walk: the node resolver
+// (live tree or pinned version), the read-only query context, the
+// cancellation context with its poll countdown and the work counters.
 type descent struct {
 	src         Source
 	qc          *queryCtx
@@ -90,28 +79,11 @@ type descent struct {
 	// heap with them.)
 	first int
 
-	// A parallel worker (q != nil) does not recurse into a partially
-	// overlapping child: it offers the child to the shared queue and keeps
-	// it on its own stack when the queue is not hungry.
-	q     *stealQueue
-	w     int
-	stack []NodeID
-
 	// frames holds the view of the node visited at each depth of the walk,
-	// filled in place by the Source; depth is the current one. A serial
-	// walk borrows the pooled queryCtx's frames, a parallel worker, which
-	// never recurses, grows its own to one.
+	// filled in place by the Source; depth is the current one. The walk
+	// borrows the pooled queryCtx's frames.
 	frames []NodeView
 	depth  int
-}
-
-// newDescent prepares a walk of src for q.
-func (ix *Index) newDescent(ctx context.Context, src Source, qc *queryCtx, q Query) descent {
-	d := descent{src: src, qc: qc, ctx: ctx, check: CtxCheckInterval, materialize: ix.cfg.Materialize}
-	if !q.AllMeasures {
-		d.first = q.Measure
-	}
-	return d
 }
 
 // visit accounts one node and polls the context every CtxCheckInterval
@@ -134,8 +106,7 @@ func (d *descent) visit() error {
 // MDS are compared level by level through the query masks: entries without
 // overlap are pruned, entries fully contained in the range contribute their
 // materialized aggregate, and partially overlapping entries are descended
-// into — by recursion on a serial walk, through the worker's stack and the
-// shared queue on a parallel one. Aggregates are folded into out.
+// into by recursion. Aggregates are folded into out.
 func (d *descent) visitNode(id NodeID, out cube.AggVector) error {
 	if d.depth == len(d.frames) {
 		d.frames = append(d.frames, NodeView{})
@@ -171,17 +142,11 @@ func (d *descent) visitNode(id NodeID, out cube.AggVector) error {
 			d.st.MaterializedHits++
 			continue
 		}
-		child := f.Child(i)
-		switch {
-		case d.q == nil:
-			d.depth++
-			err := d.visitNode(child, out)
-			d.depth--
-			if err != nil {
-				return err
-			}
-		case !d.q.trySpawn(child, d.w):
-			d.stack = append(d.stack, child)
+		d.depth++
+		err = d.visitNode(f.Child(i), out)
+		d.depth--
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -28,8 +28,8 @@ import (
 // they replace) carved out of two arenas owned by the queryCtx, and whole
 // queryCtx values are recycled through the index's qcPool: a steady-state
 // query builds its masks without allocating. Execute releases the context
-// back to the pool after the descent — no goroutine may retain it past the
-// query (parallel workers are joined before release).
+// back to the pool after the descent — nothing may retain it past the
+// query.
 type queryCtx struct {
 	q mds.MDS
 	// masks[d] is nil for unconstrained (ALL) dimensions; otherwise

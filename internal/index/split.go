@@ -87,7 +87,7 @@ func (ix *Index) splitNode(n *Node, nodeMDS mds.MDS) (insertResult, error) {
 	}
 
 	// No acceptable split in any dimension (Fig. 5: "Create supernode").
-	mayGrow := !ix.cfg.DisableSupernodes && n.blocks < ix.cfg.MaxSupernodeBlocks
+	mayGrow := n.blocks < ix.cfg.MaxSupernodeBlocks
 	fb := &ss.fallback
 	if mayGrow || !fb.ok {
 		// A missing fallback cannot happen with ≥ 2 entries, but guard by

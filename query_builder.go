@@ -124,9 +124,9 @@ func (b *QueryBuilder) AsOf(v *Version) *QueryBuilder {
 }
 
 // BuildRequest assembles the query as a QueryRequest for Tree.Execute,
-// carrying the AsOf version if one was set. Measure, AllMeasures,
-// Parallel and CollectStats start at their zero values — set them on the
-// returned request.
+// carrying the AsOf version if one was set. Measure, AllMeasures and
+// CollectStats start at their zero values — set them on the returned
+// request.
 func (b *QueryBuilder) BuildRequest() (QueryRequest, error) {
 	q, err := b.Build()
 	if err != nil {
