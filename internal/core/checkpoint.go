@@ -140,10 +140,7 @@ func (t *Tree) captureVersionsLocked() []ckptVersion {
 			id:      v.id,
 			lsn:     v.lsn,
 			created: v.created.UnixNano(),
-			root:    v.root,
-			rootMDS: v.rootMDS,
-			height:  v.height,
-			count:   v.count,
+			head:    v.head,
 		}}
 		table := make(map[nodeID]extentRef, len(v.table)+len(v.overlay))
 		for id, ref := range v.table {

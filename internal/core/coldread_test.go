@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -106,5 +107,77 @@ func TestParallelColdReadsOverlap(t *testing.T) {
 	t.Logf("cold batch: 1 reader %v, %d readers %v (%.2fx)", one, readers, four, speedup)
 	if speedup <= 2 {
 		t.Fatalf("%d readers answered the cold batch %.2fx as fast as 1, want > 2x", readers, speedup)
+	}
+}
+
+// TestWritersProceedDuringVersionCheck: an as-of Validate holds the
+// version's reference, not the tree lock. On a cold 20k-record tree whose
+// every node read costs 500 µs, 20 inserts all return while one check of a
+// version is still reading, and the check passes; the version's LevelStats
+// are the tree's at the snapshot.
+func TestWritersProceedDuringVersionCheck(t *testing.T) {
+	const records, inserts, delay = 20000, 20, 500 * time.Microsecond
+	gen, err := tpcd.New(1, tpcd.ScaleFor(records))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	ls := &latencyStore{Store: storage.NewMemStore(cfg.BlockSize)}
+	tree, err := New(ls, gen.Schema(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Interned up front: the inserts register no value while the check
+	// reads the dictionaries.
+	recs := gen.Records(records + inserts)
+	for _, r := range recs[:records] {
+		if err := tree.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tree.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	v, err := tree.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := tree.LevelStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree.EvictCache()
+	ls.delay.Store(int64(delay))
+	checked := make(chan error, 1)
+	start := time.Now()
+	go func() { checked <- v.Validate() }()
+	for _, r := range recs[records:] {
+		if err := tree.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wrote := time.Since(start)
+	select {
+	case err := <-checked:
+		t.Fatalf("the version check returned (%v) before %d inserts did", err, inserts)
+	default:
+	}
+	if err := <-checked; err != nil {
+		t.Fatalf("version check: %v", err)
+	}
+	t.Logf("%d inserts returned after %v, the version check after %v", inserts, wrote, time.Since(start))
+	ls.delay.Store(0)
+	got, err := v.LevelStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("version LevelStats %+v, tree's at the snapshot %+v", got, want)
+	}
+	if err := tree.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Release(); err != nil {
+		t.Fatal(err)
 	}
 }

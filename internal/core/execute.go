@@ -136,7 +136,7 @@ func (t *Tree) execute(ctx context.Context, req QueryRequest) (index.Result, err
 		}
 		defer v.unref()
 		t.metrics.asOfQueries.Inc()
-		return t.ix.Execute(ctx, v.nodes(), v.root, q)
+		return t.ix.Execute(ctx, v.nodes(), v.head.Root, q)
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()

@@ -198,8 +198,15 @@ func TestFlatNodeMDSView(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; n.Leaf() && i < n.Count(); i++ {
-			if r := f.Record(i); !slices.Equal(r.Coords, n.Row(i)) || !slices.Equal(r.Measures, n.RowMeasures(i)) {
-				t.Fatalf("node %d record %d: view record %v", n.ID(), i, r)
+			for d, c := range n.Row(i) {
+				if f.Coord(i, d) != c {
+					t.Fatalf("node %d record %d: view coordinate %d is %v, want %v", n.ID(), i, d, f.Coord(i, d), c)
+				}
+			}
+			for j, x := range n.RowMeasures(i) {
+				if f.Measure(i, j) != x {
+					t.Fatalf("node %d record %d: view measure %d is %v, want %v", n.ID(), i, j, f.Measure(i, j), x)
+				}
 			}
 		}
 		for i, e := range n.Entries() {

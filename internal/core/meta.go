@@ -34,10 +34,7 @@ type versionManifest struct {
 	id      uint64
 	lsn     uint64
 	created int64 // capture time, Unix nanoseconds
-	root    nodeID
-	rootMDS mds.MDS
-	height  int
-	count   int64
+	head    index.Head
 	table   map[nodeID]extentRef
 }
 
@@ -48,10 +45,7 @@ type versionManifest struct {
 // superset of the dictionaries at capture time decodes every captured
 // node.
 type metaSnapshot struct {
-	root          nodeID
-	rootMDS       mds.MDS
-	height        int
-	count         int64
+	head          index.Head
 	nextID        nodeID
 	checkpointLSN uint64
 	// MVCC version stamps (meta v5): the version-number mint and the most
@@ -82,10 +76,7 @@ func (t *Tree) metaSnapshotLocked() metaSnapshot {
 		table[id] = ref
 	}
 	return metaSnapshot{
-		root:             t.ix.Root(),
-		rootMDS:          t.ix.RootMDS().Clone(),
-		height:           t.ix.Height(),
-		count:            t.ix.Count(),
+		head:             t.ix.Head(),
 		nextID:           t.nextID,
 		checkpointLSN:    t.checkpointLSN,
 		versionSeq:       t.versionSeq,
@@ -124,16 +115,16 @@ func (t *Tree) encodeMeta(snap metaSnapshot) ([]byte, error) {
 	buf = binary.AppendVarint(buf, int64(t.cfg.VersionRetention.MaxAge))
 
 	// Tree shape.
-	buf = binary.AppendUvarint(buf, uint64(snap.root))
-	buf = binary.AppendUvarint(buf, uint64(snap.height))
-	buf = binary.AppendVarint(buf, snap.count)
+	buf = binary.AppendUvarint(buf, uint64(snap.head.Root))
+	buf = binary.AppendUvarint(buf, uint64(snap.head.Height))
+	buf = binary.AppendVarint(buf, snap.head.Count)
 	buf = binary.AppendUvarint(buf, uint64(snap.nextID))
 	buf = binary.AppendUvarint(buf, snap.checkpointLSN)
 	buf = binary.AppendUvarint(buf, snap.versionSeq)
 	buf = binary.AppendUvarint(buf, snap.latestVersionID)
 	buf = binary.AppendUvarint(buf, snap.latestVersionLSN)
 	buf = binary.AppendUvarint(buf, snap.epoch)
-	buf = snap.rootMDS.AppendEncode(buf)
+	buf = snap.head.RootMDS.AppendEncode(buf)
 
 	// Schema: dimensions with full dictionaries, then measure names.
 	buf = binary.AppendUvarint(buf, uint64(t.schema.Dims()))
@@ -166,10 +157,10 @@ func (t *Tree) encodeMeta(snap metaSnapshot) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, m.id)
 		buf = binary.AppendUvarint(buf, m.lsn)
 		buf = binary.AppendVarint(buf, m.created)
-		buf = binary.AppendUvarint(buf, uint64(m.root))
-		buf = binary.AppendUvarint(buf, uint64(m.height))
-		buf = binary.AppendVarint(buf, m.count)
-		buf = m.rootMDS.AppendEncode(buf)
+		buf = binary.AppendUvarint(buf, uint64(m.head.Root))
+		buf = binary.AppendUvarint(buf, uint64(m.head.Height))
+		buf = binary.AppendVarint(buf, m.head.Count)
+		buf = m.head.RootMDS.AppendEncode(buf)
 		buf = appendExtentTable(buf, m.table)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(snap.deferred)))
@@ -249,9 +240,10 @@ func decodeMeta(meta []byte) (*Tree, error) {
 	cfg.VersionRetention.KeepLast = int(r.varint())
 	cfg.VersionRetention.MaxAge = time.Duration(r.varint())
 
-	root := nodeID(r.uvarint())
-	height := int(r.uvarint())
-	count := r.varint()
+	var head index.Head
+	head.Root = nodeID(r.uvarint())
+	head.Height = int(r.uvarint())
+	head.Count = r.varint()
 	nextID := nodeID(r.uvarint())
 	checkpointLSN := r.uvarint()
 	versionSeq := r.uvarint()
@@ -265,6 +257,7 @@ func decodeMeta(meta []byte) (*Tree, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: root mds: %v", ErrCorrupt, err)
 	}
+	head.RootMDS = rootMDS
 	r.off += n
 
 	dims := int(r.uvarint())
@@ -311,9 +304,9 @@ func decodeMeta(meta []byte) (*Tree, error) {
 		m.id = r.uvarint()
 		m.lsn = r.uvarint()
 		m.created = r.varint()
-		m.root = nodeID(r.uvarint())
-		m.height = int(r.uvarint())
-		m.count = r.varint()
+		m.head.Root = nodeID(r.uvarint())
+		m.head.Height = int(r.uvarint())
+		m.head.Count = r.varint()
 		if r.err != nil {
 			return nil, fmt.Errorf("%w: version manifest %d: %v", ErrCorrupt, i, r.err)
 		}
@@ -324,14 +317,14 @@ func decodeMeta(meta []byte) (*Tree, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: version %d root mds: %v", ErrCorrupt, m.id, err)
 		}
-		m.rootMDS = vm
+		m.head.RootMDS = vm
 		r.off += n
 		m.table, err = decodeExtentTable(&r)
 		if err != nil {
 			return nil, fmt.Errorf("version %d %w", m.id, err)
 		}
-		if _, ok := m.table[m.root]; !ok {
-			return nil, fmt.Errorf("%w: version %d root node %d missing from manifest", ErrCorrupt, m.id, m.root)
+		if _, ok := m.table[m.head.Root]; !ok {
+			return nil, fmt.Errorf("%w: version %d root node %d missing from manifest", ErrCorrupt, m.id, m.head.Root)
 		}
 		manifests = append(manifests, m)
 	}
@@ -368,9 +361,9 @@ func decodeMeta(meta []byte) (*Tree, error) {
 		versions:         make(map[uint64]*Version),
 		pins:             storage.NewPins(),
 	}
-	t.ix = index.Restore(schema, cfg.Config, t.nodes(), root, rootMDS, height, count)
-	if _, ok := t.table[root]; !ok {
-		return nil, fmt.Errorf("%w: root node %d missing from table", ErrCorrupt, root)
+	t.ix = index.Restore(schema, cfg.Config, t.nodes(), head)
+	if _, ok := t.table[head.Root]; !ok {
+		return nil, fmt.Errorf("%w: root node %d missing from table", ErrCorrupt, head.Root)
 	}
 	t.rehydrateVersions(manifests, deferred)
 	return t, nil
@@ -415,10 +408,7 @@ func (t *Tree) rehydrateVersions(manifests []versionManifest, deferred []storage
 			id:      m.id,
 			lsn:     m.lsn,
 			created: time.Unix(0, m.created),
-			root:    m.root,
-			rootMDS: m.rootMDS,
-			height:  m.height,
-			count:   m.count,
+			head:    m.head,
 			table:   m.table,
 			overlay: make(map[nodeID][]byte),
 		}

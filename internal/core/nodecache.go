@@ -8,10 +8,10 @@ import (
 
 // nodeCache holds the tree's resident nodes: every node a mutation created
 // or faulted in through treeNodes.Get, until EvictCache drops the clean
-// ones. Readers never write it — a query resolves a resident node here and
-// frames every other one where it lies (treeNodes.View) — so it is written
-// only under t.mu held exclusively and read under t.mu held either way, and
-// needs no lock of its own.
+// ones. Readers never write it — a query, Scan, LevelStats or Validate
+// resolves a resident node here and frames every other one where it lies
+// (treeNodes.View) — so it is written only under t.mu held exclusively and
+// read under t.mu held either way, and needs no lock of its own.
 //
 // The dirty map carries a per-mark sequence number, not a boolean: a fuzzy
 // checkpoint snapshots (id, seq) pairs under the tree lock, writes the

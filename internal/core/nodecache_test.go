@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -198,8 +199,11 @@ func TestEvictCachePreservesDirtyNodes(t *testing.T) {
 // TestConcurrentCacheStress drives Get/MarkDirty/Drop/Flush through the
 // public API under -race: queries resolve nodes while inserts split and
 // drop them, a background goroutine flushes and evicts, and another walks
-// the tree through LevelStats and Validate, which fault nodes into the
-// cache under the exclusive hold.
+// the tree through LevelStats and Validate, which read under the shared
+// hold as queries do. The workload, not the clock, drives the rounds: every
+// 100 inserts the writer waits for a completed flush-and-evict round, so the
+// inserts after it fault evicted nodes back in, and halfway through it waits
+// for the walker's first round.
 func TestConcurrentCacheStress(t *testing.T) {
 	tree := newTestTree(t, smallConfig())
 	s := tree.Schema()
@@ -223,13 +227,34 @@ func TestConcurrentCacheStress(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	errs := make(chan error, 16)
+	// failed closes on the first error, so that no goroutine waits on one
+	// that has returned.
+	failed := make(chan struct{})
+	var failOnce sync.Once
+	fail := func(err error) {
+		errs <- err
+		failOnce.Do(func() { close(failed) })
+	}
+	rounds := make(chan struct{}, 1) // a flush-and-evict round completed
+	walked := make(chan struct{})    // the walker completed its first round
+	await := func(c <-chan struct{}) bool {
+		select {
+		case <-c:
+			return true
+		case <-failed:
+			return false
+		}
+	}
 	wg.Add(1)
 	go func() { // writer: inserts mark nodes dirty and drop split victims
 		defer wg.Done()
 		defer close(stop)
-		for _, r := range stream {
+		for i, r := range stream {
 			if err := tree.Insert(r); err != nil {
-				errs <- err
+				fail(err)
+				return
+			}
+			if i%100 == 99 && !await(rounds) || i == len(stream)/2 && !await(walked) {
 				return
 			}
 		}
@@ -246,29 +271,36 @@ func TestConcurrentCacheStress(t *testing.T) {
 			case <-time.After(time.Millisecond):
 			}
 			if err := tree.Flush(); err != nil {
-				errs <- err
+				fail(err)
 				return
 			}
 			tree.EvictCache()
 			tree.CachedNodes()
+			select {
+			case rounds <- struct{}{}:
+			default:
+			}
 		}
 	}()
 	wg.Add(1)
-	go func() { // walker: the two whole-tree readers of index.Store
+	go func() { // walker: the two whole-tree checks
 		defer wg.Done()
-		for {
+		for first := true; ; first = false {
+			if _, err := tree.LevelStats(); err != nil {
+				fail(err)
+				return
+			}
+			if err := tree.Validate(); err != nil {
+				fail(err)
+				return
+			}
+			if first {
+				close(walked)
+			}
 			select {
 			case <-stop:
 				return
 			case <-time.After(time.Millisecond):
-			}
-			if _, err := tree.LevelStats(); err != nil {
-				errs <- err
-				return
-			}
-			if err := tree.Validate(); err != nil {
-				errs <- err
-				return
 			}
 		}
 	}()
@@ -290,7 +322,7 @@ func TestConcurrentCacheStress(t *testing.T) {
 					_, err = tree.Execute(context.Background(), QueryRequest{Query: q, AllMeasures: true})
 				}
 				if err != nil {
-					errs <- err
+					fail(err)
 					return
 				}
 			}
@@ -307,6 +339,47 @@ func TestConcurrentCacheStress(t *testing.T) {
 	m := tree.Metrics()
 	if m.CacheHits == 0 || m.CacheMisses == 0 {
 		t.Fatalf("cache stress exercised no hits/misses: %+v", m)
+	}
+}
+
+// TestChecksLeaveCacheAlone: Validate and LevelStats read every node through
+// the live tree's Source, as queries do. After Flush and EvictCache they
+// fault no node into the cache and count no miss, and LevelStats reports
+// what it reported over the resident tree.
+func TestChecksLeaveCacheAlone(t *testing.T) {
+	tree := newTestTree(t, smallConfig())
+	for _, r := range genRecords(t, tree.Schema(), rand.New(rand.NewSource(41)), 600) {
+		if err := tree.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tree.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := tree.LevelStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree.EvictCache()
+	misses := tree.Metrics().CacheMisses
+	if err := tree.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if n := tree.CachedNodes(); n != 0 {
+		t.Fatalf("Validate cached %d nodes", n)
+	}
+	got, err := tree.LevelStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := tree.CachedNodes(); n != 0 {
+		t.Fatalf("LevelStats cached %d nodes", n)
+	}
+	if d := tree.Metrics().CacheMisses - misses; d != 0 {
+		t.Fatalf("the checks counted %d cache misses", d)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("LevelStats over the evicted tree %+v, over the resident tree %+v", got, want)
 	}
 }
 

@@ -23,8 +23,8 @@ type extentRef struct {
 	blocks int
 }
 
-// Tree is a DC-tree over a data cube. It is safe for concurrent use:
-// queries run under a read lock, mutations under a write lock — the
+// Tree is a DC-tree over a data cube. It is safe for concurrent use: reads
+// and checks run under a read lock, mutations under a write lock — the
 // structure stays continuously available for OLAP while single-record
 // updates stream in, which is the paper's motivating scenario.
 type Tree struct {
@@ -33,10 +33,10 @@ type Tree struct {
 	cfg    Config
 	store  storage.Store
 
-	// ix is the paper's index: root, shape and the three algorithms. Its
-	// mutations run under t.mu held exclusively, its queries under t.mu held
-	// shared or over a pinned Version; its nodes live in this tree's cache
-	// and extents (treeNodes).
+	// ix is the paper's index: its head and the three algorithms. Its
+	// mutations run under t.mu held exclusively, its read-only walks under
+	// t.mu held shared or over a pinned Version; its nodes live in this
+	// tree's cache and extents (treeNodes).
 	ix *index.Index
 
 	// closed latches Close (guarded by t.mu): mutations are refused with
@@ -179,25 +179,25 @@ func (t *Tree) Height() int {
 func (t *Tree) RootMDS() mds.MDS {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.ix.RootMDS().Clone()
+	return t.ix.Head().RootMDS
 }
 
-// LevelStats walks the tree and reports per-level node statistics. It
-// resolves nodes through index.Store, which faults them into the cache, so
-// it takes the tree lock exclusively.
+// LevelStats walks the tree and reports per-level node statistics. Like a
+// query it reads every node through the live tree's Source, under the
+// shared hold, and fills no cache.
 func (t *Tree) LevelStats() ([]LevelStat, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ix.LevelStats()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.ix.LevelStats(t.nodes(), t.ix.Head())
 }
 
 // Validate deep-checks every structural invariant of the tree
-// (index.Index.Validate): the oracle behind the randomized workload tests.
-// Like LevelStats it holds the tree lock exclusively.
+// (index.Index.Validate) over the bytes a query reads: the oracle behind the
+// randomized workload tests. Like LevelStats it holds the tree lock shared.
 func (t *Tree) Validate() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ix.Validate()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.ix.Validate(t.nodes(), t.ix.Head())
 }
 
 // treeNodes is the Tree as the index meets it: the write-side node store
@@ -219,7 +219,7 @@ func (s *treeNodes) New(leaf bool) *index.Node {
 }
 
 // Get returns a node's heap form, decoding it from its extent into the
-// cache on a miss. Caller holds t.mu exclusively.
+// cache on a miss. Only mutations call it, holding t.mu exclusively.
 func (s *treeNodes) Get(id nodeID) (*index.Node, error) {
 	if n := s.nc.get(id); n != nil {
 		s.metrics.cacheHits.Inc()

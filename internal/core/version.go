@@ -9,7 +9,6 @@ import (
 
 	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/index"
-	"github.com/dcindex/dctree/internal/mds"
 	"github.com/dcindex/dctree/internal/storage"
 )
 
@@ -69,10 +68,7 @@ type Version struct {
 	lsn     uint64
 	created time.Time
 
-	root    nodeID
-	rootMDS mds.MDS
-	height  int
-	count   int64
+	head    index.Head
 	table   map[nodeID]extentRef // immutable after capture
 	overlay map[nodeID][]byte    // encoded payloads of nodes dirty at capture
 	// pinned holds the extents of the captured table, pinned in t.pins. It
@@ -109,7 +105,7 @@ func (v *Version) ID() uint64 { return v.id }
 func (v *Version) LSN() uint64 { return v.lsn }
 
 // Count returns the number of live data records the version captured.
-func (v *Version) Count() int64 { return v.count }
+func (v *Version) Count() int64 { return v.head.Count }
 
 // CreatedAt returns when the snapshot was captured. Versions rehydrated
 // from a checkpoint manifest keep their original capture time; versions
@@ -248,7 +244,27 @@ func (v *Version) Scan(fn func(cube.Record) bool) error {
 		return err
 	}
 	defer v.unref()
-	return v.t.ix.Scan(v.nodes(), v.root, fn)
+	return v.t.ix.Scan(v.nodes(), v.head.Root, fn)
+}
+
+// LevelStats reports the version's per-level node statistics
+// (Tree.LevelStats). Like as-of queries it runs under the version's
+// reference, without the tree lock: writers proceed during the walk.
+func (v *Version) LevelStats() ([]LevelStat, error) {
+	if err := v.acquire(); err != nil {
+		return nil, err
+	}
+	defer v.unref()
+	return v.t.ix.LevelStats(v.nodes(), v.head)
+}
+
+// Validate deep-checks the version's invariants (Tree.Validate), likewise.
+func (v *Version) Validate() error {
+	if err := v.acquire(); err != nil {
+		return err
+	}
+	defer v.unref()
+	return v.t.ix.Validate(v.nodes(), v.head)
 }
 
 // Snapshot captures a new version of the tree under one short hold of the
@@ -304,10 +320,7 @@ func (t *Tree) snapshotLocked(versionID, lsn uint64) (*Version, error) {
 		id:      versionID,
 		lsn:     lsn,
 		created: time.Now(),
-		root:    t.ix.Root(),
-		rootMDS: t.ix.RootMDS().Clone(),
-		height:  t.ix.Height(),
-		count:   t.ix.Count(),
+		head:    t.ix.Head(),
 		table:   make(map[nodeID]extentRef, len(t.table)),
 		overlay: make(map[nodeID][]byte),
 	}
@@ -484,7 +497,7 @@ func (t *Tree) Versions() []VersionInfo {
 		infos = append(infos, VersionInfo{
 			ID:        v.id,
 			LSN:       v.lsn,
-			Records:   v.count,
+			Records:   v.head.Count,
 			Overlay:   len(v.overlay),
 			Pinned:    int(v.pinCount.Load()),
 			Persisted: v.persisted.Load(),

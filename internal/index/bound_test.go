@@ -139,11 +139,11 @@ func TestEntryBoundHolds(t *testing.T) {
 				if step%100 != 99 {
 					continue
 				}
-				if err := ix.Validate(); err != nil {
+				if err := validate(ix); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
 				for i, q := range queries {
-					res, err := ix.Execute(context.Background(), nodes, ix.root, Query{MDS: q})
+					res, err := ix.Execute(context.Background(), nodes, ix.head.Root, Query{MDS: q})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -151,16 +151,16 @@ func TestEntryBoundHolds(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := res.Agg; got.Count != want.Count || got.Min != want.Min || got.Max != want.Max || !floatClose(got.Sum, want.Sum) {
+					if got := res.Agg; !aggClose(got, want) {
 						t.Fatalf("step %d query %d: %+v, scan %+v\nq=%v", step, i, got, want, q)
 					}
 				}
 			}
 			c := ix.Counters()
 			t.Logf("%d inserted entries checked; height %d, %d hierarchy + %d forced splits, %d supernodes",
-				checked, ix.height, c.SplitsHierarchy, c.SplitsForced, c.SupernodesCreated)
-			if ix.height < 3 || checked == 0 {
-				t.Fatalf("height %d, %d entries checked: the stream never grew a directory below the root", ix.height, checked)
+				checked, ix.head.Height, c.SplitsHierarchy, c.SplitsForced, c.SupernodesCreated)
+			if ix.head.Height < 3 || checked == 0 {
+				t.Fatalf("height %d, %d entries checked: the stream never grew a directory below the root", ix.head.Height, checked)
 			}
 			if tc.wantSuper && c.SupernodesCreated == 0 {
 				t.Fatal("the supernode configuration made no supernode")

@@ -22,7 +22,7 @@ import (
 // BulkVsDynamic benchmark); the paper's contribution is that the DC-tree
 // makes the trade-off unnecessary.
 func (ix *Index) BulkLoad(recs []cube.Record) error {
-	if ix.count > 0 {
+	if ix.head.Count > 0 {
 		return fmt.Errorf("%w: BulkLoad requires an empty tree", ErrBadConfig)
 	}
 	if len(recs) == 0 {
@@ -97,7 +97,7 @@ func (ix *Index) BulkLoad(recs []cube.Record) error {
 		}
 		level = append(level, built{id: n.id, mds: m, agg: n.aggregate(measures)})
 	}
-	ix.height = 1
+	ix.head.Height = 1
 
 	// Build the directory bottom-up, packing full directory nodes.
 	for len(level) > 1 {
@@ -118,7 +118,7 @@ func (ix *Index) BulkLoad(recs []cube.Record) error {
 			next = append(next, built{id: n.id, mds: m, agg: n.aggregate(measures)})
 		}
 		level = next
-		ix.height++
+		ix.head.Height++
 	}
 
 	root, err := ix.store.Get(level[0].id)
@@ -126,12 +126,12 @@ func (ix *Index) BulkLoad(recs []cube.Record) error {
 		return err
 	}
 	// Drop the old empty root and install the packed one.
-	if err := ix.store.Drop(ix.root); err != nil {
+	if err := ix.store.Drop(ix.head.Root); err != nil {
 		return err
 	}
-	ix.root = root.id
-	ix.rootMDS = level[0].mds
-	ix.count = int64(len(recs))
+	ix.head.Root = root.id
+	ix.head.RootMDS = level[0].mds
+	ix.head.Count = int64(len(recs))
 	return nil
 }
 

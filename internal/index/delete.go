@@ -33,20 +33,20 @@ func (ix *Index) Delete(rec cube.Record) error {
 	if err != nil {
 		return err
 	}
-	found, err := ix.deleteFrom(ix.root, rc)
+	found, err := ix.deleteFrom(ix.head.Root, rc)
 	if err != nil {
 		return err
 	}
 	if !found {
 		return ErrNotFound
 	}
-	ix.count--
+	ix.head.Count--
 
 	// Collapse trivial roots: a directory root with one entry hands the
 	// root role to its only child.
 	collapsed := false
 	for {
-		root, err := ix.store.Get(ix.root)
+		root, err := ix.store.Get(ix.head.Root)
 		if err != nil {
 			return err
 		}
@@ -57,26 +57,26 @@ func (ix *Index) Delete(rec cube.Record) error {
 		if err := ix.store.Drop(root.id); err != nil {
 			return err
 		}
-		ix.root = child
-		ix.height--
+		ix.head.Root = child
+		ix.head.Height--
 		collapsed = true
 	}
 
 	// Repair the root MDS: the cover of the root's entries, at no floor.
-	root, err := ix.store.Get(ix.root)
+	root, err := ix.store.Get(ix.head.Root)
 	if err != nil {
 		return err
 	}
 	switch {
 	case root.Count() == 0:
-		ix.rootMDS = mds.Top(ix.schema.Dims())
-	case collapsed || !ix.repairCover(ix.rootMDS, root, rc, false):
+		ix.head.RootMDS = mds.Top(ix.schema.Dims())
+	case collapsed || !ix.repairCover(ix.head.RootMDS, root, rc, false):
 		ix.c.repairFallbacks.Inc()
 		cover, err := mds.CoverInto(&ix.ws.cover, ix.space(), nil, ix.ws.entryMDSs(root))
 		if err != nil {
 			return err
 		}
-		storeMDS(ix.rootMDS, cover)
+		storeMDS(ix.head.RootMDS, cover)
 	}
 	return nil
 }

@@ -42,7 +42,7 @@ func deletePath(t *testing.T, ix *Index, rec cube.Record) []NodeID {
 		path = path[:len(path)-1]
 		return false
 	}
-	if !probe(ix.root) {
+	if !probe(ix.head.Root) {
 		t.Fatalf("record %v is not in the tree", rec.Coords)
 	}
 	return path
@@ -122,13 +122,13 @@ func TestDeleteRepairMatchesCover(t *testing.T) {
 							}
 						}
 					}
-					if root := nodes.nodes[ix.root]; root.Count() > 0 {
-						check(fmt.Sprintf("step %d root", step), ix.rootMDS, nil, root)
-					} else if !ix.rootMDS.Equal(mds.Top(ix.schema.Dims())) {
-						t.Fatalf("step %d: empty tree, root MDS %v", step, ix.rootMDS)
+					if root := nodes.nodes[ix.head.Root]; root.Count() > 0 {
+						check(fmt.Sprintf("step %d root", step), ix.head.RootMDS, nil, root)
+					} else if !ix.head.RootMDS.Equal(mds.Top(ix.schema.Dims())) {
+						t.Fatalf("step %d: empty tree, root MDS %v", step, ix.head.RootMDS)
 					}
 				}
-				if err := ix.Validate(); err != nil {
+				if err := validate(ix); err != nil {
 					t.Fatal(err)
 				}
 				fallbacks += ix.Counters().DeleteRepairFallbacks

@@ -76,16 +76,6 @@ func LeafCapacityFor(payload, dims, measures int) int {
 	return max((payload-flatHeaderSize)/row, 4)
 }
 
-// encodedSize returns the length of the node's flat encoding without
-// building it.
-func (n *Node) encodedSize(dims, measures int) int {
-	_, _, size, _ := flatLayoutSizes(n.leaf, n.Count(), dims, measures)
-	for i := range n.entries {
-		size += n.entries[i].MDS.EncodedSize()
-	}
-	return size
-}
-
 // appendEncodeFlat serializes the node. The fixed-size prefix (header and,
 // for a directory, offset table, agg and child areas) is reserved up front
 // and filled by indexed writes; a directory's MDS blobs are appended behind
@@ -278,19 +268,15 @@ func (f *FlatNode) Measure(i, j int) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(f.b[f.fixBase+f.fixedPer*i+4*f.dims+8*j:]))
 }
 
-// Record materializes record i as an owned Record (scan path).
-func (f *FlatNode) Record(i int) cube.Record {
-	r := cube.Record{
-		Coords:   make([]hierarchy.ID, f.dims),
-		Measures: make([]float64, f.measures),
+// entryMDS decodes directory entry i's MDS from its wire encoding, which
+// must hold exactly one MDS.
+func (f *FlatNode) entryMDS(i int) (mds.MDS, error) {
+	b := f.EntryMDS(i)
+	m, k, err := mds.Decode(b)
+	if err != nil || k != len(b) {
+		return nil, fmt.Errorf("%w: node %d entry %d mds: %v", ErrCorrupt, f.id, i, err)
 	}
-	for d := range r.Coords {
-		r.Coords[d] = f.Coord(i, d)
-	}
-	for j := range r.Measures {
-		r.Measures[j] = f.Measure(i, j)
-	}
-	return r
+	return m, nil
 }
 
 // DecodeNode materializes a payload as a heap node — the write path, and a

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -196,6 +197,97 @@ func TestFlatNodeCorruptFailClosed(t *testing.T) {
 	})
 }
 
+// encodedNodes serves nodes from flat encodings behind the checked frame, as
+// a store of zero-copy views does: the Source of a tree whose bytes a test
+// holds and may damage.
+type encodedNodes struct {
+	b        map[NodeID][]byte
+	dims, nm int
+}
+
+func (s encodedNodes) View(id NodeID, nv *NodeView) error {
+	b, ok := s.b[id]
+	if !ok {
+		return fmt.Errorf("%w: no node %d", ErrCorrupt, id)
+	}
+	return nv.Frame(id, b, s.dims, s.nm)
+}
+
+// TestValidateReadsEncodedBytes holds Validate to the bytes a reader reads:
+// over every node of a bare index served as its own encoding — so the flat
+// data-node arm runs as well as the directory's — the clean tree passes, and
+// each hand corruption of an aggregate, an entry MDS, the head, a row or an
+// offset table is ErrCorrupt.
+func TestValidateReadsEncodedBytes(t *testing.T) {
+	ix, nodes := grownNodes(t)
+	dims, measures := ix.schema.Dims(), ix.schema.Measures()
+	encoded := func() encodedNodes {
+		src := encodedNodes{b: map[NodeID][]byte{}, dims: dims, nm: measures}
+		for _, n := range nodes {
+			// A directory's encoding is its read image: damage a copy.
+			src.b[n.id] = append([]byte(nil), ix.Encode(n)...)
+		}
+		return src
+	}
+	if err := ix.Validate(encoded(), ix.Head()); err != nil {
+		t.Fatalf("clean tree: %v", err)
+	}
+	root := nodes[0]
+	leaf := nodes[slices.IndexFunc(nodes, func(n *Node) bool { return n.leaf && n.Count() > 0 })]
+	// agg0 is the offset of the root's first entry's first aggregate.
+	agg0 := flatHeaderSize + 4*(root.Count()+1)
+	// dropped re-encodes the first directory whose entry holds two values in
+	// a dimension with the entry's first value there dropped.
+	dropped := func() (NodeID, []byte) {
+		for _, n := range nodes {
+			dec, err := DecodeNode(n.id, ix.Encode(n), dims, measures)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range dec.entries {
+				for d, ds := range dec.entries[i].MDS {
+					if ds.Level != hierarchy.LevelALL && len(ds.IDs) > 1 {
+						dec.entries[i].MDS[d].IDs = ds.IDs[1:]
+						return n.id, dec.appendEncodeFlat(nil, dims, measures)
+					}
+				}
+			}
+		}
+		t.Fatal("no entry holds two values in a dimension")
+		return 0, nil
+	}
+	for _, c := range []struct {
+		name   string
+		damage func(src encodedNodes, h *Head)
+	}{
+		{"aggregate sum", func(src encodedNodes, _ *Head) {
+			b := src.b[root.id][agg0:]
+			binary.LittleEndian.PutUint64(b, math.Float64bits(math.Float64frombits(binary.LittleEndian.Uint64(b))+1e6))
+		}},
+		{"aggregate count", func(src encodedNodes, _ *Head) {
+			b := src.b[root.id][agg0+8:]
+			binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)+1)
+		}},
+		{"entry MDS value dropped", func(src encodedNodes, _ *Head) {
+			id, b := dropped()
+			src.b[id] = b
+		}},
+		{"head count off by one", func(_ encodedNodes, h *Head) { h.Count++ }},
+		{"row coordinate above the leaf level", func(src encodedNodes, _ *Head) {
+			b := src.b[leaf.id][flatHeaderSize:]
+			c := hierarchy.ID(binary.LittleEndian.Uint32(b))
+			binary.LittleEndian.PutUint32(b, uint32(hierarchy.MakeID(1, c.Code())))
+		}},
+		{"non-monotone offsets", func(src encodedNodes, _ *Head) { src.b[root.id][flatHeaderSize] = 0xEE }},
+	} {
+		src, h := encoded(), ix.Head()
+		c.damage(src, &h)
+		if err := ix.Validate(src, h); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Validate = %v, want ErrCorrupt", c.name, err)
+		}
+	}
+}
+
 // FuzzDecodeFlatNode drives the one node decoder with arbitrary payloads.
 // MakeFlatNode (the frame check every zero-copy view passes) and DecodeNode
 // agree on the frame: what the first rejects the second rejects, and the
@@ -234,6 +326,7 @@ func FuzzDecodeFlatNode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	rec := cube.Record{Coords: make([]hierarchy.ID, dims), Measures: make([]float64, measures)}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		view, viewErr := MakeFlatNode(1, data, dims, measures)
 		n, decErr := DecodeNode(1, data, dims, measures)
@@ -243,9 +336,10 @@ func FuzzDecodeFlatNode(f *testing.F) {
 			}
 			return
 		}
+		nv := NodeView{f: view}
 		for i := 0; i < view.Count(); i++ {
 			if view.Leaf() {
-				view.Record(i)
+				nv.row(i, rec)
 				continue
 			}
 			if it, err := mds.NewViewIter(view.EntryMDS(i)); err == nil {
@@ -269,6 +363,14 @@ func FuzzDecodeFlatNode(f *testing.F) {
 				}
 			}
 		}
+		// Walked by Validate as a one-node tree — a directory's children
+		// resolve to nothing — it fails or passes, and never panics.
+		height := 1
+		if !view.Leaf() {
+			height = 2
+		}
+		_ = ix.Validate(encodedNodes{b: map[NodeID][]byte{1: data}, dims: dims, nm: measures},
+			Head{Root: 1, RootMDS: mds.Top(dims), Height: height, Count: int64(view.Count())})
 		if decErr != nil {
 			if !errors.Is(decErr, ErrCorrupt) {
 				t.Fatalf("DecodeNode error is not ErrCorrupt: %v", decErr)

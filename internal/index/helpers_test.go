@@ -51,6 +51,14 @@ func (s *memNodes) View(id NodeID, nv *NodeView) error {
 	return nil
 }
 
+// validate and levelStats run the whole-tree walks over the index's live
+// state: its head, read through the memNodes that hold its nodes.
+func validate(ix *Index) error { return ix.Validate(ix.store.(*memNodes), ix.Head()) }
+
+func levelStats(ix *Index) ([]LevelStat, error) {
+	return ix.LevelStats(ix.store.(*memNodes), ix.Head())
+}
+
 // flatOf frames n's flat encoding as node id, unchecked.
 func flatOf(id NodeID, n *Node, dims, measures int) FlatNode {
 	var f FlatNode
@@ -152,6 +160,6 @@ func collectNodes(t testing.TB, ix *Index) []*Node {
 			walk(n.entries[i].Child)
 		}
 	}
-	walk(ix.root)
+	walk(ix.head.Root)
 	return nodes
 }

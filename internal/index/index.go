@@ -14,14 +14,15 @@
 // serializes its callers, and meets it through two interfaces:
 //
 //   - Store, the write side: Get, New, MarkDirty and Drop of heap nodes.
-//     Mutations, LevelStats and Validate resolve nodes through it, all
+//     Get serves mutations only (insert, split, delete, bulk build), all
 //     under the host's exclusive hold.
-//   - Source, the read side: View of a node for one read-only descent,
-//     filled into a frame the descent owns — a heap node (HeapView) or an
-//     encoded payload framed where it lies (NodeView.Frame, FrameTrusted).
+//   - Source, the read side: View of a node for one read-only walk — a
+//     query, Scan, LevelStats or Validate — filled into a frame the walk
+//     owns: a heap node (HeapView) or an encoded payload framed where it
+//     lies (NodeView.Frame, FrameTrusted).
 //
-// Mutations must be exclusive; queries may run concurrently with one
-// another over any Source whose views stay valid for the walk.
+// Mutations must be exclusive; read-only walks may run concurrently with
+// one another over any Source whose views stay valid for the walk.
 package index
 
 import (
@@ -42,8 +43,8 @@ type NodeID uint64
 const NilNode NodeID = 0
 
 // Store is the host's node store as the write path sees it. All four
-// methods are called with the host's exclusive hold — by mutations, and by
-// LevelStats and Validate (Get) — so a Store needs no lock of its own.
+// methods are called by mutations, with the host's exclusive hold, so a
+// Store needs no lock of its own; no read-only walk calls it.
 type Store interface {
 	// Get returns the heap form of a node, faulting it in if necessary.
 	Get(id NodeID) (*Node, error)
@@ -55,8 +56,8 @@ type Store interface {
 	Drop(id NodeID) error
 }
 
-// Source resolves node IDs for one read-only walk: the live tree, or a
-// frozen version of it.
+// Source resolves node IDs for one read-only walk — Execute, Scan,
+// LevelStats, Validate — over the live tree, or a frozen version of it.
 type Source interface {
 	// View fills nv, a frame the walk owns, with the view of node id:
 	// HeapView, NodeView.Frame or NodeView.FrameTrusted.
@@ -72,18 +73,25 @@ var (
 	ErrBadMeasure = errors.New("dctree: measure index out of range")
 )
 
-// Index is a DC-tree over a data cube: the root pointer, the shape figures
-// and the working memory of the three algorithms. The nodes themselves live
-// in the host's Store.
+// Head is what a tree is besides its nodes: the figures a host saves to
+// re-attach an index (Restore), freezes into a version, and hands a
+// whole-tree walk (Validate, LevelStats) together with the Source of the
+// same state.
+type Head struct {
+	Root    NodeID
+	RootMDS mds.MDS // cover of the root's entries; Top for an empty tree
+	Height  int     // 1 = the root is a data node
+	Count   int64   // live data records
+}
+
+// Index is a DC-tree over a data cube: the head figures and the working
+// memory of the three algorithms. The nodes themselves live in the host's
+// Store.
 type Index struct {
 	schema *cube.Schema
 	cfg    Config
 	store  Store
-
-	root    NodeID
-	rootMDS mds.MDS // cover of the root's entries; Top for an empty tree
-	height  int     // 1 = the root is a data node
-	count   int64   // live data records
+	head   Head
 
 	// ws holds the write path's buffers (scratch.go); mutations are
 	// exclusive, so one scratch is never shared.
@@ -132,32 +140,35 @@ type Counters struct {
 // New creates an empty index whose nodes live in store: the root is a data
 // node minted by store.New. cfg must be normalized.
 func New(schema *cube.Schema, cfg Config, store Store) *Index {
-	ix := Restore(schema, cfg, store, NilNode, mds.Top(schema.Dims()), 1, 0)
-	ix.root = store.New(true).id
+	ix := Restore(schema, cfg, store, Head{RootMDS: mds.Top(schema.Dims()), Height: 1})
+	ix.head.Root = store.New(true).id
 	return ix
 }
 
-// Restore re-attaches an index to nodes the store already holds: root,
-// rootMDS, height and count are the figures Root, RootMDS, Height and Count
-// reported when the host saved them. cfg must be normalized.
-func Restore(schema *cube.Schema, cfg Config, store Store, root NodeID, rootMDS mds.MDS, height int, count int64) *Index {
-	ix := &Index{schema: schema, cfg: cfg, store: store, root: root, rootMDS: rootMDS, height: height, count: count}
+// Restore re-attaches an index to nodes the store already holds: h is the
+// Head the index reported when the host saved it. cfg must be normalized.
+func Restore(schema *cube.Schema, cfg Config, store Store, h Head) *Index {
+	ix := &Index{schema: schema, cfg: cfg, store: store, head: h}
 	ix.ws = newWriteScratch(schema, &ix.cfg)
 	return ix
 }
 
-// Root returns the root node's ID.
-func (ix *Index) Root() NodeID { return ix.root }
+// Head returns a copy of the head figures, its RootMDS the host's to keep:
+// mutations update the index's own in place.
+func (ix *Index) Head() Head {
+	h := ix.head
+	h.RootMDS = h.RootMDS.Clone()
+	return h
+}
 
-// RootMDS returns the MDS describing the whole indexed cube. It is the
-// index's own value, updated in place by mutations: clone it to keep it.
-func (ix *Index) RootMDS() mds.MDS { return ix.rootMDS }
+// Root returns the root node's ID.
+func (ix *Index) Root() NodeID { return ix.head.Root }
 
 // Height returns the number of node levels (1 = the root is a data node).
-func (ix *Index) Height() int { return ix.height }
+func (ix *Index) Height() int { return ix.head.Height }
 
 // Count returns the number of live data records.
-func (ix *Index) Count() int64 { return ix.count }
+func (ix *Index) Count() int64 { return ix.head.Count }
 
 // Counters returns a copy of the index's counters.
 func (ix *Index) Counters() Counters {

@@ -37,7 +37,7 @@ func (ix *Index) Insert(rec cube.Record) error {
 	// The root's relevant levels are always (ALL,…,ALL): it describes the
 	// whole cube, so its first split refines some dimension to the top
 	// named level (the paper's initial MDS, §3.2).
-	res, err := ix.insertInto(ix.root, ix.ws.topMDS, rc)
+	res, err := ix.insertInto(ix.head.Root, ix.ws.topMDS, rc)
 	if err != nil {
 		return err
 	}
@@ -47,18 +47,18 @@ func (ix *Index) Insert(rec cube.Record) error {
 		ix.c.rootSplits.Inc()
 		newRoot := ix.store.New(false)
 		newRoot.entries = []Entry{
-			{MDS: res.origMDS, Agg: res.origAgg, Child: ix.root},
+			{MDS: res.origMDS, Agg: res.origAgg, Child: ix.head.Root},
 			{MDS: res.newMDS, Agg: res.newAgg, Child: res.newID},
 		}
-		ix.root = newRoot.id
-		ix.height++
-		if ix.rootMDS, err = mds.Cover(ix.space(), res.origMDS, res.newMDS); err != nil {
+		ix.head.Root = newRoot.id
+		ix.head.Height++
+		if ix.head.RootMDS, err = mds.Cover(ix.space(), res.origMDS, res.newMDS); err != nil {
 			return err
 		}
 	} else {
-		rc.cover(ix.rootMDS)
+		rc.cover(ix.head.RootMDS)
 	}
-	ix.count++
+	ix.head.Count++
 	return nil
 }
 
@@ -73,7 +73,7 @@ func (ix *Index) insertInto(id NodeID, nodeMDS mds.MDS, rc *recContext) (insertR
 
 	if n.leaf {
 		n.appendRecord(rc.rec)
-		if !n.overflowing(&ix.cfg) {
+		if n.Count() <= ix.cfg.capacity(n.leaf, n.blocks) {
 			return insertResult{}, nil
 		}
 		return ix.splitNode(n, nodeMDS)
@@ -109,7 +109,7 @@ func (ix *Index) insertInto(id NodeID, nodeMDS mds.MDS, rc *recContext) (insertR
 	e.MDS = res.origMDS
 	e.Agg = res.origAgg
 	n.entries = append(n.entries, Entry{MDS: res.newMDS, Agg: res.newAgg, Child: res.newID})
-	if !n.overflowing(&ix.cfg) {
+	if n.Count() <= ix.cfg.capacity(n.leaf, n.blocks) {
 		return insertResult{}, nil
 	}
 	return ix.splitNode(n, nodeMDS)

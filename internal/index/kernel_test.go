@@ -131,7 +131,7 @@ func allNodes(t *testing.T, tree *Index) (nodes []*Node, nodeMDSs []mds.MDS) {
 			}
 		}
 	}
-	walk(tree.root, mds.Top(tree.schema.Dims()))
+	walk(tree.head.Root, mds.Top(tree.schema.Dims()))
 	return nodes, nodeMDSs
 }
 
@@ -152,7 +152,7 @@ func kernelTestTree(t *testing.T, cfg Config, seed int64) (*Index, []cube.Record
 			}
 		}
 	}
-	if err := tree.Validate(); err != nil {
+	if err := validate(tree); err != nil {
 		t.Fatal(err)
 	}
 	return tree, recs
@@ -276,7 +276,7 @@ func TestContainingInsertStillBounds(t *testing.T) {
 		}
 		recs = append(recs, all[i])
 	}
-	root, err := ix.store.Get(ix.root)
+	root, err := ix.store.Get(ix.head.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestContainingInsertStillBounds(t *testing.T) {
 	if lifted == 0 {
 		t.Fatal("no record was routed into a containing entry past the bound")
 	}
-	if err := ix.Validate(); err != nil {
+	if err := validate(ix); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -113,24 +113,16 @@ func (n *Node) pick(group []int) (entries []Entry, coords []hierarchy.ID, measur
 	return nil, coords, measures
 }
 
-// capacity returns the entry capacity of the node under cfg, accounting for
-// supernode extents (§4.2: "directory node capacity multiplied by the
-// number of blocks of the supernode").
-func (n *Node) capacity(cfg *Config) int {
-	per := cfg.DirCapacity
-	if n.leaf {
-		per = cfg.LeafCapacity
+// capacity returns the entry capacity of a node of the given kind and size
+// under c, accounting for supernode extents (§4.2: "directory node capacity
+// multiplied by the number of blocks of the supernode").
+func (c *Config) capacity(leaf bool, blocks int) int {
+	per := c.DirCapacity
+	if leaf {
+		per = c.LeafCapacity
 	}
-	return per * n.blocks
+	return per * blocks
 }
-
-// overflowing reports whether the node exceeds its (super)capacity.
-func (n *Node) overflowing(cfg *Config) bool {
-	return n.Count() > n.capacity(cfg)
-}
-
-// isSuper reports whether the node is a supernode.
-func (n *Node) isSuper() bool { return n.blocks > 1 }
 
 // aggregate computes the node's aggregate vector from its entries.
 func (n *Node) aggregate(measures int) cube.AggVector {

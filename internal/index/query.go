@@ -2,8 +2,10 @@ package index
 
 import (
 	"context"
+	"errors"
 
 	"github.com/dcindex/dctree/internal/cube"
+	"github.com/dcindex/dctree/internal/hierarchy"
 )
 
 // QueryStats describes the work one range query performed.
@@ -58,6 +60,32 @@ func (nv *NodeView) CheckTable() error {
 		return nil
 	}
 	return nv.f.CheckTable()
+}
+
+// shape and row read a node alike in either form, so that the whole-tree
+// walks never branch on it: shape its kind, entries or records, blocks and
+// the length of its flat encoding, row data record i into rec, whose slices
+// the caller sized to the schema. A directory's entries are read through f.
+func (nv *NodeView) shape() (leaf bool, count, blocks, size int) {
+	if n := nv.n; n != nil {
+		_, _, size, _ = flatLayoutSizes(true, n.Count(), n.dims, n.nm)
+		return true, n.Count(), n.blocks, size
+	}
+	return nv.f.leaf, nv.f.count, nv.f.blocks, len(nv.f.b)
+}
+
+func (nv *NodeView) row(i int, rec cube.Record) {
+	if n := nv.n; n != nil {
+		copy(rec.Coords, n.Row(i))
+		copy(rec.Measures, n.RowMeasures(i))
+		return
+	}
+	for d := range rec.Coords {
+		rec.Coords[d] = nv.f.Coord(i, d)
+	}
+	for j := range rec.Measures {
+		rec.Measures[j] = nv.f.Measure(i, j)
+	}
 }
 
 // descent carries the state of one range-query walk: the node resolver
@@ -156,48 +184,51 @@ func (d *descent) visitNode(id NodeID, out cube.AggVector) error {
 // resolving nodes through src; fn returning false stops the scan. Used by
 // tools, tests, and the export path.
 func (ix *Index) Scan(src Source, root NodeID, fn func(cube.Record) bool) error {
-	sc := scan{src: src, fn: fn}
-	_, err := sc.node(root, 0)
+	dims, measures := ix.schema.Dims(), ix.schema.Measures()
+	err := walk(src, root, func(nv *NodeView, _ int) error {
+		leaf, count, _, _ := nv.shape()
+		for i := 0; leaf && i < count; i++ {
+			rec := cube.Record{Coords: make([]hierarchy.ID, dims), Measures: make([]float64, measures)}
+			nv.row(i, rec)
+			if !fn(rec) {
+				return errStop
+			}
+		}
+		return nil
+	})
+	if errors.Is(err, errStop) {
+		return nil
+	}
 	return err
 }
 
-// scan is one Scan call: the resolver, the sink, and the view frame of each
-// depth, grown once per call.
-type scan struct {
-	src    Source
-	fn     func(cube.Record) bool
-	frames []NodeView
-}
+// errStop is how a visit ends a walk early without failing it.
+var errStop = errors.New("stop")
 
-func (sc *scan) node(id NodeID, depth int) (bool, error) {
-	if depth == len(sc.frames) {
-		sc.frames = append(sc.frames, NodeView{})
-	}
-	nv := &sc.frames[depth]
-	if err := sc.src.View(id, nv); err != nil {
-		return false, err
-	}
-	f := &nv.f
-	switch {
-	case nv.n != nil:
-		for i := 0; i < nv.n.Count(); i++ {
-			if !sc.fn(cube.Record{Coords: nv.n.Row(i), Measures: nv.n.RowMeasures(i)}.Clone()) {
-				return false, nil
+// walk is the read-only walk of Scan and LevelStats: it visits root and
+// every node below it, a parent before its children, each one viewed
+// through src into the frame of its level. A visit's error ends the walk.
+func walk(src Source, root NodeID, visit func(nv *NodeView, level int) error) error {
+	var frames []NodeView
+	var node func(id NodeID, level int) error
+	node = func(id NodeID, level int) error {
+		if level == len(frames) {
+			frames = append(frames, NodeView{})
+		}
+		nv := &frames[level]
+		if err := src.View(id, nv); err != nil {
+			return err
+		}
+		if err := visit(nv, level); err != nil {
+			return err
+		}
+		leaf, count, _, _ := nv.shape()
+		for i := 0; !leaf && i < count; i++ {
+			if err := node(nv.f.Child(i), level+1); err != nil {
+				return err
 			}
 		}
-	case f.leaf:
-		for i := 0; i < f.count; i++ {
-			if !sc.fn(f.Record(i)) {
-				return false, nil
-			}
-		}
-	default:
-		for i := 0; i < f.count; i++ {
-			cont, err := sc.node(f.Child(i), depth+1)
-			if err != nil || !cont {
-				return cont, err
-			}
-		}
+		return nil
 	}
-	return true, nil
+	return node(root, 0)
 }

@@ -59,9 +59,9 @@ func shapeDigest(t *testing.T, ix *Index) string {
 		}
 		h.Write(buf)
 	}
-	buf = ix.rootMDS.AppendEncode(buf[:0])
-	u64(uint64(ix.height))
-	u64(uint64(ix.count))
+	buf = ix.head.RootMDS.AppendEncode(buf[:0])
+	u64(uint64(ix.head.Height))
+	u64(uint64(ix.head.Count))
 	c := ix.Counters()
 	for _, v := range []int64{c.SplitsHierarchy, c.SplitsForced, c.SupernodesCreated, c.SupernodesGrown, c.RootSplits} {
 		u64(uint64(v))
@@ -131,7 +131,7 @@ func TestGoldenTreeShape(t *testing.T) {
 				}
 			}
 			insert(recs[load:])
-			if err := ix.Validate(); err != nil {
+			if err := validate(ix); err != nil {
 				t.Fatalf("invariants: %v", err)
 			}
 			if got := shapeDigest(t, ix); got != tc.want {
@@ -212,14 +212,14 @@ func TestGoldenQueryStats(t *testing.T) {
 				for _, class := range queryClassNames {
 					var got QueryStats
 					for i, q := range queries[class] {
-						res, err := ix.Execute(context.Background(), src, ix.root, Query{MDS: q})
+						res, err := ix.Execute(context.Background(), src, ix.head.Root, Query{MDS: q})
 						if err != nil {
 							t.Fatalf("%s %s: %v", form, class, err)
 						}
 						got.add(res.Stats)
 						if len(answers[class]) == i {
 							answers[class] = append(answers[class], res.Agg)
-						} else if a := answers[class][i]; res.Agg.Count != a.Count || res.Agg.Min != a.Min || res.Agg.Max != a.Max || !floatClose(res.Agg.Sum, a.Sum) {
+						} else if a := answers[class][i]; !aggClose(res.Agg, a) {
 							t.Fatalf("%s %s query %d: %+v, first walk %+v", form, class, i, res.Agg, a)
 						}
 					}
@@ -271,7 +271,7 @@ func (g *shapeGap) check(t *testing.T, pinned map[string]gapVisits) {
 	visits := func(ix *Index, src Source, class string) int {
 		var st QueryStats
 		for _, q := range g.queries[class] {
-			res, err := ix.Execute(context.Background(), src, ix.root, Query{MDS: q})
+			res, err := ix.Execute(context.Background(), src, ix.head.Root, Query{MDS: q})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -347,7 +347,7 @@ func TestGoldenShapeGap(t *testing.T) {
 			{Level: 2, Nodes: 89, Entries: 15000, AvgEntries: 15000.0 / 89, AvgBlocks: 1, EncodedBytes: 361780, MaxEncodedBytes: 4076, Fill: 15000.0 / (89 * 169)},
 		}},
 	} {
-		levels, err := tc.ix.LevelStats()
+		levels, err := levelStats(tc.ix)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -400,7 +400,7 @@ func TestGoldenShapeGap100k(t *testing.T) {
 		"dynamic": {g.dynamic, []float64{4.0 / 24, 60.0 / (4 * 24), 905.0 / (61 * 24), 100000.0 / (905 * 169)}},
 		"packed":  {g.packed, []float64{2.0 / 24, 25.0 / (2 * 24), 592.0 / (25 * 24), 100000.0 / (592 * 169)}},
 	} {
-		levels, err := tc.ix.LevelStats()
+		levels, err := levelStats(tc.ix)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"github.com/dcindex/dctree/internal/cube"
+	"github.com/dcindex/dctree/internal/hierarchy"
 	"github.com/dcindex/dctree/internal/mds"
 )
 
@@ -34,44 +35,37 @@ type LevelStat struct {
 	Fill float64
 }
 
-// LevelStats walks the tree and reports per-level node statistics.
-func (ix *Index) LevelStats() ([]LevelStat, error) {
-	stats := make([]LevelStat, ix.height)
-	capacity := make([]int, ix.height)
-	var walk func(id NodeID, level int) error
-	dims, measures := ix.schema.Dims(), ix.schema.Measures()
-	walk = func(id NodeID, level int) error {
-		n, err := ix.store.Get(id)
-		if err != nil {
-			return err
-		}
+// LevelStats walks the tree of head h, resolving every node through src,
+// and reports per-level node statistics.
+func (ix *Index) LevelStats(src Source, h Head) ([]LevelStat, error) {
+	stats := make([]LevelStat, h.Height)
+	capacity := make([]int, h.Height)
+	err := walk(src, h.Root, func(nv *NodeView, level int) error {
 		if level >= len(stats) {
-			return fmt.Errorf("%w: node %d at level %d exceeds height %d", ErrCorrupt, id, level, ix.height)
+			return fmt.Errorf("%w: node at level %d exceeds height %d", ErrCorrupt, level, h.Height)
 		}
+		leaf, count, blocks, size := nv.shape()
 		s := &stats[level]
 		s.Level = level
 		s.Nodes++
-		s.Entries += n.Count()
-		s.AvgBlocks += float64(n.blocks)
-		capacity[level] += n.capacity(&ix.cfg)
-		size := n.encodedSize(dims, measures)
+		s.Entries += count
+		s.AvgBlocks += float64(blocks)
+		capacity[level] += ix.cfg.capacity(leaf, blocks)
 		s.EncodedBytes += size
 		s.MaxEncodedBytes = max(s.MaxEncodedBytes, size)
-		if n.isSuper() {
+		if blocks > 1 {
 			s.Supernodes++
 		}
-		if n.leaf {
-			return nil
-		}
-		for i := range n.entries {
-			s.AvgEntryValues += float64(n.entries[i].MDS.Size())
-			if err := walk(n.entries[i].Child, level+1); err != nil {
+		for i := 0; !leaf && i < count; i++ {
+			m, err := nv.f.entryMDS(i)
+			if err != nil {
 				return err
 			}
+			s.AvgEntryValues += float64(m.Size())
 		}
 		return nil
-	}
-	if err := walk(ix.root, 0); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	for i := range stats {
@@ -87,139 +81,124 @@ func (ix *Index) LevelStats() ([]LevelStat, error) {
 	return stats, nil
 }
 
-// Validate deep-checks every structural invariant of the tree:
+// Validate deep-checks every structural invariant of the tree of head h,
+// reading every node through src as a query reads it — a directory's entries
+// from their encoding, a data node's records from its rows:
 //
-//   - every entry's MDS is a valid MDS of the schema's space;
-//   - every directory entry's MDS equals the exact cover of its child;
-//   - every directory entry's aggregate equals the recomputed aggregate of
-//     its child (up to float rounding in Sum);
-//   - data nodes appear exactly at the bottom level, record arity is
-//     correct, leaf entry MDSs describe their records;
+//   - every directory's offset table and children are well formed
+//     (CheckTable), and every entry's MDS decodes;
+//   - every directory entry's MDS equals the exact cover of its child,
+//     lifted to the entry's relevant levels — and so is a valid MDS;
+//   - every directory entry's aggregate equals the fold of its child's
+//     (up to float rounding in Sum);
+//   - data nodes appear exactly at the bottom level, and every row is a
+//     valid record of the schema;
 //   - no node except the root is empty, no node overflows its capacity,
 //     supernode block counts are consistent;
 //   - the record count and the root MDS match reality.
 //
 // Validate is the oracle behind the randomized workload tests.
-func (ix *Index) Validate() error {
-	space := ix.space()
-	measures := ix.schema.Measures()
-
+func (ix *Index) Validate(src Source, h Head) error {
+	space, schema := ix.space(), ix.schema
+	rec := cube.Record{Coords: make([]hierarchy.ID, len(space)), Measures: make([]float64, schema.Measures())}
 	var records int64
-	// walk returns the subtree's record-level cover (the exact MDS of its
-	// data records, Definition 3), against which every entry's stored MDS
-	// is checked: lifted to the entry's own relevant levels, the record
-	// cover must reproduce the entry MDS exactly — coverage + minimality.
-	var walk func(id NodeID, level int) (mds.MDS, error)
-	walk = func(id NodeID, level int) (mds.MDS, error) {
-		n, err := ix.store.Get(id)
-		if err != nil {
-			return nil, err
+	var frames []NodeView
+	// walk checks the subtree of id, at level, and returns its record cover
+	// (the exact MDS of its data records, Definition 3) and its aggregate
+	// fold, against which the parent checks its entry: lifted to the entry's
+	// own relevant levels, the record cover must reproduce the entry MDS
+	// exactly — coverage + minimality — and the fold must equal the entry's
+	// aggregates.
+	var walk func(id NodeID, level int) (mds.MDS, cube.AggVector, error)
+	walk = func(id NodeID, level int) (mds.MDS, cube.AggVector, error) {
+		if level == len(frames) {
+			frames = append(frames, NodeView{})
 		}
-		if n.blocks < 1 {
-			return nil, fmt.Errorf("%w: node %d has %d blocks", ErrCorrupt, id, n.blocks)
+		nv := &frames[level]
+		if err := src.View(id, nv); err != nil {
+			return nil, nil, err
 		}
-		if n.overflowing(&ix.cfg) {
-			return nil, fmt.Errorf("%w: node %d overflows: %d entries, capacity %d",
-				ErrCorrupt, id, n.Count(), n.capacity(&ix.cfg))
+		if err := nv.CheckTable(); err != nil {
+			return nil, nil, err
 		}
-		if n.Count() == 0 && id != ix.root {
-			return nil, fmt.Errorf("%w: non-root node %d is empty", ErrCorrupt, id)
+		leaf, count, blocks, _ := nv.shape()
+		switch {
+		case blocks < 1:
+			return nil, nil, fmt.Errorf("%w: node %d has %d blocks", ErrCorrupt, id, blocks)
+		case count > ix.cfg.capacity(leaf, blocks):
+			return nil, nil, fmt.Errorf("%w: node %d overflows: %d entries, capacity %d",
+				ErrCorrupt, id, count, ix.cfg.capacity(leaf, blocks))
+		case count == 0 && id != h.Root:
+			return nil, nil, fmt.Errorf("%w: non-root node %d is empty", ErrCorrupt, id)
+		case leaf != (level == h.Height-1) || level >= h.Height:
+			return nil, nil, fmt.Errorf("%w: node %d leaf=%v at level %d of height %d",
+				ErrCorrupt, id, leaf, level, h.Height)
 		}
-		if n.leaf != (level == ix.height-1) {
-			return nil, fmt.Errorf("%w: node %d leaf=%v at level %d of height %d",
-				ErrCorrupt, id, n.leaf, level, ix.height)
-		}
-		var members []mds.MDS
-		if n.leaf {
-			if n.dims != len(space) || n.nm != measures || len(n.coords) != n.Count()*n.dims || len(n.measures) != n.Count()*n.nm {
-				return nil, fmt.Errorf("%w: node %d holds %d coordinates and %d measures in rows of %d and %d",
-					ErrCorrupt, id, len(n.coords), len(n.measures), n.dims, n.nm)
+		fold := cube.NewAggVector(len(rec.Measures))
+		members := make([]mds.MDS, 0, count)
+		for i := 0; leaf && i < count; i++ {
+			nv.row(i, rec)
+			if err := schema.ValidateRecord(rec); err != nil {
+				return nil, nil, fmt.Errorf("%w: node %d entry %d: %w", ErrCorrupt, id, i, err)
 			}
-			// A record's MDS and aggregates are functions of its row (they
-			// exist only in the encoding), so the row is all there is to check.
-			for i := 0; i < n.Count(); i++ {
-				records++
-				rec := cube.Record{Coords: n.Row(i), Measures: n.RowMeasures(i)}
-				if err := ix.schema.ValidateRecord(rec); err != nil {
-					return nil, fmt.Errorf("node %d entry %d: %w", id, i, err)
-				}
-				members = append(members, mds.FromLeaves(rec.Coords))
-			}
+			fold.AddRecord(rec.Measures)
+			members = append(members, mds.FromLeaves(rec.Coords))
+			records++
 		}
-		for i := range n.entries {
-			e := &n.entries[i]
-			if err := e.MDS.Validate(space); err != nil {
-				return nil, fmt.Errorf("node %d entry %d: %w", id, i, err)
-			}
-			if len(e.Agg) != measures {
-				return nil, fmt.Errorf("%w: node %d entry %d has %d aggs", ErrCorrupt, id, i, len(e.Agg))
-			}
-			child, err := ix.store.Get(e.Child)
+		for i := 0; !leaf && i < count; i++ {
+			f := &nv.f
+			m, err := f.entryMDS(i)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			childRecCover, err := walk(e.Child, level+1)
+			childCover, childFold, err := walk(f.Child(i), level+1)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			// Definition 3 at the entry's own relevant levels: the child
-			// subtree's record-level cover, lifted to the entry's levels,
-			// must reproduce the entry MDS exactly (coverage+minimality).
-			levels := make([]int, len(e.MDS))
-			for d := range e.MDS {
-				levels[d] = e.MDS[d].Level
+			// An MDS equal to the lift of valid records is a valid MDS.
+			if want, err := mds.Adapt(space, childCover, m); err != nil || !m.Equal(want) {
+				return nil, nil, fmt.Errorf("%w: node %d entry %d MDS %v != lifted record cover %v (%v)",
+					ErrCorrupt, id, i, m, want, err)
 			}
-			wantMDS, err := mds.AdaptToLevels(space, childRecCover, levels)
-			if err != nil {
-				return nil, err
-			}
-			if !e.MDS.Equal(wantMDS) {
-				return nil, fmt.Errorf("%w: node %d entry %d MDS %v != lifted record cover %v",
-					ErrCorrupt, id, i, e.MDS, wantMDS)
-			}
-			wantAgg := child.aggregate(measures)
-			for j := range wantAgg {
-				got, want := e.Agg[j], wantAgg[j]
-				if got.Count != want.Count || got.Min != want.Min || got.Max != want.Max ||
-					!floatClose(got.Sum, want.Sum) {
-					return nil, fmt.Errorf("%w: node %d entry %d measure %d agg %+v != child %+v",
+			for j := range fold {
+				if got, want := f.Agg(i, j), childFold[j]; !aggClose(got, want) {
+					return nil, nil, fmt.Errorf("%w: node %d entry %d measure %d agg %+v != child %+v",
 						ErrCorrupt, id, i, j, got, want)
 				}
+				fold[j].Merge(f.Agg(i, j))
 			}
-			members = append(members, childRecCover)
+			members = append(members, childCover)
 		}
 		if len(members) == 0 {
-			return mds.Top(len(space)), nil
+			return mds.Top(len(space)), fold, nil
 		}
-		return mds.Cover(space, members...)
+		cover, err := mds.Cover(space, members...)
+		return cover, fold, err
 	}
-	recCover, err := walk(ix.root, 0)
+	recCover, _, err := walk(h.Root, 0)
 	if err != nil {
 		return err
 	}
-	if records != ix.count {
-		return fmt.Errorf("%w: tree claims %d records, found %d", ErrCorrupt, ix.count, records)
+	if records != h.Count {
+		return fmt.Errorf("%w: tree claims %d records, found %d", ErrCorrupt, h.Count, records)
 	}
-
 	if records > 0 {
 		// The incrementally maintained root MDS may be coarser than the
 		// exact record cover, but it must contain it.
-		ok, err := mds.Contains(space, ix.rootMDS, recCover)
+		ok, err := mds.Contains(space, h.RootMDS, recCover)
 		if err != nil {
 			return err
 		}
 		if !ok {
-			return fmt.Errorf("%w: root MDS %v does not cover records %v", ErrCorrupt, ix.rootMDS, recCover)
+			return fmt.Errorf("%w: root MDS %v does not cover records %v", ErrCorrupt, h.RootMDS, recCover)
 		}
 	}
 	return nil
 }
 
-func floatClose(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= 1e-6*scale+1e-9
+// aggClose reports whether two aggregates agree, Sum up to float rounding.
+func aggClose(a, b cube.Agg) bool {
+	diff, scale := math.Abs(a.Sum-b.Sum), math.Max(math.Abs(a.Sum), math.Abs(b.Sum))
+	return a.Count == b.Count && a.Min == b.Min && a.Max == b.Max &&
+		(a.Sum == b.Sum || diff <= 1e-6*scale+1e-9)
 }

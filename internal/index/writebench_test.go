@@ -131,7 +131,7 @@ func BenchmarkChooseSubtree(b *testing.B) {
 	if tree.Height() < 3 {
 		b.Fatalf("height %d: the root's children are data nodes", tree.Height())
 	}
-	root, err := tree.store.Get(tree.root)
+	root, err := tree.store.Get(tree.head.Root)
 	if err != nil {
 		b.Fatal(err)
 	}
