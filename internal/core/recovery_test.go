@@ -88,7 +88,7 @@ func imageRecords(t testing.TB, schema *cube.Schema, storePath, walPrefix string
 		t.Fatalf("opening image wal: %v", err)
 	}
 	defer w.Close()
-	if err := w.Replay(func(lsn uint64, payload []byte) error {
+	if err := w.Replay(func(_, lsn uint64, payload []byte) error {
 		if lsn <= checkpoint {
 			return nil
 		}
@@ -311,7 +311,7 @@ func TestRecoveryCrashMatrix(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						_, end, err := storage.ValidFramePrefix(data[storage.SegmentHeaderSize:])
+						_, end, err := storage.DecodeFrames(data[storage.SegmentHeaderSize:])
 						if err != nil {
 							t.Fatal(err)
 						}

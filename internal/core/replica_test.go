@@ -14,7 +14,7 @@ import (
 func shipAll(t *testing.T, primary, replica *Tree) {
 	t.Helper()
 	epoch := primary.Epoch()
-	if err := primary.wal.w.Replay(func(lsn uint64, payload []byte) error {
+	if err := primary.wal.w.Replay(func(_, lsn uint64, payload []byte) error {
 		return replica.ApplyReplicated(epoch, lsn, append([]byte(nil), payload...))
 	}); err != nil {
 		t.Fatalf("shipping: %v", err)

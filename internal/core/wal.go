@@ -663,7 +663,7 @@ func OpenDurableOpts(store storage.Store, walPrefix string, wopts storage.WALOpt
 // taken). recoveryReplayed counts mutations only — deltas and version
 // records are bookkeeping, not replayed updates.
 func (t *Tree) recoverFrom(w *storage.WAL) error {
-	return w.Replay(func(lsn uint64, payload []byte) error {
+	return w.Replay(func(_, lsn uint64, payload []byte) error {
 		if lsn <= t.checkpointLSN {
 			return nil // superseded by the checkpoint
 		}

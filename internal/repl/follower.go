@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -199,7 +200,9 @@ func NewFollower(src Source, opts FollowerOptions) (*Follower, error) {
 	if err == nil {
 		// Restart path: fold mirrored records past the checkpoint back in
 		// before tailing; ApplyReplicated skips everything already inside.
-		err = m.replay(tree.ApplyReplicated)
+		if err = mirrorCorrupt(m.Replay(tree.ApplyReplicated)); err != nil {
+			m.Close()
+		}
 	}
 	if err != nil {
 		tree.Close()
@@ -224,7 +227,7 @@ func NewFollower(src Source, opts FollowerOptions) (*Follower, error) {
 		// pruned the mirror past a promotion point — the replica's
 		// persisted epoch. Whichever is higher is what this follower has
 		// durably observed.
-		epoch: max(m.epoch(), tree.Epoch()),
+		epoch: max(m.Epoch(), tree.Epoch()),
 		apply: tree.ApplyReplicated,
 	}
 	f.metrics.healthy.Set(1)
@@ -238,6 +241,23 @@ func StorePath(dir string) string { return filepath.Join(dir, "replica.dc") }
 
 // MirrorPrefix returns the WAL mirror prefix inside a follower directory.
 func MirrorPrefix(dir string) string { return filepath.Join(dir, "wal") }
+
+// openMirror opens the follower's copy of the source log. It is a WAL like
+// any other: OpenWAL cuts what a crash left at its tail, and AppendFrames
+// extends it with shipped frames.
+func openMirror(prefix string) (*storage.WAL, error) {
+	m, err := storage.OpenWAL(prefix, storage.WALOptions{})
+	return m, mirrorCorrupt(err)
+}
+
+// mirrorCorrupt marks damage the mirror's log reports as ErrMirrorCorrupt;
+// other errors pass through.
+func mirrorCorrupt(err error) error {
+	if errors.Is(err, storage.ErrWALCorrupt) {
+		return fmt.Errorf("%w: %w", ErrMirrorCorrupt, err)
+	}
+	return err
+}
 
 // run is the tailing loop: ship, sync, acknowledge, checkpoint, repeat. A
 // pass starts on the Poll tick or, when the source is a Notifier, as soon
@@ -275,7 +295,7 @@ func (f *Follower) pass() {
 	prog, err := f.sh.runOnce()
 	f.note(prog)
 	if err == nil && prog.bytes > 0 {
-		err = f.sh.m.sync()
+		_, err = f.sh.m.Sync()
 	}
 	if aerr := f.acknowledge(); err == nil {
 		err = aerr
@@ -315,7 +335,7 @@ func (f *Follower) pass() {
 // heartbeat: it tells the primary nothing new, and the primary folds every
 // ack in under the lock its synchronous writers wait on.
 func (f *Follower) acknowledge() error {
-	ack := AckInfo{Follower: f.opts.ID, Epoch: f.sh.epoch, LSN: f.sh.m.syncedLSN()}
+	ack := AckInfo{Follower: f.opts.ID, Epoch: f.sh.epoch, LSN: f.sh.m.SyncedLSN()}
 	if ack == f.lastAck && time.Since(f.lastAckAt) < ackHeartbeat {
 		return nil
 	}
@@ -356,7 +376,7 @@ func (f *Follower) checkpoint(tree *core.Tree) {
 		return
 	}
 	f.metrics.checkpoints.Inc()
-	if _, err := f.sh.m.prune(applied); err != nil {
+	if err := f.sh.m.RetireSealed(applied); err != nil {
 		f.mu.Lock()
 		f.lastErr = err
 		f.mu.Unlock()
@@ -414,7 +434,7 @@ func (f *Follower) Metrics() Metrics {
 	f.mu.Unlock()
 	m := Metrics{
 		AppliedLSN:      f.AppliedLSN(),
-		MirroredLSN:     f.sh.m.syncedLSN(),
+		MirroredLSN:     f.sh.m.SyncedLSN(),
 		LagBytes:        f.metrics.lagBytes.Load(),
 		LagLSN:          uint64(f.metrics.lagLSN.Load()),
 		SegmentsShipped: f.metrics.segmentsShipped.Load(),
@@ -484,7 +504,7 @@ func (f *Follower) Promote() (*core.Tree, error) {
 	if prog, err := f.sh.runOnce(); err == nil {
 		f.note(prog)
 	}
-	if err := f.sh.m.close(); err != nil {
+	if err := f.sh.m.Close(); err != nil {
 		return nil, err
 	}
 
@@ -538,16 +558,14 @@ func (f *Follower) Close() error {
 	f.tree = nil
 	f.mu.Unlock()
 	var err error
-	if f.sh != nil {
-		err = f.sh.m.sync()
-	}
 	if tree != nil {
+		// Not promoted: the mirror is still open. It is fsynced before the
+		// replica's closing checkpoint, which must not claim more (M4).
+		_, err = f.sh.m.Sync()
 		if cerr := tree.Close(); err == nil {
 			err = cerr
 		}
-	}
-	if f.sh != nil {
-		if cerr := f.sh.m.close(); err == nil {
+		if cerr := f.sh.m.Close(); err == nil {
 			err = cerr
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/dcindex/dctree/internal/core"
+	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/mds"
 	"github.com/dcindex/dctree/internal/storage"
 )
@@ -284,6 +285,106 @@ func TestFollowerRestartResume(t *testing.T) {
 	assertTreesEqual(t, primary, f2.Tree())
 }
 
+// TestFollowerResumesAfterTornSegmentCreate: a follower that dies while
+// creating its next mirror segment leaves a file at that index holding no
+// header, or part of one. Reopened, the mirror drops it as OpenWAL drops
+// any headerless final segment, begins that segment again, catches up with
+// the primary, and promotes to a tree that answers like the primary.
+func TestFollowerResumesAfterTornSegmentCreate(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		header int // bytes of the segment's header the crash left
+	}{
+		{"empty", 0},
+		{"10-byte header", 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			primPrefix, folDir := filepath.Join(t.TempDir(), "wal"), t.TempDir()
+			cfg := core.DefaultConfig()
+			schema := testSchema(t)
+			primary, err := core.NewDurableOpts(storage.NewMemStore(cfg.BlockSize), schema, cfg,
+				primPrefix, storage.WALOptions{SegmentBytes: 8 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer primary.Close()
+			primary.WAL().SetRetainLSN(0)
+			insert := func(recs []cube.Record) {
+				t.Helper()
+				for _, r := range recs {
+					if err := primary.Insert(r); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			catchUp := func(f *Follower) {
+				t.Helper()
+				tip := primary.WAL().LastLSN()
+				waitFor(t, 20*time.Second, "catch-up", func() bool {
+					if err := f.Err(); err != nil {
+						t.Fatalf("follower: %v", err)
+					}
+					return f.AppliedLSN() >= tip
+				})
+			}
+			recs := genRecords(t, schema, rand.New(rand.NewSource(17)), 900)
+			src := &WALSource{Tree: primary}
+			opts := FollowerOptions{Dir: folDir, Config: cfg, Poll: 2 * time.Millisecond}
+
+			insert(recs[:300])
+			f, err := NewFollower(src, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			catchUp(f)
+			if got := f.Metrics().SegmentsShipped; got < 2 {
+				t.Fatalf("shipped %d segments, want a rotation", got)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// A checkpoint of the primary truncates everything the follower
+			// acknowledged, which starts the next segment; the follower's
+			// crash hit while it created its copy of that segment.
+			if err := primary.Checkpoint(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			mirrored, err := storage.ListSegments(MirrorPrefix(folDir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			next := mirrored[len(mirrored)-1].Index + 1
+			if segs := primary.WAL().Segments(); segs[0].Index != next {
+				t.Fatalf("primary starts at segment %d, want %d, the one past the mirror", segs[0].Index, next)
+			}
+			source, err := os.ReadFile(storage.SegmentPath(primPrefix, next))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(storage.SegmentPath(MirrorPrefix(folDir), next), source[:tc.header], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			insert(recs[300:600])
+
+			f2, err := NewFollower(src, opts)
+			if err != nil {
+				t.Fatalf("reopening follower: %v", err)
+			}
+			defer f2.Close()
+			catchUp(f2)
+			insert(recs[600:])
+			catchUp(f2)
+			rw, err := f2.Promote()
+			if err != nil {
+				t.Fatalf("Promote: %v", err)
+			}
+			defer rw.Close()
+			assertTreesEqual(t, primary, rw)
+		})
+	}
+}
+
 // TestShipperGapDetected pins the failure mode when the primary truncates
 // past an empty follower: bootstrap must fail with ErrGap, not silently
 // replicate a log with a hole.
@@ -318,7 +419,7 @@ func TestShipperGapDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.close()
+	defer m.Close()
 	sh := &shipper{src: &DirSource{Prefix: prefix}, m: m, chunk: chunkBytes, floor: 1}
 	if _, err := sh.runOnce(); !errors.Is(err, ErrGap) {
 		t.Fatalf("runOnce err = %v, want ErrGap", err)
@@ -364,7 +465,7 @@ func TestCompressedFrameRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.close()
+	defer m.Close()
 	sh := &shipper{src: &DirSource{Prefix: prefix}, m: m, chunk: chunkBytes}
 	if _, err := sh.runOnce(); !errors.Is(err, storage.ErrUnsupportedFormat) {
 		t.Fatalf("runOnce err = %v, want ErrUnsupportedFormat", err)

@@ -29,31 +29,45 @@ func fileSize(t *testing.T, path string) int64 {
 	return st.Size()
 }
 
-// mirrorRecords appends n one-frame records to m, each synced, numbering
-// them from the mirror's cursor.
-func mirrorRecords(t *testing.T, m *mirror, n int) {
+// mirrorRecords appends n one-frame records to m's active segment, each
+// synced, numbering them from the mirror's cursor.
+func mirrorRecords(t *testing.T, m *storage.WAL, n int) {
 	t.Helper()
+	hdr, _ := m.Tail()
 	for i := 0; i < n; i++ {
-		if err := m.append(testFrame(fmt.Sprintf("mirrored-%05d", m.nextLSN())), 1); err != nil {
+		if _, err := m.AppendFrames(hdr, testFrame(fmt.Sprintf("mirrored-%05d", m.LastLSN()+1)), 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.sync(); err != nil {
+		if _, err := m.Sync(); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
+// beginSegment starts the mirror's next segment under hdr, as shipping the
+// first byte of a source segment does.
+func beginSegment(t *testing.T, m *storage.WAL, hdr storage.SegmentHeader) {
+	t.Helper()
+	if _, err := m.AppendFrames(hdr, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mirrorEnd returns where the mirror's active segment's frames end.
+func mirrorEnd(m *storage.WAL) int64 {
+	_, end := m.Tail()
+	return end
+}
+
 // newTestMirror opens an empty mirror under prefix and begins its first
 // segment.
-func newTestMirror(t *testing.T, prefix string) *mirror {
+func newTestMirror(t *testing.T, prefix string) *storage.WAL {
 	t.Helper()
 	m, err := openMirror(prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.beginSegment(storage.SegmentHeader{Index: 1, FirstLSN: 1, Epoch: 1}); err != nil {
-		t.Fatal(err)
-	}
+	beginSegment(t, m, storage.SegmentHeader{Index: 1, FirstLSN: 1, Epoch: 1})
 	return m
 }
 
@@ -86,7 +100,7 @@ func requireAdoptable(t *testing.T, prefix string, want uint64) {
 	}
 	defer w.Close()
 	var n uint64
-	if err := w.Replay(func(lsn uint64, payload []byte) error {
+	if err := w.Replay(func(_, lsn uint64, payload []byte) error {
 		n++
 		if lsn != n || string(payload) != fmt.Sprintf("mirrored-%05d", lsn) {
 			return fmt.Errorf("record %d: lsn %d, payload %q", n, lsn, payload)
@@ -100,14 +114,14 @@ func requireAdoptable(t *testing.T, prefix string, want uint64) {
 	}
 }
 
-// TestMirrorSyncDoesNotGrowFile is the mirror's twin of the log's count
-// test: the fsync a follower runs before every acknowledgment lands on
-// zeros the segment already holds, so across 200 synced appends the file
-// size changes once per storage.ZeroBlock, not once per append.
+// TestMirrorSyncDoesNotGrowFile: the mirror is a WAL, so the fsync a
+// follower runs before every acknowledgment lands on zeros the segment
+// already holds, and across 200 synced shipped appends the file size
+// changes once per storage.ZeroBlock, not once per append.
 func TestMirrorSyncDoesNotGrowFile(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "wal")
 	m := newTestMirror(t, prefix)
-	defer m.close()
+	defer m.Close()
 	path := storage.SegmentPath(prefix, 1)
 	size, changes := fileSize(t, path), 0
 	for i := 0; i < 200; i++ {
@@ -119,32 +133,31 @@ func TestMirrorSyncDoesNotGrowFile(t *testing.T) {
 			size, changes = now, changes+1
 		}
 	}
-	end := m.last().size
+	end := mirrorEnd(m)
 	if limit := int((end + storage.ZeroBlock - 1) / storage.ZeroBlock); changes == 0 || changes > limit {
 		t.Fatalf("file size changed %d times over %d bytes, want 1..%d", changes, end, limit)
 	}
 }
 
-// TestMirrorSealedSegmentsEndAtLastFrame: beginning the next segment and
-// closing the mirror trim the segment left behind to its last frame, so a
-// sealed or closed mirror segment is byte-identical to its source's.
+// TestMirrorSealedSegmentsEndAtLastFrame: beginning the next shipped
+// segment and closing the mirror trim the segment left behind to its last
+// frame, so a sealed or closed mirror segment is byte-identical to its
+// source's.
 func TestMirrorSealedSegmentsEndAtLastFrame(t *testing.T) {
 	prefix := filepath.Join(t.TempDir(), "wal")
 	m := newTestMirror(t, prefix)
 	mirrorRecords(t, m, 30)
-	if got := fileSize(t, storage.SegmentPath(prefix, 1)); got <= m.last().size {
-		t.Fatalf("active mirror segment is %d bytes, frames %d: want zeros ahead", got, m.last().size)
+	if got := fileSize(t, storage.SegmentPath(prefix, 1)); got <= mirrorEnd(m) {
+		t.Fatalf("active mirror segment is %d bytes, frames %d: want zeros ahead", got, mirrorEnd(m))
 	}
-	sealed := m.last().size
-	if err := m.beginSegment(storage.SegmentHeader{Index: 2, FirstLSN: 31, Epoch: 1}); err != nil {
-		t.Fatal(err)
-	}
+	sealed := mirrorEnd(m)
+	beginSegment(t, m, storage.SegmentHeader{Index: 2, FirstLSN: 31, Epoch: 1})
 	mirrorRecords(t, m, 30)
 	if got := fileSize(t, storage.SegmentPath(prefix, 1)); got != sealed {
 		t.Fatalf("sealed mirror segment is %d bytes, frames end at %d", got, sealed)
 	}
-	closed := m.last().size
-	if err := m.close(); err != nil {
+	closed := mirrorEnd(m)
+	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if got := fileSize(t, storage.SegmentPath(prefix, 2)); got != closed {
@@ -153,11 +166,12 @@ func TestMirrorSealedSegmentsEndAtLastFrame(t *testing.T) {
 	requireAdoptable(t, prefix, 60)
 }
 
-// TestMirrorZeroTailReopens is the mirror's twin of TestWALZeroTailReopens:
-// a follower crash image — the final segment ending in zeros, or in a torn
-// frame over them, or a non-final segment that kept its zeros — reopens at
-// the synced prefix, takes further appends, and is adopted as a WAL.
-// Anything but zeros after a non-final segment's frames is still corrupt.
+// TestMirrorZeroTailReopens: a follower crash image — the final segment
+// ending in zeros, or in a torn frame over them, or a non-final segment
+// that kept its zeros — reopens at the synced prefix, takes further
+// shipped appends, and is adopted as a WAL. Anything but zeros after a
+// non-final segment's frames is still corrupt, and the follower says so
+// with ErrMirrorCorrupt.
 func TestMirrorZeroTailReopens(t *testing.T) {
 	// image builds a mirror with 10 synced records in segment 1 and, when
 	// second, 5 more in segment 2, copies its files before closing it, and
@@ -165,9 +179,9 @@ func TestMirrorZeroTailReopens(t *testing.T) {
 	image := func(t *testing.T, second bool, damage func(img string, frontier int64)) string {
 		dir := t.TempDir()
 		m := newTestMirror(t, filepath.Join(dir, "wal"))
-		defer m.close()
+		defer m.Close()
 		mirrorRecords(t, m, 10)
-		first, frontier := m.last().size, m.last().size
+		first, frontier := mirrorEnd(m), mirrorEnd(m)
 		var zeros []byte
 		if second {
 			// What the first segment held before it was sealed.
@@ -176,11 +190,9 @@ func TestMirrorZeroTailReopens(t *testing.T) {
 				t.Fatal(err)
 			}
 			zeros = data
-			if err := m.beginSegment(storage.SegmentHeader{Index: 2, FirstLSN: 11, Epoch: 1}); err != nil {
-				t.Fatal(err)
-			}
+			beginSegment(t, m, storage.SegmentHeader{Index: 2, FirstLSN: 11, Epoch: 1})
 			mirrorRecords(t, m, 5)
-			frontier = m.last().size
+			frontier = mirrorEnd(m)
 		}
 		img := filepath.Join(dir, "img")
 		copyMirrorFiles(t, filepath.Join(dir, "wal"), img)
@@ -205,11 +217,11 @@ func TestMirrorZeroTailReopens(t *testing.T) {
 		if err != nil {
 			t.Fatalf("openMirror: %v", err)
 		}
-		if m.nextLSN() != want+1 || m.syncedLSN() != want {
-			t.Fatalf("reopened at next %d, synced %d; want %d, %d", m.nextLSN(), m.syncedLSN(), want+1, want)
+		if m.LastLSN() != want || m.SyncedLSN() != want {
+			t.Fatalf("reopened at lsn %d, synced %d; want %d, %d", m.LastLSN(), m.SyncedLSN(), want, want)
 		}
 		mirrorRecords(t, m, 3)
-		if err := m.close(); err != nil {
+		if err := m.Close(); err != nil {
 			t.Fatal(err)
 		}
 		requireAdoptable(t, img, want+3)
@@ -328,7 +340,7 @@ func TestDirSourceShipsZeroPaddedSegment(t *testing.T) {
 	if src.reads != 1 {
 		t.Fatalf("caught-up pass made %d reads, want 1", src.reads)
 	}
-	if err := m.close(); err != nil {
+	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
 	requireAdoptable(t, filepath.Join(dir, "mirror"), 27)

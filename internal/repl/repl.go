@@ -2,8 +2,9 @@
 //
 // A follower tails the primary's segmented write-ahead log — sealed
 // segments in full, the active segment up to a safe frontier — copies the
-// raw frame bytes into a local mirror that is itself a valid WAL, and
-// replays every record into an apply-only replica tree
+// raw frame bytes into a local mirror, which is a storage.WAL written by the
+// log's own code (storage.WAL.AppendFrames), and replays every record into
+// an apply-only replica tree
 // (core.NewReplica/core.OpenReplica). Between batches the replica serves
 // read-only queries, including time travel over the primary's replicated
 // snapshots. When the primary dies, Promote seals replay, checkpoints, and
@@ -54,9 +55,9 @@ var ErrGap = errors.New("repl: source no longer retains the records the follower
 // state over to a read-write tree.
 var ErrPromoted = errors.New("repl: follower already promoted")
 
-// ErrMirrorCorrupt reports a follower mirror whose segment files violate
-// the mirror invariants (LSN continuity across segments, whole CRC-valid
-// frames everywhere but the final tail). It indicates local damage — the
-// shipping path never writes such a mirror — and is fixed by removing the
-// mirror and re-bootstrapping.
+// ErrMirrorCorrupt reports a follower mirror that is not a valid log, or
+// that a shipped segment would not continue: the mirror's storage.WAL
+// returned storage.ErrWALCorrupt, which errors marked with it also wrap. It
+// indicates local damage — the shipping path never writes such a mirror —
+// and is fixed by removing the mirror and re-bootstrapping.
 var ErrMirrorCorrupt = errors.New("repl: follower mirror corrupt")

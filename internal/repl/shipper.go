@@ -8,18 +8,21 @@ import (
 )
 
 // shipper runs the transport-agnostic tailing loop: poll the source's
-// segment listing, copy newly visible whole frames into the mirror, and
-// hand each record to the apply callback with its LSN. One shipper pass
+// segment listing, append newly visible whole frames to the mirror — the
+// follower's own WAL, extended with storage.WAL.AppendFrames — and hand
+// each record to the apply callback with its LSN. One shipper pass
 // (runOnce) makes progress up to the source's current frontier; the
 // follower drives passes on its poll interval and on the source's
 // notifications, and the stress tests drive them in a tight loop against a
 // log being rotated and truncated underneath.
 type shipper struct {
 	src   Source
-	m     *mirror
+	m     *storage.WAL
 	chunk int
-	// floor is the first LSN the tree still needs (applied+1), consulted
-	// only while the mirror is empty to pick the starting segment.
+	// floor is the first LSN the tree needed at startup (applied+1). It
+	// lies past the mirror's records only when the mirror holds none of
+	// the replica's history: a fresh mirror, or one beside a store copied
+	// from a primary checkpoint.
 	floor uint64
 	// epoch is the follower's fencing epoch: the highest epoch observed in
 	// segments actually mirrored (seeded from the mirror and the replica
@@ -68,69 +71,39 @@ func (sh *shipper) runOnce() (shipProgress, error) {
 		return prog, fmt.Errorf("%w: source epoch %d below follower epoch %d", ErrFenced, srcEpoch, sh.epoch)
 	}
 
-	// Position: the index of the first source segment to ship from.
-	start := 0
-	if sh.m.empty() {
-		// Pick the segment containing the first LSN the tree needs. A
-		// floor of 0 (fresh bootstrap) needs LSN 1, held by the very
-		// first segment the primary ever wrote.
-		floor := sh.floor
-		if floor == 0 {
-			floor = 1
-		}
-		start = -1
-		for i, s := range segs {
-			if s.FirstLSN <= floor {
-				start = i
-			}
-		}
-		if start < 0 {
-			return prog, fmt.Errorf("%w: need lsn %d, source starts at %d", ErrGap, floor, segs[0].FirstLSN)
-		}
-	} else {
-		last := sh.m.last()
-		start = -1
-		for i, s := range segs {
-			if s.Index == last.index {
-				if s.FirstLSN != last.firstLSN {
-					return prog, fmt.Errorf("%w: source segment %d first lsn %d, mirror has %d", ErrMirrorCorrupt, s.Index, s.FirstLSN, last.firstLSN)
-				}
-				start = i
-				break
-			}
-			if s.Index > last.index {
-				// The source truncated the mirror's active segment; it may
-				// only do so once the follower acknowledged it in full, so
-				// the next segment must continue exactly at the cursor.
-				if s.FirstLSN > sh.m.nextLSN() {
-					return prog, fmt.Errorf("%w: need lsn %d, source resumes at %d", ErrGap, sh.m.nextLSN(), s.FirstLSN)
-				}
-				start = i
-				break
-			}
-		}
-		if start < 0 {
-			// Every listed segment is older than the mirror's active one —
-			// a stale or foreign listing; nothing to ship.
-			return prog, nil
+	// Position: the source segment holding the first LSN the follower
+	// needs. Segments only gain records at their end, so it is the last one
+	// starting at or before that LSN.
+	next := max(sh.floor, sh.m.LastLSN()+1)
+	start := -1
+	for i, s := range segs {
+		if s.FirstLSN <= next {
+			start = i
 		}
 	}
+	if start < 0 {
+		return prog, fmt.Errorf("%w: need lsn %d, source starts at %d", ErrGap, next, segs[0].FirstLSN)
+	}
 
+	tail, mirrored := sh.m.Tail()
 	for i := start; i < len(segs); i++ {
 		seg := &segs[i]
-		mirrored, have := sh.m.sizeOf(seg.Index)
+		hdr := seg.HeaderFor()
+		if hdr != tail {
+			mirrored = storage.SegmentHeaderSize
+		}
 		// Fencing: new frames from an epoch below the follower's are the
 		// old timeline still being written by a deposed primary. Already
 		// fully mirrored old-epoch segments are fine — that is history.
-		if seg.Epoch < sh.epoch && (!have || seg.Size > mirrored) {
+		if seg.Epoch < sh.epoch && (hdr != tail || seg.Size > mirrored) {
 			return prog, fmt.Errorf("%w: segment %d epoch %d below follower epoch %d", ErrFenced, seg.Index, seg.Epoch, sh.epoch)
 		}
-		if !have {
-			if err := sh.m.beginSegment(seg.HeaderFor()); err != nil {
-				return prog, err
+		if hdr != tail {
+			if _, err := sh.m.AppendFrames(hdr, nil, 0); err != nil {
+				return prog, mirrorCorrupt(err)
 			}
 			prog.segments++
-			mirrored = storage.SegmentHeaderSize
+			tail = hdr
 		}
 		if seg.Epoch > sh.epoch {
 			sh.epoch = seg.Epoch // the new timeline is now in the mirror
@@ -149,24 +122,16 @@ func (sh *shipper) runOnce() (shipProgress, error) {
 			// frames; the segment's frames end here, and so does its lag.
 			seg.Size = off
 		}
-		if seg.Sealed && off < seg.Size {
-			// A sealed segment's frontier is all whole frames; stopping
-			// short means the bytes on disk are damaged.
-			return prog, fmt.Errorf("%w: sealed segment %d torn at %d/%d", storage.ErrWALCorrupt, seg.Index, off, seg.Size)
-		}
 		if off < seg.Size {
-			break // torn tail on the active segment; wait for the rest
-		}
-	}
-
-	// Residual lag: source bytes beyond what this pass mirrored.
-	for _, seg := range segs[start:] {
-		if mirrored, have := sh.m.sizeOf(seg.Index); have {
-			if d := seg.Size - mirrored; d > 0 {
-				prog.lagBytes += d
+			if seg.Sealed {
+				// A sealed segment's frontier is all whole frames; stopping
+				// short means the bytes on disk are damaged.
+				return prog, fmt.Errorf("%w: sealed segment %d torn at %d/%d", storage.ErrWALCorrupt, seg.Index, off, seg.Size)
 			}
-		} else {
-			prog.lagBytes += seg.Size - storage.SegmentHeaderSize
+			// Torn tail on the active segment, the last listed: wait for
+			// the rest, which is the pass's residual lag.
+			prog.lagBytes = seg.Size - off
+			break
 		}
 	}
 	return prog, nil
@@ -191,9 +156,9 @@ func (sh *shipper) shipSegment(seg storage.WALSegmentInfo, off int64, prog *ship
 			return off, false, err
 		}
 		if validLen > 0 {
-			lsn := sh.m.nextLSN()
-			if err := sh.m.append(data[:validLen], len(payloads)); err != nil {
-				return off, false, err
+			lsn, err := sh.m.AppendFrames(seg.HeaderFor(), data[:validLen], len(payloads))
+			if err != nil {
+				return off, false, mirrorCorrupt(err)
 			}
 			if sh.apply != nil {
 				for _, p := range payloads {

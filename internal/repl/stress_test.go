@@ -95,10 +95,10 @@ func TestShipTailStress(t *testing.T) {
 		if _, err := sh.runOnce(); err != nil {
 			t.Fatalf("runOnce after %d records: %v", got, err)
 		}
-		if err := m.sync(); err != nil {
+		if _, err := m.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		w.SetRetainLSN(m.syncedLSN())
+		w.SetRetainLSN(m.SyncedLSN())
 		select {
 		case err, open := <-writerErr:
 			if open && err != nil {
@@ -118,7 +118,7 @@ func TestShipTailStress(t *testing.T) {
 
 	// The mirror must itself be a complete, adoptable WAL holding exactly
 	// records 1..n.
-	if err := m.close(); err != nil {
+	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
 	mw, err := storage.OpenWAL(filepath.Join(dir, "mirror"), storage.WALOptions{})
@@ -127,7 +127,7 @@ func TestShipTailStress(t *testing.T) {
 	}
 	defer mw.Close()
 	var replayed uint64
-	if err := mw.Replay(func(lsn uint64, payload []byte) error {
+	if err := mw.Replay(func(_, lsn uint64, payload []byte) error {
 		replayed++
 		if lsn != replayed {
 			return fmt.Errorf("mirror lsn %d, want %d", lsn, replayed)

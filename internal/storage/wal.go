@@ -40,6 +40,12 @@ import (
 // being the active one (rotation, full truncation, Close). It is never
 // renamed and never rewritten below its frames, and indices are never
 // reused, so a path names the same segment for as long as the file exists.
+// An active segment that holds no frames is the one exception: SetEpoch
+// restamps its header, and AppendFrames replaces it with a shipped one.
+//
+// A follower's copy of another log is such a log too: where Append frames
+// records itself, AppendFrames takes frames another log wrote, under that
+// log's segment headers, and every other step is shared.
 //
 // Records carry log sequence numbers (LSNs), assigned 1,2,3,… and monotone
 // across segment rotation AND across Truncate, so a checkpoint can durably
@@ -124,6 +130,11 @@ type walSegment struct {
 	epoch uint64
 }
 
+// header returns the segment's on-disk header.
+func (s walSegment) header() SegmentHeader {
+	return SegmentHeader{Index: s.index, FirstLSN: s.firstLSN, Epoch: s.epoch}
+}
+
 // WALOptions tunes a write-ahead log.
 type WALOptions struct {
 	// SegmentBytes rotates the active segment once it reaches this size.
@@ -190,11 +201,11 @@ const ZeroBlock = 4 << 10
 
 var zeroBlock [ZeroBlock]byte
 
-// WriteFrames writes frames at offset off of a log file whose size is alloc,
+// writeFrames writes frames at offset off of a log file whose size is alloc,
 // every byte of it from off on being zero. When the frames run past alloc,
 // zeros follow them up to the next ZeroBlock boundary. It returns the file's
-// new size. The log and a follower's mirror of it both write this way.
-func WriteFrames(f *os.File, frames []byte, off, alloc int64) (int64, error) {
+// new size.
+func writeFrames(f *os.File, frames []byte, off, alloc int64) (int64, error) {
 	if _, err := f.WriteAt(frames, off); err != nil {
 		return alloc, err
 	}
@@ -528,7 +539,7 @@ func (w *WAL) signalLocked() {
 
 // writeSegHeader writes and leaves durable-pending a segment header.
 func writeSegHeader(f *os.File, index, firstLSN, epoch uint64) error {
-	_, err := f.WriteAt(EncodeSegmentHeader(SegmentHeader{Index: index, FirstLSN: firstLSN, Epoch: epoch}), 0)
+	_, err := f.WriteAt(encodeSegmentHeader(SegmentHeader{Index: index, FirstLSN: firstLSN, Epoch: epoch}), 0)
 	return err
 }
 
@@ -555,7 +566,7 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 		return 0, ErrWALClosed
 	}
 	if w.size >= w.opts.SegmentBytes {
-		if err := w.rotateLocked(); err != nil {
+		if err := w.rotateLocked(w.active.index + 1); err != nil {
 			return 0, err
 		}
 	}
@@ -572,6 +583,78 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 	return lsn, nil
 }
 
+// AppendFrames buffers count records as they are framed in frames — whole,
+// CRC-valid frames another log wrote, shipped here — and returns the LSN of
+// the first. They reach the file and the disk through Sync, as Append's do.
+// hdr is the shipped segment's header. When it names the active segment, the
+// frames extend it. When it names the next one — an index above the active
+// one's, starting at the next LSN, no older epoch — the active segment is
+// sealed as rotation seals it and the next begins under hdr. An active segment
+// that holds no frames takes hdr instead, with the same checks against the
+// sealed segment before it, if any: a fresh log, one that starts mid-stream,
+// and the segment OpenWAL put in place of a headerless one all continue
+// wherever the shipped log is.
+func (w *WAL) AppendFrames(hdr SegmentHeader, frames []byte, count int) (uint64, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return 0, ErrWALClosed
+	}
+	if hdr != w.active.header() {
+		if err := w.beginLocked(hdr); err != nil {
+			return 0, err
+		}
+	}
+	lsn := w.nextLSN
+	w.buf = append(w.buf, frames...)
+	w.size += int64(len(frames))
+	w.nextLSN += uint64(count)
+	w.records += int64(count)
+	w.appends.Add(int64(count))
+	w.stored.Add(int64(len(frames)))
+	return lsn, nil
+}
+
+// beginLocked makes hdr the active segment for AppendFrames. Caller holds
+// w.mu.
+func (w *WAL) beginLocked(hdr SegmentHeader) error {
+	empty := w.size == walSegHeaderSize
+	prev := w.active
+	if empty && len(w.sealed) > 0 {
+		prev = w.sealed[len(w.sealed)-1]
+	}
+	// A log that holds no frames at all may start anywhere; otherwise hdr
+	// must continue the segment before it.
+	anywhere := empty && len(w.sealed) == 0
+	if hdr.FirstLSN == 0 || hdr.Epoch < w.epoch ||
+		!anywhere && (hdr.Index <= prev.index || hdr.FirstLSN != w.nextLSN) {
+		return fmt.Errorf("%w: segment %d (lsn %d, epoch %d) does not follow segment %d (next lsn %d, epoch %d)",
+			ErrWALCorrupt, hdr.Index, hdr.FirstLSN, hdr.Epoch, prev.index, w.nextLSN, w.epoch)
+	}
+	epoch := w.epoch
+	w.epoch = hdr.Epoch
+	var err error
+	if !empty {
+		err = w.rotateLocked(hdr.Index)
+	} else {
+		// Nothing to seal: the frameless segment gives way to hdr's.
+		w.f.Close()
+		if hdr.Index != w.active.index {
+			err = removeSegment(w.active.path)
+		}
+		if err == nil {
+			err = w.createSegment(hdr.Index, hdr.FirstLSN)
+		}
+		if err == nil {
+			w.nextLSN, w.syncedLSN = hdr.FirstLSN, hdr.FirstLSN-1
+		}
+	}
+	if err != nil {
+		w.epoch = epoch
+	}
+	return err
+}
+
 // flushLocked writes the buffered frames to the active file in one
 // syscall, plus one writing the next zeros ahead when the frames run past
 // those already in the file. Caller holds w.mu.
@@ -579,7 +662,7 @@ func (w *WAL) flushLocked() error {
 	if len(w.buf) == 0 {
 		return nil
 	}
-	alloc, err := WriteFrames(w.f, w.buf, w.flushed, w.alloc)
+	alloc, err := writeFrames(w.f, w.buf, w.flushed, w.alloc)
 	w.alloc = alloc
 	if err != nil {
 		return err
@@ -604,8 +687,9 @@ func (w *WAL) trimLocked() error {
 }
 
 // rotateLocked seals the active segment (trimmed and fsynced, so a sealed
-// segment is its frames, all durable) and opens the next one.
-func (w *WAL) rotateLocked() error {
+// segment is its frames, all durable) and opens segment index, which starts
+// at the next LSN.
+func (w *WAL) rotateLocked(index uint64) error {
 	if err := w.flushLocked(); err != nil {
 		return err
 	}
@@ -622,7 +706,7 @@ func (w *WAL) rotateLocked() error {
 	if w.nextLSN-1 > w.syncedLSN {
 		w.syncedLSN = w.nextLSN - 1
 	}
-	if err := w.createSegment(w.active.index+1, w.nextLSN); err != nil {
+	if err := w.createSegment(index, w.nextLSN); err != nil {
 		// Keep appending to the old segment; rotation retries next time.
 		w.f = sealed.f
 		return err
@@ -691,10 +775,11 @@ func (w *WAL) Sync() (uint64, error) {
 	return target, nil
 }
 
-// Replay calls fn for every record in the log in append order. It re-reads
-// the segment files, so it reflects exactly what recovery after a crash
-// would see. fn errors abort the replay.
-func (w *WAL) Replay(fn func(lsn uint64, payload []byte) error) error {
+// Replay calls fn for every record in the log in append order, with the
+// fencing epoch of the segment that holds it. It re-reads the segment files,
+// so it reflects exactly what recovery after a crash would see. fn errors
+// abort the replay.
+func (w *WAL) Replay(fn func(epoch, lsn uint64, payload []byte) error) error {
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
@@ -739,7 +824,7 @@ func (w *WAL) Replay(fn func(lsn uint64, payload []byte) error) error {
 				}
 				break
 			}
-			if err := fn(lsn, data[off+walFrameOverhead:off+n]); err != nil {
+			if err := fn(hdr.epoch, lsn, data[off+walFrameOverhead:off+n]); err != nil {
 				return err
 			}
 			lsn++
@@ -793,10 +878,25 @@ func (w *WAL) TruncateBefore(lsn uint64) error {
 		}
 		return w.truncateAllLocked()
 	}
-	maxCut := len(w.sealed) - w.opts.RetainSegments
-	if maxCut < 0 {
-		maxCut = 0
+	return w.retireLocked(lsn, len(w.sealed)-w.opts.RetainSegments)
+}
+
+// RetireSealed removes the sealed segments whose every record has LSN ≤ lsn
+// and keeps the active one, whatever lsn is. It is the part of TruncateBefore
+// that creates no segment: a log that must never start a segment of its own,
+// such as a follower's copy of another log, compacts with it.
+func (w *WAL) RetireSealed(lsn uint64) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return ErrWALClosed
 	}
+	return w.retireLocked(lsn, len(w.sealed))
+}
+
+// retireLocked removes the leading sealed segments, at most maxCut of them,
+// whose every record has LSN ≤ lsn. Caller holds w.mu.
+func (w *WAL) retireLocked(lsn uint64, maxCut int) error {
 	cut := 0
 	for cut < maxCut {
 		// The last LSN of sealed[i] is the first LSN of the next segment
@@ -969,7 +1069,7 @@ func (w *WAL) BumpEpoch() (uint64, error) {
 		return 0, ErrWALClosed
 	}
 	w.epoch++
-	if err := w.rotateLocked(); err != nil {
+	if err := w.rotateLocked(w.active.index + 1); err != nil {
 		w.epoch--
 		return 0, err
 	}
@@ -991,6 +1091,14 @@ func (w *WAL) ActiveSegment() (path string, syncedBytes int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.active.path, w.active.synced
+}
+
+// Tail returns the active segment's header and its length so far, buffered
+// frames included: where the next AppendFrames continues it.
+func (w *WAL) Tail() (SegmentHeader, int64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.active.header(), w.size
 }
 
 // Stats returns a snapshot of the log's activity counters.

@@ -88,7 +88,7 @@ func TestWALLeftoverPoolFilesRemoved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	half := append(EncodeSegmentHeader(SegmentHeader{Index: 99, FirstLSN: 999}), seg[walSegHeaderSize:]...)
+	half := append(encodeSegmentHeader(SegmentHeader{Index: 99, FirstLSN: 999}), seg[walSegHeaderSize:]...)
 	for name, body := range map[string][]byte{
 		prefix + ".recycle000001.wal": seg[:walSegHeaderSize],
 		prefix + ".recycle000007.wal": half,
@@ -260,7 +260,7 @@ func TestWALCompressedFrameRefused(t *testing.T) {
 
 	t.Run("OpenWAL: only frame", func(t *testing.T) {
 		prefix := filepath.Join(t.TempDir(), "idx")
-		image := append(EncodeSegmentHeader(SegmentHeader{Index: 1, FirstLSN: 1, Epoch: 1}), frame...)
+		image := append(encodeSegmentHeader(SegmentHeader{Index: 1, FirstLSN: 1, Epoch: 1}), frame...)
 		refusedUnchanged(t, walSegmentPath(prefix, 1), image, openWAL(prefix))
 	})
 	t.Run("OpenWAL: tail of the final segment", func(t *testing.T) {
@@ -284,17 +284,14 @@ func TestWALCompressedFrameRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		refusedUnchanged(t, path, append(image, frame...), func() error {
-			return w.Replay(func(uint64, []byte) error { return nil })
+			return w.Replay(func(uint64, uint64, []byte) error { return nil })
 		})
 	})
-	t.Run("DecodeFrames and ValidFramePrefix", func(t *testing.T) {
+	t.Run("DecodeFrames", func(t *testing.T) {
 		_, images := writtenLog(t, filepath.Join(t.TempDir(), "idx"))
 		body := append(images[2][walSegHeaderSize:], frame...)
 		if _, _, err := DecodeFrames(body); !errors.Is(err, ErrUnsupportedFormat) {
 			t.Fatalf("DecodeFrames err = %v, want ErrUnsupportedFormat", err)
-		}
-		if _, _, err := ValidFramePrefix(body); !errors.Is(err, ErrUnsupportedFormat) {
-			t.Fatalf("ValidFramePrefix err = %v, want ErrUnsupportedFormat", err)
 		}
 	})
 	// The refusal needs a verified CRC: garbage at the tail whose length

@@ -108,7 +108,7 @@ func TestWALSyncRotationRaceKeepsAckedRecords(t *testing.T) {
 	img := openTestWAL(t, imgPrefix, WALOptions{})
 	defer img.Close()
 	seen := make(map[uint64]bool)
-	if err := img.Replay(func(lsn uint64, payload []byte) error {
+	if err := img.Replay(func(_, lsn uint64, payload []byte) error {
 		seen[lsn] = true
 		return nil
 	}); err != nil {

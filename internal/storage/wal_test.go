@@ -22,7 +22,7 @@ func collect(t *testing.T, w *WAL) (map[uint64]string, []uint64) {
 	t.Helper()
 	recs := make(map[uint64]string)
 	var order []uint64
-	if err := w.Replay(func(lsn uint64, payload []byte) error {
+	if err := w.Replay(func(_, lsn uint64, payload []byte) error {
 		recs[lsn] = string(payload)
 		order = append(order, lsn)
 		return nil

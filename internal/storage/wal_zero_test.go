@@ -34,7 +34,7 @@ func requireFramesOnly(t *testing.T, prefix string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, valid, err := ValidFramePrefix(data[walSegHeaderSize:]); err != nil || walSegHeaderSize+valid != int64(len(data)) {
+		if _, valid, err := DecodeFrames(data[walSegHeaderSize:]); err != nil || walSegHeaderSize+valid != int64(len(data)) {
 			t.Fatalf("segment %d: %d bytes, frames end at %d (%v)", s.index, len(data), walSegHeaderSize+valid, err)
 		}
 	}
@@ -248,11 +248,11 @@ func TestWALZeroTailReopens(t *testing.T) {
 	})
 }
 
-// FuzzScanSegment: the three frame readers — OpenWAL's scan, the
-// follower's ValidFramePrefix and the shipper's DecodeFrames — agree on
-// where a segment body's valid frames end, and zeros after them never
-// move that end: a zero length word is no frame. Only zeros after the
-// valid frames pass the scan of a non-final segment.
+// FuzzScanSegment: the two frame readers — OpenWAL's scan and the
+// shipper's DecodeFrames — agree on where a segment body's valid frames
+// end, and zeros after them never move that end: a zero length word is no
+// frame. Only zeros after the valid frames pass the scan of a non-final
+// segment.
 func FuzzScanSegment(f *testing.F) {
 	frame := func(payload string) []byte {
 		b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
@@ -275,14 +275,13 @@ func FuzzScanSegment(f *testing.F) {
 			}
 			return scanSegment(path, tolerateTail)
 		}
-		header := EncodeSegmentHeader(SegmentHeader{Index: 1, FirstLSN: 1, Epoch: 1})
+		header := encodeSegmentHeader(SegmentHeader{Index: 1, FirstLSN: 1, Epoch: 1})
 		padded := append(append([]byte(nil), body...), make([]byte, pad)...)
 
 		info, scanErr := scan(append(header, padded...), true)
-		frames, valid, prefixErr := ValidFramePrefix(padded)
-		payloads, decoded, decodeErr := DecodeFrames(padded)
-		if (scanErr == nil) != (prefixErr == nil) || (prefixErr == nil) != (decodeErr == nil) {
-			t.Fatalf("errors disagree: scan %v, prefix %v, decode %v", scanErr, prefixErr, decodeErr)
+		payloads, valid, decodeErr := DecodeFrames(padded)
+		if (scanErr == nil) != (decodeErr == nil) {
+			t.Fatalf("errors disagree: scan %v, decode %v", scanErr, decodeErr)
 		}
 		if scanErr != nil {
 			if !errors.Is(scanErr, ErrUnsupportedFormat) {
@@ -290,20 +289,19 @@ func FuzzScanSegment(f *testing.F) {
 			}
 			return
 		}
-		if info.validSize-walSegHeaderSize != valid || valid != decoded ||
-			info.records != int64(frames) || frames != len(payloads) {
-			t.Fatalf("scan %d bytes / %d records, prefix %d / %d, decode %d / %d",
-				info.validSize-walSegHeaderSize, info.records, valid, frames, decoded, len(payloads))
+		if info.validSize-walSegHeaderSize != valid || info.records != int64(len(payloads)) {
+			t.Fatalf("scan %d bytes / %d records, decode %d / %d",
+				info.validSize-walSegHeaderSize, info.records, valid, len(payloads))
 		}
 
 		// Zeros after the valid frames: same end, and a clean non-final
 		// segment once cut there.
-		_, bodyValid, _ := ValidFramePrefix(body)
+		_, bodyValid, _ := DecodeFrames(body)
 		if valid < bodyValid {
 			t.Fatalf("padding shortened the valid prefix: %d < %d", valid, bodyValid)
 		}
 		zeroTail := append(append([]byte(nil), padded[:valid]...), make([]byte, pad)...)
-		if _, v, err := ValidFramePrefix(zeroTail); err != nil || v != valid {
+		if _, v, err := DecodeFrames(zeroTail); err != nil || v != valid {
 			t.Fatalf("zeros after %d valid bytes moved the end to %d (%v)", valid, v, err)
 		}
 		if info, err := scan(append(header, zeroTail...), false); err != nil || info.validSize-walSegHeaderSize != valid {

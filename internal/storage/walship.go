@@ -203,12 +203,6 @@ func readHeader(f *os.File) (SegmentHeader, error) {
 	return SegmentHeader{Index: info.index, FirstLSN: info.firstLSN, Epoch: info.epoch}, nil
 }
 
-// ReadSegmentHeader reads and validates the header of one segment file.
-func ReadSegmentHeader(path string) (SegmentHeader, error) {
-	hdr, _, err := readHeaderAndSize(path)
-	return hdr, err
-}
-
 // ReadSegmentRange reads up to max raw bytes of the segment at path
 // starting at byte offset off, on behalf of a log-shipping reader. The
 // header is validated against want both before and after the range read.
@@ -254,11 +248,9 @@ func ReadSegmentRange(path string, want SegmentHeader, off int64, max int) ([]by
 	return buf[:n], nil
 }
 
-// EncodeSegmentHeader renders a segment header: the bytes the log writes
-// at the start of every segment, and a follower at the start of a mirrored
-// one so its mirror stays byte-identical to the source and reopens as a
-// valid WAL.
-func EncodeSegmentHeader(hdr SegmentHeader) []byte {
+// encodeSegmentHeader renders a segment header: the bytes the log writes
+// at the start of every segment.
+func encodeSegmentHeader(hdr SegmentHeader) []byte {
 	buf := make([]byte, walSegHeaderSize)
 	copy(buf, walMagic)
 	binary.LittleEndian.PutUint64(buf[8:], hdr.Index)
@@ -272,8 +264,7 @@ func EncodeSegmentHeader(hdr SegmentHeader) []byte {
 const SegmentHeaderSize = walSegHeaderSize
 
 // SegmentPath returns the file path of the segment with the given index
-// under a WAL prefix — the naming a mirrored log must reproduce for
-// OpenWAL to adopt it.
+// under a WAL prefix.
 func SegmentPath(prefix string, index uint64) string { return walSegmentPath(prefix, index) }
 
 // DecodeFrames parses the leading whole, CRC-valid frames of data (raw
@@ -309,21 +300,4 @@ func ZeroPadding(rest []byte, atEnd bool) bool {
 		}
 	}
 	return true
-}
-
-// ValidFramePrefix returns the frame count and byte length of the leading
-// whole, CRC-valid frames of data (raw segment bytes with no header),
-// without materializing payloads — the validation a follower runs before
-// trusting mirrored bytes. A whole frame in the retired compressed format
-// is ErrUnsupportedFormat, never a torn tail to cut off.
-func ValidFramePrefix(data []byte) (frames int, validLen int64, err error) {
-	var off int64
-	for {
-		n, err := frameAt(data, off)
-		if n == 0 {
-			return frames, off, err
-		}
-		frames++
-		off += n
-	}
 }

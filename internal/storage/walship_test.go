@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -150,13 +152,9 @@ func TestReadSegmentRangeHeaderGuard(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadSegmentRange: %v", err)
 	}
-	frames, valid, err := ValidFramePrefix(data)
-	if err != nil || frames != 5 || valid != seg.Size-SegmentHeaderSize {
-		t.Fatalf("frames=%d valid=%d size=%d", frames, valid, seg.Size)
-	}
-	payloads, _, err := DecodeFrames(data)
-	if err != nil || len(payloads) != 5 || string(payloads[3]) != "rec-3" {
-		t.Fatalf("DecodeFrames = %d payloads, %v", len(payloads), err)
+	payloads, valid, err := DecodeFrames(data)
+	if err != nil || len(payloads) != 5 || valid != seg.Size-SegmentHeaderSize || string(payloads[3]) != "rec-3" {
+		t.Fatalf("DecodeFrames = %d payloads, valid=%d size=%d, %v", len(payloads), valid, seg.Size, err)
 	}
 
 	// A header that no longer matches — the file was replaced by something
@@ -209,5 +207,71 @@ func TestDecodeFramesTornTail(t *testing.T) {
 		if valid >= int64(len(data)) {
 			t.Fatalf("valid=%d beyond torn prefix", valid)
 		}
+	}
+}
+
+// TestWALAppendFrames: shipped frames enter a log through AppendFrames. A
+// fresh log's frameless segment takes the first shipped header, here one
+// starting mid-stream; frames extend the segment their header names; the
+// next segment seals the active one at its last frame; a header that does
+// not continue the log is ErrWALCorrupt. The log reopens and replays every
+// record with its segment's epoch.
+func TestWALAppendFrames(t *testing.T) {
+	prefix := filepath.Join(t.TempDir(), "idx")
+	w := openTestWAL(t, prefix, WALOptions{})
+	frames := func(lsns ...uint64) []byte {
+		var b []byte
+		for _, lsn := range lsns {
+			p := []byte(fmt.Sprintf("rec-%d", lsn))
+			b = binary.LittleEndian.AppendUint32(b, uint32(len(p)))
+			b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(p))
+			b = append(b, p...)
+		}
+		return b
+	}
+	seg7 := SegmentHeader{Index: 7, FirstLSN: 40, Epoch: 2}
+	if lsn, err := w.AppendFrames(seg7, frames(40), 1); err != nil || lsn != 40 {
+		t.Fatalf("first shipped frame: lsn %d, %v", lsn, err)
+	}
+	if lsn, err := w.AppendFrames(seg7, frames(41), 1); err != nil || lsn != 41 {
+		t.Fatalf("second shipped frame: lsn %d, %v", lsn, err)
+	}
+	if _, err := os.Stat(walSegmentPath(prefix, 1)); !os.IsNotExist(err) {
+		t.Fatalf("the fresh log's own segment is still there: %v", err)
+	}
+	for _, bad := range []SegmentHeader{
+		{Index: 8, FirstLSN: 43, Epoch: 2}, // skips lsn 42
+		{Index: 7, FirstLSN: 42, Epoch: 2}, // reuses the active index
+		{Index: 8, FirstLSN: 42, Epoch: 1}, // an older epoch
+	} {
+		if _, err := w.AppendFrames(bad, frames(42), 1); !errors.Is(err, ErrWALCorrupt) {
+			t.Fatalf("AppendFrames(%+v) err = %v, want ErrWALCorrupt", bad, err)
+		}
+	}
+	seg8 := SegmentHeader{Index: 8, FirstLSN: 42, Epoch: 3}
+	if _, err := w.AppendFrames(seg8, frames(42), 1); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fileSize(t, walSegmentPath(prefix, 7)), int64(SegmentHeaderSize+len(frames(40, 41))); got != want {
+		t.Fatalf("sealed segment is %d bytes, frames end at %d", got, want)
+	}
+	if hdr, _ := w.Tail(); hdr != seg8 || w.Epoch() != 3 {
+		t.Fatalf("tail %+v, epoch %d: want %+v, 3", hdr, w.Epoch(), seg8)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	w = openTestWAL(t, prefix, WALOptions{})
+	defer w.Close()
+	var got []string
+	if err := w.Replay(func(epoch, lsn uint64, payload []byte) error {
+		got = append(got, fmt.Sprintf("%d/%d/%s", epoch, lsn, payload))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := "[2/40/rec-40 2/41/rec-41 3/42/rec-42]"; fmt.Sprint(got) != want {
+		t.Fatalf("replayed %v, want %s", got, want)
 	}
 }
