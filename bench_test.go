@@ -277,39 +277,3 @@ func benchRollup(b *testing.B, system string) {
 		}
 	}
 }
-
-// BenchmarkAblationNoMaterialization quantifies the materialized-aggregate
-// advantage: the same queries on a tree that must always descend to the
-// data nodes.
-func BenchmarkAblationNoMaterialization(b *testing.B) {
-	gen, err := tpcd.New(3, tpcd.DefaultScale())
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.Materialize = false
-	dc, err := core.New(storage.NewMemStore(cfg.BlockSize), gen.Schema(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, r := range gen.Records(benchRecords / 2) {
-		if err := dc.Insert(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-	qg := gen.Queries(99)
-	queries := make([]tpcd.Query, 64)
-	for i := range queries {
-		queries[i], err = qg.Query(0.05)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dc.Execute(context.Background(), core.QueryRequest{Query: queries[i%len(queries)].MDS}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -710,7 +710,6 @@ func runFsck(args []string) error {
 func runVerify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
 	indexPath := fs.String("index", "index.dc", "index file")
-	useMmap := fs.Bool("mmap", false, "verify extents through the store's memory-mapped views (the bytes queries read zero-copy)")
 	fs.Parse(args)
 
 	tree, store, err := openTree(*indexPath)
@@ -718,7 +717,7 @@ func runVerify(args []string) error {
 		return err
 	}
 	defer store.Close()
-	rep := tree.VerifyExtentsOpts(dctree.VerifyOpts{Mmap: *useMmap})
+	rep := tree.VerifyExtents()
 	for _, e := range rep.Errors {
 		owner := "live tree"
 		if e.Version != 0 {
@@ -730,10 +729,6 @@ func runVerify(args []string) error {
 	if !rep.OK() {
 		return fmt.Errorf("%d of %d extents damaged", len(rep.Errors), rep.Extents)
 	}
-	fmt.Printf("%s: OK (%d extents, %d blocks scanned", *indexPath, rep.Extents, rep.Blocks)
-	if *useMmap {
-		fmt.Printf(", %d mapped", rep.Mapped)
-	}
-	fmt.Println(")")
+	fmt.Printf("%s: OK (%d extents, %d blocks scanned)\n", *indexPath, rep.Extents, rep.Blocks)
 	return nil
 }

@@ -117,9 +117,6 @@ type (
 	VerifyReport = core.VerifyReport
 	// VerifyError is one damaged extent in a VerifyReport.
 	VerifyError = core.VerifyError
-	// VerifyOpts configures Tree.VerifyExtentsOpts; the zero value matches
-	// VerifyExtents.
-	VerifyOpts = core.VerifyOpts
 	// Version is one pinned MVCC snapshot from Tree.Snapshot; pass it in
 	// QueryRequest.AsOf for lock-free time-travel queries and Release it
 	// when done.

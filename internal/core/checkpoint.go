@@ -575,30 +575,13 @@ type VerifyError struct {
 // reads from: those the translation table references and those a live
 // version pins.
 type VerifyReport struct {
-	Extents int // extents scanned
-	Blocks  int // their length in blocks
-	// Mapped counts extents whose checksum was verified through the
-	// memory-mapped view path (VerifyOpts.Mmap on a store that maps).
-	Mapped int
-	Errors []VerifyError // damaged extents, in version and node-ID order
+	Extents int           // extents scanned
+	Blocks  int           // their length in blocks
+	Errors  []VerifyError // damaged extents, in version and node-ID order
 }
 
 // OK reports whether the scan found no damage.
 func (r VerifyReport) OK() bool { return len(r.Errors) == 0 }
-
-// VerifyOpts configures VerifyExtentsOpts.
-type VerifyOpts struct {
-	// Mmap verifies extents through the store's memory-mapped views (the
-	// bytes queries actually read zero-copy) instead of plain file reads.
-	// Stores without a mapping fall back to the file read per extent.
-	Mmap bool
-}
-
-// extentViewVerifier is implemented by stores that can force-verify an
-// extent through their memory mapping (bypassing the verified-bit cache).
-type extentViewVerifier interface {
-	VerifyExtentView(id storage.PageID) (blocks int, mapped bool, err error)
-}
 
 // VerifyExtents reads every extent referenced by the translation table or
 // by a live version's table (the extents the live table has moved off, and
@@ -606,11 +589,6 @@ type extentViewVerifier interface {
 // Read verifies the payload on disk against its checksum. Damage is
 // collected, not returned early, so one scan reports every bad extent.
 func (t *Tree) VerifyExtents() VerifyReport {
-	return t.VerifyExtentsOpts(VerifyOpts{})
-}
-
-// VerifyExtentsOpts is VerifyExtents with options (dctool verify -mmap).
-func (t *Tree) VerifyExtentsOpts(opts VerifyOpts) VerifyReport {
 	// The scan list: the live table in node-ID order, then every live
 	// version's tables, oldest first; an extent several tables share is
 	// scanned once, under the first.
@@ -635,20 +613,10 @@ func (t *Tree) VerifyExtentsOpts(opts VerifyOpts) VerifyReport {
 	t.mu.RUnlock()
 
 	var rep VerifyReport
-	vv, hasView := t.store.(extentViewVerifier)
 	for _, e := range scan {
 		rep.Extents++
 		rep.Blocks += e.Blocks
-		if opts.Mmap && hasView {
-			var mapped bool
-			_, mapped, e.Err = vv.VerifyExtentView(e.Page)
-			if mapped {
-				rep.Mapped++
-			}
-		} else {
-			_, _, e.Err = t.store.Read(e.Page)
-		}
-		if e.Err != nil {
+		if _, _, e.Err = t.store.Read(e.Page); e.Err != nil {
 			rep.Errors = append(rep.Errors, e)
 		}
 	}

@@ -38,8 +38,8 @@ type Config struct {
 	BlockSize int
 
 	// Config holds the knobs of the paper's algorithms (DirCapacity …
-	// FlatChooseSubtree); they are the index's, defined once there and
-	// promoted here.
+	// RefineBound); they are the index's, defined once there and promoted
+	// here.
 	index.Config
 
 	// CheckpointInterval, when positive, makes a WAL-backed tree checkpoint
@@ -50,9 +50,11 @@ type Config struct {
 	CheckpointInterval time.Duration
 
 	// CheckpointDirtyBytes, when positive, triggers a background checkpoint
-	// once the estimated dirty footprint (dirty nodes × block size) reaches
-	// this many bytes, bounding both recovery replay work and WAL growth
-	// under sustained writes. 0 (the default) disables the byte trigger.
+	// once dirty nodes × BlockSize reaches this many bytes, bounding both
+	// recovery replay work and WAL growth under sustained writes. It counts
+	// nodes, not their bytes: 4 MiB at the default 4 KiB block is 1,024
+	// dirty nodes, whatever their size. 0 (the default) disables the byte
+	// trigger.
 	CheckpointDirtyBytes int
 
 	// SyncReplication, when positive, withholds write acknowledgements

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/dcindex/dctree/internal/cube"
+	"github.com/dcindex/dctree/internal/hierarchy"
 	"github.com/dcindex/dctree/internal/index"
 	"github.com/dcindex/dctree/internal/mds"
 	"github.com/dcindex/dctree/internal/storage"
@@ -161,20 +162,35 @@ func (c *countdownCtx) Err() error {
 // TestExecuteCancellationMidDescent forces a descent long enough that the
 // periodic context poll — not the upfront check — aborts it.
 func TestExecuteCancellationMidDescent(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Materialize = false // force full descents: no aggregate shortcuts
-	tree := newTestTree(t, cfg)
+	tree := newTestTree(t, smallConfig())
 	rng := rand.New(rand.NewSource(3))
 	for _, r := range genRecords(t, tree.Schema(), rng, 2000) {
 		if err := tree.Insert(r); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 	}
-	q := mds.Top(tree.Schema().Dims())
+	// Every other leaf value of every dimension: the range overlaps most
+	// entries and contains none, so no aggregate shortcut ends the descent.
+	q := make(mds.MDS, tree.Schema().Dims())
+	for d, h := range tree.Schema().Space() {
+		vals, err := h.ValuesAt(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []hierarchy.ID
+		for i := 0; i < len(vals); i += 2 {
+			ids = append(ids, vals[i])
+		}
+		hierarchy.SortIDs(ids)
+		q[d] = mds.DimSet{Level: 0, IDs: ids}
+	}
 
 	full, err := tree.Execute(context.Background(), QueryRequest{Query: q, CollectStats: true})
 	if err != nil {
-		t.Fatalf("full scan: %v", err)
+		t.Fatalf("full descent: %v", err)
+	}
+	if full.Stats.MaterializedHits != 0 {
+		t.Fatalf("%d entries answered from their aggregates: the query must contain none", full.Stats.MaterializedHits)
 	}
 	if full.Stats.NodesVisited <= 2*index.CtxCheckInterval {
 		t.Fatalf("tree too small to exercise the poll: %d nodes", full.Stats.NodesVisited)
@@ -277,7 +293,8 @@ func TestMetricsWorkload(t *testing.T) {
 // TestMetricsPagedStoreHitRatio checks the store's read ledger surfaces
 // through Tree.Metrics when the tree sits on a PagedStore: every read is a
 // Hit (a mapped view) or a Miss (a read of the file), Reads == Hits +
-// Misses, and the views the tree counts are the store's Hits.
+// Misses, and the views the tree counts are the store's Hits. Queries read
+// through views; the extent scan of VerifyExtents reads the file.
 func TestMetricsPagedStoreHitRatio(t *testing.T) {
 	cfg := smallConfig()
 	store, err := storage.OpenPagedStore(filepath.Join(t.TempDir(), "m.dc"), cfg.BlockSize, 0)
@@ -300,15 +317,15 @@ func TestMetricsPagedStoreHitRatio(t *testing.T) {
 		t.Fatalf("Flush: %v", err)
 	}
 	tree.EvictCache()
-	// Half the queries read through the mapping, half through file reads.
-	for i := 0; i < 10; i++ {
-		if i == 5 {
-			store.SetMmapViews(false)
-		}
+	for i := 0; i < 5; i++ {
 		if _, err := rangeAgg(tree, randomQuery(rng, schema, 0.3), 0); err != nil {
 			t.Fatalf("RangeAgg: %v", err)
 		}
 		tree.EvictCache()
+	}
+	rep := tree.VerifyExtents()
+	if !rep.OK() {
+		t.Fatalf("VerifyExtents: %+v", rep.Errors)
 	}
 	m := tree.Metrics()
 	if m.Store.Reads == 0 || m.Store.Hits+m.Store.Misses != m.Store.Reads {
@@ -317,8 +334,9 @@ func TestMetricsPagedStoreHitRatio(t *testing.T) {
 	if m.Store.Hits != m.MmapViews {
 		t.Fatalf("store Hits = %d, mapped views = %d", m.Store.Hits, m.MmapViews)
 	}
-	if m.MmapFallbacks == 0 || m.Store.Misses < m.MmapFallbacks {
-		t.Fatalf("store Misses = %d, view fallbacks = %d: want every fallback a file read", m.Store.Misses, m.MmapFallbacks)
+	if m.Store.Misses < m.MmapFallbacks+int64(rep.Extents) {
+		t.Fatalf("store Misses = %d, view fallbacks = %d, extents verified = %d: want every fallback and every verified extent a file read",
+			m.Store.Misses, m.MmapFallbacks, rep.Extents)
 	}
 }
 

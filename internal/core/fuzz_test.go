@@ -55,7 +55,7 @@ func FuzzDecodeWALRecord(f *testing.F) {
 func FuzzDecodeMeta(f *testing.F) {
 	blob := flushedMetaBlob(f)
 	f.Add(blob)
-	f.Add(retiredSupernodeBitBlob(f, blob, blob[metaFlagsOffset(f, blob)]))
+	f.Add(metaFlagsBlob(f, blob, blob[metaFlagsOffset(f, blob)]|2))
 	f.Add(blob[:len(blob)/2])
 	f.Add([]byte(metaMagic))
 	f.Add(append([]byte(metaMagic), fuzzNegativeLength()...))
@@ -63,6 +63,7 @@ func FuzzDecodeMeta(f *testing.F) {
 	for _, retired := range retiredMetaBlobs(f) {
 		f.Add(retired)
 	}
+	f.Add(metaFlagsBlob(f, blob, 8)) // a flag bit no build wrote
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := decodeMeta(data)

@@ -24,6 +24,10 @@ import (
 // magic, undecoded.
 const metaMagic = "DCMETA09"
 
+// metaFlags is the config flags byte every blob is written with: bit 1,
+// once the switch of the materialized aggregates, which are always kept.
+const metaFlags = 1
+
 // versionManifest is the durable image of one live MVCC version:
 // everything rehydration needs to rebuild the Version handle without the
 // WAL — identity and snapshot point, capture time, tree shape at capture,
@@ -101,14 +105,7 @@ func (t *Tree) encodeMeta(snap metaSnapshot) ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.cfg.MaxOverlapRatio))
 	buf = binary.AppendUvarint(buf, uint64(t.cfg.MaxSupernodeBlocks))
 	buf = binary.AppendVarint(buf, int64(t.cfg.RefineBound))
-	var flags byte
-	if t.cfg.Materialize {
-		flags |= 1
-	}
-	if t.cfg.FlatChooseSubtree {
-		flags |= 4
-	}
-	buf = append(buf, flags)
+	buf = append(buf, metaFlags)
 	buf = binary.AppendVarint(buf, int64(t.cfg.CheckpointInterval))
 	buf = binary.AppendUvarint(buf, uint64(t.cfg.CheckpointDirtyBytes))
 	buf = binary.AppendVarint(buf, int64(t.cfg.VersionRetention.KeepLast))
@@ -227,14 +224,17 @@ func decodeMeta(meta []byte) (*Tree, error) {
 	cfg.MaxOverlapRatio = r.float64()
 	cfg.MaxSupernodeBlocks = int(r.uvarint())
 	cfg.RefineBound = int(r.varint())
-	flags := r.byte()
-	cfg.Materialize = flags&1 != 0
 	// Bit 2, no longer written, was the switch that disabled supernodes:
-	// the cap of one.
-	if flags&2 != 0 {
+	// the cap of one. Bits 1 and 4 were ablation switches (no materialized
+	// aggregates, a hierarchy-blind choose-subtree) whose trees are valid
+	// under the defaults, since aggregates were always stored: they are
+	// ignored. No build wrote the other bits.
+	switch flags := r.byte(); {
+	case flags&^7 != 0:
+		return nil, fmt.Errorf("%w: metadata flags %#x", ErrCorrupt, flags)
+	case flags&2 != 0:
 		cfg.MaxSupernodeBlocks = 1
 	}
-	cfg.FlatChooseSubtree = flags&4 != 0
 	cfg.CheckpointInterval = time.Duration(r.varint())
 	cfg.CheckpointDirtyBytes = int(r.uvarint())
 	cfg.VersionRetention.KeepLast = int(r.varint())

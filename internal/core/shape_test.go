@@ -78,8 +78,12 @@ func shapeDigest(t *testing.T, tree *Tree) string {
 // (index.boundMDS), so every stream that refines builds another tree —
 // default b6d09291b7e223ccb1fed50a, forced-splits a69961ef41ce61f668ceb0ac,
 // small-dir-supernodes 6739037bc1822b1981e773d0, block-filled
-// c11ebccbaf190b332d9aaab4 before. flat-choose-no-refine (RefineBound -1,
-// no bound) kept its digest.
+// c11ebccbaf190b332d9aaab4 before. The stream without refinement
+// (RefineBound -1, no bound) kept its digest then. It was pinned with the
+// hierarchy-blind choose-subtree ablation (flat-choose-no-refine,
+// 4c5043ed91f7c64ca3a86ae1) until that switch was retired; no-refine runs
+// the weighted cost, its digest taken on the last build that had the
+// switch.
 func TestGoldenTreeShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads 5×22k records")
@@ -106,12 +110,12 @@ func TestGoldenTreeShape(t *testing.T) {
 			c.MaxSupernodeBlocks = 3
 			c.MaxOverlapRatio = 0.002
 		}, "b223d6cc9a6c8a3008a6b536"},
-		// The two ablation switches the kernel has to honour.
-		{"flat-choose-no-refine", func(c *Config) {
+		// No refinement and no entry bound: levels fall only through the
+		// split dimension, and entries grow without limit.
+		{"no-refine", func(c *Config) {
 			c.LeafCapacity = 48
-			c.FlatChooseSubtree = true
 			c.RefineBound = -1
-		}, "4c5043ed91f7c64ca3a86ae1"},
+		}, "871f28e5917779cac8e2ae97"},
 		// The default: a data node fills its block (169 TPC-D rows).
 		{"block-filled", func(*Config) {}, "501991a2af5b666e22f83c03"},
 	}

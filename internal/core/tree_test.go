@@ -526,7 +526,6 @@ func TestAblationsAgreeWithDefault(t *testing.T) {
 		return tree
 	}
 	base := build(func(*Config) {})
-	noMat := build(func(c *Config) { c.Materialize = false })
 	noSuper := build(func(c *Config) { c.MaxSupernodeBlocks = 1 })
 
 	for i := 0; i < 100; i++ {
@@ -535,20 +534,13 @@ func TestAblationsAgreeWithDefault(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, tree := range map[string]*Tree{"noMaterialize": noMat, "noSupernodes": noSuper} {
-			got, err := rangeAgg(tree, q, 0)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if !aggMatches(got, want) {
-				t.Fatalf("%s disagrees: got %+v want %+v", name, got, want)
-			}
+		got, err := rangeAgg(noSuper, q, 0)
+		if err != nil {
+			t.Fatalf("noSupernodes: %v", err)
 		}
-	}
-	// The no-materialization tree must never report materialized hits.
-	res, _ := noMat.Execute(context.Background(), QueryRequest{Query: mds.Top(3), CollectStats: true})
-	if res.Stats.MaterializedHits != 0 {
-		t.Fatalf("materialization disabled but hits = %d", res.Stats.MaterializedHits)
+		if !aggMatches(got, want) {
+			t.Fatalf("noSupernodes disagrees: got %+v want %+v", got, want)
+		}
 	}
 }
 

@@ -800,14 +800,12 @@ func TestVerifyCoversVersionPinnedExtents(t *testing.T) {
 	if !ok {
 		t.Fatalf("version %d not rehydrated", v.ID())
 	}
-	for _, opts := range []VerifyOpts{{}, {Mmap: true}} {
-		rep := tree.VerifyExtentsOpts(opts)
-		if rep.Extents != want.Extents || rep.Blocks != want.Blocks {
-			t.Errorf("%+v: scanned %d extents, %d blocks; want %d, %d", opts, rep.Extents, rep.Blocks, want.Extents, want.Blocks)
-		}
-		if len(rep.Errors) != 1 || rep.Errors[0].Version != v.ID() || rep.Errors[0].Page != own[0] || !errors.Is(rep.Errors[0].Err, storage.ErrChecksum) {
-			t.Errorf("%+v: errors %+v, want the checksum mismatch of extent %d under version %d", opts, rep.Errors, own[0], v.ID())
-		}
+	rep := tree.VerifyExtents()
+	if rep.Extents != want.Extents || rep.Blocks != want.Blocks {
+		t.Errorf("scanned %d extents, %d blocks; want %d, %d", rep.Extents, rep.Blocks, want.Extents, want.Blocks)
+	}
+	if len(rep.Errors) != 1 || rep.Errors[0].Version != v.ID() || rep.Errors[0].Page != own[0] || !errors.Is(rep.Errors[0].Err, storage.ErrChecksum) {
+		t.Errorf("errors %+v, want the checksum mismatch of extent %d under version %d", rep.Errors, own[0], v.ID())
 	}
 	if err := rv.Scan(func(cube.Record) bool { return true }); !errors.Is(err, storage.ErrChecksum) {
 		t.Errorf("scan of the damaged version: %v, want ErrChecksum", err)

@@ -191,44 +191,60 @@ func metaFlagsOffset(t testing.TB, blob []byte) int {
 	return r.off
 }
 
-// retiredSupernodeBitBlob returns blob's flags byte set to flags plus bit
-// 2, the bit the retired switch that disabled supernodes wrote.
-func retiredSupernodeBitBlob(t testing.TB, blob []byte, flags byte) []byte {
+// metaFlagsBlob returns blob with its flags byte set to flags.
+func metaFlagsBlob(t testing.TB, blob []byte, flags byte) []byte {
 	t.Helper()
 	c := append([]byte(nil), blob...)
-	c[metaFlagsOffset(t, c)] = flags | 2
+	c[metaFlagsOffset(t, c)] = flags
 	return c
 }
 
-// TestMetaRetiredSupernodeBit: a blob with flags bit 2 set reopens with the
-// supernode cap of one and its other flags as written, and encodes back
-// without the bit.
+// TestMetaRetiredSupernodeBit walks every flags byte. The three bits a build
+// once wrote open under the default switches, bit 2 (the retired switch
+// that disabled supernodes) as the supernode cap of one, and encode back as
+// the one flags byte written today; the cap stays. Any other bit is refused.
 func TestMetaRetiredSupernodeBit(t *testing.T) {
 	blob := flushedMetaBlob(t)
-	if blob[metaFlagsOffset(t, blob)]&2 != 0 {
-		t.Fatal("encodeMeta wrote flags bit 2")
+	if got := blob[metaFlagsOffset(t, blob)]; got != metaFlags {
+		t.Fatalf("encodeMeta wrote flags %#x, want %#x", got, metaFlags)
 	}
-	for _, flags := range []byte{0, 1, 4, 5} {
-		tr, err := decodeMeta(retiredSupernodeBitBlob(t, blob, flags))
-		if err != nil {
-			t.Fatalf("flags %#x: %v", flags|2, err)
+	want := smallConfig().Config // flushedMetaBlob's
+	for f := 0; f < 256; f++ {
+		flags := byte(f)
+		tr, err := decodeMeta(metaFlagsBlob(t, blob, flags))
+		if flags&^7 != 0 {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("flags %#x: %v, want ErrCorrupt", flags, err)
+			}
+			continue
 		}
-		if tr.cfg.MaxSupernodeBlocks != 1 || tr.cfg.Materialize != (flags&1 != 0) || tr.cfg.FlatChooseSubtree != (flags&4 != 0) {
-			t.Fatalf("flags %#x: cap %d, Materialize %v, FlatChooseSubtree %v",
-				flags|2, tr.cfg.MaxSupernodeBlocks, tr.cfg.Materialize, tr.cfg.FlatChooseSubtree)
+		if err != nil {
+			t.Fatalf("flags %#x: %v", flags, err)
+		}
+		wantCap := want.MaxSupernodeBlocks
+		if flags&2 != 0 {
+			wantCap = 1
+		}
+		got := tr.cfg.Config
+		if got.MaxSupernodeBlocks != wantCap {
+			t.Fatalf("flags %#x: cap %d, want %d", flags, got.MaxSupernodeBlocks, wantCap)
+		}
+		got.MaxSupernodeBlocks = want.MaxSupernodeBlocks
+		if got != want {
+			t.Fatalf("flags %#x: config %+v, want %+v", flags, got, want)
 		}
 		again, err := tr.encodeMeta(tr.metaSnapshotLocked())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := again[metaFlagsOffset(t, again)]; got != flags {
-			t.Fatalf("flags %#x re-encoded as %#x, want %#x", flags|2, got, flags)
+		if got := again[metaFlagsOffset(t, again)]; got != metaFlags {
+			t.Fatalf("flags %#x re-encoded as %#x, want %#x", flags, got, metaFlags)
 		}
 		if tr, err = decodeMeta(again); err != nil {
-			t.Fatalf("flags %#x re-encoded: %v", flags|2, err)
+			t.Fatalf("flags %#x re-encoded: %v", flags, err)
 		}
-		if tr.cfg.MaxSupernodeBlocks != 1 {
-			t.Fatalf("flags %#x re-encoded: cap %d, want 1", flags|2, tr.cfg.MaxSupernodeBlocks)
+		if tr.cfg.MaxSupernodeBlocks != wantCap {
+			t.Fatalf("flags %#x re-encoded: cap %d, want %d", flags, tr.cfg.MaxSupernodeBlocks, wantCap)
 		}
 	}
 }

@@ -51,24 +51,6 @@ type Config struct {
 	// (the relevant level then only decreases via the split dimension
 	// itself, and entries grow without bound).
 	RefineBound int
-
-	// Materialize controls whether directory entries store the aggregates
-	// of their subtrees. Disabling it (ablation) forces every range query
-	// to descend to the data nodes, like the X-tree baseline.
-	//
-	// This and FlatChooseSubtree below exist for ablations, not for
-	// production: BenchmarkAblationNoMaterialization and the shape
-	// goldens' ablation trees set them, and TestAblationsAgreeWithDefault
-	// holds every variant to the default's answers. The meta blob persists
-	// them.
-	Materialize bool
-
-	// FlatChooseSubtree makes the insert path weigh every new attribute
-	// value equally instead of geometrically favoring coarse levels
-	// (ablation). With it, records scatter across the coarse partition —
-	// one new region costs the same as one new customer — and the tree
-	// degenerates into unsplittable supernodes; see DESIGN.md §3.1.
-	FlatChooseSubtree bool
 }
 
 // DefaultConfig returns the configuration used by the paper reproduction;
@@ -80,7 +62,6 @@ func DefaultConfig() Config {
 		MaxOverlapRatio:    0.20,
 		MaxSupernodeBlocks: 64,
 		RefineBound:        8,
-		Materialize:        true,
 	}
 }
 

@@ -75,8 +75,7 @@ func (ix *Index) Execute(ctx context.Context, src Source, root NodeID, q Query) 
 	// on the stack; only the all-measures vector is handed to the caller.
 	var one [1]cube.Agg
 	out := cube.AggVector(one[:])
-	d := descent{src: src, qc: qc, ctx: ctx, check: CtxCheckInterval,
-		materialize: ix.cfg.Materialize, frames: qc.frames}
+	d := descent{src: src, qc: qc, ctx: ctx, check: CtxCheckInterval, frames: qc.frames}
 	if q.AllMeasures {
 		res.AggVector = cube.NewAggVector(ix.schema.Measures())
 		out = res.AggVector

@@ -149,7 +149,7 @@ func New(schema *cube.Schema, cfg Config, store Store) *Index {
 // Head the index reported when the host saved it. cfg must be normalized.
 func Restore(schema *cube.Schema, cfg Config, store Store, h Head) *Index {
 	ix := &Index{schema: schema, cfg: cfg, store: store, head: h}
-	ix.ws = newWriteScratch(schema, &ix.cfg)
+	ix.ws = newWriteScratch(schema)
 	return ix
 }
 

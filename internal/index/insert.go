@@ -181,6 +181,17 @@ func (ix *Index) chooseSubtree(n *Node, rc *recContext) (best int, contained boo
 // addition outweighs any realistic number of finer ones.
 const levelWeight = 1 << 16
 
+// levelWeights[L] is levelWeight^L, the cost of one new value at hierarchy
+// level L.
+var levelWeights = func() (w [hierarchy.MaxLevel + 1]float64) {
+	v := 1.0
+	for l := range w {
+		w[l] = v
+		v *= levelWeight
+	}
+	return w
+}()
+
 // enlargementCost measures how badly the record enlarges an entry MDS: for
 // every dimension, one unit of cost levelWeight^L for each hierarchy level
 // L (from the entry's relevant level up to the level below ALL) at which
@@ -191,7 +202,6 @@ const levelWeight = 1 << 16
 // term is positive, so the final cost could only be larger — and within is
 // false.
 func (ix *Index) enlargementCost(entryMDS mds.MDS, rc *recContext, bound float64, bounded bool) (cost float64, within bool) {
-	weights := &ix.ws.weights
 	for d, h := range ix.space() {
 		ds := &entryMDS[d]
 		if ds.Level == hierarchy.LevelALL {
@@ -203,7 +213,7 @@ func (ix *Index) enlargementCost(entryMDS mds.MDS, rc *recContext, bound float64
 		if idMember(ds.IDs, anc[ds.Level]) {
 			continue
 		}
-		cost += weights[ds.Level]
+		cost += levelWeights[ds.Level]
 		if bounded && cost > bound {
 			return cost, false
 		}
@@ -211,7 +221,7 @@ func (ix *Index) enlargementCost(entryMDS mds.MDS, rc *recContext, bound float64
 			if liftedMember(h.AncestorTable(ds.Level, level), ds.IDs, anc[level]) {
 				break // monotone: covered here means covered above too
 			}
-			cost += weights[level]
+			cost += levelWeights[level]
 			if bounded && cost > bound {
 				return cost, false
 			}
@@ -229,16 +239,6 @@ func liftedMember(tab, ids []hierarchy.ID, anc hierarchy.ID) bool {
 		}
 	}
 	return false
-}
-
-// pow is a small positive-integer power for float64; it fills the
-// choose-subtree weight table.
-func pow(base float64, exp int) float64 {
-	v := 1.0
-	for i := 0; i < exp; i++ {
-		v *= base
-	}
-	return v
 }
 
 // scanMax is the longest set idMember scans instead of searching: 2 × the

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -22,10 +23,6 @@ import (
 // tables, no weight table, no bound.
 func refEnlargementCost(t *testing.T, tree *Index, entryMDS mds.MDS, rec cube.Record) float64 {
 	t.Helper()
-	weight := float64(levelWeight)
-	if tree.cfg.FlatChooseSubtree {
-		weight = 1
-	}
 	cost := 0.0
 	for d, h := range tree.space() {
 		ds := entryMDS[d]
@@ -51,7 +48,7 @@ func refEnlargementCost(t *testing.T, tree *Index, entryMDS mds.MDS, rec cube.Re
 			if covered {
 				break
 			}
-			cost += pow(weight, level)
+			cost += math.Pow(levelWeight, float64(level))
 		}
 	}
 	return cost
@@ -163,11 +160,9 @@ func kernelTestTree(t *testing.T, cfg Config, seed int64) (*Index, []cube.Record
 // of 0. Without the entry bound (RefineBound -1) entries hold sets longer
 // than idMember scans, so its binary search is reached too.
 func TestChooseSubtreeMatchesReference(t *testing.T) {
-	flat := smallConfig()
-	flat.FlatChooseSubtree = true
 	unbounded := smallConfig()
 	unbounded.RefineBound = -1
-	for name, cfg := range map[string]Config{"weighted": smallConfig(), "flat": flat, "unbounded": unbounded} {
+	for name, cfg := range map[string]Config{"weighted": smallConfig(), "unbounded": unbounded} {
 		t.Run(name, func(t *testing.T) {
 			tree, recs := kernelTestTree(t, cfg, 51)
 			nodes, _ := allNodes(t, tree)

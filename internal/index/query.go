@@ -92,12 +92,11 @@ func (nv *NodeView) row(i int, rec cube.Record) {
 // (live tree or pinned version), the read-only query context, the
 // cancellation context with its poll countdown and the work counters.
 type descent struct {
-	src         Source
-	qc          *queryCtx
-	ctx         context.Context
-	check       int // node visits until the next ctx poll
-	materialize bool
-	st          QueryStats
+	src   Source
+	qc    *queryCtx
+	ctx   context.Context
+	check int // node visits until the next ctx poll
+	st    QueryStats
 
 	// first is the measure the aggregate sink's first element accumulates:
 	// a walk aggregates into out[j] the measure first+j, so a single-measure
@@ -163,7 +162,7 @@ func (d *descent) visitNode(id NodeID, out cube.AggVector) error {
 			d.st.EntriesPruned++
 			continue
 		}
-		if contained && d.materialize {
+		if contained {
 			for j := range out {
 				out[j].Merge(f.Agg(i, d.first+j))
 			}

@@ -7,10 +7,10 @@ import (
 )
 
 // writeScratch is the tree's one set of write-path buffers: the record
-// context of the mutation in flight, the choose-subtree weight table and
-// the workspace of the split, refinement and cover-repair arithmetic. Every
-// mutation (Insert, Delete, BulkLoad) runs under the host's exclusive hold,
-// so one scratch per tree is never shared; readers never touch it.
+// context of the mutation in flight and the workspace of the split,
+// refinement and cover-repair arithmetic. Every mutation (Insert, Delete,
+// BulkLoad) runs under the host's exclusive hold, so one scratch per tree
+// is never shared; readers never touch it.
 //
 // Ownership rule: an MDS that lives in the scratch is valid only until the
 // next kernel call that uses the same buffer. Whatever the tree keeps — an
@@ -18,10 +18,6 @@ import (
 // (packMDS, storeMDS) before the scratch is used again.
 type writeScratch struct {
 	rc recContext
-
-	// weights[L] is the choose-subtree cost of one new value at hierarchy
-	// level L: levelWeight^L, or 1 under Config.FlatChooseSubtree.
-	weights [hierarchy.MaxLevel + 1]float64
 
 	topMDS  mds.MDS        // (ALL,…,ALL): the root's relevant levels, read-only
 	levels  []int          // per-dimension level vector (cover floors, member levels)
@@ -35,7 +31,7 @@ type writeScratch struct {
 	split   splitScratch
 }
 
-func newWriteScratch(schema *cube.Schema, cfg *Config) *writeScratch {
+func newWriteScratch(schema *cube.Schema) *writeScratch {
 	space := schema.Space()
 	ws := &writeScratch{
 		topMDS:  mds.Top(len(space)),
@@ -43,13 +39,6 @@ func newWriteScratch(schema *cube.Schema, cfg *Config) *writeScratch {
 		levels:  make([]int, len(space)),
 		top:     make([]int, len(space)),
 		refined: make([][]hierarchy.ID, len(space)),
-	}
-	weight := float64(levelWeight)
-	if cfg.FlatChooseSubtree {
-		weight = 1 // ablation: hierarchy-blind enlargement
-	}
-	for l := range ws.weights {
-		ws.weights[l] = pow(weight, l)
 	}
 	ws.rc.anc = make([][]hierarchy.ID, len(space))
 	ws.rc.agg = make(cube.AggVector, schema.Measures())

@@ -75,8 +75,10 @@ func shapeDigest(t *testing.T, ix *Index) string {
 // data-node capacity they were pinned at (48 rows, the default before it
 // became the block-filled count); the last pins the default itself. The four
 // streams that refine were re-pinned once, with internal/core's, when inserts
-// and splits began to bound directory entries (boundMDS); the one that does
-// not (RefineBound -1) kept the digest it was first pinned with.
+// and splits began to bound directory entries (boundMDS). The one that does
+// not (RefineBound -1) was pinned with the hierarchy-blind choose-subtree
+// ablation until that switch was retired; it now runs the weighted cost, its
+// digest taken on the last build that still had the switch.
 func TestGoldenTreeShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads 5×22k records")
@@ -100,11 +102,10 @@ func TestGoldenTreeShape(t *testing.T) {
 			c.MaxSupernodeBlocks = 3
 			c.MaxOverlapRatio = 0.002
 		}, "b223d6cc9a6c8a3008a6b536"},
-		{"flat-choose-no-refine", func(c *Config) {
+		{"no-refine", func(c *Config) {
 			c.LeafCapacity = 48
-			c.FlatChooseSubtree = true
 			c.RefineBound = -1
-		}, "4c5043ed91f7c64ca3a86ae1"},
+		}, "871f28e5917779cac8e2ae97"},
 		{"block-filled", func(*Config) {}, "501991a2af5b666e22f83c03"},
 	}
 	for _, tc := range cases {

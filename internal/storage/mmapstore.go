@@ -85,7 +85,7 @@ type mmapRegion struct {
 	mu        sync.RWMutex
 	f         *os.File
 	blockSize int
-	enabled   bool // off: unsupported platform, SetMmapViews(false), or map failure
+	enabled   bool // off: unsupported platform or map failure
 	cur       []byte
 	retired   [][]byte        // superseded mappings, kept until close for outstanding views
 	verified  []atomic.Uint64 // bitmap of pages whose payload CRC was already checked; written under mu
@@ -118,15 +118,6 @@ func (m *mmapRegion) publishLocked() {
 		return
 	}
 	m.pub.Store(&mmapState{b: m.cur, verified: m.verified})
-}
-
-// setEnabled toggles the mapped path (tests and operational fallback). The
-// plain-read path serves every view while disabled.
-func (m *mmapRegion) setEnabled(on bool) {
-	m.mu.Lock()
-	m.enabled = on && mmapSupported
-	m.publishLocked()
-	m.mu.Unlock()
 }
 
 // invalidate drops the page's verified bit: its extent was rewritten, so
@@ -329,38 +320,6 @@ func (s *PagedStore) ViewExtent(id PageID) ([]byte, int, error) {
 
 // ViewStats implements ExtentViewer.
 func (s *PagedStore) ViewStats() ViewStats { return s.mm.stats.snapshot() }
-
-// SetMmapViews toggles the memory-mapped view path at runtime. Disabling it
-// routes every ViewExtent through the plain-read fallback (used by tests
-// and as an operational escape hatch); enabling it is a no-op on platforms
-// without mmap support.
-func (s *PagedStore) SetMmapViews(on bool) { s.mm.setEnabled(on) }
-
-// VerifyExtentView force-verifies one extent through the mapped view path:
-// unlike ViewExtent it never consults the verified bitmap, so it checks the
-// bytes as they are mapped right now (dctool verify -mmap). Falls back to
-// the plain file read when the mapping cannot serve the extent. It serves
-// no payload, so it moves neither ViewStats nor Stats.
-func (s *PagedStore) VerifyExtentView(id PageID) (blocks int, mapped bool, err error) {
-	if id == NilPage {
-		return 0, false, fmt.Errorf("%w: nil page", ErrNotFound)
-	}
-	if err := s.checkOpen(); err != nil {
-		return 0, false, err
-	}
-	s.mm.mu.RLock()
-	enabled := s.mm.enabled
-	s.mm.mu.RUnlock()
-	if enabled {
-		// Invalidate clears the verified bit, forcing view() to re-CRC.
-		s.mm.invalidate(id)
-		if _, blocks, err, ok := s.mm.view(id); ok {
-			return blocks, true, err
-		}
-	}
-	_, blocks, err = s.readExtent(id)
-	return blocks, false, err
-}
 
 // ViewExtent implements ExtentViewer for MemStore: the extent's backing
 // slice itself, zero-copy. Safe because MemStore never recycles PageIDs and

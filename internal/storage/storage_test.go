@@ -168,9 +168,6 @@ func TestStoreConformance(t *testing.T) {
 				},
 				"Close": s.Close,
 			}
-			if ps, ok := s.(*PagedStore); ok {
-				afterClose["VerifyExtentView"] = func() error { _, _, err := ps.VerifyExtentView(id); return err }
-			}
 			for op, call := range afterClose {
 				if err := call(); !errors.Is(err, ErrClosed) {
 					t.Errorf("%s after Close = %v, want ErrClosed", op, err)
