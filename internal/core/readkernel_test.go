@@ -5,10 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
+	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/hierarchy"
 	"github.com/dcindex/dctree/internal/index"
 	"github.com/dcindex/dctree/internal/mds"
@@ -208,33 +211,50 @@ func TestQueryAllocations(t *testing.T) {
 // is empty, so every node it reads is its extent viewed out of the mapping.
 func reopenedPagedTree(tb testing.TB, gen *tpcd.Gen, records int) (*Tree, *storage.PagedStore) {
 	tb.Helper()
+	tree, ps := openPagedTree(tb, pagedImage(tb, gen.Schema(), gen.Records(records)))
+	tb.Cleanup(func() {
+		tree.Close()
+		ps.Close()
+	})
+	return tree, ps
+}
+
+// pagedImage bulk-loads recs into a tree of schema on a fresh PagedStore
+// file, flushes and closes it, and returns the file's path.
+func pagedImage(tb testing.TB, schema *cube.Schema, recs []cube.Record) string {
+	tb.Helper()
 	cfg := DefaultConfig()
 	path := filepath.Join(tb.TempDir(), "cold.dc")
 	ps, err := storage.OpenPagedStore(path, cfg.BlockSize, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tree, err := New(ps, gen.Schema(), cfg)
+	tree, err := New(ps, schema, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := tree.BulkLoad(gen.Records(records)); err != nil {
+	if err := tree.BulkLoad(recs); err != nil {
 		tb.Fatal(err)
 	}
 	if err := errors.Join(tree.Flush(), tree.Close(), ps.Close()); err != nil {
 		tb.Fatal(err)
 	}
-	if ps, err = storage.OpenPagedStore(path, cfg.BlockSize, 0); err != nil {
+	return path
+}
+
+// openPagedTree opens the tree of the PagedStore file at path, with an
+// empty cache. The caller closes both.
+func openPagedTree(tb testing.TB, path string) (*Tree, *storage.PagedStore) {
+	tb.Helper()
+	ps, err := storage.OpenPagedStore(path, DefaultConfig().BlockSize, 0)
+	if err != nil {
 		tb.Fatal(err)
 	}
-	if tree, err = Open(ps); err != nil {
+	tree, err := Open(ps)
+	if err != nil {
 		ps.Close()
 		tb.Fatal(err)
 	}
-	tb.Cleanup(func() {
-		tree.Close()
-		ps.Close()
-	})
 	return tree, ps
 }
 
@@ -299,4 +319,55 @@ func BenchmarkColdQuery(b *testing.B) {
 			b.ReportMetric(float64(visits)/float64(b.N), "visits/op")
 		})
 	}
+}
+
+// BenchmarkColdDelete is the cold-read workload's expiry on the tree of
+// BenchmarkMappedVisit: every 12.5th of its records deleted, spread evenly
+// over the load order, from the image reopened with an empty cache, so the
+// deletes fault their paths in out of the mapping. One op is one pass on a
+// fresh copy of the image, which the pass leaves unflushed; beside ns/delete
+// it reports the heap allocations per delete.
+func BenchmarkColdDelete(b *testing.B) {
+	const expiries = coldRecords * 2 / 25
+	gen, err := tpcd.New(1, tpcd.ScaleFor(coldRecords))
+	if err != nil {
+		b.Fatal(err)
+	}
+	recs := gen.Records(coldRecords)
+	expire := make([]cube.Record, expiries)
+	for i := range expire {
+		expire[i] = recs[i*len(recs)/expiries]
+	}
+	image, err := os.ReadFile(pagedImage(b, gen.Schema(), recs))
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "work.dc")
+	var before, after runtime.MemStats
+	var mallocs uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := os.WriteFile(path, image, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		tree, ps := openPagedTree(b, path)
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		for _, r := range expire {
+			if err := tree.Delete(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+		if err := ps.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	deletes := float64(b.N * len(expire))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/deletes, "ns/delete")
+	b.ReportMetric(float64(mallocs)/deletes, "allocs/delete")
 }

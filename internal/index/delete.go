@@ -33,11 +33,11 @@ func (ix *Index) Delete(rec cube.Record) error {
 	if err != nil {
 		return err
 	}
-	found, err := ix.deleteFrom(ix.head.Root, rc)
+	root, err := ix.deleteFrom(ix.head.Root, rc)
 	if err != nil {
 		return err
 	}
-	if !found {
+	if root == nil {
 		return ErrNotFound
 	}
 	ix.head.Count--
@@ -45,16 +45,12 @@ func (ix *Index) Delete(rec cube.Record) error {
 	// Collapse trivial roots: a directory root with one entry hands the
 	// root role to its only child.
 	collapsed := false
-	for {
-		root, err := ix.store.Get(ix.head.Root)
-		if err != nil {
-			return err
-		}
-		if root.leaf || len(root.entries) != 1 {
-			break
-		}
+	for !root.leaf && len(root.entries) == 1 {
 		child := root.entries[0].Child
 		if err := ix.store.Drop(root.id); err != nil {
+			return err
+		}
+		if root, err = ix.store.Get(child); err != nil {
 			return err
 		}
 		ix.head.Root = child
@@ -63,10 +59,6 @@ func (ix *Index) Delete(rec cube.Record) error {
 	}
 
 	// Repair the root MDS: the cover of the root's entries, at no floor.
-	root, err := ix.store.Get(ix.head.Root)
-	if err != nil {
-		return err
-	}
 	switch {
 	case root.Count() == 0:
 		ix.head.RootMDS = mds.Top(ix.schema.Dims())
@@ -81,26 +73,26 @@ func (ix *Index) Delete(rec cube.Record) error {
 	return nil
 }
 
-// deleteFrom removes the record from the subtree at id. It probes every
-// entry whose MDS contains the record (entries may overlap, so several
-// probes can be necessary) and, once the record is found, repairs the
-// entry's MDS and aggregate to the child's exact state.
-func (ix *Index) deleteFrom(id NodeID, rc *recContext) (bool, error) {
+// deleteFrom removes the record from the subtree at id and returns the
+// node it edited there, or nil when the record is not in the subtree. It
+// probes every entry whose MDS contains the record (entries may overlap,
+// so several probes can be necessary) and, once the record is found,
+// repairs the entry's MDS and aggregate to the child's exact state.
+func (ix *Index) deleteFrom(id NodeID, rc *recContext) (*Node, error) {
 	n, err := ix.store.Get(id)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
 
 	if n.leaf {
-		for i := 0; i < n.Count(); i++ {
-			if slices.Equal(n.Row(i), rc.rec.Coords) && slices.Equal(n.RowMeasures(i), rc.rec.Measures) {
-				n.removeRecord(i)
-				n.shrink(&ix.cfg)
-				ix.markDirty(n)
-				return true, nil
-			}
+		i := n.findRow(rc.rec)
+		if i < 0 {
+			return nil, nil
 		}
-		return false, nil
+		n.removeRecord(i)
+		n.shrink(&ix.cfg)
+		ix.markDirty(n)
+		return n, nil
 	}
 
 	for i := range n.entries {
@@ -108,20 +100,16 @@ func (ix *Index) deleteFrom(id NodeID, rc *recContext) (bool, error) {
 		if !rc.contains(e.MDS) {
 			continue
 		}
-		found, err := ix.deleteFrom(e.Child, rc)
+		child, err := ix.deleteFrom(e.Child, rc)
 		if err != nil {
-			return false, err
+			return nil, err
 		}
-		if !found {
+		if child == nil {
 			continue
-		}
-		child, err := ix.store.Get(e.Child)
-		if err != nil {
-			return false, err
 		}
 		if child.Count() == 0 {
 			if err := ix.store.Drop(child.id); err != nil {
-				return false, err
+				return nil, err
 			}
 			n.entries = append(n.entries[:i], n.entries[i+1:]...)
 		} else {
@@ -133,17 +121,30 @@ func (ix *Index) deleteFrom(id NodeID, rc *recContext) (bool, error) {
 				ws := ix.ws
 				cover, err := mds.CoverInto(&ws.cover, ix.space(), ws.levelsOf(e.MDS), ws.entryMDSs(child))
 				if err != nil {
-					return false, err
+					return nil, err
 				}
 				storeMDS(e.MDS, cover)
 			}
-			e.Agg = child.aggregate(ix.schema.Measures())
+			child.aggregateInto(e.Agg)
 		}
 		n.shrink(&ix.cfg)
 		ix.markDirty(n)
-		return true, nil
+		return n, nil
 	}
-	return false, nil
+	return nil, nil
+}
+
+// findRow returns the index of a data node's first row holding exactly
+// rec's coordinates and measures, or -1. A row is compared in full only
+// when its first coordinate matches.
+func (n *Node) findRow(rec cube.Record) int {
+	first := rec.Coords[0]
+	for i, k := 0, 0; k < len(n.coords); i, k = i+1, k+n.dims {
+		if n.coords[k] == first && slices.Equal(n.Row(i), rec.Coords) && slices.Equal(n.RowMeasures(i), rec.Measures) {
+			return i
+		}
+	}
+	return -1
 }
 
 // repairCover brings m — the exact cover of node n's members at m's levels

@@ -52,9 +52,10 @@ func deletePath(t *testing.T, ix *Index, rec cube.Record) []NodeID {
 // exact rebuild it replaced. Random insert/delete streams run at data-node
 // capacities from 4 rows to the block-filled 169, on dynamically built and
 // bulk-loaded trees; after every delete, each entry left on the delete path
-// must equal mds.CoverInto of its child at the entry's levels, and the root
-// MDS the cover of the root's entries, bit for bit. Both the incremental
-// path and the fallback must have been taken.
+// must equal mds.CoverInto of its child at the entry's levels and carry
+// the child's aggregate as Node.aggregate folds it, and the root MDS must
+// equal the cover of the root's entries, all bit for bit. Both the
+// incremental path and the fallback must have been taken.
 func TestDeleteRepairMatchesCover(t *testing.T) {
 	const load, steps = 3000, 3000
 	gen, err := tpcd.New(5, tpcd.ScaleFor(load))
@@ -118,7 +119,11 @@ func TestDeleteRepairMatchesCover(t *testing.T) {
 						}
 						for j := range n.entries {
 							if e := &n.entries[j]; e.Child == path[i+1] {
-								check(fmt.Sprintf("step %d node %d entry %d", step, id, j), e.MDS, ix.ws.levelsOf(e.MDS), nodes.nodes[e.Child])
+								what, child := fmt.Sprintf("step %d node %d entry %d", step, id, j), nodes.nodes[e.Child]
+								check(what, e.MDS, ix.ws.levelsOf(e.MDS), child)
+								if want := child.aggregate(ix.schema.Measures()); !e.Agg.Equal(want) {
+									t.Fatalf("%s: refolded aggregate %v, child's %v", what, e.Agg, want)
+								}
 							}
 						}
 					}
@@ -138,5 +143,49 @@ func TestDeleteRepairMatchesCover(t *testing.T) {
 	t.Logf("%d repairs checked, %d rebuilt by CoverInto", repairs, fallbacks)
 	if fallbacks == 0 || fallbacks == repairs {
 		t.Fatalf("%d of %d repairs fell back: both paths must be taken", fallbacks, repairs)
+	}
+}
+
+// TestDeleteAllocations holds the delete path to zero allocations per
+// delete: on a warm, packed tree, removing a present record that empties no
+// node edits every node on its path in place, refolds each entry's
+// aggregate into the entry's own vector and repairs each MDS in the write
+// scratch.
+func TestDeleteAllocations(t *testing.T) {
+	const records = 15000
+	gen, err := tpcd.New(1, tpcd.ScaleFor(records))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, nodes := newBareIndex(t, gen.Schema(), DefaultConfig())
+	recs := gen.Records(records)
+	if err := ix.BulkLoad(recs); err != nil {
+		t.Fatal(err)
+	}
+	var expire []cube.Record
+	for i := 0; i < len(recs); i += 12 {
+		expire = append(expire, recs[i])
+	}
+	const warm = 100
+	for _, r := range expire[:warm] { // warm up: the write scratch's buffers
+		if err := ix.Delete(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, next := len(nodes.nodes), warm
+	allocs := testing.AllocsPerRun(len(expire)-warm-1, func() {
+		if err := ix.Delete(expire[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if len(nodes.nodes) != before {
+		t.Fatalf("the deletes emptied %d nodes; the test needs them all kept", before-len(nodes.nodes))
+	}
+	if allocs != 0 {
+		t.Errorf("%.2f allocations per delete, want 0", allocs)
+	}
+	if err := validate(ix); err != nil {
+		t.Fatal(err)
 	}
 }

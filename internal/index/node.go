@@ -127,16 +127,23 @@ func (c *Config) capacity(leaf bool, blocks int) int {
 // aggregate computes the node's aggregate vector from its entries.
 func (n *Node) aggregate(measures int) cube.AggVector {
 	v := cube.NewAggVector(measures)
+	n.aggregateInto(v)
+	return v
+}
+
+// aggregateInto refolds the node's aggregate vector into v in place: v is
+// emptied, then the node's rows or entries are folded in, in order.
+func (n *Node) aggregateInto(v cube.AggVector) {
+	clear(v)
 	if n.leaf {
 		for i := 0; i < n.Count(); i++ {
 			v.AddRecord(n.RowMeasures(i))
 		}
-		return v
+		return
 	}
 	for i := range n.entries {
 		v.Merge(n.entries[i].Agg)
 	}
-	return v
 }
 
 // HeapView fills nv with the read-only view of a heap node: a data node

@@ -209,6 +209,7 @@ func BenchmarkDelete(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := DefaultConfig()
 			cfg.LeafCapacity = bc.rows
+			b.ReportAllocs()
 			var fallbacks int64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
