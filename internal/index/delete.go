@@ -112,6 +112,7 @@ func (ix *Index) deleteFrom(id NodeID, rc *recContext) (*Node, error) {
 				return nil, err
 			}
 			n.entries = append(n.entries[:i], n.entries[i+1:]...)
+			n.invalidatePostings()
 		} else {
 			// Repair the entry at its own relevant levels: the exact
 			// child cover lifted to the entry's levels is the minimal
@@ -125,6 +126,7 @@ func (ix *Index) deleteFrom(id NodeID, rc *recContext) (*Node, error) {
 				}
 				storeMDS(e.MDS, cover)
 			}
+			n.invalidatePostings()
 			child.aggregateInto(e.Agg)
 		}
 		n.shrink(&ix.cfg)

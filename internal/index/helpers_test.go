@@ -13,12 +13,14 @@ import (
 
 // memNodes is all the host a bare index needs: heap nodes in a map, IDs
 // from a counter. It is the write-side Store and, over the same nodes, the
-// read-side Source. No block store, no lock, no log.
+// read-side Source. No block store, no lock, no log. A test that sets
+// touched learns the nodes each mutation minted or marked dirty.
 type memNodes struct {
 	ix       *Index
 	nodes    map[NodeID]*Node
 	next     NodeID
 	dims, nm int
+	touched  map[NodeID]bool
 }
 
 func (s *memNodes) Get(id NodeID) (*Node, error) {
@@ -32,10 +34,15 @@ func (s *memNodes) New(leaf bool) *Node {
 	s.next++
 	n := NewNode(s.next, leaf, s.dims, s.nm)
 	s.nodes[n.id] = n
+	s.MarkDirty(n.id)
 	return n
 }
 
-func (s *memNodes) MarkDirty(NodeID) {}
+func (s *memNodes) MarkDirty(id NodeID) {
+	if s.touched != nil {
+		s.touched[id] = true
+	}
+}
 
 func (s *memNodes) Drop(id NodeID) error {
 	delete(s.nodes, id)

@@ -116,6 +116,7 @@ type counters struct {
 	maskPoolMisses   obs.Counter
 	readImageBuilds  obs.Counter
 	repairFallbacks  obs.Counter
+	postingBuilds    obs.Counter
 }
 
 // Counters is a point-in-time copy of the index's counters.
@@ -135,6 +136,9 @@ type Counters struct {
 	// Delete repairs of an entry or the root MDS that moved a level and so
 	// rebuilt the cover (mds.CoverInto) instead of dropping one value.
 	DeleteRepairFallbacks int64
+	// Directory postings built by chooseSubtree: one per directory the
+	// first time an insert descends through it after its entries changed.
+	PostingBuilds int64
 }
 
 // New creates an empty index whose nodes live in store: the root is a data
@@ -183,6 +187,7 @@ func (ix *Index) Counters() Counters {
 		MaskPoolMisses:        c.maskPoolMisses.Load(),
 		ReadImageBuilds:       c.readImageBuilds.Load(),
 		DeleteRepairFallbacks: c.repairFallbacks.Load(),
+		PostingBuilds:         c.postingBuilds.Load(),
 	}
 }
 

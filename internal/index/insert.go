@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/hierarchy"
@@ -89,8 +90,11 @@ func (ix *Index) insertInto(id NodeID, nodeMDS mds.MDS, rc *recContext) (insertR
 	e := &n.entries[idx]
 	if !contained {
 		rc.cover(e.MDS)
+		n.invalidatePostings()
 	}
-	ix.boundMDS(e.MDS)
+	if ix.boundMDS(e.MDS) {
+		n.invalidatePostings()
+	}
 	e.Agg.Merge(rc.agg)
 
 	res, err := ix.insertInto(e.Child, e.MDS, rc)
@@ -109,6 +113,7 @@ func (ix *Index) insertInto(id NodeID, nodeMDS mds.MDS, rc *recContext) (insertR
 	e.MDS = res.origMDS
 	e.Agg = res.origAgg
 	n.entries = append(n.entries, Entry{MDS: res.newMDS, Agg: res.newAgg, Child: res.newID})
+	n.invalidatePostings()
 	if n.Count() <= ix.cfg.capacity(n.leaf, n.blocks) {
 		return insertResult{}, nil
 	}
@@ -128,11 +133,13 @@ func (ix *Index) insertInto(id NodeID, nodeMDS mds.MDS, rc *recContext) (insertR
 // the entry already contains the record; among equal costs the smaller
 // volume, then the smaller MDS size win (most specific subtree).
 //
-// Nearly every call has an entry of cost 0, so containment is asked first:
-// one membership test per dimension at the entry's own level, the first
-// miss ending the entry. Every weight is positive, so cost 0 is exactly
-// containment, and the costs are summed only when no entry contains the
-// record. contained reports which of the two decided.
+// Nearly every call has an entry of cost 0, so containment is asked first,
+// of the node's postings: one lookup per dimension and level in use gives
+// the mask of the containing entries, whose bits are walked in ascending
+// order — the order, and so the first-index tie-break, of a scan of every
+// entry. Every weight is positive, so cost 0 is exactly containment, and
+// the costs are summed only when no entry contains the record. contained
+// reports which of the two decided.
 func (ix *Index) chooseSubtree(n *Node, rc *recContext) (best int, contained bool, err error) {
 	if len(n.entries) == 0 {
 		return 0, false, fmt.Errorf("%w: empty directory node %d", ErrCorrupt, n.id)
@@ -140,14 +147,14 @@ func (ix *Index) chooseSubtree(n *Node, rc *recContext) (best int, contained boo
 	best = -1
 	var bestVol float64
 	var bestSize int
-	for i := range n.entries {
-		m := n.entries[i].MDS
-		if !rc.contains(m) {
-			continue
-		}
-		vol, size := m.Volume(), m.Size()
-		if best == -1 || vol < bestVol || (vol == bestVol && size < bestSize) {
-			best, bestVol, bestSize = i, vol, size
+	for w, word := range ix.postings(n).containing(rc.anc, &ix.ws.contain) {
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			m := n.entries[i].MDS
+			vol, size := m.Volume(), m.Size()
+			if best == -1 || vol < bestVol || (vol == bestVol && size < bestSize) {
+				best, bestVol, bestSize = i, vol, size
+			}
 		}
 	}
 	if best >= 0 {
@@ -241,16 +248,19 @@ func liftedMember(tab, ids []hierarchy.ID, anc hierarchy.ID) bool {
 	return false
 }
 
-// scanMax is the longest set idMember scans instead of searching: 2 × the
-// default RefineBound, the most values boundMDS leaves in an inserted
-// entry's dimension. Longer sets are the root MDS, bulk-loaded entries and
-// trees without the bound (RefineBound -1).
+// scanMax is the longest set idMember scans instead of searching, in the
+// cost pass, the delete probe and underAny: 2 × the default RefineBound,
+// the most values boundMDS leaves in an inserted entry's dimension. Longer
+// sets are the root MDS, bulk-loaded entries and trees without the bound
+// (RefineBound -1).
 const scanMax = 16
 
-// idMember reports membership in a sorted ID slice. A short set is scanned
-// whole, counting the values below id without a branch on the data —
-// cheaper than a binary search's mispredicted halvings; the count is id's
-// position if it is there.
+// idMember reports membership in a sorted ID slice. It serves the
+// enlargement-cost pass, the delete probe (recContext.contains) and
+// underAny; choose-subtree's containment pass asks the postings instead. A
+// short set is scanned whole, counting the values below id without a
+// branch on the data — cheaper than a binary search's mispredicted
+// halvings; the count is id's position if it is there.
 func idMember(ids []hierarchy.ID, id hierarchy.ID) bool {
 	if len(ids) <= scanMax {
 		below := 0

@@ -73,6 +73,28 @@ func refChooseSubtree(t *testing.T, tree *Index, n *Node, rec cube.Record) int {
 	return best
 }
 
+// refContaining is chooseSubtree's containment pass as it was before the
+// postings: every entry asked by rc.contains, in order, under the volume →
+// size → first-index tie-break. It returns each entry's answer and the
+// entry chosen, -1 when none contains the record.
+func refContaining(n *Node, rc *recContext) (contains []bool, best int) {
+	contains = make([]bool, len(n.entries))
+	best = -1
+	var bestVol float64
+	var bestSize int
+	for i := range n.entries {
+		m := n.entries[i].MDS
+		if contains[i] = rc.contains(m); !contains[i] {
+			continue
+		}
+		vol, size := m.Volume(), m.Size()
+		if best == -1 || vol < bestVol || (vol == bestVol && size < bestSize) {
+			best, bestVol, bestSize = i, vol, size
+		}
+	}
+	return contains, best
+}
+
 // refDescribeEntryAt and refDescribeNodeAt are the split's entry adaptation
 // on whole MDSs: lift with AdaptToLevels, descend where the entry is coarser
 // than a target, merge with Cover.
@@ -156,9 +178,10 @@ func kernelTestTree(t *testing.T, cfg Config, seed int64) (*Index, []cube.Record
 }
 
 // TestChooseSubtreeMatchesReference holds chooseSubtree to the full
-// evaluation of every entry, and its containment flag to a reference cost
-// of 0. Without the entry bound (RefineBound -1) entries hold sets longer
-// than idMember scans, so its binary search is reached too.
+// evaluation of every entry, its containment flag to a reference cost of 0,
+// and a containing choice to the per-entry containment scan (refContaining)
+// the postings replaced. Without the entry bound (RefineBound -1) entries
+// hold sets longer than idMember scans, so its binary search is reached too.
 func TestChooseSubtreeMatchesReference(t *testing.T) {
 	unbounded := smallConfig()
 	unbounded.RefineBound = -1
@@ -200,6 +223,9 @@ func TestChooseSubtreeMatchesReference(t *testing.T) {
 					}
 					if wantContained := refEnlargementCost(t, tree, n.entries[want].MDS, rec) == 0; gotContained != wantContained {
 						t.Fatalf("node %d record %v: contained = %v, reference cost 0 = %v", n.id, rec.Coords, gotContained, wantContained)
+					}
+					if _, scan := refContaining(n, rc); (gotContained && got != scan) || (!gotContained && scan != -1) {
+						t.Fatalf("node %d record %v: chooseSubtree = %d (contained %v), containment scan = %d", n.id, rec.Coords, got, gotContained, scan)
 					}
 					if gotContained {
 						contained++
@@ -252,7 +278,9 @@ func TestIDMemberMatchesBinarySearch(t *testing.T) {
 // The containing path skips the record's cover, which would change nothing,
 // but not the bound: each such entry is lifted by the insert that enters it.
 // Every eighth record is deleted first, so that the inserts split nothing
-// (a split would rebuild the entry, bounded, whatever the descent did).
+// (a split would rebuild the entry, bounded, whatever the descent did). The
+// lift changes the entry's MDS, so it must leave the root's postings stale,
+// and the table rebuilt from the lifted entries must answer as the scan.
 func TestContainingInsertStillBounds(t *testing.T) {
 	const n = 6250
 	gen, err := tpcd.New(1, tpcd.ScaleFor(n))
@@ -284,6 +312,10 @@ func TestContainingInsertStillBounds(t *testing.T) {
 		}
 		return false
 	}
+	var probes []*recContext
+	for _, rec := range recs {
+		probes = append(probes, probeContext(t, ix, rec))
+	}
 	lifted := 0
 	for _, rec := range recs {
 		rc, err := ix.recContext(rec)
@@ -306,6 +338,10 @@ func TestContainingInsertStillBounds(t *testing.T) {
 		if m := root.entries[idx].MDS; overBound(m) {
 			t.Fatalf("root entry %d contained the record and still holds more than %d values: %v", idx, bound, m)
 		}
+		if root.post.valid {
+			t.Fatalf("root entry %d was lifted and the root's postings are still marked valid", idx)
+		}
+		checkPostings(t, ix, root, probes)
 		lifted++
 	}
 	if lifted == 0 {

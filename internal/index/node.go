@@ -27,7 +27,11 @@ type Entry struct {
 // sets) and, beside them, an immutable read image: the node's own flat
 // encoding, built by the first reader after a mutation and dropped by
 // markDirty, so that the descent matches heap and mapped directories with
-// the same code over contiguous bytes.
+// the same code over contiguous bytes. Its choose-subtree keeps a third
+// form, post: the postings that answer containment (postings.go), built by
+// the first chooseSubtree after the entries change and marked stale by
+// invalidatePostings at every site that changes an entry's MDS or the entry
+// list — not by markDirty, which aggregate-only updates also call.
 //
 // A data node is struct-of-arrays: record i's coordinates are
 // coords[i*dims:(i+1)*dims], its measures measures[i*nm:(i+1)*nm] — the
@@ -41,6 +45,7 @@ type Node struct {
 
 	entries []Entry
 	img     atomic.Pointer[FlatNode]
+	post    *postings
 
 	dims, nm int // row widths of a data node
 	coords   []hierarchy.ID

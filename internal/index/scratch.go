@@ -19,6 +19,9 @@ import (
 type writeScratch struct {
 	rc recContext
 
+	contain []uint64 // the mask of the entries containing the record
+	post    postingScratch
+
 	topMDS  mds.MDS        // (ALL,…,ALL): the root's relevant levels, read-only
 	levels  []int          // per-dimension level vector (cover floors, member levels)
 	top     []int          // every dimension's top named level (bulk load floor)
@@ -53,9 +56,9 @@ func newWriteScratch(schema *cube.Schema) *writeScratch {
 // recContext is the per-mutation derived state: the record, its aggregate,
 // and its ancestor at every hierarchy level of every dimension
 // (anc[d][l]). The ancestors are the hot currency of the descent — the
-// choose-subtree cost function, the incremental MDS updates and the delete
-// path's containment test consult them per entry — so they are walked
-// exactly once per mutation, into the tree's write scratch.
+// choose-subtree postings lookups and cost function, the incremental MDS
+// updates and the delete path's containment test consult them — so they
+// are walked exactly once per mutation, into the tree's write scratch.
 type recContext struct {
 	rec cube.Record
 	agg cube.AggVector
@@ -87,7 +90,9 @@ func (ix *Index) recContext(rec cube.Record) (*recContext, error) {
 
 // contains reports whether m contains the record: per dimension, the
 // record's ancestor at m's relevant level is among m's values
-// (mds.Contains against the record's leaf MDS, without building it).
+// (mds.Contains against the record's leaf MDS, without building it). It is
+// the delete probe's test; choose-subtree asks the node's postings, which
+// answer it for every entry at once.
 func (rc *recContext) contains(m mds.MDS) bool {
 	for d := range m {
 		ds := &m[d]

@@ -959,6 +959,7 @@ func (ix *Index) buildSplit(n *Node, g1, g2 []int, cov1, cov2 mds.MDS) (insertRe
 	n.entries, n.coords, n.measures = e1, c1, m1
 	n.blocks = blocksForEntries(len(g1), n.leaf, &ix.cfg)
 	sibling.blocks = blocksForEntries(len(g2), n.leaf, &ix.cfg)
+	n.invalidatePostings()
 	ix.markDirty(n)
 	ix.markDirty(sibling)
 
@@ -1036,22 +1037,25 @@ func (ix *Index) refineMDS(n *Node, m mds.MDS) error {
 // that, so the two never undo each other. Lifting the exact cover at one
 // level gives the exact cover one level up, so coverage and minimality hold.
 // A lifted set is never longer than its source, so it is written over it.
-func (ix *Index) boundMDS(m mds.MDS) {
+// It reports whether any dimension was lifted.
+func (ix *Index) boundMDS(m mds.MDS) (lifted bool) {
 	bound := 2 * ix.cfg.RefineBound
 	if bound <= 0 {
-		return
+		return false
 	}
 	for d, h := range ix.space() {
 		ds := &m[d]
 		for ds.Level != hierarchy.LevelALL && len(ds.IDs) > bound {
+			lifted = true
 			if ds.Level == h.TopLevel() {
 				ds.Level, ds.IDs = hierarchy.LevelALL, append(ds.IDs[:0], hierarchy.ALL)
 				break
 			}
-			lifted := mds.AppendLifted(ds.IDs[:0], h, *ds, ds.Level+1)
-			ds.Level, ds.IDs = ds.Level+1, mds.SortDedupFrom(lifted, 0)
+			up := mds.AppendLifted(ds.IDs[:0], h, *ds, ds.Level+1)
+			ds.Level, ds.IDs = ds.Level+1, mds.SortDedupFrom(up, 0)
 		}
 	}
+	return lifted
 }
 
 // blocksForEntries returns the smallest block count whose capacity holds
