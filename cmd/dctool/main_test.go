@@ -392,9 +392,11 @@ func TestNoLeaseMeansHealthy(t *testing.T) {
 // refused by every subcommand that opens one, with the unsupported-format
 // error, and the refusal leaves the file byte for byte what it was — and
 // creates no log beside it. The index is one this build wrote, its metadata
-// blob re-labelled DCMETA08; testdata/parent-pr12 in internal/core is a
-// whole image an earlier build wrote, at a block size the tool does not
-// open (the store header refuses it first), and must stay untouched too.
+// blob re-labelled DCMETA09; testdata/tpcd-09 in internal/core is the
+// index the last DCMETA09 build's `build -tpcd 2000` wrote, refused the same
+// way; testdata/parent-pr12 there is a whole image an earlier build wrote,
+// at a block size the tool does not open (the store header refuses it
+// first). All three must stay untouched.
 func TestRetiredIndexRefused(t *testing.T) {
 	dir := t.TempDir()
 	index, wal := filepath.Join(dir, "idx.dc"), filepath.Join(dir, "log")
@@ -406,22 +408,28 @@ func TestRetiredIndexRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	meta, err := store.GetMeta()
-	if err != nil || !bytes.HasPrefix(meta, []byte("DCMETA09")) {
-		t.Fatalf("metadata does not start with DCMETA09 (err %v)", err)
+	if err != nil || !bytes.HasPrefix(meta, []byte("DCMETA10")) {
+		t.Fatalf("metadata does not start with DCMETA10 (err %v)", err)
 	}
-	meta[7] = '8'
+	meta[6], meta[7] = '0', '9'
 	if err := store.SetMeta(meta); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fixture := filepath.Join(dir, "parent-pr12.dc")
-	data, err := os.ReadFile(filepath.Join("..", "..", "internal", "core", "testdata", "parent-pr12", "store.dc"))
-	if err != nil {
-		t.Fatal(err)
+	copyFixture := func(name string) string {
+		path := filepath.Join(dir, name+".dc")
+		data, err := os.ReadFile(filepath.Join("..", "..", "internal", "core", "testdata", name, "store.dc"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	os.WriteFile(fixture, data, 0o644)
+	fixture, tpcd09 := copyFixture("parent-pr12"), copyFixture("tpcd-09")
 
 	sum := func(path string) [sha256.Size]byte {
 		data, err := os.ReadFile(path)
@@ -430,7 +438,7 @@ func TestRetiredIndexRefused(t *testing.T) {
 		}
 		return sha256.Sum256(data)
 	}
-	before, beforeFixture := sum(index), sum(fixture)
+	before, beforeFixture, beforeTPCD := sum(index), sum(fixture), sum(tpcd09)
 	for name, run := range map[string]func(index string) error{
 		"stats":  func(index string) error { return runStats([]string{"-index", index}) },
 		"query":  func(index string) error { return runQuery([]string{"-index", index}) },
@@ -442,13 +450,15 @@ func TestRetiredIndexRefused(t *testing.T) {
 		"versions": func(index string) error { return runVersions([]string{"-index", index}) },
 		"recover":  func(index string) error { return runRecover([]string{"-index", index, "-wal", wal}) },
 	} {
-		if err := run(index); !errors.Is(err, dctree.ErrUnsupportedFormat) {
-			t.Errorf("%s: %v, want ErrUnsupportedFormat", name, err)
+		for _, path := range []string{index, tpcd09} {
+			if err := run(path); !errors.Is(err, dctree.ErrUnsupportedFormat) {
+				t.Errorf("%s %s: %v, want ErrUnsupportedFormat", name, filepath.Base(path), err)
+			}
 		}
 		if err := run(fixture); err == nil {
 			t.Errorf("%s opened the parent-pr12 image", name)
 		}
-		if sum(index) != before || sum(fixture) != beforeFixture {
+		if sum(index) != before || sum(fixture) != beforeFixture || sum(tpcd09) != beforeTPCD {
 			t.Fatalf("%s: the refusal rewrote the file it refused", name)
 		}
 	}

@@ -167,8 +167,9 @@ const (
 
 // DefaultConfig returns the configuration used throughout the paper
 // reproduction (4 KiB blocks, 24 entries per directory, data nodes of as
-// many rows as one block holds: 169 on the TPC-D cube; 35 % minimum fill,
-// 20 % maximum split overlap).
+// many rows as one block holds at the byte widths their codes need: 270 on
+// the TPC-D cube at the benchmark's scales; 35 % minimum fill, 20 % maximum
+// split overlap).
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // NewHierarchy declares a dimension's concept hierarchy. Level names are

@@ -201,12 +201,16 @@ func BenchmarkBulkLoad(b *testing.B) {
 
 // TestFullLeafFitsOneBlock: one node, one block (§4.2). At the default
 // configuration a data node holds as many TPC-D rows as one block's extent
-// fits — 169, encoded in 20 + 169·24 = 4,076 of the 4,084 payload bytes —
-// so the extent a flush gives a full one is as long as the node says it is:
-// the block count LevelStats reports is the one the store holds.
+// fits at the byte widths its codes need — at this cube's codes 2 + 1 + 2 +
+// 2 bytes and the measure's 8, so 270 rows, encoded behind the 20-byte
+// header and 4 width bytes in 24 + 270·15 = 4,074 of the 4,084 payload
+// bytes, where a 271st would take 4,089 — so the extent a flush gives a
+// full one is as long as the node says it is: the block count LevelStats
+// reports is the one the store holds.
 func TestFullLeafFitsOneBlock(t *testing.T) {
 	cfg := DefaultConfig()
-	gen, err := tpcd.New(1, tpcd.ScaleFor(25*169))
+	const rows, size = 270, 24 + 270*15
+	gen, err := tpcd.New(1, tpcd.ScaleFor(25*rows))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,9 +218,8 @@ func TestFullLeafFitsOneBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := tree.Config().LeafCapacity
-	if rows != 169 {
-		t.Fatalf("default data-node capacity %d rows, want the block-filled 169", rows)
+	if payload := storage.ExtentCapacity(cfg.BlockSize, 1); size > payload || size+15 <= payload {
+		t.Fatalf("%d rows take %d of the %d payload bytes: not a full block", rows, size, payload)
 	}
 	if err := tree.BulkLoad(gen.Records(25 * rows)); err != nil {
 		t.Fatal(err)
@@ -231,6 +234,9 @@ func TestFullLeafFitsOneBlock(t *testing.T) {
 		}
 		if n.Count() == rows {
 			full++
+			if got := len(tree.ix.Encode(n)); got != size {
+				t.Errorf("full data node %d encodes to %d bytes, want %d", n.ID(), got, size)
+			}
 		}
 		if ref := tree.table[n.ID()]; ref.blocks != n.Blocks() {
 			t.Errorf("data node %d (%d records): a %d-block extent for a %d-block node", n.ID(), n.Count(), ref.blocks, n.Blocks())

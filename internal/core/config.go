@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/index"
 	"github.com/dcindex/dctree/internal/storage"
 )
@@ -30,11 +29,12 @@ import (
 type Config struct {
 	// BlockSize is the size of one storage block in bytes. Nodes occupy
 	// one block; supernodes occupy consecutive multiples of it. It also
-	// sizes the data node: New resolves a zero LeafCapacity (the default)
-	// to the rows one block's extent holds for the schema
-	// (index.LeafCapacityFor) — 169 TPC-D rows at the default 4 KiB — and
-	// the meta blob persists the resolved count, so a tree reopens with the
-	// capacity it was built with.
+	// sizes the data node: under a zero LeafCapacity (the default) a data
+	// node holds the rows whose encoding — each code at the byte width its
+	// dimension's largest code needs — fits one block's extent, 270 TPC-D
+	// rows at the default 4 KiB at the benchmark's scales. The meta blob
+	// persists LeafCapacity as set, so a tree reopens under the rule it was
+	// built with.
 	BlockSize int
 
 	// Config holds the knobs of the paper's algorithms (DirCapacity …
@@ -156,13 +156,4 @@ func (c *Config) Normalize() error {
 		return fmt.Errorf("%w: negative sync replication timeout", ErrBadConfig)
 	}
 	return nil
-}
-
-// resolveLeafCapacity turns the default LeafCapacity, 0, into the
-// block-filled data node of the schema: Normalize cannot, it knows no
-// schema.
-func (c *Config) resolveLeafCapacity(schema *cube.Schema) {
-	if c.LeafCapacity == 0 {
-		c.LeafCapacity = index.LeafCapacityFor(storage.ExtentCapacity(c.BlockSize, 1), schema.Dims(), schema.Measures())
-	}
 }

@@ -354,17 +354,17 @@ func TestGroupCommitCheckpointCoverageFlushesLog(t *testing.T) {
 }
 
 // TestRecoveryOfParentWrittenImage is the golden file of the one surviving
-// format generation: testdata/format-09 is a crash image (store + log
+// format generation: testdata/format-10 is a crash image (store + log
 // tail) written by the build that introduced the generation — DCSTORE2
-// extents, a DCMETA09 blob, data nodes that are their rows, a DCWAL002
-// segment of op-3/4/5 records — and must open unmodified, replay its tail
-// and keep accepting durable writes.
+// extents, a DCMETA10 blob, data nodes that are their code widths and
+// their rows, a DCWAL002 segment of op-3/4/5 records — and must open
+// unmodified, replay its tail and keep accepting durable writes.
 //
 // To regenerate after a format bump: newDurableOnDisk(smallConfig()), recs :=
 // genRecords(seed 7, 160); insert recs[:120], Flush, insert recs[120:], delete
 // recs[:5]; copyCrashImage into testdata/format-NN without closing the tree.
 func TestRecoveryOfParentWrittenImage(t *testing.T) {
-	dir := copyTestImage(t, "format-09")
+	dir := copyTestImage(t, "format-10")
 	for name, magic := range map[string]string{"store.dc": "DCSTORE2", "idx.00000002.wal": "DCWAL002"} {
 		if data, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.HasPrefix(data, []byte(magic)) {
 			t.Fatalf("fixture %s does not start with %s (err %v)", name, magic, err)

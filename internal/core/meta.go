@@ -18,11 +18,13 @@ import (
 // (the index is meaningless without them), the root pointer, and the
 // logical-node translation table.
 
-// One layout is written and read, under the magic "DCMETA09"; every word
+// One layout is written and read, under the magic "DCMETA10"; every word
 // of it is a field decodeMeta keeps. A blob of an earlier generation
-// ("DCMETA01"–"08": other node encodings, other words) is refused by its
-// magic, undecoded.
-const metaMagic = "DCMETA09"
+// ("DCMETA01"–"09": other node encodings, other words) is refused by its
+// magic, undecoded. "DCMETA09" wrote every data-node code in 4 bytes and
+// persisted the resolved row count of a block-filled data node; "DCMETA10"
+// writes each at its dimension's width and persists LeafCapacity as set.
+const metaMagic = "DCMETA10"
 
 // metaFlags is the config flags byte every blob is written with: bit 1,
 // once the switch of the materialized aggregates, which are always kept.
@@ -345,8 +347,6 @@ func decodeMeta(meta []byte) (*Tree, error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
-	// New persists the count it resolved; only a damaged blob says 0.
-	cfg.resolveLeafCapacity(schema)
 	t := &Tree{
 		schema:           schema,
 		cfg:              cfg,
@@ -361,7 +361,7 @@ func decodeMeta(meta []byte) (*Tree, error) {
 		versions:         make(map[uint64]*Version),
 		pins:             storage.NewPins(),
 	}
-	t.ix = index.Restore(schema, cfg.Config, t.nodes(), head)
+	t.ix = index.Restore(schema, cfg.Config, t.nodes(), head, storage.ExtentCapacity(cfg.BlockSize, 1))
 	if _, ok := t.table[head.Root]; !ok {
 		return nil, fmt.Errorf("%w: root node %d missing from table", ErrCorrupt, head.Root)
 	}

@@ -83,7 +83,10 @@ func shapeDigest(t *testing.T, tree *Tree) string {
 // hierarchy-blind choose-subtree ablation (flat-choose-no-refine,
 // 4c5043ed91f7c64ca3a86ae1) until that switch was retired; no-refine runs
 // the weighted cost, its digest taken on the last build that had the
-// switch.
+// switch. Re-pinned once more, the default alone: a block-filled data node
+// holds the rows its block fits at the byte widths its codes need (270 of
+// this stream's, not 169), so it builds another tree — block-filled
+// 501991a2af5b666e22f83c03 before; the row-capped four did not move.
 func TestGoldenTreeShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads 5×22k records")
@@ -116,8 +119,9 @@ func TestGoldenTreeShape(t *testing.T) {
 			c.LeafCapacity = 48
 			c.RefineBound = -1
 		}, "871f28e5917779cac8e2ae97"},
-		// The default: a data node fills its block (169 TPC-D rows).
-		{"block-filled", func(*Config) {}, "501991a2af5b666e22f83c03"},
+		// The default: a data node fills its block (270 TPC-D rows at
+		// this stream's code widths).
+		{"block-filled", func(*Config) {}, "97e42c41ebb30c563d96a23e"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -178,7 +182,11 @@ func TestGoldenTreeShape(t *testing.T) {
 // the 48-row tree (nodes visited at sel01 157 → 303, roll-up 716 → 1,079)
 // and on the default a little less at sel01 and roll-up (81 → 84, 324 →
 // 334) but more at sel05 and sel25 (219 → 181, 504 → 460). The answers did
-// not move.
+// not move. The default's were re-pinned again when its data nodes began to
+// hold the rows a block fits at their codes' byte widths: nodes visited 84 /
+// 181 / 460 / 334 / 423 → 85 / 154 / 308 / 235 / 313 per class, more rows
+// scanned in fewer, fuller data nodes, no region entry answered from its
+// aggregate (11 → 0). The answers did not move.
 func TestGoldenQueryStats(t *testing.T) {
 	const load = 6000
 	gen, err := tpcd.New(7, tpcd.ScaleFor(load))
@@ -200,11 +208,11 @@ func TestGoldenQueryStats(t *testing.T) {
 			"region": {NodesVisited: 1672, EntriesScanned: 48333, EntriesPruned: 759, MaterializedHits: 17, RecordsMatched: 9916},
 		}},
 		{"block-filled", 0, map[string]QueryStats{
-			"sel01":  {NodesVisited: 84, EntriesScanned: 6932, EntriesPruned: 282},
-			"sel05":  {NodesVisited: 181, EntriesScanned: 17985, EntriesPruned: 247, RecordsMatched: 2},
-			"sel25":  {NodesVisited: 460, EntriesScanned: 50088, EntriesPruned: 144, RecordsMatched: 204},
-			"rollup": {NodesVisited: 334, EntriesScanned: 35940, EntriesPruned: 210, RecordsMatched: 1432},
-			"region": {NodesVisited: 423, EntriesScanned: 46015, EntriesPruned: 152, MaterializedHits: 11, RecordsMatched: 7008},
+			"sel01":  {NodesVisited: 85, EntriesScanned: 11605, EntriesPruned: 187},
+			"sel05":  {NodesVisited: 154, EntriesScanned: 22699, EntriesPruned: 165, RecordsMatched: 2},
+			"sel25":  {NodesVisited: 308, EntriesScanned: 49953, EntriesPruned: 91, RecordsMatched: 204},
+			"rollup": {NodesVisited: 235, EntriesScanned: 37316, EntriesPruned: 145, RecordsMatched: 1432},
+			"region": {NodesVisited: 313, EntriesScanned: 50337, EntriesPruned: 119, RecordsMatched: 10382},
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

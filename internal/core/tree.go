@@ -135,7 +135,6 @@ func New(store storage.Store, schema *cube.Schema, cfg Config) (*Tree, error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
-	cfg.resolveLeafCapacity(schema)
 	if cfg.BlockSize != store.BlockSize() {
 		return nil, fmt.Errorf("%w: config block size %d != store block size %d",
 			ErrBadConfig, cfg.BlockSize, store.BlockSize())
@@ -151,7 +150,7 @@ func New(store storage.Store, schema *cube.Schema, cfg Config) (*Tree, error) {
 		pins:     storage.NewPins(),
 	}
 	t.viewer, _ = store.(storage.ExtentViewer)
-	t.ix = index.New(schema, cfg.Config, t.nodes())
+	t.ix = index.New(schema, cfg.Config, t.nodes(), storage.ExtentCapacity(cfg.BlockSize, 1))
 	return t, nil
 }
 

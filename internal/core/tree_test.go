@@ -567,13 +567,11 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestLeafCapacityPersists: New resolves the default data-node capacity to
-// the rows one block holds (20 B each on the test cube: 4,064 / 20 = 203 at
-// 4 KiB), the meta blob keeps the count, and an image reopens with the
-// count it was written with — one written at the previous default, 48,
-// keeps its 48.
+// TestLeafCapacityPersists: the meta blob keeps LeafCapacity as set, and an
+// image reopens under the rule it was written with — the default, 0, under
+// the block-filled data node's byte rule, a row cap of 48 under its 48.
 func TestLeafCapacityPersists(t *testing.T) {
-	for _, tc := range []struct{ set, want int }{{0, 203}, {48, 48}} {
+	for _, tc := range []struct{ set, want int }{{0, 0}, {48, 48}} {
 		cfg := DefaultConfig()
 		cfg.LeafCapacity = tc.set
 		store := storage.NewMemStore(cfg.BlockSize)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -148,27 +149,37 @@ func flushedMetaBlob(t testing.TB) []byte {
 
 // retiredMetaBlobs returns one blob per retired generation the decoder
 // must refuse by its magic alone: a valid blob re-labelled with each of the
-// eight old magics, and the blob an earlier build really wrote — the
-// DCMETA08 metadata of the testdata/parent-pr12 crash image.
+// nine old magics, and the blobs earlier builds really wrote — the DCMETA08
+// metadata of the testdata/parent-pr12 crash image and the DCMETA09
+// metadata of the testdata/tpcd-09 index.
 func retiredMetaBlobs(t testing.TB) map[string][]byte {
 	t.Helper()
 	blob := flushedMetaBlob(t)
 	out := make(map[string][]byte)
-	for v := byte('1'); v < metaMagic[len(metaMagic)-1]; v++ {
-		c := append([]byte(nil), blob...)
-		c[len(metaMagic)-1] = v
-		out["meta magic DCMETA0"+string(v)] = c
+	for v := 1; v <= 9; v++ {
+		magic := fmt.Sprintf("DCMETA%02d", v)
+		out["meta magic "+magic] = append([]byte(magic), blob[len(metaMagic):]...)
 	}
-	st, err := storage.OpenPagedStore(filepath.Join(copyTestImage(t, "parent-pr12"), "store.dc"), smallConfig().BlockSize, 0)
-	if err != nil {
-		t.Fatal(err)
+	tpcd09 := filepath.Join(t.TempDir(), "store.dc")
+	copyFile(t, filepath.Join("testdata", "tpcd-09", "store.dc"), tpcd09)
+	for _, img := range []struct {
+		name, magic, path string
+		blockSize         int
+	}{
+		{"the parent-pr12 image's blob", "DCMETA08", filepath.Join(copyTestImage(t, "parent-pr12"), "store.dc"), smallConfig().BlockSize},
+		{"the tpcd-09 index's blob", "DCMETA09", tpcd09, DefaultConfig().BlockSize},
+	} {
+		st, err := storage.OpenPagedStore(img.path, img.blockSize, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		written, err := st.GetMeta()
+		st.Close()
+		if err != nil || !bytes.HasPrefix(written, []byte(img.magic)) {
+			t.Fatalf("%s: metadata does not start with %s (err %v)", img.name, img.magic, err)
+		}
+		out[img.name] = written
 	}
-	defer st.Close()
-	written, err := st.GetMeta()
-	if err != nil || !bytes.HasPrefix(written, []byte("DCMETA08")) {
-		t.Fatalf("fixture metadata does not start with DCMETA08 (err %v)", err)
-	}
-	out["the parent-pr12 image's blob"] = written
 	return out
 }
 
@@ -270,11 +281,12 @@ func retiredWALRecords() map[string][]byte {
 }
 
 // TestUnsupportedFormats: every retired generation the engine recognises —
-// metadata magics DCMETA01–08, WAL segment header DCWAL001, WAL mutation
+// metadata magics DCMETA01–09, WAL segment header DCWAL001, WAL mutation
 // ops 1 and 2 — is refused with ErrUnsupportedFormat at every entry point
 // that could meet it: no panic, no partially opened tree, and no file
 // discarded. (DCSTORE1 is the storage layer's case, beside its checksum
-// tests; TestRetiredImageRefused holds a whole DCMETA08 image on disk.)
+// tests; TestRetiredImageRefused holds whole DCMETA08 and DCMETA09 images
+// on disk.)
 func TestUnsupportedFormats(t *testing.T) {
 	cfg := smallConfig()
 	for name, blob := range retiredMetaBlobs(t) {

@@ -54,10 +54,11 @@ func checkInsertedEntries(t *testing.T, ix *Index, before map[string]bool, step 
 // validated — coverage and minimality at every entry's levels — and a fixed
 // query set is answered against the sequential-scan oracle.
 func TestEntryBoundHolds(t *testing.T) {
-	// A block-filled data node holds 169 rows, so that tree needs more
-	// records than the others to grow a directory below the root.
-	const ops, blockFilledOps = 2400, 6000
-	gen, err := tpcd.New(3, tpcd.ScaleFor(blockFilledOps))
+	// A block-filled data node holds some 270 rows of these codes, so that
+	// tree needs more records than the others to grow a directory below
+	// the root.
+	const ops, scaleOps, blockFilledOps = 2400, 6000, 9000
+	gen, err := tpcd.New(3, tpcd.ScaleFor(scaleOps))
 	if err != nil {
 		t.Fatal(err)
 	}

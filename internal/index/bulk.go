@@ -74,22 +74,24 @@ func (ix *Index) BulkLoad(recs []cube.Record) error {
 		return cmp.Compare(a, b)
 	})
 
-	// Pack sorted records into full data nodes.
+	// Pack sorted records into full data nodes: a node takes rows while
+	// its encoding, at the widths their codes need, still fits one block.
 	type built struct {
 		id  NodeID
 		mds mds.MDS
 		agg cube.AggVector
 	}
-	measures := ix.schema.Measures()
+	measures, dims := ix.schema.Measures(), ix.schema.Dims()
 	var level []built
-	for lo := 0; lo < len(recs); lo += ix.cfg.LeafCapacity {
-		hi := lo + ix.cfg.LeafCapacity
-		if hi > len(recs) {
-			hi = len(recs)
-		}
+	for lo := 0; lo < len(recs); {
 		n := ix.store.New(true)
-		for _, idx := range order[lo:hi] {
-			n.appendRecord(recs[idx])
+		n.appendRecord(recs[order[lo]])
+		for lo++; lo < len(recs); lo++ {
+			c := recs[order[lo]].Coords
+			if ix.blocksFor(true, n.Count()+1, leafSize(dims, n.Count()+1, n.rowSize(c))) > 1 {
+				break
+			}
+			n.appendRecord(recs[order[lo]])
 		}
 		m, err := ix.bulkDescribe(n)
 		if err != nil {

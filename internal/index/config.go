@@ -12,10 +12,12 @@ type Config struct {
 
 	// LeafCapacity is the maximum number of data records of a one-block
 	// data node. 0, the default, is the block-filled data node: a node is
-	// one block, as the X-tree's are (§4.2), so its capacity is as many
-	// rows as one block's payload holds. Only the host knows its block,
-	// so the host resolves 0 with LeafCapacityFor before New — 169 rows of
-	// the TPC-D cube at 4 KiB — and Normalize leaves it alone.
+	// one block, as the X-tree's are (§4.2), so it holds as many rows as
+	// the block's payload fits at the byte widths its codes need — 270
+	// TPC-D rows at 4 KiB at the benchmark's scales, 169 at the widest
+	// codes. The host passes that payload to New, since only it knows its
+	// block. A nonzero value is a row count cap instead, whatever the rows'
+	// bytes.
 	LeafCapacity int
 
 	// MinFillRatio is the balance criterion of the split algorithm: a
@@ -53,8 +55,7 @@ type Config struct {
 	RefineBound int
 }
 
-// DefaultConfig returns the configuration used by the paper reproduction;
-// its LeafCapacity is left for the host to resolve.
+// DefaultConfig returns the configuration used by the paper reproduction.
 func DefaultConfig() Config {
 	return Config{
 		DirCapacity:        24,
@@ -66,7 +67,7 @@ func DefaultConfig() Config {
 }
 
 // Normalize fills unset fields from DefaultConfig and validates ranges. A
-// zero LeafCapacity stays zero: New and Restore need it resolved.
+// zero LeafCapacity stays zero: it is the block-filled data node.
 func (c *Config) Normalize() error {
 	d := DefaultConfig()
 	if c.DirCapacity == 0 {

@@ -90,7 +90,7 @@ func (ix *Index) deleteFrom(id NodeID, rc *recContext) (*Node, error) {
 			return nil, nil
 		}
 		n.removeRecord(i)
-		n.shrink(&ix.cfg)
+		ix.shrink(n)
 		ix.markDirty(n)
 		return n, nil
 	}
@@ -127,9 +127,13 @@ func (ix *Index) deleteFrom(id NodeID, rc *recContext) (*Node, error) {
 				storeMDS(e.MDS, cover)
 			}
 			n.invalidatePostings()
-			child.aggregateInto(e.Agg)
+			if child.leaf {
+				child.repairAggregate(e.Agg, rc.rec.Measures)
+			} else {
+				child.aggregateInto(e.Agg)
+			}
 		}
-		n.shrink(&ix.cfg)
+		ix.shrink(n)
 		ix.markDirty(n)
 		return n, nil
 	}
@@ -221,9 +225,6 @@ func removeID(ids []hierarchy.ID, id hierarchy.ID) []hierarchy.ID {
 }
 
 // shrink lets a supernode give blocks back once its occupancy allows.
-func (n *Node) shrink(cfg *Config) {
-	want := blocksForEntries(n.Count(), n.leaf, cfg)
-	if want < n.blocks {
-		n.blocks = want
-	}
+func (ix *Index) shrink(n *Node) {
+	n.blocks = min(n.blocks, ix.nodeBlocks(n))
 }

@@ -50,12 +50,14 @@ func deletePath(t *testing.T, ix *Index, rec cube.Record) []NodeID {
 
 // TestDeleteRepairMatchesCover holds the incremental delete repair to the
 // exact rebuild it replaced. Random insert/delete streams run at data-node
-// capacities from 4 rows to the block-filled 169, on dynamically built and
+// capacities from 4 rows to 169, on dynamically built and
 // bulk-loaded trees; after every delete, each entry left on the delete path
 // must equal mds.CoverInto of its child at the entry's levels and carry
 // the child's aggregate as Node.aggregate folds it, and the root MDS must
 // equal the cover of the root's entries, all bit for bit. Both the
-// incremental path and the fallback must have been taken.
+// incremental path and the fallback must have been taken. The block-filled
+// data node (LeafCapacity 0) runs beside the row caps: its aggregate repair
+// is over the most rows, and a delete can narrow its codes.
 func TestDeleteRepairMatchesCover(t *testing.T) {
 	const load, steps = 3000, 3000
 	gen, err := tpcd.New(5, tpcd.ScaleFor(load))
@@ -64,9 +66,13 @@ func TestDeleteRepairMatchesCover(t *testing.T) {
 	}
 	pool := gen.Records(load + steps)
 	var repairs, fallbacks int64
-	for _, rows := range []int{4, 12, 48, 169} {
+	for _, rows := range []int{4, 12, 48, 169, 0} {
+		name := fmt.Sprintf("leaf-%d", rows)
+		if rows == 0 {
+			name = "block-filled"
+		}
 		for _, bulk := range []bool{false, true} {
-			t.Run(fmt.Sprintf("leaf-%d/bulk=%v", rows, bulk), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/bulk=%v", name, bulk), func(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.LeafCapacity = rows
 				ix, nodes := newBareIndex(t, gen.Schema(), cfg)

@@ -24,9 +24,17 @@ import (
 //	  [12:16]  u32 mdsBase — start of the MDS blob area
 //	  [16:20]  u32 total payload length
 //
-// A data node is its rows and nothing else (mdsBase = total length):
+// A data node is its code widths and its rows (mdsBase = total length):
 //
-//	rows:          count × (dims × u32 coord + measures × f64)
+//	widths:  dims × u8, the bytes (1–4) each dimension's codes take
+//	rows:    count × (Σ widths of code bytes + measures × f64)
+//
+// Row i's coordinate in dimension d is its level-0 code, little-endian in
+// widths[d] bytes at offset Σ widths[:d] of the row; the measures follow
+// the codes, so a 4-byte load at any code's offset stays inside its row and
+// a mask cuts it to the code. A width is exact: the bytes the dimension's
+// largest code needs, so a node decoded from its encoding needs the bytes
+// its encoder did.
 //
 // A directory carries, per entry, what the paper stores in a directory
 // entry (§3.2) — the MDS, the materialized aggregates, the child:
@@ -51,30 +59,21 @@ const (
 	flatAggStride  = 32
 )
 
-// flatLayoutSizes returns the section bases of a flat node with the given
-// shape: offset-table end (= agg area start), fixed area start, MDS area
-// start, and the per-entry fixed stride. A data node has only the fixed
-// area: its rows start behind the header and end the payload.
-func flatLayoutSizes(leaf bool, count, dims, measures int) (aggBase, fixBase, mdsBase, fixedPer int) {
-	if leaf {
-		fixedPer = 4*dims + 8*measures
-		return flatHeaderSize, flatHeaderSize, flatHeaderSize + fixedPer*count, fixedPer
-	}
+// dirLayoutSizes returns the section bases of a flat directory of count
+// entries: offset-table end (= agg area start), child area start, MDS area
+// start.
+func dirLayoutSizes(count, measures int) (aggBase, fixBase, mdsBase int) {
 	aggBase = flatHeaderSize + 4*(count+1)
 	fixBase = aggBase + flatAggStride*measures*count
-	return aggBase, fixBase, fixBase + 8*count, 8
+	return aggBase, fixBase, fixBase + 8*count
 }
 
-// LeafCapacityFor returns how many rows of a schema with dims coordinates
-// and measures values a data node's encoding fits in payload bytes: the rows
-// behind the header, at least 4 (Config's minimum). With payload the extent
-// capacity of one block it is the block-filled data node, the default
-// Config.LeafCapacity a host resolves — 169 rows of the TPC-D cube (4 u32 +
-// 1 f64) in a 4 KiB block.
-func LeafCapacityFor(payload, dims, measures int) int {
-	_, _, _, row := flatLayoutSizes(true, 0, dims, measures)
-	return max((payload-flatHeaderSize)/row, 4)
-}
+// leafSize returns the length of a data node's encoding: the header, the
+// widths and count rows of stride bytes.
+func leafSize(dims, count, stride int) int { return flatHeaderSize + dims + count*stride }
+
+// widthMask returns the mask that cuts a 4-byte load to a code of w bytes.
+func widthMask(w byte) uint32 { return uint32(1)<<(8*w) - 1 }
 
 // appendEncodeFlat serializes the node. The fixed-size prefix (header and,
 // for a directory, offset table, agg and child areas) is reserved up front
@@ -83,7 +82,12 @@ func LeafCapacityFor(payload, dims, measures int) int {
 // second sizing pass over the MDS encodings.
 func (n *Node) appendEncodeFlat(buf []byte, dims, measures int) []byte {
 	count := n.Count()
-	aggBase, fixBase, mdsBase, fixedPer := flatLayoutSizes(n.leaf, count, dims, measures)
+	var aggBase, fixBase, mdsBase int
+	if n.leaf {
+		mdsBase = n.encodedSize()
+	} else {
+		aggBase, fixBase, mdsBase = dirLayoutSizes(count, measures)
+	}
 	start := len(buf)
 	buf = append(buf, make([]byte, mdsBase)...)
 	hdr := buf[start : start+mdsBase]
@@ -93,11 +97,17 @@ func (n *Node) appendEncodeFlat(buf []byte, dims, measures int) []byte {
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(mdsBase))
 	if n.leaf {
 		hdr[1] |= nodeFlagLeaf
-		f := fixBase
+		widths := hdr[flatHeaderSize : flatHeaderSize+dims]
+		for d, c := range n.top {
+			widths[d] = byte(codeWidth(c))
+		}
+		f := flatHeaderSize + dims
 		for i := 0; i < count; i++ {
-			for _, c := range n.Row(i) {
-				binary.LittleEndian.PutUint32(hdr[f:], uint32(c))
-				f += 4
+			// A code is stored as a 4-byte word whose bytes past its width
+			// are zero: the next code or the measures overwrite them.
+			for d, c := range n.Row(i) {
+				binary.LittleEndian.PutUint32(hdr[f:], c.Code())
+				f += int(widths[d])
 			}
 			for _, x := range n.RowMeasures(i) {
 				binary.LittleEndian.PutUint64(hdr[f:], math.Float64bits(x))
@@ -114,7 +124,7 @@ func (n *Node) appendEncodeFlat(buf []byte, dims, measures int) []byte {
 				binary.LittleEndian.PutUint64(hdr[a+16:], math.Float64bits(g.Min))
 				binary.LittleEndian.PutUint64(hdr[a+24:], math.Float64bits(g.Max))
 			}
-			binary.LittleEndian.PutUint64(hdr[fixBase+fixedPer*i:], uint64(e.Child))
+			binary.LittleEndian.PutUint64(hdr[fixBase+8*i:], uint64(e.Child))
 		}
 		// MDS area + offset table. Appends may reallocate buf, so the table
 		// is written through buf (re-indexed each round), never through hdr.
@@ -135,18 +145,21 @@ func (n *Node) appendEncodeFlat(buf []byte, dims, measures int) []byte {
 // bounds it by the host's hold or a version pin). The zero value is
 // invalid; MakeFlatNode validates the frame once so the fixed-stride
 // accessors can skip per-call checks.
+//
+// A data node's row stride and the offset of its measures in a row are
+// summed from its widths when it is framed, once per visit.
 type FlatNode struct {
 	id       NodeID
 	b        []byte
 	leaf     bool
 	blocks   int
 	count    int
-	dims     int
 	measures int
 	aggBase  int
-	fixBase  int
+	fixBase  int // a directory's child area; a data node's rows
 	mdsBase  int
-	fixedPer int
+	stride   int // a data node's row length
+	codes    int // a data node's code bytes per row
 }
 
 // MakeFlatNode validates a payload's frame — header and section bases — in
@@ -175,10 +188,22 @@ func (f *FlatNode) frame(id NodeID, b []byte, dims, measures int) error {
 		return fmt.Errorf("%w: node %d: flat header blocks=%d count=%d total=%d/%d",
 			ErrCorrupt, id, f.blocks, f.count, total, len(b))
 	}
+	// A data node's widths must each be a code width: the rows' stride,
+	// and so every offset into them, is their sum.
+	if f.leaf {
+		if len(b) < f.fixBase {
+			return fmt.Errorf("%w: node %d: flat data node of %d bytes has no widths", ErrCorrupt, id, len(b))
+		}
+		for d, w := range f.widths() {
+			if w < 1 || w > 4 {
+				return fmt.Errorf("%w: node %d: dimension %d code width %d", ErrCorrupt, id, d, w)
+			}
+		}
+	}
 	// The bases are recomputed from the shape: a payload whose stored
 	// mdsBase disagrees was encoded for a different schema (or corrupted)
 	// and every fixed-offset access would read the wrong section. A data
-	// node's rows end its payload.
+	// node's rows end its payload, count × stride bytes behind its widths.
 	if mdsBase := int(binary.LittleEndian.Uint32(b[12:])); mdsBase != f.mdsBase || mdsBase > len(b) || (f.leaf && mdsBase != len(b)) {
 		return fmt.Errorf("%w: node %d: flat mds base %d, want %d (len %d)",
 			ErrCorrupt, id, mdsBase, f.mdsBase, len(b))
@@ -194,9 +219,23 @@ func (f *FlatNode) trust(id NodeID, b []byte, dims, measures int) {
 	f.leaf = b[1]&nodeFlagLeaf != 0
 	f.blocks = int(binary.LittleEndian.Uint32(b[4:]))
 	f.count = int(binary.LittleEndian.Uint32(b[8:]))
-	f.dims, f.measures = dims, measures
-	f.aggBase, f.fixBase, f.mdsBase, f.fixedPer = flatLayoutSizes(f.leaf, f.count, dims, measures)
+	f.measures = measures
+	if !f.leaf {
+		f.aggBase, f.fixBase, f.mdsBase = dirLayoutSizes(f.count, measures)
+		return
+	}
+	f.fixBase, f.codes = flatHeaderSize+dims, 0
+	if len(b) >= f.fixBase {
+		for _, w := range f.widths() {
+			f.codes += int(w)
+		}
+	}
+	f.stride = f.codes + 8*measures
+	f.mdsBase = f.fixBase + f.count*f.stride
 }
+
+// widths returns a data node's code widths, in place.
+func (f *FlatNode) widths() []byte { return f.b[flatHeaderSize:f.fixBase] }
 
 // Leaf reports whether the payload is a data node's, Count its number of
 // entries and Blocks its logical size in blocks.
@@ -255,17 +294,27 @@ func (f *FlatNode) Agg(i, j int) cube.Agg {
 
 // Child returns directory entry i's child node id.
 func (f *FlatNode) Child(i int) NodeID {
-	return NodeID(binary.LittleEndian.Uint64(f.b[f.fixBase+f.fixedPer*i:]))
+	return NodeID(binary.LittleEndian.Uint64(f.b[f.fixBase+8*i:]))
 }
 
 // Coord returns record i's coordinate in dimension d.
 func (f *FlatNode) Coord(i, d int) hierarchy.ID {
-	return hierarchy.ID(binary.LittleEndian.Uint32(f.b[f.fixBase+f.fixedPer*i+4*d:]))
+	widths, o := f.widths(), f.fixBase+f.stride*i
+	for _, w := range widths[:d] {
+		o += int(w)
+	}
+	return loadCode(f.b[o:], widths[d])
+}
+
+// loadCode reads a code of w bytes at the front of b, which holds at least
+// four.
+func loadCode(b []byte, w byte) hierarchy.ID {
+	return hierarchy.ID(binary.LittleEndian.Uint32(b) & widthMask(w))
 }
 
 // Measure returns record i's measure j.
 func (f *FlatNode) Measure(i, j int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(f.b[f.fixBase+f.fixedPer*i+4*f.dims+8*j:]))
+	return math.Float64frombits(binary.LittleEndian.Uint64(f.b[f.fixBase+f.stride*i+f.codes+8*j:]))
 }
 
 // entryMDS decodes directory entry i's MDS from its wire encoding, which
@@ -283,7 +332,8 @@ func (f *FlatNode) entryMDS(i int) (mds.MDS, error) {
 // host whose store serves no views, need mutable *Nodes.
 //
 // A data node decodes into its two row arrays; its coordinates must be
-// leaf-level values, which the row tests assume. A directory's
+// leaf-level values, which the row tests assume, and its widths exactly
+// those its codes need. A directory's
 // per-entry state is carved out of node-scoped arenas — one backing array
 // each for aggregate vectors and the MDS dimension sets and ID values — so
 // a node of k entries decodes with O(1) slice allocations instead of O(k).
@@ -303,16 +353,27 @@ func DecodeNode(id NodeID, buf []byte, dims, measures int) (*Node, error) {
 	if f.leaf {
 		n.coords = make([]hierarchy.ID, 0, f.count*dims)
 		n.measures = make([]float64, 0, f.count*measures)
-		for i := 0; i < f.count; i++ {
-			for d := 0; d < dims; d++ {
-				c := f.Coord(i, d)
+		n.top = make([]uint32, dims)
+		widths := f.widths()
+		for i, o := 0, f.fixBase; i < f.count; i++ {
+			for d, w := range widths {
+				c := loadCode(f.b[o:], w)
 				if c.Level() != 0 {
 					return nil, fmt.Errorf("%w: node %d record %d: coordinate %v is not a leaf value", ErrCorrupt, id, i, c)
 				}
 				n.coords = append(n.coords, c)
+				n.top[d] = max(n.top[d], c.Code())
+				o += int(w)
 			}
 			for j := 0; j < measures; j++ {
-				n.measures = append(n.measures, f.Measure(i, j))
+				n.measures = append(n.measures, math.Float64frombits(binary.LittleEndian.Uint64(f.b[o:])))
+				o += 8
+			}
+		}
+		// Widths are exact, so the node needs the bytes its encoder did.
+		for d, w := range widths {
+			if codeWidth(n.top[d]) != int(w) {
+				return nil, fmt.Errorf("%w: node %d: dimension %d code width %d, its codes need %d", ErrCorrupt, id, d, w, codeWidth(n.top[d]))
 			}
 		}
 		return n, nil

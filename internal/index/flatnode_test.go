@@ -53,9 +53,10 @@ func sameRows(a, b *Node) bool {
 }
 
 // TestDataNodePayloadIsRows is the law of the data-node frame: the payload
-// is the header and the rows, byte for byte. Its length is a function of
-// the record count alone, decode∘encode is the identity, and no byte is
-// slack — flipping any one is either rejected or changes what decodes.
+// is the header, the code widths and the rows, byte for byte. Its length is
+// a function of the record count and the widths the codes need alone,
+// decode∘encode is the identity, and no byte is slack — flipping any one is
+// either rejected or changes what decodes.
 func TestDataNodePayloadIsRows(t *testing.T) {
 	ix, nodes := grownNodes(t)
 	dims, measures := ix.schema.Dims(), ix.schema.Measures()
@@ -64,7 +65,15 @@ func TestDataNodePayloadIsRows(t *testing.T) {
 			continue
 		}
 		buf := ix.Encode(n)
-		if want := flatHeaderSize + n.Count()*(4*dims+8*measures); len(buf) != want {
+		stride := 8 * measures
+		for d := range dims {
+			w := codeWidth(n.columnTop(d, -1))
+			if int(buf[flatHeaderSize+d]) != w {
+				t.Fatalf("node %d dimension %d: width %d, its codes need %d", n.id, d, buf[flatHeaderSize+d], w)
+			}
+			stride += w
+		}
+		if want := flatHeaderSize + dims + n.Count()*stride; len(buf) != want {
 			t.Fatalf("node %d (%d records, %d blocks): payload %d bytes, want %d", n.id, n.Count(), n.blocks, len(buf), want)
 		}
 		dec, err := DecodeNode(n.id, buf, dims, measures)
@@ -177,9 +186,16 @@ func TestFlatNodeCorruptFailClosed(t *testing.T) {
 		binary.LittleEndian.PutUint32(b[16:], uint32(len(b)))
 		return b
 	})
-	mutate("coordinate above the leaf level", func(b []byte) []byte {
-		c := hierarchy.ID(binary.LittleEndian.Uint32(b[flatHeaderSize:]))
-		binary.LittleEndian.PutUint32(b[flatHeaderSize:], uint32(hierarchy.MakeID(1, c.Code())))
+	mutate("coordinate above the leaf level", func([]byte) []byte { return aboveLeaf(leaf) })
+	mutate("code width wider than the codes need", func([]byte) []byte {
+		return layRows(leaf, wideWidths(dims, 0))
+	})
+	mutate("code width 0", func(b []byte) []byte { b[flatHeaderSize] = 0; return b })
+	mutate("code width 5", func(b []byte) []byte { b[flatHeaderSize] = 5; return b })
+	mutate("row area one byte past count × stride", func(b []byte) []byte {
+		b = append(b, 0)
+		binary.LittleEndian.PutUint32(b[12:], uint32(len(b)))
+		binary.LittleEndian.PutUint32(b[16:], uint32(len(b)))
 		return b
 	})
 	mutate("the retired layout's frame", func(b []byte) []byte {
@@ -195,6 +211,53 @@ func TestFlatNodeCorruptFailClosed(t *testing.T) {
 		binary.LittleEndian.PutUint32(old[16:], uint32(len(old)))
 		return old
 	})
+}
+
+// layRows encodes data node n with its codes at the given widths, which
+// need not be those its codes need: the payloads the encoder never writes.
+// A width of 4 stores the whole coordinate, level tag included.
+func layRows(n *Node, widths []byte) []byte {
+	stride := 8 * n.nm
+	for _, w := range widths {
+		stride += int(w)
+	}
+	b := make([]byte, leafSize(n.dims, n.Count(), stride))
+	b[0], b[1] = flatMagic, nodeFlagLeaf
+	binary.LittleEndian.PutUint32(b[4:], uint32(n.blocks))
+	binary.LittleEndian.PutUint32(b[8:], uint32(n.Count()))
+	binary.LittleEndian.PutUint32(b[12:], uint32(len(b)))
+	binary.LittleEndian.PutUint32(b[16:], uint32(len(b)))
+	copy(b[flatHeaderSize:], widths)
+	o := flatHeaderSize + n.dims
+	for i := 0; i < n.Count(); i++ {
+		for d, c := range n.Row(i) {
+			for k := 0; k < int(widths[d]); k++ {
+				b[o+k] = byte(c >> (8 * k))
+			}
+			o += int(widths[d])
+		}
+		for _, x := range n.RowMeasures(i) {
+			binary.LittleEndian.PutUint64(b[o:], math.Float64bits(x))
+			o += 8
+		}
+	}
+	return b
+}
+
+// wideWidths returns dims widths of 1 byte but dimension d's, of 4.
+func wideWidths(dims, d int) []byte {
+	widths := bytes.Repeat([]byte{1}, dims)
+	widths[d] = 4
+	return widths
+}
+
+// aboveLeaf returns data node n's rows with dimension 0 stored in 4 bytes —
+// the other dimensions at 1, so n's codes there must fit one — and row 0's
+// coordinate there tagged with level 1.
+func aboveLeaf(n *Node) []byte {
+	b := layRows(n, wideWidths(n.dims, 0))
+	b[flatHeaderSize+n.dims+3] |= 1 << (hierarchy.CodeBits - 24)
+	return b
 }
 
 // encodedNodes serves nodes from flat encodings behind the checked frame, as
@@ -273,11 +336,7 @@ func TestValidateReadsEncodedBytes(t *testing.T) {
 			src.b[id] = b
 		}},
 		{"head count off by one", func(_ encodedNodes, h *Head) { h.Count++ }},
-		{"row coordinate above the leaf level", func(src encodedNodes, _ *Head) {
-			b := src.b[leaf.id][flatHeaderSize:]
-			c := hierarchy.ID(binary.LittleEndian.Uint32(b))
-			binary.LittleEndian.PutUint32(b, uint32(hierarchy.MakeID(1, c.Code())))
-		}},
+		{"row coordinate above the leaf level", func(src encodedNodes, _ *Head) { src.b[leaf.id] = aboveLeaf(leaf) }},
 		{"non-monotone offsets", func(src encodedNodes, _ *Head) { src.b[root.id][flatHeaderSize] = 0xEE }},
 	} {
 		src, h := encoded(), ix.Head()
@@ -316,6 +375,17 @@ func FuzzDecodeFlatNode(f *testing.F) {
 	for _, n := range []*Node{leaf, dir, super} {
 		f.Add(ix.Encode(n))
 	}
+	// A data node at each code width, 1 to 4, in its first dimension; then
+	// one with a width outside them and one whose rows are not count ×
+	// stride bytes.
+	for _, n := range widthNodes(measures) {
+		if slices.Contains([]uint32{255, 1<<16 - 1, 1<<24 - 1, hierarchy.MaxCode}, n.top[0]) && n.top[1] == 9 {
+			f.Add(n.appendEncodeFlat(nil, dims, measures))
+		}
+	}
+	bad := badWidthPayloads(measures)
+	f.Add(bad["width 5"])
+	f.Add(bad["row area one byte long"])
 	// A query constrained in every dimension, so both kernels consult their
 	// masks — with codes the masks were never sized for among the inputs.
 	q := make(mds.MDS, dims)

@@ -73,23 +73,20 @@ func flatOf(id NodeID, n *Node, dims, measures int) FlatNode {
 	return f
 }
 
-// testBlockPayload is what core.New sizes the default data node by: the
-// payload of a one-block extent of the default 4 KiB block
+// testBlockPayload is the one-block payload core.New hands the index: that
+// of a one-block extent of the default 4 KiB block
 // (storage.ExtentCapacity(4096, 1), which this package cannot import).
 const testBlockPayload = 4096 - 12
 
-// newBareIndex creates an empty index over a fresh memNodes, resolving a
-// zero LeafCapacity the way core.New does.
+// newBareIndex creates an empty index over a fresh memNodes, on blocks of
+// the default size as core.New does.
 func newBareIndex(t testing.TB, schema *cube.Schema, cfg Config) (*Index, *memNodes) {
 	t.Helper()
 	if err := cfg.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.LeafCapacity == 0 {
-		cfg.LeafCapacity = LeafCapacityFor(testBlockPayload, schema.Dims(), schema.Measures())
-	}
 	s := &memNodes{nodes: map[NodeID]*Node{}, dims: schema.Dims(), nm: schema.Measures()}
-	s.ix = New(schema, cfg, s)
+	s.ix = New(schema, cfg, s, testBlockPayload)
 	return s.ix, s
 }
 

@@ -93,6 +93,10 @@ type Index struct {
 	store  Store
 	head   Head
 
+	// payload is the bytes one block of the host's holds for a node's
+	// encoding: what a block-filled data node's rows fill (blocksFor).
+	payload int
+
 	// ws holds the write path's buffers (scratch.go); mutations are
 	// exclusive, so one scratch is never shared.
 	ws *writeScratch
@@ -142,17 +146,20 @@ type Counters struct {
 }
 
 // New creates an empty index whose nodes live in store: the root is a data
-// node minted by store.New. cfg must be normalized.
-func New(schema *cube.Schema, cfg Config, store Store) *Index {
-	ix := Restore(schema, cfg, store, Head{RootMDS: mds.Top(schema.Dims()), Height: 1})
+// node minted by store.New. cfg must be normalized; payload is the bytes of
+// a node's encoding one block of the host's holds, which sizes a
+// block-filled data node (Config.LeafCapacity 0).
+func New(schema *cube.Schema, cfg Config, store Store, payload int) *Index {
+	ix := Restore(schema, cfg, store, Head{RootMDS: mds.Top(schema.Dims()), Height: 1}, payload)
 	ix.head.Root = store.New(true).id
 	return ix
 }
 
 // Restore re-attaches an index to nodes the store already holds: h is the
-// Head the index reported when the host saved it. cfg must be normalized.
-func Restore(schema *cube.Schema, cfg Config, store Store, h Head) *Index {
-	ix := &Index{schema: schema, cfg: cfg, store: store, head: h}
+// Head the index reported when the host saved it. cfg and payload are as
+// for New.
+func Restore(schema *cube.Schema, cfg Config, store Store, h Head, payload int) *Index {
+	ix := &Index{schema: schema, cfg: cfg, store: store, head: h, payload: payload}
 	ix.ws = newWriteScratch(schema)
 	return ix
 }

@@ -74,7 +74,7 @@ func (ix *Index) insertInto(id NodeID, nodeMDS mds.MDS, rc *recContext) (insertR
 
 	if n.leaf {
 		n.appendRecord(rc.rec)
-		if n.Count() <= ix.cfg.capacity(n.leaf, n.blocks) {
+		if ix.nodeBlocks(n) <= n.blocks {
 			return insertResult{}, nil
 		}
 		return ix.splitNode(n, nodeMDS)
@@ -114,7 +114,7 @@ func (ix *Index) insertInto(id NodeID, nodeMDS mds.MDS, rc *recContext) (insertR
 	e.Agg = res.origAgg
 	n.entries = append(n.entries, Entry{MDS: res.newMDS, Agg: res.newAgg, Child: res.newID})
 	n.invalidatePostings()
-	if n.Count() <= ix.cfg.capacity(n.leaf, n.blocks) {
+	if ix.nodeBlocks(n) <= n.blocks {
 		return insertResult{}, nil
 	}
 	return ix.splitNode(n, nodeMDS)

@@ -457,16 +457,20 @@ func TestSplitAllocationsIndependentOfEntryCount(t *testing.T) {
 	tree := newTestIndex(t, DefaultConfig())
 	const runs, maxBlocks = 5, 4
 	rng := rand.New(rand.NewSource(56))
-	recs := genRecords(t, tree.schema, rng, (runs+1)*(maxBlocks*tree.cfg.LeafCapacity+1))
+	// A row takes at least 12 bytes: three 1-byte codes and the measure.
+	recs := genRecords(t, tree.schema, rng, (runs+1)*(maxBlocks*testBlockPayload/12+1))
 	measure := func(blocks int) float64 {
-		entries := blocks*tree.cfg.LeafCapacity + 1
+		entries := 0
 		nodes := make([]*Node, 0, runs+1)
-		for len(nodes) < cap(nodes) {
+		for next := 0; len(nodes) < cap(nodes); {
+			// Rows until the node overflows its blocks by one.
 			n := tree.store.New(true)
 			n.blocks = blocks
-			for _, r := range recs[len(nodes)*entries:][:entries] {
-				n.appendRecord(r)
+			for tree.nodeBlocks(n) <= blocks {
+				n.appendRecord(recs[next])
+				next++
 			}
+			entries = n.Count()
 			nodes = append(nodes, n)
 		}
 		next := 0

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"github.com/dcindex/dctree/internal/cube"
@@ -37,7 +38,10 @@ type Entry struct {
 // coords[i*dims:(i+1)*dims], its measures measures[i*nm:(i+1)*nm] — the
 // same rows its encoding holds. A record's singleton MDS and one-record
 // aggregates are functions of the row, kept in neither form and
-// synthesized where the write path needs them.
+// synthesized where the write path needs them. Beside the rows it keeps
+// top, each dimension's largest code: the widths its encoding stores the
+// codes at (codeWidth), and so the bytes the node needs, are functions of
+// it, kept exact by every change to the rows.
 type Node struct {
 	id     NodeID
 	leaf   bool
@@ -50,12 +54,17 @@ type Node struct {
 	dims, nm int // row widths of a data node
 	coords   []hierarchy.ID
 	measures []float64
+	top      []uint32
 }
 
 // NewNode returns an empty one-block node for a Store to hand out under a
 // freshly minted ID; dims and measures are the schema's row widths.
 func NewNode(id NodeID, leaf bool, dims, measures int) *Node {
-	return &Node{id: id, leaf: leaf, blocks: 1, dims: dims, nm: measures}
+	n := &Node{id: id, leaf: leaf, blocks: 1, dims: dims, nm: measures}
+	if leaf {
+		n.top = make([]uint32, dims)
+	}
+	return n
 }
 
 // ID returns the node's identifier.
@@ -91,42 +100,112 @@ func (n *Node) RowMeasures(i int) []float64 { return n.measures[i*n.nm : (i+1)*n
 func (n *Node) appendRecord(rec cube.Record) {
 	n.coords = append(n.coords, rec.Coords...)
 	n.measures = append(n.measures, rec.Measures...)
+	for d, c := range rec.Coords {
+		n.top[d] = max(n.top[d], c.Code())
+	}
 }
 
-// removeRecord deletes record i of a data node, keeping the order of the rest.
+// removeRecord deletes record i of a data node, keeping the order of the
+// rest. A dimension whose largest code leaves with the row has its column
+// rescanned.
 func (n *Node) removeRecord(i int) {
+	for d, c := range n.Row(i) {
+		if c.Code() == n.top[d] {
+			n.top[d] = n.columnTop(d, i)
+		}
+	}
 	n.coords = append(n.coords[:i*n.dims], n.coords[(i+1)*n.dims:]...)
 	n.measures = append(n.measures[:i*n.nm], n.measures[(i+1)*n.nm:]...)
 }
 
-// pick returns exactly sized copies of the listed entries of a directory
-// node, or of the listed records of a data node, in the order listed.
-func (n *Node) pick(group []int) (entries []Entry, coords []hierarchy.ID, measures []float64) {
-	if !n.leaf {
-		entries = make([]Entry, len(group))
-		for i, g := range group {
-			entries[i] = n.entries[g]
+// columnTop returns the largest code of dimension d among a data node's
+// rows other than row skip (-1: all of them).
+func (n *Node) columnTop(d, skip int) uint32 {
+	var top uint32
+	for i, k := 0, d; k < len(n.coords); i, k = i+1, k+n.dims {
+		if i != skip {
+			top = max(top, n.coords[k].Code())
 		}
-		return entries, nil, nil
 	}
-	coords = make([]hierarchy.ID, 0, len(group)*n.dims)
-	measures = make([]float64, 0, len(group)*n.nm)
-	for _, g := range group {
-		coords = append(coords, n.Row(g)...)
-		measures = append(measures, n.RowMeasures(g)...)
-	}
-	return nil, coords, measures
+	return top
 }
 
-// capacity returns the entry capacity of a node of the given kind and size
-// under c, accounting for supernode extents (§4.2: "directory node capacity
-// multiplied by the number of blocks of the supernode").
-func (c *Config) capacity(leaf bool, blocks int) int {
-	per := c.DirCapacity
-	if leaf {
-		per = c.LeafCapacity
+// codeWidth returns the bytes a data node's encoding stores codes up to c
+// in: 1 to 4.
+func codeWidth(c uint32) int { return max(1, (bits.Len32(c)+7)/8) }
+
+// rowSize returns the stride of a data node's encoded rows: each code at
+// its dimension's width, then the measures. With coords non-nil it is the
+// stride once a row of those coordinates joins.
+func (n *Node) rowSize(coords []hierarchy.ID) int {
+	size := 8 * n.nm
+	for d, c := range n.top {
+		if coords != nil {
+			c = max(c, coords[d].Code())
+		}
+		size += codeWidth(c)
 	}
-	return per * blocks
+	return size
+}
+
+// encodedSize returns the length of a data node's encoding.
+func (n *Node) encodedSize() int { return leafSize(n.dims, n.Count(), n.rowSize(nil)) }
+
+// take replaces the node's entries, or rows, by exactly sized copies of the
+// listed ones of src, in the order listed; a data node's largest codes are
+// its new rows'.
+func (n *Node) take(src *Node, group []int) {
+	if !n.leaf {
+		entries := make([]Entry, len(group))
+		for i, g := range group {
+			entries[i] = src.entries[g]
+		}
+		n.entries = entries
+		return
+	}
+	coords := make([]hierarchy.ID, 0, len(group)*n.dims)
+	measures := make([]float64, 0, len(group)*n.nm)
+	top := make([]uint32, n.dims)
+	for _, g := range group {
+		row := src.Row(g)
+		coords = append(coords, row...)
+		measures = append(measures, src.RowMeasures(g)...)
+		for d, c := range row {
+			top[d] = max(top[d], c.Code())
+		}
+	}
+	n.coords, n.measures, n.top = coords, measures, top
+}
+
+// fill is the one overflow rule: what a node of the given kind, entry count
+// and encoded size fills, and what one block holds of it. A directory fills
+// DirCapacity entries a block; a data node LeafCapacity rows a block or,
+// block-filled (LeafCapacity 0), the one-block payload with the bytes of
+// its encoding. A supernode holds its blocks' worth (§4.2: "directory node
+// capacity multiplied by the number of blocks of the supernode").
+func (ix *Index) fill(leaf bool, count, size int) (used, perBlock int) {
+	switch {
+	case !leaf:
+		return count, ix.cfg.DirCapacity
+	case ix.cfg.LeafCapacity > 0:
+		return count, ix.cfg.LeafCapacity
+	}
+	return size, ix.payload
+}
+
+// blocksFor returns the fewest blocks that hold a node of the given kind,
+// entry count and encoded size.
+func (ix *Index) blocksFor(leaf bool, count, size int) int {
+	used, per := ix.fill(leaf, count, size)
+	return max(1, (used+per-1)/per)
+}
+
+// nodeBlocks is blocksFor of a heap node.
+func (ix *Index) nodeBlocks(n *Node) int {
+	if !n.leaf {
+		return ix.blocksFor(false, len(n.entries), 0)
+	}
+	return ix.blocksFor(true, n.Count(), n.encodedSize())
 }
 
 // aggregate computes the node's aggregate vector from its entries.
@@ -148,6 +227,38 @@ func (n *Node) aggregateInto(v cube.AggVector) {
 	}
 	for i := range n.entries {
 		v.Merge(n.entries[i].Agg)
+	}
+}
+
+// repairAggregate brings v, a data node's aggregate vector before the row
+// whose measures were gone left it, to the node's aggregate after — bit for
+// bit what aggregateInto computes, for less. The counts drop by one; the
+// sums are refolded alone, in row order from the first row's value, as Add
+// folds them (from 0 a sum of −0.0 rows would read +0.0); min and max are
+// refolded only when the row held one of them or a NaN, or the first row,
+// where the fold starts, is a NaN — otherwise the gone row never decided
+// them. The node holds at least one row.
+func (n *Node) repairAggregate(v cube.AggVector, gone []float64) {
+	for j := range v {
+		a, first := &v[j], n.measures[j]
+		a.Count--
+		a.Sum = first
+		for k := j + n.nm; k < len(n.measures); k += n.nm {
+			a.Sum += n.measures[k]
+		}
+		if x := gone[j]; x != a.Min && x != a.Max && x == x && first == first {
+			continue
+		}
+		a.Min, a.Max = first, first
+		for k := j + n.nm; k < len(n.measures); k += n.nm {
+			// Add's comparisons, not min and max, which a NaN or a signed
+			// zero would decide otherwise.
+			if x := n.measures[k]; x < a.Min {
+				a.Min = x
+			} else if x > a.Max {
+				a.Max = x
+			}
+		}
 	}
 }
 

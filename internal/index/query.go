@@ -68,8 +68,7 @@ func (nv *NodeView) CheckTable() error {
 // the caller sized to the schema. A directory's entries are read through f.
 func (nv *NodeView) shape() (leaf bool, count, blocks, size int) {
 	if n := nv.n; n != nil {
-		_, _, size, _ = flatLayoutSizes(true, n.Count(), n.dims, n.nm)
-		return true, n.Count(), n.blocks, size
+		return true, n.Count(), n.blocks, n.encodedSize()
 	}
 	return nv.f.leaf, nv.f.count, nv.f.blocks, len(nv.f.b)
 }
@@ -80,11 +79,14 @@ func (nv *NodeView) row(i int, rec cube.Record) {
 		copy(rec.Measures, n.RowMeasures(i))
 		return
 	}
-	for d := range rec.Coords {
-		rec.Coords[d] = nv.f.Coord(i, d)
+	f := &nv.f
+	o := f.fixBase + f.stride*i
+	for d, w := range f.widths() {
+		rec.Coords[d] = loadCode(f.b[o:], w)
+		o += int(w)
 	}
 	for j := range rec.Measures {
-		rec.Measures[j] = nv.f.Measure(i, j)
+		rec.Measures[j] = f.Measure(i, j)
 	}
 }
 

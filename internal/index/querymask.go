@@ -46,8 +46,10 @@ type queryCtx struct {
 	slab    []uint64
 	lvlSlab []bitmap.Dense
 	work    [2][]uint32
-	// frames are the serial descent's view frames, one per depth.
+	// frames are the serial descent's view frames, one per depth; cols
+	// the flat data node's code offsets its leaf kernel tests (flatCols).
 	frames []NodeView
+	cols   []flatCol
 }
 
 // rowMask is the record test of one constrained dimension: members of its
@@ -227,11 +229,12 @@ func (qc *queryCtx) scanRows(nv *NodeView, first int, out cube.AggVector) (rows,
 		}
 		return rows, matched
 	}
-	stride, measures := nv.f.fixedPer, 4*nv.f.dims+8*first
-	rows = nv.f.count
+	f := &nv.f
+	stride, measures, cols := f.stride, f.codes+8*first, qc.flatCols(f)
+	rows = f.count
 	for base := 0; base < rows; base += scanChunk {
-		chunk := nv.f.b[nv.f.fixBase+base*stride : nv.f.fixBase+min(base+scanChunk, rows)*stride]
-		k := qc.selectFlat(&sel, chunk, stride)
+		chunk := f.b[f.fixBase+base*stride : f.fixBase+min(base+scanChunk, rows)*stride]
+		k := qc.selectFlat(&sel, chunk, stride, cols)
 		matched += k
 		for j := range out {
 			a, vs := &out[j], chunk[measures+8*j:]
@@ -278,9 +281,34 @@ func (qc *queryCtx) selectHeap(sel *[scanChunk]uint16, chunk []hierarchy.ID, dim
 	return k
 }
 
-// selectFlat is selectHeap over flat rows: stride bytes per row, the
-// coordinates little-endian u32s at the front.
-func (qc *queryCtx) selectFlat(sel *[scanChunk]uint16, chunk []byte, stride int) int {
+// flatCol is where a record test's code lies in a flat data node's rows:
+// its offset in a row, and the mask that cuts a load there to its width.
+type flatCol struct {
+	off   int
+	width uint32
+}
+
+// flatCols returns, in the order of qc.rows, where each tested dimension's
+// code lies in the rows of f: the widths are summed once a visit. The slice
+// is the queryCtx's, reused by the next visit.
+func (qc *queryCtx) flatCols(f *FlatNode) []flatCol {
+	widths := f.widths()
+	qc.cols = qc.cols[:0]
+	for _, rt := range qc.rows {
+		off := 0
+		for _, w := range widths[:rt.dim] {
+			off += int(w)
+		}
+		qc.cols = append(qc.cols, flatCol{off: off, width: widthMask(widths[rt.dim])})
+	}
+	return qc.cols
+}
+
+// selectFlat is selectHeap over flat rows: stride bytes per row, the codes
+// of the tested dimensions where cols puts them. Each is one 4-byte load,
+// which the measures behind the codes keep inside the row, cut by its
+// width's mask.
+func (qc *queryCtx) selectFlat(sel *[scanChunk]uint16, chunk []byte, stride int, cols []flatCol) int {
 	n := len(chunk) / stride
 	if len(qc.rows) == 0 {
 		for i := range n {
@@ -288,21 +316,39 @@ func (qc *queryCtx) selectFlat(sel *[scanChunk]uint16, chunk []byte, stride int)
 		}
 		return n
 	}
-	mask, k := qc.rows[0].mask, 0
-	for i, o := 0, 4*qc.rows[0].dim; i < n; i, o = i+1, o+stride {
-		sel[uint8(k)] = uint16(i)
-		k += maskBit(mask, binary.LittleEndian.Uint32(chunk[o:o+4])&hierarchy.MaxCode)
-	}
-	for _, rt := range qc.rows[1:] {
-		kept := 0
-		for _, s := range sel[:k] {
-			sel[uint8(kept)] = s
-			o := int(s)*stride + 4*rt.dim
-			kept += maskBit(rt.mask, binary.LittleEndian.Uint32(chunk[o:o+4])&hierarchy.MaxCode)
-		}
-		k = kept
+	k := selectFlatAll(sel, chunk[cols[0].off:], n, stride, cols[0].width, qc.rows[0].mask)
+	for r, rt := range qc.rows[1:] {
+		k = selectFlatKept(sel, chunk[cols[r+1].off:], k, stride, cols[r+1].width, rt.mask)
 	}
 	return k
+}
+
+// selectFlatAll and selectFlatKept are selectFlat's two passes over one
+// tested dimension, whose codes start chunk at the given stride and are cut
+// by width: the first over all n rows, the second over the k kept so far.
+// Each is a function of its own, kept out of line: inlined into
+// selectFlat, the loops ran out of registers and spilled the count on
+// every row, a tenth slower.
+//
+//go:noinline
+func selectFlatAll(sel *[scanChunk]uint16, chunk []byte, n, stride int, width uint32, mask bitmap.Dense) int {
+	k := 0
+	for i, o := 0, 0; i < n; i, o = i+1, o+stride {
+		sel[uint8(k)] = uint16(i)
+		k += maskBit(mask, binary.LittleEndian.Uint32(chunk[o:o+4])&width)
+	}
+	return k
+}
+
+//go:noinline
+func selectFlatKept(sel *[scanChunk]uint16, chunk []byte, k, stride int, width uint32, mask bitmap.Dense) int {
+	kept := 0
+	for _, s := range sel[:k] {
+		sel[uint8(kept)] = s
+		o := int(s) * stride
+		kept += maskBit(mask, binary.LittleEndian.Uint32(chunk[o:o+4])&width)
+	}
+	return kept
 }
 
 // matchEntryFlat classifies directory entry i of a flat node against the

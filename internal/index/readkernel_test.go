@@ -1,7 +1,6 @@
 package index
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -195,7 +194,7 @@ func TestScanRowsAgainstContainsLeaves(t *testing.T) {
 		if i%3 == 0 {
 			rows = append(rows, genRecords(t, s, rng, 5)...) // may mint new codes
 		}
-		leaf := &Node{leaf: true, blocks: 1, dims: s.Dims(), nm: s.Measures()}
+		leaf := NewNode(0, true, s.Dims(), s.Measures())
 		var want cube.Agg
 		wantMatched := 0
 		for _, r := range rows {
@@ -251,19 +250,17 @@ func refScanRows(qc *queryCtx, nv *NodeView, first int, out cube.AggVector) (row
 		}
 		return rows, matched
 	}
-	b, stride, measures := nv.f.b[nv.f.fixBase:], nv.f.fixedPer, 4*nv.f.dims+8*first
 	rows = nv.f.count
 flatRows:
 	for i := 0; i < rows; i++ {
-		row := b[i*stride : (i+1)*stride]
 		for _, rt := range tests {
-			if !rt.mask.Get(binary.LittleEndian.Uint32(row[4*rt.dim:]) & hierarchy.MaxCode) {
+			if !rt.mask.Get(nv.f.Coord(i, rt.dim).Code()) {
 				continue flatRows
 			}
 		}
 		matched++
 		for j := range out {
-			out[j].Add(math.Float64frombits(binary.LittleEndian.Uint64(row[measures+8*j:])))
+			out[j].Add(nv.f.Measure(i, first+j))
 		}
 	}
 	return rows, matched
@@ -303,7 +300,8 @@ func TestScanRowsMatchesReference(t *testing.T) {
 		}
 		constrained[len(qc.rows)]++
 		for _, n := range []int{1, 169, scanChunk, scanChunk + 1, 4*169 + 13} {
-			leaf := &Node{leaf: true, blocks: 1 + n/169, dims: dims, nm: nm}
+			leaf := NewNode(0, true, dims, nm)
+			leaf.blocks = 1 + n/169
 			for r := 0; r < n; r++ {
 				rec := cube.Record{Coords: make([]hierarchy.ID, dims), Measures: make([]float64, nm)}
 				for d := range rec.Coords {

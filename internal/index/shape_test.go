@@ -78,7 +78,10 @@ func shapeDigest(t *testing.T, ix *Index) string {
 // and splits began to bound directory entries (boundMDS). The one that does
 // not (RefineBound -1) was pinned with the hierarchy-blind choose-subtree
 // ablation until that switch was retired; it now runs the weighted cost, its
-// digest taken on the last build that still had the switch.
+// digest taken on the last build that still had the switch. The last was
+// re-pinned once more when a data node began to hold the rows its block
+// fits at the byte widths its codes need (501991a2… → 97e42c41…); the
+// row-capped four did not move.
 func TestGoldenTreeShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads 5×22k records")
@@ -106,7 +109,7 @@ func TestGoldenTreeShape(t *testing.T) {
 			c.LeafCapacity = 48
 			c.RefineBound = -1
 		}, "871f28e5917779cac8e2ae97"},
-		{"block-filled", func(*Config) {}, "501991a2af5b666e22f83c03"},
+		{"block-filled", func(*Config) {}, "97e42c41ebb30c563d96a23e"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -169,7 +172,11 @@ func (s *QueryStats) add(o QueryStats) {
 // block-filled default's answers must be the 48-row tree's, query by query.
 // Both trees' numbers were re-pinned once, with internal/core's, when
 // inserts and splits began to bound directory entries (boundMDS); the
-// answers did not move.
+// answers did not move. The block-filled tree's were re-pinned again when
+// its data nodes began to hold the rows a block fits at their codes' byte
+// widths (visits 84 / 181 / 460 / 334 / 423 → 85 / 154 / 308 / 235 / 313):
+// fewer, fuller data nodes, so more rows scanned and fewer entries pruned,
+// and in the region class no entry answered from its aggregate.
 func TestGoldenQueryStats(t *testing.T) {
 	const load = 6000
 	gen, err := tpcd.New(7, tpcd.ScaleFor(load))
@@ -192,11 +199,11 @@ func TestGoldenQueryStats(t *testing.T) {
 			"region": {NodesVisited: 1672, EntriesScanned: 48333, EntriesPruned: 759, MaterializedHits: 17, RecordsMatched: 9916},
 		}},
 		{"block-filled", 0, map[string]QueryStats{
-			"sel01":  {NodesVisited: 84, EntriesScanned: 6932, EntriesPruned: 282},
-			"sel05":  {NodesVisited: 181, EntriesScanned: 17985, EntriesPruned: 247, RecordsMatched: 2},
-			"sel25":  {NodesVisited: 460, EntriesScanned: 50088, EntriesPruned: 144, RecordsMatched: 204},
-			"rollup": {NodesVisited: 334, EntriesScanned: 35940, EntriesPruned: 210, RecordsMatched: 1432},
-			"region": {NodesVisited: 423, EntriesScanned: 46015, EntriesPruned: 152, MaterializedHits: 11, RecordsMatched: 7008},
+			"sel01":  {NodesVisited: 85, EntriesScanned: 11605, EntriesPruned: 187},
+			"sel05":  {NodesVisited: 154, EntriesScanned: 22699, EntriesPruned: 165, RecordsMatched: 2},
+			"sel25":  {NodesVisited: 308, EntriesScanned: 49953, EntriesPruned: 91, RecordsMatched: 204},
+			"rollup": {NodesVisited: 235, EntriesScanned: 37316, EntriesPruned: 145, RecordsMatched: 1432},
+			"region": {NodesVisited: 313, EntriesScanned: 50337, EntriesPruned: 119, RecordsMatched: 10382},
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -311,23 +318,29 @@ func largestDirectory(t *testing.T, ix *Index) int {
 // Insert visits ÷ those a BulkLoad of the same records visits, and per
 // level of both trees the bytes of the nodes' flat encodings, which
 // LevelStats reports beside the blocks the nodes hold, the values per
-// directory entry, and the fill: entries ÷ the level's capacity, ~0.69 on
-// the dynamic data level against ~1.00 packed.
+// directory entry, and the fill: a directory level's entries ÷ its
+// capacity, a data level's encoded bytes ÷ its blocks' payload, ~0.65 on the
+// dynamic data level against ~0.99 packed.
 //
 // The dynamic tree's numbers were re-pinned once, when inserts and splits
 // began to bound directory entries (boundMDS): gaps 2.03 / 2.50 / 2.06 /
 // 2.03 / 1.96 → 1.65 / 1.90 / 1.53 / 1.83 / 1.79, its level-1 directories
 // 77,375 → 19,024 bytes, the largest 13,742 → 4,052. Every dynamic
 // directory now fits one block, so the blocks LevelStats reports are the
-// blocks the encodings need. The packed tree's values did not move.
+// blocks the encodings need. Both trees were re-pinned again when a data
+// node began to hold the rows its block fits at its codes' byte widths:
+// data nodes 128 → 85 dynamic and 89 → 56 packed, nodes visited per
+// class 1420 / 3427 / 7317 / 4743 / 8256 → 1100 / 2518 / 5122 / 3134 / 5544
+// dynamic and 859 / 1802 / 4782 / 2598 / 4623 → 743 / 1390 / 3228 / 2098 /
+// 3299 packed.
 func TestGoldenShapeGap(t *testing.T) {
 	g := newShapeGap(t, 15000)
 	g.check(t, map[string]gapVisits{
-		"sel01":  {1420, 859, "1.65"},
-		"sel05":  {3427, 1802, "1.90"},
-		"sel25":  {7317, 4782, "1.53"},
-		"rollup": {4743, 2598, "1.83"},
-		"region": {8256, 4623, "1.79"},
+		"sel01":  {1100, 743, "1.48"},
+		"sel05":  {2518, 1390, "1.81"},
+		"sel25":  {5122, 3228, "1.59"},
+		"rollup": {3134, 2098, "1.49"},
+		"region": {5544, 3299, "1.68"},
 	})
 	if largest := largestDirectory(t, g.dynamic); largest > testBlockPayload {
 		t.Errorf("the dynamic tree's largest directory encodes to %d bytes, past a block's %d", largest, testBlockPayload)
@@ -338,14 +351,14 @@ func TestGoldenShapeGap(t *testing.T) {
 		want []LevelStat
 	}{
 		"dynamic": {g.dynamic, []LevelStat{
-			{Level: 0, Nodes: 1, Entries: 8, AvgEntries: 8, AvgBlocks: 1, EncodedBytes: 1164, MaxEncodedBytes: 1164, AvgEntryValues: 183.0 / 8, Fill: 8.0 / 24},
-			{Level: 1, Nodes: 8, Entries: 128, AvgEntries: 16, AvgBlocks: 1, EncodedBytes: 19024, MaxEncodedBytes: 4052, AvgEntryValues: 3045.0 / 128, Fill: 128.0 / (8 * 24)},
-			{Level: 2, Nodes: 128, Entries: 15000, AvgEntries: 15000.0 / 128, AvgBlocks: 1, EncodedBytes: 362560, MaxEncodedBytes: 4076, Fill: 15000.0 / (128 * 169)},
+			{Level: 0, Nodes: 1, Entries: 5, AvgEntries: 5, AvgBlocks: 1, EncodedBytes: 801, MaxEncodedBytes: 801, AvgEntryValues: 130.0 / 5, Fill: 5.0 / 24},
+			{Level: 1, Nodes: 5, Entries: 85, AvgEntries: 17, AvgBlocks: 1, EncodedBytes: 12293, MaxEncodedBytes: 3963, AvgEntryValues: 1935.0 / 85, Fill: 85.0 / (5 * 24)},
+			{Level: 2, Nodes: 85, Entries: 15000, AvgEntries: 15000.0 / 85, AvgBlocks: 1, EncodedBytes: 227040, MaxEncodedBytes: 3969, Fill: 227040.0 / (85 * testBlockPayload)},
 		}},
 		"packed": {g.packed, []LevelStat{
-			{Level: 0, Nodes: 1, Entries: 4, AvgEntries: 4, AvgBlocks: 1, EncodedBytes: 860, MaxEncodedBytes: 860, AvgEntryValues: 39, Fill: 4.0 / 24},
-			{Level: 1, Nodes: 4, Entries: 89, AvgEntries: 22.25, AvgBlocks: 1, EncodedBytes: 13437, MaxEncodedBytes: 3644, AvgEntryValues: 2156.0 / 89, Fill: 89.0 / (4 * 24)},
-			{Level: 2, Nodes: 89, Entries: 15000, AvgEntries: 15000.0 / 89, AvgBlocks: 1, EncodedBytes: 361780, MaxEncodedBytes: 4076, Fill: 15000.0 / (89 * 169)},
+			{Level: 0, Nodes: 1, Entries: 3, AvgEntries: 3, AvgBlocks: 1, EncodedBytes: 667, MaxEncodedBytes: 667, AvgEntryValues: 121.0 / 3, Fill: 3.0 / 24},
+			{Level: 1, Nodes: 3, Entries: 56, AvgEntries: 56.0 / 3, AvgBlocks: 1, EncodedBytes: 9260, MaxEncodedBytes: 3960, AvgEntryValues: 1555.0 / 56, Fill: 56.0 / (3 * 24)},
+			{Level: 2, Nodes: 56, Entries: 15000, AvgEntries: 15000.0 / 56, AvgBlocks: 1, EncodedBytes: 226344, MaxEncodedBytes: 4074, Fill: 226344.0 / (56 * testBlockPayload)},
 		}},
 	} {
 		levels, err := levelStats(tc.ix)
@@ -377,29 +390,33 @@ func TestGoldenShapeGap(t *testing.T) {
 // TestGoldenShapeGap100k pins the same ruler at 100k records, and both
 // trees' fill per level. Before entries were bounded the gap at 5 % was 3.9
 // and the dynamic tree's largest directory encoded to 289,510 bytes, 71
-// blocks; now it is 5,672, still past one block's payload.
+// blocks; bounded, 5,672; since data nodes hold the rows their block fits at
+// their codes' byte widths, 4,144 — still past one block's payload. That
+// change re-pinned the gaps (1.87 / 1.68 / 1.66 / 2.08 / 1.97 → 2.06 / 1.68
+// / 1.62 / 2.30 / 2.04, on visits cut by a quarter to a third on both
+// trees) and the fill: the dynamic tree 905 → 560 data nodes under 60 → 33
+// directories, the packed one 592 → 371 data nodes, one level lower.
 func TestGoldenShapeGap100k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds two trees of 100k records")
 	}
 	g := newShapeGap(t, 100000)
 	g.check(t, map[string]gapVisits{
-		"sel01":  {4315, 2308, "1.87"},
-		"sel05":  {15479, 9238, "1.68"},
-		"sel25":  {44038, 26574, "1.66"},
-		"rollup": {18301, 8806, "2.08"},
-		"region": {41988, 21358, "1.97"},
+		"sel01":  {3338, 1623, "2.06"},
+		"sel05":  {10376, 6182, "1.68"},
+		"sel25":  {28038, 17349, "1.62"},
+		"rollup": {13827, 6000, "2.30"},
+		"region": {28209, 13850, "2.04"},
 	})
-	if got, want := largestDirectory(t, g.dynamic), 5672; got != want {
+	if got, want := largestDirectory(t, g.dynamic), 4144; got != want {
 		t.Errorf("the dynamic tree's largest directory encodes to %d bytes, pinned %d", got, want)
 	}
 	for name, tc := range map[string]struct {
 		ix   *Index
 		fill []float64
 	}{
-		// One of the dynamic level 2's 60 directories is a supernode of 2 blocks.
-		"dynamic": {g.dynamic, []float64{4.0 / 24, 60.0 / (4 * 24), 905.0 / (61 * 24), 100000.0 / (905 * 169)}},
-		"packed":  {g.packed, []float64{2.0 / 24, 25.0 / (2 * 24), 592.0 / (25 * 24), 100000.0 / (592 * 169)}},
+		"dynamic": {g.dynamic, []float64{2.0 / 24, 33.0 / (2 * 24), 560.0 / (33 * 24), 1513440.0 / (560 * testBlockPayload)}},
+		"packed":  {g.packed, []float64{16.0 / 24, 371.0 / (16 * 24), 1508904.0 / (371 * testBlockPayload)}},
 	} {
 		levels, err := levelStats(tc.ix)
 		if err != nil {

@@ -97,7 +97,13 @@ func (ix *Index) splitNode(n *Node, nodeMDS mds.MDS) (insertResult, error) {
 		} else {
 			ix.c.supernodeGrown.Inc()
 		}
+		// One block more holds the entry or row that overflowed. A
+		// block-filled data node whose rows a wider code widened may need
+		// more: it takes the blocks its bytes need.
 		n.blocks++
+		if n.leaf && ix.cfg.LeafCapacity == 0 {
+			n.blocks = max(n.blocks, ix.nodeBlocks(n))
+		}
 		return insertResult{}, nil
 	}
 	ix.c.splitsForced.Inc()
@@ -953,12 +959,13 @@ func groupOverlapRatio(space mds.Space, cov1, cov2 mds.MDS) (float64, error) {
 func (ix *Index) buildSplit(n *Node, g1, g2 []int, cov1, cov2 mds.MDS) (insertResult, error) {
 	measures := ix.schema.Measures()
 
+	// A group of a data node's rows can still overflow one block when a
+	// wider code widened them all: it takes the blocks its bytes need, as a
+	// supernode does.
 	sibling := ix.store.New(n.leaf)
-	e1, c1, m1 := n.pick(g1)
-	sibling.entries, sibling.coords, sibling.measures = n.pick(g2)
-	n.entries, n.coords, n.measures = e1, c1, m1
-	n.blocks = blocksForEntries(len(g1), n.leaf, &ix.cfg)
-	sibling.blocks = blocksForEntries(len(g2), n.leaf, &ix.cfg)
+	sibling.take(n, g2)
+	n.take(n, g1)
+	n.blocks, sibling.blocks = ix.nodeBlocks(n), ix.nodeBlocks(sibling)
 	n.invalidatePostings()
 	ix.markDirty(n)
 	ix.markDirty(sibling)
@@ -1056,18 +1063,4 @@ func (ix *Index) boundMDS(m mds.MDS) (lifted bool) {
 		}
 	}
 	return lifted
-}
-
-// blocksForEntries returns the smallest block count whose capacity holds
-// the given number of entries.
-func blocksForEntries(entries int, leaf bool, cfg *Config) int {
-	per := cfg.DirCapacity
-	if leaf {
-		per = cfg.LeafCapacity
-	}
-	b := (entries + per - 1) / per
-	if b < 1 {
-		b = 1
-	}
-	return b
 }

@@ -29,9 +29,11 @@ type LevelStat struct {
 	// (Definition 4's size, summed over the dimensions): what a query tests
 	// and an insert searches per entry. 0 on the data level.
 	AvgEntryValues float64
-	// Fill is the level's entries ÷ the sum of its nodes' capacities, a
-	// node's being its blocks × the per-block capacity of its kind
-	// (LeafCapacity or DirCapacity): how full the level keeps its blocks.
+	// Fill is how full the level keeps its blocks, by the rule that
+	// overflows its nodes: its entries ÷ its nodes' blocks × the per-block
+	// count (DirCapacity, or a nonzero LeafCapacity), or, for block-filled
+	// data nodes, its encoded bytes ÷ its nodes' blocks × the one-block
+	// payload.
 	Fill float64
 }
 
@@ -39,7 +41,7 @@ type LevelStat struct {
 // and reports per-level node statistics.
 func (ix *Index) LevelStats(src Source, h Head) ([]LevelStat, error) {
 	stats := make([]LevelStat, h.Height)
-	capacity := make([]int, h.Height)
+	used, capacity := make([]int, h.Height), make([]int, h.Height)
 	err := walk(src, h.Root, func(nv *NodeView, level int) error {
 		if level >= len(stats) {
 			return fmt.Errorf("%w: node at level %d exceeds height %d", ErrCorrupt, level, h.Height)
@@ -50,7 +52,9 @@ func (ix *Index) LevelStats(src Source, h Head) ([]LevelStat, error) {
 		s.Nodes++
 		s.Entries += count
 		s.AvgBlocks += float64(blocks)
-		capacity[level] += ix.cfg.capacity(leaf, blocks)
+		u, per := ix.fill(leaf, count, size)
+		used[level] += u
+		capacity[level] += blocks * per
 		s.EncodedBytes += size
 		s.MaxEncodedBytes = max(s.MaxEncodedBytes, size)
 		if blocks > 1 {
@@ -72,7 +76,7 @@ func (ix *Index) LevelStats(src Source, h Head) ([]LevelStat, error) {
 		if stats[i].Nodes > 0 {
 			stats[i].AvgEntries = float64(stats[i].Entries) / float64(stats[i].Nodes)
 			stats[i].AvgBlocks /= float64(stats[i].Nodes)
-			stats[i].Fill = float64(stats[i].Entries) / float64(capacity[i])
+			stats[i].Fill = float64(used[i]) / float64(capacity[i])
 		}
 		if stats[i].Entries > 0 {
 			stats[i].AvgEntryValues /= float64(stats[i].Entries)
@@ -121,13 +125,13 @@ func (ix *Index) Validate(src Source, h Head) error {
 		if err := nv.CheckTable(); err != nil {
 			return nil, nil, err
 		}
-		leaf, count, blocks, _ := nv.shape()
+		leaf, count, blocks, size := nv.shape()
 		switch {
 		case blocks < 1:
 			return nil, nil, fmt.Errorf("%w: node %d has %d blocks", ErrCorrupt, id, blocks)
-		case count > ix.cfg.capacity(leaf, blocks):
-			return nil, nil, fmt.Errorf("%w: node %d overflows: %d entries, capacity %d",
-				ErrCorrupt, id, count, ix.cfg.capacity(leaf, blocks))
+		case ix.blocksFor(leaf, count, size) > blocks:
+			return nil, nil, fmt.Errorf("%w: node %d overflows its %d blocks: %d entries, %d bytes",
+				ErrCorrupt, id, blocks, count, size)
 		case count == 0 && id != h.Root:
 			return nil, nil, fmt.Errorf("%w: non-root node %d is empty", ErrCorrupt, id)
 		case leaf != (level == h.Height-1) || level >= h.Height:

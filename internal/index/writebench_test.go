@@ -30,7 +30,6 @@ func BenchmarkSplit(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.LeafCapacity = 48
 	tree, _ := newBareIndex(b, gen.Schema(), cfg)
-	filled := LeafCapacityFor(testBlockPayload, tree.schema.Dims(), tree.schema.Measures())
 	recs := gen.Records(splitBenchRecords)
 	for _, r := range recs {
 		if err := tree.Insert(r); err != nil {
@@ -52,13 +51,13 @@ func BenchmarkSplit(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
 		leaf   bool
-		rows   int // data-node capacity of one block
+		rows   int // data-node capacity of one block; 0: block-filled
 		blocks int
 	}{
 		{"leaf-49", true, 48, 1},
 		{"leaf-193", true, 48, 4},
-		{"leaf-170", true, filled, 1},
-		{"leaf-677", true, filled, 4},
+		{"leaf-filled", true, 0, 1},
+		{"leaf-filled-4", true, 0, 4},
 		{"dir-25", false, 48, 1},
 		{"dir-97", false, 48, 4},
 	} {
@@ -67,8 +66,12 @@ func BenchmarkSplit(b *testing.B) {
 			n := tree.store.New(bc.leaf)
 			n.blocks = bc.blocks
 			if bc.leaf {
-				for _, r := range recs[:bc.blocks*tree.cfg.LeafCapacity+1] {
+				// Rows until the node overflows its blocks by one.
+				for _, r := range recs {
 					n.appendRecord(r)
+					if tree.nodeBlocks(n) > bc.blocks {
+						break
+					}
 				}
 			} else {
 				n.entries = append(n.entries, lowDirEntries[:bc.blocks*tree.cfg.DirCapacity+1]...)
@@ -83,7 +86,7 @@ func BenchmarkSplit(b *testing.B) {
 			}
 			nodeMDS := packMDS(m)
 
-			entries, coords, measures := n.entries, n.coords, n.measures
+			entries, coords, measures, top := n.entries, n.coords, n.measures, n.top
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -97,7 +100,7 @@ func BenchmarkSplit(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				n.entries, n.coords, n.measures, n.blocks = entries, coords, measures, bc.blocks
+				n.entries, n.coords, n.measures, n.top, n.blocks = entries, coords, measures, top, bc.blocks
 			}
 			// The scratch still holds the last candidate's columns.
 			b.StopTimer()
