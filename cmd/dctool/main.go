@@ -77,6 +77,7 @@ import (
 	"strings"
 
 	dctree "github.com/dcindex/dctree"
+	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/tpcd"
 )
 
@@ -396,21 +397,9 @@ func runQuery(args []string) error {
 	return nil
 }
 
-func parseOp(s string) (dctree.Op, error) {
-	switch strings.ToUpper(s) {
-	case "SUM":
-		return dctree.Sum, nil
-	case "COUNT":
-		return dctree.Count, nil
-	case "AVG":
-		return dctree.Avg, nil
-	case "MIN":
-		return dctree.Min, nil
-	case "MAX":
-		return dctree.Max, nil
-	}
-	return 0, fmt.Errorf("unknown op %q", s)
-}
+// parseOp reads -op in any case: the operator's name as cube.ParseOp
+// spells it, upper-cased.
+func parseOp(s string) (dctree.Op, error) { return cube.ParseOp(strings.ToUpper(s)) }
 
 func runStats(args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)

@@ -36,12 +36,7 @@ func replicaSource(from, lease string, leaseTTL time.Duration) repl.Source {
 // lease path is invented, because nothing refreshes a file the operator
 // did not set up, and a lease nobody refreshes reads as a dead primary.
 func dirSource(prefix, lease string, leaseTTL time.Duration) *repl.DirSource {
-	return &repl.DirSource{
-		Prefix:     prefix,
-		SchemaPath: repl.DefaultSchemaPath(prefix),
-		Lease:      lease,
-		LeaseTTL:   leaseTTL,
-	}
+	return &repl.DirSource{Prefix: prefix, Lease: lease, LeaseTTL: leaseTTL}
 }
 
 // runReplica starts a warm standby: it bootstraps (or resumes) a follower
@@ -151,9 +146,9 @@ func runPromote(args []string) error {
 }
 
 // runShip serves a primary's WAL directory to HTTP followers. It is a
-// sidecar: it only reads the segment files (plus the schema blob and lease
-// written next to them), so it can run beside any process that owns the
-// log, or on a host that mounts it read-only.
+// sidecar: it only reads the segment files (and the lease file, if -lease
+// names one), so it can run beside any process that owns the log, or on a
+// host that mounts it read-only.
 func runShip(args []string) error {
 	fs := flag.NewFlagSet("ship", flag.ExitOnError)
 	walPrefix := fs.String("wal", "", "primary WAL path prefix to serve")

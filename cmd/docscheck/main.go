@@ -2,12 +2,13 @@
 // documentation references a command-line flag no command defines, an
 // error variable no package declares, a knob no option struct has, a
 // metric family no code exports, a path or program the repository does not
-// have, or a ROADMAP item that is not open, or when a Go code fence in the
-// markdown is not gofmt-formatted.
+// have, or a ROADMAP item that is not open, when a Go code fence in the
+// markdown is not gofmt-formatted, or when a metric family the code exports
+// has no row in the metric reference.
 //
 //	go run ./cmd/docscheck
 //
-// Run from the repository root (CI runs it as the docs-check job). Seven
+// Run from the repository root (CI runs it as the docs-check job). Eight
 // checks:
 //
 //  1. Every `-flag` token in inline code or non-Go code fences of the
@@ -44,6 +45,11 @@
 //  7. Every "ROADMAP item N" those five documents cite, the words possibly
 //     split across lines, must name an open item of ROADMAP.md (a line
 //     starting "- **N.") — so a citation cannot outlive its item.
+//  8. Every family a non-test Go file declares must have exactly one row in
+//     OPERATIONS.md's metric reference: a table whose header row starts
+//     with "family", each row's first cell the back-ticked family name —
+//     so a family cannot be added, or kept, without saying what it counts
+//     and what an operator does about it.
 package main
 
 import (
@@ -57,6 +63,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 )
 
@@ -76,6 +83,9 @@ var flagDocs = []string{"README.md", "OPERATIONS.md", "REPLICATION.md", "DURABIL
 
 // familyDocs are the documents whose metric-family references are validated.
 var familyDocs = []string{"README.md", "OPERATIONS.md", "REPLICATION.md", "DURABILITY.md", "DESIGN.md"}
+
+// referenceDoc is the document whose metric reference lists every family.
+const referenceDoc = "OPERATIONS.md"
 
 // allowedTools are non-repo flags the docs may legitimately mention
 // (go test / go build flags in testing instructions).
@@ -184,6 +194,11 @@ func main() {
 		}
 		problems = append(problems, p...)
 	}
+	p, err := checkReference(referenceDoc, families)
+	if err != nil {
+		fatal(err)
+	}
+	problems = append(problems, p...)
 	docs, err := filepath.Glob("*.md")
 	if err != nil {
 		fatal(err)
@@ -302,6 +317,49 @@ func checkFamilyRefs(doc string, families map[string]bool) ([]string, error) {
 				problems = append(problems, fmt.Sprintf("%s:%d: metric family %s is not declared by any non-test Go file", doc, i+1, name))
 			}
 		}
+	}
+	return problems, nil
+}
+
+// checkReference reports every family in families that the metric reference
+// in doc does not list, and every family it lists twice (check 8 of the
+// package comment).
+func checkReference(doc string, families map[string]bool) ([]string, error) {
+	data, err := os.ReadFile(doc)
+	if err != nil {
+		return nil, err
+	}
+	var problems []string
+	rows := make(map[string]int)
+	inTable := false // in a table whose header row starts with "family"
+	for i, line := range strings.Split(string(data), "\n") {
+		trim := strings.TrimSpace(line)
+		if !strings.HasPrefix(trim, "|") {
+			inTable = false
+			continue
+		}
+		first := strings.TrimSpace(strings.SplitN(strings.TrimPrefix(trim, "|"), "|", 2)[0])
+		if strings.EqualFold(first, "family") {
+			inTable = true
+			continue
+		}
+		m := inlineCode.FindStringSubmatch(first)
+		if !inTable || m == nil {
+			continue
+		}
+		if rows[m[1]]++; rows[m[1]] == 2 {
+			problems = append(problems, fmt.Sprintf("%s:%d: metric family %s has a second row in the metric reference", doc, i+1, m[1]))
+		}
+	}
+	var missing []string
+	for f := range families {
+		if rows[f] == 0 {
+			missing = append(missing, f)
+		}
+	}
+	sort.Strings(missing)
+	for _, f := range missing {
+		problems = append(problems, fmt.Sprintf("%s: metric family %s has no row in the metric reference", doc, f))
 	}
 	return problems, nil
 }

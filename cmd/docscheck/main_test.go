@@ -56,6 +56,29 @@ func TestFamilyRefsFixture(t *testing.T) {
 	}
 }
 
+// TestDeclaredFamiliesFixture runs the metric-reference check over a
+// fixture whose reference table leaves out a declared family that only
+// prose and another table mention, and lists one family twice. The declared
+// families are fixed here, so the fixture does not follow the Go source.
+func TestDeclaredFamiliesFixture(t *testing.T) {
+	families := map[string]bool{
+		"dctree_inserts_total":          true,
+		"dctree_queries_total":          true,
+		"dctree_query_duration_seconds": true,
+	}
+	got, err := checkReference("testdata/declared.md", families)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"testdata/declared.md:9: metric family dctree_inserts_total has a second row in the metric reference",
+		"testdata/declared.md: metric family dctree_queries_total has no row in the metric reference",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("problems:\n%q\nwant:\n%q", got, want)
+	}
+}
+
 // TestRepoRefsFixture runs the path and program check over a fixture that
 // names the retired experiment command, its package and an older retired
 // generator, next to every form that must pass. The commands and paths are

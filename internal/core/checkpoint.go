@@ -471,13 +471,8 @@ func (t *Tree) Checkpoint(ctx context.Context) error {
 	if c.skip {
 		return nil
 	}
-	var bytes int64
-	for i := range c.nodes {
-		bytes += int64(len(c.nodes[i].payload))
-	}
 	t.metrics.checkpoints.Inc()
 	t.metrics.checkpointPages.Add(int64(len(c.nodes)))
-	t.metrics.checkpointBytes.Add(bytes)
 	t.metrics.checkpointLatency.Observe(time.Since(start))
 	return nil
 }

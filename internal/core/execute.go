@@ -91,7 +91,6 @@ func (t *Tree) Execute(ctx context.Context, req QueryRequest) (QueryResult, erro
 	m.qEntriesScanned.Add(int64(st.EntriesScanned))
 	m.qEntriesPruned.Add(int64(st.EntriesPruned))
 	m.qMaterializedHits.Add(int64(st.MaterializedHits))
-	m.qRecordsMatched.Add(int64(st.RecordsMatched))
 
 	if h := t.slowHook.Load(); h != nil && res.Elapsed >= h.threshold {
 		m.slowQueries.Inc()
@@ -135,7 +134,6 @@ func (t *Tree) execute(ctx context.Context, req QueryRequest) (index.Result, err
 			return index.Result{}, err
 		}
 		defer v.unref()
-		t.metrics.asOfQueries.Inc()
 		return t.ix.Execute(ctx, v.nodes(), v.head.Root, q)
 	}
 	t.mu.RLock()

@@ -278,7 +278,7 @@ func TestMetricsWorkload(t *testing.T) {
 		"dctree_queries_total 25",
 		`dctree_splits_total{kind="hierarchy"}`,
 		`dctree_supernode_events_total{kind="created"}`,
-		"dctree_materialized_hit_ratio ",
+		"dctree_query_materialized_hits_total ",
 		"dctree_query_duration_seconds_bucket{le=",
 		"dctree_query_duration_seconds_count 25",
 		"dctree_store_reads_total ",

@@ -113,37 +113,13 @@ func (t *Tree) encodeMeta(snap metaSnapshot) ([]byte, error) {
 	buf = binary.AppendVarint(buf, int64(t.cfg.VersionRetention.KeepLast))
 	buf = binary.AppendVarint(buf, int64(t.cfg.VersionRetention.MaxAge))
 
-	// Tree shape.
-	buf = binary.AppendUvarint(buf, uint64(snap.head.Root))
-	buf = binary.AppendUvarint(buf, uint64(snap.head.Height))
-	buf = binary.AppendVarint(buf, snap.head.Count)
-	buf = binary.AppendUvarint(buf, uint64(snap.nextID))
-	buf = binary.AppendUvarint(buf, snap.checkpointLSN)
-	buf = binary.AppendUvarint(buf, snap.versionSeq)
-	buf = binary.AppendUvarint(buf, snap.latestVersionID)
-	buf = binary.AppendUvarint(buf, snap.latestVersionLSN)
-	buf = binary.AppendUvarint(buf, snap.epoch)
-	buf = snap.head.RootMDS.AppendEncode(buf)
-
-	// Schema: dimensions with full dictionaries, then measure names.
-	buf = binary.AppendUvarint(buf, uint64(t.schema.Dims()))
-	for i := 0; i < t.schema.Dims(); i++ {
-		h, err := t.schema.Dim(i)
-		if err != nil {
-			return nil, err
-		}
-		buf = h.AppendEncode(buf)
+	// Tree shape, with the live tree's counters between it and its root MDS.
+	buf = appendHead(buf, snap.head, uint64(snap.nextID), snap.checkpointLSN,
+		snap.versionSeq, snap.latestVersionID, snap.latestVersionLSN, snap.epoch)
+	buf, err := appendSchema(buf, t.schema)
+	if err != nil {
+		return nil, err
 	}
-	buf = binary.AppendUvarint(buf, uint64(t.schema.Measures()))
-	for j := 0; j < t.schema.Measures(); j++ {
-		name, err := t.schema.MeasureName(j)
-		if err != nil {
-			return nil, err
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(name)))
-		buf = append(buf, name...)
-	}
-
 	buf = appendExtentTable(buf, snap.table)
 
 	// Durable MVCC versions: one manifest per live version, then the
@@ -156,10 +132,7 @@ func (t *Tree) encodeMeta(snap metaSnapshot) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, m.id)
 		buf = binary.AppendUvarint(buf, m.lsn)
 		buf = binary.AppendVarint(buf, m.created)
-		buf = binary.AppendUvarint(buf, uint64(m.head.Root))
-		buf = binary.AppendUvarint(buf, uint64(m.head.Height))
-		buf = binary.AppendVarint(buf, m.head.Count)
-		buf = m.head.RootMDS.AppendEncode(buf)
+		buf = appendHead(buf, m.head)
 		buf = appendExtentTable(buf, m.table)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(snap.deferred)))
@@ -168,6 +141,96 @@ func (t *Tree) encodeMeta(snap metaSnapshot) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, uint64(e.Blocks))
 	}
 	return buf, nil
+}
+
+// appendHead serializes a tree shape: root, height and count, then the
+// words in between, then the root MDS. The live head carries its counters
+// as those words; a version manifest's head has none. readHead is its
+// inverse.
+func appendHead(buf []byte, h index.Head, between ...uint64) []byte {
+	buf = binary.AppendUvarint(buf, uint64(h.Root))
+	buf = binary.AppendUvarint(buf, uint64(h.Height))
+	buf = binary.AppendVarint(buf, h.Count)
+	for _, w := range between {
+		buf = binary.AppendUvarint(buf, w)
+	}
+	return h.RootMDS.AppendEncode(buf)
+}
+
+// readHead parses an appendHead section, storing its in-between words
+// through between.
+func readHead(r *metaReader, between ...*uint64) (index.Head, error) {
+	var h index.Head
+	h.Root = nodeID(r.uvarint())
+	h.Height = int(r.uvarint())
+	h.Count = r.varint()
+	for _, w := range between {
+		*w = r.uvarint()
+	}
+	if r.err != nil {
+		return h, fmt.Errorf("%w: head: %v", ErrCorrupt, r.err)
+	}
+	rootMDS, n, err := mds.Decode(r.buf[r.off:])
+	if err != nil {
+		return h, fmt.Errorf("%w: root mds: %v", ErrCorrupt, err)
+	}
+	h.RootMDS = rootMDS
+	r.off += n
+	return h, nil
+}
+
+// appendSchema serializes a cube schema: the dimensions with their full
+// dictionaries, then the measure names. The metadata blob and the replica
+// bootstrap blob (EncodeSchema) both carry it; readSchema is its inverse.
+func appendSchema(buf []byte, s *cube.Schema) ([]byte, error) {
+	buf = binary.AppendUvarint(buf, uint64(s.Dims()))
+	for i := 0; i < s.Dims(); i++ {
+		h, err := s.Dim(i)
+		if err != nil {
+			return nil, err
+		}
+		buf = h.AppendEncode(buf)
+	}
+	buf = binary.AppendUvarint(buf, uint64(s.Measures()))
+	for j := 0; j < s.Measures(); j++ {
+		name, err := s.MeasureName(j)
+		if err != nil {
+			return nil, err
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(name)))
+		buf = append(buf, name...)
+	}
+	return buf, nil
+}
+
+// readSchema parses an appendSchema section. Corrupt input fails with
+// ErrCorrupt, never a panic.
+func readSchema(r *metaReader) (*cube.Schema, error) {
+	dims := int(r.uvarint())
+	if r.err != nil || dims < 1 || dims > 64 {
+		return nil, fmt.Errorf("%w: dimension count", ErrCorrupt)
+	}
+	hs := make([]*hierarchy.Hierarchy, dims)
+	for i := range hs {
+		h, n, err := hierarchy.DecodeHierarchy(r.buf[r.off:])
+		if err != nil {
+			return nil, fmt.Errorf("%w: dimension %d: %v", ErrCorrupt, i, err)
+		}
+		hs[i] = h
+		r.off += n
+	}
+	nMeasures := int(r.uvarint())
+	if r.err != nil || nMeasures < 1 || nMeasures > 256 {
+		return nil, fmt.Errorf("%w: measure count", ErrCorrupt)
+	}
+	measures := make([]string, nMeasures)
+	for j := range measures {
+		measures[j] = r.string()
+	}
+	if r.err != nil {
+		return nil, fmt.Errorf("%w: measure names: %v", ErrCorrupt, r.err)
+	}
+	return cube.NewSchema(hs, measures...)
 }
 
 // appendExtentTable serializes one node→extent table (the translation
@@ -242,48 +305,12 @@ func decodeMeta(meta []byte) (*Tree, error) {
 	cfg.VersionRetention.KeepLast = int(r.varint())
 	cfg.VersionRetention.MaxAge = time.Duration(r.varint())
 
-	var head index.Head
-	head.Root = nodeID(r.uvarint())
-	head.Height = int(r.uvarint())
-	head.Count = r.varint()
-	nextID := nodeID(r.uvarint())
-	checkpointLSN := r.uvarint()
-	versionSeq := r.uvarint()
-	latestVersionID := r.uvarint()
-	latestVersionLSN := r.uvarint()
-	epoch := r.uvarint()
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: metadata header: %v", ErrCorrupt, r.err)
-	}
-	rootMDS, n, err := mds.Decode(r.buf[r.off:])
+	var nextID, checkpointLSN, versionSeq, latestVersionID, latestVersionLSN, epoch uint64
+	head, err := readHead(&r, &nextID, &checkpointLSN, &versionSeq, &latestVersionID, &latestVersionLSN, &epoch)
 	if err != nil {
-		return nil, fmt.Errorf("%w: root mds: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("metadata %w", err)
 	}
-	head.RootMDS = rootMDS
-	r.off += n
-
-	dims := int(r.uvarint())
-	if r.err != nil || dims < 1 || dims > 64 {
-		return nil, fmt.Errorf("%w: dimension count", ErrCorrupt)
-	}
-	hs := make([]*hierarchy.Hierarchy, dims)
-	for i := range hs {
-		h, n, err := hierarchy.DecodeHierarchy(r.buf[r.off:])
-		if err != nil {
-			return nil, fmt.Errorf("%w: dimension %d: %v", ErrCorrupt, i, err)
-		}
-		hs[i] = h
-		r.off += n
-	}
-	nMeasures := int(r.uvarint())
-	if r.err != nil || nMeasures < 1 || nMeasures > 256 {
-		return nil, fmt.Errorf("%w: measure count", ErrCorrupt)
-	}
-	measures := make([]string, nMeasures)
-	for j := range measures {
-		measures[j] = r.string()
-	}
-	schema, err := cube.NewSchema(hs, measures...)
+	schema, err := readSchema(&r)
 	if err != nil {
 		return nil, err
 	}
@@ -306,21 +333,12 @@ func decodeMeta(meta []byte) (*Tree, error) {
 		m.id = r.uvarint()
 		m.lsn = r.uvarint()
 		m.created = r.varint()
-		m.head.Root = nodeID(r.uvarint())
-		m.head.Height = int(r.uvarint())
-		m.head.Count = r.varint()
-		if r.err != nil {
-			return nil, fmt.Errorf("%w: version manifest %d: %v", ErrCorrupt, i, r.err)
+		if m.head, err = readHead(&r); err != nil {
+			return nil, fmt.Errorf("version manifest %d %w", i, err)
 		}
 		if m.id == 0 {
 			return nil, fmt.Errorf("%w: version manifest %d has id 0", ErrCorrupt, i)
 		}
-		vm, n, err := mds.Decode(r.buf[r.off:])
-		if err != nil {
-			return nil, fmt.Errorf("%w: version %d root mds: %v", ErrCorrupt, m.id, err)
-		}
-		m.head.RootMDS = vm
-		r.off += n
 		m.table, err = decodeExtentTable(&r)
 		if err != nil {
 			return nil, fmt.Errorf("version %d %w", m.id, err)
@@ -350,7 +368,7 @@ func decodeMeta(meta []byte) (*Tree, error) {
 	t := &Tree{
 		schema:           schema,
 		cfg:              cfg,
-		nextID:           nextID,
+		nextID:           nodeID(nextID),
 		checkpointLSN:    checkpointLSN,
 		versionSeq:       versionSeq,
 		latestVersionID:  latestVersionID,

@@ -33,7 +33,6 @@ type treeMetrics struct {
 	qEntriesScanned   obs.Counter
 	qEntriesPruned    obs.Counter
 	qMaterializedHits obs.Counter
-	qRecordsMatched   obs.Counter
 
 	// The node cache. (Split, supernode, mask-pool and read-image
 	// counters are the index's own: index.Counters.)
@@ -46,10 +45,9 @@ type treeMetrics struct {
 	flatNodeReads   obs.Counter
 	decodeFallbacks obs.Counter
 
-	// Durable write path: WAL appends, fsyncs issued by commit leaders,
-	// commit batches with their record totals and high-water size, and
-	// records re-applied by OpenDurable recovery.
-	walAppends       obs.Counter
+	// Durable write path: fsyncs issued by commit leaders, commit batches
+	// with their record totals and high-water size, and records re-applied
+	// by OpenDurable recovery.
 	walFsyncs        obs.Counter
 	walBatches       obs.Counter
 	walBatchRecords  obs.Counter
@@ -61,37 +59,27 @@ type treeMetrics struct {
 	// until the follower quorum confirmed it.
 	walCommitWait  obs.Histogram
 	replQuorumWait obs.Histogram
-	// Replica apply mode: mutation records folded in by ApplyReplicated
-	// (dict deltas and version records are bookkeeping, like recovery).
-	replicaApplied obs.Counter
 	// Synchronous replication: writes that timed out waiting for the
 	// follower quorum and were acknowledged on local durability alone.
 	replSyncDegraded obs.Counter
 
 	// Fuzzy checkpoints: completed and failed checkpoints, pages (extents)
-	// and payload bytes written, nodes re-dirtied during the background
-	// write (re-queued for the next round), extent frees deferred past a
-	// durable swap, cumulative writer-stall time (the capture and install
-	// critical sections only), and end-to-end checkpoint latency.
+	// written, nodes re-dirtied during the background write (re-queued for
+	// the next round), extent frees deferred past a durable swap,
+	// cumulative writer-stall time (the capture and install critical
+	// sections only), and end-to-end checkpoint latency.
 	checkpoints            obs.Counter
 	checkpointFailures     obs.Counter
 	checkpointPages        obs.Counter
-	checkpointBytes        obs.Counter
 	checkpointRequeued     obs.Counter
 	checkpointFreeDeferred obs.Counter
 	checkpointStallNs      obs.Counter
 	checkpointLatency      obs.Histogram
 
-	// MVCC snapshots: versions captured (and, of those, reconstructed by
-	// crash recovery), versions released, dirty nodes captured by value into
-	// overlays, extent frees parked behind a live version's pin, and as-of
-	// queries answered from a version without the tree lock.
-	snapshots            obs.Counter
-	snapshotsRecovered   obs.Counter
-	snapshotReleases     obs.Counter
-	snapshotOverlayNodes obs.Counter
-	snapshotFreesParked  obs.Counter
-	asOfQueries          obs.Counter
+	// MVCC snapshots: versions reconstructed by crash recovery, and extent
+	// frees parked behind a live version's pin.
+	snapshotsRecovered  obs.Counter
+	snapshotFreesParked obs.Counter
 
 	// Durable versions (meta v8): versions released by retention pruning,
 	// versions rehydrated from meta manifests at open, and overlay extents
@@ -132,18 +120,16 @@ type Metrics struct {
 	QueryEntriesScanned   int64
 	QueryEntriesPruned    int64
 	QueryMaterializedHits int64
-	QueryRecordsMatched   int64
 
 	// Node cache: resolutions served by a resident node, and misses the
 	// write path (or LevelStats, Validate) decoded into the cache.
-	// CacheHitRatio is CacheHits / (CacheHits + CacheMisses); 0 before any
-	// access.
-	CacheHits     int64
-	CacheMisses   int64
-	CacheHitRatio float64
+	CacheHits   int64
+	CacheMisses int64
 
 	// Query-mask arena pool: queries whose queryCtx was recycled from the
-	// pool vs. freshly allocated. MaskPoolHitRatio is hits per query.
+	// pool vs. freshly allocated. MaskPoolHitRatio is hits per query; like
+	// the two ratios below it is a field only, since the exposition carries
+	// both its counters.
 	MaskPoolHits     int64
 	MaskPoolMisses   int64
 	MaskPoolHitRatio float64
@@ -168,7 +154,6 @@ type Metrics struct {
 
 	// Durable write path (all zero on trees without a WAL). Batch mean is
 	// records per group-commit batch; max is the largest batch observed.
-	WALAppends              int64
 	WALFsyncs               int64
 	WALGroupCommitBatchMean float64
 	WALGroupCommitBatchMax  int64
@@ -189,11 +174,6 @@ type Metrics struct {
 	// for the benchmark's reader until its next revision.
 	WALCommitInterval time.Duration
 
-	// Replica apply mode: mutation records applied from the primary's log
-	// (ReplicaApplied) and the applied LSN frontier. Zero on non-replicas.
-	ReplicaApplied    int64
-	ReplicaAppliedLSN uint64
-
 	// Replication fencing and synchronous acknowledgment. FencingEpoch is
 	// the tree's current epoch (0 = pre-fencing); ReplSyncDegraded counts
 	// synchronous writes that timed out waiting for the follower quorum
@@ -208,7 +188,6 @@ type Metrics struct {
 	Checkpoints                  int64
 	CheckpointFailures           int64
 	CheckpointPagesWritten       int64
-	CheckpointBytesWritten       int64
 	CheckpointRequeuedNodes      int64
 	CheckpointDeferredFrees      int64
 	CheckpointWriterStallSeconds float64
@@ -216,12 +195,8 @@ type Metrics struct {
 	// MVCC snapshots. LiveVersions and PinnedExtents are point-in-time
 	// gauges; DeferredExtentBlocks is the allocator space currently held
 	// back by frees parked behind version pins.
-	Snapshots            int64
 	SnapshotsRecovered   int64 // versions reconstructed by WAL replay
-	SnapshotReleases     int64
-	SnapshotOverlayNodes int64 // dirty nodes captured by value at snapshot time
 	SnapshotFreesParked  int64 // checkpoint frees parked behind a version pin
-	AsOfQueries          int64 // queries answered from a version, lock-free
 	LiveVersions         int
 	PinnedExtents        int
 	DeferredExtentBlocks int
@@ -238,7 +213,8 @@ type Metrics struct {
 	// MaterializedHitRatio is QueryMaterializedHits / QueryEntriesScanned:
 	// the fraction of examined entries answered from a materialized
 	// aggregate without descending. PrunedEntryRatio is the analogous
-	// fraction discarded without overlap. 0 when nothing was scanned.
+	// fraction discarded without overlap. 0 when nothing was scanned. Not
+	// exported as families: Prometheus divides the counters above.
 	MaterializedHitRatio float64
 	PrunedEntryRatio     float64
 
@@ -279,7 +255,6 @@ func (t *Tree) Metrics() Metrics {
 		QueryEntriesScanned:   m.qEntriesScanned.Load(),
 		QueryEntriesPruned:    m.qEntriesPruned.Load(),
 		QueryMaterializedHits: m.qMaterializedHits.Load(),
-		QueryRecordsMatched:   m.qRecordsMatched.Load(),
 
 		CacheHits:   m.cacheHits.Load(),
 		CacheMisses: m.cacheMisses.Load(),
@@ -291,32 +266,24 @@ func (t *Tree) Metrics() Metrics {
 		DecodeFallbacks: m.decodeFallbacks.Load(),
 		ReadImageBuilds: ic.ReadImageBuilds,
 
-		WALAppends:              m.walAppends.Load(),
 		WALFsyncs:               m.walFsyncs.Load(),
 		WALGroupCommitBatchMax:  m.walBatchMax.Load(),
 		WALDictDeltas:           m.walDictDeltas.Load(),
 		RecoveryReplayedRecords: m.recoveryReplayed.Load(),
 		WALCommitWait:           m.walCommitWait.Snapshot(),
 		ReplQuorumWait:          m.replQuorumWait.Snapshot(),
-		ReplicaApplied:          m.replicaApplied.Load(),
-		ReplicaAppliedLSN:       t.AppliedLSN(),
 		FencingEpoch:            t.Epoch(),
 		ReplSyncDegraded:        m.replSyncDegraded.Load(),
 
 		Checkpoints:                  m.checkpoints.Load(),
 		CheckpointFailures:           m.checkpointFailures.Load(),
 		CheckpointPagesWritten:       m.checkpointPages.Load(),
-		CheckpointBytesWritten:       m.checkpointBytes.Load(),
 		CheckpointRequeuedNodes:      m.checkpointRequeued.Load(),
 		CheckpointDeferredFrees:      m.checkpointFreeDeferred.Load(),
 		CheckpointWriterStallSeconds: float64(m.checkpointStallNs.Load()) / 1e9,
 
-		Snapshots:            m.snapshots.Load(),
-		SnapshotsRecovered:   m.snapshotsRecovered.Load(),
-		SnapshotReleases:     m.snapshotReleases.Load(),
-		SnapshotOverlayNodes: m.snapshotOverlayNodes.Load(),
-		SnapshotFreesParked:  m.snapshotFreesParked.Load(),
-		AsOfQueries:          m.asOfQueries.Load(),
+		SnapshotsRecovered:  m.snapshotsRecovered.Load(),
+		SnapshotFreesParked: m.snapshotFreesParked.Load(),
 
 		VersionsPruned:        m.versionsPruned.Load(),
 		VersionsRehydrated:    m.versionsRehydrated.Load(),
@@ -348,9 +315,6 @@ func (t *Tree) Metrics() Metrics {
 	if s.QueryEntriesScanned > 0 {
 		s.MaterializedHitRatio = float64(s.QueryMaterializedHits) / float64(s.QueryEntriesScanned)
 		s.PrunedEntryRatio = float64(s.QueryEntriesPruned) / float64(s.QueryEntriesScanned)
-	}
-	if probes := s.CacheHits + s.CacheMisses; probes > 0 {
-		s.CacheHitRatio = float64(s.CacheHits) / float64(probes)
 	}
 	if probes := s.MaskPoolHits + s.MaskPoolMisses; probes > 0 {
 		s.MaskPoolHitRatio = float64(s.MaskPoolHits) / float64(probes)
@@ -397,20 +361,16 @@ func (m Metrics) Families() []obs.Family {
 		obs.CounterFamily("dctree_query_entries_scanned_total", "Directory and data entries examined by range queries.", m.QueryEntriesScanned),
 		obs.CounterFamily("dctree_query_entries_pruned_total", "Directory entries pruned without overlap.", m.QueryEntriesPruned),
 		obs.CounterFamily("dctree_query_materialized_hits_total", "Directory entries answered from materialized aggregates.", m.QueryMaterializedHits),
-		obs.CounterFamily("dctree_query_records_matched_total", "Data records individually matched by range queries.", m.QueryRecordsMatched),
 		obs.CounterFamily("dctree_node_cache_hits_total", "Node reads served by a node resident in the in-memory cache.", m.CacheHits),
 		obs.CounterFamily("dctree_node_cache_misses_total", "Node reads the write path decoded from the store into the cache.", m.CacheMisses),
-		obs.GaugeFamily("dctree_node_cache_hit_ratio", "Node cache hits per access.", m.CacheHitRatio),
 		obs.CounterFamily("dctree_mask_pool_hits_total", "Queries whose membership-mask arena was recycled from the pool.", m.MaskPoolHits),
 		obs.CounterFamily("dctree_mask_pool_misses_total", "Queries that allocated a fresh membership-mask arena.", m.MaskPoolMisses),
-		obs.GaugeFamily("dctree_mask_pool_hit_ratio", "Mask-arena pool hits per query.", m.MaskPoolHitRatio),
 		obs.CounterFamily("dctree_flat_node_reads_total", "Node resolutions served as zero-copy flat views over mapped extents.", m.FlatNodeReads),
 		obs.CounterFamily("dctree_decode_fallback_total", "Node resolutions served by a checked store read because the store serves no views.", m.DecodeFallbacks),
 		obs.CounterFamily("dctree_read_image_builds_total", "Read images (flat encodings) built for heap directory nodes.", m.ReadImageBuilds),
 		obs.CounterFamily("dctree_mmap_views_total", "Extent views served from the store's memory mapping.", m.MmapViews),
 		obs.CounterFamily("dctree_mmap_remap_total", "Memory-mapping rebuilds after backing-file growth.", m.MmapRemaps),
 		obs.CounterFamily("dctree_mmap_fallback_total", "Extent view requests answered by a plain file read.", m.MmapFallbacks),
-		obs.CounterFamily("dctree_wal_appends_total", "Logical records appended to the write-ahead log.", m.WALAppends),
 		obs.CounterFamily("dctree_wal_fsyncs_total", "WAL fsyncs issued by commit leaders (one per group-commit batch).", m.WALFsyncs),
 		{
 			Name: "dctree_wal_group_commit_batch_size", Help: "Records per group-commit batch.", Type: obs.TypeGauge,
@@ -424,14 +384,11 @@ func (m Metrics) Families() []obs.Family {
 		obs.CounterFamily("dctree_recovery_replayed_records_total", "WAL records re-applied by OpenDurable crash recovery.", m.RecoveryReplayedRecords),
 		obs.HistogramFamily("dctree_wal_commit_wait_seconds", "Time an acknowledged write waited for local durability (leading or sharing an fsync).", m.WALCommitWait),
 		obs.HistogramFamily("dctree_repl_quorum_wait_seconds", "Additional time a synchronous write waited for the follower quorum after local durability.", m.ReplQuorumWait),
-		obs.CounterFamily("dctree_replica_applied_records_total", "Mutation records applied from the primary's log in replica mode.", m.ReplicaApplied),
-		obs.GaugeFamily("dctree_replica_applied_lsn", "Replica applied-LSN frontier (0 on non-replicas).", float64(m.ReplicaAppliedLSN)),
 		obs.GaugeFamily("dctree_fencing_epoch", "Replication fencing epoch (0 = pre-fencing, bumped by every promotion).", float64(m.FencingEpoch)),
 		obs.CounterFamily("dctree_repl_sync_degraded_total", "Synchronous writes acknowledged on local durability after the follower-quorum wait timed out.", m.ReplSyncDegraded),
 		obs.CounterFamily("dctree_checkpoints_total", "Checkpoints completed (Flush, Checkpoint, or the auto-trigger).", m.Checkpoints),
 		obs.CounterFamily("dctree_checkpoint_failures_total", "Checkpoints that failed and rolled back.", m.CheckpointFailures),
 		obs.CounterFamily("dctree_checkpoint_pages_written_total", "Node extents written by checkpoints.", m.CheckpointPagesWritten),
-		obs.CounterFamily("dctree_checkpoint_bytes_written_total", "Node payload bytes written by checkpoints.", m.CheckpointBytesWritten),
 		obs.CounterFamily("dctree_checkpoint_requeued_nodes_total", "Nodes re-dirtied during a background checkpoint write and kept queued.", m.CheckpointRequeuedNodes),
 		obs.CounterFamily("dctree_checkpoint_deferred_frees_total", "Extent frees that failed after a durable swap and were retried later.", m.CheckpointDeferredFrees),
 		{
@@ -439,12 +396,8 @@ func (m Metrics) Families() []obs.Family {
 			Samples: []obs.Sample{{Value: m.CheckpointWriterStallSeconds}},
 		},
 		obs.HistogramFamily("dctree_checkpoint_duration_seconds", "End-to-end checkpoint latency.", m.CheckpointLatency),
-		obs.CounterFamily("dctree_snapshots_total", "MVCC versions captured (Snapshot calls plus recovery reconstructions).", m.Snapshots),
 		obs.CounterFamily("dctree_snapshots_recovered_total", "MVCC versions reconstructed by WAL replay.", m.SnapshotsRecovered),
-		obs.CounterFamily("dctree_snapshot_releases_total", "MVCC versions released (pins dropped, parked frees executed).", m.SnapshotReleases),
-		obs.CounterFamily("dctree_snapshot_overlay_nodes_total", "Dirty nodes captured by value into snapshot overlays.", m.SnapshotOverlayNodes),
 		obs.CounterFamily("dctree_snapshot_frees_parked_total", "Checkpoint extent frees parked behind a live version's pin.", m.SnapshotFreesParked),
-		obs.CounterFamily("dctree_asof_queries_total", "Queries answered from an MVCC version without the tree lock.", m.AsOfQueries),
 		obs.CounterFamily("dctree_versions_pruned_total", "MVCC versions released by the retention policy.", m.VersionsPruned),
 		obs.CounterFamily("dctree_versions_rehydrated_total", "MVCC versions restored from meta manifests at open.", m.VersionsRehydrated),
 		obs.CounterFamily("dctree_version_overlay_extents_total", "Version overlay extents written to storage by checkpoints.", m.VersionOverlayExtents),
@@ -452,17 +405,12 @@ func (m Metrics) Families() []obs.Family {
 		obs.GaugeFamily("dctree_live_versions", "MVCC versions currently live.", float64(m.LiveVersions)),
 		obs.GaugeFamily("dctree_pinned_extents", "Storage extents pinned by live versions.", float64(m.PinnedExtents)),
 		obs.GaugeFamily("dctree_deferred_extent_blocks", "Allocator blocks held back by frees parked behind version pins.", float64(m.DeferredExtentBlocks)),
-		obs.GaugeFamily("dctree_materialized_hit_ratio", "Materialized hits per entry scanned.", m.MaterializedHitRatio),
-		obs.GaugeFamily("dctree_pruned_entry_ratio", "Pruned entries per entry scanned.", m.PrunedEntryRatio),
 		obs.HistogramFamily("dctree_insert_duration_seconds", "Single-record insert latency.", m.InsertLatency),
 		obs.HistogramFamily("dctree_query_duration_seconds", "Range query latency (all entrypoints).", m.QueryLatency),
 		obs.GaugeFamily("dctree_records", "Live data records.", float64(m.Records)),
 		obs.GaugeFamily("dctree_height", "Tree height (1 = the root is a data node).", float64(m.Height)),
 		obs.GaugeFamily("dctree_cached_nodes", "Nodes resident in the in-memory cache.", float64(m.CachedNodes)),
 		obs.CounterFamily("dctree_store_reads_total", "Logical extent reads at the store interface.", m.Store.Reads),
-		obs.CounterFamily("dctree_store_writes_total", "Logical extent writes at the store interface.", m.Store.Writes),
-		obs.CounterFamily("dctree_store_allocs_total", "Extent allocations.", m.Store.Allocs),
-		obs.CounterFamily("dctree_store_frees_total", "Extent frees.", m.Store.Frees),
 		obs.CounterFamily("dctree_store_bytes_read_total", "Payload bytes read.", m.Store.BytesRead),
 		obs.CounterFamily("dctree_store_bytes_written_total", "Payload bytes written.", m.Store.BytesWritten),
 	}

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"github.com/dcindex/dctree/internal/cube"
-	"github.com/dcindex/dctree/internal/hierarchy"
 	"github.com/dcindex/dctree/internal/storage"
 )
 
@@ -113,22 +111,18 @@ func (t *Tree) ApplyReplicated(epoch, lsn uint64, payload []byte) error {
 	if epoch > t.epoch {
 		t.epoch = epoch
 	}
-	mutation, err := t.applyRecordLocked(lsn, payload)
-	if err != nil {
+	if _, err := t.applyRecordLocked(lsn, payload); err != nil {
 		return err
-	}
-	if mutation {
-		t.metrics.replicaApplied.Inc()
 	}
 	t.appliedLSN = lsn
 	return nil
 }
 
-// Schema blob: the bootstrap payload a primary hands a brand-new follower
-// so it can build an empty replica tree and replay the log from LSN 1
-// (the /repl/v1/schema endpoint, dctool replica -from URL). It reuses the
-// hierarchy and measure encodings of the metadata blob under its own
-// magic, so the wire format evolves independently of meta versions.
+// Schema blob: the bootstrap payload a primary hands a brand-new
+// in-process follower (repl.WALSource) so it can build an empty replica
+// tree and replay the log from LSN 1. It is the metadata blob's schema
+// section (appendSchema) under its own magic, so the blob evolves
+// independently of meta versions.
 
 const schemaBlobMagic = "DCSCHM01"
 
@@ -141,25 +135,7 @@ const schemaBlobMagic = "DCSCHM01"
 func (t *Tree) EncodeSchema() ([]byte, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	buf := []byte(schemaBlobMagic)
-	buf = binary.AppendUvarint(buf, uint64(t.schema.Dims()))
-	for i := 0; i < t.schema.Dims(); i++ {
-		h, err := t.schema.Dim(i)
-		if err != nil {
-			return nil, err
-		}
-		buf = h.AppendEncode(buf)
-	}
-	buf = binary.AppendUvarint(buf, uint64(t.schema.Measures()))
-	for j := 0; j < t.schema.Measures(); j++ {
-		name, err := t.schema.MeasureName(j)
-		if err != nil {
-			return nil, err
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(name)))
-		buf = append(buf, name...)
-	}
-	return buf, nil
+	return appendSchema([]byte(schemaBlobMagic), t.schema)
 }
 
 // DecodeSchema parses an EncodeSchema blob back into a schema. Corrupt
@@ -169,32 +145,12 @@ func DecodeSchema(blob []byte) (*cube.Schema, error) {
 		return nil, fmt.Errorf("%w: bad schema blob magic", ErrCorrupt)
 	}
 	r := metaReader{buf: blob, off: len(schemaBlobMagic)}
-	dims := int(r.uvarint())
-	if r.err != nil || dims < 1 || dims > 64 {
-		return nil, fmt.Errorf("%w: schema blob dimension count", ErrCorrupt)
-	}
-	hs := make([]*hierarchy.Hierarchy, dims)
-	for i := range hs {
-		h, n, err := hierarchy.DecodeHierarchy(r.buf[r.off:])
-		if err != nil {
-			return nil, fmt.Errorf("%w: schema blob dimension %d: %v", ErrCorrupt, i, err)
-		}
-		hs[i] = h
-		r.off += n
-	}
-	nMeasures := int(r.uvarint())
-	if r.err != nil || nMeasures < 1 || nMeasures > 256 {
-		return nil, fmt.Errorf("%w: schema blob measure count", ErrCorrupt)
-	}
-	measures := make([]string, nMeasures)
-	for j := range measures {
-		measures[j] = r.string()
-	}
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: schema blob: %v", ErrCorrupt, r.err)
+	schema, err := readSchema(&r)
+	if err != nil {
+		return nil, fmt.Errorf("schema blob %w", err)
 	}
 	if r.off != len(blob) {
 		return nil, fmt.Errorf("%w: schema blob trailing bytes", ErrCorrupt)
 	}
-	return cube.NewSchema(hs, measures...)
+	return schema, nil
 }

@@ -386,9 +386,6 @@ func (t *Tree) snapshotLocked(versionID, lsn uint64) (*Version, error) {
 	t.vmu.Lock()
 	t.versions[versionID] = v
 	t.vmu.Unlock()
-
-	t.metrics.snapshots.Inc()
-	t.metrics.snapshotOverlayNodes.Add(int64(len(v.overlay)))
 	return v, nil
 }
 
@@ -408,7 +405,6 @@ func (t *Tree) releaseVersionExtentsLocked(v *Version) {
 			t.pendingFree = append(t.pendingFree, extentRef{page: ext.Page, blocks: ext.Blocks})
 		}
 	}
-	t.metrics.snapshotReleases.Inc()
 }
 
 // PruneVersions applies the tree's configured retention policy

@@ -142,12 +142,7 @@ func (ws *walState) append(payload []byte) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	lsn, err := ws.w.Append(payload)
-	if err != nil {
-		return 0, err
-	}
-	ws.m.walAppends.Inc()
-	return lsn, nil
+	return ws.w.Append(payload)
 }
 
 // waitDurable blocks until lsn is durable (or the write path is

@@ -108,22 +108,6 @@ func (a *Agg) Merge(b Agg) {
 	}
 }
 
-// Unmerge removes a previously merged aggregate's sum and count. Min and
-// Max are NOT maintainable under removal; callers that delete records must
-// recompute aggregates bottom-up (the DC-tree does so on its delete path).
-// Unmerge exists for the cheap sum/count fast path and reports whether the
-// result still has exact Min/Max (only when nothing was removed or the
-// result is empty).
-func (a *Agg) Unmerge(b Agg) (minMaxExact bool) {
-	a.Sum -= b.Sum
-	a.Count -= b.Count
-	if a.Count <= 0 {
-		*a = Agg{}
-		return true
-	}
-	return b.Count == 0
-}
-
 // Value extracts the operator's result from the aggregate. For the empty
 // aggregate Sum and Count are 0, Avg is NaN, Min is +Inf and Max is -Inf —
 // the conventional identity elements.

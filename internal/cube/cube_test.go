@@ -215,34 +215,6 @@ func TestAggMergeEmptyIdentity(t *testing.T) {
 	}
 }
 
-func TestAggUnmerge(t *testing.T) {
-	var a Agg
-	for _, x := range []float64{4, 8, 15, 16, 23, 42} {
-		a.Add(x)
-	}
-	b := AggOf(15)
-	b.Add(16)
-	exact := a.Unmerge(b)
-	if exact {
-		t.Error("removing records cannot keep Min/Max exact")
-	}
-	if a.Sum != 4+8+23+42 || a.Count != 4 {
-		t.Errorf("after unmerge: %+v", a)
-	}
-	// Removing everything yields the canonical empty aggregate.
-	var c Agg
-	c.Add(1)
-	c.Unmerge(AggOf(1))
-	if !c.IsEmpty() || c != (Agg{}) {
-		t.Errorf("full unmerge = %+v", c)
-	}
-	// Unmerging the empty aggregate keeps everything exact.
-	d := AggOf(2)
-	if !d.Unmerge(Agg{}) {
-		t.Error("unmerging empty must be exact")
-	}
-}
-
 func TestAggVector(t *testing.T) {
 	v := NewAggVector(2)
 	v.AddRecord([]float64{1, 10})

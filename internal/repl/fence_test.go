@@ -42,7 +42,7 @@ func TestFencingMatrixHTTP(t *testing.T) {
 	runFencingMatrix(t, func(tr *core.Tree) Source {
 		srv := httptest.NewServer(NewServer(&WALSource{Tree: tr}).Handler())
 		t.Cleanup(srv.Close)
-		return &HTTPSource{Base: srv.URL}
+		return seeded{Source: &HTTPSource{Base: srv.URL}, primary: tr}
 	})
 }
 
@@ -268,7 +268,7 @@ func (k *killableSource) Schema() ([]byte, error) {
 	if k.dead.Load() {
 		return nil, killedErr
 	}
-	return k.inner.Schema()
+	return k.inner.(Schemer).Schema()
 }
 
 func (k *killableSource) Healthy() bool { return !k.dead.Load() && k.inner.Healthy() }

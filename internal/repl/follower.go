@@ -102,7 +102,6 @@ type followerMetrics struct {
 	recordsApplied  obs.Counter
 	resyncs         obs.Counter
 	checkpoints     obs.Counter
-	promotions      obs.Counter
 	lagBytes        obs.Gauge
 	lagLSN          obs.Gauge
 	healthy         obs.Gauge
@@ -144,13 +143,13 @@ type Metrics struct {
 // NewFollower opens (or bootstraps) the follower state under
 // opts.Dir and starts the tailing loop.
 //
-// Bootstrap: when the directory holds no replica store, the source's
-// schema blob builds an empty replica and the log is replayed from its
-// oldest retained record — which must cover LSN 1 (primary configured
-// with a retention floor from birth) or the bootstrap fails with ErrGap.
-// When the directory holds a store (a restarted follower, or an offline
-// copy of a primary checkpoint placed there), replay resumes strictly
-// past its checkpoint LSN.
+// Bootstrap: when the directory holds a store (a restarted follower, or an
+// offline copy of a primary checkpoint placed there), replay resumes
+// strictly past its checkpoint LSN. When it holds none, a source that is a
+// Schemer builds an empty replica from the primary's schema blob and the
+// log is replayed from its oldest retained record — which must cover LSN 1
+// (primary configured with a retention floor from birth) or the bootstrap
+// fails with ErrGap; any other source fails, asking for the store copy.
 func NewFollower(src Source, opts FollowerOptions) (*Follower, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("repl: FollowerOptions.Dir is required")
@@ -170,6 +169,10 @@ func NewFollower(src Source, opts FollowerOptions) (*Follower, error) {
 	storePath := StorePath(opts.Dir)
 	_, statErr := os.Stat(storePath)
 	fresh := os.IsNotExist(statErr)
+	sc, _ := src.(Schemer)
+	if fresh && sc == nil {
+		return nil, fmt.Errorf("repl: %T serves no schema: seed %s with a copy of the primary's store, taken at a checkpoint", src, storePath)
+	}
 
 	store, err := storage.OpenPagedStore(storePath, opts.Config.BlockSize, 0)
 	if err != nil {
@@ -177,7 +180,7 @@ func NewFollower(src Source, opts FollowerOptions) (*Follower, error) {
 	}
 	var tree *core.Tree
 	if fresh {
-		blob, err := src.Schema()
+		blob, err := sc.Schema()
 		if err == nil {
 			var sch *cube.Schema
 			if sch, err = core.DecodeSchema(blob); err == nil {
@@ -468,7 +471,6 @@ func (f *Follower) Families() []obs.Family {
 		obs.CounterFamily("dctree_repl_records_applied_total", "Records replayed into the replica.", m.RecordsApplied),
 		obs.CounterFamily("dctree_repl_resyncs_total", "Listing refreshes after a segment vanished mid-read.", m.Resyncs),
 		obs.CounterFamily("dctree_repl_checkpoints_total", "Replica checkpoints taken by the follower.", m.Checkpoints),
-		obs.CounterFamily("dctree_repl_promotions_total", "Promotions completed (0 or 1).", f.metrics.promotions.Load()),
 		obs.GaugeFamily("dctree_repl_source_healthy", "1 while the source reports healthy.", healthy),
 	}
 }
@@ -533,7 +535,6 @@ func (f *Follower) Promote() (*core.Tree, error) {
 	f.mu.Lock()
 	f.promoted = rw
 	f.mu.Unlock()
-	f.metrics.promotions.Inc()
 	return rw, nil
 }
 

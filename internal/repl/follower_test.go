@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -48,9 +49,6 @@ func TestFollowerEndToEndAndPromotion(t *testing.T) {
 	// floor then follows the follower's mirrored frontier, so checkpoints
 	// truncate behind it while it tails.
 	primary.WAL().SetRetainLSN(0)
-	if err := WriteSchema(primPrefix, primary); err != nil {
-		t.Fatal(err)
-	}
 
 	// Primary heartbeat: refreshed on a ticker, never removed — stopping
 	// the refresher is the kill -9.
@@ -77,7 +75,8 @@ func TestFollowerEndToEndAndPromotion(t *testing.T) {
 		}
 	}()
 
-	f, err := NewFollower(&DirSource{Prefix: primPrefix, Lease: leasePath, LeaseTTL: 150 * time.Millisecond},
+	src := seeded{Source: &DirSource{Prefix: primPrefix, Lease: leasePath, LeaseTTL: 150 * time.Millisecond}, primary: primary}
+	f, err := NewFollower(src,
 		FollowerOptions{
 			Dir:             folDir,
 			Config:          cfg,
@@ -238,9 +237,6 @@ func TestFollowerRestartResume(t *testing.T) {
 	}
 	defer primary.Close()
 	primary.WAL().SetRetainLSN(0)
-	if err := WriteSchema(primPrefix, primary); err != nil {
-		t.Fatal(err)
-	}
 
 	recs := genRecords(t, schema, rand.New(rand.NewSource(3)), 1200)
 	for _, r := range recs[:600] {
@@ -253,7 +249,7 @@ func TestFollowerRestartResume(t *testing.T) {
 		Dir: folDir, Config: cfg,
 		Poll: 2 * time.Millisecond, CheckpointEvery: 15 * time.Millisecond,
 	}
-	src := &DirSource{Prefix: primPrefix}
+	src := seeded{Source: &DirSource{Prefix: primPrefix}, primary: primary}
 	f, err := NewFollower(src, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -283,6 +279,23 @@ func TestFollowerRestartResume(t *testing.T) {
 	tip = primary.WAL().LastLSN()
 	waitFor(t, 20*time.Second, "second catch-up", func() bool { return f2.AppliedLSN() >= tip })
 	assertTreesEqual(t, primary, f2.Tree())
+}
+
+// TestFreshFollowerNeedsStoreCopy: the filesystem and HTTP transports
+// serve no schema, so a follower in an empty directory on either is refused
+// before it creates anything there, with an error that asks for a copy of
+// the primary's store — the one seed that works on every transport.
+func TestFreshFollowerNeedsStoreCopy(t *testing.T) {
+	for _, src := range []Source{&DirSource{Prefix: filepath.Join(t.TempDir(), "wal")}, &HTTPSource{Base: "http://127.0.0.1:1"}} {
+		dir := t.TempDir()
+		_, err := NewFollower(src, FollowerOptions{Dir: dir, Config: core.DefaultConfig()})
+		if err == nil || !strings.Contains(err.Error(), "copy of the primary's store") {
+			t.Fatalf("%T: NewFollower = %v, want the store-copy error", src, err)
+		}
+		if _, statErr := os.Stat(StorePath(dir)); !os.IsNotExist(statErr) {
+			t.Fatalf("%T: a store was created (%v)", src, statErr)
+		}
+	}
 }
 
 // TestFollowerResumesAfterTornSegmentCreate: a follower that dies while

@@ -67,6 +67,26 @@ func assertTreesEqual(t testing.TB, want, got *core.Tree) {
 	}
 }
 
+// seeded is the test double for a transport that serves no schema (the
+// filesystem and HTTP ones): it hands a fresh follower the primary's schema
+// blob, as WALSource does, so a test bootstraps an empty replica and
+// replays the log from LSN 1 instead of copying the primary's store.
+type seeded struct {
+	Source
+	primary *core.Tree
+}
+
+func (s seeded) Schema() ([]byte, error) { return s.primary.EncodeSchema() }
+
+// TipLSN passes the wrapped transport's tip through (Tipper); 0 when it
+// knows none.
+func (s seeded) TipLSN() uint64 {
+	if t, ok := s.Source.(Tipper); ok {
+		return t.TipLSN()
+	}
+	return 0
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t testing.TB, d time.Duration, what string, cond func() bool) {
 	t.Helper()

@@ -14,7 +14,7 @@ import (
 	"github.com/dcindex/dctree/internal/storage"
 )
 
-// HTTP transport: a Server exposes any Source over four GET endpoints,
+// HTTP transport: a Server exposes any Source over three GET endpoints,
 // and HTTPSource is its client-side Source. The wire protocol is
 // deliberately dumb — JSON listing plus raw byte ranges — so a follower
 // can resume from any byte offset and nothing on the server holds
@@ -27,7 +27,6 @@ import (
 //	    (409 Conflict when the ack's epoch fences the primary)
 //	GET /repl/v1/segment?index=I&first=L&off=O&max=M -> raw bytes
 //	    (410 Gone when the segment was truncated away)
-//	GET /repl/v1/schema            -> core.EncodeSchema blob
 //	GET /repl/v1/health            -> 200 while the source is healthy
 //
 // See REPLICATION.md for the full wire reference.
@@ -47,7 +46,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/repl/v1/segments", s.handleSegments)
 	mux.HandleFunc("/repl/v1/segment", s.handleSegment)
-	mux.HandleFunc("/repl/v1/schema", s.handleSchema)
 	mux.HandleFunc("/repl/v1/health", s.handleHealth)
 	return mux
 }
@@ -148,16 +146,6 @@ func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
 	http.Error(w, "segment gone", http.StatusGone)
 }
 
-func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
-	blob, err := s.src.Schema()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(blob)
-}
-
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if !s.src.Healthy() {
 		http.Error(w, "unhealthy", http.StatusServiceUnavailable)
@@ -166,8 +154,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 }
 
-// HTTPSource is the client side of a repl.Server: a Source whose listing,
-// reads and schema come over HTTP. Health is the server's /health
+// HTTPSource is the client side of a repl.Server: a Source whose listing
+// and reads come over HTTP. Health is the server's /health
 // endpoint — an unreachable server counts as unhealthy, which is what
 // arms a follower's promotion timer.
 type HTTPSource struct {
@@ -249,9 +237,6 @@ func (s *HTTPSource) ReadAt(seg storage.WALSegmentInfo, off int64, max int) ([]b
 	return s.get(fmt.Sprintf("/repl/v1/segment?index=%d&first=%d&off=%d&max=%d",
 		seg.Index, seg.FirstLSN, off, max))
 }
-
-// Schema fetches the bootstrap schema blob.
-func (s *HTTPSource) Schema() ([]byte, error) { return s.get("/repl/v1/schema") }
 
 // Healthy probes the server's health endpoint.
 func (s *HTTPSource) Healthy() bool {

@@ -14,7 +14,7 @@ import (
 )
 
 // TestFollowerHTTPTransport runs the full follower pipeline over the HTTP
-// transport: bootstrap from /schema, tail via /segments + /segment range
+// transport: bootstrap from the primary's schema blob, tail via /segments + /segment range
 // reads, acknowledgements advancing the primary's retention floor, and
 // the health endpoint arming the promotion timer when the server dies.
 func TestFollowerHTTPTransport(t *testing.T) {
@@ -30,7 +30,7 @@ func TestFollowerHTTPTransport(t *testing.T) {
 	primary.WAL().SetRetainLSN(0)
 
 	srv := httptest.NewServer(NewServer(&WALSource{Tree: primary}).Handler())
-	src := &HTTPSource{Base: srv.URL}
+	src := seeded{Source: &HTTPSource{Base: srv.URL}, primary: primary}
 
 	recs := genRecords(t, schema, rand.New(rand.NewSource(5)), 1500)
 	for _, r := range recs[:700] {

@@ -2,7 +2,6 @@ package repl
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"github.com/dcindex/dctree/internal/core"
@@ -27,9 +26,6 @@ type Source interface {
 	// (offsets include the segment header; off is always at least
 	// storage.SegmentHeaderSize). Short reads near the frontier are normal.
 	ReadAt(seg storage.WALSegmentInfo, off int64, max int) ([]byte, error)
-	// Schema returns the primary's schema blob (core.EncodeSchema) for
-	// bootstrapping a brand-new replica.
-	Schema() ([]byte, error)
 	// Healthy reports whether the primary is believed alive. Transports
 	// without failure detection return true; the follower's promotion
 	// timer runs off consecutive false results.
@@ -53,6 +49,16 @@ type AckInfo struct {
 	Follower string
 	Epoch    uint64
 	LSN      uint64
+}
+
+// Schemer is an optional Source extension for transports that can hand a
+// brand-new follower the primary's schema blob (core.EncodeSchema), so it
+// starts an empty replica and replays the log from LSN 1. Only the
+// in-process WALSource has one; a follower on any other transport is seeded
+// from a copy of the primary's store, which carries the schema.
+type Schemer interface {
+	// Schema returns the primary's schema blob.
+	Schema() ([]byte, error)
 }
 
 // Tipper is an optional Source extension for transports that know the
@@ -99,7 +105,7 @@ func (s *WALSource) ReadAt(seg storage.WALSegmentInfo, off int64, max int) ([]by
 	return storage.ReadSegmentRange(seg.Path, seg.HeaderFor(), off, max)
 }
 
-// Schema returns the primary's schema blob.
+// Schema returns the primary's schema blob (Schemer).
 func (s *WALSource) Schema() ([]byte, error) { return s.Tree.EncodeSchema() }
 
 // Healthy always reports true: the source dies with the primary's process.
@@ -144,9 +150,6 @@ func (s *WALSource) TipLSN() uint64 {
 type DirSource struct {
 	// Prefix is the primary's WAL path prefix, as passed to OpenDurable.
 	Prefix string
-	// SchemaPath is the schema blob file used to bootstrap new replicas.
-	// Empty selects DefaultSchemaPath(Prefix). See WriteSchema.
-	SchemaPath string
 	// Lease is the primary's lease file path; empty disables failure
 	// detection (Healthy always true).
 	Lease string
@@ -159,27 +162,6 @@ type DirSource struct {
 // dctool follower) does not specify one.
 const DefaultLeaseTTL = 3 * time.Second
 
-// DefaultSchemaPath returns the conventional location of the schema
-// bootstrap blob for a WAL prefix.
-func DefaultSchemaPath(prefix string) string { return prefix + ".schema" }
-
-// WriteSchema atomically writes a tree's schema blob next to its WAL so
-// directory-transport followers can bootstrap (DirSource.Schema reads it).
-// Call it once after opening the primary; the blob is bootstrap-only, so a
-// schema that later registers more dictionary values stays valid.
-func WriteSchema(prefix string, t *core.Tree) error {
-	blob, err := t.EncodeSchema()
-	if err != nil {
-		return err
-	}
-	path := DefaultSchemaPath(prefix)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
 // Segments scans the primary's segment directory.
 func (s *DirSource) Segments() ([]storage.WALSegmentInfo, error) {
 	return storage.ListSegments(s.Prefix)
@@ -188,19 +170,6 @@ func (s *DirSource) Segments() ([]storage.WALSegmentInfo, error) {
 // ReadAt reads segment bytes under the header identity check.
 func (s *DirSource) ReadAt(seg storage.WALSegmentInfo, off int64, max int) ([]byte, error) {
 	return storage.ReadSegmentRange(seg.Path, seg.HeaderFor(), off, max)
-}
-
-// Schema reads the bootstrap blob written by WriteSchema.
-func (s *DirSource) Schema() ([]byte, error) {
-	path := s.SchemaPath
-	if path == "" {
-		path = DefaultSchemaPath(s.Prefix)
-	}
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("repl: reading schema blob %s (write it with WriteSchema, or bootstrap from a store copy): %w", path, err)
-	}
-	return blob, nil
 }
 
 // Healthy checks the primary's lease file, if one is configured.
