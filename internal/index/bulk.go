@@ -9,11 +9,10 @@ import (
 	"github.com/dcindex/dctree/internal/mds"
 )
 
-// BulkLoad fills an empty tree from a record set in one pass: records are
-// sorted hierarchically (per dimension top-down, dimensions
-// round-robined), packed into full data nodes, and the directory is built
-// bottom-up with exact covers, refined relevant levels, and materialized
-// aggregates.
+// BulkLoad fills an empty tree from a record set in one pass: the records
+// are sorted by their hierarchical key (sortRecords), and the tree is
+// packed bottom-up from them, one level of full nodes at a time (pack),
+// with exact covers, refined relevant levels, and materialized aggregates.
 //
 // This is the "bulk incremental update" mode of the systems the paper
 // compares against (§1): it produces a well-clustered tree faster than
@@ -33,14 +32,51 @@ func (ix *Index) BulkLoad(recs []cube.Record) error {
 			return fmt.Errorf("record %d: %w", i, err)
 		}
 	}
-	space := ix.space()
+	order, err := ix.sortRecords(recs)
+	if err != nil {
+		return err
+	}
 
-	// Hierarchical sort: compare the records' concept paths level by
-	// level, cycling through the dimensions at each depth, so that records
-	// sharing coarse ancestors in any dimension end up adjacent — the
-	// clustering the dynamic insert develops incrementally. Every key has
-	// one code per level of every dimension, so the keys share one arena
-	// and record i's is keys[i*width:][:width].
+	// The data level takes the sorted records; every level above, the
+	// entries of the one below.
+	dims := ix.schema.Dims()
+	level, err := ix.pack(true, len(order),
+		func(n *Node, i int) int { return leafSize(dims, n.Count()+1, n.rowSize(recs[order[i]].Coords)) },
+		func(n *Node, i int) { n.appendRecord(recs[order[i]]) })
+	if err != nil {
+		return err
+	}
+	ix.head.Height = 1
+	for len(level) > 1 {
+		children := level
+		level, err = ix.pack(false, len(children),
+			func(*Node, int) int { return 0 },
+			func(n *Node, i int) { n.entries = append(n.entries, children[i]) })
+		if err != nil {
+			return err
+		}
+		ix.head.Height++
+	}
+
+	// Drop the old empty root and install the packed one.
+	if err := ix.store.Drop(ix.head.Root); err != nil {
+		return err
+	}
+	ix.head.Root = level[0].Child
+	ix.head.RootMDS = level[0].MDS
+	ix.head.Count = int64(len(recs))
+	return nil
+}
+
+// sortRecords returns the order of recs under BulkLoad's hierarchical key:
+// the records' concept paths compared level by level, cycling through the
+// dimensions at each depth, so that records sharing coarse ancestors in any
+// dimension end up adjacent — the clustering the dynamic insert develops
+// incrementally. Equal keys keep input order, as a stable sort would.
+func (ix *Index) sortRecords(recs []cube.Record) ([]int, error) {
+	// Every key has one code per level of every dimension, so the keys
+	// share one arena and record i's is keys[i*width:][:width].
+	space := ix.space()
 	maxDepth, width := 0, 0
 	for _, h := range space {
 		maxDepth = max(maxDepth, h.Depth())
@@ -56,7 +92,7 @@ func (ix *Index) BulkLoad(recs []cube.Record) error {
 				}
 				anc, err := h.AncestorAt(r.Coords[d], level)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				keys = append(keys, anc.Code())
 			}
@@ -66,75 +102,36 @@ func (ix *Index) BulkLoad(recs []cube.Record) error {
 	for i := range order {
 		order[i] = i
 	}
-	// Equal keys keep input order, as a stable sort would.
 	slices.SortFunc(order, func(a, b int) int {
 		if c := slices.Compare(keys[a*width:][:width], keys[b*width:][:width]); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
 	})
+	return order, nil
+}
 
-	// Pack sorted records into full data nodes: a node takes rows while
-	// its encoding, at the widths their codes need, still fits one block.
-	type built struct {
-		id  NodeID
-		mds mds.MDS
-		agg cube.AggVector
-	}
-	measures, dims := ix.schema.Measures(), ix.schema.Dims()
-	var level []built
-	for lo := 0; lo < len(recs); {
-		n := ix.store.New(true)
-		n.appendRecord(recs[order[lo]])
-		for lo++; lo < len(recs); lo++ {
-			c := recs[order[lo]].Coords
-			if ix.blocksFor(true, n.Count()+1, leafSize(dims, n.Count()+1, n.rowSize(c))) > 1 {
-				break
-			}
-			n.appendRecord(recs[order[lo]])
+// pack builds one level of full nodes of the given kind over count sorted
+// children, in order, and returns the entries that reference them: a node
+// takes children while its encoding, with the next one added, still fits
+// one block. size(n, i) is n's encoded size once child i joins it; add(n,
+// i) adds child i to n.
+func (ix *Index) pack(leaf bool, count int, size func(n *Node, i int) int, add func(n *Node, i int)) ([]Entry, error) {
+	measures := ix.schema.Measures()
+	var level []Entry
+	for lo := 0; lo < count; {
+		n := ix.store.New(leaf)
+		add(n, lo)
+		for lo++; lo < count && ix.blocksFor(leaf, n.Count()+1, size(n, lo)) == 1; lo++ {
+			add(n, lo)
 		}
 		m, err := ix.bulkDescribe(n)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		level = append(level, built{id: n.id, mds: m, agg: n.aggregate(measures)})
+		level = append(level, Entry{MDS: m, Agg: n.aggregate(measures), Child: n.id})
 	}
-	ix.head.Height = 1
-
-	// Build the directory bottom-up, packing full directory nodes.
-	for len(level) > 1 {
-		var next []built
-		for lo := 0; lo < len(level); lo += ix.cfg.DirCapacity {
-			hi := lo + ix.cfg.DirCapacity
-			if hi > len(level) {
-				hi = len(level)
-			}
-			n := ix.store.New(false)
-			for _, b := range level[lo:hi] {
-				n.entries = append(n.entries, Entry{MDS: b.mds, Agg: b.agg, Child: b.id})
-			}
-			m, err := ix.bulkDescribe(n)
-			if err != nil {
-				return err
-			}
-			next = append(next, built{id: n.id, mds: m, agg: n.aggregate(measures)})
-		}
-		level = next
-		ix.head.Height++
-	}
-
-	root, err := ix.store.Get(level[0].id)
-	if err != nil {
-		return err
-	}
-	// Drop the old empty root and install the packed one.
-	if err := ix.store.Drop(ix.head.Root); err != nil {
-		return err
-	}
-	ix.head.Root = root.id
-	ix.head.RootMDS = level[0].mds
-	ix.head.Count = int64(len(recs))
-	return nil
+	return level, nil
 }
 
 // bulkDescribe computes a node's describing MDS for bulk loading: the
