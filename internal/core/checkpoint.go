@@ -101,10 +101,8 @@ func (t *Tree) captureLocked() (*ckptCapture, error) {
 			continue
 		}
 		payload := t.ix.Encode(n)
-		need := storage.BlocksFor(t.cfg.BlockSize, len(payload))
-		if need < n.Blocks() {
-			need = n.Blocks() // supernodes occupy their full logical extent
-		}
+		// A supernode occupies its full logical extent.
+		need := max(n.Blocks(), storage.BlocksFor(t.cfg.BlockSize, len(payload)))
 		cn := ckptNode{id: e.id, seq: e.seq, payload: payload, need: need}
 		if old, ok := t.table[e.id]; ok {
 			cn.old, cn.hasOld = old, true

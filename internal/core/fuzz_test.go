@@ -63,7 +63,8 @@ func FuzzDecodeMeta(f *testing.F) {
 	for _, retired := range retiredMetaBlobs(f) {
 		f.Add(retired)
 	}
-	f.Add(metaFlagsBlob(f, blob, 8)) // a flag bit no build wrote
+	f.Add(metaFlagsBlob(f, blob, 8))        // a flag bit no build wrote
+	f.Add(metaDirCapacityBlob(f, blob, 24)) // the retired directory capacity, as once written
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := decodeMeta(data)

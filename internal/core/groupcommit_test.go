@@ -353,6 +353,10 @@ func TestGroupCommitCheckpointCoverageFlushesLog(t *testing.T) {
 	}
 }
 
+// imageBlockSize is the Config.BlockSize the crash images under testdata
+// were written at.
+const imageBlockSize = 1024
+
 // TestRecoveryOfParentWrittenImage is the golden file of the one surviving
 // format generation: testdata/format-10 is a crash image (store + log
 // tail) written by the build that introduced the generation — DCSTORE2
@@ -363,6 +367,9 @@ func TestGroupCommitCheckpointCoverageFlushesLog(t *testing.T) {
 // To regenerate after a format bump: newDurableOnDisk(smallConfig()), recs :=
 // genRecords(seed 7, 160); insert recs[:120], Flush, insert recs[120:], delete
 // recs[:5]; copyCrashImage into testdata/format-NN without closing the tree.
+// The image holds a directory capacity of 6 in its metadata's retired slot,
+// which no build reads: its directories are held to their blocks' bytes as
+// any other.
 func TestRecoveryOfParentWrittenImage(t *testing.T) {
 	dir := copyTestImage(t, "format-10")
 	for name, magic := range map[string]string{"store.dc": "DCSTORE2", "idx.00000002.wal": "DCWAL002"} {
@@ -371,7 +378,7 @@ func TestRecoveryOfParentWrittenImage(t *testing.T) {
 		}
 	}
 	open := func() (*Tree, *storage.PagedStore) {
-		st, err := storage.OpenPagedStore(filepath.Join(dir, "store.dc"), smallConfig().BlockSize, 0)
+		st, err := storage.OpenPagedStore(filepath.Join(dir, "store.dc"), imageBlockSize, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

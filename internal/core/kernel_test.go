@@ -48,7 +48,7 @@ func TestInsertAllocations(t *testing.T) {
 // by a later operation and stop describing its subtree.
 func TestScratchResultsAreCopiedOut(t *testing.T) {
 	supernodes := smallConfig()
-	supernodes.LeafCapacity, supernodes.DirCapacity = 4, 4
+	supernodes.LeafCapacity = 4
 	forced := supernodes
 	forced.MaxSupernodeBlocks = 1
 	t.Run("supernodes", func(t *testing.T) { scratchAliasingWorkload(t, supernodes, 300) })

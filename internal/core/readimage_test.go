@@ -220,10 +220,16 @@ type goldenEncoding struct{ dir, data string }
 // generation, whose data nodes store each code at its dimension's byte
 // width behind a width byte per dimension — the same rows, in other bytes
 // (before: 401bfedab78a5c75a76c51b0, after the tail
-// 1274c4bd11cbf6ffffe6f650); the directory digests did not move.
+// 1274c4bd11cbf6ffffe6f650); the directory digests did not move. All four
+// were re-pinned again, with no format change, when a directory began to
+// overflow by its bytes instead of at a count: smallConfig's small
+// directories are 512-byte blocks' worth of entries where they were 6
+// entries on 1 KiB blocks, so the tree is another tree (before:
+// ac1bb1c558dec5b5229d419d / 2bc12c270d69e877f6fa4639, after the tail
+// 0cf1f6bb997c693d598d35de / 2fd92832501b641cbc090169).
 func TestGoldenNodeEncoding(t *testing.T) {
-	want := goldenEncoding{dir: "ac1bb1c558dec5b5229d419d", data: "2bc12c270d69e877f6fa4639"}
-	wantTail := goldenEncoding{dir: "0cf1f6bb997c693d598d35de", data: "2fd92832501b641cbc090169"}
+	want := goldenEncoding{dir: "09902b6256cd53b95df1d910", data: "890fa7c7c4c06b2b4d046664"}
+	wantTail := goldenEncoding{dir: "f714239cb86825e0843d20c7", data: "0c29e3b233af9a4b7759be30"}
 	cfg := smallConfig()
 	tree, _, storePath, walPrefix := newDurableOnDisk(t, cfg)
 	defer tree.Close()

@@ -44,11 +44,11 @@ func genRecords(t testing.TB, s *cube.Schema, rng *rand.Rand, n int) []cube.Reco
 }
 
 // smallConfig forces frequent splits so even small tests exercise the full
-// machinery.
+// machinery: data nodes of 8 rows, and directories of the few entries a
+// 512-byte block holds.
 func smallConfig() Config {
 	cfg := DefaultConfig()
-	cfg.BlockSize = 1024
-	cfg.DirCapacity = 6
+	cfg.BlockSize = 512
 	cfg.LeafCapacity = 8
 	cfg.MaxSupernodeBlocks = 8
 	return cfg
@@ -548,7 +548,7 @@ func TestConfigValidation(t *testing.T) {
 	s := testSchema(t)
 	bad := []Config{
 		{BlockSize: 64},
-		{Config: index.Config{DirCapacity: 2}},
+		{Config: index.Config{RefineBound: -2}},
 		{Config: index.Config{LeafCapacity: 1}},
 		{Config: index.Config{MinFillRatio: 0.9}},
 		{Config: index.Config{MaxOverlapRatio: 2}},

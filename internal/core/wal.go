@@ -242,9 +242,7 @@ func (ws *walState) syncLocked() {
 				ws.m.walBatchMax.Set(batch)
 			}
 		}
-		if covered > ws.durableLSN {
-			ws.durableLSN = covered
-		}
+		ws.durableLSN = max(ws.durableLSN, covered)
 	}
 	ws.ackCond.Broadcast()
 }
@@ -321,9 +319,7 @@ func (ws *walState) checkpointDone(lsn uint64) {
 		_, _ = ws.w.Sync()
 	}
 	ws.mu.Lock()
-	if lsn > ws.durableLSN {
-		ws.durableLSN = lsn
-	}
+	ws.durableLSN = max(ws.durableLSN, lsn)
 	ws.ackCond.Broadcast()
 	ws.mu.Unlock()
 }

@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/dcindex/dctree/internal/cube"
@@ -166,7 +168,7 @@ func retiredMetaBlobs(t testing.TB) map[string][]byte {
 		name, magic, path string
 		blockSize         int
 	}{
-		{"the parent-pr12 image's blob", "DCMETA08", filepath.Join(copyTestImage(t, "parent-pr12"), "store.dc"), smallConfig().BlockSize},
+		{"the parent-pr12 image's blob", "DCMETA08", filepath.Join(copyTestImage(t, "parent-pr12"), "store.dc"), imageBlockSize},
 		{"the tpcd-09 index's blob", "DCMETA09", tpcd09, DefaultConfig().BlockSize},
 	} {
 		st, err := storage.OpenPagedStore(img.path, img.blockSize, 0)
@@ -208,6 +210,50 @@ func metaFlagsBlob(t testing.TB, blob []byte, flags byte) []byte {
 	c := append([]byte(nil), blob...)
 	c[metaFlagsOffset(t, c)] = flags
 	return c
+}
+
+// metaDirCapacityBlob returns blob with its config's second word — the
+// retired directory capacity, one byte for any value below 128 — set to v.
+func metaDirCapacityBlob(t testing.TB, blob []byte, v byte) []byte {
+	t.Helper()
+	r := metaReader{buf: blob, off: len(metaMagic)}
+	r.uvarint()
+	if r.err != nil || r.off >= len(blob) || blob[r.off] >= 0x80 {
+		t.Fatalf("no one-byte directory capacity word in the blob (%v)", r.err)
+	}
+	c := append([]byte(nil), blob...)
+	c[r.off] = v
+	return c
+}
+
+// TestMetaRetiredDirCapacity: the config's second word held the directory
+// capacity, 24 by default, until a directory began to overflow by its
+// bytes. It is written 0; a blob holding 24 there, as every earlier build
+// of this generation wrote, decodes as the one holding 0 does, and encodes
+// back with 0.
+func TestMetaRetiredDirCapacity(t *testing.T) {
+	blob := flushedMetaBlob(t)
+	if got := metaDirCapacityBlob(t, blob, 0); !bytes.Equal(got, blob) {
+		t.Fatal("encodeMeta wrote a nonzero directory capacity")
+	}
+	want, err := decodeMeta(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeMeta(metaDirCapacityBlob(t, blob, 24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.cfg != want.cfg || !reflect.DeepEqual(got.ix.Head(), want.ix.Head()) || !maps.Equal(got.table, want.table) {
+		t.Fatalf("decoded with 24: config %+v, head %+v; with 0: %+v, %+v", got.cfg, got.ix.Head(), want.cfg, want.ix.Head())
+	}
+	again, err := got.encodeMeta(got.metaSnapshotLocked())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(metaDirCapacityBlob(t, again, 0), again) {
+		t.Fatal("a blob decoded with 24 encodes back with a nonzero directory capacity")
+	}
 }
 
 // TestMetaRetiredSupernodeBit walks every flags byte. The three bits a build

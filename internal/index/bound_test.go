@@ -64,7 +64,6 @@ func TestEntryBoundHolds(t *testing.T) {
 	}
 	tpcdRecs := gen.Records(blockFilledOps)
 	supernodes := DefaultConfig()
-	supernodes.DirCapacity = 5
 	supernodes.LeafCapacity = 12
 	supernodes.MaxSupernodeBlocks = 3
 	supernodes.MaxOverlapRatio = 0.002
@@ -76,13 +75,14 @@ func TestEntryBoundHolds(t *testing.T) {
 		name      string
 		tpcd      bool
 		cfg       Config
+		payload   int
 		wantSuper bool
 	}{
-		{"tpcd/block-filled", true, DefaultConfig(), false},
-		{"tpcd/leaf-12", true, leaf12, false},
-		{"tpcd/small-dir-supernodes", true, supernodes, true},
-		{"test/small", false, smallConfig(), false},
-		{"test/small-bound-4", false, lowBound, false},
+		{"tpcd/block-filled", true, DefaultConfig(), testBlockPayload, false},
+		{"tpcd/leaf-12", true, leaf12, testBlockPayload, false},
+		{"tpcd/small-dir-supernodes", true, supernodes, smallDirPayload, true},
+		{"test/small", false, smallConfig(), smallBlockPayload, false},
+		{"test/small-bound-4", false, lowBound, smallBlockPayload, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			schema, recs := gen.Schema(), tpcdRecs[:ops]
@@ -93,7 +93,7 @@ func TestEntryBoundHolds(t *testing.T) {
 				schema = testSchema(t)
 				recs = genRecords(t, schema, rand.New(rand.NewSource(61)), ops)
 			}
-			ix, nodes := newBareIndex(t, schema, tc.cfg)
+			ix, nodes := newBareIndexAt(t, schema, tc.cfg, tc.payload)
 			oracle := seqscan.New(schema)
 			rng := rand.New(rand.NewSource(62))
 			leaves := make([][]hierarchy.ID, schema.Dims())

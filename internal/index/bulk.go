@@ -39,7 +39,7 @@ func (ix *Index) BulkLoad(recs []cube.Record) error {
 
 	// The data level takes the sorted records; every level above, the
 	// entries of the one below.
-	dims := ix.schema.Dims()
+	dims, measures := ix.schema.Dims(), ix.schema.Measures()
 	level, err := ix.pack(true, len(order),
 		func(n *Node, i int) int { return leafSize(dims, n.Count()+1, n.rowSize(recs[order[i]].Coords)) },
 		func(n *Node, i int) { n.appendRecord(recs[order[i]]) })
@@ -50,7 +50,7 @@ func (ix *Index) BulkLoad(recs []cube.Record) error {
 	for len(level) > 1 {
 		children := level
 		level, err = ix.pack(false, len(children),
-			func(*Node, int) int { return 0 },
+			func(n *Node, i int) int { return n.encodedSize() + entrySize(children[i].MDS, measures) },
 			func(n *Node, i int) { n.entries = append(n.entries, children[i]) })
 		if err != nil {
 			return err
@@ -114,40 +114,29 @@ func (ix *Index) sortRecords(recs []cube.Record) ([]int, error) {
 // pack builds one level of full nodes of the given kind over count sorted
 // children, in order, and returns the entries that reference them: a node
 // takes children while its encoding, with the next one added, still fits
-// one block. size(n, i) is n's encoded size once child i joins it; add(n,
-// i) adds child i to n.
+// one block. It takes two whatever their bytes, so that every level is
+// smaller than the one below, and then the blocks they need. size(n, i) is
+// n's encoded size once child i joins it; add(n, i) adds child i to n. A
+// node is described as the split path describes one: its exact cover at
+// the coarsest levels, refined.
 func (ix *Index) pack(leaf bool, count int, size func(n *Node, i int) int, add func(n *Node, i int)) ([]Entry, error) {
-	measures := ix.schema.Measures()
+	measures, ws := ix.schema.Measures(), ix.ws
 	var level []Entry
 	for lo := 0; lo < count; {
 		n := ix.store.New(leaf)
 		add(n, lo)
-		for lo++; lo < count && ix.blocksFor(leaf, n.Count()+1, size(n, lo)) == 1; lo++ {
+		for lo++; lo < count && (n.Count() < 2 || ix.blocksFor(leaf, n.Count()+1, size(n, lo)) == 1); lo++ {
 			add(n, lo)
 		}
-		m, err := ix.bulkDescribe(n)
+		n.blocks = ix.nodeBlocks(n)
+		m, err := mds.CoverInto(&ws.cover, ix.space(), ws.top, ws.entryMDSs(n))
+		if err == nil {
+			err = ix.refineMDS(n, m)
+		}
 		if err != nil {
 			return nil, err
 		}
-		level = append(level, Entry{MDS: m, Agg: n.aggregate(measures), Child: n.id})
+		level = append(level, Entry{MDS: packMDS(m), Agg: n.aggregate(measures), Child: n.id})
 	}
 	return level, nil
-}
-
-// bulkDescribe computes a node's describing MDS for bulk loading: the
-// exact cover lifted to coarse relevant levels, refined by the same rule
-// the dynamic split path uses.
-func (ix *Index) bulkDescribe(n *Node) (mds.MDS, error) {
-	// Lift to the coarsest describable form first (one value per
-	// dimension where possible keeps the description minimal), then apply
-	// the standard refinement bound downward.
-	ws := ix.ws
-	coarse, err := mds.CoverInto(&ws.cover, ix.space(), ws.top, ws.entryMDSs(n))
-	if err != nil {
-		return nil, err
-	}
-	if err := ix.refineMDS(n, coarse); err != nil {
-		return nil, err
-	}
-	return packMDS(coarse), nil
 }

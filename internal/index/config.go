@@ -4,12 +4,11 @@ import "fmt"
 
 // Config carries the knobs of the paper's algorithms. The zero value is not
 // usable; DefaultConfig returns the values used throughout the paper
-// reproduction, and Normalize fills unset fields.
+// reproduction, and Normalize fills unset fields. A directory has no
+// capacity knob: it holds the entries whose encoding fits its blocks × the
+// one-block payload the host passes to New, MDSs being of variable size
+// (§3.2).
 type Config struct {
-	// DirCapacity is the maximum number of entries of a one-block
-	// directory node; a supernode of b blocks holds b×DirCapacity.
-	DirCapacity int
-
 	// LeafCapacity is the maximum number of data records of a one-block
 	// data node. 0, the default, is the block-filled data node: a node is
 	// one block, as the X-tree's are (§4.2), so it holds as many rows as
@@ -58,7 +57,6 @@ type Config struct {
 // DefaultConfig returns the configuration used by the paper reproduction.
 func DefaultConfig() Config {
 	return Config{
-		DirCapacity:        24,
 		MinFillRatio:       0.35,
 		MaxOverlapRatio:    0.20,
 		MaxSupernodeBlocks: 64,
@@ -70,9 +68,6 @@ func DefaultConfig() Config {
 // zero LeafCapacity stays zero: it is the block-filled data node.
 func (c *Config) Normalize() error {
 	d := DefaultConfig()
-	if c.DirCapacity == 0 {
-		c.DirCapacity = d.DirCapacity
-	}
 	if c.MinFillRatio == 0 {
 		c.MinFillRatio = d.MinFillRatio
 	}
@@ -86,8 +81,6 @@ func (c *Config) Normalize() error {
 		c.RefineBound = d.RefineBound
 	}
 	switch {
-	case c.DirCapacity < 4:
-		return fmt.Errorf("%w: directory capacity %d < 4", ErrBadConfig, c.DirCapacity)
 	case c.LeafCapacity < 4 && c.LeafCapacity != 0:
 		return fmt.Errorf("%w: leaf capacity %d < 4", ErrBadConfig, c.LeafCapacity)
 	case c.MinFillRatio < 0 || c.MinFillRatio > 0.5:

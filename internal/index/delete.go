@@ -224,7 +224,10 @@ func removeID(ids []hierarchy.ID, id hierarchy.ID) []hierarchy.ID {
 	return ids
 }
 
-// shrink lets a supernode give blocks back once its occupancy allows.
+// shrink lets a supernode give blocks back once its occupancy allows. A
+// one-block node has none to give, and is not sized.
 func (ix *Index) shrink(n *Node) {
-	n.blocks = min(n.blocks, ix.nodeBlocks(n))
+	if n.blocks > 1 {
+		n.blocks = min(n.blocks, ix.nodeBlocks(n))
+	}
 }

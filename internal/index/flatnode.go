@@ -68,6 +68,12 @@ func dirLayoutSizes(count, measures int) (aggBase, fixBase, mdsBase int) {
 	return aggBase, fixBase, fixBase + 8*count
 }
 
+// entrySize returns the bytes an entry of MDS m adds to a directory's
+// encoding: its offset-table slot, aggregates, child and MDS blob.
+func entrySize(m mds.MDS, measures int) int {
+	return 4 + flatAggStride*measures + 8 + m.EncodedSize()
+}
+
 // leafSize returns the length of a data node's encoding: the header, the
 // widths and count rows of stride bytes.
 func leafSize(dims, count, stride int) int { return flatHeaderSize + dims + count*stride }

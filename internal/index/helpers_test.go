@@ -78,15 +78,31 @@ func flatOf(id NodeID, n *Node, dims, measures int) FlatNode {
 // (storage.ExtentCapacity(4096, 1), which this package cannot import).
 const testBlockPayload = 4096 - 12
 
+// smallBlockPayload is the one-block payload of a 512-byte block
+// (storage.ExtentCapacity(512, 1)): a directory of the test schema holds a
+// handful of entries, so that small trees split directories too.
+const smallBlockPayload = 512 - 12
+
+// smallDirPayload is the one-block payload of a 1 KiB block
+// (storage.ExtentCapacity(1024, 1)): a TPC-D directory holds a handful of
+// entries.
+const smallDirPayload = 1024 - 12
+
 // newBareIndex creates an empty index over a fresh memNodes, on blocks of
 // the default size as core.New does.
 func newBareIndex(t testing.TB, schema *cube.Schema, cfg Config) (*Index, *memNodes) {
+	t.Helper()
+	return newBareIndexAt(t, schema, cfg, testBlockPayload)
+}
+
+// newBareIndexAt is newBareIndex on blocks of the given one-block payload.
+func newBareIndexAt(t testing.TB, schema *cube.Schema, cfg Config, payload int) (*Index, *memNodes) {
 	t.Helper()
 	if err := cfg.Normalize(); err != nil {
 		t.Fatal(err)
 	}
 	s := &memNodes{nodes: map[NodeID]*Node{}, dims: schema.Dims(), nm: schema.Measures()}
-	s.ix = New(schema, cfg, s, testBlockPayload)
+	s.ix = New(schema, cfg, s, payload)
 	return s.ix, s
 }
 
@@ -119,10 +135,10 @@ func genRecords(t testing.TB, s *cube.Schema, rng *rand.Rand, n int) []cube.Reco
 }
 
 // smallConfig forces frequent splits so even small tests exercise the full
-// machinery.
+// machinery: data nodes of 8 rows, and on blocks of smallBlockPayload,
+// directories of a few entries.
 func smallConfig() Config {
 	cfg := DefaultConfig()
-	cfg.DirCapacity = 6
 	cfg.LeafCapacity = 8
 	cfg.MaxSupernodeBlocks = 8
 	return cfg

@@ -94,7 +94,8 @@ type Index struct {
 	head   Head
 
 	// payload is the bytes one block of the host's holds for a node's
-	// encoding: what a block-filled data node's rows fill (blocksFor).
+	// encoding: what a directory's entries and a block-filled data node's
+	// rows fill (fill).
 	payload int
 
 	// ws holds the write path's buffers (scratch.go); mutations are
@@ -147,8 +148,8 @@ type Counters struct {
 
 // New creates an empty index whose nodes live in store: the root is a data
 // node minted by store.New. cfg must be normalized; payload is the bytes of
-// a node's encoding one block of the host's holds, which sizes a
-// block-filled data node (Config.LeafCapacity 0).
+// a node's encoding one block of the host's holds, which sizes every
+// directory and a block-filled data node (Config.LeafCapacity 0).
 func New(schema *cube.Schema, cfg Config, store Store, payload int) *Index {
 	ix := Restore(schema, cfg, store, Head{RootMDS: mds.Top(schema.Dims()), Height: 1}, payload)
 	ix.head.Root = store.New(true).id

@@ -51,6 +51,7 @@ func (ix *Index) Insert(rec cube.Record) error {
 			{MDS: res.origMDS, Agg: res.origAgg, Child: ix.head.Root},
 			{MDS: res.newMDS, Agg: res.newAgg, Child: res.newID},
 		}
+		newRoot.blocks = ix.nodeBlocks(newRoot)
 		ix.head.Root = newRoot.id
 		ix.head.Height++
 		if ix.head.RootMDS, err = mds.Cover(ix.space(), res.origMDS, res.newMDS); err != nil {
@@ -101,19 +102,21 @@ func (ix *Index) insertInto(id NodeID, nodeMDS mds.MDS, rc *recContext) (insertR
 	if err != nil {
 		return insertResult{}, err
 	}
-	if !res.split {
+	if res.split {
+		// The child was split: refresh this entry with the exact cover of
+		// the first group and add a new son for the second (Fig. 4 "Insert
+		// new son"). Re-resolve the entry pointer: the recursion cannot
+		// have mutated this node, but the compiler cannot know that.
+		e = &n.entries[idx]
+		e.MDS = res.origMDS
+		e.Agg = res.origAgg
+		n.entries = append(n.entries, Entry{MDS: res.newMDS, Agg: res.newAgg, Child: res.newID})
+		n.invalidatePostings()
+	} else if contained {
 		return insertResult{}, nil
 	}
-
-	// The child was split: refresh this entry with the exact cover of the
-	// first group and add a new son for the second (Fig. 4 "Insert new
-	// son"). Re-resolve the entry pointer: the recursion cannot have
-	// mutated this node, but the compiler cannot know that.
-	e = &n.entries[idx]
-	e.MDS = res.origMDS
-	e.Agg = res.origAgg
-	n.entries = append(n.entries, Entry{MDS: res.newMDS, Agg: res.newAgg, Child: res.newID})
-	n.invalidatePostings()
+	// An entry was added or grew: the node overflows once its encoding
+	// passes its blocks.
 	if ix.nodeBlocks(n) <= n.blocks {
 		return insertResult{}, nil
 	}

@@ -154,11 +154,12 @@ func allNodes(t *testing.T, tree *Index) (nodes []*Node, nodeMDSs []mds.MDS) {
 	return nodes, nodeMDSs
 }
 
-// kernelTestTree grows a tree of a few levels, with deletes mixed in so that
-// repaired entries are among the operands.
-func kernelTestTree(t *testing.T, cfg Config, seed int64) (*Index, []cube.Record) {
+// kernelTestTree grows a tree of a few levels, on blocks of the given
+// payload, with deletes mixed in so that repaired entries are among the
+// operands.
+func kernelTestTree(t *testing.T, cfg Config, payload int, seed int64) (*Index, []cube.Record) {
 	t.Helper()
-	tree := newTestIndex(t, cfg)
+	tree, _ := newBareIndexAt(t, testSchema(t), cfg, payload)
 	rng := rand.New(rand.NewSource(seed))
 	recs := genRecords(t, tree.schema, rng, 1500)
 	for i, r := range recs[:1200] {
@@ -187,7 +188,7 @@ func TestChooseSubtreeMatchesReference(t *testing.T) {
 	unbounded.RefineBound = -1
 	for name, cfg := range map[string]Config{"weighted": smallConfig(), "unbounded": unbounded} {
 		t.Run(name, func(t *testing.T) {
-			tree, recs := kernelTestTree(t, cfg, 51)
+			tree, recs := kernelTestTree(t, cfg, smallBlockPayload, 51)
 			nodes, _ := allNodes(t, tree)
 			long := 0
 			for _, n := range nodes {
@@ -353,7 +354,7 @@ func TestContainingInsertStillBounds(t *testing.T) {
 }
 
 func TestRecContextMatchesMDS(t *testing.T) {
-	tree, recs := kernelTestTree(t, smallConfig(), 52)
+	tree, recs := kernelTestTree(t, smallConfig(), smallBlockPayload, 52)
 	space := tree.space()
 	nodes, _ := allNodes(t, tree)
 	for _, rec := range recs[1100:1300] {
@@ -390,9 +391,12 @@ func TestRecContextMatchesMDS(t *testing.T) {
 // of adaptEntries and describeNode's — to the reference, on a tree of small
 // nodes and on one of the default, block-filled data nodes.
 func TestDescribeMatchesReference(t *testing.T) {
-	for name, cfg := range map[string]Config{"small": smallConfig(), "block-filled": DefaultConfig()} {
+	for name, tc := range map[string]struct {
+		cfg     Config
+		payload int
+	}{"small": {smallConfig(), smallBlockPayload}, "block-filled": {DefaultConfig(), testBlockPayload}} {
 		t.Run(name, func(t *testing.T) {
-			tree, _ := kernelTestTree(t, cfg, 53)
+			tree, _ := kernelTestTree(t, tc.cfg, tc.payload, 53)
 			if tree.Height() < 2 {
 				t.Fatalf("height %d: the test tree has no directory", tree.Height())
 			}

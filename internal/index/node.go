@@ -148,8 +148,17 @@ func (n *Node) rowSize(coords []hierarchy.ID) int {
 	return size
 }
 
-// encodedSize returns the length of a data node's encoding.
-func (n *Node) encodedSize() int { return leafSize(n.dims, n.Count(), n.rowSize(nil)) }
+// encodedSize returns the length of the node's encoding.
+func (n *Node) encodedSize() int {
+	if n.leaf {
+		return leafSize(n.dims, n.Count(), n.rowSize(nil))
+	}
+	_, _, size := dirLayoutSizes(len(n.entries), n.nm)
+	for i := range n.entries {
+		size += n.entries[i].MDS.EncodedSize()
+	}
+	return size
+}
 
 // take replaces the node's entries, or rows, by exactly sized copies of the
 // listed ones of src, in the order listed; a data node's largest codes are
@@ -178,16 +187,14 @@ func (n *Node) take(src *Node, group []int) {
 }
 
 // fill is the one overflow rule: what a node of the given kind, entry count
-// and encoded size fills, and what one block holds of it. A directory fills
-// DirCapacity entries a block; a data node LeafCapacity rows a block or,
-// block-filled (LeafCapacity 0), the one-block payload with the bytes of
-// its encoding. A supernode holds its blocks' worth (§4.2: "directory node
-// capacity multiplied by the number of blocks of the supernode").
+// and encoded size fills, and what one block holds of it. A node fills the
+// one-block payload with the bytes of its encoding — a directory's entries
+// are as long as their MDSs (§3.2), a data node's rows as wide as their
+// codes — unless a nonzero LeafCapacity caps a data node's rows instead. A
+// supernode holds its blocks' worth (§4.2: "directory node capacity
+// multiplied by the number of blocks of the supernode").
 func (ix *Index) fill(leaf bool, count, size int) (used, perBlock int) {
-	switch {
-	case !leaf:
-		return count, ix.cfg.DirCapacity
-	case ix.cfg.LeafCapacity > 0:
+	if leaf && ix.cfg.LeafCapacity > 0 {
 		return count, ix.cfg.LeafCapacity
 	}
 	return size, ix.payload
@@ -200,12 +207,11 @@ func (ix *Index) blocksFor(leaf bool, count, size int) int {
 	return max(1, (used+per-1)/per)
 }
 
-// nodeBlocks is blocksFor of a heap node.
+// nodeBlocks is blocksFor of a heap node. A directory's size is summed over
+// its entries' MDSs: the write path asks it only where an entry was added
+// or grew, or a supernode may shrink.
 func (ix *Index) nodeBlocks(n *Node) int {
-	if !n.leaf {
-		return ix.blocksFor(false, len(n.entries), 0)
-	}
-	return ix.blocksFor(true, n.Count(), n.encodedSize())
+	return ix.blocksFor(n.leaf, n.Count(), n.encodedSize())
 }
 
 // aggregate computes the node's aggregate vector from its entries.

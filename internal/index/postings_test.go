@@ -165,7 +165,7 @@ func TestPostingsMatchContains(t *testing.T) {
 	}
 
 	t.Run("insert-delete", func(t *testing.T) {
-		ix, nodes := newBareIndex(t, testSchema(t), smallConfig())
+		ix, nodes := newBareIndexAt(t, testSchema(t), smallConfig(), smallBlockPayload)
 		rng := rand.New(rand.NewSource(41))
 		recs := genRecords(t, ix.schema, rng, 3003)
 		s := newPostingsStream(t, ix, nodes, recs[3000:])
@@ -187,7 +187,7 @@ func TestPostingsMatchContains(t *testing.T) {
 	})
 
 	t.Run("supernodes", func(t *testing.T) {
-		ix, nodes := newBareIndex(t, testSchema(t), supernodeConfig())
+		ix, nodes := newBareIndexAt(t, testSchema(t), supernodeConfig(), smallDirPayload)
 		rng := rand.New(rand.NewSource(42))
 		recs := genRecords(t, ix.schema, rng, 4003)
 		s := newPostingsStream(t, ix, nodes, recs[4000:])
@@ -208,13 +208,15 @@ func TestPostingsMatchContains(t *testing.T) {
 	})
 }
 
-// supernodeConfig refuses nearly every directory split, so directories grow
-// as supernodes past 64 entries.
+// supernodeConfig refuses nearly every directory split, so directories —
+// of entries refined to one value a dimension, on blocks of
+// smallDirPayload — grow as supernodes past 64 entries.
 func supernodeConfig() Config {
 	cfg := smallConfig()
 	cfg.MaxSupernodeBlocks = 32
 	cfg.MaxOverlapRatio = 0.0001
 	cfg.MinFillRatio = 0.5
+	cfg.RefineBound = 1
 	return cfg
 }
 
@@ -224,7 +226,9 @@ func supernodeConfig() Config {
 // directory that gained an entry; and seed 1's 15k build
 // (TestGoldenShapeGap's) builds an exact number of tables — 94, re-pinned
 // from 239 when data nodes began to hold the rows their block fits at their
-// codes' byte widths: a third fewer data-node splits, fewer stale tables.
+// codes' byte widths: a third fewer data-node splits, fewer stale tables;
+// 92 since a directory overflows by its bytes, not at 24 entries: one
+// level-1 directory fewer to split.
 func TestPostingBuilds(t *testing.T) {
 	gen, err := tpcd.New(1, tpcd.ScaleFor(15000))
 	if err != nil {
@@ -237,7 +241,7 @@ func TestPostingBuilds(t *testing.T) {
 		}
 	}
 	builds := func() int64 { return ix.Counters().PostingBuilds }
-	if got, want := builds(), int64(94); got != want {
+	if got, want := builds(), int64(92); got != want {
 		t.Errorf("the 15k build built %d postings, pinned %d", got, want)
 	}
 
@@ -319,11 +323,11 @@ func FuzzPostings(f *testing.F) {
 		if len(ops) > 1024 {
 			ops = ops[:1024]
 		}
-		cfg := smallConfig()
+		cfg, payload := smallConfig(), smallBlockPayload
 		if seed&1 == 1 {
-			cfg = supernodeConfig()
+			cfg, payload = supernodeConfig(), smallDirPayload
 		}
-		ix, nodes := newBareIndex(t, testSchema(t), cfg)
+		ix, nodes := newBareIndexAt(t, testSchema(t), cfg, payload)
 		recs := genRecords(t, ix.schema, rand.New(rand.NewSource(seed)), len(ops)+2)
 		s := newPostingsStream(t, ix, nodes, recs[len(ops):])
 		var live []cube.Record

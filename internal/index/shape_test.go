@@ -81,35 +81,40 @@ func shapeDigest(t *testing.T, ix *Index) string {
 // digest taken on the last build that still had the switch. The last was
 // re-pinned once more when a data node began to hold the rows its block
 // fits at the byte widths its codes need (501991a2… → 97e42c41…); the
-// row-capped four did not move.
+// row-capped four did not move. All five were re-pinned when a directory
+// began to overflow by its bytes instead of at 24 entries (dbd5a39a… →
+// 55baef0f…, 07fcacb8… → 8b478888…, b223d6cc… → 13ac026d…, 871f28e5… →
+// 8cd317f3…, 97e42c41… → ec6bf055…): directories split at other moments,
+// so the data nodes below them did too. The small-directory stream, then
+// 5 entries a block, since runs on 1 KiB blocks.
 func TestGoldenTreeShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads 5×22k records")
 	}
 	const load, expire, reload = 20000, 2000, 2000
 	cases := []struct {
-		name string
-		cfg  func(*Config)
-		want string
+		name    string
+		cfg     func(*Config)
+		payload int // 0: testBlockPayload
+		want    string
 	}{
-		{"default", func(c *Config) { c.LeafCapacity = 48 }, "dbd5a39a29aa38e6a52c0ad7"},
+		{"default", func(c *Config) { c.LeafCapacity = 48 }, 0, "55baef0f9e5a76b319f1bfba"},
 		{"forced-splits", func(c *Config) {
 			c.LeafCapacity = 48
 			c.MaxSupernodeBlocks = 1
 			c.MaxOverlapRatio = 0.002
 			c.MinFillRatio = 0.45
-		}, "07fcacb8ebacc17216b227d8"},
+		}, 0, "8b478888e43641309766002e"},
 		{"small-dir-supernodes", func(c *Config) {
-			c.DirCapacity = 5
 			c.LeafCapacity = 12
 			c.MaxSupernodeBlocks = 3
 			c.MaxOverlapRatio = 0.002
-		}, "b223d6cc9a6c8a3008a6b536"},
+		}, smallDirPayload, "13ac026d8256642722c035fc"},
 		{"no-refine", func(c *Config) {
 			c.LeafCapacity = 48
 			c.RefineBound = -1
-		}, "871f28e5917779cac8e2ae97"},
-		{"block-filled", func(*Config) {}, "97e42c41ebb30c563d96a23e"},
+		}, 0, "8cd317f317e3c248cc2aee77"},
+		{"block-filled", func(*Config) {}, 0, "ec6bf0556f6d98532df9139b"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -120,7 +125,11 @@ func TestGoldenTreeShape(t *testing.T) {
 			recs := gen.Records(load + reload)
 			cfg := DefaultConfig()
 			tc.cfg(&cfg)
-			ix, _ := newBareIndex(t, gen.Schema(), cfg)
+			payload := tc.payload
+			if payload == 0 {
+				payload = testBlockPayload
+			}
+			ix, _ := newBareIndexAt(t, gen.Schema(), cfg, payload)
 			insert := func(rs []cube.Record) {
 				for i := range rs {
 					if err := ix.Insert(rs[i]); err != nil {
@@ -176,7 +185,12 @@ func (s *QueryStats) add(o QueryStats) {
 // its data nodes began to hold the rows a block fits at their codes' byte
 // widths (visits 84 / 181 / 460 / 334 / 423 → 85 / 154 / 308 / 235 / 313):
 // fewer, fuller data nodes, so more rows scanned and fewer entries pruned,
-// and in the region class no entry answered from its aggregate.
+// and in the region class no entry answered from its aggregate. The 48-row
+// tree's were re-pinned when a directory began to overflow by its bytes
+// instead of at 24 entries (visits 303 / 638 / 1730 / 1079 / 1672 → 291 /
+// 629 / 1747 / 1107 / 1688, region's materialized hits 17 → 10); the
+// block-filled tree, whose directories hold fewer than 24 entries either
+// way, did not move, and neither did an answer.
 func TestGoldenQueryStats(t *testing.T) {
 	const load = 6000
 	gen, err := tpcd.New(7, tpcd.ScaleFor(load))
@@ -192,11 +206,11 @@ func TestGoldenQueryStats(t *testing.T) {
 		want         map[string]QueryStats
 	}{
 		{"leaf-48", 48, map[string]QueryStats{
-			"sel01":  {NodesVisited: 303, EntriesScanned: 7610, EntriesPruned: 1040},
-			"sel05":  {NodesVisited: 638, EntriesScanned: 17564, EntriesPruned: 1062, RecordsMatched: 2},
-			"sel25":  {NodesVisited: 1730, EntriesScanned: 50051, EntriesPruned: 588, RecordsMatched: 204},
-			"rollup": {NodesVisited: 1079, EntriesScanned: 31212, EntriesPruned: 934, RecordsMatched: 1432},
-			"region": {NodesVisited: 1672, EntriesScanned: 48333, EntriesPruned: 759, MaterializedHits: 17, RecordsMatched: 9916},
+			"sel01":  {NodesVisited: 291, EntriesScanned: 7346, EntriesPruned: 1081},
+			"sel05":  {NodesVisited: 629, EntriesScanned: 17812, EntriesPruned: 1087, RecordsMatched: 2},
+			"sel25":  {NodesVisited: 1747, EntriesScanned: 51175, EntriesPruned: 582, RecordsMatched: 204},
+			"rollup": {NodesVisited: 1107, EntriesScanned: 31918, EntriesPruned: 931, RecordsMatched: 1432},
+			"region": {NodesVisited: 1688, EntriesScanned: 48622, EntriesPruned: 798, MaterializedHits: 10, RecordsMatched: 10100},
 		}},
 		{"block-filled", 0, map[string]QueryStats{
 			"sel01":  {NodesVisited: 85, EntriesScanned: 11605, EntriesPruned: 187},
@@ -318,9 +332,8 @@ func largestDirectory(t *testing.T, ix *Index) int {
 // Insert visits ÷ those a BulkLoad of the same records visits, and per
 // level of both trees the bytes of the nodes' flat encodings, which
 // LevelStats reports beside the blocks the nodes hold, the values per
-// directory entry, and the fill: a directory level's entries ÷ its
-// capacity, a data level's encoded bytes ÷ its blocks' payload, ~0.65 on the
-// dynamic data level against ~0.99 packed.
+// directory entry, and the fill: a level's encoded bytes ÷ its blocks'
+// payload, ~0.65 on the dynamic data level against ~0.99 packed.
 //
 // The dynamic tree's numbers were re-pinned once, when inserts and splits
 // began to bound directory entries (boundMDS): gaps 2.03 / 2.50 / 2.06 /
@@ -332,15 +345,19 @@ func largestDirectory(t *testing.T, ix *Index) int {
 // data nodes 128 → 85 dynamic and 89 → 56 packed, nodes visited per
 // class 1420 / 3427 / 7317 / 4743 / 8256 → 1100 / 2518 / 5122 / 3134 / 5544
 // dynamic and 859 / 1802 / 4782 / 2598 / 4623 → 743 / 1390 / 3228 / 2098 /
-// 3299 packed.
+// 3299 packed. The dynamic tree was re-pinned when a directory began to
+// overflow by its bytes instead of at 24 entries: visits 1100 / 2518 / 5122
+// / 3134 / 5544 → 1080 / 2475 / 5039 / 3087 / 5469, four level-1
+// directories instead of five; every fill since counts bytes (the
+// directories' 5/24 and 85/120 → 592 and 12,269 bytes of their blocks).
 func TestGoldenShapeGap(t *testing.T) {
 	g := newShapeGap(t, 15000)
 	g.check(t, map[string]gapVisits{
-		"sel01":  {1100, 743, "1.48"},
-		"sel05":  {2518, 1390, "1.81"},
-		"sel25":  {5122, 3228, "1.59"},
-		"rollup": {3134, 2098, "1.49"},
-		"region": {5544, 3299, "1.68"},
+		"sel01":  {1080, 743, "1.45"},
+		"sel05":  {2475, 1390, "1.78"},
+		"sel25":  {5039, 3228, "1.56"},
+		"rollup": {3087, 2098, "1.47"},
+		"region": {5469, 3299, "1.66"},
 	})
 	if largest := largestDirectory(t, g.dynamic); largest > testBlockPayload {
 		t.Errorf("the dynamic tree's largest directory encodes to %d bytes, past a block's %d", largest, testBlockPayload)
@@ -351,13 +368,13 @@ func TestGoldenShapeGap(t *testing.T) {
 		want []LevelStat
 	}{
 		"dynamic": {g.dynamic, []LevelStat{
-			{Level: 0, Nodes: 1, Entries: 5, AvgEntries: 5, AvgBlocks: 1, EncodedBytes: 801, MaxEncodedBytes: 801, AvgEntryValues: 130.0 / 5, Fill: 5.0 / 24},
-			{Level: 1, Nodes: 5, Entries: 85, AvgEntries: 17, AvgBlocks: 1, EncodedBytes: 12293, MaxEncodedBytes: 3963, AvgEntryValues: 1935.0 / 85, Fill: 85.0 / (5 * 24)},
+			{Level: 0, Nodes: 1, Entries: 4, AvgEntries: 4, AvgBlocks: 1, EncodedBytes: 592, MaxEncodedBytes: 592, AvgEntryValues: 91.0 / 4, Fill: 592.0 / testBlockPayload},
+			{Level: 1, Nodes: 4, Entries: 85, AvgEntries: 85.0 / 4, AvgBlocks: 1, EncodedBytes: 12269, MaxEncodedBytes: 3963, AvgEntryValues: 1935.0 / 85, Fill: 12269.0 / (4 * testBlockPayload)},
 			{Level: 2, Nodes: 85, Entries: 15000, AvgEntries: 15000.0 / 85, AvgBlocks: 1, EncodedBytes: 227040, MaxEncodedBytes: 3969, Fill: 227040.0 / (85 * testBlockPayload)},
 		}},
 		"packed": {g.packed, []LevelStat{
-			{Level: 0, Nodes: 1, Entries: 3, AvgEntries: 3, AvgBlocks: 1, EncodedBytes: 667, MaxEncodedBytes: 667, AvgEntryValues: 121.0 / 3, Fill: 3.0 / 24},
-			{Level: 1, Nodes: 3, Entries: 56, AvgEntries: 56.0 / 3, AvgBlocks: 1, EncodedBytes: 9260, MaxEncodedBytes: 3960, AvgEntryValues: 1555.0 / 56, Fill: 56.0 / (3 * 24)},
+			{Level: 0, Nodes: 1, Entries: 3, AvgEntries: 3, AvgBlocks: 1, EncodedBytes: 667, MaxEncodedBytes: 667, AvgEntryValues: 121.0 / 3, Fill: 667.0 / testBlockPayload},
+			{Level: 1, Nodes: 3, Entries: 56, AvgEntries: 56.0 / 3, AvgBlocks: 1, EncodedBytes: 9260, MaxEncodedBytes: 3960, AvgEntryValues: 1555.0 / 56, Fill: 9260.0 / (3 * testBlockPayload)},
 			{Level: 2, Nodes: 56, Entries: 15000, AvgEntries: 15000.0 / 56, AvgBlocks: 1, EncodedBytes: 226344, MaxEncodedBytes: 4074, Fill: 226344.0 / (56 * testBlockPayload)},
 		}},
 	} {
@@ -395,28 +412,34 @@ func TestGoldenShapeGap(t *testing.T) {
 // change re-pinned the gaps (1.87 / 1.68 / 1.66 / 2.08 / 1.97 → 2.06 / 1.68
 // / 1.62 / 2.30 / 2.04, on visits cut by a quarter to a third on both
 // trees) and the fill: the dynamic tree 905 → 560 data nodes under 60 → 33
-// directories, the packed one 592 → 371 data nodes, one level lower.
+// directories, the packed one 592 → 371 data nodes, one level lower. Since
+// a directory overflows by its bytes, that 4,144-byte directory is a
+// supernode of two blocks, and the pin became the bound: every directory of
+// both trees fits its blocks. That change re-pinned the gaps again (2.06 /
+// 1.68 / 1.62 / 2.30 / 2.04 → 2.07 / 1.69 / 1.62 / 2.34 / 2.06; the
+// dynamic tree 560 → 561 data nodes under 33 → 31 directories, the packed
+// one 16 → 13 level-1 directories) and the fill, which counts bytes on
+// every level now.
 func TestGoldenShapeGap100k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds two trees of 100k records")
 	}
 	g := newShapeGap(t, 100000)
 	g.check(t, map[string]gapVisits{
-		"sel01":  {3338, 1623, "2.06"},
-		"sel05":  {10376, 6182, "1.68"},
-		"sel25":  {28038, 17349, "1.62"},
-		"rollup": {13827, 6000, "2.30"},
-		"region": {28209, 13850, "2.04"},
+		"sel01":  {3332, 1611, "2.07"},
+		"sel05":  {10331, 6117, "1.69"},
+		"sel25":  {27901, 17194, "1.62"},
+		"rollup": {13783, 5878, "2.34"},
+		"region": {28106, 13663, "2.06"},
 	})
-	if got, want := largestDirectory(t, g.dynamic), 4144; got != want {
-		t.Errorf("the dynamic tree's largest directory encodes to %d bytes, pinned %d", got, want)
-	}
+	checkDirectoriesFit(t, g.dynamic)
+	checkDirectoriesFit(t, g.packed)
 	for name, tc := range map[string]struct {
 		ix   *Index
 		fill []float64
 	}{
-		"dynamic": {g.dynamic, []float64{2.0 / 24, 33.0 / (2 * 24), 560.0 / (33 * 24), 1513440.0 / (560 * testBlockPayload)}},
-		"packed":  {g.packed, []float64{16.0 / 24, 371.0 / (16 * 24), 1508904.0 / (371 * testBlockPayload)}},
+		"dynamic": {g.dynamic, []float64{246.0 / testBlockPayload, 4911.0 / (2 * testBlockPayload), 86129.0 / (32 * testBlockPayload), 1513464.0 / (561 * testBlockPayload)}},
+		"packed":  {g.packed, []float64{2673.0 / testBlockPayload, 48875.0 / (13 * testBlockPayload), 1508904.0 / (371 * testBlockPayload)}},
 	} {
 		levels, err := levelStats(tc.ix)
 		if err != nil {

@@ -34,16 +34,18 @@ import (
 //
 // If no dimension yields an acceptable split, the node becomes (or grows
 // as) a supernode; at the supernode cap, or with supernodes disabled, the
-// best partition seen so far is forced instead.
+// best partition seen so far is forced instead. A directory of two entries
+// always grows: split, it would hand its parent two covers of them, which
+// overflow there as they do here.
 //
 // Everything up to the chosen partition lives in the tree's write scratch
 // (splitScratch); buildSplit copies out what the tree keeps.
 func (ix *Index) splitNode(n *Node, nodeMDS mds.MDS) (insertResult, error) {
 	total := n.Count()
-	minFill := int(ix.cfg.MinFillRatio * float64(total))
-	if minFill < 1 {
-		minFill = 1
+	if !n.leaf && total <= 2 {
+		return ix.grow(n), nil
 	}
+	minFill := max(1, int(ix.cfg.MinFillRatio*float64(total)))
 	space := ix.space()
 	ss := &ix.ws.split
 	ss.reset()
@@ -87,27 +89,31 @@ func (ix *Index) splitNode(n *Node, nodeMDS mds.MDS) (insertResult, error) {
 	}
 
 	// No acceptable split in any dimension (Fig. 5: "Create supernode").
-	mayGrow := n.blocks < ix.cfg.MaxSupernodeBlocks
+	// A missing fallback cannot happen with ≥ 2 entries, but guard by
+	// growing anyway.
 	fb := &ss.fallback
-	if mayGrow || !fb.ok {
-		// A missing fallback cannot happen with ≥ 2 entries, but guard by
-		// growing anyway.
-		if n.blocks == 1 {
-			ix.c.supernodeCreated.Inc()
-		} else {
-			ix.c.supernodeGrown.Inc()
-		}
-		// One block more holds the entry or row that overflowed. A
-		// block-filled data node whose rows a wider code widened may need
-		// more: it takes the blocks its bytes need.
-		n.blocks++
-		if n.leaf && ix.cfg.LeafCapacity == 0 {
-			n.blocks = max(n.blocks, ix.nodeBlocks(n))
-		}
-		return insertResult{}, nil
+	if n.blocks < ix.cfg.MaxSupernodeBlocks || !fb.ok {
+		return ix.grow(n), nil
 	}
 	ix.c.splitsForced.Inc()
 	return ix.buildSplit(n, fb.g[0], fb.g[1], fb.cov[0], fb.cov[1])
+}
+
+// grow makes an overflowing node a supernode, or a supernode one block
+// larger. One block more holds the entry or row that overflowed. A node
+// filled by its bytes may need more — a directory entry that grew, data
+// rows a wider code widened — and takes the blocks its bytes need.
+func (ix *Index) grow(n *Node) insertResult {
+	if n.blocks == 1 {
+		ix.c.supernodeCreated.Inc()
+	} else {
+		ix.c.supernodeGrown.Inc()
+	}
+	n.blocks++
+	if !n.leaf || ix.cfg.LeafCapacity == 0 {
+		n.blocks = max(n.blocks, ix.nodeBlocks(n))
+	}
+	return insertResult{}
 }
 
 // splitScratch is the workspace of one splitNode call. The entries'
@@ -959,9 +965,9 @@ func groupOverlapRatio(space mds.Space, cov1, cov2 mds.MDS) (float64, error) {
 func (ix *Index) buildSplit(n *Node, g1, g2 []int, cov1, cov2 mds.MDS) (insertResult, error) {
 	measures := ix.schema.Measures()
 
-	// A group of a data node's rows can still overflow one block when a
-	// wider code widened them all: it takes the blocks its bytes need, as a
-	// supernode does.
+	// A group can still overflow one block — a directory's entries by their
+	// bytes, a data node's rows when a wider code widened them all: it takes
+	// the blocks its bytes need, as a supernode does.
 	sibling := ix.store.New(n.leaf)
 	sibling.take(n, g2)
 	n.take(n, g1)

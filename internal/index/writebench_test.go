@@ -17,9 +17,9 @@ const splitBenchRecords = 20000
 // BenchmarkSplit times splitNode — adaptation, the hierarchy split of every
 // candidate tried and buildSplit — on overflowing nodes of one and of four
 // blocks: data nodes of TPC-D rows, of 48 rows a block and block-filled,
-// and directories of entries that describe data nodes of a grown tree (of
-// 48-row data nodes, so the directory cases keep PR 23's inputs). Each
-// node's MDS is what a node of that content carries: the cover at the top
+// and directories, filled past their blocks' bytes, of entries that
+// describe data nodes of a grown tree (of 48-row data nodes). Each node's
+// MDS is what a node of that content carries: the cover at the top
 // named levels, refined. Beside ns/op it reports how many of the k(k-1)/2
 // seed pairs the search evaluated in the candidate the split accepted.
 func BenchmarkSplit(b *testing.B) {
@@ -58,23 +58,20 @@ func BenchmarkSplit(b *testing.B) {
 		{"leaf-193", true, 48, 4},
 		{"leaf-filled", true, 0, 1},
 		{"leaf-filled-4", true, 0, 4},
-		{"dir-25", false, 48, 1},
-		{"dir-97", false, 48, 4},
+		{"dir-filled", false, 48, 1},
+		{"dir-filled-4", false, 48, 4},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			tree.cfg.LeafCapacity = bc.rows
 			n := tree.store.New(bc.leaf)
 			n.blocks = bc.blocks
-			if bc.leaf {
-				// Rows until the node overflows its blocks by one.
-				for _, r := range recs {
-					n.appendRecord(r)
-					if tree.nodeBlocks(n) > bc.blocks {
-						break
-					}
+			// Rows or entries until the node overflows its blocks by one.
+			for i := 0; tree.nodeBlocks(n) <= bc.blocks; i++ {
+				if bc.leaf {
+					n.appendRecord(recs[i])
+				} else {
+					n.entries = append(n.entries, lowDirEntries[i])
 				}
-			} else {
-				n.entries = append(n.entries, lowDirEntries[:bc.blocks*tree.cfg.DirCapacity+1]...)
 			}
 			var buf mds.CoverBuf
 			m, err := mds.CoverInto(&buf, tree.space(), tree.ws.top, tree.ws.entryMDSs(n))

@@ -95,10 +95,6 @@ func (it *ViewIter) Next() (v DimView, ok bool) {
 	return v, true
 }
 
-// Rem returns the number of unconsumed bytes. After Dims successful Next
-// calls on a well-formed single-MDS buffer it is 0.
-func (it *ViewIter) Rem() int { return len(it.b) - it.off }
-
 // AppendDecode parses an MDS from the front of buf like Decode, but carves
 // the result out of the caller's arenas: dimension sets are appended to
 // *dims and ID values to *ids, and the returned MDS (plus each DimSet.IDs)

@@ -119,9 +119,6 @@ func (s *FaultStore) Fired() bool {
 	return s.fired
 }
 
-// Inner returns the wrapped store (tests snapshot its file directly).
-func (s *FaultStore) Inner() Store { return s.inner }
-
 // step counts one operation and decides whether the fault fires on it.
 // It returns the active mode when this op must fail (or tear), FailNone
 // otherwise.

@@ -170,10 +170,10 @@ func TestThreeSystemsAgree(t *testing.T) {
 	}
 	recs := g.Records(3000)
 
-	// DC-tree.
+	// DC-tree, on 1 KiB blocks: directories of the few entries their bytes
+	// fit.
 	cfg := core.DefaultConfig()
 	cfg.BlockSize = 1024
-	cfg.DirCapacity = 8
 	cfg.LeafCapacity = 12
 	dc, err := core.New(storage.NewMemStore(cfg.BlockSize), g.Schema(), cfg)
 	if err != nil {
