@@ -166,10 +166,10 @@ const (
 )
 
 // DefaultConfig returns the configuration used throughout the paper
-// reproduction (4 KiB blocks, 24 entries per directory, data nodes of as
-// many rows as one block holds at the byte widths their codes need: 270 on
-// the TPC-D cube at the benchmark's scales; 35 % minimum fill, 20 % maximum
-// split overlap).
+// reproduction (4 KiB blocks; directories of as many entries as one block's
+// bytes hold, some 25 on the TPC-D cube, and data nodes of as many rows as
+// one block holds at the byte widths their codes need, 270 at the
+// benchmark's scales; 35 % minimum fill, 20 % maximum split overlap).
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // NewHierarchy declares a dimension's concept hierarchy. Level names are

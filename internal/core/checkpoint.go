@@ -101,8 +101,10 @@ func (t *Tree) captureLocked() (*ckptCapture, error) {
 			continue
 		}
 		payload := t.ix.Encode(n)
-		// A supernode occupies its full logical extent.
-		need := max(n.Blocks(), storage.BlocksFor(t.cfg.BlockSize, len(payload)))
+		need := storage.BlocksFor(t.cfg.BlockSize, len(payload))
+		if need < n.Blocks() {
+			need = n.Blocks() // supernodes occupy their full logical extent
+		}
 		cn := ckptNode{id: e.id, seq: e.seq, payload: payload, need: need}
 		if old, ok := t.table[e.id]; ok {
 			cn.old, cn.hasOld = old, true

@@ -29,13 +29,12 @@ import (
 type Config struct {
 	// BlockSize is the size of one storage block in bytes. Nodes occupy
 	// one block; supernodes occupy consecutive multiples of it. It also
-	// sizes the nodes: a directory holds the entries whose encoding — MDSs
-	// of variable size, aggregates, children — fits its blocks' extents,
-	// and under a zero LeafCapacity (the default) a data node the rows
-	// whose encoding — each code at the byte width its dimension's largest
-	// code needs — fits one block's extent, 270 TPC-D rows at the default
-	// 4 KiB at the benchmark's scales. The meta blob persists LeafCapacity
-	// as set, so a tree reopens under the rule it was built with.
+	// sizes the nodes: a node holds what its encoding fits in one block's
+	// extent — a directory's entries, whose MDSs vary in size, and under a
+	// zero LeafCapacity (the default) a data node's rows, each code at the
+	// byte width its dimension's largest code needs: 270 TPC-D rows at the
+	// default 4 KiB at the benchmark's scales. The meta blob persists
+	// LeafCapacity as set, so a tree reopens under the rule it was built with.
 	BlockSize int
 
 	// Config holds the knobs of the paper's algorithms (LeafCapacity …

@@ -19,13 +19,12 @@ import (
 // logical-node translation table.
 
 // One layout is written and read, under the magic "DCMETA10"; every word
-// of it is a field decodeMeta keeps but the config's second, the retired
-// directory capacity: written 0, skipped on read. A blob of an earlier
-// generation ("DCMETA01"–"09": other node encodings, other words) is
-// refused by its magic, undecoded. "DCMETA09" wrote every data-node code in
-// 4 bytes and persisted the resolved row count of a block-filled data node;
-// "DCMETA10" writes each at its dimension's width and persists LeafCapacity
-// as set.
+// of it but the retired directory capacity is a field decodeMeta keeps. A
+// blob of an earlier generation ("DCMETA01"–"09": other node encodings,
+// other words) is refused by its magic, undecoded. "DCMETA09" wrote every
+// data-node code in 4 bytes and persisted the resolved row count of a
+// block-filled data node; "DCMETA10" writes each at its dimension's width
+// and persists LeafCapacity as set.
 const metaMagic = "DCMETA10"
 
 // metaFlags is the config flags byte every blob is written with: bit 1,
@@ -103,7 +102,7 @@ func (t *Tree) encodeMeta(snap metaSnapshot) ([]byte, error) {
 
 	// Config.
 	buf = binary.AppendUvarint(buf, uint64(t.cfg.BlockSize))
-	buf = append(buf, 0) // the retired directory capacity
+	buf = append(buf, 0) // the retired directory capacity, skipped on read
 	buf = binary.AppendUvarint(buf, uint64(t.cfg.LeafCapacity))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.cfg.MinFillRatio))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.cfg.MaxOverlapRatio))
@@ -445,7 +444,9 @@ func (t *Tree) rehydrateVersions(manifests []versionManifest, deferred []storage
 		}
 		v.pinCount.Store(int64(len(v.pinned)))
 		t.versions[m.id] = v
-		t.versionSeq = max(t.versionSeq, m.id)
+		if m.id > t.versionSeq {
+			t.versionSeq = m.id
+		}
 		t.metrics.versionsRehydrated.Inc()
 	}
 	for _, e := range deferred {

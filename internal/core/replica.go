@@ -108,7 +108,9 @@ func (t *Tree) ApplyReplicated(epoch, lsn uint64, payload []byte) error {
 	if epoch < t.epoch {
 		return fmt.Errorf("%w: record epoch %d below replica epoch %d (lsn %d)", ErrFenced, epoch, t.epoch, lsn)
 	}
-	t.epoch = epoch
+	if epoch > t.epoch {
+		t.epoch = epoch
+	}
 	if _, err := t.applyRecordLocked(lsn, payload); err != nil {
 		return err
 	}

@@ -350,7 +350,9 @@ func (t *Tree) snapshotLocked(versionID, lsn uint64) (*Version, error) {
 		}
 		v.lsn = recLSN
 	}
-	t.versionSeq = max(t.versionSeq, versionID)
+	if versionID > t.versionSeq {
+		t.versionSeq = versionID
+	}
 
 	// Registry collision: a live version with the same number is possible
 	// on the replica re-capture path (a restarted follower replaying a
@@ -450,7 +452,9 @@ func (t *Tree) PruneVersionsPolicy(r VersionRetention) []uint64 {
 		if err != nil {
 			continue // raced with an explicit Release; nothing to do
 		}
-		maxLSN = max(maxLSN, lsn)
+		if lsn > maxLSN {
+			maxLSN = lsn
+		}
 		pruned = append(pruned, vi.ID)
 	}
 	if len(pruned) > 0 {

@@ -242,7 +242,9 @@ func (ws *walState) syncLocked() {
 				ws.m.walBatchMax.Set(batch)
 			}
 		}
-		ws.durableLSN = max(ws.durableLSN, covered)
+		if covered > ws.durableLSN {
+			ws.durableLSN = covered
+		}
 	}
 	ws.ackCond.Broadcast()
 }
@@ -319,7 +321,9 @@ func (ws *walState) checkpointDone(lsn uint64) {
 		_, _ = ws.w.Sync()
 	}
 	ws.mu.Lock()
-	ws.durableLSN = max(ws.durableLSN, lsn)
+	if lsn > ws.durableLSN {
+		ws.durableLSN = lsn
+	}
 	ws.ackCond.Broadcast()
 	ws.mu.Unlock()
 }

@@ -112,13 +112,10 @@ func (ix *Index) sortRecords(recs []cube.Record) ([]int, error) {
 }
 
 // pack builds one level of full nodes of the given kind over count sorted
-// children, in order, and returns the entries that reference them: a node
-// takes children while its encoding, with the next one added, still fits
-// one block. It takes two whatever their bytes, so that every level is
-// smaller than the one below, and then the blocks they need. size(n, i) is
-// n's encoded size once child i joins it; add(n, i) adds child i to n. A
-// node is described as the split path describes one: its exact cover at
-// the coarsest levels, refined.
+// children, in order, and returns the entries that reference them, each
+// described as a split describes a node: a node takes children while its
+// encoding, with the next one added (size(n, i) long), still fits one
+// block, and at least two, in the blocks they need. add(n, i) adds child i.
 func (ix *Index) pack(leaf bool, count int, size func(n *Node, i int) int, add func(n *Node, i int)) ([]Entry, error) {
 	measures, ws := ix.schema.Measures(), ix.ws
 	var level []Entry

@@ -115,8 +115,7 @@ func (ix *Index) insertInto(id NodeID, nodeMDS mds.MDS, rc *recContext) (insertR
 	} else if contained {
 		return insertResult{}, nil
 	}
-	// An entry was added or grew: the node overflows once its encoding
-	// passes its blocks.
+	// An entry was added or grew: the node may overflow its blocks.
 	if ix.nodeBlocks(n) <= n.blocks {
 		return insertResult{}, nil
 	}

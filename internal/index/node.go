@@ -187,12 +187,11 @@ func (n *Node) take(src *Node, group []int) {
 }
 
 // fill is the one overflow rule: what a node of the given kind, entry count
-// and encoded size fills, and what one block holds of it. A node fills the
-// one-block payload with the bytes of its encoding — a directory's entries
-// are as long as their MDSs (§3.2), a data node's rows as wide as their
-// codes — unless a nonzero LeafCapacity caps a data node's rows instead. A
-// supernode holds its blocks' worth (§4.2: "directory node capacity
-// multiplied by the number of blocks of the supernode").
+// and encoded size fills, and what one block holds of it — the bytes of its
+// encoding against the one-block payload, or a data node's rows against a
+// nonzero LeafCapacity. A supernode holds its blocks' worth (§4.2:
+// "directory node capacity multiplied by the number of blocks of the
+// supernode").
 func (ix *Index) fill(leaf bool, count, size int) (used, perBlock int) {
 	if leaf && ix.cfg.LeafCapacity > 0 {
 		return count, ix.cfg.LeafCapacity

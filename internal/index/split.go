@@ -34,23 +34,27 @@ import (
 //
 // If no dimension yields an acceptable split, the node becomes (or grows
 // as) a supernode; at the supernode cap, or with supernodes disabled, the
-// best partition seen so far is forced instead. A directory of two entries
-// always grows: split, it would hand its parent two covers of them, which
-// overflow there as they do here.
+// best partition seen so far is forced instead.
 //
 // Everything up to the chosen partition lives in the tree's write scratch
 // (splitScratch); buildSplit copies out what the tree keeps.
 func (ix *Index) splitNode(n *Node, nodeMDS mds.MDS) (insertResult, error) {
 	total := n.Count()
-	if !n.leaf && total <= 2 {
-		return ix.grow(n), nil
+	minFill := int(ix.cfg.MinFillRatio * float64(total))
+	if minFill < 1 {
+		minFill = 1
 	}
-	minFill := max(1, int(ix.cfg.MinFillRatio*float64(total)))
 	space := ix.space()
 	ss := &ix.ws.split
 	ss.reset()
 
-	for _, dim := range ix.splitDimensionOrder(nodeMDS) {
+	// A directory of two entries tries no dimension and grows: split, it
+	// would hand its parent two covers that overflow there as here.
+	dims := ix.splitDimensionOrder(nodeMDS)
+	if !n.leaf && total <= 2 {
+		dims = nil
+	}
+	for _, dim := range dims {
 		// The split dimension's relevant level decreases as far as needed:
 		// on uniform data the coarse levels saturate (every subtree covers
 		// every region, every brand, ...) and separation only exists at
@@ -89,31 +93,28 @@ func (ix *Index) splitNode(n *Node, nodeMDS mds.MDS) (insertResult, error) {
 	}
 
 	// No acceptable split in any dimension (Fig. 5: "Create supernode").
-	// A missing fallback cannot happen with ≥ 2 entries, but guard by
-	// growing anyway.
+	mayGrow := n.blocks < ix.cfg.MaxSupernodeBlocks
 	fb := &ss.fallback
-	if n.blocks < ix.cfg.MaxSupernodeBlocks || !fb.ok {
-		return ix.grow(n), nil
+	if mayGrow || !fb.ok {
+		// Only a directory of two entries has no fallback: it grows
+		// whatever the cap.
+		if n.blocks == 1 {
+			ix.c.supernodeCreated.Inc()
+		} else {
+			ix.c.supernodeGrown.Inc()
+		}
+		// One block more holds the entry or row that overflowed. A node
+		// filled by its bytes may need more — a directory entry that grew,
+		// data rows a wider code widened: it takes the blocks its bytes
+		// need.
+		n.blocks++
+		if !n.leaf || ix.cfg.LeafCapacity == 0 {
+			n.blocks = max(n.blocks, ix.nodeBlocks(n))
+		}
+		return insertResult{}, nil
 	}
 	ix.c.splitsForced.Inc()
 	return ix.buildSplit(n, fb.g[0], fb.g[1], fb.cov[0], fb.cov[1])
-}
-
-// grow makes an overflowing node a supernode, or a supernode one block
-// larger. One block more holds the entry or row that overflowed. A node
-// filled by its bytes may need more — a directory entry that grew, data
-// rows a wider code widened — and takes the blocks its bytes need.
-func (ix *Index) grow(n *Node) insertResult {
-	if n.blocks == 1 {
-		ix.c.supernodeCreated.Inc()
-	} else {
-		ix.c.supernodeGrown.Inc()
-	}
-	n.blocks++
-	if !n.leaf || ix.cfg.LeafCapacity == 0 {
-		n.blocks = max(n.blocks, ix.nodeBlocks(n))
-	}
-	return insertResult{}
 }
 
 // splitScratch is the workspace of one splitNode call. The entries'
