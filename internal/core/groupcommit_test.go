@@ -353,8 +353,8 @@ func TestGroupCommitCheckpointCoverageFlushesLog(t *testing.T) {
 	}
 }
 
-// imageBlockSize is the Config.BlockSize the crash images under testdata
-// were written at.
+// imageBlockSize is the Config.BlockSize the crash images testdata/format-10
+// and testdata/parent-pr12 were written at.
 const imageBlockSize = 1024
 
 // TestRecoveryOfParentWrittenImage is the golden file of the one surviving

@@ -80,9 +80,9 @@ func TestEntryBoundHolds(t *testing.T) {
 	}{
 		{"tpcd/block-filled", true, DefaultConfig(), testBlockPayload, false},
 		{"tpcd/leaf-12", true, leaf12, testBlockPayload, false},
-		{"tpcd/small-dir-supernodes", true, supernodes, smallDirPayload, true},
-		{"test/small", false, smallConfig(), smallBlockPayload, false},
-		{"test/small-bound-4", false, lowBound, smallBlockPayload, false},
+		{"tpcd/small-dir-supernodes", true, supernodes, payload1K, true},
+		{"test/small", false, smallConfig(), payload512, false},
+		{"test/small-bound-4", false, lowBound, payload512, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			schema, recs := gen.Schema(), tpcdRecs[:ops]

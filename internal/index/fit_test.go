@@ -37,9 +37,10 @@ func checkDirectoriesFit(t *testing.T, ix *Index) (directories int) {
 // entries: after a stream of inserts and deletes and after a BulkLoad of the
 // same records, every directory encodes to at most its blocks × the
 // payload. Validate enforces the same bound: the trees pass it, and fail it
-// read as if their blocks were half as large.
+// read as if their blocks were half as large (and their data nodes capped
+// by rows that they hold, so that only directories can fail).
 func TestDirectoryFitsItsBlocks(t *testing.T) {
-	const n, payload = 6000, 1024 - 12 // storage.ExtentCapacity(1024, 1)
+	const n, payload = 6000, payload1K
 	gen, err := tpcd.New(5, tpcd.ScaleFor(n))
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +69,9 @@ func TestDirectoryFitsItsBlocks(t *testing.T) {
 		if err := validate(ix); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		half := Restore(ix.schema, ix.cfg, ix.store, ix.Head(), payload/2)
+		cfg := ix.cfg
+		cfg.LeafCapacity = n
+		half := Restore(ix.schema, cfg, ix.store, ix.Head(), payload/2)
 		if err := half.Validate(ix.store.(*memNodes), ix.Head()); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s on half the payload: Validate = %v, want the overflow reported", name, err)
 		}

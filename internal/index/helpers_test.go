@@ -78,15 +78,10 @@ func flatOf(id NodeID, n *Node, dims, measures int) FlatNode {
 // (storage.ExtentCapacity(4096, 1), which this package cannot import).
 const testBlockPayload = 4096 - 12
 
-// smallBlockPayload is the one-block payload of a 512-byte block
-// (storage.ExtentCapacity(512, 1)): a directory of the test schema holds a
-// handful of entries, so that small trees split directories too.
-const smallBlockPayload = 512 - 12
-
-// smallDirPayload is the one-block payload of a 1 KiB block
-// (storage.ExtentCapacity(1024, 1)): a TPC-D directory holds a handful of
-// entries.
-const smallDirPayload = 1024 - 12
+// payload512 and payload1K are the one-block payloads of 512-byte and 1 KiB
+// blocks (storage.ExtentCapacity): directories of a handful of entries, of
+// the test schema and of TPC-D, so that small trees split directories too.
+const payload512, payload1K = 512 - 12, 1024 - 12
 
 // newBareIndex creates an empty index over a fresh memNodes, on blocks of
 // the default size as core.New does.
@@ -135,7 +130,7 @@ func genRecords(t testing.TB, s *cube.Schema, rng *rand.Rand, n int) []cube.Reco
 }
 
 // smallConfig forces frequent splits so even small tests exercise the full
-// machinery: data nodes of 8 rows, and on blocks of smallBlockPayload,
+// machinery: data nodes of 8 rows, and on blocks of payload512,
 // directories of a few entries.
 func smallConfig() Config {
 	cfg := DefaultConfig()

@@ -188,7 +188,7 @@ func TestChooseSubtreeMatchesReference(t *testing.T) {
 	unbounded.RefineBound = -1
 	for name, cfg := range map[string]Config{"weighted": smallConfig(), "unbounded": unbounded} {
 		t.Run(name, func(t *testing.T) {
-			tree, recs := kernelTestTree(t, cfg, smallBlockPayload, 51)
+			tree, recs := kernelTestTree(t, cfg, payload512, 51)
 			nodes, _ := allNodes(t, tree)
 			long := 0
 			for _, n := range nodes {
@@ -354,7 +354,7 @@ func TestContainingInsertStillBounds(t *testing.T) {
 }
 
 func TestRecContextMatchesMDS(t *testing.T) {
-	tree, recs := kernelTestTree(t, smallConfig(), smallBlockPayload, 52)
+	tree, recs := kernelTestTree(t, smallConfig(), payload512, 52)
 	space := tree.space()
 	nodes, _ := allNodes(t, tree)
 	for _, rec := range recs[1100:1300] {
@@ -394,7 +394,7 @@ func TestDescribeMatchesReference(t *testing.T) {
 	for name, tc := range map[string]struct {
 		cfg     Config
 		payload int
-	}{"small": {smallConfig(), smallBlockPayload}, "block-filled": {DefaultConfig(), testBlockPayload}} {
+	}{"small": {smallConfig(), payload512}, "block-filled": {DefaultConfig(), testBlockPayload}} {
 		t.Run(name, func(t *testing.T) {
 			tree, _ := kernelTestTree(t, tc.cfg, tc.payload, 53)
 			if tree.Height() < 2 {

@@ -165,7 +165,7 @@ func TestPostingsMatchContains(t *testing.T) {
 	}
 
 	t.Run("insert-delete", func(t *testing.T) {
-		ix, nodes := newBareIndexAt(t, testSchema(t), smallConfig(), smallBlockPayload)
+		ix, nodes := newBareIndexAt(t, testSchema(t), smallConfig(), payload512)
 		rng := rand.New(rand.NewSource(41))
 		recs := genRecords(t, ix.schema, rng, 3003)
 		s := newPostingsStream(t, ix, nodes, recs[3000:])
@@ -187,7 +187,7 @@ func TestPostingsMatchContains(t *testing.T) {
 	})
 
 	t.Run("supernodes", func(t *testing.T) {
-		ix, nodes := newBareIndexAt(t, testSchema(t), supernodeConfig(), smallDirPayload)
+		ix, nodes := newBareIndexAt(t, testSchema(t), supernodeConfig(), payload1K)
 		rng := rand.New(rand.NewSource(42))
 		recs := genRecords(t, ix.schema, rng, 4003)
 		s := newPostingsStream(t, ix, nodes, recs[4000:])
@@ -210,7 +210,7 @@ func TestPostingsMatchContains(t *testing.T) {
 
 // supernodeConfig refuses nearly every directory split, so directories —
 // of entries refined to one value a dimension, on blocks of
-// smallDirPayload — grow as supernodes past 64 entries.
+// payload1K — grow as supernodes past 64 entries.
 func supernodeConfig() Config {
 	cfg := smallConfig()
 	cfg.MaxSupernodeBlocks = 32
@@ -224,11 +224,11 @@ func supernodeConfig() Config {
 // every level changes no entry MDS, so it builds nothing, not even later; a
 // data-node split leaves stale only the postings of its parent, the one
 // directory that gained an entry; and seed 1's 15k build
-// (TestGoldenShapeGap's) builds an exact number of tables — 94, re-pinned
-// from 239 when data nodes began to hold the rows their block fits at their
-// codes' byte widths: a third fewer data-node splits, fewer stale tables;
-// 92 since a directory overflows by its bytes, not at 24 entries: one
-// level-1 directory fewer to split.
+// (TestGoldenShapeGap's) builds an exact number of tables — 92. It was 239
+// until data nodes began to hold the rows their block fits at their codes'
+// byte widths (a third fewer data-node splits, fewer stale tables), and 94
+// until a directory overflowed by its bytes, not at 24 entries (one
+// level-1 directory fewer to split).
 func TestPostingBuilds(t *testing.T) {
 	gen, err := tpcd.New(1, tpcd.ScaleFor(15000))
 	if err != nil {
@@ -323,9 +323,9 @@ func FuzzPostings(f *testing.F) {
 		if len(ops) > 1024 {
 			ops = ops[:1024]
 		}
-		cfg, payload := smallConfig(), smallBlockPayload
+		cfg, payload := smallConfig(), payload512
 		if seed&1 == 1 {
-			cfg, payload = supernodeConfig(), smallDirPayload
+			cfg, payload = supernodeConfig(), payload1K
 		}
 		ix, nodes := newBareIndexAt(t, testSchema(t), cfg, payload)
 		recs := genRecords(t, ix.schema, rand.New(rand.NewSource(seed)), len(ops)+2)

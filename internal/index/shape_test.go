@@ -109,7 +109,7 @@ func TestGoldenTreeShape(t *testing.T) {
 			c.LeafCapacity = 12
 			c.MaxSupernodeBlocks = 3
 			c.MaxOverlapRatio = 0.002
-		}, smallDirPayload, "13ac026d8256642722c035fc"},
+		}, payload1K, "13ac026d8256642722c035fc"},
 		{"no-refine", func(c *Config) {
 			c.LeafCapacity = 48
 			c.RefineBound = -1
