@@ -30,9 +30,8 @@ type LevelStat struct {
 	// and an insert searches per entry. 0 on the data level.
 	AvgEntryValues float64
 	// Fill is how full the level keeps its blocks, by the rule that
-	// overflows its nodes: its encoded bytes ÷ its nodes' blocks × the
-	// one-block payload, or, for data nodes under a nonzero LeafCapacity,
-	// its rows ÷ its nodes' blocks × that cap.
+	// overflows its nodes (Index.fill): its encoded bytes, or its rows under
+	// a nonzero LeafCapacity, ÷ its nodes' blocks × what one block holds.
 	Fill float64
 }
 
@@ -96,9 +95,7 @@ func (ix *Index) LevelStats(src Source, h Head) ([]LevelStat, error) {
 //     (up to float rounding in Sum);
 //   - data nodes appear exactly at the bottom level, and every row is a
 //     valid record of the schema;
-//   - no node except the root is empty, and no node overflows its blocks:
-//     its encoding fits its blocks × the one-block payload (its rows its
-//     blocks × a nonzero LeafCapacity);
+//   - no node except the root is empty or overflows its blocks (Index.fill);
 //   - the record count and the root MDS match reality.
 //
 // Validate is the oracle behind the randomized workload tests.
