@@ -432,6 +432,121 @@ func TestRecoveryOfParentWrittenImage(t *testing.T) {
 	checkImage(tree, 156, 8846.27)
 }
 
+// TestParentDirectoriesFitOnOpen: testdata/format-10-dir24 is a crash image
+// of the same generation written under the retired entry-count rule — 24
+// entries a directory at 1 KiB blocks — so both of its level-1 directories
+// encode past their one block's 1,012 bytes (up to 1,646 B), in the live
+// tree and in the version persisted beside it. Taken as written, the image
+// fails Validate; opened, its directories hold the blocks their bytes need,
+// the live tree and the version validate, the log tail replays and the
+// tree takes inserts, and the checkpoint persists the blocks.
+//
+// To regenerate, at the commit before the byte rule: newDurableOnDisk with
+// DefaultConfig at BlockSize 1024, LeafCapacity 8, MaxSupernodeBlocks 8;
+// recs := genRecords(seed 7, 160); insert recs[:120], Snapshot, Flush,
+// insert recs[120:], delete recs[:5]; copyCrashImage without closing.
+func TestParentDirectoriesFitOnOpen(t *testing.T) {
+	dir := copyTestImage(t, "format-10-dir24")
+	storePath, walPrefix := filepath.Join(dir, "store.dc"), filepath.Join(dir, "idx")
+	// asWritten decodes the image's metadata without Open's fitting.
+	asWritten := func() *Tree {
+		st, err := storage.OpenPagedStore(storePath, imageBlockSize, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		meta, err := st.GetMeta()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := decodeMeta(meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree.store = st
+		return tree
+	}
+	raw := asWritten()
+	v, ok := raw.VersionByID(1)
+	if !ok {
+		t.Fatal("fixture holds no version 1")
+	}
+	for what, err := range map[string]error{"live tree": raw.Validate(), "version": v.Validate()} {
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "overflows") {
+			t.Fatalf("fixture's %s as written: %v, want an overflowing directory", what, err)
+		}
+	}
+
+	// Opened without its log, as a checker opens it, the image as written
+	// validates too: the fitting is Open's, not the replay's.
+	st, err := storage.OpenPagedStore(storePath, imageBlockSize, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Open(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.Validate(); err != nil {
+		t.Fatalf("opened without the log: %v", err)
+	}
+	st.Close()
+
+	open := func() (*Tree, *storage.PagedStore) {
+		st, err := storage.OpenPagedStore(storePath, imageBlockSize, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := OpenDurable(st, walPrefix)
+		if err != nil {
+			st.Close()
+			t.Fatalf("OpenDurable: %v", err)
+		}
+		return tree, st
+	}
+	tree, st := open()
+	if got := tree.Metrics().RecoveryReplayedRecords; got != 45 {
+		t.Fatalf("replayed %d records, want the 45 of the tail", got)
+	}
+	check := func(tree *Tree, count int64) {
+		t.Helper()
+		if err := tree.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if tree.Count() != count {
+			t.Fatalf("count %d, want %d", tree.Count(), count)
+		}
+		v, ok := tree.VersionByID(1)
+		if !ok {
+			t.Fatal("version 1 lost")
+		}
+		if err := v.Validate(); err != nil {
+			t.Fatalf("version 1: %v", err)
+		}
+		if v.Count() != 120 {
+			t.Fatalf("version 1 counts %d records, want 120", v.Count())
+		}
+	}
+	check(tree, 155)
+	for _, rec := range genRecords(t, tree.Schema(), rand.New(rand.NewSource(8)), 60) {
+		if err := tree.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(tree, 215)
+	if err := tree.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	if err := asWritten().Validate(); err != nil {
+		t.Fatalf("checkpointed live tree as written: %v", err)
+	}
+	tree, st = open()
+	defer st.Close()
+	defer tree.Close()
+	check(tree, 215)
+}
+
 // waitFor polls cond until it holds, failing the test after ten seconds.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()

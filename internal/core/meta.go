@@ -262,7 +262,30 @@ func Open(store storage.Store) (*Tree, error) {
 	}
 	t.store = store
 	t.viewer, _ = store.(storage.ExtentViewer)
+	if err := t.fitDirectories(); err != nil {
+		return nil, err
+	}
 	return t, nil
+}
+
+// fitDirectories gives each directory of a tree written under the retired
+// entry-count rule the blocks its bytes need (index.FitDirectories), so the
+// tree holds to the byte rule this build writes and validates. A live
+// directory is marked dirty: the next checkpoint persists it. A persisted
+// version's is re-encoded into the version's overlay, at every open, since
+// a version's extents are never rewritten.
+func (t *Tree) fitDirectories() error {
+	live := t.nodes()
+	err := t.ix.FitDirectories(live, t.ix.Head(), live.Get, func(n *index.Node) { live.MarkDirty(n.ID()) })
+	for _, v := range t.versions {
+		if err != nil {
+			break
+		}
+		err = t.ix.FitDirectories(v.nodes(), v.head,
+			func(id nodeID) (*index.Node, error) { return t.readNode(id, v.table) },
+			func(n *index.Node) { v.overlay[n.ID()] = t.ix.Encode(n) })
+	}
+	return err
 }
 
 // decodeMeta parses a metadata blob into a store-less Tree. Split out of

@@ -165,6 +165,35 @@ func Restore(schema *cube.Schema, cfg Config, store Store, h Head, payload int) 
 	return ix
 }
 
+// FitDirectories gives every directory of the tree of head h that
+// overflows its blocks the blocks its bytes need. Only a tree written under
+// the retired entry-count rule has one: that rule held up to 24 entries in
+// one block, whatever their bytes. The directories are viewed through src;
+// one that overflows is taken in heap form from get, given its blocks and
+// handed to fixed, which keeps it. Data nodes are not visited: the format
+// generation that wrote the tree held them to their bytes already.
+func (ix *Index) FitDirectories(src Source, h Head, get func(NodeID) (*Node, error), fixed func(*Node)) error {
+	return walk(src, h.Root, func(nv *NodeView, level int) error {
+		leaf, count, blocks, size := nv.shape()
+		if leaf {
+			return nil
+		}
+		if need := ix.blocksFor(false, count, size); need > blocks {
+			n, err := get(nv.f.id)
+			if err != nil {
+				return err
+			}
+			n.blocks = need
+			n.img.Store(nil)
+			fixed(n)
+		}
+		if level+2 == h.Height {
+			return errSkip // its children are data nodes
+		}
+		return nil
+	})
+}
+
 // Head returns a copy of the head figures, its RootMDS the host's to keep:
 // mutations update the index's own in place.
 func (ix *Index) Head() Head {
