@@ -262,9 +262,7 @@ func Open(store storage.Store) (*Tree, error) {
 	}
 	t.store = store
 	t.viewer, _ = store.(storage.ExtentViewer)
-	if err := t.fitDirectories(); err != nil {
-		return nil, err
-	}
+	t.fitDirectories()
 	return t, nil
 }
 
@@ -274,18 +272,14 @@ func Open(store storage.Store) (*Tree, error) {
 // directory is marked dirty: the next checkpoint persists it. A persisted
 // version's is re-encoded into the version's overlay, at every open, since
 // a version's extents are never rewritten.
-func (t *Tree) fitDirectories() error {
+func (t *Tree) fitDirectories() {
 	live := t.nodes()
-	err := t.ix.FitDirectories(live, t.ix.Head(), live.Get, func(n *index.Node) { live.MarkDirty(n.ID()) })
+	t.ix.FitDirectories(live, t.ix.Head(), live.Get, func(n *index.Node) { live.MarkDirty(n.ID()) })
 	for _, v := range t.versions {
-		if err != nil {
-			break
-		}
-		err = t.ix.FitDirectories(v.nodes(), v.head,
+		t.ix.FitDirectories(v.nodes(), v.head,
 			func(id nodeID) (*index.Node, error) { return t.readNode(id, v.table) },
 			func(n *index.Node) { v.overlay[n.ID()] = t.ix.Encode(n) })
 	}
-	return err
 }
 
 // decodeMeta parses a metadata blob into a store-less Tree. Split out of

@@ -171,27 +171,36 @@ func Restore(schema *cube.Schema, cfg Config, store Store, h Head, payload int) 
 // one block, whatever their bytes. The directories are viewed through src;
 // one that overflows is taken in heap form from get, given its blocks and
 // handed to fixed, which keeps it. Data nodes are not visited: the format
-// generation that wrote the tree held them to their bytes already.
-func (ix *Index) FitDirectories(src Source, h Head, get func(NodeID) (*Node, error), fixed func(*Node)) error {
-	return walk(src, h.Root, func(nv *NodeView, level int) error {
+// generation that wrote the tree held them to their bytes already. A node
+// that cannot be read is left as it is, for the walk that reads it next to
+// report.
+func (ix *Index) FitDirectories(src Source, h Head, get func(NodeID) (*Node, error), fixed func(*Node)) {
+	var frames []NodeView
+	var fit func(id NodeID, level int)
+	fit = func(id NodeID, level int) {
+		if level == len(frames) {
+			frames = append(frames, NodeView{})
+		}
+		nv := &frames[level]
+		if src.View(id, nv) != nil || nv.CheckTable() != nil {
+			return
+		}
 		leaf, count, blocks, size := nv.shape()
 		if leaf {
-			return nil
+			return
 		}
 		if need := ix.blocksFor(false, count, size); need > blocks {
-			n, err := get(nv.f.id)
-			if err != nil {
-				return err
+			if n, err := get(id); err == nil {
+				n.blocks = need
+				n.img.Store(nil)
+				fixed(n)
 			}
-			n.blocks = need
-			n.img.Store(nil)
-			fixed(n)
 		}
-		if level+2 == h.Height {
-			return errSkip // its children are data nodes
+		for i := 0; level+2 < h.Height && i < count; i++ {
+			fit(nv.f.Child(i), level+1)
 		}
-		return nil
-	})
+	}
+	fit(h.Root, 0)
 }
 
 // Head returns a copy of the head figures, its RootMDS the host's to keep:
