@@ -3,6 +3,7 @@ package index
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/dcindex/dctree/internal/cube"
@@ -40,8 +41,8 @@ func (ix *Index) BulkLoad(recs []cube.Record) error {
 	// The data level takes the sorted records; every level above, the
 	// entries of the one below.
 	dims, measures := ix.schema.Dims(), ix.schema.Measures()
-	level, err := ix.pack(true, len(order),
-		func(n *Node, i int) int { return leafSize(dims, n.Count()+1, n.rowSize(recs[order[i]].Coords)) },
+	level, err := ix.pack(true, len(order), math.MaxInt,
+		func(n *Node, _, i int) int { return leafSize(dims, n.Count()+1, n.rowSize(recs[order[i]].Coords)) },
 		func(n *Node, i int) { n.appendRecord(recs[order[i]]) })
 	if err != nil {
 		return err
@@ -49,8 +50,18 @@ func (ix *Index) BulkLoad(recs []cube.Record) error {
 	ix.head.Height = 1
 	for len(level) > 1 {
 		children := level
-		level, err = ix.pack(false, len(children),
-			func(n *Node, i int) int { return n.encodedSize() + entrySize(children[i].MDS, measures) },
+		// Entries that two blocks hold pack into two halves, as a root
+		// split leaves them, not into a full directory and the rest: the
+		// full one would split again at the first insert that reached it.
+		share, size := math.MaxInt, dirSize
+		for _, e := range children {
+			size += entrySize(e.MDS, measures)
+		}
+		if ix.blocksFor(false, len(children), size) == 2 {
+			share = size / 2
+		}
+		level, err = ix.pack(false, len(children), share,
+			func(_ *Node, size, i int) int { return size + entrySize(children[i].MDS, measures) },
 			func(n *Node, i int) { n.entries = append(n.entries, children[i]) })
 		if err != nil {
 			return err
@@ -111,21 +122,29 @@ func (ix *Index) sortRecords(recs []cube.Record) ([]int, error) {
 	return order, nil
 }
 
-// pack builds one level of full nodes of the given kind over count sorted
+// pack builds one level of nodes of the given kind over count sorted
 // children, in order, and returns the entries that reference them, each
-// described as a split describes a node: a node takes children while its
-// encoding, with the next one added (size(n, i) long), still fits one
-// block, and at least two, in the blocks they need. add(n, i) adds child i.
-func (ix *Index) pack(leaf bool, count int, size func(n *Node, i int) int, add func(n *Node, i int)) ([]Entry, error) {
+// described as a split describes a node: a node takes at least two
+// children, and more while its encoding, with the next one added, still
+// fits one block and is shorter than share bytes; it holds the blocks they
+// need. grow(n, size, i) is the length of n's encoding, size long now, once
+// child i joins it; add(n, i) adds child i.
+func (ix *Index) pack(leaf bool, count, share int, grow func(n *Node, size, i int) int, add func(n *Node, i int)) ([]Entry, error) {
 	measures, ws := ix.schema.Measures(), ix.ws
 	var level []Entry
-	for lo := 0; lo < count; {
+	for lo := 0; lo < count; lo++ {
 		n := ix.store.New(leaf)
+		size := grow(n, n.encodedSize(), lo)
 		add(n, lo)
-		for lo++; lo < count && (n.Count() < 2 || ix.blocksFor(leaf, n.Count()+1, size(n, lo)) == 1); lo++ {
-			add(n, lo)
+		for ; lo+1 < count; lo++ {
+			next := grow(n, size, lo+1)
+			if n.Count() >= 2 && (size >= share || ix.blocksFor(leaf, n.Count()+1, next) > 1) {
+				break
+			}
+			size = next
+			add(n, lo+1)
 		}
-		n.blocks = ix.nodeBlocks(n)
+		n.blocks = ix.blocksFor(leaf, n.Count(), size)
 		m, err := mds.CoverInto(&ws.cover, ix.space(), ws.top, ws.entryMDSs(n))
 		if err == nil {
 			err = ix.refineMDS(n, m)

@@ -34,9 +34,11 @@ type Config struct {
 	// cap the node accepts an unbalanced topological fallback split
 	// instead of growing further. 0 selects the default (64): there is no
 	// uncapped setting. 1: no supernodes; every failed split is forced (the
-	// ablation of the X-tree inheritance). Kept as a field, not a constant,
-	// because the meta blob persists it: a tree reopens under the cap it
-	// was built with.
+	// ablation of the X-tree inheritance). One node passes any cap: a
+	// directory of two entries whose bytes overflow its blocks has no split
+	// to force, so it grows to the blocks they need (tiny blocks, or
+	// RefineBound -1). Kept as a field, not a constant, because the meta
+	// blob persists it: a tree reopens under the cap it was built with.
 	MaxSupernodeBlocks int
 
 	// RefineBound controls how eagerly a freshly split node's MDS lowers

@@ -83,7 +83,8 @@ func TestDirectoryFitsItsBlocks(t *testing.T) {
 // can help — its parent would receive two covers of them and overflow as it
 // does. It grows as a supernode, to the blocks its bytes need, and a tree
 // on such blocks stays shallow: splitting them instead made 35 new roots in
-// these 400 inserts, height 36.
+// these 400 inserts, height 36. The directory grows past the supernode cap
+// too, even the cap of one block.
 func TestTwoEntryDirectoryGrows(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LeafCapacity = 4
@@ -92,20 +93,25 @@ func TestTwoEntryDirectoryGrows(t *testing.T) {
 	ix, _ := newBareIndexAt(t, testSchema(t), cfg, payload)
 	recs := genRecords(t, ix.schema, rand.New(rand.NewSource(81)), 400)
 
-	n := ix.store.New(false)
-	for _, r := range recs[:2] {
-		n.entries = append(n.entries, Entry{MDS: mds.FromLeaves(r.Coords), Agg: cube.AggOfRecord(r.Measures)})
+	for _, limit := range []int{cfg.MaxSupernodeBlocks, 1} {
+		ix.cfg.MaxSupernodeBlocks = limit
+		n := ix.store.New(false)
+		for _, r := range recs[:2] {
+			n.entries = append(n.entries, Entry{MDS: mds.FromLeaves(r.Coords), Agg: cube.AggOfRecord(r.Measures)})
+		}
+		if need := ix.nodeBlocks(n); need < 2 {
+			t.Fatalf("two entries need %d block of %d bytes: the case is not tiny enough", need, payload)
+		}
+		res, err := ix.splitNode(n, ix.ws.topMDS)
+		if err != nil || res.split || n.blocks != ix.nodeBlocks(n) {
+			t.Fatalf("cap %d: split=%v blocks=%d (need %d) err=%v: want the supernode",
+				limit, res.split, n.blocks, ix.nodeBlocks(n), err)
+		}
+		if err := ix.store.Drop(n.id); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if need := ix.nodeBlocks(n); need < 2 {
-		t.Fatalf("two entries need %d block of %d bytes: the case is not tiny enough", need, payload)
-	}
-	res, err := ix.splitNode(n, ix.ws.topMDS)
-	if err != nil || res.split || n.blocks != ix.nodeBlocks(n) {
-		t.Fatalf("split=%v blocks=%d (need %d) err=%v: want the supernode", res.split, n.blocks, ix.nodeBlocks(n), err)
-	}
-	if err := ix.store.Drop(n.id); err != nil {
-		t.Fatal(err)
-	}
+	ix.cfg.MaxSupernodeBlocks = cfg.MaxSupernodeBlocks
 
 	for _, r := range recs {
 		if err := ix.Insert(r); err != nil {
@@ -114,6 +120,48 @@ func TestTwoEntryDirectoryGrows(t *testing.T) {
 	}
 	if h := ix.Height(); h > 12 {
 		t.Fatalf("height %d after %d inserts, counters %+v", h, len(recs), ix.Counters())
+	}
+	checkDirectoriesFit(t, ix)
+	if err := validate(ix); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBulkLoadHalvesATwoBlockLevel: the 24 data nodes that 6,250 TPC-D
+// records pack into need directory entries of two blocks' bytes. BulkLoad
+// packs them as two halves under the root, as a root split leaves them, not
+// as a full directory and the rest, which split again at the first insert
+// that reached the full one.
+func TestBulkLoadHalvesATwoBlockLevel(t *testing.T) {
+	const n = 6250
+	gen, err := tpcd.New(1, tpcd.ScaleFor(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, store := newBareIndex(t, gen.Schema(), DefaultConfig())
+	if err := ix.BulkLoad(gen.Records(n)); err != nil {
+		t.Fatal(err)
+	}
+	root := store.nodes[ix.Root()]
+	if ix.Height() != 3 || len(root.entries) != 2 {
+		t.Fatalf("height %d, root of %d entries: want two directories under the root", ix.Height(), len(root.entries))
+	}
+	var sizes [2]int
+	largest := 0
+	for i, e := range root.entries {
+		dir := store.nodes[e.Child]
+		sizes[i] = dir.encodedSize()
+		for _, de := range dir.entries {
+			largest = max(largest, entrySize(de.MDS, dir.nm))
+		}
+	}
+	if sizes[0]+sizes[1]-dirSize <= ix.payload {
+		t.Fatalf("directories of %v bytes: one block holds their entries, the case is not two blocks", sizes)
+	}
+	// The first half stops at the first entry that takes it to half the
+	// bytes, the second holds the rest.
+	if d := sizes[0] - sizes[1]; d >= 2*largest || -d > dirSize {
+		t.Fatalf("directories of %v bytes: not halves (largest entry %d bytes)", sizes, largest)
 	}
 	checkDirectoriesFit(t, ix)
 	if err := validate(ix); err != nil {

@@ -68,6 +68,10 @@ func dirLayoutSizes(count, measures int) (aggBase, fixBase, mdsBase int) {
 	return aggBase, fixBase, fixBase + 8*count
 }
 
+// dirSize is the length of an empty directory's encoding: the header and
+// the offset table's closing slot. Each entry adds its entrySize.
+const dirSize = flatHeaderSize + 4
+
 // entrySize returns the bytes an entry of MDS m adds to a directory's
 // encoding: its offset-table slot, aggregates, child and MDS blob.
 func entrySize(m mds.MDS, measures int) int {

@@ -153,9 +153,9 @@ func (n *Node) encodedSize() int {
 	if n.leaf {
 		return leafSize(n.dims, n.Count(), n.rowSize(nil))
 	}
-	_, _, size := dirLayoutSizes(len(n.entries), n.nm)
+	size := dirSize
 	for i := range n.entries {
-		size += n.entries[i].MDS.EncodedSize()
+		size += entrySize(n.entries[i].MDS, n.nm)
 	}
 	return size
 }
