@@ -269,16 +269,16 @@ func Open(store storage.Store) (*Tree, error) {
 // fitDirectories gives each directory of a tree written under the retired
 // entry-count rule the blocks its bytes need (index.FitDirectories), so the
 // tree holds to the byte rule this build writes and validates. A live
-// directory is marked dirty: the next checkpoint persists it. A persisted
+// directory is cached dirty: the next checkpoint persists it. A persisted
 // version's is re-encoded into the version's overlay, at every open, since
 // a version's extents are never rewritten.
 func (t *Tree) fitDirectories() {
-	live := t.nodes()
-	t.ix.FitDirectories(live, t.ix.Head(), live.Get, func(n *index.Node) { live.MarkDirty(n.ID()) })
+	t.ix.FitDirectories(t.nodes(), t.ix.Head(), func(n *index.Node) {
+		t.nc.put(n)
+		t.nc.markDirty(n.ID())
+	})
 	for _, v := range t.versions {
-		t.ix.FitDirectories(v.nodes(), v.head,
-			func(id nodeID) (*index.Node, error) { return t.readNode(id, v.table) },
-			func(n *index.Node) { v.overlay[n.ID()] = t.ix.Encode(n) })
+		t.ix.FitDirectories(v.nodes(), v.head, func(n *index.Node) { v.overlay[n.ID()] = t.ix.Encode(n) })
 	}
 }
 

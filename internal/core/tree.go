@@ -225,26 +225,20 @@ func (s *treeNodes) Get(id nodeID) (*index.Node, error) {
 		return n, nil
 	}
 	s.metrics.cacheMisses.Inc()
-	n, err := (*Tree)(s).readNode(id, s.table)
+	ref, ok := s.table[id]
+	if !ok {
+		return nil, fmt.Errorf("%w: node %d has no extent", ErrCorrupt, id)
+	}
+	payload, _, err := s.store.Read(ref.page)
+	if err != nil {
+		return nil, fmt.Errorf("dctree: reading node %d: %w", id, err)
+	}
+	n, err := index.DecodeNode(id, payload, s.schema.Dims(), s.schema.Measures())
 	if err != nil {
 		return nil, err
 	}
 	s.nc.put(n)
 	return n, nil
-}
-
-// readNode decodes the heap form of node id from the extent table maps it
-// to, reading it whole.
-func (t *Tree) readNode(id nodeID, table map[nodeID]extentRef) (*index.Node, error) {
-	ref, ok := table[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: node %d has no extent", ErrCorrupt, id)
-	}
-	payload, _, err := t.store.Read(ref.page)
-	if err != nil {
-		return nil, fmt.Errorf("dctree: reading node %d: %w", id, err)
-	}
-	return index.DecodeNode(id, payload, t.schema.Dims(), t.schema.Measures())
 }
 
 // MarkDirty flags a node for the next checkpoint.

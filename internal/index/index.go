@@ -165,42 +165,29 @@ func Restore(schema *cube.Schema, cfg Config, store Store, h Head, payload int) 
 	return ix
 }
 
-// FitDirectories gives every directory of the tree of head h that
-// overflows its blocks the blocks its bytes need. Only a tree written under
-// the retired entry-count rule has one: that rule held up to 24 entries in
-// one block, whatever their bytes. The directories are viewed through src;
-// one that overflows is taken in heap form from get, given its blocks and
-// handed to fixed, which keeps it. Data nodes are not visited: the format
-// generation that wrote the tree held them to their bytes already. A node
-// that cannot be read is left as it is, for the walk that reads it next to
-// report.
-func (ix *Index) FitDirectories(src Source, h Head, get func(NodeID) (*Node, error), fixed func(*Node)) {
-	var frames []NodeView
-	var fit func(id NodeID, level int)
-	fit = func(id NodeID, level int) {
-		if level == len(frames) {
-			frames = append(frames, NodeView{})
-		}
-		nv := &frames[level]
-		if src.View(id, nv) != nil || nv.CheckTable() != nil {
-			return
-		}
+// FitDirectories hands fixed a heap copy of every directory of the tree of
+// head h, viewed through src, that overflows its blocks, given the blocks
+// its bytes need. Only a tree written under the retired entry-count rule
+// has one: that rule held up to 24 entries in one block, whatever their
+// bytes. Data nodes are not visited: the format generation that wrote the
+// tree held them to their bytes already. A node that cannot be read ends
+// the walk, as it ends Validate's, which walks in the same order.
+func (ix *Index) FitDirectories(src Source, h Head, fixed func(*Node)) {
+	_ = walk(src, h.Root, func(nv *NodeView, level int) error {
 		leaf, count, blocks, size := nv.shape()
-		if leaf {
-			return
-		}
-		if need := ix.blocksFor(false, count, size); need > blocks {
-			if n, err := get(id); err == nil {
-				n.blocks = need
-				n.img.Store(nil)
-				fixed(n)
+		if need := ix.blocksFor(false, count, size); !leaf && need > blocks {
+			n, err := DecodeNode(nv.f.id, nv.f.b, ix.schema.Dims(), ix.schema.Measures())
+			if err != nil {
+				return err
 			}
+			n.blocks = need
+			fixed(n)
 		}
-		for i := 0; level+2 < h.Height && i < count; i++ {
-			fit(nv.f.Child(i), level+1)
+		if leaf || level+2 >= h.Height {
+			return errSkip // no directory below
 		}
-	}
-	fit(h.Root, 0)
+		return nil
+	})
 }
 
 // Head returns a copy of the head figures, its RootMDS the host's to keep:

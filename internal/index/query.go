@@ -203,12 +203,14 @@ func (ix *Index) Scan(src Source, root NodeID, fn func(cube.Record) bool) error 
 	return err
 }
 
-// errStop is how a visit ends a walk early without failing it.
-var errStop = errors.New("stop")
+// errStop is how a visit ends a walk early without failing it; errSkip
+// keeps it from descending below the node just visited.
+var errStop, errSkip = errors.New("stop"), errors.New("skip")
 
-// walk is the read-only walk of Scan and LevelStats: it visits root and
-// every node below it, a parent before its children, each one viewed
-// through src into the frame of its level. A visit's error ends the walk.
+// walk is the read-only walk of Scan, LevelStats and FitDirectories: it
+// visits root and every node below it, a parent before its children, each
+// one viewed through src into the frame of its level. A visit's error other
+// than errSkip ends the walk.
 func walk(src Source, root NodeID, visit func(nv *NodeView, level int) error) error {
 	var frames []NodeView
 	var node func(id NodeID, level int) error
@@ -220,7 +222,9 @@ func walk(src Source, root NodeID, visit func(nv *NodeView, level int) error) er
 		if err := src.View(id, nv); err != nil {
 			return err
 		}
-		if err := visit(nv, level); err != nil {
+		if err := visit(nv, level); err == errSkip {
+			return nil
+		} else if err != nil {
 			return err
 		}
 		leaf, count, _, _ := nv.shape()
