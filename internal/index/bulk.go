@@ -3,7 +3,6 @@ package index
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 
 	"github.com/dcindex/dctree/internal/cube"
@@ -14,6 +13,8 @@ import (
 // are sorted by their hierarchical key (sortRecords), and the tree is
 // packed bottom-up from them, one level of full nodes at a time (pack),
 // with exact covers, refined relevant levels, and materialized aggregates.
+// A level of directory entries that two blocks hold is split instead, as
+// an overflowing root is (splitLevel).
 //
 // This is the "bulk incremental update" mode of the systems the paper
 // compares against (§1): it produces a well-clustered tree faster than
@@ -41,7 +42,7 @@ func (ix *Index) BulkLoad(recs []cube.Record) error {
 	// The data level takes the sorted records; every level above, the
 	// entries of the one below.
 	dims, measures := ix.schema.Dims(), ix.schema.Measures()
-	level, err := ix.pack(true, len(order), math.MaxInt,
+	level, err := ix.pack(true, len(order),
 		func(n *Node, _, i int) int { return leafSize(dims, n.Count()+1, n.rowSize(recs[order[i]].Coords)) },
 		func(n *Node, i int) { n.appendRecord(recs[order[i]]) })
 	if err != nil {
@@ -50,19 +51,21 @@ func (ix *Index) BulkLoad(recs []cube.Record) error {
 	ix.head.Height = 1
 	for len(level) > 1 {
 		children := level
-		// Entries that two blocks hold pack into two halves, as a root
-		// split leaves them, not into a full directory and the rest: the
-		// full one would split again at the first insert that reached it.
-		share, size := math.MaxInt, dirSize
+		size := dirSize
 		for _, e := range children {
 			size += entrySize(e.MDS, measures)
 		}
 		if ix.blocksFor(false, len(children), size) == 2 {
-			share = size / 2
+			// Entries that two blocks hold make one directory, split as
+			// the dynamic tree splits a root that overflows (Figs. 5–6),
+			// not a full directory that the first insert to reach it
+			// would split, and the rest.
+			level, err = ix.splitLevel(children)
+		} else {
+			level, err = ix.pack(false, len(children),
+				func(_ *Node, size, i int) int { return size + entrySize(children[i].MDS, measures) },
+				func(n *Node, i int) { n.entries = append(n.entries, children[i]) })
 		}
-		level, err = ix.pack(false, len(children), share,
-			func(_ *Node, size, i int) int { return size + entrySize(children[i].MDS, measures) },
-			func(n *Node, i int) { n.entries = append(n.entries, children[i]) })
 		if err != nil {
 			return err
 		}
@@ -122,15 +125,13 @@ func (ix *Index) sortRecords(recs []cube.Record) ([]int, error) {
 	return order, nil
 }
 
-// pack builds one level of nodes of the given kind over count sorted
-// children, in order, and returns the entries that reference them, each
-// described as a split describes a node: a node takes at least two
-// children, and more while its encoding, with the next one added, still
-// fits one block and is shorter than share bytes; it holds the blocks they
-// need. grow(n, size, i) is the length of n's encoding, size long now, once
-// child i joins it; add(n, i) adds child i.
-func (ix *Index) pack(leaf bool, count, share int, grow func(n *Node, size, i int) int, add func(n *Node, i int)) ([]Entry, error) {
-	measures, ws := ix.schema.Measures(), ix.ws
+// pack builds one level of full nodes of the given kind over count sorted
+// children, in order, and returns the entries that reference them: a node
+// takes children while its encoding, with the next one added, still fits
+// one block, and at least two, in the blocks they need. grow(n, size, i) is
+// the length of n's encoding, size long now, once child i joins it; add(n,
+// i) adds child i.
+func (ix *Index) pack(leaf bool, count int, grow func(n *Node, size, i int) int, add func(n *Node, i int)) ([]Entry, error) {
 	var level []Entry
 	for lo := 0; lo < count; lo++ {
 		n := ix.store.New(leaf)
@@ -138,21 +139,53 @@ func (ix *Index) pack(leaf bool, count, share int, grow func(n *Node, size, i in
 		add(n, lo)
 		for ; lo+1 < count; lo++ {
 			next := grow(n, size, lo+1)
-			if n.Count() >= 2 && (size >= share || ix.blocksFor(leaf, n.Count()+1, next) > 1) {
+			if n.Count() >= 2 && ix.blocksFor(leaf, n.Count()+1, next) > 1 {
 				break
 			}
 			size = next
 			add(n, lo+1)
 		}
 		n.blocks = ix.blocksFor(leaf, n.Count(), size)
-		m, err := mds.CoverInto(&ws.cover, ix.space(), ws.top, ws.entryMDSs(n))
-		if err == nil {
-			err = ix.refineMDS(n, m)
-		}
+		e, err := ix.describe(n)
 		if err != nil {
 			return nil, err
 		}
-		level = append(level, Entry{MDS: packMDS(m), Agg: n.aggregate(measures), Child: n.id})
+		level = append(level, e)
 	}
 	return level, nil
+}
+
+// splitLevel builds the level over children as the split of one directory
+// of them all: two directories, or, when no split is acceptable, the
+// supernode it grew into (§4.2), and returns the entries that reference
+// them.
+func (ix *Index) splitLevel(children []Entry) ([]Entry, error) {
+	n := ix.store.New(false)
+	n.entries = children
+	e, err := ix.describe(n)
+	if err != nil {
+		return nil, err
+	}
+	res, err := ix.splitNode(n, e.MDS)
+	if err != nil || !res.split {
+		return []Entry{e}, err
+	}
+	return []Entry{
+		{MDS: res.origMDS, Agg: res.origAgg, Child: n.id},
+		{MDS: res.newMDS, Agg: res.newAgg, Child: res.newID},
+	}, nil
+}
+
+// describe returns the entry that references node n, as a split describes
+// a node: its cover, refined, and its aggregates.
+func (ix *Index) describe(n *Node) (Entry, error) {
+	ws := ix.ws
+	m, err := mds.CoverInto(&ws.cover, ix.space(), ws.top, ws.entryMDSs(n))
+	if err == nil {
+		err = ix.refineMDS(n, m)
+	}
+	if err != nil {
+		return Entry{}, err
+	}
+	return Entry{MDS: packMDS(m), Agg: n.aggregate(ix.schema.Measures()), Child: n.id}, nil
 }

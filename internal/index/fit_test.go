@@ -127,12 +127,12 @@ func TestTwoEntryDirectoryGrows(t *testing.T) {
 	}
 }
 
-// TestBulkLoadHalvesATwoBlockLevel: the 24 data nodes that 6,250 TPC-D
+// TestBulkLoadSplitsATwoBlockLevel: the 24 data nodes that 6,250 TPC-D
 // records pack into need directory entries of two blocks' bytes. BulkLoad
-// packs them as two halves under the root, as a root split leaves them, not
-// as a full directory and the rest, which split again at the first insert
-// that reached the full one.
-func TestBulkLoadHalvesATwoBlockLevel(t *testing.T) {
+// makes them one directory and splits it, as the dynamic tree splits a root
+// that overflows: two directories under the root, each holding its share
+// of the entries (MinFillRatio), not a full directory and the rest.
+func TestBulkLoadSplitsATwoBlockLevel(t *testing.T) {
 	const n = 6250
 	gen, err := tpcd.New(1, tpcd.ScaleFor(n))
 	if err != nil {
@@ -143,25 +143,13 @@ func TestBulkLoadHalvesATwoBlockLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := store.nodes[ix.Root()]
-	if ix.Height() != 3 || len(root.entries) != 2 {
-		t.Fatalf("height %d, root of %d entries: want two directories under the root", ix.Height(), len(root.entries))
+	if c := ix.Counters(); ix.Height() != 3 || len(root.entries) != 2 || c.SplitsHierarchy != 1 {
+		t.Fatalf("height %d, root of %d entries, counters %+v: want one hierarchy split under the root",
+			ix.Height(), len(root.entries), c)
 	}
-	var sizes [2]int
-	largest := 0
-	for i, e := range root.entries {
-		dir := store.nodes[e.Child]
-		sizes[i] = dir.encodedSize()
-		for _, de := range dir.entries {
-			largest = max(largest, entrySize(de.MDS, dir.nm))
-		}
-	}
-	if sizes[0]+sizes[1]-dirSize <= ix.payload {
-		t.Fatalf("directories of %v bytes: one block holds their entries, the case is not two blocks", sizes)
-	}
-	// The first half stops at the first entry that takes it to half the
-	// bytes, the second holds the rest.
-	if d := sizes[0] - sizes[1]; d >= 2*largest || -d > dirSize {
-		t.Fatalf("directories of %v bytes: not halves (largest entry %d bytes)", sizes, largest)
+	a, b := len(store.nodes[root.entries[0].Child].entries), len(store.nodes[root.entries[1].Child].entries)
+	if minFill := int(ix.cfg.MinFillRatio * float64(a+b)); a < minFill || b < minFill {
+		t.Fatalf("directories of %d and %d entries: a split keeps %d in each", a, b, minFill)
 	}
 	checkDirectoriesFit(t, ix)
 	if err := validate(ix); err != nil {
