@@ -78,6 +78,7 @@ import (
 
 	dctree "github.com/dcindex/dctree"
 	"github.com/dcindex/dctree/internal/cube"
+	"github.com/dcindex/dctree/internal/index"
 	"github.com/dcindex/dctree/internal/tpcd"
 )
 
@@ -414,6 +415,9 @@ func runStats(args []string) error {
 	defer store.Close()
 
 	fmt.Printf("records: %d\nheight:  %d\n", tree.Count(), tree.Height())
+	// The leaf kernel this host's queries run: read latencies differ
+	// between hosts that differ here (OPERATIONS.md).
+	fmt.Printf("leaf kernel: %s\n", index.LeafKernel())
 	levels, err := tree.LevelStats()
 	if err != nil {
 		return err

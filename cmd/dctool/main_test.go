@@ -12,6 +12,7 @@ import (
 	"time"
 
 	dctree "github.com/dcindex/dctree"
+	"github.com/dcindex/dctree/internal/index"
 	"github.com/dcindex/dctree/internal/repl"
 )
 
@@ -239,7 +240,7 @@ func TestMetricsFlag(t *testing.T) {
 	out = captureStdout(t, func() error {
 		return runStats([]string{"-index", indexPath, "-metrics"})
 	})
-	for _, want := range []string{"records: 2", "max_encoded_bytes  avg_entry_values  fill", "dctree_records 2", "dctree_height 1"} {
+	for _, want := range []string{"records: 2", "leaf kernel: " + index.LeafKernel() + "\n", "max_encoded_bytes  avg_entry_values  fill", "dctree_records 2", "dctree_height 1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stats -metrics output missing %q in:\n%s", want, out)
 		}

@@ -43,6 +43,39 @@ func genRecords(t testing.TB, s *cube.Schema, rng *rand.Rand, n int) []cube.Reco
 	return recs
 }
 
+// collectNodes walks the whole tree and returns every node, root first.
+func collectNodes(t testing.TB, tree *Tree) []*index.Node {
+	t.Helper()
+	var nodes []*index.Node
+	var walk func(id nodeID)
+	walk = func(id nodeID) {
+		n, err := tree.nodes().Get(id)
+		if err != nil {
+			t.Fatalf("Get(%d): %v", id, err)
+		}
+		nodes = append(nodes, n)
+		for _, e := range n.Entries() {
+			walk(e.Child)
+		}
+	}
+	walk(tree.ix.Root())
+	return nodes
+}
+
+// entriesOf lists a node's entries the way the write path sees them: a
+// directory's own, and for a data node one per record with the singleton
+// MDS and the one-record aggregates synthesized from the row.
+func entriesOf(n *index.Node) []index.Entry {
+	if !n.Leaf() {
+		return n.Entries()
+	}
+	out := make([]index.Entry, n.Count())
+	for i := range out {
+		out[i] = index.Entry{MDS: mds.FromLeaves(n.Row(i)), Agg: cube.AggOfRecord(n.RowMeasures(i))}
+	}
+	return out
+}
+
 // smallConfig forces frequent splits so even small tests exercise the full
 // machinery: data nodes of 8 rows, and directories of the few entries a
 // 512-byte block holds.

@@ -16,10 +16,9 @@ import (
 	"github.com/dcindex/dctree/internal/mds"
 )
 
-// The node codec's own tests, over a bare index on memNodes: the laws of
-// the data-node frame, the fail-closed matrix and the fuzz target.
-// internal/core holds the same codec to its contract from the side that
-// stores and maps its payloads.
+// The node codec's tests, over a bare index on memNodes: the laws of the
+// data-node frame, the fail-closed matrix, the fuzz target, and every node
+// of grown trees through encode, the flat view's accessors and decode.
 
 // grownNodes returns a 900-record index and every node of it, root first.
 // The last records repeat one point: records no split can separate grow
@@ -459,4 +458,171 @@ func FuzzDecodeFlatNode(f *testing.F) {
 			t.Fatal("re-encoding is not a fixed point")
 		}
 	})
+}
+
+// requireNodesEqual compares a decoded node against the original field by
+// field.
+func requireNodesEqual(t *testing.T, got, want *Node) {
+	t.Helper()
+	if got.ID() != want.ID() || got.Leaf() != want.Leaf() || got.Blocks() != want.Blocks() || got.Count() != want.Count() {
+		t.Fatalf("node %d: shape (leaf=%v blocks=%d entries=%d) != (leaf=%v blocks=%d entries=%d)",
+			want.ID(), got.Leaf(), got.Blocks(), got.Count(),
+			want.Leaf(), want.Blocks(), want.Count())
+	}
+	if got.Leaf() {
+		for i := 0; i < want.Count(); i++ {
+			if !slices.Equal(got.Row(i), want.Row(i)) || !slices.Equal(got.RowMeasures(i), want.RowMeasures(i)) {
+				t.Fatalf("node %d: row %d differs", want.ID(), i)
+			}
+		}
+	}
+	for i, we := range want.Entries() {
+		ge := got.Entries()[i]
+		if !ge.MDS.Equal(we.MDS) {
+			t.Fatalf("node %d entry %d: MDS %v != %v", want.ID(), i, ge.MDS, we.MDS)
+		}
+		if len(ge.Agg) != len(we.Agg) {
+			t.Fatalf("node %d entry %d: agg len %d != %d", want.ID(), i, len(ge.Agg), len(we.Agg))
+		}
+		for j := range we.Agg {
+			if ge.Agg[j] != we.Agg[j] {
+				t.Fatalf("node %d entry %d measure %d: agg %+v != %+v", want.ID(), i, j, ge.Agg[j], we.Agg[j])
+			}
+		}
+		if ge.Child != we.Child {
+			t.Fatalf("node %d entry %d: child %d != %d", want.ID(), i, ge.Child, we.Child)
+		}
+	}
+}
+
+// TestFlatNodeRoundTrip: every node of a grown tree survives flat encode →
+// flat view accessors → full heap decode unchanged, including supernodes. A
+// directory's view serves its entries' MDSs, aggregates and children; a data
+// node's serves its rows.
+func TestFlatNodeRoundTrip(t *testing.T) {
+	ix, nodes := grownNodes(t)
+	dims, measures := ix.schema.Dims(), ix.schema.Measures()
+	for _, n := range nodes {
+		buf := ix.Encode(n)
+		f, err := MakeFlatNode(n.ID(), buf, dims, measures)
+		if err != nil {
+			t.Fatalf("MakeFlatNode(%d): %v", n.ID(), err)
+		}
+		if err := f.CheckTable(); err != nil {
+			t.Fatalf("CheckTable(%d): %v", n.ID(), err)
+		}
+		if f.Leaf() != n.Leaf() || f.Count() != n.Count() || f.Blocks() != n.Blocks() {
+			t.Fatalf("node %d: flat shape (leaf=%v count=%d blocks=%d)", n.ID(), f.Leaf(), f.Count(), f.Blocks())
+		}
+		// Spot-check the in-place accessors against the heap form.
+		for i := 0; n.Leaf() && i < n.Count(); i++ {
+			for d := 0; d < dims; d++ {
+				if f.Coord(i, d) != n.Row(i)[d] {
+					t.Fatalf("node %d record %d: coord(%d) differs", n.ID(), i, d)
+				}
+			}
+			for j := 0; j < measures; j++ {
+				if f.Measure(i, j) != n.RowMeasures(i)[j] {
+					t.Fatalf("node %d record %d: measure(%d) differs", n.ID(), i, j)
+				}
+			}
+		}
+		for i, e := range n.Entries() {
+			wantMDS := e.MDS.AppendEncode(nil)
+			if !bytes.Equal(f.EntryMDS(i), wantMDS) {
+				t.Fatalf("node %d entry %d: flat MDS bytes differ", n.ID(), i)
+			}
+			for j := 0; j < measures; j++ {
+				if f.Agg(i, j) != e.Agg[j] {
+					t.Fatalf("node %d entry %d: agg(%d) = %+v, want %+v", n.ID(), i, j, f.Agg(i, j), e.Agg[j])
+				}
+			}
+			if f.Child(i) != e.Child {
+				t.Fatalf("node %d entry %d: child differs", n.ID(), i)
+			}
+		}
+		dec, err := DecodeNode(n.ID(), buf, dims, measures)
+		if err != nil {
+			t.Fatalf("DecodeNode(%d): %v", n.ID(), err)
+		}
+		requireNodesEqual(t, dec, n)
+	}
+}
+
+// TestFlatNodeEmpty: the flat codec handles a zero-entry node (an empty
+// tree's root data node).
+func TestFlatNodeEmpty(t *testing.T) {
+	ix, _ := newBareIndexAt(t, testSchema(t), smallConfig(), payload512)
+	s := ix.schema
+	n, err := ix.store.Get(ix.head.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.Count() != 0 {
+		t.Fatalf("fresh root has %d entries", n.Count())
+	}
+	dec, err := DecodeNode(n.ID(), ix.Encode(n), s.Dims(), s.Measures())
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireNodesEqual(t, dec, n)
+}
+
+// TestFlatNodeMDSView: a directory's flat entry MDS bytes decode through
+// the view iterator to the same DimViews the full decoder produces; a data
+// node's view holds no MDS, only the records a scan returns.
+func TestFlatNodeMDSView(t *testing.T) {
+	ix, _ := newBareIndexAt(t, testSchema(t), smallConfig(), payload512)
+	s := ix.schema
+	rng := rand.New(rand.NewSource(19))
+	for _, r := range genRecords(t, s, rng, 300) {
+		if err := ix.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dims, measures := s.Dims(), s.Measures()
+	for _, n := range collectNodes(t, ix) {
+		f, err := MakeFlatNode(n.ID(), ix.Encode(n), dims, measures)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; n.Leaf() && i < n.Count(); i++ {
+			for d, c := range n.Row(i) {
+				if f.Coord(i, d) != c {
+					t.Fatalf("node %d record %d: view coordinate %d is %v, want %v", n.ID(), i, d, f.Coord(i, d), c)
+				}
+			}
+			for j, x := range n.RowMeasures(i) {
+				if f.Measure(i, j) != x {
+					t.Fatalf("node %d record %d: view measure %d is %v, want %v", n.ID(), i, j, f.Measure(i, j), x)
+				}
+			}
+		}
+		for i, e := range n.Entries() {
+			it, err := mds.NewViewIter(f.EntryMDS(i))
+			if err != nil {
+				t.Fatalf("node %d entry %d: %v", n.ID(), i, err)
+			}
+			want := e.MDS
+			if it.Dims() != len(want) {
+				t.Fatalf("node %d entry %d: view dims %d != %d", n.ID(), i, it.Dims(), len(want))
+			}
+			for d := range want {
+				dv, ok := it.Next()
+				if !ok {
+					t.Fatalf("node %d entry %d: view ended at dim %d", n.ID(), i, d)
+				}
+				got := mds.AllDim()
+				if !dv.IsALL() {
+					got = mds.DimSet{Level: dv.Level}
+					for j := 0; j < dv.Len(); j++ {
+						got.IDs = append(got.IDs, dv.ID(j))
+					}
+				}
+				if !(mds.MDS{got}).Equal(mds.MDS{want[d]}) {
+					t.Fatalf("node %d entry %d dim %d: view %v != %v", n.ID(), i, d, got, want[d])
+				}
+			}
+		}
+	}
 }

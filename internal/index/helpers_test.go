@@ -178,3 +178,35 @@ func collectNodes(t testing.TB, ix *Index) []*Node {
 	walk(ix.head.Root)
 	return nodes
 }
+
+// leafKernels names the leaf kernels this host runs: "avx2" where the CPU
+// supports it, and always "go".
+func leafKernels() []string {
+	if avx2Supported {
+		return []string{"avx2", "go"}
+	}
+	return []string{"go"}
+}
+
+// useLeafKernel switches the leaf kernel to the named one until the test
+// or benchmark ends.
+func useLeafKernel(tb testing.TB, kernel string) {
+	tb.Helper()
+	if kernel == "avx2" && !avx2Supported {
+		tb.Skip("this CPU does not run the AVX2 leaf kernel")
+	}
+	was := leafAVX2
+	tb.Cleanup(func() { leafAVX2 = was })
+	leafAVX2 = kernel == "avx2"
+}
+
+// forEachLeafKernel runs f as a subtest under each leaf kernel this host
+// runs, named after it.
+func forEachLeafKernel(t *testing.T, f func(t *testing.T)) {
+	for _, kernel := range leafKernels() {
+		t.Run(kernel, func(t *testing.T) {
+			useLeafKernel(t, kernel)
+			f(t)
+		})
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"github.com/dcindex/dctree/internal/bitmap"
 	"github.com/dcindex/dctree/internal/cube"
@@ -194,6 +195,29 @@ func (ix *Index) putQueryCtx(qc *queryCtx) {
 // of its selection vector, which lives on the stack.
 const scanChunk = 256
 
+// rowIndexes is 0..scanChunk-1: the row indexes an AVX2 first pass reads.
+var rowIndexes = func() (t [scanChunk]uint16) {
+	for i := range t {
+		t[i] = uint16(i)
+	}
+	return t
+}()
+
+// leafAVX2 selects the leaf kernel's AVX2 passes, chosen once at start-up
+// from CPUID (leafkernel_amd64.go); elsewhere the passes are Go loops.
+// Tests switch it to hold the two to the same answers.
+var leafAVX2 = avx2Supported
+
+// LeafKernel names the leaf kernel this process runs: "avx2", where the CPU
+// and OS support it on amd64, else "go". The two return the same rows; a
+// query's leaf cost differs between hosts that differ here.
+func LeafKernel() string {
+	if leafAVX2 {
+		return "avx2"
+	}
+	return "go"
+}
+
 // scanRows is the leaf kernel: it tests every record of a data node against
 // the query and folds the measures first..first+len(out)-1 of the matching
 // ones into out. The rows are read where they lie, a heap node's in its
@@ -205,7 +229,9 @@ const scanChunk = 256
 // each further one only on the rows that passed so far, and every test is
 // branch-free — the row's index is written and kept by adding its mask bit.
 // The survivors are folded in row order, so out ends bit-identical to a
-// row-at-a-time fold.
+// row-at-a-time fold. Under leafAVX2 each test pass takes its full groups of
+// eight rows through selectAVX2 and the rest through its Go loop; the rows
+// selected are the same.
 //
 // Records may carry values registered after the masks were built (inserts
 // between the mask build and an as-of descent); a code beyond the mask is
@@ -265,14 +291,22 @@ func (qc *queryCtx) selectHeap(sel *[scanChunk]uint16, chunk []hierarchy.ID, dim
 		}
 		return n
 	}
-	mask, k := qc.rows[0].mask, 0
-	for i, o := 0, qc.rows[0].dim; i < n; i, o = i+1, o+dims {
+	mask, dim, k, i := qc.rows[0].mask, qc.rows[0].dim, 0, 0
+	if leafAVX2 {
+		i = n &^ 7
+		k = selectAVX2(sel, &rowIndexes, i, unsafe.Pointer(&chunk[dim]), 4*dims, hierarchy.MaxCode, mask)
+	}
+	for o := i*dims + dim; i < n; i, o = i+1, o+dims {
 		sel[uint8(k)] = uint16(i)
 		k += maskBit(mask, chunk[o].Code())
 	}
 	for _, rt := range qc.rows[1:] {
-		kept := 0
-		for _, s := range sel[:k] {
+		kept, j := 0, 0
+		if leafAVX2 {
+			j = k &^ 7
+			kept = selectAVX2(sel, sel, j, unsafe.Pointer(&chunk[rt.dim]), 4*dims, hierarchy.MaxCode, rt.mask)
+		}
+		for _, s := range sel[j:k] {
 			sel[uint8(kept)] = s
 			kept += maskBit(rt.mask, chunk[int(s)*dims+rt.dim].Code())
 		}
@@ -332,8 +366,12 @@ func (qc *queryCtx) selectFlat(sel *[scanChunk]uint16, chunk []byte, stride int,
 //
 //go:noinline
 func selectFlatAll(sel *[scanChunk]uint16, chunk []byte, n, stride int, width uint32, mask bitmap.Dense) int {
-	k := 0
-	for i, o := 0, 0; i < n; i, o = i+1, o+stride {
+	k, i := 0, 0
+	if leafAVX2 {
+		i = n &^ 7
+		k = selectAVX2(sel, &rowIndexes, i, unsafe.Pointer(unsafe.SliceData(chunk)), stride, width, mask)
+	}
+	for o := i * stride; i < n; i, o = i+1, o+stride {
 		sel[uint8(k)] = uint16(i)
 		k += maskBit(mask, binary.LittleEndian.Uint32(chunk[o:o+4])&width)
 	}
@@ -342,8 +380,12 @@ func selectFlatAll(sel *[scanChunk]uint16, chunk []byte, n, stride int, width ui
 
 //go:noinline
 func selectFlatKept(sel *[scanChunk]uint16, chunk []byte, k, stride int, width uint32, mask bitmap.Dense) int {
-	kept := 0
-	for _, s := range sel[:k] {
+	kept, j := 0, 0
+	if leafAVX2 {
+		j = k &^ 7
+		kept = selectAVX2(sel, sel, j, unsafe.Pointer(unsafe.SliceData(chunk)), stride, width, mask)
+	}
+	for _, s := range sel[j:k] {
 		sel[uint8(kept)] = s
 		o := int(s) * stride
 		kept += maskBit(mask, binary.LittleEndian.Uint32(chunk[o:o+4])&width)

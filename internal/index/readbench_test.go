@@ -92,8 +92,9 @@ var benchClasses = []string{"sel01", "sel05", "sel25", "rollup"}
 
 // BenchmarkLeafScan measures the leaf kernel alone: every data node of the
 // tree scanned under a query's masks, per query class, over both row
-// carriers. One iteration is one pass over all records; ns/record is the
-// figure to compare with a sequential scan's per-record cost.
+// carriers and under each leaf kernel this host runs (avx2, go). One
+// iteration is one pass over all records; ns/record is the figure to
+// compare with a sequential scan's per-record cost.
 func BenchmarkLeafScan(b *testing.B) {
 	tree, classes := readBenchTree(b)
 	leaves, _ := readBenchViews(b, tree)
@@ -108,20 +109,23 @@ func BenchmarkLeafScan(b *testing.B) {
 			name  string
 			views []NodeView
 		}{{"heap", heap}, {"flat", flat}} {
-			b.Run(class+"/"+carrier.name, func(b *testing.B) {
-				qcs := readBenchMasks(b, tree, classes[class])
-				out := cube.NewAggVector(1)
-				records := 0
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					qc := qcs[i%len(qcs)]
-					for v := range carrier.views {
-						rows, _ := qc.scanRows(&carrier.views[v], 0, out)
-						records += rows
+			for _, kernel := range leafKernels() {
+				b.Run(class+"/"+carrier.name+"/"+kernel, func(b *testing.B) {
+					useLeafKernel(b, kernel)
+					qcs := readBenchMasks(b, tree, classes[class])
+					out := cube.NewAggVector(1)
+					records := 0
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						qc := qcs[i%len(qcs)]
+						for v := range carrier.views {
+							rows, _ := qc.scanRows(&carrier.views[v], 0, out)
+							records += rows
+						}
 					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
-			})
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
+				})
+			}
 		}
 	}
 }

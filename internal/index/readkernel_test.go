@@ -278,8 +278,13 @@ func sameAggBits(a, b cube.Agg) bool {
 // any order, row codes past the mask's words, chunk edges (1, 169, 256 and
 // 257 rows, and a supernode's), both row carriers, a one-measure window at
 // every measure and the all-measures sink, into empty and non-empty sinks.
-// Counts and every aggregate field must agree to the bit.
+// Counts and every aggregate field must agree to the bit, under each leaf
+// kernel.
 func TestScanRowsMatchesReference(t *testing.T) {
+	forEachLeafKernel(t, scanRowsMatchesReference)
+}
+
+func scanRowsMatchesReference(t *testing.T) {
 	const dims, nm = 4, 3
 	rng := rand.New(rand.NewSource(61))
 	var constrained [dims + 1]int

@@ -24,14 +24,15 @@ var widthTops = []uint32{255, 256, 1<<16 - 1, 1 << 16, 1<<24 - 1, 1 << 24, hiera
 
 // widthNodes returns data nodes of three dimensions and one or two
 // measures whose codes straddle every width boundary: for each of widthTops
-// and each dimension, five rows whose codes there count down from the top
-// and are small elsewhere — so every width sits at every offset of a row —
-// and one node whose dimensions take widths 4, 2 and 3.
+// and each dimension, eight rows — one group of the AVX2 leaf kernel — whose
+// codes there count down from the top and are small elsewhere, so every
+// width sits at every offset of a row; and one node whose dimensions take
+// widths 4, 2 and 3.
 func widthNodes(measures int) []*Node {
 	var nodes []*Node
 	node := func(tops [3]uint32) {
 		n := NewNode(NodeID(len(nodes)+1), true, 3, measures)
-		for i := uint32(0); i < 5; i++ {
+		for i := uint32(0); i < 8; i++ {
 			var rec cube.Record
 			for _, top := range tops {
 				rec.Coords = append(rec.Coords, hierarchy.MakeID(0, top-i))
@@ -56,8 +57,12 @@ func widthNodes(measures int) []*Node {
 // dimension at the width of its largest code, frames, reads back through
 // Coord, Measure and NodeView.row, decodes to itself — largest codes
 // included — and re-encodes to the same bytes; and the leaf kernel reads the
-// packed rows as it reads the heap ones.
+// packed rows as it reads the heap ones, under each leaf kernel.
 func TestDataNodeWidthsRoundTrip(t *testing.T) {
+	forEachLeafKernel(t, dataNodeWidthsRoundTrip)
+}
+
+func dataNodeWidthsRoundTrip(t *testing.T) {
 	const dims, measures = 3, 2
 	seen := map[byte]bool{}
 	for _, n := range widthNodes(measures) {
@@ -126,7 +131,7 @@ func TestDataNodeWidthsRoundTrip(t *testing.T) {
 			}
 			got[2] = cube.NewAggVector(1)
 			rows[2], matched[2] = refScanRows(qc, &NodeView{f: f}, 1, got[2])
-			if rows != [3]int{5, 5, 5} || matched[0] != matched[1] || matched[0] != matched[2] ||
+			if rows != [3]int{8, 8, 8} || matched[0] != matched[1] || matched[0] != matched[2] ||
 				!got[0].Equal(got[1]) || !got[0].Equal(got[2]) {
 				t.Fatalf("node %d dimension %d: heap, flat, reference scans %v %v %v", n.id, d, matched, rows, got)
 			}
