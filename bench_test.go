@@ -1,7 +1,8 @@
 // Benchmarks regenerating the figures of the DC-tree paper's evaluation
 // (§5) as testing.B benchmarks: insertion (Fig. 11), range queries against
 // the X-tree and the sequential scan (Fig. 12), node sizes (Fig. 13) and
-// the roll-up workload, in benchstat-friendly form.
+// the roll-up workload, in benchstat-friendly form; and the paper's fully
+// dynamic scenario (§1), a rolling window of inserts and deletes.
 //
 //	go test -run '^$' -bench=. -benchmem .
 //
@@ -12,11 +13,14 @@ package dctree_test
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/dcindex/dctree/internal/core"
 	"github.com/dcindex/dctree/internal/cube"
+	"github.com/dcindex/dctree/internal/index"
 	"github.com/dcindex/dctree/internal/seqscan"
 	"github.com/dcindex/dctree/internal/storage"
 	"github.com/dcindex/dctree/internal/tpcd"
@@ -276,4 +280,97 @@ func benchRollup(b *testing.B, system string) {
 			}
 		}
 	}
+}
+
+// windowRecords is BenchmarkRollingWindow's window: the live records of the
+// warehouse, and the steps of one turnover.
+const windowRecords = 30000
+
+// BenchmarkRollingWindow is the paper's fully dynamic scenario (§1) on the
+// bare index (internal/index, nodes in a map): a warehouse holding the
+// newest 30k TPC-D facts, refreshed one step at a time — the newest record
+// inserted, the oldest deleted (tpcd.Window) — in random and in time order.
+// One op is one turnover, 30k steps, on a freshly built tree. Beside ns/op
+// it reports the µs each step's insert and delete take, and the directory
+// posting tables the steps build, per step.
+func BenchmarkRollingWindow(b *testing.B) {
+	for _, arrival := range []tpcd.Arrival{tpcd.Random, tpcd.TimeOrdered} {
+		b.Run(arrival.String(), func(b *testing.B) {
+			gen, err := tpcd.New(1, tpcd.ScaleFor(windowRecords))
+			if err != nil {
+				b.Fatal(err)
+			}
+			w := gen.Window(windowRecords, windowRecords, arrival)
+			var inserting, deleting time.Duration
+			var builds int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ix := newWindowIndex(b, gen.Schema())
+				for _, r := range w.Build() {
+					if err := ix.Insert(r); err != nil {
+						b.Fatal(err)
+					}
+				}
+				built := ix.Counters().PostingBuilds
+				b.StartTimer()
+				for s := 0; s < w.Steps(); s++ {
+					newest, oldest := w.Step(s)
+					t0 := time.Now()
+					if err := ix.Insert(newest); err != nil {
+						b.Fatal(err)
+					}
+					t1 := time.Now()
+					if err := ix.Delete(oldest); err != nil {
+						b.Fatal(err)
+					}
+					inserting += t1.Sub(t0)
+					deleting += time.Since(t1)
+				}
+				builds += ix.Counters().PostingBuilds - built
+			}
+			steps := float64(b.N * w.Steps())
+			b.ReportMetric(inserting.Seconds()*1e6/steps, "us/insert")
+			b.ReportMetric(deleting.Seconds()*1e6/steps, "us/delete")
+			b.ReportMetric(float64(builds)/steps, "builds/step")
+		})
+	}
+}
+
+// newWindowIndex returns an empty bare index over windowNodes, its nodes
+// sized for the default block as the engine sizes them.
+func newWindowIndex(b *testing.B, schema *cube.Schema) *index.Index {
+	cfg := index.DefaultConfig()
+	if err := cfg.Normalize(); err != nil {
+		b.Fatal(err)
+	}
+	s := &windowNodes{nodes: map[index.NodeID]*index.Node{}, dims: schema.Dims(), measures: schema.Measures()}
+	return index.New(schema, cfg, s, storage.ExtentCapacity(core.DefaultConfig().BlockSize, 1))
+}
+
+// windowNodes is the bare index's node store: heap nodes in a map.
+type windowNodes struct {
+	nodes          map[index.NodeID]*index.Node
+	next           index.NodeID
+	dims, measures int
+}
+
+func (s *windowNodes) Get(id index.NodeID) (*index.Node, error) {
+	if n := s.nodes[id]; n != nil {
+		return n, nil
+	}
+	return nil, fmt.Errorf("%w: no node %d", index.ErrCorrupt, id)
+}
+
+func (s *windowNodes) New(leaf bool) *index.Node {
+	s.next++
+	n := index.NewNode(s.next, leaf, s.dims, s.measures)
+	s.nodes[s.next] = n
+	return n
+}
+
+func (s *windowNodes) MarkDirty(index.NodeID) {}
+
+func (s *windowNodes) Drop(id index.NodeID) error {
+	delete(s.nodes, id)
+	return nil
 }

@@ -3,12 +3,12 @@
 // error variable no package declares, a knob no option struct has, a
 // metric family no code exports, a path or program the repository does not
 // have, or a ROADMAP item that is not open, when a Go code fence in the
-// markdown is not gofmt-formatted, or when a metric family the code exports
-// has no row in the metric reference.
+// markdown is not gofmt-formatted, when a metric family the code exports
+// has no row in the metric reference, or when a document repeats a heading.
 //
 //	go run ./cmd/docscheck
 //
-// Run from the repository root (CI runs it as the docs-check job). Eight
+// Run from the repository root (CI runs it as the docs-check job). Nine
 // checks:
 //
 //  1. Every `-flag` token in inline code or non-Go code fences of the
@@ -50,6 +50,9 @@
 //     with "family", each row's first cell the back-ticked family name —
 //     so a family cannot be added, or kept, without saying what it counts
 //     and what an operator does about it.
+//  9. No ## or ### heading repeats within one of the five documents of
+//     check 5 or EXPERIMENTS.md (code fences aside) — so a section pasted
+//     twice, whose copies then drift apart, cannot land.
 package main
 
 import (
@@ -63,6 +66,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -83,6 +87,9 @@ var flagDocs = []string{"README.md", "OPERATIONS.md", "REPLICATION.md", "DURABIL
 
 // familyDocs are the documents whose metric-family references are validated.
 var familyDocs = []string{"README.md", "OPERATIONS.md", "REPLICATION.md", "DURABILITY.md", "DESIGN.md"}
+
+// headingDocs are the documents whose headings must not repeat.
+var headingDocs = append(slices.Clone(familyDocs), "EXPERIMENTS.md")
 
 // referenceDoc is the document whose metric reference lists every family.
 const referenceDoc = "OPERATIONS.md"
@@ -199,6 +206,13 @@ func main() {
 		fatal(err)
 	}
 	problems = append(problems, p...)
+	for _, doc := range headingDocs {
+		p, err := checkHeadings(doc)
+		if err != nil {
+			fatal(err)
+		}
+		problems = append(problems, p...)
+	}
 	docs, err := filepath.Glob("*.md")
 	if err != nil {
 		fatal(err)
@@ -465,6 +479,35 @@ func checkRoadmapRefs(doc string, items map[string]bool) ([]string, error) {
 			line := 1 + bytes.Count(data[:m[0]], []byte("\n"))
 			problems = append(problems, fmt.Sprintf("%s:%d: ROADMAP item %s is not an open item", doc, line, n))
 		}
+	}
+	return problems, nil
+}
+
+// checkHeadings reports every ## or ### heading of doc, outside code
+// fences, that repeats an earlier one of the same level and text (check 9
+// of the package comment).
+func checkHeadings(doc string) ([]string, error) {
+	data, err := os.ReadFile(doc)
+	if err != nil {
+		return nil, err
+	}
+	var problems []string
+	seen := map[string]int{} // heading line → its first line number
+	inFence := false
+	for i, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			inFence = !inFence
+			continue
+		}
+		if inFence || !strings.HasPrefix(line, "## ") && !strings.HasPrefix(line, "### ") {
+			continue
+		}
+		h := strings.TrimSpace(line)
+		if first, ok := seen[h]; ok {
+			problems = append(problems, fmt.Sprintf("%s:%d: heading %q repeats line %d", doc, i+1, h, first))
+			continue
+		}
+		seen[h] = i + 1
 	}
 	return problems, nil
 }

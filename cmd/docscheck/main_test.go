@@ -127,3 +127,23 @@ func TestRoadmapRefsFixture(t *testing.T) {
 		t.Fatalf("problems:\n%q\nwant:\n%q", got, want)
 	}
 }
+
+// TestHeadingsFixture runs the heading check over a fixture that repeats a
+// section the way EXPERIMENTS.md once did — its AVX2 leaf-kernel section
+// twice, the copies disagreeing — next to forms that must pass: a
+// heading-like comment in a code fence, and repeated headings deeper than
+// ###.
+func TestHeadingsFixture(t *testing.T) {
+	got, err := checkHeadings("testdata/headings.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		`testdata/headings.md:18: heading "### Runs" repeats line 5`,
+		`testdata/headings.md:20: heading "## Setup" repeats line 3`,
+		`testdata/headings.md:22: heading "## A leaf kernel" repeats line 7`,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("problems:\n%q\nwant:\n%q", got, want)
+	}
+}

@@ -326,7 +326,8 @@ func BenchmarkColdQuery(b *testing.B) {
 // over the load order, from the image reopened with an empty cache, so the
 // deletes fault their paths in out of the mapping. One op is one pass on a
 // fresh copy of the image, which the pass leaves unflushed; beside ns/delete
-// it reports the heap allocations per delete.
+// it reports the heap allocations and the directory posting tables the
+// delete probe builds, per delete.
 func BenchmarkColdDelete(b *testing.B) {
 	const expiries = coldRecords * 2 / 25
 	gen, err := tpcd.New(1, tpcd.ScaleFor(coldRecords))
@@ -345,6 +346,7 @@ func BenchmarkColdDelete(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "work.dc")
 	var before, after runtime.MemStats
 	var mallocs uint64
+	var builds int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -362,6 +364,7 @@ func BenchmarkColdDelete(b *testing.B) {
 		b.StopTimer()
 		runtime.ReadMemStats(&after)
 		mallocs += after.Mallocs - before.Mallocs
+		builds += tree.ix.Counters().PostingBuilds
 		if err := ps.Close(); err != nil {
 			b.Fatal(err)
 		}
@@ -370,4 +373,5 @@ func BenchmarkColdDelete(b *testing.B) {
 	deletes := float64(b.N * len(expire))
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/deletes, "ns/delete")
 	b.ReportMetric(float64(mallocs)/deletes, "allocs/delete")
+	b.ReportMetric(float64(builds)/deletes, "builds/delete")
 }

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math/bits"
 	"slices"
 
 	"github.com/dcindex/dctree/internal/cube"
@@ -33,7 +34,10 @@ func (ix *Index) Delete(rec cube.Record) error {
 	if err != nil {
 		return err
 	}
-	root, err := ix.deleteFrom(ix.head.Root, rc)
+	for len(ix.ws.probe) < ix.head.Height {
+		ix.ws.probe = append(ix.ws.probe, nil)
+	}
+	root, err := ix.deleteFrom(ix.head.Root, rc, 0)
 	if err != nil {
 		return err
 	}
@@ -59,26 +63,38 @@ func (ix *Index) Delete(rec cube.Record) error {
 	}
 
 	// Repair the root MDS: the cover of the root's entries, at no floor.
-	switch {
-	case root.Count() == 0:
+	if root.Count() == 0 {
 		ix.head.RootMDS = mds.Top(ix.schema.Dims())
-	case collapsed || !ix.repairCover(ix.head.RootMDS, root, rc, false):
-		ix.c.repairFallbacks.Inc()
-		cover, err := mds.CoverInto(&ix.ws.cover, ix.space(), nil, ix.ws.entryMDSs(root))
-		if err != nil {
-			return err
-		}
-		storeMDS(ix.head.RootMDS, cover)
+		return nil
 	}
+	if !collapsed {
+		if ok, _ := ix.repairCover(ix.head.RootMDS, root, rc, false); ok {
+			return nil
+		}
+	}
+	ix.c.repairFallbacks.Inc()
+	cover, err := mds.CoverInto(&ix.ws.cover, ix.space(), nil, ix.ws.entryMDSs(root))
+	if err != nil {
+		return err
+	}
+	storeMDS(ix.head.RootMDS, cover)
 	return nil
 }
 
-// deleteFrom removes the record from the subtree at id and returns the
-// node it edited there, or nil when the record is not in the subtree. It
-// probes every entry whose MDS contains the record (entries may overlap,
-// so several probes can be necessary) and, once the record is found,
-// repairs the entry's MDS and aggregate to the child's exact state.
-func (ix *Index) deleteFrom(id NodeID, rc *recContext) (*Node, error) {
+// deleteFrom removes the record from the subtree at id, depth levels below
+// the root, and returns the node it edited there, or nil when the record is
+// not in the subtree. It probes every entry that contains the record —
+// entries may overlap, so several probes can be necessary — in ascending
+// order, as the node's postings list them, and once the record is found
+// repairs the entry's MDS and aggregate to the child's exact state. The
+// mask of a level lives in the scratch's buffer for its depth, since the
+// probes below load their own.
+//
+// The postings stay valid unless the node's entries changed as postings
+// see them: an entry left, the repair dropped a value from an entry's MDS,
+// or it fell back to CoverInto. An aggregate-only repair, the usual one,
+// leaves them valid.
+func (ix *Index) deleteFrom(id NodeID, rc *recContext, depth int) (*Node, error) {
 	n, err := ix.store.Get(id)
 	if err != nil {
 		return nil, err
@@ -95,47 +111,50 @@ func (ix *Index) deleteFrom(id NodeID, rc *recContext) (*Node, error) {
 		return n, nil
 	}
 
-	for i := range n.entries {
-		e := &n.entries[i]
-		if !rc.contains(e.MDS) {
-			continue
-		}
-		child, err := ix.deleteFrom(e.Child, rc)
-		if err != nil {
-			return nil, err
-		}
-		if child == nil {
-			continue
-		}
-		if child.Count() == 0 {
-			if err := ix.store.Drop(child.id); err != nil {
+	for w, word := range ix.postings(n).containing(rc.anc, &ix.ws.probe[depth]) {
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			e := &n.entries[i]
+			child, err := ix.deleteFrom(e.Child, rc, depth+1)
+			if err != nil {
 				return nil, err
 			}
-			n.entries = append(n.entries[:i], n.entries[i+1:]...)
-			n.invalidatePostings()
-		} else {
-			// Repair the entry at its own relevant levels: the exact
-			// child cover lifted to the entry's levels is the minimal
-			// describing MDS there.
-			if !ix.repairCover(e.MDS, child, rc, true) {
-				ix.c.repairFallbacks.Inc()
-				ws := ix.ws
-				cover, err := mds.CoverInto(&ws.cover, ix.space(), ws.levelsOf(e.MDS), ws.entryMDSs(child))
-				if err != nil {
+			if child == nil {
+				continue
+			}
+			if child.Count() == 0 {
+				if err := ix.store.Drop(child.id); err != nil {
 					return nil, err
 				}
-				storeMDS(e.MDS, cover)
-			}
-			n.invalidatePostings()
-			if child.leaf {
-				child.repairAggregate(e.Agg, rc.rec.Measures)
+				n.entries = append(n.entries[:i], n.entries[i+1:]...)
+				n.invalidatePostings()
 			} else {
-				child.aggregateInto(e.Agg)
+				// Repair the entry at its own relevant levels: the exact
+				// child cover lifted to the entry's levels is the minimal
+				// describing MDS there.
+				ok, removed := ix.repairCover(e.MDS, child, rc, true)
+				if !ok {
+					ix.c.repairFallbacks.Inc()
+					ws := ix.ws
+					cover, err := mds.CoverInto(&ws.cover, ix.space(), ws.levelsOf(e.MDS), ws.entryMDSs(child))
+					if err != nil {
+						return nil, err
+					}
+					storeMDS(e.MDS, cover)
+				}
+				if removed || !ok {
+					n.invalidatePostings()
+				}
+				if child.leaf {
+					child.repairAggregate(e.Agg, rc.rec.Measures)
+				} else {
+					child.refoldEntries(e.Agg)
+				}
 			}
+			ix.shrink(n)
+			ix.markDirty(n)
+			return n, nil
 		}
-		ix.shrink(n)
-		ix.markDirty(n)
-		return n, nil
 	}
 	return nil, nil
 }
@@ -155,16 +174,16 @@ func (n *Node) findRow(rec cube.Record) int {
 
 // repairCover brings m — the exact cover of node n's members at m's levels
 // before the record of rc left n's subtree — to the cover after, in place,
-// and reports true; it reports false, having changed nothing, when the
-// cover would move a level, which is mds.CoverInto's to compute. An entry's
-// repair (floor) keeps the entry's levels as the floor: a member coarser
-// than m raises it. The root MDS's (no floor) takes its entries' coarsest
-// levels, so any other level moves.
-func (ix *Index) repairCover(m mds.MDS, n *Node, rc *recContext, floor bool) bool {
+// and reports ok; it reports !ok, having changed nothing, when the cover
+// would move a level, which is mds.CoverInto's to compute. removed reports
+// whether some value left m. An entry's repair (floor) keeps the entry's
+// levels as the floor: a member coarser than m raises it. The root MDS's
+// (no floor) takes its entries' coarsest levels, so any other level moves.
+func (ix *Index) repairCover(m mds.MDS, n *Node, rc *recContext, floor bool) (ok, removed bool) {
 	levels := ix.ws.memberLevels(n)
 	for d := range m {
 		if levels[d] > m[d].Level || (!floor && levels[d] != m[d].Level) {
-			return false
+			return false, false
 		}
 	}
 	for d := range m {
@@ -174,16 +193,20 @@ func (ix *Index) repairCover(m mds.MDS, n *Node, rc *recContext, floor bool) boo
 		}
 		anc := rc.anc[d][level]
 		if !ix.underAny(n, d, level, anc) {
-			m[d].IDs = removeID(m[d].IDs, anc)
+			ids := m[d].IDs
+			m[d].IDs = removeID(ids, anc)
+			removed = removed || len(m[d].IDs) < len(ids)
 		}
 	}
-	return true
+	return true, removed
 }
 
 // underAny reports whether any member of n lies under anc, a value at the
 // given level of dimension d, which no member is coarser than: a data
 // node's rows by a column scan through the ancestor table, a directory's
 // entries by a search of the sets at anc's level and a lift of the finer.
+// A directory whose postings are valid answers the search with one lookup,
+// and lifts only when its levels show a set finer than anc's.
 func (ix *Index) underAny(n *Node, d, level int, anc hierarchy.ID) bool {
 	h := ix.space()[d]
 	if n.leaf {
@@ -203,10 +226,20 @@ func (ix *Index) underAny(n *Node, d, level int, anc hierarchy.ID) bool {
 		}
 		return false
 	}
+	indexed := n.post != nil && n.post.valid
+	if indexed {
+		pd := &n.post.dims[d]
+		if pd.find(anc) >= 0 {
+			return true
+		}
+		if pd.levels&(1<<level-1) == 0 {
+			return false // no set finer than anc's to lift
+		}
+	}
 	for i := range n.entries {
 		ds := &n.entries[i].MDS[d]
 		if ds.Level == level {
-			if idMember(ds.IDs, anc) {
+			if !indexed && idMember(ds.IDs, anc) {
 				return true
 			}
 		} else if liftedMember(h.AncestorTable(ds.Level, level), ds.IDs, anc) {

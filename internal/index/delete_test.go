@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -152,28 +153,128 @@ func TestDeleteRepairMatchesCover(t *testing.T) {
 	}
 }
 
+// TestDeleteRepairAggregatesNaN holds the aggregate repair on the delete
+// path to Node.aggregate's refold, bit for bit, where the aggregates an
+// insert keeps are not that refold: measures drawn from few values, signed
+// zeros and NaNs (whose records cannot be found, so stay), on nodes of 8
+// rows and few entries. An insert merges its record into each entry on its
+// path in arrival order, and with a NaN or a zero of either sign among the
+// values that fold can keep another zero, or another number, than the fold
+// over the child's entries; a delete's repair must leave the latter, as
+// a refold did. After every delete each entry on the path must carry
+// its child's aggregate. Validate is not run: it compares aggregates with
+// ==, which no NaN passes.
+func TestDeleteRepairAggregatesNaN(t *testing.T) {
+	nz, nan := math.Copysign(0, -1), math.NaN()
+	values := []float64{nan, nz, 0, 1, 2, 3, 5, 8}
+	ix, nodes := newBareIndexAt(t, testSchema(t), smallConfig(), payload512)
+	rng := rand.New(rand.NewSource(46))
+	recs := genRecords(t, ix.schema, rng, 4000)
+	var live []cube.Record
+	for _, r := range recs {
+		r.Measures[0] = values[rng.Intn(len(values))]
+		if err := ix.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Measures[0] == r.Measures[0] {
+			live = append(live, r)
+		}
+	}
+	sameBits := func(a, b cube.AggVector) bool {
+		for j := range a {
+			x, y := a[j], b[j]
+			if x.Count != y.Count || math.Float64bits(x.Sum) != math.Float64bits(y.Sum) ||
+				math.Float64bits(x.Min) != math.Float64bits(y.Min) || math.Float64bits(x.Max) != math.Float64bits(y.Max) {
+				return false
+			}
+		}
+		return true
+	}
+	nanMins := 0
+	for step := 0; len(live) > 200; step++ {
+		k := rng.Intn(len(live))
+		rec := live[k]
+		live[k] = live[len(live)-1]
+		live = live[:len(live)-1]
+		path := deletePath(t, ix, rec)
+		if err := ix.Delete(rec); err != nil {
+			t.Fatalf("step %d: Delete: %v", step, err)
+		}
+		for i, id := range path[:len(path)-1] {
+			n := nodes.nodes[id]
+			if n == nil {
+				continue // the collapsed root
+			}
+			for j := range n.entries {
+				if e := &n.entries[j]; e.Child == path[i+1] {
+					want := nodes.nodes[e.Child].aggregate(ix.schema.Measures())
+					if !sameBits(e.Agg, want) {
+						t.Fatalf("step %d node %d entry %d: repaired %+v, refolded %+v", step, id, j, e.Agg, want)
+					}
+					if e.Agg[0].Min != e.Agg[0].Min {
+						nanMins++
+					}
+				}
+			}
+		}
+	}
+	if nanMins == 0 {
+		t.Fatal("no entry on a delete path held a NaN min: the stream tests nothing")
+	}
+}
+
 // TestDeleteAllocations holds the delete path to zero allocations per
-// delete: on a warm, packed tree, removing a present record that empties no
-// node edits every node on its path in place, refolds each entry's
+// delete: on a warm tree, removing a present record that empties no node
+// edits every node on its path in place, probes each directory through its
+// postings into the scratch's mask for that depth, refolds each entry's
 // aggregate into the entry's own vector and repairs each MDS in the write
-// scratch.
+// scratch. The trees are a packed TPC-D tree and one grown under
+// supernodeConfig, whose supernodes pass 64 entries, so that the probe's
+// masks have several words.
 func TestDeleteAllocations(t *testing.T) {
-	const records = 15000
-	gen, err := tpcd.New(1, tpcd.ScaleFor(records))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, nodes := newBareIndex(t, gen.Schema(), DefaultConfig())
-	recs := gen.Records(records)
-	if err := ix.BulkLoad(recs); err != nil {
-		t.Fatal(err)
-	}
+	t.Run("tpcd-packed", func(t *testing.T) {
+		const records = 15000
+		gen, err := tpcd.New(1, tpcd.ScaleFor(records))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, nodes := newBareIndex(t, gen.Schema(), DefaultConfig())
+		recs := gen.Records(records)
+		if err := ix.BulkLoad(recs); err != nil {
+			t.Fatal(err)
+		}
+		checkDeleteAllocations(t, ix, nodes, recs)
+	})
+	t.Run("supernodes", func(t *testing.T) {
+		ix, nodes := newBareIndexAt(t, testSchema(t), supernodeConfig(), payload1K)
+		recs := genRecords(t, ix.schema, rand.New(rand.NewSource(42)), 4000)
+		for _, r := range recs {
+			if err := ix.Insert(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		widest := 0
+		for _, n := range collectNodes(t, ix) {
+			widest = max(widest, len(n.entries))
+		}
+		if widest <= 64 {
+			t.Fatalf("the widest directory holds %d entries: no mask has a second word", widest)
+		}
+		checkDeleteAllocations(t, ix, nodes, recs)
+	})
+}
+
+// checkDeleteAllocations deletes every 12th of recs, the first 100 to warm
+// the write scratch's buffers, and fails unless the rest allocate nothing
+// and no node was emptied.
+func checkDeleteAllocations(t *testing.T, ix *Index, nodes *memNodes, recs []cube.Record) {
+	t.Helper()
 	var expire []cube.Record
 	for i := 0; i < len(recs); i += 12 {
 		expire = append(expire, recs[i])
 	}
 	const warm = 100
-	for _, r := range expire[:warm] { // warm up: the write scratch's buffers
+	for _, r := range expire[:warm] {
 		if err := ix.Delete(r); err != nil {
 			t.Fatal(err)
 		}

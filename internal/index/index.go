@@ -141,8 +141,10 @@ type Counters struct {
 	// Delete repairs of an entry or the root MDS that moved a level and so
 	// rebuilt the cover (mds.CoverInto) instead of dropping one value.
 	DeleteRepairFallbacks int64
-	// Directory postings built by chooseSubtree: one per directory the
-	// first time an insert descends through it after its entries changed.
+	// Directory postings built by chooseSubtree or the delete probe: one
+	// per directory the first time an insert or a delete descends through
+	// it after its entries changed as postings see them (a delete that only
+	// repairs aggregates leaves them valid).
 	PostingBuilds int64
 }
 

@@ -251,15 +251,15 @@ func liftedMember(tab, ids []hierarchy.ID, anc hierarchy.ID) bool {
 }
 
 // scanMax is the longest set idMember scans instead of searching, in the
-// cost pass, the delete probe and underAny: 2 × the default RefineBound,
+// cost pass and underAny: 2 × the default RefineBound,
 // the most values boundMDS leaves in an inserted entry's dimension. Longer
 // sets are the root MDS, bulk-loaded entries and trees without the bound
 // (RefineBound -1).
 const scanMax = 16
 
 // idMember reports membership in a sorted ID slice. It serves the
-// enlargement-cost pass, the delete probe (recContext.contains) and
-// underAny; choose-subtree's containment pass asks the postings instead. A
+// enlargement-cost pass and underAny over stale postings; the containment
+// passes of choose-subtree and the delete probe ask the postings instead. A
 // short set is scanned whole, counting the values below id without a
 // branch on the data — cheaper than a binary search's mispredicted
 // halvings; the count is id's position if it is there.

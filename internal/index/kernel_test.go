@@ -73,6 +73,22 @@ func refChooseSubtree(t *testing.T, tree *Index, n *Node, rec cube.Record) int {
 	return best
 }
 
+// contains reports whether m contains the record: per dimension, the
+// record's ancestor at m's relevant level is among m's values
+// (mds.Contains against the record's leaf MDS, without building it). It is
+// the postings' oracle: the containment passes of choose-subtree and the
+// delete probe ask a node's postings, which answer it for every entry at
+// once.
+func (rc *recContext) contains(m mds.MDS) bool {
+	for d := range m {
+		ds := &m[d]
+		if ds.Level != hierarchy.LevelALL && !idMember(ds.IDs, rc.anc[d][ds.Level]) {
+			return false
+		}
+	}
+	return true
+}
+
 // refContaining is chooseSubtree's containment pass as it was before the
 // postings: every entry asked by rc.contains, in order, under the volume →
 // size → first-index tie-break. It returns each entry's answer and the

@@ -30,9 +30,10 @@ type Entry struct {
 // markDirty, so that the descent matches heap and mapped directories with
 // the same code over contiguous bytes. Its choose-subtree keeps a third
 // form, post: the postings that answer containment (postings.go), built by
-// the first chooseSubtree after the entries change and marked stale by
-// invalidatePostings at every site that changes an entry's MDS or the entry
-// list — not by markDirty, which aggregate-only updates also call.
+// the first chooseSubtree or delete probe after the entries change and
+// marked stale by invalidatePostings at every site that changes an entry's
+// MDS or the entry list — not by markDirty, which aggregate-only updates
+// also call.
 //
 // A data node is struct-of-arrays: record i's coordinates are
 // coords[i*dims:(i+1)*dims], its measures measures[i*nm:(i+1)*nm] — the
@@ -213,57 +214,81 @@ func (ix *Index) nodeBlocks(n *Node) int {
 	return ix.blocksFor(n.leaf, n.Count(), n.encodedSize())
 }
 
-// aggregate computes the node's aggregate vector from its entries.
+// aggregate computes the node's aggregate vector: its rows or entries
+// folded in, in order.
 func (n *Node) aggregate(measures int) cube.AggVector {
 	v := cube.NewAggVector(measures)
-	n.aggregateInto(v)
-	return v
-}
-
-// aggregateInto refolds the node's aggregate vector into v in place: v is
-// emptied, then the node's rows or entries are folded in, in order.
-func (n *Node) aggregateInto(v cube.AggVector) {
-	clear(v)
 	if n.leaf {
 		for i := 0; i < n.Count(); i++ {
 			v.AddRecord(n.RowMeasures(i))
 		}
-		return
+		return v
 	}
 	for i := range n.entries {
 		v.Merge(n.entries[i].Agg)
 	}
+	return v
 }
 
 // repairAggregate brings v, a data node's aggregate vector before the row
 // whose measures were gone left it, to the node's aggregate after — bit for
-// bit what aggregateInto computes, for less. The counts drop by one; the
+// bit what aggregate computes, for less. The counts drop by one; the
 // sums are refolded alone, in row order from the first row's value, as Add
 // folds them (from 0 a sum of −0.0 rows would read +0.0); min and max are
 // refolded only when the row held one of them or a NaN, or the first row,
 // where the fold starts, is a NaN — otherwise the gone row never decided
-// them. The node holds at least one row.
+// them. Each fold runs in locals and is stored once, so that no row waits
+// on the store of the row before. The node holds at least one row.
 func (n *Node) repairAggregate(v cube.AggVector, gone []float64) {
 	for j := range v {
 		a, first := &v[j], n.measures[j]
-		a.Count--
-		a.Sum = first
+		sum := first
 		for k := j + n.nm; k < len(n.measures); k += n.nm {
-			a.Sum += n.measures[k]
+			sum += n.measures[k]
 		}
+		a.Count--
+		a.Sum = sum
 		if x := gone[j]; x != a.Min && x != a.Max && x == x && first == first {
 			continue
 		}
-		a.Min, a.Max = first, first
+		lo, hi := first, first
 		for k := j + n.nm; k < len(n.measures); k += n.nm {
 			// Add's comparisons, not min and max, which a NaN or a signed
 			// zero would decide otherwise.
-			if x := n.measures[k]; x < a.Min {
-				a.Min = x
-			} else if x > a.Max {
-				a.Max = x
+			if x := n.measures[k]; x < lo {
+				lo = x
+			} else if x > hi {
+				hi = x
 			}
 		}
+		a.Min, a.Max = lo, hi
+	}
+}
+
+// refoldEntries loads into v what aggregate computes for a directory whose
+// entries all count at least one record, as a valid tree's do: Merge's fold
+// over the entries, in order, in locals, stored once per measure. Min and
+// max are refolded always. A directory entry's aggregate is kept on insert
+// by merging the record into it, in arrival order, which is not the fold
+// over its child's entries when signed zeros or NaNs are among the values,
+// so only a refold reproduces the aggregate aggregate gives. The node holds
+// at least one entry.
+func (n *Node) refoldEntries(v cube.AggVector) {
+	for j := range v {
+		first := &n.entries[0].Agg[j]
+		a := *first
+		for i := 1; i < len(n.entries); i++ {
+			b := &n.entries[i].Agg[j]
+			a.Sum += b.Sum
+			a.Count += b.Count
+			if b.Min < a.Min {
+				a.Min = b.Min
+			}
+			if b.Max > a.Max {
+				a.Max = b.Max
+			}
+		}
+		v[j] = a
 	}
 }
 

@@ -18,11 +18,14 @@ import (
 // level present.
 //
 // A mask is one word per 64 entries, so a supernode of any size is served.
-// The table is built from the node's entries by the first chooseSubtree
-// after they changed (Index.postings) and is never written to disk, into
-// the read image or by a reader. Every site that changes an entry's MDS or
-// the entry list calls Node.invalidatePostings; an aggregate update does
-// not.
+// The table is built from the node's entries by the first chooseSubtree or
+// delete probe after they changed (Index.postings) and is never written to
+// disk, into the read image or by a reader. Every site that changes an
+// entry's MDS or the entry list calls Node.invalidatePostings; an aggregate
+// update does not, nor a delete repair that drops no value. While valid, the
+// table also answers the delete repair's questions: the coarsest level of a
+// dimension's sets (memberLevels) and whether any set holds a value
+// (underAny).
 type postings struct {
 	valid bool
 	words int // mask words: one per 64 entries
@@ -61,7 +64,8 @@ const emptySlot = uint64(hierarchy.ALL)
 
 // invalidatePostings marks a directory's postings stale. It is called
 // wherever an entry's MDS or the entry list changes, never from markDirty,
-// which also runs for the aggregate-only updates of every insert path.
+// which also runs for the aggregate-only updates of every insert and delete
+// path.
 func (n *Node) invalidatePostings() {
 	if n.post != nil {
 		n.post.valid = false
@@ -69,7 +73,8 @@ func (n *Node) invalidatePostings() {
 }
 
 // postings returns n's postings, building them if n has none or they are
-// stale. Only the write path calls it, under the exclusive hold.
+// stale. Only the write path — choose-subtree and the delete probe — calls
+// it, under the exclusive hold.
 func (ix *Index) postings(n *Node) *postings {
 	if n.post == nil {
 		n.post = new(postings)
@@ -193,6 +198,17 @@ func (pd *postingDim) insert(id hierarchy.ID) int {
 			return s
 		}
 	}
+}
+
+// coarsest returns the coarsest level of the dimension's sets: LevelALL if
+// some entry's set is ALL, else the highest level bit (0 with no entries).
+func (pd *postingDim) coarsest() int {
+	for _, w := range pd.all {
+		if w != 0 {
+			return hierarchy.LevelALL
+		}
+	}
+	return max(0, bits.Len16(pd.levels)-1)
 }
 
 // find returns the offset of id's slot, or -1 if no entry holds id.

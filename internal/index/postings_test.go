@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -9,6 +10,8 @@ import (
 
 	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/hierarchy"
+	"github.com/dcindex/dctree/internal/mds"
+	"github.com/dcindex/dctree/internal/seqscan"
 	"github.com/dcindex/dctree/internal/tpcd"
 )
 
@@ -228,14 +231,18 @@ func supernodeConfig() Config {
 // until data nodes began to hold the rows their block fits at their codes'
 // byte widths (a third fewer data-node splits, fewer stale tables), and 94
 // until a directory overflowed by its bytes, not at 24 entries (one
-// level-1 directory fewer to split).
+// level-1 directory fewer to split). A delete that removes no value from
+// an entry's MDS leaves every table valid, so the next insert builds
+// none; one that removes a value leaves stale exactly the directories
+// whose entry on the delete path lost one.
 func TestPostingBuilds(t *testing.T) {
 	gen, err := tpcd.New(1, tpcd.ScaleFor(15000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, _ := newBareIndex(t, gen.Schema(), DefaultConfig())
-	for _, r := range gen.Records(15000) {
+	ix, nodes := newBareIndex(t, gen.Schema(), DefaultConfig())
+	recs := gen.Records(15000)
+	for _, r := range recs {
 		if err := ix.Insert(r); err != nil {
 			t.Fatal(err)
 		}
@@ -309,6 +316,70 @@ func TestPostingBuilds(t *testing.T) {
 	if contained == 0 || !split {
 		t.Fatalf("%d contained inserts, a split: %v; both must occur", contained, split)
 	}
+
+	// Deletes. Each one's path is noted with its entries' MDSs before; a
+	// delete that empties a node or rebuilds a cover is passed over.
+	stale()
+	fresh := gen.Records(20)
+	kept, lost, skipped := 0, 0, 0
+	for i := 0; i < len(recs) && (kept < len(fresh) || lost < 20); i++ {
+		path := deletePath(t, ix, recs[i])
+		before := make([]mds.MDS, len(path)-1)
+		for k, id := range path[:len(path)-1] {
+			before[k] = entryTo(nodes.nodes[id], path[k+1]).MDS.Clone()
+		}
+		c, count := ix.Counters(), len(nodes.nodes)
+		if err := ix.Delete(recs[i]); err != nil {
+			t.Fatal(err)
+		}
+		if ix.Counters().DeleteRepairFallbacks != c.DeleteRepairFallbacks || len(nodes.nodes) != count {
+			skipped++
+			stale()
+			continue
+		}
+		var changed []NodeID
+		for k, id := range path[:len(path)-1] {
+			if !entryTo(nodes.nodes[id], path[k+1]).MDS.Equal(before[k]) {
+				changed = append(changed, id)
+			}
+		}
+		ids := stale()
+		slices.Sort(ids)
+		slices.Sort(changed)
+		if !slices.Equal(ids, changed) {
+			t.Fatalf("delete %d: entries on the path lost a value in directories %v; stale postings: %v", i, changed, ids)
+		}
+		if len(changed) > 0 {
+			lost++
+			continue
+		}
+		if kept == len(fresh) {
+			continue
+		}
+		// Every table is valid: the next insert builds none.
+		b := builds()
+		if err := ix.Insert(fresh[kept]); err != nil {
+			t.Fatal(err)
+		}
+		if got := builds() - b; got != 0 {
+			t.Fatalf("an insert after a delete that removed no value built %d postings", got)
+		}
+		kept++
+		stale()
+	}
+	if kept < len(fresh) || lost < 20 {
+		t.Fatalf("%d deletes removed no value, %d removed one (%d passed over); 20 of each must occur", kept, lost, skipped)
+	}
+}
+
+// entryTo returns directory n's entry for child.
+func entryTo(n *Node, child NodeID) *Entry {
+	for i := range n.entries {
+		if n.entries[i].Child == child {
+			return &n.entries[i]
+		}
+	}
+	panic(fmt.Sprintf("node %d has no entry for %d", n.id, child))
 }
 
 // FuzzPostings drives a tree of small nodes through the inserts and
@@ -348,4 +419,74 @@ func FuzzPostings(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestRollingWindowPostingBuilds runs the paper's fully dynamic scenario
+// (tpcd.Window) on the bare index: a 15k random-order window over one
+// turnover, each step the insert of the newest record and the delete of the
+// oldest. A delete that only repairs aggregates leaves every table valid,
+// so the steps build an exact, small number of postings — pinned, and at
+// most 0.05 a step; when every delete marked its path stale, the steps
+// built 23,538, 1.57 a step. At each half turnover the tree is validated
+// and every query class is answered as the sequential scan of the live
+// records answers it.
+func TestRollingWindowPostingBuilds(t *testing.T) {
+	const size, pinned = 15000, 117
+	gen, err := tpcd.New(1, tpcd.ScaleFor(size))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := gen.Window(size, size, tpcd.Random)
+	ix, nodes := newBareIndex(t, gen.Schema(), DefaultConfig())
+	for _, r := range w.Build() {
+		if err := ix.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queries := drawQueryClasses(t, gen, 77, 20)
+	built := ix.Counters().PostingBuilds
+	for i := 0; i < w.Steps(); i++ {
+		newest, oldest := w.Step(i)
+		if err := ix.Insert(newest); err != nil {
+			t.Fatalf("step %d: Insert: %v", i, err)
+		}
+		if err := ix.Delete(oldest); err != nil {
+			t.Fatalf("step %d: Delete: %v", i, err)
+		}
+		if (i+1)%(size/2) != 0 {
+			continue
+		}
+		if err := validate(ix); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		oracle := seqscan.New(gen.Schema())
+		for _, r := range w.Live(i) {
+			if err := oracle.Insert(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, class := range queryClassNames {
+			for k, q := range queries[class] {
+				res, err := ix.Execute(context.Background(), nodes, ix.head.Root, Query{MDS: q})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := oracle.RangeAgg(q, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !aggClose(res.Agg, want) {
+					t.Fatalf("step %d %s query %d: %+v, scan %+v", i, class, k, res.Agg, want)
+				}
+			}
+		}
+	}
+	got := ix.Counters().PostingBuilds - built
+	t.Logf("%d posting builds over %d steps: %.4f a step", got, w.Steps(), float64(got)/float64(w.Steps()))
+	if got != pinned {
+		t.Errorf("the steps built %d postings, pinned %d", got, pinned)
+	}
+	if float64(got) > 0.05*float64(w.Steps()) {
+		t.Errorf("%d posting builds over %d steps: more than 0.05 a step", got, w.Steps())
+	}
 }

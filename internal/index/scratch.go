@@ -19,7 +19,8 @@ import (
 type writeScratch struct {
 	rc recContext
 
-	contain []uint64 // the mask of the entries containing the record
+	contain []uint64   // choose-subtree's mask of the entries containing the record
+	probe   [][]uint64 // the delete probe's masks, one per depth below the root
 	post    postingScratch
 
 	topMDS  mds.MDS        // (ALL,…,ALL): the root's relevant levels, read-only
@@ -56,9 +57,10 @@ func newWriteScratch(schema *cube.Schema) *writeScratch {
 // recContext is the per-mutation derived state: the record, its aggregate,
 // and its ancestor at every hierarchy level of every dimension
 // (anc[d][l]). The ancestors are the hot currency of the descent — the
-// choose-subtree postings lookups and cost function, the incremental MDS
-// updates and the delete path's containment test consult them — so they
-// are walked exactly once per mutation, into the tree's write scratch.
+// postings lookups of choose-subtree and the delete probe, the cost
+// function, the incremental MDS updates and the delete repair consult them
+// — so they are walked exactly once per mutation, into the tree's write
+// scratch.
 type recContext struct {
 	rec cube.Record
 	agg cube.AggVector
@@ -86,21 +88,6 @@ func (ix *Index) recContext(rec cube.Record) (*recContext, error) {
 		}
 	}
 	return rc, nil
-}
-
-// contains reports whether m contains the record: per dimension, the
-// record's ancestor at m's relevant level is among m's values
-// (mds.Contains against the record's leaf MDS, without building it). It is
-// the delete probe's test; choose-subtree asks the node's postings, which
-// answer it for every entry at once.
-func (rc *recContext) contains(m mds.MDS) bool {
-	for d := range m {
-		ds := &m[d]
-		if ds.Level != hierarchy.LevelALL && !idMember(ds.IDs, rc.anc[d][ds.Level]) {
-			return false
-		}
-	}
-	return true
 }
 
 // cover folds the record into m in place: per dimension, the record's
@@ -182,8 +169,16 @@ func (ws *writeScratch) entryMDSs(n *Node) []mds.MDS {
 // memberLevels loads into the scratch's level vector, per dimension, the
 // coarsest level among n's members — 0 for a data node's rows — which is the
 // level their cover takes at no floor (LevelALL is the largest level tag).
+// A directory whose postings are valid answers from each dimension's ALL
+// mask and level bits; any other scans its entries.
 func (ws *writeScratch) memberLevels(n *Node) []int {
 	clear(ws.levels)
+	if p := n.post; p != nil && p.valid {
+		for d := range p.dims {
+			ws.levels[d] = p.dims[d].coarsest()
+		}
+		return ws.levels
+	}
 	for i := range n.entries {
 		for d, ds := range n.entries[i].MDS {
 			ws.levels[d] = max(ws.levels[d], ds.Level)

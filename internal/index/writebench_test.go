@@ -193,7 +193,8 @@ const deleteBenchRecords = 37500
 // record from a packed (BulkLoad) TPC-D tree, at 48 rows a data node and
 // block-filled. One iteration is one pass over the expired records on a
 // fresh tree; beside ns/delete it reports how many repairs per delete
-// rebuilt a cover (mds.CoverInto) instead of dropping one value.
+// rebuilt a cover (mds.CoverInto) instead of dropping one value, and how
+// many directory posting tables the delete probe built per delete.
 func BenchmarkDelete(b *testing.B) {
 	gen, err := tpcd.New(1, tpcd.ScaleFor(deleteBenchRecords))
 	if err != nil {
@@ -212,7 +213,7 @@ func BenchmarkDelete(b *testing.B) {
 			cfg := DefaultConfig()
 			cfg.LeafCapacity = bc.rows
 			b.ReportAllocs()
-			var fallbacks int64
+			var fallbacks, builds int64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				tree, _ := newBareIndex(b, gen.Schema(), cfg)
@@ -225,11 +226,14 @@ func BenchmarkDelete(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				fallbacks += tree.Counters().DeleteRepairFallbacks
+				c := tree.Counters()
+				fallbacks += c.DeleteRepairFallbacks
+				builds += c.PostingBuilds
 			}
 			deletes := float64(b.N * len(expire))
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/deletes, "ns/delete")
 			b.ReportMetric(float64(fallbacks)/deletes, "fallbacks/delete")
+			b.ReportMetric(float64(builds)/deletes, "builds/delete")
 		})
 	}
 }

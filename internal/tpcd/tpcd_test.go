@@ -3,6 +3,7 @@ package tpcd
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/dcindex/dctree/internal/core"
@@ -437,4 +438,52 @@ func TestSeqScanStore(t *testing.T) {
 	if err := scan.Insert(bad); err == nil {
 		t.Fatal("invalid record accepted")
 	}
+}
+
+// TestWindow checks the rolling window's stream: both arrival orders draw
+// the same records, time order is sorted by day and keeps generation order
+// within a day, and each step inserts the record after the live ones and
+// deletes the first of them.
+func TestWindow(t *testing.T) {
+	const size, steps = 300, 200
+	windows := map[Arrival]*Window{}
+	for _, a := range []Arrival{Random, TimeOrdered} {
+		g, err := New(3, smallScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := g.Window(size, steps, a)
+		if len(w.Build()) != size || w.Steps() != steps {
+			t.Fatalf("%v: a build of %d records and %d steps, want %d and %d", a, len(w.Build()), w.Steps(), size, steps)
+		}
+		for i := 0; i < steps; i++ {
+			newest, oldest := w.Step(i)
+			live := w.Live(i)
+			if len(live) != size || !sameRecord(live[size-1], newest) || !sameRecord(w.Live(i - 1)[0], oldest) {
+				t.Fatalf("%v step %d: inserts %v and deletes %v; live before %v…, after …%v",
+					a, i, newest.Coords, oldest.Coords, w.Live(i - 1)[0].Coords, live[size-1].Coords)
+			}
+		}
+		windows[a] = w
+	}
+	rnd, ord := windows[Random].Records, windows[TimeOrdered].Records
+	next := map[uint32]int{} // per day, the next random-order record it must hold
+	for i, r := range ord {
+		day := r.Coords[DimTime].Code()
+		if i > 0 && day < ord[i-1].Coords[DimTime].Code() {
+			t.Fatalf("time order: record %d has day %d after day %d", i, day, ord[i-1].Coords[DimTime].Code())
+		}
+		k := next[day]
+		for k < len(rnd) && rnd[k].Coords[DimTime].Code() != day {
+			k++
+		}
+		if k == len(rnd) || !sameRecord(rnd[k], r) {
+			t.Fatalf("time order: record %d is not the next of day %d in generation order", i, day)
+		}
+		next[day] = k + 1
+	}
+}
+
+func sameRecord(a, b cube.Record) bool {
+	return slices.Equal(a.Coords, b.Coords) && slices.Equal(a.Measures, b.Measures)
 }
