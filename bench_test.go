@@ -291,8 +291,10 @@ const windowRecords = 30000
 // newest 30k TPC-D facts, refreshed one step at a time — the newest record
 // inserted, the oldest deleted (tpcd.Window) — in random and in time order.
 // One op is one turnover, 30k steps, on a freshly built tree. Beside ns/op
-// it reports the µs each step's insert and delete take, and the directory
-// posting tables the steps build, per step.
+// it reports the µs each step's insert and delete take, the directory
+// posting tables the steps build, per step, and at the end of each
+// turnover the data level's fill and the tree's height (Index.LevelStats),
+// averaged over the turnovers.
 func BenchmarkRollingWindow(b *testing.B) {
 	for _, arrival := range []tpcd.Arrival{tpcd.Random, tpcd.TimeOrdered} {
 		b.Run(arrival.String(), func(b *testing.B) {
@@ -303,9 +305,10 @@ func BenchmarkRollingWindow(b *testing.B) {
 			w := gen.Window(windowRecords, windowRecords, arrival)
 			var inserting, deleting time.Duration
 			var builds int64
+			var fill, height float64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				ix := newWindowIndex(b, gen.Schema())
+				ix, nodes := newWindowIndex(b, gen.Schema())
 				for _, r := range w.Build() {
 					if err := ix.Insert(r); err != nil {
 						b.Fatal(err)
@@ -327,28 +330,41 @@ func BenchmarkRollingWindow(b *testing.B) {
 					deleting += time.Since(t1)
 				}
 				builds += ix.Counters().PostingBuilds - built
+				b.StopTimer()
+				levels, err := ix.LevelStats(nodes, ix.Head())
+				if err != nil {
+					b.Fatal(err)
+				}
+				fill += levels[len(levels)-1].Fill
+				height += float64(len(levels))
+				b.StartTimer()
 			}
 			steps := float64(b.N * w.Steps())
 			b.ReportMetric(inserting.Seconds()*1e6/steps, "us/insert")
 			b.ReportMetric(deleting.Seconds()*1e6/steps, "us/delete")
 			b.ReportMetric(float64(builds)/steps, "builds/step")
+			b.ReportMetric(fill/float64(b.N), "data-fill")
+			b.ReportMetric(height/float64(b.N), "height")
 		})
 	}
 }
 
 // newWindowIndex returns an empty bare index over windowNodes, its nodes
-// sized for the default block as the engine sizes them.
-func newWindowIndex(b *testing.B, schema *cube.Schema) *index.Index {
+// sized for the default block as the engine sizes them, and the nodes.
+func newWindowIndex(b *testing.B, schema *cube.Schema) (*index.Index, *windowNodes) {
 	cfg := index.DefaultConfig()
 	if err := cfg.Normalize(); err != nil {
 		b.Fatal(err)
 	}
 	s := &windowNodes{nodes: map[index.NodeID]*index.Node{}, dims: schema.Dims(), measures: schema.Measures()}
-	return index.New(schema, cfg, s, storage.ExtentCapacity(core.DefaultConfig().BlockSize, 1))
+	s.ix = index.New(schema, cfg, s, storage.ExtentCapacity(core.DefaultConfig().BlockSize, 1))
+	return s.ix, s
 }
 
-// windowNodes is the bare index's node store: heap nodes in a map.
+// windowNodes is the bare index's node store, heap nodes in a map, and
+// over the same nodes the read-side Source that LevelStats walks.
 type windowNodes struct {
+	ix             *index.Index
 	nodes          map[index.NodeID]*index.Node
 	next           index.NodeID
 	dims, measures int
@@ -372,5 +388,14 @@ func (s *windowNodes) MarkDirty(index.NodeID) {}
 
 func (s *windowNodes) Drop(id index.NodeID) error {
 	delete(s.nodes, id)
+	return nil
+}
+
+func (s *windowNodes) View(id index.NodeID, nv *index.NodeView) error {
+	n, err := s.Get(id)
+	if err != nil {
+		return err
+	}
+	s.ix.HeapView(n, nv)
 	return nil
 }

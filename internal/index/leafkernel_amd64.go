@@ -1,10 +1,6 @@
 package index
 
-import (
-	"unsafe"
-
-	"github.com/dcindex/dctree/internal/bitmap"
-)
+import "unsafe"
 
 // avx2Supported reports whether this CPU and OS run the AVX2 leaf kernel:
 // CPUID announces AVX, AVX2 and POPCNT, and XGETBV shows the OS saving the
@@ -51,14 +47,15 @@ var compactTable = func() (t [256][16]byte) {
 	return t
 }()
 
-// selectAVX2 is one pass of the leaf kernel over the row indexes src[:n],
-// n a multiple of 8, in assembly (leafkernel_amd64.s): it writes those
-// whose code passes mask to sel, in order, and returns their number. A
-// row's code is the 4 bytes at col + index × stride, cut by width. src is
-// rowIndexes on a chunk's first pass and sel itself on the later ones; the
-// write cursor never passes the read position, so the pass compacts in
-// place. Nothing it is passed escapes, which keeps scanRows' selection
-// vector on the stack.
+// selectAVX2 is the leaf kernel's AVX2 routine, in assembly
+// (leafkernel_amd64.s): it runs every pass of the table over the n rows at
+// rows, stride bytes apart, and leaves in sel the indexes of the rows that
+// pass them all, in order, returning their number. A pass's code is the 4
+// bytes at its off in a row, cut by its width, and a row passes when the
+// pass's mask holds it. The first pass reads the row indexes from
+// rowIndexes, each later one compacts sel in place; the write cursor never
+// passes the read position. passes is never empty, and nothing the routine
+// is passed escapes, which keeps scanRows' selection vector off the heap.
 //
 //go:noescape
-func selectAVX2(sel, src *[scanChunk]uint16, n int, col unsafe.Pointer, stride int, width uint32, mask bitmap.Dense) int
+func selectAVX2(sel *[scanChunk]uint16, n int, rows unsafe.Pointer, stride int, passes []leafPass) int

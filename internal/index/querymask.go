@@ -47,10 +47,10 @@ type queryCtx struct {
 	slab    []uint64
 	lvlSlab []bitmap.Dense
 	work    [2][]uint32
-	// frames are the serial descent's view frames, one per depth; cols
-	// the flat data node's code offsets its leaf kernel tests (flatCols).
-	frames []NodeView
-	cols   []flatCol
+	// frames are the serial descent's view frames, one per depth; heap and
+	// flat the leaf kernel's pass tables (setPasses).
+	frames     []NodeView
+	heap, flat []leafPass
 }
 
 // rowMask is the record test of one constrained dimension: members of its
@@ -147,6 +147,7 @@ func (ix *Index) newQueryCtx(q mds.MDS) (*queryCtx, error) {
 	slices.SortStableFunc(qc.rows, func(a, b rowMask) int {
 		return cmp.Compare(a.members*b.domain, b.members*a.domain)
 	})
+	qc.setPasses()
 	return qc, nil
 }
 
@@ -192,10 +193,13 @@ func (ix *Index) putQueryCtx(qc *queryCtx) {
 }
 
 // scanChunk is how many rows the leaf kernel selects at a time: the length
-// of its selection vector, which lives on the stack.
-const scanChunk = 256
+// of its selection vector, which lives on the stack. It is above the rows
+// of any one-block data node at the default block size
+// (TestOneBlockDataNodeIsOneSelection), so such a node is one selection;
+// only a multi-block node is taken in chunks.
+const scanChunk = 512
 
-// rowIndexes is 0..scanChunk-1: the row indexes an AVX2 first pass reads.
+// rowIndexes is 0..scanChunk-1: the row indexes a first pass reads.
 var rowIndexes = func() (t [scanChunk]uint16) {
 	for i := range t {
 		t[i] = uint16(i)
@@ -203,7 +207,7 @@ var rowIndexes = func() (t [scanChunk]uint16) {
 	return t
 }()
 
-// leafAVX2 selects the leaf kernel's AVX2 passes, chosen once at start-up
+// leafAVX2 selects the leaf kernel's AVX2 routine, chosen once at start-up
 // from CPUID (leafkernel_amd64.go); elsewhere the passes are Go loops.
 // Tests switch it to hold the two to the same answers.
 var leafAVX2 = avx2Supported
@@ -224,14 +228,15 @@ func LeafKernel() string {
 // packed arrays, a flat node's at a fixed stride in the payload. It returns
 // the number of records tested and matched.
 //
-// The rows are taken in chunks of scanChunk through a selection vector: the
-// most selective constrained dimension is tested on every row of the chunk,
-// each further one only on the rows that passed so far, and every test is
-// branch-free — the row's index is written and kept by adding its mask bit.
-// The survivors are folded in row order, so out ends bit-identical to a
-// row-at-a-time fold. Under leafAVX2 each test pass takes its full groups of
-// eight rows through selectAVX2 and the rest through its Go loop; the rows
-// selected are the same.
+// The rows are taken through a selection vector, a node of up to scanChunk
+// rows whole and a longer one in chunks of scanChunk. Each constrained
+// dimension is one pass of the node's pass table (setPasses, flatPasses):
+// the most selective is tested on every row, each further one only on the
+// rows that passed so far, and every test is branch-free — the row's index
+// is written and kept by adding its mask bit. The survivors are folded in
+// row order, so out ends bit-identical to a row-at-a-time fold. Under
+// leafAVX2 one call of selectAVX2 runs every pass of a chunk, tail rows
+// included; otherwise Go loops do, selecting the same rows.
 //
 // Records may carry values registered after the masks were built (inserts
 // between the mask build and an as-of descent); a code beyond the mask is
@@ -241,10 +246,11 @@ func (qc *queryCtx) scanRows(nv *NodeView, first int, out cube.AggVector) (rows,
 	var sel [scanChunk]uint16
 	if n := nv.n; n != nil {
 		coords, dims, vals, nm := n.coords, n.dims, n.measures, n.nm
+		passes := qc.heap
 		rows = len(coords) / dims
 		for base := 0; base < rows; base += scanChunk {
 			chunk := coords[base*dims : min(base+scanChunk, rows)*dims]
-			k := qc.selectHeap(&sel, chunk, dims)
+			k := selectHeap(&sel, chunk, dims, passes)
 			matched += k
 			for j := range out {
 				a, vs := &out[j], vals[base*nm+first+j:]
@@ -256,11 +262,11 @@ func (qc *queryCtx) scanRows(nv *NodeView, first int, out cube.AggVector) (rows,
 		return rows, matched
 	}
 	f := &nv.f
-	stride, measures, cols := f.stride, f.codes+8*first, qc.flatCols(f)
+	stride, measures, passes := f.stride, f.codes+8*first, qc.flatPasses(f)
 	rows = f.count
 	for base := 0; base < rows; base += scanChunk {
 		chunk := f.b[f.fixBase+base*stride : f.fixBase+min(base+scanChunk, rows)*stride]
-		k := qc.selectFlat(&sel, chunk, stride, cols)
+		k := selectFlat(&sel, chunk, stride, passes)
 		matched += k
 		for j := range out {
 			a, vs := &out[j], chunk[measures+8*j:]
@@ -272,6 +278,44 @@ func (qc *queryCtx) scanRows(nv *NodeView, first int, out cube.AggVector) (rows,
 	return rows, matched
 }
 
+// leafPass is one record test as the leaf kernel runs it: the level-0 mask
+// of a constrained dimension, the offset of the dimension's code in a row,
+// and the mask that cuts a 4-byte load there to the code. selectAVX2 reads
+// a table of them at the field offsets go_asm.h gives it.
+type leafPass struct {
+	mask  bitmap.Dense
+	off   int
+	width uint32
+}
+
+// setPasses builds the query's pass tables from qc.rows, in their order:
+// the heap nodes' whole — a code is a coordinate's hierarchy.ID, 4 bytes at
+// 4·dim in a row of 4·dims, cut to its level-0 code by hierarchy.MaxCode —
+// and the flat nodes' masks, whose offsets and widths flatPasses sets per
+// visit.
+func (qc *queryCtx) setPasses() {
+	qc.heap, qc.flat = qc.heap[:0], qc.flat[:0]
+	for _, rt := range qc.rows {
+		qc.heap = append(qc.heap, leafPass{mask: rt.mask, off: 4 * rt.dim, width: hierarchy.MaxCode})
+		qc.flat = append(qc.flat, leafPass{mask: rt.mask})
+	}
+}
+
+// flatPasses returns the pass table of the rows of f: where each tested
+// dimension's code lies in them, the widths summed once a visit. The slice
+// is the queryCtx's, reused by the next visit.
+func (qc *queryCtx) flatPasses(f *FlatNode) []leafPass {
+	widths := f.widths()
+	for i, rt := range qc.rows {
+		off := 0
+		for _, w := range widths[:rt.dim] {
+			off += int(w)
+		}
+		qc.flat[i].off, qc.flat[i].width = off, widthMask(widths[rt.dim])
+	}
+	return qc.flat
+}
+
 // maskBit is the record test of one code: 1 if the mask holds it, else 0.
 func maskBit(m bitmap.Dense, c uint32) int {
 	if w := int(c >> 6); w < len(m) {
@@ -281,98 +325,79 @@ func maskBit(m bitmap.Dense, c uint32) int {
 }
 
 // selectHeap fills sel with the indexes of the rows of chunk (heap
-// coordinates, dims per row, at most scanChunk rows) that pass every record
-// test, in row order, and returns their number.
-func (qc *queryCtx) selectHeap(sel *[scanChunk]uint16, chunk []hierarchy.ID, dims int) int {
+// coordinates, dims per row, at most scanChunk rows) that pass every pass
+// of the table, in row order, and returns their number. A heap pass's off
+// is 4·dim: its Go loops start at the dimension's ID of row 0.
+func selectHeap(sel *[scanChunk]uint16, chunk []hierarchy.ID, dims int, passes []leafPass) int {
 	n := len(chunk) / dims
-	if len(qc.rows) == 0 {
-		for i := range n {
-			sel[i] = uint16(i)
-		}
-		return n
+	if len(passes) == 0 || n == 0 {
+		return copy(sel[:n], rowIndexes[:n])
 	}
-	mask, dim, k, i := qc.rows[0].mask, qc.rows[0].dim, 0, 0
 	if leafAVX2 {
-		i = n &^ 7
-		k = selectAVX2(sel, &rowIndexes, i, unsafe.Pointer(&chunk[dim]), 4*dims, hierarchy.MaxCode, mask)
+		return selectAVX2(sel, n, unsafe.Pointer(unsafe.SliceData(chunk)), 4*dims, passes)
 	}
-	for o := i*dims + dim; i < n; i, o = i+1, o+dims {
-		sel[uint8(k)] = uint16(i)
-		k += maskBit(mask, chunk[o].Code())
-	}
-	for _, rt := range qc.rows[1:] {
-		kept, j := 0, 0
-		if leafAVX2 {
-			j = k &^ 7
-			kept = selectAVX2(sel, sel, j, unsafe.Pointer(&chunk[rt.dim]), 4*dims, hierarchy.MaxCode, rt.mask)
-		}
-		for _, s := range sel[j:k] {
-			sel[uint8(kept)] = s
-			kept += maskBit(rt.mask, chunk[int(s)*dims+rt.dim].Code())
-		}
-		k = kept
+	k := selectHeapAll(sel, chunk[passes[0].off/4:], n, dims, passes[0].mask)
+	for _, p := range passes[1:] {
+		k = selectHeapKept(sel, chunk[p.off/4:], k, dims, p.mask)
 	}
 	return k
 }
 
-// flatCol is where a record test's code lies in a flat data node's rows:
-// its offset in a row, and the mask that cuts a load there to its width.
-type flatCol struct {
-	off   int
-	width uint32
+// selectHeapAll and selectHeapKept are selectHeap's Go loops over one pass,
+// whose codes start chunk dims IDs apart: the first over all n rows, the
+// second over the k kept so far. Out of line for the reason selectFlatAll
+// is.
+//
+//go:noinline
+func selectHeapAll(sel *[scanChunk]uint16, chunk []hierarchy.ID, n, dims int, mask bitmap.Dense) int {
+	k := 0
+	for i, o := 0, 0; i < n; i, o = i+1, o+dims {
+		sel[k&(scanChunk-1)] = uint16(i)
+		k += maskBit(mask, chunk[o].Code())
+	}
+	return k
 }
 
-// flatCols returns, in the order of qc.rows, where each tested dimension's
-// code lies in the rows of f: the widths are summed once a visit. The slice
-// is the queryCtx's, reused by the next visit.
-func (qc *queryCtx) flatCols(f *FlatNode) []flatCol {
-	widths := f.widths()
-	qc.cols = qc.cols[:0]
-	for _, rt := range qc.rows {
-		off := 0
-		for _, w := range widths[:rt.dim] {
-			off += int(w)
-		}
-		qc.cols = append(qc.cols, flatCol{off: off, width: widthMask(widths[rt.dim])})
+//go:noinline
+func selectHeapKept(sel *[scanChunk]uint16, chunk []hierarchy.ID, k, dims int, mask bitmap.Dense) int {
+	kept := 0
+	for _, s := range sel[:k] {
+		sel[kept&(scanChunk-1)] = s
+		kept += maskBit(mask, chunk[int(s)*dims].Code())
 	}
-	return qc.cols
+	return kept
 }
 
 // selectFlat is selectHeap over flat rows: stride bytes per row, the codes
-// of the tested dimensions where cols puts them. Each is one 4-byte load,
-// which the measures behind the codes keep inside the row, cut by its
-// width's mask.
-func (qc *queryCtx) selectFlat(sel *[scanChunk]uint16, chunk []byte, stride int, cols []flatCol) int {
+// where the passes put them. Each is one 4-byte load, which the measures
+// behind the codes keep inside the row, cut by its width's mask.
+func selectFlat(sel *[scanChunk]uint16, chunk []byte, stride int, passes []leafPass) int {
 	n := len(chunk) / stride
-	if len(qc.rows) == 0 {
-		for i := range n {
-			sel[i] = uint16(i)
-		}
-		return n
+	if len(passes) == 0 || n == 0 {
+		return copy(sel[:n], rowIndexes[:n])
 	}
-	k := selectFlatAll(sel, chunk[cols[0].off:], n, stride, cols[0].width, qc.rows[0].mask)
-	for r, rt := range qc.rows[1:] {
-		k = selectFlatKept(sel, chunk[cols[r+1].off:], k, stride, cols[r+1].width, rt.mask)
+	if leafAVX2 {
+		return selectAVX2(sel, n, unsafe.Pointer(unsafe.SliceData(chunk)), stride, passes)
+	}
+	k := selectFlatAll(sel, chunk[passes[0].off:], n, stride, passes[0].width, passes[0].mask)
+	for _, p := range passes[1:] {
+		k = selectFlatKept(sel, chunk[p.off:], k, stride, p.width, p.mask)
 	}
 	return k
 }
 
-// selectFlatAll and selectFlatKept are selectFlat's two passes over one
-// tested dimension, whose codes start chunk at the given stride and are cut
-// by width: the first over all n rows, the second over the k kept so far.
-// Each is a function of its own, kept out of line: inlined into
-// selectFlat, the loops ran out of registers and spilled the count on
-// every row, a tenth slower.
+// selectFlatAll and selectFlatKept are selectFlat's Go loops over one
+// pass, whose codes start chunk at the given stride and are cut by width:
+// the first over all n rows, the second over the k kept so far. Each is a
+// function of its own, kept out of line: inlined into selectFlat, the
+// loops ran out of registers and spilled the count on every row, a tenth
+// slower.
 //
 //go:noinline
 func selectFlatAll(sel *[scanChunk]uint16, chunk []byte, n, stride int, width uint32, mask bitmap.Dense) int {
-	k, i := 0, 0
-	if leafAVX2 {
-		i = n &^ 7
-		k = selectAVX2(sel, &rowIndexes, i, unsafe.Pointer(unsafe.SliceData(chunk)), stride, width, mask)
-	}
-	for o := i * stride; i < n; i, o = i+1, o+stride {
-		sel[uint8(k)] = uint16(i)
+	k := 0
+	for i, o := 0, 0; i < n; i, o = i+1, o+stride {
+		sel[k&(scanChunk-1)] = uint16(i)
 		k += maskBit(mask, binary.LittleEndian.Uint32(chunk[o:o+4])&width)
 	}
 	return k
@@ -380,13 +405,9 @@ func selectFlatAll(sel *[scanChunk]uint16, chunk []byte, n, stride int, width ui
 
 //go:noinline
 func selectFlatKept(sel *[scanChunk]uint16, chunk []byte, k, stride int, width uint32, mask bitmap.Dense) int {
-	kept, j := 0, 0
-	if leafAVX2 {
-		j = k &^ 7
-		kept = selectAVX2(sel, sel, j, unsafe.Pointer(unsafe.SliceData(chunk)), stride, width, mask)
-	}
-	for _, s := range sel[j:k] {
-		sel[uint8(kept)] = s
+	kept := 0
+	for _, s := range sel[:k] {
+		sel[kept&(scanChunk-1)] = s
 		o := int(s) * stride
 		kept += maskBit(mask, binary.LittleEndian.Uint32(chunk[o:o+4])&width)
 	}

@@ -90,36 +90,66 @@ func readBenchViews(tb testing.TB, tree *Index) (leaves []*Node, dirs []FlatNode
 // the kernel benchmarks report.
 var benchClasses = []string{"sel01", "sel05", "sel25", "rollup"}
 
-// BenchmarkLeafScan measures the leaf kernel alone: every data node of the
-// tree scanned under a query's masks, per query class, over both row
-// carriers and under each leaf kernel this host runs (avx2, go). One
+// packedBenchRecords is the size of the packed carrier's tree: the
+// benchmark's cold-read workload at -scale 0.125.
+const packedBenchRecords = 37500
+
+// packedBenchTree bulk-loads a fixed-seed TPC-D data set, as the cold-read
+// workload does, and draws the query classes over it.
+func packedBenchTree(tb testing.TB) (*Index, map[string][]mds.MDS) {
+	tb.Helper()
+	gen, err := tpcd.New(1, tpcd.ScaleFor(packedBenchRecords))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tree, _ := newBareIndex(tb, gen.Schema(), DefaultConfig())
+	if err := tree.BulkLoad(gen.Records(packedBenchRecords)); err != nil {
+		tb.Fatal(err)
+	}
+	return tree, drawQueryClasses(tb, gen, 77, 32)
+}
+
+// BenchmarkLeafScan measures the leaf kernel alone: every data node of a
+// tree scanned under a query's masks, per query class, under each leaf
+// kernel this host runs (avx2, go), over three carriers: the heap nodes of
+// readBenchTree's dynamic tree and their flat encodings ("heap", "flat";
+// some 180 rows a node), and the flat data nodes of packedBenchTree
+// ("packed"; 270 rows, the one-block node a mapped cold tree reads). One
 // iteration is one pass over all records; ns/record is the figure to
 // compare with a sequential scan's per-record cost.
 func BenchmarkLeafScan(b *testing.B) {
+	type carrier struct {
+		name    string
+		tree    *Index
+		classes map[string][]mds.MDS
+		views   []NodeView
+	}
 	tree, classes := readBenchTree(b)
+	packed, packedClasses := packedBenchTree(b)
+	heap, flat := carrier{"heap", tree, classes, nil}, carrier{"flat", tree, classes, nil}
+	pack := carrier{"packed", packed, packedClasses, nil}
 	leaves, _ := readBenchViews(b, tree)
-	dims, measures := tree.schema.Dims(), tree.schema.Measures()
-	heap, flat := make([]NodeView, len(leaves)), make([]NodeView, len(leaves))
-	for i, n := range leaves {
-		heap[i] = NodeView{n: n}
-		flat[i] = NodeView{f: flatOf(n.id, n, dims, measures)}
+	for _, n := range leaves {
+		heap.views = append(heap.views, NodeView{n: n})
+		flat.views = append(flat.views, NodeView{f: flatOf(n.id, n, tree.schema.Dims(), tree.schema.Measures())})
+	}
+	leaves, _ = readBenchViews(b, packed)
+	for _, n := range leaves {
+		pack.views = append(pack.views, NodeView{f: flatOf(n.id, n, packed.schema.Dims(), packed.schema.Measures())})
 	}
 	for _, class := range benchClasses {
-		for _, carrier := range []struct {
-			name  string
-			views []NodeView
-		}{{"heap", heap}, {"flat", flat}} {
+		for _, c := range []carrier{heap, flat, pack} {
 			for _, kernel := range leafKernels() {
-				b.Run(class+"/"+carrier.name+"/"+kernel, func(b *testing.B) {
+				b.Run(class+"/"+c.name+"/"+kernel, func(b *testing.B) {
 					useLeafKernel(b, kernel)
-					qcs := readBenchMasks(b, tree, classes[class])
+					qcs := readBenchMasks(b, c.tree, c.classes[class])
 					out := cube.NewAggVector(1)
 					records := 0
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						qc := qcs[i%len(qcs)]
-						for v := range carrier.views {
-							rows, _ := qc.scanRows(&carrier.views[v], 0, out)
+						for v := range c.views {
+							rows, _ := qc.scanRows(&c.views[v], 0, out)
 							records += rows
 						}
 					}

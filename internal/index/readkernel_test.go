@@ -303,6 +303,7 @@ func scanRowsMatchesReference(t *testing.T) {
 			}
 			qc.rows = append(qc.rows, rowMask{dim: d, mask: m})
 		}
+		qc.setPasses()
 		constrained[len(qc.rows)]++
 		for _, n := range []int{1, 169, scanChunk, scanChunk + 1, 4*169 + 13} {
 			leaf := NewNode(0, true, dims, nm)

@@ -123,6 +123,7 @@ func dataNodeWidthsRoundTrip(t *testing.T) {
 				}
 			}
 			qc := &queryCtx{rows: []rowMask{{dim: d, mask: mask}}}
+			qc.setPasses()
 			var got [3]cube.AggVector
 			var rows, matched [3]int
 			for k, view := range []NodeView{{n: n}, {f: f}} {
