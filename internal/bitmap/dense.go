@@ -26,6 +26,25 @@ func NewDense(n int) Dense { return make(Dense, DenseWords(n)) }
 // Set marks code i as a member.
 func (d Dense) Set(i uint32) { d[i>>6] |= 1 << (i & 63) }
 
+// SetRange marks codes lo..hi-1 as members, a word at a time; it panics
+// beyond capacity like Set.
+func (d Dense) SetRange(lo, hi uint32) {
+	if lo >= hi {
+		return
+	}
+	first, last := lo>>6, (hi-1)>>6
+	head, tail := ^uint64(0)<<(lo&63), ^uint64(0)>>(63-(hi-1)&63)
+	if first == last {
+		d[first] |= head & tail
+		return
+	}
+	d[first] |= head
+	for w := first + 1; w < last; w++ {
+		d[w] = ^uint64(0)
+	}
+	d[last] |= tail
+}
+
 // Get reports whether code i is a member; codes beyond the backing words
 // are absent.
 func (d Dense) Get(i uint32) bool {

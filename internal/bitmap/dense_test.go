@@ -49,3 +49,23 @@ func TestDenseZeroLength(t *testing.T) {
 		t.Error("DenseWords boundaries wrong")
 	}
 }
+
+// TestDenseSetRange holds SetRange to Set, bit by bit, on ranges inside one
+// word, across word boundaries and spanning whole words, over bits already
+// set.
+func TestDenseSetRange(t *testing.T) {
+	for _, r := range [][2]uint32{{0, 0}, {5, 5}, {0, 1}, {3, 9}, {0, 64}, {63, 65}, {60, 130}, {64, 192}, {1, 255}, {130, 256}} {
+		got, want := NewDense(256), NewDense(256)
+		got.Set(7)
+		want.Set(7)
+		got.SetRange(r[0], r[1])
+		for c := r[0]; c < r[1]; c++ {
+			want.Set(c)
+		}
+		for w := range want {
+			if got[w] != want[w] {
+				t.Fatalf("SetRange(%d, %d): word %d is %#x, want %#x", r[0], r[1], w, got[w], want[w])
+			}
+		}
+	}
+}

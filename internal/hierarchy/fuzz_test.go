@@ -7,7 +7,7 @@ import (
 
 // FuzzDecodeHierarchy: arbitrary bytes must either fail or produce a
 // hierarchy that passes Validate, lists every decoded value in exactly its
-// father's child list, and round-trips through the encoder.
+// father's child slice, and round-trips through the encoder.
 func FuzzDecodeHierarchy(f *testing.F) {
 	h, err := New("Customer", "Region", "Nation", "Customer")
 	if err != nil {
@@ -41,7 +41,7 @@ func FuzzDecodeHierarchy(f *testing.F) {
 		if err := dec.Validate(); err != nil {
 			t.Fatalf("decoded hierarchy fails validation: %v", err)
 		}
-		checkChildLinks(t, dec)
+		checkChildTable(t, dec)
 		// Round-trip: re-encoding the decoded hierarchy and decoding again
 		// must reproduce an identical encoding (IDs are assigned in stream
 		// order, so the encoding is canonical).

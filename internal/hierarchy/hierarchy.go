@@ -47,14 +47,14 @@ type Hierarchy struct {
 	// appends to all of them, decoding rebuilds them.
 	above [][][]ID
 
-	// head and next are the father relation read downward, as append-only
-	// child lists: head[level][c] is the code of the newest child (at
-	// level-1) of MakeID(level, c), next[level][c] the code of the next
-	// older child of MakeID(level, c)'s father; NoChild ends a list. Leaves
-	// have no head row and top-level values no next row (their father is
-	// ALL, whose children are the whole top level). Registration prepends in
-	// O(1), decoding rebuilds them (see ChildLinks).
-	head, next [][]uint32
+	// children is the father relation read downward: children[level][p]
+	// holds the codes of the level-1 children of MakeID(level, p), in
+	// ascending order. Codes are handed out in registration order, so a
+	// child is appended in O(1) and the slice stays sorted; along a
+	// dimension registered in its natural order (a calendar) each slice is
+	// one run of consecutive codes. Leaves have no row. Decoding rebuilds
+	// the slices (see ChildTable).
+	children [][][]uint32
 
 	// onRegister, when set, observes every NEW value registration (never
 	// lookups of existing values). The durable tree uses it to frame
@@ -93,8 +93,7 @@ func New(name string, levelNames ...string) (*Hierarchy, error) {
 		valueNames: make([][]string, len(levelNames)),
 		intern:     make([]map[scopedKey]ID, len(levelNames)),
 		above:      make([][][]ID, len(levelNames)),
-		head:       make([][]uint32, len(levelNames)),
-		next:       make([][]uint32, len(levelNames)),
+		children:   make([][][]uint32, len(levelNames)),
 	}
 	for i := range h.intern {
 		h.intern[i] = make(map[scopedKey]ID)
@@ -240,26 +239,27 @@ func (h *Hierarchy) add(level int, key scopedKey) ID {
 }
 
 // extend files the newest level-level value, whose father is parent, in the
-// composed tables and the child lists. parent's own rows are already
+// composed tables and the child slices. parent's own rows are already
 // complete: values are registered top-down.
 func (h *Hierarchy) extend(level int, parent ID) {
 	for k := range h.above[level] {
 		h.above[level][k] = append(h.above[level][k], h.AncestorTable(level+1, level+2+k)[parent.Code()])
 	}
 	if level > 0 {
-		h.head[level] = append(h.head[level], NoChild)
+		h.children[level] = append(h.children[level], nil)
 	}
 	if level < h.TopLevel() {
-		code, heads := uint32(len(h.next[level])), h.head[level+1]
-		h.next[level] = append(h.next[level], heads[parent.Code()])
-		heads[parent.Code()] = code
+		kids := h.children[level+1]
+		kids[parent.Code()] = append(kids[parent.Code()], uint32(len(h.parents[level])-1))
 	}
 }
 
-// rebuild recomputes every composed table and child list from the father
+// rebuild recomputes every composed table and child slice from the father
 // tables, which the caller has validated. Tables are composed top level
-// first so that each row composes from finished ones; children are linked
-// in code order, so the lists come out as registration leaves them.
+// first so that each row composes from finished ones. A level's child
+// slices are carved, each at its exact capacity, out of one array and
+// filled in code order, so they come out ascending as registration leaves
+// them, and a later registration's append moves only the slice it grows.
 func (h *Hierarchy) rebuild() {
 	for level := len(h.above) - 1; level >= 0; level-- {
 		for k := range h.above[level] {
@@ -272,34 +272,30 @@ func (h *Hierarchy) rebuild() {
 		}
 	}
 	for level := 1; level <= h.TopLevel(); level++ {
-		heads := make([]uint32, len(h.parents[level]))
-		for c := range heads {
-			heads[c] = NoChild
+		count := make([]int, len(h.parents[level]))
+		for _, p := range h.parents[level-1] {
+			count[p.Code()]++
 		}
-		next := make([]uint32, len(h.parents[level-1]))
+		kids, codes, off := make([][]uint32, len(count)), make([]uint32, len(h.parents[level-1])), 0
+		for p, n := range count {
+			kids[p] = codes[off : off : off+n]
+			off += n
+		}
 		for c, p := range h.parents[level-1] {
-			next[c] = heads[p.Code()]
-			heads[p.Code()] = uint32(c)
+			kids[p.Code()] = append(kids[p.Code()], uint32(c))
 		}
-		h.head[level], h.next[level-1] = heads, next
+		h.children[level] = kids
 	}
 }
 
-// NoChild ends a child list (see ChildLinks).
-const NoChild = ^uint32(0)
-
-// ChildLinks returns the child lists of a level (1 ≤ level ≤ TopLevel()):
-// the children of MakeID(level, p) are the level-1 codes
-//
-//	for c := head[p]; c != NoChild; c = next[c]
-//
-// newest first. A walk down a hierarchy through them costs what it reaches,
-// never a pass over a level — the downward counterpart of AncestorTable,
-// for query-time mask builds. Both slices are owned by the hierarchy and
-// must not be modified; it panics on a level out of range.
-func (h *Hierarchy) ChildLinks(level int) (head, next []uint32) {
-	return h.head[level], h.next[level-1]
-}
+// ChildTable returns the children of a level's values (1 ≤ level ≤
+// TopLevel()): entry p holds the level-1 codes of MakeID(level, p)'s
+// children in ascending order. A walk down a hierarchy through it costs
+// what it reaches, never a pass over a level, and a child slice of
+// consecutive codes is one run of bits — the downward counterpart of
+// AncestorTable, for query-time mask builds. The table is owned by the
+// hierarchy and must not be modified; it panics on a level out of range.
+func (h *Hierarchy) ChildTable(level int) [][]uint32 { return h.children[level] }
 
 // AncestorTable returns the dense table that lifts level-from values to
 // level to (from < to ≤ TopLevel()): entry c is the ancestor at level to of
@@ -491,7 +487,7 @@ func joinSlash(parts []string) string {
 
 // Children returns the direct specializations of id at the level below it,
 // in insertion order. For ALL it returns the values of the top named level.
-// It walks id's child list, so it costs what it returns.
+// It reads id's child slice, so it costs what it returns.
 func (h *Hierarchy) Children(id ID) ([]ID, error) {
 	switch {
 	case id.IsALL():
@@ -502,18 +498,16 @@ func (h *Hierarchy) Children(id ID) ([]ID, error) {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownID, id)
 	}
 	level := id.Level()
-	head, next := h.ChildLinks(level)
 	var out []ID
-	for c := head[id.Code()]; c != NoChild; c = next[c] {
+	for _, c := range h.children[level][id.Code()] {
 		out = append(out, MakeID(level-1, c))
 	}
-	slices.Reverse(out) // the lists run newest first
 	return out, nil
 }
 
 // LeafCountUnder returns the number of registered leaves below id (or the
 // total number of leaves for ALL). Used by workload generators to reason
-// about selectivity. It walks the child lists of id's subtree.
+// about selectivity. It walks the child slices of id's subtree.
 func (h *Hierarchy) LeafCountUnder(id ID) (int, error) {
 	if id.IsALL() {
 		return len(h.parents[0]), nil
@@ -528,9 +522,8 @@ func (h *Hierarchy) leavesUnder(level int, code uint32) int {
 	if level == 0 {
 		return 1
 	}
-	head, next := h.ChildLinks(level)
 	n := 0
-	for c := head[code]; c != NoChild; c = next[c] {
+	for _, c := range h.children[level][code] {
 		n += h.leavesUnder(level-1, c)
 	}
 	return n

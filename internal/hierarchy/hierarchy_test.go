@@ -422,32 +422,29 @@ func checkAncestorTables(t testing.TB, h *Hierarchy) {
 	}
 }
 
-// checkChildLinks walks every value's child list and compares it with the
+// checkChildTable reads every value's child slice and compares it with the
 // father table, the reference: each child listed once, under its father,
-// newest first, and every value of a level below the top listed somewhere.
-func checkChildLinks(t testing.TB, h *Hierarchy) {
+// in ascending order, and every value of a level below the top listed
+// somewhere.
+func checkChildTable(t testing.TB, h *Hierarchy) {
 	t.Helper()
 	for level := 1; level <= h.TopLevel(); level++ {
 		parents, _ := h.ParentTable(level - 1)
-		head, next := h.ChildLinks(level)
-		count, _ := h.CountAt(level)
-		if len(head) != count || len(next) != len(parents) {
-			t.Fatalf("level %d: %d heads for %d values, %d links for %d children",
-				level, len(head), count, len(next), len(parents))
+		kids := h.ChildTable(level)
+		if count, _ := h.CountAt(level); len(kids) != count {
+			t.Fatalf("level %d: %d child slices for %d values", level, len(kids), count)
 		}
 		listed := 0
-		for p := range head {
-			prev := NoChild
-			for c := head[p]; c != NoChild; c = next[c] {
+		for p, cs := range kids {
+			for i, c := range cs {
 				if int(c) >= len(parents) || parents[c] != MakeID(level, uint32(p)) {
 					t.Fatalf("level %d value %d lists child %d, whose father is not it", level, p, c)
 				}
-				if prev != NoChild && c >= prev {
-					t.Fatalf("level %d value %d lists child %d after %d: not newest first", level, p, c, prev)
+				if i > 0 && c <= cs[i-1] {
+					t.Fatalf("level %d value %d lists child %d after %d: not ascending", level, p, c, cs[i-1])
 				}
-				prev = c
-				listed++
 			}
+			listed += len(cs)
 		}
 		if listed != len(parents) {
 			t.Fatalf("level %d lists %d children, level %d has %d values", level, listed, level-1, len(parents))
@@ -462,9 +459,10 @@ func TestAncestorTableMatchesAncestorAt(t *testing.T) {
 	growThreeWays(t, checkAncestorTables)
 }
 
-// TestChildLinksMatchFatherTable checks the child lists the same three ways.
+// TestChildLinksMatchFatherTable checks the child slices the same three
+// ways.
 func TestChildLinksMatchFatherTable(t *testing.T) {
-	growThreeWays(t, checkChildLinks)
+	growThreeWays(t, checkChildTable)
 }
 
 // growThreeWays grows a random hierarchy by registration, binary decoding

@@ -63,10 +63,7 @@ func (ix *Index) CheckQuery(q Query) error {
 // ctx.Err() promptly for long scans over large trees.
 func (ix *Index) Execute(ctx context.Context, src Source, root NodeID, q Query) (Result, error) {
 	var res Result
-	qc, err := ix.newQueryCtx(q.MDS)
-	if err != nil {
-		return res, err
-	}
+	qc := ix.newQueryCtx(q.MDS)
 	// The context and its mask arenas go back to the pool once the descent
 	// is done.
 	defer ix.putQueryCtx(qc)
@@ -82,7 +79,7 @@ func (ix *Index) Execute(ctx context.Context, src Source, root NodeID, q Query) 
 	} else {
 		d.first = q.Measure
 	}
-	err = d.visitNode(root, out)
+	err := d.visitNode(root, out)
 	qc.frames = d.frames
 	if err != nil {
 		return Result{Stats: d.st}, err

@@ -176,7 +176,7 @@ type FlatNode struct {
 // constant time: after it, every aggregate, child and record access is in
 // bounds, and a data node, which is its rows, is checked in full. A
 // directory's offset table and the MDS blobs behind it are checked where
-// the descent first uses them (EntryMDS, the view iterator, the nil-child
+// the descent first uses them (EntryMDS, the directory matcher, the nil-child
 // test), so a clean extent visited again and again pays for no table scan;
 // CheckTable is the eager O(count) form the decoder runs. NodeView.Frame is
 // the same check, framing the payload in the descent's own frame.
@@ -281,7 +281,7 @@ func (f *FlatNode) CheckTable() error {
 
 // EntryMDS returns directory entry i's MDS wire encoding, in place; nil
 // when the offset table does not bound it inside the payload (which the
-// view iterator then reports as malformed).
+// directory matcher then reports as malformed).
 func (f *FlatNode) EntryMDS(i int) []byte {
 	o := int(binary.LittleEndian.Uint32(f.b[flatHeaderSize+4*i:]))
 	e := int(binary.LittleEndian.Uint32(f.b[flatHeaderSize+4*i+4:]))

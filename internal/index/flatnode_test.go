@@ -391,11 +391,10 @@ func FuzzDecodeFlatNode(f *testing.F) {
 	for d, c := range leaf.Row(0) {
 		q[d] = mds.DimSet{Level: 0, IDs: []hierarchy.ID{c}}
 	}
-	qc, err := ix.newQueryCtx(q)
-	if err != nil {
-		f.Fatal(err)
-	}
+	qc := ix.newQueryCtx(q)
 	rec := cube.Record{Coords: make([]hierarchy.ID, dims), Measures: make([]float64, measures)}
+	var dimArena []mds.DimSet
+	var idArena []hierarchy.ID
 	f.Fuzz(func(t *testing.T, data []byte) {
 		view, viewErr := MakeFlatNode(1, data, dims, measures)
 		n, decErr := DecodeNode(1, data, dims, measures)
@@ -411,10 +410,8 @@ func FuzzDecodeFlatNode(f *testing.F) {
 				nv.row(i, rec)
 				continue
 			}
-			if it, err := mds.NewViewIter(view.EntryMDS(i)); err == nil {
-				for ok := true; ok; _, ok = it.Next() {
-				}
-			}
+			dimArena, idArena = dimArena[:0], idArena[:0]
+			mds.AppendDecode(view.EntryMDS(i), &dimArena, &idArena)
 			for j := 0; j < measures; j++ {
 				view.Agg(i, j)
 			}
@@ -568,9 +565,10 @@ func TestFlatNodeEmpty(t *testing.T) {
 	requireNodesEqual(t, dec, n)
 }
 
-// TestFlatNodeMDSView: a directory's flat entry MDS bytes decode through
-// the view iterator to the same DimViews the full decoder produces; a data
-// node's view holds no MDS, only the records a scan returns.
+// TestFlatNodeMDSView: a directory's flat entry MDS bytes decode in place,
+// through AppendDecode's arenas, to the MDSs the node holds, each blob one
+// whole MDS; a data node's view holds no MDS, only the records a scan
+// returns.
 func TestFlatNodeMDSView(t *testing.T) {
 	ix, _ := newBareIndexAt(t, testSchema(t), smallConfig(), payload512)
 	s := ix.schema
@@ -598,30 +596,16 @@ func TestFlatNodeMDSView(t *testing.T) {
 				}
 			}
 		}
+		var dimArena []mds.DimSet
+		var idArena []hierarchy.ID
 		for i, e := range n.Entries() {
-			it, err := mds.NewViewIter(f.EntryMDS(i))
-			if err != nil {
-				t.Fatalf("node %d entry %d: %v", n.ID(), i, err)
+			b := f.EntryMDS(i)
+			got, k, err := mds.AppendDecode(b, &dimArena, &idArena)
+			if err != nil || k != len(b) {
+				t.Fatalf("node %d entry %d: decoded %d of %d bytes: %v", n.ID(), i, k, len(b), err)
 			}
-			want := e.MDS
-			if it.Dims() != len(want) {
-				t.Fatalf("node %d entry %d: view dims %d != %d", n.ID(), i, it.Dims(), len(want))
-			}
-			for d := range want {
-				dv, ok := it.Next()
-				if !ok {
-					t.Fatalf("node %d entry %d: view ended at dim %d", n.ID(), i, d)
-				}
-				got := mds.AllDim()
-				if !dv.IsALL() {
-					got = mds.DimSet{Level: dv.Level}
-					for j := 0; j < dv.Len(); j++ {
-						got.IDs = append(got.IDs, dv.ID(j))
-					}
-				}
-				if !(mds.MDS{got}).Equal(mds.MDS{want[d]}) {
-					t.Fatalf("node %d entry %d dim %d: view %v != %v", n.ID(), i, d, got, want[d])
-				}
+			if !got.Equal(e.MDS) {
+				t.Fatalf("node %d entry %d: view %v != %v", n.ID(), i, got, e.MDS)
 			}
 		}
 	}

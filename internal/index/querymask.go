@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"unsafe"
 
@@ -14,28 +15,28 @@ import (
 	"github.com/dcindex/dctree/internal/mds"
 )
 
-// queryCtx precomputes, per constrained dimension, a membership mask for
-// EVERY hierarchy level: masks[d][L] reports whether the value MakeID(L, c)
-// is comparable with some query value — lies under one at or below the
-// query's level, has one beneath it above that level. Masks are built once
-// per query, from the query's own values: downwards by walking their child
-// lists, upwards by lifting them through the composed ancestor tables. The
-// build costs what the query covers, never a pass over a whole level.
-// Afterwards every membership test on the descent — per directory-entry
-// value at whatever level the entry is described, and per data record — is
-// a single word load.
+// queryCtx holds, per constrained dimension, a membership mask for every
+// hierarchy level: level L's mask reports whether the value MakeID(L, c) is
+// comparable with some query value — lies under one at or below the
+// query's level, has one beneath it above that level. A query builds only
+// the masks it reads. Its own level and every level below it, which the
+// record tests and most entries read, are built with the context, down the
+// query's own child slices; a level above the query's is lifted from the
+// level below the first time an entry described there asks for it
+// (dimMasks.mask). The build costs what the query covers, never a pass over
+// a whole level. Afterwards every membership test on the descent — per
+// directory-entry value at whatever level the entry is described, and per
+// data record — is a single word load.
 //
-// The masks are word-packed bitmap.Dense bitsets (8× denser than the []bool
-// they replace) carved out of two arenas owned by the queryCtx, and whole
-// queryCtx values are recycled through the index's qcPool: a steady-state
-// query builds its masks without allocating. Execute releases the context
-// back to the pool after the descent — nothing may retain it past the
-// query.
+// The masks are word-packed bitmap.Dense bitsets carved out of two arenas
+// owned by the queryCtx, and whole queryCtx values are recycled through
+// the index's qcPool: a steady-state query builds its masks without
+// allocating. Execute releases the context back to the pool after the
+// descent — nothing may retain it past the query.
 type queryCtx struct {
-	q mds.MDS
-	// masks[d] is nil for unconstrained (ALL) dimensions; otherwise
-	// masks[d][L] is the mask of level L, 0 ≤ L ≤ the dimension's top level.
-	masks [][]bitmap.Dense
+	// dims holds each schema dimension's masks; an unconstrained (ALL)
+	// dimension's levels are nil.
+	dims []dimMasks
 	// rows lists the constrained dimensions with their level-0 masks, most
 	// selective first: all a record test needs, hoisted out of the per-node
 	// and per-record loops.
@@ -53,6 +54,15 @@ type queryCtx struct {
 	heap, flat []leafPass
 }
 
+// dimMasks is one dimension's masks: levels[L] is level L's, for every
+// level of the hierarchy, and those up to top are built — the query's level
+// lq, and above it those lifted so far.
+type dimMasks struct {
+	h       *hierarchy.Hierarchy
+	levels  []bitmap.Dense
+	lq, top int
+}
+
 // rowMask is the record test of one constrained dimension: members of its
 // domain of leaves pass it, and members ÷ domain orders the tests.
 type rowMask struct {
@@ -61,7 +71,7 @@ type rowMask struct {
 	members, domain int
 }
 
-func (ix *Index) newQueryCtx(q mds.MDS) (*queryCtx, error) {
+func (ix *Index) newQueryCtx(q mds.MDS) *queryCtx {
 	space := ix.space()
 	qc, _ := ix.qcPool.Get().(*queryCtx)
 	if qc == nil {
@@ -70,29 +80,24 @@ func (ix *Index) newQueryCtx(q mds.MDS) (*queryCtx, error) {
 	} else {
 		ix.c.maskPoolHits.Inc()
 	}
-	qc.q = q
 	qc.rows = qc.rows[:0]
-	if cap(qc.masks) < len(q) {
-		qc.masks = make([][]bitmap.Dense, len(q))
+	if cap(qc.dims) < len(q) {
+		qc.dims = make([]dimMasks, len(q))
 	} else {
-		qc.masks = qc.masks[:len(q)]
+		qc.dims = qc.dims[:len(q)]
 	}
 
 	// First pass: size the arenas. CountAt is a dictionary lookup, so the
-	// extra pass costs nothing next to allocating per-level masks would.
+	// extra pass costs nothing next to allocating per-level masks would;
+	// every level below a hierarchy's depth is in range, so it cannot fail.
 	totalWords, totalLevels := 0, 0
 	for d, h := range space {
 		if q[d].Level == hierarchy.LevelALL {
-			qc.masks[d] = nil
 			continue
 		}
 		totalLevels += h.Depth()
 		for l := 0; l < h.Depth(); l++ {
-			count, err := h.CountAt(l)
-			if err != nil {
-				ix.putQueryCtx(qc)
-				return nil, err
-			}
+			count, _ := h.CountAt(l)
 			totalWords += bitmap.DenseWords(count)
 		}
 	}
@@ -100,7 +105,6 @@ func (ix *Index) newQueryCtx(q mds.MDS) (*queryCtx, error) {
 		qc.slab = make([]uint64, totalWords)
 	} else {
 		qc.slab = qc.slab[:totalWords]
-		clear(qc.slab)
 	}
 	if cap(qc.lvlSlab) < totalLevels {
 		qc.lvlSlab = make([]bitmap.Dense, totalLevels)
@@ -108,38 +112,34 @@ func (ix *Index) newQueryCtx(q mds.MDS) (*queryCtx, error) {
 		qc.lvlSlab = qc.lvlSlab[:totalLevels]
 	}
 
-	// Second pass: carve the masks, walk down from the query's values and
-	// lift them up the ancestor tables.
+	// Second pass: carve the masks, clear the query's level and those
+	// below it, and walk down from the query's values. A level above is
+	// cleared when it is lifted.
 	wOff, lOff := 0, 0
 	for d, h := range space {
 		lq := q[d].Level
 		if lq == hierarchy.LevelALL {
+			qc.dims[d] = dimMasks{}
 			continue
 		}
 		levels := qc.lvlSlab[lOff : lOff+h.Depth() : lOff+h.Depth()]
 		lOff += h.Depth()
-		domain := 0
+		start, built, domain := wOff, 0, 0
 		for l := range levels {
-			count, err := h.CountAt(l)
-			if err != nil {
-				ix.putQueryCtx(qc)
-				return nil, err
-			}
+			count, _ := h.CountAt(l)
 			if l == 0 {
 				domain = count
 			}
 			w := bitmap.DenseWords(count)
 			levels[l] = bitmap.Dense(qc.slab[wOff : wOff+w : wOff+w])
 			wOff += w
-		}
-		members := qc.fillDown(h, levels, lq, q[d].IDs)
-		for l := lq + 1; l < len(levels); l++ {
-			tab, m := h.AncestorTable(lq, l), levels[l]
-			for _, id := range q[d].IDs {
-				m.Set(tab[id.Code()].Code())
+			if l == lq {
+				built = wOff
 			}
 		}
-		qc.masks[d] = levels
+		clear(qc.slab[start:built])
+		qc.dims[d] = dimMasks{h: h, levels: levels, lq: lq, top: lq}
+		members := qc.fillDown(h, levels, lq, q[d].IDs)
 		qc.rows = append(qc.rows, rowMask{dim: d, mask: levels[0], members: members, domain: domain})
 	}
 	// The leaf kernel tests the first dimension on every row and each
@@ -148,46 +148,114 @@ func (ix *Index) newQueryCtx(q mds.MDS) (*queryCtx, error) {
 		return cmp.Compare(a.members*b.domain, b.members*a.domain)
 	})
 	qc.setPasses()
-	return qc, nil
+	return qc
 }
 
 // fillDown sets the query's own values at level lq — distinct, as a valid
-// MDS holds them — and walks down their child lists, level by level,
-// setting every value under one of them. The walk reaches each of those
-// values once, through the two pooled worklists, and returns how many
-// leaves it set. A child code beyond the words sized for its level is
-// skipped, as Dense.Get reads it.
+// MDS holds them — and walks down their child slices, level by level,
+// setting every value under one of them, and returns how many leaves it
+// set. The query's codes are set a word at a time, and a child slice of
+// consecutive codes — every slice of a dimension registered in its natural
+// order, a calendar's — as one run. A level's values feed the next step
+// through the two pooled worklists; the leaf step keeps none. A child code
+// beyond the words sized for its level is skipped, as Dense.Get reads it.
 func (qc *queryCtx) fillDown(h *hierarchy.Hierarchy, levels []bitmap.Dense, lq int, ids []hierarchy.ID) int {
+	setCodes(levels[lq], ids)
+	if lq == 0 {
+		return len(ids)
+	}
 	cur, nxt := qc.work[0][:0], qc.work[1][:0]
-	m := levels[lq]
 	for _, id := range ids {
-		m.Set(id.Code())
 		cur = append(cur, id.Code())
 	}
+	members := 0
 	for l := lq; l > 0; l-- {
-		head, next := h.ChildLinks(l)
-		m, nxt = levels[l-1], nxt[:0]
-		words := uint32(len(m))
+		kids, m := h.ChildTable(l), levels[l-1]
+		nxt = nxt[:0]
+		limit := uint32(len(m)) << 6
 		for _, p := range cur {
-			for c := head[p]; c != hierarchy.NoChild; c = next[c] {
-				if c>>6 < words {
+			cs := kids[p]
+			if n := len(cs); n > 0 && cs[n-1] >= limit {
+				k, _ := slices.BinarySearch(cs, limit)
+				cs = cs[:k]
+			}
+			switch n := len(cs); {
+			case n == 0:
+				continue
+			case cs[n-1]-cs[0] == uint32(n-1):
+				m.SetRange(cs[0], cs[n-1]+1)
+			default:
+				for _, c := range cs {
 					m.Set(c)
-					nxt = append(nxt, c)
 				}
+			}
+			if l == 1 {
+				members += len(cs)
+			} else {
+				nxt = append(nxt, cs...)
 			}
 		}
 		cur, nxt = nxt, cur
 	}
 	qc.work[0], qc.work[1] = cur, nxt
-	return len(cur)
+	return members
+}
+
+// setCodes sets the codes of ids in m a word at a time: the bits of a run
+// of ids in one word are gathered before one store.
+func setCodes(m bitmap.Dense, ids []hierarchy.ID) {
+	w, word := -1, uint64(0)
+	for _, id := range ids {
+		c := id.Code()
+		if int(c>>6) != w {
+			if w >= 0 {
+				m[w] |= word
+			}
+			w, word = int(c>>6), 0
+		}
+		word |= 1 << (c & 63)
+	}
+	if w >= 0 {
+		m[w] |= word
+	}
+}
+
+// mask returns the mask of level l, lifting the levels above the query's
+// up to l first if nothing has asked for them yet. l must be below the
+// hierarchy's depth.
+func (dm *dimMasks) mask(l int) bitmap.Dense {
+	if l > dm.top {
+		dm.lift(l)
+	}
+	return dm.levels[l]
+}
+
+// lift builds the levels above top up to l, each from the one below it:
+// the father of every member, read from the father table, a father just
+// set skipped — the members of an ascending run share theirs. Every member
+// is an ancestor of a query value, registered before the masks were
+// sized, and so is its father.
+func (dm *dimMasks) lift(l int) {
+	for ; dm.top < l; dm.top++ {
+		below, m := dm.levels[dm.top], dm.levels[dm.top+1]
+		clear(m)
+		parents, last := dm.h.AncestorTable(dm.top, dm.top+1), ^uint32(0)
+		for w, word := range below {
+			for ; word != 0; word &= word - 1 {
+				if p := parents[w<<6|bits.TrailingZeros64(word)].Code(); p != last {
+					m.Set(p)
+					last = p
+				}
+			}
+		}
+	}
 }
 
 // putQueryCtx returns a query context's arenas to the pool. The caller must
 // guarantee no descent still references it.
 func (ix *Index) putQueryCtx(qc *queryCtx) {
-	qc.q = nil // do not retain the caller's query MDS
-	// Nor the last walk's heap nodes and payloads: a frame may frame a
-	// mapping its store unmaps at close.
+	// Do not retain the last walk's heap nodes and payloads: a frame may
+	// frame a mapping its store unmaps at close.
 	clear(qc.frames)
 	ix.qcPool.Put(qc)
 }
@@ -416,48 +484,58 @@ func selectFlatKept(sel *[scanChunk]uint16, chunk []byte, k, stride int, width u
 
 // matchEntryFlat classifies directory entry i of a flat node against the
 // query: whether the entry overlaps the range at all, and whether the range
-// fully contains it. The entry's MDS is walked in its wire encoding via a
-// view iterator, testing each value against the mask of the level the entry
-// is described at — the same probe whether the entry is finer than, level
-// with or coarser than the query; a coarser entry (or ALL) can overlap but
-// never be contained. A malformed encoding surfaces as ErrCorrupt.
+// fully contains it. The entry's MDS is read in its wire encoding, in place
+// (mds.AppendEncode's layout), and each constrained dimension's values are
+// counted against the mask of the level the entry is described at — one
+// word load and no branch per value, the same probe whether the entry is
+// finer than, level with or coarser than the query. A dimension overlaps
+// if it counts a member and is contained if all its values are members at
+// or below the query's level; a coarser entry (or ALL) can overlap but
+// never be contained. A malformed encoding surfaces as ErrCorrupt:
+// truncated, a dimension count that is not the schema's, ALL with values,
+// an empty value set, a count past the bytes, a constrained dimension's
+// level past its hierarchy's depth. Like any matcher that stops at the
+// first dimension without overlap, it checks the dimensions up to that one.
 func (qc *queryCtx) matchEntryFlat(f *FlatNode, i int) (overlaps, contained bool, err error) {
-	it, err := mds.NewViewIter(f.EntryMDS(i))
-	if err != nil || it.Dims() != len(qc.masks) {
+	b := f.EntryMDS(i)
+	if len(b) == 0 || int(b[0]) != len(qc.dims) {
 		return false, false, fmt.Errorf("%w: node %d entry %d mds", ErrCorrupt, f.id, i)
 	}
 	contained = true
-	for d, levels := range qc.masks {
-		dv, ok := it.Next()
-		if !ok {
+	for d, off := 0, 1; d < len(qc.dims); d++ {
+		// A level byte, a uvarint count (one byte below 128) and count IDs;
+		// ALL, and only ALL, has none.
+		if off+1 >= len(b) {
 			return false, false, fmt.Errorf("%w: node %d entry %d mds dim %d", ErrCorrupt, f.id, i, d)
 		}
-		if levels == nil {
-			continue // unconstrained dimension; still consumed above
+		level, count, n := int(b[off]), uint64(b[off+1]), 1
+		if count >= 0x80 {
+			count, n = binary.Uvarint(b[off+1:])
 		}
-		if dv.IsALL() {
+		off += 1 + n
+		if n <= 0 || (level == hierarchy.LevelALL) != (count == 0) || count > uint64(len(b)-off)/4 {
+			return false, false, fmt.Errorf("%w: node %d entry %d mds dim %d", ErrCorrupt, f.id, i, d)
+		}
+		ids := b[off : off+4*int(count)]
+		off += len(ids)
+		dm := &qc.dims[d]
+		switch {
+		case dm.levels == nil:
+			continue // unconstrained dimension; still checked above
+		case level == hierarchy.LevelALL:
 			contained = false
 			continue
+		case level >= len(dm.levels):
+			return false, false, fmt.Errorf("%w: node %d entry %d mds dim %d level %d", ErrCorrupt, f.id, i, d, level)
 		}
-		if dv.Level >= len(levels) {
-			return false, false, fmt.Errorf("%w: node %d entry %d mds dim %d level %d", ErrCorrupt, f.id, i, d, dv.Level)
+		mask, hits := dm.mask(level), 0
+		for o := 0; o < len(ids); o += 4 {
+			hits += maskBit(mask, binary.LittleEndian.Uint32(ids[o:])&hierarchy.MaxCode)
 		}
-		mask := levels[dv.Level]
-		dimOverlap, dimContained := false, dv.Level <= qc.q[d].Level
-		for j, n := 0, dv.Len(); j < n; j++ {
-			if mask.Get(dv.ID(j).Code()) {
-				dimOverlap = true
-			} else {
-				dimContained = false
-			}
-			if dimOverlap && !dimContained {
-				break
-			}
-		}
-		if !dimOverlap {
+		if hits == 0 {
 			return false, false, nil
 		}
-		if !dimContained {
+		if hits < int(count) || level > dm.lq {
 			contained = false
 		}
 	}

@@ -65,10 +65,7 @@ func readBenchMasks(tb testing.TB, tree *Index, queries []mds.MDS) []*queryCtx {
 	tb.Helper()
 	qcs := make([]*queryCtx, len(queries))
 	for i, q := range queries {
-		var err error
-		if qcs[i], err = tree.newQueryCtx(q); err != nil {
-			tb.Fatal(err)
-		}
+		qcs[i] = tree.newQueryCtx(q)
 	}
 	return qcs
 }
@@ -196,22 +193,32 @@ func BenchmarkDirMatch(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryMasks measures the all-level mask build alone, per query
-// class: the pooled arenas cleared and carved, the query's level set, every
-// level below it filled by the walk down the child lists and every level
-// above it through the ancestor tables.
+// BenchmarkQueryMasks measures the mask build alone, per query class: the
+// pooled arenas carved, the query's level and those below it cleared, the
+// query's level set and every level below it filled by the walk down the
+// child slices — the part every query pays. Its all-levels variant then
+// lifts every level above the query's too, as a descent meeting entries at
+// every level would: the full build.
 func BenchmarkQueryMasks(b *testing.B) {
 	tree, classes := readBenchTree(b)
-	for _, class := range benchClasses {
-		b.Run(class, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				qc, err := tree.newQueryCtx(classes[class][i%32])
-				if err != nil {
-					b.Fatal(err)
-				}
-				tree.putQueryCtx(qc)
+	for _, all := range []bool{false, true} {
+		for _, class := range benchClasses {
+			name := class
+			if all {
+				name = "all-levels/" + class
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					qc := tree.newQueryCtx(classes[class][i%32])
+					for d := range qc.dims {
+						if dm := &qc.dims[d]; all && dm.levels != nil {
+							dm.mask(len(dm.levels) - 1)
+						}
+					}
+					tree.putQueryCtx(qc)
+				}
+			})
+		}
 	}
 }

@@ -99,3 +99,57 @@ func Decode(buf []byte) (MDS, int, error) {
 	}
 	return m, off, nil
 }
+
+// AppendDecode parses an MDS from the front of buf like Decode, but carves
+// the result out of the caller's arenas: dimension sets are appended to
+// *dims and ID values to *ids, and the returned MDS (plus each DimSet.IDs)
+// is a capacity-capped subslice of them. Arena growth reallocations leave
+// previously returned subslices aliasing the old backing arrays, which stay
+// valid because decoded values are never mutated. One node's worth of
+// entries therefore decodes with O(1) slice allocations instead of O(dims)
+// per entry.
+func AppendDecode(buf []byte, dims *[]DimSet, ids *[]hierarchy.ID) (MDS, int, error) {
+	if len(buf) < 1 {
+		return nil, 0, fmt.Errorf("mds: truncated header")
+	}
+	nd := int(buf[0])
+	off := 1
+	dimStart := len(*dims)
+	for i := 0; i < nd; i++ {
+		if off >= len(buf) {
+			return nil, 0, fmt.Errorf("mds: truncated level byte in dim %d", i)
+		}
+		level := int(buf[off])
+		off++
+		count, n := binary.Uvarint(buf[off:])
+		if n <= 0 {
+			return nil, 0, fmt.Errorf("mds: bad value count in dim %d", i)
+		}
+		off += n
+		if level == hierarchy.LevelALL {
+			if count != 0 {
+				return nil, 0, fmt.Errorf("mds: ALL entry with %d values in dim %d", count, i)
+			}
+			*dims = append(*dims, AllDim())
+			continue
+		}
+		if count == 0 {
+			return nil, 0, fmt.Errorf("mds: empty value set in dim %d", i)
+		}
+		// Bound count by the remaining bytes in uint64 space: int(count)*4
+		// would overflow for hostile counts near 2^62 and slip past the
+		// check into an append that panics or over-allocates.
+		if count > uint64(len(buf)-off)/4 {
+			return nil, 0, fmt.Errorf("mds: truncated values in dim %d", i)
+		}
+		idStart := len(*ids)
+		for j := 0; j < int(count); j++ {
+			*ids = append(*ids, hierarchy.ID(binary.LittleEndian.Uint32(buf[off:])))
+			off += 4
+		}
+		set := (*ids)[idStart:len(*ids):len(*ids)]
+		*dims = append(*dims, DimSet{Level: level, IDs: set})
+	}
+	m := MDS((*dims)[dimStart:len(*dims):len(*dims)])
+	return m, off, nil
+}
