@@ -128,7 +128,7 @@ func TestAdaptToLevels(t *testing.T) {
 }
 
 // TestQueryAllocations holds the read path to zero allocations per query in
-// every query class: on a warm heap tree (packed rows, read images), on the
+// every query class: on a warm heap tree (own blocks, read images), on the
 // same tree checkpointed and evicted (zero-copy views of its extents), on a
 // version of it (overlay frames and pinned extents), and on the tree
 // bulk-loaded into a PagedStore and reopened (every node a mapped view).

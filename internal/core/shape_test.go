@@ -42,10 +42,11 @@ func shapeDigest(t *testing.T, tree *Tree) string {
 				u64(math.Float64bits(a.Max))
 			}
 			if n.Leaf() {
-				for _, c := range n.Row(i) {
+				rec := n.Record(i)
+				for _, c := range rec.Coords {
 					u64(uint64(c))
 				}
-				for _, m := range n.RowMeasures(i) {
+				for _, m := range rec.Measures {
 					u64(math.Float64bits(m))
 				}
 			}

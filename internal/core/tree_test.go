@@ -71,7 +71,8 @@ func entriesOf(n *index.Node) []index.Entry {
 	}
 	out := make([]index.Entry, n.Count())
 	for i := range out {
-		out[i] = index.Entry{MDS: mds.FromLeaves(n.Row(i)), Agg: cube.AggOfRecord(n.RowMeasures(i))}
+		rec := n.Record(i)
+		out[i] = index.Entry{MDS: mds.FromLeaves(rec.Coords), Agg: cube.AggOfRecord(rec.Measures)}
 	}
 	return out
 }

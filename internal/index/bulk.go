@@ -145,7 +145,7 @@ func (ix *Index) pack(leaf bool, count int, grow func(n *Node, size, i int) int,
 			size = next
 			add(n, lo+1)
 		}
-		n.blocks = ix.blocksFor(leaf, n.Count(), size)
+		n.setBlocks(ix.blocksFor(leaf, n.Count(), size))
 		e, err := ix.describe(n)
 		if err != nil {
 			return nil, err

@@ -161,13 +161,30 @@ func (ix *Index) deleteFrom(id NodeID, rc *recContext, depth int) (*Node, error)
 
 // findRow returns the index of a data node's first row holding exactly
 // rec's coordinates and measures, or -1. A row is compared in full only
-// when its first coordinate matches.
+// when its first coordinate matches. Measures compare as floats, as ==
+// does: a NaN finds no row, and 0 finds a row of −0.
 func (n *Node) findRow(rec cube.Record) int {
-	first := rec.Coords[0]
-	for i, k := 0, 0; k < len(n.coords); i, k = i+1, k+n.dims {
-		if n.coords[k] == first && slices.Equal(n.Row(i), rec.Coords) && slices.Equal(n.RowMeasures(i), rec.Measures) {
-			return i
+	f := &n.flat
+	o, cut := f.column(0)
+	b, stride, first := f.b, f.stride, rec.Coords[0]
+rows:
+	for ; o < len(b); o += stride {
+		if loadCode(b[o:], cut) != first {
+			continue
 		}
+		p := o
+		for d, w := range f.widths() {
+			if loadCode(b[p:], widthMask(w)) != rec.Coords[d] {
+				continue rows
+			}
+			p += int(w)
+		}
+		for j, x := range rec.Measures {
+			if measureAt(b, p+8*j) != x {
+				continue rows
+			}
+		}
+		return (o - f.fixBase) / stride
 	}
 	return -1
 }
@@ -210,17 +227,19 @@ func (ix *Index) repairCover(m mds.MDS, n *Node, rc *recContext, floor bool) (ok
 func (ix *Index) underAny(n *Node, d, level int, anc hierarchy.ID) bool {
 	h := ix.space()[d]
 	if n.leaf {
+		o, cut := n.flat.column(d)
+		b, stride := n.flat.b, n.flat.stride
 		if level == 0 {
-			for k := d; k < len(n.coords); k += n.dims {
-				if n.coords[k] == anc {
+			for ; o < len(b); o += stride {
+				if loadCode(b[o:], cut) == anc {
 					return true
 				}
 			}
 			return false
 		}
 		tab := h.AncestorTable(0, level)
-		for k := d; k < len(n.coords); k += n.dims {
-			if tab[n.coords[k].Code()] == anc {
+		for ; o < len(b); o += stride {
+			if tab[loadCode(b[o:], cut)] == anc {
 				return true
 			}
 		}
@@ -261,6 +280,6 @@ func removeID(ids []hierarchy.ID, id hierarchy.ID) []hierarchy.ID {
 // one-block node has none to give, and is not sized.
 func (ix *Index) shrink(n *Node) {
 	if n.blocks > 1 {
-		n.blocks = min(n.blocks, ix.nodeBlocks(n))
+		n.setBlocks(min(n.blocks, ix.nodeBlocks(n)))
 	}
 }

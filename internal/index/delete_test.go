@@ -1,6 +1,7 @@
 package index
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -30,7 +31,7 @@ func deletePath(t *testing.T, ix *Index, rec cube.Record) []NodeID {
 		path = append(path, id)
 		if n.leaf {
 			for i := 0; i < n.Count(); i++ {
-				if slices.Equal(n.Row(i), rec.Coords) && slices.Equal(n.RowMeasures(i), rec.Measures) {
+				if row := n.Record(i); slices.Equal(row.Coords, rec.Coords) && slices.Equal(row.Measures, rec.Measures) {
 					return true
 				}
 			}
@@ -291,6 +292,43 @@ func checkDeleteAllocations(t *testing.T, ix *Index, nodes *memNodes, recs []cub
 	}
 	if allocs != 0 {
 		t.Errorf("%.2f allocations per delete, want 0", allocs)
+	}
+	if err := validate(ix); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeleteMatchesMeasuresAsFloats pins a delete's row match to == on the
+// measures: a record holding a NaN is never found, though a row of its bits
+// is there, and a record of +0 finds the row of −0 with its coordinates,
+// whose bits differ. A match on the rows' bytes would do the opposite of
+// both.
+func TestDeleteMatchesMeasuresAsFloats(t *testing.T) {
+	ix := newTestIndex(t, DefaultConfig())
+	recs := genRecords(t, ix.schema, rand.New(rand.NewSource(83)), 2)
+	negZero, nan := recs[0], recs[1]
+	negZero.Measures[0], nan.Measures[0] = math.Copysign(0, -1), math.NaN()
+	for _, r := range []cube.Record{negZero, nan} {
+		if err := ix.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ix.Delete(nan); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("delete of the NaN record: %v, want ErrNotFound", err)
+	}
+	posZero := cube.Record{Coords: negZero.Coords, Measures: []float64{0}}
+	if err := ix.Delete(posZero); err != nil {
+		t.Fatalf("delete of +0 over a row of −0: %v", err)
+	}
+	var left []cube.Record
+	if err := ix.Scan(ix.store.(*memNodes), ix.head.Root, func(rec cube.Record) bool {
+		left = append(left, rec)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 1 || !slices.Equal(left[0].Coords, nan.Coords) || !math.IsNaN(left[0].Measures[0]) {
+		t.Fatalf("left %v, want the NaN record alone", left)
 	}
 	if err := validate(ix); err != nil {
 		t.Fatal(err)

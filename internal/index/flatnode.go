@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/hierarchy"
@@ -85,19 +86,15 @@ func leafSize(dims, count, stride int) int { return flatHeaderSize + dims + coun
 // widthMask returns the mask that cuts a 4-byte load to a code of w bytes.
 func widthMask(w byte) uint32 { return uint32(1)<<(8*w) - 1 }
 
-// appendEncodeFlat serializes the node. The fixed-size prefix (header and,
-// for a directory, offset table, agg and child areas) is reserved up front
-// and filled by indexed writes; a directory's MDS blobs are appended behind
-// it, each one recording its start in the offset table as it goes — no
-// second sizing pass over the MDS encodings.
-func (n *Node) appendEncodeFlat(buf []byte, dims, measures int) []byte {
-	count := n.Count()
-	var aggBase, fixBase, mdsBase int
-	if n.leaf {
-		mdsBase = n.encodedSize()
-	} else {
-		aggBase, fixBase, mdsBase = dirLayoutSizes(count, measures)
-	}
+// appendEncodeDir serializes a directory node. The fixed-size prefix
+// (header, offset table, agg and child areas) is reserved up front and
+// filled by indexed writes; the MDS blobs are appended behind it, each one
+// recording its start in the offset table as it goes — no second sizing
+// pass over the MDS encodings. A data node needs no encoder: it is its
+// encoding.
+func (n *Node) appendEncodeDir(buf []byte, measures int) []byte {
+	count := len(n.entries)
+	aggBase, fixBase, mdsBase := dirLayoutSizes(count, measures)
 	start := len(buf)
 	buf = append(buf, make([]byte, mdsBase)...)
 	hdr := buf[start : start+mdsBase]
@@ -105,56 +102,35 @@ func (n *Node) appendEncodeFlat(buf []byte, dims, measures int) []byte {
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(n.blocks))
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(count))
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(mdsBase))
-	if n.leaf {
-		hdr[1] |= nodeFlagLeaf
-		widths := hdr[flatHeaderSize : flatHeaderSize+dims]
-		for d, c := range n.top {
-			widths[d] = byte(codeWidth(c))
+	for i := range n.entries {
+		e := &n.entries[i]
+		for j, g := range e.Agg {
+			a := aggBase + flatAggStride*(measures*i+j)
+			binary.LittleEndian.PutUint64(hdr[a:], math.Float64bits(g.Sum))
+			binary.LittleEndian.PutUint64(hdr[a+8:], uint64(g.Count))
+			binary.LittleEndian.PutUint64(hdr[a+16:], math.Float64bits(g.Min))
+			binary.LittleEndian.PutUint64(hdr[a+24:], math.Float64bits(g.Max))
 		}
-		f := flatHeaderSize + dims
-		for i := 0; i < count; i++ {
-			// A code is stored as a 4-byte word whose bytes past its width
-			// are zero: the next code or the measures overwrite them.
-			for d, c := range n.Row(i) {
-				binary.LittleEndian.PutUint32(hdr[f:], c.Code())
-				f += int(widths[d])
-			}
-			for _, x := range n.RowMeasures(i) {
-				binary.LittleEndian.PutUint64(hdr[f:], math.Float64bits(x))
-				f += 8
-			}
-		}
-	} else {
-		for i := range n.entries {
-			e := &n.entries[i]
-			for j, g := range e.Agg {
-				a := aggBase + flatAggStride*(measures*i+j)
-				binary.LittleEndian.PutUint64(hdr[a:], math.Float64bits(g.Sum))
-				binary.LittleEndian.PutUint64(hdr[a+8:], uint64(g.Count))
-				binary.LittleEndian.PutUint64(hdr[a+16:], math.Float64bits(g.Min))
-				binary.LittleEndian.PutUint64(hdr[a+24:], math.Float64bits(g.Max))
-			}
-			binary.LittleEndian.PutUint64(hdr[fixBase+8*i:], uint64(e.Child))
-		}
-		// MDS area + offset table. Appends may reallocate buf, so the table
-		// is written through buf (re-indexed each round), never through hdr.
-		for i := range n.entries {
-			binary.LittleEndian.PutUint32(buf[start+flatHeaderSize+4*i:], uint32(len(buf)-start-mdsBase))
-			buf = n.entries[i].MDS.AppendEncode(buf)
-		}
-		binary.LittleEndian.PutUint32(buf[start+flatHeaderSize+4*count:], uint32(len(buf)-start-mdsBase))
+		binary.LittleEndian.PutUint64(hdr[fixBase+8*i:], uint64(e.Child))
 	}
+	// MDS area + offset table. Appends may reallocate buf, so the table is
+	// written through buf (re-indexed each round), never through hdr.
+	for i := range n.entries {
+		binary.LittleEndian.PutUint32(buf[start+flatHeaderSize+4*i:], uint32(len(buf)-start-mdsBase))
+		buf = n.entries[i].MDS.AppendEncode(buf)
+	}
+	binary.LittleEndian.PutUint32(buf[start+flatHeaderSize+4*count:], uint32(len(buf)-start-mdsBase))
 	binary.LittleEndian.PutUint32(buf[start+16:], uint32(len(buf)-start))
 	return buf
 }
 
 // FlatNode is a read-only view of an encoded node payload — a mapped
-// extent, a pooled read buffer, a version's overlay payload or a heap
-// directory's read image. It owns nothing: every accessor is pointer math
-// over b, and b must stay valid for the FlatNode's lifetime (the descent
-// bounds it by the host's hold or a version pin). The zero value is
-// invalid; MakeFlatNode validates the frame once so the fixed-stride
-// accessors can skip per-call checks.
+// extent, a pooled read buffer, a version's overlay payload, a heap data
+// node's block or a heap directory's read image. It owns nothing: every
+// accessor is pointer math over b, and b must stay valid for the
+// FlatNode's lifetime (the descent bounds it by the host's hold or a
+// version pin). The zero value is invalid; MakeFlatNode validates the
+// frame once so the fixed-stride accessors can skip per-call checks.
 //
 // A data node's row stride and the offset of its measures in a row are
 // summed from its widths when it is framed, once per visit.
@@ -178,21 +154,21 @@ type FlatNode struct {
 // directory's offset table and the MDS blobs behind it are checked where
 // the descent first uses them (EntryMDS, the directory matcher, the nil-child
 // test), so a clean extent visited again and again pays for no table scan;
-// CheckTable is the eager O(count) form the decoder runs. NodeView.Frame is
-// the same check, framing the payload in the descent's own frame.
+// CheckTable is the eager O(count) form the decoder runs. Frame is the same
+// check, framing the payload in the descent's own frame.
 func MakeFlatNode(id NodeID, b []byte, dims, measures int) (FlatNode, error) {
 	var f FlatNode
-	err := f.frame(id, b, dims, measures)
+	err := f.Frame(id, b, dims, measures)
 	return f, err
 }
 
-// frame is MakeFlatNode in place: f frames b if the check passes, and is
-// left unusable if it does not.
-func (f *FlatNode) frame(id NodeID, b []byte, dims, measures int) error {
+// Frame fills f with payload b framed where it lies, after MakeFlatNode's
+// constant-time check; f is left unusable if the check fails.
+func (f *FlatNode) Frame(id NodeID, b []byte, dims, measures int) error {
 	if len(b) < flatHeaderSize || b[0] != flatMagic || b[1]&^nodeFlagLeaf != 0 || b[2] != 0 || b[3] != 0 {
 		return fmt.Errorf("%w: node %d: not a flat node payload", ErrCorrupt, id)
 	}
-	f.trust(id, b, dims, measures)
+	f.FrameTrusted(id, b, dims, measures)
 	total := int(binary.LittleEndian.Uint32(b[16:]))
 	if f.blocks < 1 || f.count < 0 || total != len(b) {
 		return fmt.Errorf("%w: node %d: flat header blocks=%d count=%d total=%d/%d",
@@ -221,10 +197,10 @@ func (f *FlatNode) frame(id NodeID, b []byte, dims, measures int) error {
 	return nil
 }
 
-// trust frames a payload without checking it: one Encode produced in this
-// process (a read image, a version's overlay), or one frame is about to
-// check.
-func (f *FlatNode) trust(id NodeID, b []byte, dims, measures int) {
+// FrameTrusted fills f with payload b framed where it lies, unchecked: a
+// flat encoding this process produced (Index.Encode, a heap node's block or
+// read image), or one Frame is about to check.
+func (f *FlatNode) FrameTrusted(id NodeID, b []byte, dims, measures int) {
 	f.id, f.b = id, b
 	f.leaf = b[1]&nodeFlagLeaf != 0
 	f.blocks = int(binary.LittleEndian.Uint32(b[4:]))
@@ -252,6 +228,12 @@ func (f *FlatNode) widths() []byte { return f.b[flatHeaderSize:f.fixBase] }
 func (f *FlatNode) Leaf() bool  { return f.leaf }
 func (f *FlatNode) Count() int  { return f.count }
 func (f *FlatNode) Blocks() int { return f.blocks }
+
+// shape returns the node's kind, entries or records, blocks and the length
+// of its encoding.
+func (f *FlatNode) shape() (leaf bool, count, blocks, size int) {
+	return f.leaf, f.count, f.blocks, len(f.b)
+}
 
 // CheckTable validates what MakeFlatNode leaves to first use in a
 // directory: the offset table (first offset zero, monotone, ending at the
@@ -307,24 +289,50 @@ func (f *FlatNode) Child(i int) NodeID {
 	return NodeID(binary.LittleEndian.Uint64(f.b[f.fixBase+8*i:]))
 }
 
-// Coord returns record i's coordinate in dimension d.
-func (f *FlatNode) Coord(i, d int) hierarchy.ID {
-	widths, o := f.widths(), f.fixBase+f.stride*i
+// column returns the offset of dimension d's code in a data node's row 0
+// and the mask that cuts a 4-byte load there to the code.
+func (f *FlatNode) column(d int) (off int, cut uint32) {
+	widths := f.widths()
+	off = f.fixBase
 	for _, w := range widths[:d] {
-		o += int(w)
+		off += int(w)
 	}
-	return loadCode(f.b[o:], widths[d])
+	return off, widthMask(widths[d])
 }
 
-// loadCode reads a code of w bytes at the front of b, which holds at least
-// four.
-func loadCode(b []byte, w byte) hierarchy.ID {
-	return hierarchy.ID(binary.LittleEndian.Uint32(b) & widthMask(w))
+// Coord returns record i's coordinate in dimension d.
+func (f *FlatNode) Coord(i, d int) hierarchy.ID {
+	o, cut := f.column(d)
+	return loadCode(f.b[o+f.stride*i:], cut)
+}
+
+// loadCode reads the code at the front of b, which holds at least four
+// bytes, through its width's mask cut.
+func loadCode(b []byte, cut uint32) hierarchy.ID {
+	return hierarchy.ID(binary.LittleEndian.Uint32(b) & cut)
 }
 
 // Measure returns record i's measure j.
 func (f *FlatNode) Measure(i, j int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(f.b[f.fixBase+f.stride*i+f.codes+8*j:]))
+	return measureAt(f.b, f.fixBase+f.stride*i+f.codes+8*j)
+}
+
+// measureAt reads the measure at offset o of b.
+func measureAt(b []byte, o int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(b[o:]))
+}
+
+// row reads data record i into rec, whose slices the caller sized: the
+// coordinates to the schema, the measures to the schema or none.
+func (f *FlatNode) row(i int, rec cube.Record) {
+	o := f.fixBase + f.stride*i
+	for d, w := range f.widths() {
+		rec.Coords[d] = loadCode(f.b[o:], widthMask(w))
+		o += int(w)
+	}
+	for j := range rec.Measures {
+		rec.Measures[j] = measureAt(f.b, o+8*j)
+	}
 }
 
 // entryMDS decodes directory entry i's MDS from its wire encoding, which
@@ -341,12 +349,12 @@ func (f *FlatNode) entryMDS(i int) (mds.MDS, error) {
 // DecodeNode materializes a payload as a heap node — the write path, and a
 // host whose store serves no views, need mutable *Nodes.
 //
-// A data node decodes into its two row arrays; its coordinates must be
-// leaf-level values, which the row tests assume, and its widths exactly
-// those its codes need. A directory's
-// per-entry state is carved out of node-scoped arenas — one backing array
-// each for aggregate vectors and the MDS dimension sets and ID values — so
-// a node of k entries decodes with O(1) slice allocations instead of O(k).
+// A data node is a copy of its payload, once its coordinates are found to
+// be leaf-level values, which the row tests assume, and its widths exactly
+// those its codes need. A directory's per-entry state is carved out of
+// node-scoped arenas — one backing array each for aggregate vectors and
+// the MDS dimension sets and ID values — so a node of k entries decodes
+// with O(1) slice allocations instead of O(k).
 // Every carve is a capacity-capped subslice: when an arena grows and
 // reallocates, earlier entries keep aliasing the old backing array, which
 // stays correct because decoded values are only ever mutated in place
@@ -361,29 +369,14 @@ func DecodeNode(id NodeID, buf []byte, dims, measures int) (*Node, error) {
 	}
 	n := &Node{id: id, leaf: f.leaf, blocks: f.blocks, dims: dims, nm: measures}
 	if f.leaf {
-		n.coords = make([]hierarchy.ID, 0, f.count*dims)
-		n.measures = make([]float64, 0, f.count*measures)
+		n.flat.FrameTrusted(id, slices.Clone(f.b), dims, measures)
 		n.top = make([]uint32, dims)
-		widths := f.widths()
-		for i, o := 0, f.fixBase; i < f.count; i++ {
-			for d, w := range widths {
-				c := loadCode(f.b[o:], w)
-				if c.Level() != 0 {
-					return nil, fmt.Errorf("%w: node %d record %d: coordinate %v is not a leaf value", ErrCorrupt, id, i, c)
-				}
-				n.coords = append(n.coords, c)
-				n.top[d] = max(n.top[d], c.Code())
-				o += int(w)
-			}
-			for j := 0; j < measures; j++ {
-				n.measures = append(n.measures, math.Float64frombits(binary.LittleEndian.Uint64(f.b[o:])))
-				o += 8
-			}
-		}
-		// Widths are exact, so the node needs the bytes its encoder did.
-		for d, w := range widths {
-			if codeWidth(n.top[d]) != int(w) {
-				return nil, fmt.Errorf("%w: node %d: dimension %d code width %d, its codes need %d", ErrCorrupt, id, d, w, codeWidth(n.top[d]))
+		for d, w := range f.widths() {
+			// Coordinates are leaf values, and widths exact: the node needs
+			// the bytes its encoder did.
+			if n.top[d] = n.columnTop(d, -1); n.top[d] > hierarchy.MaxCode || codeWidth(n.top[d]) != int(w) {
+				return nil, fmt.Errorf("%w: node %d: dimension %d of code width %d holds coordinates up to %v, not leaf values of that width",
+					ErrCorrupt, id, d, w, hierarchy.ID(n.top[d]))
 			}
 		}
 		return n, nil

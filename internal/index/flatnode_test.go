@@ -45,10 +45,18 @@ func grownNodes(t testing.TB) (ix *Index, nodes []*Node) {
 // sameRows reports whether two data nodes agree in Blocks, Count and every
 // coordinate and measure, measures compared by their bits.
 func sameRows(a, b *Node) bool {
-	return a.blocks == b.blocks && slices.Equal(a.coords, b.coords) &&
-		slices.EqualFunc(a.measures, b.measures, func(x, y float64) bool {
+	if a.blocks != b.blocks || a.Count() != b.Count() {
+		return false
+	}
+	for i := 0; i < a.Count(); i++ {
+		x, y := a.Record(i), b.Record(i)
+		if !slices.Equal(x.Coords, y.Coords) || !slices.EqualFunc(x.Measures, y.Measures, func(x, y float64) bool {
 			return math.Float64bits(x) == math.Float64bits(y)
-		})
+		}) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestDataNodePayloadIsRows is the law of the data-node frame: the payload
@@ -104,7 +112,7 @@ func TestDataNodePayloadIsRows(t *testing.T) {
 type oneView struct{ f FlatNode }
 
 func (s oneView) View(_ NodeID, nv *NodeView) error {
-	*nv = NodeView{f: s.f}
+	*nv = s.f
 	return nil
 }
 
@@ -229,13 +237,14 @@ func layRows(n *Node, widths []byte) []byte {
 	copy(b[flatHeaderSize:], widths)
 	o := flatHeaderSize + n.dims
 	for i := 0; i < n.Count(); i++ {
-		for d, c := range n.Row(i) {
+		rec := n.Record(i)
+		for d, c := range rec.Coords {
 			for k := 0; k < int(widths[d]); k++ {
 				b[o+k] = byte(c >> (8 * k))
 			}
 			o += int(widths[d])
 		}
-		for _, x := range n.RowMeasures(i) {
+		for _, x := range rec.Measures {
 			binary.LittleEndian.PutUint64(b[o:], math.Float64bits(x))
 			o += 8
 		}
@@ -310,7 +319,7 @@ func TestValidateReadsEncodedBytes(t *testing.T) {
 				for d, ds := range dec.entries[i].MDS {
 					if ds.Level != hierarchy.LevelALL && len(ds.IDs) > 1 {
 						dec.entries[i].MDS[d].IDs = ds.IDs[1:]
-						return n.id, dec.appendEncodeFlat(nil, dims, measures)
+						return n.id, dec.appendEncodeDir(nil, measures)
 					}
 				}
 			}
@@ -379,7 +388,7 @@ func FuzzDecodeFlatNode(f *testing.F) {
 	// stride bytes.
 	for _, n := range widthNodes(measures) {
 		if slices.Contains([]uint32{255, 1<<16 - 1, 1<<24 - 1, hierarchy.MaxCode}, n.top[0]) && n.top[1] == 9 {
-			f.Add(n.appendEncodeFlat(nil, dims, measures))
+			f.Add(ix.Encode(n))
 		}
 	}
 	bad := badWidthPayloads(measures)
@@ -388,7 +397,7 @@ func FuzzDecodeFlatNode(f *testing.F) {
 	// A query constrained in every dimension, so both kernels consult their
 	// masks — with codes the masks were never sized for among the inputs.
 	q := make(mds.MDS, dims)
-	for d, c := range leaf.Row(0) {
+	for d, c := range leaf.Record(0).Coords {
 		q[d] = mds.DimSet{Level: 0, IDs: []hierarchy.ID{c}}
 	}
 	qc := ix.newQueryCtx(q)
@@ -404,10 +413,9 @@ func FuzzDecodeFlatNode(f *testing.F) {
 			}
 			return
 		}
-		nv := NodeView{f: view}
 		for i := 0; i < view.Count(); i++ {
 			if view.Leaf() {
-				nv.row(i, rec)
+				view.row(i, rec)
 				continue
 			}
 			dimArena, idArena = dimArena[:0], idArena[:0]
@@ -419,8 +427,7 @@ func FuzzDecodeFlatNode(f *testing.F) {
 		}
 		if view.CheckTable() == nil {
 			if view.Leaf() {
-				nv := NodeView{f: view}
-				qc.scanRows(&nv, 0, cube.NewAggVector(measures))
+				qc.scanRows(&view, 0, cube.NewAggVector(measures))
 			} else {
 				for i := 0; i < view.Count(); i++ {
 					if _, _, err := qc.matchEntryFlat(&view, i); err != nil && !errors.Is(err, ErrCorrupt) {
@@ -468,7 +475,7 @@ func requireNodesEqual(t *testing.T, got, want *Node) {
 	}
 	if got.Leaf() {
 		for i := 0; i < want.Count(); i++ {
-			if !slices.Equal(got.Row(i), want.Row(i)) || !slices.Equal(got.RowMeasures(i), want.RowMeasures(i)) {
+			if !slices.Equal(got.Record(i).Coords, want.Record(i).Coords) || !slices.Equal(got.Record(i).Measures, want.Record(i).Measures) {
 				t.Fatalf("node %d: row %d differs", want.ID(), i)
 			}
 		}
@@ -514,12 +521,12 @@ func TestFlatNodeRoundTrip(t *testing.T) {
 		// Spot-check the in-place accessors against the heap form.
 		for i := 0; n.Leaf() && i < n.Count(); i++ {
 			for d := 0; d < dims; d++ {
-				if f.Coord(i, d) != n.Row(i)[d] {
+				if f.Coord(i, d) != n.Record(i).Coords[d] {
 					t.Fatalf("node %d record %d: coord(%d) differs", n.ID(), i, d)
 				}
 			}
 			for j := 0; j < measures; j++ {
-				if f.Measure(i, j) != n.RowMeasures(i)[j] {
+				if f.Measure(i, j) != n.Record(i).Measures[j] {
 					t.Fatalf("node %d record %d: measure(%d) differs", n.ID(), i, j)
 				}
 			}
@@ -585,12 +592,12 @@ func TestFlatNodeMDSView(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; n.Leaf() && i < n.Count(); i++ {
-			for d, c := range n.Row(i) {
+			for d, c := range n.Record(i).Coords {
 				if f.Coord(i, d) != c {
 					t.Fatalf("node %d record %d: view coordinate %d is %v, want %v", n.ID(), i, d, f.Coord(i, d), c)
 				}
 			}
-			for j, x := range n.RowMeasures(i) {
+			for j, x := range n.Record(i).Measures {
 				if f.Measure(i, j) != x {
 					t.Fatalf("node %d record %d: view measure %d is %v, want %v", n.ID(), i, j, f.Measure(i, j), x)
 				}

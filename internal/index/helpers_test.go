@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/dcindex/dctree/internal/cube"
@@ -66,10 +67,14 @@ func levelStats(ix *Index) ([]LevelStat, error) {
 	return ix.LevelStats(ix.store.(*memNodes), ix.Head())
 }
 
-// flatOf frames n's flat encoding as node id, unchecked.
+// flatOf frames a copy of n's flat encoding as node id, unchecked.
 func flatOf(id NodeID, n *Node, dims, measures int) FlatNode {
+	b := slices.Clone(n.flat.b)
+	if !n.leaf {
+		b = n.appendEncodeDir(nil, measures)
+	}
 	var f FlatNode
-	f.trust(id, n.appendEncodeFlat(nil, dims, measures), dims, measures)
+	f.FrameTrusted(id, b, dims, measures)
 	return f
 }
 
@@ -155,7 +160,8 @@ func entriesOf(n *Node) []Entry {
 	}
 	out := make([]Entry, n.Count())
 	for i := range out {
-		out[i] = Entry{MDS: mds.FromLeaves(n.Row(i)), Agg: cube.AggOfRecord(n.RowMeasures(i))}
+		rec := n.Record(i)
+		out[i] = Entry{MDS: mds.FromLeaves(rec.Coords), Agg: cube.AggOfRecord(rec.Measures)}
 	}
 	return out
 }

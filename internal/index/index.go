@@ -18,8 +18,8 @@
 //     under the host's exclusive hold.
 //   - Source, the read side: View of a node for one read-only walk — a
 //     query, Scan, LevelStats or Validate — filled into a frame the walk
-//     owns: a heap node (HeapView) or an encoded payload framed where it
-//     lies (NodeView.Frame, FrameTrusted).
+//     owns, a NodeView: a heap node (HeapView) or an encoded payload
+//     framed where it lies (NodeView.Frame, FrameTrusted).
 //
 // Mutations must be exclusive; read-only walks may run concurrently with
 // one another over any Source whose views stay valid for the walk.
@@ -178,7 +178,7 @@ func (ix *Index) FitDirectories(src Source, h Head, fixed func(*Node)) {
 	_ = walk(src, h.Root, func(nv *NodeView, level int) error {
 		leaf, count, blocks, size := nv.shape()
 		if need := ix.blocksFor(false, count, size); !leaf && need > blocks {
-			n, err := DecodeNode(nv.f.id, nv.f.b, ix.schema.Dims(), ix.schema.Measures())
+			n, err := DecodeNode(nv.id, nv.b, ix.schema.Dims(), ix.schema.Measures())
 			if err != nil {
 				return err
 			}

@@ -16,12 +16,10 @@ import (
 // row-at-a-time reference: the same rows selected, in the same order, from
 // the same rows and pass table.
 
-// selectCase is one selection of the leaf kernel: the first n of the rows
-// of one carrier — flat rows of stride bytes, or heap rows of stride/4
-// IDs — tested against a pass table.
+// selectCase is one selection of the leaf kernel: the first n of the flat
+// rows of stride bytes tested against a pass table.
 type selectCase struct {
 	flat   []byte
-	heap   []hierarchy.ID
 	stride int
 	n      int
 	passes []leafPass
@@ -35,10 +33,6 @@ func (c selectCase) run() []uint16 {
 	for i := range sel {
 		sel[i] = 0xFFFF
 	}
-	if c.heap != nil {
-		dims := c.stride / 4
-		return slices.Clone(sel[:selectHeap(&sel, c.heap[:c.n*dims], dims, c.passes)])
-	}
 	return slices.Clone(sel[:selectFlat(&sel, c.flat[:c.n*c.stride], c.stride, c.passes)])
 }
 
@@ -49,13 +43,7 @@ func (c selectCase) want() []uint16 {
 	for i := 0; i < c.n; i++ {
 		keep := true
 		for _, p := range c.passes {
-			o := i*c.stride + p.off
-			var code uint32
-			if c.heap != nil {
-				code = c.heap[o/4].Code()
-			} else {
-				code = binary.LittleEndian.Uint32(c.flat[o:]) & p.width
-			}
+			code := binary.LittleEndian.Uint32(c.flat[i*c.stride+p.off:]) & p.width
 			keep = keep && p.mask.Get(code)
 		}
 		if keep {
@@ -80,41 +68,29 @@ func (c selectCase) check(t *testing.T, name string) {
 	}
 }
 
-// randomCase returns scanChunk rows of one carrier, every byte random but
-// the codes, which are below limit: flat rows of dims codes at widths 1–4
-// bytes (each code cut to its width) and then measures 8-byte values, or
-// heap rows of dims IDs at random levels, read through the MaxCode cut. A
-// flat code's 4-byte load reads the bytes behind it, the next code or a
-// measure, which its width must cut away. The pass table tests tested of
-// the dimensions, in random order, against masks of 0, 1, 2 or 5 words.
-func randomCase(rng *rand.Rand, heap bool, dims, tested, measures int, limit uint32) selectCase {
+// randomCase returns scanChunk flat rows, every byte random but the codes,
+// which are below limit: dims codes at widths 1–4 bytes (each code cut to
+// its width) and then measures 8-byte values. A code's 4-byte load reads
+// the bytes behind it, the next code or a measure, which its width must
+// cut away. The pass table tests tested of the dimensions, in random
+// order, against masks of 0, 1, 2 or 5 words.
+func randomCase(rng *rand.Rand, dims, tested, measures int, limit uint32) selectCase {
 	var c selectCase
 	offs, widths := make([]int, dims), make([]uint32, dims)
-	if heap {
-		c.stride = 4 * dims
-		c.heap = make([]hierarchy.ID, scanChunk*dims)
-		for i := range c.heap {
-			c.heap[i] = hierarchy.MakeID(rng.Intn(hierarchy.MaxLevel+1), uint32(rng.Int63n(int64(limit))))
-		}
+	w := make([]int, dims)
+	for d := range dims {
+		w[d] = 1 + rng.Intn(4)
+		offs[d], widths[d] = c.stride, widthMask(byte(w[d]))
+		c.stride += w[d]
+	}
+	c.stride += 8 * measures
+	c.flat = make([]byte, scanChunk*c.stride)
+	rng.Read(c.flat)
+	for i := range scanChunk {
 		for d := range dims {
-			offs[d], widths[d] = 4*d, hierarchy.MaxCode
-		}
-	} else {
-		w := make([]int, dims)
-		for d := range dims {
-			w[d] = 1 + rng.Intn(4)
-			offs[d], widths[d] = c.stride, widthMask(byte(w[d]))
-			c.stride += w[d]
-		}
-		c.stride += 8 * measures
-		c.flat = make([]byte, scanChunk*c.stride)
-		rng.Read(c.flat)
-		for i := range scanChunk {
-			for d := range dims {
-				code := uint32(rng.Int63n(int64(limit)))
-				for b := range w[d] {
-					c.flat[i*c.stride+offs[d]+b] = byte(code >> (8 * b))
-				}
+			code := uint32(rng.Int63n(int64(limit)))
+			for b := range w[d] {
+				c.flat[i*c.stride+offs[d]+b] = byte(code >> (8 * b))
 			}
 		}
 	}
@@ -138,33 +114,30 @@ func randomMask(rng *rand.Rand, words int, p float64) bitmap.Dense {
 }
 
 // TestSelectRowsMatchesGo holds the AVX2 routine and the Go loops to the
-// row-at-a-time selection on both carriers — heap rows at stride 4·dims
-// under the MaxCode cut, flat rows of codes 1 to 4 bytes wide and 1 to 3
-// measures — for 1 to 4 tested dimensions of rows of up to four, codes up
+// row-at-a-time selection on flat rows of codes 1 to 4 bytes wide and 1 to
+// 3 measures, for 1 to 4 tested dimensions of rows of up to four, codes up
 // to 100 past their masks' end, and every node length 0 to scanChunk, so
 // every tail length 0 to 7 of every pass comes up. Besides random masks,
 // a variant empties the first pass's mask and one a later pass's: nothing
 // passes, whatever the other passes hold.
 func TestSelectRowsMatchesGo(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
-	for _, heap := range []bool{true, false} {
-		for dims := 1; dims <= 4; dims++ {
-			for tested := 1; tested <= dims; tested++ {
-				for variant := range 3 {
-					if variant == 2 && tested == 1 {
-						continue
-					}
-					c := randomCase(rng, heap, dims, tested, 1+rng.Intn(3), 64*5+100)
-					switch variant {
-					case 1:
-						c.passes[0].mask = nil
-					case 2:
-						c.passes[1+rng.Intn(tested-1)].mask = nil
-					}
-					for n := 0; n <= scanChunk; n++ {
-						c.n = n
-						c.check(t, fmt.Sprintf("heap %v, %d of %d dims tested, variant %d", heap, tested, dims, variant))
-					}
+	for dims := 1; dims <= 4; dims++ {
+		for tested := 1; tested <= dims; tested++ {
+			for variant := range 3 {
+				if variant == 2 && tested == 1 {
+					continue
+				}
+				c := randomCase(rng, dims, tested, 1+rng.Intn(3), 64*5+100)
+				switch variant {
+				case 1:
+					c.passes[0].mask = nil
+				case 2:
+					c.passes[1+rng.Intn(tested-1)].mask = nil
+				}
+				for n := 0; n <= scanChunk; n++ {
+					c.n = n
+					c.check(t, fmt.Sprintf("%d of %d dims tested, variant %d", tested, dims, variant))
 				}
 			}
 		}
@@ -172,43 +145,27 @@ func TestSelectRowsMatchesGo(t *testing.T) {
 }
 
 // FuzzSelectRows is TestSelectRowsMatchesGo's differential on inputs the
-// fuzzer chooses: the rows' bytes, the carrier, the dimensions, their
-// widths, the measures, which dimensions are tested in which order, the
-// masks' words and the node length. A mask's words are its share of the
-// mask bytes; an uneven share, or too few bytes, leaves a pass an empty
-// mask.
+// fuzzer chooses: the rows' bytes, the dimensions, their widths, the
+// measures, which dimensions are tested in which order, the masks' words
+// and the node length. A mask's words are its share of the mask bytes; an
+// uneven share, or too few bytes, leaves a pass an empty mask.
 func FuzzSelectRows(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{0xAA, 0x55}, false, uint8(2), uint8(0x1B), uint8(1), uint16(270), int64(1))
-	f.Add([]byte{0xFF}, []byte{}, true, uint8(0), uint8(0), uint8(0), uint16(9), int64(2))
-	f.Add([]byte{7, 0, 0, 0xF0}, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, true, uint8(3), uint8(0), uint8(2), uint16(512), int64(3))
-	f.Fuzz(func(t *testing.T, rows, masks []byte, heap bool, dims, widths, measures uint8, n uint16, seed int64) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{0xAA, 0x55}, uint8(2), uint8(0x1B), uint8(1), uint16(270), int64(1))
+	f.Add([]byte{0xFF}, []byte{}, uint8(0), uint8(0), uint8(0), uint16(9), int64(2))
+	f.Add([]byte{7, 0, 0, 0xF0}, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, uint8(3), uint8(0), uint8(2), uint16(512), int64(3))
+	f.Fuzz(func(t *testing.T, rows, masks []byte, dims, widths, measures uint8, n uint16, seed int64) {
 		c := selectCase{n: int(n) % (scanChunk + 1)}
 		d := 1 + int(dims)%4
 		offs, cuts := make([]int, d), make([]uint32, d)
-		if heap {
-			c.stride = 4 * d
-			for i := range d {
-				offs[i], cuts[i] = 4*i, hierarchy.MaxCode
-			}
-		} else {
-			for i := range d {
-				w := 1 + int(widths>>(2*i))&3
-				offs[i], cuts[i] = c.stride, widthMask(byte(w))
-				c.stride += w
-			}
-			c.stride += 8 * (1 + int(measures)%3)
+		for i := range d {
+			w := 1 + int(widths>>(2*i))&3
+			offs[i], cuts[i] = c.stride, widthMask(byte(w))
+			c.stride += w
 		}
-		buf := make([]byte, scanChunk*c.stride)
-		for i := 0; len(rows) > 0 && i < len(buf); i += len(rows) {
-			copy(buf[i:], rows)
-		}
-		if heap {
-			c.heap = make([]hierarchy.ID, len(buf)/4)
-			for i := range c.heap {
-				c.heap[i] = hierarchy.ID(binary.LittleEndian.Uint32(buf[4*i:]))
-			}
-		} else {
-			c.flat = buf
+		c.stride += 8 * (1 + int(measures)%3)
+		c.flat = make([]byte, scanChunk*c.stride)
+		for i := 0; len(rows) > 0 && i < len(c.flat); i += len(rows) {
+			copy(c.flat[i:], rows)
 		}
 		rng := rand.New(rand.NewSource(seed))
 		order := rng.Perm(d)[:1+rng.Intn(d)]
@@ -226,7 +183,7 @@ func FuzzSelectRows(f *testing.F) {
 }
 
 // TestScanRowsAllocations holds the leaf kernel to zero allocations under
-// either kernel, on both row carriers and on a heap node of more than
+// either kernel, on a data node's own block and on one of more than
 // scanChunk rows, which takes two chunks: the selection vector stays on the
 // stack, which an escaping argument of the assembly would undo.
 func TestScanRowsAllocations(t *testing.T) {
@@ -249,11 +206,8 @@ func TestScanRowsAllocations(t *testing.T) {
 		for d := range dims {
 			qc.rows = append(qc.rows, rowMask{dim: d, mask: randomMask(rng, 8, 0.7)})
 		}
-		qc.setPasses()
 		out := cube.NewAggVector(nm)
-		for carrier, nv := range map[string]NodeView{
-			"heap": {n: leaf}, "flat": {f: flatOf(1, leaf, dims, nm)}, "600-row heap": {n: long},
-		} {
+		for carrier, nv := range map[string]NodeView{"300-row": leaf.flat, "600-row": long.flat} {
 			if allocs := testing.AllocsPerRun(20, func() { qc.scanRows(&nv, 0, out) }); allocs != 0 {
 				t.Errorf("%s rows: %.0f allocations per scan, want 0", carrier, allocs)
 			}

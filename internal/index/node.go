@@ -1,7 +1,10 @@
 package index
 
 import (
+	"encoding/binary"
+	"math"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"github.com/dcindex/dctree/internal/cube"
@@ -35,14 +38,15 @@ type Entry struct {
 // MDS or the entry list — not by markDirty, which aggregate-only updates
 // also call.
 //
-// A data node is struct-of-arrays: record i's coordinates are
-// coords[i*dims:(i+1)*dims], its measures measures[i*nm:(i+1)*nm] — the
-// same rows its encoding holds. A record's singleton MDS and one-record
-// aggregates are functions of the row, kept in neither form and
-// synthesized where the write path needs them. Beside the rows it keeps
-// top, each dimension's largest code: the widths its encoding stores the
-// codes at (codeWidth), and so the bytes the node needs, are functions of
-// it, kept exact by every change to the rows.
+// A data node is its flat encoding and nothing else: flat frames the
+// header, the code widths and the rows, at their exact widths, in a block
+// with spare room for the rows to come. Every change to the rows writes
+// the header, so the block is at all times what Encode copies out and what
+// HeapView frames for the descent. A record's singleton MDS and one-record
+// aggregates are functions of its row, synthesized where the write path
+// needs them. Beside the block it keeps top, each dimension's largest
+// code: the widths (codeWidth), and so the bytes the node needs, are
+// functions of it, kept exact by every change to the rows.
 type Node struct {
 	id     NodeID
 	leaf   bool
@@ -53,8 +57,7 @@ type Node struct {
 	post    *postings
 
 	dims, nm int // row widths of a data node
-	coords   []hierarchy.ID
-	measures []float64
+	flat     FlatNode
 	top      []uint32
 }
 
@@ -63,9 +66,32 @@ type Node struct {
 func NewNode(id NodeID, leaf bool, dims, measures int) *Node {
 	n := &Node{id: id, leaf: leaf, blocks: 1, dims: dims, nm: measures}
 	if leaf {
-		n.top = make([]uint32, dims)
+		n.lay(make([]uint32, dims), 0)
 	}
 	return n
+}
+
+// lay gives a data node an empty block, at the widths of the largest codes
+// top, with room for rows rows.
+func (n *Node) lay(top []uint32, rows int) {
+	n.top = top
+	b := make([]byte, flatHeaderSize+n.dims, leafSize(n.dims, rows, n.rowSize(nil)))
+	b[0], b[1] = flatMagic, nodeFlagLeaf
+	for d, c := range top {
+		b[flatHeaderSize+d] = byte(codeWidth(c))
+	}
+	n.frameRows(b, 0)
+}
+
+// frameRows makes b, holding count rows, a data node's encoding: the
+// header takes the node's blocks, the count and the length, and flat
+// frames b.
+func (n *Node) frameRows(b []byte, count int) {
+	binary.LittleEndian.PutUint32(b[4:], uint32(n.blocks))
+	binary.LittleEndian.PutUint32(b[8:], uint32(count))
+	binary.LittleEndian.PutUint32(b[12:], uint32(len(b)))
+	binary.LittleEndian.PutUint32(b[16:], uint32(len(b)))
+	n.flat.FrameTrusted(n.id, b, n.dims, n.nm)
 }
 
 // ID returns the node's identifier.
@@ -78,6 +104,13 @@ func (n *Node) Leaf() bool { return n.leaf }
 // supernode, which occupies its full extent however short its encoding.
 func (n *Node) Blocks() int { return n.blocks }
 
+// setBlocks sets the node's logical size, in a data node's header too.
+func (n *Node) setBlocks(blocks int) {
+	if n.blocks = blocks; n.leaf {
+		n.frameRows(n.flat.b, n.flat.count)
+	}
+}
+
 // Entries returns a directory node's entries (nil for a data node). They are
 // the node's own: read them under the hold that excludes mutations, never
 // write them.
@@ -86,49 +119,105 @@ func (n *Node) Entries() []Entry { return n.entries }
 // Count returns the number of entries: directory entries or data records.
 func (n *Node) Count() int {
 	if n.leaf {
-		return len(n.coords) / n.dims
+		return n.flat.count
 	}
 	return len(n.entries)
 }
 
-// Row returns record i's coordinates, RowMeasures its measures; both alias
-// the node's arrays.
-func (n *Node) Row(i int) []hierarchy.ID { return n.coords[i*n.dims : (i+1)*n.dims : (i+1)*n.dims] }
+// Record returns a copy of a data node's record i.
+func (n *Node) Record(i int) cube.Record {
+	rec := cube.Record{Coords: make([]hierarchy.ID, n.dims), Measures: make([]float64, n.nm)}
+	n.flat.row(i, rec)
+	return rec
+}
 
-func (n *Node) RowMeasures(i int) []float64 { return n.measures[i*n.nm : (i+1)*n.nm : (i+1)*n.nm] }
-
-// appendRecord adds a record to a data node.
+// appendRecord adds a record to a data node: a code wider than its
+// dimension's width re-strides the rows first.
 func (n *Node) appendRecord(rec cube.Record) {
-	n.coords = append(n.coords, rec.Coords...)
-	n.measures = append(n.measures, rec.Measures...)
 	for d, c := range rec.Coords {
-		n.top[d] = max(n.top[d], c.Code())
+		if c := c.Code(); c > n.top[d] {
+			n.top[d] = c
+			n.setWidth(d, codeWidth(c))
+		}
 	}
+	f := &n.flat
+	o := len(f.b)
+	b := slices.Grow(f.b, f.stride)[:o+f.stride]
+	// A code is stored as a 4-byte word whose bytes past its width are
+	// zero: the next code or the measures overwrite them.
+	for d, w := range b[flatHeaderSize:f.fixBase] {
+		binary.LittleEndian.PutUint32(b[o:], rec.Coords[d].Code())
+		o += int(w)
+	}
+	for _, x := range rec.Measures {
+		binary.LittleEndian.PutUint64(b[o:], math.Float64bits(x))
+		o += 8
+	}
+	n.frameRows(b, f.count+1)
 }
 
 // removeRecord deletes record i of a data node, keeping the order of the
 // rest. A dimension whose largest code leaves with the row has its column
-// rescanned.
+// rescanned, and its width narrowed if the new largest code allows.
 func (n *Node) removeRecord(i int) {
-	for d, c := range n.Row(i) {
-		if c.Code() == n.top[d] {
+	f := &n.flat
+	for d, c := range n.top {
+		if f.Coord(i, d).Code() == c {
 			n.top[d] = n.columnTop(d, i)
 		}
 	}
-	n.coords = append(n.coords[:i*n.dims], n.coords[(i+1)*n.dims:]...)
-	n.measures = append(n.measures[:i*n.nm], n.measures[(i+1)*n.nm:]...)
+	o := f.fixBase + i*f.stride
+	n.frameRows(append(f.b[:o], f.b[o+f.stride:]...), f.count-1)
+	for d, c := range n.top {
+		n.setWidth(d, codeWidth(c))
+	}
 }
 
-// columnTop returns the largest code of dimension d among a data node's
-// rows other than row skip (-1: all of them).
+// columnTop returns the largest coordinate of dimension d among a data
+// node's rows other than row skip (-1: all of them): its code, as every
+// coordinate is a leaf value.
 func (n *Node) columnTop(d, skip int) uint32 {
+	f := &n.flat
+	o, cut := f.column(d)
 	var top uint32
-	for i, k := 0, d; k < len(n.coords); i, k = i+1, k+n.dims {
+	for i := 0; i < f.count; i, o = i+1, o+f.stride {
 		if i != skip {
-			top = max(top, n.coords[k].Code())
+			top = max(top, uint32(loadCode(f.b[o:], cut)))
 		}
 	}
 	return top
+}
+
+// setWidth re-strides a data node's rows, in place, so that dimension d's
+// codes take w bytes. Wider rows move from the last, narrower ones from the
+// first, so that no row is written over before it is read; each is copied
+// out first, so that its own bytes may overlap where they go.
+func (n *Node) setWidth(d, w int) {
+	f := &n.flat
+	at, cut := f.column(d)
+	old := int(f.widths()[d])
+	if old == w {
+		return
+	}
+	pre, stride, next := at-f.fixBase, f.stride, f.stride+w-old
+	b := slices.Grow(f.b, f.count*max(0, next-stride))[:f.fixBase+f.count*next]
+	var buf [128]byte
+	row := buf[:0]
+	for k := range f.count {
+		i := k
+		if next > stride {
+			i = f.count - 1 - k
+		}
+		o, p := f.fixBase+i*stride, f.fixBase+i*next
+		row = append(row[:0], f.b[o:o+stride]...)
+		// The code's 4-byte store spills into the bytes behind it, which
+		// the rest of the row then covers.
+		copy(b[p:], row[:pre])
+		binary.LittleEndian.PutUint32(b[p+pre:], uint32(loadCode(row[pre:], cut)))
+		copy(b[p+pre+w:p+next], row[pre+old:])
+	}
+	b[flatHeaderSize+d] = byte(w)
+	n.frameRows(b, f.count)
 }
 
 // codeWidth returns the bytes a data node's encoding stores codes up to c
@@ -152,7 +241,7 @@ func (n *Node) rowSize(coords []hierarchy.ID) int {
 // encodedSize returns the length of the node's encoding.
 func (n *Node) encodedSize() int {
 	if n.leaf {
-		return leafSize(n.dims, n.Count(), n.rowSize(nil))
+		return len(n.flat.b)
 	}
 	size := dirSize
 	for i := range n.entries {
@@ -161,9 +250,9 @@ func (n *Node) encodedSize() int {
 	return size
 }
 
-// take replaces the node's entries, or rows, by exactly sized copies of the
-// listed ones of src, in the order listed; a data node's largest codes are
-// its new rows'.
+// take replaces the node's entries, or rows, by copies of the listed ones
+// of src, in the order listed, in storage sized for them; a data node's
+// largest codes are its new rows', and a width they need less of narrows.
 func (n *Node) take(src *Node, group []int) {
 	if !n.leaf {
 		entries := make([]Entry, len(group))
@@ -173,18 +262,18 @@ func (n *Node) take(src *Node, group []int) {
 		n.entries = entries
 		return
 	}
-	coords := make([]hierarchy.ID, 0, len(group)*n.dims)
-	measures := make([]float64, 0, len(group)*n.nm)
-	top := make([]uint32, n.dims)
+	f := src.flat // src may be n
+	n.lay(slices.Clone(src.top), len(group))
+	b := n.flat.b
 	for _, g := range group {
-		row := src.Row(g)
-		coords = append(coords, row...)
-		measures = append(measures, src.RowMeasures(g)...)
-		for d, c := range row {
-			top[d] = max(top[d], c.Code())
-		}
+		o := f.fixBase + g*f.stride
+		b = append(b, f.b[o:o+f.stride]...)
 	}
-	n.coords, n.measures, n.top = coords, measures, top
+	n.frameRows(b, len(group))
+	for d := range n.top {
+		n.top[d] = n.columnTop(d, -1)
+		n.setWidth(d, codeWidth(n.top[d]))
+	}
 }
 
 // fill is the one overflow rule: what a node of the given kind, entry count
@@ -219,8 +308,11 @@ func (ix *Index) nodeBlocks(n *Node) int {
 func (n *Node) aggregate(measures int) cube.AggVector {
 	v := cube.NewAggVector(measures)
 	if n.leaf {
-		for i := 0; i < n.Count(); i++ {
-			v.AddRecord(n.RowMeasures(i))
+		f := &n.flat
+		for i := 0; i < f.count; i++ {
+			for j := range v {
+				v[j].Add(f.Measure(i, j))
+			}
 		}
 		return v
 	}
@@ -240,11 +332,13 @@ func (n *Node) aggregate(measures int) cube.AggVector {
 // them. Each fold runs in locals and is stored once, so that no row waits
 // on the store of the row before. The node holds at least one row.
 func (n *Node) repairAggregate(v cube.AggVector, gone []float64) {
+	b, stride := n.flat.b, n.flat.stride
 	for j := range v {
-		a, first := &v[j], n.measures[j]
+		start := n.flat.fixBase + n.flat.codes + 8*j
+		a, first := &v[j], measureAt(b, start)
 		sum := first
-		for k := j + n.nm; k < len(n.measures); k += n.nm {
-			sum += n.measures[k]
+		for o := start + stride; o < len(b); o += stride {
+			sum += measureAt(b, o)
 		}
 		a.Count--
 		a.Sum = sum
@@ -252,10 +346,10 @@ func (n *Node) repairAggregate(v cube.AggVector, gone []float64) {
 			continue
 		}
 		lo, hi := first, first
-		for k := j + n.nm; k < len(n.measures); k += n.nm {
+		for o := start + stride; o < len(b); o += stride {
 			// Add's comparisons, not min and max, which a NaN or a signed
 			// zero would decide otherwise.
-			if x := n.measures[k]; x < lo {
+			if x := measureAt(b, o); x < lo {
 				lo = x
 			} else if x > hi {
 				hi = x
@@ -292,14 +386,14 @@ func (n *Node) refoldEntries(v cube.AggVector) {
 	}
 }
 
-// HeapView fills nv with the read-only view of a heap node: a data node
-// itself, a directory through its read image.
+// HeapView fills nv with the read-only view of a heap node: a data node's
+// own encoding, a directory's read image.
 func (ix *Index) HeapView(n *Node, nv *NodeView) {
 	if n.leaf {
-		nv.n = n
+		*nv = n.flat
 		return
 	}
-	nv.n, nv.f = nil, *ix.image(n)
+	*nv = *ix.image(n)
 }
 
 // image returns a directory node's read image — its flat encoding behind an
@@ -314,20 +408,21 @@ func (ix *Index) image(n *Node) *FlatNode {
 	}
 	dims, measures := ix.schema.Dims(), ix.schema.Measures()
 	img := new(FlatNode)
-	img.trust(n.id, n.appendEncodeFlat(nil, dims, measures), dims, measures)
+	img.FrameTrusted(n.id, n.appendEncodeDir(nil, measures), dims, measures)
 	ix.c.readImageBuilds.Inc()
 	n.img.Store(img)
 	return img
 }
 
 // Encode returns the node's flat encoding, for the host to persist or to
-// freeze into a version. A directory's read image IS that encoding, so a
-// still-valid one is shared (payloads are never written to) and a fresh one
-// stays behind for the readers. Call it under the hold that excludes
-// mutations.
+// freeze into a version. A data node's is a copy of its block, which the
+// writers go on changing in place. A directory's read image IS that
+// encoding, so a still-valid one is shared (payloads are never written to)
+// and a fresh one stays behind for the readers. Call it under the hold that
+// excludes mutations.
 func (ix *Index) Encode(n *Node) []byte {
 	if n.leaf {
-		return n.appendEncodeFlat(nil, ix.schema.Dims(), ix.schema.Measures())
+		return slices.Clone(n.flat.b)
 	}
 	return ix.image(n).b
 }

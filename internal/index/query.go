@@ -25,70 +25,13 @@ type QueryStats struct {
 	RecordsMatched int
 }
 
-// NodeView is what a read-only descent walks. A directory is always a
-// FlatNode — a mapped extent, an overlay payload, or a heap node's read
-// image — so one matcher serves them all; a data node is either a FlatNode
-// (rows at a fixed stride in the payload) or the heap node n with its
-// packed rows.
-//
-// The descent owns its views: one frame per depth of the walk, which a
-// Source fills in place (Source.View), so a visit copies no view through
-// its returns.
-type NodeView struct {
-	n *Node
-	f FlatNode
-}
-
-// Frame fills nv with payload b framed where it lies, after MakeFlatNode's
-// constant-time check.
-func (nv *NodeView) Frame(id NodeID, b []byte, dims, measures int) error {
-	nv.n = nil
-	return nv.f.frame(id, b, dims, measures)
-}
-
-// FrameTrusted fills nv with payload b framed where it lies, unchecked: a
-// flat encoding this process produced (Index.Encode).
-func (nv *NodeView) FrameTrusted(id NodeID, b []byte, dims, measures int) {
-	nv.n = nil
-	nv.f.trust(id, b, dims, measures)
-}
-
-// CheckTable runs FlatNode.CheckTable on a framed node: the eager check, for
-// a payload framed over a checked read, which no later visit shares.
-func (nv *NodeView) CheckTable() error {
-	if nv.n != nil {
-		return nil
-	}
-	return nv.f.CheckTable()
-}
-
-// shape and row read a node alike in either form, so that the whole-tree
-// walks never branch on it: shape its kind, entries or records, blocks and
-// the length of its flat encoding, row data record i into rec, whose slices
-// the caller sized to the schema. A directory's entries are read through f.
-func (nv *NodeView) shape() (leaf bool, count, blocks, size int) {
-	if n := nv.n; n != nil {
-		return true, n.Count(), n.blocks, n.encodedSize()
-	}
-	return nv.f.leaf, nv.f.count, nv.f.blocks, len(nv.f.b)
-}
-
-func (nv *NodeView) row(i int, rec cube.Record) {
-	if n := nv.n; n != nil {
-		copy(rec.Coords, n.Row(i))
-		copy(rec.Measures, n.RowMeasures(i))
-		return
-	}
-	f := &nv.f
-	o := f.fixBase + f.stride*i
-	for d, w := range f.widths() {
-		rec.Coords[d] = loadCode(f.b[o:], w)
-		o += int(w)
-	}
-	for j := range rec.Measures {
-		rec.Measures[j] = f.Measure(i, j)
-	}
-}
+// NodeView is what a read-only descent walks: a FlatNode — a mapped
+// extent, an overlay payload, a heap data node's own block or a heap
+// directory's read image — so that one matcher serves every directory and
+// one leaf kernel every data node. The descent owns its views: one frame
+// per depth of the walk, which a Source fills in place (Source.View), so a
+// visit copies no view through its returns.
+type NodeView = FlatNode
 
 // descent carries the state of one range-query walk: the node resolver
 // (live tree or pinned version), the read-only query context, the
@@ -140,16 +83,15 @@ func (d *descent) visitNode(id NodeID, out cube.AggVector) error {
 	if d.depth == len(d.frames) {
 		d.frames = append(d.frames, NodeView{})
 	}
-	nv := &d.frames[d.depth]
-	if err := d.src.View(id, nv); err != nil {
+	f := &d.frames[d.depth]
+	if err := d.src.View(id, f); err != nil {
 		return err
 	}
 	if err := d.visit(); err != nil {
 		return err
 	}
-	f := &nv.f
-	if nv.n != nil || f.leaf {
-		rows, matched := d.qc.scanRows(nv, d.first, out)
+	if f.leaf {
+		rows, matched := d.qc.scanRows(f, d.first, out)
 		d.st.EntriesScanned += rows
 		d.st.RecordsMatched += matched
 		return nil
@@ -229,7 +171,7 @@ func walk(src Source, root NodeID, visit func(nv *NodeView, level int) error) er
 		}
 		leaf, count, _, _ := nv.shape()
 		for i := 0; !leaf && i < count; i++ {
-			if err := node(nv.f.Child(i), level+1); err != nil {
+			if err := node(nv.Child(i), level+1); err != nil {
 				return err
 			}
 		}

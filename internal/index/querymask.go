@@ -48,10 +48,12 @@ type queryCtx struct {
 	slab    []uint64
 	lvlSlab []bitmap.Dense
 	work    [2][]uint32
-	// frames are the serial descent's view frames, one per depth; heap and
-	// flat the leaf kernel's pass tables (setPasses).
-	frames     []NodeView
-	heap, flat []leafPass
+	// frames are the serial descent's view frames, one per depth; passes
+	// the leaf kernel's pass table, and widths the code widths it was
+	// built for (passesOf).
+	frames []NodeView
+	passes []leafPass
+	widths []byte
 }
 
 // dimMasks is one dimension's masks: levels[L] is level L's, for every
@@ -80,7 +82,7 @@ func (ix *Index) newQueryCtx(q mds.MDS) *queryCtx {
 	} else {
 		ix.c.maskPoolHits.Inc()
 	}
-	qc.rows = qc.rows[:0]
+	qc.rows, qc.widths = qc.rows[:0], qc.widths[:0]
 	if cap(qc.dims) < len(q) {
 		qc.dims = make([]dimMasks, len(q))
 	} else {
@@ -147,7 +149,6 @@ func (ix *Index) newQueryCtx(q mds.MDS) *queryCtx {
 	slices.SortStableFunc(qc.rows, func(a, b rowMask) int {
 		return cmp.Compare(a.members*b.domain, b.members*a.domain)
 	})
-	qc.setPasses()
 	return qc
 }
 
@@ -292,45 +293,27 @@ func LeafKernel() string {
 
 // scanRows is the leaf kernel: it tests every record of a data node against
 // the query and folds the measures first..first+len(out)-1 of the matching
-// ones into out. The rows are read where they lie, a heap node's in its
-// packed arrays, a flat node's at a fixed stride in the payload. It returns
-// the number of records tested and matched.
+// ones into out. The rows are read where they lie, at a fixed stride in the
+// node's encoding — a heap node's own block, a mapped extent or a payload.
+// It returns the number of records tested and matched.
 //
 // The rows are taken through a selection vector, a node of up to scanChunk
 // rows whole and a longer one in chunks of scanChunk. Each constrained
-// dimension is one pass of the node's pass table (setPasses, flatPasses):
-// the most selective is tested on every row, each further one only on the
-// rows that passed so far, and every test is branch-free — the row's index
-// is written and kept by adding its mask bit. The survivors are folded in
-// row order, so out ends bit-identical to a row-at-a-time fold. Under
-// leafAVX2 one call of selectAVX2 runs every pass of a chunk, tail rows
-// included; otherwise Go loops do, selecting the same rows.
+// dimension is one pass of the pass table (passesOf): the most selective
+// is tested on every row, each further one only on the rows that passed so
+// far, and every test is branch-free — the row's index is written and kept
+// by adding its mask bit. The survivors are folded in row order, so out
+// ends bit-identical to a row-at-a-time fold. Under leafAVX2 one call of
+// selectAVX2 runs every pass of a chunk, tail rows included; otherwise Go
+// loops do, selecting the same rows.
 //
 // Records may carry values registered after the masks were built (inserts
 // between the mask build and an as-of descent); a code beyond the mask is
 // outside the range, as Dense.Get reads it, consistent with the query's
 // snapshot.
-func (qc *queryCtx) scanRows(nv *NodeView, first int, out cube.AggVector) (rows, matched int) {
+func (qc *queryCtx) scanRows(f *FlatNode, first int, out cube.AggVector) (rows, matched int) {
 	var sel [scanChunk]uint16
-	if n := nv.n; n != nil {
-		coords, dims, vals, nm := n.coords, n.dims, n.measures, n.nm
-		passes := qc.heap
-		rows = len(coords) / dims
-		for base := 0; base < rows; base += scanChunk {
-			chunk := coords[base*dims : min(base+scanChunk, rows)*dims]
-			k := selectHeap(&sel, chunk, dims, passes)
-			matched += k
-			for j := range out {
-				a, vs := &out[j], vals[base*nm+first+j:]
-				for _, s := range sel[:k] {
-					a.Add(vs[int(s)*nm])
-				}
-			}
-		}
-		return rows, matched
-	}
-	f := &nv.f
-	stride, measures, passes := f.stride, f.codes+8*first, qc.flatPasses(f)
+	stride, measures, passes := f.stride, f.codes+8*first, qc.passesOf(f)
 	rows = f.count
 	for base := 0; base < rows; base += scanChunk {
 		chunk := f.b[f.fixBase+base*stride : f.fixBase+min(base+scanChunk, rows)*stride]
@@ -356,32 +339,22 @@ type leafPass struct {
 	width uint32
 }
 
-// setPasses builds the query's pass tables from qc.rows, in their order:
-// the heap nodes' whole — a code is a coordinate's hierarchy.ID, 4 bytes at
-// 4·dim in a row of 4·dims, cut to its level-0 code by hierarchy.MaxCode —
-// and the flat nodes' masks, whose offsets and widths flatPasses sets per
-// visit.
-func (qc *queryCtx) setPasses() {
-	qc.heap, qc.flat = qc.heap[:0], qc.flat[:0]
+// passesOf returns the pass table of the rows of f, in qc.rows' order:
+// each tested dimension's mask, where its code lies in a row and the mask
+// that cuts the code's width. The table is the queryCtx's, built again
+// only for a node whose widths differ from the last one's: most nodes of a
+// tree share theirs.
+func (qc *queryCtx) passesOf(f *FlatNode) []leafPass {
+	if string(f.widths()) == string(qc.widths) {
+		return qc.passes
+	}
+	qc.widths = append(qc.widths[:0], f.widths()...)
+	qc.passes = qc.passes[:0]
 	for _, rt := range qc.rows {
-		qc.heap = append(qc.heap, leafPass{mask: rt.mask, off: 4 * rt.dim, width: hierarchy.MaxCode})
-		qc.flat = append(qc.flat, leafPass{mask: rt.mask})
+		off, cut := f.column(rt.dim)
+		qc.passes = append(qc.passes, leafPass{mask: rt.mask, off: off - f.fixBase, width: cut})
 	}
-}
-
-// flatPasses returns the pass table of the rows of f: where each tested
-// dimension's code lies in them, the widths summed once a visit. The slice
-// is the queryCtx's, reused by the next visit.
-func (qc *queryCtx) flatPasses(f *FlatNode) []leafPass {
-	widths := f.widths()
-	for i, rt := range qc.rows {
-		off := 0
-		for _, w := range widths[:rt.dim] {
-			off += int(w)
-		}
-		qc.flat[i].off, qc.flat[i].width = off, widthMask(widths[rt.dim])
-	}
-	return qc.flat
+	return qc.passes
 }
 
 // maskBit is the record test of one code: 1 if the mask holds it, else 0.
@@ -392,53 +365,11 @@ func maskBit(m bitmap.Dense, c uint32) int {
 	return 0
 }
 
-// selectHeap fills sel with the indexes of the rows of chunk (heap
-// coordinates, dims per row, at most scanChunk rows) that pass every pass
-// of the table, in row order, and returns their number. A heap pass's off
-// is 4·dim: its Go loops start at the dimension's ID of row 0.
-func selectHeap(sel *[scanChunk]uint16, chunk []hierarchy.ID, dims int, passes []leafPass) int {
-	n := len(chunk) / dims
-	if len(passes) == 0 || n == 0 {
-		return copy(sel[:n], rowIndexes[:n])
-	}
-	if leafAVX2 {
-		return selectAVX2(sel, n, unsafe.Pointer(unsafe.SliceData(chunk)), 4*dims, passes)
-	}
-	k := selectHeapAll(sel, chunk[passes[0].off/4:], n, dims, passes[0].mask)
-	for _, p := range passes[1:] {
-		k = selectHeapKept(sel, chunk[p.off/4:], k, dims, p.mask)
-	}
-	return k
-}
-
-// selectHeapAll and selectHeapKept are selectHeap's Go loops over one pass,
-// whose codes start chunk dims IDs apart: the first over all n rows, the
-// second over the k kept so far. Out of line for the reason selectFlatAll
-// is.
-//
-//go:noinline
-func selectHeapAll(sel *[scanChunk]uint16, chunk []hierarchy.ID, n, dims int, mask bitmap.Dense) int {
-	k := 0
-	for i, o := 0, 0; i < n; i, o = i+1, o+dims {
-		sel[k&(scanChunk-1)] = uint16(i)
-		k += maskBit(mask, chunk[o].Code())
-	}
-	return k
-}
-
-//go:noinline
-func selectHeapKept(sel *[scanChunk]uint16, chunk []hierarchy.ID, k, dims int, mask bitmap.Dense) int {
-	kept := 0
-	for _, s := range sel[:k] {
-		sel[kept&(scanChunk-1)] = s
-		kept += maskBit(mask, chunk[int(s)*dims].Code())
-	}
-	return kept
-}
-
-// selectFlat is selectHeap over flat rows: stride bytes per row, the codes
-// where the passes put them. Each is one 4-byte load, which the measures
-// behind the codes keep inside the row, cut by its width's mask.
+// selectFlat fills sel with the indexes of the rows of chunk (stride bytes
+// per row, at most scanChunk rows) that pass every pass of the table, in
+// row order, and returns their number. A code lies where its pass puts it:
+// one 4-byte load, which the measures behind the codes keep inside the
+// row, cut by its width's mask.
 func selectFlat(sel *[scanChunk]uint16, chunk []byte, stride int, passes []leafPass) int {
 	n := len(chunk) / stride
 	if len(passes) == 0 || n == 0 {

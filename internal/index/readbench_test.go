@@ -108,12 +108,12 @@ func packedBenchTree(tb testing.TB) (*Index, map[string][]mds.MDS) {
 
 // BenchmarkLeafScan measures the leaf kernel alone: every data node of a
 // tree scanned under a query's masks, per query class, under each leaf
-// kernel this host runs (avx2, go), over three carriers: the heap nodes of
-// readBenchTree's dynamic tree and their flat encodings ("heap", "flat";
-// some 180 rows a node), and the flat data nodes of packedBenchTree
-// ("packed"; 270 rows, the one-block node a mapped cold tree reads). One
-// iteration is one pass over all records; ns/record is the figure to
-// compare with a sequential scan's per-record cost.
+// kernel this host runs (avx2, go), over two carriers: the data nodes of
+// readBenchTree's dynamic tree, each viewed as the descent views it, in its
+// own block ("flat"; some 180 rows a node), and the data nodes of
+// packedBenchTree ("packed"; 270 rows, the one-block node a mapped cold
+// tree reads). One iteration is one pass over all records; ns/record is
+// the figure to compare with a sequential scan's per-record cost.
 func BenchmarkLeafScan(b *testing.B) {
 	type carrier struct {
 		name    string
@@ -123,19 +123,16 @@ func BenchmarkLeafScan(b *testing.B) {
 	}
 	tree, classes := readBenchTree(b)
 	packed, packedClasses := packedBenchTree(b)
-	heap, flat := carrier{"heap", tree, classes, nil}, carrier{"flat", tree, classes, nil}
-	pack := carrier{"packed", packed, packedClasses, nil}
-	leaves, _ := readBenchViews(b, tree)
-	for _, n := range leaves {
-		heap.views = append(heap.views, NodeView{n: n})
-		flat.views = append(flat.views, NodeView{f: flatOf(n.id, n, tree.schema.Dims(), tree.schema.Measures())})
-	}
-	leaves, _ = readBenchViews(b, packed)
-	for _, n := range leaves {
-		pack.views = append(pack.views, NodeView{f: flatOf(n.id, n, packed.schema.Dims(), packed.schema.Measures())})
+	flat, pack := carrier{"flat", tree, classes, nil}, carrier{"packed", packed, packedClasses, nil}
+	for _, c := range []*carrier{&flat, &pack} {
+		leaves, _ := readBenchViews(b, c.tree)
+		c.views = make([]NodeView, len(leaves))
+		for i, n := range leaves {
+			c.tree.HeapView(n, &c.views[i])
+		}
 	}
 	for _, class := range benchClasses {
-		for _, c := range []carrier{heap, flat, pack} {
+		for _, c := range []carrier{flat, pack} {
 			for _, kernel := range leafKernels() {
 				b.Run(class+"/"+c.name+"/"+kernel, func(b *testing.B) {
 					useLeafKernel(b, kernel)

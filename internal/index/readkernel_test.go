@@ -205,7 +205,7 @@ func flatDirWithBlob(t *testing.T, ix *Index, blob []byte) FlatNode {
 	}
 	dir := &Node{blocks: 1, entries: []Entry{{MDS: all, Agg: cube.NewAggVector(measures), Child: 1}}}
 	_, _, mdsBase := dirLayoutSizes(1, measures)
-	b := append(dir.appendEncodeFlat(nil, dims, measures)[:mdsBase], blob...)
+	b := append(dir.appendEncodeDir(nil, measures)[:mdsBase], blob...)
 	binary.LittleEndian.PutUint32(b[flatHeaderSize+4:], uint32(len(blob)))
 	binary.LittleEndian.PutUint32(b[16:], uint32(len(b)))
 	f, err := MakeFlatNode(1, b, dims, measures)
@@ -333,9 +333,9 @@ func TestMatchEntryMatchesDecoded(t *testing.T) {
 	}
 }
 
-// TestScanRowsAgainstContainsLeaves pins the leaf kernel, on both row
-// carriers, to MDS.ContainsLeaves — including rows whose values were
-// registered after the masks were built.
+// TestScanRowsAgainstContainsLeaves pins the leaf kernel to
+// MDS.ContainsLeaves — including rows whose values were registered after
+// the masks were built.
 func TestScanRowsAgainstContainsLeaves(t *testing.T) {
 	tree := newTestIndex(t, smallConfig())
 	s := tree.schema
@@ -379,14 +379,11 @@ func TestScanRowsAgainstContainsLeaves(t *testing.T) {
 				wantMatched++
 			}
 		}
-		flat := flatOf(1, leaf, s.Dims(), s.Measures())
-		for name, nv := range map[string]NodeView{"heap": {n: leaf}, "flat": {f: flat}} {
-			out := cube.NewAggVector(1)
-			scanned, matched := qc.scanRows(&nv, 0, out)
-			if scanned != len(rows) || matched != wantMatched || out[0] != want {
-				t.Fatalf("case %d (%s rows): scanned %d matched %d agg %+v, want %d %d %+v\nq=%v",
-					i, name, scanned, matched, out[0], len(rows), wantMatched, want, q)
-			}
+		nv, out := leaf.flat, cube.NewAggVector(1)
+		scanned, matched := qc.scanRows(&nv, 0, out)
+		if scanned != len(rows) || matched != wantMatched || out[0] != want {
+			t.Fatalf("case %d: scanned %d matched %d agg %+v, want %d %d %+v\nq=%v",
+				i, scanned, matched, out[0], len(rows), wantMatched, want, q)
 		}
 		tree.putQueryCtx(qc)
 	}
@@ -397,35 +394,17 @@ func TestScanRowsAgainstContainsLeaves(t *testing.T) {
 // miss, and folded when it passes.
 func refScanRows(qc *queryCtx, nv *NodeView, first int, out cube.AggVector) (rows, matched int) {
 	tests := qc.rows
-	if n := nv.n; n != nil {
-		coords, dims, vals, nm := n.coords, n.dims, n.measures, n.nm
-		rows = len(coords) / dims
-	heapRows:
-		for i := 0; i < rows; i++ {
-			row := coords[i*dims : (i+1)*dims]
-			for _, rt := range tests {
-				if !rt.mask.Get(row[rt.dim].Code()) {
-					continue heapRows
-				}
-			}
-			matched++
-			for j := range out {
-				out[j].Add(vals[i*nm+first+j])
-			}
-		}
-		return rows, matched
-	}
-	rows = nv.f.count
+	rows = nv.count
 flatRows:
 	for i := 0; i < rows; i++ {
 		for _, rt := range tests {
-			if !rt.mask.Get(nv.f.Coord(i, rt.dim).Code()) {
+			if !rt.mask.Get(nv.Coord(i, rt.dim).Code()) {
 				continue flatRows
 			}
 		}
 		matched++
 		for j := range out {
-			out[j].Add(nv.f.Measure(i, first+j))
+			out[j].Add(nv.Measure(i, first+j))
 		}
 	}
 	return rows, matched
@@ -441,7 +420,7 @@ func sameAggBits(a, b cube.Agg) bool {
 // TestScanRowsMatchesReference holds the selection-vector leaf kernel to the
 // row-at-a-time reference on random masks: 0 to 4 constrained dimensions in
 // any order, row codes past the mask's words, chunk edges (1, 169, 256 and
-// 257 rows, and a supernode's), both row carriers, a one-measure window at
+// 257 rows, and a supernode's), a one-measure window at
 // every measure and the all-measures sink, into empty and non-empty sinks.
 // Counts and every aggregate field must agree to the bit, under each leaf
 // kernel.
@@ -468,7 +447,6 @@ func scanRowsMatchesReference(t *testing.T) {
 			}
 			qc.rows = append(qc.rows, rowMask{dim: d, mask: m})
 		}
-		qc.setPasses()
 		constrained[len(qc.rows)]++
 		for _, n := range []int{1, 169, scanChunk, scanChunk + 1, 4*169 + 13} {
 			leaf := NewNode(0, true, dims, nm)
@@ -490,30 +468,28 @@ func scanRowsMatchesReference(t *testing.T) {
 				}
 				leaf.appendRecord(rec)
 			}
-			flat := flatOf(1, leaf, dims, nm)
-			for carrier, nv := range map[string]NodeView{"heap": {n: leaf}, "flat": {f: flat}} {
-				for first, width := range []int{1, 1, 1, nm} {
-					if width == nm {
-						first = 0
-					}
-					got, want := cube.NewAggVector(width), cube.NewAggVector(width)
-					if rng.Intn(2) == 0 {
-						for j := range got {
-							got[j] = cube.AggOf(rng.NormFloat64())
-							want[j] = got[j]
-						}
-					}
-					rows, matched := qc.scanRows(&nv, first, got)
-					wantRows, wantMatched := refScanRows(qc, &nv, first, want)
-					if rows != wantRows || matched != wantMatched {
-						t.Fatalf("case %d, %d %s rows: scanned %d matched %d, reference %d %d",
-							i, n, carrier, rows, matched, wantRows, wantMatched)
-					}
+			nv := leaf.flat
+			for first, width := range []int{1, 1, 1, nm} {
+				if width == nm {
+					first = 0
+				}
+				got, want := cube.NewAggVector(width), cube.NewAggVector(width)
+				if rng.Intn(2) == 0 {
 					for j := range got {
-						if !sameAggBits(got[j], want[j]) {
-							t.Fatalf("case %d, %d %s rows, measure %d: %+v, reference %+v",
-								i, n, carrier, first+j, got[j], want[j])
-						}
+						got[j] = cube.AggOf(rng.NormFloat64())
+						want[j] = got[j]
+					}
+				}
+				rows, matched := qc.scanRows(&nv, first, got)
+				wantRows, wantMatched := refScanRows(qc, &nv, first, want)
+				if rows != wantRows || matched != wantMatched {
+					t.Fatalf("case %d, %d rows: scanned %d matched %d, reference %d %d",
+						i, n, rows, matched, wantRows, wantMatched)
+				}
+				for j := range got {
+					if !sameAggBits(got[j], want[j]) {
+						t.Fatalf("case %d, %d rows, measure %d: %+v, reference %+v",
+							i, n, first+j, got[j], want[j])
 					}
 				}
 			}

@@ -1,6 +1,8 @@
 package index
 
 import (
+	"slices"
+
 	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/hierarchy"
 	"github.com/dcindex/dctree/internal/mds"
@@ -27,6 +29,7 @@ type writeScratch struct {
 	levels  []int          // per-dimension level vector (cover floors, member levels)
 	top     []int          // every dimension's top named level (bulk load floor)
 	members []mds.MDS      // member list of a k-way cover
+	rowIDs  []hierarchy.ID // a data node's coordinates, decoded
 	rowDims []mds.DimSet   // the singleton sets of a data node's records
 	cover   mds.CoverBuf   // node covers: delete-repair fallback, bulk load
 	codes   codeSet        // a subtree's description being marked
@@ -147,16 +150,20 @@ func storeMDS(dst, src mds.MDS) {
 
 // entryMDSs lists the MDSs of n's entries in the scratch's member buffer.
 // A data node stores none: its records' singleton MDSs are synthesized over
-// the node's own coordinates.
+// its coordinates, decoded into the scratch's row buffer.
 func (ws *writeScratch) entryMDSs(n *Node) []mds.MDS {
 	ws.members = ws.members[:0]
 	if n.leaf {
-		ws.rowDims = ws.rowDims[:0]
-		for k, id := range n.coords {
-			ws.rowDims = append(ws.rowDims, mds.DimSet{Level: id.Level(), IDs: n.coords[k : k+1 : k+1]})
-		}
-		for i, d := 0, n.dims; i < n.Count(); i++ {
-			ws.members = append(ws.members, ws.rowDims[i*d:(i+1)*d:(i+1)*d])
+		f, dims := &n.flat, n.dims
+		ws.rowIDs = slices.Grow(ws.rowIDs[:0], f.count*dims)[:f.count*dims]
+		ws.rowDims = slices.Grow(ws.rowDims[:0], f.count*dims)[:f.count*dims]
+		for i, k := 0, 0; i < f.count; i, k = i+1, k+dims {
+			ids, sets := ws.rowIDs[k:k+dims], ws.rowDims[k:k+dims:k+dims]
+			f.row(i, cube.Record{Coords: ids})
+			for d := range sets {
+				sets[d] = mds.DimSet{IDs: ids[d : d+1 : d+1]}
+			}
+			ws.members = append(ws.members, sets)
 		}
 		return ws.members
 	}

@@ -107,10 +107,11 @@ func (ix *Index) splitNode(n *Node, nodeMDS mds.MDS) (insertResult, error) {
 		// filled by its bytes may need more — a directory entry that grew,
 		// data rows a wider code widened: it takes the blocks its bytes
 		// need.
-		n.blocks++
+		blocks := n.blocks + 1
 		if !n.leaf || ix.cfg.LeafCapacity == 0 {
-			n.blocks = max(n.blocks, ix.nodeBlocks(n))
+			blocks = max(blocks, ix.nodeBlocks(n))
 		}
+		n.setBlocks(blocks)
 		return insertResult{}, nil
 	}
 	ix.c.splitsForced.Inc()
@@ -427,10 +428,11 @@ func (ix *Index) fillColumn(c *column, n *Node, dim, level int) error {
 	c.level, c.ids, c.off = level, c.ids[:0], c.off[:0]
 	h := ix.space()[dim]
 	if n.leaf {
-		up := liftTo(h, 0, level)
-		for k := dim; k < len(n.coords); k += n.dims {
+		f, up := &n.flat, liftTo(h, 0, level)
+		o, cut := f.column(dim)
+		for i := 0; i < f.count; i, o = i+1, o+f.stride {
 			c.off = append(c.off, len(c.ids))
-			c.ids = append(c.ids, up.of(n.coords[k]))
+			c.ids = append(c.ids, up.of(loadCode(f.b[o:], cut)))
 		}
 	}
 	for i := range n.entries {
@@ -465,9 +467,10 @@ func (ix *Index) fillColumn(c *column, n *Node, dim, level int) error {
 func (ix *Index) markNode(s *codeSet, n *Node, dim, level int) error {
 	h := ix.space()[dim]
 	if n.leaf {
-		up := liftTo(h, 0, level)
-		for k := dim; k < len(n.coords); k += n.dims {
-			s.add(up.of(n.coords[k]))
+		f, up := &n.flat, liftTo(h, 0, level)
+		o, cut := f.column(dim)
+		for i := 0; i < f.count; i, o = i+1, o+f.stride {
+			s.add(up.of(loadCode(f.b[o:], cut)))
 		}
 		return nil
 	}
@@ -972,7 +975,8 @@ func (ix *Index) buildSplit(n *Node, g1, g2 []int, cov1, cov2 mds.MDS) (insertRe
 	sibling := ix.store.New(n.leaf)
 	sibling.take(n, g2)
 	n.take(n, g1)
-	n.blocks, sibling.blocks = ix.nodeBlocks(n), ix.nodeBlocks(sibling)
+	n.setBlocks(ix.nodeBlocks(n))
+	sibling.setBlocks(ix.nodeBlocks(sibling))
 	n.invalidatePostings()
 	ix.markDirty(n)
 	ix.markDirty(sibling)

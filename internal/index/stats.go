@@ -59,7 +59,7 @@ func (ix *Index) LevelStats(src Source, h Head) ([]LevelStat, error) {
 			s.Supernodes++
 		}
 		for i := 0; !leaf && i < count; i++ {
-			m, err := nv.f.entryMDS(i)
+			m, err := nv.entryMDS(i)
 			if err != nil {
 				return err
 			}
@@ -147,7 +147,7 @@ func (ix *Index) Validate(src Source, h Head) error {
 			records++
 		}
 		for i := 0; !leaf && i < count; i++ {
-			f := &nv.f
+			f := nv
 			m, err := f.entryMDS(i)
 			if err != nil {
 				return nil, nil, err

@@ -64,7 +64,7 @@ func BenchmarkSplit(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			tree.cfg.LeafCapacity = bc.rows
 			n := tree.store.New(bc.leaf)
-			n.blocks = bc.blocks
+			n.setBlocks(bc.blocks)
 			// Rows or entries until the node overflows its blocks by one.
 			for i := 0; tree.nodeBlocks(n) <= bc.blocks; i++ {
 				if bc.leaf {
@@ -83,7 +83,7 @@ func BenchmarkSplit(b *testing.B) {
 			}
 			nodeMDS := packMDS(m)
 
-			entries, coords, measures, top := n.entries, n.coords, n.measures, n.top
+			entries, flat, top := n.entries, n.flat, n.top
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -97,7 +97,8 @@ func BenchmarkSplit(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				n.entries, n.coords, n.measures, n.top, n.blocks = entries, coords, measures, top, bc.blocks
+				n.entries, n.flat, n.top = entries, flat, top
+				n.setBlocks(bc.blocks)
 			}
 			// The scratch still holds the last candidate's columns.
 			b.StopTimer()
