@@ -14,6 +14,7 @@ package dctree_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -21,6 +22,7 @@ import (
 	"github.com/dcindex/dctree/internal/core"
 	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/index"
+	"github.com/dcindex/dctree/internal/mds"
 	"github.com/dcindex/dctree/internal/seqscan"
 	"github.com/dcindex/dctree/internal/storage"
 	"github.com/dcindex/dctree/internal/tpcd"
@@ -293,7 +295,10 @@ const windowRecords = 30000
 // One op is one turnover, 30k steps, on a freshly built tree. Beside ns/op
 // it reports the µs each step's insert and delete take, the directory
 // posting tables the steps build, per step, and at the end of each
-// turnover the data level's fill and the tree's height (Index.LevelStats),
+// turnover the data level's fill and the tree's height (Index.LevelStats)
+// and the shape gap: the live records are bulk-loaded into a packed tree,
+// and for each query class the nodes the window's tree visits ÷ those the
+// packed tree visits (gap-sel01 …), the two trees answering alike. Each is
 // averaged over the turnovers.
 func BenchmarkRollingWindow(b *testing.B) {
 	for _, arrival := range []tpcd.Arrival{tpcd.Random, tpcd.TimeOrdered} {
@@ -303,9 +308,11 @@ func BenchmarkRollingWindow(b *testing.B) {
 				b.Fatal(err)
 			}
 			w := gen.Window(windowRecords, windowRecords, arrival)
+			queries := windowQueries(b, gen, 77, 20)
 			var inserting, deleting time.Duration
 			var builds int64
 			var fill, height float64
+			gap := make([]float64, len(windowQueryClasses))
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				ix, nodes := newWindowIndex(b, gen.Schema())
@@ -337,6 +344,30 @@ func BenchmarkRollingWindow(b *testing.B) {
 				}
 				fill += levels[len(levels)-1].Fill
 				height += float64(len(levels))
+				packed, packedNodes := newWindowIndex(b, gen.Schema())
+				if err := packed.BulkLoad(w.Live(w.Steps() - 1)); err != nil {
+					b.Fatal(err)
+				}
+				for c, class := range windowQueryClasses {
+					var visited, packedVisited int
+					for k, q := range queries[c] {
+						res, err := ix.Execute(context.Background(), nodes, ix.Head().Root, index.Query{MDS: q})
+						if err != nil {
+							b.Fatal(err)
+						}
+						want, err := packed.Execute(context.Background(), packedNodes, packed.Head().Root, index.Query{MDS: q})
+						if err != nil {
+							b.Fatal(err)
+						}
+						if got, want := res.Agg, want.Agg; got.Count != want.Count || got.Min != want.Min || got.Max != want.Max ||
+							math.Abs(got.Sum-want.Sum) > 1e-9*math.Max(1, math.Abs(want.Sum)) {
+							b.Fatalf("%s query %d: window tree %+v, packed tree %+v", class.name, k, got, want)
+						}
+						visited += res.Stats.NodesVisited
+						packedVisited += want.Stats.NodesVisited
+					}
+					gap[c] += float64(visited) / float64(packedVisited)
+				}
 				b.StartTimer()
 			}
 			steps := float64(b.N * w.Steps())
@@ -345,8 +376,42 @@ func BenchmarkRollingWindow(b *testing.B) {
 			b.ReportMetric(float64(builds)/steps, "builds/step")
 			b.ReportMetric(fill/float64(b.N), "data-fill")
 			b.ReportMetric(height/float64(b.N), "height")
+			for c, class := range windowQueryClasses {
+				b.ReportMetric(gap[c]/float64(b.N), "gap-"+class.name)
+			}
 		})
 	}
+}
+
+// windowQueryClasses are the query classes of the shape gap, as the golden
+// tests of internal/index and internal/core draw them: the benchmark's four
+// and "region", a one-dimension roll-up.
+var windowQueryClasses = []struct {
+	name string
+	draw func(*tpcd.QueryGen) (tpcd.Query, error)
+}{
+	{"sel01", func(qg *tpcd.QueryGen) (tpcd.Query, error) { return qg.Query(0.01) }},
+	{"sel05", func(qg *tpcd.QueryGen) (tpcd.Query, error) { return qg.Query(0.05) }},
+	{"sel25", func(qg *tpcd.QueryGen) (tpcd.Query, error) { return qg.Query(0.25) }},
+	{"rollup", func(qg *tpcd.QueryGen) (tpcd.Query, error) { return qg.Rollup(2) }},
+	{"region", func(qg *tpcd.QueryGen) (tpcd.Query, error) { return qg.Rollup(1) }},
+}
+
+// windowQueries draws n queries of every class, class by class, from one
+// generator stream.
+func windowQueries(b *testing.B, gen *tpcd.Gen, seed int64, n int) [][]mds.MDS {
+	qg := gen.Queries(seed)
+	classes := make([][]mds.MDS, len(windowQueryClasses))
+	for c, class := range windowQueryClasses {
+		for range n {
+			q, err := class.draw(qg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			classes[c] = append(classes[c], q.MDS)
+		}
+	}
+	return classes
 }
 
 // newWindowIndex returns an empty bare index over windowNodes, its nodes

@@ -209,9 +209,20 @@ func TestExecuteCancellationMidDescent(t *testing.T) {
 }
 
 // TestMetricsWorkload runs a known workload and checks that the metrics
-// snapshot reflects it consistently.
+// snapshot reflects it consistently. Its tree is on the smallest block, 256
+// bytes: data nodes of some 16 rows, so that queries find entries whose
+// aggregates answer them.
 func TestMetricsWorkload(t *testing.T) {
-	tree, recs, rng := buildExecuteTree(t, 1200)
+	cfg := smallConfig()
+	cfg.BlockSize = 256
+	tree := newTestTree(t, cfg)
+	rng := rand.New(rand.NewSource(7))
+	recs := genRecords(t, tree.Schema(), rng, 1200)
+	for _, r := range recs {
+		if err := tree.Insert(r); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+	}
 
 	const nq = 25
 	for i := 0; i < nq; i++ {
@@ -245,7 +256,7 @@ func TestMetricsWorkload(t *testing.T) {
 	if m.InsertLatency.Count != 1200 {
 		t.Fatalf("InsertLatency.Count = %d, want 1200", m.InsertLatency.Count)
 	}
-	// 1200 records under smallConfig must have split many times and grown
+	// 1200 records on 256-byte blocks must have split many times and grown
 	// the root at least twice.
 	if m.SplitsHierarchy+m.SplitsForced == 0 {
 		t.Fatal("no splits recorded")

@@ -368,8 +368,9 @@ const imageBlockSize = 1024
 // genRecords(seed 7, 160); insert recs[:120], Flush, insert recs[120:], delete
 // recs[:5]; copyCrashImage into testdata/format-NN without closing the tree.
 // The image holds a directory capacity of 6 in its metadata's retired slot,
-// which no build reads: its directories are held to their blocks' bytes as
-// any other.
+// which no build reads, and a row cap of 8 in the retired row-cap slot,
+// under which it was written: open fits its data nodes, which all fit their
+// bytes already (TestRowCappedImageFitsOnOpen has some that do not).
 func TestRecoveryOfParentWrittenImage(t *testing.T) {
 	dir := copyTestImage(t, "format-10")
 	for name, magic := range map[string]string{"store.dc": "DCSTORE2", "idx.00000002.wal": "DCWAL002"} {
@@ -397,11 +398,6 @@ func TestRecoveryOfParentWrittenImage(t *testing.T) {
 	tree, st := open()
 	if got := tree.Metrics().RecoveryReplayedRecords; got != 45 {
 		t.Fatalf("replayed %d records, want the 45 of the tail", got)
-	}
-	// The image keeps the data-node capacity it was written with, not the
-	// block-filled count a new tree of its block size would resolve.
-	if got, want := tree.Config().LeafCapacity, smallConfig().LeafCapacity; got != want {
-		t.Fatalf("fixture reopened at %d rows a data node, written at %d", got, want)
 	}
 	checkImage := func(tree *Tree, count int64, sum float64) {
 		t.Helper()
@@ -436,21 +432,102 @@ func TestRecoveryOfParentWrittenImage(t *testing.T) {
 // of the same generation written under the retired entry-count rule — 24
 // entries a directory at 1 KiB blocks — so both of its level-1 directories
 // encode past their one block's 1,012 bytes (up to 1,646 B), in the live
-// tree and in the version persisted beside it. Taken as written, the image
-// fails Validate; opened, its directories hold the blocks their bytes need,
-// the live tree and the version validate, the log tail replays and the
-// tree takes inserts, and the checkpoint persists the blocks.
+// tree and in the version persisted beside it (checkFitOnOpen).
 //
 // To regenerate, at the commit before the byte rule: newDurableOnDisk with
 // DefaultConfig at BlockSize 1024, LeafCapacity 8, MaxSupernodeBlocks 8;
 // recs := genRecords(seed 7, 160); insert recs[:120], Snapshot, Flush,
 // insert recs[120:], delete recs[:5]; copyCrashImage without closing.
 func TestParentDirectoriesFitOnOpen(t *testing.T) {
-	dir := copyTestImage(t, "format-10-dir24")
+	checkFitOnOpen(t, "format-10-dir24", imageBlockSize)
+}
+
+// TestRowCappedImageFitsOnOpen: testdata/format-10-leaf96 is a crash image
+// of the same generation written under the retired row cap — 96 rows a
+// data node at 512-byte blocks — so both of its data nodes, of 57 and 63
+// rows, encode past their one block's 500 bytes (650 and 716 B), in the
+// live tree and in the version persisted beside it (checkFitOnOpen). The image keeps its cap in
+// the metadata's row-cap slot through a checkpoint: the version's extents
+// are never rewritten, so every open must fit its data nodes again.
+//
+// To regenerate, at the commit before the row cap went: newDurableOnDisk
+// with DefaultConfig at BlockSize 512, LeafCapacity 96; recs :=
+// genRecords(seed 7, 160); insert recs[:120], Snapshot, Flush, insert
+// recs[120:], delete recs[:5]; copyCrashImage without closing. Under a cap
+// of 48 no data node of this stream passes its block (474 bytes at most).
+func TestRowCappedImageFitsOnOpen(t *testing.T) {
+	raw := checkFitOnOpen(t, "format-10-leaf96", 512)
+	if raw.rowCap != 96 {
+		t.Fatalf("checkpointed image holds row cap %d, written under 96", raw.rowCap)
+	}
+}
+
+// TestOpenReadsNoDataNode: open fits the data nodes of an image written
+// under a row cap only. A tree written without one held them to their bytes
+// already, so its open views each directory once and no data-node extent:
+// a cold image opens at the cost of its directories.
+func TestOpenReadsNoDataNode(t *testing.T) {
+	cfg := smallConfig()
+	path := filepath.Join(t.TempDir(), "store.dc")
+	st, err := storage.OpenPagedStore(path, cfg.BlockSize, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := New(st, testSchema(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range genRecords(t, tree.Schema(), rand.New(rand.NewSource(9)), 1000) {
+		if err := tree.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tree.Close(); err != nil {
+		t.Fatal(err)
+	}
+	levels, err := tree.LevelStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	directories := 0
+	for _, l := range levels[:len(levels)-1] {
+		directories += l.Nodes
+	}
+	if len(levels) < 3 {
+		t.Fatalf("height %d: the image has no directory below the root", len(levels))
+	}
+	st.Close()
+
+	st, err = storage.OpenPagedStore(path, cfg.BlockSize, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	reopened, err := Open(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := reopened.Metrics(); m.FlatNodeReads+m.DecodeFallbacks != int64(directories) {
+		t.Fatalf("open resolved %d flat and %d decoded nodes, want the %d directories alone",
+			m.FlatNodeReads, m.DecodeFallbacks, directories)
+	}
+}
+
+// checkFitOnOpen holds a crash image written under a retired count rule to
+// the fit on open. The image is 120 inserts, a Snapshot (version 1), a
+// checkpoint, then 40 inserts and 5 deletes in the log tail; taken as
+// written, its live tree and its version fail Validate with an overflowing
+// node. Opened — without its log, or with it — the overflowing nodes hold
+// the blocks their bytes need, the live tree and the version validate, the
+// tail replays and the tree takes inserts; a checkpoint persists the live
+// tree's blocks, and a reopen fits the version again, whose extents as
+// written still overflow. It returns the checkpointed image as written.
+func checkFitOnOpen(t *testing.T, fixture string, blockSize int) *Tree {
+	dir := copyTestImage(t, fixture)
 	storePath, walPrefix := filepath.Join(dir, "store.dc"), filepath.Join(dir, "idx")
 	// asWritten decodes the image's metadata without Open's fitting.
 	asWritten := func() *Tree {
-		st, err := storage.OpenPagedStore(storePath, imageBlockSize, 0)
+		st, err := storage.OpenPagedStore(storePath, blockSize, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -466,20 +543,23 @@ func TestParentDirectoriesFitOnOpen(t *testing.T) {
 		tree.store = st
 		return tree
 	}
+	overflows := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "overflows") {
+			t.Fatalf("fixture's %s as written: %v, want an overflowing node", what, err)
+		}
+	}
 	raw := asWritten()
 	v, ok := raw.VersionByID(1)
 	if !ok {
 		t.Fatal("fixture holds no version 1")
 	}
-	for what, err := range map[string]error{"live tree": raw.Validate(), "version": v.Validate()} {
-		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "overflows") {
-			t.Fatalf("fixture's %s as written: %v, want an overflowing directory", what, err)
-		}
-	}
+	overflows("live tree", raw.Validate())
+	overflows("version", v.Validate())
 
 	// Opened without its log, as a checker opens it, the image as written
 	// validates too: the fitting is Open's, not the replay's.
-	st, err := storage.OpenPagedStore(storePath, imageBlockSize, 0)
+	st, err := storage.OpenPagedStore(storePath, blockSize, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +573,7 @@ func TestParentDirectoriesFitOnOpen(t *testing.T) {
 	st.Close()
 
 	open := func() (*Tree, *storage.PagedStore) {
-		st, err := storage.OpenPagedStore(storePath, imageBlockSize, 0)
+		st, err := storage.OpenPagedStore(storePath, blockSize, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -538,13 +618,20 @@ func TestParentDirectoriesFitOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Close()
-	if err := asWritten().Validate(); err != nil {
+	raw = asWritten()
+	if err := raw.Validate(); err != nil {
 		t.Fatalf("checkpointed live tree as written: %v", err)
 	}
+	v, ok = raw.VersionByID(1)
+	if !ok {
+		t.Fatal("checkpointed image lost version 1")
+	}
+	overflows("version, checkpointed,", v.Validate())
 	tree, st = open()
 	defer st.Close()
 	defer tree.Close()
 	check(tree, 215)
+	return raw
 }
 
 // waitFor polls cond until it holds, failing the test after ten seconds.

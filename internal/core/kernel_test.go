@@ -47,8 +47,10 @@ func TestInsertAllocations(t *testing.T) {
 // parent, a repaired cover, a synthesized singleton set) would be overwritten
 // by a later operation and stop describing its subtree.
 func TestScratchResultsAreCopiedOut(t *testing.T) {
+	// The smallest block: data nodes of some 16 rows, directories of one
+	// or two entries a block, so splits and supernodes are frequent.
 	supernodes := smallConfig()
-	supernodes.LeafCapacity = 4
+	supernodes.BlockSize = 256
 	forced := supernodes
 	forced.MaxSupernodeBlocks = 1
 	t.Run("supernodes", func(t *testing.T) { scratchAliasingWorkload(t, supernodes, 300) })

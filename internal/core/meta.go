@@ -23,8 +23,10 @@ import (
 // blob of an earlier generation ("DCMETA01"–"09": other node encodings,
 // other words) is refused by its magic, undecoded. "DCMETA09" wrote every
 // data-node code in 4 bytes and persisted the resolved row count of a
-// block-filled data node; "DCMETA10" writes each at its dimension's width
-// and persists LeafCapacity as set.
+// block-filled data node; "DCMETA10" writes each at its dimension's width.
+// Its third word is the retired data-node row cap: 0 in a tree this build
+// creates, the cap an older build wrote otherwise (Tree.rowCap), written
+// back as read.
 const metaMagic = "DCMETA10"
 
 // metaFlags is the config flags byte every blob is written with: bit 1,
@@ -103,7 +105,7 @@ func (t *Tree) encodeMeta(snap metaSnapshot) ([]byte, error) {
 	// Config.
 	buf = binary.AppendUvarint(buf, uint64(t.cfg.BlockSize))
 	buf = append(buf, 0) // the retired directory capacity, skipped on read
-	buf = binary.AppendUvarint(buf, uint64(t.cfg.LeafCapacity))
+	buf = binary.AppendUvarint(buf, uint64(t.rowCap))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.cfg.MinFillRatio))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.cfg.MaxOverlapRatio))
 	buf = binary.AppendUvarint(buf, uint64(t.cfg.MaxSupernodeBlocks))
@@ -262,23 +264,25 @@ func Open(store storage.Store) (*Tree, error) {
 	}
 	t.store = store
 	t.viewer, _ = store.(storage.ExtentViewer)
-	t.fitDirectories()
+	t.fit()
 	return t, nil
 }
 
-// fitDirectories gives each directory of a tree written under the retired
-// entry-count rule the blocks its bytes need (index.FitDirectories), so the
-// tree holds to the byte rule this build writes and validates. A live
-// directory is cached dirty: the next checkpoint persists it. A persisted
+// fit gives each node of a tree written under a retired count rule the
+// blocks its bytes need (index.Fit), so the tree holds to the byte rule
+// this build writes and validates: directories of the entry-count rule
+// always, data nodes when the image was written under a row cap. A live
+// node is cached dirty: the next checkpoint persists it. A persisted
 // version's is re-encoded into the version's overlay, at every open, since
 // a version's extents are never rewritten.
-func (t *Tree) fitDirectories() {
-	t.ix.FitDirectories(t.nodes(), t.ix.Head(), func(n *index.Node) {
+func (t *Tree) fit() {
+	leaves := t.rowCap > 0
+	t.ix.Fit(t.nodes(), t.ix.Head(), leaves, func(n *index.Node) {
 		t.nc.put(n)
 		t.nc.markDirty(n.ID())
 	})
 	for _, v := range t.versions {
-		t.ix.FitDirectories(v.nodes(), v.head, func(n *index.Node) { v.overlay[n.ID()] = t.ix.Encode(n) })
+		t.ix.Fit(v.nodes(), v.head, leaves, func(n *index.Node) { v.overlay[n.ID()] = t.ix.Encode(n) })
 	}
 }
 
@@ -302,7 +306,7 @@ func decodeMeta(meta []byte) (*Tree, error) {
 	var cfg Config
 	cfg.BlockSize = int(r.uvarint())
 	r.uvarint() // the retired directory capacity
-	cfg.LeafCapacity = int(r.uvarint())
+	rowCap := int(r.uvarint())
 	cfg.MinFillRatio = r.float64()
 	cfg.MaxOverlapRatio = r.float64()
 	cfg.MaxSupernodeBlocks = int(r.uvarint())
@@ -383,9 +387,14 @@ func decodeMeta(meta []byte) (*Tree, error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
+	// No build wrote a row cap below 4: Normalize refused them.
+	if rowCap < 4 && rowCap != 0 {
+		return nil, fmt.Errorf("%w: leaf capacity %d < 4", ErrBadConfig, rowCap)
+	}
 	t := &Tree{
 		schema:           schema,
 		cfg:              cfg,
+		rowCap:           rowCap,
 		nextID:           nodeID(nextID),
 		checkpointLSN:    checkpointLSN,
 		versionSeq:       versionSeq,

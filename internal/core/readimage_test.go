@@ -226,10 +226,15 @@ type goldenEncoding struct{ dir, data string }
 // directories are 512-byte blocks' worth of entries where they were 6
 // entries on 1 KiB blocks, so the tree is another tree (before:
 // ac1bb1c558dec5b5229d419d / 2bc12c270d69e877f6fa4639, after the tail
-// 0cf1f6bb997c693d598d35de / 2fd92832501b641cbc090169).
+// 0cf1f6bb997c693d598d35de / 2fd92832501b641cbc090169). All four were
+// re-pinned again, with no format change, when the data-node row cap went:
+// smallConfig's data nodes are 512-byte blocks' worth of rows, some 35,
+// where they were 8, so the tree is another tree (before:
+// 09902b6256cd53b95df1d910 / 890fa7c7c4c06b2b4d046664, after the tail
+// f714239cb86825e0843d20c7 / 0c29e3b233af9a4b7759be30).
 func TestGoldenNodeEncoding(t *testing.T) {
-	want := goldenEncoding{dir: "09902b6256cd53b95df1d910", data: "890fa7c7c4c06b2b4d046664"}
-	wantTail := goldenEncoding{dir: "f714239cb86825e0843d20c7", data: "0c29e3b233af9a4b7759be30"}
+	want := goldenEncoding{dir: "44276ec691b82df7cb6d998e", data: "5abed61a4aa3411591a70495"}
+	wantTail := goldenEncoding{dir: "9d5c003efd02a15dfd4c4109", data: "c91e4c5a1a39bca612e85d40"}
 	cfg := smallConfig()
 	tree, _, storePath, walPrefix := newDurableOnDisk(t, cfg)
 	defer tree.Close()

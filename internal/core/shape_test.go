@@ -65,14 +65,13 @@ func shapeDigest(t *testing.T, tree *Tree) string {
 }
 
 // TestGoldenTreeShape pins the tree the write path builds. The digests of
-// the first four streams were taken at the commit before the write-path MDS
+// the first streams were taken at the commit before the write-path MDS
 // kernel (PR 12): the kernel — and since PR 25 the incremental delete
 // repair — must reproduce every choose-subtree, split, refinement and
 // delete-repair decision of the allocating implementation bit for bit. They
-// name the data-node capacity they were pinned at, 48 rows (the default
-// until it became the block-filled count); the last stream pins the default
-// itself. A change that means to build a different tree re-pins them and
-// says so.
+// were pinned at a data-node capacity of 48 rows (the default until it
+// became the block-filled count); the last stream pins the default itself.
+// A change that means to build a different tree re-pins them and says so.
 //
 // Re-pinned once since: inserts and splits now bound every directory entry
 // they write, lifting a dimension past 2 × RefineBound values one level
@@ -94,10 +93,18 @@ func shapeDigest(t *testing.T, tree *Tree) string {
 // forced-splits 07fcacb8ebacc17216b227d8, small-dir-supernodes
 // b223d6cc9a6c8a3008a6b536 (5 entries a block, now 1 KiB blocks),
 // no-refine 871f28e5917779cac8e2ae97, block-filled 97e42c41ebb30c563d96a23e
-// before.
+// before. Re-pinned again, the three that set the retired row cap, when it
+// went: a data node holds its block's bytes of rows in every stream. The
+// 48-row default, 55baef0f9e5a76b319f1bfba, became block-filled's
+// ec6bf055… and was dropped. forced-splits (8b478888e43641309766002e,
+// height 4, 59 forced splits) forced none on 4 KiB blocks, so it moved to
+// 1 KiB blocks: height 5, 181 forced. small-dir-supernodes
+// (13ac026d8256642722c035fc, 12 rows) stays on 1 KiB blocks: height 5 → 4,
+// supernodes created 24 → 15. no-refine (8cd317f317e3c248cc2aee77): height
+// 6 → 8. block-filled did not move.
 func TestGoldenTreeShape(t *testing.T) {
 	if testing.Short() {
-		t.Skip("loads 5×22k records")
+		t.Skip("loads 4×22k records")
 	}
 	const load, expire, reload = 20000, 2000, 2000
 	cases := []struct {
@@ -105,28 +112,25 @@ func TestGoldenTreeShape(t *testing.T) {
 		cfg  func(*Config)
 		want string
 	}{
-		{"default", func(c *Config) { c.LeafCapacity = 48 }, "55baef0f9e5a76b319f1bfba"},
 		// A strict overlap criterion rejects most candidate partitions, so
 		// the fallback partition is forced ...
 		{"forced-splits", func(c *Config) {
-			c.LeafCapacity = 48
+			c.BlockSize = 1024
 			c.MaxSupernodeBlocks = 1
 			c.MaxOverlapRatio = 0.002
 			c.MinFillRatio = 0.45
-		}, "8b478888e43641309766002e"},
+		}, "8bc3d9d2fee1a80754d65e92"},
 		// ... or the node grows into a supernode, up to a low cap.
 		{"small-dir-supernodes", func(c *Config) {
 			c.BlockSize = 1024
-			c.LeafCapacity = 12
 			c.MaxSupernodeBlocks = 3
 			c.MaxOverlapRatio = 0.002
-		}, "13ac026d8256642722c035fc"},
+		}, "2eaa6b776fded7fcabf29610"},
 		// No refinement and no entry bound: levels fall only through the
 		// split dimension, and entries grow without limit.
 		{"no-refine", func(c *Config) {
-			c.LeafCapacity = 48
 			c.RefineBound = -1
-		}, "8cd317f317e3c248cc2aee77"},
+		}, "33969723b603d8c4ed077a19"},
 		// The default: a data node fills its block (270 TPC-D rows at
 		// this stream's code widths).
 		{"block-filled", func(*Config) {}, "ec6bf0556f6d98532df9139b"},
@@ -178,7 +182,7 @@ func TestGoldenTreeShape(t *testing.T) {
 // TestGoldenQueryStats pins the work the read path does for a fixed tree and
 // a fixed query set, beside the shape that determines it: nodes visited,
 // entries scanned and pruned, materialized hits and records matched, summed
-// per query class. The 48-row tree's numbers were taken at the commit before
+// per query class. A 48-row tree's numbers were taken at the commit before
 // the read-path kernel (PR 15); the kernel changes how an entry is tested,
 // never which entries are. The block-filled default's tree is another shape
 // with other numbers and the same answers. Every way of walking the tree
@@ -199,7 +203,11 @@ func TestGoldenTreeShape(t *testing.T) {
 // of at 24 entries: nodes visited 303 / 638 / 1730 / 1079 / 1672 → 291 /
 // 629 / 1747 / 1107 / 1688, region's materialized hits 17 → 10. The
 // default's directories hold fewer than 24 entries either way; its numbers
-// and every answer did not move.
+// and every answer did not move. When the row cap went, the 48-row tree
+// became the block-filled one and was dropped. The tree on 1 KiB blocks
+// took its place as the one whose entries answer queries from their
+// aggregates (region 13 hits, roll-up 2); the block-filled numbers and
+// every answer did not move.
 func TestGoldenQueryStats(t *testing.T) {
 	const load = 6000
 	gen, err := tpcd.New(7, tpcd.ScaleFor(load))
@@ -209,18 +217,18 @@ func TestGoldenQueryStats(t *testing.T) {
 	recs := gen.Records(load)
 	queries := drawQueryClasses(t, gen, 11, 12)
 	for _, tc := range []struct {
-		name         string
-		leafCapacity int
-		want         map[string]QueryStats
+		name      string
+		blockSize int
+		want      map[string]QueryStats
 	}{
-		{"leaf-48", 48, map[string]QueryStats{
-			"sel01":  {NodesVisited: 291, EntriesScanned: 7346, EntriesPruned: 1081},
-			"sel05":  {NodesVisited: 629, EntriesScanned: 17812, EntriesPruned: 1087, RecordsMatched: 2},
-			"sel25":  {NodesVisited: 1747, EntriesScanned: 51175, EntriesPruned: 582, RecordsMatched: 204},
-			"rollup": {NodesVisited: 1107, EntriesScanned: 31918, EntriesPruned: 931, RecordsMatched: 1432},
-			"region": {NodesVisited: 1688, EntriesScanned: 48622, EntriesPruned: 798, MaterializedHits: 10, RecordsMatched: 10100},
+		{"1k-blocks", 1024, map[string]QueryStats{
+			"sel01":  {NodesVisited: 442, EntriesScanned: 9657, EntriesPruned: 415},
+			"sel05":  {NodesVisited: 841, EntriesScanned: 20956, EntriesPruned: 458, RecordsMatched: 2},
+			"sel25":  {NodesVisited: 1815, EntriesScanned: 50446, EntriesPruned: 260, RecordsMatched: 204},
+			"rollup": {NodesVisited: 1390, EntriesScanned: 37120, EntriesPruned: 421, MaterializedHits: 2, RecordsMatched: 1366},
+			"region": {NodesVisited: 1778, EntriesScanned: 49090, EntriesPruned: 336, MaterializedHits: 13, RecordsMatched: 6254},
 		}},
-		{"block-filled", 0, map[string]QueryStats{
+		{"block-filled", 4096, map[string]QueryStats{
 			"sel01":  {NodesVisited: 85, EntriesScanned: 11605, EntriesPruned: 187},
 			"sel05":  {NodesVisited: 154, EntriesScanned: 22699, EntriesPruned: 165, RecordsMatched: 2},
 			"sel25":  {NodesVisited: 308, EntriesScanned: 49953, EntriesPruned: 91, RecordsMatched: 204},
@@ -230,7 +238,7 @@ func TestGoldenQueryStats(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
-			cfg.LeafCapacity = tc.leafCapacity
+			cfg.BlockSize = tc.blockSize
 			tree, err := New(storage.NewMemStore(cfg.BlockSize), gen.Schema(), cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -78,12 +78,11 @@ func entriesOf(n *index.Node) []index.Entry {
 }
 
 // smallConfig forces frequent splits so even small tests exercise the full
-// machinery: data nodes of 8 rows, and directories of the few entries a
-// 512-byte block holds.
+// machinery: data nodes of the some 35 rows, and directories of the few
+// entries, a 512-byte block holds.
 func smallConfig() Config {
 	cfg := DefaultConfig()
 	cfg.BlockSize = 512
-	cfg.LeafCapacity = 8
 	cfg.MaxSupernodeBlocks = 8
 	return cfg
 }
@@ -583,7 +582,6 @@ func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{BlockSize: 64},
 		{Config: index.Config{RefineBound: -2}},
-		{Config: index.Config{LeafCapacity: 1}},
 		{Config: index.Config{MinFillRatio: 0.9}},
 		{Config: index.Config{MaxOverlapRatio: 2}},
 		{Config: index.Config{MaxSupernodeBlocks: -1}},
@@ -598,43 +596,6 @@ func TestConfigValidation(t *testing.T) {
 	cfg.BlockSize = 2048
 	if _, err := New(storage.NewMemStore(4096), s, cfg); err == nil {
 		t.Error("block size mismatch accepted")
-	}
-}
-
-// TestLeafCapacityPersists: the meta blob keeps LeafCapacity as set, and an
-// image reopens under the rule it was written with — the default, 0, under
-// the block-filled data node's byte rule, a row cap of 48 under its 48.
-func TestLeafCapacityPersists(t *testing.T) {
-	for _, tc := range []struct{ set, want int }{{0, 0}, {48, 48}} {
-		cfg := DefaultConfig()
-		cfg.LeafCapacity = tc.set
-		store := storage.NewMemStore(cfg.BlockSize)
-		s := testSchema(t)
-		tree, err := New(store, s, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := tree.Config().LeafCapacity; got != tc.want {
-			t.Fatalf("LeafCapacity %d resolved to %d, want %d", tc.set, got, tc.want)
-		}
-		for _, r := range genRecords(t, s, rand.New(rand.NewSource(18)), 2000) {
-			if err := tree.Insert(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := tree.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		reopened, err := Open(store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := reopened.Config().LeafCapacity; got != tc.want {
-			t.Fatalf("image written at %d rows reopened at %d", tc.want, got)
-		}
-		if err := reopened.Validate(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
@@ -820,10 +781,11 @@ func TestLevelStatsShape(t *testing.T) {
 	if int64(leaf.Entries) != tree.Count() {
 		t.Fatalf("leaf entries %d != count %d", leaf.Entries, tree.Count())
 	}
-	// Fill is the entries over the blocks' capacity.
+	// Fill is the encoded bytes over the blocks' payload.
 	blocks := leaf.AvgBlocks * float64(leaf.Nodes)
-	if want := float64(leaf.Entries) / (blocks * float64(smallConfig().LeafCapacity)); math.Abs(leaf.Fill-want) > 1e-9 {
-		t.Fatalf("leaf fill %v, want %d entries in %.0f blocks of %d = %v", leaf.Fill, leaf.Entries, blocks, smallConfig().LeafCapacity, want)
+	payload := storage.ExtentCapacity(smallConfig().BlockSize, 1)
+	if want := float64(leaf.EncodedBytes) / (blocks * float64(payload)); math.Abs(leaf.Fill-want) > 1e-9 {
+		t.Fatalf("leaf fill %v, want %d bytes in %.0f blocks of %d = %v", leaf.Fill, leaf.EncodedBytes, blocks, payload, want)
 	}
 }
 

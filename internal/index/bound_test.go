@@ -54,7 +54,7 @@ func checkInsertedEntries(t *testing.T, ix *Index, before map[string]bool, step 
 // validated — coverage and minimality at every entry's levels — and a fixed
 // query set is answered against the sequential-scan oracle.
 func TestEntryBoundHolds(t *testing.T) {
-	// A block-filled data node holds some 270 rows of these codes, so that
+	// A data node of 4 KiB holds some 270 rows of these codes, so that
 	// tree needs more records than the others to grow a directory below
 	// the root.
 	const ops, scaleOps, blockFilledOps = 2400, 6000, 9000
@@ -64,11 +64,8 @@ func TestEntryBoundHolds(t *testing.T) {
 	}
 	tpcdRecs := gen.Records(blockFilledOps)
 	supernodes := DefaultConfig()
-	supernodes.LeafCapacity = 12
 	supernodes.MaxSupernodeBlocks = 3
 	supernodes.MaxOverlapRatio = 0.002
-	leaf12 := DefaultConfig()
-	leaf12.LeafCapacity = 12
 	lowBound := smallConfig()
 	lowBound.RefineBound = 2
 	for _, tc := range []struct {
@@ -79,14 +76,14 @@ func TestEntryBoundHolds(t *testing.T) {
 		wantSuper bool
 	}{
 		{"tpcd/block-filled", true, DefaultConfig(), testBlockPayload, false},
-		{"tpcd/leaf-12", true, leaf12, testBlockPayload, false},
+		{"tpcd/leaf-12", true, DefaultConfig(), payloadOfRows(gen.Schema(), tpcdRecs, 12), false},
 		{"tpcd/small-dir-supernodes", true, supernodes, payload1K, true},
 		{"test/small", false, smallConfig(), payload512, false},
 		{"test/small-bound-4", false, lowBound, payload512, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			schema, recs := gen.Schema(), tpcdRecs[:ops]
-			if tc.cfg.LeafCapacity == 0 {
+			if tc.payload == testBlockPayload {
 				recs = tpcdRecs
 			}
 			if !tc.tpcd {

@@ -55,7 +55,7 @@ func (ix *Index) BulkLoad(recs []cube.Record) error {
 		for _, e := range children {
 			size += entrySize(e.MDS, measures)
 		}
-		if ix.blocksFor(false, len(children), size) == 2 {
+		if ix.blocksFor(size) == 2 {
 			// Entries that two blocks hold make one directory, split as
 			// the dynamic tree splits a root that overflows (Figs. 5–6),
 			// not a full directory that the first insert to reach it
@@ -139,13 +139,13 @@ func (ix *Index) pack(leaf bool, count int, grow func(n *Node, size, i int) int,
 		add(n, lo)
 		for ; lo+1 < count; lo++ {
 			next := grow(n, size, lo+1)
-			if n.Count() >= 2 && ix.blocksFor(leaf, n.Count()+1, next) > 1 {
+			if n.Count() >= 2 && ix.blocksFor(next) > 1 {
 				break
 			}
 			size = next
 			add(n, lo+1)
 		}
-		n.setBlocks(ix.blocksFor(leaf, n.Count(), size))
+		n.setBlocks(ix.blocksFor(size))
 		e, err := ix.describe(n)
 		if err != nil {
 			return nil, err

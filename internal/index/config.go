@@ -4,21 +4,13 @@ import "fmt"
 
 // Config carries the knobs of the paper's algorithms. The zero value is not
 // usable; DefaultConfig returns the values used throughout the paper
-// reproduction, and Normalize fills unset fields. A directory has no
-// capacity knob: it holds the entries whose encoding fits its blocks × the
-// one-block payload the host passes to New, MDSs being of variable size
-// (§3.2).
+// reproduction, and Normalize fills unset fields. A node has no capacity
+// knob: it is one block, as the X-tree's are (§4.2), and holds what its
+// encoding fits in its blocks × the one-block payload the host passes to
+// New — a directory's entries, whose MDSs vary in size (§3.2), or a data
+// node's rows at the byte widths its codes need: 270 TPC-D rows at 4 KiB at
+// the benchmark's scales, 169 at the widest codes.
 type Config struct {
-	// LeafCapacity is the maximum number of data records of a one-block
-	// data node. 0, the default, is the block-filled data node: a node is
-	// one block, as the X-tree's are (§4.2), so it holds as many rows as
-	// the block's payload fits at the byte widths its codes need — 270
-	// TPC-D rows at 4 KiB at the benchmark's scales, 169 at the widest
-	// codes. The host passes that payload to New, since only it knows its
-	// block. A nonzero value is a row count cap instead, whatever the rows'
-	// bytes.
-	LeafCapacity int
-
 	// MinFillRatio is the balance criterion of the split algorithm: a
 	// split is acceptable only if each group receives at least this
 	// fraction of the entries (§4.2 "nodes are balanced").
@@ -66,8 +58,7 @@ func DefaultConfig() Config {
 	}
 }
 
-// Normalize fills unset fields from DefaultConfig and validates ranges. A
-// zero LeafCapacity stays zero: it is the block-filled data node.
+// Normalize fills unset fields from DefaultConfig and validates ranges.
 func (c *Config) Normalize() error {
 	d := DefaultConfig()
 	if c.MinFillRatio == 0 {
@@ -83,8 +74,6 @@ func (c *Config) Normalize() error {
 		c.RefineBound = d.RefineBound
 	}
 	switch {
-	case c.LeafCapacity < 4 && c.LeafCapacity != 0:
-		return fmt.Errorf("%w: leaf capacity %d < 4", ErrBadConfig, c.LeafCapacity)
 	case c.MinFillRatio < 0 || c.MinFillRatio > 0.5:
 		return fmt.Errorf("%w: min fill ratio %g outside [0,0.5]", ErrBadConfig, c.MinFillRatio)
 	case c.MaxOverlapRatio < 0 || c.MaxOverlapRatio > 1:

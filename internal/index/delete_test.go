@@ -51,15 +51,16 @@ func deletePath(t *testing.T, ix *Index, rec cube.Record) []NodeID {
 }
 
 // TestDeleteRepairMatchesCover holds the incremental delete repair to the
-// exact rebuild it replaced. Random insert/delete streams run at data-node
-// capacities from 4 rows to 169, on dynamically built and
-// bulk-loaded trees; after every delete, each entry left on the delete path
-// must equal mds.CoverInto of its child at the entry's levels and carry
-// the child's aggregate as Node.aggregate folds it, and the root MDS must
-// equal the cover of the root's entries, all bit for bit. Both the
-// incremental path and the fallback must have been taken. The block-filled
-// data node (LeafCapacity 0) runs beside the row caps: its aggregate repair
-// is over the most rows, and a delete can narrow its codes.
+// exact rebuild it replaced. Random insert/delete streams run on blocks
+// whose payload holds data nodes of 4 rows to 169 at the stream's widest
+// codes (payloadOfRows), on dynamically built and bulk-loaded trees; after
+// every delete, each entry left on the delete path must equal
+// mds.CoverInto of its child at the entry's levels and carry the child's
+// aggregate as Node.aggregate folds it, and the root MDS must equal the
+// cover of the root's entries, all bit for bit. Both the incremental path
+// and the fallback must have been taken. The default 4 KiB block runs
+// beside them: its aggregate repair is over the most rows, and a delete can
+// narrow its codes.
 func TestDeleteRepairMatchesCover(t *testing.T) {
 	const load, steps = 3000, 3000
 	gen, err := tpcd.New(5, tpcd.ScaleFor(load))
@@ -75,9 +76,11 @@ func TestDeleteRepairMatchesCover(t *testing.T) {
 		}
 		for _, bulk := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/bulk=%v", name, bulk), func(t *testing.T) {
-				cfg := DefaultConfig()
-				cfg.LeafCapacity = rows
-				ix, nodes := newBareIndex(t, gen.Schema(), cfg)
+				payload := testBlockPayload
+				if rows > 0 {
+					payload = payloadOfRows(gen.Schema(), pool, rows)
+				}
+				ix, nodes := newBareIndexAt(t, gen.Schema(), DefaultConfig(), payload)
 				live := slices.Clone(pool[:load])
 				if bulk {
 					if err := ix.BulkLoad(live); err != nil {
@@ -157,8 +160,8 @@ func TestDeleteRepairMatchesCover(t *testing.T) {
 // TestDeleteRepairAggregatesNaN holds the aggregate repair on the delete
 // path to Node.aggregate's refold, bit for bit, where the aggregates an
 // insert keeps are not that refold: measures drawn from few values, signed
-// zeros and NaNs (whose records cannot be found, so stay), on nodes of 8
-// rows and few entries. An insert merges its record into each entry on its
+// zeros and NaNs (whose records cannot be found, so stay), on nodes of a
+// few dozen rows and few entries. An insert merges its record into each entry on its
 // path in arrival order, and with a NaN or a zero of either sign among the
 // values that fold can keep another zero, or another number, than the fold
 // over the child's entries; a delete's repair must leave the latter, as

@@ -2,7 +2,9 @@ package index
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/dcindex/dctree/internal/cube"
@@ -37,8 +39,8 @@ func checkDirectoriesFit(t *testing.T, ix *Index) (directories int) {
 // entries: after a stream of inserts and deletes and after a BulkLoad of the
 // same records, every directory encodes to at most its blocks × the
 // payload. Validate enforces the same bound: the trees pass it, and fail it
-// read as if their blocks were half as large (and their data nodes capped
-// by rows that they hold, so that only directories can fail).
+// read as if their blocks were half as large, first at a directory, which
+// the walk meets before the data nodes below it.
 func TestDirectoryFitsItsBlocks(t *testing.T) {
 	const n, payload = 6000, payload1K
 	gen, err := tpcd.New(5, tpcd.ScaleFor(n))
@@ -69,11 +71,15 @@ func TestDirectoryFitsItsBlocks(t *testing.T) {
 		if err := validate(ix); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		cfg := ix.cfg
-		cfg.LeafCapacity = n
-		half := Restore(ix.schema, cfg, ix.store, ix.Head(), payload/2)
-		if err := half.Validate(ix.store.(*memNodes), ix.Head()); !errors.Is(err, ErrCorrupt) {
+		half := Restore(ix.schema, ix.cfg, ix.store, ix.Head(), payload/2)
+		err := half.Validate(ix.store.(*memNodes), ix.Head())
+		var id NodeID
+		_, named, _ := strings.Cut(fmt.Sprint(err), ErrCorrupt.Error()+": node ")
+		if _, serr := fmt.Sscanf(named, "%d overflows", &id); serr != nil || !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s on half the payload: Validate = %v, want the overflow reported", name, err)
+		}
+		if n, err := ix.store.Get(id); err != nil || n.leaf {
+			t.Fatalf("%s on half the payload: the overflow names node %d, not a directory (%v)", name, id, err)
 		}
 	}
 }
@@ -87,7 +93,6 @@ func TestDirectoryFitsItsBlocks(t *testing.T) {
 // too, even the cap of one block.
 func TestTwoEntryDirectoryGrows(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.LeafCapacity = 4
 	cfg.RefineBound = -1
 	const payload = 140 // two entries of the test schema's leaf values pass it
 	ix, _ := newBareIndexAt(t, testSchema(t), cfg, payload)

@@ -20,12 +20,13 @@ import (
 // data-node frame, the fail-closed matrix, the fuzz target, and every node
 // of grown trees through encode, the flat view's accessors and decode.
 
-// grownNodes returns a 900-record index and every node of it, root first.
-// The last records repeat one point: records no split can separate grow
-// supernodes, so the codec's multi-block case is among the nodes.
+// grownNodes returns a 900-record index on blocks of payload512 and every
+// node of it, root first. The last 100 records repeat one point, past a
+// block's bytes: records no split can separate grow supernodes, so the
+// codec's multi-block case is among the nodes.
 func grownNodes(t testing.TB) (ix *Index, nodes []*Node) {
 	t.Helper()
-	ix = newTestIndex(t, smallConfig())
+	ix, _ = newBareIndexAt(t, testSchema(t), smallConfig(), payload512)
 	recs := genRecords(t, ix.schema, rand.New(rand.NewSource(7)), 900)
 	for i, r := range recs {
 		if i >= 800 {

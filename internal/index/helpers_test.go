@@ -134,14 +134,28 @@ func genRecords(t testing.TB, s *cube.Schema, rng *rand.Rand, n int) []cube.Reco
 	return recs
 }
 
-// smallConfig forces frequent splits so even small tests exercise the full
-// machinery: data nodes of 8 rows, and on blocks of payload512,
-// directories of a few entries.
+// smallConfig caps supernodes at 8 blocks. On blocks of payload512 it
+// forces frequent splits, so even small tests exercise the full machinery:
+// data nodes of some 35 test rows, directories of a few entries.
 func smallConfig() Config {
 	cfg := DefaultConfig()
-	cfg.LeafCapacity = 8
 	cfg.MaxSupernodeBlocks = 8
 	return cfg
+}
+
+// payloadOfRows is the one-block payload that holds a data node of the
+// given rows at the widest codes of recs: how a test sizes its data nodes
+// by rows.
+func payloadOfRows(schema *cube.Schema, recs []cube.Record, rows int) int {
+	stride := 8 * schema.Measures()
+	for d := range schema.Dims() {
+		top := uint32(0)
+		for _, r := range recs {
+			top = max(top, r.Coords[d].Code())
+		}
+		stride += codeWidth(top)
+	}
+	return leafSize(schema.Dims(), rows, stride)
 }
 
 // newTestIndex is a bare index over the test schema.

@@ -150,8 +150,7 @@ type Counters struct {
 
 // New creates an empty index whose nodes live in store: the root is a data
 // node minted by store.New. cfg must be normalized; payload is the bytes of
-// a node's encoding one block of the host's holds, which sizes every
-// directory and a block-filled data node (Config.LeafCapacity 0).
+// a node's encoding one block of the host's holds, which sizes every node.
 func New(schema *cube.Schema, cfg Config, store Store, payload int) *Index {
 	ix := Restore(schema, cfg, store, Head{RootMDS: mds.Top(schema.Dims()), Height: 1}, payload)
 	ix.head.Root = store.New(true).id
@@ -167,26 +166,28 @@ func Restore(schema *cube.Schema, cfg Config, store Store, h Head, payload int) 
 	return ix
 }
 
-// FitDirectories hands fixed a heap copy of every directory of the tree of
-// head h, viewed through src, that overflows its blocks, given the blocks
-// its bytes need. Only a tree written under the retired entry-count rule
-// has one: that rule held up to 24 entries in one block, whatever their
-// bytes. Data nodes are not visited: the format generation that wrote the
-// tree held them to their bytes already. A node that cannot be read ends
-// the walk, as it ends Validate's, which walks in the same order.
-func (ix *Index) FitDirectories(src Source, h Head, fixed func(*Node)) {
+// Fit hands fixed a heap copy of every node of the tree of head h, viewed
+// through src, that overflows its blocks, given the blocks its bytes need.
+// Only a tree written under a retired count rule has one: the entry-count
+// rule held up to 24 directory entries in one block, and a row cap held a
+// data node's rows whatever their bytes. Data nodes are visited only when
+// leaves is set, for a tree written under a row cap: a tree written without
+// one held them to their bytes already, and its data nodes stay unread. A
+// node that cannot be read ends the walk, as it ends Validate's, which walks
+// in the same order.
+func (ix *Index) Fit(src Source, h Head, leaves bool, fixed func(*Node)) {
 	_ = walk(src, h.Root, func(nv *NodeView, level int) error {
-		leaf, count, blocks, size := nv.shape()
-		if need := ix.blocksFor(false, count, size); !leaf && need > blocks {
+		leaf, _, blocks, size := nv.shape()
+		if need := ix.blocksFor(size); need > blocks {
 			n, err := DecodeNode(nv.id, nv.b, ix.schema.Dims(), ix.schema.Measures())
 			if err != nil {
 				return err
 			}
-			n.blocks = need
+			n.setBlocks(need)
 			fixed(n)
 		}
-		if leaf || level+2 >= h.Height {
-			return errSkip // no directory below
+		if leaf || !leaves && level+2 >= h.Height {
+			return errSkip // no node below to fit
 		}
 		return nil
 	})

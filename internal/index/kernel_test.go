@@ -970,7 +970,7 @@ func TestHierarchySplitProductsPast2to53(t *testing.T) {
 // separated in any dimension, so it grows block by block — and at the cap it
 // takes the forced split instead of a 65th block.
 func TestZeroSupernodeCapSelectsDefault(t *testing.T) {
-	cfg := Config{MaxSupernodeBlocks: 0, LeafCapacity: 48}
+	cfg := Config{MaxSupernodeBlocks: 0}
 	if err := cfg.Normalize(); err != nil {
 		t.Fatal(err)
 	}
@@ -978,10 +978,10 @@ func TestZeroSupernodeCapSelectsDefault(t *testing.T) {
 	if cfg.MaxSupernodeBlocks != limit || limit != 64 {
 		t.Fatalf("Normalize turned a zero cap into %d, want the default %d = 64", cfg.MaxSupernodeBlocks, limit)
 	}
-	tree := newTestIndex(t, cfg)
+	tree, _ := newBareIndexAt(t, testSchema(t), cfg, payload512)
 	rec := genRecords(t, tree.schema, rand.New(rand.NewSource(59)), 1)[0]
 	n := tree.store.New(true)
-	for i := 0; i < limit*cfg.LeafCapacity+1; i++ {
+	for tree.nodeBlocks(n) < limit {
 		n.appendRecord(rec)
 	}
 

@@ -276,31 +276,19 @@ func (n *Node) take(src *Node, group []int) {
 	}
 }
 
-// fill is the one overflow rule: what a node of the given kind, entry count
-// and encoded size fills, and what one block holds of it — the bytes of its
-// encoding against the one-block payload, or a data node's rows against a
-// nonzero LeafCapacity. A supernode holds its blocks' worth (§4.2:
-// "directory node capacity multiplied by the number of blocks of the
-// supernode").
-func (ix *Index) fill(leaf bool, count, size int) (used, perBlock int) {
-	if leaf && ix.cfg.LeafCapacity > 0 {
-		return count, ix.cfg.LeafCapacity
-	}
-	return size, ix.payload
-}
-
-// blocksFor returns the fewest blocks that hold a node of the given kind,
-// entry count and encoded size.
-func (ix *Index) blocksFor(leaf bool, count, size int) int {
-	used, per := ix.fill(leaf, count, size)
-	return max(1, (used+per-1)/per)
+// blocksFor is the one overflow rule: the fewest blocks that hold a node
+// whose encoding is size bytes, each holding the one-block payload. A
+// supernode holds its blocks' worth (§4.2: "directory node capacity
+// multiplied by the number of blocks of the supernode").
+func (ix *Index) blocksFor(size int) int {
+	return max(1, (size+ix.payload-1)/ix.payload)
 }
 
 // nodeBlocks is blocksFor of a heap node. A directory's size is summed over
 // its entries' MDSs: the write path asks it only where an entry was added
 // or grew, or a supernode may shrink.
 func (ix *Index) nodeBlocks(n *Node) int {
-	return ix.blocksFor(n.leaf, n.Count(), n.encodedSize())
+	return ix.blocksFor(n.encodedSize())
 }
 
 // aggregate computes the node's aggregate vector: its rows or entries

@@ -149,7 +149,7 @@ func (ix *Index) Scan(src Source, root NodeID, fn func(cube.Record) bool) error 
 // keeps it from descending below the node just visited.
 var errStop, errSkip = errors.New("stop"), errors.New("skip")
 
-// walk is the read-only walk of Scan, LevelStats and FitDirectories: it
+// walk is the read-only walk of Scan, LevelStats and Fit: it
 // visits root and every node below it, a parent before its children, each
 // one viewed through src into the frame of its level. A visit's error other
 // than errSkip ends the walk.

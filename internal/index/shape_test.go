@@ -72,9 +72,9 @@ func shapeDigest(t *testing.T, ix *Index) string {
 }
 
 // TestGoldenTreeShape pins the tree the write path builds, with the digests
-// internal/core pins for the same five streams. The first four name the
-// data-node capacity they were pinned at (48 rows, the default before it
-// became the block-filled count); the last pins the default itself. The four
+// internal/core pins for the same streams. The first were pinned at a
+// data-node capacity of 48 rows (the default before it became the
+// block-filled count); the last pins the default itself. The four
 // streams that refine were re-pinned once, with internal/core's, when inserts
 // and splits began to bound directory entries (boundMDS). The one that does
 // not (RefineBound -1) was pinned with the hierarchy-blind choose-subtree
@@ -87,10 +87,14 @@ func shapeDigest(t *testing.T, ix *Index) string {
 // 55baef0f…, 07fcacb8… → 8b478888…, b223d6cc… → 13ac026d…, 871f28e5… →
 // 8cd317f3…, 97e42c41… → ec6bf055…): directories split at other moments,
 // so the data nodes below them did too. The small-directory stream, then
-// 5 entries a block, since runs on 1 KiB blocks.
+// 5 entries a block, since runs on 1 KiB blocks. The three that set the
+// retired row cap were re-pinned when it went (8b478888… → 8bc3d9d2…, now
+// on 1 KiB blocks, where it still forces splits; 13ac026d… → 2eaa6b77…;
+// 8cd317f3… → 33969723…), and the 48-row default, which then built the
+// block-filled tree, was dropped.
 func TestGoldenTreeShape(t *testing.T) {
 	if testing.Short() {
-		t.Skip("loads 5×22k records")
+		t.Skip("loads 4×22k records")
 	}
 	const load, expire, reload = 20000, 2000, 2000
 	cases := []struct {
@@ -99,22 +103,18 @@ func TestGoldenTreeShape(t *testing.T) {
 		payload int // 0: testBlockPayload
 		want    string
 	}{
-		{"default", func(c *Config) { c.LeafCapacity = 48 }, 0, "55baef0f9e5a76b319f1bfba"},
 		{"forced-splits", func(c *Config) {
-			c.LeafCapacity = 48
 			c.MaxSupernodeBlocks = 1
 			c.MaxOverlapRatio = 0.002
 			c.MinFillRatio = 0.45
-		}, 0, "8b478888e43641309766002e"},
+		}, payload1K, "8bc3d9d2fee1a80754d65e92"},
 		{"small-dir-supernodes", func(c *Config) {
-			c.LeafCapacity = 12
 			c.MaxSupernodeBlocks = 3
 			c.MaxOverlapRatio = 0.002
-		}, payload1K, "13ac026d8256642722c035fc"},
+		}, payload1K, "2eaa6b776fded7fcabf29610"},
 		{"no-refine", func(c *Config) {
-			c.LeafCapacity = 48
 			c.RefineBound = -1
-		}, 0, "8cd317f317e3c248cc2aee77"},
+		}, 0, "33969723b603d8c4ed077a19"},
 		{"block-filled", func(*Config) {}, 0, "ec6bf0556f6d98532df9139b"},
 	}
 	for _, tc := range cases {
@@ -178,8 +178,8 @@ func (s *QueryStats) add(o QueryStats) {
 
 // TestGoldenQueryStats pins the work the read path does for a fixed tree and
 // a fixed query set, with the numbers internal/core pins: over heap nodes,
-// and over the nodes' flat encodings. The
-// block-filled default's answers must be the 48-row tree's, query by query.
+// and over the nodes' flat encodings. The block-filled default's answers
+// must be the 1 KiB-block tree's, query by query.
 // Both trees' numbers were re-pinned once, with internal/core's, when
 // inserts and splits began to bound directory entries (boundMDS); the
 // answers did not move. The block-filled tree's were re-pinned again when
@@ -191,7 +191,9 @@ func (s *QueryStats) add(o QueryStats) {
 // instead of at 24 entries (visits 303 / 638 / 1730 / 1079 / 1672 → 291 /
 // 629 / 1747 / 1107 / 1688, region's materialized hits 17 → 10); the
 // block-filled tree, whose directories hold fewer than 24 entries either
-// way, did not move, and neither did an answer.
+// way, did not move, and neither did an answer. When the row cap went, the
+// 48-row tree became the block-filled one and was dropped; the tree on 1
+// KiB blocks took its place as the one with materialized hits.
 func TestGoldenQueryStats(t *testing.T) {
 	const load = 6000
 	gen, err := tpcd.New(7, tpcd.ScaleFor(load))
@@ -202,18 +204,18 @@ func TestGoldenQueryStats(t *testing.T) {
 	queries := drawQueryClasses(t, gen, 11, 12)
 	answers := map[string][]cube.Agg{} // of the first walk; every other must agree
 	for _, tc := range []struct {
-		name         string
-		leafCapacity int
-		want         map[string]QueryStats
+		name    string
+		payload int
+		want    map[string]QueryStats
 	}{
-		{"leaf-48", 48, map[string]QueryStats{
-			"sel01":  {NodesVisited: 291, EntriesScanned: 7346, EntriesPruned: 1081},
-			"sel05":  {NodesVisited: 629, EntriesScanned: 17812, EntriesPruned: 1087, RecordsMatched: 2},
-			"sel25":  {NodesVisited: 1747, EntriesScanned: 51175, EntriesPruned: 582, RecordsMatched: 204},
-			"rollup": {NodesVisited: 1107, EntriesScanned: 31918, EntriesPruned: 931, RecordsMatched: 1432},
-			"region": {NodesVisited: 1688, EntriesScanned: 48622, EntriesPruned: 798, MaterializedHits: 10, RecordsMatched: 10100},
+		{"1k-blocks", payload1K, map[string]QueryStats{
+			"sel01":  {NodesVisited: 442, EntriesScanned: 9657, EntriesPruned: 415},
+			"sel05":  {NodesVisited: 841, EntriesScanned: 20956, EntriesPruned: 458, RecordsMatched: 2},
+			"sel25":  {NodesVisited: 1815, EntriesScanned: 50446, EntriesPruned: 260, RecordsMatched: 204},
+			"rollup": {NodesVisited: 1390, EntriesScanned: 37120, EntriesPruned: 421, MaterializedHits: 2, RecordsMatched: 1366},
+			"region": {NodesVisited: 1778, EntriesScanned: 49090, EntriesPruned: 336, MaterializedHits: 13, RecordsMatched: 6254},
 		}},
-		{"block-filled", 0, map[string]QueryStats{
+		{"block-filled", testBlockPayload, map[string]QueryStats{
 			"sel01":  {NodesVisited: 85, EntriesScanned: 11605, EntriesPruned: 187},
 			"sel05":  {NodesVisited: 154, EntriesScanned: 22699, EntriesPruned: 165, RecordsMatched: 2},
 			"sel25":  {NodesVisited: 308, EntriesScanned: 49953, EntriesPruned: 91, RecordsMatched: 204},
@@ -222,9 +224,7 @@ func TestGoldenQueryStats(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.LeafCapacity = tc.leafCapacity
-			ix, nodes := newBareIndex(t, gen.Schema(), cfg)
+			ix, nodes := newBareIndexAt(t, gen.Schema(), DefaultConfig(), tc.payload)
 			for _, r := range recs {
 				if err := ix.Insert(r); err != nil {
 					t.Fatal(err)

@@ -103,15 +103,10 @@ func (ix *Index) splitNode(n *Node, nodeMDS mds.MDS) (insertResult, error) {
 		} else {
 			ix.c.supernodeGrown.Inc()
 		}
-		// One block more holds the entry or row that overflowed. A node
-		// filled by its bytes may need more — a directory entry that grew,
-		// data rows a wider code widened: it takes the blocks its bytes
-		// need.
-		blocks := n.blocks + 1
-		if !n.leaf || ix.cfg.LeafCapacity == 0 {
-			blocks = max(blocks, ix.nodeBlocks(n))
-		}
-		n.setBlocks(blocks)
+		// One block more holds the entry or row that overflowed, or the
+		// blocks its bytes need if more — a directory entry that grew, data
+		// rows a wider code widened.
+		n.setBlocks(max(n.blocks+1, ix.nodeBlocks(n)))
 		return insertResult{}, nil
 	}
 	ix.c.splitsForced.Inc()

@@ -30,8 +30,8 @@ type LevelStat struct {
 	// and an insert searches per entry. 0 on the data level.
 	AvgEntryValues float64
 	// Fill is how full the level keeps its blocks, by the rule that
-	// overflows its nodes (Index.fill): its encoded bytes, or its rows under
-	// a nonzero LeafCapacity, ÷ its nodes' blocks × what one block holds.
+	// overflows its nodes (Index.blocksFor): its encoded bytes ÷ its nodes'
+	// blocks × the one-block payload.
 	Fill float64
 }
 
@@ -39,7 +39,6 @@ type LevelStat struct {
 // and reports per-level node statistics.
 func (ix *Index) LevelStats(src Source, h Head) ([]LevelStat, error) {
 	stats := make([]LevelStat, h.Height)
-	used, capacity := make([]int, h.Height), make([]int, h.Height)
 	err := walk(src, h.Root, func(nv *NodeView, level int) error {
 		if level >= len(stats) {
 			return fmt.Errorf("%w: node at level %d exceeds height %d", ErrCorrupt, level, h.Height)
@@ -50,9 +49,6 @@ func (ix *Index) LevelStats(src Source, h Head) ([]LevelStat, error) {
 		s.Nodes++
 		s.Entries += count
 		s.AvgBlocks += float64(blocks)
-		u, per := ix.fill(leaf, count, size)
-		used[level] += u
-		capacity[level] += blocks * per
 		s.EncodedBytes += size
 		s.MaxEncodedBytes = max(s.MaxEncodedBytes, size)
 		if blocks > 1 {
@@ -73,8 +69,8 @@ func (ix *Index) LevelStats(src Source, h Head) ([]LevelStat, error) {
 	for i := range stats {
 		if stats[i].Nodes > 0 {
 			stats[i].AvgEntries = float64(stats[i].Entries) / float64(stats[i].Nodes)
+			stats[i].Fill = float64(stats[i].EncodedBytes) / (stats[i].AvgBlocks * float64(ix.payload))
 			stats[i].AvgBlocks /= float64(stats[i].Nodes)
-			stats[i].Fill = float64(used[i]) / float64(capacity[i])
 		}
 		if stats[i].Entries > 0 {
 			stats[i].AvgEntryValues /= float64(stats[i].Entries)
@@ -95,7 +91,8 @@ func (ix *Index) LevelStats(src Source, h Head) ([]LevelStat, error) {
 //     (up to float rounding in Sum);
 //   - data nodes appear exactly at the bottom level, and every row is a
 //     valid record of the schema;
-//   - no node except the root is empty or overflows its blocks (Index.fill);
+//   - no node except the root is empty or overflows its blocks
+//     (Index.blocksFor);
 //   - the record count and the root MDS match reality.
 //
 // Validate is the oracle behind the randomized workload tests.
@@ -126,7 +123,7 @@ func (ix *Index) Validate(src Source, h Head) error {
 		switch {
 		case blocks < 1:
 			return nil, nil, fmt.Errorf("%w: node %d has %d blocks", ErrCorrupt, id, blocks)
-		case ix.blocksFor(leaf, count, size) > blocks:
+		case ix.blocksFor(size) > blocks:
 			return nil, nil, fmt.Errorf("%w: node %d overflows its %d blocks: %d entries, %d bytes",
 				ErrCorrupt, id, blocks, count, size)
 		case count == 0 && id != h.Root:

@@ -357,7 +357,7 @@ func TestLeafWidening(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !root.leaf || root.blocks != tc.blocks || root.rowSize(nil) != narrowStride || ix.blocksFor(true, root.Count()+1, leafSize(3, root.Count()+1, narrowStride)) <= tc.blocks {
+			if !root.leaf || root.blocks != tc.blocks || root.rowSize(nil) != narrowStride || ix.blocksFor(leafSize(3, root.Count()+1, narrowStride)) <= tc.blocks {
 				t.Fatalf("before the wide code: leaf %v, %d rows in %d blocks of stride %d, want a full %d-block data node",
 					root.leaf, root.Count(), root.blocks, root.rowSize(nil), tc.blocks)
 			}
@@ -378,7 +378,7 @@ func TestLeafWidening(t *testing.T) {
 					if n.blocks != ix.nodeBlocks(n) {
 						t.Errorf("data node %d: %d rows of stride %d in %d blocks, its bytes need %d", n.id, n.Count(), n.rowSize(nil), n.blocks, ix.nodeBlocks(n))
 					}
-					if stride, need := rowsNeed(n), ix.blocksFor(true, n.Count(), leafSize(3, n.Count(), rowsNeed(n))); n.rowSize(nil) != stride || n.blocks != need {
+					if stride, need := rowsNeed(n), ix.blocksFor(leafSize(3, n.Count(), rowsNeed(n))); n.rowSize(nil) != stride || n.blocks != need {
 						t.Errorf("data node %d: stride %d in %d blocks, its records need %d in %d", n.id, n.rowSize(nil), n.blocks, stride, need)
 					}
 				}

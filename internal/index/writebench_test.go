@@ -16,20 +16,18 @@ const splitBenchRecords = 20000
 
 // BenchmarkSplit times splitNode — adaptation, the hierarchy split of every
 // candidate tried and buildSplit — on overflowing nodes of one and of four
-// blocks: data nodes of TPC-D rows, of 48 rows a block and block-filled,
-// and directories, filled past their blocks' bytes, of entries that
-// describe data nodes of a grown tree (of 48-row data nodes). Each node's
-// MDS is what a node of that content carries: the cover at the top
-// named levels, refined. Beside ns/op it reports how many of the k(k-1)/2
-// seed pairs the search evaluated in the candidate the split accepted.
+// blocks: data nodes of TPC-D rows, and directories of entries that
+// describe data nodes of a grown tree, each filled past its blocks' bytes.
+// Each node's MDS is what a node of that content carries: the cover at the
+// top named levels, refined. Beside ns/op it reports how many of the
+// k(k-1)/2 seed pairs the search evaluated in the candidate the split
+// accepted.
 func BenchmarkSplit(b *testing.B) {
 	gen, err := tpcd.New(1, tpcd.ScaleFor(splitBenchRecords))
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.LeafCapacity = 48
-	tree, _ := newBareIndex(b, gen.Schema(), cfg)
+	tree, _ := newBareIndex(b, gen.Schema(), DefaultConfig())
 	recs := gen.Records(splitBenchRecords)
 	for _, r := range recs {
 		if err := tree.Insert(r); err != nil {
@@ -51,18 +49,14 @@ func BenchmarkSplit(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
 		leaf   bool
-		rows   int // data-node capacity of one block; 0: block-filled
 		blocks int
 	}{
-		{"leaf-49", true, 48, 1},
-		{"leaf-193", true, 48, 4},
-		{"leaf-filled", true, 0, 1},
-		{"leaf-filled-4", true, 0, 4},
-		{"dir-filled", false, 48, 1},
-		{"dir-filled-4", false, 48, 4},
+		{"leaf-filled", true, 1},
+		{"leaf-filled-4", true, 4},
+		{"dir-filled", false, 1},
+		{"dir-filled-4", false, 4},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			tree.cfg.LeafCapacity = bc.rows
 			n := tree.store.New(bc.leaf)
 			n.setBlocks(bc.blocks)
 			// Rows or entries until the node overflows its blocks by one.
@@ -191,8 +185,8 @@ const deleteBenchRecords = 37500
 
 // BenchmarkDelete times Delete — the probe, the row removal and the repair
 // of every entry on the path and of the root MDS — expiring every 12th
-// record from a packed (BulkLoad) TPC-D tree, at 48 rows a data node and
-// block-filled. One iteration is one pass over the expired records on a
+// record from a packed (BulkLoad) TPC-D tree of block-filled data nodes.
+// One iteration is one pass over the expired records on a
 // fresh tree; beside ns/delete it reports how many repairs per delete
 // rebuilt a cover (mds.CoverInto) instead of dropping one value, and how
 // many directory posting tables the delete probe built per delete.
@@ -206,35 +200,28 @@ func BenchmarkDelete(b *testing.B) {
 	for i := 0; i < len(recs); i += 12 {
 		expire = append(expire, recs[i])
 	}
-	for _, bc := range []struct {
-		name string
-		rows int
-	}{{"leaf-48", 48}, {"block-filled", 0}} {
-		b.Run(bc.name, func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.LeafCapacity = bc.rows
-			b.ReportAllocs()
-			var fallbacks, builds int64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				tree, _ := newBareIndex(b, gen.Schema(), cfg)
-				if err := tree.BulkLoad(recs); err != nil {
+	b.Run("block-filled", func(b *testing.B) {
+		b.ReportAllocs()
+		var fallbacks, builds int64
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			tree, _ := newBareIndex(b, gen.Schema(), DefaultConfig())
+			if err := tree.BulkLoad(recs); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			for _, r := range expire {
+				if err := tree.Delete(r); err != nil {
 					b.Fatal(err)
 				}
-				b.StartTimer()
-				for _, r := range expire {
-					if err := tree.Delete(r); err != nil {
-						b.Fatal(err)
-					}
-				}
-				c := tree.Counters()
-				fallbacks += c.DeleteRepairFallbacks
-				builds += c.PostingBuilds
 			}
-			deletes := float64(b.N * len(expire))
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/deletes, "ns/delete")
-			b.ReportMetric(float64(fallbacks)/deletes, "fallbacks/delete")
-			b.ReportMetric(float64(builds)/deletes, "builds/delete")
-		})
-	}
+			c := tree.Counters()
+			fallbacks += c.DeleteRepairFallbacks
+			builds += c.PostingBuilds
+		}
+		deletes := float64(b.N * len(expire))
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/deletes, "ns/delete")
+		b.ReportMetric(float64(fallbacks)/deletes, "fallbacks/delete")
+		b.ReportMetric(float64(builds)/deletes, "builds/delete")
+	})
 }

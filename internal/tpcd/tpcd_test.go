@@ -171,11 +171,10 @@ func TestThreeSystemsAgree(t *testing.T) {
 	}
 	recs := g.Records(3000)
 
-	// DC-tree, on 1 KiB blocks: directories of the few entries their bytes
-	// fit.
+	// DC-tree, on 1 KiB blocks: data nodes of the few dozen rows, and
+	// directories of the few entries, their bytes fit.
 	cfg := core.DefaultConfig()
 	cfg.BlockSize = 1024
-	cfg.LeafCapacity = 12
 	dc, err := core.New(storage.NewMemStore(cfg.BlockSize), g.Schema(), cfg)
 	if err != nil {
 		t.Fatal(err)
