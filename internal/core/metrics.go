@@ -34,8 +34,8 @@ type treeMetrics struct {
 	qEntriesPruned    obs.Counter
 	qMaterializedHits obs.Counter
 
-	// The node cache. (Split, supernode, mask-pool and read-image
-	// counters are the index's own: index.Counters.)
+	// The node cache. (Split, supernode, mask-pool and posting counters
+	// are the index's own: index.Counters.)
 	cacheHits   obs.Counter
 	cacheMisses obs.Counter
 
@@ -143,11 +143,6 @@ type Metrics struct {
 	// view requests answered by a plain file read.
 	FlatNodeReads   int64
 	DecodeFallbacks int64
-	// ReadImageBuilds counts read images built for heap directory nodes: a
-	// directory is encoded once by the first query that meets it after a
-	// mutation (or after it was decoded) and matched in that form until the
-	// write path dirties it again.
-	ReadImageBuilds int64
 	MmapViews       int64
 	MmapRemaps      int64
 	MmapFallbacks   int64
@@ -264,7 +259,6 @@ func (t *Tree) Metrics() Metrics {
 
 		FlatNodeReads:   m.flatNodeReads.Load(),
 		DecodeFallbacks: m.decodeFallbacks.Load(),
-		ReadImageBuilds: ic.ReadImageBuilds,
 
 		WALFsyncs:               m.walFsyncs.Load(),
 		WALGroupCommitBatchMax:  m.walBatchMax.Load(),
@@ -367,7 +361,6 @@ func (m Metrics) Families() []obs.Family {
 		obs.CounterFamily("dctree_mask_pool_misses_total", "Queries that allocated a fresh membership-mask arena.", m.MaskPoolMisses),
 		obs.CounterFamily("dctree_flat_node_reads_total", "Node resolutions served as zero-copy flat views over mapped extents.", m.FlatNodeReads),
 		obs.CounterFamily("dctree_decode_fallback_total", "Node resolutions served by a checked store read because the store serves no views.", m.DecodeFallbacks),
-		obs.CounterFamily("dctree_read_image_builds_total", "Read images (flat encodings) built for heap directory nodes.", m.ReadImageBuilds),
 		obs.CounterFamily("dctree_mmap_views_total", "Extent views served from the store's memory mapping.", m.MmapViews),
 		obs.CounterFamily("dctree_mmap_remap_total", "Memory-mapping rebuilds after backing-file growth.", m.MmapRemaps),
 		obs.CounterFamily("dctree_mmap_fallback_total", "Extent view requests answered by a plain file read.", m.MmapFallbacks),

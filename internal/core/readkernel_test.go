@@ -55,7 +55,7 @@ func TestRefineMDSKeepsExactness(t *testing.T) {
 	// With ≤3 customers, ≤2 parts and ≤4 months, every dimension is
 	// describable at leaf level within bound 4: entries must be refined
 	// all the way down.
-	for i, e := range root.Entries() {
+	for i, e := range entriesOf(t, tree, root) {
 		for d, ds := range e.MDS {
 			if ds.Level != 0 {
 				t.Fatalf("entry %d dim %d still at level %d: %v", i, d, ds.Level, e.MDS)
@@ -85,7 +85,7 @@ func TestRefineMDSKeepsExactness(t *testing.T) {
 	}
 	root2, _ := tree2.nodes().Get(tree2.ix.Root())
 	coarse := false
-	for _, e := range root2.Entries() {
+	for _, e := range entriesOf(t, tree2, root2) {
 		for _, ds := range e.MDS {
 			if ds.Level != 0 {
 				coarse = true
@@ -128,7 +128,7 @@ func TestAdaptToLevels(t *testing.T) {
 }
 
 // TestQueryAllocations holds the read path to zero allocations per query in
-// every query class: on a warm heap tree (own blocks, read images), on the
+// every query class: on a warm heap tree (the nodes' own blocks), on the
 // same tree checkpointed and evicted (zero-copy views of its extents), on a
 // version of it (overlay frames and pinned extents), and on the tree
 // bulk-loaded into a PagedStore and reopened (every node a mapped view).
@@ -157,7 +157,7 @@ func TestQueryAllocations(t *testing.T) {
 	ctx := context.Background()
 	run := func(form string, tree *Tree, asOf *Version) {
 		for class, queries := range classes {
-			for _, q := range queries { // warm up: read images, mask arenas
+			for _, q := range queries { // warm up: mask arenas
 				if _, err := tree.Execute(ctx, QueryRequest{Query: q, AsOf: asOf}); err != nil {
 					t.Fatal(err)
 				}

@@ -33,7 +33,7 @@ func shapeDigest(t *testing.T, tree *Tree) string {
 		}
 		u64(uint64(n.Blocks()))
 		u64(uint64(n.Count()))
-		for i, e := range entriesOf(n) {
+		for i, e := range entriesOf(t, tree, n) {
 			buf = e.MDS.AppendEncode(buf)
 			for _, a := range e.Agg {
 				u64(math.Float64bits(a.Sum))

@@ -266,11 +266,11 @@ func (s *treeNodes) Drop(id nodeID) error {
 }
 
 // View fills the descent's frame nv with a node, and never writes the cache
-// or decodes. A resident (hot or dirty) data node is its own block, the
-// encoding the heap node is; a resident directory its read image; any
-// other node its extent framed where it lies (extentView). Caller holds
-// t.mu.RLock for the whole descent, which keeps the framed extent from
-// being freed and rewritten mid-walk.
+// or decodes. A resident (hot or dirty) node is its own block, the encoding
+// the heap node is; any other node its extent framed where it lies
+// (extentView). Caller holds t.mu.RLock for the whole descent, which keeps
+// the framed extent from being freed and rewritten mid-walk, and the heap
+// blocks from being written.
 func (s *treeNodes) View(id nodeID, nv *index.NodeView) error {
 	t := (*Tree)(s)
 	if n := t.nc.get(id); n != nil {

@@ -54,25 +54,47 @@ func collectNodes(t testing.TB, tree *Tree) []*index.Node {
 			t.Fatalf("Get(%d): %v", id, err)
 		}
 		nodes = append(nodes, n)
-		for _, e := range n.Entries() {
-			walk(e.Child)
+		var nv index.NodeView
+		tree.ix.HeapView(n, &nv)
+		for i := 0; !nv.Leaf() && i < nv.Count(); i++ {
+			walk(nv.Child(i))
 		}
 	}
 	walk(tree.ix.Root())
 	return nodes
 }
 
-// entriesOf lists a node's entries the way the write path sees them: a
-// directory's own, and for a data node one per record with the singleton
-// MDS and the one-record aggregates synthesized from the row.
-func entriesOf(n *index.Node) []index.Entry {
-	if !n.Leaf() {
-		return n.Entries()
-	}
-	out := make([]index.Entry, n.Count())
+// entry is a node entry as the tests read it: its MDS, aggregates and
+// child.
+type entry struct {
+	MDS   mds.MDS
+	Agg   cube.AggVector
+	Child nodeID
+}
+
+// entriesOf lists a node's entries the way the encoding carries them: a
+// directory's read through its view, and for a data node one per record
+// with the singleton MDS and the one-record aggregates synthesized from the
+// row.
+func entriesOf(t testing.TB, tree *Tree, n *index.Node) []entry {
+	t.Helper()
+	var nv index.NodeView
+	tree.ix.HeapView(n, &nv)
+	out := make([]entry, n.Count())
 	for i := range out {
-		rec := n.Record(i)
-		out[i] = index.Entry{MDS: mds.FromLeaves(rec.Coords), Agg: cube.AggOfRecord(rec.Measures)}
+		if n.Leaf() {
+			rec := n.Record(i)
+			out[i] = entry{MDS: mds.FromLeaves(rec.Coords), Agg: cube.AggOfRecord(rec.Measures)}
+			continue
+		}
+		m, _, err := mds.Decode(nv.EntryMDS(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = entry{MDS: m, Agg: cube.NewAggVector(tree.schema.Measures()), Child: nv.Child(i)}
+		for j := range out[i].Agg {
+			out[i].Agg[j] = nv.Agg(i, j)
+		}
 	}
 	return out
 }

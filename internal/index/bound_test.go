@@ -28,8 +28,7 @@ func checkInsertedEntries(t *testing.T, ix *Index, before map[string]bool, step 
 	checked := 0
 	var buf []byte
 	for _, n := range collectNodes(t, ix) {
-		for i := range n.entries {
-			e := &n.entries[i]
+		for i, e := range dirEntries(n) {
 			buf = e.MDS.AppendEncode(binary.LittleEndian.AppendUint64(buf[:0], uint64(e.Child)))
 			key := string(buf)
 			keys[key] = true

@@ -40,7 +40,8 @@ func (ix *Index) BulkLoad(recs []cube.Record) error {
 	}
 
 	// The data level takes the sorted records; every level above, the
-	// entries of the one below.
+	// entries of the one below. A level's entries are built as one
+	// directory's, level, which no store holds.
 	dims, measures := ix.schema.Dims(), ix.schema.Measures()
 	level, err := ix.pack(true, len(order),
 		func(n *Node, _, i int) int { return leafSize(dims, n.Count()+1, n.rowSize(recs[order[i]].Coords)) },
@@ -49,22 +50,18 @@ func (ix *Index) BulkLoad(recs []cube.Record) error {
 		return err
 	}
 	ix.head.Height = 1
-	for len(level) > 1 {
-		children := level
-		size := dirSize
-		for _, e := range children {
-			size += entrySize(e.MDS, measures)
-		}
-		if ix.blocksFor(size) == 2 {
+	for level.Count() > 1 {
+		children := &level.flat
+		if ix.blocksFor(len(children.b)) == 2 {
 			// Entries that two blocks hold make one directory, split as
 			// the dynamic tree splits a root that overflows (Figs. 5–6),
 			// not a full directory that the first insert to reach it
 			// would split, and the rest.
 			level, err = ix.splitLevel(children)
 		} else {
-			level, err = ix.pack(false, len(children),
-				func(_ *Node, size, i int) int { return size + entrySize(children[i].MDS, measures) },
-				func(n *Node, i int) { n.entries = append(n.entries, children[i]) })
+			level, err = ix.pack(false, children.count,
+				func(_ *Node, size, i int) int { return size + entrySize(len(children.EntryMDS(i)), measures) },
+				func(n *Node, i int) { n.copyEntry(children, i) })
 		}
 		if err != nil {
 			return err
@@ -76,10 +73,10 @@ func (ix *Index) BulkLoad(recs []cube.Record) error {
 	if err := ix.store.Drop(ix.head.Root); err != nil {
 		return err
 	}
-	ix.head.Root = level[0].Child
-	ix.head.RootMDS = level[0].MDS
+	ix.head.Root = level.flat.Child(0)
+	ix.head.RootMDS, _, err = mds.Decode(level.flat.EntryMDS(0))
 	ix.head.Count = int64(len(recs))
-	return nil
+	return err
 }
 
 // sortRecords returns the order of recs under BulkLoad's hierarchical key:
@@ -126,16 +123,16 @@ func (ix *Index) sortRecords(recs []cube.Record) ([]int, error) {
 }
 
 // pack builds one level of full nodes of the given kind over count sorted
-// children, in order, and returns the entries that reference them: a node
-// takes children while its encoding, with the next one added, still fits
-// one block, and at least two, in the blocks they need. grow(n, size, i) is
-// the length of n's encoding, size long now, once child i joins it; add(n,
-// i) adds child i.
-func (ix *Index) pack(leaf bool, count int, grow func(n *Node, size, i int) int, add func(n *Node, i int)) ([]Entry, error) {
-	var level []Entry
+// children, in order, and returns the level of entries that reference them:
+// a node takes children while its encoding, with the next one added, still
+// fits one block, and at least two, in the blocks they need. grow(n, size,
+// i) is the length of n's encoding, size long now, once child i joins it;
+// add(n, i) adds child i.
+func (ix *Index) pack(leaf bool, count int, grow func(n *Node, size, i int) int, add func(n *Node, i int)) (*Node, error) {
+	level := NewNode(NilNode, false, ix.schema.Dims(), ix.schema.Measures())
 	for lo := 0; lo < count; lo++ {
 		n := ix.store.New(leaf)
-		size := grow(n, n.encodedSize(), lo)
+		size := grow(n, len(n.flat.b), lo)
 		add(n, lo)
 		for ; lo+1 < count; lo++ {
 			next := grow(n, size, lo+1)
@@ -146,46 +143,40 @@ func (ix *Index) pack(leaf bool, count int, grow func(n *Node, size, i int) int,
 			add(n, lo+1)
 		}
 		n.setBlocks(ix.blocksFor(size))
-		e, err := ix.describe(n)
-		if err != nil {
+		if err := ix.describe(n, level); err != nil {
 			return nil, err
 		}
-		level = append(level, e)
 	}
 	return level, nil
 }
 
 // splitLevel builds the level over children as the split of one directory
 // of them all: two directories, or, when no split is acceptable, the
-// supernode it grew into (§4.2), and returns the entries that reference
-// them.
-func (ix *Index) splitLevel(children []Entry) ([]Entry, error) {
+// supernode it grew into (§4.2), and returns the level of entries that
+// reference them.
+func (ix *Index) splitLevel(children *FlatNode) (*Node, error) {
 	n := ix.store.New(false)
-	n.entries = children
-	e, err := ix.describe(n)
-	if err != nil {
+	n.frame(slices.Clone(children.b), children.count)
+	level := NewNode(NilNode, false, ix.schema.Dims(), ix.schema.Measures())
+	if err := ix.describe(n, level); err != nil {
 		return nil, err
 	}
-	res, err := ix.splitNode(n, e.MDS)
-	if err != nil || !res.split {
-		return []Entry{e}, err
+	if pair, err := ix.splitNode(n, ix.ws.edit.one(level.flat.EntryMDS(0))); err != nil || pair != nil {
+		return pair, err
 	}
-	return []Entry{
-		{MDS: res.origMDS, Agg: res.origAgg, Child: n.id},
-		{MDS: res.newMDS, Agg: res.newAgg, Child: res.newID},
-	}, nil
+	return level, nil
 }
 
-// describe returns the entry that references node n, as a split describes
-// a node: its cover, refined, and its aggregates.
-func (ix *Index) describe(n *Node) (Entry, error) {
+// describe appends to level the entry that references node n, as a split
+// describes a node: its cover, refined, and its aggregates.
+func (ix *Index) describe(n *Node, level *Node) error {
 	ws := ix.ws
 	m, err := mds.CoverInto(&ws.cover, ix.space(), ws.top, ws.entryMDSs(n))
 	if err == nil {
 		err = ix.refineMDS(n, m)
 	}
-	if err != nil {
-		return Entry{}, err
+	if err == nil {
+		level.appendEntry(m, n.aggregate(ws.agg), n.id)
 	}
-	return Entry{MDS: packMDS(m), Agg: n.aggregate(ix.schema.Measures()), Child: n.id}, nil
+	return err
 }

@@ -49,8 +49,8 @@ func (ix *Index) Delete(rec cube.Record) error {
 	// Collapse trivial roots: a directory root with one entry hands the
 	// root role to its only child.
 	collapsed := false
-	for !root.leaf && len(root.entries) == 1 {
-		child := root.entries[0].Child
+	for !root.leaf && root.Count() == 1 {
+		child := root.flat.Child(0)
 		if err := ix.store.Drop(root.id); err != nil {
 			return err
 		}
@@ -68,7 +68,8 @@ func (ix *Index) Delete(rec cube.Record) error {
 		return nil
 	}
 	if !collapsed {
-		if ok, _ := ix.repairCover(ix.head.RootMDS, root, rc, false); ok {
+		if ok, gone := ix.repairCover(ix.ws.levelsOf(ix.head.RootMDS), root, rc, false); ok {
+			dropGone(ix.head.RootMDS, rc, gone)
 			return nil
 		}
 	}
@@ -77,7 +78,7 @@ func (ix *Index) Delete(rec cube.Record) error {
 	if err != nil {
 		return err
 	}
-	storeMDS(ix.head.RootMDS, cover)
+	ix.head.RootMDS = cover.Clone()
 	return nil
 }
 
@@ -107,15 +108,14 @@ func (ix *Index) deleteFrom(id NodeID, rc *recContext, depth int) (*Node, error)
 		}
 		n.removeRecord(i)
 		ix.shrink(n)
-		ix.markDirty(n)
+		ix.store.MarkDirty(n.id)
 		return n, nil
 	}
 
 	for w, word := range ix.postings(n).containing(rc.anc, &ix.ws.probe[depth]) {
 		for ; word != 0; word &= word - 1 {
 			i := w*64 + bits.TrailingZeros64(word)
-			e := &n.entries[i]
-			child, err := ix.deleteFrom(e.Child, rc, depth+1)
+			child, err := ix.deleteFrom(n.flat.Child(i), rc, depth+1)
 			if err != nil {
 				return nil, err
 			}
@@ -126,33 +126,40 @@ func (ix *Index) deleteFrom(id NodeID, rc *recContext, depth int) (*Node, error)
 				if err := ix.store.Drop(child.id); err != nil {
 					return nil, err
 				}
-				n.entries = append(n.entries[:i], n.entries[i+1:]...)
+				n.removeEntry(i)
 				n.invalidatePostings()
 			} else {
-				// Repair the entry at its own relevant levels: the exact
-				// child cover lifted to the entry's levels is the minimal
-				// describing MDS there.
-				ok, removed := ix.repairCover(e.MDS, child, rc, true)
+				// Repair the entry at its own relevant levels, read where
+				// they lie: the exact child cover lifted to them is the
+				// minimal describing MDS there. It is decoded only to change.
+				ws := ix.ws
+				levels := ws.wireLevels(n.flat.EntryMDS(i))
+				ok, gone := ix.repairCover(levels, child, rc, true)
 				if !ok {
 					ix.c.repairFallbacks.Inc()
-					ws := ix.ws
-					cover, err := mds.CoverInto(&ws.cover, ix.space(), ws.levelsOf(e.MDS), ws.entryMDSs(child))
+					m, err := mds.CoverInto(&ws.cover, ix.space(), levels, ws.entryMDSs(child))
 					if err != nil {
 						return nil, err
 					}
-					storeMDS(e.MDS, cover)
+					n.setMDS(i, m)
+				} else if len(gone) > 0 {
+					m := ws.edit.one(n.flat.EntryMDS(i))
+					dropGone(m, rc, gone)
+					n.setMDS(i, m)
 				}
-				if removed || !ok {
+				if !ok || len(gone) > 0 {
 					n.invalidatePostings()
 				}
+				v := n.flat.aggs(i, ws.agg)
 				if child.leaf {
-					child.repairAggregate(e.Agg, rc.rec.Measures)
+					child.repairAggregate(v, rc.rec.Measures)
 				} else {
-					child.refoldEntries(e.Agg)
+					child.refoldEntries(v)
 				}
+				n.setAgg(i, v)
 			}
 			ix.shrink(n)
-			ix.markDirty(n)
+			ix.store.MarkDirty(n.id)
 			return n, nil
 		}
 	}
@@ -189,33 +196,37 @@ rows:
 	return -1
 }
 
-// repairCover brings m — the exact cover of node n's members at m's levels
-// before the record of rc left n's subtree — to the cover after, in place,
-// and reports ok; it reports !ok, having changed nothing, when the cover
-// would move a level, which is mds.CoverInto's to compute. removed reports
-// whether some value left m. An entry's repair (floor) keeps the entry's
-// levels as the floor: a member coarser than m raises it. The root MDS's
-// (no floor) takes its entries' coarsest levels, so any other level moves.
-func (ix *Index) repairCover(m mds.MDS, n *Node, rc *recContext, floor bool) (ok, removed bool) {
-	levels := ix.ws.memberLevels(n)
-	for d := range m {
-		if levels[d] > m[d].Level || (!floor && levels[d] != m[d].Level) {
-			return false, false
+// repairCover tells how m — the exact cover of node n's members at m's
+// levels, given as levels, before the record of rc left n's subtree —
+// becomes the cover after. It reports ok, and lists in gone the dimensions
+// whose value, the record's ancestor at m's level, leaves m (dropGone); or
+// !ok when the cover would move a level, which is mds.CoverInto's to
+// compute. An entry's repair (floor) keeps the entry's levels as the floor:
+// a member coarser than m raises it. The root MDS's (no floor) takes its
+// entries' coarsest levels, so any other level moves.
+func (ix *Index) repairCover(levels []int, n *Node, rc *recContext, floor bool) (ok bool, gone []int) {
+	members := ix.ws.memberLevels(n)
+	for d, level := range levels {
+		if members[d] > level || (!floor && members[d] != level) {
+			return false, nil
 		}
 	}
-	for d := range m {
-		level := m[d].Level
-		if level == hierarchy.LevelALL {
-			continue
-		}
-		anc := rc.anc[d][level]
-		if !ix.underAny(n, d, level, anc) {
-			ids := m[d].IDs
-			m[d].IDs = removeID(ids, anc)
-			removed = removed || len(m[d].IDs) < len(ids)
+	gone = ix.ws.gone[:0]
+	for d, level := range levels {
+		if level != hierarchy.LevelALL && !ix.underAny(n, d, level, rc.anc[d][level]) {
+			gone = append(gone, d)
 		}
 	}
-	return true, removed
+	ix.ws.gone = gone
+	return true, gone
+}
+
+// dropGone deletes from m, in each dimension of gone, the record's ancestor
+// at m's level.
+func dropGone(m mds.MDS, rc *recContext, gone []int) {
+	for _, d := range gone {
+		m[d].IDs = removeID(m[d].IDs, rc.anc[d][m[d].Level])
+	}
 }
 
 // underAny reports whether any member of n lies under anc, a value at the
@@ -255,8 +266,8 @@ func (ix *Index) underAny(n *Node, d, level int, anc hierarchy.ID) bool {
 			return false // no set finer than anc's to lift
 		}
 	}
-	for i := range n.entries {
-		ds := &n.entries[i].MDS[d]
+	for i := 0; i < n.flat.count; i++ {
+		ds := ix.ws.dimOf(&n.flat, i, d)
 		if ds.Level == level {
 			if !indexed && idMember(ds.IDs, anc) {
 				return true
@@ -279,7 +290,7 @@ func removeID(ids []hierarchy.ID, id hierarchy.ID) []hierarchy.ID {
 // shrink lets a supernode give blocks back once its occupancy allows. A
 // one-block node has none to give, and is not sized.
 func (ix *Index) shrink(n *Node) {
-	if n.blocks > 1 {
-		n.setBlocks(min(n.blocks, ix.nodeBlocks(n)))
+	if n.Blocks() > 1 {
+		n.setBlocks(min(n.Blocks(), ix.nodeBlocks(n)))
 	}
 }

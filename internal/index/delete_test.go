@@ -36,8 +36,8 @@ func deletePath(t *testing.T, ix *Index, rec cube.Record) []NodeID {
 				}
 			}
 		}
-		for i := range n.entries {
-			if rc.contains(n.entries[i].MDS) && probe(n.entries[i].Child) {
+		for _, e := range dirEntries(n) {
+			if rc.contains(e.MDS) && probe(e.Child) {
 				return true
 			}
 		}
@@ -128,11 +128,11 @@ func TestDeleteRepairMatchesCover(t *testing.T) {
 						if n == nil {
 							continue // the collapsed root
 						}
-						for j := range n.entries {
-							if e := &n.entries[j]; e.Child == path[i+1] {
+						for j, e := range dirEntries(n) {
+							if e.Child == path[i+1] {
 								what, child := fmt.Sprintf("step %d node %d entry %d", step, id, j), nodes.nodes[e.Child]
 								check(what, e.MDS, ix.ws.levelsOf(e.MDS), child)
-								if want := child.aggregate(ix.schema.Measures()); !e.Agg.Equal(want) {
+								if want := child.aggregate(cube.NewAggVector(child.nm)); !e.Agg.Equal(want) {
 									t.Fatalf("%s: refolded aggregate %v, child's %v", what, e.Agg, want)
 								}
 							}
@@ -209,9 +209,9 @@ func TestDeleteRepairAggregatesNaN(t *testing.T) {
 			if n == nil {
 				continue // the collapsed root
 			}
-			for j := range n.entries {
-				if e := &n.entries[j]; e.Child == path[i+1] {
-					want := nodes.nodes[e.Child].aggregate(ix.schema.Measures())
+			for j, e := range dirEntries(n) {
+				if e.Child == path[i+1] {
+					want := nodes.nodes[e.Child].aggregate(cube.NewAggVector(ix.schema.Measures()))
 					if !sameBits(e.Agg, want) {
 						t.Fatalf("step %d node %d entry %d: repaired %+v, refolded %+v", step, id, j, e.Agg, want)
 					}
@@ -259,7 +259,7 @@ func TestDeleteAllocations(t *testing.T) {
 		}
 		widest := 0
 		for _, n := range collectNodes(t, ix) {
-			widest = max(widest, len(n.entries))
+			widest = max(widest, len(dirEntries(n)))
 		}
 		if widest <= 64 {
 			t.Fatalf("the widest directory holds %d entries: no mask has a second word", widest)

@@ -13,22 +13,18 @@ import (
 )
 
 // checkDirectoriesFit fails unless every directory of the tree encodes to at
-// most its blocks × the one-block payload, and every node's size, as the
-// write path computes it, is the length of its encoding.
+// most its blocks × the one-block payload.
 func checkDirectoriesFit(t *testing.T, ix *Index) (directories int) {
 	t.Helper()
 	for _, n := range collectNodes(t, ix) {
 		size := len(ix.Encode(n))
-		if got := n.encodedSize(); got != size {
-			t.Fatalf("node %d: sized at %d bytes, encodes to %d", n.id, got, size)
-		}
 		if n.leaf {
 			continue
 		}
 		directories++
-		if size > n.blocks*ix.payload {
+		if size > n.Blocks()*ix.payload {
 			t.Errorf("directory %d of %d entries encodes to %d bytes, past its %d blocks × %d",
-				n.id, len(n.entries), size, n.blocks, ix.payload)
+				n.id, n.Count(), size, n.Blocks(), ix.payload)
 		}
 	}
 	return directories
@@ -102,15 +98,15 @@ func TestTwoEntryDirectoryGrows(t *testing.T) {
 		ix.cfg.MaxSupernodeBlocks = limit
 		n := ix.store.New(false)
 		for _, r := range recs[:2] {
-			n.entries = append(n.entries, Entry{MDS: mds.FromLeaves(r.Coords), Agg: cube.AggOfRecord(r.Measures)})
+			n.appendEntry(mds.FromLeaves(r.Coords), cube.AggOfRecord(r.Measures), NilNode)
 		}
 		if need := ix.nodeBlocks(n); need < 2 {
 			t.Fatalf("two entries need %d block of %d bytes: the case is not tiny enough", need, payload)
 		}
 		res, err := ix.splitNode(n, ix.ws.topMDS)
-		if err != nil || res.split || n.blocks != ix.nodeBlocks(n) {
+		if err != nil || res != nil || n.Blocks() != ix.nodeBlocks(n) {
 			t.Fatalf("cap %d: split=%v blocks=%d (need %d) err=%v: want the supernode",
-				limit, res.split, n.blocks, ix.nodeBlocks(n), err)
+				limit, res != nil, n.Blocks(), ix.nodeBlocks(n), err)
 		}
 		if err := ix.store.Drop(n.id); err != nil {
 			t.Fatal(err)
@@ -148,11 +144,11 @@ func TestBulkLoadSplitsATwoBlockLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := store.nodes[ix.Root()]
-	if c := ix.Counters(); ix.Height() != 3 || len(root.entries) != 2 || c.SplitsHierarchy != 1 {
+	if c := ix.Counters(); ix.Height() != 3 || root.Count() != 2 || c.SplitsHierarchy != 1 {
 		t.Fatalf("height %d, root of %d entries, counters %+v: want one hierarchy split under the root",
-			ix.Height(), len(root.entries), c)
+			ix.Height(), root.Count(), c)
 	}
-	a, b := len(store.nodes[root.entries[0].Child].entries), len(store.nodes[root.entries[1].Child].entries)
+	a, b := store.nodes[root.flat.Child(0)].Count(), store.nodes[root.flat.Child(1)].Count()
 	if minFill := int(ix.cfg.MinFillRatio * float64(a+b)); a < minFill || b < minFill {
 		t.Fatalf("directories of %d and %d entries: a split keeps %d in each", a, b, minFill)
 	}

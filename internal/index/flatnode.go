@@ -8,7 +8,6 @@ import (
 
 	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/hierarchy"
-	"github.com/dcindex/dctree/internal/mds"
 )
 
 // Node encoding (one extent per node): a fixed-stride flat layout designed
@@ -73,11 +72,10 @@ func dirLayoutSizes(count, measures int) (aggBase, fixBase, mdsBase int) {
 // the offset table's closing slot. Each entry adds its entrySize.
 const dirSize = flatHeaderSize + 4
 
-// entrySize returns the bytes an entry of MDS m adds to a directory's
-// encoding: its offset-table slot, aggregates, child and MDS blob.
-func entrySize(m mds.MDS, measures int) int {
-	return 4 + flatAggStride*measures + 8 + m.EncodedSize()
-}
+// entrySize returns the bytes an entry whose MDS blob is blob bytes long
+// adds to a directory's encoding: its offset-table slot, aggregates, child
+// and MDS blob.
+func entrySize(blob, measures int) int { return 4 + flatAggStride*measures + 8 + blob }
 
 // leafSize returns the length of a data node's encoding: the header, the
 // widths and count rows of stride bytes.
@@ -86,51 +84,13 @@ func leafSize(dims, count, stride int) int { return flatHeaderSize + dims + coun
 // widthMask returns the mask that cuts a 4-byte load to a code of w bytes.
 func widthMask(w byte) uint32 { return uint32(1)<<(8*w) - 1 }
 
-// appendEncodeDir serializes a directory node. The fixed-size prefix
-// (header, offset table, agg and child areas) is reserved up front and
-// filled by indexed writes; the MDS blobs are appended behind it, each one
-// recording its start in the offset table as it goes — no second sizing
-// pass over the MDS encodings. A data node needs no encoder: it is its
-// encoding.
-func (n *Node) appendEncodeDir(buf []byte, measures int) []byte {
-	count := len(n.entries)
-	aggBase, fixBase, mdsBase := dirLayoutSizes(count, measures)
-	start := len(buf)
-	buf = append(buf, make([]byte, mdsBase)...)
-	hdr := buf[start : start+mdsBase]
-	hdr[0] = flatMagic
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(n.blocks))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(count))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(mdsBase))
-	for i := range n.entries {
-		e := &n.entries[i]
-		for j, g := range e.Agg {
-			a := aggBase + flatAggStride*(measures*i+j)
-			binary.LittleEndian.PutUint64(hdr[a:], math.Float64bits(g.Sum))
-			binary.LittleEndian.PutUint64(hdr[a+8:], uint64(g.Count))
-			binary.LittleEndian.PutUint64(hdr[a+16:], math.Float64bits(g.Min))
-			binary.LittleEndian.PutUint64(hdr[a+24:], math.Float64bits(g.Max))
-		}
-		binary.LittleEndian.PutUint64(hdr[fixBase+8*i:], uint64(e.Child))
-	}
-	// MDS area + offset table. Appends may reallocate buf, so the table is
-	// written through buf (re-indexed each round), never through hdr.
-	for i := range n.entries {
-		binary.LittleEndian.PutUint32(buf[start+flatHeaderSize+4*i:], uint32(len(buf)-start-mdsBase))
-		buf = n.entries[i].MDS.AppendEncode(buf)
-	}
-	binary.LittleEndian.PutUint32(buf[start+flatHeaderSize+4*count:], uint32(len(buf)-start-mdsBase))
-	binary.LittleEndian.PutUint32(buf[start+16:], uint32(len(buf)-start))
-	return buf
-}
-
 // FlatNode is a read-only view of an encoded node payload — a mapped
-// extent, a pooled read buffer, a version's overlay payload, a heap data
-// node's block or a heap directory's read image. It owns nothing: every
-// accessor is pointer math over b, and b must stay valid for the
-// FlatNode's lifetime (the descent bounds it by the host's hold or a
-// version pin). The zero value is invalid; MakeFlatNode validates the
-// frame once so the fixed-stride accessors can skip per-call checks.
+// extent, a pooled read buffer, a version's overlay payload or a heap
+// node's own block. It owns nothing: every accessor is pointer math over
+// b, and b must stay valid for the FlatNode's lifetime (the descent bounds
+// it by the host's hold or a version pin). The zero value is invalid;
+// MakeFlatNode validates the frame once so the fixed-stride accessors can
+// skip per-call checks.
 //
 // A data node's row stride and the offset of its measures in a row are
 // summed from its widths when it is framed, once per visit.
@@ -140,6 +100,7 @@ type FlatNode struct {
 	leaf     bool
 	blocks   int
 	count    int
+	dims     int
 	measures int
 	aggBase  int
 	fixBase  int // a directory's child area; a data node's rows
@@ -198,14 +159,14 @@ func (f *FlatNode) Frame(id NodeID, b []byte, dims, measures int) error {
 }
 
 // FrameTrusted fills f with payload b framed where it lies, unchecked: a
-// flat encoding this process produced (Index.Encode, a heap node's block or
-// read image), or one Frame is about to check.
+// flat encoding this process produced (Index.Encode, a heap node's block),
+// or one Frame is about to check.
 func (f *FlatNode) FrameTrusted(id NodeID, b []byte, dims, measures int) {
 	f.id, f.b = id, b
 	f.leaf = b[1]&nodeFlagLeaf != 0
 	f.blocks = int(binary.LittleEndian.Uint32(b[4:]))
 	f.count = int(binary.LittleEndian.Uint32(b[8:]))
-	f.measures = measures
+	f.dims, f.measures = dims, measures
 	if !f.leaf {
 		f.aggBase, f.fixBase, f.mdsBase = dirLayoutSizes(f.count, measures)
 		return
@@ -237,23 +198,29 @@ func (f *FlatNode) shape() (leaf bool, count, blocks, size int) {
 
 // CheckTable validates what MakeFlatNode leaves to first use in a
 // directory: the offset table (first offset zero, monotone, ending at the
-// payload's end) and non-nil children. A data node has neither.
+// payload's end), each entry's blob, one MDS of the schema's dimensions as
+// mds.Decode frames it, and non-nil children. A data node has none of them.
+// A directory that passes is read by the write path where it lies, without
+// further checks.
 func (f *FlatNode) CheckTable() error {
 	if f.leaf {
 		return nil
 	}
-	prev := uint32(0)
+	prev := 0
 	for i := 0; i <= f.count; i++ {
-		off := binary.LittleEndian.Uint32(f.b[flatHeaderSize+4*i:])
-		if off < prev || int(off) > len(f.b)-f.mdsBase || (i == 0 && off != 0) {
+		off := f.off(i)
+		if off < prev || off > len(f.b)-f.mdsBase || (i == 0 && off != 0) {
 			return fmt.Errorf("%w: node %d: flat offset table entry %d", ErrCorrupt, f.id, i)
 		}
 		prev = off
 	}
-	if int(prev) != len(f.b)-f.mdsBase {
+	if prev != len(f.b)-f.mdsBase {
 		return fmt.Errorf("%w: node %d: flat mds area length", ErrCorrupt, f.id)
 	}
 	for i := 0; i < f.count; i++ {
+		if !wireMDS(f.EntryMDS(i), f.dims) {
+			return fmt.Errorf("%w: node %d entry %d: malformed mds", ErrCorrupt, f.id, i)
+		}
 		if f.Child(i) == NilNode {
 			return fmt.Errorf("%w: node %d entry %d: nil child", ErrCorrupt, f.id, i)
 		}
@@ -261,27 +228,72 @@ func (f *FlatNode) CheckTable() error {
 	return nil
 }
 
+// off returns a directory's offset table entry k: where entry k's MDS blob
+// starts in the MDS area, or, for k = count, the area's length.
+func (f *FlatNode) off(k int) int {
+	return int(binary.LittleEndian.Uint32(f.b[flatHeaderSize+4*k:]))
+}
+
 // EntryMDS returns directory entry i's MDS wire encoding, in place; nil
 // when the offset table does not bound it inside the payload (which the
 // directory matcher then reports as malformed).
 func (f *FlatNode) EntryMDS(i int) []byte {
-	o := int(binary.LittleEndian.Uint32(f.b[flatHeaderSize+4*i:]))
-	e := int(binary.LittleEndian.Uint32(f.b[flatHeaderSize+4*i+4:]))
+	o, e := f.off(i), f.off(i+1)
 	if o > e || e > len(f.b)-f.mdsBase {
 		return nil
 	}
 	return f.b[f.mdsBase+o : f.mdsBase+e]
 }
 
+// wireMDS reports whether b is exactly one MDS wire encoding of dims
+// dimensions: each a level byte, a uvarint count and that many IDs, and
+// ALL, and only ALL, without values.
+func wireMDS(b []byte, dims int) bool {
+	if len(b) == 0 || int(b[0]) != dims {
+		return false
+	}
+	d, o := 0, 1
+	for ; d < dims && o < len(b); d++ {
+		count, k := binary.Uvarint(b[o+1:])
+		if k <= 0 || (b[o] == hierarchy.LevelALL) != (count == 0) || count > uint64(len(b)-o-1-k)/4 {
+			return false
+		}
+		o += 1 + k + 4*int(count)
+	}
+	return d == dims && o == len(b)
+}
+
+// nextSet reads the dimension set at offset o of an MDS wire encoding that
+// CheckTable passed: its level, its value count (0 for ALL) and the offset
+// of its values, the next set following 4 × count bytes on.
+func nextSet(b []byte, o int) (level, count, at int) {
+	c, k := uint64(b[o+1]), 1 // a uvarint below 128 is one byte
+	if c >= 0x80 {
+		c, k = binary.Uvarint(b[o+1:])
+	}
+	return int(b[o]), int(c), o + 1 + k
+}
+
+// aggAt returns the offset of directory entry i's aggregate of measure j.
+func (f *FlatNode) aggAt(i, j int) int { return f.aggBase + flatAggStride*(f.measures*i+j) }
+
 // Agg returns directory entry i's aggregate of measure j.
 func (f *FlatNode) Agg(i, j int) cube.Agg {
-	a := f.aggBase + flatAggStride*(f.measures*i+j)
+	b := f.b[f.aggAt(i, j):][:flatAggStride] // one bounds check for the four loads
 	return cube.Agg{
-		Sum:   math.Float64frombits(binary.LittleEndian.Uint64(f.b[a:])),
-		Count: int64(binary.LittleEndian.Uint64(f.b[a+8:])),
-		Min:   math.Float64frombits(binary.LittleEndian.Uint64(f.b[a+16:])),
-		Max:   math.Float64frombits(binary.LittleEndian.Uint64(f.b[a+24:])),
+		Sum:   math.Float64frombits(binary.LittleEndian.Uint64(b)),
+		Count: int64(binary.LittleEndian.Uint64(b[8:])),
+		Min:   math.Float64frombits(binary.LittleEndian.Uint64(b[16:])),
+		Max:   math.Float64frombits(binary.LittleEndian.Uint64(b[24:])),
 	}
+}
+
+// aggs loads directory entry i's aggregates into v and returns it.
+func (f *FlatNode) aggs(i int, v cube.AggVector) cube.AggVector {
+	for j := range v {
+		v[j] = f.Agg(i, j)
+	}
+	return v
 }
 
 // Child returns directory entry i's child node id.
@@ -335,30 +347,11 @@ func (f *FlatNode) row(i int, rec cube.Record) {
 	}
 }
 
-// entryMDS decodes directory entry i's MDS from its wire encoding, which
-// must hold exactly one MDS.
-func (f *FlatNode) entryMDS(i int) (mds.MDS, error) {
-	b := f.EntryMDS(i)
-	m, k, err := mds.Decode(b)
-	if err != nil || k != len(b) {
-		return nil, fmt.Errorf("%w: node %d entry %d mds: %v", ErrCorrupt, f.id, i, err)
-	}
-	return m, nil
-}
-
 // DecodeNode materializes a payload as a heap node — the write path, and a
-// host whose store serves no views, need mutable *Nodes.
-//
-// A data node is a copy of its payload, once its coordinates are found to
-// be leaf-level values, which the row tests assume, and its widths exactly
-// those its codes need. A directory's per-entry state is carved out of
-// node-scoped arenas — one backing array each for aggregate vectors and
-// the MDS dimension sets and ID values — so a node of k entries decodes
-// with O(1) slice allocations instead of O(k).
-// Every carve is a capacity-capped subslice: when an arena grows and
-// reallocates, earlier entries keep aliasing the old backing array, which
-// stays correct because decoded values are only ever mutated in place
-// within an entry's own disjoint region, never appended through.
+// host whose store serves no views, need mutable *Nodes: a copy of the
+// payload once its frame and, for a directory, its table pass. A data node's
+// coordinates must be leaf-level values, which the row tests assume, and its
+// widths exactly those its codes need.
 func DecodeNode(id NodeID, buf []byte, dims, measures int) (*Node, error) {
 	f, err := MakeFlatNode(id, buf, dims, measures)
 	if err == nil {
@@ -367,36 +360,19 @@ func DecodeNode(id NodeID, buf []byte, dims, measures int) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{id: id, leaf: f.leaf, blocks: f.blocks, dims: dims, nm: measures}
-	if f.leaf {
-		n.flat.FrameTrusted(id, slices.Clone(f.b), dims, measures)
-		n.top = make([]uint32, dims)
-		for d, w := range f.widths() {
-			// Coordinates are leaf values, and widths exact: the node needs
-			// the bytes its encoder did.
-			if n.top[d] = n.columnTop(d, -1); n.top[d] > hierarchy.MaxCode || codeWidth(n.top[d]) != int(w) {
-				return nil, fmt.Errorf("%w: node %d: dimension %d of code width %d holds coordinates up to %v, not leaf values of that width",
-					ErrCorrupt, id, d, w, hierarchy.ID(n.top[d]))
-			}
-		}
+	n := &Node{id: id, leaf: f.leaf, dims: dims, nm: measures}
+	n.flat.FrameTrusted(id, slices.Clone(f.b), dims, measures)
+	if !n.leaf {
 		return n, nil
 	}
-	n.entries = make([]Entry, f.count)
-	aggArena := make(cube.AggVector, f.count*measures)
-	var dimArena []mds.DimSet
-	var idArena []hierarchy.ID
-	for i := range n.entries {
-		e := &n.entries[i]
-		m, k, err := mds.AppendDecode(f.EntryMDS(i), &dimArena, &idArena)
-		if err != nil || k != len(f.EntryMDS(i)) {
-			return nil, fmt.Errorf("%w: node %d entry %d mds: %v", ErrCorrupt, id, i, err)
+	n.top = make([]uint32, dims)
+	for d, w := range f.widths() {
+		// Coordinates are leaf values, and widths exact: the node needs
+		// the bytes its encoder did.
+		if n.top[d] = n.columnTop(d, -1); n.top[d] > hierarchy.MaxCode || codeWidth(n.top[d]) != int(w) {
+			return nil, fmt.Errorf("%w: node %d: dimension %d of code width %d holds coordinates up to %v, not leaf values of that width",
+				ErrCorrupt, id, d, w, hierarchy.ID(n.top[d]))
 		}
-		e.MDS = m
-		e.Agg = aggArena[i*measures : (i+1)*measures : (i+1)*measures]
-		for j := 0; j < measures; j++ {
-			e.Agg[j] = f.Agg(i, j)
-		}
-		e.Child = f.Child(i)
 	}
 	return n, nil
 }

@@ -37,7 +37,7 @@ func grownNodes(t testing.TB) (ix *Index, nodes []*Node) {
 		}
 	}
 	nodes = collectNodes(t, ix)
-	if !slices.ContainsFunc(nodes, func(n *Node) bool { return n.leaf && n.blocks > 1 }) {
+	if !slices.ContainsFunc(nodes, func(n *Node) bool { return n.leaf && n.Blocks() > 1 }) {
 		t.Fatal("no data supernode grew: the codec's multi-block case is not covered")
 	}
 	return ix, nodes
@@ -46,7 +46,7 @@ func grownNodes(t testing.TB) (ix *Index, nodes []*Node) {
 // sameRows reports whether two data nodes agree in Blocks, Count and every
 // coordinate and measure, measures compared by their bits.
 func sameRows(a, b *Node) bool {
-	if a.blocks != b.blocks || a.Count() != b.Count() {
+	if a.Blocks() != b.Blocks() || a.Count() != b.Count() {
 		return false
 	}
 	for i := 0; i < a.Count(); i++ {
@@ -82,7 +82,7 @@ func TestDataNodePayloadIsRows(t *testing.T) {
 			stride += w
 		}
 		if want := flatHeaderSize + dims + n.Count()*stride; len(buf) != want {
-			t.Fatalf("node %d (%d records, %d blocks): payload %d bytes, want %d", n.id, n.Count(), n.blocks, len(buf), want)
+			t.Fatalf("node %d (%d records, %d blocks): payload %d bytes, want %d", n.id, n.Count(), n.Blocks(), len(buf), want)
 		}
 		dec, err := DecodeNode(n.id, buf, dims, measures)
 		if err != nil {
@@ -231,7 +231,7 @@ func layRows(n *Node, widths []byte) []byte {
 	}
 	b := make([]byte, leafSize(n.dims, n.Count(), stride))
 	b[0], b[1] = flatMagic, nodeFlagLeaf
-	binary.LittleEndian.PutUint32(b[4:], uint32(n.blocks))
+	binary.LittleEndian.PutUint32(b[4:], uint32(n.Blocks()))
 	binary.LittleEndian.PutUint32(b[8:], uint32(n.Count()))
 	binary.LittleEndian.PutUint32(b[12:], uint32(len(b)))
 	binary.LittleEndian.PutUint32(b[16:], uint32(len(b)))
@@ -296,7 +296,6 @@ func TestValidateReadsEncodedBytes(t *testing.T) {
 	encoded := func() encodedNodes {
 		src := encodedNodes{b: map[NodeID][]byte{}, dims: dims, nm: measures}
 		for _, n := range nodes {
-			// A directory's encoding is its read image: damage a copy.
 			src.b[n.id] = append([]byte(nil), ix.Encode(n)...)
 		}
 		return src
@@ -316,11 +315,12 @@ func TestValidateReadsEncodedBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range dec.entries {
-				for d, ds := range dec.entries[i].MDS {
+			for i, e := range dirEntries(dec) {
+				for d, ds := range e.MDS {
 					if ds.Level != hierarchy.LevelALL && len(ds.IDs) > 1 {
-						dec.entries[i].MDS[d].IDs = ds.IDs[1:]
-						return n.id, dec.appendEncodeDir(nil, measures)
+						e.MDS[d].IDs = ds.IDs[1:]
+						dec.setMDS(i, e.MDS)
+						return n.id, dec.flat.b
 					}
 				}
 			}
@@ -373,7 +373,7 @@ func FuzzDecodeFlatNode(f *testing.F) {
 	var leaf, dir, super *Node
 	for _, n := range nodes {
 		switch {
-		case n.blocks > 1:
+		case n.Blocks() > 1:
 			super = n
 		case n.leaf && leaf == nil:
 			leaf = n
@@ -481,8 +481,9 @@ func requireNodesEqual(t *testing.T, got, want *Node) {
 			}
 		}
 	}
-	for i, we := range want.Entries() {
-		ge := got.Entries()[i]
+	gotEntries := dirEntries(got)
+	for i, we := range dirEntries(want) {
+		ge := gotEntries[i]
 		if !ge.MDS.Equal(we.MDS) {
 			t.Fatalf("node %d entry %d: MDS %v != %v", want.ID(), i, ge.MDS, we.MDS)
 		}
@@ -532,7 +533,7 @@ func TestFlatNodeRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		for i, e := range n.Entries() {
+		for i, e := range dirEntries(n) {
 			wantMDS := e.MDS.AppendEncode(nil)
 			if !bytes.Equal(f.EntryMDS(i), wantMDS) {
 				t.Fatalf("node %d entry %d: flat MDS bytes differ", n.ID(), i)
@@ -606,7 +607,7 @@ func TestFlatNodeMDSView(t *testing.T) {
 		}
 		var dimArena []mds.DimSet
 		var idArena []hierarchy.ID
-		for i, e := range n.Entries() {
+		for i, e := range dirEntries(n) {
 			b := f.EntryMDS(i)
 			got, k, err := mds.AppendDecode(b, &dimArena, &idArena)
 			if err != nil || k != len(b) {

@@ -69,12 +69,8 @@ func levelStats(ix *Index) ([]LevelStat, error) {
 
 // flatOf frames a copy of n's flat encoding as node id, unchecked.
 func flatOf(id NodeID, n *Node, dims, measures int) FlatNode {
-	b := slices.Clone(n.flat.b)
-	if !n.leaf {
-		b = n.appendEncodeDir(nil, measures)
-	}
 	var f FlatNode
-	f.FrameTrusted(id, b, dims, measures)
+	f.FrameTrusted(id, slices.Clone(n.flat.b), dims, measures)
 	return f
 }
 
@@ -165,17 +161,46 @@ func newTestIndex(t testing.TB, cfg Config) *Index {
 	return ix
 }
 
+// entry is a directory entry as a test reads it: the MDS, aggregates and
+// child decoded from the node's bytes.
+type entry struct {
+	MDS   mds.MDS
+	Agg   cube.AggVector
+	Child NodeID
+}
+
+// dirEntries decodes a directory's entries from its bytes; a data node has
+// none.
+func dirEntries(n *Node) []entry {
+	if n.leaf {
+		return nil
+	}
+	f := &n.flat
+	out := make([]entry, f.count)
+	for i := range out {
+		m, _, err := mds.Decode(f.EntryMDS(i))
+		if err != nil {
+			panic(err)
+		}
+		out[i] = entry{MDS: m, Agg: cube.NewAggVector(n.nm), Child: f.Child(i)}
+		for j := range out[i].Agg {
+			out[i].Agg[j] = f.Agg(i, j)
+		}
+	}
+	return out
+}
+
 // entriesOf lists a node's entries the way the encoding carries them: a
 // directory's own, and for a data node one per record with the singleton
 // MDS and the one-record aggregates synthesized from the row.
-func entriesOf(n *Node) []Entry {
+func entriesOf(n *Node) []entry {
 	if !n.leaf {
-		return n.entries
+		return dirEntries(n)
 	}
-	out := make([]Entry, n.Count())
+	out := make([]entry, n.Count())
 	for i := range out {
 		rec := n.Record(i)
-		out[i] = Entry{MDS: mds.FromLeaves(rec.Coords), Agg: cube.AggOfRecord(rec.Measures)}
+		out[i] = entry{MDS: mds.FromLeaves(rec.Coords), Agg: cube.AggOfRecord(rec.Measures)}
 	}
 	return out
 }
@@ -191,8 +216,8 @@ func collectNodes(t testing.TB, ix *Index) []*Node {
 			t.Fatalf("Get(%d): %v", id, err)
 		}
 		nodes = append(nodes, n)
-		for i := range n.entries {
-			walk(n.entries[i].Child)
+		for i := 0; !n.leaf && i < n.Count(); i++ {
+			walk(n.flat.Child(i))
 		}
 	}
 	walk(ix.head.Root)

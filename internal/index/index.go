@@ -119,7 +119,6 @@ type counters struct {
 	rootSplits       obs.Counter
 	maskPoolHits     obs.Counter
 	maskPoolMisses   obs.Counter
-	readImageBuilds  obs.Counter
 	repairFallbacks  obs.Counter
 	postingBuilds    obs.Counter
 }
@@ -136,8 +135,6 @@ type Counters struct {
 	// Queries whose mask arenas were recycled from the pool vs. allocated.
 	MaskPoolHits   int64
 	MaskPoolMisses int64
-	// Read images built for heap directories.
-	ReadImageBuilds int64
 	// Delete repairs of an entry or the root MDS that moved a level and so
 	// rebuilt the cover (mds.CoverInto) instead of dropping one value.
 	DeleteRepairFallbacks int64
@@ -221,7 +218,6 @@ func (ix *Index) Counters() Counters {
 		RootSplits:            c.rootSplits.Load(),
 		MaskPoolHits:          c.maskPoolHits.Load(),
 		MaskPoolMisses:        c.maskPoolMisses.Load(),
-		ReadImageBuilds:       c.readImageBuilds.Load(),
 		DeleteRepairFallbacks: c.repairFallbacks.Load(),
 		PostingBuilds:         c.postingBuilds.Load(),
 	}
@@ -229,10 +225,3 @@ func (ix *Index) Counters() Counters {
 
 // space is shorthand for the schema's dimension hierarchies.
 func (ix *Index) space() mds.Space { return ix.schema.Space() }
-
-// markDirty drops a node's read image and tells the store its state
-// changed: every mutation of a node marks it within the same exclusive hold.
-func (ix *Index) markDirty(n *Node) {
-	n.img.Store(nil)
-	ix.store.MarkDirty(n.id)
-}

@@ -9,21 +9,6 @@ import (
 	"github.com/dcindex/dctree/internal/mds"
 )
 
-// insertResult reports the outcome of an insertion into a subtree to the
-// parent level. When split is true the child node was divided in two: the
-// original node id kept the first group, newID holds the second, and the
-// exact covers/aggregates of both are returned so the parent can replace
-// its entry (incremental updates are not sufficient after a split, because
-// splitting can lower the relevant level of a dimension, §3.2).
-type insertResult struct {
-	split   bool
-	newID   NodeID
-	origMDS mds.MDS
-	newMDS  mds.MDS
-	origAgg cube.AggVector
-	newAgg  cube.AggVector
-}
-
 // Insert adds one data record to the tree, maintaining all directory MDSs
 // and materialized aggregates on the insertion path (Fig. 4). The record's
 // coordinates must be leaf-level IDs registered in the schema's dimension
@@ -38,23 +23,21 @@ func (ix *Index) Insert(rec cube.Record) error {
 	// The root's relevant levels are always (ALL,…,ALL): it describes the
 	// whole cube, so its first split refines some dimension to the top
 	// named level (the paper's initial MDS, §3.2).
-	res, err := ix.insertInto(ix.head.Root, ix.ws.topMDS, rc)
+	pair, err := ix.insertInto(ix.head.Root, ix.ws.topWire, rc)
 	if err != nil {
 		return err
 	}
-	if res.split {
-		// The root was split: grow the tree by one level (the only way a
-		// DC-tree gains height).
+	if pair != nil {
+		// The root was split: the pair of entries that describe its halves
+		// is the new root, one level up (the only way a DC-tree gains
+		// height).
 		ix.c.rootSplits.Inc()
 		newRoot := ix.store.New(false)
-		newRoot.entries = []Entry{
-			{MDS: res.origMDS, Agg: res.origAgg, Child: ix.head.Root},
-			{MDS: res.newMDS, Agg: res.newAgg, Child: res.newID},
-		}
-		newRoot.blocks = ix.nodeBlocks(newRoot)
+		newRoot.frame(pair.flat.b, pair.Count())
+		newRoot.setBlocks(ix.nodeBlocks(newRoot))
 		ix.head.Root = newRoot.id
 		ix.head.Height++
-		if ix.head.RootMDS, err = mds.Cover(ix.space(), res.origMDS, res.newMDS); err != nil {
+		if ix.head.RootMDS, err = mds.Cover(ix.space(), ix.ws.entryMDSs(pair)...); err != nil {
 			return err
 		}
 	} else {
@@ -65,61 +48,84 @@ func (ix *Index) Insert(rec cube.Record) error {
 }
 
 // insertInto inserts the record into the subtree rooted at id, whose
-// describing MDS is nodeMDS (the parent entry's MDS, or Top for the root).
-func (ix *Index) insertInto(id NodeID, nodeMDS mds.MDS, rc *recContext) (insertResult, error) {
+// describing MDS is nodeMDS, in its wire encoding: the parent entry's, in
+// the parent's block, which no write changes until the subtree's insert
+// returns, or Top's for the root. When the subtree's root splits, it
+// returns the pair of entries that describe the halves (splitNode).
+func (ix *Index) insertInto(id NodeID, nodeMDS []byte, rc *recContext) (pair *Node, err error) {
 	n, err := ix.store.Get(id)
 	if err != nil {
-		return insertResult{}, err
+		return nil, err
 	}
-	ix.markDirty(n)
+	ix.store.MarkDirty(n.id)
 
 	if n.leaf {
 		n.appendRecord(rc.rec)
-		if ix.nodeBlocks(n) <= n.blocks {
-			return insertResult{}, nil
+		if ix.nodeBlocks(n) <= n.Blocks() {
+			return nil, nil
 		}
-		return ix.splitNode(n, nodeMDS)
+		return ix.splitNode(n, ix.ws.edit.one(nodeMDS))
 	}
 
 	// Directory node (Fig. 4): update the chosen entry's measure value and
 	// MDS, then descend. A containing entry's cover is itself, but it is
 	// still bounded: a bulk-loaded entry may hold more values than the bound.
+	// Its counts are read where they lie; only an entry that changes is
+	// decoded, and spliced back.
 	idx, contained, err := ix.chooseSubtree(n, rc)
 	if err != nil {
-		return insertResult{}, err
+		return nil, err
 	}
-	e := &n.entries[idx]
-	if !contained {
-		rc.cover(e.MDS)
+	_, _, most := shapeOf(n.flat.EntryMDS(idx))
+	if bound := 2 * ix.cfg.RefineBound; !contained || bound > 0 && most > bound {
+		m := ix.ws.edit.one(n.flat.EntryMDS(idx))
+		if !contained {
+			rc.cover(m)
+		}
+		ix.boundMDS(m)
+		n.setMDS(idx, m)
 		n.invalidatePostings()
 	}
-	if ix.boundMDS(e.MDS) {
-		n.invalidatePostings()
-	}
-	e.Agg.Merge(rc.agg)
+	v := n.flat.aggs(idx, ix.ws.agg)
+	v.Merge(rc.agg)
+	n.setAgg(idx, v)
 
-	res, err := ix.insertInto(e.Child, e.MDS, rc)
-	if err != nil {
-		return insertResult{}, err
+	if pair, err = ix.insertInto(n.flat.Child(idx), n.flat.EntryMDS(idx), rc); err != nil {
+		return nil, err
 	}
-	if res.split {
-		// The child was split: refresh this entry with the exact cover of
-		// the first group and add a new son for the second (Fig. 4 "Insert
-		// new son"). Re-resolve the entry pointer: the recursion cannot
-		// have mutated this node, but the compiler cannot know that.
-		e = &n.entries[idx]
-		e.MDS = res.origMDS
-		e.Agg = res.origAgg
-		n.entries = append(n.entries, Entry{MDS: res.newMDS, Agg: res.newAgg, Child: res.newID})
+	if pair != nil {
+		// The child was split: this entry takes the pair's first, the exact
+		// cover of the first group, and the second is a new son (Fig. 4
+		// "Insert new son").
+		blob := pair.flat.EntryMDS(0)
+		copy(n.mdsSlot(idx, len(blob)), blob)
+		n.setAgg(idx, pair.flat.aggs(0, ix.ws.agg))
+		n.copyEntry(&pair.flat, 1)
 		n.invalidatePostings()
 	} else if contained {
-		return insertResult{}, nil
+		return nil, nil
 	}
 	// An entry was added or grew: the node may overflow its blocks.
-	if ix.nodeBlocks(n) <= n.blocks {
-		return insertResult{}, nil
+	if ix.nodeBlocks(n) <= n.Blocks() {
+		return nil, nil
 	}
-	return ix.splitNode(n, nodeMDS)
+	return ix.splitNode(n, ix.ws.edit.one(nodeMDS))
+}
+
+// shapeOf returns the volume and the size of the MDS an entry's wire
+// encoding holds, as MDS.Volume and MDS.Size compute them, and the most
+// values a dimension of it holds below ALL, read where it lies.
+func shapeOf(b []byte) (vol float64, size, most int) {
+	vol = 1
+	for d, o := 0, 1; d < int(b[0]); d++ {
+		_, count, at := nextSet(b, o)
+		o = at + 4*count
+		most = max(most, count)
+		count = max(1, count) // ALL holds one value, ALL
+		vol *= float64(count)
+		size += count
+	}
+	return vol, size, most
 }
 
 // chooseSubtree selects the directory entry to follow for a record
@@ -143,7 +149,8 @@ func (ix *Index) insertInto(id NodeID, nodeMDS mds.MDS, rc *recContext) (insertR
 // the costs are summed only when no entry contains the record. contained
 // reports which of the two decided.
 func (ix *Index) chooseSubtree(n *Node, rc *recContext) (best int, contained bool, err error) {
-	if len(n.entries) == 0 {
+	f := &n.flat
+	if f.count == 0 {
 		return 0, false, fmt.Errorf("%w: empty directory node %d", ErrCorrupt, n.id)
 	}
 	best = -1
@@ -152,9 +159,16 @@ func (ix *Index) chooseSubtree(n *Node, rc *recContext) (best int, contained boo
 	for w, word := range ix.postings(n).containing(rc.anc, &ix.ws.contain) {
 		for ; word != 0; word &= word - 1 {
 			i := w*64 + bits.TrailingZeros64(word)
-			m := n.entries[i].MDS
-			vol, size := m.Volume(), m.Size()
-			if best == -1 || vol < bestVol || (vol == bestVol && size < bestSize) {
+			// The first containing entry is measured only when a second
+			// one contends with it; an MDS's size is never 0.
+			if best == -1 {
+				best = i
+				continue
+			}
+			if bestSize == 0 {
+				bestVol, bestSize, _ = shapeOf(f.EntryMDS(best))
+			}
+			if vol, size, _ := shapeOf(f.EntryMDS(i)); vol < bestVol || (vol == bestVol && size < bestSize) {
 				best, bestVol, bestSize = i, vol, size
 			}
 		}
@@ -164,16 +178,15 @@ func (ix *Index) chooseSubtree(n *Node, rc *recContext) (best int, contained boo
 	}
 
 	var bestCost float64
-	for i := range n.entries {
-		e := &n.entries[i]
+	for i := 0; i < f.count; i++ {
+		m := ix.ws.entry.one(f.EntryMDS(i))
 		// An entry whose cost passes the best one seen cannot win: the
 		// evaluation stops there, and its volume and size are never needed.
-		cost, within := ix.enlargementCost(e.MDS, rc, bestCost, best >= 0)
+		cost, within := ix.enlargementCost(m, rc, bestCost, best >= 0)
 		if !within {
 			continue
 		}
-		vol := e.MDS.Volume()
-		size := e.MDS.Size()
+		vol, size := m.Volume(), m.Size()
 		better := best == -1 ||
 			cost < bestCost ||
 			(cost == bestCost && vol < bestVol) ||

@@ -61,8 +61,8 @@ func refChooseSubtree(t *testing.T, tree *Index, n *Node, rec cube.Record) int {
 	best := -1
 	var bestCost, bestVol float64
 	var bestSize int
-	for i := range n.entries {
-		m := n.entries[i].MDS
+	for i, e := range dirEntries(n) {
+		m := e.MDS
 		cost, vol, size := refEnlargementCost(t, tree, m, rec), m.Volume(), m.Size()
 		if best == -1 || cost < bestCost ||
 			(cost == bestCost && vol < bestVol) ||
@@ -90,16 +90,16 @@ func (rc *recContext) contains(m mds.MDS) bool {
 }
 
 // refContaining is chooseSubtree's containment pass as it was before the
-// postings: every entry asked by rc.contains, in order, under the volume →
-// size → first-index tie-break. It returns each entry's answer and the
-// entry chosen, -1 when none contains the record.
-func refContaining(n *Node, rc *recContext) (contains []bool, best int) {
-	contains = make([]bool, len(n.entries))
+// postings: every entry of a directory asked by rc.contains, in order,
+// under the volume → size → first-index tie-break. It returns each entry's
+// answer and the entry chosen, -1 when none contains the record.
+func refContaining(entries []entry, rc *recContext) (contains []bool, best int) {
+	contains = make([]bool, len(entries))
 	best = -1
 	var bestVol float64
 	var bestSize int
-	for i := range n.entries {
-		m := n.entries[i].MDS
+	for i, e := range entries {
+		m := e.MDS
 		if contains[i] = rc.contains(m); !contains[i] {
 			continue
 		}
@@ -114,7 +114,7 @@ func refContaining(n *Node, rc *recContext) (contains []bool, best int) {
 // refDescribeEntryAt and refDescribeNodeAt are the split's entry adaptation
 // on whole MDSs: lift with AdaptToLevels, descend where the entry is coarser
 // than a target, merge with Cover.
-func refDescribeEntryAt(t *testing.T, tree *Index, e *Entry, leaf bool, targets []int) mds.MDS {
+func refDescribeEntryAt(t *testing.T, tree *Index, e *entry, leaf bool, targets []int) mds.MDS {
 	t.Helper()
 	descend := false
 	for i, target := range targets {
@@ -161,8 +161,8 @@ func allNodes(t *testing.T, tree *Index) (nodes []*Node, nodeMDSs []mds.MDS) {
 		}
 		nodes, nodeMDSs = append(nodes, n), append(nodeMDSs, m)
 		if !n.leaf {
-			for i := range n.entries {
-				walk(n.entries[i].Child, n.entries[i].MDS)
+			for _, e := range dirEntries(n) {
+				walk(e.Child, e.MDS)
 			}
 		}
 	}
@@ -208,8 +208,8 @@ func TestChooseSubtreeMatchesReference(t *testing.T) {
 			nodes, _ := allNodes(t, tree)
 			long := 0
 			for _, n := range nodes {
-				for i := range n.entries {
-					for _, ds := range n.entries[i].MDS {
+				for _, e := range dirEntries(n) {
+					for _, ds := range e.MDS {
 						if len(ds.IDs) > scanMax {
 							long++
 						}
@@ -235,20 +235,21 @@ func TestChooseSubtreeMatchesReference(t *testing.T) {
 						t.Fatal(err)
 					}
 					want := refChooseSubtree(t, tree, n, rec)
+					entries := dirEntries(n)
 					if got != want {
 						t.Fatalf("node %d record %v: chooseSubtree = %d, reference = %d", n.id, rec.Coords, got, want)
 					}
-					if wantContained := refEnlargementCost(t, tree, n.entries[want].MDS, rec) == 0; gotContained != wantContained {
+					if wantContained := refEnlargementCost(t, tree, entries[want].MDS, rec) == 0; gotContained != wantContained {
 						t.Fatalf("node %d record %v: contained = %v, reference cost 0 = %v", n.id, rec.Coords, gotContained, wantContained)
 					}
-					if _, scan := refContaining(n, rc); (gotContained && got != scan) || (!gotContained && scan != -1) {
+					if _, scan := refContaining(entries, rc); (gotContained && got != scan) || (!gotContained && scan != -1) {
 						t.Fatalf("node %d record %v: chooseSubtree = %d (contained %v), containment scan = %d", n.id, rec.Coords, got, gotContained, scan)
 					}
 					if gotContained {
 						contained++
 					}
-					for i := range n.entries {
-						m := n.entries[i].MDS
+					for i, e := range entries {
+						m := e.MDS
 						if cost, _ := tree.enlargementCost(m, rc, 0, false); cost != refEnlargementCost(t, tree, m, rec) {
 							t.Fatalf("node %d entry %d: cost %v, reference %v", n.id, i, cost, refEnlargementCost(t, tree, m, rec))
 						}
@@ -345,7 +346,7 @@ func TestContainingInsertStillBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !contained || !overBound(root.entries[idx].MDS) {
+		if !contained || !overBound(dirEntries(root)[idx].MDS) {
 			continue
 		}
 		if err := ix.Insert(rec); err != nil {
@@ -354,7 +355,7 @@ func TestContainingInsertStillBounds(t *testing.T) {
 		if c := ix.Counters(); c.SplitsHierarchy+c.SplitsForced+c.SupernodesCreated+c.SupernodesGrown > 0 {
 			t.Fatalf("the insert split or grew a node (%+v): the entry was rebuilt, not lifted", c)
 		}
-		if m := root.entries[idx].MDS; overBound(m) {
+		if m := dirEntries(root)[idx].MDS; overBound(m) {
 			t.Fatalf("root entry %d contained the record and still holds more than %d values: %v", idx, bound, m)
 		}
 		if root.post.valid {
@@ -473,8 +474,9 @@ func checkDescriptions(t *testing.T, tree *Index, rng *rand.Rand) {
 }
 
 // TestSplitAllocationsIndependentOfEntryCount splits leaf nodes of one and
-// of four blocks: the split allocates what the tree keeps (two entry arrays,
-// a node, two MDSs, two aggregates), never per entry or per compared pair.
+// of four blocks: the split allocates what the tree keeps (the sibling, the
+// pair of entries that describes the halves, two aggregates), never per
+// entry or per compared pair.
 func TestSplitAllocationsIndependentOfEntryCount(t *testing.T) {
 	tree := newTestIndex(t, DefaultConfig())
 	const runs, maxBlocks = 5, 4
@@ -487,7 +489,7 @@ func TestSplitAllocationsIndependentOfEntryCount(t *testing.T) {
 		for next := 0; len(nodes) < cap(nodes); {
 			// Rows until the node overflows its blocks by one.
 			n := tree.store.New(true)
-			n.blocks = blocks
+			n.setBlocks(blocks)
 			for tree.nodeBlocks(n) <= blocks {
 				n.appendRecord(recs[next])
 				next++
@@ -498,8 +500,8 @@ func TestSplitAllocationsIndependentOfEntryCount(t *testing.T) {
 		next := 0
 		return testing.AllocsPerRun(runs, func() {
 			res, err := tree.splitNode(nodes[next], tree.ws.topMDS)
-			if err != nil || !res.split {
-				t.Fatalf("split of %d entries: split=%v err=%v", entries, res.split, err)
+			if err != nil || res == nil {
+				t.Fatalf("split of %d entries: split=%v err=%v", entries, res != nil, err)
 			}
 			next++
 		})
@@ -985,14 +987,14 @@ func TestZeroSupernodeCapSelectsDefault(t *testing.T) {
 		n.appendRecord(rec)
 	}
 
-	n.blocks = limit - 1
+	n.setBlocks(limit - 1)
 	res, err := tree.splitNode(n, tree.ws.topMDS)
-	if err != nil || res.split || n.blocks != limit {
-		t.Fatalf("below the cap: split=%v blocks=%d err=%v, want one more block (%d)", res.split, n.blocks, err, limit)
+	if err != nil || res != nil || n.Blocks() != limit {
+		t.Fatalf("below the cap: split=%v blocks=%d err=%v, want one more block (%d)", res != nil, n.Blocks(), err, limit)
 	}
 	res, err = tree.splitNode(n, tree.ws.topMDS)
-	if err != nil || !res.split || n.blocks > limit {
-		t.Fatalf("at the cap: split=%v blocks=%d err=%v, want the forced split", res.split, n.blocks, err)
+	if err != nil || res == nil || n.Blocks() > limit {
+		t.Fatalf("at the cap: split=%v blocks=%d err=%v, want the forced split", res != nil, n.Blocks(), err)
 	}
 	if c := tree.Counters(); c.SplitsForced != 1 || c.SupernodesGrown != 1 {
 		t.Fatalf("counters %+v, want one supernode growth and one forced split", c)

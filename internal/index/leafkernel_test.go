@@ -231,7 +231,7 @@ func TestOneBlockDataNodeIsOneSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if root := store.nodes[ix.Root()]; root.blocks == 1 {
+		if root := store.nodes[ix.Root()]; root.Blocks() == 1 {
 			most = root.Count()
 		}
 		if err := ix.Insert(rec); err != nil {
@@ -245,7 +245,7 @@ func TestOneBlockDataNodeIsOneSelection(t *testing.T) {
 	packed, _ := packedBenchTree(t)
 	most = 0
 	for _, n := range collectNodes(t, packed) {
-		if n.leaf && n.blocks == 1 {
+		if n.leaf && n.Blocks() == 1 {
 			most = max(most, n.Count())
 		}
 	}

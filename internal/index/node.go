@@ -5,68 +5,50 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync/atomic"
 
 	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/hierarchy"
 	"github.com/dcindex/dctree/internal/mds"
 )
 
-// Entry is one slot of a directory node: the child it references, the MDS
-// describing everything below it and the materialized aggregate vector of
-// that subtree — the paper's "the measure value ... will be stored together
-// with the MDS in each node of the DC-tree" (§3.2).
-type Entry struct {
-	MDS   mds.MDS
-	Agg   cube.AggVector
-	Child NodeID
-}
-
-// Node is the in-memory form of a DC-tree node. A node's own MDS is not
-// stored in the node but in its parent's entry (the root's in the tree
-// metadata); it always equals the cover of the node's entry MDSs.
+// Node is the in-memory form of a DC-tree node: its flat encoding
+// (flatnode.go) and nothing else, in a block with spare room to grow. A
+// node's own MDS is not stored in the node but in its parent's entry (the
+// root's in the tree metadata); it always equals the cover of the node's
+// entry MDSs. Every change writes the block's header, so the block is at all
+// times what Encode copies out and what HeapView frames for the descent.
 //
-// A directory node keeps its entries as the write path's representation
-// (choose-subtree and the in-place cover updates work on the per-dimension
-// sets) and, beside them, an immutable read image: the node's own flat
-// encoding, built by the first reader after a mutation and dropped by
-// markDirty, so that the descent matches heap and mapped directories with
-// the same code over contiguous bytes. Its choose-subtree keeps a third
-// form, post: the postings that answer containment (postings.go), built by
-// the first chooseSubtree or delete probe after the entries change and
-// marked stale by invalidatePostings at every site that changes an entry's
-// MDS or the entry list — not by markDirty, which aggregate-only updates
-// also call.
+// A data node's rows sit at their exact widths; a record's singleton MDS and
+// one-record aggregates are functions of its row. Beside the block it keeps
+// top, each dimension's largest code: the widths (codeWidth), and so the
+// bytes the node needs, are functions of it, kept exact by every change.
 //
-// A data node is its flat encoding and nothing else: flat frames the
-// header, the code widths and the rows, at their exact widths, in a block
-// with spare room for the rows to come. Every change to the rows writes
-// the header, so the block is at all times what Encode copies out and what
-// HeapView frames for the descent. A record's singleton MDS and one-record
-// aggregates are functions of its row, synthesized where the write path
-// needs them. Beside the block it keeps top, each dimension's largest
-// code: the widths (codeWidth), and so the bytes the node needs, are
-// functions of it, kept exact by every change to the rows.
+// A directory's entries are edited where they lie: an aggregate in its
+// fixed slot; an MDS re-encoded and spliced into the MDS area (mdsSlot); an
+// entry added or removed by opening or closing its slots (reslot). Beside
+// the block it keeps one index over the entries, post: the postings that
+// answer containment (postings.go), built from the bytes by the first
+// chooseSubtree or delete probe after the entries change and marked stale by
+// invalidatePostings wherever an entry's MDS or the entry list changes.
 type Node struct {
-	id     NodeID
-	leaf   bool
-	blocks int // logical size in blocks; >1 marks a supernode
+	id   NodeID
+	leaf bool
 
-	entries []Entry
-	img     atomic.Pointer[FlatNode]
-	post    *postings
-
-	dims, nm int // row widths of a data node
+	dims, nm int // the schema's row widths
 	flat     FlatNode
-	top      []uint32
+	top      []uint32 // a data node's largest codes
+	post     *postings
 }
 
 // NewNode returns an empty one-block node for a Store to hand out under a
 // freshly minted ID; dims and measures are the schema's row widths.
 func NewNode(id NodeID, leaf bool, dims, measures int) *Node {
-	n := &Node{id: id, leaf: leaf, blocks: 1, dims: dims, nm: measures}
+	n := &Node{id: id, leaf: leaf, dims: dims, nm: measures}
+	n.flat.blocks = 1
 	if leaf {
 		n.lay(make([]uint32, dims), 0)
+	} else {
+		n.layDir(dirSize)
 	}
 	return n
 }
@@ -80,16 +62,20 @@ func (n *Node) lay(top []uint32, rows int) {
 	for d, c := range top {
 		b[flatHeaderSize+d] = byte(codeWidth(c))
 	}
-	n.frameRows(b, 0)
+	n.frame(b, 0)
 }
 
-// frameRows makes b, holding count rows, a data node's encoding: the
-// header takes the node's blocks, the count and the length, and flat
-// frames b.
-func (n *Node) frameRows(b []byte, count int) {
-	binary.LittleEndian.PutUint32(b[4:], uint32(n.blocks))
+// frame makes b, holding count rows or entries, the node's encoding: the
+// header takes the node's blocks, the count, the MDS base and the length,
+// and flat frames b.
+func (n *Node) frame(b []byte, count int) {
+	mdsBase := len(b)
+	if !n.leaf {
+		_, _, mdsBase = dirLayoutSizes(count, n.nm)
+	}
+	binary.LittleEndian.PutUint32(b[4:], uint32(n.flat.blocks))
 	binary.LittleEndian.PutUint32(b[8:], uint32(count))
-	binary.LittleEndian.PutUint32(b[12:], uint32(len(b)))
+	binary.LittleEndian.PutUint32(b[12:], uint32(mdsBase))
 	binary.LittleEndian.PutUint32(b[16:], uint32(len(b)))
 	n.flat.FrameTrusted(n.id, b, n.dims, n.nm)
 }
@@ -102,27 +88,16 @@ func (n *Node) Leaf() bool { return n.leaf }
 
 // Blocks returns the node's logical size in blocks; more than one marks a
 // supernode, which occupies its full extent however short its encoding.
-func (n *Node) Blocks() int { return n.blocks }
+func (n *Node) Blocks() int { return n.flat.blocks }
 
-// setBlocks sets the node's logical size, in a data node's header too.
+// setBlocks sets the node's logical size, in its header.
 func (n *Node) setBlocks(blocks int) {
-	if n.blocks = blocks; n.leaf {
-		n.frameRows(n.flat.b, n.flat.count)
-	}
+	n.flat.blocks = blocks
+	binary.LittleEndian.PutUint32(n.flat.b[4:], uint32(blocks))
 }
-
-// Entries returns a directory node's entries (nil for a data node). They are
-// the node's own: read them under the hold that excludes mutations, never
-// write them.
-func (n *Node) Entries() []Entry { return n.entries }
 
 // Count returns the number of entries: directory entries or data records.
-func (n *Node) Count() int {
-	if n.leaf {
-		return n.flat.count
-	}
-	return len(n.entries)
-}
+func (n *Node) Count() int { return n.flat.count }
 
 // Record returns a copy of a data node's record i.
 func (n *Node) Record(i int) cube.Record {
@@ -153,7 +128,7 @@ func (n *Node) appendRecord(rec cube.Record) {
 		binary.LittleEndian.PutUint64(b[o:], math.Float64bits(x))
 		o += 8
 	}
-	n.frameRows(b, f.count+1)
+	n.frame(b, f.count+1)
 }
 
 // removeRecord deletes record i of a data node, keeping the order of the
@@ -167,7 +142,7 @@ func (n *Node) removeRecord(i int) {
 		}
 	}
 	o := f.fixBase + i*f.stride
-	n.frameRows(append(f.b[:o], f.b[o+f.stride:]...), f.count-1)
+	n.frame(append(f.b[:o], f.b[o+f.stride:]...), f.count-1)
 	for d, c := range n.top {
 		n.setWidth(d, codeWidth(c))
 	}
@@ -217,7 +192,7 @@ func (n *Node) setWidth(d, w int) {
 		copy(b[p+pre+w:p+next], row[pre+old:])
 	}
 	b[flatHeaderSize+d] = byte(w)
-	n.frameRows(b, f.count)
+	n.frame(b, f.count)
 }
 
 // codeWidth returns the bytes a data node's encoding stores codes up to c
@@ -238,38 +213,25 @@ func (n *Node) rowSize(coords []hierarchy.ID) int {
 	return size
 }
 
-// encodedSize returns the length of the node's encoding.
-func (n *Node) encodedSize() int {
-	if n.leaf {
-		return len(n.flat.b)
-	}
-	size := dirSize
-	for i := range n.entries {
-		size += entrySize(n.entries[i].MDS, n.nm)
-	}
-	return size
-}
-
-// take replaces the node's entries, or rows, by copies of the listed ones
-// of src, in the order listed, in storage sized for them; a data node's
+// take replaces the node's rows, or entries, by copies of the listed ones
+// of src, in the order listed, in a block sized for them; a data node's
 // largest codes are its new rows', and a width they need less of narrows.
 func (n *Node) take(src *Node, group []int) {
+	f := src.flat // src may be n
 	if !n.leaf {
-		entries := make([]Entry, len(group))
-		for i, g := range group {
-			entries[i] = src.entries[g]
+		n.layDir(len(f.b))
+		for _, g := range group {
+			n.copyEntry(&f, g)
 		}
-		n.entries = entries
 		return
 	}
-	f := src.flat // src may be n
 	n.lay(slices.Clone(src.top), len(group))
 	b := n.flat.b
 	for _, g := range group {
 		o := f.fixBase + g*f.stride
 		b = append(b, f.b[o:o+f.stride]...)
 	}
-	n.frameRows(b, len(group))
+	n.frame(b, len(group))
 	for d := range n.top {
 		n.top[d] = n.columnTop(d, -1)
 		n.setWidth(d, codeWidth(n.top[d]))
@@ -284,28 +246,22 @@ func (ix *Index) blocksFor(size int) int {
 	return max(1, (size+ix.payload-1)/ix.payload)
 }
 
-// nodeBlocks is blocksFor of a heap node. A directory's size is summed over
-// its entries' MDSs: the write path asks it only where an entry was added
-// or grew, or a supernode may shrink.
-func (ix *Index) nodeBlocks(n *Node) int {
-	return ix.blocksFor(n.encodedSize())
-}
+// nodeBlocks is blocksFor of a heap node.
+func (ix *Index) nodeBlocks(n *Node) int { return ix.blocksFor(len(n.flat.b)) }
 
-// aggregate computes the node's aggregate vector: its rows or entries
-// folded in, in order.
-func (n *Node) aggregate(measures int) cube.AggVector {
-	v := cube.NewAggVector(measures)
-	if n.leaf {
-		f := &n.flat
-		for i := 0; i < f.count; i++ {
-			for j := range v {
-				v[j].Add(f.Measure(i, j))
-			}
-		}
+// aggregate loads the node's aggregate vector into v and returns it: its
+// rows folded in, in order, or its entries refolded.
+func (n *Node) aggregate(v cube.AggVector) cube.AggVector {
+	if !n.leaf {
+		n.refoldEntries(v)
 		return v
 	}
-	for i := range n.entries {
-		v.Merge(n.entries[i].Agg)
+	clear(v)
+	f := &n.flat
+	for i := 0; i < f.count; i++ {
+		for j := range v {
+			v[j].Add(f.Measure(i, j))
+		}
 	}
 	return v
 }
@@ -353,64 +309,131 @@ func (n *Node) repairAggregate(v cube.AggVector, gone []float64) {
 // max are refolded always. A directory entry's aggregate is kept on insert
 // by merging the record into it, in arrival order, which is not the fold
 // over its child's entries when signed zeros or NaNs are among the values,
-// so only a refold reproduces the aggregate aggregate gives. The node holds
-// at least one entry.
+// so only a refold reproduces the aggregate a fresh fold gives. The node
+// holds at least one entry.
 func (n *Node) refoldEntries(v cube.AggVector) {
+	f := &n.flat
+	stride := flatAggStride * f.measures
 	for j := range v {
-		first := &n.entries[0].Agg[j]
-		a := *first
-		for i := 1; i < len(n.entries); i++ {
-			b := &n.entries[i].Agg[j]
-			a.Sum += b.Sum
-			a.Count += b.Count
-			if b.Min < a.Min {
-				a.Min = b.Min
+		a := f.Agg(0, j)
+		for o := f.aggAt(1, j); o < f.fixBase; o += stride {
+			b := f.b[o : o+flatAggStride]
+			a.Sum += math.Float64frombits(binary.LittleEndian.Uint64(b))
+			a.Count += int64(binary.LittleEndian.Uint64(b[8:]))
+			if x := math.Float64frombits(binary.LittleEndian.Uint64(b[16:])); x < a.Min {
+				a.Min = x
 			}
-			if b.Max > a.Max {
-				a.Max = b.Max
+			if x := math.Float64frombits(binary.LittleEndian.Uint64(b[24:])); x > a.Max {
+				a.Max = x
 			}
 		}
 		v[j] = a
 	}
 }
 
-// HeapView fills nv with the read-only view of a heap node: a data node's
-// own encoding, a directory's read image.
-func (ix *Index) HeapView(n *Node, nv *NodeView) {
-	if n.leaf {
-		*nv = n.flat
+// layDir gives a directory an empty block with room for size bytes.
+func (n *Node) layDir(size int) {
+	b := make([]byte, dirSize, max(dirSize, size))
+	b[0] = flatMagic
+	n.frame(b, 0)
+}
+
+// reslot opens slot i of a directory's offset table, aggregate area and
+// child area, or closes it: the bytes behind each slot move by the widths of
+// the slots opened or closed before them. An opened slot's MDS blob is
+// empty, and its aggregates and child are the caller's to write; a closed
+// slot's blob must be empty.
+func (n *Node) reslot(i int, open bool) {
+	f := &n.flat
+	w := [3]int{4, flatAggStride * n.nm, 8}
+	cut := [4]int{flatHeaderSize + 4*i, f.aggBase + w[1]*i, f.fixBase + w[2]*i, len(f.b)}
+	slot := w[0] + w[1] + w[2]
+	b := f.b
+	if open {
+		b = slices.Grow(b, slot)[:len(b)+slot]
+		for k, by := 2, slot; k >= 0; by, k = by-w[k], k-1 {
+			copy(b[cut[k]+by:], b[cut[k]:cut[k+1]])
+		}
+		// The new slot's blob ends where entry i's now starts.
+		copy(b[cut[0]:cut[0]+4], b[cut[0]+4:])
+		n.frame(b, f.count+1)
 		return
 	}
-	*nv = *ix.image(n)
-}
-
-// image returns a directory node's read image — its flat encoding behind an
-// already-trusted FlatNode — building and publishing it if the node has
-// none. Readers share the host's hold (or walk a version whose nodes never
-// change), so racing builders encode the same state and whichever image is
-// stored last serves; the write path drops the image in markDirty, under
-// the exclusive hold.
-func (ix *Index) image(n *Node) *FlatNode {
-	if img := n.img.Load(); img != nil {
-		return img
+	for k, by := 0, 0; k < 3; k++ {
+		by += w[k]
+		copy(b[cut[k]+w[k]-by:], b[cut[k]+w[k]:cut[k+1]])
 	}
-	dims, measures := ix.schema.Dims(), ix.schema.Measures()
-	img := new(FlatNode)
-	img.FrameTrusted(n.id, n.appendEncodeDir(nil, measures), dims, measures)
-	ix.c.readImageBuilds.Inc()
-	n.img.Store(img)
-	return img
+	n.frame(b[:len(b)-slot], f.count-1)
 }
 
-// Encode returns the node's flat encoding, for the host to persist or to
-// freeze into a version. A data node's is a copy of its block, which the
-// writers go on changing in place. A directory's read image IS that
-// encoding, so a still-valid one is shared (payloads are never written to)
-// and a fresh one stays behind for the readers. Call it under the hold that
+// mdsSlot makes directory entry i's MDS blob size bytes long and returns it
+// for the caller to write: the MDS area behind it moves, and the later
+// offsets with it. Every change to an entry's MDS, and every entry added or
+// removed, goes through it.
+func (n *Node) mdsSlot(i, size int) []byte {
+	f := &n.flat
+	start, end := f.mdsBase+f.off(i), f.mdsBase+f.off(i+1)
+	delta := size - (end - start)
+	b := slices.Grow(f.b, max(0, delta))[:len(f.b)+delta]
+	copy(b[start+size:], f.b[end:])
+	for k := i + 1; k <= f.count; k++ {
+		binary.LittleEndian.PutUint32(b[flatHeaderSize+4*k:], uint32(f.off(k)+delta))
+	}
+	n.frame(b, f.count)
+	return b[start : start+size : start+size]
+}
+
+// setMDS re-encodes directory entry i's MDS as m.
+func (n *Node) setMDS(i int, m mds.MDS) { m.AppendEncode(n.mdsSlot(i, m.EncodedSize())[:0]) }
+
+// setAgg writes directory entry i's aggregates.
+func (n *Node) setAgg(i int, v cube.AggVector) {
+	for j, a := range v {
+		b := n.flat.b[n.flat.aggAt(i, j):]
+		binary.LittleEndian.PutUint64(b, math.Float64bits(a.Sum))
+		binary.LittleEndian.PutUint64(b[8:], uint64(a.Count))
+		binary.LittleEndian.PutUint64(b[16:], math.Float64bits(a.Min))
+		binary.LittleEndian.PutUint64(b[24:], math.Float64bits(a.Max))
+	}
+}
+
+// setChild writes directory entry i's child.
+func (n *Node) setChild(i int, child NodeID) {
+	binary.LittleEndian.PutUint64(n.flat.b[n.flat.fixBase+8*i:], uint64(child))
+}
+
+// appendEntry adds an entry of MDS m, aggregates v and child to a
+// directory.
+func (n *Node) appendEntry(m mds.MDS, v cube.AggVector, child NodeID) {
+	i, size := n.flat.count, m.EncodedSize()
+	n.frame(slices.Grow(n.flat.b, entrySize(size, n.nm)), i) // one growth for the slots and the blob
+	n.reslot(i, true)
+	n.setAgg(i, v)
+	n.setChild(i, child)
+	m.AppendEncode(n.mdsSlot(i, size)[:0])
+}
+
+// copyEntry appends entry i of directory f to n, byte for byte.
+func (n *Node) copyEntry(f *FlatNode, i int) {
+	k := n.flat.count
+	n.reslot(k, true)
+	copy(n.flat.b[n.flat.aggAt(k, 0):], f.b[f.aggAt(i, 0):f.aggAt(i+1, 0)])
+	n.setChild(k, f.Child(i))
+	blob := f.EntryMDS(i)
+	copy(n.mdsSlot(k, len(blob)), blob)
+}
+
+// removeEntry deletes directory entry i, keeping the order of the rest.
+func (n *Node) removeEntry(i int) {
+	n.mdsSlot(i, 0)
+	n.reslot(i, false)
+}
+
+// HeapView fills nv with the read-only view of a heap node: its own block.
+func (ix *Index) HeapView(n *Node, nv *NodeView) { *nv = n.flat }
+
+// Encode returns a copy of the node's flat encoding, for the host to
+// persist or to freeze into a version: the writers go on changing the
+// block in place, so no version may alias it. Call it under the hold that
 // excludes mutations.
-func (ix *Index) Encode(n *Node) []byte {
-	if n.leaf {
-		return slices.Clone(n.flat.b)
-	}
-	return ix.image(n).b
-}
+func (ix *Index) Encode(n *Node) []byte { return slices.Clone(n.flat.b) }

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"github.com/dcindex/dctree/internal/hierarchy"
+	"github.com/dcindex/dctree/internal/mds"
 )
 
 // postings is a heap directory's containment index, the per-level code →
@@ -18,11 +19,12 @@ import (
 // level present.
 //
 // A mask is one word per 64 entries, so a supernode of any size is served.
-// The table is built from the node's entries by the first chooseSubtree or
-// delete probe after they changed (Index.postings) and is never written to
-// disk, into the read image or by a reader. Every site that changes an
-// entry's MDS or the entry list calls Node.invalidatePostings; an aggregate
-// update does not, nor a delete repair that drops no value. While valid, the
+// The table is an index over the entries, not a copy of them: it is built
+// from the node's bytes by the first chooseSubtree or delete probe after
+// they changed (Index.postings) and is never written to disk or read by a
+// reader. Every site that changes an entry's MDS or the entry list calls
+// Node.invalidatePostings; an aggregate update does not, nor a delete repair
+// that drops no value. While valid, the
 // table also answers the delete repair's questions: the coarsest level of a
 // dimension's sets (memberLevels) and whether any set holds a value
 // (underAny).
@@ -63,9 +65,8 @@ const minPostingSlots = 8
 const emptySlot = uint64(hierarchy.ALL)
 
 // invalidatePostings marks a directory's postings stale. It is called
-// wherever an entry's MDS or the entry list changes, never from markDirty,
-// which also runs for the aggregate-only updates of every insert and delete
-// path.
+// wherever an entry's MDS or the entry list changes, not for the
+// aggregate-only updates of every insert and delete path.
 func (n *Node) invalidatePostings() {
 	if n.post != nil {
 		n.post.valid = false
@@ -80,24 +81,24 @@ func (ix *Index) postings(n *Node) *postings {
 		n.post = new(postings)
 	}
 	if !n.post.valid {
-		n.post.build(n.entries, ix.schema.Dims(), &ix.ws.post)
+		n.post.build(ix.ws.entryMDSs(n), ix.schema.Dims(), &ix.ws.post)
 		ix.c.postingBuilds.Inc()
 	}
 	return n.post
 }
 
-// build fills the tables from entries, in the node's one arena, which it
-// reuses while large enough. Entries share most of their values, so each
-// dimension's values are first counted distinct, and its table is sized by
-// that count, not by the sum of the entries' set sizes.
-func (p *postings) build(entries []Entry, dims int, ps *postingScratch) {
+// build fills the tables from the entries' MDSs, in the node's one arena,
+// which it reuses while large enough. Entries share most of their values,
+// so each dimension's values are first counted distinct, and its table is
+// sized by that count, not by the sum of the entries' set sizes.
+func (p *postings) build(entries []mds.MDS, dims int, ps *postingScratch) {
 	words := (len(entries) + 63) / 64
 	ps.slots = resize(ps.slots, dims)
 	size := 0
 	for d := range ps.slots {
 		values := 0
 		for i := range entries {
-			if ds := &entries[i].MDS[d]; ds.Level != hierarchy.LevelALL {
+			if ds := &entries[i][d]; ds.Level != hierarchy.LevelALL {
 				values += len(ds.IDs)
 			}
 		}
@@ -105,7 +106,7 @@ func (p *postings) build(entries []Entry, dims int, ps *postingScratch) {
 		seen.tab = resize(seen.tab, postingSlots(values))
 		seen.reset(1)
 		for i := range entries {
-			if ds := &entries[i].MDS[d]; ds.Level != hierarchy.LevelALL {
+			if ds := &entries[i][d]; ds.Level != hierarchy.LevelALL {
 				for _, id := range ds.IDs {
 					seen.insert(id)
 				}
@@ -128,7 +129,7 @@ func (p *postings) build(entries []Entry, dims int, ps *postingScratch) {
 		clear(pd.all)
 		pd.reset(1 + words)
 		for i := range entries {
-			ds := &entries[i].MDS[d]
+			ds := &entries[i][d]
 			if ds.Level == hierarchy.LevelALL {
 				pd.all[i/64] |= 1 << (i % 64)
 				continue

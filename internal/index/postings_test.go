@@ -39,19 +39,20 @@ func checkPostings(t testing.TB, ix *Index, n *Node, probes []*recContext) {
 	t.Helper()
 	if p := n.post; p != nil && p.valid {
 		var fresh postings
-		fresh.build(n.entries, ix.schema.Dims(), new(postingScratch))
+		fresh.build(ix.ws.entryMDSs(n), ix.schema.Dims(), new(postingScratch))
 		if !samePostings(p, &fresh) {
-			t.Fatalf("node %d: its valid postings differ from a fresh build of its %d entries", n.id, len(n.entries))
+			t.Fatalf("node %d: its valid postings differ from a fresh build of its %d entries", n.id, n.Count())
 		}
 	}
 	var acc []uint64
 	p := ix.postings(n)
+	entries := dirEntries(n)
 	for _, rc := range probes {
 		mask := p.containing(rc.anc, &acc)
-		if len(mask) != (len(n.entries)+63)/64 {
-			t.Fatalf("node %d: a mask of %d words for %d entries", n.id, len(mask), len(n.entries))
+		if len(mask) != (n.Count()+63)/64 {
+			t.Fatalf("node %d: a mask of %d words for %d entries", n.id, len(mask), n.Count())
 		}
-		want, _ := refContaining(n, rc)
+		want, _ := refContaining(entries, rc)
 		for i := range len(mask) * 64 {
 			if got := mask[i/64]>>(i%64)&1 == 1; got != (i < len(want) && want[i]) {
 				t.Fatalf("node %d record %v: postings say entry %d contains it: %v; of %d entries", n.id, rc.rec.Coords, i, got, len(want))
@@ -139,7 +140,7 @@ func (s *postingsStream) sweep(probes []*recContext) {
 func (s *postingsStream) check(n *Node, probes []*recContext) {
 	s.t.Helper()
 	checkPostings(s.t, s.ix, n, probes)
-	s.widest = max(s.widest, len(n.entries))
+	s.widest = max(s.widest, n.Count())
 }
 
 // TestPostingsMatchContains holds every directory's postings to the
@@ -276,7 +277,7 @@ func TestPostingBuilds(t *testing.T) {
 				return nil, nil, false
 			}
 			parent = n
-			n, err = ix.store.Get(n.entries[idx].Child)
+			n, err = ix.store.Get(n.flat.Child(idx))
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -373,10 +374,10 @@ func TestPostingBuilds(t *testing.T) {
 }
 
 // entryTo returns directory n's entry for child.
-func entryTo(n *Node, child NodeID) *Entry {
-	for i := range n.entries {
-		if n.entries[i].Child == child {
-			return &n.entries[i]
+func entryTo(n *Node, child NodeID) entry {
+	for _, e := range dirEntries(n) {
+		if e.Child == child {
+			return e
 		}
 	}
 	panic(fmt.Sprintf("node %d has no entry for %d", n.id, child))

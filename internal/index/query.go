@@ -26,11 +26,11 @@ type QueryStats struct {
 }
 
 // NodeView is what a read-only descent walks: a FlatNode — a mapped
-// extent, an overlay payload, a heap data node's own block or a heap
-// directory's read image — so that one matcher serves every directory and
-// one leaf kernel every data node. The descent owns its views: one frame
-// per depth of the walk, which a Source fills in place (Source.View), so a
-// visit copies no view through its returns.
+// extent, an overlay payload or a heap node's own block — so that one
+// matcher serves every directory and one leaf kernel every data node. The
+// descent owns its views: one frame per depth of the walk, which a Source
+// fills in place (Source.View), so a visit copies no view through its
+// returns.
 type NodeView = FlatNode
 
 // descent carries the state of one range-query walk: the node resolver

@@ -70,14 +70,14 @@ func readBenchMasks(tb testing.TB, tree *Index, queries []mds.MDS) []*queryCtx {
 	return qcs
 }
 
-// readBenchViews lists the tree's data nodes and directory read images.
+// readBenchViews lists the tree's data nodes and directory views.
 func readBenchViews(tb testing.TB, tree *Index) (leaves []*Node, dirs []FlatNode) {
 	tb.Helper()
 	for _, n := range collectNodes(tb, tree) {
 		if n.leaf {
 			leaves = append(leaves, n)
 		} else {
-			dirs = append(dirs, *tree.image(n))
+			dirs = append(dirs, n.flat)
 		}
 	}
 	return leaves, dirs
@@ -155,7 +155,7 @@ func BenchmarkLeafScan(b *testing.B) {
 }
 
 // BenchmarkDirMatch measures the directory matcher alone: every entry of
-// every directory read image classified against a query of each class.
+// every directory view classified against a query of each class.
 // values/entry, the mean MDS size of the entries tested, is reported beside
 // ns/entry because an entry's cost follows its size.
 func BenchmarkDirMatch(b *testing.B) {
@@ -163,10 +163,13 @@ func BenchmarkDirMatch(b *testing.B) {
 	_, dirs := readBenchViews(b, tree)
 	values, total := 0, 0
 	for _, n := range collectNodes(b, tree) {
-		for i := range n.entries {
-			values += n.entries[i].MDS.Size()
+		for i := 0; !n.leaf && i < n.Count(); i++ {
+			_, size, _ := shapeOf(n.flat.EntryMDS(i))
+			values += size
 		}
-		total += len(n.entries)
+		if !n.leaf {
+			total += n.Count()
+		}
 	}
 	for _, class := range benchClasses {
 		b.Run(class, func(b *testing.B) {

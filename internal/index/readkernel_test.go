@@ -2,7 +2,6 @@ package index
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -57,12 +56,12 @@ func randomSpaceMDS(rng *rand.Rand, space mds.Space, leaves [][]hierarchy.ID) md
 }
 
 // flatDirOf encodes entry MDSs as one directory node and frames it the way
-// a read image is framed.
+// a heap directory is framed.
 func flatDirOf(tree *Index, ms ...mds.MDS) FlatNode {
 	dims, measures := tree.schema.Dims(), tree.schema.Measures()
-	dir := &Node{blocks: 1}
+	dir := NewNode(1, false, dims, measures)
 	for i, m := range ms {
-		dir.entries = append(dir.entries, Entry{MDS: m, Agg: cube.NewAggVector(measures), Child: NodeID(i + 1)})
+		dir.appendEntry(m, cube.NewAggVector(measures), NodeID(i+1))
 	}
 	return flatOf(1, dir, dims, measures)
 }
@@ -203,12 +202,10 @@ func flatDirWithBlob(t *testing.T, ix *Index, blob []byte) FlatNode {
 	for d := range all {
 		all[d] = mds.AllDim()
 	}
-	dir := &Node{blocks: 1, entries: []Entry{{MDS: all, Agg: cube.NewAggVector(measures), Child: 1}}}
-	_, _, mdsBase := dirLayoutSizes(1, measures)
-	b := append(dir.appendEncodeDir(nil, measures)[:mdsBase], blob...)
-	binary.LittleEndian.PutUint32(b[flatHeaderSize+4:], uint32(len(blob)))
-	binary.LittleEndian.PutUint32(b[16:], uint32(len(b)))
-	f, err := MakeFlatNode(1, b, dims, measures)
+	dir := NewNode(1, false, dims, measures)
+	dir.appendEntry(all, cube.NewAggVector(measures), 1)
+	copy(dir.mdsSlot(0, len(blob)), blob)
+	f, err := MakeFlatNode(1, dir.flat.b, dims, measures)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +447,7 @@ func scanRowsMatchesReference(t *testing.T) {
 		constrained[len(qc.rows)]++
 		for _, n := range []int{1, 169, scanChunk, scanChunk + 1, 4*169 + 13} {
 			leaf := NewNode(0, true, dims, nm)
-			leaf.blocks = 1 + n/169
+			leaf.setBlocks(1 + n/169)
 			for r := 0; r < n; r++ {
 				rec := cube.Record{Coords: make([]hierarchy.ID, dims), Measures: make([]float64, nm)}
 				for d := range rec.Coords {

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"encoding/binary"
 	"slices"
 
 	"github.com/dcindex/dctree/internal/cube"
@@ -16,8 +17,14 @@ import (
 //
 // Ownership rule: an MDS that lives in the scratch is valid only until the
 // next kernel call that uses the same buffer. Whatever the tree keeps — an
-// entry's MDS, the MDSs a split hands to the parent — is copied out
-// (packMDS, storeMDS) before the scratch is used again.
+// entry's MDS, the covers a split hands to the parent, the root MDS — is
+// copied out (setMDS, appendEntry, Clone) before the scratch is used again.
+//
+// A directory entry's MDS is read where it lies or decoded into one of two
+// arenas, by what must stay valid beside it: edit holds the one MDS an
+// insert or a delete is changing, or the describing MDS of the node a split
+// divides; entry the entry a pass over a node's entries reads, or every
+// entry of a node at once (entryMDSs).
 type writeScratch struct {
 	rc recContext
 
@@ -26,7 +33,14 @@ type writeScratch struct {
 	post    postingScratch
 
 	topMDS  mds.MDS        // (ALL,…,ALL): the root's relevant levels, read-only
-	levels  []int          // per-dimension level vector (cover floors, member levels)
+	topWire []byte         // topMDS's wire encoding
+	edit    mdsArena       // the entry MDS being changed, or a split node's
+	entry   mdsArena       // the entry or entries a pass reads
+	agg     cube.AggVector // an entry's aggregates being changed
+	levels  []int          // per-dimension member levels (memberLevels)
+	own     []int          // an MDS's relevant levels (levelsOf, wireLevels)
+	gone    []int          // the dimensions a delete repair drops a value in
+	dimIDs  []hierarchy.ID // one entry's values in one dimension (dimOf)
 	top     []int          // every dimension's top named level (bulk load floor)
 	members []mds.MDS      // member list of a k-way cover
 	rowIDs  []hierarchy.ID // a data node's coordinates, decoded
@@ -44,11 +58,14 @@ func newWriteScratch(schema *cube.Schema) *writeScratch {
 		topMDS:  mds.Top(len(space)),
 		codes:   newCodeSet(),
 		levels:  make([]int, len(space)),
+		own:     make([]int, len(space)),
 		top:     make([]int, len(space)),
 		refined: make([][]hierarchy.ID, len(space)),
 	}
 	ws.rc.anc = make([][]hierarchy.ID, len(space))
 	ws.rc.agg = make(cube.AggVector, schema.Measures())
+	ws.agg = make(cube.AggVector, schema.Measures())
+	ws.topWire = ws.topMDS.AppendEncode(nil)
 	for d, h := range space {
 		ws.top[d] = h.TopLevel()
 		ws.rc.anc[d] = make([]hierarchy.ID, h.Depth())
@@ -125,27 +142,24 @@ func (rc *recContext) cover(m mds.MDS) {
 	}
 }
 
-// packMDS copies an MDS out of the scratch into two allocations (the
-// dimension sets and one array for all values). The value sets are
-// capacity-capped, so a later in-place insertion reallocates that set alone.
-func packMDS(m mds.MDS) mds.MDS {
-	out := make(mds.MDS, len(m))
-	ids := make([]hierarchy.ID, 0, m.Size())
-	for d := range m {
-		start := len(ids)
-		ids = append(ids, m[d].IDs...)
-		out[d] = mds.DimSet{Level: m[d].Level, IDs: ids[start:len(ids):len(ids)]}
-	}
-	return out
+// mdsArena is storage that MDS wire encodings CheckTable passed decode
+// into, reused from decode to decode: one decodes an encoding in place of
+// what the arena held, add one behind the MDSs it holds, which stay valid.
+type mdsArena struct {
+	dims []mds.DimSet
+	ids  []hierarchy.ID
 }
 
-// storeMDS overwrites dst, an MDS the tree owns, with src, reusing dst's
-// value-set storage.
-func storeMDS(dst, src mds.MDS) {
-	for d := range src {
-		dst[d].Level = src[d].Level
-		dst[d].IDs = append(dst[d].IDs[:0], src[d].IDs...)
-	}
+func (a *mdsArena) one(b []byte) mds.MDS {
+	a.reset()
+	return a.add(b)
+}
+
+func (a *mdsArena) reset() { a.dims, a.ids = a.dims[:0], a.ids[:0] }
+
+func (a *mdsArena) add(b []byte) mds.MDS {
+	m, _, _ := mds.AppendDecode(b, &a.dims, &a.ids)
+	return m
 }
 
 // entryMDSs lists the MDSs of n's entries in the scratch's member buffer.
@@ -153,22 +167,23 @@ func storeMDS(dst, src mds.MDS) {
 // its coordinates, decoded into the scratch's row buffer.
 func (ws *writeScratch) entryMDSs(n *Node) []mds.MDS {
 	ws.members = ws.members[:0]
-	if n.leaf {
-		f, dims := &n.flat, n.dims
-		ws.rowIDs = slices.Grow(ws.rowIDs[:0], f.count*dims)[:f.count*dims]
-		ws.rowDims = slices.Grow(ws.rowDims[:0], f.count*dims)[:f.count*dims]
-		for i, k := 0, 0; i < f.count; i, k = i+1, k+dims {
-			ids, sets := ws.rowIDs[k:k+dims], ws.rowDims[k:k+dims:k+dims]
-			f.row(i, cube.Record{Coords: ids})
-			for d := range sets {
-				sets[d] = mds.DimSet{IDs: ids[d : d+1 : d+1]}
-			}
-			ws.members = append(ws.members, sets)
+	f, dims := &n.flat, n.dims
+	if !n.leaf {
+		ws.entry.reset()
+		for i := 0; i < f.count; i++ {
+			ws.members = append(ws.members, ws.entry.add(f.EntryMDS(i)))
 		}
 		return ws.members
 	}
-	for i := range n.entries {
-		ws.members = append(ws.members, n.entries[i].MDS)
+	ws.rowIDs = slices.Grow(ws.rowIDs[:0], f.count*dims)[:f.count*dims]
+	ws.rowDims = slices.Grow(ws.rowDims[:0], f.count*dims)[:f.count*dims]
+	for i, k := 0, 0; i < f.count; i, k = i+1, k+dims {
+		ids, sets := ws.rowIDs[k:k+dims], ws.rowDims[k:k+dims:k+dims]
+		f.row(i, cube.Record{Coords: ids})
+		for d := range sets {
+			sets[d] = mds.DimSet{IDs: ids[d : d+1 : d+1]}
+		}
+		ws.members = append(ws.members, sets)
 	}
 	return ws.members
 }
@@ -177,7 +192,7 @@ func (ws *writeScratch) entryMDSs(n *Node) []mds.MDS {
 // coarsest level among n's members — 0 for a data node's rows — which is the
 // level their cover takes at no floor (LevelALL is the largest level tag).
 // A directory whose postings are valid answers from each dimension's ALL
-// mask and level bits; any other scans its entries.
+// mask and level bits; any other reads its entries' levels where they lie.
 func (ws *writeScratch) memberLevels(n *Node) []int {
 	clear(ws.levels)
 	if p := n.post; p != nil && p.valid {
@@ -186,18 +201,48 @@ func (ws *writeScratch) memberLevels(n *Node) []int {
 		}
 		return ws.levels
 	}
-	for i := range n.entries {
-		for d, ds := range n.entries[i].MDS {
-			ws.levels[d] = max(ws.levels[d], ds.Level)
+	for i := 0; !n.leaf && i < n.flat.count; i++ {
+		b, o := n.flat.EntryMDS(i), 1
+		for d := range ws.levels {
+			level, count, at := nextSet(b, o)
+			ws.levels[d], o = max(ws.levels[d], level), at+4*count
 		}
 	}
 	return ws.levels
 }
 
-// levelsOf loads m's relevant levels into the scratch's level vector.
+// levelsOf loads m's relevant levels into the scratch's own-level vector.
 func (ws *writeScratch) levelsOf(m mds.MDS) []int {
 	for d := range m {
-		ws.levels[d] = m[d].Level
+		ws.own[d] = m[d].Level
 	}
-	return ws.levels
+	return ws.own
+}
+
+// wireLevels loads the relevant levels of the MDS an entry's wire encoding
+// holds into the scratch's own-level vector, read where they lie.
+func (ws *writeScratch) wireLevels(b []byte) []int {
+	for d, o := 0, 1; d < len(ws.own); d++ {
+		level, count, at := nextSet(b, o)
+		ws.own[d], o = level, at+4*count
+	}
+	return ws.own
+}
+
+// dimOf decodes dimension d of directory entry i of f into the scratch's
+// value buffer.
+func (ws *writeScratch) dimOf(f *FlatNode, i, d int) mds.DimSet {
+	b := f.EntryMDS(i)
+	level, count, at := nextSet(b, 1)
+	for ; d > 0; d-- {
+		level, count, at = nextSet(b, at+4*count)
+	}
+	ws.dimIDs = ws.dimIDs[:0]
+	for k := range count {
+		ws.dimIDs = append(ws.dimIDs, hierarchy.ID(binary.LittleEndian.Uint32(b[at+4*k:])))
+	}
+	if level == hierarchy.LevelALL {
+		ws.dimIDs = append(ws.dimIDs, hierarchy.ALL)
+	}
+	return mds.DimSet{Level: level, IDs: ws.dimIDs}
 }

@@ -38,7 +38,7 @@ func shapeDigest(t *testing.T, ix *Index) string {
 		} else {
 			buf = append(buf, 'D')
 		}
-		u64(uint64(n.blocks))
+		u64(uint64(n.Blocks()))
 		u64(uint64(n.Count()))
 		for i, e := range entriesOf(n) {
 			buf = e.MDS.AppendEncode(buf)

@@ -36,9 +36,10 @@ import (
 // as) a supernode; at the supernode cap, or with supernodes disabled, the
 // best partition seen so far is forced instead.
 //
-// Everything up to the chosen partition lives in the tree's write scratch
-// (splitScratch); buildSplit copies out what the tree keeps.
-func (ix *Index) splitNode(n *Node, nodeMDS mds.MDS) (insertResult, error) {
+// A split returns the pair (buildSplit); a supernode, nil. Everything up to
+// the chosen partition lives in the tree's write scratch (splitScratch);
+// buildSplit copies out what the tree keeps.
+func (ix *Index) splitNode(n *Node, nodeMDS mds.MDS) (*Node, error) {
 	total := n.Count()
 	minFill := int(ix.cfg.MinFillRatio * float64(total))
 	if minFill < 1 {
@@ -69,7 +70,7 @@ func (ix *Index) splitNode(n *Node, nodeMDS mds.MDS) (insertResult, error) {
 		}
 		for ; level >= 0; level-- {
 			if err := ix.adaptEntries(n, nodeMDS, dim, level); err != nil {
-				return insertResult{}, err
+				return nil, err
 			}
 			g1, g2, cov1, cov2 := ss.hierarchySplit(dim, minFill)
 			if len(g1) == 0 || len(g2) == 0 {
@@ -77,7 +78,7 @@ func (ix *Index) splitNode(n *Node, nodeMDS mds.MDS) (insertResult, error) {
 			}
 			ratio, err := groupOverlapRatio(space, cov1, cov2)
 			if err != nil {
-				return insertResult{}, err
+				return nil, err
 			}
 			balanced := len(g1) >= minFill && len(g2) >= minFill
 			if balanced && ratio <= ix.cfg.MaxOverlapRatio {
@@ -86,19 +87,19 @@ func (ix *Index) splitNode(n *Node, nodeMDS mds.MDS) (insertResult, error) {
 			}
 			if !ss.fallback.ok || ratio < ss.fallback.ratio {
 				if err := ss.fallback.save(space, ratio, g1, g2, cov1, cov2); err != nil {
-					return insertResult{}, err
+					return nil, err
 				}
 			}
 		}
 	}
 
 	// No acceptable split in any dimension (Fig. 5: "Create supernode").
-	mayGrow := n.blocks < ix.cfg.MaxSupernodeBlocks
+	mayGrow := n.Blocks() < ix.cfg.MaxSupernodeBlocks
 	fb := &ss.fallback
 	if mayGrow || !fb.ok {
 		// Only a directory of two entries has no fallback: it grows
 		// whatever the cap.
-		if n.blocks == 1 {
+		if n.Blocks() == 1 {
 			ix.c.supernodeCreated.Inc()
 		} else {
 			ix.c.supernodeGrown.Inc()
@@ -106,8 +107,8 @@ func (ix *Index) splitNode(n *Node, nodeMDS mds.MDS) (insertResult, error) {
 		// One block more holds the entry or row that overflowed, or the
 		// blocks its bytes need if more — a directory entry that grew, data
 		// rows a wider code widened.
-		n.setBlocks(max(n.blocks+1, ix.nodeBlocks(n)))
-		return insertResult{}, nil
+		n.setBlocks(max(n.Blocks()+1, ix.nodeBlocks(n)))
+		return nil, nil
 	}
 	ix.c.splitsForced.Inc()
 	return ix.buildSplit(n, fb.g[0], fb.g[1], fb.cov[0], fb.cov[1])
@@ -430,15 +431,14 @@ func (ix *Index) fillColumn(c *column, n *Node, dim, level int) error {
 			c.ids = append(c.ids, up.of(loadCode(f.b[o:], cut)))
 		}
 	}
-	for i := range n.entries {
+	for i := 0; !n.leaf && i < n.flat.count; i++ {
 		start := len(c.ids)
 		c.off = append(c.off, start)
-		e := &n.entries[i]
-		if !levelAboveInt(e.MDS[dim].Level, level) {
-			c.ids = mds.SortDedupFrom(mds.AppendLifted(c.ids, h, e.MDS[dim], level), start)
+		if ds := ix.ws.dimOf(&n.flat, i, dim); !levelAboveInt(ds.Level, level) {
+			c.ids = mds.SortDedupFrom(mds.AppendLifted(c.ids, h, ds, level), start)
 			continue
 		}
-		child, err := ix.store.Get(e.Child)
+		child, err := ix.store.Get(n.flat.Child(i))
 		if err != nil {
 			return err
 		}
@@ -469,16 +469,15 @@ func (ix *Index) markNode(s *codeSet, n *Node, dim, level int) error {
 		}
 		return nil
 	}
-	for i := range n.entries {
-		e := &n.entries[i]
-		if ds := e.MDS[dim]; !levelAboveInt(ds.Level, level) {
+	for i := 0; i < n.flat.count; i++ {
+		if ds := ix.ws.dimOf(&n.flat, i, dim); !levelAboveInt(ds.Level, level) {
 			up := liftTo(h, ds.Level, level)
 			for _, id := range ds.IDs {
 				s.add(up.of(id))
 			}
 			continue
 		}
-		child, err := ix.store.Get(e.Child)
+		child, err := ix.store.Get(n.flat.Child(i))
 		if err != nil {
 			s.clear()
 			return err
@@ -956,14 +955,12 @@ func groupOverlapRatio(space mds.Space, cov1, cov2 mds.MDS) (float64, error) {
 }
 
 // buildSplit materializes a chosen partition: the original node keeps
-// group 1, a fresh sibling receives group 2, and both groups' describing
-// MDSs — the covers of the *adapted* members, i.e. at the node's relevant
-// levels with the split dimension one level lower, then refined — are
-// copied out of the scratch and returned to the parent together with the
-// groups' aggregates.
-func (ix *Index) buildSplit(n *Node, g1, g2 []int, cov1, cov2 mds.MDS) (insertResult, error) {
-	measures := ix.schema.Measures()
-
+// group 1, a fresh sibling receives group 2, and the pair of entries that
+// describe them is returned to the parent: a directory no store holds,
+// whose entries carry the groups' describing MDSs — the covers of the
+// *adapted* members, i.e. at the node's relevant levels with the split
+// dimension one level lower, then refined and bounded — and aggregates.
+func (ix *Index) buildSplit(n *Node, g1, g2 []int, cov1, cov2 mds.MDS) (*Node, error) {
 	// A group can still overflow one block — a directory's entries by their
 	// bytes, a data node's rows when a wider code widened them all: it takes
 	// the blocks its bytes need, as a supernode does.
@@ -973,33 +970,26 @@ func (ix *Index) buildSplit(n *Node, g1, g2 []int, cov1, cov2 mds.MDS) (insertRe
 	n.setBlocks(ix.nodeBlocks(n))
 	sibling.setBlocks(ix.nodeBlocks(sibling))
 	n.invalidatePostings()
-	ix.markDirty(n)
-	ix.markDirty(sibling)
+	ix.store.MarkDirty(n.id)
+	ix.store.MarkDirty(sibling.id)
 
 	// Refine the relevant levels of the fresh nodes: a narrow subtree can
 	// usually be described at a much finer level without blowing up the
 	// MDS, and finer descriptions mean more pruning and more materialized
-	// hits on the query path. The first result is copied out before the
-	// second refinement reuses the scratch.
-	if err := ix.refineMDS(n, cov1); err != nil {
-		return insertResult{}, err
+	// hits on the query path. Each cover is encoded into the pair before
+	// the next refinement reuses the scratch.
+	pair := NewNode(NilNode, false, ix.schema.Dims(), ix.schema.Measures())
+	for _, half := range [2]struct {
+		n   *Node
+		cov mds.MDS
+	}{{n, cov1}, {sibling, cov2}} {
+		if err := ix.refineMDS(half.n, half.cov); err != nil {
+			return nil, err
+		}
+		ix.boundMDS(half.cov)
+		pair.appendEntry(half.cov, half.n.aggregate(ix.ws.agg), half.n.id)
 	}
-	ix.boundMDS(cov1)
-	origMDS := packMDS(cov1)
-	if err := ix.refineMDS(sibling, cov2); err != nil {
-		return insertResult{}, err
-	}
-	ix.boundMDS(cov2)
-	newMDS := packMDS(cov2)
-
-	return insertResult{
-		split:   true,
-		newID:   sibling.id,
-		origMDS: origMDS,
-		newMDS:  newMDS,
-		origAgg: n.aggregate(measures),
-		newAgg:  sibling.aggregate(measures),
-	}, nil
+	return pair, nil
 }
 
 // refineMDS lowers, in place, the relevant level of every dimension of a

@@ -54,12 +54,12 @@ func (ix *Index) LevelStats(src Source, h Head) ([]LevelStat, error) {
 		if blocks > 1 {
 			s.Supernodes++
 		}
+		if err := nv.CheckTable(); err != nil {
+			return err
+		}
 		for i := 0; !leaf && i < count; i++ {
-			m, err := nv.entryMDS(i)
-			if err != nil {
-				return err
-			}
-			s.AvgEntryValues += float64(m.Size())
+			_, size, _ := shapeOf(nv.EntryMDS(i))
+			s.AvgEntryValues += float64(size)
 		}
 		return nil
 	})
@@ -145,10 +145,7 @@ func (ix *Index) Validate(src Source, h Head) error {
 		}
 		for i := 0; !leaf && i < count; i++ {
 			f := nv
-			m, err := f.entryMDS(i)
-			if err != nil {
-				return nil, nil, err
-			}
+			m, _, _ := mds.Decode(f.EntryMDS(i)) // CheckTable passed it
 			childCover, childFold, err := walk(f.Child(i), level+1)
 			if err != nil {
 				return nil, nil, err

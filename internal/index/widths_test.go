@@ -202,7 +202,7 @@ func TestLeafWidthsExact(t *testing.T) {
 		if !n.leaf || codeWidth(n.top[0]) != 2 {
 			continue
 		}
-		size := n.encodedSize()
+		size := len(n.flat.b)
 		for n.top[0] > 0xFF && n.Count() > 1 {
 			i := slices.IndexFunc(rowsOf(n), func(i int) bool { return n.Record(i).Coords[0].Code() == n.top[0] })
 			rec := n.Record(i)
@@ -214,7 +214,7 @@ func TestLeafWidthsExact(t *testing.T) {
 		}
 		if codeWidth(n.top[0]) == 1 {
 			narrowed++
-			if got := n.encodedSize(); got > size-n.Count() {
+			if got := len(n.flat.b); got > size-n.Count() {
 				t.Fatalf("node %d narrowed to 1-byte codes, but its encoding went %d → %d bytes", n.id, size, got)
 			}
 		}
@@ -357,9 +357,9 @@ func TestLeafWidening(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !root.leaf || root.blocks != tc.blocks || root.rowSize(nil) != narrowStride || ix.blocksFor(leafSize(3, root.Count()+1, narrowStride)) <= tc.blocks {
+			if !root.leaf || root.Blocks() != tc.blocks || root.rowSize(nil) != narrowStride || ix.blocksFor(leafSize(3, root.Count()+1, narrowStride)) <= tc.blocks {
 				t.Fatalf("before the wide code: leaf %v, %d rows in %d blocks of stride %d, want a full %d-block data node",
-					root.leaf, root.Count(), root.blocks, root.rowSize(nil), tc.blocks)
+					root.leaf, root.Count(), root.Blocks(), root.rowSize(nil), tc.blocks)
 			}
 			before := ix.Counters()
 			if err := ix.Insert(wide); err != nil {
@@ -375,22 +375,22 @@ func TestLeafWidening(t *testing.T) {
 			for _, n := range collectNodes(t, ix) {
 				if n.leaf {
 					leaves = append(leaves, n)
-					if n.blocks != ix.nodeBlocks(n) {
-						t.Errorf("data node %d: %d rows of stride %d in %d blocks, its bytes need %d", n.id, n.Count(), n.rowSize(nil), n.blocks, ix.nodeBlocks(n))
+					if n.Blocks() != ix.nodeBlocks(n) {
+						t.Errorf("data node %d: %d rows of stride %d in %d blocks, its bytes need %d", n.id, n.Count(), n.rowSize(nil), n.Blocks(), ix.nodeBlocks(n))
 					}
-					if stride, need := rowsNeed(n), ix.blocksFor(leafSize(3, n.Count(), rowsNeed(n))); n.rowSize(nil) != stride || n.blocks != need {
-						t.Errorf("data node %d: stride %d in %d blocks, its records need %d in %d", n.id, n.rowSize(nil), n.blocks, stride, need)
+					if stride, need := rowsNeed(n), ix.blocksFor(leafSize(3, n.Count(), rowsNeed(n))); n.rowSize(nil) != stride || n.Blocks() != need {
+						t.Errorf("data node %d: stride %d in %d blocks, its records need %d in %d", n.id, n.rowSize(nil), n.Blocks(), stride, need)
 					}
 				}
 			}
 			switch tc.name {
 			case "one-block":
-				if c.SplitsHierarchy != before.SplitsHierarchy+1 || len(leaves) != 2 || leaves[0].blocks != 1 || leaves[1].blocks != 1 {
+				if c.SplitsHierarchy != before.SplitsHierarchy+1 || len(leaves) != 2 || leaves[0].Blocks() != 1 || leaves[1].Blocks() != 1 {
 					t.Fatalf("counters %+v, %d data nodes: want one split into two one-block nodes", c, len(leaves))
 				}
 			case "supernode":
-				if c.SupernodesGrown != before.SupernodesGrown+1 || len(leaves) != 1 || leaves[0].blocks != 10 {
-					t.Fatalf("counters %+v, %d data nodes, root %d blocks: want the supernode grown to 10", c, len(leaves), leaves[0].blocks)
+				if c.SupernodesGrown != before.SupernodesGrown+1 || len(leaves) != 1 || leaves[0].Blocks() != 10 {
+					t.Fatalf("counters %+v, %d data nodes, root %d blocks: want the supernode grown to 10", c, len(leaves), leaves[0].Blocks())
 				}
 			default:
 				if c.SplitsForced != before.SplitsForced+1 || len(leaves) != 2 {
@@ -484,11 +484,11 @@ func TestRepairAggregate(t *testing.T) {
 		for i, r := range c.rows {
 			n.appendRecord(cube.Record{Coords: []hierarchy.ID{hierarchy.MakeID(0, uint32(i))}, Measures: r[:]})
 		}
-		v := n.aggregate(2)
+		v := n.aggregate(cube.NewAggVector(2))
 		gone := slices.Clone(n.Record(c.gone).Measures)
 		n.removeRecord(c.gone)
 		n.repairAggregate(v, gone)
-		want := n.aggregate(2)
+		want := n.aggregate(cube.NewAggVector(2))
 		for j := range v {
 			got, w := v[j], want[j]
 			if got.Count != w.Count || math.Float64bits(got.Sum) != math.Float64bits(w.Sum) ||

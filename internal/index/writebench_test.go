@@ -34,15 +34,23 @@ func BenchmarkSplit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	var lowDirEntries []Entry
+	// The entries of the directories right above the data nodes, by node
+	// and slot.
+	type slot struct {
+		n *Node
+		i int
+	}
+	var lowDirEntries []slot
 	for _, n := range collectNodes(b, tree) {
 		if n.leaf {
 			continue
 		}
-		if child, err := tree.store.Get(n.entries[0].Child); err != nil {
+		if child, err := tree.store.Get(n.flat.Child(0)); err != nil {
 			b.Fatal(err)
 		} else if child.leaf {
-			lowDirEntries = append(lowDirEntries, n.entries...)
+			for i := range n.Count() {
+				lowDirEntries = append(lowDirEntries, slot{n, i})
+			}
 		}
 	}
 
@@ -64,7 +72,7 @@ func BenchmarkSplit(b *testing.B) {
 				if bc.leaf {
 					n.appendRecord(recs[i])
 				} else {
-					n.entries = append(n.entries, lowDirEntries[i])
+					n.copyEntry(&lowDirEntries[i].n.flat, lowDirEntries[i].i)
 				}
 			}
 			var buf mds.CoverBuf
@@ -75,9 +83,9 @@ func BenchmarkSplit(b *testing.B) {
 			if err := tree.refineMDS(n, m); err != nil {
 				b.Fatal(err)
 			}
-			nodeMDS := packMDS(m)
+			nodeMDS := m.Clone()
 
-			entries, flat, top := n.entries, n.flat, n.top
+			flat, top := n.flat, n.top
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -86,12 +94,12 @@ func BenchmarkSplit(b *testing.B) {
 					b.Fatal(err)
 				}
 				// Put the node back as it was: the groups are copies.
-				if res.split {
-					if err := tree.store.Drop(res.newID); err != nil {
+				if res != nil {
+					if err := tree.store.Drop(res.flat.Child(1)); err != nil {
 						b.Fatal(err)
 					}
 				}
-				n.entries, n.flat, n.top = entries, flat, top
+				n.flat, n.top = flat, top
 				n.setBlocks(bc.blocks)
 			}
 			// The scratch still holds the last candidate's columns.
@@ -150,7 +158,7 @@ func BenchmarkChooseSubtree(b *testing.B) {
 			b.Fatal(err)
 		}
 		roots[i] = root
-		if level1[i], err = tree.store.Get(root.entries[idx].Child); err != nil {
+		if level1[i], err = tree.store.Get(root.flat.Child(idx)); err != nil {
 			b.Fatal(err)
 		}
 		tree.postings(level1[i])

@@ -25,13 +25,11 @@ func (m MDS) EncodedSize() int {
 	n := 1
 	var tmp [binary.MaxVarintLen64]byte
 	for _, d := range m {
-		n++ // level byte
+		count := len(d.IDs)
 		if d.Level == hierarchy.LevelALL {
-			n += binary.PutUvarint(tmp[:], 0)
-			continue
+			count = 0 // ALL is encoded without its one value
 		}
-		n += binary.PutUvarint(tmp[:], uint64(len(d.IDs)))
-		n += 4 * len(d.IDs)
+		n += 1 + binary.PutUvarint(tmp[:], uint64(count)) + 4*count
 	}
 	return n
 }
@@ -39,15 +37,13 @@ func (m MDS) EncodedSize() int {
 // AppendEncode appends the binary encoding of the MDS to buf.
 func (m MDS) AppendEncode(buf []byte) []byte {
 	buf = append(buf, uint8(len(m)))
-	var tmp [binary.MaxVarintLen64]byte
 	for _, d := range m {
-		buf = append(buf, uint8(d.Level))
+		ids := d.IDs
 		if d.Level == hierarchy.LevelALL {
-			buf = append(buf, tmp[:binary.PutUvarint(tmp[:], 0)]...)
-			continue
+			ids = nil // ALL is encoded without its one value
 		}
-		buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(len(d.IDs)))]...)
-		for _, id := range d.IDs {
+		buf = binary.AppendUvarint(append(buf, uint8(d.Level)), uint64(len(ids)))
+		for _, id := range ids {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
 		}
 	}
@@ -55,66 +51,28 @@ func (m MDS) AppendEncode(buf []byte) []byte {
 }
 
 // Decode parses an MDS from the front of buf and returns it together with
-// the number of bytes consumed.
+// the number of bytes consumed: AppendDecode into arenas of its own.
 func Decode(buf []byte) (MDS, int, error) {
-	if len(buf) < 1 {
-		return nil, 0, fmt.Errorf("mds: truncated header")
-	}
-	dims := int(buf[0])
-	off := 1
-	m := make(MDS, dims)
-	for i := 0; i < dims; i++ {
-		if off >= len(buf) {
-			return nil, 0, fmt.Errorf("mds: truncated level byte in dim %d", i)
-		}
-		level := int(buf[off])
-		off++
-		count, n := binary.Uvarint(buf[off:])
-		if n <= 0 {
-			return nil, 0, fmt.Errorf("mds: bad value count in dim %d", i)
-		}
-		off += n
-		if level == hierarchy.LevelALL {
-			if count != 0 {
-				return nil, 0, fmt.Errorf("mds: ALL entry with %d values in dim %d", count, i)
-			}
-			m[i] = AllDim()
-			continue
-		}
-		if count == 0 {
-			return nil, 0, fmt.Errorf("mds: empty value set in dim %d", i)
-		}
-		// Bound count by the remaining bytes in uint64 space: int(count)*4
-		// would overflow for hostile counts near 2^62 and slip past the
-		// check into a make() that panics.
-		if count > uint64(len(buf)-off)/4 {
-			return nil, 0, fmt.Errorf("mds: truncated values in dim %d", i)
-		}
-		ids := make([]hierarchy.ID, count)
-		for j := range ids {
-			ids[j] = hierarchy.ID(binary.LittleEndian.Uint32(buf[off:]))
-			off += 4
-		}
-		m[i] = DimSet{Level: level, IDs: ids}
-	}
-	return m, off, nil
+	var dims []DimSet
+	var ids []hierarchy.ID
+	return AppendDecode(buf, &dims, &ids)
 }
 
-// AppendDecode parses an MDS from the front of buf like Decode, but carves
-// the result out of the caller's arenas: dimension sets are appended to
-// *dims and ID values to *ids, and the returned MDS (plus each DimSet.IDs)
-// is a capacity-capped subslice of them. Arena growth reallocations leave
-// previously returned subslices aliasing the old backing arrays, which stay
-// valid because decoded values are never mutated. One node's worth of
-// entries therefore decodes with O(1) slice allocations instead of O(dims)
-// per entry.
+// AppendDecode parses an MDS from the front of buf, carving the result out
+// of the caller's arenas: dimension sets are appended to
+// *dims and ID values, ALL's too, to *ids, and the returned MDS (plus each
+// DimSet.IDs) is a capacity-capped subslice of them. Arena growth
+// reallocations leave previously returned subslices aliasing the old
+// backing arrays, which stay valid because a decoded set is only ever
+// changed within its own region, never appended through. One node's worth
+// of entries therefore decodes with O(1) slice allocations instead of
+// O(dims) per entry, and a reused arena with none.
 func AppendDecode(buf []byte, dims *[]DimSet, ids *[]hierarchy.ID) (MDS, int, error) {
 	if len(buf) < 1 {
 		return nil, 0, fmt.Errorf("mds: truncated header")
 	}
-	nd := int(buf[0])
-	off := 1
-	dimStart := len(*dims)
+	ds, vs := *dims, *ids // locals, so that the loops keep them in registers
+	nd, off, dimStart := int(buf[0]), 1, len(ds)
 	for i := 0; i < nd; i++ {
 		if off >= len(buf) {
 			return nil, 0, fmt.Errorf("mds: truncated level byte in dim %d", i)
@@ -126,30 +84,27 @@ func AppendDecode(buf []byte, dims *[]DimSet, ids *[]hierarchy.ID) (MDS, int, er
 			return nil, 0, fmt.Errorf("mds: bad value count in dim %d", i)
 		}
 		off += n
-		if level == hierarchy.LevelALL {
-			if count != 0 {
-				return nil, 0, fmt.Errorf("mds: ALL entry with %d values in dim %d", count, i)
-			}
-			*dims = append(*dims, AllDim())
-			continue
-		}
-		if count == 0 {
+		start := len(vs)
+		switch {
+		case level == hierarchy.LevelALL && count != 0:
+			return nil, 0, fmt.Errorf("mds: ALL entry with %d values in dim %d", count, i)
+		case level == hierarchy.LevelALL:
+			vs = append(vs, hierarchy.ALL)
+		case count == 0:
 			return nil, 0, fmt.Errorf("mds: empty value set in dim %d", i)
-		}
 		// Bound count by the remaining bytes in uint64 space: int(count)*4
 		// would overflow for hostile counts near 2^62 and slip past the
 		// check into an append that panics or over-allocates.
-		if count > uint64(len(buf)-off)/4 {
+		case count > uint64(len(buf)-off)/4:
 			return nil, 0, fmt.Errorf("mds: truncated values in dim %d", i)
+		default:
+			for range count {
+				vs = append(vs, hierarchy.ID(binary.LittleEndian.Uint32(buf[off:])))
+				off += 4
+			}
 		}
-		idStart := len(*ids)
-		for j := 0; j < int(count); j++ {
-			*ids = append(*ids, hierarchy.ID(binary.LittleEndian.Uint32(buf[off:])))
-			off += 4
-		}
-		set := (*ids)[idStart:len(*ids):len(*ids)]
-		*dims = append(*dims, DimSet{Level: level, IDs: set})
+		ds = append(ds, DimSet{Level: level, IDs: vs[start:len(vs):len(vs)]})
 	}
-	m := MDS((*dims)[dimStart:len(*dims):len(*dims)])
-	return m, off, nil
+	*dims, *ids = ds, vs
+	return MDS(ds[dimStart:len(ds):len(ds)]), off, nil
 }
