@@ -999,6 +999,9 @@ func (ix *Index) buildSplit(n *Node, g1, g2 []int, cov1, cov2 mds.MDS) (*Node, e
 // subtree at each step; the other dimensions' sets already are the node's
 // description at their levels and stay) and realizes the paper's
 // observation that node MDSs become more specific further down the tree.
+// A dimension's description depends on the node and that dimension alone,
+// so each descends on its own, one description per level, and stops at
+// the first level past the bound.
 // Refined value sets live in the write scratch: the caller copies m out.
 func (ix *Index) refineMDS(n *Node, m mds.MDS) error {
 	bound := ix.cfg.RefineBound
@@ -1007,27 +1010,21 @@ func (ix *Index) refineMDS(n *Node, m mds.MDS) error {
 	}
 	space := ix.space()
 	refined := ix.ws.refined
-	for changed := true; changed; {
-		changed = false
-		for d := range m {
-			var next int
-			switch {
-			case m[d].Level == hierarchy.LevelALL:
+	for d := range m {
+		for m[d].Level != 0 {
+			next := m[d].Level - 1
+			if m[d].Level == hierarchy.LevelALL {
 				next = space[d].TopLevel()
-			case m[d].Level > 0:
-				next = m[d].Level - 1
-			default:
-				continue
 			}
 			desc, err := ix.describeNode(n, d, next)
 			if err != nil {
 				return err
 			}
-			if len(desc) <= bound {
-				refined[d] = append(refined[d][:0], desc...)
-				m[d] = mds.DimSet{Level: next, IDs: refined[d]}
-				changed = true
+			if len(desc) > bound {
+				break
 			}
+			refined[d] = append(refined[d][:0], desc...)
+			m[d] = mds.DimSet{Level: next, IDs: refined[d]}
 		}
 	}
 	return nil
