@@ -14,7 +14,6 @@ package dctree_test
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -83,7 +82,12 @@ func (f *fixture) build(b *testing.B) {
 				f.err = err
 				return
 			}
-			if err := xt.Insert(p, r.Measures[0]); err != nil {
+			u, err := gen.Schema().Units(0, r.Measures[0])
+			if err != nil {
+				f.err = err
+				return
+			}
+			if err := xt.Insert(p, u); err != nil {
 				f.err = err
 				return
 			}
@@ -359,8 +363,7 @@ func BenchmarkRollingWindow(b *testing.B) {
 						if err != nil {
 							b.Fatal(err)
 						}
-						if got, want := res.Agg, want.Agg; got.Count != want.Count || got.Min != want.Min || got.Max != want.Max ||
-							math.Abs(got.Sum-want.Sum) > 1e-9*math.Max(1, math.Abs(want.Sum)) {
+						if got, want := res.Agg, want.Agg; got != want {
 							b.Fatalf("%s query %d: window tree %+v, packed tree %+v", class.name, k, got, want)
 						}
 						visited += res.Stats.NodesVisited

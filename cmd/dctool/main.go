@@ -56,7 +56,11 @@
 //	}
 //
 // The CSV must carry one column per dimension level named "Dim.Level"
-// plus one column per measure; rows become data records.
+// plus one column per measure; rows become data records. A measure is
+// stored as exact units of its decimal scale, which build reads off its
+// column: the most fractional digits its values need (12.5 and 3.25 make
+// scale 2; 3703.6800000000003, a float printed with rounding noise, needs
+// 2).
 //
 // `build -tpcd N` skips both files and indexes N records of the paper's
 // TPC-D-like evaluation cube (Customer, Supplier, Part, Time; measure
@@ -196,7 +200,18 @@ func runBuild(args []string) error {
 		if schema, spec, err = loadSchema(*schemaPath); err != nil {
 			return err
 		}
-		load = func(tree *dctree.Tree) (int, error) { return loadCSV(tree, schema, spec, *csvPath) }
+		if schema, err = csvScales(schema, spec, *csvPath); err != nil {
+			return err
+		}
+		load = func(tree *dctree.Tree) (int, error) {
+			return scanCSV(spec, *csvPath, func(paths [][]string, measures []float64) error {
+				rec, err := schema.InternRecord(paths, measures)
+				if err != nil {
+					return err
+				}
+				return tree.Insert(rec)
+			})
+		}
 	}
 
 	cfg := dctree.DefaultConfig()
@@ -220,9 +235,30 @@ func runBuild(args []string) error {
 	return nil
 }
 
-// loadCSV inserts every row of the CSV at path into the tree and returns
-// the row count.
-func loadCSV(tree *dctree.Tree, schema *dctree.Schema, spec *schemaSpec, path string) (int, error) {
+// csvScales returns the schema with each measure's decimal scale read off
+// the CSV at path: the most, over its column, of each value's smallest
+// scale (cube.ScaleOf).
+func csvScales(schema *dctree.Schema, spec *schemaSpec, path string) (*dctree.Schema, error) {
+	scales := make([]int, len(spec.Measures))
+	_, err := scanCSV(spec, path, func(_ [][]string, measures []float64) error {
+		for j, x := range measures {
+			s := cube.ScaleOf(x)
+			if s < 0 {
+				return fmt.Errorf("measure %q: no decimal scale up to %d holds %v", spec.Measures[j], cube.MaxScale, x)
+			}
+			scales[j] = max(scales[j], s)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return schema.WithScales(scales...)
+}
+
+// scanCSV hands row every data row of the CSV at path — its dimension
+// paths, top level first, and its measures — and returns the row count.
+func scanCSV(spec *schemaSpec, path string, row func(paths [][]string, measures []float64) error) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
@@ -265,7 +301,7 @@ func loadCSV(tree *dctree.Tree, schema *dctree.Schema, spec *schemaSpec, path st
 
 	n := 0
 	for {
-		row, err := r.Read()
+		line, err := r.Read()
 		if err == io.EOF {
 			break
 		}
@@ -276,23 +312,19 @@ func loadCSV(tree *dctree.Tree, schema *dctree.Schema, spec *schemaSpec, path st
 		for d, dc := range dims {
 			path := make([]string, len(dc.topDown))
 			for i, c := range dc.topDown {
-				path[i] = row[c]
+				path[i] = line[c]
 			}
 			paths[d] = path
 		}
 		measures := make([]float64, len(measureCols))
 		for j, c := range measureCols {
-			v, err := strconv.ParseFloat(strings.TrimSpace(row[c]), 64)
+			v, err := strconv.ParseFloat(strings.TrimSpace(line[c]), 64)
 			if err != nil {
-				return n, fmt.Errorf("row %d: measure %q: %w", n+2, row[c], err)
+				return n, fmt.Errorf("row %d: measure %q: %w", n+2, line[c], err)
 			}
 			measures[j] = v
 		}
-		rec, err := schema.InternRecord(paths, measures)
-		if err != nil {
-			return n, fmt.Errorf("row %d: %w", n+2, err)
-		}
-		if err := tree.Insert(rec); err != nil {
+		if err := row(paths, measures); err != nil {
 			return n, fmt.Errorf("row %d: %w", n+2, err)
 		}
 		n++

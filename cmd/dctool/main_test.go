@@ -409,8 +409,8 @@ func TestRetiredIndexRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	meta, err := store.GetMeta()
-	if err != nil || !bytes.HasPrefix(meta, []byte("DCMETA10")) {
-		t.Fatalf("metadata does not start with DCMETA10 (err %v)", err)
+	if err != nil || !bytes.HasPrefix(meta, []byte("DCMETA11")) {
+		t.Fatalf("metadata does not start with DCMETA11 (err %v)", err)
 	}
 	meta[6], meta[7] = '0', '9'
 	if err := store.SetMeta(meta); err != nil {

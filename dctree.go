@@ -275,6 +275,11 @@ var ErrChecksum = storage.ErrChecksum
 // rebuild the index from its source data with a current build.
 var ErrUnsupportedFormat = storage.ErrUnsupportedFormat
 
+// ErrMeasureValue reports a measure value that is not an exact count of
+// units of its measure's scale (Schema.WithScales), or an insert that could
+// take a sum out of 64-bit range.
+var ErrMeasureValue = cube.ErrMeasureValue
+
 // ErrVersionReleased reports a query against a released Version handle.
 var ErrVersionReleased = core.ErrVersionReleased
 

@@ -2,7 +2,6 @@ package dctree_test
 
 import (
 	"context"
-	"math"
 	"path/filepath"
 	"testing"
 
@@ -124,7 +123,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if v, _ := rangeQuery(tree, q2, dctree.Min, 0); v != 100 {
 		t.Fatalf("conjunction min = %g", v)
 	}
-	if v, _ := rangeQuery(tree, q2, dctree.Avg, 0); math.Abs(v-700.0/3) > 1e-9 {
+	if v, _ := rangeQuery(tree, q2, dctree.Avg, 0); v != 700.0/3 {
 		t.Fatalf("conjunction avg = %g", v)
 	}
 

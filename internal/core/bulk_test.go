@@ -201,15 +201,16 @@ func BenchmarkBulkLoad(b *testing.B) {
 
 // TestFullLeafFitsOneBlock: one node, one block (§4.2). At the default
 // configuration a data node holds as many TPC-D rows as one block's extent
-// fits at the byte widths its codes need — at this cube's codes 2 + 1 + 2 +
-// 2 bytes and the measure's 8, so 270 rows, encoded behind the 20-byte
-// header and 4 width bytes in 24 + 270·15 = 4,074 of the 4,084 payload
-// bytes, where a 271st would take 4,089 — so the extent a flush gives a
-// full one is as long as the node says it is: the block count LevelStats
-// reports is the one the store holds.
+// fits at the byte widths its values need — at this cube's codes 2 + 1 + 2
+// + 2 bytes and the measure's 3 bytes of cents, so 405 rows, encoded
+// behind the 20-byte header, 5 width bytes and before the 7-byte pad in
+// 32 + 405·10 = 4,082 of the 4,084 payload bytes, where a 406th would take
+// 4,092 — so the extent a flush gives a full one is as long as the node
+// says it is: the block count LevelStats reports is the one the store
+// holds.
 func TestFullLeafFitsOneBlock(t *testing.T) {
 	cfg := DefaultConfig()
-	const rows, size = 270, 24 + 270*15
+	const rows, size = 405, 32 + 405*10
 	gen, err := tpcd.New(1, tpcd.ScaleFor(25*rows))
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +219,7 @@ func TestFullLeafFitsOneBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if payload := storage.ExtentCapacity(cfg.BlockSize, 1); size > payload || size+15 <= payload {
+	if payload := storage.ExtentCapacity(cfg.BlockSize, 1); size > payload || size+10 <= payload {
 		t.Fatalf("%d rows take %d of the %d payload bytes: not a full block", rows, size, payload)
 	}
 	if err := tree.BulkLoad(gen.Records(25 * rows)); err != nil {

@@ -157,7 +157,7 @@ func TestCrashDuringFlushPreservesLastCheckpoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Count != checkpointSum.Count || !floatClose(got.Sum, checkpointSum.Sum) {
+			if got != checkpointSum {
 				t.Fatalf("budget %d: checkpoint agg %+v, want %+v", budget, got, checkpointSum)
 			}
 		case newCount:
@@ -213,13 +213,9 @@ func TestCrashAfterDeleteFlush(t *testing.T) {
 	if err := reopened.Validate(); err != nil {
 		t.Fatalf("reopened tree corrupt: %v", err)
 	}
-	var total cube.Agg
-	for _, r := range recs {
-		total.Add(r.Measures[0])
-	}
 	got, _ := rangeAgg(reopened, reopened.RootMDS(), 0)
-	if got.Count != total.Count {
-		t.Fatalf("agg count %d want %d", got.Count, total.Count)
+	if got.Count != int64(len(recs)) {
+		t.Fatalf("agg count %d want %d", got.Count, len(recs))
 	}
 }
 
@@ -256,7 +252,7 @@ func TestGroupCommitCrashStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	recs := genRecords(t, schema, rng, workers*perWorker)
 	for i := range recs {
-		recs[i].Measures[0] = float64(i) + 0.125
+		recs[i].Measures[0] = float64(i) + 0.25
 	}
 
 	var (

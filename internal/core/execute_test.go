@@ -164,7 +164,7 @@ func (c *countdownCtx) Err() error {
 func TestExecuteCancellationMidDescent(t *testing.T) {
 	tree := newTestTree(t, smallConfig())
 	rng := rand.New(rand.NewSource(3))
-	for _, r := range genRecords(t, tree.Schema(), rng, 2000) {
+	for _, r := range genRecords(t, tree.Schema(), rng, 4000) {
 		if err := tree.Insert(r); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -353,26 +352,25 @@ func TestGroupCommitCheckpointCoverageFlushesLog(t *testing.T) {
 	}
 }
 
-// imageBlockSize is the Config.BlockSize the crash images testdata/format-10
-// and testdata/parent-pr12 were written at.
+// imageBlockSize is the Config.BlockSize the crash images
+// testdata/format-11 and testdata/parent-pr12 were written at.
 const imageBlockSize = 1024
 
 // TestRecoveryOfParentWrittenImage is the golden file of the one surviving
-// format generation: testdata/format-10 is a crash image (store + log
+// format generation: testdata/format-11 is a crash image (store + log
 // tail) written by the build that introduced the generation — DCSTORE2
-// extents, a DCMETA10 blob, data nodes that are their code widths and
-// their rows, a DCWAL002 segment of op-3/4/5 records — and must open
-// unmodified, replay its tail and keep accepting durable writes.
+// extents, a DCMETA11 blob carrying the measure's scale, data nodes that
+// are their rows of codes and units at their widths, directories whose
+// aggregates are units, a DCWAL002 segment of op-3/4/5 records — and must
+// open unmodified, validate, replay its tail and keep accepting durable
+// writes; its answers are exact.
 //
-// To regenerate after a format bump: newDurableOnDisk(smallConfig()), recs :=
-// genRecords(seed 7, 160); insert recs[:120], Flush, insert recs[120:], delete
-// recs[:5]; copyCrashImage into testdata/format-NN without closing the tree.
-// The image holds a directory capacity of 6 in its metadata's retired slot,
-// which no build reads, and a row cap of 8 in the retired row-cap slot,
-// under which it was written: open fits its data nodes, which all fit their
-// bytes already (TestRowCappedImageFitsOnOpen has some that do not).
+// To regenerate after a format bump: newDurableOnDisk(smallConfig() at
+// BlockSize imageBlockSize), recs := genRecords(seed 7, 160); insert
+// recs[:120], Flush, insert recs[120:], delete recs[:5]; copyCrashImage
+// into testdata/format-NN without closing the tree.
 func TestRecoveryOfParentWrittenImage(t *testing.T) {
-	dir := copyTestImage(t, "format-10")
+	dir := copyTestImage(t, "format-11")
 	for name, magic := range map[string]string{"store.dc": "DCSTORE2", "idx.00000002.wal": "DCWAL002"} {
 		if data, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.HasPrefix(data, []byte(magic)) {
 			t.Fatalf("fixture %s does not start with %s (err %v)", name, magic, err)
@@ -408,7 +406,7 @@ func TestRecoveryOfParentWrittenImage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tree.Count() != count || int64(agg.Count) != count || math.Abs(agg.Sum-sum) > 1e-6 {
+		if tree.Count() != count || int64(agg.Count) != count || agg.Sum != sum {
 			t.Fatalf("count %d (root %v), sum %.2f; want %d, %.2f", tree.Count(), agg.Count, agg.Sum, count, sum)
 		}
 	}
@@ -428,44 +426,9 @@ func TestRecoveryOfParentWrittenImage(t *testing.T) {
 	checkImage(tree, 156, 8846.27)
 }
 
-// TestParentDirectoriesFitOnOpen: testdata/format-10-dir24 is a crash image
-// of the same generation written under the retired entry-count rule — 24
-// entries a directory at 1 KiB blocks — so both of its level-1 directories
-// encode past their one block's 1,012 bytes (up to 1,646 B), in the live
-// tree and in the version persisted beside it (checkFitOnOpen).
-//
-// To regenerate, at the commit before the byte rule: newDurableOnDisk with
-// DefaultConfig at BlockSize 1024, LeafCapacity 8, MaxSupernodeBlocks 8;
-// recs := genRecords(seed 7, 160); insert recs[:120], Snapshot, Flush,
-// insert recs[120:], delete recs[:5]; copyCrashImage without closing.
-func TestParentDirectoriesFitOnOpen(t *testing.T) {
-	checkFitOnOpen(t, "format-10-dir24", imageBlockSize)
-}
-
-// TestRowCappedImageFitsOnOpen: testdata/format-10-leaf96 is a crash image
-// of the same generation written under the retired row cap — 96 rows a
-// data node at 512-byte blocks — so both of its data nodes, of 57 and 63
-// rows, encode past their one block's 500 bytes (650 and 716 B), in the
-// live tree and in the version persisted beside it (checkFitOnOpen). The image keeps its cap in
-// the metadata's row-cap slot through a checkpoint: the version's extents
-// are never rewritten, so every open must fit its data nodes again.
-//
-// To regenerate, at the commit before the row cap went: newDurableOnDisk
-// with DefaultConfig at BlockSize 512, LeafCapacity 96; recs :=
-// genRecords(seed 7, 160); insert recs[:120], Snapshot, Flush, insert
-// recs[120:], delete recs[:5]; copyCrashImage without closing. Under a cap
-// of 48 no data node of this stream passes its block (474 bytes at most).
-func TestRowCappedImageFitsOnOpen(t *testing.T) {
-	raw := checkFitOnOpen(t, "format-10-leaf96", 512)
-	if raw.rowCap != 96 {
-		t.Fatalf("checkpointed image holds row cap %d, written under 96", raw.rowCap)
-	}
-}
-
-// TestOpenReadsNoDataNode: open fits the data nodes of an image written
-// under a row cap only. A tree written without one held them to their bytes
-// already, so its open views each directory once and no data-node extent:
-// a cold image opens at the cost of its directories.
+// TestOpenReadsNoDataNode: no image this build opens holds a node past its
+// blocks' bytes, so open reads no node at all — no data node, and no
+// directory either: a cold image opens at the cost of its metadata.
 func TestOpenReadsNoDataNode(t *testing.T) {
 	cfg := smallConfig()
 	path := filepath.Join(t.TempDir(), "store.dc")
@@ -507,131 +470,10 @@ func TestOpenReadsNoDataNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := reopened.Metrics(); m.FlatNodeReads+m.DecodeFallbacks != int64(directories) {
-		t.Fatalf("open resolved %d flat and %d decoded nodes, want the %d directories alone",
-			m.FlatNodeReads, m.DecodeFallbacks, directories)
+	if m, st := reopened.Metrics(), st.Stats(); m.FlatNodeReads+m.DecodeFallbacks != 0 || st.Reads != 0 {
+		t.Fatalf("open of a tree of %d directories resolved %d flat and %d decoded nodes and read %d extents, want none",
+			directories, m.FlatNodeReads, m.DecodeFallbacks, st.Reads)
 	}
-}
-
-// checkFitOnOpen holds a crash image written under a retired count rule to
-// the fit on open. The image is 120 inserts, a Snapshot (version 1), a
-// checkpoint, then 40 inserts and 5 deletes in the log tail; taken as
-// written, its live tree and its version fail Validate with an overflowing
-// node. Opened — without its log, or with it — the overflowing nodes hold
-// the blocks their bytes need, the live tree and the version validate, the
-// tail replays and the tree takes inserts; a checkpoint persists the live
-// tree's blocks, and a reopen fits the version again, whose extents as
-// written still overflow. It returns the checkpointed image as written.
-func checkFitOnOpen(t *testing.T, fixture string, blockSize int) *Tree {
-	dir := copyTestImage(t, fixture)
-	storePath, walPrefix := filepath.Join(dir, "store.dc"), filepath.Join(dir, "idx")
-	// asWritten decodes the image's metadata without Open's fitting.
-	asWritten := func() *Tree {
-		st, err := storage.OpenPagedStore(storePath, blockSize, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { st.Close() })
-		meta, err := st.GetMeta()
-		if err != nil {
-			t.Fatal(err)
-		}
-		tree, err := decodeMeta(meta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tree.store = st
-		return tree
-	}
-	overflows := func(what string, err error) {
-		t.Helper()
-		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "overflows") {
-			t.Fatalf("fixture's %s as written: %v, want an overflowing node", what, err)
-		}
-	}
-	raw := asWritten()
-	v, ok := raw.VersionByID(1)
-	if !ok {
-		t.Fatal("fixture holds no version 1")
-	}
-	overflows("live tree", raw.Validate())
-	overflows("version", v.Validate())
-
-	// Opened without its log, as a checker opens it, the image as written
-	// validates too: the fitting is Open's, not the replay's.
-	st, err := storage.OpenPagedStore(storePath, blockSize, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := Open(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plain.Validate(); err != nil {
-		t.Fatalf("opened without the log: %v", err)
-	}
-	st.Close()
-
-	open := func() (*Tree, *storage.PagedStore) {
-		st, err := storage.OpenPagedStore(storePath, blockSize, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tree, err := OpenDurable(st, walPrefix)
-		if err != nil {
-			st.Close()
-			t.Fatalf("OpenDurable: %v", err)
-		}
-		return tree, st
-	}
-	tree, st := open()
-	if got := tree.Metrics().RecoveryReplayedRecords; got != 45 {
-		t.Fatalf("replayed %d records, want the 45 of the tail", got)
-	}
-	check := func(tree *Tree, count int64) {
-		t.Helper()
-		if err := tree.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		if tree.Count() != count {
-			t.Fatalf("count %d, want %d", tree.Count(), count)
-		}
-		v, ok := tree.VersionByID(1)
-		if !ok {
-			t.Fatal("version 1 lost")
-		}
-		if err := v.Validate(); err != nil {
-			t.Fatalf("version 1: %v", err)
-		}
-		if v.Count() != 120 {
-			t.Fatalf("version 1 counts %d records, want 120", v.Count())
-		}
-	}
-	check(tree, 155)
-	for _, rec := range genRecords(t, tree.Schema(), rand.New(rand.NewSource(8)), 60) {
-		if err := tree.Insert(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	check(tree, 215)
-	if err := tree.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
-	raw = asWritten()
-	if err := raw.Validate(); err != nil {
-		t.Fatalf("checkpointed live tree as written: %v", err)
-	}
-	v, ok = raw.VersionByID(1)
-	if !ok {
-		t.Fatal("checkpointed image lost version 1")
-	}
-	overflows("version, checkpointed,", v.Validate())
-	tree, st = open()
-	defer st.Close()
-	defer tree.Close()
-	check(tree, 215)
-	return raw
 }
 
 // waitFor polls cond until it holds, failing the test after ten seconds.

@@ -18,16 +18,14 @@ import (
 // (the index is meaningless without them), the root pointer, and the
 // logical-node translation table.
 
-// One layout is written and read, under the magic "DCMETA10"; every word
-// of it but the retired directory capacity is a field decodeMeta keeps. A
-// blob of an earlier generation ("DCMETA01"–"09": other node encodings,
-// other words) is refused by its magic, undecoded. "DCMETA09" wrote every
-// data-node code in 4 bytes and persisted the resolved row count of a
-// block-filled data node; "DCMETA10" writes each at its dimension's width.
-// Its third word is the retired data-node row cap: 0 in a tree this build
-// creates, the cap an older build wrote otherwise (Tree.rowCap), written
-// back as read.
-const metaMagic = "DCMETA10"
+// One layout is written and read, under the magic "DCMETA11"; every word
+// of it but the retired directory capacity is a field decodeMeta keeps. A blob of an earlier generation
+// ("DCMETA01"–"10": other node encodings, other words) is refused by its
+// magic, undecoded. "DCMETA10" wrote each data-node code at its
+// dimension's width but every measure as an f64, and float aggregates;
+// "DCMETA11" writes each measure as units of its declared scale at its
+// width, the aggregates in units, and the scales in the schema.
+const metaMagic = "DCMETA11"
 
 // metaFlags is the config flags byte every blob is written with: bit 1,
 // once the switch of the materialized aggregates, which are always kept.
@@ -105,7 +103,6 @@ func (t *Tree) encodeMeta(snap metaSnapshot) ([]byte, error) {
 	// Config.
 	buf = binary.AppendUvarint(buf, uint64(t.cfg.BlockSize))
 	buf = append(buf, 0) // the retired directory capacity, skipped on read
-	buf = binary.AppendUvarint(buf, uint64(t.rowCap))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.cfg.MinFillRatio))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.cfg.MaxOverlapRatio))
 	buf = binary.AppendUvarint(buf, uint64(t.cfg.MaxSupernodeBlocks))
@@ -183,7 +180,7 @@ func readHead(r *metaReader, between ...*uint64) (index.Head, error) {
 }
 
 // appendSchema serializes a cube schema: the dimensions with their full
-// dictionaries, then the measure names. The metadata blob and the replica
+// dictionaries, then each measure's name and decimal scale. The metadata blob and the replica
 // bootstrap blob (EncodeSchema) both carry it; readSchema is its inverse.
 func appendSchema(buf []byte, s *cube.Schema) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(s.Dims()))
@@ -202,6 +199,7 @@ func appendSchema(buf []byte, s *cube.Schema) ([]byte, error) {
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(name)))
 		buf = append(buf, name...)
+		buf = append(buf, byte(s.Scale(j)))
 	}
 	return buf, nil
 }
@@ -226,14 +224,22 @@ func readSchema(r *metaReader) (*cube.Schema, error) {
 	if r.err != nil || nMeasures < 1 || nMeasures > 256 {
 		return nil, fmt.Errorf("%w: measure count", ErrCorrupt)
 	}
-	measures := make([]string, nMeasures)
+	measures, scales := make([]string, nMeasures), make([]int, nMeasures)
 	for j := range measures {
 		measures[j] = r.string()
+		scales[j] = int(r.byte())
 	}
 	if r.err != nil {
 		return nil, fmt.Errorf("%w: measure names: %v", ErrCorrupt, r.err)
 	}
-	return cube.NewSchema(hs, measures...)
+	s, err := cube.NewSchema(hs, measures...)
+	if err != nil {
+		return nil, err
+	}
+	if s, err = s.WithScales(scales...); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return s, nil
 }
 
 // appendExtentTable serializes one node→extent table (the translation
@@ -264,26 +270,7 @@ func Open(store storage.Store) (*Tree, error) {
 	}
 	t.store = store
 	t.viewer, _ = store.(storage.ExtentViewer)
-	t.fit()
 	return t, nil
-}
-
-// fit gives each node of a tree written under a retired count rule the
-// blocks its bytes need (index.Fit), so the tree holds to the byte rule
-// this build writes and validates: directories of the entry-count rule
-// always, data nodes when the image was written under a row cap. A live
-// node is cached dirty: the next checkpoint persists it. A persisted
-// version's is re-encoded into the version's overlay, at every open, since
-// a version's extents are never rewritten.
-func (t *Tree) fit() {
-	leaves := t.rowCap > 0
-	t.ix.Fit(t.nodes(), t.ix.Head(), leaves, func(n *index.Node) {
-		t.nc.put(n)
-		t.nc.markDirty(n.ID())
-	})
-	for _, v := range t.versions {
-		t.ix.Fit(v.nodes(), v.head, leaves, func(n *index.Node) { v.overlay[n.ID()] = t.ix.Encode(n) })
-	}
 }
 
 // decodeMeta parses a metadata blob into a store-less Tree. Split out of
@@ -306,7 +293,6 @@ func decodeMeta(meta []byte) (*Tree, error) {
 	var cfg Config
 	cfg.BlockSize = int(r.uvarint())
 	r.uvarint() // the retired directory capacity
-	rowCap := int(r.uvarint())
 	cfg.MinFillRatio = r.float64()
 	cfg.MaxOverlapRatio = r.float64()
 	cfg.MaxSupernodeBlocks = int(r.uvarint())
@@ -387,14 +373,9 @@ func decodeMeta(meta []byte) (*Tree, error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
-	// No build wrote a row cap below 4: Normalize refused them.
-	if rowCap < 4 && rowCap != 0 {
-		return nil, fmt.Errorf("%w: leaf capacity %d < 4", ErrBadConfig, rowCap)
-	}
 	t := &Tree{
 		schema:           schema,
 		cfg:              cfg,
-		rowCap:           rowCap,
 		nextID:           nodeID(nextID),
 		checkpointLSN:    checkpointLSN,
 		versionSeq:       versionSeq,

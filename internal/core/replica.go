@@ -124,7 +124,7 @@ func (t *Tree) ApplyReplicated(epoch, lsn uint64, payload []byte) error {
 // section (appendSchema) under its own magic, so the blob evolves
 // independently of meta versions.
 
-const schemaBlobMagic = "DCSCHM01"
+const schemaBlobMagic = "DCSCHM02"
 
 // EncodeSchema serializes the tree's cube schema — every dimension with
 // its full dictionary, plus the measure names — as a self-contained blob

@@ -33,13 +33,6 @@ type Tree struct {
 	cfg    Config
 	store  storage.Store
 
-	// rowCap is the retired data-node row cap the image was written under,
-	// read from its metadata's slot: 0 for a tree this build creates. Open
-	// fits data nodes only when it is nonzero, and the blob writes it back
-	// unchanged, because a persisted version's extents are never rewritten:
-	// every open fits that version's over-full data nodes again.
-	rowCap int
-
 	// ix is the paper's index: its head and the three algorithms. Its
 	// mutations run under t.mu held exclusively, its read-only walks under
 	// t.mu held shared or over a pinned Version; its nodes live in this

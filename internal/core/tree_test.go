@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -16,13 +18,17 @@ import (
 )
 
 // testSchema builds a small TPC-D-like cube: Customer (Region>Nation>Cust),
-// Part (Brand>Part), Time (Year>Month) with one measure.
+// Part (Brand>Part), Time (Year>Month) with one measure of cents.
 func testSchema(t testing.TB) *cube.Schema {
 	t.Helper()
 	cust := hierarchy.MustNew("Customer", "Customer", "Nation", "Region")
 	part := hierarchy.MustNew("Part", "Part", "Brand")
 	tim := hierarchy.MustNew("Time", "Month", "Year")
-	return cube.MustNewSchema([]*hierarchy.Hierarchy{cust, part, tim}, "Price")
+	s, err := cube.MustNewSchema([]*hierarchy.Hierarchy{cust, part, tim}, "Price").WithScales(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // genRecords interns n random records into the schema.
@@ -68,7 +74,7 @@ func collectNodes(t testing.TB, tree *Tree) []*index.Node {
 // child.
 type entry struct {
 	MDS   mds.MDS
-	Agg   cube.AggVector
+	Agg   []cube.Fixed
 	Child nodeID
 }
 
@@ -83,15 +89,18 @@ func entriesOf(t testing.TB, tree *Tree, n *index.Node) []entry {
 	out := make([]entry, n.Count())
 	for i := range out {
 		if n.Leaf() {
-			rec := n.Record(i)
-			out[i] = entry{MDS: mds.FromLeaves(rec.Coords), Agg: cube.AggOfRecord(rec.Measures)}
+			coords, units := n.Row(i)
+			out[i] = entry{MDS: mds.FromLeaves(coords)}
+			for _, u := range units {
+				out[i].Agg = append(out[i].Agg, cube.FixedOf(u))
+			}
 			continue
 		}
 		m, _, err := mds.Decode(nv.EntryMDS(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[i] = entry{MDS: m, Agg: cube.NewAggVector(tree.schema.Measures()), Child: nv.Child(i)}
+		out[i] = entry{MDS: m, Agg: make([]cube.Fixed, tree.schema.Measures()), Child: nv.Child(i)}
 		for j := range out[i].Agg {
 			out[i].Agg[j] = nv.Agg(i, j)
 		}
@@ -151,20 +160,31 @@ func randomQuery(rng *rand.Rand, s *cube.Schema, selectivity float64) mds.MDS {
 	return q
 }
 
-// bruteAgg computes the ground-truth aggregate of a query over records.
+// bruteAgg computes the ground-truth aggregate of a query over records:
+// their units folded, the answer made once.
 func bruteAgg(t testing.TB, s *cube.Schema, recs []cube.Record, q mds.MDS, measure int) cube.Agg {
 	t.Helper()
-	var agg cube.Agg
+	var agg cube.Fixed
 	for _, r := range recs {
 		ok, err := q.ContainsLeaves(s.Space(), r.Coords)
 		if err != nil {
 			t.Fatalf("ContainsLeaves: %v", err)
 		}
 		if ok {
-			agg.Add(r.Measures[measure])
+			agg.Add(unitsOf(t, s, r, measure))
 		}
 	}
-	return agg
+	return s.Answer(measure, agg)
+}
+
+// unitsOf returns record r's measure j in units of its scale.
+func unitsOf(t testing.TB, s *cube.Schema, r cube.Record, j int) int64 {
+	t.Helper()
+	u, err := s.Units(j, r.Measures[j])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
 }
 
 // rangeAgg is the tests' shorthand for a single-measure Execute on the live
@@ -174,25 +194,9 @@ func rangeAgg(tree *Tree, q mds.MDS, measure int) (cube.Agg, error) {
 	return res.Agg, err
 }
 
-// floatClose compares sums up to float rounding.
-func floatClose(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= 1e-6*scale+1e-9
-}
-
-func aggMatches(got, want cube.Agg) bool {
-	if got.Count != want.Count {
-		return false
-	}
-	if want.Count == 0 {
-		return got == (cube.Agg{})
-	}
-	return got.Min == want.Min && got.Max == want.Max && floatClose(got.Sum, want.Sum)
-}
+// aggMatches reports whether two answers are equal, bit for bit: every
+// engine folds exact units and makes the float once.
+func aggMatches(got, want cube.Agg) bool { return got == want }
 
 func TestEmptyTree(t *testing.T) {
 	tree := newTestTree(t, smallConfig())
@@ -262,10 +266,7 @@ func TestInsertAndExactQueries(t *testing.T) {
 	}
 
 	// Whole-cube query equals total.
-	var want cube.Agg
-	for _, r := range recs {
-		want.Add(r.Measures[0])
-	}
+	want := bruteAgg(t, s, recs, mds.Top(3), 0)
 	got, err := rangeAgg(tree, mds.Top(3), 0)
 	if err != nil {
 		t.Fatalf("RangeAgg: %v", err)
@@ -293,7 +294,7 @@ func TestInsertAndExactQueries(t *testing.T) {
 				if !math.IsNaN(v) {
 					t.Fatalf("op %v = %g, want NaN", op, v)
 				}
-			} else if !floatClose(v, w) {
+			} else if v != w {
 				t.Fatalf("op %v = %g, want %g", op, v, w)
 			}
 		}
@@ -304,7 +305,7 @@ func TestMaterializedHits(t *testing.T) {
 	tree := newTestTree(t, smallConfig())
 	s := tree.Schema()
 	rng := rand.New(rand.NewSource(3))
-	recs := genRecords(t, s, rng, 800)
+	recs := genRecords(t, s, rng, 1600)
 	for _, r := range recs {
 		if err := tree.Insert(r); err != nil {
 			t.Fatal(err)
@@ -340,6 +341,63 @@ func TestMaterializedHits(t *testing.T) {
 	}
 	if res.Stats.NodesVisited >= totalNodes {
 		t.Fatalf("broad query visited all %d nodes", totalNodes)
+	}
+}
+
+// TestInsertRefusesOverflowingSum: a tree of count records, each at most
+// span units in magnitude, keeps count × span below 2^63, so that no sum it
+// stores or a query folds leaves int64. 1,024 values of 2^53 − 1 units fit
+// the bound; the insert that would break it is refused with
+// cube.ErrMeasureValue before any byte changes — whatever its own value,
+// since the bound counts records — and the tree answers, validates and
+// encodes as it did before.
+func TestInsertRefusesOverflowingSum(t *testing.T) {
+	s := cube.MustNewSchema([]*hierarchy.Hierarchy{hierarchy.MustNew("D", "Leaf", "Top")}, "M")
+	tree, err := New(storage.NewMemStore(smallConfig().BlockSize), s, smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := func(i int, x float64) cube.Record {
+		r, err := s.InternRecord([][]string{{fmt.Sprintf("T%d", i%3), fmt.Sprintf("v%d", i%50)}}, []float64{x})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	const big = 1<<53 - 1
+	for i := range 1024 {
+		if err := tree.Insert(record(i, big)); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	encodings := func() map[nodeID]string {
+		out := map[nodeID]string{}
+		for _, n := range collectNodes(t, tree) {
+			out[n.ID()] = string(tree.ix.Encode(n))
+		}
+		return out
+	}
+	agg, err := rangeAgg(tree, mds.Top(1), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg.Count != 1024 || agg.Sum != 1024*big || agg.Max != big {
+		t.Fatalf("whole-cube answer %+v, want 1024 values of %d", agg, int64(big))
+	}
+	before := encodings()
+	for _, x := range []float64{big, -big, 1} {
+		if err := tree.Insert(record(7, x)); !errors.Is(err, cube.ErrMeasureValue) {
+			t.Fatalf("insert of %v past the bound: %v, want cube.ErrMeasureValue", x, err)
+		}
+	}
+	if got, err := rangeAgg(tree, mds.Top(1), 0); err != nil || got != agg || tree.Count() != 1024 {
+		t.Fatalf("after the refusals: %d records, answer %+v (%v); want 1024, %+v", tree.Count(), got, err, agg)
+	}
+	if err := tree.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if after := encodings(); !maps.Equal(after, before) {
+		t.Fatal("a refused insert changed the tree's nodes")
 	}
 }
 
@@ -533,22 +591,22 @@ func TestScan(t *testing.T) {
 	s := tree.Schema()
 	rng := rand.New(rand.NewSource(13))
 	recs := genRecords(t, s, rng, 120)
-	var wantSum float64
+	var wantSum int64
 	for _, r := range recs {
 		tree.Insert(r)
-		wantSum += r.Measures[0]
+		wantSum += unitsOf(t, s, r, 0)
 	}
-	var gotSum float64
+	var gotSum int64
 	n := 0
 	if err := tree.Scan(func(r cube.Record) bool {
-		gotSum += r.Measures[0]
+		gotSum += unitsOf(t, s, r, 0)
 		n++
 		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if n != 120 || !floatClose(gotSum, wantSum) {
-		t.Fatalf("scan n=%d sum=%g want %g", n, gotSum, wantSum)
+	if n != 120 || gotSum != wantSum {
+		t.Fatalf("scan n=%d sum=%d want %d units", n, gotSum, wantSum)
 	}
 	// Early stop.
 	n = 0

@@ -186,12 +186,11 @@ func retiredMetaBlobs(t testing.TB) map[string][]byte {
 }
 
 // metaFlagsOffset returns the offset of the config flags byte in a blob:
-// past the magic, three uvarints, two floats, the supernode cap and the
+// past the magic, two uvarints, two floats, the supernode cap and the
 // refine bound.
 func metaFlagsOffset(t testing.TB, blob []byte) int {
 	t.Helper()
 	r := metaReader{buf: blob, off: len(metaMagic)}
-	r.uvarint()
 	r.uvarint()
 	r.uvarint()
 	r.float64()

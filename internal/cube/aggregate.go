@@ -53,9 +53,10 @@ func ParseOp(s string) (Op, error) {
 	return 0, fmt.Errorf("cube: unknown aggregation operator %q", s)
 }
 
-// Agg is the materialized aggregate of one measure over a set of records.
-// It carries enough state (sum, count, min, max) to answer every supported
-// Op, which is what the DC-tree stores next to each directory MDS.
+// Agg is the answer of an aggregation of one measure over a set of
+// records, in floats: enough state (sum, count, min, max) to answer every
+// supported Op. An engine folds Fixed aggregates and makes its Agg once
+// (Schema.Answer).
 //
 // The zero Agg is the aggregate of the empty set.
 type Agg struct {
@@ -72,22 +73,6 @@ func AggOf(x float64) Agg {
 
 // IsEmpty reports whether the aggregate covers no records.
 func (a Agg) IsEmpty() bool { return a.Count == 0 }
-
-// Add folds one more measure value into the aggregate.
-func (a *Agg) Add(x float64) {
-	if a.Count == 0 {
-		*a = AggOf(x)
-		return
-	}
-	a.Sum += x
-	a.Count++
-	if x < a.Min {
-		a.Min = x
-	}
-	if x > a.Max {
-		a.Max = x
-	}
-}
 
 // Merge folds another aggregate into this one.
 func (a *Agg) Merge(b Agg) {
@@ -137,47 +122,48 @@ func (a Agg) Value(op Op) float64 {
 	}
 }
 
+// Fixed is the aggregate of one measure in units of its scale
+// (Schema.Units): sum, count, min and max as integers. It is what the
+// DC-tree stores next to each directory MDS, and what every engine folds:
+// integer folds are exact, so every fold order gives the same aggregate.
+// A host keeps every sum inside int64 by refusing the insert that could
+// leave it. The zero Fixed is the aggregate of the empty set.
+type Fixed struct {
+	Sum, Count, Min, Max int64
+}
+
+// FixedOf returns the aggregate of a single value of u units.
+func FixedOf(u int64) Fixed { return Fixed{Sum: u, Count: 1, Min: u, Max: u} }
+
+// Add folds one more value of u units into the aggregate.
+func (a *Fixed) Add(u int64) {
+	if a.Count == 0 {
+		*a = FixedOf(u)
+		return
+	}
+	a.Sum += u
+	a.Count++
+	a.Min = min(a.Min, u)
+	a.Max = max(a.Max, u)
+}
+
+// Merge folds another aggregate into this one.
+func (a *Fixed) Merge(b Fixed) {
+	if b.Count == 0 {
+		return
+	}
+	if a.Count == 0 {
+		*a = b
+		return
+	}
+	a.Sum += b.Sum
+	a.Count += b.Count
+	a.Min = min(a.Min, b.Min)
+	a.Max = max(a.Max, b.Max)
+}
+
 // AggVector is one Agg per measure of a schema.
 type AggVector []Agg
 
 // NewAggVector returns the empty aggregate vector for m measures.
 func NewAggVector(m int) AggVector { return make(AggVector, m) }
-
-// AggOfRecord returns the aggregate vector of a single record.
-func AggOfRecord(measures []float64) AggVector {
-	v := make(AggVector, len(measures))
-	for j, x := range measures {
-		v[j] = AggOf(x)
-	}
-	return v
-}
-
-// Merge folds another vector into this one; the arities must match.
-func (v AggVector) Merge(w AggVector) {
-	for j := range v {
-		v[j].Merge(w[j])
-	}
-}
-
-// AddRecord folds one record's measures into the vector.
-func (v AggVector) AddRecord(measures []float64) {
-	for j := range v {
-		v[j].Add(measures[j])
-	}
-}
-
-// Clone returns a copy of the vector.
-func (v AggVector) Clone() AggVector { return append(AggVector(nil), v...) }
-
-// Equal reports exact equality of two vectors.
-func (v AggVector) Equal(w AggVector) bool {
-	if len(v) != len(w) {
-		return false
-	}
-	for j := range v {
-		if v[j] != w[j] {
-			return false
-		}
-	}
-	return true
-}

@@ -2,12 +2,14 @@
 // paper (§3.1, Definition 2): d dimensions, each with a concept hierarchy,
 // and m dependent measures. A data record is an element
 // (a₁,…,a_d, x₁,…,x_m) with aᵢ a leaf attribute value of dimension i and
-// xⱼ ∈ ℝ a measure value.
+// xⱼ a measure value: a decimal of the measure's declared scale, held as
+// an exact count of units of that scale (Schema.Units).
 package cube
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/dcindex/dctree/internal/hierarchy"
 	"github.com/dcindex/dctree/internal/mds"
@@ -20,13 +22,25 @@ var (
 	ErrNoMeasure  = errors.New("cube: schema has no such measure")
 	ErrNoDim      = errors.New("cube: schema has no such dimension")
 	ErrEmptyShape = errors.New("cube: schema needs at least one dimension and one measure")
+	// ErrMeasureValue refuses a value with no exact count of units at its
+	// measure's scale (Schema.Units), or one that could overflow a sum.
+	ErrMeasureValue = errors.New("cube: measure value is not an exact count of units of its scale")
 )
 
+// MaxScale is the finest decimal scale a measure may declare.
+const MaxScale = 15
+
+// gridTolerance is how far from an integer x·10^s may lie for x to be a
+// value of scale s: the rounding of a decimal to its float and of the
+// product, which a round trip through float64(u)/10^s does not absorb.
+const gridTolerance = 1e-6
+
 // Schema declares the shape of a data cube: its dimensions (each a concept
-// hierarchy) and the names of its measures.
+// hierarchy), the names of its measures and each measure's decimal scale.
 type Schema struct {
 	dims     mds.Space
 	measures []string
+	scales   []int
 }
 
 // NewSchema builds a schema from dimension hierarchies and measure names.
@@ -37,7 +51,68 @@ func NewSchema(dims []*hierarchy.Hierarchy, measures ...string) (*Schema, error)
 	return &Schema{
 		dims:     append(mds.Space(nil), dims...),
 		measures: append([]string(nil), measures...),
+		scales:   make([]int, len(measures)),
 	}, nil
+}
+
+// WithScales returns a copy of the schema whose measures declare the given
+// decimal scales, 0 to MaxScale (by default 0): a measure of scale s holds
+// values on the grid of 10^-s, stored and summed as exact units of it.
+func (s *Schema) WithScales(scales ...int) (*Schema, error) {
+	if len(scales) != len(s.measures) {
+		return nil, fmt.Errorf("%w: %d scales for %d measures", ErrArity, len(scales), len(s.measures))
+	}
+	for j, sc := range scales {
+		if sc < 0 || sc > MaxScale {
+			return nil, fmt.Errorf("cube: measure %q: scale %d outside 0..%d", s.measures[j], sc, MaxScale)
+		}
+	}
+	c := *s
+	c.scales = append([]int(nil), scales...)
+	return &c, nil
+}
+
+// Scale returns measure j's decimal scale.
+func (s *Schema) Scale(j int) int { return s.scales[j] }
+
+// Units returns measure j's value x as a count of units of its scale,
+// round(x·10^s); −0 is 0. It refuses NaN, ±Inf, an x·10^s more than
+// gridTolerance off an integer, and 2^53 units or more, which a float
+// would not hold exactly.
+func (s *Schema) Units(j int, x float64) (int64, error) {
+	u, ok := units(x, s.scales[j])
+	if !ok {
+		return 0, fmt.Errorf("%w: measure %q value %v at scale %d", ErrMeasureValue, s.measures[j], x, s.scales[j])
+	}
+	return u, nil
+}
+
+// units is Units at scale s, reporting a value it refuses as !ok.
+func units(x float64, s int) (int64, bool) {
+	y := x * math.Pow10(s)
+	u := math.Round(y)
+	return int64(u), math.Abs(u) < 1<<53 && math.Abs(y-u) <= gridTolerance
+}
+
+// ScaleOf returns the smallest decimal scale at which x is an exact count of
+// units (Units), or -1 if there is none: 3703.6800000000003, a decimal
+// printed from a float with rounding noise, is a value of scale 2.
+func ScaleOf(x float64) int {
+	for s := 0; s <= MaxScale; s++ {
+		if _, ok := units(x, s); ok {
+			return s
+		}
+	}
+	return -1
+}
+
+// Value returns the float nearest the decimal u units of measure j stand
+// for: float64(u) / 10^s, the one conversion every answer takes.
+func (s *Schema) Value(j int, u int64) float64 { return float64(u) / math.Pow10(s.scales[j]) }
+
+// Answer returns the float answer of measure j's aggregate in units.
+func (s *Schema) Answer(j int, a Fixed) Agg {
+	return Agg{Sum: s.Value(j, a.Sum), Count: a.Count, Min: s.Value(j, a.Min), Max: s.Value(j, a.Max)}
 }
 
 // MustNewSchema is NewSchema but panics on error.
@@ -103,13 +178,28 @@ type Record struct {
 }
 
 // ValidateRecord checks a record against the schema: correct arity, every
-// coordinate registered at leaf level of its dimension.
+// coordinate registered at leaf level of its dimension, every measure an
+// exact count of units of its scale (Units).
 func (s *Schema) ValidateRecord(r Record) error {
 	if len(r.Coords) != len(s.dims) || len(r.Measures) != len(s.measures) {
 		return fmt.Errorf("%w: %d coords / %d measures, want %d / %d",
 			ErrArity, len(r.Coords), len(r.Measures), len(s.dims), len(s.measures))
 	}
-	for i, c := range r.Coords {
+	for j, x := range r.Measures {
+		if _, err := s.Units(j, x); err != nil {
+			return err
+		}
+	}
+	return s.ValidateCoords(r.Coords)
+}
+
+// ValidateCoords checks a record's coordinates: one per dimension, each
+// registered at leaf level of its dimension.
+func (s *Schema) ValidateCoords(coords []hierarchy.ID) error {
+	if len(coords) != len(s.dims) {
+		return fmt.Errorf("%w: %d coords, want %d", ErrArity, len(coords), len(s.dims))
+	}
+	for i, c := range coords {
 		if c.Level() != 0 {
 			return fmt.Errorf("%w: dim %d value %v", ErrNotLeaf, i, c)
 		}

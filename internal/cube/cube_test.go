@@ -1,6 +1,7 @@
 package cube
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -17,7 +18,93 @@ func testSchema(t testing.TB) *Schema {
 	if err != nil {
 		t.Fatalf("NewSchema: %v", err)
 	}
+	if s, err = s.WithScales(2, 0); err != nil {
+		t.Fatalf("WithScales: %v", err)
+	}
 	return s
+}
+
+// TestUnitsOfEveryTPCDValue: every Extended Price the TPC-D generator can
+// draw — quantity 1–50 × a price of 900.00–2100.00, computed as the
+// generator computes it — is an exact count of cents, qty × the price in
+// cents, though a quarter of them do not round-trip: float64(units) / 100
+// is another float. A round-trip test would refuse those.
+func TestUnitsOfEveryTPCDValue(t *testing.T) {
+	s := testSchema(t)
+	roundTrips := 0
+	for qty := int64(1); qty <= 50; qty++ {
+		for cents := int64(90000); cents <= 210000; cents++ {
+			x := float64(qty) * (900 + float64(cents-90000)/100)
+			u, err := s.Units(0, x)
+			if err != nil || u != qty*cents {
+				t.Fatalf("%d × %d cents = %v: %d units (%v), want %d", qty, cents, x, u, err, qty*cents)
+			}
+			if s.Value(0, u) == x {
+				roundTrips++
+			}
+		}
+	}
+	if all := 50 * 120001; roundTrips == all || roundTrips < all/2 {
+		t.Fatalf("%d of %d values round-trip: the probe does not tell the grid test from a round trip", roundTrips, all)
+	}
+}
+
+// TestUnitsRefused: NaN, ±Inf, a value off its scale's grid and one of
+// 2^53 units or more are refused with ErrMeasureValue, by Units and by
+// ValidateRecord; negative values are valid, and −0 is 0 units.
+func TestUnitsRefused(t *testing.T) {
+	s := testSchema(t) // ExtendedPrice at scale 2, Quantity at scale 0
+	for _, c := range []struct {
+		j int
+		x float64
+	}{
+		{0, math.NaN()}, {0, math.Inf(1)}, {0, math.Inf(-1)},
+		{0, 0.001}, {0, 19.995}, {1, 0.5},
+		{1, 1 << 53}, {1, -(1 << 53)}, {0, float64(1<<53) / 100},
+	} {
+		if u, err := s.Units(c.j, c.x); !errors.Is(err, ErrMeasureValue) {
+			t.Errorf("measure %d value %v: %d units, %v; want ErrMeasureValue", c.j, c.x, u, err)
+		}
+		r, _ := s.InternRecord([][]string{{"Europe", "Germany", "C1"}, {"BrandA", "P1"}}, []float64{0, 0})
+		r.Measures[c.j] = c.x
+		if err := s.ValidateRecord(r); !errors.Is(err, ErrMeasureValue) {
+			t.Errorf("record of measure %d value %v: %v, want ErrMeasureValue", c.j, c.x, err)
+		}
+	}
+	for _, c := range []struct {
+		j    int
+		x    float64
+		want int64
+	}{
+		{0, -19.99, -1999}, {0, math.Copysign(0, -1), 0}, {0, 0.07, 7},
+		{1, 1<<53 - 1, 1<<53 - 1}, {1, -(1<<53 - 1), -(1<<53 - 1)},
+	} {
+		if u, err := s.Units(c.j, c.x); err != nil || u != c.want {
+			t.Errorf("measure %d value %v: %d units, %v; want %d", c.j, c.x, u, err, c.want)
+		}
+	}
+	if _, err := s.WithScales(MaxScale+1, 0); err == nil {
+		t.Error("a scale past MaxScale was accepted")
+	}
+	if _, err := s.WithScales(2); err == nil {
+		t.Error("one scale for two measures was accepted")
+	}
+}
+
+// TestScaleOf: the smallest scale at which a value is on the grid; a float
+// printed with rounding noise counts at the scale it stands for.
+func TestScaleOf(t *testing.T) {
+	for _, c := range []struct {
+		x    float64
+		want int
+	}{
+		{12, 0}, {12.5, 1}, {3.25, 2}, {3703.6800000000003, 2}, {1e-5, 5},
+		{1.0 / 3, -1}, {math.NaN(), -1}, {math.Inf(1), -1},
+	} {
+		if got := ScaleOf(c.x); got != c.want {
+			t.Errorf("ScaleOf(%v) = %d, want %d", c.x, got, c.want)
+		}
+	}
 }
 
 func TestSchemaShape(t *testing.T) {
@@ -137,9 +224,6 @@ func TestOpStringParse(t *testing.T) {
 
 func TestAggBasics(t *testing.T) {
 	var a Agg
-	if !a.IsEmpty() {
-		t.Error("zero Agg must be empty")
-	}
 	if a.Value(Sum) != 0 || a.Value(Count) != 0 {
 		t.Error("empty SUM/COUNT must be 0")
 	}
@@ -153,28 +237,28 @@ func TestAggBasics(t *testing.T) {
 		t.Error("unknown op must be NaN")
 	}
 
-	a.Add(10)
-	a.Add(-5)
-	a.Add(7)
-	if a.Value(Sum) != 12 || a.Value(Count) != 3 || a.Value(Min) != -5 || a.Value(Max) != 10 {
-		t.Errorf("agg = %+v", a)
+	// The units 10, −5 and 7 answered at scale 0 and at scale 2.
+	var f Fixed
+	f.Add(10)
+	f.Add(-5)
+	f.Add(7)
+	s := testSchema(t)
+	if a := s.Answer(1, f); a.Value(Sum) != 12 || a.Value(Count) != 3 || a.Value(Min) != -5 || a.Value(Max) != 10 || a.Value(Avg) != 4 {
+		t.Errorf("agg at scale 0 = %+v", a)
 	}
-	if a.Value(Avg) != 4 {
-		t.Errorf("avg = %g", a.Value(Avg))
+	if a := s.Answer(0, f); a.Value(Sum) != 0.12 || a.Value(Min) != -0.05 || a.Value(Max) != 0.1 {
+		t.Errorf("agg at scale 2 = %+v", a)
 	}
 }
 
+// TestAggMergeMatchesAdd: a fold of units split anywhere and merged is the
+// fold of them all, exactly, in every field.
 func TestAggMergeMatchesAdd(t *testing.T) {
-	f := func(xs []float64, split uint8) bool {
-		for i, x := range xs {
-			// Keep inputs finite and small enough that no intermediate
-			// sum can overflow regardless of association order.
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				x = float64(i)
-			}
-			xs[i] = math.Mod(x, 1e12)
+	f := func(xs []int64, split uint8) bool {
+		for i := range xs {
+			xs[i] %= 1 << 40 // no sum of 256 of them leaves int64
 		}
-		var whole Agg
+		var whole Fixed
 		for _, x := range xs {
 			whole.Add(x)
 		}
@@ -182,7 +266,7 @@ func TestAggMergeMatchesAdd(t *testing.T) {
 		if len(xs) > 0 {
 			k = int(split) % (len(xs) + 1)
 		}
-		var left, right Agg
+		var left, right Fixed
 		for _, x := range xs[:k] {
 			left.Add(x)
 		}
@@ -190,10 +274,7 @@ func TestAggMergeMatchesAdd(t *testing.T) {
 			right.Add(x)
 		}
 		left.Merge(right)
-		// Sum association order differs between the two folds, so compare
-		// it with a relative tolerance; the rest must match exactly.
-		sumClose := math.Abs(left.Sum-whole.Sum) <= 1e-9*math.Max(math.Abs(left.Sum), math.Abs(whole.Sum))+1e-12
-		return sumClose && left.Count == whole.Count && left.Min == whole.Min && left.Max == whole.Max
+		return left == whole
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -201,68 +282,62 @@ func TestAggMergeMatchesAdd(t *testing.T) {
 }
 
 func TestAggMergeEmptyIdentity(t *testing.T) {
-	a := AggOf(3)
+	a := FixedOf(3)
 	a.Add(9)
 	before := a
-	a.Merge(Agg{})
+	a.Merge(Fixed{})
 	if a != before {
 		t.Error("merging the empty aggregate must be identity")
 	}
-	var e Agg
+	var e Fixed
 	e.Merge(before)
 	if e != before {
 		t.Error("merging into empty must copy")
 	}
+	if x := AggOf(3); func() Agg { x.Merge(Agg{}); return x }() != AggOf(3) {
+		t.Error("merging the empty answer must be identity")
+	}
 }
 
+// TestAggVector: an all-measures answer takes each measure's units at its
+// own scale.
 func TestAggVector(t *testing.T) {
-	v := NewAggVector(2)
-	v.AddRecord([]float64{1, 10})
-	v.AddRecord([]float64{2, 20})
-	w := AggOfRecord([]float64{3, 30})
-	v.Merge(w)
-	if v[0].Value(Sum) != 6 || v[1].Value(Sum) != 60 {
-		t.Errorf("vector sums = %g, %g", v[0].Value(Sum), v[1].Value(Sum))
+	s := testSchema(t)
+	folds := make([]Fixed, 2)
+	for _, r := range [][2]int64{{1, 10}, {2, 20}, {3, 30}} {
+		for j, u := range r {
+			folds[j].Add(u)
+		}
 	}
-	if v[0].Value(Count) != 3 {
-		t.Errorf("count = %g", v[0].Value(Count))
+	v := NewAggVector(len(folds))
+	for j, f := range folds {
+		v[j] = s.Answer(j, f)
 	}
-	c := v.Clone()
-	if !c.Equal(v) {
-		t.Error("clone must equal")
-	}
-	c[0].Add(1)
-	if c.Equal(v) {
-		t.Error("clone must not alias")
-	}
-	if v.Equal(v[:1]) {
-		t.Error("different arity must not be equal")
+	if v[0].Value(Sum) != 0.06 || v[1].Value(Sum) != 60 || v[0].Value(Count) != 3 {
+		t.Errorf("vector = %+v", v)
 	}
 }
 
+// TestAggRandomizedMergeTree: folds of units merged in a random binary-tree
+// order equal the sequential fold, exactly.
 func TestAggRandomizedMergeTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	xs := make([]float64, 500)
-	var want Agg
+	xs := make([]int64, 500)
+	var want Fixed
 	for i := range xs {
-		xs[i] = rng.NormFloat64() * 100
+		xs[i] = rng.Int63n(1<<30) - 1<<29
 		want.Add(xs[i])
 	}
-	// Fold in a random binary-tree order and compare against sequential.
-	aggs := make([]Agg, len(xs))
+	aggs := make([]Fixed, len(xs))
 	for i, x := range xs {
-		aggs[i] = AggOf(x)
+		aggs[i] = FixedOf(x)
 	}
 	for len(aggs) > 1 {
 		i := rng.Intn(len(aggs) - 1)
 		aggs[i].Merge(aggs[i+1])
 		aggs = append(aggs[:i+1], aggs[i+2:]...)
 	}
-	got := aggs[0]
-	if got.Count != want.Count || got.Min != want.Min || got.Max != want.Max {
+	if got := aggs[0]; got != want {
 		t.Fatalf("tree merge = %+v, want %+v", got, want)
-	}
-	if math.Abs(got.Sum-want.Sum) > 1e-6*math.Abs(want.Sum) {
-		t.Fatalf("tree merge sum = %g, want %g", got.Sum, want.Sum)
 	}
 }

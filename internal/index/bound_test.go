@@ -53,10 +53,10 @@ func checkInsertedEntries(t *testing.T, ix *Index, before map[string]bool, step 
 // validated — coverage and minimality at every entry's levels — and a fixed
 // query set is answered against the sequential-scan oracle.
 func TestEntryBoundHolds(t *testing.T) {
-	// A data node of 4 KiB holds some 270 rows of these codes, so that
+	// A data node of 4 KiB holds some 405 rows of these codes, so that
 	// tree needs more records than the others to grow a directory below
 	// the root.
-	const ops, scaleOps, blockFilledOps = 2400, 6000, 9000
+	const ops, scaleOps, blockFilledOps = 2400, 6000, 14000
 	gen, err := tpcd.New(3, tpcd.ScaleFor(scaleOps))
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestEntryBoundHolds(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := res.Agg; !aggClose(got, want) {
+					if got := res.Agg; got != want {
 						t.Fatalf("step %d query %d: %+v, scan %+v\nq=%v", step, i, got, want, q)
 					}
 				}

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"github.com/dcindex/dctree/internal/cube"
+	"github.com/dcindex/dctree/internal/hierarchy"
 	"github.com/dcindex/dctree/internal/mds"
 )
 
@@ -29,8 +30,17 @@ func (ix *Index) BulkLoad(recs []cube.Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
+	nm := ix.schema.Measures()
+	units := make([]int64, len(recs)*nm)
+	ix.span = make([]uint64, nm)
 	for i := range recs {
 		if err := ix.schema.ValidateRecord(recs[i]); err != nil {
+			return fmt.Errorf("record %d: %w", i, err)
+		}
+		for j, x := range recs[i].Measures {
+			units[i*nm+j], _ = ix.schema.Units(j, x)
+		}
+		if err := ix.admit(units[i*nm:(i+1)*nm], int64(len(recs))); err != nil {
 			return fmt.Errorf("record %d: %w", i, err)
 		}
 	}
@@ -42,10 +52,11 @@ func (ix *Index) BulkLoad(recs []cube.Record) error {
 	// The data level takes the sorted records; every level above, the
 	// entries of the one below. A level's entries are built as one
 	// directory's, level, which no store holds.
-	dims, measures := ix.schema.Dims(), ix.schema.Measures()
+	cols := ix.schema.Dims() + nm
+	row := func(i int) ([]hierarchy.ID, []int64) { return recs[order[i]].Coords, units[order[i]*nm:][:nm] }
 	level, err := ix.pack(true, len(order),
-		func(n *Node, _, i int) int { return leafSize(dims, n.Count()+1, n.rowSize(recs[order[i]].Coords)) },
-		func(n *Node, i int) { n.appendRecord(recs[order[i]]) })
+		func(n *Node, _, i int) int { return leafSize(cols, n.Count()+1, n.rowSize(row(i))) },
+		func(n *Node, i int) { n.appendRecord(row(i)) })
 	if err != nil {
 		return err
 	}
@@ -60,7 +71,7 @@ func (ix *Index) BulkLoad(recs []cube.Record) error {
 			level, err = ix.splitLevel(children)
 		} else {
 			level, err = ix.pack(false, children.count,
-				func(_ *Node, size, i int) int { return size + entrySize(len(children.EntryMDS(i)), measures) },
+				func(_ *Node, size, i int) int { return size + entrySize(len(children.EntryMDS(i)), nm) },
 				func(n *Node, i int) { n.copyEntry(children, i) })
 		}
 		if err != nil {

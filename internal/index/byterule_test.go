@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/mds"
 	"github.com/dcindex/dctree/internal/tpcd"
 )
@@ -98,7 +97,7 @@ func TestTwoEntryDirectoryGrows(t *testing.T) {
 		ix.cfg.MaxSupernodeBlocks = limit
 		n := ix.store.New(false)
 		for _, r := range recs[:2] {
-			n.appendEntry(mds.FromLeaves(r.Coords), cube.AggOfRecord(r.Measures), NilNode)
+			n.appendEntry(mds.FromLeaves(r.Coords), fixedOf(unitsOf(ix.schema, r)), NilNode)
 		}
 		if need := ix.nodeBlocks(n); need < 2 {
 			t.Fatalf("two entries need %d block of %d bytes: the case is not tiny enough", need, payload)
@@ -128,13 +127,13 @@ func TestTwoEntryDirectoryGrows(t *testing.T) {
 	}
 }
 
-// TestBulkLoadSplitsATwoBlockLevel: the 24 data nodes that 6,250 TPC-D
+// TestBulkLoadSplitsATwoBlockLevel: the 24 data nodes that 9,375 TPC-D
 // records pack into need directory entries of two blocks' bytes. BulkLoad
 // makes them one directory and splits it, as the dynamic tree splits a root
 // that overflows: two directories under the root, each holding its share
 // of the entries (MinFillRatio), not a full directory and the rest.
 func TestBulkLoadSplitsATwoBlockLevel(t *testing.T) {
-	const n = 6250
+	const n = 9375
 	gen, err := tpcd.New(1, tpcd.ScaleFor(n))
 	if err != nil {
 		t.Fatal(err)

@@ -102,7 +102,7 @@ func (ix *Index) deleteFrom(id NodeID, rc *recContext, depth int) (*Node, error)
 	}
 
 	if n.leaf {
-		i := n.findRow(rc.rec)
+		i := n.findRow(rc.rec.Coords, rc.units)
 		if i < 0 {
 			return nil, nil
 		}
@@ -150,13 +150,7 @@ func (ix *Index) deleteFrom(id NodeID, rc *recContext, depth int) (*Node, error)
 				if !ok || len(gone) > 0 {
 					n.invalidatePostings()
 				}
-				v := n.flat.aggs(i, ws.agg)
-				if child.leaf {
-					child.repairAggregate(v, rc.rec.Measures)
-				} else {
-					child.refoldEntries(v)
-				}
-				n.setAgg(i, v)
+				n.setAgg(i, child.repairAggregate(n.flat.aggs(i, ws.agg), rc.units))
 			}
 			ix.shrink(n)
 			ix.store.MarkDirty(n.id)
@@ -167,29 +161,30 @@ func (ix *Index) deleteFrom(id NodeID, rc *recContext, depth int) (*Node, error)
 }
 
 // findRow returns the index of a data node's first row holding exactly
-// rec's coordinates and measures, or -1. A row is compared in full only
-// when its first coordinate matches. Measures compare as floats, as ==
-// does: a NaN finds no row, and 0 finds a row of −0.
-func (n *Node) findRow(rec cube.Record) int {
+// the coordinates coords and the measures units, or -1. A row is compared
+// in full only when its first coordinate matches.
+func (n *Node) findRow(coords []hierarchy.ID, units []int64) int {
 	f := &n.flat
 	o, cut := f.column(0)
-	b, stride, first := f.b, f.stride, rec.Coords[0]
+	b, stride, widths := f.b, f.stride, f.widths()
 rows:
-	for ; o < len(b); o += stride {
-		if loadCode(b[o:], cut) != first {
+	for end := f.mdsBase; o < end; o += stride {
+		if loadCode(b[o:], cut) != coords[0] {
 			continue
 		}
 		p := o
-		for d, w := range f.widths() {
-			if loadCode(b[p:], widthMask(w)) != rec.Coords[d] {
+		for d, c := range coords {
+			if loadCode(b[p:], widthMask(widths[d])) != c {
 				continue rows
 			}
-			p += int(w)
+			p += int(widths[d])
 		}
-		for j, x := range rec.Measures {
-			if measureAt(b, p+8*j) != x {
+		for j, u := range units {
+			w := widths[n.dims+j]
+			if loadUnits(b[p:], w) != u {
 				continue rows
 			}
+			p += bytesOf(w)
 		}
 		return (o - f.fixBase) / stride
 	}
@@ -239,9 +234,9 @@ func (ix *Index) underAny(n *Node, d, level int, anc hierarchy.ID) bool {
 	h := ix.space()[d]
 	if n.leaf {
 		o, cut := n.flat.column(d)
-		b, stride := n.flat.b, n.flat.stride
+		b, stride, end := n.flat.b, n.flat.stride, n.flat.mdsBase
 		if level == 0 {
-			for ; o < len(b); o += stride {
+			for ; o < end; o += stride {
 				if loadCode(b[o:], cut) == anc {
 					return true
 				}
@@ -249,7 +244,7 @@ func (ix *Index) underAny(n *Node, d, level int, anc hierarchy.ID) bool {
 			return false
 		}
 		tab := h.AncestorTable(0, level)
-		for ; o < len(b); o += stride {
+		for ; o < end; o += stride {
 			if tab[loadCode(b[o:], cut)] == anc {
 				return true
 			}

@@ -2,7 +2,6 @@ package index
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -37,19 +36,13 @@ func randomIDs(rng *rand.Rand, level, k int) []hierarchy.ID {
 	return ids
 }
 
-// randomAggs draws an aggregate vector, signed zeros and NaNs among its
-// values.
-func randomAggs(rng *rand.Rand, measures int) cube.AggVector {
-	v := cube.NewAggVector(measures)
+// randomAggs draws an aggregate vector in units, its values of every
+// width and sign.
+func randomAggs(rng *rand.Rand, measures int) []cube.Fixed {
+	v := make([]cube.Fixed, measures)
 	for j := range v {
-		x := rng.NormFloat64()
-		switch rng.Intn(8) {
-		case 0:
-			x = math.Copysign(0, -1)
-		case 1:
-			x = math.NaN()
-		}
-		v[j] = cube.Agg{Sum: x, Count: 1 + rng.Int63n(100), Min: x - 1, Max: x}
+		x := rng.Int63() >> rng.Intn(64) * int64(1-2*rng.Intn(2))
+		v[j] = cube.Fixed{Sum: x, Count: 1 + rng.Int63n(100), Min: x - 1, Max: x}
 	}
 	return v
 }
@@ -137,10 +130,12 @@ func FuzzDirectoryEntries(f *testing.F) {
 				shadow[i].MDS = m
 			case kind == 3:
 				v := randomAggs(rng, nm)
-				merged := n.flat.aggs(i, cube.NewAggVector(nm))
-				merged.Merge(v)
+				merged := n.flat.aggs(i, make([]cube.Fixed, nm))
+				for j := range v {
+					merged[j].Merge(v[j])
+					shadow[i].Agg[j].Merge(v[j])
+				}
 				n.setAgg(i, merged)
-				shadow[i].Agg.Merge(v)
 			case kind == 4:
 				child := NodeID(1 + rng.Intn(1000))
 				n.setChild(i, child)
@@ -163,8 +158,7 @@ func FuzzDirectoryEntries(f *testing.F) {
 					t.Fatalf("op %d: entry %d's MDS reads %v (%v), want %v", k, i, got, err, want.MDS)
 				}
 				for j, a := range want.Agg {
-					if got := nv.Agg(i, j); got.Count != a.Count || math.Float64bits(got.Sum) != math.Float64bits(a.Sum) ||
-						math.Float64bits(got.Min) != math.Float64bits(a.Min) || math.Float64bits(got.Max) != math.Float64bits(a.Max) {
+					if got := nv.Agg(i, j); got != a {
 						t.Fatalf("op %d: entry %d's aggregate %d reads %+v, want %+v", k, i, j, got, a)
 					}
 				}

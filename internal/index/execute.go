@@ -69,13 +69,13 @@ func (ix *Index) Execute(ctx context.Context, src Source, root NodeID, q Query) 
 	defer ix.putQueryCtx(qc)
 
 	// The sink of a single-measure query is a one-element window that stays
-	// on the stack; only the all-measures vector is handed to the caller.
-	var one [1]cube.Agg
-	out := cube.AggVector(one[:])
+	// on the stack; only the all-measures answer is handed to the caller.
+	// The descent folds units; the float answer is made once, here.
+	var one [1]cube.Fixed
+	out := one[:]
 	d := descent{src: src, qc: qc, ctx: ctx, check: CtxCheckInterval, frames: qc.frames}
 	if q.AllMeasures {
-		res.AggVector = cube.NewAggVector(ix.schema.Measures())
-		out = res.AggVector
+		out = make([]cube.Fixed, ix.schema.Measures())
 	} else {
 		d.first = q.Measure
 	}
@@ -84,6 +84,12 @@ func (ix *Index) Execute(ctx context.Context, src Source, root NodeID, q Query) 
 	if err != nil {
 		return Result{Stats: d.st}, err
 	}
-	res.Agg, res.Stats = one[0], d.st
+	if q.AllMeasures {
+		res.AggVector = cube.NewAggVector(len(out))
+		for j, a := range out {
+			res.AggVector[j] = ix.schema.Answer(j, a)
+		}
+	}
+	res.Agg, res.Stats = ix.schema.Answer(d.first, one[0]), d.st
 	return res, nil
 }

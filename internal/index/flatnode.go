@@ -3,7 +3,6 @@ package index
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 
 	"github.com/dcindex/dctree/internal/cube"
@@ -24,17 +23,26 @@ import (
 //	  [12:16]  u32 mdsBase — start of the MDS blob area
 //	  [16:20]  u32 total payload length
 //
-// A data node is its code widths and its rows (mdsBase = total length):
+// A data node is its column widths, its rows and a tail pad (mdsBase = the
+// rows' end = total length − leafPad):
 //
-//	widths:  dims × u8, the bytes (1–4) each dimension's codes take
-//	rows:    count × (Σ widths of code bytes + measures × f64)
+//	widths:  dims × u8, the bytes (1–4) each dimension's codes take,
+//	         then measures × u8, the bytes (1–8) each measure's units
+//	         take, bit 7 (signedWidth) set when they are signed
+//	rows:    count × Σ widths
+//	pad:     leafPad zero bytes
 //
 // Row i's coordinate in dimension d is its level-0 code, little-endian in
-// widths[d] bytes at offset Σ widths[:d] of the row; the measures follow
-// the codes, so a 4-byte load at any code's offset stays inside its row and
-// a mask cuts it to the code. A width is exact: the bytes the dimension's
-// largest code needs, so a node decoded from its encoding needs the bytes
-// its encoder did.
+// widths[d] bytes at offset Σ widths[:d] of the row; its measures follow
+// the codes, each an exact count of units of the measure's scale
+// (cube.Schema.Units), little-endian in its width: unsigned while the
+// column holds no negative value, else signed and sign-extended on load.
+// The pad keeps a 4-byte load at any code's offset, and an 8-byte load at
+// any measure's, inside the node's bytes: a mask cuts the one to the code,
+// shifts the other to the measure. A width is exact: the bytes the
+// column's largest code or largest magnitude needs, with a sign bit when
+// it is signed, so a node decoded from its encoding needs the bytes its
+// encoder did.
 //
 // A directory carries, per entry, what the paper stores in a directory
 // entry (§3.2) — the MDS, the materialized aggregates, the child:
@@ -42,7 +50,7 @@ import (
 //	offset table:  (count+1) × u32, MDS blob offsets relative to mdsBase;
 //	               off[0] = 0, monotone, off[count] = total − mdsBase
 //	agg area:      count × measures × 32 bytes
-//	               (f64 sum, i64 count, f64 min, f64 max — all LE)
+//	               (i64 sum, count, min, max in units — all LE)
 //	child area:    count × u64 child node id
 //	MDS area:      the entries' MDS wire encodings (mds codec),
 //	               concatenated; entry i's blob is [off[i], off[i+1])
@@ -57,7 +65,18 @@ const (
 	flatMagic      = 0xD3
 	flatHeaderSize = 20
 	flatAggStride  = 32
+
+	// leafPad is the zero bytes behind a data node's rows: an 8-byte load
+	// at the last row's last measure, of one byte, ends at the pad's end.
+	leafPad = 7
+
+	// signedWidth flags the width byte of a measure column holding a
+	// negative value: its units are signed.
+	signedWidth = 0x80
 )
+
+// bytesOf returns the bytes a column of width byte w takes in a row.
+func bytesOf(w byte) int { return int(w &^ signedWidth) }
 
 // dirLayoutSizes returns the section bases of a flat directory of count
 // entries: offset-table end (= agg area start), child area start, MDS area
@@ -77,9 +96,9 @@ const dirSize = flatHeaderSize + 4
 // and MDS blob.
 func entrySize(blob, measures int) int { return 4 + flatAggStride*measures + 8 + blob }
 
-// leafSize returns the length of a data node's encoding: the header, the
-// widths and count rows of stride bytes.
-func leafSize(dims, count, stride int) int { return flatHeaderSize + dims + count*stride }
+// leafSize returns the length of a data node's encoding: the header, cols
+// widths, count rows of stride bytes and the pad.
+func leafSize(cols, count, stride int) int { return flatHeaderSize + cols + count*stride + leafPad }
 
 // widthMask returns the mask that cuts a 4-byte load to a code of w bytes.
 func widthMask(w byte) uint32 { return uint32(1)<<(8*w) - 1 }
@@ -92,8 +111,8 @@ func widthMask(w byte) uint32 { return uint32(1)<<(8*w) - 1 }
 // MakeFlatNode validates the frame once so the fixed-stride accessors can
 // skip per-call checks.
 //
-// A data node's row stride and the offset of its measures in a row are
-// summed from its widths when it is framed, once per visit.
+// A data node's row stride and the bytes of its codes in a row are summed
+// from its widths when it is framed, once per visit.
 type FlatNode struct {
 	id       NodeID
 	b        []byte
@@ -106,7 +125,7 @@ type FlatNode struct {
 	fixBase  int // a directory's child area; a data node's rows
 	mdsBase  int
 	stride   int // a data node's row length
-	codes    int // a data node's code bytes per row
+	codes    int // a data node's code bytes per row, the offset of its measures
 }
 
 // MakeFlatNode validates a payload's frame — header and section bases — in
@@ -135,23 +154,28 @@ func (f *FlatNode) Frame(id NodeID, b []byte, dims, measures int) error {
 		return fmt.Errorf("%w: node %d: flat header blocks=%d count=%d total=%d/%d",
 			ErrCorrupt, id, f.blocks, f.count, total, len(b))
 	}
-	// A data node's widths must each be a code width: the rows' stride,
-	// and so every offset into them, is their sum.
+	// A data node's widths must each be a code's or a measure's width: the
+	// rows' stride, and so every offset into them, is their sum.
 	if f.leaf {
-		if len(b) < f.fixBase {
+		if len(b) < f.fixBase+leafPad {
 			return fmt.Errorf("%w: node %d: flat data node of %d bytes has no widths", ErrCorrupt, id, len(b))
 		}
-		for d, w := range f.widths() {
-			if w < 1 || w > 4 {
-				return fmt.Errorf("%w: node %d: dimension %d code width %d", ErrCorrupt, id, d, w)
+		for k, w := range f.widths() {
+			most := byte(4) // a code's
+			if k >= dims {
+				most, w = 8, w&^signedWidth // a measure's
+			}
+			if w < 1 || w > most {
+				return fmt.Errorf("%w: node %d: column %d width %d", ErrCorrupt, id, k, w)
 			}
 		}
 	}
 	// The bases are recomputed from the shape: a payload whose stored
 	// mdsBase disagrees was encoded for a different schema (or corrupted)
 	// and every fixed-offset access would read the wrong section. A data
-	// node's rows end its payload, count × stride bytes behind its widths.
-	if mdsBase := int(binary.LittleEndian.Uint32(b[12:])); mdsBase != f.mdsBase || mdsBase > len(b) || (f.leaf && mdsBase != len(b)) {
+	// node's rows end its payload but the pad, count × stride bytes behind
+	// its widths.
+	if mdsBase := int(binary.LittleEndian.Uint32(b[12:])); mdsBase != f.mdsBase || mdsBase > len(b) || (f.leaf && mdsBase != len(b)-leafPad) {
 		return fmt.Errorf("%w: node %d: flat mds base %d, want %d (len %d)",
 			ErrCorrupt, id, mdsBase, f.mdsBase, len(b))
 	}
@@ -171,17 +195,20 @@ func (f *FlatNode) FrameTrusted(id NodeID, b []byte, dims, measures int) {
 		f.aggBase, f.fixBase, f.mdsBase = dirLayoutSizes(f.count, measures)
 		return
 	}
-	f.fixBase, f.codes = flatHeaderSize+dims, 0
+	f.fixBase, f.codes, f.stride = flatHeaderSize+dims+measures, 0, 0
 	if len(b) >= f.fixBase {
-		for _, w := range f.widths() {
-			f.codes += int(w)
+		for k, w := range f.widths() {
+			if k == dims {
+				f.codes = f.stride
+			}
+			f.stride += bytesOf(w)
 		}
 	}
-	f.stride = f.codes + 8*measures
 	f.mdsBase = f.fixBase + f.count*f.stride
 }
 
-// widths returns a data node's code widths, in place.
+// widths returns a data node's column widths, in place: each dimension's
+// code width, then each measure's.
 func (f *FlatNode) widths() []byte { return f.b[flatHeaderSize:f.fixBase] }
 
 // Leaf reports whether the payload is a data node's, Count its number of
@@ -277,19 +304,19 @@ func nextSet(b []byte, o int) (level, count, at int) {
 // aggAt returns the offset of directory entry i's aggregate of measure j.
 func (f *FlatNode) aggAt(i, j int) int { return f.aggBase + flatAggStride*(f.measures*i+j) }
 
-// Agg returns directory entry i's aggregate of measure j.
-func (f *FlatNode) Agg(i, j int) cube.Agg {
+// Agg returns directory entry i's aggregate of measure j, in units.
+func (f *FlatNode) Agg(i, j int) cube.Fixed {
 	b := f.b[f.aggAt(i, j):][:flatAggStride] // one bounds check for the four loads
-	return cube.Agg{
-		Sum:   math.Float64frombits(binary.LittleEndian.Uint64(b)),
+	return cube.Fixed{
+		Sum:   int64(binary.LittleEndian.Uint64(b)),
 		Count: int64(binary.LittleEndian.Uint64(b[8:])),
-		Min:   math.Float64frombits(binary.LittleEndian.Uint64(b[16:])),
-		Max:   math.Float64frombits(binary.LittleEndian.Uint64(b[24:])),
+		Min:   int64(binary.LittleEndian.Uint64(b[16:])),
+		Max:   int64(binary.LittleEndian.Uint64(b[24:])),
 	}
 }
 
 // aggs loads directory entry i's aggregates into v and returns it.
-func (f *FlatNode) aggs(i int, v cube.AggVector) cube.AggVector {
+func (f *FlatNode) aggs(i int, v []cube.Fixed) []cube.Fixed {
 	for j := range v {
 		v[j] = f.Agg(i, j)
 	}
@@ -301,21 +328,16 @@ func (f *FlatNode) Child(i int) NodeID {
 	return NodeID(binary.LittleEndian.Uint64(f.b[f.fixBase+8*i:]))
 }
 
-// column returns the offset of dimension d's code in a data node's row 0
-// and the mask that cuts a 4-byte load there to the code.
-func (f *FlatNode) column(d int) (off int, cut uint32) {
+// column returns the offset of column k — dimension k's code, or measure
+// k − dims — in a data node's row 0, and, for a code, the mask that cuts a
+// 4-byte load there to it.
+func (f *FlatNode) column(k int) (off int, cut uint32) {
 	widths := f.widths()
 	off = f.fixBase
-	for _, w := range widths[:d] {
-		off += int(w)
+	for _, w := range widths[:k] {
+		off += bytesOf(w)
 	}
-	return off, widthMask(widths[d])
-}
-
-// Coord returns record i's coordinate in dimension d.
-func (f *FlatNode) Coord(i, d int) hierarchy.ID {
-	o, cut := f.column(d)
-	return loadCode(f.b[o+f.stride*i:], cut)
+	return off, widthMask(widths[k])
 }
 
 // loadCode reads the code at the front of b, which holds at least four
@@ -324,34 +346,37 @@ func loadCode(b []byte, cut uint32) hierarchy.ID {
 	return hierarchy.ID(binary.LittleEndian.Uint32(b) & cut)
 }
 
-// Measure returns record i's measure j.
-func (f *FlatNode) Measure(i, j int) float64 {
-	return measureAt(f.b, f.fixBase+f.stride*i+f.codes+8*j)
+// loadUnits reads the value of width byte w at the front of b, which holds
+// at least eight bytes: an 8-byte load, shifted to extend its width, by its
+// sign when it is signed. A code is an unsigned value.
+func loadUnits(b []byte, w byte) int64 {
+	x, s := binary.LittleEndian.Uint64(b), 64-8*(w&^signedWidth)
+	if w&signedWidth != 0 {
+		return int64(x<<s) >> s
+	}
+	return int64(x << s >> s)
 }
 
-// measureAt reads the measure at offset o of b.
-func measureAt(b []byte, o int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[o:]))
-}
-
-// row reads data record i into rec, whose slices the caller sized: the
-// coordinates to the schema, the measures to the schema or none.
-func (f *FlatNode) row(i int, rec cube.Record) {
-	o := f.fixBase + f.stride*i
-	for d, w := range f.widths() {
-		rec.Coords[d] = loadCode(f.b[o:], widthMask(w))
+// row reads data record i into coords and units, which the caller sized:
+// the coordinates to the schema, the measures to the schema or none.
+func (f *FlatNode) row(i int, coords []hierarchy.ID, units []int64) {
+	o, widths := f.fixBase+f.stride*i, f.widths()
+	for d, w := range widths[:f.dims] {
+		coords[d] = loadCode(f.b[o:], widthMask(w))
 		o += int(w)
 	}
-	for j := range rec.Measures {
-		rec.Measures[j] = measureAt(f.b, o+8*j)
+	for j := range units {
+		w := widths[f.dims+j]
+		units[j] = loadUnits(f.b[o:], w)
+		o += bytesOf(w)
 	}
 }
 
 // DecodeNode materializes a payload as a heap node — the write path, and a
 // host whose store serves no views, need mutable *Nodes: a copy of the
 // payload once its frame and, for a directory, its table pass. A data node's
-// coordinates must be leaf-level values, which the row tests assume, and its
-// widths exactly those its codes need.
+// coordinates must be leaf-level values, which the row tests assume, its
+// widths exactly those its values need, and its pad zero.
 func DecodeNode(id NodeID, buf []byte, dims, measures int) (*Node, error) {
 	f, err := MakeFlatNode(id, buf, dims, measures)
 	if err == nil {
@@ -365,13 +390,17 @@ func DecodeNode(id NodeID, buf []byte, dims, measures int) (*Node, error) {
 	if !n.leaf {
 		return n, nil
 	}
-	n.top = make([]uint32, dims)
-	for d, w := range f.widths() {
+	if slices.ContainsFunc(f.b[f.mdsBase:], func(c byte) bool { return c != 0 }) {
+		return nil, fmt.Errorf("%w: node %d: a byte of the pad is set", ErrCorrupt, id)
+	}
+	n.top = make([]uint64, dims+measures)
+	for k, w := range f.widths() {
 		// Coordinates are leaf values, and widths exact: the node needs
 		// the bytes its encoder did.
-		if n.top[d] = n.columnTop(d, -1); n.top[d] > hierarchy.MaxCode || codeWidth(n.top[d]) != int(w) {
-			return nil, fmt.Errorf("%w: node %d: dimension %d of code width %d holds coordinates up to %v, not leaf values of that width",
-				ErrCorrupt, id, d, w, hierarchy.ID(n.top[d]))
+		var neg bool
+		if n.top[k], neg = n.columnTop(k); k < dims && n.top[k] > hierarchy.MaxCode || widthOf(neg, n.top[k]) != w {
+			return nil, fmt.Errorf("%w: node %d: column %d of width %d holds values up to %d, not leaf codes or units of that width",
+				ErrCorrupt, id, k, w, n.top[k])
 		}
 	}
 	return n, nil

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -27,10 +26,10 @@ import (
 func grownNodes(t testing.TB) (ix *Index, nodes []*Node) {
 	t.Helper()
 	ix, _ = newBareIndexAt(t, testSchema(t), smallConfig(), payload512)
-	recs := genRecords(t, ix.schema, rand.New(rand.NewSource(7)), 900)
+	recs := genRecords(t, ix.schema, rand.New(rand.NewSource(7)), 1000)
 	for i, r := range recs {
-		if i >= 800 {
-			r = recs[800]
+		if i >= 700 {
+			r = recs[700]
 		}
 		if err := ix.Insert(r); err != nil {
 			t.Fatal(err)
@@ -44,16 +43,15 @@ func grownNodes(t testing.TB) (ix *Index, nodes []*Node) {
 }
 
 // sameRows reports whether two data nodes agree in Blocks, Count and every
-// coordinate and measure, measures compared by their bits.
+// coordinate and measure.
 func sameRows(a, b *Node) bool {
 	if a.Blocks() != b.Blocks() || a.Count() != b.Count() {
 		return false
 	}
 	for i := 0; i < a.Count(); i++ {
-		x, y := a.Record(i), b.Record(i)
-		if !slices.Equal(x.Coords, y.Coords) || !slices.EqualFunc(x.Measures, y.Measures, func(x, y float64) bool {
-			return math.Float64bits(x) == math.Float64bits(y)
-		}) {
+		xc, xu := a.Row(i)
+		yc, yu := b.Row(i)
+		if !slices.Equal(xc, yc) || !slices.Equal(xu, yu) {
 			return false
 		}
 	}
@@ -61,8 +59,9 @@ func sameRows(a, b *Node) bool {
 }
 
 // TestDataNodePayloadIsRows is the law of the data-node frame: the payload
-// is the header, the code widths and the rows, byte for byte. Its length is
-// a function of the record count and the widths the codes need alone,
+// is the header, the column widths, the rows and the zero pad, byte for
+// byte. Its length is a function of the record count and the widths the
+// codes and measures need alone,
 // decode∘encode is the identity, and no byte is slack — flipping any one is
 // either rejected or changes what decodes.
 func TestDataNodePayloadIsRows(t *testing.T) {
@@ -73,15 +72,15 @@ func TestDataNodePayloadIsRows(t *testing.T) {
 			continue
 		}
 		buf := ix.Encode(n)
-		stride := 8 * measures
-		for d := range dims {
-			w := codeWidth(n.columnTop(d, -1))
-			if int(buf[flatHeaderSize+d]) != w {
-				t.Fatalf("node %d dimension %d: width %d, its codes need %d", n.id, d, buf[flatHeaderSize+d], w)
+		stride := 0
+		for k := range dims + measures {
+			w := needWidth(n, k)
+			if buf[flatHeaderSize+k] != w {
+				t.Fatalf("node %d column %d: width %#x, its values need %#x", n.id, k, buf[flatHeaderSize+k], w)
 			}
-			stride += w
+			stride += bytesOf(w)
 		}
-		if want := flatHeaderSize + dims + n.Count()*stride; len(buf) != want {
+		if want := flatHeaderSize + dims + measures + n.Count()*stride + leafPad; len(buf) != want {
 			t.Fatalf("node %d (%d records, %d blocks): payload %d bytes, want %d", n.id, n.Count(), n.Blocks(), len(buf), want)
 		}
 		dec, err := DecodeNode(n.id, buf, dims, measures)
@@ -200,6 +199,9 @@ func TestFlatNodeCorruptFailClosed(t *testing.T) {
 	})
 	mutate("code width 0", func(b []byte) []byte { b[flatHeaderSize] = 0; return b })
 	mutate("code width 5", func(b []byte) []byte { b[flatHeaderSize] = 5; return b })
+	mutate("measure width 0", func(b []byte) []byte { b[flatHeaderSize+dims] = 0; return b })
+	mutate("measure width 9", func(b []byte) []byte { b[flatHeaderSize+dims] = 9; return b })
+	mutate("a byte of the pad set", func(b []byte) []byte { b[len(b)-1] = 1; return b })
 	mutate("row area one byte past count × stride", func(b []byte) []byte {
 		b = append(b, 0)
 		binary.LittleEndian.PutUint32(b[12:], uint32(len(b)))
@@ -223,31 +225,35 @@ func TestFlatNodeCorruptFailClosed(t *testing.T) {
 
 // layRows encodes data node n with its codes at the given widths, which
 // need not be those its codes need: the payloads the encoder never writes.
-// A width of 4 stores the whole coordinate, level tag included.
+// A width of 4 stores the whole coordinate, level tag included. The
+// measures keep the node's widths.
 func layRows(n *Node, widths []byte) []byte {
-	stride := 8 * n.nm
+	widths = append(slices.Clone(widths), n.flat.widths()[n.dims:]...)
+	stride := 0
 	for _, w := range widths {
 		stride += int(w)
 	}
-	b := make([]byte, leafSize(n.dims, n.Count(), stride))
+	b := make([]byte, leafSize(len(widths), n.Count(), stride))
 	b[0], b[1] = flatMagic, nodeFlagLeaf
 	binary.LittleEndian.PutUint32(b[4:], uint32(n.Blocks()))
 	binary.LittleEndian.PutUint32(b[8:], uint32(n.Count()))
-	binary.LittleEndian.PutUint32(b[12:], uint32(len(b)))
+	binary.LittleEndian.PutUint32(b[12:], uint32(len(b)-leafPad))
 	binary.LittleEndian.PutUint32(b[16:], uint32(len(b)))
 	copy(b[flatHeaderSize:], widths)
-	o := flatHeaderSize + n.dims
+	o := flatHeaderSize + len(widths)
 	for i := 0; i < n.Count(); i++ {
-		rec := n.Record(i)
-		for d, c := range rec.Coords {
+		coords, units := n.Row(i)
+		for d, c := range coords {
 			for k := 0; k < int(widths[d]); k++ {
 				b[o+k] = byte(c >> (8 * k))
 			}
 			o += int(widths[d])
 		}
-		for _, x := range rec.Measures {
-			binary.LittleEndian.PutUint64(b[o:], math.Float64bits(x))
-			o += 8
+		for j, u := range units {
+			for k := 0; k < int(widths[n.dims+j]); k++ {
+				b[o+k] = byte(u >> (8 * k))
+			}
+			o += int(widths[n.dims+j])
 		}
 	}
 	return b
@@ -265,7 +271,7 @@ func wideWidths(dims, d int) []byte {
 // coordinate there tagged with level 1.
 func aboveLeaf(n *Node) []byte {
 	b := layRows(n, wideWidths(n.dims, 0))
-	b[flatHeaderSize+n.dims+3] |= 1 << (hierarchy.CodeBits - 24)
+	b[flatHeaderSize+n.dims+n.nm+3] |= 1 << (hierarchy.CodeBits - 24)
 	return b
 }
 
@@ -334,7 +340,7 @@ func TestValidateReadsEncodedBytes(t *testing.T) {
 	}{
 		{"aggregate sum", func(src encodedNodes, _ *Head) {
 			b := src.b[root.id][agg0:]
-			binary.LittleEndian.PutUint64(b, math.Float64bits(math.Float64frombits(binary.LittleEndian.Uint64(b))+1e6))
+			binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)+1) // one unit: no tolerance hides it
 		}},
 		{"aggregate count", func(src encodedNodes, _ *Head) {
 			b := src.b[root.id][agg0+8:]
@@ -388,7 +394,7 @@ func FuzzDecodeFlatNode(f *testing.F) {
 	// one with a width outside them and one whose rows are not count ×
 	// stride bytes.
 	for _, n := range widthNodes(measures) {
-		if slices.Contains([]uint32{255, 1<<16 - 1, 1<<24 - 1, hierarchy.MaxCode}, n.top[0]) && n.top[1] == 9 {
+		if slices.Contains([]uint64{255, 1<<16 - 1, 1<<24 - 1, hierarchy.MaxCode}, n.top[0]) && n.top[1] == 9 {
 			f.Add(ix.Encode(n))
 		}
 	}
@@ -398,11 +404,11 @@ func FuzzDecodeFlatNode(f *testing.F) {
 	// A query constrained in every dimension, so both kernels consult their
 	// masks — with codes the masks were never sized for among the inputs.
 	q := make(mds.MDS, dims)
-	for d, c := range leaf.Record(0).Coords {
+	coords, units := leaf.Row(0)
+	for d, c := range coords {
 		q[d] = mds.DimSet{Level: 0, IDs: []hierarchy.ID{c}}
 	}
 	qc := ix.newQueryCtx(q)
-	rec := cube.Record{Coords: make([]hierarchy.ID, dims), Measures: make([]float64, measures)}
 	var dimArena []mds.DimSet
 	var idArena []hierarchy.ID
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -416,7 +422,7 @@ func FuzzDecodeFlatNode(f *testing.F) {
 		}
 		for i := 0; i < view.Count(); i++ {
 			if view.Leaf() {
-				view.row(i, rec)
+				view.row(i, coords, units)
 				continue
 			}
 			dimArena, idArena = dimArena[:0], idArena[:0]
@@ -428,7 +434,7 @@ func FuzzDecodeFlatNode(f *testing.F) {
 		}
 		if view.CheckTable() == nil {
 			if view.Leaf() {
-				qc.scanRows(&view, 0, cube.NewAggVector(measures))
+				qc.scanRows(&view, 0, make([]cube.Fixed, measures))
 			} else {
 				for i := 0; i < view.Count(); i++ {
 					if _, _, err := qc.matchEntryFlat(&view, i); err != nil && !errors.Is(err, ErrCorrupt) {
@@ -476,7 +482,9 @@ func requireNodesEqual(t *testing.T, got, want *Node) {
 	}
 	if got.Leaf() {
 		for i := 0; i < want.Count(); i++ {
-			if !slices.Equal(got.Record(i).Coords, want.Record(i).Coords) || !slices.Equal(got.Record(i).Measures, want.Record(i).Measures) {
+			gc, gu := got.Row(i)
+			wc, wu := want.Row(i)
+			if !slices.Equal(gc, wc) || !slices.Equal(gu, wu) {
 				t.Fatalf("node %d: row %d differs", want.ID(), i)
 			}
 		}
@@ -522,13 +530,14 @@ func TestFlatNodeRoundTrip(t *testing.T) {
 		}
 		// Spot-check the in-place accessors against the heap form.
 		for i := 0; n.Leaf() && i < n.Count(); i++ {
+			coords, units := n.Row(i)
 			for d := 0; d < dims; d++ {
-				if f.Coord(i, d) != n.Record(i).Coords[d] {
+				if f.Coord(i, d) != coords[d] {
 					t.Fatalf("node %d record %d: coord(%d) differs", n.ID(), i, d)
 				}
 			}
 			for j := 0; j < measures; j++ {
-				if f.Measure(i, j) != n.Record(i).Measures[j] {
+				if f.Units(i, j) != units[j] {
 					t.Fatalf("node %d record %d: measure(%d) differs", n.ID(), i, j)
 				}
 			}
@@ -594,14 +603,15 @@ func TestFlatNodeMDSView(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; n.Leaf() && i < n.Count(); i++ {
-			for d, c := range n.Record(i).Coords {
+			coords, units := n.Row(i)
+			for d, c := range coords {
 				if f.Coord(i, d) != c {
 					t.Fatalf("node %d record %d: view coordinate %d is %v, want %v", n.ID(), i, d, f.Coord(i, d), c)
 				}
 			}
-			for j, x := range n.Record(i).Measures {
-				if f.Measure(i, j) != x {
-					t.Fatalf("node %d record %d: view measure %d is %v, want %v", n.ID(), i, j, f.Measure(i, j), x)
+			for j, u := range units {
+				if f.Units(i, j) != u {
+					t.Fatalf("node %d record %d: view measure %d is %v, want %v", n.ID(), i, j, f.Units(i, j), u)
 				}
 			}
 		}

@@ -103,13 +103,75 @@ func newBareIndexAt(t testing.TB, schema *cube.Schema, cfg Config, payload int) 
 }
 
 // testSchema builds a small TPC-D-like cube: Customer (Region>Nation>Cust),
-// Part (Brand>Part), Time (Year>Month) with one measure.
+// Part (Brand>Part), Time (Year>Month) with one measure of cents.
 func testSchema(t testing.TB) *cube.Schema {
 	t.Helper()
 	cust := hierarchy.MustNew("Customer", "Customer", "Nation", "Region")
 	part := hierarchy.MustNew("Part", "Part", "Brand")
 	tim := hierarchy.MustNew("Time", "Month", "Year")
-	return cube.MustNewSchema([]*hierarchy.Hierarchy{cust, part, tim}, "Price")
+	s, err := cube.MustNewSchema([]*hierarchy.Hierarchy{cust, part, tim}, "Price").WithScales(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// rowOf returns rec as a data node stores it: its coordinates, and its
+// measures in units of their scales.
+func rowOf(s *cube.Schema, rec cube.Record) ([]hierarchy.ID, []int64) {
+	return rec.Coords, unitsOf(s, rec)
+}
+
+// unitsOf returns rec's measures in units of their scales.
+func unitsOf(s *cube.Schema, rec cube.Record) []int64 {
+	units := make([]int64, len(rec.Measures))
+	for j, x := range rec.Measures {
+		u, err := s.Units(j, x)
+		if err != nil {
+			panic(err)
+		}
+		units[j] = u
+	}
+	return units
+}
+
+// recordAt returns data node n's record i as the index takes it: its
+// measures the floats its units stand for.
+func recordAt(s *cube.Schema, n *Node, i int) cube.Record {
+	coords, units := n.Row(i)
+	rec := cube.Record{Coords: coords, Measures: make([]float64, len(units))}
+	for j, u := range units {
+		rec.Measures[j] = s.Value(j, u)
+	}
+	return rec
+}
+
+// needWidth returns the width byte column k of data node n needs, from its
+// rows, not from its tracked keys.
+func needWidth(n *Node, k int) byte {
+	top, neg := n.columnTop(k)
+	return widthOf(neg, top)
+}
+
+// Coord returns record i's coordinate in dimension d.
+func (f *FlatNode) Coord(i, d int) hierarchy.ID {
+	o, cut := f.column(d)
+	return loadCode(f.b[o+f.stride*i:], cut)
+}
+
+// Units returns record i's measure j, in units.
+func (f *FlatNode) Units(i, j int) int64 {
+	o, _ := f.column(f.dims + j)
+	return loadUnits(f.b[o+f.stride*i:], f.widths()[f.dims+j])
+}
+
+// fixedOf returns the one-record aggregates of a row's units.
+func fixedOf(units []int64) []cube.Fixed {
+	v := make([]cube.Fixed, len(units))
+	for j, u := range units {
+		v[j] = cube.FixedOf(u)
+	}
+	return v
 }
 
 // genRecords interns n random records into the schema.
@@ -140,18 +202,20 @@ func smallConfig() Config {
 }
 
 // payloadOfRows is the one-block payload that holds a data node of the
-// given rows at the widest codes of recs: how a test sizes its data nodes
+// given rows at the widest values of recs: how a test sizes its data nodes
 // by rows.
 func payloadOfRows(schema *cube.Schema, recs []cube.Record, rows int) int {
-	stride := 8 * schema.Measures()
-	for d := range schema.Dims() {
-		top := uint32(0)
-		for _, r := range recs {
-			top = max(top, r.Coords[d].Code())
+	n := NewNode(NilNode, true, schema.Dims(), schema.Measures())
+	for _, r := range recs {
+		coords, units := rowOf(schema, r)
+		for d, c := range coords {
+			n.top[d] = max(n.top[d], uint64(c.Code()))
 		}
-		stride += codeWidth(top)
+		for j, u := range units {
+			n.top[schema.Dims()+j] = max(n.top[schema.Dims()+j], magnitude(u))
+		}
 	}
-	return leafSize(schema.Dims(), rows, stride)
+	return leafSize(len(n.top), rows, n.rowSize(nil, nil))
 }
 
 // newTestIndex is a bare index over the test schema.
@@ -165,7 +229,7 @@ func newTestIndex(t testing.TB, cfg Config) *Index {
 // child decoded from the node's bytes.
 type entry struct {
 	MDS   mds.MDS
-	Agg   cube.AggVector
+	Agg   []cube.Fixed
 	Child NodeID
 }
 
@@ -182,10 +246,7 @@ func dirEntries(n *Node) []entry {
 		if err != nil {
 			panic(err)
 		}
-		out[i] = entry{MDS: m, Agg: cube.NewAggVector(n.nm), Child: f.Child(i)}
-		for j := range out[i].Agg {
-			out[i].Agg[j] = f.Agg(i, j)
-		}
+		out[i] = entry{MDS: m, Agg: f.aggs(i, make([]cube.Fixed, n.nm)), Child: f.Child(i)}
 	}
 	return out
 }
@@ -199,8 +260,8 @@ func entriesOf(n *Node) []entry {
 	}
 	out := make([]entry, n.Count())
 	for i := range out {
-		rec := n.Record(i)
-		out[i] = entry{MDS: mds.FromLeaves(rec.Coords), Agg: cube.AggOfRecord(rec.Measures)}
+		coords, units := n.Row(i)
+		out[i] = entry{MDS: mds.FromLeaves(coords), Agg: fixedOf(units)}
 	}
 	return out
 }

@@ -102,6 +102,10 @@ type Index struct {
 	// exclusive, so one scratch is never shared.
 	ws *writeScratch
 
+	// span bounds, per measure, the magnitude in units of every value the
+	// tree holds (admit); nil until the first insert reads it off the root.
+	span []uint64
+
 	// qcPool recycles queryCtx mask arenas so steady-state queries build
 	// their membership masks without allocating.
 	qcPool sync.Pool
@@ -161,33 +165,6 @@ func Restore(schema *cube.Schema, cfg Config, store Store, h Head, payload int) 
 	ix := &Index{schema: schema, cfg: cfg, store: store, head: h, payload: payload}
 	ix.ws = newWriteScratch(schema)
 	return ix
-}
-
-// Fit hands fixed a heap copy of every node of the tree of head h, viewed
-// through src, that overflows its blocks, given the blocks its bytes need.
-// Only a tree written under a retired count rule has one: the entry-count
-// rule held up to 24 directory entries in one block, and a row cap held a
-// data node's rows whatever their bytes. Data nodes are visited only when
-// leaves is set, for a tree written under a row cap: a tree written without
-// one held them to their bytes already, and its data nodes stay unread. A
-// node that cannot be read ends the walk, as it ends Validate's, which walks
-// in the same order.
-func (ix *Index) Fit(src Source, h Head, leaves bool, fixed func(*Node)) {
-	_ = walk(src, h.Root, func(nv *NodeView, level int) error {
-		leaf, _, blocks, size := nv.shape()
-		if need := ix.blocksFor(size); need > blocks {
-			n, err := DecodeNode(nv.id, nv.b, ix.schema.Dims(), ix.schema.Measures())
-			if err != nil {
-				return err
-			}
-			n.setBlocks(need)
-			fixed(n)
-		}
-		if leaf || !leaves && level+2 >= h.Height {
-			return errSkip // no node below to fit
-		}
-		return nil
-	})
 }
 
 // Head returns a copy of the head figures, its RootMDS the host's to keep:

@@ -99,7 +99,7 @@ func FuzzIndexOps(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !aggClose(res.Agg, want) {
+			if res.Agg != want {
 				t.Fatalf("op %d: %s query %v: %+v, scan %+v", k, opsQueryClasses[c], q, res.Agg, want)
 			}
 		}

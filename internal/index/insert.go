@@ -19,6 +19,9 @@ func (ix *Index) Insert(rec cube.Record) error {
 	if err != nil {
 		return err
 	}
+	if err := ix.admit(rc.units, ix.head.Count+1); err != nil {
+		return err
+	}
 
 	// The root's relevant levels are always (ALL,…,ALL): it describes the
 	// whole cube, so its first split refines some dimension to the top
@@ -47,6 +50,39 @@ func (ix *Index) Insert(rec cube.Record) error {
 	return nil
 }
 
+// admit refuses, before any byte changes, a record whose units could take
+// a sum out of int64 once the tree holds count records: every sum the tree
+// stores or a query folds is over at most count values of at most span
+// units each, and count × span < 2^63 keeps them all inside. The span is
+// read off the root's aggregates when the index has none.
+func (ix *Index) admit(units []int64, count int64) error {
+	if ix.span == nil {
+		root, err := ix.store.Get(ix.head.Root)
+		if err != nil {
+			return err
+		}
+		ix.span = make([]uint64, len(units))
+		for j := range ix.span {
+			a := root.fold(j)
+			ix.span[j] = max(absUnits(a.Min), absUnits(a.Max))
+		}
+	}
+	for j, u := range units {
+		span := max(ix.span[j], absUnits(u))
+		if hi, lo := bits.Mul64(uint64(count), span); hi != 0 || lo >= 1<<63 {
+			return fmt.Errorf("%w: %d values of up to %d units could take measure %d's sums out of int64",
+				cube.ErrMeasureValue, count, span, j)
+		}
+	}
+	for j, u := range units {
+		ix.span[j] = max(ix.span[j], absUnits(u))
+	}
+	return nil
+}
+
+// absUnits returns |u|.
+func absUnits(u int64) uint64 { return magnitude(u) + uint64(u)>>63 }
+
 // insertInto inserts the record into the subtree rooted at id, whose
 // describing MDS is nodeMDS, in its wire encoding: the parent entry's, in
 // the parent's block, which no write changes until the subtree's insert
@@ -60,7 +96,7 @@ func (ix *Index) insertInto(id NodeID, nodeMDS []byte, rc *recContext) (pair *No
 	ix.store.MarkDirty(n.id)
 
 	if n.leaf {
-		n.appendRecord(rc.rec)
+		n.appendRecord(rc.rec.Coords, rc.units)
 		if ix.nodeBlocks(n) <= n.Blocks() {
 			return nil, nil
 		}
@@ -87,7 +123,9 @@ func (ix *Index) insertInto(id NodeID, nodeMDS []byte, rc *recContext) (pair *No
 		n.invalidatePostings()
 	}
 	v := n.flat.aggs(idx, ix.ws.agg)
-	v.Merge(rc.agg)
+	for j, u := range rc.units {
+		v[j].Add(u)
+	}
 	n.setAgg(idx, v)
 
 	if pair, err = ix.insertInto(n.flat.Child(idx), n.flat.EntryMDS(idx), rc); err != nil {

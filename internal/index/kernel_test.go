@@ -481,8 +481,8 @@ func TestSplitAllocationsIndependentOfEntryCount(t *testing.T) {
 	tree := newTestIndex(t, DefaultConfig())
 	const runs, maxBlocks = 5, 4
 	rng := rand.New(rand.NewSource(56))
-	// A row takes at least 12 bytes: three 1-byte codes and the measure.
-	recs := genRecords(t, tree.schema, rng, (runs+1)*(maxBlocks*testBlockPayload/12+1))
+	// A row takes at least 4 bytes: three 1-byte codes and the measure.
+	recs := genRecords(t, tree.schema, rng, (runs+1)*(maxBlocks*testBlockPayload/4+1))
 	measure := func(blocks int) float64 {
 		entries := 0
 		nodes := make([]*Node, 0, runs+1)
@@ -491,7 +491,7 @@ func TestSplitAllocationsIndependentOfEntryCount(t *testing.T) {
 			n := tree.store.New(true)
 			n.setBlocks(blocks)
 			for tree.nodeBlocks(n) <= blocks {
-				n.appendRecord(recs[next])
+				n.appendRecord(rowOf(tree.schema, recs[next]))
 				next++
 			}
 			entries = n.Count()
@@ -984,7 +984,7 @@ func TestZeroSupernodeCapSelectsDefault(t *testing.T) {
 	rec := genRecords(t, tree.schema, rand.New(rand.NewSource(59)), 1)[0]
 	n := tree.store.New(true)
 	for tree.nodeBlocks(n) < limit {
-		n.appendRecord(rec)
+		n.appendRecord(rowOf(tree.schema, rec))
 	}
 
 	n.setBlocks(limit - 1)

@@ -33,7 +33,7 @@ func (c selectCase) run() []uint16 {
 	for i := range sel {
 		sel[i] = 0xFFFF
 	}
-	return slices.Clone(sel[:selectFlat(&sel, c.flat[:c.n*c.stride], c.stride, c.passes)])
+	return slices.Clone(sel[:selectFlat(&sel, c.flat[:c.n*c.stride+leafPad], c.n, c.stride, c.passes)])
 }
 
 // want is the selection a row at a time: the rows every pass's mask holds
@@ -68,12 +68,12 @@ func (c selectCase) check(t *testing.T, name string) {
 	}
 }
 
-// randomCase returns scanChunk flat rows, every byte random but the codes,
-// which are below limit: dims codes at widths 1–4 bytes (each code cut to
-// its width) and then measures 8-byte values. A code's 4-byte load reads
-// the bytes behind it, the next code or a measure, which its width must
-// cut away. The pass table tests tested of the dimensions, in random
-// order, against masks of 0, 1, 2 or 5 words.
+// randomCase returns scanChunk flat rows and a pad, every byte random but
+// the codes, which are below limit: dims codes at widths 1–4 bytes (each
+// code cut to its width) and then measures values of 1–8 bytes. A code's
+// 4-byte load reads the bytes behind it, the next code, a measure or the
+// pad, which its width must cut away. The pass table tests tested of the
+// dimensions, in random order, against masks of 0, 1, 2 or 5 words.
 func randomCase(rng *rand.Rand, dims, tested, measures int, limit uint32) selectCase {
 	var c selectCase
 	offs, widths := make([]int, dims), make([]uint32, dims)
@@ -83,8 +83,10 @@ func randomCase(rng *rand.Rand, dims, tested, measures int, limit uint32) select
 		offs[d], widths[d] = c.stride, widthMask(byte(w[d]))
 		c.stride += w[d]
 	}
-	c.stride += 8 * measures
-	c.flat = make([]byte, scanChunk*c.stride)
+	for range measures {
+		c.stride += 1 + rng.Intn(8)
+	}
+	c.flat = make([]byte, scanChunk*c.stride+leafPad)
 	rng.Read(c.flat)
 	for i := range scanChunk {
 		for d := range dims {
@@ -162,8 +164,8 @@ func FuzzSelectRows(f *testing.F) {
 			offs[i], cuts[i] = c.stride, widthMask(byte(w))
 			c.stride += w
 		}
-		c.stride += 8 * (1 + int(measures)%3)
-		c.flat = make([]byte, scanChunk*c.stride)
+		c.stride += 1 + int(measures)%8
+		c.flat = make([]byte, scanChunk*c.stride+leafPad)
 		for i := 0; len(rows) > 0 && i < len(c.flat); i += len(rows) {
 			copy(c.flat[i:], rows)
 		}
@@ -193,21 +195,24 @@ func TestScanRowsAllocations(t *testing.T) {
 		leafOf := func(rows int) *Node {
 			leaf := NewNode(0, true, dims, nm)
 			for range rows {
-				rec := cube.Record{Coords: make([]hierarchy.ID, dims), Measures: make([]float64, nm)}
-				for d := range rec.Coords {
-					rec.Coords[d] = hierarchy.MakeID(0, uint32(rng.Intn(500)))
+				coords, units := make([]hierarchy.ID, dims), make([]int64, nm)
+				for d := range coords {
+					coords[d] = hierarchy.MakeID(0, uint32(rng.Intn(500)))
 				}
-				leaf.appendRecord(rec)
+				for j := range units {
+					units[j] = rng.Int63n(2000) - 1000
+				}
+				leaf.appendRecord(coords, units)
 			}
 			return leaf
 		}
-		leaf, long := leafOf(300), leafOf(600)
+		leaf, long := leafOf(300), leafOf(scanChunk+100)
 		qc := &queryCtx{}
 		for d := range dims {
 			qc.rows = append(qc.rows, rowMask{dim: d, mask: randomMask(rng, 8, 0.7)})
 		}
-		out := cube.NewAggVector(nm)
-		for carrier, nv := range map[string]NodeView{"300-row": leaf.flat, "600-row": long.flat} {
+		out := make([]cube.Fixed, nm)
+		for carrier, nv := range map[string]NodeView{"300-row": leaf.flat, "long": long.flat} {
 			if allocs := testing.AllocsPerRun(20, func() { qc.scanRows(&nv, 0, out) }); allocs != 0 {
 				t.Errorf("%s rows: %.0f allocations per scan, want 0", carrier, allocs)
 			}
@@ -219,15 +224,16 @@ func TestScanRowsAllocations(t *testing.T) {
 // data node is one selection, and under AVX2 one kernel call: at the
 // default block, no one-block data node holds more than scanChunk rows.
 // The narrowest row a schema allows, one dimension of 1-byte codes and one
-// measure, fits the most: the root data node of such a tree grows to 451
-// rows in its one block before it splits. A bulk-loaded TPC-D tree of the
-// cold-read workload's size packs 270 rows a node.
+// measure of 1-byte units, fits the most: the root data node of such a
+// tree grows to 2,027 rows in its one block before it splits. A
+// bulk-loaded TPC-D tree of the cold-read workload's size packs 405 rows a
+// node.
 func TestOneBlockDataNodeIsOneSelection(t *testing.T) {
 	narrow := cube.MustNewSchema([]*hierarchy.Hierarchy{hierarchy.MustNew("D", "Leaf")}, "M")
 	ix, store := newBareIndex(t, narrow, DefaultConfig())
 	most := 0
 	for i := 0; ix.Height() == 1; i++ {
-		rec, err := narrow.InternRecord([][]string{{fmt.Sprintf("v%d", i%200)}}, []float64{float64(i)})
+		rec, err := narrow.InternRecord([][]string{{fmt.Sprintf("v%d", i%200)}}, []float64{float64(i%200 - 100)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,8 +244,8 @@ func TestOneBlockDataNodeIsOneSelection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if want := (testBlockPayload - leafSize(1, 0, 9)) / 9; most != want || most > scanChunk {
-		t.Errorf("a one-block data node of 9-byte rows held up to %d rows, want %d, at most scanChunk %d", most, want, scanChunk)
+	if want := (testBlockPayload - leafSize(2, 0, 2)) / 2; most != want || most > scanChunk {
+		t.Errorf("a one-block data node of 2-byte rows held up to %d rows, want %d, at most scanChunk %d", most, want, scanChunk)
 	}
 
 	packed, _ := packedBenchTree(t)
@@ -249,8 +255,8 @@ func TestOneBlockDataNodeIsOneSelection(t *testing.T) {
 			most = max(most, n.Count())
 		}
 	}
-	if most != 270 || most > scanChunk {
-		t.Errorf("a bulk-loaded one-block TPC-D data node holds up to %d rows, want 270, at most scanChunk %d", most, scanChunk)
+	if most != 405 || most > scanChunk {
+		t.Errorf("a bulk-loaded one-block TPC-D data node holds up to %d rows, want 405, at most scanChunk %d", most, scanChunk)
 	}
 }
 

@@ -1,8 +1,8 @@
 package index
 
 import (
+	"bytes"
 	"encoding/binary"
-	"math"
 	"math/bits"
 	"slices"
 
@@ -20,8 +20,10 @@ import (
 //
 // A data node's rows sit at their exact widths; a record's singleton MDS and
 // one-record aggregates are functions of its row. Beside the block it keeps
-// top, each dimension's largest code: the widths (codeWidth), and so the
-// bytes the node needs, are functions of it, kept exact by every change.
+// top, each column's largest key — a dimension's largest code, a measure's
+// largest magnitude: the widths (widthOf), and so the bytes the node needs,
+// are functions of it and of each measure's sign, kept exact by every
+// change.
 //
 // A directory's entries are edited where they lie: an aggregate in its
 // fixed slot; an MDS re-encoded and spliced into the MDS area (mdsSlot); an
@@ -36,7 +38,7 @@ type Node struct {
 
 	dims, nm int // the schema's row widths
 	flat     FlatNode
-	top      []uint32 // a data node's largest codes
+	top      []uint64 // a data node's largest column keys
 	post     *postings
 }
 
@@ -46,31 +48,36 @@ func NewNode(id NodeID, leaf bool, dims, measures int) *Node {
 	n := &Node{id: id, leaf: leaf, dims: dims, nm: measures}
 	n.flat.blocks = 1
 	if leaf {
-		n.lay(make([]uint32, dims), 0)
+		n.lay(bytes.Repeat([]byte{1}, dims+measures), make([]uint64, dims+measures), 0)
 	} else {
 		n.layDir(dirSize)
 	}
 	return n
 }
 
-// lay gives a data node an empty block, at the widths of the largest codes
-// top, with room for rows rows.
-func (n *Node) lay(top []uint32, rows int) {
+// lay gives a data node an empty block at the given widths, of columns
+// whose largest keys are top, with room for rows rows.
+func (n *Node) lay(widths []byte, top []uint64, rows int) {
 	n.top = top
-	b := make([]byte, flatHeaderSize+n.dims, leafSize(n.dims, rows, n.rowSize(nil)))
-	b[0], b[1] = flatMagic, nodeFlagLeaf
-	for d, c := range top {
-		b[flatHeaderSize+d] = byte(codeWidth(c))
+	stride := 0
+	for _, w := range widths {
+		stride += bytesOf(w)
 	}
+	b := make([]byte, leafSize(len(top), 0, 0), leafSize(len(top), rows, stride))
+	b[0], b[1] = flatMagic, nodeFlagLeaf
+	copy(b[flatHeaderSize:], widths)
 	n.frame(b, 0)
 }
 
 // frame makes b, holding count rows or entries, the node's encoding: the
 // header takes the node's blocks, the count, the MDS base and the length,
-// and flat frames b.
+// and flat frames b. A data node's pad is zeroed: the stores of its last
+// row spill into it.
 func (n *Node) frame(b []byte, count int) {
-	mdsBase := len(b)
-	if !n.leaf {
+	mdsBase := len(b) - leafPad
+	if n.leaf {
+		clear(b[mdsBase:])
+	} else {
 		_, _, mdsBase = dirLayoutSizes(count, n.nm)
 	}
 	binary.LittleEndian.PutUint32(b[4:], uint32(n.flat.blocks))
@@ -99,116 +106,149 @@ func (n *Node) setBlocks(blocks int) {
 // Count returns the number of entries: directory entries or data records.
 func (n *Node) Count() int { return n.flat.count }
 
-// Record returns a copy of a data node's record i.
-func (n *Node) Record(i int) cube.Record {
-	rec := cube.Record{Coords: make([]hierarchy.ID, n.dims), Measures: make([]float64, n.nm)}
-	n.flat.row(i, rec)
-	return rec
+// Row returns a copy of a data node's record i: its coordinates and its
+// measures in units.
+func (n *Node) Row(i int) (coords []hierarchy.ID, units []int64) {
+	coords, units = make([]hierarchy.ID, n.dims), make([]int64, n.nm)
+	n.flat.row(i, coords, units)
+	return coords, units
 }
 
-// appendRecord adds a record to a data node: a code wider than its
-// dimension's width re-strides the rows first.
-func (n *Node) appendRecord(rec cube.Record) {
-	for d, c := range rec.Coords {
-		if c := c.Code(); c > n.top[d] {
-			n.top[d] = c
-			n.setWidth(d, codeWidth(c))
-		}
+// appendRecord adds a record, its coordinates and its measures in units,
+// to a data node: a value wider than its column's width, or a column's
+// first negative value, re-strides the rows first.
+func (n *Node) appendRecord(coords []hierarchy.ID, units []int64) {
+	for d, c := range coords {
+		n.top[d] = max(n.top[d], uint64(c.Code()))
+		n.setWidth(d, widthOf(false, n.top[d]))
+	}
+	for j, u := range units {
+		k := n.dims + j
+		n.top[k] = max(n.top[k], magnitude(u))
+		n.setWidth(k, widthOf(u < 0 || n.flat.widths()[k]&signedWidth != 0, n.top[k]))
 	}
 	f := &n.flat
-	o := len(f.b)
-	b := slices.Grow(f.b, f.stride)[:o+f.stride]
-	// A code is stored as a 4-byte word whose bytes past its width are
-	// zero: the next code or the measures overwrite them.
-	for d, w := range b[flatHeaderSize:f.fixBase] {
-		binary.LittleEndian.PutUint32(b[o:], rec.Coords[d].Code())
-		o += int(w)
+	o := f.mdsBase
+	b := slices.Grow(f.b, f.stride)[:len(f.b)+f.stride]
+	// A value is stored as a 4- or 8-byte word whose bytes past its width
+	// spill: the next value, or the pad that frame clears, overwrites them.
+	widths := b[flatHeaderSize:f.fixBase]
+	for d, c := range coords {
+		binary.LittleEndian.PutUint32(b[o:], c.Code())
+		o += int(widths[d])
 	}
-	for _, x := range rec.Measures {
-		binary.LittleEndian.PutUint64(b[o:], math.Float64bits(x))
-		o += 8
+	for j, u := range units {
+		binary.LittleEndian.PutUint64(b[o:], uint64(u))
+		o += bytesOf(widths[n.dims+j])
 	}
 	n.frame(b, f.count+1)
 }
 
 // removeRecord deletes record i of a data node, keeping the order of the
-// rest. A dimension whose largest code leaves with the row has its column
-// rescanned, and its width narrowed if the new largest code allows.
+// rest. A column whose largest key, or a negative value, leaves with the
+// row is refitted: its width narrowed if what is left allows.
 func (n *Node) removeRecord(i int) {
+	const stale = ^uint64(0) // no key: codes and magnitudes are smaller
 	f := &n.flat
-	for d, c := range n.top {
-		if f.Coord(i, d).Code() == c {
-			n.top[d] = n.columnTop(d, i)
+	for k, c := range n.top {
+		o, _ := f.column(k)
+		if v := loadUnits(f.b[o+i*f.stride:], f.widths()[k]); magnitude(v) == c || v < 0 {
+			n.top[k] = stale
 		}
 	}
 	o := f.fixBase + i*f.stride
 	n.frame(append(f.b[:o], f.b[o+f.stride:]...), f.count-1)
-	for d, c := range n.top {
-		n.setWidth(d, codeWidth(c))
-	}
-}
-
-// columnTop returns the largest coordinate of dimension d among a data
-// node's rows other than row skip (-1: all of them): its code, as every
-// coordinate is a leaf value.
-func (n *Node) columnTop(d, skip int) uint32 {
-	f := &n.flat
-	o, cut := f.column(d)
-	var top uint32
-	for i := 0; i < f.count; i, o = i+1, o+f.stride {
-		if i != skip {
-			top = max(top, uint32(loadCode(f.b[o:], cut)))
+	for k, c := range n.top {
+		if c == stale {
+			n.fit(k)
 		}
 	}
-	return top
 }
 
-// setWidth re-strides a data node's rows, in place, so that dimension d's
-// codes take w bytes. Wider rows move from the last, narrower ones from the
-// first, so that no row is written over before it is read; each is copied
-// out first, so that its own bytes may overlap where they go.
-func (n *Node) setWidth(d, w int) {
+// fit gives column k of a data node the largest key and the width its rows
+// need.
+func (n *Node) fit(k int) {
+	var neg bool
+	n.top[k], neg = n.columnTop(k)
+	n.setWidth(k, widthOf(neg, n.top[k]))
+}
+
+// magnitude is a column's key: u for u ≥ 0, −u − 1 below, so that a value
+// takes as many bytes as its key's bit length, and a sign bit when its
+// column holds a negative value, need.
+func magnitude(u int64) uint64 { return uint64(u ^ u>>63) }
+
+// columnTop returns the largest key of column k among a data node's rows,
+// and whether any of them is negative.
+func (n *Node) columnTop(k int) (top uint64, neg bool) {
 	f := &n.flat
-	at, cut := f.column(d)
-	old := int(f.widths()[d])
+	o, _ := f.column(k)
+	w, lo, hi := f.widths()[k], int64(0), int64(0)
+	for end := f.mdsBase; o < end; o += f.stride {
+		v := loadUnits(f.b[o:], w)
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	return max(magnitude(lo), magnitude(hi)), lo < 0
+}
+
+// setWidth re-strides a data node's rows, in place, so that column k's
+// values take the width byte w. Wider rows move from the last, narrower
+// ones from the first, so that no row is written over before it is read;
+// each is copied out and rebuilt first, so that its own bytes may overlap
+// where they go and no store spills past it.
+func (n *Node) setWidth(k int, w byte) {
+	f := &n.flat
+	old := f.widths()[k]
 	if old == w {
 		return
 	}
-	pre, stride, next := at-f.fixBase, f.stride, f.stride+w-old
-	b := slices.Grow(f.b, f.count*max(0, next-stride))[:f.fixBase+f.count*next]
-	var buf [128]byte
-	row := buf[:0]
-	for k := range f.count {
-		i := k
+	at, _ := f.column(k)
+	pre, stride, next := at-f.fixBase, f.stride, f.stride+bytesOf(w)-bytesOf(old)
+	b := slices.Grow(f.b, f.count*max(0, next-stride))[:leafSize(len(n.top), f.count, next)]
+	var in, out [128]byte
+	row, fresh := in[:0], out[:0]
+	for r := range f.count {
+		i := r
 		if next > stride {
-			i = f.count - 1 - k
+			i = f.count - 1 - r
 		}
 		o, p := f.fixBase+i*stride, f.fixBase+i*next
-		row = append(row[:0], f.b[o:o+stride]...)
-		// The code's 4-byte store spills into the bytes behind it, which
-		// the rest of the row then covers.
-		copy(b[p:], row[:pre])
-		binary.LittleEndian.PutUint32(b[p+pre:], uint32(loadCode(row[pre:], cut)))
-		copy(b[p+pre+w:p+next], row[pre+old:])
+		row = append(row[:0], f.b[o:o+stride+leafPad]...) // the pad keeps the load in bounds
+		fresh = append(append(fresh[:0], row[:pre]...), make([]byte, 8+next-pre)...)
+		binary.LittleEndian.PutUint64(fresh[pre:], uint64(loadUnits(row[pre:], old)))
+		copy(fresh[pre+bytesOf(w):next], row[pre+bytesOf(old):stride])
+		copy(b[p:p+next], fresh)
 	}
-	b[flatHeaderSize+d] = byte(w)
+	b[flatHeaderSize+k] = w
 	n.frame(b, f.count)
 }
 
-// codeWidth returns the bytes a data node's encoding stores codes up to c
-// in: 1 to 4.
-func codeWidth(c uint32) int { return max(1, (bits.Len32(c)+7)/8) }
+// widthOf returns the width byte of a column whose largest key is top: the
+// bytes that key takes, with a sign bit and flagged signedWidth when the
+// column holds a negative value.
+func widthOf(signed bool, top uint64) byte {
+	if signed {
+		return byte(bits.Len64(top)/8+1) | signedWidth
+	}
+	return byte(max(1, (bits.Len64(top)+7)/8))
+}
 
-// rowSize returns the stride of a data node's encoded rows: each code at
-// its dimension's width, then the measures. With coords non-nil it is the
-// stride once a row of those coordinates joins.
-func (n *Node) rowSize(coords []hierarchy.ID) int {
-	size := 8 * n.nm
-	for d, c := range n.top {
-		if coords != nil {
-			c = max(c, coords[d].Code())
+// rowSize returns the stride of a data node's encoded rows: each value at
+// its column's width. With coords and units non-nil it is the stride once
+// a row of those values joins.
+func (n *Node) rowSize(coords []hierarchy.ID, units []int64) int {
+	size := 0
+	for k, w := range n.flat.widths() {
+		c, signed := n.top[k], w&signedWidth != 0
+		switch {
+		case coords == nil:
+		case k < n.dims:
+			c = max(c, uint64(coords[k].Code()))
+		default:
+			u := units[k-n.dims]
+			c, signed = max(c, magnitude(u)), signed || u < 0
 		}
-		size += codeWidth(c)
+		size += bytesOf(widthOf(signed, c))
 	}
 	return size
 }
@@ -225,16 +265,15 @@ func (n *Node) take(src *Node, group []int) {
 		}
 		return
 	}
-	n.lay(slices.Clone(src.top), len(group))
-	b := n.flat.b
+	n.lay(f.widths(), slices.Clone(src.top), len(group))
+	b := n.flat.b[:n.flat.fixBase]
 	for _, g := range group {
 		o := f.fixBase + g*f.stride
 		b = append(b, f.b[o:o+f.stride]...)
 	}
-	n.frame(b, len(group))
-	for d := range n.top {
-		n.top[d] = n.columnTop(d, -1)
-		n.setWidth(d, codeWidth(n.top[d]))
+	n.frame(b[:len(b)+leafPad], len(group))
+	for k := range n.top {
+		n.fit(k)
 	}
 }
 
@@ -249,86 +288,49 @@ func (ix *Index) blocksFor(size int) int {
 // nodeBlocks is blocksFor of a heap node.
 func (ix *Index) nodeBlocks(n *Node) int { return ix.blocksFor(len(n.flat.b)) }
 
-// aggregate loads the node's aggregate vector into v and returns it: its
-// rows folded in, in order, or its entries refolded.
-func (n *Node) aggregate(v cube.AggVector) cube.AggVector {
-	if !n.leaf {
-		n.refoldEntries(v)
-		return v
-	}
-	clear(v)
-	f := &n.flat
-	for i := 0; i < f.count; i++ {
-		for j := range v {
-			v[j].Add(f.Measure(i, j))
-		}
+// aggregate loads the node's aggregate vector into v and returns it.
+func (n *Node) aggregate(v []cube.Fixed) []cube.Fixed {
+	for j := range v {
+		v[j] = n.fold(j)
 	}
 	return v
 }
 
-// repairAggregate brings v, a data node's aggregate vector before the row
-// whose measures were gone left it, to the node's aggregate after — bit for
-// bit what aggregate computes, for less. The counts drop by one; the
-// sums are refolded alone, in row order from the first row's value, as Add
-// folds them (from 0 a sum of −0.0 rows would read +0.0); min and max are
-// refolded only when the row held one of them or a NaN, or the first row,
-// where the fold starts, is a NaN — otherwise the gone row never decided
-// them. Each fold runs in locals and is stored once, so that no row waits
-// on the store of the row before. The node holds at least one row.
-func (n *Node) repairAggregate(v cube.AggVector, gone []float64) {
-	b, stride := n.flat.b, n.flat.stride
-	for j := range v {
-		start := n.flat.fixBase + n.flat.codes + 8*j
-		a, first := &v[j], measureAt(b, start)
-		sum := first
-		for o := start + stride; o < len(b); o += stride {
-			sum += measureAt(b, o)
+// fold returns the aggregate of measure j over a data node's rows or a
+// directory's entries. Folds of units are exact, so any order gives it.
+func (n *Node) fold(j int) cube.Fixed {
+	f := &n.flat
+	var a cube.Fixed
+	if !n.leaf {
+		for i := 0; i < f.count; i++ {
+			a.Merge(f.Agg(i, j))
 		}
-		a.Count--
-		a.Sum = sum
-		if x := gone[j]; x != a.Min && x != a.Max && x == x && first == first {
-			continue
-		}
-		lo, hi := first, first
-		for o := start + stride; o < len(b); o += stride {
-			// Add's comparisons, not min and max, which a NaN or a signed
-			// zero would decide otherwise.
-			if x := measureAt(b, o); x < lo {
-				lo = x
-			} else if x > hi {
-				hi = x
-			}
-		}
-		a.Min, a.Max = lo, hi
+		return a
 	}
+	o, _ := f.column(n.dims + j)
+	w := f.widths()[n.dims+j]
+	for end := f.mdsBase; o < end; o += f.stride {
+		a.Add(loadUnits(f.b[o:], w))
+	}
+	return a
 }
 
-// refoldEntries loads into v what aggregate computes for a directory whose
-// entries all count at least one record, as a valid tree's do: Merge's fold
-// over the entries, in order, in locals, stored once per measure. Min and
-// max are refolded always. A directory entry's aggregate is kept on insert
-// by merging the record into it, in arrival order, which is not the fold
-// over its child's entries when signed zeros or NaNs are among the values,
-// so only a refold reproduces the aggregate a fresh fold gives. The node
-// holds at least one entry.
-func (n *Node) refoldEntries(v cube.AggVector) {
-	f := &n.flat
-	stride := flatAggStride * f.measures
-	for j := range v {
-		a := f.Agg(0, j)
-		for o := f.aggAt(1, j); o < f.fixBase; o += stride {
-			b := f.b[o : o+flatAggStride]
-			a.Sum += math.Float64frombits(binary.LittleEndian.Uint64(b))
-			a.Count += int64(binary.LittleEndian.Uint64(b[8:]))
-			if x := math.Float64frombits(binary.LittleEndian.Uint64(b[16:])); x < a.Min {
-				a.Min = x
-			}
-			if x := math.Float64frombits(binary.LittleEndian.Uint64(b[24:])); x > a.Max {
-				a.Max = x
-			}
+// repairAggregate brings v, the aggregate vector of node n's subtree
+// before a record of measures gone (in units) left it, to the vector
+// after, and returns it: the count drops by one and the sum by the value, exactly; min and
+// max are refolded only when the value was one of them. The node holds at
+// least one row or entry.
+func (n *Node) repairAggregate(v []cube.Fixed, gone []int64) []cube.Fixed {
+	for j, u := range gone {
+		a := &v[j]
+		a.Count--
+		a.Sum -= u
+		if u == a.Min || u == a.Max {
+			f := n.fold(j)
+			a.Min, a.Max = f.Min, f.Max
 		}
-		v[j] = a
 	}
+	return v
 }
 
 // layDir gives a directory an empty block with room for size bytes.
@@ -387,13 +389,13 @@ func (n *Node) mdsSlot(i, size int) []byte {
 func (n *Node) setMDS(i int, m mds.MDS) { m.AppendEncode(n.mdsSlot(i, m.EncodedSize())[:0]) }
 
 // setAgg writes directory entry i's aggregates.
-func (n *Node) setAgg(i int, v cube.AggVector) {
+func (n *Node) setAgg(i int, v []cube.Fixed) {
 	for j, a := range v {
-		b := n.flat.b[n.flat.aggAt(i, j):]
-		binary.LittleEndian.PutUint64(b, math.Float64bits(a.Sum))
+		b := n.flat.b[n.flat.aggAt(i, j):][:flatAggStride]
+		binary.LittleEndian.PutUint64(b, uint64(a.Sum))
 		binary.LittleEndian.PutUint64(b[8:], uint64(a.Count))
-		binary.LittleEndian.PutUint64(b[16:], math.Float64bits(a.Min))
-		binary.LittleEndian.PutUint64(b[24:], math.Float64bits(a.Max))
+		binary.LittleEndian.PutUint64(b[16:], uint64(a.Min))
+		binary.LittleEndian.PutUint64(b[24:], uint64(a.Max))
 	}
 }
 
@@ -404,7 +406,7 @@ func (n *Node) setChild(i int, child NodeID) {
 
 // appendEntry adds an entry of MDS m, aggregates v and child to a
 // directory.
-func (n *Node) appendEntry(m mds.MDS, v cube.AggVector, child NodeID) {
+func (n *Node) appendEntry(m mds.MDS, v []cube.Fixed, child NodeID) {
 	i, size := n.flat.count, m.EncodedSize()
 	n.frame(slices.Grow(n.flat.b, entrySize(size, n.nm)), i) // one growth for the slots and the blob
 	n.reslot(i, true)

@@ -193,16 +193,16 @@ func TestPostingsMatchContains(t *testing.T) {
 	t.Run("supernodes", func(t *testing.T) {
 		ix, nodes := newBareIndexAt(t, testSchema(t), supernodeConfig(), payload1K)
 		rng := rand.New(rand.NewSource(42))
-		recs := genRecords(t, ix.schema, rng, 4003)
-		s := newPostingsStream(t, ix, nodes, recs[4000:])
-		for _, r := range recs[:4000] {
+		recs := genRecords(t, ix.schema, rng, 8003)
+		s := newPostingsStream(t, ix, nodes, recs[8000:])
+		for _, r := range recs[:8000] {
 			s.insert(r)
 		}
 		if s.widest <= 64 {
 			t.Fatalf("the widest directory held %d entries: no mask had a second word", s.widest)
 		}
 		// Deletes then shrink the supernodes.
-		for i := 0; i < 4000; i += 2 {
+		for i := 0; i < 8000; i += 2 {
 			s.delete(recs[i])
 		}
 		s.sweep(s.probes)
@@ -228,11 +228,12 @@ func supernodeConfig() Config {
 // every level changes no entry MDS, so it builds nothing, not even later; a
 // data-node split leaves stale only the postings of its parent, the one
 // directory that gained an entry; and seed 1's 15k build
-// (TestGoldenShapeGap's) builds an exact number of tables — 92. It was 239
+// (TestGoldenShapeGap's) builds an exact number of tables — 57. It was 239
 // until data nodes began to hold the rows their block fits at their codes'
-// byte widths (a third fewer data-node splits, fewer stale tables), and 94
+// byte widths (a third fewer data-node splits, fewer stale tables), 94
 // until a directory overflowed by its bytes, not at 24 entries (one
-// level-1 directory fewer to split). A delete that removes no value from
+// level-1 directory fewer to split), and 92 until measures were stored as
+// units at their widths (10-byte rows, a third fewer data-node splits). A delete that removes no value from
 // an entry's MDS leaves every table valid, so the next insert builds
 // none; one that removes a value leaves stale exactly the directories
 // whose entry on the delete path lost one.
@@ -249,7 +250,7 @@ func TestPostingBuilds(t *testing.T) {
 		}
 	}
 	builds := func() int64 { return ix.Counters().PostingBuilds }
-	if got, want := builds(), int64(92); got != want {
+	if got, want := builds(), int64(57); got != want {
 		t.Errorf("the 15k build built %d postings, pinned %d", got, want)
 	}
 
@@ -428,11 +429,12 @@ func FuzzPostings(f *testing.F) {
 // oldest. A delete that only repairs aggregates leaves every table valid,
 // so the steps build an exact, small number of postings — pinned, and at
 // most 0.05 a step; when every delete marked its path stale, the steps
-// built 23,538, 1.57 a step. At each half turnover the tree is validated
-// and every query class is answered as the sequential scan of the live
-// records answers it.
+// built 23,538, 1.57 a step; 117 until measures were stored as units at
+// their widths. At each half turnover the tree is validated and every
+// query class is answered as the sequential scan of the live records
+// answers it, bit for bit.
 func TestRollingWindowPostingBuilds(t *testing.T) {
-	const size, pinned = 15000, 117
+	const size, pinned = 15000, 79
 	gen, err := tpcd.New(1, tpcd.ScaleFor(size))
 	if err != nil {
 		t.Fatal(err)
@@ -476,7 +478,7 @@ func TestRollingWindowPostingBuilds(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !aggClose(res.Agg, want) {
+				if res.Agg != want {
 					t.Fatalf("step %d %s query %d: %+v, scan %+v", i, class, k, res.Agg, want)
 				}
 			}

@@ -79,7 +79,7 @@ func (d *descent) visit() error {
 // overlap are pruned, entries fully contained in the range contribute their
 // materialized aggregate, and partially overlapping entries are descended
 // into by recursion. Aggregates are folded into out.
-func (d *descent) visitNode(id NodeID, out cube.AggVector) error {
+func (d *descent) visitNode(id NodeID, out []cube.Fixed) error {
 	if d.depth == len(d.frames) {
 		d.frames = append(d.frames, NodeView{})
 	}
@@ -128,11 +128,15 @@ func (d *descent) visitNode(id NodeID, out cube.AggVector) error {
 // tools, tests, and the export path.
 func (ix *Index) Scan(src Source, root NodeID, fn func(cube.Record) bool) error {
 	dims, measures := ix.schema.Dims(), ix.schema.Measures()
+	units := make([]int64, measures)
 	err := walk(src, root, func(nv *NodeView, _ int) error {
 		leaf, count, _, _ := nv.shape()
 		for i := 0; leaf && i < count; i++ {
 			rec := cube.Record{Coords: make([]hierarchy.ID, dims), Measures: make([]float64, measures)}
-			nv.row(i, rec)
+			nv.row(i, rec.Coords, units)
+			for j, u := range units {
+				rec.Measures[j] = ix.schema.Value(j, u)
+			}
 			if !fn(rec) {
 				return errStop
 			}
@@ -145,14 +149,12 @@ func (ix *Index) Scan(src Source, root NodeID, fn func(cube.Record) bool) error 
 	return err
 }
 
-// errStop is how a visit ends a walk early without failing it; errSkip
-// keeps it from descending below the node just visited.
-var errStop, errSkip = errors.New("stop"), errors.New("skip")
+// errStop is how a visit ends a walk early without failing it.
+var errStop = errors.New("stop")
 
-// walk is the read-only walk of Scan, LevelStats and Fit: it
-// visits root and every node below it, a parent before its children, each
-// one viewed through src into the frame of its level. A visit's error other
-// than errSkip ends the walk.
+// walk is the read-only walk of Scan and LevelStats: it visits root and
+// every node below it, a parent before its children, each one viewed
+// through src into the frame of its level. A visit's error ends the walk.
 func walk(src Source, root NodeID, visit func(nv *NodeView, level int) error) error {
 	var frames []NodeView
 	var node func(id NodeID, level int) error
@@ -164,9 +166,7 @@ func walk(src Source, root NodeID, visit func(nv *NodeView, level int) error) er
 		if err := src.View(id, nv); err != nil {
 			return err
 		}
-		if err := visit(nv, level); err == errSkip {
-			return nil
-		} else if err != nil {
+		if err := visit(nv, level); err != nil {
 			return err
 		}
 		leaf, count, _, _ := nv.shape()

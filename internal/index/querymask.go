@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"unsafe"
@@ -263,10 +262,11 @@ func (ix *Index) putQueryCtx(qc *queryCtx) {
 
 // scanChunk is how many rows the leaf kernel selects at a time: the length
 // of its selection vector, which lives on the stack. It is above the rows
-// of any one-block data node at the default block size
-// (TestOneBlockDataNodeIsOneSelection), so such a node is one selection;
-// only a multi-block node is taken in chunks.
-const scanChunk = 512
+// of any one-block data node at the default block size — the narrowest
+// row, one 1-byte code and one 1-byte measure, is 2 bytes, 2,027 to a
+// block (TestOneBlockDataNodeIsOneSelection) — so such a node is one
+// selection; only a multi-block node is taken in chunks.
+const scanChunk = 2048
 
 // rowIndexes is 0..scanChunk-1: the row indexes a first pass reads.
 var rowIndexes = func() (t [scanChunk]uint16) {
@@ -292,8 +292,8 @@ func LeafKernel() string {
 }
 
 // scanRows is the leaf kernel: it tests every record of a data node against
-// the query and folds the measures first..first+len(out)-1 of the matching
-// ones into out. The rows are read where they lie, at a fixed stride in the
+// the query and folds the units of measures first..first+len(out)-1 of the
+// matching ones into out. The rows are read where they lie, at a fixed stride in the
 // node's encoding — a heap node's own block, a mapped extent or a payload.
 // It returns the number of records tested and matched.
 //
@@ -302,8 +302,9 @@ func LeafKernel() string {
 // dimension is one pass of the pass table (passesOf): the most selective
 // is tested on every row, each further one only on the rows that passed so
 // far, and every test is branch-free — the row's index is written and kept
-// by adding its mask bit. The survivors are folded in row order, so out
-// ends bit-identical to a row-at-a-time fold. Under leafAVX2 one call of
+// by adding its mask bit. The survivors are folded in row order. A chunk
+// is sliced with the pad behind its rows, so that every load of its last
+// row stays inside it. Under leafAVX2 one call of
 // selectAVX2 runs every pass of a chunk, tail rows included; otherwise Go
 // loops do, selecting the same rows.
 //
@@ -311,18 +312,20 @@ func LeafKernel() string {
 // between the mask build and an as-of descent); a code beyond the mask is
 // outside the range, as Dense.Get reads it, consistent with the query's
 // snapshot.
-func (qc *queryCtx) scanRows(f *FlatNode, first int, out cube.AggVector) (rows, matched int) {
+func (qc *queryCtx) scanRows(f *FlatNode, first int, out []cube.Fixed) (rows, matched int) {
 	var sel [scanChunk]uint16
-	stride, measures, passes := f.stride, f.codes+8*first, qc.passesOf(f)
+	stride, passes := f.stride, qc.passesOf(f)
 	rows = f.count
 	for base := 0; base < rows; base += scanChunk {
-		chunk := f.b[f.fixBase+base*stride : f.fixBase+min(base+scanChunk, rows)*stride]
-		k := selectFlat(&sel, chunk, stride, passes)
+		n := min(scanChunk, rows-base)
+		chunk := f.b[f.fixBase+base*stride : f.fixBase+(base+n)*stride+leafPad]
+		k := selectFlat(&sel, chunk, n, stride, passes)
 		matched += k
 		for j := range out {
-			a, vs := &out[j], chunk[measures+8*j:]
+			at, _ := f.column(f.dims + first + j)
+			a, vs, w := &out[j], chunk[at-f.fixBase:], f.widths()[f.dims+first+j]
 			for _, s := range sel[:k] {
-				a.Add(math.Float64frombits(binary.LittleEndian.Uint64(vs[int(s)*stride:])))
+				a.Add(loadUnits(vs[int(s)*stride:], w))
 			}
 		}
 	}
@@ -365,13 +368,13 @@ func maskBit(m bitmap.Dense, c uint32) int {
 	return 0
 }
 
-// selectFlat fills sel with the indexes of the rows of chunk (stride bytes
-// per row, at most scanChunk rows) that pass every pass of the table, in
-// row order, and returns their number. A code lies where its pass puts it:
-// one 4-byte load, which the measures behind the codes keep inside the
-// row, cut by its width's mask.
-func selectFlat(sel *[scanChunk]uint16, chunk []byte, stride int, passes []leafPass) int {
-	n := len(chunk) / stride
+// selectFlat fills sel with the indexes of the n rows of chunk (stride
+// bytes per row, at most scanChunk rows, then at least leafPad bytes) that
+// pass every pass of the table, in row order, and returns their number. A
+// code lies where its pass puts it: one 4-byte load, which the measures
+// behind the codes or the pad keep inside the chunk, cut by its width's
+// mask.
+func selectFlat(sel *[scanChunk]uint16, chunk []byte, n, stride int, passes []leafPass) int {
 	if len(passes) == 0 || n == 0 {
 		return copy(sel[:n], rowIndexes[:n])
 	}

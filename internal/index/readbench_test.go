@@ -137,7 +137,7 @@ func BenchmarkLeafScan(b *testing.B) {
 				b.Run(class+"/"+c.name+"/"+kernel, func(b *testing.B) {
 					useLeafKernel(b, kernel)
 					qcs := readBenchMasks(b, c.tree, c.classes[class])
-					out := cube.NewAggVector(1)
+					out := make([]cube.Fixed, 1)
 					records := 0
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -61,7 +60,7 @@ func flatDirOf(tree *Index, ms ...mds.MDS) FlatNode {
 	dims, measures := tree.schema.Dims(), tree.schema.Measures()
 	dir := NewNode(1, false, dims, measures)
 	for i, m := range ms {
-		dir.appendEntry(m, cube.NewAggVector(measures), NodeID(i+1))
+		dir.appendEntry(m, make([]cube.Fixed, measures), NodeID(i+1))
 	}
 	return flatOf(1, dir, dims, measures)
 }
@@ -203,7 +202,7 @@ func flatDirWithBlob(t *testing.T, ix *Index, blob []byte) FlatNode {
 		all[d] = mds.AllDim()
 	}
 	dir := NewNode(1, false, dims, measures)
-	dir.appendEntry(all, cube.NewAggVector(measures), 1)
+	dir.appendEntry(all, make([]cube.Fixed, measures), 1)
 	copy(dir.mdsSlot(0, len(blob)), blob)
 	f, err := MakeFlatNode(1, dir.flat.b, dims, measures)
 	if err != nil {
@@ -357,10 +356,11 @@ func TestScanRowsAgainstContainsLeaves(t *testing.T) {
 			rows = append(rows, genRecords(t, s, rng, 5)...) // may mint new codes
 		}
 		leaf := NewNode(0, true, s.Dims(), s.Measures())
-		var want cube.Agg
+		var want cube.Fixed
 		wantMatched := 0
 		for _, r := range rows {
-			leaf.appendRecord(r)
+			coords, units := rowOf(s, r)
+			leaf.appendRecord(coords, units)
 			in, err := q.ContainsLeaves(space, r.Coords)
 			if err != nil {
 				t.Fatal(err)
@@ -372,11 +372,11 @@ func TestScanRowsAgainstContainsLeaves(t *testing.T) {
 				}
 			}
 			if in {
-				want.Add(r.Measures[0])
+				want.Add(units[0])
 				wantMatched++
 			}
 		}
-		nv, out := leaf.flat, cube.NewAggVector(1)
+		nv, out := leaf.flat, make([]cube.Fixed, 1)
 		scanned, matched := qc.scanRows(&nv, 0, out)
 		if scanned != len(rows) || matched != wantMatched || out[0] != want {
 			t.Fatalf("case %d: scanned %d matched %d agg %+v, want %d %d %+v\nq=%v",
@@ -389,7 +389,7 @@ func TestScanRowsAgainstContainsLeaves(t *testing.T) {
 // refScanRows is the leaf kernel before the selection vector, kept as the
 // reference: every row tested dimension by dimension, leaving at the first
 // miss, and folded when it passes.
-func refScanRows(qc *queryCtx, nv *NodeView, first int, out cube.AggVector) (rows, matched int) {
+func refScanRows(qc *queryCtx, nv *NodeView, first int, out []cube.Fixed) (rows, matched int) {
 	tests := qc.rows
 	rows = nv.count
 flatRows:
@@ -401,17 +401,10 @@ flatRows:
 		}
 		matched++
 		for j := range out {
-			out[j].Add(nv.Measure(i, first+j))
+			out[j].Add(nv.Units(i, first+j))
 		}
 	}
 	return rows, matched
-}
-
-// sameAggBits reports whether two aggregates are equal field by field, bit
-// by bit.
-func sameAggBits(a, b cube.Agg) bool {
-	return math.Float64bits(a.Sum) == math.Float64bits(b.Sum) && a.Count == b.Count &&
-		math.Float64bits(a.Min) == math.Float64bits(b.Min) && math.Float64bits(a.Max) == math.Float64bits(b.Max)
 }
 
 // TestScanRowsMatchesReference holds the selection-vector leaf kernel to the
@@ -449,31 +442,31 @@ func scanRowsMatchesReference(t *testing.T) {
 			leaf := NewNode(0, true, dims, nm)
 			leaf.setBlocks(1 + n/169)
 			for r := 0; r < n; r++ {
-				rec := cube.Record{Coords: make([]hierarchy.ID, dims), Measures: make([]float64, nm)}
-				for d := range rec.Coords {
-					rec.Coords[d] = hierarchy.MakeID(0, uint32(rng.Intn(domain[d]+130)))
+				coords, units := make([]hierarchy.ID, dims), make([]int64, nm)
+				for d := range coords {
+					coords[d] = hierarchy.MakeID(0, uint32(rng.Intn(domain[d]+130)))
 				}
-				for j := range rec.Measures {
+				for j := range units {
 					switch rng.Intn(8) {
 					case 0:
-						rec.Measures[j] = math.Copysign(0, -1)
+						units[j] = -1
 					case 1:
-						rec.Measures[j] = 1
+						units[j] = 1
 					default:
-						rec.Measures[j] = rng.NormFloat64() * 1e3
+						units[j] = rng.Int63n(1<<(8*(1+j))) - 1<<(8*(1+j)-1)
 					}
 				}
-				leaf.appendRecord(rec)
+				leaf.appendRecord(coords, units)
 			}
 			nv := leaf.flat
 			for first, width := range []int{1, 1, 1, nm} {
 				if width == nm {
 					first = 0
 				}
-				got, want := cube.NewAggVector(width), cube.NewAggVector(width)
+				got, want := make([]cube.Fixed, width), make([]cube.Fixed, width)
 				if rng.Intn(2) == 0 {
 					for j := range got {
-						got[j] = cube.AggOf(rng.NormFloat64())
+						got[j] = cube.FixedOf(rng.Int63n(1000))
 						want[j] = got[j]
 					}
 				}
@@ -484,7 +477,7 @@ func scanRowsMatchesReference(t *testing.T) {
 						i, n, rows, matched, wantRows, wantMatched)
 				}
 				for j := range got {
-					if !sameAggBits(got[j], want[j]) {
+					if got[j] != want[j] {
 						t.Fatalf("case %d, %d rows, measure %d: %+v, reference %+v",
 							i, n, first+j, got[j], want[j])
 					}

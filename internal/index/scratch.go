@@ -36,7 +36,7 @@ type writeScratch struct {
 	topWire []byte         // topMDS's wire encoding
 	edit    mdsArena       // the entry MDS being changed, or a split node's
 	entry   mdsArena       // the entry or entries a pass reads
-	agg     cube.AggVector // an entry's aggregates being changed
+	agg     []cube.Fixed   // an entry's aggregates being changed
 	levels  []int          // per-dimension member levels (memberLevels)
 	own     []int          // an MDS's relevant levels (levelsOf, wireLevels)
 	gone    []int          // the dimensions a delete repair drops a value in
@@ -63,8 +63,8 @@ func newWriteScratch(schema *cube.Schema) *writeScratch {
 		refined: make([][]hierarchy.ID, len(space)),
 	}
 	ws.rc.anc = make([][]hierarchy.ID, len(space))
-	ws.rc.agg = make(cube.AggVector, schema.Measures())
-	ws.agg = make(cube.AggVector, schema.Measures())
+	ws.rc.units = make([]int64, schema.Measures())
+	ws.agg = make([]cube.Fixed, schema.Measures())
 	ws.topWire = ws.topMDS.AppendEncode(nil)
 	for d, h := range space {
 		ws.top[d] = h.TopLevel()
@@ -74,25 +74,31 @@ func newWriteScratch(schema *cube.Schema) *writeScratch {
 	return ws
 }
 
-// recContext is the per-mutation derived state: the record, its aggregate,
-// and its ancestor at every hierarchy level of every dimension
+// recContext is the per-mutation derived state: the record, its measures
+// in units, and its ancestor at every hierarchy level of every dimension
 // (anc[d][l]). The ancestors are the hot currency of the descent — the
 // postings lookups of choose-subtree and the delete probe, the cost
 // function, the incremental MDS updates and the delete repair consult them
 // — so they are walked exactly once per mutation, into the tree's write
 // scratch.
 type recContext struct {
-	rec cube.Record
-	agg cube.AggVector
-	anc [][]hierarchy.ID
+	rec   cube.Record
+	units []int64
+	anc   [][]hierarchy.ID
 }
 
-// recContext loads the write scratch's record context for rec.
+// recContext loads the write scratch's record context for rec, whose
+// measures must be exact counts of units of their scales
+// (cube.Schema.Units).
 func (ix *Index) recContext(rec cube.Record) (*recContext, error) {
 	rc := &ix.ws.rc
 	rc.rec = rec
 	for j, x := range rec.Measures {
-		rc.agg[j] = cube.AggOf(x)
+		u, err := ix.schema.Units(j, x)
+		if err != nil {
+			return nil, err
+		}
+		rc.units[j] = u
 	}
 	for d, h := range ix.space() {
 		levels := rc.anc[d]
@@ -179,7 +185,7 @@ func (ws *writeScratch) entryMDSs(n *Node) []mds.MDS {
 	ws.rowDims = slices.Grow(ws.rowDims[:0], f.count*dims)[:f.count*dims]
 	for i, k := 0, 0; i < f.count; i, k = i+1, k+dims {
 		ids, sets := ws.rowIDs[k:k+dims], ws.rowDims[k:k+dims:k+dims]
-		f.row(i, cube.Record{Coords: ids})
+		f.row(i, ids, nil)
 		for d := range sets {
 			sets[d] = mds.DimSet{IDs: ids[d : d+1 : d+1]}
 		}

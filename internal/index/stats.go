@@ -2,7 +2,6 @@ package index
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/hierarchy"
@@ -87,10 +86,11 @@ func (ix *Index) LevelStats(src Source, h Head) ([]LevelStat, error) {
 //     (CheckTable), and every entry's MDS decodes;
 //   - every directory entry's MDS equals the exact cover of its child,
 //     lifted to the entry's relevant levels — and so is a valid MDS;
-//   - every directory entry's aggregate equals the fold of its child's
-//     (up to float rounding in Sum);
+//   - every directory entry's aggregate equals the fold of its child's,
+//     exactly;
 //   - data nodes appear exactly at the bottom level, and every row is a
-//     valid record of the schema;
+//     valid record of the schema: leaf coordinates, and measures of fewer
+//     than 2^53 units;
 //   - no node except the root is empty or overflows its blocks
 //     (Index.blocksFor);
 //   - the record count and the root MDS match reality.
@@ -98,7 +98,7 @@ func (ix *Index) LevelStats(src Source, h Head) ([]LevelStat, error) {
 // Validate is the oracle behind the randomized workload tests.
 func (ix *Index) Validate(src Source, h Head) error {
 	space, schema := ix.space(), ix.schema
-	rec := cube.Record{Coords: make([]hierarchy.ID, len(space)), Measures: make([]float64, schema.Measures())}
+	coords, units := make([]hierarchy.ID, len(space)), make([]int64, schema.Measures())
 	var records int64
 	var frames []NodeView
 	// walk checks the subtree of id, at level, and returns its record cover
@@ -107,8 +107,8 @@ func (ix *Index) Validate(src Source, h Head) error {
 	// own relevant levels, the record cover must reproduce the entry MDS
 	// exactly — coverage + minimality — and the fold must equal the entry's
 	// aggregates.
-	var walk func(id NodeID, level int) (mds.MDS, cube.AggVector, error)
-	walk = func(id NodeID, level int) (mds.MDS, cube.AggVector, error) {
+	var walk func(id NodeID, level int) (mds.MDS, []cube.Fixed, error)
+	walk = func(id NodeID, level int) (mds.MDS, []cube.Fixed, error) {
 		if level == len(frames) {
 			frames = append(frames, NodeView{})
 		}
@@ -132,15 +132,20 @@ func (ix *Index) Validate(src Source, h Head) error {
 			return nil, nil, fmt.Errorf("%w: node %d leaf=%v at level %d of height %d",
 				ErrCorrupt, id, leaf, level, h.Height)
 		}
-		fold := cube.NewAggVector(len(rec.Measures))
+		fold := make([]cube.Fixed, len(units))
 		members := make([]mds.MDS, 0, count)
 		for i := 0; leaf && i < count; i++ {
-			nv.row(i, rec)
-			if err := schema.ValidateRecord(rec); err != nil {
+			nv.row(i, coords, units)
+			if err := schema.ValidateCoords(coords); err != nil {
 				return nil, nil, fmt.Errorf("%w: node %d entry %d: %w", ErrCorrupt, id, i, err)
 			}
-			fold.AddRecord(rec.Measures)
-			members = append(members, mds.FromLeaves(rec.Coords))
+			for j, u := range units {
+				if absUnits(u) >= 1<<53 {
+					return nil, nil, fmt.Errorf("%w: node %d entry %d: measure %d of %d units", ErrCorrupt, id, i, j, u)
+				}
+				fold[j].Add(u)
+			}
+			members = append(members, mds.FromLeaves(coords))
 			records++
 		}
 		for i := 0; !leaf && i < count; i++ {
@@ -156,7 +161,7 @@ func (ix *Index) Validate(src Source, h Head) error {
 					ErrCorrupt, id, i, m, want, err)
 			}
 			for j := range fold {
-				if got, want := f.Agg(i, j), childFold[j]; !aggClose(got, want) {
+				if got, want := f.Agg(i, j), childFold[j]; got != want {
 					return nil, nil, fmt.Errorf("%w: node %d entry %d measure %d agg %+v != child %+v",
 						ErrCorrupt, id, i, j, got, want)
 				}
@@ -189,11 +194,4 @@ func (ix *Index) Validate(src Source, h Head) error {
 		}
 	}
 	return nil
-}
-
-// aggClose reports whether two aggregates agree, Sum up to float rounding.
-func aggClose(a, b cube.Agg) bool {
-	diff, scale := math.Abs(a.Sum-b.Sum), math.Max(math.Abs(a.Sum), math.Abs(b.Sum))
-	return a.Count == b.Count && a.Min == b.Min && a.Max == b.Max &&
-		(a.Sum == b.Sum || diff <= 1e-6*scale+1e-9)
 }

@@ -15,13 +15,14 @@ import (
 	"github.com/dcindex/dctree/internal/hierarchy"
 )
 
-// The data node's code widths: a row stores each code in the bytes its
-// dimension's largest code needs (codeWidth), and the node's overflow rule
+// The data node's column widths: a row stores each code in the bytes its
+// dimension's largest code needs, and each measure in the bytes its
+// largest magnitude needs (Node.width), and the node's overflow rule
 // counts those bytes.
 
 // widthTops are the largest codes of each width and the smallest of the
 // next: 255/256, 65,535/65,536, 2²⁴−1/2²⁴, and the largest code an ID holds.
-var widthTops = []uint32{255, 256, 1<<16 - 1, 1 << 16, 1<<24 - 1, 1 << 24, hierarchy.MaxCode}
+var widthTops = []uint64{255, 256, 1<<16 - 1, 1 << 16, 1<<24 - 1, 1 << 24, hierarchy.MaxCode}
 
 // widthNodes returns data nodes of three dimensions and one or two
 // measures whose codes straddle every width boundary: for each of widthTops
@@ -31,7 +32,7 @@ var widthTops = []uint32{255, 256, 1<<16 - 1, 1 << 16, 1<<24 - 1, 1 << 24, hiera
 // widths 4, 2 and 3. Row i of a node is widthRow of its tops.
 func widthNodes(measures int) []*Node {
 	var nodes []*Node
-	node := func(tops []uint32) {
+	node := func(tops []uint64) {
 		n := NewNode(NodeID(len(nodes)+1), true, 3, measures)
 		for i := range 8 {
 			n.appendRecord(widthRow(tops, i, measures))
@@ -40,24 +41,24 @@ func widthNodes(measures int) []*Node {
 	}
 	for _, top := range widthTops {
 		for d := range 3 {
-			tops := []uint32{7, 9, 11}
+			tops := []uint64{7, 9, 11}
 			tops[d] = top
 			node(tops)
 		}
 	}
-	node([]uint32{hierarchy.MaxCode, 1 << 8, 1 << 16})
+	node([]uint64{hierarchy.MaxCode, 1 << 8, 1 << 16})
 	return nodes
 }
 
-// widthRow returns row i of widthNodes' node of the largest codes tops:
-// each code i below its top, and the measures 1.5·i and −i.
-func widthRow(tops []uint32, i, measures int) cube.Record {
-	var rec cube.Record
-	for _, top := range tops {
-		rec.Coords = append(rec.Coords, hierarchy.MakeID(0, top-uint32(i)))
+// widthRow returns row i of widthNodes' node of the largest codes tops
+// (the first three of them): each code i below its top, and the measures
+// 300·i and −i units.
+func widthRow(tops []uint64, i, measures int) ([]hierarchy.ID, []int64) {
+	var coords []hierarchy.ID
+	for _, top := range tops[:3] {
+		coords = append(coords, hierarchy.MakeID(0, uint32(top)-uint32(i)))
 	}
-	rec.Measures = []float64{float64(i) * 1.5, -float64(i)}[:measures]
-	return rec
+	return coords, []int64{300 * int64(i), -int64(i)}[:measures]
 }
 
 // TestDataNodeWidthsRoundTrip: at every width, a data node holds each
@@ -75,38 +76,40 @@ func dataNodeWidthsRoundTrip(t *testing.T) {
 	seen := map[byte]bool{}
 	for _, n := range widthNodes(measures) {
 		buf := slices.Clone(n.flat.b)
-		stride := 8 * measures
-		for d := range dims {
-			w := buf[flatHeaderSize+d]
-			if want := codeWidth(n.top[d]); int(w) != want {
-				t.Fatalf("node %d dimension %d (top %d): width %d, want %d", n.id, d, n.top[d], w, want)
+		stride := 0
+		for k := range dims + measures {
+			w := buf[flatHeaderSize+k]
+			if want := needWidth(n, k); w != want {
+				t.Fatalf("node %d column %d (top %d): width %#x, want %#x", n.id, k, n.top[k], w, want)
 			}
-			seen[w] = true
-			stride += int(w)
+			if k < dims {
+				seen[w] = true
+			}
+			stride += bytesOf(w)
 		}
-		if want := leafSize(dims, n.Count(), stride); len(buf) != want || n.Count() != 8 {
+		if want := leafSize(dims+measures, n.Count(), stride); len(buf) != want || n.Count() != 8 {
 			t.Fatalf("node %d: %d rows in %d bytes, want 8 rows in %d", n.id, n.Count(), len(buf), want)
 		}
 		f, err := MakeFlatNode(n.id, buf, dims, measures)
 		if err != nil {
 			t.Fatalf("node %d: %v", n.id, err)
 		}
-		rec := cube.Record{Coords: make([]hierarchy.ID, dims), Measures: make([]float64, measures)}
+		coords, units := make([]hierarchy.ID, dims), make([]int64, measures)
 		for i := 0; i < n.Count(); i++ {
 			// widthNodes' row i: each code i below its column's top.
-			want := widthRow(n.top, i, measures)
-			f.row(i, rec)
-			if !slices.Equal(rec.Coords, want.Coords) || !slices.Equal(rec.Measures, want.Measures) {
-				t.Fatalf("node %d row %d: read %v %v, want %v %v", n.id, i, rec.Coords, rec.Measures, want.Coords, want.Measures)
+			wantCoords, wantUnits := widthRow(n.top, i, measures)
+			f.row(i, coords, units)
+			if !slices.Equal(coords, wantCoords) || !slices.Equal(units, wantUnits) {
+				t.Fatalf("node %d row %d: read %v %v, want %v %v", n.id, i, coords, units, wantCoords, wantUnits)
 			}
 			for d := range dims {
-				if got := f.Coord(i, d); got != want.Coords[d] {
-					t.Fatalf("node %d row %d: Coord(%d) = %v, want %v", n.id, i, d, got, want.Coords[d])
+				if got := f.Coord(i, d); got != wantCoords[d] {
+					t.Fatalf("node %d row %d: Coord(%d) = %v, want %v", n.id, i, d, got, wantCoords[d])
 				}
 			}
 			for j := range measures {
-				if got := f.Measure(i, j); got != want.Measures[j] {
-					t.Fatalf("node %d row %d: Measure(%d) = %v, want %v", n.id, i, j, got, want.Measures[j])
+				if got := f.Units(i, j); got != wantUnits[j] {
+					t.Fatalf("node %d row %d: Units(%d) = %v, want %v", n.id, i, j, got, wantUnits[j])
 				}
 			}
 		}
@@ -127,21 +130,21 @@ func dataNodeWidthsRoundTrip(t *testing.T) {
 		for d := range dims {
 			mask := bitmap.Dense(make([]uint64, bitmap.DenseWords(int(min(n.top[d], 1<<24)+1))))
 			for i := 0; i < n.Count(); i += 2 {
-				if c := widthRow(n.top, i, measures).Coords[d].Code(); int(c>>6) < len(mask) {
-					mask.Set(c)
+				if coords, _ := widthRow(n.top, i, measures); int(coords[d].Code()>>6) < len(mask) {
+					mask.Set(coords[d].Code())
 				}
 			}
 			qc := &queryCtx{rows: []rowMask{{dim: d, mask: mask}}}
-			var got [3]cube.AggVector
+			var got [3][]cube.Fixed
 			var rows, matched [3]int
 			for k, view := range []NodeView{n.flat, f} {
-				got[k] = cube.NewAggVector(1)
+				got[k] = make([]cube.Fixed, 1)
 				rows[k], matched[k] = qc.scanRows(&view, 1, got[k])
 			}
-			got[2] = cube.NewAggVector(1)
+			got[2] = make([]cube.Fixed, 1)
 			rows[2], matched[2] = refScanRows(qc, &f, 1, got[2])
 			if rows != [3]int{8, 8, 8} || matched[0] != matched[1] || matched[0] != matched[2] ||
-				!got[0].Equal(got[1]) || !got[0].Equal(got[2]) {
+				!slices.Equal(got[0], got[1]) || !slices.Equal(got[0], got[2]) {
 				t.Fatalf("node %d dimension %d: own block, framed copy, reference scans %v %v %v", n.id, d, matched, rows, got)
 			}
 		}
@@ -170,9 +173,9 @@ func TestLeafWidthsExact(t *testing.T) {
 			if !n.leaf {
 				continue
 			}
-			for d := range dims {
-				if n.top[d] != n.columnTop(d, -1) {
-					t.Fatalf("%s: node %d dimension %d: tracked top %d, rows' %d", what, n.id, d, n.top[d], n.columnTop(d, -1))
+			for k := range dims + measures {
+				if top, _ := n.columnTop(k); n.top[k] != top || n.flat.widths()[k] != needWidth(n, k) {
+					t.Fatalf("%s: node %d column %d: tracked top %d, width %#x; rows' %d, %#x", what, n.id, k, n.top[k], n.flat.widths()[k], top, needWidth(n, k))
 				}
 			}
 			dec, err := DecodeNode(n.id, ix.Encode(n), dims, measures)
@@ -199,20 +202,20 @@ func TestLeafWidthsExact(t *testing.T) {
 	// first, so that each delete removes the column's maximum.
 	narrowed := 0
 	for _, n := range collectNodes(t, ix) {
-		if !n.leaf || codeWidth(n.top[0]) != 2 {
+		if !n.leaf || n.flat.widths()[0] != 2 {
 			continue
 		}
 		size := len(n.flat.b)
 		for n.top[0] > 0xFF && n.Count() > 1 {
-			i := slices.IndexFunc(rowsOf(n), func(i int) bool { return n.Record(i).Coords[0].Code() == n.top[0] })
-			rec := n.Record(i)
+			i := slices.IndexFunc(rowsOf(n), func(i int) bool { return uint64(n.flat.Coord(i, 0).Code()) == n.top[0] })
+			rec := recordAt(ix.schema, n, i)
 			if err := ix.Delete(rec); err != nil {
 				t.Fatal(err)
 			}
 			shadow.add(rec, -1)
 			check(fmt.Sprintf("delete of node %d's largest code", n.id))
 		}
-		if codeWidth(n.top[0]) == 1 {
+		if n.flat.widths()[0] == 1 {
 			narrowed++
 			if got := len(n.flat.b); got > size-n.Count() {
 				t.Fatalf("node %d narrowed to 1-byte codes, but its encoding went %d → %d bytes", n.id, size, got)
@@ -272,15 +275,22 @@ func (rs recordSet) check(t *testing.T, what string, ix *Index) {
 }
 
 // rowsNeed returns the row stride data node n's records need, computed
-// from the records read, not from the node's widths or largest codes.
+// from the records read, not from the node's widths or largest keys.
 func rowsNeed(n *Node) int {
-	stride := 8 * n.nm
-	for d := 0; d < n.dims; d++ {
-		var top uint32
-		for i := 0; i < n.Count(); i++ {
-			top = max(top, n.Record(i).Coords[d].Code())
+	top, signed := make([]uint64, n.dims+n.nm), make([]bool, n.dims+n.nm)
+	for i := 0; i < n.Count(); i++ {
+		coords, units := n.Row(i)
+		for d, c := range coords {
+			top[d] = max(top[d], uint64(c.Code()))
 		}
-		stride += codeWidth(top)
+		for j, u := range units {
+			top[n.dims+j] = max(top[n.dims+j], magnitude(u))
+			signed[n.dims+j] = signed[n.dims+j] || u < 0
+		}
+	}
+	stride := 0
+	for k, c := range top {
+		stride += bytesOf(widthOf(signed[k], c))
 	}
 	return stride
 }
@@ -297,7 +307,7 @@ func rowsOf(n *Node) []int {
 // TestLeafWidening: a code wider than every other of its column arrives at
 // a full block-filled data node of 1-byte codes. At one block the node
 // splits and each group fits its block; as an 8-block supernode of rows no
-// split can separate it grows to the 10 blocks its widened rows need — more
+// split can separate it grows to the 12 blocks its widened rows need — more
 // than the one block more a supernode otherwise takes; at a cap of 8 blocks
 // the forced split's groups take the blocks their bytes need. The tree
 // validates in each case, its rows are the records inserted, and the
@@ -309,7 +319,7 @@ func TestLeafWidening(t *testing.T) {
 			{"R0", "N0", fmt.Sprintf("C%d", cust)},
 			{"B0", fmt.Sprintf("P%d", part)},
 			{"Y0", fmt.Sprintf("M%d", month)},
-		}, []float64{float64(cust + part + month)})
+		}, []float64{1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,12 +330,12 @@ func TestLeafWidening(t *testing.T) {
 		intern(c, 0, 0)
 	}
 	wide := intern(1<<16, 1, 1)
-	if w := codeWidth(wide.Coords[0].Code()); w != 3 {
+	if w := widthOf(false, uint64(wide.Coords[0].Code())); w != 3 {
 		t.Fatalf("the wide customer's code takes %d bytes, want 3", w)
 	}
-	// Rows of three 1-byte codes and a measure: 11 bytes.
-	const narrowStride = 3 + 8
-	capacity := func(blocks int) int { return (blocks*testBlockPayload - flatHeaderSize - 3) / narrowStride }
+	// Rows of three 1-byte codes and a measure of 100 units: 4 bytes.
+	const narrowStride = 3 + 1
+	capacity := func(blocks int) int { return (blocks*testBlockPayload - leafSize(4, 0, 0)) / narrowStride }
 	rng := rand.New(rand.NewSource(73))
 
 	for _, tc := range []struct {
@@ -357,9 +367,9 @@ func TestLeafWidening(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !root.leaf || root.Blocks() != tc.blocks || root.rowSize(nil) != narrowStride || ix.blocksFor(leafSize(3, root.Count()+1, narrowStride)) <= tc.blocks {
+			if !root.leaf || root.Blocks() != tc.blocks || root.rowSize(nil, nil) != narrowStride || ix.blocksFor(leafSize(4, root.Count()+1, narrowStride)) <= tc.blocks {
 				t.Fatalf("before the wide code: leaf %v, %d rows in %d blocks of stride %d, want a full %d-block data node",
-					root.leaf, root.Count(), root.Blocks(), root.rowSize(nil), tc.blocks)
+					root.leaf, root.Count(), root.Blocks(), root.rowSize(nil, nil), tc.blocks)
 			}
 			before := ix.Counters()
 			if err := ix.Insert(wide); err != nil {
@@ -376,10 +386,10 @@ func TestLeafWidening(t *testing.T) {
 				if n.leaf {
 					leaves = append(leaves, n)
 					if n.Blocks() != ix.nodeBlocks(n) {
-						t.Errorf("data node %d: %d rows of stride %d in %d blocks, its bytes need %d", n.id, n.Count(), n.rowSize(nil), n.Blocks(), ix.nodeBlocks(n))
+						t.Errorf("data node %d: %d rows of stride %d in %d blocks, its bytes need %d", n.id, n.Count(), n.rowSize(nil, nil), n.Blocks(), ix.nodeBlocks(n))
 					}
-					if stride, need := rowsNeed(n), ix.blocksFor(leafSize(3, n.Count(), rowsNeed(n))); n.rowSize(nil) != stride || n.Blocks() != need {
-						t.Errorf("data node %d: stride %d in %d blocks, its records need %d in %d", n.id, n.rowSize(nil), n.Blocks(), stride, need)
+					if stride, need := rowsNeed(n), ix.blocksFor(leafSize(4, n.Count(), rowsNeed(n))); n.rowSize(nil, nil) != stride || n.Blocks() != need {
+						t.Errorf("data node %d: stride %d in %d blocks, its records need %d in %d", n.id, n.rowSize(nil, nil), n.Blocks(), stride, need)
 					}
 				}
 			}
@@ -389,8 +399,8 @@ func TestLeafWidening(t *testing.T) {
 					t.Fatalf("counters %+v, %d data nodes: want one split into two one-block nodes", c, len(leaves))
 				}
 			case "supernode":
-				if c.SupernodesGrown != before.SupernodesGrown+1 || len(leaves) != 1 || leaves[0].Blocks() != 10 {
-					t.Fatalf("counters %+v, %d data nodes, root %d blocks: want the supernode grown to 10", c, len(leaves), leaves[0].Blocks())
+				if c.SupernodesGrown != before.SupernodesGrown+1 || len(leaves) != 1 || leaves[0].Blocks() != 12 {
+					t.Fatalf("counters %+v, %d data nodes, root %d blocks: want the supernode grown to 12", c, len(leaves), leaves[0].Blocks())
 				}
 			default:
 				if c.SplitsForced != before.SplitsForced+1 || len(leaves) != 2 {
@@ -401,9 +411,9 @@ func TestLeafWidening(t *testing.T) {
 	}
 }
 
-// TestDataNodeWidthSeedsRejected: a width outside 1–4, or a row area other
-// than count × the stride the widths give, is ErrCorrupt to both the frame
-// check and the decoder.
+// TestDataNodeWidthSeedsRejected: a code width outside 1–4, or a row area
+// other than count × the stride the widths give, is ErrCorrupt to both the
+// frame check and the decoder.
 func TestDataNodeWidthSeedsRejected(t *testing.T) {
 	for name, b := range badWidthPayloads(2) {
 		if _, err := MakeFlatNode(1, b, 3, 2); !errors.Is(err, ErrCorrupt) {
@@ -447,78 +457,72 @@ func badWidthPayloads(measures int) map[string][]byte {
 	return bad
 }
 
-// lenWords sets a payload's mdsBase and total length words to its length.
+// lenWords sets a data node payload's length words to its length: the
+// total, and the mdsBase the pad before it.
 func lenWords(b []byte) {
-	for _, off := range []int{12, 16} {
-		b[off], b[off+1], b[off+2], b[off+3] = byte(len(b)), byte(len(b)>>8), byte(len(b)>>16), byte(len(b)>>24)
-	}
+	binary.LittleEndian.PutUint32(b[12:], uint32(len(b)-leafPad))
+	binary.LittleEndian.PutUint32(b[16:], uint32(len(b)))
 }
 
-// TestRepairAggregate holds the delete's aggregate repair to the refold it
-// replaced, bit for bit, field by field, on the rows that decide a fold: a
-// removed row holding the minimum, the maximum, both, a duplicate of the
-// minimum, neither; signed zeros, whose sum depends on where the fold
-// starts and whose order decides which one the minimum is; and NaNs, which
-// decide the fold only from the first row.
+// TestRepairAggregate holds the delete's aggregate repair to the refold,
+// field by field, on the rows that decide a fold: a removed row holding the
+// minimum, the maximum, both, a duplicate of the minimum, neither; values of
+// either sign.
 func TestRepairAggregate(t *testing.T) {
-	nz, nan := math.Copysign(0, -1), math.NaN()
 	for _, c := range []struct {
 		name string
-		rows [][2]float64
+		rows [][2]int64
 		gone int
 	}{
-		{"min", [][2]float64{{3, 30}, {1, 10}, {5, 50}, {4, 40}}, 1},
-		{"max", [][2]float64{{3, 30}, {1, 10}, {5, 50}, {4, 40}}, 2},
-		{"min and max", [][2]float64{{1, 50}, {3, 30}, {5, 10}}, 0},
-		{"only value", [][2]float64{{7, 7}, {7, 7}, {7, 7}}, 1},
-		{"duplicate of the min", [][2]float64{{1, 10}, {3, 30}, {1, 10}, {5, 50}}, 2},
-		{"neither", [][2]float64{{3, 30}, {1, 10}, {5, 50}, {4, 40}}, 3},
-		{"neither, first row", [][2]float64{{3, 30}, {1, 10}, {5, 50}}, 0},
-		{"signed zero min first", [][2]float64{{0, 1}, {nz, 2}, {2, 3}}, 0},
-		{"signed zero min second", [][2]float64{{0, 1}, {nz, 2}, {2, 3}}, 1},
-		{"negative zero sums", [][2]float64{{nz, nz}, {nz, nz}, {nz, nz}}, 2},
-		{"NaN behind the removed first row", [][2]float64{{2, 2}, {nan, nan}, {1, 1}, {3, 3}}, 0},
-		{"NaN first", [][2]float64{{nan, 4}, {1, nan}, {3, 3}}, 2},
+		{"min", [][2]int64{{3, 30}, {1, 10}, {5, 50}, {4, 40}}, 1},
+		{"max", [][2]int64{{3, 30}, {1, 10}, {5, 50}, {4, 40}}, 2},
+		{"min and max", [][2]int64{{1, 50}, {3, 30}, {5, 10}}, 0},
+		{"only value", [][2]int64{{7, 7}, {7, 7}, {7, 7}}, 1},
+		{"duplicate of the min", [][2]int64{{1, 10}, {3, 30}, {1, 10}, {5, 50}}, 2},
+		{"neither", [][2]int64{{3, 30}, {1, 10}, {5, 50}, {4, 40}}, 3},
+		{"neither, first row", [][2]int64{{3, 30}, {1, 10}, {5, 50}}, 0},
+		{"negative", [][2]int64{{-3, 300}, {-1, -10}, {-5, 1 << 40}}, 2},
 	} {
 		n := NewNode(1, true, 1, 2)
 		for i, r := range c.rows {
-			n.appendRecord(cube.Record{Coords: []hierarchy.ID{hierarchy.MakeID(0, uint32(i))}, Measures: r[:]})
+			n.appendRecord([]hierarchy.ID{hierarchy.MakeID(0, uint32(i))}, r[:])
 		}
-		v := n.aggregate(cube.NewAggVector(2))
-		gone := slices.Clone(n.Record(c.gone).Measures)
+		v := n.aggregate(make([]cube.Fixed, 2))
+		_, gone := n.Row(c.gone)
 		n.removeRecord(c.gone)
 		n.repairAggregate(v, gone)
-		want := n.aggregate(cube.NewAggVector(2))
-		for j := range v {
-			got, w := v[j], want[j]
-			if got.Count != w.Count || math.Float64bits(got.Sum) != math.Float64bits(w.Sum) ||
-				math.Float64bits(got.Min) != math.Float64bits(w.Min) || math.Float64bits(got.Max) != math.Float64bits(w.Max) {
-				t.Errorf("%s, measure %d: repaired %+v, refolded %+v", c.name, j, got, w)
-			}
+		if want := n.aggregate(make([]cube.Fixed, 2)); !slices.Equal(v, want) {
+			t.Errorf("%s: repaired %+v, refolded %+v", c.name, v, want)
 		}
 	}
 }
 
 // FuzzDataNodeRows runs a stream of appendRecord and removeRecord on one
 // data node, and after every operation holds the node to a shadow of its
-// records kept apart from its bytes: the rows the descent's view of the node
-// reads are the shadow's, in order; the tracked largest codes are the
-// shadow's; and the node's encoding decodes. An op byte of low bits 0
-// removes a random row; any other appends a record whose codes take, per
-// dimension, a random width of 1 up to 1 + op>>6 bytes, so that a stream
-// widens its columns through every width and, as the wide rows leave,
-// narrows them back.
+// rows kept apart from its bytes: the rows the descent's view of the node
+// reads are the shadow's, in order; the tracked largest keys are the
+// shadow's; each measure's fold is the shadow's; and the node's encoding
+// decodes. An op byte of low bits 0 removes a random row; any other appends
+// a row whose codes take, per dimension, a random width of 1 up to
+// 1 + op>>6 bytes, and whose measures, per measure, a random width of 1 up
+// to 1 + op>>5 bytes, of either sign — so that a stream widens its columns
+// through every width and, as the wide rows leave, narrows them back.
 func FuzzDataNodeRows(f *testing.F) {
 	f.Add(int64(1), []byte{0xC1, 0xC2, 0x41, 0x81, 0xC3, 0, 0, 0, 0, 0xC1, 0}, uint8(2), uint8(1))
 	f.Add(int64(2), bytes.Repeat([]byte{0xFF, 0xFE, 0, 0x41, 0, 0x81}, 20), uint8(3), uint8(2))
 	f.Add(int64(3), append(bytes.Repeat([]byte{0xFD}, 40), make([]byte, 40)...), uint8(0), uint8(0))
 	f.Add(int64(4), bytes.Repeat([]byte{0x05, 0x06, 0x07}, 200), uint8(1), uint8(1))
+	f.Add(int64(5), append(bytes.Repeat([]byte{0xE1, 0x21}, 30), bytes.Repeat([]byte{0, 0x01}, 40)...), uint8(1), uint8(2))
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte, dims, measures uint8) {
 		nd, nm := 1+int(dims)%4, 1+int(measures)%3
 		rng := rand.New(rand.NewSource(seed))
 		n := NewNode(1, true, nd, nm)
-		var shadow []cube.Record
-		rec := cube.Record{Coords: make([]hierarchy.ID, nd), Measures: make([]float64, nm)}
+		type row struct {
+			coords []hierarchy.ID
+			units  []int64
+		}
+		var shadow []row
+		coords, units := make([]hierarchy.ID, nd), make([]int64, nm)
 		// The first code of each width, and the last.
 		lo := []uint32{0, 1 << 8, 1 << 16, 1 << 24}
 		hi := []uint32{1<<8 - 1, 1<<16 - 1, 1<<24 - 1, hierarchy.MaxCode}
@@ -531,22 +535,26 @@ func FuzzDataNodeRows(f *testing.F) {
 				n.removeRecord(i)
 				shadow = slices.Delete(shadow, i, i+1)
 			} else {
-				var r cube.Record
+				var r row
 				for range nd {
 					w := rng.Intn(1 + int(op>>6))
-					r.Coords = append(r.Coords, hierarchy.MakeID(0, lo[w]+uint32(rng.Int63n(int64(hi[w]-lo[w])+1))))
+					r.coords = append(r.coords, hierarchy.MakeID(0, lo[w]+uint32(rng.Int63n(int64(hi[w]-lo[w])+1))))
 				}
 				for range nm {
-					x := rng.NormFloat64()
-					switch rng.Intn(8) {
-					case 0:
-						x = math.Copysign(0, -1)
-					case 1:
-						x = math.NaN()
+					// A magnitude that takes exactly w bytes with its sign
+					// bit, and a sign.
+					w, least := 1+rng.Intn(1+int(op>>5)), uint64(0)
+					if w > 1 {
+						least = 1 << (8*(w-1) - 1)
 					}
-					r.Measures = append(r.Measures, x)
+					m := least + rng.Uint64()%(1<<(8*w-1)-least)
+					u := int64(m)
+					if rng.Intn(2) == 0 {
+						u = -u - 1
+					}
+					r.units = append(r.units, u)
 				}
-				n.appendRecord(r)
+				n.appendRecord(r.coords, r.units)
 				shadow = append(shadow, r)
 			}
 			var nv NodeView
@@ -554,20 +562,31 @@ func FuzzDataNodeRows(f *testing.F) {
 			if nv.Count() != len(shadow) || n.Count() != len(shadow) {
 				t.Fatalf("op %d: the node holds %d rows, its view %d, want %d", k, n.Count(), nv.Count(), len(shadow))
 			}
-			top := make([]uint32, nd)
+			top, neg, folds := make([]uint64, nd+nm), make([]bool, nm), make([]cube.Fixed, nm)
 			for i, want := range shadow {
-				nv.row(i, rec)
-				if !slices.Equal(rec.Coords, want.Coords) || !slices.EqualFunc(rec.Measures, want.Measures, func(x, y float64) bool {
-					return math.Float64bits(x) == math.Float64bits(y)
-				}) {
-					t.Fatalf("op %d: row %d reads %v %v, want %v %v", k, i, rec.Coords, rec.Measures, want.Coords, want.Measures)
+				nv.row(i, coords, units)
+				if !slices.Equal(coords, want.coords) || !slices.Equal(units, want.units) {
+					t.Fatalf("op %d: row %d reads %v %v, want %v %v", k, i, coords, units, want.coords, want.units)
 				}
-				for d, c := range want.Coords {
-					top[d] = max(top[d], c.Code())
+				for d, c := range want.coords {
+					top[d] = max(top[d], uint64(c.Code()))
+				}
+				for j, u := range want.units {
+					top[nd+j] = max(top[nd+j], magnitude(u))
+					neg[j] = neg[j] || u < 0
+					folds[j].Add(u)
 				}
 			}
 			if !slices.Equal(n.top, top) {
-				t.Fatalf("op %d: largest codes %v, the rows' %v", k, n.top, top)
+				t.Fatalf("op %d: largest keys %v, the rows' %v", k, n.top, top)
+			}
+			for j, neg := range neg {
+				if w := nv.widths()[nd+j]; w != widthOf(neg, top[nd+j]) {
+					t.Fatalf("op %d: measure %d of width %#x, its rows need %#x", k, j, w, widthOf(neg, top[nd+j]))
+				}
+			}
+			if got := n.aggregate(make([]cube.Fixed, nm)); len(shadow) > 0 && !slices.Equal(got, folds) {
+				t.Fatalf("op %d: folds %v, the rows' %v", k, got, folds)
 			}
 			if _, err := DecodeNode(1, (&Index{}).Encode(n), nd, nm); err != nil {
 				t.Fatalf("op %d: %v", k, err)

@@ -70,7 +70,7 @@ func BenchmarkSplit(b *testing.B) {
 			// Rows or entries until the node overflows its blocks by one.
 			for i := 0; tree.nodeBlocks(n) <= bc.blocks; i++ {
 				if bc.leaf {
-					n.appendRecord(recs[i])
+					n.appendRecord(rowOf(tree.schema, recs[i]))
 				} else {
 					n.copyEntry(&lowDirEntries[i].n.flat, lowDirEntries[i].i)
 				}

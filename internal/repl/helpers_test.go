@@ -15,13 +15,17 @@ import (
 
 // testSchema builds the same small TPC-D-like cube the core tests use:
 // Customer (Region>Nation>Customer), Part (Brand>Part), Time (Year>Month)
-// with one measure.
+// with one measure of cents.
 func testSchema(t testing.TB) *cube.Schema {
 	t.Helper()
 	cust := hierarchy.MustNew("Customer", "Customer", "Nation", "Region")
 	part := hierarchy.MustNew("Part", "Part", "Brand")
 	tim := hierarchy.MustNew("Time", "Month", "Year")
-	return cube.MustNewSchema([]*hierarchy.Hierarchy{cust, part, tim}, "Price")
+	s, err := cube.MustNewSchema([]*hierarchy.Hierarchy{cust, part, tim}, "Price").WithScales(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // genRecords interns n random records into the schema.

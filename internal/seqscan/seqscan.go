@@ -81,7 +81,9 @@ func equal(a, b cube.Record) bool {
 }
 
 // RangeAgg scans all records and aggregates the measure over those inside
-// the query MDS.
+// the query MDS: their values in units of the measure's scale are folded,
+// exactly, and the float answer made once (cube.Schema.Answer), as every
+// engine makes it.
 func (s *Store) RangeAgg(q mds.MDS, measure int) (cube.Agg, error) {
 	if measure < 0 || measure >= s.schema.Measures() {
 		return cube.Agg{}, fmt.Errorf("%w: %d", ErrBadMeasure, measure)
@@ -89,7 +91,7 @@ func (s *Store) RangeAgg(q mds.MDS, measure int) (cube.Agg, error) {
 	if err := q.Validate(s.schema.Space()); err != nil {
 		return cube.Agg{}, err
 	}
-	var agg cube.Agg
+	var agg cube.Fixed
 	space := s.schema.Space()
 	for i := range s.recs {
 		s.RecordsScanned++
@@ -98,10 +100,11 @@ func (s *Store) RangeAgg(q mds.MDS, measure int) (cube.Agg, error) {
 			return cube.Agg{}, err
 		}
 		if ok {
-			agg.Add(s.recs[i].Measures[measure])
+			u, _ := s.schema.Units(measure, s.recs[i].Measures[measure]) // Insert validated it
+			agg.Add(u)
 		}
 	}
-	return agg, nil
+	return s.schema.Answer(measure, agg), nil
 }
 
 // RangeQuery is RangeAgg narrowed to one operator.

@@ -2,7 +2,6 @@ package seqscan
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -44,25 +43,25 @@ func TestRangeAggAllOps(t *testing.T) {
 	if agg.Count != 200 || agg.Min != 0 || agg.Max != 199 {
 		t.Fatalf("agg = %+v", agg)
 	}
-	if v, _ := st.RangeQuery(mds.Top(1), cube.Avg, 0); math.Abs(v-99.5) > 1e-9 {
+	if v, _ := st.RangeQuery(mds.Top(1), cube.Avg, 0); v != 99.5 {
 		t.Fatalf("avg = %g", v)
 	}
 	// Constrained query at mid level.
 	space := st.Schema().Space()
 	mid, _ := space[0].AncestorAt(recs[0].Coords[0], 1)
 	q := mds.MDS{{Level: 1, IDs: []hierarchy.ID{mid}}}
-	want := cube.Agg{}
+	var want cube.Fixed // the measures are integers, at scale 0
 	for _, r := range recs {
 		ok, _ := q.ContainsLeaves(space, r.Coords)
 		if ok {
-			want.Add(r.Measures[0])
+			want.Add(int64(r.Measures[0]))
 		}
 	}
 	got, err := st.RangeAgg(q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
+	if got != st.Schema().Answer(0, want) {
 		t.Fatalf("got %+v want %+v", got, want)
 	}
 	if want.Count == 0 {

@@ -125,8 +125,12 @@ func New(seed int64, scale Scale) (*Gen, error) {
 	supp := hierarchy.MustNew("Supplier", "Supplier", "Nation", "Region")
 	part := hierarchy.MustNew("Part", "Part", "Type", "Brand")
 	tim := hierarchy.MustNew("Time", "Day", "Month", "Year")
-	schema := cube.MustNewSchema(
-		[]*hierarchy.Hierarchy{cust, supp, part, tim}, "ExtendedPrice")
+	// Extended Price is a decimal of cents, and the schema says so: scale 2.
+	schema, err := cube.MustNewSchema(
+		[]*hierarchy.Hierarchy{cust, supp, part, tim}, "ExtendedPrice").WithScales(2)
+	if err != nil {
+		return nil, err
+	}
 
 	g := &Gen{
 		schema: schema,

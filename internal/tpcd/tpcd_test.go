@@ -2,7 +2,6 @@ package tpcd
 
 import (
 	"context"
-	"math"
 	"slices"
 	"testing"
 
@@ -198,7 +197,11 @@ func TestThreeSystemsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := xt.Insert(p, r.Measures[0]); err != nil {
+		u, err := g.Schema().Units(0, r.Measures[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := xt.Insert(p, u); err != nil {
 			t.Fatal(err)
 		}
 		if err := scan.Insert(r); err != nil {
@@ -232,22 +235,13 @@ func TestThreeSystemsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gotDC.Count != want.Count || !closeEnough(gotDC.Sum, want.Sum) ||
-			(want.Count > 0 && (gotDC.Min != want.Min || gotDC.Max != want.Max)) {
+		if gotDC != want {
 			t.Fatalf("query %d (sel %g): dc %+v != scan %+v", i, sel, gotDC, want)
 		}
-		if gotX.Count != want.Count || !closeEnough(gotX.Sum, want.Sum) ||
-			(want.Count > 0 && (gotX.Min != want.Min || gotX.Max != want.Max)) {
-			t.Fatalf("query %d (sel %g): xtree %+v != scan %+v", i, sel, gotX, want)
+		if x := g.Schema().Answer(0, gotX); x != want {
+			t.Fatalf("query %d (sel %g): xtree %+v != scan %+v", i, sel, x, want)
 		}
 	}
-}
-
-func closeEnough(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	return math.Abs(a-b) <= 1e-6*math.Max(math.Abs(a), math.Abs(b))+1e-9
 }
 
 func TestToXQueryUnconstrainedDims(t *testing.T) {
@@ -320,7 +314,8 @@ func TestRollupQueries(t *testing.T) {
 	}
 	for _, r := range recs {
 		p, _ := g.XPoint(r)
-		xt.Insert(p, r.Measures[0])
+		u, _ := g.Schema().Units(0, r.Measures[0])
+		xt.Insert(p, u)
 	}
 
 	qg := g.Queries(23)
@@ -359,8 +354,8 @@ func TestRollupQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Count != want.Count || !closeEnough(got.Sum, want.Sum) {
-			t.Fatalf("rollup %d: xtree %+v != scan %+v", i, got, want)
+		if x := g.Schema().Answer(0, got); x != want {
+			t.Fatalf("rollup %d: xtree %+v != scan %+v", i, x, want)
 		}
 	}
 	if _, err := qg.Rollup(0); err == nil {
@@ -396,12 +391,16 @@ func TestSeqScanStore(t *testing.T) {
 	}
 	scan := seqscan.New(g.Schema())
 	recs := g.Records(100)
-	var want float64
+	var units int64 // the exact sum, in cents
 	for _, r := range recs {
 		if err := scan.Insert(r); err != nil {
 			t.Fatal(err)
 		}
-		want += r.Measures[0]
+		u, err := g.Schema().Units(0, r.Measures[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		units += u
 	}
 	if scan.Count() != 100 {
 		t.Fatalf("count = %d", scan.Count())
@@ -410,7 +409,7 @@ func TestSeqScanStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !closeEnough(got, want) {
+	if want := g.Schema().Value(0, units); got != want {
 		t.Fatalf("sum = %g want %g", got, want)
 	}
 	if scan.RecordsScanned != 100 {

@@ -1,6 +1,10 @@
 package xtree
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/dcindex/dctree/internal/cube"
+)
 
 // QueryStats describes the work one range query performed.
 type QueryStats struct {
@@ -9,54 +13,31 @@ type QueryStats struct {
 	PointsMatched  int
 }
 
-// Agg is the aggregate a range query accumulates over matching points'
-// measures. Unlike the DC-tree, the X-tree stores no materialized
-// aggregates: every matching point is fetched from a data node.
-type Agg struct {
-	Sum   float64
-	Count int64
-	Min   float64
-	Max   float64
-}
-
-func (a *Agg) add(x float64) {
-	if a.Count == 0 {
-		a.Sum, a.Count, a.Min, a.Max = x, 1, x, x
-		return
-	}
-	a.Sum += x
-	a.Count++
-	if x < a.Min {
-		a.Min = x
-	}
-	if x > a.Max {
-		a.Max = x
-	}
-}
-
-// RangeQuery aggregates the measures of all points inside the query
-// rectangle that also pass filter (nil means no extra filtering). The
+// RangeQuery aggregates the measures, in units, of all points inside the
+// query rectangle that also pass filter (nil means no extra filtering).
+// Unlike the DC-tree, the X-tree stores no materialized aggregates: every
+// matching point is fetched from a data node. The
 // filter is how the DC-tree experiments express value-set queries that an
 // MBR can only over-approximate (§5.2: the range_mds is converted to a
 // range_mbr; exact membership is re-checked per record).
-func (t *Tree) RangeQuery(q Rect, filter func(Point) bool) (Agg, QueryStats, error) {
+func (t *Tree) RangeQuery(q Rect, filter func(Point) bool) (cube.Fixed, QueryStats, error) {
 	var st QueryStats
 	if err := q.Validate(t.dims); err != nil {
-		return Agg{}, st, err
+		return cube.Fixed{}, st, err
 	}
-	var agg Agg
+	var agg cube.Fixed
 	t.queryNode(t.root, q, filter, &agg, &st)
 	return agg, st, nil
 }
 
-func (t *Tree) queryNode(n *xnode, q Rect, filter func(Point) bool, agg *Agg, st *QueryStats) {
+func (t *Tree) queryNode(n *xnode, q Rect, filter func(Point) bool, agg *cube.Fixed, st *QueryStats) {
 	st.NodesVisited++
 	if n.leaf {
 		for i := range n.entries {
 			st.EntriesScanned++
 			e := &n.entries[i]
 			if q.ContainsPoint(e.point) && (filter == nil || filter(e.point)) {
-				agg.add(e.measure)
+				agg.Add(e.units)
 				st.PointsMatched++
 			}
 		}

@@ -63,12 +63,12 @@ func (c *Config) normalize() error {
 }
 
 // xentry is one slot of an X-tree node: a child reference with its MBR, or
-// a data point with its measure.
+// a data point with its measure, in units of its scale.
 type xentry struct {
-	rect    Rect
-	child   *xnode  // directory entries
-	point   Point   // leaf entries
-	measure float64 // leaf entries
+	rect  Rect
+	child *xnode // directory entries
+	point Point  // leaf entries
+	units int64  // leaf entries
 }
 
 // xnode is an X-tree node. splitDim records the dimension along which the
@@ -163,12 +163,13 @@ func (t *Tree) SupernodeCount() int {
 	return n
 }
 
-// Insert adds one point with its measure value.
-func (t *Tree) Insert(p Point, measure float64) error {
+// Insert adds one point with its measure value in units of its scale
+// (cube.Schema.Units).
+func (t *Tree) Insert(p Point, units int64) error {
 	if len(p) != t.dims {
 		return fmt.Errorf("%w: got %d, want %d", ErrBadPoint, len(p), t.dims)
 	}
-	newChild := t.insertInto(t.root, p, measure)
+	newChild := t.insertInto(t.root, p, units)
 	if newChild != nil {
 		oldRoot := t.root
 		t.root = &xnode{
@@ -189,9 +190,9 @@ func (t *Tree) Insert(p Point, measure float64) error {
 
 // insertInto inserts the point below n and returns a new sibling if n was
 // split.
-func (t *Tree) insertInto(n *xnode, p Point, measure float64) *xnode {
+func (t *Tree) insertInto(n *xnode, p Point, units int64) *xnode {
 	if n.leaf {
-		n.entries = append(n.entries, xentry{rect: RectOf(p), point: append(Point(nil), p...), measure: measure})
+		n.entries = append(n.entries, xentry{rect: RectOf(p), point: append(Point(nil), p...), units: units})
 		if n.overflowing(&t.cfg) {
 			return t.splitNode(n)
 		}
@@ -200,7 +201,7 @@ func (t *Tree) insertInto(n *xnode, p Point, measure float64) *xnode {
 	idx := t.chooseSubtree(n, p)
 	e := &n.entries[idx]
 	e.rect.EnlargePoint(p)
-	if sibling := t.insertInto(e.child, p, measure); sibling != nil {
+	if sibling := t.insertInto(e.child, p, units); sibling != nil {
 		e.rect = e.child.mbr()
 		n.entries = append(n.entries, xentry{rect: sibling.mbr(), child: sibling})
 		if n.overflowing(&t.cfg) {

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/dcindex/dctree/internal/cube"
 )
 
 func smallConfig() Config {
@@ -105,12 +107,12 @@ func TestInsertAndQueryAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	type rec struct {
 		p Point
-		m float64
+		m int64
 	}
 	var recs []rec
 	for i := 0; i < 2000; i++ {
 		p := randPoint(rng, dims, 200)
-		m := float64(rng.Intn(1000))
+		m := rng.Int63n(1000)
 		recs = append(recs, rec{p, m})
 		if err := tree.Insert(p, m); err != nil {
 			t.Fatal(err)
@@ -132,10 +134,10 @@ func TestInsertAndQueryAgainstBruteForce(t *testing.T) {
 		for d := range lo {
 			q.Hi[d] = lo[d] + uint32(rng.Intn(80))
 		}
-		var want Agg
+		var want cube.Fixed
 		for _, r := range recs {
 			if q.ContainsPoint(r.p) {
-				want.add(r.m)
+				want.Add(r.m)
 			}
 		}
 		got, _, err := tree.RangeQuery(q, nil)
@@ -153,10 +155,10 @@ func TestInsertAndQueryAgainstBruteForce(t *testing.T) {
 		q.Hi[d] = 200
 	}
 	even := func(p Point) bool { return p[0]%2 == 0 }
-	var want Agg
+	var want cube.Fixed
 	for _, r := range recs {
 		if even(r.p) {
-			want.add(r.m)
+			want.Add(r.m)
 		}
 	}
 	got, st, err := tree.RangeQuery(q, even)
