@@ -19,9 +19,9 @@ import (
 // logical-node translation table.
 
 // One layout is written and read, under the magic "DCMETA11"; every word
-// of it but the retired directory capacity is a field decodeMeta keeps. A blob of an earlier generation
-// ("DCMETA01"–"10": other node encodings, other words) is refused by its
-// magic, undecoded. "DCMETA10" wrote each data-node code at its
+// of it but the retired directory capacity is a field decodeMeta keeps. A
+// blob of an earlier generation ("DCMETA01"–"10": other node encodings,
+// other words) is refused by its magic, undecoded. "DCMETA10" wrote each data-node code at its
 // dimension's width but every measure as an f64, and float aggregates;
 // "DCMETA11" writes each measure as units of its declared scale at its
 // width, the aggregates in units, and the scales in the schema.
@@ -180,8 +180,9 @@ func readHead(r *metaReader, between ...*uint64) (index.Head, error) {
 }
 
 // appendSchema serializes a cube schema: the dimensions with their full
-// dictionaries, then each measure's name and decimal scale. The metadata blob and the replica
-// bootstrap blob (EncodeSchema) both carry it; readSchema is its inverse.
+// dictionaries, then each measure's name and decimal scale. The metadata
+// blob and the replica bootstrap blob (EncodeSchema) both carry it;
+// readSchema is its inverse.
 func appendSchema(buf []byte, s *cube.Schema) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(s.Dims()))
 	for i := 0; i < s.Dims(); i++ {

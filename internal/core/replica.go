@@ -127,11 +127,11 @@ func (t *Tree) ApplyReplicated(epoch, lsn uint64, payload []byte) error {
 const schemaBlobMagic = "DCSCHM02"
 
 // EncodeSchema serializes the tree's cube schema — every dimension with
-// its full dictionary, plus the measure names — as a self-contained blob
-// for bootstrapping replicas. Taken under the tree lock so concurrent
-// registrations cannot tear the dictionaries; a superset of the
-// dictionaries at any log position is safe, because shipped dict deltas
-// re-register idempotently.
+// its full dictionary, plus each measure's name and scale — as a
+// self-contained blob for bootstrapping replicas. Taken under the tree
+// lock so concurrent registrations cannot tear the dictionaries; a
+// superset of the dictionaries at any log position is safe, because
+// shipped dict deltas re-register idempotently.
 func (t *Tree) EncodeSchema() ([]byte, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -350,7 +350,7 @@ func TestMaterializedHits(t *testing.T) {
 // the bound; the insert that would break it is refused with
 // cube.ErrMeasureValue before any byte changes — whatever its own value,
 // since the bound counts records — and the tree answers, validates and
-// encodes as it did before.
+// encodes as it did before. A delete makes room for one more.
 func TestInsertRefusesOverflowingSum(t *testing.T) {
 	s := cube.MustNewSchema([]*hierarchy.Hierarchy{hierarchy.MustNew("D", "Leaf", "Top")}, "M")
 	tree, err := New(storage.NewMemStore(smallConfig().BlockSize), s, smallConfig())
@@ -399,6 +399,17 @@ func TestInsertRefusesOverflowingSum(t *testing.T) {
 	if after := encodings(); !maps.Equal(after, before) {
 		t.Fatal("a refused insert changed the tree's nodes")
 	}
+	// The bound reads what the tree holds: a record fewer makes room for
+	// one more, and no more.
+	if err := tree.Delete(record(0, big)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Insert(record(7, 1)); err != nil {
+		t.Fatalf("insert into the room a delete made: %v", err)
+	}
+	if err := tree.Insert(record(8, 1)); !errors.Is(err, cube.ErrMeasureValue) {
+		t.Fatalf("insert past the bound again: %v, want cube.ErrMeasureValue", err)
+	}
 }
 
 func TestQueryValidation(t *testing.T) {
@@ -425,7 +436,7 @@ func TestSupernodesAppear(t *testing.T) {
 	s := tree.Schema()
 	rng := rand.New(rand.NewSource(7))
 	var recs []cube.Record
-	for i := 0; i < 600; i++ {
+	for i := 0; i < 1800; i++ {
 		r, err := s.InternRecord([][]string{
 			{"R0", fmt.Sprintf("N%d", rng.Intn(2)), fmt.Sprintf("C%d", rng.Intn(30))},
 			{"B0", fmt.Sprintf("P%d", rng.Intn(20))},

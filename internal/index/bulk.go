@@ -31,19 +31,22 @@ func (ix *Index) BulkLoad(recs []cube.Record) error {
 		return nil
 	}
 	nm := ix.schema.Measures()
-	units := make([]int64, len(recs)*nm)
-	ix.span = make([]uint64, nm)
+	units, span := make([]int64, len(recs)*nm), make([]uint64, nm)
 	for i := range recs {
 		if err := ix.schema.ValidateRecord(recs[i]); err != nil {
 			return fmt.Errorf("record %d: %w", i, err)
 		}
 		for j, x := range recs[i].Measures {
 			units[i*nm+j], _ = ix.schema.Units(j, x)
-		}
-		if err := ix.admit(units[i*nm:(i+1)*nm], int64(len(recs))); err != nil {
-			return fmt.Errorf("record %d: %w", i, err)
+			span[j] = max(span[j], absUnits(units[i*nm+j]))
 		}
 	}
+	for j, s := range span {
+		if err := admitSpan(j, int64(len(recs)), s); err != nil {
+			return err
+		}
+	}
+	ix.span = span
 	order, err := ix.sortRecords(recs)
 	if err != nil {
 		return err

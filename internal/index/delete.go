@@ -45,6 +45,7 @@ func (ix *Index) Delete(rec cube.Record) error {
 		return ErrNotFound
 	}
 	ix.head.Count--
+	ix.span = ix.span[:0] // the value that left may have been the largest
 
 	// Collapse trivial roots: a directory root with one entry hands the
 	// root role to its only child.

@@ -111,8 +111,8 @@ func widthMask(w byte) uint32 { return uint32(1)<<(8*w) - 1 }
 // MakeFlatNode validates the frame once so the fixed-stride accessors can
 // skip per-call checks.
 //
-// A data node's row stride and the bytes of its codes in a row are summed
-// from its widths when it is framed, once per visit.
+// A data node's row stride is summed from its widths when it is framed,
+// once per visit.
 type FlatNode struct {
 	id       NodeID
 	b        []byte
@@ -125,7 +125,6 @@ type FlatNode struct {
 	fixBase  int // a directory's child area; a data node's rows
 	mdsBase  int
 	stride   int // a data node's row length
-	codes    int // a data node's code bytes per row, the offset of its measures
 }
 
 // MakeFlatNode validates a payload's frame — header and section bases — in
@@ -195,12 +194,9 @@ func (f *FlatNode) FrameTrusted(id NodeID, b []byte, dims, measures int) {
 		f.aggBase, f.fixBase, f.mdsBase = dirLayoutSizes(f.count, measures)
 		return
 	}
-	f.fixBase, f.codes, f.stride = flatHeaderSize+dims+measures, 0, 0
+	f.fixBase, f.stride = flatHeaderSize+dims+measures, 0
 	if len(b) >= f.fixBase {
-		for k, w := range f.widths() {
-			if k == dims {
-				f.codes = f.stride
-			}
+		for _, w := range f.widths() {
 			f.stride += bytesOf(w)
 		}
 	}

@@ -207,15 +207,9 @@ func smallConfig() Config {
 func payloadOfRows(schema *cube.Schema, recs []cube.Record, rows int) int {
 	n := NewNode(NilNode, true, schema.Dims(), schema.Measures())
 	for _, r := range recs {
-		coords, units := rowOf(schema, r)
-		for d, c := range coords {
-			n.top[d] = max(n.top[d], uint64(c.Code()))
-		}
-		for j, u := range units {
-			n.top[schema.Dims()+j] = max(n.top[schema.Dims()+j], magnitude(u))
-		}
+		n.appendRecord(rowOf(schema, r))
 	}
-	return leafSize(len(n.top), rows, n.rowSize(nil, nil))
+	return leafSize(len(n.top), rows, n.flat.stride)
 }
 
 // newTestIndex is a bare index over the test schema.

@@ -102,8 +102,8 @@ type Index struct {
 	// exclusive, so one scratch is never shared.
 	ws *writeScratch
 
-	// span bounds, per measure, the magnitude in units of every value the
-	// tree holds (admit); nil until the first insert reads it off the root.
+	// span is, per measure, the largest magnitude in units the tree holds
+	// (admit); empty when unknown.
 	span []uint64
 
 	// qcPool recycles queryCtx mask arenas so steady-state queries build

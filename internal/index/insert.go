@@ -19,7 +19,7 @@ func (ix *Index) Insert(rec cube.Record) error {
 	if err != nil {
 		return err
 	}
-	if err := ix.admit(rc.units, ix.head.Count+1); err != nil {
+	if err := ix.admit(rc.units); err != nil {
 		return err
 	}
 
@@ -51,31 +51,40 @@ func (ix *Index) Insert(rec cube.Record) error {
 }
 
 // admit refuses, before any byte changes, a record whose units could take
-// a sum out of int64 once the tree holds count records: every sum the tree
-// stores or a query folds is over at most count values of at most span
-// units each, and count × span < 2^63 keeps them all inside. The span is
-// read off the root's aggregates when the index has none.
-func (ix *Index) admit(units []int64, count int64) error {
-	if ix.span == nil {
+// a sum out of int64 once it joins the tree: every sum the tree stores or
+// a query folds is over at most the tree's count values, each at most the
+// largest magnitude the tree holds or the record's. That magnitude (span)
+// is read off the root's aggregates when unknown — after a delete — and
+// raised by each record admitted, so it is a function of the tree's
+// content alone: a replica and a replay decide as the primary did.
+func (ix *Index) admit(units []int64) error {
+	if len(ix.span) == 0 {
 		root, err := ix.store.Get(ix.head.Root)
 		if err != nil {
 			return err
 		}
-		ix.span = make([]uint64, len(units))
-		for j := range ix.span {
+		for j := range units {
 			a := root.fold(j)
-			ix.span[j] = max(absUnits(a.Min), absUnits(a.Max))
+			ix.span = append(ix.span, max(absUnits(a.Min), absUnits(a.Max)))
 		}
 	}
 	for j, u := range units {
-		span := max(ix.span[j], absUnits(u))
-		if hi, lo := bits.Mul64(uint64(count), span); hi != 0 || lo >= 1<<63 {
-			return fmt.Errorf("%w: %d values of up to %d units could take measure %d's sums out of int64",
-				cube.ErrMeasureValue, count, span, j)
+		if err := admitSpan(j, ix.head.Count+1, max(ix.span[j], absUnits(u))); err != nil {
+			return err
 		}
 	}
 	for j, u := range units {
 		ix.span[j] = max(ix.span[j], absUnits(u))
+	}
+	return nil
+}
+
+// admitSpan refuses count values of measure j of up to span units each
+// unless count × span < 2^63.
+func admitSpan(j int, count int64, span uint64) error {
+	if hi, lo := bits.Mul64(uint64(count), span); hi != 0 || lo >= 1<<63 {
+		return fmt.Errorf("%w: %d values of up to %d units could take measure %d's sums out of int64",
+			cube.ErrMeasureValue, count, span, j)
 	}
 	return nil
 }

@@ -119,13 +119,17 @@ func (n *Node) Row(i int) (coords []hierarchy.ID, units []int64) {
 // first negative value, re-strides the rows first.
 func (n *Node) appendRecord(coords []hierarchy.ID, units []int64) {
 	for d, c := range coords {
-		n.top[d] = max(n.top[d], uint64(c.Code()))
-		n.setWidth(d, widthOf(false, n.top[d]))
+		if c := uint64(c.Code()); c > n.top[d] {
+			n.top[d] = c
+			n.setWidth(d, widthOf(false, c))
+		}
 	}
 	for j, u := range units {
 		k := n.dims + j
-		n.top[k] = max(n.top[k], magnitude(u))
-		n.setWidth(k, widthOf(u < 0 || n.flat.widths()[k]&signedWidth != 0, n.top[k]))
+		if m, signed := magnitude(u), n.flat.widths()[k]&signedWidth != 0; m > n.top[k] || u < 0 && !signed {
+			n.top[k] = max(n.top[k], m)
+			n.setWidth(k, widthOf(signed || u < 0, n.top[k]))
+		}
 	}
 	f := &n.flat
 	o := f.mdsBase
@@ -206,7 +210,7 @@ func (n *Node) setWidth(k int, w byte) {
 	pre, stride, next := at-f.fixBase, f.stride, f.stride+bytesOf(w)-bytesOf(old)
 	b := slices.Grow(f.b, f.count*max(0, next-stride))[:leafSize(len(n.top), f.count, next)]
 	var in, out [128]byte
-	row, fresh := in[:0], out[:0]
+	row, fresh := in[:0], slices.Grow(out[:0], next+8)[:next+8]
 	for r := range f.count {
 		i := r
 		if next > stride {
@@ -214,10 +218,10 @@ func (n *Node) setWidth(k int, w byte) {
 		}
 		o, p := f.fixBase+i*stride, f.fixBase+i*next
 		row = append(row[:0], f.b[o:o+stride+leafPad]...) // the pad keeps the load in bounds
-		fresh = append(append(fresh[:0], row[:pre]...), make([]byte, 8+next-pre)...)
+		copy(fresh, row[:pre])
 		binary.LittleEndian.PutUint64(fresh[pre:], uint64(loadUnits(row[pre:], old)))
 		copy(fresh[pre+bytesOf(w):next], row[pre+bytesOf(old):stride])
-		copy(b[p:p+next], fresh)
+		copy(b[p:p+next], fresh[:next])
 	}
 	b[flatHeaderSize+k] = w
 	n.frame(b, f.count)
@@ -233,15 +237,14 @@ func widthOf(signed bool, top uint64) byte {
 	return byte(max(1, (bits.Len64(top)+7)/8))
 }
 
-// rowSize returns the stride of a data node's encoded rows: each value at
-// its column's width. With coords and units non-nil it is the stride once
-// a row of those values joins.
+// rowSize returns the stride of a data node's encoded rows, each value at
+// its column's width, once a row of coordinates coords and measures units
+// joins them.
 func (n *Node) rowSize(coords []hierarchy.ID, units []int64) int {
 	size := 0
 	for k, w := range n.flat.widths() {
 		c, signed := n.top[k], w&signedWidth != 0
 		switch {
-		case coords == nil:
 		case k < n.dims:
 			c = max(c, uint64(coords[k].Code()))
 		default:

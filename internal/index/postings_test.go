@@ -233,10 +233,10 @@ func supernodeConfig() Config {
 // byte widths (a third fewer data-node splits, fewer stale tables), 94
 // until a directory overflowed by its bytes, not at 24 entries (one
 // level-1 directory fewer to split), and 92 until measures were stored as
-// units at their widths (10-byte rows, a third fewer data-node splits). A delete that removes no value from
-// an entry's MDS leaves every table valid, so the next insert builds
-// none; one that removes a value leaves stale exactly the directories
-// whose entry on the delete path lost one.
+// units at their widths (10-byte rows, a third fewer data-node splits). A
+// delete that removes no value from an entry's MDS leaves every table
+// valid, so the next insert builds none; one that removes a value leaves
+// stale exactly the directories whose entry on the delete path lost one.
 func TestPostingBuilds(t *testing.T) {
 	gen, err := tpcd.New(1, tpcd.ScaleFor(15000))
 	if err != nil {

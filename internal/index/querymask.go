@@ -293,8 +293,8 @@ func LeafKernel() string {
 
 // scanRows is the leaf kernel: it tests every record of a data node against
 // the query and folds the units of measures first..first+len(out)-1 of the
-// matching ones into out. The rows are read where they lie, at a fixed stride in the
-// node's encoding — a heap node's own block, a mapped extent or a payload.
+// matching ones into out. The rows are read where they lie, at a fixed
+// stride in the node's encoding — a heap node's own block, a mapped extent or a payload.
 // It returns the number of records tested and matched.
 //
 // The rows are taken through a selection vector, a node of up to scanChunk

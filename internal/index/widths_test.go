@@ -230,6 +230,29 @@ func TestLeafWidthsExact(t *testing.T) {
 	}
 }
 
+// TestSetWidthAllocations: re-striding a data node's rows in place, wider
+// and back, code and measure columns alike, allocates nothing once its
+// block has room for the wider rows.
+func TestSetWidthAllocations(t *testing.T) {
+	n := NewNode(1, true, 2, 1)
+	for i := range 300 {
+		n.appendRecord([]hierarchy.ID{hierarchy.MakeID(0, uint32(i%200)), hierarchy.MakeID(0, 7)}, []int64{int64(i)})
+	}
+	n.frame(slices.Grow(n.flat.b, 4096), n.Count())
+	before := slices.Clone(n.flat.b)
+	if allocs := testing.AllocsPerRun(10, func() {
+		n.setWidth(0, 3)
+		n.setWidth(2, 5)
+		n.setWidth(0, 1)
+		n.setWidth(2, 2)
+	}); allocs != 0 {
+		t.Errorf("%.0f allocations per re-stride round, want 0", allocs)
+	}
+	if !bytes.Equal(n.flat.b, before) {
+		t.Error("re-striding wider and back changed the node's bytes")
+	}
+}
+
 // recordSet is a multiset of records, kept beside a tree as the reference
 // its rows are held to.
 type recordSet map[string]int
@@ -367,9 +390,9 @@ func TestLeafWidening(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !root.leaf || root.Blocks() != tc.blocks || root.rowSize(nil, nil) != narrowStride || ix.blocksFor(leafSize(4, root.Count()+1, narrowStride)) <= tc.blocks {
+			if !root.leaf || root.Blocks() != tc.blocks || root.flat.stride != narrowStride || ix.blocksFor(leafSize(4, root.Count()+1, narrowStride)) <= tc.blocks {
 				t.Fatalf("before the wide code: leaf %v, %d rows in %d blocks of stride %d, want a full %d-block data node",
-					root.leaf, root.Count(), root.Blocks(), root.rowSize(nil, nil), tc.blocks)
+					root.leaf, root.Count(), root.Blocks(), root.flat.stride, tc.blocks)
 			}
 			before := ix.Counters()
 			if err := ix.Insert(wide); err != nil {
@@ -386,10 +409,10 @@ func TestLeafWidening(t *testing.T) {
 				if n.leaf {
 					leaves = append(leaves, n)
 					if n.Blocks() != ix.nodeBlocks(n) {
-						t.Errorf("data node %d: %d rows of stride %d in %d blocks, its bytes need %d", n.id, n.Count(), n.rowSize(nil, nil), n.Blocks(), ix.nodeBlocks(n))
+						t.Errorf("data node %d: %d rows of stride %d in %d blocks, its bytes need %d", n.id, n.Count(), n.flat.stride, n.Blocks(), ix.nodeBlocks(n))
 					}
-					if stride, need := rowsNeed(n), ix.blocksFor(leafSize(4, n.Count(), rowsNeed(n))); n.rowSize(nil, nil) != stride || n.Blocks() != need {
-						t.Errorf("data node %d: stride %d in %d blocks, its records need %d in %d", n.id, n.rowSize(nil, nil), n.Blocks(), stride, need)
+					if stride, need := rowsNeed(n), ix.blocksFor(leafSize(4, n.Count(), rowsNeed(n))); n.flat.stride != stride || n.Blocks() != need {
+						t.Errorf("data node %d: stride %d in %d blocks, its records need %d in %d", n.id, n.flat.stride, n.Blocks(), stride, need)
 					}
 				}
 			}
