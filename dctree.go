@@ -168,8 +168,8 @@ const (
 // DefaultConfig returns the configuration used throughout the paper
 // reproduction (4 KiB blocks; directories of as many entries as one block's
 // bytes hold, some 25 on the TPC-D cube, and data nodes of as many rows as
-// one block holds at the byte widths their codes need, 270 at the
-// benchmark's scales; 35 % minimum fill, 20 % maximum split overlap).
+// one block holds at the byte widths their codes and measures need, 405 at
+// the benchmark's scales; 35 % minimum fill, 20 % maximum split overlap).
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // NewHierarchy declares a dimension's concept hierarchy. Level names are

@@ -31,8 +31,8 @@ type Config struct {
 	// one block; supernodes occupy consecutive multiples of it. It also
 	// sizes the nodes: a node holds what its encoding fits in one block's
 	// extent — a directory's entries, whose MDSs vary in size, or a data
-	// node's rows, each code at the byte width its dimension's largest code
-	// needs: 270 TPC-D rows at the default 4 KiB at the benchmark's scales.
+	// node's rows, each code and each measure at the byte width its column
+	// needs: 405 TPC-D rows at the default 4 KiB at the benchmark's scales.
 	BlockSize int
 
 	// Config holds the knobs of the paper's algorithms (MinFillRatio …

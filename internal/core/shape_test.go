@@ -133,8 +133,8 @@ func TestGoldenTreeShape(t *testing.T) {
 		{"no-refine", func(c *Config) {
 			c.RefineBound = -1
 		}, "65306a2f029fec667c028a82"},
-		// The default: a data node fills its block (270 TPC-D rows at
-		// this stream's code widths).
+		// The default: a data node fills its block (405 TPC-D rows at
+		// this stream's widths).
 		{"block-filled", func(*Config) {}, "81f66afd7491a5a6fb4e44b8"},
 	}
 	for _, tc := range cases {

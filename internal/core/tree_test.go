@@ -109,7 +109,7 @@ func entriesOf(t testing.TB, tree *Tree, n *index.Node) []entry {
 }
 
 // smallConfig forces frequent splits so even small tests exercise the full
-// machinery: data nodes of the some 35 rows, and directories of the few
+// machinery: data nodes of the some 60 rows, and directories of the few
 // entries, a 512-byte block holds.
 func smallConfig() Config {
 	cfg := DefaultConfig()

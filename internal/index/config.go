@@ -8,8 +8,8 @@ import "fmt"
 // knob: it is one block, as the X-tree's are (§4.2), and holds what its
 // encoding fits in its blocks × the one-block payload the host passes to
 // New — a directory's entries, whose MDSs vary in size (§3.2), or a data
-// node's rows at the byte widths its codes need: 270 TPC-D rows at 4 KiB at
-// the benchmark's scales, 169 at the widest codes.
+// node's rows at the byte widths its codes and measures need: 405 TPC-D
+// rows at 4 KiB at the benchmark's scales.
 type Config struct {
 	// MinFillRatio is the balance criterion of the split algorithm: a
 	// split is acceptable only if each group receives at least this

@@ -194,7 +194,7 @@ func genRecords(t testing.TB, s *cube.Schema, rng *rand.Rand, n int) []cube.Reco
 
 // smallConfig caps supernodes at 8 blocks. On blocks of payload512 it
 // forces frequent splits, so even small tests exercise the full machinery:
-// data nodes of some 35 test rows, directories of a few entries.
+// data nodes of some 60 test rows, directories of a few entries.
 func smallConfig() Config {
 	cfg := DefaultConfig()
 	cfg.MaxSupernodeBlocks = 8

@@ -110,8 +110,8 @@ func packedBenchTree(tb testing.TB) (*Index, map[string][]mds.MDS) {
 // tree scanned under a query's masks, per query class, under each leaf
 // kernel this host runs (avx2, go), over two carriers: the data nodes of
 // readBenchTree's dynamic tree, each viewed as the descent views it, in its
-// own block ("flat"; some 180 rows a node), and the data nodes of
-// packedBenchTree ("packed"; 270 rows, the one-block node a mapped cold
+// own block ("flat"; partly filled nodes), and the data nodes of
+// packedBenchTree ("packed"; 405 rows, the one-block node a mapped cold
 // tree reads). One iteration is one pass over all records; ns/record is
 // the figure to compare with a sequential scan's per-record cost.
 func BenchmarkLeafScan(b *testing.B) {
