@@ -393,7 +393,7 @@ func TestNoLeaseMeansHealthy(t *testing.T) {
 // refused by every subcommand that opens one, with the unsupported-format
 // error, and the refusal leaves the file byte for byte what it was — and
 // creates no log beside it. The index is one this build wrote, its metadata
-// blob re-labelled DCMETA09; testdata/tpcd-09 in internal/core is the
+// blob re-labelled DCMETA11, the generation DCMETA12 retired; testdata/tpcd-09 in internal/core is the
 // index the last DCMETA09 build's `build -tpcd 2000` wrote, refused the same
 // way; testdata/parent-pr12 there is a whole image an earlier build wrote,
 // at a block size the tool does not open (the store header refuses it
@@ -409,10 +409,10 @@ func TestRetiredIndexRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	meta, err := store.GetMeta()
-	if err != nil || !bytes.HasPrefix(meta, []byte("DCMETA11")) {
-		t.Fatalf("metadata does not start with DCMETA11 (err %v)", err)
+	if err != nil || !bytes.HasPrefix(meta, []byte("DCMETA12")) {
+		t.Fatalf("metadata does not start with DCMETA12 (err %v)", err)
 	}
-	meta[6], meta[7] = '0', '9'
+	meta[6], meta[7] = '1', '1'
 	if err := store.SetMeta(meta); err != nil {
 		t.Fatal(err)
 	}

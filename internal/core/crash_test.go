@@ -265,6 +265,7 @@ func TestGroupCommitCrashStress(t *testing.T) {
 		return len(acked)
 	}
 	var wg sync.WaitGroup
+	workersDone := make(chan struct{})
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -281,6 +282,7 @@ func TestGroupCommitCrashStress(t *testing.T) {
 			}
 		}(w)
 	}
+	go func() { wg.Wait(); close(workersDone) }()
 
 	// Checkpoints concurrent with appends and group commits: Flush
 	// truncates the log out from under a leader's in-flight fsync,
@@ -296,9 +298,22 @@ func TestGroupCommitCrashStress(t *testing.T) {
 	// Let more inserts land past the last checkpoint, then snapshot the
 	// files as a crash image while workers keep appending. No checkpoint
 	// runs concurrently with the copy, so the store file is quiescent;
-	// the WAL tail may be torn mid-frame, which recovery must absorb.
+	// the WAL tail may be torn mid-frame, which recovery must absorb. The
+	// wait ends early once every worker has returned (a failed insert ends
+	// its worker), and fails after a deadline.
+	deadline := time.Now().Add(time.Minute)
+wait:
 	for ackedCount() < afterCheckpoints+200 && ackedCount() < workers*perWorker {
-		time.Sleep(200 * time.Microsecond)
+		select {
+		case <-workersDone:
+			break wait
+		case <-time.After(200 * time.Microsecond):
+		}
+		if time.Now().After(deadline) {
+			t.Errorf("after a minute %d inserts acknowledged, want %d past the checkpoints' %d",
+				ackedCount(), 200, afterCheckpoints)
+			break
+		}
 	}
 	ackedMu.Lock()
 	ackedSnapshot := make([]cube.Record, len(acked))

@@ -353,24 +353,24 @@ func TestGroupCommitCheckpointCoverageFlushesLog(t *testing.T) {
 }
 
 // imageBlockSize is the Config.BlockSize the crash images
-// testdata/format-11 and testdata/parent-pr12 were written at.
+// testdata/format-12 and testdata/parent-pr12 were written at.
 const imageBlockSize = 1024
 
 // TestRecoveryOfParentWrittenImage is the golden file of the one surviving
-// format generation: testdata/format-11 is a crash image (store + log
+// format generation: testdata/format-12 is a crash image (store + log
 // tail) written by the build that introduced the generation — DCSTORE2
-// extents, a DCMETA11 blob carrying the measure's scale, data nodes that
-// are their rows of codes and units at their widths, directories whose
-// aggregates are units, a DCWAL002 segment of op-3/4/5 records — and must
-// open unmodified, validate, replay its tail and keep accepting durable
-// writes; its answers are exact.
+// extents, a DCMETA12 blob carrying the measure's scale and front-coded
+// dictionaries, data nodes that are their rows of codes and units at their
+// widths, directories whose aggregates are units, a DCWAL002 segment of
+// op-3/4/5 records — and must open unmodified, validate, replay its tail
+// and keep accepting durable writes; its answers are exact.
 //
 // To regenerate after a format bump: newDurableOnDisk(smallConfig() at
 // BlockSize imageBlockSize), recs := genRecords(seed 7, 160); insert
 // recs[:120], Flush, insert recs[120:], delete recs[:5]; copyCrashImage
 // into testdata/format-NN without closing the tree.
 func TestRecoveryOfParentWrittenImage(t *testing.T) {
-	dir := copyTestImage(t, "format-11")
+	dir := copyTestImage(t, "format-12")
 	for name, magic := range map[string]string{"store.dc": "DCSTORE2", "idx.00000002.wal": "DCWAL002"} {
 		if data, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.HasPrefix(data, []byte(magic)) {
 			t.Fatalf("fixture %s does not start with %s (err %v)", name, magic, err)

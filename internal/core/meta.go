@@ -18,14 +18,17 @@ import (
 // (the index is meaningless without them), the root pointer, and the
 // logical-node translation table.
 
-// One layout is written and read, under the magic "DCMETA11"; every word
+// One layout is written and read, under the magic "DCMETA12"; every word
 // of it but the retired directory capacity is a field decodeMeta keeps. A
-// blob of an earlier generation ("DCMETA01"–"10": other node encodings,
-// other words) is refused by its magic, undecoded. "DCMETA10" wrote each data-node code at its
-// dimension's width but every measure as an f64, and float aggregates;
-// "DCMETA11" writes each measure as units of its declared scale at its
-// width, the aggregates in units, and the scales in the schema.
-const metaMagic = "DCMETA11"
+// blob of an earlier generation ("DCMETA01"–"11": other node encodings,
+// other words) is refused by its magic, undecoded. "DCMETA10" wrote each
+// data-node code at its dimension's width but every measure as an f64, and
+// float aggregates; "DCMETA11" writes each measure as units of its declared
+// scale at its width, the aggregates in units, and the scales in the
+// schema, but each dictionary value as a 4-byte parent ID and its whole
+// name; "DCMETA12" writes the value's parent as a uvarint code and its name
+// front-coded (hierarchy.AppendEncode).
+const metaMagic = "DCMETA12"
 
 // metaFlags is the config flags byte every blob is written with: bit 1,
 // once the switch of the materialized aggregates, which are always kept.

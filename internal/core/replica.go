@@ -122,9 +122,12 @@ func (t *Tree) ApplyReplicated(epoch, lsn uint64, payload []byte) error {
 // in-process follower (repl.WALSource) so it can build an empty replica
 // tree and replay the log from LSN 1. It is the metadata blob's schema
 // section (appendSchema) under its own magic, so the blob evolves
-// independently of meta versions.
+// independently of meta versions. "DCSCHM02" carried the dictionaries as
+// "DCMETA11" does, each value a 4-byte parent ID and its whole name;
+// "DCSCHM03" carries them as "DCMETA12" does, and an older blob is refused
+// as a bad magic.
 
-const schemaBlobMagic = "DCSCHM02"
+const schemaBlobMagic = "DCSCHM03"
 
 // EncodeSchema serializes the tree's cube schema — every dimension with
 // its full dictionary, plus each measure's name and scale — as a

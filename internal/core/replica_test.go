@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
 
 	"github.com/dcindex/dctree/internal/cube"
 	"github.com/dcindex/dctree/internal/storage"
+	"github.com/dcindex/dctree/internal/tpcd"
 )
 
 // shipAll replays every record of the primary's live WAL into the replica —
@@ -199,6 +201,7 @@ func TestDecodeSchemaRejectsCorrupt(t *testing.T) {
 	for _, bad := range [][]byte{
 		nil,
 		[]byte("DCSCHM01"),
+		[]byte("DCSCHM02" + string(blob[8:])),
 		[]byte("NOTMAGIC" + string(blob[8:])),
 		blob[:len(blob)-1],
 		append(append([]byte(nil), blob...), 0xff),
@@ -207,4 +210,37 @@ func TestDecodeSchemaRejectsCorrupt(t *testing.T) {
 			t.Fatalf("DecodeSchema(%d bytes) err = %v, want ErrCorrupt", len(bad), err)
 		}
 	}
+}
+
+// TestTPCDSchemaBlobSize pins the size of the schema blob of the TPC-D
+// dictionaries the benchmark builds (tpcd.ScaleFor(625): 1,000 customers,
+// 100 suppliers, 1,500 parts and the 2,557-day calendar), which every
+// checkpoint writes twice over into the metadata blob. Front-coded names
+// and uvarint parent codes hold it at 24,430 B; the 4-byte parent IDs and
+// whole names of DCSCHM02 took 89,376 B. A blob that decodes re-encodes
+// byte for byte.
+func TestTPCDSchemaBlobSize(t *testing.T) {
+	gen, err := tpcd.New(1, tpcd.ScaleFor(625))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := appendSchema([]byte(schemaBlobMagic), gen.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blob) > 26<<10 {
+		t.Errorf("TPC-D schema blob %d B, want at most %d", len(blob), 26<<10)
+	}
+	schema, err := DecodeSchema(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := appendSchema([]byte(schemaBlobMagic), schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, blob) {
+		t.Errorf("re-encoding the decoded schema gives %d B that differ from the blob's %d", len(again), len(blob))
+	}
+	t.Logf("TPC-D schema blob: %d B", len(blob))
 }

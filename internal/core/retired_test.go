@@ -12,17 +12,18 @@ import (
 	"github.com/dcindex/dctree/internal/storage"
 )
 
-// TestRetiredImageRefused: testdata/parent-pr12, testdata/format-09 and
-// testdata/format-10 are crash images earlier builds wrote — DCSTORE2
-// extents, a DCMETA08 blob whose data nodes repeat every record's aggregate
-// and MDS, a DCMETA09 blob whose data nodes store every code in 4 bytes, or
-// a DCMETA10 blob whose rows and aggregates hold measures as f64, each with
-// a DCWAL002 log tail this build could replay. Every way of opening a tree
-// refuses them by the blob's magic with ErrUnsupportedFormat, before
-// recovery reads the log, and leaves both files as they were. (An external
-// test: repl imports core.)
+// TestRetiredImageRefused: testdata/parent-pr12, testdata/format-09,
+// testdata/format-10 and testdata/format-11 are crash images earlier builds
+// wrote — DCSTORE2 extents, a DCMETA08 blob whose data nodes repeat every
+// record's aggregate and MDS, a DCMETA09 blob whose data nodes store every
+// code in 4 bytes, a DCMETA10 blob whose rows and aggregates hold measures
+// as f64, or a DCMETA11 blob whose dictionaries hold each value as a 4-byte
+// parent ID and its whole name, each with a DCWAL002 log tail this build
+// could replay. Every way of opening a tree refuses them by the blob's
+// magic with ErrUnsupportedFormat, before recovery reads the log, and
+// leaves both files as they were. (An external test: repl imports core.)
 func TestRetiredImageRefused(t *testing.T) {
-	for _, fixture := range []string{"parent-pr12", "format-09", "format-10"} {
+	for _, fixture := range []string{"parent-pr12", "format-09", "format-10", "format-11"} {
 		refuseRetiredImage(t, filepath.Join("testdata", fixture))
 	}
 }

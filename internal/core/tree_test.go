@@ -462,7 +462,8 @@ func TestSupernodesAppear(t *testing.T) {
 		supers += l.Supernodes
 	}
 	if supers == 0 {
-		t.Skip("no supernodes emerged under this workload (acceptable but unexpected)")
+		t.Fatalf("no supernode formed from %d records skewed to one region, brand and year: "+
+			"the test's premise, failed high-level splits, does not hold (levels %+v)", len(recs), levels)
 	}
 	// Queries stay correct in the presence of supernodes.
 	for i := 0; i < 50; i++ {

@@ -15,10 +15,14 @@ import (
 //	uvarint  level count
 //	per level: uvarint level-name length, bytes
 //	per level (leaf upward): uvarint value count; per value:
-//	  uint32 parent ID, uvarint name length, name bytes
+//	  uvarint parent code one level up (none at the top level: ALL),
+//	  uvarint bytes shared with the level's previous name,
+//	  uvarint length of the rest, the rest's bytes
 //
 // Values are written in insertion (code) order, so decoding reassigns the
-// identical IDs.
+// identical IDs. The names of a level are front-coded: generated names
+// repeat long prefixes ("Customer#000123", "1992-01-01"), and a name costs
+// only the bytes that differ from the one before it.
 
 // AppendEncode appends the binary encoding of the hierarchy to buf.
 func (h *Hierarchy) AppendEncode(buf []byte) []byte {
@@ -27,12 +31,21 @@ func (h *Hierarchy) AppendEncode(buf []byte) []byte {
 	for _, ln := range h.levelNames {
 		buf = appendString(buf, ln)
 	}
-	for level := 0; level < len(h.levelNames); level++ {
-		parents := h.parents[level]
+	for level, parents := range h.parents {
 		buf = binary.AppendUvarint(buf, uint64(len(parents)))
+		prev := ""
 		for c, p := range parents {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(p))
-			buf = appendString(buf, h.valueNames[level][c])
+			if level < h.TopLevel() {
+				buf = binary.AppendUvarint(buf, uint64(p.Code()))
+			}
+			name := h.valueNames[level][c]
+			shared := 0
+			for shared < min(len(prev), len(name)) && prev[shared] == name[shared] {
+				shared++
+			}
+			buf = binary.AppendUvarint(buf, uint64(shared))
+			buf = appendString(buf, name[shared:])
+			prev = name
 		}
 	}
 	return buf
@@ -47,7 +60,7 @@ func appendString(buf []byte, s string) []byte {
 // the number of bytes consumed.
 func DecodeHierarchy(buf []byte) (*Hierarchy, int, error) {
 	off := 0
-	name, n, err := readString(buf[off:])
+	name, n, err := readBytes(buf[off:])
 	if err != nil {
 		return nil, 0, fmt.Errorf("hierarchy decode: name: %w", err)
 	}
@@ -59,37 +72,57 @@ func DecodeHierarchy(buf []byte) (*Hierarchy, int, error) {
 	off += n
 	levelNames := make([]string, levels)
 	for i := range levelNames {
-		levelNames[i], n, err = readString(buf[off:])
+		ln, n, err := readBytes(buf[off:])
 		if err != nil {
 			return nil, 0, fmt.Errorf("hierarchy decode: level name %d: %w", i, err)
 		}
+		levelNames[i] = string(ln)
 		off += n
 	}
-	h, err := New(name, levelNames...)
+	h, err := New(string(name), levelNames...)
 	if err != nil {
 		return nil, 0, err
 	}
+	var vname []byte // the level's previous name, then the current one
 	for level := 0; level < int(levels); level++ {
 		count, n := binary.Uvarint(buf[off:])
 		if n <= 0 {
 			return nil, 0, fmt.Errorf("hierarchy decode: value count at level %d", level)
 		}
 		off += n
+		vname = vname[:0]
 		for i := uint64(0); i < count; i++ {
-			if len(buf[off:]) < 4 {
-				return nil, 0, fmt.Errorf("hierarchy decode: truncated parent at level %d", level)
+			// Parents live one level up and are decoded after their
+			// children (levels stream leaf-up), so a parent is taken on
+			// its code here and checked by Validate below.
+			parent := ALL
+			if level < h.TopLevel() {
+				code, n := binary.Uvarint(buf[off:])
+				if n <= 0 {
+					return nil, 0, fmt.Errorf("hierarchy decode: truncated parent at level %d", level)
+				}
+				if code > MaxCode {
+					return nil, 0, fmt.Errorf("hierarchy decode: parent code %d past %d at level %d", code, MaxCode, level)
+				}
+				off += n
+				parent = MakeID(level+1, uint32(code))
 			}
-			parent := ID(binary.LittleEndian.Uint32(buf[off:]))
-			off += 4
-			vname, n, err := readString(buf[off:])
+			shared, n := binary.Uvarint(buf[off:])
+			if n <= 0 {
+				return nil, 0, fmt.Errorf("hierarchy decode: truncated value name at level %d", level)
+			}
+			if shared > uint64(len(vname)) {
+				return nil, 0, fmt.Errorf("hierarchy decode: %d bytes shared with a previous name of %d at level %d",
+					shared, len(vname), level)
+			}
+			off += n
+			rest, n, err := readBytes(buf[off:])
 			if err != nil {
 				return nil, 0, fmt.Errorf("hierarchy decode: value name: %w", err)
 			}
 			off += n
-			// Parents live one level up and must already be decoded
-			// (levels stream leaf-up, but parents reference upward) —
-			// so defer wiring: register with raw parent and fix below.
-			if err := h.registerChildRaw(level, parent, vname); err != nil {
+			vname = append(vname[:shared], rest...)
+			if err := h.registerChildRaw(level, parent, string(vname)); err != nil {
 				return nil, 0, err
 			}
 		}
@@ -118,13 +151,14 @@ func (h *Hierarchy) registerChildRaw(level int, parent ID, name string) error {
 	return nil
 }
 
-func readString(buf []byte) (string, int, error) {
+// readBytes reads a uvarint length and that many bytes, which alias buf.
+func readBytes(buf []byte) ([]byte, int, error) {
 	l, n := binary.Uvarint(buf)
 	if n <= 0 {
-		return "", 0, fmt.Errorf("bad length")
+		return nil, 0, fmt.Errorf("bad length")
 	}
 	if uint64(len(buf)-n) < l {
-		return "", 0, fmt.Errorf("truncated string")
+		return nil, 0, fmt.Errorf("truncated string")
 	}
-	return string(buf[n : n+int(l)]), n + int(l), nil
+	return buf[n : n+int(l)], n + int(l), nil
 }

@@ -2,6 +2,7 @@ package hierarchy
 
 import (
 	"bytes"
+	"sort"
 	"testing"
 )
 
@@ -29,6 +30,20 @@ func FuzzDecodeHierarchy(f *testing.F) {
 	f.Add([]byte{})
 	// Negative-length regression seed: uvarint above MaxInt64.
 	f.Add(append(bytes.Repeat([]byte{0xff}, 9), 0x01))
+	// The front coding's edges: a name a prefix of the one before it, an
+	// empty rest, a shared prefix of 128 bytes or more, bytes that are not
+	// UTF-8, a top level with no parent, and a shared count past the
+	// previous name.
+	shapes := codecShapes(f)
+	names := make([]string, 0, len(shapes))
+	for name := range shapes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		f.Add(shapes[name].AppendEncode(nil))
+	}
+	f.Add(encodeRaw([]string{"Top"}, [][][]any{{{0, 2, "ab"}, {3, 0}}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, n, err := DecodeHierarchy(data)

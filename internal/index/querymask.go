@@ -420,16 +420,19 @@ func selectFlatKept(sel *[scanChunk]uint16, chunk []byte, k, stride int, width u
 // query: whether the entry overlaps the range at all, and whether the range
 // fully contains it. The entry's MDS is read in its wire encoding, in place
 // (mds.AppendEncode's layout), and each constrained dimension's values are
-// counted against the mask of the level the entry is described at — one
-// word load and no branch per value, the same probe whether the entry is
-// finer than, level with or coarser than the query. A dimension overlaps
-// if it counts a member and is contained if all its values are members at
-// or below the query's level; a coarser entry (or ALL) can overlap but
-// never be contained. A malformed encoding surfaces as ErrCorrupt:
-// truncated, a dimension count that is not the schema's, ALL with values,
-// an empty value set, a count past the bytes, a constrained dimension's
-// level past its hierarchy's depth. Like any matcher that stops at the
-// first dimension without overlap, it checks the dimensions up to that one.
+// tested against the mask of the level the entry is described at, the same
+// probe whether the entry is finer than, level with or coarser than the
+// query. A dimension overlaps if it holds a member and is contained if all
+// its values are members at or below the query's level; a coarser entry
+// (or ALL) can overlap but never be contained. While containment is still
+// possible the values are counted, one word load and no branch per value;
+// once an earlier dimension or a level above the query's has refuted it,
+// the first member ends the dimension. A malformed encoding surfaces as
+// ErrCorrupt: truncated, a dimension count that is not the schema's, ALL
+// with values, an empty value set, a count past the bytes, a constrained
+// dimension's level past its hierarchy's depth. Like any matcher that stops
+// at the first dimension without overlap, it checks the dimensions up to
+// that one.
 func (qc *queryCtx) matchEntryFlat(f *FlatNode, i int) (overlaps, contained bool, err error) {
 	b := f.EntryMDS(i)
 	if len(b) == 0 || int(b[0]) != len(qc.dims) {
@@ -462,16 +465,35 @@ func (qc *queryCtx) matchEntryFlat(f *FlatNode, i int) (overlaps, contained bool
 		case level >= len(dm.levels):
 			return false, false, fmt.Errorf("%w: node %d entry %d mds dim %d level %d", ErrCorrupt, f.id, i, d, level)
 		}
-		mask, hits := dm.mask(level), 0
+		mask := dm.mask(level)
+		if !contained || level > dm.lq {
+			// Containment is refuted: only overlap is open, and the
+			// first member decides it.
+			if !anyMember(mask, ids) {
+				return false, false, nil
+			}
+			contained = false
+			continue
+		}
+		hits := 0
 		for o := 0; o < len(ids); o += 4 {
 			hits += maskBit(mask, binary.LittleEndian.Uint32(ids[o:])&hierarchy.MaxCode)
 		}
 		if hits == 0 {
 			return false, false, nil
 		}
-		if hits < int(count) || level > dm.lq {
-			contained = false
-		}
+		contained = hits == int(count)
 	}
 	return true, contained, nil
+}
+
+// anyMember reports whether the mask holds one of ids' codes (4-byte IDs,
+// little-endian), stopping at the first it holds.
+func anyMember(mask bitmap.Dense, ids []byte) bool {
+	for o := 0; o < len(ids); o += 4 {
+		if maskBit(mask, binary.LittleEndian.Uint32(ids[o:])&hierarchy.MaxCode) != 0 {
+			return true
+		}
+	}
+	return false
 }

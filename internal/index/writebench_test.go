@@ -10,8 +10,10 @@ import (
 	"github.com/dcindex/dctree/internal/tpcd"
 )
 
-// splitBenchRecords is the size of the tree BenchmarkSplit takes its
-// directory entries from, so that their value sets have real sizes.
+// splitBenchRecords is the step by which BenchmarkSplit grows the tree it
+// takes its directory entries from, so that their value sets have real
+// sizes. The tree grows until those entries overflow the largest case's
+// blocks: how many that takes follows the bytes of a row and of an entry.
 const splitBenchRecords = 20000
 
 // BenchmarkSplit times splitNode — adaptation, the hierarchy split of every
@@ -23,38 +25,7 @@ const splitBenchRecords = 20000
 // k(k-1)/2 seed pairs the search evaluated in the candidate the split
 // accepted.
 func BenchmarkSplit(b *testing.B) {
-	gen, err := tpcd.New(1, tpcd.ScaleFor(splitBenchRecords))
-	if err != nil {
-		b.Fatal(err)
-	}
-	tree, _ := newBareIndex(b, gen.Schema(), DefaultConfig())
-	recs := gen.Records(splitBenchRecords)
-	for _, r := range recs {
-		if err := tree.Insert(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// The entries of the directories right above the data nodes, by node
-	// and slot.
-	type slot struct {
-		n *Node
-		i int
-	}
-	var lowDirEntries []slot
-	for _, n := range collectNodes(b, tree) {
-		if n.leaf {
-			continue
-		}
-		if child, err := tree.store.Get(n.flat.Child(0)); err != nil {
-			b.Fatal(err)
-		} else if child.leaf {
-			for i := range n.Count() {
-				lowDirEntries = append(lowDirEntries, slot{n, i})
-			}
-		}
-	}
-
-	for _, bc := range []struct {
+	cases := []struct {
 		name   string
 		leaf   bool
 		blocks int
@@ -63,7 +34,60 @@ func BenchmarkSplit(b *testing.B) {
 		{"leaf-filled-4", true, 4},
 		{"dir-filled", false, 1},
 		{"dir-filled-4", false, 4},
-	} {
+	}
+	maxBlocks := 0
+	for _, bc := range cases {
+		maxBlocks = max(maxBlocks, bc.blocks)
+	}
+	gen, err := tpcd.New(1, tpcd.ScaleFor(splitBenchRecords))
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree, _ := newBareIndex(b, gen.Schema(), DefaultConfig())
+	// The entries of the directories right above the data nodes, by node
+	// and slot.
+	type slot struct {
+		n *Node
+		i int
+	}
+	var (
+		recs          []cube.Record
+		lowDirEntries []slot
+	)
+	for full := false; !full; {
+		batch := gen.Records(splitBenchRecords)
+		for _, r := range batch {
+			if err := tree.Insert(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+		recs = append(recs, batch...)
+		lowDirEntries = lowDirEntries[:0]
+		for _, n := range collectNodes(b, tree) {
+			if n.leaf {
+				continue
+			}
+			if child, err := tree.store.Get(n.flat.Child(0)); err != nil {
+				b.Fatal(err)
+			} else if child.leaf {
+				for i := range n.Count() {
+					lowDirEntries = append(lowDirEntries, slot{n, i})
+				}
+			}
+		}
+		// Enough entries once all of them overflow the largest directory.
+		probe := tree.store.New(false)
+		probe.setBlocks(maxBlocks)
+		for _, e := range lowDirEntries {
+			probe.copyEntry(&e.n.flat, e.i)
+		}
+		full = tree.nodeBlocks(probe) > maxBlocks
+		if err := tree.store.Drop(probe.id); err != nil {
+			b.Fatal(err)
+		}
+	}
+
+	for _, bc := range cases {
 		b.Run(bc.name, func(b *testing.B) {
 			n := tree.store.New(bc.leaf)
 			n.setBlocks(bc.blocks)

@@ -210,7 +210,12 @@ func TestPromoteWhileShipping(t *testing.T) {
 		}(w)
 	}
 
-	waitFor(t, 30*time.Second, "mid-stream progress", func() bool { return f.AppliedLSN() >= 500 })
+	// The watermark is on records, not LSNs: a dictionary delta takes an
+	// LSN of its own, so 500 applied LSNs can hold fewer than 500 records.
+	waitFor(t, 30*time.Second, "mid-stream progress", func() bool {
+		tree := f.Tree()
+		return tree != nil && tree.Count() >= 500
+	})
 	rw, err := f.Promote() // writers still running
 	if err != nil {
 		t.Fatalf("Promote while shipping: %v", err)
