@@ -127,19 +127,27 @@ func TestTwoEntryDirectoryGrows(t *testing.T) {
 	}
 }
 
-// TestBulkLoadSplitsATwoBlockLevel: the 24 data nodes that 9,375 TPC-D
-// records pack into need directory entries of two blocks' bytes. BulkLoad
-// makes them one directory and splits it, as the dynamic tree splits a root
-// that overflows: two directories under the root, each holding its share
-// of the entries (MinFillRatio), not a full directory and the rest.
+// TestBulkLoadSplitsATwoBlockLevel: some 24 data nodes of TPC-D records
+// need directory entries of two blocks' bytes. BulkLoad makes them one
+// directory and splits it, as the dynamic tree splits a root that
+// overflows: two directories under the root, each holding its share of the
+// entries (MinFillRatio), not a full directory and the rest. The records
+// are 24 blocks' worth at the stride of the generated rows, so the data
+// nodes stay that many whatever a row's bytes.
 func TestBulkLoadSplitsATwoBlockLevel(t *testing.T) {
-	const n = 9375
-	gen, err := tpcd.New(1, tpcd.ScaleFor(n))
+	const dataNodes = 24
+	// The dimension tables ScaleFor gives any count below 40,000 records.
+	gen, err := tpcd.New(1, tpcd.ScaleFor(0))
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A row takes at least a byte: enough records for any stride.
+	recs := gen.Records(dataNodes * testBlockPayload)
+	empty := payloadOfRows(gen.Schema(), recs, 0)
+	rows := (testBlockPayload - empty) / (payloadOfRows(gen.Schema(), recs, 1) - empty)
+	recs = recs[:dataNodes*rows]
 	ix, store := newBareIndex(t, gen.Schema(), DefaultConfig())
-	if err := ix.BulkLoad(gen.Records(n)); err != nil {
+	if err := ix.BulkLoad(recs); err != nil {
 		t.Fatal(err)
 	}
 	root := store.nodes[ix.Root()]

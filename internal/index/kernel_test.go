@@ -473,43 +473,47 @@ func checkDescriptions(t *testing.T, tree *Index, rng *rand.Rand) {
 	}
 }
 
-// TestSplitAllocationsIndependentOfEntryCount splits leaf nodes of one and
-// of four blocks: the split allocates what the tree keeps (the sibling, the
-// pair of entries that describes the halves, two aggregates), never per
-// entry or per compared pair.
+// TestSplitAllocationsIndependentOfEntryCount splits data nodes and
+// directories of one and of four blocks: the split allocates what the tree
+// keeps (the sibling, the pair of entries that describes the halves, two
+// aggregates), never per entry or per compared pair. The directories are
+// filled as BenchmarkSplit fills them, from the entries right above the data
+// nodes of a grown TPC-D tree.
 func TestSplitAllocationsIndependentOfEntryCount(t *testing.T) {
-	tree := newTestIndex(t, DefaultConfig())
 	const runs, maxBlocks = 5, 4
-	rng := rand.New(rand.NewSource(56))
-	// A row takes at least 4 bytes: three 1-byte codes and the measure.
-	recs := genRecords(t, tree.schema, rng, (runs+1)*(maxBlocks*testBlockPayload/4+1))
-	measure := func(blocks int) float64 {
-		entries := 0
-		nodes := make([]*Node, 0, runs+1)
-		for next := 0; len(nodes) < cap(nodes); {
-			// Rows until the node overflows its blocks by one.
-			n := tree.store.New(true)
-			n.setBlocks(blocks)
-			for tree.nodeBlocks(n) <= blocks {
-				n.appendRecord(rowOf(tree.schema, recs[next]))
-				next++
-			}
-			entries = n.Count()
-			nodes = append(nodes, n)
+	// measure splits the nodes fill makes, one to warm up and runs counted.
+	measure := func(tree *Index, fill func() *Node) float64 {
+		nodes := make([]*Node, runs+1)
+		for i := range nodes {
+			nodes[i] = fill()
 		}
 		next := 0
 		return testing.AllocsPerRun(runs, func() {
 			res, err := tree.splitNode(nodes[next], tree.ws.topMDS)
 			if err != nil || res == nil {
-				t.Fatalf("split of %d entries: split=%v err=%v", entries, res != nil, err)
+				t.Fatalf("split of %d entries: split=%v err=%v", nodes[next].Count(), res != nil, err)
 			}
 			next++
 		})
 	}
-	// Before the kernel a 49-entry split allocated some 15,000 times. The
-	// node map grows now and then, hence a ceiling and not equality.
-	if small, large := measure(1), measure(maxBlocks); small > 16 || large > 16 {
-		t.Fatalf("split allocates %.0f times for one block, %.0f for four; ceiling 16 for both", small, large)
+	tree := newTestIndex(t, DefaultConfig())
+	rng := rand.New(rand.NewSource(56))
+	// A row takes at least 4 bytes: three 1-byte codes and the measure.
+	recs := genRecords(t, tree.schema, rng, (runs+1)*(maxBlocks*testBlockPayload/4+1))
+	dirTree, _, entries := grownDirEntries(t, maxBlocks)
+	for _, blocks := range []int{1, maxBlocks} {
+		pool := recs
+		leaf := measure(tree, func() *Node {
+			n := overflowingNode(tree, true, blocks, pool, nil)
+			pool = pool[n.Count():]
+			return n
+		})
+		dir := measure(dirTree, func() *Node { return overflowingNode(dirTree, false, blocks, nil, entries) })
+		// Before the kernel a 49-entry split allocated some 15,000 times.
+		// The node map grows now and then, hence a ceiling and not equality.
+		if leaf > 16 || dir > 16 {
+			t.Errorf("%d blocks: a data node's split allocates %.0f times, a directory's %.0f; ceiling 16 for both", blocks, leaf, dir)
+		}
 	}
 }
 
@@ -811,14 +815,37 @@ func splitTestSpace(dims int) mds.Space {
 	return space
 }
 
+// fourBlockCounts returns how many TPC-D rows, and how many of the
+// smallest TPC-D directory entries (one leaf value per dimension), fill a
+// node of four blocks one past its bytes: the most a four-block data node
+// or directory splits.
+func fourBlockCounts(t *testing.T) (rows, entries int) {
+	t.Helper()
+	gen, err := tpcd.New(1, tpcd.ScaleFor(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, _ := newBareIndex(t, gen.Schema(), DefaultConfig())
+	recs := gen.Records(4 * testBlockPayload)
+	rows = overflowingNode(ix, true, 4, recs, nil).Count()
+	dir := ix.store.New(false)
+	for _, r := range recs {
+		if ix.nodeBlocks(dir) > 4 {
+			break
+		}
+		dir.appendEntry(mds.FromLeaves(r.Coords), fixedOf(unitsOf(ix.schema, r)), NilNode)
+	}
+	return rows, dir.Count()
+}
+
 // TestHierarchySplitMatchesReference holds the split to its reference on
 // random columns: in a third of the rounds every set is one value, as in a
-// data node, which the split assigns on ranks, up to a four-block data node
-// of the default 169 TPC-D rows; in the others some sets hold several
-// values, which it assigns on value sets, up to 4*48+1 entries — past any
-// directory below a supernode of eight blocks.
+// data node, up to a four-block data node of TPC-D rows; in the others some
+// sets hold several values, as in a directory, up to a four-block directory
+// of the smallest TPC-D entries. The reference is quadratic, so few rounds
+// are that large.
 func TestHierarchySplitMatchesReference(t *testing.T) {
-	const maxRanksK, maxSetsK = 4*169 + 1, 4*48 + 1
+	maxRanksK, maxSetsK := fourBlockCounts(t)
 	rng := rand.New(rand.NewSource(57))
 	var ranks, sets splitTally
 	for round := 0; round < 1500; round++ {
@@ -826,7 +853,7 @@ func TestHierarchySplitMatchesReference(t *testing.T) {
 		leafShaped := round%3 == 0
 		k := 2 + rng.Intn(24)
 		switch {
-		case round%15 == 0:
+		case round%90 == 0:
 			k = 2 + rng.Intn(maxRanksK-1)
 		case round%10 == 1:
 			k = 2 + rng.Intn(maxSetsK-1)
@@ -835,7 +862,7 @@ func TestHierarchySplitMatchesReference(t *testing.T) {
 		for d := range cols {
 			cols[d] = randomColumn(rng, k, rng.Intn(colShapes), 1+rng.Intn(12), leafShaped)
 		}
-		if round%4 == 1 || round%15 == 0 && round%2 == 0 {
+		if round%4 == 1 || round%90 == 0 && round%4 == 0 {
 			// Duplicated entries: every criterion ties, balance decides.
 			for _, c := range cols {
 				ids, off := c.ids, c.off[:k]
@@ -870,9 +897,9 @@ func TestHierarchySplitMatchesReference(t *testing.T) {
 		if tally.handedOver[0] == 0 || tally.handedOver[1] == 0 {
 			t.Errorf("%s: Guttman's hand-over filled the groups %v times: both sides must occur", name, tally.handedOver)
 		}
-	}
-	if ranks.picked[0] == 0 || ranks.picked[1] == 0 {
-		t.Errorf("ranks: picked %d entries in exactly one cover and %d first remaining: both must occur", ranks.picked[0], ranks.picked[1])
+		if tally.picked[0] == 0 || tally.picked[1] == 0 {
+			t.Errorf("%s: picked %d entries by their difference and %d as the first remaining: both must occur", name, tally.picked[0], tally.picked[1])
+		}
 	}
 }
 

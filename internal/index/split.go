@@ -132,22 +132,24 @@ type splitScratch struct {
 	order    []int
 
 	g      [2][]int
-	cov    [2]groupCover
-	size   [2][]int       // |cov[side]| per dimension
-	inter  []int          // |cov[0] ∩ cov[1]| per dimension
+	in     [2][]codeSet   // each group's cover per dimension as a bitmap of codes
+	size   [2][]int       // |cover| per group and dimension
+	inter  []int          // |cover₀ ∩ cover₁| per dimension
 	counts [2][]sideCount // what the picked entry would add to either cover
 
-	// The assignment on value sets (assignSets).
-	gain      [2][]int
-	remaining []int
-	added     []hierarchy.ID // the values one cover just gained in one dimension
+	// The split dimension's values, entry by entry, chained per value so that
+	// a value entering a cover reaches every entry whose set holds it.
+	head  []int32   // per split-dimension code: 1 + a slot of it, 0 if none
+	next  []int32   // per slot of the split column: 1 + another slot of its value, 0 if none
+	entry []int32   // per slot: the entry whose set it is in
+	done  []bool    // per entry: assigned to a group
+	diff  []int     // per entry: its gain₀ − gain₁ in the split dimension
+	cand  entryHeap // entries whose one value may lie in exactly one cover
 
-	// The assignment on ranks (assignRanks).
-	in   [2][]codeSet // cov[side] per dimension as a bitmap of codes
-	head []int32      // per split-dimension code: 1 + an entry of it, 0 if none
-	next []int32      // per entry: 1 + another entry of its value, 0 if none
-	done []bool       // per entry: assigned to a group
-	cand entryHeap    // entries whose value may lie in exactly one cover
+	// The covers read back from the bitmaps, handed out as MDSs; ids[0] is
+	// also the distinct-value scratch of column.close, idle until then.
+	cov [2]mds.MDS
+	ids [2][]hierarchy.ID
 
 	fallback splitFallback
 }
@@ -159,8 +161,8 @@ func (ss *splitScratch) init(dims int) {
 	ss.order = make([]int, dims)
 	ss.inter = make([]int, dims)
 	ss.head = make([]int32, codeBlock)
-	for side := range ss.cov {
-		ss.cov[side].ids = make([][]hierarchy.ID, dims)
+	for side := range ss.in {
+		ss.cov[side] = make(mds.MDS, dims)
 		ss.size[side] = make([]int, dims)
 		ss.counts[side] = make([]sideCount, dims)
 		ss.in[side] = make([]codeSet, dims)
@@ -226,39 +228,6 @@ func (c *column) close(scratch []hierarchy.ID) []hierarchy.ID {
 	scratch = mds.SortDedupFrom(append(scratch[:0], c.ids...), 0)
 	c.bound = min(c.bound, len(scratch))
 	return scratch
-}
-
-// groupCover is the cover of one group of the hierarchy split: per
-// dimension a sorted value set that absorbs the group's members in place,
-// or, on ranks, is read back from the group's bitmaps. The sets are carved
-// from one slab kept from split to split, each with room for every value of
-// its column, so none ever moves. view hands the cover out as an MDS.
-type groupCover struct {
-	ids  [][]hierarchy.ID
-	slab []hierarchy.ID
-	dims []mds.DimSet
-}
-
-// seed makes the cover a copy of entry i's description.
-func (gc *groupCover) seed(cols []*column, i int) {
-	room := 0
-	for _, c := range cols {
-		room += len(c.ids)
-	}
-	gc.slab = slices.Grow(gc.slab[:0], room)
-	at := 0
-	for d, c := range cols {
-		gc.ids[d] = append(gc.slab[at:at:at+len(c.ids)], c.set(i)...)
-		at += len(c.ids)
-	}
-}
-
-func (gc *groupCover) view(cols []*column) mds.MDS {
-	gc.dims = gc.dims[:0]
-	for d, c := range cols {
-		gc.dims = append(gc.dims, mds.DimSet{Level: c.level, IDs: gc.ids[d]})
-	}
-	return gc.dims
 }
 
 // sideCount is what one group's cover would gain in one dimension by
@@ -447,10 +416,9 @@ func (ix *Index) fillColumn(c *column, n *Node, dim, level int) error {
 		}
 		c.ids = ix.ws.codes.appendTo(c.ids, level)
 	}
-	// The first group's slab is idle until the seeds are chosen, and will
-	// be asked for this room and more then.
-	slab := &ix.ws.split.cov[0].slab
-	*slab = c.close(*slab)
+	// The first cover's storage is idle until the covers are read back.
+	scratch := &ix.ws.split.ids[0]
+	*scratch = c.close(*scratch)
 	return nil
 }
 
@@ -588,36 +556,16 @@ func (ix *Index) splitDimensionOrder(nodeMDS mds.MDS) []int {
 // Π(inter + shared), its volume Π(|cov_g| + fresh) (chooseGroup). The
 // products are multiplied in dimension order as mds.Overlap, Extension and
 // Volume multiply theirs, so they are the same floats and break every tie
-// alike. A data node's entries are assigned on ranks (assignRanks), a
-// directory's on value sets (assignSets) unless its sets too are single
-// values.
+// alike.
 func (ss *splitScratch) hierarchySplit(dim, minFill int) (g1, g2 []int, cov1, cov2 mds.MDS) {
-	cols := ss.cols
-	k := cols[dim].count()
+	k := ss.cols[dim].count()
 	if k < 2 {
 		return nil, nil, nil, nil
 	}
 	seedA, seedB, _ := ss.seedPair(k)
-
-	g := [2][]int{append(ss.g[0][:0], seedA), append(ss.g[1][:0], seedB)}
-	ss.cov[0].seed(cols, seedA)
-	ss.cov[1].seed(cols, seedB)
-	single := true
-	for d, c := range cols {
-		ss.inter[d] = mds.IntersectCount(c.set(seedA), c.set(seedB))
-		ss.size[0][d], ss.size[1][d] = len(c.set(seedA)), len(c.set(seedB))
-		// A dimension in which every entry carries the same set adds
-		// nothing to either cover, ever.
-		ss.counts[0][d], ss.counts[1][d] = sideCount{}, sideCount{}
-		single = single && c.single
-	}
-	if single {
-		g = ss.assignRanks(g, dim, minFill)
-	} else {
-		g = ss.assignSets(g, dim, minFill)
-	}
-	ss.g = g
-	return g[0], g[1], ss.cov[0].view(cols), ss.cov[1].view(cols)
+	g := ss.assign(seedA, seedB, dim, minFill)
+	ss.readCovers()
+	return g[0], g[1], ss.cov[0], ss.cov[1]
 }
 
 // shortGroup is Guttman's termination rule: the group that needs every one
@@ -680,130 +628,57 @@ func (ss *splitScratch) chooseGroup(g [2][]int) int {
 	return into
 }
 
-// assignSets is the assignment over value sets, for columns of which some
-// set holds several values. Only the cover of the group that wins an entry
-// is built, in place; another entry's gain shrinks by the number of its
-// values among the ones the cover just took in.
-func (ss *splitScratch) assignSets(g [2][]int, dim, minFill int) [2][]int {
-	cols, cov, counts := ss.cols, &ss.cov, &ss.counts
-	split := cols[dim]
-	k := split.count()
-	remaining := ss.remaining[:0]
-	for i := 0; i < k; i++ {
-		if i != g[0][0] && i != g[1][0] {
-			remaining = append(remaining, i)
-		}
-	}
-	// gain[side][i] is how many values cov[side] would gain in the split
-	// dimension by absorbing entry i.
-	gain := [2][]int{slices.Grow(ss.gain[0][:0], k)[:k], slices.Grow(ss.gain[1][:0], k)[:k]}
-	for _, i := range remaining {
-		s := split.set(i)
-		gain[0][i] = len(s) - mds.IntersectCount(s, cov[0].ids[dim])
-		gain[1][i] = len(s) - mds.IntersectCount(s, cov[1].ids[dim])
-	}
-
-	for len(remaining) > 0 {
-		if short := shortGroup(g, len(remaining), minFill); short >= 0 {
-			for d, c := range cols {
-				if c.same {
-					continue
-				}
-				ids := cov[short].ids[d]
-				for _, i := range remaining {
-					ss.added = mds.AppendMissing(ss.added[:0], c.set(i), ids)
-					ids = mds.MergeDisjoint(ids, ss.added)
-				}
-				cov[short].ids[d] = ids
-			}
-			g[short] = append(g[short], remaining...)
-			break
-		}
-		// Pick the entry with the greatest difference between the two
-		// groups' enlargements in the split dimension.
-		pick, pickDiff := -1, -1
-		for ri, i := range remaining {
-			diff := gain[0][i] - gain[1][i]
-			if diff < 0 {
-				diff = -diff
-			}
-			if diff > pickDiff {
-				pickDiff, pick = diff, ri
-			}
-		}
-		i := remaining[pick]
-		remaining = append(remaining[:pick], remaining[pick+1:]...)
-
-		for d, c := range cols {
-			if c.same {
-				continue
-			}
-			only0, only1, neither := mds.MemberCounts(c.set(i), cov[0].ids[d], cov[1].ids[d])
-			counts[0][d] = sideCount{fresh: only1 + neither, shared: only1}
-			counts[1][d] = sideCount{fresh: only0 + neither, shared: only0}
-		}
-		into := ss.chooseGroup(g)
-		g[into] = append(g[into], i)
-		for d, c := range cols {
-			cnt := counts[into][d]
-			if cnt.fresh == 0 {
-				continue
-			}
-			add := c.set(i)
-			if cnt.fresh < len(add) {
-				ss.added = mds.AppendMissing(ss.added[:0], add, cov[into].ids[d])
-				add = ss.added
-			}
-			cov[into].ids[d] = mds.MergeDisjoint(cov[into].ids[d], add)
-			if d != dim {
-				continue
-			}
-			// The cover grew in the split dimension: what it took in, no
-			// other entry can bring again.
-			for _, r := range remaining {
-				gain[into][r] -= mds.IntersectCount(split.set(r), add)
-			}
-		}
-	}
-	ss.gain, ss.remaining = gain, remaining[:0]
-	return g
-}
-
-// assignRanks is the assignment when every set of every column is one
-// value, as a data node's always are. A value's code is its rank (codeSet),
-// so each group's cover is a bitmap of codes per dimension beside its size:
-// the counts of the picked entry are two loads per dimension, and the sorted
-// covers are read back once, at the end.
+// assign is the assignment of Fig. 6 to the groups seeded by entries a and
+// b. A value's code is its rank (codeSet), so each group's cover is a bitmap
+// of codes per dimension beside its size: the counts of the picked entry are
+// two bit tests per value, and the sorted covers are read back once, at the
+// end (readCovers).
 //
-// An entry's gain for a group is then 1 when the group's cover lacks its
-// split-dimension value, so Fig. 6's pick — the first remaining entry with
-// the greatest |gain₀ − gain₁| — is the first remaining entry whose value
-// lies in exactly one cover, else the first remaining entry. The candidates
-// wait in a min-heap of entry numbers: an entry enters when its value
-// enters its first cover, and is dropped when it surfaces once the value is
-// in both.
-func (ss *splitScratch) assignRanks(g [2][]int, dim, minFill int) [2][]int {
+// An entry's gain for a group is the number of its split-dimension values
+// the group's cover lacks, and the pick is the first remaining entry with
+// the greatest |gain₀ − gain₁| (pick).
+func (ss *splitScratch) assign(a, b, dim, minFill int) [2][]int {
 	cols, in, counts := ss.cols, &ss.in, &ss.counts
 	split := cols[dim]
 	k := split.count()
 	ss.done = append(ss.done[:0], make([]bool, k)...)
-	ss.next = slices.Grow(ss.next[:0], k)[:k]
+	ss.diff = append(ss.diff[:0], make([]int, k)...)
 	ss.cand = slices.Grow(ss.cand[:0], k)
-	// Chain each split-dimension value's entries, for take to feed.
+	// Chain each split-dimension value's slots, for take to follow.
+	slots := len(split.ids)
+	ss.next = slices.Grow(ss.next[:0], slots)[:slots]
+	ss.entry = slices.Grow(ss.entry[:0], slots)[:slots]
 	for i := 0; i < k; i++ {
-		c := int(split.ids[i].Code())
-		if c >= len(ss.head) {
-			ss.head = extendByCode(ss.head, c+1, codeBlock)
+		for s := split.off[i]; s < split.off[i+1]; s++ {
+			c := int(split.ids[s].Code())
+			if c >= len(ss.head) {
+				ss.head = extendByCode(ss.head, c+1, codeBlock)
+			}
+			ss.next[s], ss.head[c], ss.entry[s] = ss.head[c], int32(s+1), int32(i)
 		}
-		ss.next[i], ss.head[c] = ss.head[c], int32(i+1)
 	}
+	g := [2][]int{append(ss.g[0][:0], a), append(ss.g[1][:0], b)}
 	for side := range g {
 		ss.done[g[side][0]] = true
 		ss.take(side, g[side][0], dim)
 	}
+	for d, c := range cols {
+		ss.size[0][d], ss.size[1][d] = len(c.set(a)), len(c.set(b))
+		ss.inter[d] = 0
+		for _, v := range c.set(b) {
+			ss.inter[d] += one(c.same || in[0][d].has(v))
+		}
+		// A dimension in which every entry carries the same set adds
+		// nothing to either cover, ever: both covers are that set, and
+		// take marks neither.
+		counts[0][d], counts[1][d] = sideCount{}, sideCount{}
+	}
 
 	first := 0 // no entry before it remains
 	for left := k - 2; left > 0; left-- {
+		for ss.done[first] {
+			first++
+		}
 		if short := shortGroup(g, left, minFill); short >= 0 {
 			for i := first; i < k; i++ {
 				if !ss.done[i] {
@@ -813,63 +688,104 @@ func (ss *splitScratch) assignRanks(g [2][]int, dim, minFill int) [2][]int {
 			}
 			break
 		}
-		i := -1
-		for len(ss.cand) > 0 && i < 0 {
-			j := int(ss.cand[0])
-			ss.cand.pop()
-			if v := split.ids[j]; !ss.done[j] && !(in[0][dim].has(v) && in[1][dim].has(v)) {
-				i = j
-			}
-		}
-		if i < 0 {
-			for ss.done[first] {
-				first++
-			}
-			i = first
-		}
+		i := ss.pick(first, dim)
 		ss.done[i] = true
 
+		// Two bit tests per value of the picked set.
 		for d, c := range cols {
-			if c.same {
-				continue
+			switch {
+			case c.same:
+			case c.single:
+				in0, in1 := in[0][d].has(c.ids[i]), in[1][d].has(c.ids[i])
+				counts[0][d] = sideCount{fresh: one(!in0), shared: one(!in0 && in1)}
+				counts[1][d] = sideCount{fresh: one(!in1), shared: one(!in1 && in0)}
+			default:
+				var cnt [2]sideCount
+				for _, v := range c.set(i) {
+					in0, in1 := in[0][d].has(v), in[1][d].has(v)
+					cnt[0].fresh, cnt[0].shared = cnt[0].fresh+one(!in0), cnt[0].shared+one(!in0 && in1)
+					cnt[1].fresh, cnt[1].shared = cnt[1].fresh+one(!in1), cnt[1].shared+one(!in1 && in0)
+				}
+				counts[0][d], counts[1][d] = cnt[0], cnt[1]
 			}
-			in0, in1 := in[0][d].has(c.ids[i]), in[1][d].has(c.ids[i])
-			counts[0][d] = sideCount{fresh: one(!in0), shared: one(!in0 && in1)}
-			counts[1][d] = sideCount{fresh: one(!in1), shared: one(!in1 && in0)}
 		}
 		into := ss.chooseGroup(g)
 		g[into] = append(g[into], i)
 		ss.take(into, i, dim)
 	}
 
-	for d, c := range cols {
-		if c.same {
-			continue // both covers are the seeds' sets, every entry's
-		}
-		for side := range in {
-			ss.cov[side].ids[d] = in[side][d].appendTo(ss.cov[side].ids[d][:0], c.level)
-		}
-	}
 	for _, v := range split.ids {
 		ss.head[v.Code()] = 0
 	}
+	ss.g = g
 	return g
 }
 
+// pick is the next entry to assign, given the first remaining one: the first
+// remaining entry with the greatest |gain₀ − gain₁|. It is the one step that
+// depends on the shape of the split column. On value sets, as a directory's,
+// every entry keeps its difference, which take moves as the covers grow, and
+// the pick is a forward scan. On one value per entry, as a data node's
+// always are, the difference is 1 exactly when the value lies in one cover:
+// such entries wait in a min-heap of entry numbers, entering when their
+// value enters its first cover and dropped when they surface once it is in
+// both; with none the pick is the first remaining entry.
+func (ss *splitScratch) pick(first, dim int) int {
+	split := ss.cols[dim]
+	if !split.single {
+		i, most := first, -1
+		for j := first; j < len(ss.diff); j++ {
+			if d := max(ss.diff[j], -ss.diff[j]); d > most && !ss.done[j] {
+				i, most = j, d
+			}
+		}
+		return i
+	}
+	for len(ss.cand) > 0 {
+		j := int(ss.cand[0])
+		ss.cand.pop()
+		if v := split.ids[j]; !ss.done[j] && !(ss.in[0][dim].has(v) && ss.in[1][dim].has(v)) {
+			return j
+		}
+	}
+	return first
+}
+
 // take adds entry i's values to group side's cover. A split-dimension value
-// that enters its first cover makes its entries candidates.
+// entering it lowers the gain of every entry whose set holds it: on one value
+// per entry those entries become candidates if the other cover lacks the
+// value; on value sets their differences move. A set of one value is read
+// without a loop, which a data node's split, run for each of its rows, shows.
 func (ss *splitScratch) take(side, i, dim int) {
+	own := ss.in[side]
 	for d, c := range ss.cols {
-		v := c.ids[i]
-		if c.same || ss.in[side][d].has(v) {
-			continue
-		}
-		ss.in[side][d].add(v)
-		if d != dim || ss.in[1-side][d].has(v) {
-			continue
-		}
-		for j := ss.head[v.Code()]; j != 0; j = ss.next[j-1] {
-			ss.cand.push(j - 1)
+		switch {
+		case c.same:
+		case c.single:
+			v := c.ids[i]
+			if own[d].has(v) {
+				continue
+			}
+			own[d].add(v)
+			if d != dim || ss.in[1-side][d].has(v) {
+				continue
+			}
+			for s := ss.head[v.Code()]; s != 0; s = ss.next[s-1] {
+				ss.cand.push(s - 1)
+			}
+		default:
+			for _, v := range c.set(i) {
+				if own[d].has(v) {
+					continue
+				}
+				own[d].add(v)
+				if d != dim {
+					continue
+				}
+				for s := ss.head[v.Code()]; s != 0; s = ss.next[s-1] {
+					ss.diff[ss.entry[s-1]] += 2*side - 1
+				}
+			}
 		}
 	}
 }
@@ -879,6 +795,26 @@ func one(b bool) int {
 		return 1
 	}
 	return 0
+}
+
+// readCovers reads the groups' covers back from their bitmaps into ss.cov,
+// sorted, and empties the bitmaps. A column whose entries all carry one set
+// gives both covers a copy of it.
+func (ss *splitScratch) readCovers() {
+	for side := range ss.cov {
+		// A set handed out stays where it is if ids moves on growing.
+		ids := ss.ids[side][:0]
+		for d, c := range ss.cols {
+			start := len(ids)
+			if c.same {
+				ids = append(ids, c.set(0)...)
+			} else {
+				ids = ss.in[side][d].appendTo(ids, c.level)
+			}
+			ss.cov[side][d] = mds.DimSet{Level: c.level, IDs: ids[start:len(ids):len(ids)]}
+		}
+		ss.ids[side] = ids
+	}
 }
 
 // seedPair returns the first pair of entries, in (i<j) order, whose

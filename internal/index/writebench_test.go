@@ -10,11 +10,81 @@ import (
 	"github.com/dcindex/dctree/internal/tpcd"
 )
 
-// splitBenchRecords is the step by which BenchmarkSplit grows the tree it
+// splitBenchRecords is the step by which a split test grows the tree it
 // takes its directory entries from, so that their value sets have real
-// sizes. The tree grows until those entries overflow the largest case's
-// blocks: how many that takes follows the bytes of a row and of an entry.
+// sizes. The tree grows until those entries overflow the largest directory
+// asked for: how many that takes follows the bytes of a row and of an entry.
 const splitBenchRecords = 20000
+
+// dirSlot is one entry of a directory: its node and its slot.
+type dirSlot struct {
+	n *Node
+	i int
+}
+
+// grownDirEntries grows a TPC-D tree by splitBenchRecords at a time until
+// the entries of its directories right above the data nodes overflow a
+// directory of the given blocks. It returns the tree, every record inserted
+// and those entries.
+func grownDirEntries(tb testing.TB, blocks int) (*Index, []cube.Record, []dirSlot) {
+	tb.Helper()
+	gen, err := tpcd.New(1, tpcd.ScaleFor(splitBenchRecords))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tree, _ := newBareIndex(tb, gen.Schema(), DefaultConfig())
+	var (
+		recs    []cube.Record
+		entries []dirSlot
+	)
+	for full := false; !full; {
+		batch := gen.Records(splitBenchRecords)
+		for _, r := range batch {
+			if err := tree.Insert(r); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		recs = append(recs, batch...)
+		entries = entries[:0]
+		for _, n := range collectNodes(tb, tree) {
+			if n.leaf {
+				continue
+			}
+			if child, err := tree.store.Get(n.flat.Child(0)); err != nil {
+				tb.Fatal(err)
+			} else if child.leaf {
+				for i := range n.Count() {
+					entries = append(entries, dirSlot{n, i})
+				}
+			}
+		}
+		probe := tree.store.New(false)
+		probe.setBlocks(blocks)
+		for _, e := range entries {
+			probe.copyEntry(&e.n.flat, e.i)
+		}
+		full = tree.nodeBlocks(probe) > blocks
+		if err := tree.store.Drop(probe.id); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return tree, recs, entries
+}
+
+// overflowingNode is a fresh node of the given blocks filled with rows of
+// recs, or with copies of entries, until it overflows its blocks by one.
+func overflowingNode(tree *Index, leaf bool, blocks int, recs []cube.Record, entries []dirSlot) *Node {
+	n := tree.store.New(leaf)
+	n.setBlocks(blocks)
+	for i := 0; tree.nodeBlocks(n) <= blocks; i++ {
+		if leaf {
+			n.appendRecord(rowOf(tree.schema, recs[i]))
+		} else {
+			n.copyEntry(&entries[i].n.flat, entries[i].i)
+		}
+	}
+	return n
+}
 
 // BenchmarkSplit times splitNode — adaptation, the hierarchy split of every
 // candidate tried and buildSplit — on overflowing nodes of one and of four
@@ -39,66 +109,11 @@ func BenchmarkSplit(b *testing.B) {
 	for _, bc := range cases {
 		maxBlocks = max(maxBlocks, bc.blocks)
 	}
-	gen, err := tpcd.New(1, tpcd.ScaleFor(splitBenchRecords))
-	if err != nil {
-		b.Fatal(err)
-	}
-	tree, _ := newBareIndex(b, gen.Schema(), DefaultConfig())
-	// The entries of the directories right above the data nodes, by node
-	// and slot.
-	type slot struct {
-		n *Node
-		i int
-	}
-	var (
-		recs          []cube.Record
-		lowDirEntries []slot
-	)
-	for full := false; !full; {
-		batch := gen.Records(splitBenchRecords)
-		for _, r := range batch {
-			if err := tree.Insert(r); err != nil {
-				b.Fatal(err)
-			}
-		}
-		recs = append(recs, batch...)
-		lowDirEntries = lowDirEntries[:0]
-		for _, n := range collectNodes(b, tree) {
-			if n.leaf {
-				continue
-			}
-			if child, err := tree.store.Get(n.flat.Child(0)); err != nil {
-				b.Fatal(err)
-			} else if child.leaf {
-				for i := range n.Count() {
-					lowDirEntries = append(lowDirEntries, slot{n, i})
-				}
-			}
-		}
-		// Enough entries once all of them overflow the largest directory.
-		probe := tree.store.New(false)
-		probe.setBlocks(maxBlocks)
-		for _, e := range lowDirEntries {
-			probe.copyEntry(&e.n.flat, e.i)
-		}
-		full = tree.nodeBlocks(probe) > maxBlocks
-		if err := tree.store.Drop(probe.id); err != nil {
-			b.Fatal(err)
-		}
-	}
+	tree, recs, entries := grownDirEntries(b, maxBlocks)
 
 	for _, bc := range cases {
 		b.Run(bc.name, func(b *testing.B) {
-			n := tree.store.New(bc.leaf)
-			n.setBlocks(bc.blocks)
-			// Rows or entries until the node overflows its blocks by one.
-			for i := 0; tree.nodeBlocks(n) <= bc.blocks; i++ {
-				if bc.leaf {
-					n.appendRecord(rowOf(tree.schema, recs[i]))
-				} else {
-					n.copyEntry(&lowDirEntries[i].n.flat, lowDirEntries[i].i)
-				}
-			}
+			n := overflowingNode(tree, bc.leaf, bc.blocks, recs, entries)
 			var buf mds.CoverBuf
 			m, err := mds.CoverInto(&buf, tree.space(), tree.ws.top, tree.ws.entryMDSs(n))
 			if err != nil {
